@@ -86,6 +86,9 @@ impl Community {
 pub struct TopList {
     capacity: usize,
     items: Vec<Community>,
+    /// `items[i].signature()`, kept beside the list so the duplicate
+    /// scan compares one word per retained community.
+    signatures: Vec<u64>,
     floor: f64,
 }
 
@@ -95,6 +98,7 @@ impl TopList {
         TopList {
             capacity,
             items: Vec::with_capacity(capacity + 1),
+            signatures: Vec::with_capacity(capacity + 1),
             floor: f64::NEG_INFINITY,
         }
     }
@@ -153,13 +157,20 @@ impl TopList {
         self.items.first()
     }
 
-    /// Inserts a community; returns whether it was retained. Duplicates
-    /// (same vertex set) are rejected.
+    /// Inserts a community; returns whether it was retained. A vertex
+    /// set is listed at most once: of two copies, the better-ranked one
+    /// stays.
     ///
-    /// Values are ordered and compared by `total_cmp` bits throughout —
-    /// including the duplicate scan — so the `−∞` undefined-value
-    /// sentinel (the `may_be_neg_infinite` certificate of
-    /// `crate::Certificates`) dedups and tie-breaks exactly like any
+    /// Two copies of one vertex set need not carry bit-identical values
+    /// — an incrementally accumulated `avg` reaches the same set along
+    /// different add/remove orders and can differ in the last ulp — so
+    /// they need not rank adjacently, and the duplicate scan covers the
+    /// whole list (`r` is at most a few dozen) by cached signature, with
+    /// a full vertex-list comparison on a signature match.
+    ///
+    /// Values are ordered by `total_cmp` bits throughout, so the `−∞`
+    /// undefined-value sentinel (the `may_be_neg_infinite` certificate
+    /// of `crate::Certificates`) ranks and tie-breaks exactly like any
     /// finite value on every solver path.
     /// NaN values are a solver bug, never a data condition, and are
     /// rejected in debug builds.
@@ -173,39 +184,27 @@ impl TopList {
         if self.capacity == 0 {
             return false;
         }
-        // Find insertion point by ranking; detect duplicates on the way.
         let pos = self
             .items
             .partition_point(|c| c.ranking_cmp(&community) == Ordering::Less);
         if pos == self.items.len() && self.items.len() >= self.capacity {
             return false; // worse than everything retained, list full
         }
-        // Duplicate check: identical vertex lists have bit-identical
-        // values (same computation), so they rank adjacently under
-        // `ranking_cmp` and it is enough to scan the `total_cmp`-equal
-        // neighborhood of the insertion point. `total_cmp` (not `==`)
-        // keeps the scan boundary aligned with the ordering above for
-        // every value class, `−∞` included.
         let sig = community.signature();
-        let mut i = pos;
-        while i > 0 && self.items[i - 1].value.total_cmp(&community.value) == Ordering::Equal {
-            i -= 1;
-            if self.items[i].signature() == sig && self.items[i].vertices == community.vertices {
-                return false;
+        let duplicate = (0..self.items.len())
+            .find(|&i| self.signatures[i] == sig && self.items[i].vertices == community.vertices);
+        if let Some(dup) = duplicate {
+            if self.items[dup].ranking_cmp(&community) != Ordering::Greater {
+                return false; // the retained copy ranks at least as well
             }
-        }
-        let mut j = pos;
-        while j < self.items.len()
-            && self.items[j].value.total_cmp(&community.value) == Ordering::Equal
-        {
-            if self.items[j].signature() == sig && self.items[j].vertices == community.vertices {
-                return false;
-            }
-            j += 1;
+            self.items.remove(dup);
+            self.signatures.remove(dup);
         }
         self.items.insert(pos, community);
+        self.signatures.insert(pos, sig);
         if self.items.len() > self.capacity {
             self.items.pop();
+            self.signatures.pop();
         }
         true
     }
@@ -286,6 +285,34 @@ mod tests {
         // Same value, different set: accepted.
         assert!(l.insert(c(&[1, 3], 5.0)));
         assert_eq!(l.len(), 2);
+    }
+
+    #[test]
+    fn toplist_dedups_one_vertex_set_across_values_an_ulp_apart() {
+        // Regression (PR 11 defect): an incrementally accumulated avg
+        // reaches one vertex set with values one ulp apart; the copies do
+        // not rank adjacently once a third community sits between them.
+        let hi = 5.0f64;
+        let lo = f64::from_bits(hi.to_bits() - 1);
+        let mid = c(&[7], lo); // same value as the low copy, ranks before it (smaller set)
+        for first_hi in [true, false] {
+            let mut l = TopList::new(4);
+            let (a, b) = if first_hi { (hi, lo) } else { (lo, hi) };
+            assert!(l.insert(c(&[1, 2], a)));
+            assert!(l.insert(mid.clone()));
+            // The second copy is retained only when it ranks better.
+            assert_eq!(l.insert(c(&[2, 1], b)), !first_hi);
+            let got: Vec<(&[u32], u64)> = l
+                .items()
+                .iter()
+                .map(|x| (x.vertices.as_slice(), x.value.to_bits()))
+                .collect();
+            assert_eq!(
+                got,
+                vec![(&[1, 2][..], hi.to_bits()), (&[7][..], lo.to_bits())],
+                "one copy, the better-ranked one (first_hi = {first_hi})"
+            );
+        }
     }
 
     #[test]

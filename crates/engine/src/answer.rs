@@ -75,6 +75,13 @@ impl QueryAnswer {
     }
 }
 
+/// One query's result slot as the engine holds it: the very allocation
+/// the result cache keeps and every duplicate query of a batch shares.
+/// [`Engine::run_batch_traced`](crate::Engine::run_batch_traced) hands
+/// these out so a serving layer can write a cached answer to a socket
+/// without cloning its vertex lists.
+pub type SharedAnswer = std::sync::Arc<Result<QueryAnswer, EngineError>>;
+
 /// Why the engine could not answer a query at all; see the module docs.
 #[non_exhaustive]
 #[derive(Clone, Debug, PartialEq)]

@@ -46,12 +46,12 @@
 //!
 //! [`Complete`]: crate::AnswerStatus::Complete
 
-use crate::{Constraint, EngineError, Epoch, Query, QueryAnswer};
+use crate::{Constraint, Epoch, Query};
 use ic_core::aggregate::canonical_f64_bits;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-pub(crate) type Outcome = Arc<Result<QueryAnswer, EngineError>>;
+pub(crate) type Outcome = crate::SharedAnswer;
 
 /// Hashable identity of a query (normalized f64 parameter bits).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]

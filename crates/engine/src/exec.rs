@@ -8,7 +8,10 @@
 //! local-search chunk; both are reused across every job the worker runs.
 //! Completed results flow back to the caller thread over a channel, which
 //! is what makes [`crate::Engine::for_each_result`] stream results in
-//! completion order while the batch is still running.
+//! completion order while the batch is still running. A plan that needs
+//! one worker (one job, or a one-thread engine) spawns nothing: the
+//! calling thread is the worker and hands each job's results over as
+//! the job ends.
 //!
 //! # Failure model
 //!
@@ -46,7 +49,6 @@ use ic_core::{Community, Extremum, TopList};
 use ic_kcore::{ArenaPool, Budget, GraphSnapshot, PeelArena};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -108,55 +110,30 @@ pub(crate) fn execute<F>(
 
     let cursor = AtomicUsize::new(0);
     let workers = threads.max(1).min(plan.jobs.len());
+    if workers == 1 {
+        drain_jobs(snap, arenas, anchor, &plan, &cursor, trace, &mut deliver);
+        return;
+    }
     let (tx, rx) = std::sync::mpsc::channel::<(usize, Outcome)>();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
-            let cursor = &cursor;
-            let plan = &plan;
+            let (cursor, plan) = (&cursor, &plan);
             scope.spawn(move || {
-                let mut arena = arenas.take_arena();
-                let mut scratch: Option<LocalScratch> = None;
-                loop {
-                    let j = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = plan.jobs.get(j) else { break };
-                    let guarded = catch_unwind(AssertUnwindSafe(|| {
-                        run_job(snap, anchor, job, &mut arena, &mut scratch, trace, &tx);
-                    }));
-                    match guarded {
-                        Ok(()) => {
-                            if let Job::LocalChunk { job, .. } = job {
-                                finish_chunk(job, &tx);
-                            }
-                        }
-                        Err(payload) => {
-                            // The panicking job may have left the arena
-                            // (and scratch) mid-peel with torn state:
-                            // quarantine the arena — it never returns to
-                            // the pool — and continue on fresh ones. The
-                            // failure is confined to this job's queries.
-                            let bad = std::mem::replace(&mut arena, arenas.take_arena());
-                            arenas.quarantine(bad);
-                            scratch = None;
-                            let detail = panic_detail(payload.as_ref());
-                            match job {
-                                Job::LocalChunk { job, .. } => {
-                                    job.poisoned
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .get_or_insert(detail);
-                                    finish_chunk(job, &tx);
-                                }
-                                Job::MinMaxFamily { outputs, .. }
-                                | Job::SumFamily { outputs, .. }
-                                | Job::Improved { outputs, .. } => {
-                                    send_all(&tx, outputs, &fail(EngineError::Internal { detail }));
-                                }
-                            }
-                        }
-                    }
-                }
-                arenas.put_arena(arena);
+                // The receiver outlives the scope; a send can only fail
+                // if the caller's callback panicked, in which case the
+                // batch is already unwinding.
+                drain_jobs(
+                    snap,
+                    arenas,
+                    anchor,
+                    plan,
+                    cursor,
+                    trace,
+                    &mut |query, result| {
+                        let _ = tx.send((query, result));
+                    },
+                );
             });
         }
         drop(tx);
@@ -165,6 +142,76 @@ pub(crate) fn execute<F>(
             deliver(query, result);
         }
     });
+}
+
+/// One worker: draws jobs off `cursor` until the plan is exhausted,
+/// holding one pooled arena throughout. A job's results reach `emit`
+/// only once the job has ended, outside its panic guard, so a panic in
+/// `emit` itself (the caller's callback, on the single-worker path) is
+/// never mistaken for a solver panic — it unwinds through here, and the
+/// arena guard still hands the (sound) arena back to the pool.
+fn drain_jobs(
+    snap: &GraphSnapshot,
+    arenas: &ArenaPool,
+    anchor: Instant,
+    plan: &Plan,
+    cursor: &AtomicUsize,
+    trace: Option<&ic_obs::Trace>,
+    emit: &mut dyn FnMut(usize, Outcome),
+) {
+    let mut arena = arenas.acquire();
+    let mut scratch: Option<LocalScratch> = None;
+    let mut done: Vec<(usize, Outcome)> = Vec::new();
+    loop {
+        let j = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(job) = plan.jobs.get(j) else { break };
+        let guarded = catch_unwind(AssertUnwindSafe(|| {
+            run_job(
+                snap,
+                anchor,
+                job,
+                &mut arena,
+                &mut scratch,
+                trace,
+                &mut done,
+            );
+        }));
+        match guarded {
+            Ok(()) => {
+                if let Job::LocalChunk { job, .. } = job {
+                    finish_chunk(job, &mut done);
+                }
+            }
+            Err(payload) => {
+                // The panicking job may have left the arena (and
+                // scratch) mid-peel with torn state: quarantine the
+                // arena — it never returns to the pool — and continue
+                // on fresh ones. The failure is confined to this job's
+                // queries.
+                let bad = std::mem::replace(&mut *arena, arenas.take_arena());
+                arenas.quarantine(bad);
+                scratch = None;
+                let detail = panic_detail(payload.as_ref());
+                match job {
+                    Job::LocalChunk { job, .. } => {
+                        job.poisoned
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .get_or_insert(detail);
+                        finish_chunk(job, &mut done);
+                    }
+                    Job::MinMaxFamily { outputs, .. }
+                    | Job::SumFamily { outputs, .. }
+                    | Job::Improved { outputs, .. } => {
+                        send_all(&mut done, outputs, &fail(EngineError::Internal { detail }));
+                    }
+                }
+            }
+        }
+        for (query, result) in done.drain(..) {
+            emit(query, result);
+        }
+    }
 }
 
 /// Whether the top-`r` prefix of an *exact* removal-decreasing result
@@ -188,13 +235,8 @@ fn prefix_is_tie_safe(full: &[Community], r: usize) -> bool {
     full[..=r].windows(2).all(|w| w[0].value > w[1].value)
 }
 
-fn send_all(tx: &Sender<(usize, Outcome)>, outputs: &[JobOutput], outcome: &Outcome) {
-    for out in outputs {
-        // The receiver outlives the scope; a send can only fail if the
-        // caller's callback panicked, in which case the batch is already
-        // unwinding.
-        let _ = tx.send((out.query, Arc::clone(outcome)));
-    }
+fn send_all(done: &mut Vec<(usize, Outcome)>, outputs: &[JobOutput], outcome: &Outcome) {
+    done.extend(outputs.iter().map(|out| (out.query, Arc::clone(outcome))));
 }
 
 /// Wraps a truncated drain: certified prefix when `proven`, best-so-far
@@ -216,7 +258,7 @@ fn run_job(
     arena: &mut PeelArena,
     scratch: &mut Option<LocalScratch>,
     trace: Option<&ic_obs::Trace>,
-    tx: &Sender<(usize, Outcome)>,
+    done: &mut Vec<(usize, Outcome)>,
 ) {
     match job {
         Job::MinMaxFamily {
@@ -263,7 +305,7 @@ fn run_job(
                         }
                     }
                 };
-                send_all(tx, outputs, &outcome);
+                send_all(done, outputs, &outcome);
                 return;
             }
             let solved = if *indexed {
@@ -298,11 +340,13 @@ fn run_job(
             match solved {
                 Ok(lists) => {
                     let slots: Vec<Outcome> = lists.into_iter().map(ok_complete).collect();
-                    for out in outputs {
-                        let _ = tx.send((out.query, Arc::clone(&slots[out.slot])));
-                    }
+                    done.extend(
+                        outputs
+                            .iter()
+                            .map(|out| (out.query, Arc::clone(&slots[out.slot]))),
+                    );
                 }
-                Err(e) => send_all(tx, outputs, &fail(e.into())),
+                Err(e) => send_all(done, outputs, &fail(e.into())),
             }
         }
         Job::SumFamily {
@@ -335,7 +379,7 @@ fn run_job(
                         }
                     }
                 };
-                send_all(tx, outputs, &outcome);
+                send_all(done, outputs, &outcome);
                 return;
             }
             let r_max = *rs.last().expect("family is non-empty");
@@ -360,11 +404,13 @@ fn run_job(
                             }
                         })
                         .collect();
-                    for out in outputs {
-                        let _ = tx.send((out.query, Arc::clone(&slots[out.slot])));
-                    }
+                    done.extend(
+                        outputs
+                            .iter()
+                            .map(|out| (out.query, Arc::clone(&slots[out.slot]))),
+                    );
                 }
-                Err(e) => send_all(tx, outputs, &fail(e.into())),
+                Err(e) => send_all(done, outputs, &fail(e.into())),
             }
         }
         Job::Improved {
@@ -395,14 +441,14 @@ fn run_job(
                         }
                     }
                 };
-                send_all(tx, outputs, &outcome);
+                send_all(done, outputs, &outcome);
                 return;
             }
             let outcome = match algo::tic_improved_on(snap, *k, *r, *aggregation, *epsilon, arena) {
                 Ok(list) => ok_complete(list),
                 Err(e) => fail(e.into()),
             };
-            send_all(tx, outputs, &outcome);
+            send_all(done, outputs, &outcome);
         }
         Job::LocalChunk { job, chunk } => run_local_chunk(snap, anchor, job, *chunk, scratch),
     }
@@ -504,7 +550,7 @@ fn run_local_chunk(
 /// partials may be missing wholesale, which would silently bias a
 /// merge), and a best-so-far degraded answer if the family's deadline
 /// expired mid-walk.
-fn finish_chunk(job: &Arc<LocalJob>, tx: &Sender<(usize, Outcome)>) {
+fn finish_chunk(job: &Arc<LocalJob>, done: &mut Vec<(usize, Outcome)>) {
     if job.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
         return;
     }
@@ -516,7 +562,7 @@ fn finish_chunk(job: &Arc<LocalJob>, tx: &Sender<(usize, Outcome)>) {
     if let Some(detail) = poisoned {
         let outcome = fail(EngineError::Internal { detail });
         for m in &job.members {
-            send_all(tx, &m.outputs, &outcome);
+            send_all(done, &m.outputs, &outcome);
         }
         return;
     }
@@ -537,6 +583,6 @@ fn finish_chunk(job: &Arc<LocalJob>, tx: &Sender<(usize, Outcome)>) {
         } else {
             ok_complete(items)
         };
-        send_all(tx, &m.outputs, &outcome);
+        send_all(done, &m.outputs, &outcome);
     }
 }

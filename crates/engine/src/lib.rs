@@ -85,7 +85,9 @@ mod exec;
 mod plan;
 mod stream;
 
-pub use answer::{AnswerStatus, BatchOptions, DegradeReason, EngineError, QueryAnswer};
+pub use answer::{
+    AnswerStatus, BatchOptions, DegradeReason, EngineError, QueryAnswer, SharedAnswer,
+};
 pub use plan::{Plan, PlanStats};
 pub use stream::ResultStream;
 
@@ -128,21 +130,27 @@ pub trait QueryBackend: Send + Sync {
         })
     }
 
+    /// The batch call serving layers make:
     /// [`QueryBackend::run_batch_pinned`] that additionally records
     /// stage spans (`plan`, `solve`, `index_serve`, `merge`), outcome
-    /// tags, and plan statistics into `trace` as the batch executes.
+    /// tags, and plan statistics into `trace` as the batch executes, and
+    /// returns each result as a [`SharedAnswer`] — for [`Engine`] the
+    /// slot its result cache holds, so a cache hit reaches the caller
+    /// without a copy.
     ///
-    /// The default ignores the trace and delegates — tracing is
-    /// strictly additive, so opaque backends keep working untraced.
-    /// [`Engine`] (and `ic-shard`'s `ShardedEngine`) override it.
+    /// The default ignores the trace, delegates, and wraps each owned
+    /// result — tracing is strictly additive, so opaque backends keep
+    /// working untraced. [`Engine`] (and `ic-shard`'s `ShardedEngine`)
+    /// override it.
     fn run_batch_traced(
         &self,
         queries: &[Query],
         options: &BatchOptions,
         trace: &ic_obs::Trace,
-    ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
+    ) -> (Epoch, Vec<SharedAnswer>) {
         let _ = trace;
-        self.run_batch_pinned(queries, options)
+        let (epoch, results) = self.run_batch_pinned(queries, options);
+        (epoch, results.into_iter().map(Arc::new).collect())
     }
 
     /// The backend's metrics registry, if it keeps one. Serving layers
@@ -171,7 +179,7 @@ impl QueryBackend for Engine {
         queries: &[Query],
         options: &BatchOptions,
         trace: &ic_obs::Trace,
-    ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
+    ) -> (Epoch, Vec<SharedAnswer>) {
         Engine::run_batch_traced(self, queries, options, trace)
     }
 
@@ -265,7 +273,7 @@ impl OpenOptions {
 pub mod prelude {
     pub use crate::{
         AnswerStatus, BatchOptions, DegradeReason, Engine, EngineError, Epoch, OpenOptions, Plan,
-        PlanStats, QueryAnswer, QueryBackend, ResultStream,
+        PlanStats, QueryAnswer, QueryBackend, ResultStream, SharedAnswer,
     };
     pub use ic_core::{
         AggregateFn, Aggregation, Certificates, Community, Constraint, Extremum, Hardness, Query,
@@ -626,20 +634,23 @@ impl Engine {
         queries: &[Query],
         options: &BatchOptions,
     ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
-        self.collect_batch(queries, options, None)
+        let (epoch, slots) = self.collect_batch(queries, options, None);
+        (epoch, slots.iter().map(|slot| (**slot).clone()).collect())
     }
 
     /// [`run_batch_pinned`](Self::run_batch_pinned) that additionally
     /// records stage spans (`plan`, `solve`, `index_serve`), outcome
     /// tags, and plan statistics into `trace` as the batch executes —
-    /// the hook serving layers use to explain slow queries. Tracing
-    /// never changes an answer.
+    /// the hook serving layers use to explain slow queries — and returns
+    /// the shared result slots themselves instead of deep copies: a
+    /// cache hit is the `Arc` the result cache holds, duplicates within
+    /// the batch share one. Tracing never changes an answer.
     pub fn run_batch_traced(
         &self,
         queries: &[Query],
         options: &BatchOptions,
         trace: &ic_obs::Trace,
-    ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
+    ) -> (Epoch, Vec<SharedAnswer>) {
         self.collect_batch(queries, options, Some(trace))
     }
 
@@ -648,16 +659,16 @@ impl Engine {
         queries: &[Query],
         options: &BatchOptions,
         trace: Option<&ic_obs::Trace>,
-    ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
-        let mut results: Vec<Option<cache::Outcome>> = vec![None; queries.len()];
+    ) -> (Epoch, Vec<SharedAnswer>) {
+        let mut results: Vec<Option<SharedAnswer>> = vec![None; queries.len()];
         let epoch = self.execute_with(queries, options, trace, |idx, res| {
             results[idx] = Some(res);
         });
-        let answers = results
+        let slots = results
             .into_iter()
-            .map(|slot| (*slot.expect("every query is answered exactly once")).clone())
+            .map(|slot| slot.expect("every query is answered exactly once"))
             .collect();
-        (epoch, answers)
+        (epoch, slots)
     }
 
     /// Streaming variant of [`run_batch_with`](Self::run_batch_with):
@@ -1251,6 +1262,75 @@ mod tests {
             seen[idx] += 1;
         });
         assert_eq!(seen, vec![1; batch.len()]);
+    }
+
+    #[test]
+    fn single_worker_plans_run_on_the_calling_thread() {
+        use ic_core::{AggregateFn, Certificates, StateView};
+        use std::thread::ThreadId;
+
+        // A custom aggregation that notes which thread evaluates it.
+        static SEEN: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+        fn note() {
+            SEEN.lock().unwrap().push(std::thread::current().id());
+        }
+        #[derive(Debug)]
+        struct ThreadSpy;
+        impl AggregateFn for ThreadSpy {
+            fn name(&self) -> &str {
+                "thread-spy"
+            }
+            fn certificates(&self) -> Certificates {
+                Certificates::opaque()
+            }
+            fn evaluate(&self, member_weights: &[f64], _total_weight: f64) -> f64 {
+                note();
+                member_weights.iter().sum()
+            }
+            fn evaluate_state(&self, state: &StateView<'_>) -> f64 {
+                note();
+                state.sum()
+            }
+        }
+        let agg = Aggregation::custom(ThreadSpy).expect("certifies");
+        let query = Query::new(2, 2, agg).size_bound(4, true);
+
+        // One worker: the solver runs where `run_batch` was called — no
+        // scoped thread, no channel.
+        let eng = engine(1);
+        SEEN.lock().unwrap().clear();
+        let got = eng.run_batch(&[query]);
+        assert!(!got[0].as_ref().unwrap().is_empty());
+        let seen = std::mem::take(&mut *SEEN.lock().unwrap());
+        assert!(!seen.is_empty(), "the solver evaluated the aggregation");
+        let here = std::thread::current().id();
+        assert!(
+            seen.iter().all(|id| *id == here),
+            "a single-worker plan must not leave the calling thread"
+        );
+
+        // Several workers: the same plan shape fans out to scoped
+        // threads, as before.
+        let eng = engine(3);
+        let got = eng.run_batch(&[query]);
+        assert!(!got[0].as_ref().unwrap().is_empty());
+        let seen = std::mem::take(&mut *SEEN.lock().unwrap());
+        assert!(seen.iter().any(|id| *id != here));
+    }
+
+    #[test]
+    fn a_panicking_callback_on_the_single_worker_path_returns_the_arena() {
+        // The calling thread is the worker there, so the callback's
+        // panic unwinds through the executor while it holds an arena.
+        let eng = engine(1);
+        let query = Query::new(2, 2, Aggregation::Sum);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            eng.for_each_result(&[query], |_, _| panic!("callback dies"));
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(eng.arenas_quarantined(), 0, "no solver panicked");
+        assert_eq!(eng.arenas_available(), eng.arenas_created());
+        assert!(eng.run_batch(&[query])[0].is_ok());
     }
 
     #[test]

@@ -51,7 +51,9 @@ usage: ic-serve (--store <file.ics> | --shards-dir <dir> | --dataset <name>) [op
 options:
   --addr <host:port>   bind address (default 127.0.0.1:0 = ephemeral)
   --port-file <path>   write the bound address to this file once listening
-  --window-us <n>      admission window in microseconds (default 1000)
+  --window-us <n>      upper bound on the admission linger in microseconds
+                       (default 1000; the linger taken is at most half the
+                       recent flush time, 0 never lingers)
   --shards <n>         admission shards / batcher threads
   --queue <n>          per-shard admission queue bound (default 1024)
   --max-batch <n>      largest engine batch per flush (default 256)

@@ -3,8 +3,10 @@
 //! The client speaks the length-prefixed binary protocol (never
 //! JSON-lines; that mode is for humans with `nc`). Requests carry a
 //! caller-chosen `id`; the server batches and may reorder replies, so
-//! [`Client::wait_for`] buffers out-of-order arrivals by id and
-//! [`Client::recv`] surfaces them in arrival order.
+//! [`Client::wait_for`] stashes out-of-order arrivals and
+//! [`Client::recv`] surfaces them in arrival order. Each request leaves
+//! in one `write`; responses are parsed out of a buffered read, so a
+//! server batch costs a `read` or two, not two per response.
 //!
 //! Server-initiated [`Response::Notify`] frames (standing-query
 //! deltas; see [`Client::subscribe`]) never satisfy a [`Client::wait_for`]:
@@ -12,21 +14,28 @@
 //! [`Client::poll_notification`] / [`Client::wait_notification`].
 
 use crate::error::{ClientError, ProtocolError};
-use crate::protocol::{self, Request, Response, WireNotification, WireQuery, RESP_PAYLOAD_MAX};
+use crate::protocol::{
+    self, FrameBuf, Request, Response, WireNotification, WireQuery, RESP_PAYLOAD_MAX,
+};
 use ic_core::Query;
 use ic_engine::EdgeUpdate;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
+
+/// Bytes pulled from the socket per `read` (more when one response is
+/// larger): a few typical replies.
+const READ_BUF_LEN: usize = 64 * 1024;
 
 /// A connected binary-mode client. See the module docs.
 pub struct Client {
     stream: TcpStream,
-    /// Replies that arrived while waiting for a different id.
-    stash: HashMap<u64, Response>,
+    /// Responses that arrived while waiting for something else, oldest
+    /// first.
+    stash: VecDeque<Response>,
     /// Notify frames that arrived while waiting for a reply.
     notifications: VecDeque<WireNotification>,
-    read_buf: Vec<u8>,
+    frames: FrameBuf,
     write_buf: Vec<u8>,
 }
 
@@ -37,9 +46,9 @@ impl Client {
         stream.set_nodelay(true)?;
         Ok(Client {
             stream,
-            stash: HashMap::new(),
+            stash: VecDeque::new(),
             notifications: VecDeque::new(),
-            read_buf: Vec::new(),
+            frames: FrameBuf::new(RESP_PAYLOAD_MAX, READ_BUF_LEN),
             write_buf: Vec::new(),
         })
     }
@@ -111,9 +120,7 @@ impl Client {
             match response {
                 Response::Notify(n) => return Ok(n),
                 other => match response_id(&other) {
-                    Some(got) => {
-                        self.stash.insert(got, other);
-                    }
+                    Some(_) => self.stash.push_back(other),
                     None => {
                         return Err(ClientError::Unexpected(format!("{other:?}")));
                     }
@@ -125,10 +132,10 @@ impl Client {
     /// Receives the next response in arrival order (stashed responses
     /// first).
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        if let Some(&id) = self.stash.keys().next() {
-            return Ok(self.stash.remove(&id).expect("key just observed"));
+        match self.stash.pop_front() {
+            Some(oldest) => Ok(oldest),
+            None => self.read_response(),
         }
-        self.read_response()
     }
 
     /// Blocks until the response for `id` arrives, stashing any other
@@ -137,7 +144,11 @@ impl Client {
     /// returned immediately to whichever waiter is active — they are
     /// connection-level, not id-addressed.
     pub fn wait_for(&mut self, id: u64) -> Result<Response, ClientError> {
-        if let Some(found) = self.stash.remove(&id) {
+        let stashed = self
+            .stash
+            .iter()
+            .position(|response| response_id(response) == Some(id));
+        if let Some(found) = stashed.and_then(|at| self.stash.remove(at)) {
             return Ok(found);
         }
         loop {
@@ -147,11 +158,8 @@ impl Client {
                 continue;
             }
             match response_id(&response) {
-                Some(got) if got == id => return Ok(response),
-                Some(got) => {
-                    self.stash.insert(got, response);
-                }
-                None => return Ok(response),
+                Some(got) if got != id => self.stash.push_back(response),
+                _ => return Ok(response),
             }
         }
     }
@@ -161,7 +169,7 @@ impl Client {
     /// in flight (the server flushes all admitted work before acking).
     pub fn shutdown_and_drain(&mut self) -> Result<Vec<Response>, ClientError> {
         self.send_request(&Request::Shutdown)?;
-        let mut tail: Vec<Response> = self.stash.drain().map(|(_, r)| r).collect();
+        let mut tail: Vec<Response> = self.stash.drain(..).collect();
         loop {
             match self.read_response() {
                 Ok(Response::ShutdownAck) => return Ok(tail),
@@ -173,18 +181,25 @@ impl Client {
 
     fn send_request(&mut self, request: &Request) -> Result<(), ClientError> {
         self.write_buf.clear();
+        let at = protocol::begin_frame(&mut self.write_buf);
         protocol::encode_request(request, &mut self.write_buf)?;
-        protocol::write_frame(&mut self.stream, &self.write_buf)?;
-        self.stream.flush()?;
+        protocol::end_frame(&mut self.write_buf, at);
+        self.stream.write_all(&self.write_buf)?;
         Ok(())
     }
 
     fn read_response(&mut self) -> Result<Response, ClientError> {
-        match protocol::read_frame(&mut self.stream, RESP_PAYLOAD_MAX, &mut self.read_buf) {
-            Ok(true) => Ok(protocol::decode_response(&self.read_buf)?),
-            Ok(false) => Err(ClientError::ConnectionClosed),
-            Err(ProtocolError::Truncated) => Err(ClientError::ConnectionClosed),
-            Err(e) => Err(e.into()),
+        loop {
+            if let Some(payload) = self.frames.next_frame()? {
+                return Ok(protocol::decode_response(payload)?);
+            }
+            match self.frames.fill(&mut self.stream) {
+                // The stream ended, between frames or inside one.
+                Ok(0) => return Err(ClientError::ConnectionClosed),
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(ProtocolError::from(e).into()),
+            }
         }
     }
 }
@@ -200,5 +215,60 @@ fn response_id(response: &Response) -> Option<u64> {
         // server-initiated — callers divert them before keying.
         Response::Notify(n) => Some(n.id),
         Response::ProtocolError { .. } | Response::ShutdownAck => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{ShedReason, REQ_PAYLOAD_MAX};
+    use ic_core::Aggregation;
+    use std::net::TcpListener;
+
+    /// `recv` hands stashed responses back in the order they arrived,
+    /// whatever their ids (the stash used to be a `HashMap`, whose
+    /// iteration order is arbitrary).
+    #[test]
+    fn stashed_responses_come_back_in_arrival_order() {
+        const ARRIVAL: [u64; 9] = [7, 3, 9, 1, 8, 2, 6, 4, 5];
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            // Read all nine queries, then answer them in `ARRIVAL`
+            // order, all in one write.
+            let mut frames = FrameBuf::new(REQ_PAYLOAD_MAX, 4096);
+            let mut seen = 0;
+            while seen < ARRIVAL.len() {
+                match frames.next_frame().unwrap() {
+                    Some(_) => seen += 1,
+                    None => assert_ne!(frames.fill(&mut stream).unwrap(), 0),
+                }
+            }
+            let mut out = Vec::new();
+            for id in ARRIVAL {
+                let at = protocol::begin_frame(&mut out);
+                let reason = ShedReason::QueueFull;
+                protocol::encode_response(&Response::Overloaded { id, reason }, &mut out);
+                protocol::end_frame(&mut out, at);
+            }
+            stream.write_all(&out).unwrap();
+        });
+
+        let mut client = Client::connect(addr).unwrap();
+        let query = Query::new(2, 2, Aggregation::Sum);
+        for id in 1..=9 {
+            client.send(id, &query).unwrap();
+        }
+        // Waiting for the last arrival stashes the eight before it.
+        let last = *ARRIVAL.last().unwrap();
+        assert_eq!(response_id(&client.wait_for(last).unwrap()), Some(last));
+        // Picking one out by id leaves the others in order.
+        assert_eq!(response_id(&client.wait_for(1).unwrap()), Some(1));
+        let rest: Vec<u64> = (0..7)
+            .map(|_| response_id(&client.recv().unwrap()).unwrap())
+            .collect();
+        assert_eq!(rest, [7, 3, 9, 8, 2, 6, 4]);
+        server.join().unwrap();
     }
 }

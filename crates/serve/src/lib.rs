@@ -6,11 +6,14 @@
 //! front end that forwards each arriving query as its own
 //! single-element batch forfeits all of it. This crate closes that gap
 //! with **admission batching**: queries arriving on any connection are
-//! admitted into a sharded queue, accumulate for a short admission
-//! window (default 1 ms), and flush as *one*
-//! [`Engine::run_batch_pinned`](ic_engine::Engine::run_batch_pinned)
-//! call. Under concurrency the engine sees the same large batches it
-//! was designed for; under a lone client the window adds at most ~1 ms.
+//! admitted into a sharded queue and flush as *one*
+//! [`QueryBackend::run_batch_traced`](ic_engine::QueryBackend::run_batch_traced)
+//! call. A batch leaves once its oldest query has waited out the
+//! *linger* — the smaller of the admission window (default 1 ms) and
+//! half the recently measured flush time — so under concurrency the
+//! engine sees the large batches it was designed for, solver-bound
+//! traffic coalesces for the whole window, and a lone client asking for
+//! cached answers waits for nobody.
 //!
 //! The pieces:
 //!

@@ -36,7 +36,8 @@ use crate::json::{self, JsonValue};
 use ic_core::{Aggregation, Community, Constraint, Query};
 use ic_engine::{AnswerStatus, EdgeUpdate, EngineError, QueryAnswer};
 use ic_sub::Delta;
-use std::io::{Read, Write};
+use std::borrow::Cow;
+use std::io::{IoSlice, Read, Write};
 use std::time::Duration;
 
 /// First byte of every binary frame (and the binary-mode detector).
@@ -178,37 +179,87 @@ pub enum Outcome {
 impl Outcome {
     /// Converts an engine batch slot into its wire image.
     pub fn from_engine(slot: &Result<QueryAnswer, EngineError>) -> Self {
+        match OutcomeRef::of_engine(slot) {
+            OutcomeRef::Complete(communities) => Outcome::Complete(communities.to_vec()),
+            OutcomeRef::Degraded {
+                communities,
+                proven_prefix_len,
+            } => Outcome::Degraded {
+                communities: communities.to_vec(),
+                proven_prefix_len,
+            },
+            OutcomeRef::Error { kind, message } => Outcome::Error {
+                kind,
+                message: message.into_owned(),
+            },
+        }
+    }
+}
+
+/// What an [`Outcome`] owns, by reference: the one shape both reply
+/// encoders (binary and JSON) consume, so a reply encoded straight from
+/// an engine slot ([`encode_reply`]) and one encoded from an owned
+/// [`Response::Reply`] are the same bytes by construction.
+enum OutcomeRef<'a> {
+    Complete(&'a [Community]),
+    Degraded {
+        communities: &'a [Community],
+        proven_prefix_len: u64,
+    },
+    Error {
+        kind: ErrorKind,
+        message: Cow<'a, str>,
+    },
+}
+
+impl<'a> OutcomeRef<'a> {
+    /// The wire image of an engine batch slot, borrowing its vertex
+    /// lists.
+    fn of_engine(slot: &'a Result<QueryAnswer, EngineError>) -> Self {
         match slot {
             Ok(ans) => match ans.status {
-                AnswerStatus::Complete => Outcome::Complete(ans.communities.clone()),
+                AnswerStatus::Complete => OutcomeRef::Complete(&ans.communities),
                 AnswerStatus::Degraded {
                     proven_prefix_len, ..
-                } => Outcome::Degraded {
-                    communities: ans.communities.clone(),
+                } => OutcomeRef::Degraded {
+                    communities: &ans.communities,
                     proven_prefix_len: proven_prefix_len as u64,
                 },
                 // Future AnswerStatus variants degrade to best-so-far
                 // semantics rather than breaking the wire format.
-                _ => Outcome::Degraded {
-                    communities: ans.communities.clone(),
+                _ => OutcomeRef::Degraded {
+                    communities: &ans.communities,
                     proven_prefix_len: 0,
                 },
             },
-            Err(EngineError::DeadlineExceeded) => Outcome::Error {
+            Err(EngineError::DeadlineExceeded) => OutcomeRef::Error {
                 kind: ErrorKind::DeadlineExceeded,
-                message: String::new(),
+                message: Cow::Borrowed(""),
             },
-            Err(e @ EngineError::Search(_)) => Outcome::Error {
-                kind: ErrorKind::Search,
-                message: e.to_string(),
+            Err(e) => OutcomeRef::Error {
+                kind: match e {
+                    EngineError::Search(_) => ErrorKind::Search,
+                    EngineError::Unsupported { .. } => ErrorKind::Unsupported,
+                    _ => ErrorKind::Internal,
+                },
+                message: Cow::Owned(e.to_string()),
             },
-            Err(e @ EngineError::Unsupported { .. }) => Outcome::Error {
-                kind: ErrorKind::Unsupported,
-                message: e.to_string(),
+        }
+    }
+
+    fn of_outcome(outcome: &'a Outcome) -> Self {
+        match outcome {
+            Outcome::Complete(communities) => OutcomeRef::Complete(communities),
+            Outcome::Degraded {
+                communities,
+                proven_prefix_len,
+            } => OutcomeRef::Degraded {
+                communities,
+                proven_prefix_len: *proven_prefix_len,
             },
-            Err(e) => Outcome::Error {
-                kind: ErrorKind::Internal,
-                message: e.to_string(),
+            Outcome::Error { kind, message } => OutcomeRef::Error {
+                kind: *kind,
+                message: Cow::Borrowed(message),
             },
         }
     }
@@ -294,22 +345,76 @@ pub struct WireNotification {
 // ---------------------------------------------------------------------
 // Framing
 
-/// Writes one `MAGIC + len + payload` frame.
+/// Bytes in a frame header: [`MAGIC`] plus the `u32` payload length.
+const FRAME_HEAD_LEN: usize = 5;
+
+fn frame_head(payload_len: usize) -> [u8; FRAME_HEAD_LEN] {
+    debug_assert!(payload_len <= RESP_PAYLOAD_MAX as usize);
+    let mut head = [MAGIC; FRAME_HEAD_LEN];
+    head[1..].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    head
+}
+
+/// Validates a frame header against the side-appropriate payload cap
+/// and returns the payload length it announces.
+fn parse_frame_head(head: &[u8], max: u32) -> Result<usize, ProtocolError> {
+    if head[0] != MAGIC {
+        return Err(ProtocolError::BadMagic(head[0]));
+    }
+    let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]);
+    if len > max {
+        return Err(ProtocolError::FrameTooLarge { len, max });
+    }
+    if len == 0 {
+        return Err(ProtocolError::EmptyFrame);
+    }
+    Ok(len as usize)
+}
+
+/// Writes one `MAGIC + len + payload` frame; header and payload leave
+/// in one vectored write (one syscall on a socket with room).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    debug_assert!(payload.len() <= RESP_PAYLOAD_MAX as usize);
-    let mut head = [0u8; 5];
-    head[0] = MAGIC;
-    head[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&head)?;
-    w.write_all(payload)
+    let head = frame_head(payload.len());
+    let mut sent = 0;
+    while sent < FRAME_HEAD_LEN {
+        let bufs = [IoSlice::new(&head[sent..]), IoSlice::new(payload)];
+        match w.write_vectored(&bufs) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    // A short write split the frame: the rest is plain payload.
+    w.write_all(&payload[sent - FRAME_HEAD_LEN..])
+}
+
+/// Opens a frame inside `out` — a header with the length still blank —
+/// and returns where it starts, for [`end_frame`]. Lets a writer lay
+/// several frames end to end in one buffer and send them in one write.
+pub fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&frame_head(0));
+    at
+}
+
+/// Closes the frame opened at `at`: everything appended since is its
+/// payload.
+pub fn end_frame(out: &mut [u8], at: usize) {
+    let head = frame_head(out.len() - at - FRAME_HEAD_LEN);
+    out[at..at + FRAME_HEAD_LEN].copy_from_slice(&head);
 }
 
 /// Reads one frame's payload into `buf` (cleared first). `max` is the
 /// side-appropriate payload cap. Returns `Ok(false)` on clean EOF
 /// *before* any frame byte; a stream ending mid-frame is
 /// [`ProtocolError::Truncated`].
+///
+/// This reads exactly one frame and nothing past it, at two or more
+/// `read` calls per frame; a connection that owns its socket should
+/// read through a [`FrameBuf`] instead.
 pub fn read_frame(r: &mut impl Read, max: u32, buf: &mut Vec<u8>) -> Result<bool, ProtocolError> {
-    let mut head = [0u8; 5];
+    let mut head = [0u8; FRAME_HEAD_LEN];
     let mut filled = 0;
     while filled < head.len() {
         match r.read(&mut head[filled..]) {
@@ -325,18 +430,9 @@ pub fn read_frame(r: &mut impl Read, max: u32, buf: &mut Vec<u8>) -> Result<bool
             Err(e) => return Err(e.into()),
         }
     }
-    if head[0] != MAGIC {
-        return Err(ProtocolError::BadMagic(head[0]));
-    }
-    let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]);
-    if len > max {
-        return Err(ProtocolError::FrameTooLarge { len, max });
-    }
-    if len == 0 {
-        return Err(ProtocolError::EmptyFrame);
-    }
+    let len = parse_frame_head(&head, max)?;
     buf.clear();
-    buf.resize(len as usize, 0);
+    buf.resize(len, 0);
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
@@ -347,6 +443,85 @@ pub fn read_frame(r: &mut impl Read, max: u32, buf: &mut Vec<u8>) -> Result<bool
         }
     }
     Ok(true)
+}
+
+/// A connection's read side: one buffer the socket is read into in
+/// large gulps and frames are parsed out of, so a burst of pipelined
+/// frames costs one `read` call, not two per frame.
+///
+/// The owner alternates [`FrameBuf::next_frame`] (hand out the next
+/// complete frame already buffered) with [`FrameBuf::fill`] (one `read`
+/// call for more bytes) and keeps its own policy for what an empty read,
+/// a timeout or an error means — [`FrameBuf::mid_frame`] tells an idle
+/// connection from a stalled one.
+#[derive(Debug)]
+pub struct FrameBuf {
+    /// Storage; `buf[start..end]` holds the bytes read but not yet
+    /// handed out. Its length is the most one `fill` can read up to.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    max: u32,
+}
+
+impl FrameBuf {
+    /// A buffer for frames with payloads up to `max` bytes that reads
+    /// up to `capacity` bytes at a time (more when one frame is larger).
+    pub fn new(max: u32, capacity: usize) -> FrameBuf {
+        FrameBuf {
+            buf: vec![0; capacity.max(FRAME_HEAD_LEN)],
+            start: 0,
+            end: 0,
+            max,
+        }
+    }
+
+    /// Whether part of a frame — but not all of it — is buffered.
+    /// (`false` right after `next_frame` returned `Ok(None)` means the
+    /// connection is idle between frames.)
+    pub fn mid_frame(&self) -> bool {
+        self.end > self.start
+    }
+
+    /// The payload of the next complete buffered frame, or `None` when
+    /// more bytes are needed. A bad header is reported as soon as its
+    /// five bytes are in; the stream cannot be resynchronized after it.
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, ProtocolError> {
+        let have = self.end - self.start;
+        if have < FRAME_HEAD_LEN {
+            return Ok(None);
+        }
+        let len = parse_frame_head(&self.buf[self.start..], self.max)?;
+        if have < FRAME_HEAD_LEN + len {
+            return Ok(None);
+        }
+        let payload = self.start + FRAME_HEAD_LEN;
+        self.start = payload + len;
+        Ok(Some(&self.buf[payload..payload + len]))
+    }
+
+    /// Reads once from `r` into the free space, after moving a partial
+    /// frame to the front and growing the buffer if that frame needs
+    /// more room than there is. Returns the `read` result untouched
+    /// (`Ok(0)` is end of stream).
+    pub fn fill(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end >= FRAME_HEAD_LEN {
+            // A bad header is `next_frame`'s to report; it buys no room.
+            if let Ok(len) = parse_frame_head(&self.buf, self.max) {
+                if self.buf.len() < FRAME_HEAD_LEN + len {
+                    self.buf.resize(FRAME_HEAD_LEN + len, 0);
+                }
+            }
+        }
+        let n = r.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -670,32 +845,49 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             });
         }
         Response::Reply { id, epoch, outcome } => {
-            out.push(FRAME_REPLY);
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&epoch.to_le_bytes());
-            match outcome {
-                Outcome::Complete(communities) => {
-                    out.push(STATUS_COMPLETE);
-                    push_communities(out, communities);
-                }
-                Outcome::Degraded {
-                    communities,
-                    proven_prefix_len,
-                } => {
-                    out.push(STATUS_DEGRADED);
-                    out.extend_from_slice(&proven_prefix_len.to_le_bytes());
-                    push_communities(out, communities);
-                }
-                Outcome::Error { kind, message } => {
-                    out.push(match kind {
-                        ErrorKind::Search => STATUS_SEARCH_ERROR,
-                        ErrorKind::DeadlineExceeded => STATUS_DEADLINE_EXCEEDED,
-                        ErrorKind::Internal => STATUS_INTERNAL,
-                        ErrorKind::Unsupported => STATUS_UNSUPPORTED,
-                    });
-                    push_str(out, message);
-                }
-            }
+            push_reply(out, *id, *epoch, OutcomeRef::of_outcome(outcome));
+        }
+    }
+}
+
+/// Encodes the reply to query `id` straight from the engine's result
+/// slot — no owned [`Outcome`] in between — appended to `out`. The
+/// bytes equal `encode_response(&Response::Reply { id, epoch, outcome:
+/// Outcome::from_engine(slot) }, out)`.
+pub fn encode_reply(
+    id: u64,
+    epoch: u64,
+    slot: &Result<QueryAnswer, EngineError>,
+    out: &mut Vec<u8>,
+) {
+    push_reply(out, id, epoch, OutcomeRef::of_engine(slot));
+}
+
+fn push_reply(out: &mut Vec<u8>, id: u64, epoch: u64, outcome: OutcomeRef<'_>) {
+    out.push(FRAME_REPLY);
+    out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(&epoch.to_le_bytes());
+    match outcome {
+        OutcomeRef::Complete(communities) => {
+            out.push(STATUS_COMPLETE);
+            push_communities(out, communities);
+        }
+        OutcomeRef::Degraded {
+            communities,
+            proven_prefix_len,
+        } => {
+            out.push(STATUS_DEGRADED);
+            out.extend_from_slice(&proven_prefix_len.to_le_bytes());
+            push_communities(out, communities);
+        }
+        OutcomeRef::Error { kind, message } => {
+            out.push(match kind {
+                ErrorKind::Search => STATUS_SEARCH_ERROR,
+                ErrorKind::DeadlineExceeded => STATUS_DEADLINE_EXCEEDED,
+                ErrorKind::Internal => STATUS_INTERNAL,
+                ErrorKind::Unsupported => STATUS_UNSUPPORTED,
+            });
+            push_str(out, &message);
         }
     }
 }
@@ -826,6 +1018,8 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
 }
 
 fn push_communities(out: &mut Vec<u8>, communities: &[Community]) {
+    let bytes: usize = communities.iter().map(|c| 12 + 4 * c.vertices.len()).sum();
+    out.reserve(4 + bytes);
     out.extend_from_slice(&(communities.len() as u32).to_le_bytes());
     for c in communities {
         push_community(out, c);
@@ -897,10 +1091,14 @@ impl<'a> Reader<'a> {
     fn community(&mut self) -> Result<Community, ProtocolError> {
         let value = f64::from_bits(self.u64()?);
         let nv = self.u32()? as usize;
-        let mut vertices = Vec::new();
-        for _ in 0..nv {
-            vertices.push(self.u32()?);
-        }
+        // One bounds check for the whole list (which also bounds the
+        // allocation by the bytes actually present), then a straight
+        // copy.
+        let vertices = self
+            .take(nv.saturating_mul(4))?
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect();
         // Not Community::new: the wire must round-trip the solver
         // output bit-for-bit, including its (already canonical)
         // vertex order.
@@ -1135,35 +1333,7 @@ pub fn render_json_response(resp: &Response) -> String {
             ));
         }
         Response::Reply { id, epoch, outcome } => {
-            out.push_str(&format!(r#"{{"id":{id},"epoch":{epoch}"#));
-            match outcome {
-                Outcome::Complete(communities) => {
-                    out.push_str(r#","status":"complete""#);
-                    push_json_communities(&mut out, communities);
-                }
-                Outcome::Degraded {
-                    communities,
-                    proven_prefix_len,
-                } => {
-                    out.push_str(&format!(
-                        r#","status":"degraded","proven_prefix_len":{proven_prefix_len}"#
-                    ));
-                    push_json_communities(&mut out, communities);
-                }
-                Outcome::Error { kind, message } => {
-                    out.push_str(&format!(
-                        r#","status":"error","kind":"{}","message":"#,
-                        match kind {
-                            ErrorKind::Search => "search",
-                            ErrorKind::DeadlineExceeded => "deadline_exceeded",
-                            ErrorKind::Internal => "internal",
-                            ErrorKind::Unsupported => "unsupported",
-                        }
-                    ));
-                    json::push_json_str(&mut out, message);
-                }
-            }
-            out.push('}');
+            push_json_reply(&mut out, *id, *epoch, OutcomeRef::of_outcome(outcome));
         }
         Response::UpdateAck { id, epoch, changed } => {
             out.push_str(&format!(
@@ -1204,6 +1374,47 @@ pub fn render_json_response(resp: &Response) -> String {
         }
     }
     out
+}
+
+/// Renders the reply to query `id` straight from the engine's result
+/// slot; the line equals `render_json_response` of the
+/// [`Response::Reply`] that [`Outcome::from_engine`] would build.
+pub fn render_json_reply(id: u64, epoch: u64, slot: &Result<QueryAnswer, EngineError>) -> String {
+    let mut out = String::new();
+    push_json_reply(&mut out, id, epoch, OutcomeRef::of_engine(slot));
+    out
+}
+
+fn push_json_reply(out: &mut String, id: u64, epoch: u64, outcome: OutcomeRef<'_>) {
+    out.push_str(&format!(r#"{{"id":{id},"epoch":{epoch}"#));
+    match outcome {
+        OutcomeRef::Complete(communities) => {
+            out.push_str(r#","status":"complete""#);
+            push_json_communities(out, communities);
+        }
+        OutcomeRef::Degraded {
+            communities,
+            proven_prefix_len,
+        } => {
+            out.push_str(&format!(
+                r#","status":"degraded","proven_prefix_len":{proven_prefix_len}"#
+            ));
+            push_json_communities(out, communities);
+        }
+        OutcomeRef::Error { kind, message } => {
+            out.push_str(&format!(
+                r#","status":"error","kind":"{}","message":"#,
+                match kind {
+                    ErrorKind::Search => "search",
+                    ErrorKind::DeadlineExceeded => "deadline_exceeded",
+                    ErrorKind::Internal => "internal",
+                    ErrorKind::Unsupported => "unsupported",
+                }
+            ));
+            json::push_json_str(out, &message);
+        }
+    }
+    out.push('}');
 }
 
 fn push_json_delta(out: &mut String, delta: &Delta) {
@@ -1780,6 +1991,150 @@ mod tests {
             reason: ShedReason::QueueFull
         })
         .contains("queue_full"));
+    }
+
+    /// One engine slot of every kind the reply path can meet, with the
+    /// payload and JSON line the parent commit's
+    /// `encode_response(&Response::Reply { outcome:
+    /// Outcome::from_engine(slot), .. })` produced for it (id 258,
+    /// epoch 7).
+    fn slots_and_their_wire_images(
+    ) -> Vec<(Result<QueryAnswer, EngineError>, &'static str, &'static str)> {
+        use ic_engine::DegradeReason;
+        let communities = vec![
+            Community::new(vec![3, 1, 2], 203.0),
+            Community::new(vec![9], f64::NEG_INFINITY),
+        ];
+        vec![
+            (
+                Ok(QueryAnswer::complete(communities.clone())),
+                "81020100000000000007000000000000000002000000000000000060694003000000010000000200000003000000000000000000f0ff0100000009000000",
+                r#"{"id":258,"epoch":7,"status":"complete","communities":[{"value":203,"vertices":[1,2,3]},{"value":"-inf","vertices":[9]}]}"#,
+            ),
+            (
+                Ok(QueryAnswer {
+                    communities,
+                    status: AnswerStatus::Degraded {
+                        reason: DegradeReason::DeadlineExpired,
+                        proven_prefix_len: 1,
+                    },
+                }),
+                "810201000000000000070000000000000001010000000000000002000000000000000060694003000000010000000200000003000000000000000000f0ff0100000009000000",
+                r#"{"id":258,"epoch":7,"status":"degraded","proven_prefix_len":1,"communities":[{"value":203,"vertices":[1,2,3]},{"value":"-inf","vertices":[9]}]}"#,
+            ),
+            (
+                Err(EngineError::Search(ic_core::SearchError::InvalidParams(
+                    "r = 0".into(),
+                ))),
+                "81020100000000000007000000000000000219000000696e76616c696420706172616d65746572733a2072203d2030",
+                r#"{"id":258,"epoch":7,"status":"error","kind":"search","message":"invalid parameters: r = 0"}"#,
+            ),
+            (
+                Err(EngineError::DeadlineExceeded),
+                "81020100000000000007000000000000000300000000",
+                r#"{"id":258,"epoch":7,"status":"error","kind":"deadline_exceeded","message":""}"#,
+            ),
+            (
+                Err(EngineError::Internal {
+                    detail: "boom \"quoted\"".into(),
+                }),
+                "81020100000000000007000000000000000437000000696e7465726e616c20736f6c766572206661696c757265202871756572792069736f6c61746564293a20626f6f6d202271756f74656422",
+                r#"{"id":258,"epoch":7,"status":"error","kind":"internal","message":"internal solver failure (query isolated): boom \"quoted\""}"#,
+            ),
+            (
+                Err(EngineError::Unsupported {
+                    detail: "read-only".into(),
+                }),
+                "81020100000000000007000000000000000520000000756e737570706f72746564206f7065726174696f6e3a20726561642d6f6e6c79",
+                r#"{"id":258,"epoch":7,"status":"error","kind":"unsupported","message":"unsupported operation: read-only"}"#,
+            ),
+        ]
+    }
+
+    #[test]
+    fn replies_encoded_from_engine_slots_are_byte_identical() {
+        for (slot, hex, json) in slots_and_their_wire_images() {
+            let owned = Response::Reply {
+                id: 258,
+                epoch: 7,
+                outcome: Outcome::from_engine(&slot),
+            };
+            let mut via_response = Vec::new();
+            encode_response(&owned, &mut via_response);
+            let mut via_slot = Vec::new();
+            encode_reply(258, 7, &slot, &mut via_slot);
+            assert_eq!(via_slot, via_response, "{slot:?}");
+            let as_hex: String = via_slot.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(
+                as_hex, hex,
+                "{slot:?}: bytes differ from the parent commit's"
+            );
+            assert_eq!(decode_response(&via_slot).unwrap(), owned);
+
+            let line = render_json_reply(258, 7, &slot);
+            assert_eq!(line, render_json_response(&owned), "{slot:?}");
+            assert_eq!(
+                line, json,
+                "{slot:?}: line differs from the parent commit's"
+            );
+        }
+    }
+
+    #[test]
+    fn frames_laid_end_to_end_equal_write_frame_and_parse_back() {
+        let payloads: [&[u8]; 3] = [&[FRAME_SHUTDOWN], &[1, 2, 3, 4, 5, 6, 7], &[0xAA; 300]];
+        let mut written = Vec::new();
+        let mut laid = Vec::new();
+        for payload in payloads {
+            write_frame(&mut written, payload).unwrap();
+            let at = begin_frame(&mut laid);
+            laid.extend_from_slice(payload);
+            end_frame(&mut laid, at);
+        }
+        assert_eq!(laid, written);
+
+        /// Hands out at most `step` bytes per `read`.
+        struct Trickle<'a>(&'a [u8], usize);
+        impl Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.1.min(buf.len()).min(self.0.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        // Whatever the read sizes and however small the buffer starts,
+        // the same frames come back, and the end of the stream falls
+        // between frames.
+        for step in [1, 4, 5, 6, 64, 1000] {
+            let mut source = Trickle(&written, step);
+            let mut frames = FrameBuf::new(REQ_PAYLOAD_MAX, 8);
+            let mut got: Vec<Vec<u8>> = Vec::new();
+            loop {
+                if let Some(payload) = frames.next_frame().unwrap() {
+                    got.push(payload.to_vec());
+                } else if frames.fill(&mut source).unwrap() == 0 {
+                    break;
+                }
+            }
+            assert_eq!(got, payloads, "step {step}");
+            assert!(!frames.mid_frame(), "step {step}");
+        }
+        // A stream cut inside a frame leaves the buffer mid-frame, and a
+        // bad header is reported as soon as its five bytes are in.
+        let mut frames = FrameBuf::new(REQ_PAYLOAD_MAX, 8);
+        let mut cut = Trickle(&written[..written.len() - 1], 64);
+        while frames.fill(&mut cut).unwrap() != 0 {
+            while frames.next_frame().unwrap().is_some() {}
+        }
+        assert!(frames.mid_frame());
+        let mut frames = FrameBuf::new(REQ_PAYLOAD_MAX, 8);
+        let oversized = [MAGIC, 0xff, 0xff, 0xff, 0x7f];
+        frames.fill(&mut &oversized[..]).unwrap();
+        assert!(matches!(
+            frames.next_frame(),
+            Err(ProtocolError::FrameTooLarge { .. })
+        ));
     }
 
     #[test]

@@ -4,23 +4,48 @@
 //!
 //! ```text
 //!  accept thread ──► connection threads (reader + writer per socket)
-//!                         │ submit()                 ▲ mpsc<Response>
+//!                         │ submit()                 ▲ mpsc<Outbound>
 //!                         ▼                          │
 //!                 sharded admission queue ──► batcher threads
 //!                 (Mutex<VecDeque> + Condvar)        │
 //!                                                    ▼
-//!                                    Engine::run_batch_pinned
+//!                                    QueryBackend::run_batch_traced
 //! ```
 //!
 //! The container is offline (no tokio), so the server is plain
 //! `std::net` + `std::thread`: one blocking reader and one writer
 //! thread per connection, a round-robin **sharded admission queue**,
-//! and one **batcher** thread per shard. A batcher sleeps until a query
-//! arrives, then holds the shard open for the **admission window**
-//! (default 1 ms) so concurrent queries coalesce, and flushes the
-//! accumulated queries as *one* [`Engine::run_batch_pinned`] call —
-//! that is where the engine's dedup, r-family merging, and
-//! work-stealing pay off across clients, not just within one.
+//! and one **batcher** thread per shard, which flushes the queries it
+//! has accumulated as *one* engine batch — that is where the engine's
+//! dedup, r-family merging, and work-stealing pay off across clients,
+//! not just within one.
+//!
+//! **Admission is work-conserving.** A batch leaves as soon as its
+//! *oldest* query has waited out the **linger**,
+//! `min(admission_window, recent flush service time / 2)`, or
+//! [`ServeConfig::max_batch`] queries are queued. Waiting is worth a
+//! fraction of the work it can amortize, never more: cache-hit traffic
+//! (flushes of microseconds) stops waiting, while solver-bound traffic
+//! (flushes of tens of milliseconds) lingers for the whole window
+//! (default 1 ms) and coalesces exactly as a fixed window would.
+//! Queries that queued up while the batcher was busy with a slower
+//! flush have usually waited that long already and leave at once — the
+//! coalescing that happened meanwhile was free. The service-time
+//! estimate is a moving average over flushes, seeded so the first
+//! linger is the whole window. [`ServeConfig::admission_window`] is the
+//! hard upper bound on the linger, and `0` means "never linger". A
+//! reader wakes the batcher when it makes the queue non-empty or full,
+//! not on every push.
+//!
+//! **Frame I/O is one syscall per direction.** A reader pulls whatever
+//! the socket holds into one buffer and parses frames out of it, so a
+//! pipelined burst costs one `read`. A flush hands each connection its
+//! replies as one message; the writer encodes that message, plus
+//! anything else already queued for the socket, into one buffer and
+//! sends it with one `write`. Replies are encoded there straight from
+//! the engine's shared result slots ([`ic_engine::SharedAnswer`]): a
+//! cached answer is copied once, into that buffer, on its way from the
+//! result cache to the kernel.
 //!
 //! **Backpressure / shedding** — each shard's queue is bounded
 //! ([`ServeConfig::queue_capacity`]); a query arriving at a full shard
@@ -53,16 +78,16 @@
 
 use crate::error::ProtocolError;
 use crate::protocol::{
-    self, ErrorKind, Outcome, Request, Response, ShedReason, WireNotification, WireQuery, MAGIC,
-    REQ_PAYLOAD_MAX,
+    self, ErrorKind, FrameBuf, Outcome, Request, Response, ShedReason, WireNotification, WireQuery,
+    MAGIC, REQ_PAYLOAD_MAX,
 };
 use ic_core::Query;
-use ic_engine::{BatchOptions, EdgeUpdate, Engine, QueryBackend};
+use ic_engine::{BatchOptions, EdgeUpdate, Engine, QueryBackend, SharedAnswer};
 use ic_sub::{Admission, NotificationGate, SubscriptionId, SubscriptionManager};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -79,14 +104,28 @@ const MID_FRAME_STALLS: u32 = 100;
 /// Writer-side timeout: a client that stops reading for this long has
 /// its connection dropped rather than wedging the writer thread.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+/// A batch's oldest query waits for company for at most this share
+/// (one part in `LINGER_DIVISOR`) of the recently measured flush
+/// service time.
+const LINGER_DIVISOR: u32 = 2;
+/// Bytes a binary-mode reader pulls from its socket per `read`: a few
+/// hundred pipelined query frames, and room for the largest one.
+const READ_BUF_LEN: usize = 16 * 1024;
+/// A writer stops gathering further queued messages into one `write`
+/// once it holds this many encoded bytes.
+const WRITE_GATHER_MAX: usize = 256 * 1024;
 
 /// Server tuning knobs; `ServeConfig::default()` is the recommended
 /// starting point.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// How long a batcher holds a shard open after its first query so
-    /// concurrent queries coalesce into one engine batch. `0` flushes
-    /// immediately (per-query batches; useful as a baseline).
+    /// Upper bound on the linger: the longest a batcher holds a shard
+    /// open after its first query so concurrent queries coalesce into
+    /// one engine batch. The linger actually taken is the smaller of
+    /// this and a fixed share of the recently measured flush service
+    /// time (see the module docs), so it only reaches the bound while
+    /// flushes are slow enough to be worth amortizing. `0` never
+    /// lingers (a batch is whatever queued while the batcher was busy).
     pub admission_window: Duration,
     /// Bound on each shard's admission queue; queries beyond it are
     /// shed with [`ShedReason::QueueFull`].
@@ -139,31 +178,112 @@ pub struct ServeStats {
     pub largest_batch: u64,
 }
 
-/// One message bound for a connection's writer thread, plus the
-/// notification gate (if any) to rebalance once the message has left
-/// the process — written or abandoned, it is off the queue either way —
-/// and the batch track (if the message is a batch reply) whose last
-/// settled reply finalizes the batch's trace.
-struct Outbound {
-    response: Response,
-    gate: Option<Arc<NotificationGate>>,
-    track: Option<Arc<BatchTrack>>,
+/// One message bound for a connection's writer thread.
+enum Outbound {
+    /// A single response frame.
+    Response(Response),
+    /// A STATS reply, snapshotted by the writer when it encodes the
+    /// frame: the writer settles every message it has written before it
+    /// takes the next, so the snapshot counts every batch whose replies
+    /// this connection was sent ahead of it.
+    Stats { id: u64 },
+    /// A NOTIFY frame, plus the notification gate to rebalance once the
+    /// message has left the process — written or abandoned, it is off
+    /// the queue either way.
+    Notify {
+        notify: Response,
+        gate: Arc<NotificationGate>,
+    },
+    /// One flush's replies to this connection: `(request id, the
+    /// engine's shared result slot)` pairs, encoded by the writer
+    /// straight from the slots, and the batch track whose last settled
+    /// message finalizes the batch's trace.
+    Answers {
+        epoch: u64,
+        answers: Vec<(u64, SharedAnswer)>,
+        track: Arc<BatchTrack>,
+    },
 }
 
 impl From<Response> for Outbound {
     fn from(response: Response) -> Self {
-        Outbound {
-            response,
-            gate: None,
-            track: None,
+        Outbound::Response(response)
+    }
+}
+
+/// Appends one message to `buf` in the connection's wire mode: a binary
+/// frame around whatever `binary` encodes, or the line `json` renders.
+fn push_wire(
+    mode: Mode,
+    buf: &mut Vec<u8>,
+    binary: impl FnOnce(&mut Vec<u8>),
+    json: impl FnOnce() -> String,
+) {
+    match mode {
+        Mode::Binary => {
+            let at = protocol::begin_frame(buf);
+            binary(buf);
+            protocol::end_frame(buf, at);
+        }
+        Mode::Json => {
+            buf.extend_from_slice(json().as_bytes());
+            buf.push(b'\n');
         }
     }
 }
 
-/// Per-batch trace state shared by every reply of one flush. Replies
-/// fan out to several connections' writer threads; whichever writes (or
-/// abandons) the last one closes the trace: it records the reply-write
-/// span, observes the end-to-end latency, and offers the trace to the
+/// Appends one response frame (or JSON line) to `buf`.
+fn push_response(mode: Mode, response: &Response, buf: &mut Vec<u8>) {
+    push_wire(
+        mode,
+        buf,
+        |out| protocol::encode_response(response, out),
+        || protocol::render_json_response(response),
+    );
+}
+
+impl Outbound {
+    /// Appends the message's frames (or JSON lines) to `buf`.
+    fn encode(&self, mode: Mode, shared: &Shared, buf: &mut Vec<u8>) {
+        match self {
+            Outbound::Response(response)
+            | Outbound::Notify {
+                notify: response, ..
+            } => push_response(mode, response, buf),
+            Outbound::Stats { id } => {
+                let entries = shared.stats_entries();
+                push_response(mode, &Response::Stats { id: *id, entries }, buf);
+            }
+            Outbound::Answers { epoch, answers, .. } => {
+                for (id, slot) in answers {
+                    push_wire(
+                        mode,
+                        buf,
+                        |out| protocol::encode_reply(*id, *epoch, slot, out),
+                        || protocol::render_json_reply(*id, *epoch, slot),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Called once the message is off the queue, written or abandoned
+    /// with its client: frees the notification's gate slot, settles the
+    /// batch track.
+    fn settle(&self) {
+        match self {
+            Outbound::Response(_) | Outbound::Stats { .. } => {}
+            Outbound::Notify { gate, .. } => gate.delivered(),
+            Outbound::Answers { track, .. } => track.settled(),
+        }
+    }
+}
+
+/// Per-batch trace state shared by every message of one flush (one
+/// per connection with a query in the batch). The messages fan out to
+/// several connections' writer threads; whichever writes (or abandons)
+/// the last one closes the trace: it records the reply-write span,
+/// observes the end-to-end latency, and offers the trace to the
 /// slow-query log.
 struct BatchTrack {
     trace: ic_obs::Trace,
@@ -179,9 +299,9 @@ struct BatchTrack {
 }
 
 impl BatchTrack {
-    /// Marks one reply settled (written or abandoned with its client);
-    /// the last one finalizes the trace.
-    fn reply_done(&self) {
+    /// Marks one message settled (written or abandoned with its
+    /// client); the last one finalizes the trace.
+    fn settled(&self) {
         if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
             return;
         }
@@ -197,6 +317,8 @@ impl BatchTrack {
 struct Admitted {
     wire: WireQuery,
     admitted_at: Instant,
+    /// Which connection asked (a flush groups its replies by this).
+    conn: u64,
     reply_to: Sender<Outbound>,
 }
 
@@ -283,6 +405,7 @@ struct Shared {
     next_shard: AtomicUsize,
     draining: AtomicBool,
     conns: Mutex<Vec<JoinHandle<()>>>,
+    next_conn: AtomicU64,
     hub: Option<Hub>,
     metrics: ServeMetrics,
     slow_log: Arc<ic_obs::SlowLog>,
@@ -305,7 +428,12 @@ impl Shared {
     }
 
     /// Admits one query (round-robin shard) or returns why it was shed.
-    fn submit(&self, wire: WireQuery, reply_to: Sender<Outbound>) -> Result<(), ShedReason> {
+    fn submit(
+        &self,
+        wire: WireQuery,
+        conn: u64,
+        reply_to: Sender<Outbound>,
+    ) -> Result<(), ShedReason> {
         let idx = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         let shard = &self.shards[idx];
         let mut queue = shard.queue.lock().unwrap();
@@ -327,11 +455,18 @@ impl Shared {
         queue.push_back(Admitted {
             wire,
             admitted_at: Instant::now(),
+            conn,
             reply_to,
         });
+        // The batcher sleeps in two places: on an empty queue, and
+        // lingering on a non-empty one until its deadline or a full
+        // batch. Only the push that ends one of those needs to wake it.
+        let wake = queue.len() == 1 || queue.len() == self.config.max_batch;
         drop(queue);
         self.metrics.admitted.inc();
-        shard.cond.notify_one();
+        if wake {
+            shard.cond.notify_one();
+        }
         Ok(())
     }
 
@@ -422,6 +557,7 @@ impl Server {
             next_shard: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
+            next_conn: AtomicU64::new(0),
             hub,
             metrics: ServeMetrics::new(),
             slow_log: Arc::new(ic_obs::SlowLog::new(config.slow_query_threshold, 128)),
@@ -524,7 +660,13 @@ impl Server {
 
 fn batcher(shared: &Shared, idx: usize) {
     let shard = &shared.shards[idx];
+    let (window, max_batch) = (shared.config.admission_window, shared.config.max_batch);
     let mut batch: Vec<Admitted> = Vec::new();
+    // The linger: a moving average of `flush service time /
+    // LINGER_DIVISOR`, capped by the window when applied. Seeded with
+    // the window, so until flushes have been measured a query buys the
+    // whole window.
+    let mut linger = window;
     loop {
         {
             let mut queue = shard.queue.lock().unwrap();
@@ -536,29 +678,40 @@ fn batcher(shared: &Shared, idx: usize) {
                 let (guard, _) = shard.cond.wait_timeout(queue, READ_TICK).unwrap();
                 queue = guard;
             }
-            // Hold the shard open for the admission window, measured
-            // from the *first* admission so the window bounds added
-            // latency, not inter-arrival gaps.
-            let window_end = queue.front().unwrap().admitted_at + shared.config.admission_window;
-            while queue.len() < shared.config.max_batch && !shared.is_draining() {
+            // Hold the shard open for the linger, measured from the
+            // *first* admission so it bounds added latency, not
+            // inter-arrival gaps — and so that queries which queued
+            // while the last flush ran leave without further wait.
+            let linger_end = queue.front().unwrap().admitted_at + linger.min(window);
+            while queue.len() < max_batch && !shared.is_draining() {
                 let now = Instant::now();
-                if now >= window_end {
+                if now >= linger_end {
                     break;
                 }
-                let (guard, _) = shard.cond.wait_timeout(queue, window_end - now).unwrap();
+                let (guard, _) = shard.cond.wait_timeout(queue, linger_end - now).unwrap();
                 queue = guard;
             }
-            let take = queue.len().min(shared.config.max_batch);
+            let take = queue.len().min(max_batch);
             batch.extend(queue.drain(..take));
         }
+        let flush_start = Instant::now();
         flush(shared, &mut batch);
+        linger = (linger * 3 + flush_start.elapsed() / LINGER_DIVISOR) / 4;
     }
+}
+
+/// One connection's share of a flush.
+struct ConnAnswers {
+    conn: u64,
+    reply_to: Sender<Outbound>,
+    answers: Vec<(u64, SharedAnswer)>,
 }
 
 /// Flushes one admission batch as one pinned engine batch, tracing its
 /// lifecycle: queue wait (earliest admission → pickup), the engine's
-/// plan/solve spans, merge (wire assembly), and — finalized by the last
-/// writer — reply write.
+/// plan/solve spans, merge (grouping the result slots by connection),
+/// and — finalized by the last writer — reply write, which covers the
+/// encode.
 fn flush(shared: &Shared, batch: &mut Vec<Admitted>) {
     if batch.is_empty() {
         return;
@@ -595,37 +748,47 @@ fn flush(shared: &Shared, batch: &mut Vec<Admitted>) {
         })
         .collect();
     let options = BatchOptions::new().deadline_from(anchor);
-    let (epoch, results) = shared.engine.run_batch_traced(&queries, &options, &trace);
+    let (epoch, slots) = shared.engine.run_batch_traced(&queries, &options, &trace);
     m.batches.inc();
     m.largest_batch.raise_to(batch.len() as i64);
-    // Merge: engine answers → wire images, before the replies are
-    // enqueued (so the span does not overlap reply write).
+    // Merge: one message per connection, carrying the engine's shared
+    // result slots as they are (the writers encode from them).
     let merge_sw = ic_obs::Stopwatch::start();
-    let outcomes: Vec<Outcome> = results.iter().map(Outcome::from_engine).collect();
+    let mut per_conn: Vec<ConnAnswers> = Vec::new();
+    for (admitted, slot) in batch.drain(..).zip(slots) {
+        let answer = (admitted.wire.id, slot);
+        match per_conn.iter_mut().find(|c| c.conn == admitted.conn) {
+            Some(found) => found.answers.push(answer),
+            None => per_conn.push(ConnAnswers {
+                conn: admitted.conn,
+                reply_to: admitted.reply_to,
+                answers: vec![answer],
+            }),
+        }
+    }
     merge_sw.record(&trace, ic_obs::Stage::Merge);
     let track = Arc::new(BatchTrack {
         trace,
-        remaining: AtomicUsize::new(batch.len()),
+        remaining: AtomicUsize::new(per_conn.len()),
         enqueued: Instant::now(),
         anchor,
         batch_ns: m.batch_ns.clone(),
         reply_write_ns: m.reply_write_ns.clone(),
         slow_log: Arc::clone(&shared.slow_log),
     });
-    for (admitted, outcome) in batch.drain(..).zip(outcomes) {
-        let outbound = Outbound {
-            response: Response::Reply {
-                id: admitted.wire.id,
-                epoch: epoch.index(),
-                outcome,
-            },
-            gate: None,
-            track: Some(Arc::clone(&track)),
+    for ConnAnswers {
+        reply_to, answers, ..
+    } in per_conn
+    {
+        let outbound = Outbound::Answers {
+            epoch: epoch.index(),
+            answers,
+            track: Arc::clone(&track),
         };
-        // A send error means the client disconnected; the answer is
-        // simply dropped with it (but still settles the batch track).
-        if admitted.reply_to.send(outbound).is_err() {
-            track.reply_done();
+        // A send error means the client disconnected; its answers are
+        // simply dropped with it (but still settle the batch track).
+        if reply_to.send(outbound).is_err() {
+            track.settled();
         }
     }
 }
@@ -709,13 +872,15 @@ fn connection(stream: TcpStream, shared: &Arc<Shared>) {
     let ack_on_close = Arc::new(AtomicBool::new(false));
     let writer = {
         let ack = Arc::clone(&ack_on_close);
+        let shared = Arc::clone(shared);
         std::thread::Builder::new()
             .name("ic-serve-write".into())
-            .spawn(move || write_loop(writer_stream, &rx, mode, &ack))
+            .spawn(move || write_loop(writer_stream, &rx, mode, &shared, &ack))
             .expect("spawn writer thread")
     };
 
     let mut subs = ConnSubs {
+        id: shared.next_conn.fetch_add(1, Ordering::Relaxed),
         by_client: HashMap::new(),
     };
     match mode {
@@ -732,10 +897,11 @@ fn connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = writer.join();
 }
 
-/// The standing subscriptions registered on one connection, keyed by
-/// the client-chosen id (scoped to the connection; different clients
-/// may reuse ids freely).
+/// One connection's identity and the standing subscriptions registered
+/// on it, keyed by the client-chosen id (scoped to the connection;
+/// different clients may reuse ids freely).
 struct ConnSubs {
+    id: u64,
     by_client: HashMap<u64, SubscriptionId>,
 }
 
@@ -764,154 +930,64 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
+/// Drains the connection's outbound queue onto the socket. Each wake-up
+/// takes the message that woke it plus whatever else is already queued,
+/// encodes all of it into one buffer, and sends that with one `write`.
 fn write_loop(
     mut stream: TcpStream,
     rx: &Receiver<Outbound>,
     mode: Mode,
+    shared: &Shared,
     ack_on_close: &AtomicBool,
 ) {
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut buf = Vec::new();
+    let mut gathered: Vec<Outbound> = Vec::new();
     let mut dead = false;
-    for outbound in rx.iter() {
-        if !dead && write_response(&mut stream, mode, &outbound.response, &mut buf).is_err() {
+    while let Ok(first) = rx.recv() {
+        buf.clear();
+        let mut next = Some(first);
+        while let Some(outbound) = next {
+            if !dead {
+                outbound.encode(mode, shared, &mut buf);
+            }
+            gathered.push(outbound);
+            next = (buf.len() < WRITE_GATHER_MAX)
+                .then(|| rx.try_recv().ok())
+                .flatten();
+        }
+        if !dead && stream.write_all(&buf).is_err() {
             // The client stopped reading; kill the socket so the
             // reader sees EOF instead of serving a black hole, then
             // keep draining senders without writing.
             let _ = stream.shutdown(Shutdown::Both);
             dead = true;
         }
-        // Written or abandoned, the notification is off the queue
-        // either way — its gate slot frees up.
-        if let Some(gate) = &outbound.gate {
-            gate.delivered();
-        }
-        // Likewise a batch reply settles its track; the batch's last
-        // reply (across all connections) finalizes the trace.
-        if let Some(track) = &outbound.track {
-            track.reply_done();
+        // Written or abandoned, the messages are off the queue.
+        for outbound in gathered.drain(..) {
+            outbound.settle();
         }
     }
     if dead {
         return;
     }
     if ack_on_close.load(Ordering::Acquire) {
-        let _ = write_response(&mut stream, mode, &Response::ShutdownAck, &mut buf);
+        buf.clear();
+        push_response(mode, &Response::ShutdownAck, &mut buf);
+        let _ = stream.write_all(&buf);
     }
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn write_response(
-    stream: &mut TcpStream,
-    mode: Mode,
-    response: &Response,
-    buf: &mut Vec<u8>,
-) -> std::io::Result<()> {
-    match mode {
-        Mode::Binary => {
-            buf.clear();
-            protocol::encode_response(response, buf);
-            protocol::write_frame(stream, buf)?;
+/// Tells the client what was wrong with its bytes.
+fn report_protocol_error(shared: &Shared, tx: &Sender<Outbound>, e: &ProtocolError) {
+    shared.metrics.protocol_errors.inc();
+    let _ = tx.send(
+        Response::ProtocolError {
+            message: e.to_string(),
         }
-        Mode::Json => {
-            let line = protocol::render_json_response(response);
-            stream.write_all(line.as_bytes())?;
-            stream.write_all(b"\n")?;
-        }
-    }
-    stream.flush()
-}
-
-/// What one patient (timeout-aware) read attempt produced.
-enum Patient {
-    Full,
-    /// Clean EOF before the first byte (only when `idle_ok`).
-    Eof,
-    /// The server started draining while the socket was idle.
-    Drain,
-}
-
-/// Fills `buf` completely, riding out idle timeouts. While no byte of
-/// the current unit has arrived (`idle_ok`), the read waits forever but
-/// notices a drain; once mid-unit, silence beyond
-/// `MID_FRAME_STALLS × READ_TICK` is a truncation.
-fn read_patient(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    idle_ok: bool,
-    shared: &Shared,
-) -> Result<Patient, ProtocolError> {
-    let mut filled = 0;
-    let mut stalls: u32 = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 && idle_ok {
-                    Ok(Patient::Eof)
-                } else {
-                    Err(ProtocolError::Truncated)
-                }
-            }
-            Ok(n) => {
-                filled += n;
-                stalls = 0;
-            }
-            Err(e) if is_timeout(&e) => {
-                if filled == 0 && idle_ok {
-                    if shared.is_draining() {
-                        return Ok(Patient::Drain);
-                    }
-                } else {
-                    stalls += 1;
-                    if stalls >= MID_FRAME_STALLS {
-                        return Err(ProtocolError::Truncated);
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(Patient::Full)
-}
-
-/// One fully-read request frame, or why there is none.
-enum FrameRead {
-    Frame,
-    Eof,
-    Drain,
-}
-
-fn read_request_frame(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    shared: &Shared,
-) -> Result<FrameRead, ProtocolError> {
-    let mut head = [0u8; 5];
-    match read_patient(stream, &mut head, true, shared)? {
-        Patient::Eof => return Ok(FrameRead::Eof),
-        Patient::Drain => return Ok(FrameRead::Drain),
-        Patient::Full => {}
-    }
-    if head[0] != MAGIC {
-        return Err(ProtocolError::BadMagic(head[0]));
-    }
-    let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]);
-    if len > REQ_PAYLOAD_MAX {
-        return Err(ProtocolError::FrameTooLarge {
-            len,
-            max: REQ_PAYLOAD_MAX,
-        });
-    }
-    if len == 0 {
-        return Err(ProtocolError::EmptyFrame);
-    }
-    buf.clear();
-    buf.resize(len as usize, 0);
-    match read_patient(stream, buf, false, shared)? {
-        Patient::Full => Ok(FrameRead::Frame),
-        _ => Err(ProtocolError::Truncated),
-    }
+        .into(),
+    );
 }
 
 fn read_binary(
@@ -921,69 +997,79 @@ fn read_binary(
     tx: &Sender<Outbound>,
     ack_on_close: &AtomicBool,
 ) {
-    let mut buf = Vec::new();
+    let mut frames = FrameBuf::new(REQ_PAYLOAD_MAX, READ_BUF_LEN);
+    // Consecutive read timeouts with part of a frame buffered.
+    let mut stalls: u32 = 0;
     loop {
-        match read_request_frame(&mut stream, &mut buf, shared) {
-            Ok(FrameRead::Eof) => return, // client hung up; no ack owed
-            Ok(FrameRead::Drain) => {
-                ack_on_close.store(true, Ordering::Release);
-                return;
-            }
-            Ok(FrameRead::Frame) => match protocol::decode_request(&buf) {
-                Ok(Request::Shutdown) => {
-                    ack_on_close.store(true, Ordering::Release);
-                    shared.start_drain();
-                    return;
-                }
-                Ok(Request::Query(wire)) => handle_query(shared, tx, wire),
-                Ok(Request::Subscribe(wire)) => handle_subscribe(shared, subs, tx, wire),
-                Ok(Request::Unsubscribe { id }) => handle_unsubscribe(shared, subs, tx, id),
-                Ok(Request::Update { id, updates }) => handle_update(shared, tx, id, &updates),
-                Ok(Request::Stats { id }) => handle_stats(shared, tx, id),
-                // A decode error inside a well-delimited frame leaves
-                // the stream synchronized: report it, keep serving.
-                Err(e) => {
-                    shared.metrics.protocol_errors.inc();
-                    let _ = tx.send(
-                        Response::ProtocolError {
-                            message: e.to_string(),
-                        }
-                        .into(),
-                    );
-                }
-            },
-            // Framing-level violations (bad magic, oversized prefix,
-            // truncation) make resynchronization impossible: report if
-            // the socket still works, then close.
-            Err(e) => {
-                shared.metrics.protocol_errors.inc();
-                let _ = tx.send(
-                    Response::ProtocolError {
-                        message: e.to_string(),
+        let request = match frames.next_frame() {
+            Ok(Some(payload)) => protocol::decode_request(payload),
+            // Nothing complete is buffered: read, riding out idle
+            // timeouts. Between frames the read waits forever but
+            // notices a drain; once mid-frame, silence beyond
+            // `MID_FRAME_STALLS × READ_TICK` is a truncation.
+            Ok(None) => {
+                match frames.fill(&mut stream) {
+                    Ok(0) if frames.mid_frame() => {
+                        report_protocol_error(shared, tx, &ProtocolError::Truncated);
+                        return;
                     }
-                    .into(),
-                );
+                    Ok(0) => return, // client hung up; no ack owed
+                    Ok(_) => stalls = 0,
+                    Err(e) if is_timeout(&e) => {
+                        if !frames.mid_frame() {
+                            if shared.is_draining() {
+                                ack_on_close.store(true, Ordering::Release);
+                                return;
+                            }
+                        } else {
+                            stalls += 1;
+                            if stalls >= MID_FRAME_STALLS {
+                                report_protocol_error(shared, tx, &ProtocolError::Truncated);
+                                return;
+                            }
+                        }
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => {
+                        report_protocol_error(shared, tx, &e.into());
+                        return;
+                    }
+                }
+                continue;
+            }
+            // Framing-level violations (bad magic, oversized or empty
+            // prefix) make resynchronization impossible: report if the
+            // socket still works, then close.
+            Err(e) => {
+                report_protocol_error(shared, tx, &e);
                 return;
             }
+        };
+        match request {
+            Ok(Request::Shutdown) => {
+                ack_on_close.store(true, Ordering::Release);
+                shared.start_drain();
+                return;
+            }
+            Ok(Request::Query(wire)) => handle_query(shared, subs.id, tx, wire),
+            Ok(Request::Subscribe(wire)) => handle_subscribe(shared, subs, tx, wire),
+            Ok(Request::Unsubscribe { id }) => handle_unsubscribe(shared, subs, tx, id),
+            Ok(Request::Update { id, updates }) => handle_update(shared, tx, id, &updates),
+            Ok(Request::Stats { id }) => {
+                let _ = tx.send(Outbound::Stats { id });
+            }
+            // A decode error inside a well-delimited frame leaves the
+            // stream synchronized: report it, keep serving.
+            Err(e) => report_protocol_error(shared, tx, &e),
         }
     }
 }
 
-fn handle_query(shared: &Arc<Shared>, tx: &Sender<Outbound>, wire: WireQuery) {
+fn handle_query(shared: &Arc<Shared>, conn: u64, tx: &Sender<Outbound>, wire: WireQuery) {
     let id = wire.id;
-    if let Err(reason) = shared.submit(wire, tx.clone()) {
+    if let Err(reason) = shared.submit(wire, conn, tx.clone()) {
         let _ = tx.send(Response::Overloaded { id, reason }.into());
     }
-}
-
-fn handle_stats(shared: &Arc<Shared>, tx: &Sender<Outbound>, id: u64) {
-    let _ = tx.send(
-        Response::Stats {
-            id,
-            entries: shared.stats_entries(),
-        }
-        .into(),
-    );
 }
 
 /// A typed per-request refusal: a [`Response::Reply`] carrying an
@@ -1140,16 +1226,15 @@ fn handle_update(shared: &Arc<Shared>, tx: &Sender<Outbound>, id: u64, updates: 
                     }
                 };
                 m.notify_delivered.inc();
-                let outbound = Outbound {
-                    response: Response::Notify(WireNotification {
+                let outbound = Outbound::Notify {
+                    notify: Response::Notify(WireNotification {
                         id: sub.client_id,
                         epoch: n.epoch.index(),
                         resync,
                         deltas: n.deltas.clone(),
                         answer: n.answer.clone(),
                     }),
-                    gate: Some(Arc::clone(&sub.gate)),
-                    track: None,
+                    gate: Arc::clone(&sub.gate),
                 };
                 if sub.reply_to.send(outbound).is_err() {
                     // Writer already gone; give the admission back.
@@ -1196,13 +1281,7 @@ fn read_json(
             let line = match std::str::from_utf8(&line_bytes[..line_bytes.len() - 1]) {
                 Ok(l) => l.trim_end_matches('\r'),
                 Err(_) => {
-                    shared.metrics.protocol_errors.inc();
-                    let _ = tx.send(
-                        Response::ProtocolError {
-                            message: ProtocolError::BadUtf8.to_string(),
-                        }
-                        .into(),
-                    );
+                    report_protocol_error(shared, tx, &ProtocolError::BadUtf8);
                     continue;
                 }
             };
@@ -1215,36 +1294,24 @@ fn read_json(
                     shared.start_drain();
                     return;
                 }
-                Ok(Request::Query(wire)) => handle_query(shared, tx, wire),
+                Ok(Request::Query(wire)) => handle_query(shared, subs.id, tx, wire),
                 Ok(Request::Subscribe(wire)) => handle_subscribe(shared, subs, tx, wire),
                 Ok(Request::Unsubscribe { id }) => handle_unsubscribe(shared, subs, tx, id),
                 Ok(Request::Update { id, updates }) => handle_update(shared, tx, id, &updates),
-                Ok(Request::Stats { id }) => handle_stats(shared, tx, id),
+                Ok(Request::Stats { id }) => {
+                    let _ = tx.send(Outbound::Stats { id });
+                }
                 // JSON lines are self-delimiting, so every error is
                 // recoverable: report and keep reading.
-                Err(e) => {
-                    shared.metrics.protocol_errors.inc();
-                    let _ = tx.send(
-                        Response::ProtocolError {
-                            message: e.to_string(),
-                        }
-                        .into(),
-                    );
-                }
+                Err(e) => report_protocol_error(shared, tx, &e),
             }
         }
         if pending.len() > REQ_PAYLOAD_MAX as usize {
-            shared.metrics.protocol_errors.inc();
-            let _ = tx.send(
-                Response::ProtocolError {
-                    message: ProtocolError::FrameTooLarge {
-                        len: pending.len() as u32,
-                        max: REQ_PAYLOAD_MAX,
-                    }
-                    .to_string(),
-                }
-                .into(),
-            );
+            let too_large = ProtocolError::FrameTooLarge {
+                len: pending.len() as u32,
+                max: REQ_PAYLOAD_MAX,
+            };
+            report_protocol_error(shared, tx, &too_large);
             return;
         }
         match stream.read(&mut chunk) {

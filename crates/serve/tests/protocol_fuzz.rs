@@ -258,3 +258,108 @@ fn invalid_query_parameters_are_per_query_errors_not_connection_errors() {
     server.shutdown();
     server.join();
 }
+
+/// Collects `n` replies and returns their ids, sorted.
+fn read_reply_ids(stream: &mut TcpStream, n: usize) -> Vec<u64> {
+    let mut ids: Vec<u64> = (0..n)
+        .map(|_| match read_response(stream) {
+            Response::Reply {
+                id,
+                outcome: Outcome::Complete(_),
+                ..
+            } => id,
+            other => panic!("expected a complete reply, got {other:?}"),
+        })
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+fn query_frames(n: u64) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for id in 0..n {
+        let query = Query::new(2, 1 + (id % 3) as usize, Aggregation::Sum);
+        let mut payload = Vec::new();
+        encode_request(&Request::Query(WireQuery { id, query }), &mut payload).unwrap();
+        protocol::write_frame(&mut wire, &payload).unwrap();
+    }
+    wire
+}
+
+/// The server parses frames out of a buffered read; a client that
+/// dribbles its frames a byte per segment must get every answer.
+#[test]
+fn frames_fed_one_byte_at_a_time_are_all_answered() {
+    let (server, addr) = test_server();
+    let mut stream = raw_connect(addr);
+    stream.set_nodelay(true).unwrap();
+    for byte in query_frames(5) {
+        stream.write_all(&[byte]).unwrap();
+    }
+    assert_eq!(read_reply_ids(&mut stream, 5), [0, 1, 2, 3, 4]);
+    server.shutdown();
+    server.join();
+}
+
+/// …and so must one that sends a hundred frames in a single write.
+#[test]
+fn a_hundred_frames_in_one_write_are_all_answered() {
+    let (server, addr) = test_server();
+    let mut stream = raw_connect(addr);
+    stream.write_all(&query_frames(100)).unwrap();
+    assert_eq!(
+        read_reply_ids(&mut stream, 100),
+        (0..100).collect::<Vec<u64>>()
+    );
+    server.shutdown();
+    server.join();
+}
+
+/// The writer gathers queued messages into one write, in queue order:
+/// an updater subscribed on its own connection still sees every NOTIFY
+/// of an epoch ahead of that epoch's UPDATE_ACK.
+#[test]
+fn notify_precedes_update_ack_with_the_gathering_writer() {
+    let (server, addr) = test_server();
+    let mut stream = raw_connect(addr);
+    let send = |stream: &mut TcpStream, request: Request| {
+        let mut payload = Vec::new();
+        encode_request(&request, &mut payload).unwrap();
+        protocol::write_frame(stream, &payload).unwrap();
+    };
+    // Two standing queries whose answers the edge removal changes.
+    for (id, r) in [(1, 3), (2, 2)] {
+        let query = Query::new(2, r, Aggregation::Min);
+        send(&mut stream, Request::Subscribe(WireQuery { id, query }));
+        match read_response(&mut stream) {
+            Response::Reply { id: got, .. } => assert_eq!(got, id),
+            other => panic!("expected the initial answer, got {other:?}"),
+        }
+    }
+    send(
+        &mut stream,
+        Request::Update {
+            id: 9,
+            updates: vec![ic_engine::EdgeUpdate::Remove { u: 2, v: 8 }],
+        },
+    );
+    let mut notified = Vec::new();
+    loop {
+        match read_response(&mut stream) {
+            Response::Notify(n) => {
+                assert_eq!(n.epoch, 1);
+                notified.push(n.id);
+            }
+            Response::UpdateAck {
+                id: 9,
+                epoch: 1,
+                changed: true,
+            } => break,
+            other => panic!("expected NOTIFY frames then the ack, got {other:?}"),
+        }
+    }
+    notified.sort_unstable();
+    assert_eq!(notified, [1, 2], "both deltas arrive before the ack");
+    server.shutdown();
+    server.join();
+}

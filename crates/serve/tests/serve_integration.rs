@@ -118,6 +118,111 @@ fn multi_client_answers_are_bit_identical_to_solo_run_batch() {
     server.join();
 }
 
+/// The linger follows the measured flush service time: the very first
+/// query buys the whole window (nothing has been measured yet), but once
+/// flushes of a cached query have been seen to take microseconds, a lone
+/// client stops paying for company that cannot amortize anything.
+#[test]
+fn lone_client_stops_paying_the_window_once_flushes_are_fast() {
+    let window = Duration::from_millis(20);
+    let engine = Arc::new(Engine::with_threads(ic_core::figure1::figure1(), 2));
+    let server = Server::bind(
+        engine,
+        "127.0.0.1:0",
+        ServeConfig {
+            admission_window: window,
+            shards: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let query = Query::new(2, 2, Aggregation::Sum);
+    let mut timed_call = |id: u64| {
+        let t0 = std::time::Instant::now();
+        let _ = reply_communities(&client.call(id, &query).unwrap());
+        t0.elapsed()
+    };
+
+    assert!(
+        timed_call(0) >= window,
+        "the first call is admitted before any flush was measured and waits out the window"
+    );
+    // Warm-up: the answer is cached after the first call, and every
+    // flush pulls the service-time estimate further down.
+    for id in 1..=30 {
+        timed_call(id);
+    }
+    let mut round_trips: Vec<Duration> = (31..=51).map(&mut timed_call).collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "a lone client on a cached query must not idle in a {window:?} window; \
+         median round trip {median:?}"
+    );
+
+    server.shutdown();
+    server.join();
+}
+
+/// The other side of the same rule: while flushes take far longer than
+/// the window (slow exact-sum queries), the linger stays at the window
+/// and pipelined queries from several connections still land in one
+/// batch.
+#[test]
+fn slow_flushes_keep_full_window_coalescing() {
+    let engine = Arc::new(Engine::with_threads(email_graph(), 4));
+    let server = Server::bind(
+        engine,
+        "127.0.0.1:0",
+        ServeConfig {
+            admission_window: Duration::from_millis(40),
+            shards: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // One exact-sum query alone: a flush several windows long (≈ 150 ms
+    // optimized, seconds unoptimized), which the batcher measures.
+    let mut clients: Vec<Client> = (0..3).map(|_| Client::connect(addr).unwrap()).collect();
+    let _ = reply_communities(
+        &clients[0]
+            .call(0, &Query::new(4, 3, Aggregation::Sum))
+            .unwrap(),
+    );
+    assert_eq!(server.stats().batches, 1);
+
+    // Nine more, three per connection, none of them cached. Were the
+    // linger to follow anything but the (slow) flushes it would end
+    // before the ninth arrived.
+    let per_client = 3;
+    let burst = clients.len() * per_client;
+    for (c, client) in clients.iter_mut().enumerate() {
+        for i in 0..per_client {
+            let id = (c * per_client + i) as u64;
+            let r = 10 + id as usize; // distinct keys, all ≠ r = 3
+            client
+                .send(id, &Query::new(4, r, Aggregation::Sum))
+                .unwrap();
+        }
+    }
+    for (c, client) in clients.iter_mut().enumerate() {
+        for i in 0..per_client {
+            let response = client.wait_for((c * per_client + i) as u64).unwrap();
+            let _ = reply_communities(&response);
+        }
+    }
+    let stats = server.stats();
+    assert_eq!(stats.largest_batch, burst as u64, "{stats:?}");
+    assert_eq!(stats.batches, 2, "{stats:?}");
+
+    server.shutdown();
+    server.join();
+}
+
 /// Replies are tagged with the epoch whose snapshot served them, so a
 /// client can correlate in-flight answers with live graph updates.
 #[test]

@@ -46,9 +46,11 @@ use std::path::{Path, PathBuf};
 use ic_core::{Community, Query, SearchError, Solver};
 use ic_engine::{
     AnswerStatus, BatchOptions, Engine, EngineError, Epoch, OpenOptions, QueryAnswer, QueryBackend,
+    SharedAnswer,
 };
 use ic_mem::SharedSlice;
 use ic_store::{ShardMeta, StoreError, StoreFile};
+use std::sync::Arc;
 
 /// One opened shard: its engine, its global-id translation, and the
 /// routing metadata persisted at build time.
@@ -326,14 +328,17 @@ impl ShardedEngine {
     /// the scatter phase lands in the `Solve` span (it is the sharded
     /// analogue of solver execution) and the gather/merge loop in
     /// `Merge`. Per-shard engines add their own `IndexServe` sub-spans
-    /// through [`Engine::run_batch_traced`].
+    /// through [`Engine::run_batch_traced`], whose shared slots the
+    /// gather reads in place; each merged answer is a fresh allocation,
+    /// handed back as the [`SharedAnswer`] serving layers take.
     pub fn run_batch_traced(
         &self,
         queries: &[Query],
         options: &BatchOptions,
         trace: &ic_obs::Trace,
-    ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
-        self.run_batch_inner(queries, options, Some(trace))
+    ) -> (Epoch, Vec<SharedAnswer>) {
+        let (epoch, merged) = self.run_batch_inner(queries, options, Some(trace));
+        (epoch, merged.into_iter().map(Arc::new).collect())
     }
 
     fn run_batch_inner(
@@ -392,8 +397,13 @@ impl ShardedEngine {
 
         // Scatter: one engine batch per contributing shard, run
         // concurrently (each shard engine has its own worker pool).
+        // The traced call is the one that hands back the engines' shared
+        // result slots (no per-shard deep copy); an untraced batch
+        // records into a trace nobody reads.
+        let scratch = ic_obs::Trace::new();
+        let trace_or_scratch = trace.unwrap_or(&scratch);
         let scatter_sw = ic_obs::Stopwatch::start();
-        let mut shard_results: Vec<Option<Vec<Result<QueryAnswer, EngineError>>>> =
+        let mut shard_results: Vec<Option<Vec<SharedAnswer>>> =
             (0..self.shards.len()).map(|_| None).collect();
         std::thread::scope(|scope| {
             let handles: Vec<_> = per_shard
@@ -405,9 +415,11 @@ impl ShardedEngine {
                     let subset: Vec<Query> = qis.iter().map(|&qi| queries[qi]).collect();
                     (
                         si,
-                        scope.spawn(move || match trace {
-                            Some(t) => shard.engine.run_batch_traced(&subset, options, t).1,
-                            None => shard.engine.run_batch_pinned(&subset, options).1,
+                        scope.spawn(move || {
+                            shard
+                                .engine
+                                .run_batch_traced(&subset, options, trace_or_scratch)
+                                .1
                         }),
                     )
                 })
@@ -439,7 +451,7 @@ impl ShardedEngine {
                     continue;
                 };
                 let res = &shard_results[si].as_ref().expect("shard batch ran")[pos];
-                match res {
+                match res.as_ref() {
                     Ok(ans) => {
                         if let AnswerStatus::Degraded { reason, .. } = ans.status {
                             // Any degraded contribution makes the merge
@@ -513,7 +525,7 @@ impl QueryBackend for ShardedEngine {
         queries: &[Query],
         options: &BatchOptions,
         trace: &ic_obs::Trace,
-    ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
+    ) -> (Epoch, Vec<SharedAnswer>) {
         ShardedEngine::run_batch_traced(self, queries, options, trace)
     }
 

@@ -55,19 +55,32 @@ pub enum Delta {
 /// Order is deterministic: ascending new-rank order first (for each new
 /// rank, `RankMoved` before `ValueChanged`, or a single
 /// `CommunityEntered`), then departures in ascending old-rank order.
+/// Repeated vertex lists pair up in rank order (the i-th occurrence in
+/// `new` with the i-th in `old`).
 /// Values compare by bit pattern (`f64::to_bits`), matching the
 /// engine's bit-identical determinism contract — a delta is emitted
 /// exactly when the serialized answers would differ.
 pub fn diff_answers(old: &[Community], new: &[Community]) -> Vec<Delta> {
-    let mut old_rank: std::collections::HashMap<&[u32], usize> = std::collections::HashMap::new();
+    // Old ranks by vertex list, ascending. A solver never lists one
+    // vertex set twice, but an answer from elsewhere may: each new entry
+    // then claims the earliest unclaimed old rank of its list, so every
+    // old rank is matched at most once and identical answers diff empty.
+    let mut old_ranks: std::collections::HashMap<&[u32], std::collections::VecDeque<usize>> =
+        std::collections::HashMap::new();
     for (j, c) in old.iter().enumerate() {
-        old_rank.insert(c.vertices.as_slice(), j);
+        old_ranks
+            .entry(c.vertices.as_slice())
+            .or_default()
+            .push_back(j);
     }
     let mut matched = vec![false; old.len()];
     let mut deltas = Vec::new();
     for (i, c) in new.iter().enumerate() {
-        match old_rank.get(c.vertices.as_slice()) {
-            Some(&j) => {
+        let claimed = old_ranks
+            .get_mut(c.vertices.as_slice())
+            .and_then(|ranks| ranks.pop_front());
+        match claimed {
+            Some(j) => {
                 matched[j] = true;
                 if j != i {
                     deltas.push(Delta::RankMoved {
@@ -231,5 +244,45 @@ mod tests {
         let leave = diff_answers(&a, &[]);
         assert_eq!(leave.len(), 2);
         assert_eq!(replay(&a, &leave), Vec::<Community>::new());
+    }
+
+    #[test]
+    fn repeated_vertex_lists_round_trip_without_spurious_deltas() {
+        // Regression (PR 11 defect): a size-bounded local-search answer
+        // listed one vertex set twice, values an ulp apart. The diff
+        // then matched both copies to one old rank: `replay` indexed out
+        // of bounds or rebuilt the wrong answer, and an unchanged answer
+        // diffed non-empty (a spurious NOTIFY).
+        let lo = f64::from_bits(5.0f64.to_bits() - 1);
+        let twice = vec![c(&[0, 1, 2], 5.0), c(&[3, 4], 5.0), c(&[0, 1, 2], lo)];
+        assert!(diff_answers(&twice, &twice).is_empty());
+        let once = vec![c(&[3, 4], 6.0), c(&[0, 1, 2], 5.0)];
+        for (old, new) in [(&twice, &once), (&once, &twice)] {
+            assert_eq!(&replay(old, &diff_answers(old, new)), new);
+        }
+
+        // Any pair of answers over a small pool of lists and values —
+        // repeats included — round-trips.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for _ in 0..2000 {
+            let mut draw = || -> Vec<Community> {
+                (0..next(6))
+                    .map(|_| {
+                        let first = next(3) as u32;
+                        c(&[first, first + 1], 1.0 + next(2) as f64)
+                    })
+                    .collect()
+            };
+            let (old, new) = (draw(), draw());
+            let deltas = diff_answers(&old, &new);
+            assert_eq!(replay(&old, &deltas), new, "{old:?} -> {new:?}");
+            assert_eq!(deltas.is_empty(), old == new, "{old:?} -> {new:?}");
+        }
     }
 }
