@@ -31,8 +31,7 @@ pub fn to_engine_query(spec: &QuerySpec) -> Query {
 
 /// Answers one query the pre-engine way: a direct solver call that
 /// recomputes the core decomposition and builds a fresh arena, exactly
-/// what a caller without the engine writes today. The sequential
-/// baseline of `batch_baseline` is this, in a loop. Routing goes
+/// what a caller without the engine writes today. Routing goes
 /// through [`ic_core::Query::solve`] — the unified solver layer — so
 /// this crate no longer hand-dispatches per aggregation.
 pub fn solve_sequential(wg: &WeightedGraph, q: &Query) -> Result<Vec<Community>, SearchError> {

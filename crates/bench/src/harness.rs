@@ -1,8 +1,9 @@
-//! Per-graph solver harnesses shared by the benchmark targets.
+//! Per-graph solver harnesses shared by the `experiments` sweeps and the
+//! workspace tests.
 //!
 //! The per-graph free-function entry points (`min_topr`, `sum_naive`,
 //! `tic_improved`, …) were removed from `ic-core`'s public API in PR 4;
-//! benchmarks that time the one-query-at-a-time shape route through the
+//! sweeps that time the one-query-at-a-time shape route through the
 //! certificate-driven [`Query`] router (or the snapshot entry point for
 //! Algorithm 1, which the router does not serve — TIC answers its
 //! queries). Each call pays the full per-query cost — decomposition

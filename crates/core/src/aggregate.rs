@@ -67,13 +67,25 @@ pub enum Hardness {
 
 /// Peel direction of a node-domination aggregation whose top-r problem
 /// is answered by threshold peeling.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Extremum {
     /// The community value is its minimum member weight: peel the global
     /// minimum from below (Li et al. VLDB'15).
     Min,
     /// The community value is its maximum member weight: peel from above.
     Max,
+}
+
+impl Extremum {
+    /// The built-in aggregation that peels in this direction — the one
+    /// call every peel path evaluates communities with, so their values
+    /// are bit-identical by construction.
+    pub fn aggregation(self) -> Aggregation {
+        match self {
+            Extremum::Min => Aggregation::Min,
+            Extremum::Max => Aggregation::Max,
+        }
+    }
 }
 
 /// Tie semantics of an aggregation's values.

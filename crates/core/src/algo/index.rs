@@ -662,16 +662,6 @@ impl ExtremumIndex {
         aggregation.certificates().peel_extremum == Some(self.extremum)
     }
 
-    /// The built-in aggregation of the forest's direction, used to
-    /// evaluate materialized communities — the same call the peel
-    /// solvers make, so values are bit-identical by construction.
-    fn aggregation(&self) -> Aggregation {
-        match self.extremum {
-            Extremum::Min => Aggregation::Min,
-            Extremum::Max => Aggregation::Max,
-        }
-    }
-
     fn batch(&self, node: u32) -> &[VertexId] {
         let (lo, hi) = (
             self.batch_offsets[node as usize] as usize,
@@ -700,7 +690,7 @@ impl ExtremumIndex {
     }
 
     fn node_community(&self, wg: &WeightedGraph, node: u32) -> Community {
-        community_from_vertices(wg, self.aggregation(), self.materialize(node))
+        community_from_vertices(wg, self.extremum.aggregation(), self.materialize(node))
     }
 
     /// Answers a top-r query in output-sensitive time. Results are

@@ -18,7 +18,7 @@
 //! arena's reusable BFS buffer.
 
 use crate::algo::common::{community_from_vertices, validate_k_r};
-use crate::{Aggregation, Community, SearchError};
+use crate::{Aggregation, Community, Extremum, SearchError};
 use ic_graph::{BitSet, VertexId, WeightedGraph};
 use ic_kcore::{kcore_mask, Budget, GraphSnapshot, PeelArena};
 use std::collections::VecDeque;
@@ -30,7 +30,7 @@ pub(crate) fn min_topr(
     k: usize,
     r: usize,
 ) -> Result<Vec<Community>, SearchError> {
-    peel_topr(wg, k, r, Extreme::Min)
+    peel_topr(wg, k, r, Extremum::Min)
 }
 
 /// Top-r k-influential communities under `f = max`, best first.
@@ -39,7 +39,7 @@ pub(crate) fn max_topr(
     k: usize,
     r: usize,
 ) -> Result<Vec<Community>, SearchError> {
-    peel_topr(wg, k, r, Extreme::Max)
+    peel_topr(wg, k, r, Extremum::Max)
 }
 
 /// `min`-peeling against a [`GraphSnapshot`]: the k-core mask comes from
@@ -90,7 +90,7 @@ pub fn min_topr_multi_on(
         &level.mask,
         k,
         rs,
-        Extreme::Min,
+        Extremum::Min,
         arena,
     ))
 }
@@ -111,23 +111,17 @@ pub fn max_topr_multi_on(
         &level.mask,
         k,
         rs,
-        Extreme::Max,
+        Extremum::Max,
         arena,
     ))
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Extreme {
-    Min,
-    Max,
 }
 
 /// Progressive, rank-order emission for the `min`/`max` peels — the
 /// incremental hook behind `ic_engine::Engine::submit`.
 ///
-/// [`MinMaxEmission::start_min`]/[`start_max`](MinMaxEmission::start_max)
-/// run **one** stamped peel pass: every removal event records its value,
-/// and every vertex records *which event* removed it
+/// [`MinMaxEmission::start`] runs **one** stamped peel pass: every
+/// removal event records its value, and every vertex records *which
+/// event* removed it
 /// ([`PeelArena::journaled`]). The community witnessed by event `s` is
 /// then reconstructible at any time, in any order, as the connected
 /// component of the event vertex among vertices with removal stamp
@@ -159,72 +153,22 @@ pub struct MinMaxEmission {
 }
 
 impl MinMaxEmission {
-    /// Starts a progressive `min` emission: one stamped peel pass over
-    /// the snapshot's `k`-core on the caller's arena, then lazy
-    /// materialization. The arena is only used inside this call.
-    pub fn start_min(
+    /// Starts a progressive emission in direction `dir`: one stamped
+    /// peel pass over the snapshot's `k`-core on the caller's arena, then
+    /// lazy materialization. The arena is only used inside this call.
+    ///
+    /// With a `budget`, the pass runs under a cooperative deadline: it
+    /// checkpoints between removal events (and the cascade itself keeps
+    /// the shared flag fresh). Returns `Ok(None)` when the budget expires
+    /// before the pass completes — the event ranking is only proven by
+    /// the *full* peel, so an interrupted pass certifies nothing and the
+    /// caller must report `DeadlineExceeded` rather than a partial
+    /// answer. Without a budget the result is always `Some`.
+    pub fn start(
         snap: &GraphSnapshot,
         k: usize,
         r: usize,
-        arena: &mut PeelArena,
-    ) -> Result<Self, SearchError> {
-        Self::start(snap, k, r, Extreme::Min, arena)
-    }
-
-    /// The `max` counterpart of [`MinMaxEmission::start_min`].
-    pub fn start_max(
-        snap: &GraphSnapshot,
-        k: usize,
-        r: usize,
-        arena: &mut PeelArena,
-    ) -> Result<Self, SearchError> {
-        Self::start(snap, k, r, Extreme::Max, arena)
-    }
-
-    /// [`MinMaxEmission::start_min`] under a cooperative deadline: the
-    /// stamped peel pass checkpoints `budget` between removal events
-    /// (and the cascade itself keeps the shared flag fresh). Returns
-    /// `Ok(None)` when the budget expires before the pass completes —
-    /// the event ranking is only proven by the *full* peel, so an
-    /// interrupted pass certifies nothing and the caller must report
-    /// `DeadlineExceeded` rather than a partial answer.
-    pub fn start_min_budgeted(
-        snap: &GraphSnapshot,
-        k: usize,
-        r: usize,
-        arena: &mut PeelArena,
-        budget: &Arc<Budget>,
-    ) -> Result<Option<Self>, SearchError> {
-        Self::start_impl(snap, k, r, Extreme::Min, arena, Some(budget))
-    }
-
-    /// The `max` counterpart of [`MinMaxEmission::start_min_budgeted`].
-    pub fn start_max_budgeted(
-        snap: &GraphSnapshot,
-        k: usize,
-        r: usize,
-        arena: &mut PeelArena,
-        budget: &Arc<Budget>,
-    ) -> Result<Option<Self>, SearchError> {
-        Self::start_impl(snap, k, r, Extreme::Max, arena, Some(budget))
-    }
-
-    fn start(
-        snap: &GraphSnapshot,
-        k: usize,
-        r: usize,
-        dir: Extreme,
-        arena: &mut PeelArena,
-    ) -> Result<Self, SearchError> {
-        Ok(Self::start_impl(snap, k, r, dir, arena, None)?
-            .expect("an unbudgeted start always completes"))
-    }
-
-    fn start_impl(
-        snap: &GraphSnapshot,
-        k: usize,
-        r: usize,
-        dir: Extreme,
+        dir: Extremum,
         arena: &mut PeelArena,
         budget: Option<&Arc<Budget>>,
     ) -> Result<Option<Self>, SearchError> {
@@ -280,10 +224,7 @@ impl MinMaxEmission {
             .collect();
 
         Ok(Some(MinMaxEmission {
-            aggregation: match dir {
-                Extreme::Min => Aggregation::Min,
-                Extreme::Max => Aggregation::Max,
-            },
+            aggregation: dir.aggregation(),
             removal_stamp,
             ranked,
             cursor: 0,
@@ -361,12 +302,12 @@ impl MinMaxEmission {
     }
 }
 
-fn sort_peel_order(order: &mut [u32], wg: &WeightedGraph, dir: Extreme) {
+fn sort_peel_order(order: &mut [u32], wg: &WeightedGraph, dir: Extremum) {
     order.sort_unstable_by(|&a, &b| {
         let (wa, wb) = (wg.weight(a), wg.weight(b));
         let c = match dir {
-            Extreme::Min => wa.total_cmp(&wb),
-            Extreme::Max => wb.total_cmp(&wa),
+            Extremum::Min => wa.total_cmp(&wb),
+            Extremum::Max => wb.total_cmp(&wa),
         };
         c.then_with(|| a.cmp(&b))
     });
@@ -376,7 +317,7 @@ fn peel_topr(
     wg: &WeightedGraph,
     k: usize,
     r: usize,
-    dir: Extreme,
+    dir: Extremum,
 ) -> Result<Vec<Community>, SearchError> {
     validate_k_r(r)?;
     let g = wg.graph();
@@ -394,7 +335,7 @@ fn peel_topr_multi(
     core: &BitSet,
     k: usize,
     rs: &[usize],
-    dir: Extreme,
+    dir: Extremum,
     arena: &mut PeelArena,
 ) -> Vec<Vec<Community>> {
     let g = wg.graph();
@@ -437,10 +378,7 @@ fn peel_topr_multi(
 
     // Pass 2: replay, snapshotting the component of each selected event
     // through the arena's reusable BFS buffer, indexed by event rank.
-    let agg = match dir {
-        Extreme::Min => Aggregation::Min,
-        Extreme::Max => Aggregation::Max,
-    };
+    let agg = dir.aggregation();
     let mut snapshots: Vec<Option<Community>> = vec![None; ranked.len()];
     let mut snapshot: Vec<u32> = Vec::new();
     let mut seq = 0usize;
@@ -476,6 +414,18 @@ mod tests {
     use crate::algo::exact_topr;
     use crate::figure1::{figure1, vs};
     use ic_graph::{graph_from_edges, WeightedGraph};
+
+    fn unbudgeted(
+        snap: &GraphSnapshot,
+        k: usize,
+        r: usize,
+        dir: Extremum,
+        arena: &mut PeelArena,
+    ) -> MinMaxEmission {
+        MinMaxEmission::start(snap, k, r, dir, arena, None)
+            .unwrap()
+            .expect("an unbudgeted start always completes")
+    }
 
     #[test]
     fn figure1_min_top2_matches_example1() {
@@ -611,13 +561,13 @@ mod tests {
         let snap = GraphSnapshot::new(wg.clone());
         let mut arena = PeelArena::for_graph(snap.graph());
         for r in [1usize, 2, 4, 7, 100] {
-            let mut min_em = MinMaxEmission::start_min(&snap, 2, r, &mut arena).unwrap();
+            let mut min_em = unbudgeted(&snap, 2, r, Extremum::Min, &mut arena);
             let mut got = Vec::new();
             while let Some(c) = min_em.next_community(&wg) {
                 got.push(c);
             }
             assert_eq!(got, min_topr(&wg, 2, r).unwrap(), "min full drain r={r}");
-            let mut max_em = MinMaxEmission::start_max(&snap, 2, r, &mut arena).unwrap();
+            let mut max_em = unbudgeted(&snap, 2, r, Extremum::Max, &mut arena);
             let mut got = Vec::new();
             while let Some(c) = max_em.next_community(&wg) {
                 got.push(c);
@@ -627,7 +577,7 @@ mod tests {
         // Genuine prefix semantics: pull n < r items and stop.
         let full = min_topr(&wg, 2, 7).unwrap();
         for n in 0..full.len() {
-            let mut em = MinMaxEmission::start_min(&snap, 2, 7, &mut arena).unwrap();
+            let mut em = unbudgeted(&snap, 2, 7, Extremum::Min, &mut arena);
             let mut prefix = Vec::new();
             for _ in 0..n {
                 prefix.push(em.next_community(&wg).unwrap());
@@ -646,7 +596,7 @@ mod tests {
         let snap = ic_kcore::GraphSnapshot::new(wg.clone());
         let mut arena = PeelArena::for_graph(snap.graph());
         for r in [1usize, 2, 5] {
-            let mut em = MinMaxEmission::start_min(&snap, 2, r, &mut arena).unwrap();
+            let mut em = unbudgeted(&snap, 2, r, Extremum::Min, &mut arena);
             let mut got = Vec::new();
             while let Some(c) = em.next_community(&wg) {
                 got.push(c);
@@ -663,7 +613,7 @@ mod tests {
         let mut arena = PeelArena::for_graph(snap.graph());
         // A generous budget behaves exactly like the unbudgeted start.
         let generous = Arc::new(Budget::within(Duration::from_secs(3600)));
-        let mut em = MinMaxEmission::start_min_budgeted(&snap, 2, 7, &mut arena, &generous)
+        let mut em = MinMaxEmission::start(&snap, 2, 7, Extremum::Min, &mut arena, Some(&generous))
             .unwrap()
             .expect("generous budget completes the peel");
         let mut got = Vec::new();
@@ -675,7 +625,8 @@ mod tests {
         let expired = Arc::new(Budget::within(Duration::from_millis(0)));
         std::thread::sleep(Duration::from_millis(2));
         assert!(expired.check());
-        let none = MinMaxEmission::start_max_budgeted(&snap, 2, 7, &mut arena, &expired).unwrap();
+        let none =
+            MinMaxEmission::start(&snap, 2, 7, Extremum::Max, &mut arena, Some(&expired)).unwrap();
         assert!(none.is_none(), "expired start certifies nothing");
         // The arena is back to unbudgeted use afterwards.
         assert_eq!(
@@ -690,7 +641,7 @@ mod tests {
         let wg = WeightedGraph::new(g, vec![1.0; 3]).unwrap();
         let snap = ic_kcore::GraphSnapshot::new(wg.clone());
         let mut arena = PeelArena::for_graph(snap.graph());
-        let mut em = MinMaxEmission::start_min(&snap, 2, 3, &mut arena).unwrap();
+        let mut em = unbudgeted(&snap, 2, 3, Extremum::Min, &mut arena);
         assert!(em.is_empty());
         assert!(em.next_community(&wg).is_none());
     }

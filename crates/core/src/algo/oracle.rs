@@ -3,14 +3,10 @@
 //! These are the pre-arena implementations of the four rewritten solvers:
 //! every deletion step re-computes internal degrees over the whole
 //! community ([`ic_kcore::PeelScratch`]) or clones mask state per pass.
-//! They are kept for two purposes:
-//!
-//! 1. **Correctness oracle** — the property tests assert the incremental
-//!    [`PeelArena`](ic_kcore::PeelArena)-based solvers in [`crate::algo`]
-//!    produce *identical* top-r output (communities and values);
-//! 2. **Perf baseline** — `ic-bench`'s `peel_baseline` binary measures
-//!    these against the incremental solvers in the same run and records
-//!    the speedup in `BENCH_peel.json`.
+//! They are kept as the **correctness oracle**: the property tests assert
+//! the incremental [`PeelArena`](ic_kcore::PeelArena)-based solvers in
+//! [`crate::algo`] produce *identical* top-r output (communities and
+//! values).
 //!
 //! Do not use these in production paths; they are deliberately the slow,
 //! allocation-happy formulation.

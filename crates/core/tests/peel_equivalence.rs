@@ -149,7 +149,7 @@ proptest! {
 
 #[test]
 fn solver_steady_state_peeling_never_allocates() {
-    // The acceptance criterion for the zero-rebuild engine: after an
+    // The acceptance test for the zero-rebuild engine: after an
     // arena is constructed for a query, the steady-state peel loop (load,
     // cascade, component extraction, rollback) performs zero heap
     // allocations. Exercised over a realistic workload and checked via

@@ -6,9 +6,8 @@
 //! holds one pooled [`PeelArena`](ic_kcore::PeelArena) for its lifetime
 //! and lazily creates one [`LocalScratch`] the first time it executes a
 //! local-search chunk; both are reused across every job the worker runs.
-//! Completed results flow back to the caller thread over a channel, which
-//! is what makes [`crate::Engine::for_each_result`] stream results in
-//! completion order while the batch is still running. A plan that needs
+//! Completed results flow back to the caller thread over a channel, in
+//! completion order, while the batch is still running. A plan that needs
 //! one worker (one job, or a one-thread engine) spawns nothing: the
 //! calling thread is the worker and hands each job's results over as
 //! the job ends.
@@ -39,13 +38,13 @@
 //! best-so-far (`proven_prefix_len == 0`), and a query with nothing
 //! proven gets [`EngineError::DeadlineExceeded`].
 
-use crate::plan::{Dir, Job, JobOutput, LocalJob, Plan};
+use crate::plan::{Job, JobOutput, LocalJob, Plan};
 use crate::{AnswerStatus, DegradeReason, EngineError, QueryAnswer};
 use ic_core::algo::{
     self, decode_ordered_f64, encode_ordered_f64, run_seed_multi, ExtremumIndex, LocalScratch,
     MinMaxEmission, SeedTarget, TicEmission,
 };
-use ic_core::{Community, Extremum, TopList};
+use ic_core::{Aggregation, Community, Extremum, TopList};
 use ic_kcore::{ArenaPool, Budget, GraphSnapshot, PeelArena};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -251,6 +250,37 @@ fn truncated_outcome(items: Vec<Community>, exact: bool) -> Outcome {
     }
 }
 
+/// Drains one `TIC-IMPROVED` emission on the worker's arena. Unarmed
+/// (`budget: None`) this is exactly `algo::tic_improved_on`. Armed, on
+/// expiry the emission has already flushed what it can stand behind:
+/// for ε = 0 exactly the provably-final prefix (Corollary 2: children
+/// are strictly smaller than their parent), for ε > 0 best-so-far.
+fn drain_tic(
+    snap: &GraphSnapshot,
+    k: usize,
+    r: usize,
+    aggregation: Aggregation,
+    epsilon: f64,
+    budget: Option<Arc<Budget>>,
+    arena: &mut PeelArena,
+) -> Outcome {
+    let mut em = match TicEmission::start_on(snap, k, r, aggregation, epsilon) {
+        Ok(em) => em,
+        Err(e) => return fail(e.into()),
+    };
+    em.set_budget(budget);
+    let mut items = Vec::new();
+    while let Some(c) = em.next_community(snap.weighted(), arena) {
+        items.push(c);
+    }
+    arena.set_budget(None);
+    if em.deadline_aborted() {
+        truncated_outcome(items, epsilon == 0.0)
+    } else {
+        ok_complete(items)
+    }
+}
+
 fn run_job(
     snap: &GraphSnapshot,
     anchor: Instant,
@@ -275,12 +305,8 @@ fn run_job(
                 // then per-pull checkpoints; every pulled community is
                 // already in final rank order, so the truncation point
                 // *is* the proven prefix.
-                let budget = Arc::new(Budget::until(anchor + *d));
-                let r = rs[0];
-                let started = match dir {
-                    Dir::Min => MinMaxEmission::start_min_budgeted(snap, *k, r, arena, &budget),
-                    Dir::Max => MinMaxEmission::start_max_budgeted(snap, *k, r, arena, &budget),
-                };
+                let budget = Arc::new(Budget::after(anchor, *d));
+                let started = MinMaxEmission::start(snap, *k, rs[0], *dir, arena, Some(&budget));
                 let outcome = match started {
                     Err(e) => fail(e.into()),
                     // The stamped peel itself ran out of time: the event
@@ -318,11 +344,7 @@ fn run_job(
                 // summed per-job across parallel workers, so it can
                 // exceed the solve span on its own.
                 let index_sw = ic_obs::Stopwatch::start();
-                let extremum = match dir {
-                    Dir::Min => Extremum::Min,
-                    Dir::Max => Extremum::Max,
-                };
-                let index = ExtremumIndex::cached(snap, *k, extremum);
+                let index = ExtremumIndex::cached(snap, *k, *dir);
                 let solved = rs
                     .iter()
                     .map(|&r| index.topr(snap.weighted(), r))
@@ -333,8 +355,8 @@ fn run_job(
                 solved
             } else {
                 match dir {
-                    Dir::Min => algo::min_topr_multi_on(snap, *k, rs, arena),
-                    Dir::Max => algo::max_topr_multi_on(snap, *k, rs, arena),
+                    Extremum::Min => algo::min_topr_multi_on(snap, *k, rs, arena),
+                    Extremum::Max => algo::max_topr_multi_on(snap, *k, rs, arena),
                 }
             };
             match solved {
@@ -357,28 +379,9 @@ fn run_job(
             deadline,
         } => {
             if let Some(d) = deadline {
-                // Armed: one r. Progressive TIC drain under a budget —
-                // on expiry the emission has already flushed exactly the
-                // provably-final prefix (Corollary 2: children are
-                // strictly smaller than their parent).
-                let budget = Arc::new(Budget::until(anchor + *d));
-                let r = rs[0];
-                let outcome = match TicEmission::start_on(snap, *k, r, *aggregation, 0.0) {
-                    Err(e) => fail(e.into()),
-                    Ok(mut em) => {
-                        em.set_budget(Some(Arc::clone(&budget)));
-                        let mut items = Vec::new();
-                        while let Some(c) = em.next_community(snap.weighted(), arena) {
-                            items.push(c);
-                        }
-                        arena.set_budget(None);
-                        if em.deadline_aborted() {
-                            truncated_outcome(items, true)
-                        } else {
-                            ok_complete(items)
-                        }
-                    }
-                };
+                // Armed: one r (see `JobKey`).
+                let budget = Some(Arc::new(Budget::after(anchor, *d)));
+                let outcome = drain_tic(snap, *k, rs[0], *aggregation, 0.0, budget, arena);
                 send_all(done, outputs, &outcome);
                 return;
             }
@@ -421,33 +424,8 @@ fn run_job(
             outputs,
             deadline,
         } => {
-            if let Some(d) = deadline {
-                let budget = Arc::new(Budget::until(anchor + *d));
-                let outcome = match TicEmission::start_on(snap, *k, *r, *aggregation, *epsilon) {
-                    Err(e) => fail(e.into()),
-                    Ok(mut em) => {
-                        em.set_budget(Some(Arc::clone(&budget)));
-                        let mut items = Vec::new();
-                        while let Some(c) = em.next_community(snap.weighted(), arena) {
-                            items.push(c);
-                        }
-                        arena.set_budget(None);
-                        if em.deadline_aborted() {
-                            // ε = 0 emissions flush a certified prefix on
-                            // abort; ε > 0 flushes best-so-far.
-                            truncated_outcome(items, *epsilon == 0.0)
-                        } else {
-                            ok_complete(items)
-                        }
-                    }
-                };
-                send_all(done, outputs, &outcome);
-                return;
-            }
-            let outcome = match algo::tic_improved_on(snap, *k, *r, *aggregation, *epsilon, arena) {
-                Ok(list) => ok_complete(list),
-                Err(e) => fail(e.into()),
-            };
+            let budget = deadline.map(|d| Arc::new(Budget::after(anchor, d)));
+            let outcome = drain_tic(snap, *k, *r, *aggregation, *epsilon, budget, arena);
             send_all(done, outputs, &outcome);
         }
         Job::LocalChunk { job, chunk } => run_local_chunk(snap, anchor, job, *chunk, scratch),
@@ -481,7 +459,7 @@ fn run_local_chunk(
     let budget = job.deadline.map(|d| {
         Arc::clone(
             job.budget
-                .get_or_init(|| Arc::new(Budget::until(anchor + d))),
+                .get_or_init(|| Arc::new(Budget::after(anchor, d))),
         )
     });
 

@@ -560,7 +560,7 @@ impl Engine {
     /// Plans a batch without executing it: validation, cache lookups,
     /// immediate answers, dedup, family merging, and job ordering.
     /// Exposed for stats introspection ([`PlanStats`]) and testing;
-    /// `run_batch` and `for_each_result` plan internally. Planning only
+    /// the `run_batch*` entry points plan internally. Planning only
     /// reads the result cache, it never populates it.
     pub fn plan(&self, queries: &[Query]) -> Plan {
         let (snapshot, _, epoch) = self.serving();
@@ -669,27 +669,6 @@ impl Engine {
             .map(|slot| slot.expect("every query is answered exactly once"))
             .collect();
         (epoch, slots)
-    }
-
-    /// Streaming variant of [`run_batch_with`](Self::run_batch_with):
-    /// invokes the callback once per query, on the calling thread, as
-    /// results complete (completion order, not input order). Useful for
-    /// serving loops that forward answers as soon as they are ready.
-    /// For *within-query* streaming — communities of one query in rank
-    /// order — use [`Engine::submit`].
-    pub fn for_each_result<F>(&self, queries: &[Query], mut f: F)
-    where
-        F: FnMut(usize, Result<&QueryAnswer, &EngineError>),
-    {
-        self.execute_with(
-            queries,
-            &BatchOptions::default(),
-            None,
-            |idx, res| match res.as_ref() {
-                Ok(ans) => f(idx, Ok(ans)),
-                Err(e) => f(idx, Err(e)),
-            },
-        );
     }
 
     /// Opens a progressive session for one query: validates and routes
@@ -941,6 +920,9 @@ impl Engine {
         }
     }
 
+    /// Plans and executes a batch, calling `deliver` once per query on
+    /// the calling thread as results complete (completion order, not
+    /// input order). Returns the epoch the whole batch was served under.
     fn execute_with<F>(
         &self,
         queries: &[Query],
@@ -1258,7 +1240,7 @@ mod tests {
             Query::new(2, 2, Aggregation::Sum).size_bound(4, true),
         ];
         let mut seen = vec![0usize; batch.len()];
-        eng.for_each_result(&batch, |idx, _res| {
+        eng.execute_with(&batch, &BatchOptions::default(), None, |idx, _res| {
             seen[idx] += 1;
         });
         assert_eq!(seen, vec![1; batch.len()]);
@@ -1325,7 +1307,9 @@ mod tests {
         let eng = engine(1);
         let query = Query::new(2, 2, Aggregation::Sum);
         let unwound = catch_unwind(AssertUnwindSafe(|| {
-            eng.for_each_result(&[query], |_, _| panic!("callback dies"));
+            eng.execute_with(&[query], &BatchOptions::default(), None, |_, _| {
+                panic!("callback dies")
+            });
         }));
         assert!(unwound.is_err());
         assert_eq!(eng.arenas_quarantined(), 0, "no solver panicked");

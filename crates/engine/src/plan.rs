@@ -37,19 +37,12 @@
 
 use crate::{Constraint, EngineError, Epoch, Query, QueryAnswer, Solver};
 use ic_core::aggregate::canonical_f64_bits;
-use ic_core::{Aggregation, SearchError, TopList};
+use ic_core::{Aggregation, Extremum, SearchError, TopList};
 use ic_kcore::{Budget, GraphSnapshot};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
-
-/// Peel direction of a min/max family job.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum Dir {
-    Min,
-    Max,
-}
 
 /// Where a job's result goes: query `query` of the batch, and for
 /// family jobs which `r`-slot of the family answers it.
@@ -109,7 +102,7 @@ pub(crate) enum Job {
     /// (every member declares exact tie semantics), else by one
     /// two-pass peel. Both paths are bit-identical to the solo peel.
     MinMaxFamily {
-        dir: Dir,
+        dir: Extremum,
         k: usize,
         rs: Vec<usize>,
         outputs: Vec<JobOutput>,
@@ -152,8 +145,8 @@ impl Job {
             Job::MinMaxFamily { dir, k, rs, .. } => (
                 *k,
                 match dir {
-                    Dir::Min => 0,
-                    Dir::Max => 1,
+                    Extremum::Min => 0,
+                    Extremum::Max => 1,
                 },
                 0,
                 rs.len(),
@@ -232,7 +225,7 @@ fn agg_key(a: Aggregation) -> (u8, u64) {
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum JobKey {
     MinMax {
-        dir: Dir,
+        dir: Extremum,
         k: usize,
         ddl: u64,
         solo_r: usize,
@@ -291,13 +284,13 @@ fn validate(q: &Query) -> Result<JobKey, SearchError> {
     let solo_r = if ddl == u64::MAX { 0 } else { q.r };
     match q.solver()? {
         Solver::MinPeel => Ok(JobKey::MinMax {
-            dir: Dir::Min,
+            dir: Extremum::Min,
             k: q.k,
             ddl,
             solo_r,
         }),
         Solver::MaxPeel => Ok(JobKey::MinMax {
-            dir: Dir::Max,
+            dir: Extremum::Max,
             k: q.k,
             ddl,
             solo_r,

@@ -37,7 +37,7 @@ use crate::cache::ResultCache;
 use crate::plan::Plan;
 use crate::{exec, EngineError, Epoch, Query, QueryAnswer, Solver};
 use ic_core::algo::{MinMaxEmission, TicEmission};
-use ic_core::{Community, SearchError};
+use ic_core::{Community, Extremum, SearchError};
 use ic_kcore::{ArenaPool, Budget, GraphSnapshot, PeelArena};
 use std::sync::Arc;
 
@@ -114,31 +114,22 @@ impl ResultStream {
                 // so the submit itself fails typed. Pulls after a
                 // successful start are consumer-paced and not bounded.
                 let mut arena = arenas.take_arena();
-                let emission = match query.deadline {
-                    None => {
-                        let em = if solver == Solver::MinPeel {
-                            MinMaxEmission::start_min(&snapshot, query.k, query.r, &mut arena)
-                        } else {
-                            MinMaxEmission::start_max(&snapshot, query.k, query.r, &mut arena)
-                        };
-                        arenas.put_arena(arena);
-                        em?
-                    }
-                    Some(d) => {
-                        let budget = Arc::new(Budget::within(d));
-                        let em = if solver == Solver::MinPeel {
-                            MinMaxEmission::start_min_budgeted(
-                                &snapshot, query.k, query.r, &mut arena, &budget,
-                            )
-                        } else {
-                            MinMaxEmission::start_max_budgeted(
-                                &snapshot, query.k, query.r, &mut arena, &budget,
-                            )
-                        };
-                        arenas.put_arena(arena);
-                        em?.ok_or(SearchError::DeadlineExceeded)?
-                    }
+                let dir = if solver == Solver::MinPeel {
+                    Extremum::Min
+                } else {
+                    Extremum::Max
                 };
+                let budget = query.deadline.map(|d| Arc::new(Budget::within(d)));
+                let started = MinMaxEmission::start(
+                    &snapshot,
+                    query.k,
+                    query.r,
+                    dir,
+                    &mut arena,
+                    budget.as_ref(),
+                );
+                arenas.put_arena(arena);
+                let emission = started?.ok_or(SearchError::DeadlineExceeded)?;
                 Ok(ResultStream {
                     snapshot,
                     epoch,

@@ -174,7 +174,7 @@ impl PeelArena {
     }
 
     /// Number of buffer growth events since construction. Zero in steady
-    /// state: the acceptance criterion for the zero-rebuild engine.
+    /// state: the acceptance test for the zero-rebuild engine.
     pub fn alloc_events(&self) -> u64 {
         self.alloc_events
     }

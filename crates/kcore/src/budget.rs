@@ -14,9 +14,7 @@
 //! The hot-path call is [`Budget::poll`]: one relaxed flag load, one
 //! relaxed counter increment, and a monotonic clock read only every
 //! [`POLL_STRIDE`]th call. A budget constructed with
-//! [`Budget::unlimited`] short-circuits to a single flag load. The
-//! engine's resilience benchmark (`BENCH_resilience.json`) holds the
-//! armed-vs-unarmed overhead on a warm batch under 2%.
+//! [`Budget::unlimited`] short-circuits to a single flag load.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::{Duration, Instant};
@@ -47,15 +45,16 @@ impl Budget {
 
     /// A budget expiring `limit` from now.
     pub fn within(limit: Duration) -> Budget {
-        Budget::until(Instant::now() + limit)
+        Budget::after(Instant::now(), limit)
     }
 
-    /// A budget expiring at `deadline`.
-    pub fn until(deadline: Instant) -> Budget {
+    /// A budget expiring `limit` after `anchor`. A limit so large that
+    /// the deadline is not representable as an [`Instant`] never
+    /// expires, exactly like [`Budget::unlimited`].
+    pub fn after(anchor: Instant, limit: Duration) -> Budget {
         Budget {
-            deadline: Some(deadline),
-            expired: AtomicBool::new(false),
-            ticks: AtomicU32::new(0),
+            deadline: anchor.checked_add(limit),
+            ..Budget::unlimited()
         }
     }
 
@@ -156,6 +155,15 @@ mod tests {
             assert!(!b.poll());
         }
         assert!(!b.check());
+    }
+
+    #[test]
+    fn unrepresentable_deadline_never_expires() {
+        for limit in [Duration::MAX, Duration::from_secs_f64(1e19)] {
+            let b = Budget::within(limit);
+            assert!(!b.is_limited());
+            assert!(!b.check());
+        }
     }
 
     #[test]

@@ -1029,9 +1029,10 @@ fn push_communities(out: &mut Vec<u8>, communities: &[Community]) {
 fn push_community(out: &mut Vec<u8>, c: &Community) {
     out.extend_from_slice(&c.value.to_bits().to_le_bytes());
     out.extend_from_slice(&(c.vertices.len() as u32).to_le_bytes());
-    for &v in &c.vertices {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    // One extend over the flattened bytes, not a capacity check per
+    // vertex: the list is the bulk of a reply and this compiles to a
+    // block copy.
+    out.extend(c.vertices.iter().flat_map(|v| v.to_le_bytes()));
 }
 
 /// Bounds-checked cursor over a frame payload. Every under-run is a
@@ -1097,7 +1098,7 @@ impl<'a> Reader<'a> {
         let vertices = self
             .take(nv.saturating_mul(4))?
             .chunks_exact(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .map(|b| u32::from_le_bytes(b.try_into().expect("chunks of 4")))
             .collect();
         // Not Community::new: the wire must round-trip the solver
         // output bit-for-bit, including its (already canonical)
@@ -1155,15 +1156,18 @@ pub fn parse_json_request(line: &str) -> Result<Request, ProtocolError> {
             _ => Err(ProtocolError::BadJson(format!("{key} must be a number"))),
         }
     };
-    let count = |key: &str, v: &JsonValue| -> Result<usize, ProtocolError> {
+    let integer = |key: &str, v: &JsonValue, max: u64| -> Result<u64, ProtocolError> {
         let x = num(key, v)?;
-        if x.is_finite() && x >= 0.0 && x.fract() == 0.0 && x <= u32::MAX as f64 {
-            Ok(x as usize)
+        if x.is_finite() && x >= 0.0 && x.fract() == 0.0 && x <= max as f64 {
+            Ok(x as u64)
         } else {
             Err(ProtocolError::BadJson(format!(
-                "{key} must be a non-negative integer, got {x}"
+                "{key} must be an integer in 0..={max}, got {x}"
             )))
         }
+    };
+    let count = |key: &str, v: &JsonValue| -> Result<usize, ProtocolError> {
+        integer(key, v, u64::from(u32::MAX)).map(|x| x as usize)
     };
 
     for (key, value) in &pairs {
@@ -1172,7 +1176,9 @@ pub fn parse_json_request(line: &str) -> Result<Request, ProtocolError> {
                 JsonValue::Str(s) => op = Some(s.clone()),
                 _ => return Err(ProtocolError::BadJson("op must be a string".into())),
             },
-            "id" => id = count(key, value)? as u64,
+            // Every integer an f64 token holds exactly; the binary frame
+            // and every reply carry the id as a u64.
+            "id" => id = integer(key, value, 1 << 53)?,
             "k" => k = count(key, value)?,
             "r" => r = count(key, value)?,
             "agg" => match value {
@@ -1244,12 +1250,13 @@ pub fn parse_json_request(line: &str) -> Result<Request, ProtocolError> {
         query = query.size_bound(s, greedy);
     }
     if let Some(ms) = deadline_ms {
-        if !(ms.is_finite() && ms >= 0.0) {
-            return Err(ProtocolError::BadJson(format!(
-                "deadline_ms must be a non-negative number, got {ms}"
-            )));
-        }
-        query = query.deadline(Duration::from_secs_f64(ms / 1000.0));
+        // Rejects negative, NaN, infinite and beyond-`Duration` values.
+        let deadline = Duration::try_from_secs_f64(ms / 1000.0).map_err(|_| {
+            ProtocolError::BadJson(format!(
+                "deadline_ms must be a non-negative number of milliseconds, got {ms}"
+            ))
+        })?;
+        query = query.deadline(deadline);
     }
     let wire = WireQuery { id, query };
     Ok(if subscribe {
@@ -1449,14 +1456,21 @@ fn push_json_delta(out: &mut String, delta: &Delta) {
     };
     out.push_str(r#","value":"#);
     json::push_json_f64(out, community.value);
+    push_json_vertices(out, &community.vertices);
+    out.push('}');
+}
+
+/// Appends `,"vertices":[v0,v1,…]`, writing each id straight into `out`.
+fn push_json_vertices(out: &mut String, vertices: &[u32]) {
+    use std::fmt::Write;
     out.push_str(r#","vertices":["#);
-    for (j, v) in community.vertices.iter().enumerate() {
+    for (j, v) in vertices.iter().enumerate() {
         if j > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{v}"));
+        write!(out, "{v}").expect("writing to a String cannot fail");
     }
-    out.push_str("]}");
+    out.push(']');
 }
 
 fn push_json_communities(out: &mut String, communities: &[Community]) {
@@ -1467,14 +1481,8 @@ fn push_json_communities(out: &mut String, communities: &[Community]) {
         }
         out.push_str(r#"{"value":"#);
         json::push_json_f64(out, c.value);
-        out.push_str(r#","vertices":["#);
-        for (j, v) in c.vertices.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{v}"));
-        }
-        out.push_str("]}");
+        push_json_vertices(out, &c.vertices);
+        out.push('}');
     }
     out.push(']');
 }
@@ -1955,8 +1963,24 @@ mod tests {
             r#"{"k": 2.5, "r": 1, "agg": "min"}"#,       // fractional count
             r#"{"op": "reboot"}"#,                       // unknown op
             r#"{"k": 2, "r": 1, "agg": "min", "deadline_ms": -5}"#,
+            r#"{"k": 2, "r": 1, "agg": "min", "deadline_ms": 1e300}"#, // beyond Duration
+            r#"{"id": 9007199254740994, "k": 2, "r": 1, "agg": "min"}"#, // beyond 2^53
         ] {
             assert!(parse_json_request(bad).is_err(), "{bad:?} must not parse");
+        }
+        // The widest values that do parse: a deadline no `Instant` can
+        // hold (the engine treats it as "never expires"), and the
+        // largest id an f64 token carries exactly.
+        let req = parse_json_request(
+            r#"{"id": 9007199254740992, "k": 2, "r": 1, "agg": "min", "deadline_ms": 1e22}"#,
+        )
+        .unwrap();
+        match req {
+            Request::Query(wq) => {
+                assert_eq!(wq.id, 1 << 53);
+                assert_eq!(wq.query.deadline, Some(Duration::from_secs_f64(1e19)));
+            }
+            other => panic!("unexpected {other:?}"),
         }
     }
 

@@ -229,6 +229,106 @@ fn garbage_json_lines_get_error_lines_and_the_connection_survives() {
     server.join();
 }
 
+/// Extreme, fractional and negative numbers in every numeric key,
+/// unknown keys and `\u` escapes, one JSON line at a time: each line is
+/// either answered or refused with a typed error, the same connection
+/// answers the honest query that follows it, and no line ever reaches a
+/// solver in a shape that panics it.
+#[test]
+fn hostile_json_lines_never_kill_the_connection_or_poison_a_solver() {
+    // Well-formed queries the server must answer `complete`.
+    let answered = [
+        r#"{"id":1,"k":2,"r":2,"agg":"sum","deadline_ms":1e19}"#,
+        // A valid `Duration` no `Instant` can hold: never expires.
+        r#"{"id":2,"k":2,"r":2,"agg":"sum","deadline_ms":1e22}"#,
+        r#"{"id":3,"k":2,"r":3,"agg":"min","deadline_ms":1e22}"#,
+        r#"{"id":4,"k":2,"r":2,"agg":"average","s":4,"deadline_ms":1e22}"#,
+        r#"{"id":5,"k":2,"r":2,"agg":"sum","eps":0.1,"deadline_ms":1e22}"#,
+        // Ids are u64 on the wire; JSON carries them up to 2^53.
+        r#"{"id":4294967296,"k":2,"r":2,"agg":"sum"}"#,
+        r#"{"id":9007199254740992,"k":2,"r":2,"agg":"sum"}"#,
+    ];
+    // Lines it must refuse with a typed error.
+    let refused = [
+        // Beyond `Duration` itself.
+        r#"{"id":6,"k":2,"r":2,"agg":"sum","deadline_ms":1e300}"#,
+        r#"{"id":7,"k":2,"r":2,"agg":"sum","deadline_ms":-1e300}"#,
+        r#"{"id":8,"k":2,"r":2,"agg":"sum","deadline_ms":1e999}"#,
+        r#"{"id":9007199254740994,"k":2,"r":2,"agg":"sum"}"#,
+        r#"{"id":-1,"k":2,"r":2,"agg":"sum"}"#,
+        r#"{"id":1.5,"k":2,"r":2,"agg":"sum"}"#,
+        r#"{"id":9,"k":1e999,"r":2,"agg":"sum"}"#,
+        r#"{"id":10,"k":4294967296,"r":2,"agg":"sum"}"#,
+        r#"{"id":11,"k":2,"r":-0.5,"agg":"sum"}"#,
+        r#"{"id":12,"k":2,"r":2,"agg":"sum","s":1e300}"#,
+        r#"{"id":13,"k":2,"r":2,"agg":"top_t_sum","t":1e999}"#,
+        r#"{"id":14,"k":2,"r":2,"agg":"sum","eps":1e999}"#,
+        r#"{"id":15,"k":2,"r":2,"agg":"sum","eps":-1}"#,
+        r#"{"id":16,"k":2,"r":2,"agg":"sum_surplus","alpha":-1e308}"#,
+        r#"{"id":17,"k":2,"r":2,"agg":1e300}"#,
+        r#"{"id":18,"k":2,"r":2,"agg":"sum","frobnicate":1}"#,
+        r#"{"id":19,"k":2,"r":2,"agg":"\u0073um"}"#,
+        r#"{"op":"qu\u0065ry","id":20,"k":2,"r":2,"agg":"sum"}"#,
+        r#"{"op":"unsubscribe","id":1e300}"#,
+    ];
+
+    let engine = Arc::new(Engine::with_threads(ic_core::figure1::figure1(), 2));
+    let server = Server::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut stream = raw_connect(server.local_addr());
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let hostile = answered
+        .iter()
+        .map(|line| (line, true))
+        .chain(refused.iter().map(|line| (line, false)));
+    for (i, (line, answered)) in hostile.enumerate() {
+        let follow_up = 1000 + i;
+        let honest = format!(r#"{{"id":{follow_up},"k":2,"r":2,"agg":"sum"}}"#);
+        stream
+            .write_all(format!("{line}\n{honest}\n").as_bytes())
+            .unwrap();
+        // One reply line each; the two may share an admission batch, so
+        // tell them apart by id rather than by arrival order.
+        let mut own = None;
+        let mut next = None;
+        for _ in 0..2 {
+            let mut reply = String::new();
+            let n = std::io::BufRead::read_line(&mut reader, &mut reply).unwrap();
+            assert!(n > 0, "connection died on {line:?}");
+            assert!(
+                !reply.contains(r#""kind":"internal""#),
+                "{line:?} -> {reply:?}"
+            );
+            if reply.contains(&format!(r#""id":{follow_up},"#)) {
+                next = Some(reply);
+            } else {
+                own = Some(reply);
+            }
+        }
+        let (own, next) = (
+            own.expect("a reply to the line"),
+            next.expect("a follow-up"),
+        );
+        assert!(
+            next.contains(r#""status":"complete""#) && next.contains("203"),
+            "after {line:?}: {next:?}"
+        );
+        if answered {
+            assert!(
+                own.contains(r#""status":"complete""#),
+                "{line:?} -> {own:?}"
+            );
+        } else {
+            assert!(
+                own.contains("protocol_error") || own.contains(r#""status":"error""#),
+                "{line:?} -> {own:?}"
+            );
+        }
+    }
+    assert_eq!(engine.arenas_quarantined(), 0, "no solver was poisoned");
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn invalid_query_parameters_are_per_query_errors_not_connection_errors() {
     let (server, addr) = test_server();

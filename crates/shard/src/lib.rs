@@ -281,16 +281,6 @@ impl ShardedEngine {
         self.global_m as usize
     }
 
-    /// Drops every shard engine's memoized results (the sharded
-    /// equivalent of [`Engine::clear_result_cache`]): the next batch
-    /// is a live scatter-gather, not a cache replay. Benchmarks and
-    /// steady-state probes use this between rounds.
-    pub fn clear_result_cache(&self) {
-        for shard in &self.shards {
-            shard.engine.clear_result_cache();
-        }
-    }
-
     /// The shard indices a query with this `k` scatters to: per group,
     /// the shard with the largest `k_lo <= k`, skipped entirely when
     /// its k-core is empty (`max_core < k`).
@@ -558,10 +548,9 @@ fn translate(communities: &[Community], id_map: &[u32]) -> Vec<Community> {
 /// merging is associative and commutative (held by
 /// `tests/merge_prop.rs`).
 pub fn merge_topr(lists: &[Vec<Community>], r: usize) -> Vec<Community> {
-    let mut all: Vec<Community> = lists.iter().flatten().cloned().collect();
-    all.sort_by(Community::ranking_cmp);
-    all.truncate(r);
-    all
+    let mut all: Vec<&Community> = lists.iter().flatten().collect();
+    all.sort_by(|a, b| a.ranking_cmp(b));
+    all.into_iter().take(r).cloned().collect()
 }
 
 #[cfg(test)]

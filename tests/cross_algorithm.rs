@@ -88,7 +88,7 @@ fn pruning_ablations_preserve_exactness() {
 }
 
 #[test]
-fn min_and_max_baselines_verify_on_email() {
+fn min_and_max_peels_verify_on_email() {
     let wg = email();
     let min = Query::new(6, 5, Aggregation::Min).solve(&wg).unwrap();
     assert!(!min.is_empty());
