@@ -92,56 +92,223 @@ pub(crate) fn vertex_set_key(vertices: &[VertexId]) -> u64 {
     finalize_set_key(vertex_mix_sum(vertices), vertices.len())
 }
 
+/// Work counts of the child-expansion step of Algorithms 1 and 2, summed
+/// over a run (see [`crate::algo::TicEmission::work`]). They depend only
+/// on the graph and the query, so a test can gate on them without a
+/// stopwatch.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExpansionCounts {
+    /// Journaled cascade deletions performed.
+    pub deletions: u64,
+    /// Children dropped on the stage-A bound (for a cascade dropped
+    /// before its components were enumerated: one per deletion).
+    pub skipped_by_bound: u64,
+    /// Children whose exact value was computed and fell below the
+    /// keep-rule, so no `Community` was allocated.
+    pub skipped_by_value: u64,
+    /// Children allocated and handed to the caller.
+    pub materialized: u64,
+}
+
+/// What a child must reach to be built. `sum_naive` keeps everything
+/// ([`KeepRule::ALL`] — it is Algorithm 1); `tic_improved` passes its
+/// live r-th candidate value.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct KeepRule {
+    /// A child is allocated only if `value >= need`. Ties are kept so
+    /// `ranking_cmp` still decides them.
+    pub need: f64,
+    /// Every dropped child must still be entered in `explored`. Set
+    /// while ε-acceptance is open: it admits a child only the first time
+    /// the search meets it, so whether a child was met is then part of
+    /// the answer. It keeps stage A off cascades, whose components (and
+    /// so their keys) are unknown until enumerated.
+    pub track_dropped: bool,
+}
+
+impl KeepRule {
+    pub(crate) const ALL: KeepRule = KeepRule {
+        need: f64::NEG_INFINITY,
+        track_dropped: false,
+    };
+}
+
+/// The parent of an expansion sweep. The arena is loaded with it (at
+/// `k`, articulation points marked) by the first deletion that is
+/// actually performed, so a parent whose every deletion is skipped on
+/// its bound costs no load.
+pub(crate) struct Parent<'a> {
+    wg: &'a WeightedGraph,
+    aggregation: Aggregation,
+    community: &'a Community,
+    k: usize,
+    /// `vertex_mix_sum(&community.vertices)`.
+    mix: u64,
+    /// Stage A needs the O(1) remove delta (`incremental_removal`).
+    bounded: bool,
+    /// Rounding slack added to a stage-A bound; see [`Parent::new`].
+    margin: f64,
+    loaded: bool,
+}
+
+impl<'a> Parent<'a> {
+    /// The stage-A bound folds `value_after_removal` over a cascade's
+    /// journal, which rounds differently from the sorted-order
+    /// `evaluate` that defines a child's value. For `n` non-negative
+    /// weights and unit roundoff `u = ε/2`, `evaluate` of the parent and
+    /// of any child each err by at most `(n + 1)·u·f(P)`, and the fold's
+    /// at most `n` steps (two roundings each for `sum-surplus`) by
+    /// `2n·u·f(P)`: a child's computed value exceeds the computed bound
+    /// by less than `(2n + 1)·ε·f(P)`. The margin is twice that, so
+    /// `bound + margin < need` proves `value < need` for every child of
+    /// the cascade. A custom aggregation declaring `incremental_removal`
+    /// is held to the same per-step accuracy.
+    pub(crate) fn new(
+        wg: &'a WeightedGraph,
+        aggregation: Aggregation,
+        community: &'a Community,
+        k: usize,
+    ) -> Self {
+        let n = community.vertices.len() as f64;
+        Parent {
+            wg,
+            aggregation,
+            community,
+            k,
+            mix: vertex_mix_sum(&community.vertices),
+            bounded: aggregation.certificates().incremental_removal,
+            margin: 4.0 * f64::EPSILON * (n + 1.0) * community.value.abs(),
+            loaded: false,
+        }
+    }
+}
+
+/// Pooled buffers of [`expand_children`] plus its running work counts;
+/// one per solver run.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ExpandScratch {
+    vertices: Vec<VertexId>,
+    weights: Vec<f64>,
+    pub(crate) counts: ExpansionCounts,
+}
+
+impl ExpandScratch {
+    /// Stage B: the exact value of the child whose sorted members are in
+    /// `self.vertices` — the same `evaluate` over the same order as
+    /// [`community_from_vertices`], so the same bits — and the
+    /// allocation only if the keep-rule wants it.
+    fn build_if_kept(&mut self, parent: &Parent<'_>, need: f64, out: &mut Vec<Community>) {
+        let wg = parent.wg;
+        self.weights.clear();
+        self.weights
+            .extend(self.vertices.iter().map(|&v| wg.weight(v)));
+        let value = parent
+            .aggregation
+            .evaluate(&self.weights, wg.total_weight());
+        if value >= need {
+            self.counts.materialized += 1;
+            out.push(Community {
+                vertices: self.vertices.clone(),
+                value,
+            });
+        } else {
+            self.counts.skipped_by_value += 1;
+        }
+    }
+}
+
 /// Shared child-expansion step of the arena-based Corollary-2 solvers
-/// (`sum_naive`, `tic_improved`): deletes `victim` from the loaded
-/// parent, appends every *new* child community to `out`, and rolls the
-/// arena back.
+/// (`sum_naive`, `tic_improved`): deletes `victim` from the parent,
+/// appends every *new* child community that meets `keep` to `out`, and
+/// rolls the arena back. Between the first call for a parent and the
+/// last, the arena must not be loaded with anything else.
 ///
-/// The arena must hold the parent (same vertex list as
-/// `parent_vertices`) with articulation points marked; `parent_mix` is
-/// `vertex_mix_sum(parent_vertices)`. When the deletion neither cascades
-/// nor hits an articulation point, the only child is
-/// `parent ∖ {victim}`: its dedup key is an O(1) subtraction and no
-/// component walk happens. Otherwise the surviving components come off
-/// the arena's reusable buffer, deduplicated before any allocation.
-/// Fresh children are sorted before evaluation so the floating-point
-/// summation order (and hence the value, bit for bit) matches the
-/// from-scratch oracle's sorted components.
-#[allow(clippy::too_many_arguments)]
+/// A child is decided before it is built, in two stages:
+///
+/// * **A — bound.** With the `incremental_removal` certificate, folding
+///   `value_after_removal` over the cascade journal gives the value of
+///   `parent ∖ cascade`, which upper-bounds every surviving component.
+///   If that plus the rounding margin ([`Parent::new`]) is below
+///   `keep.need`, nothing this deletion produces can be kept and the
+///   arena rolls back without a component walk. The fold's first step
+///   needs no cascade: when even `parent ∖ {victim}` misses, the
+///   deletion is not performed at all.
+/// * **B — value.** Otherwise each new component is copied into a pooled
+///   buffer, sorted, and evaluated exactly as the from-scratch oracle
+///   evaluates its sorted components (same summation order, same bits);
+///   the `Community` is allocated only if `value >= keep.need`.
+///
+/// When the deletion neither cascades nor hits an articulation point the
+/// only child is `parent ∖ {victim}`: its dedup key is an O(1)
+/// subtraction from the parent's mix and no component walk happens in
+/// either stage. Every child whose key is known is entered in
+/// `explored`, kept or not; only a cascade dropped in stage A leaves no
+/// entry (see DESIGN.md §5 for why that is safe when
+/// `keep.track_dropped` is unset).
 pub(crate) fn expand_children(
     arena: &mut ic_kcore::PeelArena,
-    wg: &WeightedGraph,
-    aggregation: Aggregation,
-    parent_value: f64,
-    parent_vertices: &[VertexId],
-    parent_mix: u64,
+    parent: &mut Parent<'_>,
     victim: VertexId,
+    keep: KeepRule,
     explored: &mut std::collections::HashSet<u64>,
-    out: &mut Vec<crate::Community>,
+    scratch: &mut ExpandScratch,
+    out: &mut Vec<Community>,
 ) {
     #[cfg(debug_assertions)]
     let fresh_start = out.len();
+    let (wg, aggregation, community) = (parent.wg, parent.aggregation, parent.community);
+    let bounded = parent.bounded && keep.need > f64::NEG_INFINITY;
+    let margin = parent.margin;
+    let misses = |bound: f64| bound + margin < keep.need;
+    if bounded
+        && !keep.track_dropped
+        && misses(aggregation.value_after_removal(community.value, wg.weight(victim)))
+    {
+        scratch.counts.skipped_by_bound += 1;
+        return;
+    }
+    if !parent.loaded {
+        arena.load(wg.graph(), &community.vertices, parent.k);
+        arena.mark_articulation_points();
+        parent.loaded = true;
+    }
     arena.remove_cascade(victim);
+    scratch.counts.deletions += 1;
+    let below_bound = bounded
+        && misses(arena.journaled().fold(community.value, |bound, u| {
+            aggregation.value_after_removal(bound, wg.weight(u))
+        }));
     if arena.journal_len() == 1 && !arena.is_articulation(victim) {
         let key = finalize_set_key(
-            parent_mix.wrapping_sub(vertex_mix(victim)),
-            parent_vertices.len() - 1,
+            parent.mix.wrapping_sub(vertex_mix(victim)),
+            community.vertices.len() - 1,
         );
         if explored.insert(key) {
-            let vertices: Vec<VertexId> = parent_vertices
-                .iter()
-                .copied()
-                .filter(|&u| u != victim)
-                .collect();
-            out.push(community_from_vertices(wg, aggregation, vertices));
+            if below_bound {
+                scratch.counts.skipped_by_bound += 1;
+            } else {
+                scratch.vertices.clear();
+                scratch
+                    .vertices
+                    .extend(community.vertices.iter().filter(|&&u| u != victim));
+                scratch.build_if_kept(parent, keep.need, out);
+            }
         }
+    } else if below_bound && !keep.track_dropped {
+        scratch.counts.skipped_by_bound += 1;
     } else {
         arena.for_each_component(|comp| {
-            if explored.insert(vertex_set_key(comp)) {
-                let mut vertices = comp.to_vec();
-                vertices.sort_unstable();
-                out.push(community_from_vertices(wg, aggregation, vertices));
+            if !explored.insert(vertex_set_key(comp)) {
+                return;
             }
+            if below_bound {
+                scratch.counts.skipped_by_bound += 1;
+                return;
+            }
+            scratch.vertices.clear();
+            scratch.vertices.extend_from_slice(comp);
+            scratch.vertices.sort_unstable();
+            scratch.build_if_kept(parent, keep.need, out);
         });
     }
     arena.rollback();
@@ -157,17 +324,16 @@ pub(crate) fn expand_children(
     if aggregation.certificates().removal_decreasing {
         for child in &out[fresh_start..] {
             debug_assert!(
-                child.value.total_cmp(&parent_value).is_le(),
+                child.value.total_cmp(&community.value).is_le(),
                 "certificate `removal_decreasing` falsified by {}: child {:?} has value {} \
-                 > parent value {parent_value}",
+                 > parent value {}",
                 aggregation.name(),
                 child.vertices,
                 child.value,
+                community.value,
             );
         }
     }
-    #[cfg(not(debug_assertions))]
-    let _ = parent_value;
 }
 
 #[cfg(test)]

@@ -15,15 +15,17 @@
 //! The expansion loop runs on the zero-rebuild [`PeelArena`] (see
 //! DESIGN.md §5): the popped maximum is loaded once, every candidate
 //! deletion is a journaled cascade + rollback touching only the affected
-//! frontier, and children are deduplicated by an order-independent set
-//! key off the unsorted component buffer before any allocation happens.
-//! The from-scratch formulation is preserved as
-//! [`crate::algo::oracle::tic_improved`] for the property tests and the
-//! perf baseline.
+//! frontier, and a child is built only if it can still reach the live
+//! r-th candidate value — the candidate list is trimmed to `r` as
+//! children arrive, and `expand_children` decides each child from a
+//! bound or from its exact value before allocating it. With ε > 0 the
+//! vertex loop ends as soon as `R` is full. The from-scratch formulation
+//! is preserved as [`crate::algo::oracle::tic_improved`] for the
+//! property tests.
 
 use crate::algo::common::{
-    community_from_vertices, expand_children, require_corollary2, validate_k_r, vertex_mix_sum,
-    vertex_set_key,
+    community_from_vertices, expand_children, require_corollary2, validate_k_r, vertex_set_key,
+    ExpandScratch, ExpansionCounts, KeepRule, Parent,
 };
 use crate::{Aggregation, Community, SearchError};
 use ic_graph::{VertexId, WeightedGraph};
@@ -205,6 +207,7 @@ pub struct TicEmission {
     emitted: usize,
     emit: std::collections::VecDeque<Community>,
     fresh: Vec<Community>,
+    scratch: ExpandScratch,
     finished: bool,
     /// Cooperative deadline: checkpointed in the per-vertex expansion
     /// loop; also handed to the arena so long cascades keep the shared
@@ -277,6 +280,7 @@ impl TicEmission {
             emitted: 0,
             emit: std::collections::VecDeque::new(),
             fresh: Vec::new(),
+            scratch: ExpandScratch::default(),
             finished: false,
             budget: None,
             aborted: false,
@@ -300,6 +304,30 @@ impl TicEmission {
     /// answer).
     pub fn deadline_aborted(&self) -> bool {
         self.aborted
+    }
+
+    /// Work done so far: cascade deletions, and what became of the
+    /// children they produced. The counts depend only on the graph and
+    /// the query.
+    pub fn work(&self) -> ExpansionCounts {
+        self.scratch.counts
+    }
+
+    /// What a child must reach to be built (`expand_children`'s
+    /// keep-rule): the live r-th candidate value, since anything below
+    /// it is trimmed the moment it is inserted. While ε-acceptance is
+    /// open a child at or above `lb` must exist to be accepted, so the
+    /// bar drops to `lb`. With trimming ablated nothing is dropped.
+    fn need(&self, lb: f64) -> f64 {
+        if !self.options.trim_candidates || self.candidates.len() < self.r {
+            return f64::NEG_INFINITY;
+        }
+        let rth = self.candidates[self.r - 1].value;
+        if self.options.epsilon > 0.0 {
+            rth.min(lb)
+        } else {
+            rth
+        }
     }
 
     /// Pulls the next community in final rank order, advancing the
@@ -350,16 +378,28 @@ impl TicEmission {
         // f(Lr): the value of the r-th best known candidate/result.
         let threshold = r_th_value(&self.results, &self.candidates, self.r);
 
-        // One load per popped maximum; every deletion below is an
-        // O(affected) journaled cascade instead of a full re-peel. The
-        // articulation marks are the no-split certificate for the O(1)
-        // fast path below.
+        // At most one load per popped maximum (`expand_children` loads
+        // on the first deletion it performs); every deletion is then an
+        // O(affected) journaled cascade instead of a full re-peel.
         arena.set_budget(self.budget.clone());
-        arena.load(wg.graph(), &lmax.vertices, self.k);
-        arena.mark_articulation_points();
-        let parent_mix = vertex_mix_sum(&lmax.vertices);
+        let mut parent = Parent::new(wg, self.aggregation, &lmax, self.k);
+        let approx = self.options.epsilon > 0.0;
+        // ε-acceptance takes children in the order they appear, so the
+        // approximate search keeps the paper's vertex order. The exact
+        // search's outcome does not depend on the order (DESIGN.md §5),
+        // and lightest-first meets the best children first: after about
+        // `r` of them `need` is at its final level and every heavier
+        // vertex is dismissed on its bound without a cascade.
+        let mut order = lmax.vertices.clone();
+        if !approx {
+            order.sort_unstable_by(|&a, &b| {
+                wg.weight(a)
+                    .total_cmp(&wg.weight(b))
+                    .then_with(|| a.cmp(&b))
+            });
+        }
         let mut fresh = std::mem::take(&mut self.fresh);
-        for &v in &lmax.vertices {
+        for &v in &order {
             // Deadline checkpoint between journaled deletions: aborting
             // here certifies every confirmation strictly above
             // `lmax.value` (children are strictly smaller, Corollary 2).
@@ -386,20 +426,22 @@ impl TicEmission {
                     continue;
                 }
             }
+            let keep = KeepRule {
+                need: self.need(lb),
+                track_dropped: approx,
+            };
             expand_children(
                 arena,
-                wg,
-                self.aggregation,
-                lmax.value,
-                &lmax.vertices,
-                parent_mix,
+                &mut parent,
                 v,
+                keep,
                 &mut self.explored,
+                &mut self.scratch,
                 &mut fresh,
             );
             for child in fresh.drain(..) {
                 // Line 16: ε-early acceptance.
-                if self.options.epsilon > 0.0
+                if approx
                     && child.value >= lb
                     && self.results.len() < self.r
                     && !self.in_results.contains(&child.signature())
@@ -412,13 +454,20 @@ impl TicEmission {
                     .binary_search_by(|c| c.ranking_cmp(&child))
                     .unwrap_or_else(|p| p);
                 self.candidates.insert(pos, child);
+                // Line 19, applied per insertion so `need` stays live:
+                // the top-r of a growing set does not depend on when
+                // the rest is dropped.
+                if self.options.trim_candidates {
+                    self.candidates.truncate(self.r);
+                }
+            }
+            // `R` is full: the search ends at the next `advance`, and
+            // nothing reads `candidates` between here and there.
+            if approx && self.results.len() == self.r {
+                break;
             }
         }
         self.fresh = fresh;
-        // Line 19: keep the candidate list at top-r.
-        if self.options.trim_candidates && self.candidates.len() > self.r {
-            self.candidates.truncate(self.r);
-        }
         self.drain_ready();
     }
 
@@ -692,6 +741,62 @@ mod tests {
             assert!(got.len() < full.len(), "expired budget cannot finish");
         }
         arena.set_budget(None);
+    }
+
+    #[test]
+    fn approx_mode_records_the_children_it_drops() {
+        // ε-acceptance admits a child only the first time the search
+        // meets it, so a child dropped below the bar must still count as
+        // met. A triangle {2, 3, 4} carries five two-vertex paths between
+        // 2 and 3; deleting either vertex of a path cascades the other.
+        // With r = 5, ε = 0.1 the child "everything but paths {0, 1} and
+        // {7, 8}" (87.8) first appears under the parent 99 — below both
+        // the r-th candidate (88) and (1−ε)·99 — and again under the
+        // parent 88.8, where it clears (1−ε)·88.8 while `R` still has
+        // room. Accepting it there would return 87.8 in place of 88.6.
+        let mut edges = vec![(2, 3), (3, 4), (2, 4)];
+        for path in [(0, 1), (5, 6), (7, 8), (9, 10), (11, 12)] {
+            edges.extend([(2, path.0), path, (path.1, 3)]);
+        }
+        let g = graph_from_edges(13, &edges);
+        let weights = vec![
+            0.1, 0.9, 18.0, 18.0, 17.8, 5.5, 5.5, 5.6, 5.6, 5.7, 5.7, 5.8, 5.8,
+        ];
+        let wg = WeightedGraph::new(g, weights).unwrap();
+        let got = tic_improved(&wg, 2, 5, Aggregation::Sum, 0.1).unwrap();
+        let expect = oracle::tic_improved(&wg, 2, 5, Aggregation::Sum, 0.1).unwrap();
+        assert_eq!(got, expect);
+        assert_eq!(got[4].vertices, [0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 12]);
+    }
+
+    #[test]
+    fn work_is_proportional_to_r_not_to_the_first_community() {
+        // The first popped maximum of this 6-core has 895 vertices. A
+        // top-10 query may neither build nor cascade a child per vertex
+        // (before the keep-rule: 895 of each on the first pop alone).
+        // The counts depend only on the graph and the query, so the
+        // bounds are exact gates.
+        let spec = ic_gen::datasets::by_name(ic_gen::datasets::Profile::Quick, "youtube").unwrap();
+        let wg = spec.generate_weighted();
+        let snap = GraphSnapshot::new(wg.clone());
+        let mut arena = PeelArena::for_graph(snap.graph());
+        let (k, r) = (6, 10);
+        let mut run = |eps: f64| {
+            let mut em = TicEmission::start_on(&snap, k, r, Aggregation::Sum, eps).unwrap();
+            let mut got = Vec::new();
+            while let Some(c) = em.next_community(&wg, &mut arena) {
+                got.push(c);
+            }
+            assert_eq!(got.len(), r);
+            em.work()
+        };
+        let exact = run(0.0);
+        assert!(exact.deletions <= 4 * r as u64, "{exact:?}");
+        assert!(exact.materialized <= 4 * r as u64, "{exact:?}");
+        assert!(exact.skipped_by_bound >= 895 - 4 * r as u64, "{exact:?}");
+        let approx = run(0.2);
+        assert!(approx.deletions <= 4 * r as u64, "{approx:?}");
+        assert_eq!(run(0.0), exact, "counts repeat exactly");
     }
 
     #[test]

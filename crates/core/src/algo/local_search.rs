@@ -87,11 +87,7 @@ pub fn local_search_nonoverlapping(
 
     let mut seeds: Vec<u32> = core.iter().map(|v| v as u32).collect();
     if config.greedy {
-        seeds.sort_by(|&a, &b| {
-            wg.weight(b)
-                .total_cmp(&wg.weight(a))
-                .then_with(|| a.cmp(&b))
-        });
+        seeds.sort_by(|a, b| heavier_first(wg, a, b));
     }
 
     for &seed in &seeds {
@@ -122,6 +118,14 @@ pub fn local_search_nonoverlapping(
     }
     results.sort_by(|a, b| a.ranking_cmp(b));
     Ok(results)
+}
+
+/// The greedy order of seeds, pools and BFS layers: descending weight,
+/// ties by ascending id — a total order on distinct vertices.
+fn heavier_first(wg: &WeightedGraph, a: &VertexId, b: &VertexId) -> std::cmp::Ordering {
+    wg.weight(*b)
+        .total_cmp(&wg.weight(*a))
+        .then_with(|| a.cmp(b))
 }
 
 pub(crate) fn validate_params(config: &LocalSearchConfig) -> Result<(), SearchError> {
@@ -215,11 +219,7 @@ pub fn run_seed_multi(
     // Lines 5-6: greedy sorts by descending influence (seed kept first —
     // the pool must stay anchored at the seed for locality).
     if greedy {
-        pool[1..].sort_by(|&a, &b| {
-            wg.weight(b)
-                .total_cmp(&wg.weight(a))
-                .then_with(|| a.cmp(&b))
-        });
+        pool[1..].sort_by(|a, b| heavier_first(wg, a, b));
     }
     for target in targets {
         // Strategy selection by certificate: the drop-from-full-pool
@@ -248,6 +248,11 @@ pub fn run_seed_multi(
 
 /// Procedure `SumStrategy`: start from the full pool, drop the last vertex
 /// until the candidate is a connected k-core with a competitive value.
+///
+/// The pool's value is known from its weights alone, so a pool that
+/// cannot beat the list's threshold is rejected before the
+/// `O(Σ deg)` degree-tracker walk — the drop loop below would not have
+/// run a single iteration for it.
 fn sum_strategy(
     wg: &WeightedGraph,
     g: &Graph,
@@ -258,10 +263,15 @@ fn sum_strategy(
     list: &mut TopList,
 ) {
     let mut state = AggregateState::new(aggregation, wg.total_weight());
+    for &v in pool {
+        state.add(wg.weight(v));
+    }
+    if state.value() <= list.threshold() {
+        return;
+    }
     scratch.begin_candidate(k);
     for &v in pool {
         scratch.push(g, v);
-        state.add(wg.weight(v));
     }
     let mut len = pool.len();
     while len > k && state.value() > list.threshold() {
@@ -283,6 +293,11 @@ fn sum_strategy(
 /// Procedure `AvgStrategy` generalized to any aggregation: test every
 /// prefix of the pool; greedy accepts the first qualifying prefix, random
 /// keeps the best.
+///
+/// A prefix's value depends on its weights only, so a first pass marks
+/// the prefixes that beat the list's threshold; the degree tracker is
+/// then fed up to the last of them (not at all if there is none) and
+/// the k-core and connectivity tests run on the marked prefixes alone.
 #[allow(clippy::too_many_arguments)]
 fn prefix_strategy(
     wg: &WeightedGraph,
@@ -295,20 +310,22 @@ fn prefix_strategy(
     list: &mut TopList,
 ) {
     let mut state = AggregateState::new(aggregation, wg.total_weight());
+    let mut competitive = std::mem::take(&mut scratch.competitive);
+    competitive.clear();
+    for (i, &v) in pool.iter().enumerate() {
+        state.add(wg.weight(v));
+        competitive.push(i + 1 > k && state.value() > list.threshold());
+    }
+    let pushed = competitive.iter().rposition(|&c| c).map_or(0, |i| i + 1);
     let mut best: Option<Community> = None;
     scratch.begin_candidate(k);
-    for (i, &v) in pool.iter().enumerate() {
+    for (i, &v) in pool[..pushed].iter().enumerate() {
         scratch.push(g, v);
-        state.add(wg.weight(v));
-        if i + 1 > k
-            && state.value() > list.threshold()
-            && scratch.is_kcore()
-            && scratch.is_connected(g, pool[0])
-        {
+        if competitive[i] && scratch.is_kcore() && scratch.is_connected(g, pool[0]) {
             let community = community_from_vertices(wg, aggregation, pool[..=i].to_vec());
             if greedy {
-                list.insert(community);
-                return;
+                best = Some(community);
+                break;
             }
             let better = best
                 .as_ref()
@@ -318,6 +335,7 @@ fn prefix_strategy(
             }
         }
     }
+    scratch.competitive = competitive;
     if let Some(b) = best {
         list.insert(b);
     }
@@ -334,6 +352,8 @@ pub struct LocalScratch {
     next_layer: Vec<VertexId>,
     visited: Vec<u32>,
     visit_epoch: u32,
+    /// `prefix_strategy`: whether each pool prefix beats the threshold.
+    competitive: Vec<bool>,
     // Incremental candidate state.
     in_cand: Vec<u32>,
     cand_epoch: u32,
@@ -356,6 +376,7 @@ impl LocalScratch {
             next_layer: Vec::new(),
             visited: vec![0; n],
             visit_epoch: 0,
+            competitive: Vec::new(),
             in_cand: vec![0; n],
             cand_epoch: 0,
             deg: vec![0; n],
@@ -380,7 +401,10 @@ impl LocalScratch {
     /// Truncated BFS pool into `self.pool`: plain FIFO order in random
     /// mode, per-layer descending-weight order in greedy mode (so the
     /// layer that exceeds the size budget keeps its most influential
-    /// members).
+    /// members). A layer is cut to the room the pool has left before it
+    /// is ordered — the order is total, so selecting the best `room` and
+    /// sorting them gives the same prefix as sorting the whole layer —
+    /// and once the pool is full nobody's neighbours are scanned.
     fn build_pool(
         &mut self,
         wg: &WeightedGraph,
@@ -398,12 +422,12 @@ impl LocalScratch {
         self.visited[seed as usize] = visit;
         self.layer.clear();
         self.layer.push(seed);
-        while !self.layer.is_empty() && self.pool.len() < limit {
-            for i in 0..self.layer.len() {
-                if self.pool.len() == limit {
-                    return;
-                }
-                self.pool.push(self.layer[i]);
+        while !self.layer.is_empty() {
+            // `layer` was cut to fit.
+            self.pool.extend_from_slice(&self.layer);
+            let room = limit - self.pool.len();
+            if room == 0 {
+                return;
             }
             self.next_layer.clear();
             for i in 0..self.layer.len() {
@@ -416,11 +440,14 @@ impl LocalScratch {
                 }
             }
             if greedy {
-                self.next_layer.sort_by(|&a, &b| {
-                    wg.weight(b)
-                        .total_cmp(&wg.weight(a))
-                        .then_with(|| a.cmp(&b))
-                });
+                let by_weight = |a: &VertexId, b: &VertexId| heavier_first(wg, a, b);
+                if self.next_layer.len() > room {
+                    self.next_layer.select_nth_unstable_by(room, by_weight);
+                    self.next_layer.truncate(room);
+                }
+                self.next_layer.sort_unstable_by(by_weight);
+            } else {
+                self.next_layer.truncate(room);
             }
             std::mem::swap(&mut self.layer, &mut self.next_layer);
         }
@@ -729,6 +756,207 @@ mod tests {
                 let incremental = scratch.is_kcore() && scratch.is_connected(g, current[0]);
                 let reference = checker.is_connected_kcore(g, &current, k);
                 assert_eq!(incremental, reference, "k={k} shrink {current:?}");
+            }
+        }
+    }
+
+    /// The pool builder and strategies as they were before they learned
+    /// to decide first: every layer fully sorted, every pool vertex
+    /// pushed through the degree tracker. Kept as the reference the
+    /// property below holds the production code to.
+    mod reference {
+        use super::super::*;
+
+        pub(super) fn build_pool(
+            sc: &mut LocalScratch,
+            wg: &WeightedGraph,
+            mask: &BitSet,
+            seed: VertexId,
+            limit: usize,
+            greedy: bool,
+        ) {
+            let g = wg.graph();
+            sc.pool.clear();
+            if limit == 0 || !mask.contains(seed as usize) {
+                return;
+            }
+            let visit = LocalScratch::bump(&mut sc.visit_epoch, &mut sc.visited);
+            sc.visited[seed as usize] = visit;
+            sc.layer.clear();
+            sc.layer.push(seed);
+            while !sc.layer.is_empty() && sc.pool.len() < limit {
+                for i in 0..sc.layer.len() {
+                    if sc.pool.len() == limit {
+                        return;
+                    }
+                    sc.pool.push(sc.layer[i]);
+                }
+                sc.next_layer.clear();
+                for i in 0..sc.layer.len() {
+                    for &u in g.neighbors(sc.layer[i]) {
+                        if mask.contains(u as usize) && sc.visited[u as usize] != visit {
+                            sc.visited[u as usize] = visit;
+                            sc.next_layer.push(u);
+                        }
+                    }
+                }
+                if greedy {
+                    sc.next_layer.sort_by(|a, b| heavier_first(wg, a, b));
+                }
+                std::mem::swap(&mut sc.layer, &mut sc.next_layer);
+            }
+        }
+
+        fn sum_strategy(
+            wg: &WeightedGraph,
+            pool: &[VertexId],
+            k: usize,
+            aggregation: Aggregation,
+            sc: &mut LocalScratch,
+            list: &mut TopList,
+        ) {
+            let g = wg.graph();
+            let mut state = AggregateState::new(aggregation, wg.total_weight());
+            sc.begin_candidate(k);
+            for &v in pool {
+                sc.push(g, v);
+                state.add(wg.weight(v));
+            }
+            let mut len = pool.len();
+            while len > k && state.value() > list.threshold() {
+                if sc.is_kcore() && sc.is_connected(g, pool[0]) {
+                    list.insert(community_from_vertices(
+                        wg,
+                        aggregation,
+                        pool[..len].to_vec(),
+                    ));
+                    return;
+                }
+                len -= 1;
+                sc.pop(g, pool[len]);
+                state.remove(wg.weight(pool[len]));
+            }
+        }
+
+        fn prefix_strategy(
+            wg: &WeightedGraph,
+            pool: &[VertexId],
+            k: usize,
+            greedy: bool,
+            aggregation: Aggregation,
+            sc: &mut LocalScratch,
+            list: &mut TopList,
+        ) {
+            let g = wg.graph();
+            let mut state = AggregateState::new(aggregation, wg.total_weight());
+            let mut best: Option<Community> = None;
+            sc.begin_candidate(k);
+            for (i, &v) in pool.iter().enumerate() {
+                sc.push(g, v);
+                state.add(wg.weight(v));
+                if i + 1 > k
+                    && state.value() > list.threshold()
+                    && sc.is_kcore()
+                    && sc.is_connected(g, pool[0])
+                {
+                    let community = community_from_vertices(wg, aggregation, pool[..=i].to_vec());
+                    if greedy {
+                        list.insert(community);
+                        return;
+                    }
+                    if best
+                        .as_ref()
+                        .is_none_or(|b| community.ranking_cmp(b).is_lt())
+                    {
+                        best = Some(community);
+                    }
+                }
+            }
+            if let Some(b) = best {
+                list.insert(b);
+            }
+        }
+
+        /// `local_search` over the reference parts; also returns every
+        /// seed's pool (after the greedy re-sort).
+        pub(super) fn local_search(
+            wg: &WeightedGraph,
+            config: &LocalSearchConfig,
+            aggregation: Aggregation,
+        ) -> (Vec<Vec<VertexId>>, Vec<Community>) {
+            let LocalSearchConfig { k, r, s, greedy } = *config;
+            let core = kcore_mask(wg.graph(), k);
+            let mut list = TopList::new(r);
+            let mut sc = LocalScratch::new(wg.graph().num_vertices());
+            let mut pools = Vec::new();
+            for seed in core.iter() {
+                build_pool(&mut sc, wg, &core, seed as VertexId, s, greedy);
+                let mut pool = sc.pool.clone();
+                if pool.len() > k {
+                    if greedy {
+                        pool[1..].sort_by(|a, b| heavier_first(wg, a, b));
+                    }
+                    if aggregation.certificates().incremental_removal {
+                        sum_strategy(wg, &pool, k, aggregation, &mut sc, &mut list);
+                    } else {
+                        prefix_strategy(wg, &pool, k, greedy, aggregation, &mut sc, &mut list);
+                    }
+                }
+                pools.push(pool);
+            }
+            (pools, list.into_vec())
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Pools and answers are identical to the reference for every
+        /// size bound the benchmark draws, both strategies' orders and
+        /// the five `miss_mix` aggregations, on graphs whose few
+        /// distinct weights make the pool order lean on its tie-break.
+        #[test]
+        fn deciding_first_changes_no_pool_and_no_answer(
+            n in 45usize..110,
+            seed in any::<u64>(),
+            k in 2usize..5,
+            distinct in 2u32..7,
+        ) {
+            let g = ic_gen::barabasi_albert(n, 4, ic_gen::GraphSeed(seed));
+            let weights: Vec<f64> =
+                ic_gen::uniform_weights(n, 1.0, f64::from(distinct + 1), ic_gen::GraphSeed(seed))
+                    .into_iter()
+                    .map(f64::floor)
+                    .collect();
+            let wg = WeightedGraph::new(g, weights).unwrap();
+            let core = kcore_mask(wg.graph(), k);
+            let mut sc = LocalScratch::new(n);
+            let mut ref_sc = LocalScratch::new(n);
+            let aggregations = [
+                Aggregation::Average,
+                Aggregation::Sum,
+                Aggregation::Min,
+                Aggregation::Percentile { p: 0.75 },
+                Aggregation::TopTSum { t: 3 },
+            ];
+            for s in k + 1..=40 {
+                for greedy in [true, false] {
+                    for v in core.iter() {
+                        sc.build_pool(&wg, wg.graph(), &core, v as VertexId, s, greedy);
+                        reference::build_pool(&mut ref_sc, &wg, &core, v as VertexId, s, greedy);
+                        prop_assert_eq!(&sc.pool, &ref_sc.pool, "pool s={} greedy={} seed={}", s, greedy, v);
+                    }
+                    let config = cfg(k, 1 + s % 4, s, greedy);
+                    for agg in aggregations {
+                        let got = local_search(&wg, &config, agg).unwrap();
+                        let (_, expect) = reference::local_search(&wg, &config, agg);
+                        prop_assert_eq!(&got, &expect, "{} s={} greedy={}", agg.name(), s, greedy);
+                        let par = crate::algo::par_local_search(&wg, &config, agg, 1).unwrap();
+                        prop_assert_eq!(&par, &got, "par(1) {} s={} greedy={}", agg.name(), s, greedy);
+                    }
+                }
             }
         }
     }

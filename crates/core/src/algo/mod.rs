@@ -40,6 +40,7 @@ mod sum_naive;
 mod truss;
 
 pub use bb::{bb_avg_topr, bb_topr};
+pub use common::ExpansionCounts;
 pub use exact::{all_communities, exact_naive, exact_topr};
 pub use improved::{tic_improved_on, tic_improved_with_options, ImprovedOptions, TicEmission};
 pub use index::{ExtremumIndex, IndexParts, MinCommunityIndex};

@@ -18,8 +18,8 @@
 //! the property tests hold this implementation to.
 
 use crate::algo::common::{
-    components_as_communities, expand_children, require_corollary2, validate_k_r, vertex_mix_sum,
-    vertex_set_key,
+    components_as_communities, expand_children, require_corollary2, validate_k_r, vertex_set_key,
+    ExpandScratch, KeepRule, Parent,
 };
 use crate::{Aggregation, Community, SearchError, TopList};
 use ic_graph::{VertexId, WeightedGraph};
@@ -65,8 +65,6 @@ fn sum_naive_with(
     aggregation: Aggregation,
     arena: &mut PeelArena,
 ) -> Vec<Community> {
-    let g = wg.graph();
-
     // Lines 1-2: disjoint connected components of the maximal k-core seed
     // the list and the expansion worklist.
     let mut list = TopList::new(r);
@@ -80,6 +78,7 @@ fn sum_naive_with(
     }
 
     let mut children: Vec<Community> = Vec::new();
+    let mut scratch = ExpandScratch::default();
     // Lines 3-10: split every retained community by each of its vertices.
     // A community evicted from the list before its turn cannot spawn a
     // top-r descendant (Corollary 2: children are strictly worse than the
@@ -94,19 +93,15 @@ fn sum_naive_with(
         {
             continue;
         }
-        arena.load(g, &parent.vertices, k);
-        arena.mark_articulation_points();
-        let parent_mix = vertex_mix_sum(&parent.vertices);
+        let mut loaded = Parent::new(wg, aggregation, &parent, k);
         for &v in &parent.vertices {
             expand_children(
                 arena,
-                wg,
-                aggregation,
-                parent.value,
-                &parent.vertices,
-                parent_mix,
+                &mut loaded,
                 v,
+                KeepRule::ALL,
                 &mut explored,
+                &mut scratch,
                 &mut children,
             );
         }

@@ -84,6 +84,24 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// `core.tic_*`: what the TIC runs of this engine did, summed — cascade
+/// deletions performed and child communities allocated
+/// ([`ic_core::algo::ExpansionCounts`]). Both depend only on the graph
+/// and the queries served, so they separate "more work" from "a slower
+/// machine" when a solve span grows.
+pub(crate) struct TicCounters {
+    pub deletions: ic_obs::Counter,
+    pub children_materialized: ic_obs::Counter,
+}
+
+/// Where an execution reports: the caller's trace and the engine's
+/// solver work counters, each if there is one.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct ExecObs<'a> {
+    pub trace: Option<&'a ic_obs::Trace>,
+    pub tic: Option<&'a TicCounters>,
+}
+
 /// Runs a plan against one pinned snapshot. The snapshot and arena pool
 /// are grabbed once by the caller (`Engine::execute`) so a concurrent
 /// `Engine::apply` can never tear a batch across two graph versions.
@@ -93,7 +111,7 @@ pub(crate) fn execute<F>(
     threads: usize,
     anchor: Instant,
     plan: Plan,
-    trace: Option<&ic_obs::Trace>,
+    obs: ExecObs<'_>,
     mut deliver: F,
 ) where
     F: FnMut(usize, Outcome),
@@ -110,7 +128,7 @@ pub(crate) fn execute<F>(
     let cursor = AtomicUsize::new(0);
     let workers = threads.max(1).min(plan.jobs.len());
     if workers == 1 {
-        drain_jobs(snap, arenas, anchor, &plan, &cursor, trace, &mut deliver);
+        drain_jobs(snap, arenas, anchor, &plan, &cursor, obs, &mut deliver);
         return;
     }
     let (tx, rx) = std::sync::mpsc::channel::<(usize, Outcome)>();
@@ -128,7 +146,7 @@ pub(crate) fn execute<F>(
                     anchor,
                     plan,
                     cursor,
-                    trace,
+                    obs,
                     &mut |query, result| {
                         let _ = tx.send((query, result));
                     },
@@ -155,7 +173,7 @@ fn drain_jobs(
     anchor: Instant,
     plan: &Plan,
     cursor: &AtomicUsize,
-    trace: Option<&ic_obs::Trace>,
+    obs: ExecObs<'_>,
     emit: &mut dyn FnMut(usize, Outcome),
 ) {
     let mut arena = arenas.acquire();
@@ -165,15 +183,7 @@ fn drain_jobs(
         let j = cursor.fetch_add(1, Ordering::Relaxed);
         let Some(job) = plan.jobs.get(j) else { break };
         let guarded = catch_unwind(AssertUnwindSafe(|| {
-            run_job(
-                snap,
-                anchor,
-                job,
-                &mut arena,
-                &mut scratch,
-                trace,
-                &mut done,
-            );
+            run_job(snap, anchor, job, &mut arena, &mut scratch, obs, &mut done);
         }));
         match guarded {
             Ok(()) => {
@@ -250,12 +260,15 @@ fn truncated_outcome(items: Vec<Community>, exact: bool) -> Outcome {
     }
 }
 
-/// Drains one `TIC-IMPROVED` emission on the worker's arena. Unarmed
-/// (`budget: None`) this is exactly `algo::tic_improved_on`. Armed, on
-/// expiry the emission has already flushed what it can stand behind:
-/// for ε = 0 exactly the provably-final prefix (Corollary 2: children
-/// are strictly smaller than their parent), for ε > 0 best-so-far.
-fn drain_tic(
+/// Drains one `TIC-IMPROVED` emission on the worker's arena and adds
+/// its work to the engine's counters; returns the communities and
+/// whether the deadline cut the search short. Unarmed (`budget: None`)
+/// this is exactly `algo::tic_improved_on`. Armed, on expiry the
+/// emission has already flushed what it can stand behind: for ε = 0
+/// exactly the provably-final prefix (Corollary 2: children are strictly
+/// smaller than their parent), for ε > 0 best-so-far.
+#[allow(clippy::too_many_arguments)]
+fn run_tic(
     snap: &GraphSnapshot,
     k: usize,
     r: usize,
@@ -263,21 +276,29 @@ fn drain_tic(
     epsilon: f64,
     budget: Option<Arc<Budget>>,
     arena: &mut PeelArena,
-) -> Outcome {
-    let mut em = match TicEmission::start_on(snap, k, r, aggregation, epsilon) {
-        Ok(em) => em,
-        Err(e) => return fail(e.into()),
-    };
+    counters: Option<&TicCounters>,
+) -> Result<(Vec<Community>, bool), ic_core::SearchError> {
+    let mut em = TicEmission::start_on(snap, k, r, aggregation, epsilon)?;
     em.set_budget(budget);
     let mut items = Vec::new();
     while let Some(c) = em.next_community(snap.weighted(), arena) {
         items.push(c);
     }
     arena.set_budget(None);
-    if em.deadline_aborted() {
-        truncated_outcome(items, epsilon == 0.0)
-    } else {
-        ok_complete(items)
+    if let Some(counters) = counters {
+        let work = em.work();
+        counters.deletions.add(work.deletions);
+        counters.children_materialized.add(work.materialized);
+    }
+    Ok((items, em.deadline_aborted()))
+}
+
+/// [`run_tic`] as one query's outcome.
+fn tic_outcome(run: Result<(Vec<Community>, bool), ic_core::SearchError>, exact: bool) -> Outcome {
+    match run {
+        Ok((items, true)) => truncated_outcome(items, exact),
+        Ok((items, false)) => ok_complete(items),
+        Err(e) => fail(e.into()),
     }
 }
 
@@ -287,7 +308,7 @@ fn run_job(
     job: &Job,
     arena: &mut PeelArena,
     scratch: &mut Option<LocalScratch>,
-    trace: Option<&ic_obs::Trace>,
+    obs: ExecObs<'_>,
     done: &mut Vec<(usize, Outcome)>,
 ) {
     match job {
@@ -349,7 +370,7 @@ fn run_job(
                     .iter()
                     .map(|&r| index.topr(snap.weighted(), r))
                     .collect::<Result<Vec<_>, _>>();
-                if let Some(trace) = trace {
+                if let Some(trace) = obs.trace {
                     index_sw.record(trace, ic_obs::Stage::IndexServe);
                 }
                 solved
@@ -381,13 +402,13 @@ fn run_job(
             if let Some(d) = deadline {
                 // Armed: one r (see `JobKey`).
                 let budget = Some(Arc::new(Budget::after(anchor, *d)));
-                let outcome = drain_tic(snap, *k, rs[0], *aggregation, 0.0, budget, arena);
-                send_all(done, outputs, &outcome);
+                let run = run_tic(snap, *k, rs[0], *aggregation, 0.0, budget, arena, obs.tic);
+                send_all(done, outputs, &tic_outcome(run, true));
                 return;
             }
             let r_max = *rs.last().expect("family is non-empty");
-            match algo::tic_improved_on(snap, *k, r_max, *aggregation, 0.0, arena) {
-                Ok(full) => {
+            match run_tic(snap, *k, r_max, *aggregation, 0.0, None, arena, obs.tic) {
+                Ok((full, _)) => {
                     let slots: Vec<Outcome> = rs
                         .iter()
                         .map(|&r| {
@@ -400,10 +421,9 @@ fn run_job(
                                 // ambiguous under the solver's tie-break;
                                 // fall back to the direct run so the
                                 // answer stays bit-identical to it.
-                                match algo::tic_improved_on(snap, *k, r, *aggregation, 0.0, arena) {
-                                    Ok(list) => ok_complete(list),
-                                    Err(e) => fail(e.into()),
-                                }
+                                let run =
+                                    run_tic(snap, *k, r, *aggregation, 0.0, None, arena, obs.tic);
+                                tic_outcome(run, true)
                             }
                         })
                         .collect();
@@ -425,8 +445,8 @@ fn run_job(
             deadline,
         } => {
             let budget = deadline.map(|d| Arc::new(Budget::after(anchor, d)));
-            let outcome = drain_tic(snap, *k, *r, *aggregation, *epsilon, budget, arena);
-            send_all(done, outputs, &outcome);
+            let run = run_tic(snap, *k, *r, *aggregation, *epsilon, budget, arena, obs.tic);
+            send_all(done, outputs, &tic_outcome(run, *epsilon == 0.0));
         }
         Job::LocalChunk { job, chunk } => run_local_chunk(snap, anchor, job, *chunk, scratch),
     }

@@ -343,6 +343,7 @@ struct EngineMetrics {
     touched_pct: ic_obs::Gauge,
     index_repaired: ic_obs::Counter,
     index_rebuilt: ic_obs::Counter,
+    tic: exec::TicCounters,
 }
 
 impl EngineMetrics {
@@ -367,6 +368,10 @@ impl EngineMetrics {
             touched_pct: registry.gauge("engine.apply.touched_pct"),
             index_repaired: registry.counter("engine.apply.index_repaired"),
             index_rebuilt: registry.counter("engine.apply.index_rebuilt"),
+            tic: exec::TicCounters {
+                deletions: registry.counter("core.tic_deletions"),
+                children_materialized: registry.counter("core.tic_children_materialized"),
+            },
             registry,
         }
     }
@@ -989,7 +994,10 @@ impl Engine {
             self.threads,
             anchor,
             plan,
-            trace,
+            exec::ExecObs {
+                trace,
+                tic: Some(&m.tic),
+            },
             |idx, outcome| {
                 if let Some(trace) = trace {
                     match outcome.as_ref() {
@@ -1114,6 +1122,37 @@ mod tests {
                 q.r
             );
         }
+    }
+
+    #[test]
+    fn tic_work_counters_reach_the_registry() {
+        let counts = |eng: &Engine| -> Vec<f64> {
+            let entries = eng.obs_registry().flat_entries();
+            ["core.tic_deletions", "core.tic_children_materialized"]
+                .iter()
+                .map(|name| {
+                    entries
+                        .iter()
+                        .find(|(n, _)| n == name)
+                        .unwrap_or_else(|| panic!("{name} not registered"))
+                        .1
+                })
+                .collect()
+        };
+        let eng = engine(2);
+        assert_eq!(counts(&eng), [0.0, 0.0]);
+        let batch = [
+            Query::new(2, 3, Aggregation::Sum),
+            Query::new(2, 3, Aggregation::Sum).approx(0.2),
+            Query::new(2, 2, Aggregation::Min),
+        ];
+        eng.run_batch(&batch);
+        let first = counts(&eng);
+        assert!(first[0] > 0.0 && first[1] > 0.0, "{first:?}");
+        // Work counts depend on the graph and the queries only.
+        let again = engine(1);
+        again.run_batch(&batch);
+        assert_eq!(counts(&again), first);
     }
 
     #[test]

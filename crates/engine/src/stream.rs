@@ -179,10 +179,18 @@ impl ResultStream {
                 // A submit executes immediately — no queue — so the
                 // deadline anchor is simply now.
                 let anchor = std::time::Instant::now();
-                exec::execute(&snapshot, &arenas, threads, anchor, plan, None, |_, res| {
-                    cache.insert(&query, epoch, &res);
-                    outcome = Some(res);
-                });
+                exec::execute(
+                    &snapshot,
+                    &arenas,
+                    threads,
+                    anchor,
+                    plan,
+                    Default::default(),
+                    |_, res| {
+                        cache.insert(&query, epoch, &res);
+                        outcome = Some(res);
+                    },
+                );
                 let outcome = outcome.expect("one query in, one outcome out");
                 match outcome.as_ref() {
                     // Degraded buffered answers stream their best-so-far

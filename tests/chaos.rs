@@ -174,6 +174,44 @@ fn tic_search_panic_is_isolated() {
     assert_amnesia(&eng, &wg, &batch, &solo);
 }
 
+/// A deadline that fires *between* two pops of an exact-sum search
+/// yields what the search had proven by then, not nothing. Each
+/// `advance` is stretched to 200 ms; the 300 ms deadline therefore
+/// passes the checkpoint of the first pop and trips the second's. The
+/// first pop confirms the best k-core component and expands it, which
+/// proves its rank (its children and every other candidate are strictly
+/// smaller), so the answer is `Degraded` with exactly that prefix.
+#[test]
+fn mid_run_deadline_yields_the_proven_prefix() {
+    let _s = FailScenario::setup();
+    let wg = workload(0x08);
+    let query = Query::new(2, 4, Aggregation::Sum);
+    let full = solo_answers(&wg, &[query], 1).remove(0);
+    assert!(full.len() > 1, "the search must need a second pop");
+    let eng = Engine::with_threads(wg.clone(), 1);
+
+    ic_fail::cfg("core::tic_advance", "sleep(200)").unwrap();
+    let options = BatchOptions::default().deadline(std::time::Duration::from_millis(300));
+    let got = eng.run_batch_with(&[query], &options);
+    ic_fail::remove("core::tic_advance");
+
+    let ans = got[0]
+        .as_ref()
+        .expect("one pop was proven before the deadline");
+    match ans.status {
+        AnswerStatus::Degraded {
+            proven_prefix_len, ..
+        } => {
+            assert_eq!(proven_prefix_len, ans.communities.len());
+            assert!((1..full.len()).contains(&proven_prefix_len));
+            assert_eq!(&ans.communities[..], &full[..proven_prefix_len]);
+        }
+        ref other => panic!("expected a degraded answer, got {other:?}"),
+    }
+    assert_pool_restored(&eng, "after a mid-run deadline");
+    assert_amnesia(&eng, &wg, &[query], &[full]);
+}
+
 #[test]
 fn local_chunk_panic_poisons_only_its_family() {
     let _s = FailScenario::setup();
