@@ -1,4 +1,5 @@
-//! One function per paper artifact (Table III, Figs 2–14, ablations).
+//! One function per paper artifact (Table III, Figs 2–14), plus the
+//! parallel-scaling ablation and the index/truss extension report.
 //! Each returns a markdown section; the `experiments` binary routes
 //! subcommands here.
 
@@ -9,11 +10,8 @@ use crate::workloads::{
     load, Workload, CONSTRAINED_K_GRID, DEFAULT_EPSILON, DEFAULT_R, DEFAULT_S, EPSILON_GRID,
     R_GRID, S_GRID,
 };
-use ic_core::algo::{
-    self, local_search, par_local_search, tic_improved_with_options, ImprovedOptions,
-    LocalSearchConfig,
-};
-use ic_core::{Aggregation, Community};
+use ic_core::algo::{self, local_search, ExtremumIndex, LocalSearchConfig};
+use ic_core::{Aggregation, Community, Extremum, Query};
 use ic_gen::datasets::Profile;
 use ic_gen::{aminer_network, GraphSeed};
 use ic_graph::stats::graph_stats;
@@ -473,87 +471,26 @@ pub fn example1(_ctx: &Ctx) -> String {
     section("Example 1/2 — the paper's running example", t.to_markdown())
 }
 
-/// Ablation: Algorithm 2's pruning rules on/off.
-pub fn ablate_prune(ctx: &Ctx) -> String {
-    let mut out = String::new();
-    for w in ctx.workloads() {
-        let k = w.spec.default_k.min(w.kmax as usize);
-        let mut t = Table::new(["variant", "time", "r-th value"]);
-        let variants: [(&str, ImprovedOptions); 4] = [
-            (
-                "full pruning (default)",
-                ImprovedOptions {
-                    epsilon: 0.0,
-                    prune_by_threshold: true,
-                    trim_candidates: true,
-                },
-            ),
-            (
-                "no threshold prune",
-                ImprovedOptions {
-                    epsilon: 0.0,
-                    prune_by_threshold: false,
-                    trim_candidates: true,
-                },
-            ),
-            (
-                "no candidate trim",
-                ImprovedOptions {
-                    epsilon: 0.0,
-                    prune_by_threshold: true,
-                    trim_candidates: false,
-                },
-            ),
-            (
-                "no pruning at all",
-                ImprovedOptions {
-                    epsilon: 0.0,
-                    prune_by_threshold: false,
-                    trim_candidates: false,
-                },
-            ),
-        ];
-        for (name, opts) in variants {
-            eprintln!("[ablate-prune] {} {}", w.spec.name, name);
-            let (tt, res) = time_once(|| {
-                tic_improved_with_options(&w.wg, k, DEFAULT_R, Aggregation::Sum, opts)
-            });
-            let rv = res
-                .ok()
-                .and_then(|v| v.last().map(|c| c.value))
-                .unwrap_or(f64::NEG_INFINITY);
-            t.row([name.to_string(), fmt_secs(tt), fmt_value(rv)]);
-        }
-        out.push_str(&section(
-            &format!(
-                "Ablation ({}) — Algorithm 2 pruning rules (k={k})",
-                w.spec.name
-            ),
-            t.to_markdown(),
-        ));
-    }
-    out
-}
-
-/// Ablation: parallel local search thread scaling.
+/// Ablation: parallel local search thread scaling — the engine's
+/// chunked seed walk on a warmed engine (k-core level memoized, result
+/// cache emptied before every run).
 pub fn ablate_parallel(ctx: &Ctx) -> String {
     let mut out = String::new();
     for w in ctx.workloads() {
         let mut t = Table::new(["threads", "time", "speedup", "top value"]);
-        let config = LocalSearchConfig {
-            k: 4,
-            r: DEFAULT_R,
-            s: DEFAULT_S,
-            greedy: true,
-        };
+        let query = [Query::new(4, DEFAULT_R, Aggregation::Average).size_bound(DEFAULT_S, true)];
         let mut base = None;
         for threads in [1usize, 2, 4, 8] {
             eprintln!("[ablate-parallel] {} threads={threads}", w.spec.name);
-            let (tt, res) = time_median(3, || {
-                par_local_search(&w.wg, &config, Aggregation::Average, threads)
+            let engine = ic_engine::Engine::with_threads(w.wg.clone(), threads);
+            engine.snapshot().level(4);
+            let (tt, mut res) = time_median(3, || {
+                engine.clear_result_cache();
+                engine.run_batch(&query)
             });
             let top = res
-                .ok()
+                .pop()
+                .and_then(|answer| answer.ok())
                 .and_then(|v| v.first().map(|c| c.value))
                 .unwrap_or(f64::NEG_INFINITY);
             let speedup = match base {
@@ -573,69 +510,15 @@ pub fn ablate_parallel(ctx: &Ctx) -> String {
     out
 }
 
-/// Ablation: refinement pass on top of local search (quality uplift).
-pub fn ablate_refine(ctx: &Ctx) -> String {
-    let mut out = String::new();
-    for w in ctx.workloads() {
-        let mut t = Table::new([
-            "aggregation",
-            "variant",
-            "plain r-th value",
-            "refined r-th value",
-            "uplift",
-            "refine cost",
-        ]);
-        for agg in [Aggregation::Sum, Aggregation::Average] {
-            for greedy in [false, true] {
-                eprintln!(
-                    "[ablate-refine] {} {} greedy={greedy}",
-                    w.spec.name,
-                    agg.name()
-                );
-                let config = LocalSearchConfig {
-                    k: 4,
-                    r: DEFAULT_R,
-                    s: DEFAULT_S,
-                    greedy,
-                };
-                let plain = local_search(&w.wg, &config, agg).unwrap_or_default();
-                let (tt, refined) = time_once(|| algo::local_search_refined(&w.wg, &config, agg));
-                let refined = refined.unwrap_or_default();
-                let pv = plain.last().map_or(f64::NEG_INFINITY, |c| c.value);
-                let rv = refined.last().map_or(f64::NEG_INFINITY, |c| c.value);
-                let uplift = if pv > 0.0 {
-                    format!("{:+.1}%", (rv / pv - 1.0) * 100.0)
-                } else {
-                    "—".into()
-                };
-                t.row([
-                    agg.name().to_string(),
-                    if greedy { "greedy" } else { "random" }.to_string(),
-                    fmt_value(pv),
-                    fmt_value(rv),
-                    uplift,
-                    fmt_secs(tt),
-                ]);
-            }
-        }
-        out.push_str(&section(
-            &format!("Ablation ({}) — refinement pass (future work)", w.spec.name),
-            t.to_markdown(),
-        ));
-    }
-    out
-}
-
 /// Extension report: ICP-style min index build/query vs online peeling,
 /// and truss-model community shapes.
 pub fn extensions(ctx: &Ctx) -> String {
-    use ic_core::algo::MinCommunityIndex;
     let mut out = String::new();
     for w in ctx.workloads() {
         let k = w.spec.default_k.min(w.kmax as usize);
         let mut t = Table::new(["metric", "value"]);
         eprintln!("[extensions] {} k={k}", w.spec.name);
-        let (tb, index) = time_once(|| MinCommunityIndex::build(&w.wg, k));
+        let (tb, index) = time_once(|| ExtremumIndex::build(&w.wg, k, Extremum::Min));
         let (tq, top_idx) = time_median(5, || index.topr(&w.wg, DEFAULT_R).unwrap());
         let (to, top_online) = time_once(|| min_topr(&w.wg, k, DEFAULT_R).unwrap());
         t.row(["communities in index".to_string(), index.len().to_string()]);
@@ -666,7 +549,7 @@ pub fn extensions(ctx: &Ctx) -> String {
 }
 
 /// All experiment ids, in run order.
-pub const ALL_EXPERIMENTS: [&str; 19] = [
+pub const ALL_EXPERIMENTS: [&str; 17] = [
     "table3",
     "example1",
     "fig2",
@@ -682,9 +565,7 @@ pub const ALL_EXPERIMENTS: [&str; 19] = [
     "fig12",
     "fig13",
     "fig14",
-    "ablate-prune",
     "ablate-parallel",
-    "ablate-refine",
     "extensions",
 ];
 
@@ -706,9 +587,7 @@ pub fn run(id: &str, ctx: &Ctx) -> Option<String> {
         "fig12" => fig12(ctx),
         "fig13" => fig13(ctx),
         "fig14" => fig14(ctx),
-        "ablate-prune" => ablate_prune(ctx),
         "ablate-parallel" => ablate_parallel(ctx),
-        "ablate-refine" => ablate_refine(ctx),
         "extensions" => extensions(ctx),
         _ => return None,
     };

@@ -2,9 +2,9 @@
 //!
 //! The paper assigns every vertex an *influence value*; its experiments use
 //! PageRank with damping 0.85 (Section VI), and the introduction motivates
-//! other choices: degree, H-index, closeness, betweenness. This crate
-//! implements all of them on the `ic-graph` substrate so any of them can be
-//! plugged into the community-search algorithms as the weight function `w`.
+//! other choices such as degree. Any `Vec<f64>` over the vertices plugs
+//! into the community-search algorithms as the weight function `w`; this
+//! crate implements the two the reproduction uses.
 //!
 //! # Example
 //!
@@ -23,14 +23,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod betweenness;
-mod closeness;
 mod degree;
-mod hindex;
 mod pagerank;
 
-pub use betweenness::{betweenness, betweenness_sampled};
-pub use closeness::{closeness, closeness_sampled};
 pub use degree::degree_centrality;
-pub use hindex::{hindex, neighbor_hindex};
 pub use pagerank::{pagerank, PageRankConfig};

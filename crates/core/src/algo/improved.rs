@@ -33,38 +33,14 @@ use ic_kcore::{maximal_kcore_components, Budget, GraphSnapshot, PeelArena};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Tuning knobs for [`tic_improved_with_options`]; used by the pruning
-/// ablation experiment.
-#[derive(Clone, Copy, Debug)]
-pub struct ImprovedOptions {
-    /// Approximation parameter ε ∈ [0, 1). 0 = exact.
-    pub epsilon: f64,
-    /// Prune a deletion whose pre-cascade value cannot beat the current
-    /// r-th best (line 13 of the paper). Disable only for ablation.
-    pub prune_by_threshold: bool,
-    /// Keep the candidate list trimmed to the top-r (line 19). Disable
-    /// only for ablation.
-    pub trim_candidates: bool,
-}
-
-impl Default for ImprovedOptions {
-    fn default() -> Self {
-        ImprovedOptions {
-            epsilon: 0.0,
-            prune_by_threshold: true,
-            trim_candidates: true,
-        }
-    }
-}
-
 /// Runs Algorithm 2 with the given ε (`0.0` = exact "Improve", `> 0` =
 /// "Approx"). The aggregation must declare the removal-decreasing
 /// certificate (Corollary 2).
 ///
-/// Crate-internal since PR 4: external callers route through
+/// Crate-internal: external callers route through
 /// [`crate::Query::solve`] / [`crate::Query::solve_on`] or
-/// `ic_engine::Engine`; [`tic_improved_on`] remains the public
-/// snapshot-based entry point.
+/// `ic_engine::Engine`; [`tic_improved_on`] is the public snapshot-based
+/// entry point.
 pub(crate) fn tic_improved(
     wg: &WeightedGraph,
     k: usize,
@@ -72,27 +48,7 @@ pub(crate) fn tic_improved(
     aggregation: Aggregation,
     epsilon: f64,
 ) -> Result<Vec<Community>, SearchError> {
-    tic_improved_with_options(
-        wg,
-        k,
-        r,
-        aggregation,
-        ImprovedOptions {
-            epsilon,
-            ..Default::default()
-        },
-    )
-}
-
-/// `TIC-IMPROVED` with explicit pruning switches (for ablations).
-pub fn tic_improved_with_options(
-    wg: &WeightedGraph,
-    k: usize,
-    r: usize,
-    aggregation: Aggregation,
-    options: ImprovedOptions,
-) -> Result<Vec<Community>, SearchError> {
-    validate_improved(r, aggregation, &options)?;
+    validate_improved(r, aggregation, epsilon)?;
     let comps = maximal_kcore_components(wg.graph(), k);
     let mut arena = PeelArena::for_graph(wg.graph());
     Ok(run_improved(
@@ -101,7 +57,7 @@ pub fn tic_improved_with_options(
         k,
         r,
         aggregation,
-        options,
+        epsilon,
         &mut arena,
     ))
 }
@@ -118,11 +74,7 @@ pub fn tic_improved_on(
     epsilon: f64,
     arena: &mut PeelArena,
 ) -> Result<Vec<Community>, SearchError> {
-    let options = ImprovedOptions {
-        epsilon,
-        ..Default::default()
-    };
-    validate_improved(r, aggregation, &options)?;
+    validate_improved(r, aggregation, epsilon)?;
     let level = snap.level(k);
     Ok(run_improved(
         snap.weighted(),
@@ -130,22 +82,17 @@ pub fn tic_improved_on(
         k,
         r,
         aggregation,
-        options,
+        epsilon,
         arena,
     ))
 }
 
-fn validate_improved(
-    r: usize,
-    aggregation: Aggregation,
-    options: &ImprovedOptions,
-) -> Result<(), SearchError> {
+fn validate_improved(r: usize, aggregation: Aggregation, epsilon: f64) -> Result<(), SearchError> {
     validate_k_r(r)?;
     require_corollary2("tic_improved", aggregation)?;
-    if !(0.0..1.0).contains(&options.epsilon) {
+    if !(0.0..1.0).contains(&epsilon) {
         return Err(SearchError::InvalidParams(format!(
-            "epsilon must be in [0, 1), got {}",
-            options.epsilon
+            "epsilon must be in [0, 1), got {epsilon}"
         )));
     }
     Ok(())
@@ -157,10 +104,10 @@ fn run_improved(
     k: usize,
     r: usize,
     aggregation: Aggregation,
-    options: ImprovedOptions,
+    epsilon: f64,
     arena: &mut PeelArena,
 ) -> Vec<Community> {
-    let mut emission = TicEmission::new(wg, comps, k, r, aggregation, options);
+    let mut emission = TicEmission::new(wg, comps, k, r, aggregation, epsilon);
     let mut results = Vec::with_capacity(r.min(1024));
     while let Some(c) = emission.next_community(wg, arena) {
         results.push(c);
@@ -193,7 +140,8 @@ pub struct TicEmission {
     k: usize,
     r: usize,
     aggregation: Aggregation,
-    options: ImprovedOptions,
+    /// Approximation parameter ε ∈ [0, 1); 0 = exact.
+    epsilon: f64,
     /// Line-13 pruning needs the O(1) remove delta; aggregations
     /// without the `incremental_removal` certificate run unpruned.
     prune_with_delta: bool,
@@ -230,11 +178,7 @@ impl TicEmission {
         aggregation: Aggregation,
         epsilon: f64,
     ) -> Result<Self, SearchError> {
-        let options = ImprovedOptions {
-            epsilon,
-            ..Default::default()
-        };
-        validate_improved(r, aggregation, &options)?;
+        validate_improved(r, aggregation, epsilon)?;
         let level = snap.level(k);
         Ok(Self::new(
             snap.weighted(),
@@ -242,7 +186,7 @@ impl TicEmission {
             k,
             r,
             aggregation,
-            options,
+            epsilon,
         ))
     }
 
@@ -252,7 +196,7 @@ impl TicEmission {
         k: usize,
         r: usize,
         aggregation: Aggregation,
-        options: ImprovedOptions,
+        epsilon: f64,
     ) -> Self {
         // Line 1-2: candidate list seeded with the k-core components.
         let mut candidates: Vec<Community> = comps
@@ -260,9 +204,7 @@ impl TicEmission {
             .map(|c| community_from_vertices(wg, aggregation, c))
             .collect();
         candidates.sort_by(|a, b| a.ranking_cmp(b));
-        if options.trim_candidates {
-            candidates.truncate(r);
-        }
+        candidates.truncate(r);
         let explored: HashSet<u64> = candidates
             .iter()
             .map(|c| vertex_set_key(&c.vertices))
@@ -271,7 +213,7 @@ impl TicEmission {
             k,
             r,
             aggregation,
-            options,
+            epsilon,
             prune_with_delta: aggregation.certificates().incremental_removal,
             candidates,
             explored,
@@ -317,13 +259,13 @@ impl TicEmission {
     /// keep-rule): the live r-th candidate value, since anything below
     /// it is trimmed the moment it is inserted. While ε-acceptance is
     /// open a child at or above `lb` must exist to be accepted, so the
-    /// bar drops to `lb`. With trimming ablated nothing is dropped.
+    /// bar drops to `lb`.
     fn need(&self, lb: f64) -> f64 {
-        if !self.options.trim_candidates || self.candidates.len() < self.r {
+        if self.candidates.len() < self.r {
             return f64::NEG_INFINITY;
         }
         let rth = self.candidates[self.r - 1].value;
-        if self.options.epsilon > 0.0 {
+        if self.epsilon > 0.0 {
             rth.min(lb)
         } else {
             rth
@@ -374,7 +316,7 @@ impl TicEmission {
                 return;
             }
         }
-        let lb = (1.0 - self.options.epsilon) * lmax.value;
+        let lb = (1.0 - self.epsilon) * lmax.value;
         // f(Lr): the value of the r-th best known candidate/result.
         let threshold = r_th_value(&self.results, &self.candidates, self.r);
 
@@ -383,7 +325,7 @@ impl TicEmission {
         // O(affected) journaled cascade instead of a full re-peel.
         arena.set_budget(self.budget.clone());
         let mut parent = Parent::new(wg, self.aggregation, &lmax, self.k);
-        let approx = self.options.epsilon > 0.0;
+        let approx = self.epsilon > 0.0;
         // ε-acceptance takes children in the order they appear, so the
         // approximate search keeps the paper's vertex order. The exact
         // search's outcome does not depend on the order (DESIGN.md §5),
@@ -418,7 +360,7 @@ impl TicEmission {
             // aggregation certifies an O(1) remove delta; otherwise the
             // search runs unpruned (still correct — pruning is an
             // optimization, not a correctness requirement).
-            if self.options.prune_by_threshold && self.prune_with_delta {
+            if self.prune_with_delta {
                 let upper = self
                     .aggregation
                     .value_after_removal(lmax.value, wg.weight(v));
@@ -457,9 +399,7 @@ impl TicEmission {
                 // Line 19, applied per insertion so `need` stays live:
                 // the top-r of a growing set does not depend on when
                 // the rest is dropped.
-                if self.options.trim_candidates {
-                    self.candidates.truncate(self.r);
-                }
+                self.candidates.truncate(self.r);
             }
             // `R` is full: the search ends at the next `advance`, and
             // nothing reads `candidates` between here and there.
@@ -479,7 +419,7 @@ impl TicEmission {
     /// within the batch, reproducing the batch solver's final sort
     /// piecewise (value strictly separates successive batches).
     fn drain_ready(&mut self) {
-        if self.options.epsilon > 0.0 {
+        if self.epsilon > 0.0 {
             return; // buffered: early accepts break rank monotonicity
         }
         let bar = self
@@ -509,7 +449,7 @@ impl TicEmission {
     fn deadline_abort(&mut self, bar: f64) {
         self.aborted = true;
         self.finished = true;
-        let end = if self.options.epsilon > 0.0 {
+        let end = if self.epsilon > 0.0 {
             self.results.len()
         } else {
             let mut end = self.emitted;
@@ -815,34 +755,6 @@ mod tests {
         assert!(tic_improved(&wg, 2, 5, Aggregation::Sum, 0.0)
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn ablation_options_do_not_change_results() {
-        let wg = figure1();
-        let base = tic_improved(&wg, 2, 4, Aggregation::Sum, 0.0).unwrap();
-        for opts in [
-            ImprovedOptions {
-                epsilon: 0.0,
-                prune_by_threshold: false,
-                trim_candidates: true,
-            },
-            ImprovedOptions {
-                epsilon: 0.0,
-                prune_by_threshold: true,
-                trim_candidates: false,
-            },
-            ImprovedOptions {
-                epsilon: 0.0,
-                prune_by_threshold: false,
-                trim_candidates: false,
-            },
-        ] {
-            let got = tic_improved_with_options(&wg, 2, 4, Aggregation::Sum, opts).unwrap();
-            let gv: Vec<f64> = got.iter().map(|c| c.value).collect();
-            let bv: Vec<f64> = base.iter().map(|c| c.value).collect();
-            assert_eq!(gv, bv, "{opts:?}");
-        }
     }
 
     #[test]

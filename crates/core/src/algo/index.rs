@@ -7,7 +7,8 @@
 //! idea to *any* aggregation whose [`Certificates`](crate::Certificates)
 //! declare [`peel_extremum`](crate::Certificates::peel_extremum) — `min`
 //! and `max` built-ins, plus user-defined functions certified with the
-//! same property. One peel plus one reverse union-find pass builds an
+//! same property. The one stamped peel pass (`peel_timeline`, shared with
+//! the online solvers) plus one reverse union-find pass builds an
 //! `O(n + m)`-space **nested community forest** for a `(k, direction)`
 //! pair, from which
 //!
@@ -34,18 +35,13 @@
 //! update starts with an empty extension cache, which is exactly the
 //! staleness story — stale forests are never consulted, and rebuild
 //! lazily per `(k, direction)` on the next query.
-//!
-//! [`MinCommunityIndex`] survives as a thin wrapper over the `min`
-//! direction for pre-PR-5 callers.
 
 use crate::algo::common::{community_from_vertices, validate_k_r};
+use crate::algo::minmax::{peel_cmp, peel_timeline, rank_cmp, PeelTimeline, NONE};
 use crate::{Aggregation, Community, Extremum, SearchError};
 use ic_graph::{UnionFind, VertexId, WeightedGraph};
-use ic_kcore::{kcore_mask, GraphSnapshot};
+use ic_kcore::{kcore_mask, GraphSnapshot, PeelArena};
 use std::sync::Arc;
-
-/// Sentinel for "no node" in the flat `u32` id arrays.
-const NONE: u32 = u32::MAX;
 
 /// Precomputed nested community forest over all k-influential
 /// communities of one `(k, peel direction)` pair. See the module docs.
@@ -118,15 +114,13 @@ pub struct IndexParts<'a> {
 impl ExtremumIndex {
     /// Builds the forest with one peel + one reverse union-find pass.
     pub fn build(wg: &WeightedGraph, k: usize, extremum: Extremum) -> Self {
-        let core: Vec<VertexId> = kcore_mask(wg.graph(), k).iter().map(|v| v as u32).collect();
-        Self::build_from_core(wg, k, extremum, core)
+        Self::build_from_core(wg, k, extremum, kcore_mask(wg.graph(), k).to_vec())
     }
 
     /// [`ExtremumIndex::build`] against a snapshot's memoized core level
     /// (no from-scratch k-core extraction).
     pub fn build_on(snap: &GraphSnapshot, k: usize, extremum: Extremum) -> Self {
-        let core: Vec<VertexId> = snap.level(k).mask.iter().map(|v| v as u32).collect();
-        Self::build_from_core(snap.weighted(), k, extremum, core)
+        Self::build_from_core(snap.weighted(), k, extremum, snap.level(k).mask.to_vec())
     }
 
     /// The forest for `(k, extremum)` memoized on `snap`, built on first
@@ -172,77 +166,46 @@ impl ExtremumIndex {
         }
     }
 
+    /// Peels the subgraph induced on `members` — the maximal k-core, or
+    /// for [`ExtremumIndex::repair`] a union of whole components of it —
+    /// and links the events into a forest. Node id == event sequence
+    /// number of the peel, so ranks and tie-breaks are the online
+    /// solvers' by construction.
     fn build_from_core(
         wg: &WeightedGraph,
         k: usize,
         extremum: Extremum,
-        mut order: Vec<VertexId>,
+        members: Vec<VertexId>,
     ) -> Self {
         let g = wg.graph();
         let n = g.num_vertices();
-
-        // Peel order: ascending weight for min, descending for max;
-        // vertex id breaks ties — the exact order of the online peel
-        // solvers, so event sequences (and hence tie-breaks) can never
-        // drift apart.
-        order.sort_unstable_by(|&a, &b| {
-            let (wa, wb) = (wg.weight(a), wg.weight(b));
-            let c = match extremum {
-                Extremum::Min => wa.total_cmp(&wb),
-                Extremum::Max => wb.total_cmp(&wa),
-            };
-            c.then_with(|| a.cmp(&b))
-        });
-
-        // Forward peel, capturing per-event removal batches.
-        let mut alive = ic_graph::BitSet::new(n);
-        for &v in &order {
-            alive.insert(v as usize);
-        }
-        let mut deg: Vec<u32> = vec![0; n];
-        for &v in &order {
-            deg[v as usize] = g.degree_within(v, &alive) as u32;
-        }
-        let mut events: Vec<Vec<VertexId>> = Vec::new();
-        let mut queue: std::collections::VecDeque<VertexId> = std::collections::VecDeque::new();
-        for &v in &order {
-            if !alive.contains(v as usize) {
-                continue;
-            }
-            let mut batch = vec![v];
-            alive.remove(v as usize);
-            queue.push_back(v);
-            while let Some(x) = queue.pop_front() {
-                for &u in g.neighbors(x) {
-                    if alive.contains(u as usize) {
-                        deg[u as usize] -= 1;
-                        if (deg[u as usize] as usize) < k {
-                            alive.remove(u as usize);
-                            batch.push(u);
-                            queue.push_back(u);
-                        }
-                    }
-                }
-            }
-            events.push(batch);
-        }
-        let nodes = events.len();
+        let mut arena = PeelArena::for_graph(g);
+        let PeelTimeline {
+            stamp: vertex_node,
+            values,
+            batch_offsets,
+            batch_vertices,
+            ranked,
+        } = peel_timeline(wg, k, extremum, members, &mut arena, None)
+            .expect("an unbudgeted peel always completes");
+        let nodes = values.len();
+        let batch = |seq: u32| {
+            &batch_vertices
+                [batch_offsets[seq as usize] as usize..batch_offsets[seq as usize + 1] as usize]
+        };
 
         // Reverse pass: re-add batches, union components, link children.
-        // Node id == forward event sequence number.
-        let mut values = vec![0.0f64; nodes];
         let mut event_vertex = vec![0u32; nodes];
         let mut parent = vec![NONE; nodes];
         let mut size = vec![0u32; nodes];
         let mut children: Vec<Vec<u32>> = vec![Vec::new(); nodes];
-        let mut vertex_node = vec![NONE; n];
         let mut uf = UnionFind::new(n);
         let mut present = ic_graph::BitSet::new(n);
         let mut in_batch = ic_graph::BitSet::new(n);
         // Root of a present component -> its latest claiming node.
         let mut root_node: Vec<u32> = vec![NONE; n];
-        for (seq, batch) in events.iter().enumerate().rev() {
-            let seq = seq as u32;
+        for seq in (0..nodes as u32).rev() {
+            let batch = batch(seq);
             for &u in batch {
                 present.insert(u as usize);
                 in_batch.insert(u as usize);
@@ -273,33 +236,14 @@ impl ExtremumIndex {
                         uf.union(u, w);
                     }
                 }
-                vertex_node[u as usize] = seq;
                 in_batch.remove(u as usize);
             }
             let extreme = batch[0];
-            values[seq as usize] = wg.weight(extreme);
             event_vertex[seq as usize] = extreme;
             size[seq as usize] = sz;
             root_node[uf.find(extreme) as usize] = seq;
         }
 
-        // Rank nodes by (value desc, event seq asc) — the peel solvers'
-        // event-selection order.
-        let mut ranked: Vec<u32> = (0..nodes as u32).collect();
-        ranked.sort_by(|&a, &b| {
-            values[b as usize]
-                .total_cmp(&values[a as usize])
-                .then_with(|| a.cmp(&b))
-        });
-
-        // Flatten batches and children.
-        let mut batch_offsets = Vec::with_capacity(nodes + 1);
-        let mut batch_vertices = Vec::new();
-        batch_offsets.push(0u32);
-        for batch in &events {
-            batch_vertices.extend_from_slice(batch);
-            batch_offsets.push(batch_vertices.len() as u32);
-        }
         let mut child_offsets = Vec::with_capacity(nodes + 1);
         let mut child_ids = Vec::new();
         child_offsets.push(0u32);
@@ -486,14 +430,6 @@ impl ExtremumIndex {
             .filter(|&i| preserved[i as usize])
             .collect();
         let sub_events: Vec<u32> = (0..sub.values.len() as u32).collect();
-        let key_less = |a: VertexId, b: VertexId| -> bool {
-            let (wa, wb) = (new_wg.weight(a), new_wg.weight(b));
-            let c = match self.extremum {
-                Extremum::Min => wa.total_cmp(&wb),
-                Extremum::Max => wb.total_cmp(&wa),
-            };
-            c.then_with(|| a.cmp(&b)) == std::cmp::Ordering::Less
-        };
         let total = old_events.len() + sub_events.len();
         // Per-source maps from source node id to merged node id.
         let mut old_map = vec![NONE; nodes];
@@ -504,9 +440,13 @@ impl ExtremumIndex {
         let (mut i, mut j) = (0usize, 0usize);
         while i < old_events.len() || j < sub_events.len() {
             let take_old = match (old_events.get(i), sub_events.get(j)) {
-                (Some(&a), Some(&b)) => {
-                    key_less(self.event_vertex[a as usize], sub.event_vertex[b as usize])
-                }
+                (Some(&a), Some(&b)) => peel_cmp(
+                    new_wg,
+                    self.extremum,
+                    self.event_vertex[a as usize],
+                    sub.event_vertex[b as usize],
+                )
+                .is_lt(),
                 (Some(_), None) => true,
                 (None, _) => false,
             };
@@ -571,11 +511,7 @@ impl ExtremumIndex {
         let (mut i, mut j) = (0usize, 0usize);
         while i < old_ranked.len() || j < sub_ranked.len() {
             let take_old = match (old_ranked.get(i), sub_ranked.get(j)) {
-                (Some(&a), Some(&b)) => match values[b as usize].total_cmp(&values[a as usize]) {
-                    std::cmp::Ordering::Greater => false,
-                    std::cmp::Ordering::Equal => a < b,
-                    std::cmp::Ordering::Less => true,
-                },
+                (Some(&a), Some(&b)) => rank_cmp(&values, a, b).is_lt(),
                 (Some(_), None) => true,
                 (None, _) => false,
             };
@@ -732,12 +668,6 @@ impl ExtremumIndex {
         out
     }
 
-    /// The extreme (peel-event) vertex of each indexed community, for
-    /// diagnostics.
-    pub fn extreme_vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.event_vertex.iter().copied()
-    }
-
     /// Borrowed view of the flat arrays for persistence (`ic-store`).
     pub fn parts(&self) -> IndexParts<'_> {
         IndexParts {
@@ -860,13 +790,10 @@ impl ExtremumIndex {
                 return Err("rank order is not a permutation of the nodes".into());
             }
         }
-        if ranked.windows(2).any(|w| {
-            match values[w[1] as usize].total_cmp(&values[w[0] as usize]) {
-                std::cmp::Ordering::Greater => true, // better value ranked later
-                std::cmp::Ordering::Equal => w[1] < w[0], // tie broken against seq order
-                std::cmp::Ordering::Less => false,
-            }
-        }) {
+        if ranked
+            .windows(2)
+            .any(|w| rank_cmp(&values, w[0], w[1]).is_gt())
+        {
             return Err("rank order violates (value desc, seq asc)".into());
         }
         // vertex_node ↔ batch agreement in O(n): every batched vertex
@@ -908,72 +835,21 @@ impl ExtremumIndex {
     }
 }
 
-/// The classic `min`-model index of prior work (ICP-style), kept as a
-/// thin wrapper over the `min` direction of [`ExtremumIndex`].
-#[derive(Clone, Debug)]
-pub struct MinCommunityIndex(ExtremumIndex);
-
-impl MinCommunityIndex {
-    /// Builds the index with one peel + one reverse union-find pass.
-    pub fn build(wg: &WeightedGraph, k: usize) -> Self {
-        MinCommunityIndex(ExtremumIndex::build(wg, k, Extremum::Min))
-    }
-
-    /// The degree constraint this index was built for.
-    pub fn k(&self) -> usize {
-        self.0.k()
-    }
-
-    /// Total number of maximal communities in the graph.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when the k-core is empty (no communities exist).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Answers a top-r query in output-sensitive time. Results are
-    /// identical to the routed `min` peel (`Query::solve`) on the same
-    /// graph.
-    pub fn topr(&self, wg: &WeightedGraph, r: usize) -> Result<Vec<Community>, SearchError> {
-        self.0.topr(wg, r)
-    }
-
-    /// The smallest community containing `v` (None when `v` is outside
-    /// the maximal k-core).
-    pub fn minimal_community_of(&self, wg: &WeightedGraph, v: VertexId) -> Option<Community> {
-        self.0.minimal_community_of(wg, v)
-    }
-
-    /// The nesting chain of communities containing `v`, innermost first,
-    /// as `(value, size)` pairs.
-    pub fn chain_of(&self, v: VertexId) -> Vec<(f64, usize)> {
-        self.0.chain_of(v)
-    }
-
-    /// The min vertex of each indexed community, for diagnostics.
-    pub fn min_vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.0.extreme_vertices()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{max_topr, min_topr};
+    use crate::algo::oracle::{max_topr, min_topr};
     use crate::figure1::figure1;
     use ic_graph::graph_from_edges;
 
     #[test]
     fn index_topr_matches_online_min_on_figure1() {
         let wg = figure1();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         for r in [1usize, 2, 3, 5, 10] {
             let from_index = idx.topr(&wg, r).unwrap();
-            let online = min_topr(&wg, 2, r).unwrap();
-            assert_eq!(from_index, online, "r = {r}");
+            let from_scratch = min_topr(&wg, 2, r).unwrap();
+            assert_eq!(from_index, from_scratch, "r = {r}");
         }
     }
 
@@ -993,7 +869,8 @@ mod tests {
     #[test]
     fn both_directions_match_the_peel_under_value_ties() {
         // Two equal-weight triangles: events tie on value, so the rank
-        // order's sequence tie-break must match the peel's exactly.
+        // order's sequence tie-break must match the from-scratch oracle's
+        // exactly.
         let g = graph_from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let wg = ic_graph::WeightedGraph::new(g, vec![3.0; 6]).unwrap();
         for r in [1usize, 2, 5] {
@@ -1165,7 +1042,7 @@ mod tests {
         // K4 with distinct weights has exactly 2 maximal min communities.
         let g = graph_from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
         let wg = ic_graph::WeightedGraph::new(g, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         assert_eq!(idx.len(), 2);
         assert_eq!(idx.k(), 2);
     }
@@ -1174,7 +1051,7 @@ mod tests {
     fn minimal_community_and_chain() {
         let g = graph_from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
         let wg = ic_graph::WeightedGraph::new(g, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         // Vertex 3 (weight 4) lives innermost in {1,2,3}, then {0,1,2,3}.
         let minimal = idx.minimal_community_of(&wg, 3).unwrap();
         assert_eq!(minimal.vertices, vec![1, 2, 3]);
@@ -1191,7 +1068,7 @@ mod tests {
     fn vertices_outside_core_have_no_community() {
         let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
         let wg = ic_graph::WeightedGraph::new(g, vec![1.0; 4]).unwrap();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         assert!(idx.minimal_community_of(&wg, 3).is_none());
         assert!(idx.chain_of(3).is_empty());
     }
@@ -1200,7 +1077,7 @@ mod tests {
     fn empty_core_gives_empty_index() {
         let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
         let wg = ic_graph::WeightedGraph::new(g, vec![1.0; 3]).unwrap();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         assert!(idx.is_empty());
         assert!(idx.topr(&wg, 3).unwrap().is_empty());
     }
@@ -1208,7 +1085,7 @@ mod tests {
     #[test]
     fn chains_are_properly_nested() {
         let wg = figure1();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         for v in 0..11u32 {
             let chain = idx.chain_of(v);
             // Sizes strictly increase, values non-increase along the chain.
@@ -1231,9 +1108,9 @@ mod tests {
     #[test]
     fn batches_partition_the_core() {
         let wg = figure1();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         let mut seen = std::collections::HashSet::new();
-        for v in &idx.0.batch_vertices {
+        for v in &idx.batch_vertices {
             assert!(seen.insert(*v), "vertex {v} in two batches");
         }
         assert_eq!(seen.len(), 11); // figure 1's 2-core is the whole graph
@@ -1242,7 +1119,7 @@ mod tests {
     #[test]
     fn rejects_r_zero() {
         let wg = figure1();
-        let idx = MinCommunityIndex::build(&wg, 2);
+        let idx = ExtremumIndex::build(&wg, 2, Extremum::Min);
         assert!(idx.topr(&wg, 0).is_err());
     }
 }

@@ -49,9 +49,20 @@ pub fn local_search(
     config: &LocalSearchConfig,
     aggregation: Aggregation,
 ) -> Result<Vec<Community>, SearchError> {
+    local_search_in(wg, &kcore_mask(wg.graph(), config.k), config, aggregation)
+}
+
+/// [`local_search`] over a k-core mask the caller already has (`core` must
+/// be the maximal `config.k`-core of `wg`): the body `Query::solve_on`
+/// shares with the per-graph form, fed from the snapshot's memoized level.
+pub(crate) fn local_search_in(
+    wg: &WeightedGraph,
+    core: &BitSet,
+    config: &LocalSearchConfig,
+    aggregation: Aggregation,
+) -> Result<Vec<Community>, SearchError> {
     validate_params(config)?;
     let g = wg.graph();
-    let core = kcore_mask(g, config.k);
     let mut list = TopList::new(config.r);
     let mut scratch = LocalScratch::new(g.num_vertices());
 
@@ -59,7 +70,7 @@ pub fn local_search(
         run_seed(
             wg,
             g,
-            &core,
+            core,
             seed as VertexId,
             config,
             aggregation,
@@ -128,7 +139,7 @@ fn heavier_first(wg: &WeightedGraph, a: &VertexId, b: &VertexId) -> std::cmp::Or
         .then_with(|| a.cmp(b))
 }
 
-pub(crate) fn validate_params(config: &LocalSearchConfig) -> Result<(), SearchError> {
+fn validate_params(config: &LocalSearchConfig) -> Result<(), SearchError> {
     validate_k_r(config.r)?;
     if config.s <= config.k {
         return Err(SearchError::InvalidParams(format!(
@@ -154,9 +165,9 @@ pub struct SeedTarget<'a> {
 /// qualifying candidate into `list`.
 ///
 /// This is the seed-level building block behind [`local_search`]; it is
-/// public so multi-threaded drivers (`par_local_search`, the batched
-/// engine) can distribute seeds across workers while sharing pruning
-/// state through `list`'s threshold/floor. `core` must be the maximal
+/// public so a multi-threaded driver (the batched engine) can distribute
+/// seeds across workers while sharing pruning state through `list`'s
+/// threshold/floor. `core` must be the maximal
 /// k-core mask of `wg` for `config.k`, and `scratch` a
 /// [`LocalScratch`] sized to the graph. Calling this for every vertex of
 /// `core` in ascending order against one list reproduces `local_search`
@@ -538,7 +549,7 @@ impl LocalScratch {
 
 /// Stamped-array scratch for "is this vertex list a connected k-core?"
 /// checks in `O(Σ_{v ∈ C} d(v))` without allocation per call. Used by the
-/// refinement pass; the local-search strategies themselves use the
+/// exhaustive enumeration; the local-search strategies themselves use the
 /// incremental [`LocalScratch`] tracker instead.
 pub(crate) struct SubsetChecker {
     stamp: Vec<u32>,
@@ -953,8 +964,6 @@ mod tests {
                         let got = local_search(&wg, &config, agg).unwrap();
                         let (_, expect) = reference::local_search(&wg, &config, agg);
                         prop_assert_eq!(&got, &expect, "{} s={} greedy={}", agg.name(), s, greedy);
-                        let par = crate::algo::par_local_search(&wg, &config, agg, 1).unwrap();
-                        prop_assert_eq!(&par, &got, "par(1) {} s={} greedy={}", agg.name(), s, greedy);
                     }
                 }
             }

@@ -1,6 +1,5 @@
-//! Baselines for the node-domination aggregations: top-r search under
-//! `min` (prior work: Li et al. VLDB'15, Bi et al. VLDB'18) and its mirror
-//! image `max`.
+//! The node-domination aggregations: top-r search under `min` (prior
+//! work: Li et al. VLDB'15, Bi et al. VLDB'18) and its mirror image `max`.
 //!
 //! Under `min`, the k-influential communities are exactly the connected
 //! components of the k-core of `G≥θ` (the graph restricted to weights
@@ -8,141 +7,218 @@
 //! member weight. Peeling the global minimum-weight vertex (with degree
 //! cascade) from the maximal k-core enumerates every such community right
 //! before its minimum vertex disappears. `max` is symmetric (peel from
-//! above). Two passes: the first records the peel timeline, the second
-//! replays it and snapshots only the top-r communities — O(n+m + r·(n+m)).
+//! above).
 //!
-//! Both passes run on a single [`PeelArena`]: the k-core is loaded once
-//! per pass and every deletion is an O(affected) committed cascade — no
-//! per-event mask clones, no `HashSet` on the replay path (events are
-//! marked in a flat bitmap), and component snapshots go through the
-//! arena's reusable BFS buffer.
+//! There is one peel: [`peel_timeline`] runs a single stamped pass on a
+//! [`PeelArena`] — the k-core is loaded once and every deletion is an
+//! O(affected) committed cascade — and records which event removed each
+//! vertex. The community an event witnesses is then the connected
+//! component of its vertex among vertices removed at or after it, so the
+//! batch answer ([`peel_topr_on`]), the progressive emission
+//! ([`MinMaxEmission`]) and the community forest
+//! ([`ExtremumIndex`](crate::algo::ExtremumIndex)) all read the same
+//! timeline and no pass is ever replayed.
 
 use crate::algo::common::{community_from_vertices, validate_k_r};
 use crate::{Aggregation, Community, Extremum, SearchError};
 use ic_graph::{BitSet, VertexId, WeightedGraph};
 use ic_kcore::{kcore_mask, Budget, GraphSnapshot, PeelArena};
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Top-r k-influential communities under `f = min`, best first.
-pub(crate) fn min_topr(
+/// "No event" in the flat `u32` id arrays: the stamp of a vertex outside
+/// the peeled set.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// The peel order: ascending weight for `min`, descending for `max`;
+/// vertex id breaks ties, so the event sequence — and with it every
+/// tie-break downstream — is a function of the graph alone.
+pub(crate) fn peel_cmp(wg: &WeightedGraph, dir: Extremum, a: VertexId, b: VertexId) -> Ordering {
+    let (wa, wb) = (wg.weight(a), wg.weight(b));
+    let by_weight = match dir {
+        Extremum::Min => wa.total_cmp(&wb),
+        Extremum::Max => wb.total_cmp(&wa),
+    };
+    by_weight.then_with(|| a.cmp(&b))
+}
+
+/// The event ranking: value descending, event sequence ascending. The
+/// top-r events for any `r` are a prefix of it.
+pub(crate) fn rank_cmp(values: &[f64], a: u32, b: u32) -> Ordering {
+    values[b as usize]
+        .total_cmp(&values[a as usize])
+        .then_with(|| a.cmp(&b))
+}
+
+/// What one stamped peel pass records. Events are numbered in peel order.
+pub(crate) struct PeelTimeline {
+    /// Per vertex: the event whose cascade removed it ([`NONE`] outside
+    /// the peeled set).
+    pub stamp: Vec<u32>,
+    /// Per event: its value, the weight of its extreme vertex.
+    pub values: Vec<f64>,
+    /// `batch_offsets[e]..batch_offsets[e + 1]` indexes `batch_vertices`.
+    pub batch_offsets: Vec<u32>,
+    /// Concatenated removal batches in cascade order: an event's extreme
+    /// vertex, then its cascade victims. The batches partition the
+    /// peeled set.
+    pub batch_vertices: Vec<VertexId>,
+    /// Every event, sorted by [`rank_cmp`].
+    pub ranked: Vec<u32>,
+}
+
+/// The min/max peel: sorts `members` (a k-core of `wg`, or a union of
+/// whole components of one) into peel order and removes each still-live
+/// vertex in turn with its degree cascade.
+///
+/// With a `budget` the pass runs under a cooperative deadline: it
+/// checkpoints between events (and the cascade itself keeps the shared
+/// flag fresh). The event ranking is only proven by the *full* peel, so
+/// an expired pass certifies nothing and returns `None`; without a
+/// budget the result is always `Some`.
+pub(crate) fn peel_timeline(
     wg: &WeightedGraph,
     k: usize,
-    r: usize,
-) -> Result<Vec<Community>, SearchError> {
-    peel_topr(wg, k, r, Extremum::Min)
-}
-
-/// Top-r k-influential communities under `f = max`, best first.
-pub(crate) fn max_topr(
-    wg: &WeightedGraph,
-    k: usize,
-    r: usize,
-) -> Result<Vec<Community>, SearchError> {
-    peel_topr(wg, k, r, Extremum::Max)
-}
-
-/// `min`-peeling against a [`GraphSnapshot`]: the k-core mask comes from
-/// the snapshot's memoized level and the peel runs on the caller's
-/// (typically pooled) arena. Output is bit-identical to the routed
-/// per-graph peel (`Query::solve`).
-pub fn min_topr_on(
-    snap: &GraphSnapshot,
-    k: usize,
-    r: usize,
+    dir: Extremum,
+    mut members: Vec<VertexId>,
     arena: &mut PeelArena,
-) -> Result<Vec<Community>, SearchError> {
-    Ok(min_topr_multi_on(snap, k, &[r], arena)?
-        .pop()
-        .expect("one r"))
+    budget: Option<&Arc<Budget>>,
+) -> Option<PeelTimeline> {
+    let g = wg.graph();
+    members.sort_unstable_by(|&a, &b| peel_cmp(wg, dir, a, b));
+
+    let mut stamp = vec![NONE; g.num_vertices()];
+    let mut values: Vec<f64> = Vec::new();
+    let mut batch_offsets: Vec<u32> = vec![0];
+    let mut batch_vertices: Vec<VertexId> = Vec::with_capacity(members.len());
+    arena.set_budget(budget.cloned());
+    arena.load(g, &members, k);
+    for &v in &members {
+        if budget.is_some_and(|b| b.poll()) {
+            arena.set_budget(None);
+            return None;
+        }
+        // Each visit of a still-live vertex is one event; the community
+        // it witnesses is its component right before the removal.
+        if arena.is_live(v) {
+            let event = values.len() as u32;
+            arena.remove_cascade(v);
+            for u in arena.journaled() {
+                stamp[u as usize] = event;
+                batch_vertices.push(u);
+            }
+            arena.commit();
+            values.push(wg.weight(v));
+            batch_offsets.push(batch_vertices.len() as u32);
+        }
+    }
+    arena.set_budget(None);
+
+    let mut ranked: Vec<u32> = (0..values.len() as u32).collect();
+    ranked.sort_unstable_by(|&a, &b| rank_cmp(&values, a, b));
+    Some(PeelTimeline {
+        stamp,
+        values,
+        batch_offsets,
+        batch_vertices,
+        ranked,
+    })
 }
 
-/// `max`-peeling against a [`GraphSnapshot`]; see [`min_topr_on`].
-pub fn max_topr_on(
-    snap: &GraphSnapshot,
-    k: usize,
-    r: usize,
-    arena: &mut PeelArena,
-) -> Result<Vec<Community>, SearchError> {
-    Ok(max_topr_multi_on(snap, k, &[r], arena)?
-        .pop()
-        .expect("one r"))
-}
-
-/// Answers several top-r `min` queries over the same `k` with **one**
-/// two-pass peel: the timeline (pass 1) and the component snapshots
-/// (pass 2) are shared across every requested `r`, and only the
-/// per-`r` event selection differs. Entry `i` of the result is
-/// bit-identical to `min_topr(wg, k, rs[i])`. This is the batched
-/// engine's r-family merge: `t` queries cost one peel instead of `t`.
-pub fn min_topr_multi_on(
+/// Top-r k-influential communities under `min` or `max` for every `r` in
+/// `rs` at once, best first: entry `i` answers `rs[i]`. The k-core mask
+/// comes from the snapshot's memoized level, the peel runs once on the
+/// caller's (typically pooled) arena, and only the per-`r` event
+/// selection differs — `t` queries of one `(k, direction)` family cost
+/// one peel instead of `t` (the batched engine's r-family merge). Each
+/// entry is bit-identical to `Query::solve` with that `r`.
+pub fn peel_topr_on(
     snap: &GraphSnapshot,
     k: usize,
     rs: &[usize],
+    dir: Extremum,
     arena: &mut PeelArena,
 ) -> Result<Vec<Vec<Community>>, SearchError> {
     for &r in rs {
         validate_k_r(r)?;
     }
     let level = snap.level(k);
-    Ok(peel_topr_multi(
+    Ok(peel_topr_in(
         snap.weighted(),
         &level.mask,
         k,
         rs,
-        Extremum::Min,
+        dir,
         arena,
     ))
 }
 
-/// The `max` counterpart of [`min_topr_multi_on`].
-pub fn max_topr_multi_on(
-    snap: &GraphSnapshot,
+/// The per-graph form behind `Query::solve` and the TONIC greedy peel:
+/// fresh k-core extraction and a fresh arena per call.
+pub(crate) fn peel_topr(
+    wg: &WeightedGraph,
+    k: usize,
+    r: usize,
+    dir: Extremum,
+) -> Result<Vec<Community>, SearchError> {
+    validate_k_r(r)?;
+    let g = wg.graph();
+    let core = kcore_mask(g, k);
+    let mut arena = PeelArena::for_graph(g);
+    Ok(peel_topr_in(wg, &core, k, &[r], dir, &mut arena)
+        .pop()
+        .expect("one r in, one list out"))
+}
+
+/// One peel serving every requested `r`: the `r_max` best events are
+/// materialized once, and each `r` takes its prefix of the event ranking
+/// (slicing the *sorted* result list instead would break value ties
+/// differently from a single-`r` run).
+fn peel_topr_in(
+    wg: &WeightedGraph,
+    core: &BitSet,
     k: usize,
     rs: &[usize],
+    dir: Extremum,
     arena: &mut PeelArena,
-) -> Result<Vec<Vec<Community>>, SearchError> {
-    for &r in rs {
-        validate_k_r(r)?;
-    }
-    let level = snap.level(k);
-    Ok(peel_topr_multi(
-        snap.weighted(),
-        &level.mask,
-        k,
-        rs,
-        Extremum::Max,
-        arena,
-    ))
+) -> Vec<Vec<Community>> {
+    let r_max = rs.iter().copied().max().unwrap_or(0);
+    let mut em = MinMaxEmission::peel(wg, core, k, r_max, dir, arena, None)
+        .expect("an unbudgeted peel always completes");
+    let by_event_rank: Vec<Community> = (0..em.len()).map(|i| em.materialize(wg, i)).collect();
+    rs.iter()
+        .map(|&r| {
+            let mut top = by_event_rank[..r.min(by_event_rank.len())].to_vec();
+            top.sort_by(|a, b| a.ranking_cmp(b));
+            top
+        })
+        .collect()
 }
 
 /// Progressive, rank-order emission for the `min`/`max` peels — the
 /// incremental hook behind `ic_engine::Engine::submit`.
 ///
-/// [`MinMaxEmission::start`] runs **one** stamped peel pass: every
-/// removal event records its value, and every vertex records *which
-/// event* removed it
-/// ([`PeelArena::journaled`]). The community witnessed by event `s` is
-/// then reconstructible at any time, in any order, as the connected
-/// component of the event vertex among vertices with removal stamp
-/// ≥ `s` — no replay pass. Events are ranked `(value desc, seq asc)`
-/// exactly like the batch solver, and
-/// [`next_community`](MinMaxEmission::next_community) materializes
-/// them lazily, one BFS
-/// per pull (tie groups materialize together so the emitted order is
-/// the batch solver's final `ranking_cmp` order).
+/// [`MinMaxEmission::start`] runs the one stamped peel pass and keeps its
+/// per-vertex stamps and the `r` best events. The community witnessed by
+/// event `e` is reconstructible at any time, in any order, as the
+/// connected component of the event vertex among vertices with removal
+/// stamp ≥ `e` — no replay pass.
+/// [`next_community`](MinMaxEmission::next_community) materializes them
+/// lazily, one BFS per pull (tie groups materialize together so the
+/// emitted order is the batch solver's final `ranking_cmp` order).
 ///
 /// **Prefix guarantee:** the first `n` communities pulled equal the
-/// first `n` entries of the batch peel solvers with the same `(k,
-/// r)`, bit for bit. Dropping the emitter simply skips the remaining
-/// BFS work (cancellation is free).
+/// first `n` entries of [`peel_topr_on`] with the same `(k, r)`, bit for
+/// bit. Dropping the emitter simply skips the remaining BFS work
+/// (cancellation is free).
 #[derive(Clone, Debug)]
 pub struct MinMaxEmission {
     aggregation: Aggregation,
     /// `removal_stamp[v]` = index of the event whose cascade removed
-    /// `v`; `u32::MAX` for vertices outside the maximal k-core.
+    /// `v`; [`NONE`] for vertices outside the maximal k-core.
     removal_stamp: Vec<u32>,
-    /// Selected events in emission (rank) order: `(seq, vertex, value)`.
+    /// Selected events in emission (rank) order: `(event, vertex, value)`.
     ranked: Vec<(u32, VertexId, f64)>,
     cursor: usize,
     /// Materialized tie group awaiting emission.
@@ -157,11 +233,8 @@ impl MinMaxEmission {
     /// peel pass over the snapshot's `k`-core on the caller's arena, then
     /// lazy materialization. The arena is only used inside this call.
     ///
-    /// With a `budget`, the pass runs under a cooperative deadline: it
-    /// checkpoints between removal events (and the cascade itself keeps
-    /// the shared flag fresh). Returns `Ok(None)` when the budget expires
-    /// before the pass completes — the event ranking is only proven by
-    /// the *full* peel, so an interrupted pass certifies nothing and the
+    /// Returns `Ok(None)` when `budget` expires before the pass completes
+    /// — the event ranking is only proven by the *full* peel — and the
     /// caller must report `DeadlineExceeded` rather than a partial
     /// answer. Without a budget the result is always `Some`.
     pub fn start(
@@ -173,65 +246,46 @@ impl MinMaxEmission {
         budget: Option<&Arc<Budget>>,
     ) -> Result<Option<Self>, SearchError> {
         validate_k_r(r)?;
-        let wg = snap.weighted();
-        let g = wg.graph();
         let level = snap.level(k);
+        Ok(Self::peel(
+            snap.weighted(),
+            &level.mask,
+            k,
+            r,
+            dir,
+            arena,
+            budget,
+        ))
+    }
 
-        let mut order: Vec<u32> = level.mask.iter().map(|v| v as u32).collect();
-        sort_peel_order(&mut order, wg, dir);
-
-        // Stamped pass 1: identical event sequence to `peel_topr_multi`,
-        // but each event also stamps the vertices its cascade removed.
-        // Under a budget the cascade keeps the shared expiry flag fresh
-        // and each event boundary checkpoints it; an expired pass proves
-        // no ranking, so it is abandoned wholesale.
-        let mut removal_stamp = vec![u32::MAX; g.num_vertices()];
-        let mut events: Vec<(VertexId, f64)> = Vec::with_capacity(order.len());
-        arena.set_budget(budget.cloned());
-        arena.load(g, &order, k);
-        for &v in &order {
-            if let Some(b) = budget {
-                if b.poll() {
-                    arena.set_budget(None);
-                    return Ok(None);
-                }
-            }
-            if arena.is_live(v) {
-                let seq = events.len() as u32;
-                arena.remove_cascade(v);
-                for u in arena.journaled() {
-                    removal_stamp[u as usize] = seq;
-                }
-                arena.commit();
-                events.push((v, wg.weight(v)));
-            }
-        }
-        arena.set_budget(None);
-
-        // Rank events (value desc, seq asc) and keep the top r — the
-        // same selection rule as the batch path.
-        let mut ranked_seqs: Vec<u32> = (0..events.len() as u32).collect();
-        ranked_seqs.sort_by(|&a, &b| {
-            events[b as usize]
-                .1
-                .total_cmp(&events[a as usize].1)
-                .then_with(|| a.cmp(&b))
-        });
-        ranked_seqs.truncate(r);
-        let ranked = ranked_seqs
-            .into_iter()
-            .map(|s| (s, events[s as usize].0, events[s as usize].1))
+    fn peel(
+        wg: &WeightedGraph,
+        core: &BitSet,
+        k: usize,
+        r: usize,
+        dir: Extremum,
+        arena: &mut PeelArena,
+        budget: Option<&Arc<Budget>>,
+    ) -> Option<Self> {
+        let timeline = peel_timeline(wg, k, dir, core.to_vec(), arena, budget)?;
+        let ranked = timeline
+            .ranked
+            .iter()
+            .take(r)
+            .map(|&e| {
+                let vertex = timeline.batch_vertices[timeline.batch_offsets[e as usize] as usize];
+                (e, vertex, timeline.values[e as usize])
+            })
             .collect();
-
-        Ok(Some(MinMaxEmission {
+        Some(MinMaxEmission {
             aggregation: dir.aggregation(),
-            removal_stamp,
+            visited: vec![false; timeline.stamp.len()],
+            removal_stamp: timeline.stamp,
             ranked,
             cursor: 0,
             pending: VecDeque::new(),
-            visited: vec![false; g.num_vertices()],
             queue: Vec::new(),
-        }))
+        })
     }
 
     /// Total communities this emission will yield (`min(r, #events)`).
@@ -247,7 +301,7 @@ impl MinMaxEmission {
     /// Materializes the community of the ranked event at `i` with one
     /// BFS over still-live-at-that-event vertices.
     fn materialize(&mut self, wg: &WeightedGraph, i: usize) -> Community {
-        let (seq, start, _) = self.ranked[i];
+        let (event, start, _) = self.ranked[i];
         let g = wg.graph();
         self.queue.clear();
         self.queue.push(start);
@@ -259,7 +313,7 @@ impl MinMaxEmission {
             for &u in g.neighbors(x) {
                 let ui = u as usize;
                 let stamp = self.removal_stamp[ui];
-                if stamp != u32::MAX && stamp >= seq && !self.visited[ui] {
+                if stamp != NONE && stamp >= event && !self.visited[ui] {
                     self.visited[ui] = true;
                     self.queue.push(u);
                 }
@@ -302,118 +356,26 @@ impl MinMaxEmission {
     }
 }
 
-fn sort_peel_order(order: &mut [u32], wg: &WeightedGraph, dir: Extremum) {
-    order.sort_unstable_by(|&a, &b| {
-        let (wa, wb) = (wg.weight(a), wg.weight(b));
-        let c = match dir {
-            Extremum::Min => wa.total_cmp(&wb),
-            Extremum::Max => wb.total_cmp(&wa),
-        };
-        c.then_with(|| a.cmp(&b))
-    });
-}
-
-fn peel_topr(
-    wg: &WeightedGraph,
-    k: usize,
-    r: usize,
-    dir: Extremum,
-) -> Result<Vec<Community>, SearchError> {
-    validate_k_r(r)?;
-    let g = wg.graph();
-    let core = kcore_mask(g, k);
-    let mut arena = PeelArena::for_graph(g);
-    Ok(peel_topr_multi(wg, &core, k, &[r], dir, &mut arena)
-        .pop()
-        .expect("one r in, one list out"))
-}
-
-/// Shared implementation: one timeline + one replay serving every
-/// requested `r`. Entry `i` of the result answers `rs[i]`.
-fn peel_topr_multi(
-    wg: &WeightedGraph,
-    core: &BitSet,
-    k: usize,
-    rs: &[usize],
-    dir: Extremum,
-    arena: &mut PeelArena,
-) -> Vec<Vec<Community>> {
-    let g = wg.graph();
-    let r_max = rs.iter().copied().max().unwrap_or(0);
-
-    // Peel order: ascending weight for min, descending for max; vertex id
-    // breaks ties deterministically. Shared with the progressive
-    // emission path so the two can never drift apart.
-    let mut order: Vec<u32> = core.iter().map(|v| v as u32).collect();
-    sort_peel_order(&mut order, wg, dir);
-
-    // Pass 1: record the value of every extreme-vertex removal event.
-    // Each visit of a still-live vertex is one event; the community it
-    // witnesses is its component right before the removal.
-    let mut event_values: Vec<f64> = Vec::with_capacity(order.len());
-    arena.load(g, &order, k);
-    for &v in &order {
-        if arena.is_live(v) {
-            event_values.push(wg.weight(v));
-            arena.remove_cascade(v);
-            arena.commit();
-        }
-    }
-
-    // Rank events by value (sequence number for determinism). The top-r
-    // events for any r are a prefix of this ranking, so one replay
-    // snapshotting the r_max best serves every requested r.
-    let mut ranked: Vec<usize> = (0..event_values.len()).collect();
-    ranked.sort_by(|&a, &b| {
-        event_values[b]
-            .total_cmp(&event_values[a])
-            .then_with(|| a.cmp(&b))
-    });
-    ranked.truncate(r_max);
-    const UNSELECTED: usize = usize::MAX;
-    let mut rank_of_seq = vec![UNSELECTED; event_values.len()];
-    for (pos, &s) in ranked.iter().enumerate() {
-        rank_of_seq[s] = pos;
-    }
-
-    // Pass 2: replay, snapshotting the component of each selected event
-    // through the arena's reusable BFS buffer, indexed by event rank.
-    let agg = dir.aggregation();
-    let mut snapshots: Vec<Option<Community>> = vec![None; ranked.len()];
-    let mut snapshot: Vec<u32> = Vec::new();
-    let mut seq = 0usize;
-    arena.load(g, &order, k);
-    for &v in &order {
-        if !arena.is_live(v) {
-            continue;
-        }
-        if rank_of_seq[seq] != UNSELECTED {
-            arena.component_of_into(v, &mut snapshot);
-            snapshots[rank_of_seq[seq]] = Some(community_from_vertices(wg, agg, snapshot.clone()));
-        }
-        seq += 1;
-        arena.remove_cascade(v);
-        arena.commit();
-    }
-
-    rs.iter()
-        .map(|&r| {
-            let mut results: Vec<Community> = snapshots[..r.min(snapshots.len())]
-                .iter()
-                .map(|c| c.clone().expect("every ranked event was replayed"))
-                .collect();
-            results.sort_by(|a, b| a.ranking_cmp(b));
-            results
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::exact_topr;
+    use crate::algo::{exact_topr, oracle};
     use crate::figure1::{figure1, vs};
     use ic_graph::{graph_from_edges, WeightedGraph};
+
+    type Solved = Result<Vec<Community>, SearchError>;
+
+    fn min_topr(wg: &WeightedGraph, k: usize, r: usize) -> Solved {
+        peel_topr(wg, k, r, Extremum::Min)
+    }
+
+    fn max_topr(wg: &WeightedGraph, k: usize, r: usize) -> Solved {
+        peel_topr(wg, k, r, Extremum::Max)
+    }
+
+    fn drained(mut em: MinMaxEmission, wg: &WeightedGraph) -> Vec<Community> {
+        std::iter::from_fn(|| em.next_community(wg)).collect()
+    }
 
     fn unbudgeted(
         snap: &GraphSnapshot,
@@ -464,12 +426,12 @@ mod tests {
         for r in [1, 2, 4, 7] {
             assert_eq!(
                 min_topr(&wg, 2, r).unwrap(),
-                crate::algo::oracle::min_topr(&wg, 2, r).unwrap(),
+                oracle::min_topr(&wg, 2, r).unwrap(),
                 "min r = {r}"
             );
             assert_eq!(
                 max_topr(&wg, 2, r).unwrap(),
-                crate::algo::oracle::max_topr(&wg, 2, r).unwrap(),
+                oracle::max_topr(&wg, 2, r).unwrap(),
                 "max r = {r}"
             );
         }
@@ -515,67 +477,67 @@ mod tests {
 
     #[test]
     fn snapshot_and_multi_r_paths_are_bit_identical() {
-        use ic_kcore::GraphSnapshot;
         let wg = figure1();
         let snap = GraphSnapshot::new(wg.clone());
-        let mut arena = ic_kcore::PeelArena::for_graph(snap.graph());
+        let mut arena = PeelArena::for_graph(snap.graph());
         let rs = [1usize, 2, 4, 7];
-        let min_multi = min_topr_multi_on(&snap, 2, &rs, &mut arena).unwrap();
-        let max_multi = max_topr_multi_on(&snap, 2, &rs, &mut arena).unwrap();
+        let min_multi = peel_topr_on(&snap, 2, &rs, Extremum::Min, &mut arena).unwrap();
+        let max_multi = peel_topr_on(&snap, 2, &rs, Extremum::Max, &mut arena).unwrap();
         for (i, &r) in rs.iter().enumerate() {
-            assert_eq!(min_multi[i], min_topr(&wg, 2, r).unwrap(), "min r={r}");
-            assert_eq!(max_multi[i], max_topr(&wg, 2, r).unwrap(), "max r={r}");
-            assert_eq!(
-                min_topr_on(&snap, 2, r, &mut arena).unwrap(),
-                min_multi[i],
-                "min_topr_on r={r}"
+            let (min_ora, max_ora) = (
+                oracle::min_topr(&wg, 2, r).unwrap(),
+                oracle::max_topr(&wg, 2, r).unwrap(),
             );
-            assert_eq!(
-                max_topr_on(&snap, 2, r, &mut arena).unwrap(),
-                max_multi[i],
-                "max_topr_on r={r}"
-            );
+            assert_eq!(min_multi[i], min_ora, "min r={r}");
+            assert_eq!(max_multi[i], max_ora, "max r={r}");
+            let min_solo = peel_topr_on(&snap, 2, &[r], Extremum::Min, &mut arena).unwrap();
+            assert_eq!(min_solo, [min_ora], "min solo r={r}");
+            let max_solo = peel_topr_on(&snap, 2, &[r], Extremum::Max, &mut arena).unwrap();
+            assert_eq!(max_solo, [max_ora], "max solo r={r}");
         }
+    }
+
+    /// Two triangles with identical weights: events tie on value.
+    fn tied_triangles() -> WeightedGraph {
+        let g = graph_from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        WeightedGraph::new(g, vec![3.0; 6]).unwrap()
     }
 
     #[test]
     fn multi_r_handles_ties_exactly_like_single_r() {
-        // Two triangles with identical weights: events tie on value, so
-        // per-r selection must break ties by sequence exactly as the
-        // single-r path does (prefix slicing of the sorted result list
-        // would get this wrong).
-        let g = graph_from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
-        let wg = WeightedGraph::new(g, vec![3.0; 6]).unwrap();
-        let snap = ic_kcore::GraphSnapshot::new(wg.clone());
-        let mut arena = ic_kcore::PeelArena::for_graph(snap.graph());
-        let multi = min_topr_multi_on(&snap, 2, &[1, 2, 5], &mut arena).unwrap();
+        // Per-r selection must break value ties by event sequence exactly
+        // as a single-r run does (prefix slicing of the sorted result
+        // list would get this wrong).
+        let wg = tied_triangles();
+        let snap = GraphSnapshot::new(wg.clone());
+        let mut arena = PeelArena::for_graph(snap.graph());
+        let multi = peel_topr_on(&snap, 2, &[1, 2, 5], Extremum::Min, &mut arena).unwrap();
         for (i, &r) in [1usize, 2, 5].iter().enumerate() {
-            assert_eq!(multi[i], min_topr(&wg, 2, r).unwrap(), "r={r}");
+            assert_eq!(multi[i], oracle::min_topr(&wg, 2, r).unwrap(), "r={r}");
         }
     }
 
     #[test]
     fn emission_prefix_equals_batch_for_every_r() {
-        use ic_kcore::GraphSnapshot;
         let wg = figure1();
         let snap = GraphSnapshot::new(wg.clone());
         let mut arena = PeelArena::for_graph(snap.graph());
         for r in [1usize, 2, 4, 7, 100] {
-            let mut min_em = unbudgeted(&snap, 2, r, Extremum::Min, &mut arena);
-            let mut got = Vec::new();
-            while let Some(c) = min_em.next_community(&wg) {
-                got.push(c);
-            }
-            assert_eq!(got, min_topr(&wg, 2, r).unwrap(), "min full drain r={r}");
-            let mut max_em = unbudgeted(&snap, 2, r, Extremum::Max, &mut arena);
-            let mut got = Vec::new();
-            while let Some(c) = max_em.next_community(&wg) {
-                got.push(c);
-            }
-            assert_eq!(got, max_topr(&wg, 2, r).unwrap(), "max full drain r={r}");
+            let min_em = unbudgeted(&snap, 2, r, Extremum::Min, &mut arena);
+            assert_eq!(
+                drained(min_em, &wg),
+                oracle::min_topr(&wg, 2, r).unwrap(),
+                "min full drain r={r}"
+            );
+            let max_em = unbudgeted(&snap, 2, r, Extremum::Max, &mut arena);
+            assert_eq!(
+                drained(max_em, &wg),
+                oracle::max_topr(&wg, 2, r).unwrap(),
+                "max full drain r={r}"
+            );
         }
         // Genuine prefix semantics: pull n < r items and stop.
-        let full = min_topr(&wg, 2, 7).unwrap();
+        let full = oracle::min_topr(&wg, 2, 7).unwrap();
         for n in 0..full.len() {
             let mut em = unbudgeted(&snap, 2, 7, Extremum::Min, &mut arena);
             let mut prefix = Vec::new();
@@ -588,20 +550,18 @@ mod tests {
 
     #[test]
     fn emission_handles_value_ties_like_the_batch_solver() {
-        // Two equal-weight triangles force tied event values: the
-        // emitter must materialize the tie group together and sort it by
-        // ranking_cmp, exactly like the batch path's final sort.
-        let g = graph_from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
-        let wg = WeightedGraph::new(g, vec![3.0; 6]).unwrap();
-        let snap = ic_kcore::GraphSnapshot::new(wg.clone());
+        // The emitter must materialize the tie group together and sort it
+        // by ranking_cmp, exactly like the batch path's final sort.
+        let wg = tied_triangles();
+        let snap = GraphSnapshot::new(wg.clone());
         let mut arena = PeelArena::for_graph(snap.graph());
         for r in [1usize, 2, 5] {
-            let mut em = unbudgeted(&snap, 2, r, Extremum::Min, &mut arena);
-            let mut got = Vec::new();
-            while let Some(c) = em.next_community(&wg) {
-                got.push(c);
-            }
-            assert_eq!(got, min_topr(&wg, 2, r).unwrap(), "tie graph r={r}");
+            let em = unbudgeted(&snap, 2, r, Extremum::Min, &mut arena);
+            assert_eq!(
+                drained(em, &wg),
+                oracle::min_topr(&wg, 2, r).unwrap(),
+                "tie graph r={r}"
+            );
         }
     }
 
@@ -613,14 +573,10 @@ mod tests {
         let mut arena = PeelArena::for_graph(snap.graph());
         // A generous budget behaves exactly like the unbudgeted start.
         let generous = Arc::new(Budget::within(Duration::from_secs(3600)));
-        let mut em = MinMaxEmission::start(&snap, 2, 7, Extremum::Min, &mut arena, Some(&generous))
+        let em = MinMaxEmission::start(&snap, 2, 7, Extremum::Min, &mut arena, Some(&generous))
             .unwrap()
             .expect("generous budget completes the peel");
-        let mut got = Vec::new();
-        while let Some(c) = em.next_community(&wg) {
-            got.push(c);
-        }
-        assert_eq!(got, min_topr(&wg, 2, 7).unwrap());
+        assert_eq!(drained(em, &wg), oracle::min_topr(&wg, 2, 7).unwrap());
         // An already-expired budget abandons the pass: no partial ranking.
         let expired = Arc::new(Budget::within(Duration::from_millis(0)));
         std::thread::sleep(Duration::from_millis(2));
@@ -630,8 +586,8 @@ mod tests {
         assert!(none.is_none(), "expired start certifies nothing");
         // The arena is back to unbudgeted use afterwards.
         assert_eq!(
-            min_topr_on(&snap, 2, 3, &mut arena).unwrap(),
-            min_topr(&wg, 2, 3).unwrap()
+            peel_topr_on(&snap, 2, &[3], Extremum::Min, &mut arena).unwrap(),
+            [oracle::min_topr(&wg, 2, 3).unwrap()]
         );
     }
 
@@ -648,10 +604,8 @@ mod tests {
 
     #[test]
     fn duplicate_weights_are_handled() {
-        // Two triangles with identical weights: two distinct communities
-        // with equal values.
-        let g = graph_from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
-        let wg = WeightedGraph::new(g, vec![3.0; 6]).unwrap();
+        // Two distinct communities with equal values.
+        let wg = tied_triangles();
         let top = min_topr(&wg, 2, 5).unwrap();
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].value, 3.0);

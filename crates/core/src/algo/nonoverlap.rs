@@ -14,8 +14,8 @@
 //! applies the same greedy removal inside the local-search heuristic.
 
 use crate::algo::common::{components_as_communities, require_corollary2, validate_k_r};
-use crate::algo::{exact_topr, max_topr, min_topr};
-use crate::{Aggregation, Community, SearchError};
+use crate::algo::{exact_topr, peel_topr};
+use crate::{Aggregation, Community, Extremum, SearchError};
 use ic_graph::{induce, BitSet, WeightedGraph};
 use ic_kcore::maximal_kcore_components;
 
@@ -45,7 +45,9 @@ pub fn min_topr_nonoverlapping(
     k: usize,
     r: usize,
 ) -> Result<Vec<Community>, SearchError> {
-    greedy_peel(wg, k, r, |sub, k| min_topr(sub, k, 1).map(|mut v| v.pop()))
+    greedy_peel(wg, k, r, |sub, k| {
+        peel_topr(sub, k, 1, Extremum::Min).map(|mut v| v.pop())
+    })
 }
 
 /// Non-overlapping top-r under `max`: greedy peel.
@@ -54,7 +56,9 @@ pub fn max_topr_nonoverlapping(
     k: usize,
     r: usize,
 ) -> Result<Vec<Community>, SearchError> {
-    greedy_peel(wg, k, r, |sub, k| max_topr(sub, k, 1).map(|mut v| v.pop()))
+    greedy_peel(wg, k, r, |sub, k| {
+        peel_topr(sub, k, 1, Extremum::Max).map(|mut v| v.pop())
+    })
 }
 
 /// Non-overlapping top-r via the exhaustive oracle (tiny graphs / tests):

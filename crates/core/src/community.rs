@@ -93,21 +93,25 @@ pub struct TopList {
 }
 
 impl TopList {
-    /// Creates a list holding at most `capacity` communities.
+    /// Creates a list holding at most `capacity` communities. Nothing is
+    /// reserved up front: `capacity` is a query's `r`, which arrives off
+    /// the wire, and the list can never hold more communities than the
+    /// search finds.
     pub fn new(capacity: usize) -> Self {
         TopList {
             capacity,
-            items: Vec::with_capacity(capacity + 1),
-            signatures: Vec::with_capacity(capacity + 1),
+            items: Vec::new(),
+            signatures: Vec::new(),
             floor: f64::NEG_INFINITY,
         }
     }
 
     /// Raises the external pruning floor: [`Self::threshold`] never reports
-    /// less than `floor` afterwards. Used by the parallel driver to share
-    /// the best known global r-th value across workers — a candidate that
-    /// cannot beat another worker's r-th best cannot reach the merged
-    /// top-r either. Lowering the floor is a no-op.
+    /// less than `floor` afterwards. The engine's chunked seed walk
+    /// (parallel Algorithm 4) shares the best known r-th value across
+    /// workers this way, through one atomic ([`encode_ordered_f64`]): a
+    /// candidate that cannot beat another worker's r-th best cannot reach
+    /// the merged top-r either. Lowering the floor is a no-op.
     pub fn set_floor(&mut self, floor: f64) {
         if floor > self.floor {
             self.floor = floor;
@@ -210,9 +214,58 @@ impl TopList {
     }
 }
 
+/// Order-preserving encoding of `f64` into `u64`: `a < b` iff
+/// `encode(a) < encode(b)` (total order, `-inf` smallest), so an
+/// `AtomicU64::fetch_max` maintains the running maximum that workers feed
+/// to [`TopList::set_floor`].
+pub fn encode_ordered_f64(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1u64 << 63)
+    }
+}
+
+/// Inverse of [`encode_ordered_f64`].
+pub fn decode_ordered_f64(enc: u64) -> f64 {
+    if enc >> 63 == 1 {
+        f64::from_bits(enc & !(1u64 << 63))
+    } else {
+        f64::from_bits(!enc)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn f64_encoding_is_order_preserving() {
+        let samples = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -0.0,
+            0.0,
+            1e-300,
+            3.25,
+            1e300,
+            f64::INFINITY,
+        ];
+        for (i, &a) in samples.iter().enumerate() {
+            assert_eq!(
+                decode_ordered_f64(encode_ordered_f64(a)),
+                a,
+                "round trip {a}"
+            );
+            for &b in &samples[i + 1..] {
+                if a < b {
+                    assert!(encode_ordered_f64(a) < encode_ordered_f64(b), "{a} vs {b}");
+                }
+            }
+        }
+    }
 
     fn c(vs: &[u32], value: f64) -> Community {
         Community::new(vs.to_vec(), value)

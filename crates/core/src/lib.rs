@@ -27,10 +27,10 @@
 //! | Algorithm 2 (`TIC-IMPROVED`), ε = 0 "Improve", ε > 0 "Approx" | [`Query::solve`] → [`algo::tic_improved_on`] | removal-decreasing (+ O(1) remove delta for pruning) |
 //! | Algorithm 3 (`TIC-EXACT`) | [`algo::exact_topr`] / [`algo::exact_naive`] | any aggregation, tiny graphs |
 //! | Algorithm 4 (`LOCAL SEARCH`) with `SumStrategy`/`AvgStrategy` | [`Query::solve`] → [`algo::local_search`] | any aggregation, size-constrained |
-//! | min/max baselines (Li et al. VLDB'15 style peeling) | [`Query::solve`] → [`algo::min_topr_on`] / [`algo::max_topr_on`] | peel extremum |
+//! | min/max threshold peel (Li et al. VLDB'15 style) | [`Query::solve`] → [`algo::peel_topr_on`] | peel extremum |
 //! | Branch-and-bound exact fallback (Section VIII direction) | [`algo::bb_topr`] | superset bound |
 //! | TONIC (non-overlapping) variants | [`algo::nonoverlap`] | per solver |
-//! | Parallel local search (paper's future-work direction) | [`algo::par_local_search`] | any aggregation |
+//! | Parallel local search (paper's future-work direction) | `ic_engine::Engine::with_threads` (chunked seed walk over [`algo::run_seed_multi`]) | any aggregation, size-constrained |
 //!
 //! # Quick start
 //!
@@ -55,7 +55,6 @@ pub mod certify;
 pub mod community;
 mod error;
 pub mod figure1;
-pub mod hardness;
 pub mod query;
 pub mod verify;
 

@@ -21,10 +21,9 @@
 //!   `ic-engine`'s planner, the examples, the conformance tests — never
 //!   hand-dispatch again.
 //!
-//! The per-graph free-function entry points (`min_topr`, `max_topr`,
-//! `sum_naive`, `tic_improved`) were removed from the public API in
-//! PR 4; this router (or `ic_engine::Engine`, when serving more than
-//! one query) is how queries are answered. Because routing reads
+//! The per-graph solver forms are crate-internal; this router (or
+//! `ic_engine::Engine`, when serving more than one query) is how queries
+//! are answered. Because routing reads
 //! certificates, a user-defined aggregation registered with
 //! [`Aggregation::custom`] is served exactly like a built-in with the
 //! same declared properties.
@@ -40,7 +39,7 @@
 //! ```
 
 use crate::algo::{self, LocalSearchConfig};
-use crate::{Aggregation, Community, SearchError};
+use crate::{Aggregation, Community, Extremum, SearchError};
 use ic_graph::WeightedGraph;
 use ic_kcore::{GraphSnapshot, PeelArena};
 use std::time::Duration;
@@ -219,8 +218,8 @@ impl Query {
                         )));
                     }
                     Ok(match extremum {
-                        crate::Extremum::Min => Solver::MinPeel,
-                        crate::Extremum::Max => Solver::MaxPeel,
+                        Extremum::Min => Solver::MinPeel,
+                        Extremum::Max => Solver::MaxPeel,
                     })
                 } else if certs.removal_decreasing {
                     if !(0.0..1.0).contains(&self.epsilon) {
@@ -254,8 +253,8 @@ impl Query {
     /// caller carried.
     pub fn solve(&self, wg: &WeightedGraph) -> Result<Vec<Community>, SearchError> {
         match self.solver()? {
-            Solver::MinPeel => algo::min_topr(wg, self.k, self.r),
-            Solver::MaxPeel => algo::max_topr(wg, self.k, self.r),
+            Solver::MinPeel => algo::peel_topr(wg, self.k, self.r, Extremum::Min),
+            Solver::MaxPeel => algo::peel_topr(wg, self.k, self.r, Extremum::Max),
             Solver::TicExact | Solver::TicApprox => {
                 algo::tic_improved(wg, self.k, self.r, self.aggregation, self.epsilon)
             }
@@ -273,14 +272,19 @@ impl Query {
         snap: &GraphSnapshot,
         arena: &mut PeelArena,
     ) -> Result<Vec<Community>, SearchError> {
+        let peel = |dir, arena: &mut PeelArena| {
+            algo::peel_topr_on(snap, self.k, &[self.r], dir, arena)
+                .map(|mut lists| lists.pop().expect("one r in, one list out"))
+        };
         match self.solver()? {
-            Solver::MinPeel => algo::min_topr_on(snap, self.k, self.r, arena),
-            Solver::MaxPeel => algo::max_topr_on(snap, self.k, self.r, arena),
+            Solver::MinPeel => peel(Extremum::Min, arena),
+            Solver::MaxPeel => peel(Extremum::Max, arena),
             Solver::TicExact | Solver::TicApprox => {
                 algo::tic_improved_on(snap, self.k, self.r, self.aggregation, self.epsilon, arena)
             }
-            Solver::LocalSearch => algo::local_search(
+            Solver::LocalSearch => algo::local_search_in(
                 snap.weighted(),
+                &snap.level(self.k).mask,
                 &self.local_search_config(),
                 self.aggregation,
             ),
@@ -453,11 +457,11 @@ mod tests {
         let wg = figure1();
         assert_eq!(
             Query::new(2, 2, Aggregation::Min).solve(&wg).unwrap(),
-            algo::min_topr(&wg, 2, 2).unwrap()
+            algo::peel_topr(&wg, 2, 2, Extremum::Min).unwrap()
         );
         assert_eq!(
             Query::new(2, 4, Aggregation::Max).solve(&wg).unwrap(),
-            algo::max_topr(&wg, 2, 4).unwrap()
+            algo::peel_topr(&wg, 2, 4, Extremum::Max).unwrap()
         );
         assert_eq!(
             Query::new(2, 3, Aggregation::Sum).solve(&wg).unwrap(),
@@ -496,6 +500,7 @@ mod tests {
             Query::new(2, 3, Aggregation::Sum),
             Query::new(2, 2, Aggregation::SumSurplus { alpha: 1.0 }).approx(0.2),
             Query::new(2, 2, Aggregation::Average).size_bound(5, false),
+            Query::new(2, 3, Aggregation::Sum).size_bound(4, true),
         ] {
             assert_eq!(
                 q.solve_on(&snap, &mut arena).unwrap(),

@@ -7,8 +7,8 @@
 //! every supported aggregation. A final test pins the zero-allocation
 //! guarantee of the steady-state peel loop.
 
-use ic_core::algo::{self, oracle};
-use ic_core::{Aggregation, Community, SearchError};
+use ic_core::algo::{self, oracle, ExtremumIndex, MinMaxEmission};
+use ic_core::{Aggregation, Community, Extremum, SearchError};
 use ic_gen::{
     barabasi_albert, chung_lu, gnm, pagerank_weights, pareto_weights, rank_weights,
     uniform_weights, GraphSeed,
@@ -30,12 +30,11 @@ fn on_snapshot(
     f(&snap, &mut arena)
 }
 
-fn arena_min_topr(wg: &WeightedGraph, k: usize, r: usize) -> Solved {
-    on_snapshot(wg, |snap, arena| algo::min_topr_on(snap, k, r, arena))
-}
-
-fn arena_max_topr(wg: &WeightedGraph, k: usize, r: usize) -> Solved {
-    on_snapshot(wg, |snap, arena| algo::max_topr_on(snap, k, r, arena))
+fn arena_peel_topr(wg: &WeightedGraph, k: usize, r: usize, dir: Extremum) -> Solved {
+    on_snapshot(wg, |snap, arena| {
+        let mut lists = algo::peel_topr_on(snap, k, &[r], dir, arena)?;
+        Ok(lists.pop().expect("one r in, one list out"))
+    })
 }
 
 fn arena_sum_naive(wg: &WeightedGraph, k: usize, r: usize, agg: Aggregation) -> Solved {
@@ -117,12 +116,45 @@ proptest! {
     #[test]
     fn minmax_peeling_is_observationally_identical(wg in arb_workload(),
                                                    k in 1usize..5, r in 1usize..6) {
-        let min_inc = arena_min_topr(&wg, k, r).unwrap();
+        let min_inc = arena_peel_topr(&wg, k, r, Extremum::Min).unwrap();
         let min_ora = oracle::min_topr(&wg, k, r).unwrap();
         prop_assert_eq!(&min_inc, &min_ora, "min mismatch");
-        let max_inc = arena_max_topr(&wg, k, r).unwrap();
+        let max_inc = arena_peel_topr(&wg, k, r, Extremum::Max).unwrap();
         let max_ora = oracle::max_topr(&wg, k, r).unwrap();
         prop_assert_eq!(&max_inc, &max_ora, "max mismatch");
+    }
+
+    #[test]
+    fn every_reader_of_the_peel_matches_the_oracle_across_tie_groups(
+        wg in arb_workload_with(3..4), k in 1usize..4,
+    ) {
+        // Three distinct weights over the whole graph make events tie on
+        // value, and `r` runs from 1 past the community count, so it
+        // lands inside every tie group: the batch answer for all `rs` at
+        // once, the forest and the drained emission each have to select
+        // and order events exactly as the from-scratch oracle does.
+        let snap = GraphSnapshot::new(wg.clone());
+        let mut arena = PeelArena::for_graph(snap.graph());
+        for (dir, oracle_topr) in [
+            (Extremum::Min, oracle::min_topr as fn(&WeightedGraph, usize, usize) -> Solved),
+            (Extremum::Max, oracle::max_topr),
+        ] {
+            let forest = ExtremumIndex::build_on(&snap, k, dir);
+            let rs: Vec<usize> = (1..=forest.len() + 2).collect();
+            let batch = algo::peel_topr_on(&snap, k, &rs, dir, &mut arena).unwrap();
+            for (&r, from_batch) in rs.iter().zip(&batch) {
+                let expect = oracle_topr(&wg, k, r).unwrap();
+                prop_assert_eq!(from_batch, &expect, "{:?} batch k={} r={}", dir, k, r);
+                prop_assert_eq!(&forest.topr(&wg, r).unwrap(), &expect,
+                                "{:?} forest k={} r={}", dir, k, r);
+                let mut em = MinMaxEmission::start(&snap, k, r, dir, &mut arena, None)
+                    .unwrap()
+                    .expect("an unbudgeted start always completes");
+                let drained: Vec<Community> =
+                    std::iter::from_fn(|| em.next_community(&wg)).collect();
+                prop_assert_eq!(&drained, &expect, "{:?} emission k={} r={}", dir, k, r);
+            }
+        }
     }
 
     #[test]
@@ -236,11 +268,11 @@ fn incremental_solvers_agree_on_a_realistic_workload() {
     for k in [2usize, 4] {
         for r in [1usize, 5, 10] {
             assert_eq!(
-                arena_min_topr(&wg, k, r).unwrap(),
+                arena_peel_topr(&wg, k, r, Extremum::Min).unwrap(),
                 oracle::min_topr(&wg, k, r).unwrap()
             );
             assert_eq!(
-                arena_max_topr(&wg, k, r).unwrap(),
+                arena_peel_topr(&wg, k, r, Extremum::Max).unwrap(),
                 oracle::max_topr(&wg, k, r).unwrap()
             );
             assert_eq!(

@@ -8,9 +8,9 @@
 //! amortization — Zipf-popular queries repeat across batches, and only
 //! a query's *first* occurrence per epoch ever pays solver time. (For
 //! heuristic local-search queries executed on several workers, the
-//! cached value is one of the documented `par_local_search`-style
-//! outcomes and pins the answer stably, which serving surfaces
-//! generally prefer.)
+//! cached value is one of the timing-dependent outcomes documented on
+//! `exec::run_local_chunk` and pins the answer stably, which serving
+//! surfaces generally prefer.)
 //!
 //! **Invalidation** is by epoch tag: every entry records the
 //! [`Epoch`](crate::Epoch) it was computed under and a lookup from any

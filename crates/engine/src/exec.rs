@@ -41,10 +41,10 @@
 use crate::plan::{Job, JobOutput, LocalJob, Plan};
 use crate::{AnswerStatus, DegradeReason, EngineError, QueryAnswer};
 use ic_core::algo::{
-    self, decode_ordered_f64, encode_ordered_f64, run_seed_multi, ExtremumIndex, LocalScratch,
-    MinMaxEmission, SeedTarget, TicEmission,
+    self, run_seed_multi, ExtremumIndex, LocalScratch, MinMaxEmission, SeedTarget, TicEmission,
 };
-use ic_core::{Aggregation, Community, Extremum, TopList};
+use ic_core::community::{decode_ordered_f64, encode_ordered_f64};
+use ic_core::{Aggregation, Community, TopList};
 use ic_kcore::{ArenaPool, Budget, GraphSnapshot, PeelArena};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -375,10 +375,7 @@ fn run_job(
                 }
                 solved
             } else {
-                match dir {
-                    Extremum::Min => algo::min_topr_multi_on(snap, *k, rs, arena),
-                    Extremum::Max => algo::max_topr_multi_on(snap, *k, rs, arena),
-                }
+                algo::peel_topr_on(snap, *k, rs, *dir, arena)
             };
             match solved {
                 Ok(lists) => {
@@ -452,11 +449,25 @@ fn run_job(
     }
 }
 
-/// Executes seed chunk `chunk` of a local-search family, mirroring
-/// `par_local_search`: per-member thread-local top-r lists, per-member
-/// shared monotone floors, one pool build per seed shared by every
-/// member's strategy. Completion accounting (and the final merge) lives
-/// in [`finish_chunk`], which the worker calls outside the panic guard.
+/// Executes seed chunk `chunk` of a local-search family — parallel
+/// Algorithm 4 (the paper's Section VIII direction). Seeds are
+/// partitioned into chunks; each chunk runs the sequential per-seed
+/// strategy against thread-local top-r lists (the graph is shared
+/// read-only), one pool build per seed shared by every member's
+/// strategy, and the lists are merged when the last chunk ends. There is
+/// no shared mutable top-list and no lock on the hot path: the only
+/// cross-thread state is one atomic per member holding the best known
+/// r-th value, which a chunk snapshots into its list's pruning floor
+/// before a seed and raises after its own list fills
+/// (`TopList::set_floor`). The floor only prunes work, so every returned
+/// community is valid; but thread-local pruning differs from the
+/// sequential global threshold, so with more than one chunk the merged
+/// list can differ from the sequential one in either direction, and
+/// candidates that tie the floor *exactly* (duplicated weights) make two
+/// identical runs tie-break differently. One chunk reproduces
+/// `local_search` bit for bit. Completion accounting (and the final
+/// merge) lives in [`finish_chunk`], which the worker calls outside the
+/// panic guard.
 ///
 /// Under a deadline the chunk polls the family's shared budget between
 /// seeds and stops early; whatever its lists hold is still pushed — a

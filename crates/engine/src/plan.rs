@@ -15,9 +15,9 @@
 //!   family is **index-served** from the snapshot's memoized extremum
 //!   community forest ([`ic_core::algo::ExtremumIndex`], persisted by
 //!   `ic-store` or built once per snapshot) in output-sensitive time;
-//!   otherwise a single two-pass peel
-//!   ([`ic_core::algo::min_topr_multi_on`]) answers the family — the
-//!   peel timeline is `r`-independent, so `t` queries cost one peel.
+//!   otherwise a single stamped peel pass
+//!   ([`ic_core::algo::peel_topr_on`]) answers the family — the peel
+//!   timeline is `r`-independent, so `t` queries cost one peel.
 //!   Both paths are bit-identical to the one-query-at-a-time peel
 //!   (held by the conformance suite);
 //! * *exact* removal-decreasing queries (`sum`, `sum-surplus` with
@@ -57,8 +57,8 @@ pub(crate) struct JobOutput {
 pub(crate) struct LocalMember {
     pub(crate) r: usize,
     pub(crate) aggregation: Aggregation,
-    /// The atomic r-th-value pruning floor of `par_local_search`,
-    /// shared by this member's per-chunk lists.
+    /// The atomic r-th-value pruning floor shared by this member's
+    /// per-chunk lists (`ic_core::community::encode_ordered_f64` bits).
     pub(crate) floor: AtomicU64,
     pub(crate) partials: Mutex<Vec<TopList>>,
     pub(crate) outputs: Vec<JobOutput>,
@@ -274,10 +274,10 @@ fn ddl_key(q: &Query) -> u64 {
 /// equality, which means nothing for an aggregation declaring
 /// approximate ties — such queries (custom functions may declare this)
 /// each run on their own. Min/max **peel** families are exempt from
-/// the gate: their merge replays one peel timeline and re-selects
-/// events per `r` exactly (`min_topr_multi_on` is bit-identical to a
-/// solo run member-by-member, no value-equality proof involved), so
-/// tie semantics cannot affect them.
+/// the gate: their merge reads one peel timeline and re-selects
+/// events per `r` exactly (`peel_topr_on` is bit-identical to a solo
+/// run member-by-member, no value-equality proof involved), so tie
+/// semantics cannot affect them.
 fn validate(q: &Query) -> Result<JobKey, SearchError> {
     let ddl = ddl_key(q);
     // Armed mergeable families pin their own r (see JobKey docs).
@@ -497,7 +497,7 @@ impl Plan {
                             members.push(LocalMember {
                                 r: q.r,
                                 aggregation: q.aggregation,
-                                floor: AtomicU64::new(ic_core::algo::encode_ordered_f64(
+                                floor: AtomicU64::new(ic_core::community::encode_ordered_f64(
                                     f64::NEG_INFINITY,
                                 )),
                                 partials: Mutex::new(Vec::with_capacity(chunks)),

@@ -53,7 +53,7 @@ pub use components::{
 pub use csr::Graph;
 pub use error::GraphError;
 pub use subgraph::{induce, InducedSubgraph};
-pub use traverse::{bfs_order, bfs_order_within, dfs_order, truncated_bfs_within, Bfs};
+pub use traverse::Bfs;
 pub use unionfind::UnionFind;
 pub use weighted::WeightedGraph;
 

@@ -66,74 +66,6 @@ impl Bfs {
     }
 }
 
-/// Vertices reachable from `source`, in BFS order.
-pub fn bfs_order(g: &Graph, source: VertexId) -> Vec<VertexId> {
-    let mut order = Vec::new();
-    Bfs::new(g.num_vertices()).run(g, source, |v| order.push(v));
-    order
-}
-
-/// Vertices reachable from `source` inside `mask`, in BFS order.
-pub fn bfs_order_within(g: &Graph, mask: &BitSet, source: VertexId) -> Vec<VertexId> {
-    let mut order = Vec::new();
-    Bfs::new(g.num_vertices()).run_within(g, mask, source, |v| order.push(v));
-    order
-}
-
-/// BFS from `source` inside `mask`, truncated to at most `limit` vertices
-/// (including `source`). This is the "s-nearest-neighbor" pool collection of
-/// the paper's local search (Algorithm 4, line 4): if the 1-hop neighborhood
-/// has fewer than `limit` vertices, 2-hop (and further) neighbors are
-/// explored, exactly as a truncated BFS does.
-pub fn truncated_bfs_within(
-    g: &Graph,
-    mask: &BitSet,
-    source: VertexId,
-    limit: usize,
-) -> Vec<VertexId> {
-    let mut order = Vec::with_capacity(limit);
-    if limit == 0 || !mask.contains(source as usize) {
-        return order;
-    }
-    let mut visited = BitSet::new(g.num_vertices());
-    let mut queue = VecDeque::new();
-    visited.insert(source as usize);
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        if order.len() == limit {
-            break;
-        }
-        for &w in g.neighbors(u) {
-            if mask.contains(w as usize) && !visited.contains(w as usize) {
-                visited.insert(w as usize);
-                queue.push_back(w);
-            }
-        }
-    }
-    order
-}
-
-/// Vertices reachable from `source`, in iterative depth-first order.
-pub fn dfs_order(g: &Graph, source: VertexId) -> Vec<VertexId> {
-    let n = g.num_vertices();
-    let mut visited = BitSet::new(n);
-    let mut stack = vec![source];
-    let mut order = Vec::new();
-    visited.insert(source as usize);
-    while let Some(u) = stack.pop() {
-        order.push(u);
-        // Push in reverse so the lowest-id neighbor is explored first.
-        for &w in g.neighbors(u).iter().rev() {
-            if !visited.contains(w as usize) {
-                visited.insert(w as usize);
-                stack.push(w);
-            }
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,6 +74,18 @@ mod tests {
     /// Path 0-1-2-3 plus isolated 4.
     fn path4() -> Graph {
         graph_from_edges(5, &[(0, 1), (1, 2), (2, 3)])
+    }
+
+    fn bfs_order(g: &Graph, source: VertexId) -> Vec<VertexId> {
+        let mut order = Vec::new();
+        Bfs::new(g.num_vertices()).run(g, source, |v| order.push(v));
+        order
+    }
+
+    fn bfs_order_within(g: &Graph, mask: &BitSet, source: VertexId) -> Vec<VertexId> {
+        let mut order = Vec::new();
+        Bfs::new(g.num_vertices()).run_within(g, mask, source, |v| order.push(v));
+        order
     }
 
     #[test]
@@ -159,47 +103,6 @@ mod tests {
         mask.remove(2);
         assert_eq!(bfs_order_within(&g, &mask, 0), vec![0, 1]);
         assert_eq!(bfs_order_within(&g, &mask, 3), vec![3]);
-    }
-
-    #[test]
-    fn truncated_bfs_limits_pool() {
-        let g = graph_from_edges(7, &[(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)]);
-        let mask = BitSet::full(7);
-        let pool = truncated_bfs_within(&g, &mask, 0, 4);
-        assert_eq!(pool, vec![0, 1, 2, 3]);
-        let pool = truncated_bfs_within(&g, &mask, 0, 6);
-        assert_eq!(pool, vec![0, 1, 2, 3, 4, 5]);
-        // Larger limit than reachable set: returns everything reachable.
-        let pool = truncated_bfs_within(&g, &mask, 0, 100);
-        assert_eq!(pool.len(), 7);
-    }
-
-    #[test]
-    fn truncated_bfs_two_hop_expansion() {
-        // Star 0 with a single arm: 0-1, 1-2, 2-3. Seed 0, pool of 3 must
-        // pull the 2-hop vertex 2.
-        let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let mask = BitSet::full(4);
-        assert_eq!(truncated_bfs_within(&g, &mask, 0, 3), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn truncated_bfs_edge_cases() {
-        let g = path4();
-        let mask = BitSet::full(5);
-        assert!(truncated_bfs_within(&g, &mask, 0, 0).is_empty());
-        let mut small = BitSet::new(5);
-        small.insert(1);
-        // Source not in mask.
-        assert!(truncated_bfs_within(&g, &small, 0, 3).is_empty());
-        assert_eq!(truncated_bfs_within(&g, &small, 1, 3), vec![1]);
-    }
-
-    #[test]
-    fn dfs_visits_depth_first() {
-        // 0 -> {1, 2}; 1 -> {3}.
-        let g = graph_from_edges(4, &[(0, 1), (0, 2), (1, 3)]);
-        assert_eq!(dfs_order(&g, 0), vec![0, 1, 3, 2]);
     }
 
     #[test]

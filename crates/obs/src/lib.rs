@@ -782,7 +782,27 @@ impl SlowLog {
     }
 }
 
-#[cfg(test)]
+/// `cargo test -p ic-obs --no-default-features`: the leg of the CI
+/// compile-out gate that runs code instead of reading a feature tree.
+#[cfg(all(test, not(feature = "enabled")))]
+mod compiled_out {
+    use super::*;
+
+    #[test]
+    fn without_the_feature_the_gate_is_false_and_nothing_records() {
+        assert!(!compiled());
+        set_enabled(true);
+        assert!(!enabled(), "the runtime switch cannot override the build");
+        let registry = Registry::new();
+        let histogram = registry.histogram("t.compiled_out");
+        histogram.observe(Duration::from_millis(3));
+        histogram.observe_ns(7);
+        Stopwatch::start().observe(&histogram);
+        assert_eq!(histogram.snapshot().count(), 0);
+    }
+}
+
+#[cfg(all(test, feature = "enabled"))]
 mod tests {
     use super::*;
 

@@ -247,6 +247,8 @@ fn hostile_json_lines_never_kill_the_connection_or_poison_a_solver() {
         // Ids are u64 on the wire; JSON carries them up to 2^53.
         r#"{"id":4294967296,"k":2,"r":2,"agg":"sum"}"#,
         r#"{"id":9007199254740992,"k":2,"r":2,"agg":"sum"}"#,
+        // `r` is a wire u32: no buffer may be sized by it.
+        r#"{"k":2,"r":4294967295,"agg":"average","s":4}"#,
     ];
     // Lines it must refuse with a typed error.
     let refused = [
@@ -322,6 +324,22 @@ fn hostile_json_lines_never_kill_the_connection_or_poison_a_solver() {
                 own.contains("protocol_error") || own.contains(r#""status":"error""#),
                 "{line:?} -> {own:?}"
             );
+        }
+    }
+    // The huge-`r` line's binary-frame twin, then an honest query on the
+    // same connection.
+    let mut framed = raw_connect(server.local_addr());
+    let huge_r = Query::new(2, u32::MAX as usize, Aggregation::Average).size_bound(4, true);
+    send_query(&mut framed, 1, huge_r);
+    send_query(&mut framed, 2, Query::new(2, 2, Aggregation::Sum));
+    for _ in 0..2 {
+        match read_response(&mut framed) {
+            Response::Reply {
+                id: 1 | 2,
+                outcome: Outcome::Complete(communities),
+                ..
+            } => assert!(!communities.is_empty()),
+            other => panic!("expected a complete reply, got {other:?}"),
         }
     }
     assert_eq!(engine.arenas_quarantined(), 0, "no solver was poisoned");

@@ -1,5 +1,5 @@
 //! Extensions tour: engine-served extremum forests, batched queries,
-//! truss-based communities, and hill-climbing refinement.
+//! and truss-based communities.
 //!
 //! ```text
 //! cargo run -p ic-bench --release --example indexed_queries
@@ -10,7 +10,7 @@
 //! memoized on the engine's snapshot — built once, shared by every
 //! batch, persisted by `Engine::persist` (see `store_serving.rs`).
 
-use ic_core::algo::{self, ExtremumIndex, LocalSearchConfig};
+use ic_core::algo::{self, ExtremumIndex};
 use ic_core::{Aggregation, Extremum};
 use ic_engine::{Engine, Query};
 use ic_gen::datasets::{by_name, Profile};
@@ -94,21 +94,5 @@ fn main() {
         "\nk = 4 top-1 community sizes: core model {}, truss model {}",
         core_top.first().map_or(0, |c| c.len()),
         truss_top.first().map_or(0, |c| c.len())
-    );
-
-    // --- 3. Refinement lifts heuristic results ------------------------
-    let config = LocalSearchConfig {
-        k: 4,
-        r: 5,
-        s: 20,
-        greedy: false, // start from the weaker random variant
-    };
-    let plain = algo::local_search(&wg, &config, Aggregation::Average).unwrap();
-    let refined = algo::local_search_refined(&wg, &config, Aggregation::Average).unwrap();
-    let pv = plain.first().map_or(f64::NEG_INFINITY, |c| c.value);
-    let rv = refined.first().map_or(f64::NEG_INFINITY, |c| c.value);
-    println!(
-        "\navg local search top value: plain {pv:.6} -> refined {rv:.6} ({:+.1}%)",
-        (rv / pv - 1.0) * 100.0
     );
 }

@@ -21,9 +21,8 @@
 //! and planted-partition graphs, including the edge cases `r = 1`,
 //! `r > #communities`, `k = 1`, and `k > degeneracy`. Heuristic local
 //! search is held to the contract its docs state: engine(1 worker) ≡
-//! `par_local_search(1 thread)` ≡ sequential `local_search`, and
-//! multi-worker results are valid communities of the same cardinality
-//! regime. Any future refactor that silently diverges from the oracle
+//! sequential `local_search`, and multi-worker results are valid
+//! communities of the same cardinality regime. Any future refactor that silently diverges from the oracle
 //! semantics fails here first.
 
 use ic_core::algo::{self, oracle, LocalSearchConfig};
@@ -207,10 +206,7 @@ proptest! {
                 oracle::tic_improved(&wg, k, 3, agg, 0.0).unwrap()
             } else {
                 let config = LocalSearchConfig { k, r: 3, s: k + 4, greedy: true };
-                let seq = algo::local_search(&wg, &config, agg).unwrap();
-                let par1 = algo::par_local_search(&wg, &config, agg, 1).unwrap();
-                prop_assert_eq!(&par1, &seq, "par(1) {}", agg.name());
-                seq
+                algo::local_search(&wg, &config, agg).unwrap()
             };
             // Arena ≡ oracle.
             let arena = arena_solve(&wg, q);
@@ -233,8 +229,8 @@ proptest! {
     }
 
     /// Constrained queries (avg and friends): one engine worker is
-    /// bit-identical to sequential local search and single-threaded
-    /// par_local_search; multi-worker results are valid communities.
+    /// bit-identical to sequential local search; multi-worker results
+    /// are valid communities.
     #[test]
     fn constrained_paths_agree(wg in arb_workload(), k in 1usize..4, greedy in any::<bool>()) {
         let s = k + 4;
@@ -250,8 +246,6 @@ proptest! {
         for &agg in &aggs {
             let config = LocalSearchConfig { k, r: 3, s, greedy };
             let seq = algo::local_search(&wg, &config, agg).unwrap();
-            let par1 = algo::par_local_search(&wg, &config, agg, 1).unwrap();
-            prop_assert_eq!(&par1, &seq, "par(1) {}", agg.name());
             let eng1 = engine(&wg, 1);
             let got = unwrap_batch(
                 eng1.run_batch(&[Query::new(k, 3, agg).size_bound(s, greedy)]),

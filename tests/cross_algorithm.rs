@@ -2,7 +2,7 @@
 //! unconstrained solvers must agree (Naive ≡ Improve; Approx within the
 //! Theorem-6 bound), and every solver's output must verify.
 
-use ic_core::algo::{self, ImprovedOptions};
+use ic_core::algo;
 use ic_core::Query;
 
 /// Algorithm 1 on a fresh snapshot (shared harness; the per-graph free
@@ -63,31 +63,6 @@ fn approx_bound_holds_across_epsilons_on_email() {
 }
 
 #[test]
-fn pruning_ablations_preserve_exactness() {
-    let wg = email();
-    let base = Query::new(6, 5, Aggregation::Sum).solve(&wg).unwrap();
-    for opts in [
-        ImprovedOptions {
-            epsilon: 0.0,
-            prune_by_threshold: false,
-            trim_candidates: true,
-        },
-        ImprovedOptions {
-            epsilon: 0.0,
-            prune_by_threshold: true,
-            trim_candidates: false,
-        },
-    ] {
-        let got = algo::tic_improved_with_options(&wg, 6, 5, Aggregation::Sum, opts).unwrap();
-        let gv: Vec<f64> = got.iter().map(|c| c.value).collect();
-        let bv: Vec<f64> = base.iter().map(|c| c.value).collect();
-        for (a, b) in gv.iter().zip(&bv) {
-            assert!((a - b).abs() < 1e-9, "{opts:?}");
-        }
-    }
-}
-
-#[test]
 fn min_and_max_peels_verify_on_email() {
     let wg = email();
     let min = Query::new(6, 5, Aggregation::Min).solve(&wg).unwrap();
@@ -117,10 +92,15 @@ fn parallel_and_sequential_local_search_agree_on_quality() {
         greedy: true,
     };
     let seq = algo::local_search(&wg, &config, Aggregation::Average).unwrap();
-    let one = algo::par_local_search(&wg, &config, Aggregation::Average, 1).unwrap();
-    assert_eq!(one, seq, "threads = 1 must be exactly sequential");
+    // Parallel Algorithm 4 is the engine's chunked seed walk.
+    let query = [Query::new(4, 5, Aggregation::Average).size_bound(20, true)];
+    let on_workers = |threads: usize| {
+        let engine = ic_engine::Engine::with_threads(wg.clone(), threads);
+        engine.run_batch(&query).pop().unwrap().unwrap()
+    };
+    assert_eq!(on_workers(1), seq, "threads = 1 must be exactly sequential");
     for threads in [2usize, 4] {
-        let par = algo::par_local_search(&wg, &config, Aggregation::Average, threads).unwrap();
+        let par = on_workers(threads);
         assert_eq!(par.len(), seq.len());
         for c in &par {
             check_community(&wg, 4, Some(20), Aggregation::Average, c).unwrap();
