@@ -19,7 +19,7 @@
 //! ([`ExtremumIndex`](crate::algo::ExtremumIndex)) all read the same
 //! timeline and no pass is ever replayed.
 
-use crate::algo::common::{community_from_vertices, validate_k_r};
+use crate::algo::common::{community_from_vertices, topr_prefixes, validate_k_r};
 use crate::{Aggregation, Community, Extremum, SearchError};
 use ic_graph::{BitSet, VertexId, WeightedGraph};
 use ic_kcore::{kcore_mask, Budget, GraphSnapshot, PeelArena};
@@ -173,8 +173,7 @@ pub(crate) fn peel_topr(
 
 /// One peel serving every requested `r`: the `r_max` best events are
 /// materialized once, and each `r` takes its prefix of the event ranking
-/// (slicing the *sorted* result list instead would break value ties
-/// differently from a single-`r` run).
+/// ([`topr_prefixes`]).
 fn peel_topr_in(
     wg: &WeightedGraph,
     core: &BitSet,
@@ -186,14 +185,8 @@ fn peel_topr_in(
     let r_max = rs.iter().copied().max().unwrap_or(0);
     let mut em = MinMaxEmission::peel(wg, core, k, r_max, dir, arena, None)
         .expect("an unbudgeted peel always completes");
-    let by_event_rank: Vec<Community> = (0..em.len()).map(|i| em.materialize(wg, i)).collect();
-    rs.iter()
-        .map(|&r| {
-            let mut top = by_event_rank[..r.min(by_event_rank.len())].to_vec();
-            top.sort_by(|a, b| a.ranking_cmp(b));
-            top
-        })
-        .collect()
+    let by_event_rank = (0..em.len()).map(|i| em.materialize(wg, i)).collect();
+    topr_prefixes(by_event_rank, rs)
 }
 
 /// Progressive, rank-order emission for the `min`/`max` peels — the

@@ -13,8 +13,8 @@ use ic_gen::{
     barabasi_albert, chung_lu, gnm, pagerank_weights, pareto_weights, rank_weights,
     uniform_weights, GraphSeed,
 };
-use ic_graph::{Graph, WeightedGraph};
-use ic_kcore::{maximal_kcore_components, GraphSnapshot, PeelArena};
+use ic_graph::{graph_from_edges, Graph, WeightedGraph};
+use ic_kcore::{kcore_mask, maximal_kcore_components, GraphSnapshot, PeelArena};
 use proptest::prelude::*;
 
 type Solved = Result<Vec<Community>, SearchError>;
@@ -110,6 +110,39 @@ fn arb_workload_with(weight_models: std::ops::Range<u32>) -> impl Strategy<Value
         })
 }
 
+/// `wg` restricted to the vertices `keep` (ascending), renumbered in
+/// order, plus `isolated` further vertices without edges; also returns
+/// each old vertex's new id. The renaming is monotone and the additions
+/// are in no k-core (k ≥ 1), so as long as `keep` holds the maximal
+/// k-core the answers are the original ones, renamed — but every
+/// community is now a different share of the graph.
+fn reshaped(wg: &WeightedGraph, keep: &[u32], isolated: usize) -> (WeightedGraph, Vec<u32>) {
+    let mut new_id = vec![u32::MAX; wg.num_vertices()];
+    for (new, &old) in keep.iter().enumerate() {
+        new_id[old as usize] = new as u32;
+    }
+    let kept = |v: u32| new_id[v as usize] != u32::MAX;
+    let edges: Vec<(u32, u32)> = wg
+        .graph()
+        .edges()
+        .filter(|&(u, v)| kept(u) && kept(v))
+        .map(|(u, v)| (new_id[u as usize], new_id[v as usize]))
+        .collect();
+    let mut weights: Vec<f64> = keep.iter().map(|&v| wg.weight(v)).collect();
+    weights.resize(keep.len() + isolated, 1.0);
+    let g = graph_from_edges(weights.len(), &edges);
+    (WeightedGraph::new(g, weights).unwrap(), new_id)
+}
+
+fn renamed(list: &[Community], new_id: &[u32]) -> Vec<Community> {
+    list.iter()
+        .map(|c| Community {
+            vertices: c.vertices.iter().map(|&v| new_id[v as usize]).collect(),
+            value: c.value,
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -131,10 +164,22 @@ proptest! {
         // Three distinct weights over the whole graph make events tie on
         // value, and `r` runs from 1 past the community count, so it
         // lands inside every tie group: the batch answer for all `rs` at
-        // once, the forest and the drained emission each have to select
-        // and order events exactly as the from-scratch oracle does.
+        // once, the forest — one `r` at a time and all `rs` at once —
+        // and the drained emission each have to select and order events
+        // exactly as the from-scratch oracle does.
+        //
+        // The forest materializes a community by one of two routes,
+        // chosen from its share of the graph, so the same communities are
+        // also read from two reshaped copies: `dense` keeps only the
+        // maximal k-core (the largest community is then swept) and
+        // `sparse` adds 16 isolated vertices per vertex (every community
+        // is then walked).
         let snap = GraphSnapshot::new(wg.clone());
         let mut arena = PeelArena::for_graph(snap.graph());
+        let everyone: Vec<u32> = wg.graph().vertices().collect();
+        let core = kcore_mask(wg.graph(), k).to_vec();
+        let (dense, dense_id) = reshaped(&wg, &core, 0);
+        let (sparse, sparse_id) = reshaped(&wg, &everyone, 16 * wg.num_vertices());
         for (dir, oracle_topr) in [
             (Extremum::Min, oracle::min_topr as fn(&WeightedGraph, usize, usize) -> Solved),
             (Extremum::Max, oracle::max_topr),
@@ -142,11 +187,30 @@ proptest! {
             let forest = ExtremumIndex::build_on(&snap, k, dir);
             let rs: Vec<usize> = (1..=forest.len() + 2).collect();
             let batch = algo::peel_topr_on(&snap, k, &rs, dir, &mut arena).unwrap();
-            for (&r, from_batch) in rs.iter().zip(&batch) {
+            let at_once = forest.topr_multi(&wg, &rs).unwrap();
+            let dense_forest = ExtremumIndex::build(&dense, k, dir);
+            let sparse_forest = ExtremumIndex::build(&sparse, k, dir);
+            prop_assert_eq!(dense_forest.len(), forest.len());
+            prop_assert_eq!(sparse_forest.len(), forest.len());
+            if !forest.is_empty() {
+                prop_assert!(dense_forest.swept_in_top(forest.len()) > 0,
+                             "{:?} k={}: the sweep route never ran", dir, k);
+                prop_assert_eq!(sparse_forest.swept_in_top(forest.len()), 0,
+                                "{:?} k={}: the walk route did not serve everything", dir, k);
+            }
+            let dense_at_once = dense_forest.topr_multi(&dense, &rs).unwrap();
+            let sparse_at_once = sparse_forest.topr_multi(&sparse, &rs).unwrap();
+            for (i, &r) in rs.iter().enumerate() {
                 let expect = oracle_topr(&wg, k, r).unwrap();
-                prop_assert_eq!(from_batch, &expect, "{:?} batch k={} r={}", dir, k, r);
+                prop_assert_eq!(&batch[i], &expect, "{:?} batch k={} r={}", dir, k, r);
                 prop_assert_eq!(&forest.topr(&wg, r).unwrap(), &expect,
                                 "{:?} forest k={} r={}", dir, k, r);
+                prop_assert_eq!(&at_once[i], &expect,
+                                "{:?} forest, all rs at once, k={} r={}", dir, k, r);
+                prop_assert_eq!(&dense_at_once[i], &renamed(&expect, &dense_id),
+                                "{:?} swept forest k={} r={}", dir, k, r);
+                prop_assert_eq!(&sparse_at_once[i], &renamed(&expect, &sparse_id),
+                                "{:?} walked forest k={} r={}", dir, k, r);
                 let mut em = MinMaxEmission::start(&snap, k, r, dir, &mut arena, None)
                     .unwrap()
                     .expect("an unbudgeted start always completes");

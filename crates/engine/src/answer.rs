@@ -13,13 +13,15 @@
 //! approximate and local-search paths it is best-so-far
 //! (`proven_prefix_len == 0`).
 //!
-//! The `Err` side distinguishes the three ways serving can fail:
+//! The `Err` side distinguishes the ways serving can fail:
 //! a [`SearchError`] from validation/routing (the query itself is
 //! wrong), [`EngineError::DeadlineExceeded`] (the deadline expired
-//! before *anything* was proven — there is no prefix to return), and
+//! before *anything* was proven — there is no prefix to return),
 //! [`EngineError::Internal`] (the solver panicked; the panic was
 //! isolated to this query and its arena quarantined, the rest of the
-//! batch completed normally).
+//! batch completed normally), and [`EngineError::CorruptStore`] (the
+//! store the engine was opened from failed the adjacency check it owed,
+//! so nothing that would read adjacency runs).
 
 use ic_core::{Community, SearchError};
 use std::time::{Duration, Instant};
@@ -103,6 +105,33 @@ pub enum EngineError {
         /// What was refused and why.
         detail: String,
     },
+    /// The engine was opened from a lazily verified store whose graph
+    /// adjacency failed the check deferred at open
+    /// ([`GraphSnapshot::ensure_adjacency`](ic_kcore::GraphSnapshot::ensure_adjacency)).
+    /// Sticky: every operation that would read adjacency gets it, no
+    /// solver runs; answers served from persisted forests are unaffected.
+    CorruptStore {
+        /// What the check found.
+        detail: String,
+    },
+}
+
+impl EngineError {
+    /// The plain-surface rendering (`Engine::run_batch`,
+    /// `Engine::submit`): everything that is not a search or deadline
+    /// error flattens to [`SearchError::Internal`].
+    pub(crate) fn into_search(self) -> SearchError {
+        match self {
+            EngineError::Search(e) => e,
+            EngineError::DeadlineExceeded => SearchError::DeadlineExceeded,
+            EngineError::Internal { detail } | EngineError::Unsupported { detail } => {
+                SearchError::Internal(detail)
+            }
+            corrupt @ EngineError::CorruptStore { .. } => {
+                SearchError::Internal(corrupt.to_string())
+            }
+        }
+    }
 }
 
 impl std::fmt::Display for EngineError {
@@ -118,6 +147,7 @@ impl std::fmt::Display for EngineError {
             EngineError::Unsupported { detail } => {
                 write!(f, "unsupported operation: {detail}")
             }
+            EngineError::CorruptStore { detail } => write!(f, "corrupt store: {detail}"),
         }
     }
 }
@@ -134,6 +164,14 @@ impl std::error::Error for EngineError {
 impl From<SearchError> for EngineError {
     fn from(e: SearchError) -> Self {
         EngineError::Search(e)
+    }
+}
+
+impl From<ic_kcore::AdjacencyRefused> for EngineError {
+    fn from(refused: ic_kcore::AdjacencyRefused) -> Self {
+        EngineError::CorruptStore {
+            detail: refused.to_string(),
+        }
     }
 }
 

@@ -356,20 +356,20 @@ fn run_job(
                 return;
             }
             let solved = if *indexed {
-                // Index-served: every `r` is answered from the
+                // Index-served: the family is answered from the
                 // snapshot's extremum community forest — persisted via
                 // `ic-store` or built once per snapshot — in
-                // output-sensitive time. Bit-identical to the peel path
-                // below (held by the conformance suite). The span is
-                // attributed *within* the batch's solve wall time: it is
-                // summed per-job across parallel workers, so it can
-                // exceed the solve span on its own.
+                // output-sensitive time, each ranked community
+                // materialized once for all of `rs`. Bit-identical to
+                // the peel path below (held by the conformance suite),
+                // and a memoized forest is read without touching
+                // adjacency (weights only). The span is attributed
+                // *within* the batch's solve wall time: it is summed
+                // per-job across parallel workers, so it can exceed the
+                // solve span on its own.
                 let index_sw = ic_obs::Stopwatch::start();
                 let index = ExtremumIndex::cached(snap, *k, *dir);
-                let solved = rs
-                    .iter()
-                    .map(|&r| index.topr(snap.weighted(), r))
-                    .collect::<Result<Vec<_>, _>>();
+                let solved = index.topr_multi(snap.weighted(), rs);
                 if let Some(trace) = obs.trace {
                     index_sw.record(trace, ic_obs::Stage::IndexServe);
                 }

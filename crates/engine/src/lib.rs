@@ -377,6 +377,26 @@ impl EngineMetrics {
     }
 }
 
+/// Puts the one run of the adjacency check `snapshot` may owe (see
+/// [`Engine::open`]) on `registry`: `store.adjacency_checks`,
+/// `store.adjacency_check_failures` (counters) and
+/// `store.adjacency_check_ns` (histogram). [`Engine::from_snapshot`] does
+/// this for its own registry; a snapshot keeps the first observer it is
+/// given, so a front that serves `STATS` from its own registry
+/// (`ic-shard`) calls this before building the engine.
+pub fn report_adjacency_check(snapshot: &GraphSnapshot, registry: &ic_obs::Registry) {
+    let checks = registry.counter("store.adjacency_checks");
+    let failures = registry.counter("store.adjacency_check_failures");
+    let check_ns = registry.histogram("store.adjacency_check_ns");
+    snapshot.observe_adjacency_check(move |elapsed, passed| {
+        checks.inc();
+        if !passed {
+            failures.inc();
+        }
+        check_ns.observe(elapsed);
+    });
+}
+
 /// A serving engine over one weighted graph. See the module docs.
 pub struct Engine {
     serving: RwLock<Serving>,
@@ -416,6 +436,24 @@ impl Engine {
     /// bucket peel — so the first index-served query answers in
     /// milliseconds. Answers are bit-identical to an engine built from
     /// scratch on the same graph (held by the store round-trip suite).
+    ///
+    /// A mapped store carrying section sums is verified at open in
+    /// everything except its adjacency arrays: their section hashes and
+    /// `O(m)` structure check stay **owed** by the snapshot
+    /// (`StoreFile::load_deferred`) and run once, before the first
+    /// operation that reads adjacency — any planned query that is not a
+    /// read of a persisted forest, [`submit`](Self::submit),
+    /// [`try_apply`](Self::try_apply), [`persist`](Self::persist),
+    /// [`snapshot`](Self::snapshot). A restart that only ever serves
+    /// forest answers never pays for it. If the check fails, those
+    /// operations return the typed corruption error
+    /// ([`EngineError::CorruptStore`], [`StoreError::Corrupt`]) from then
+    /// on — no solver runs, nothing panics — while forest-served answers,
+    /// which read verified sections only, keep being served; run
+    /// `ic-store verify` on a store before trusting it. The check's one
+    /// run is reported as `store.adjacency_checks`,
+    /// `store.adjacency_check_failures` and `store.adjacency_check_ns`
+    /// on [`obs_registry`](Self::obs_registry).
     pub fn open<P: AsRef<std::path::Path>>(path: P) -> Result<Engine, StoreError> {
         let threads = std::thread::available_parallelism()
             .map(|p| p.get())
@@ -439,7 +477,7 @@ impl Engine {
         path: P,
         options: &OpenOptions,
     ) -> Result<Engine, StoreError> {
-        let contents = ic_store::StoreFile::open_with(path, &options.store)?.load()?;
+        let contents = ic_store::StoreFile::open_with(path, &options.store)?.load_deferred()?;
         Ok(Self::from_snapshot(
             contents.into_snapshot(),
             options.threads,
@@ -459,6 +497,11 @@ impl Engine {
     /// epochs, because everything is read off one immutable snapshot.
     pub fn persist<P: AsRef<std::path::Path>>(&self, path: P) -> Result<(), StoreError> {
         let (snapshot, _, _) = self.serving();
+        snapshot
+            .ensure_adjacency()
+            .map_err(|refused| StoreError::Corrupt {
+                what: refused.to_string(),
+            })?;
         let decomp = snapshot.decomposition();
         let levels = snapshot.memoized_levels();
         let forests = ic_core::algo::ExtremumIndex::memoized(&snapshot);
@@ -477,6 +520,8 @@ impl Engine {
     /// levels it has already memoized.
     pub fn from_snapshot(snapshot: GraphSnapshot, threads: usize) -> Self {
         let arenas = Arc::new(ArenaPool::for_graph(snapshot.graph()));
+        let metrics = EngineMetrics::new();
+        report_adjacency_check(&snapshot, &metrics.registry);
         Engine {
             serving: RwLock::new(Serving {
                 snapshot: Arc::new(snapshot),
@@ -486,7 +531,7 @@ impl Engine {
             maintainer: Mutex::new(None),
             threads: threads.max(1),
             results: Arc::new(ResultCache::new(DEFAULT_CACHE_CAPACITY)),
-            metrics: EngineMetrics::new(),
+            metrics,
         }
     }
 
@@ -524,8 +569,17 @@ impl Engine {
     /// The engine's current shared snapshot. Streams and batches created
     /// before a subsequent [`Engine::apply`] keep the snapshot they
     /// started with.
+    ///
+    /// Handing the graph out is a read of adjacency as far as a
+    /// store-opened engine's owed check is concerned (see
+    /// [`Engine::open`]): the check runs here if it has not yet. Its
+    /// outcome stays on the snapshot
+    /// ([`GraphSnapshot::ensure_adjacency`]); a caller that may be looking
+    /// at an unverified store asks it before reading adjacency.
     pub fn snapshot(&self) -> Arc<GraphSnapshot> {
-        self.serving().0
+        let snapshot = self.serving().0;
+        let _ = snapshot.ensure_adjacency();
+        snapshot
     }
 
     /// The engine's current epoch (see [`Epoch`]).
@@ -592,10 +646,7 @@ impl Engine {
             .into_iter()
             .map(|res| match res {
                 Ok(ans) => Ok(ans.communities),
-                Err(EngineError::Search(e)) => Err(e),
-                Err(EngineError::DeadlineExceeded) => Err(SearchError::DeadlineExceeded),
-                Err(EngineError::Internal { detail })
-                | Err(EngineError::Unsupported { detail }) => Err(SearchError::Internal(detail)),
+                Err(e) => Err(e.into_search()),
             })
             .collect()
     }
@@ -702,6 +753,9 @@ impl Engine {
     pub fn submit(&self, query: Query) -> Result<ResultStream, SearchError> {
         let solver = query.solver()?;
         let (snapshot, arenas, epoch) = self.serving();
+        snapshot
+            .ensure_adjacency()
+            .map_err(|refused| EngineError::from(refused).into_search())?;
         if query.k > snapshot.degeneracy() as usize {
             // Provably empty: the maximal k-core is empty.
             return Ok(ResultStream::buffered(snapshot, epoch, query, Vec::new()));
@@ -772,7 +826,9 @@ impl Engine {
     /// [`Engine::apply_journaled`] behind the same endpoint validation
     /// as [`Engine::try_apply`].
     pub fn try_apply_journaled(&self, updates: &[EdgeUpdate]) -> Result<ApplyOutcome, EngineError> {
-        let n = self.snapshot().graph().num_vertices();
+        let (snapshot, _, _) = self.serving();
+        snapshot.ensure_adjacency()?;
+        let n = snapshot.graph().num_vertices();
         for update in updates {
             let (u, v) = update.endpoints();
             if u as usize >= n || v as usize >= n || u == v {
@@ -802,8 +858,10 @@ impl Engine {
     ///
     /// # Panics
     /// Same contract as [`Engine::apply`]: panics (atomically) when an
-    /// update addresses a vertex outside the graph. Use
-    /// [`Engine::try_apply_journaled`] for a typed refusal.
+    /// update addresses a vertex outside the graph, or when the engine
+    /// was opened from a store whose owed adjacency check fails (see
+    /// [`Engine::open`]). Use [`Engine::try_apply_journaled`] for a typed
+    /// refusal of either.
     pub fn apply_journaled(&self, updates: &[EdgeUpdate]) -> ApplyOutcome {
         // Recover rather than propagate a poisoned mutex: the slot is
         // `Option<CoreMaintainer>` and an interrupted apply leaves it
@@ -811,6 +869,9 @@ impl Engine {
         // absent or fully consistent.
         let mut guard = self.maintainer.lock().unwrap_or_else(|e| e.into_inner());
         let (snapshot, _, epoch) = self.serving();
+        if let Err(refused) = snapshot.ensure_adjacency() {
+            panic!("cannot apply updates to a corrupt store: {refused}");
+        }
         let old_snapshot = Arc::clone(&snapshot);
         // Take the maintainer *out* of the slot for the duration of the
         // build. If anything below panics, the slot stays `None` and the
@@ -939,6 +1000,7 @@ impl Engine {
         F: FnMut(usize, cache::Outcome),
     {
         let (snapshot, arenas, epoch) = self.serving();
+        let adjacency_owed = snapshot.adjacency_state() == ic_kcore::AdjacencyState::Owed;
         // Deadlines measure from the options' anchor when one is set
         // (admission-anchored serving layers), from serve start
         // otherwise.
@@ -976,6 +1038,11 @@ impl Engine {
         m.answered_at_plan.add(plan.stats.answered_at_plan as u64);
         if let Some(trace) = trace {
             plan_sw.record(trace, ic_obs::Stage::Plan);
+            // This batch's plan is what ran (or waited out) the check a
+            // store-opened snapshot owed: its plan span carries that.
+            if adjacency_owed && snapshot.adjacency_state() != ic_kcore::AdjacencyState::Owed {
+                trace.tag(ic_obs::Tag::AdjacencyChecked);
+            }
             trace.note_plan(ic_obs::TracePlan {
                 queries: plan.stats.total_queries as u64,
                 answered_at_plan: plan.stats.answered_at_plan as u64,
@@ -1560,10 +1627,20 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(
-            Engine::open(&path).is_err(),
-            "flipped byte must fail closed"
-        );
+        // A flip inside the adjacency arrays gets past a mapped open —
+        // as a debt — and fails closed the moment something would read
+        // them; anywhere else it fails the open itself.
+        let refused = match Engine::open(&path) {
+            Err(_) => true,
+            Ok(opened) => matches!(
+                opened.run_batch_with(&[Query::new(2, 2, Aggregation::Sum)], &Default::default())
+                    [0],
+                Err(EngineError::CorruptStore { .. })
+            ),
+        };
+        assert!(refused, "flipped byte must fail closed");
+        let eager = OpenOptions::default().owned_buffer();
+        assert!(Engine::open_with_options(&path, &eager).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

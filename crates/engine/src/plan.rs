@@ -33,12 +33,19 @@
 //! * size-constrained (local search) jobs are split into one seed-chunk
 //!   job per worker, sharing an atomic r-th-value pruning floor;
 //! * jobs are sorted by `(k, solver kind, parameters)`, so consecutive
-//!   jobs reuse the same memoized snapshot level and warm arena.
+//!   jobs reuse the same memoized snapshot level and warm arena;
+//! * a snapshot opened from a lazily verified store may still owe the
+//!   check of its adjacency arrays. The planner is where that debt is
+//!   paid: a query is planned only once the check has passed, unless all
+//!   it will do is read an already-memoized forest (which reads no
+//!   adjacency). A failed check answers the query
+//!   [`EngineError::CorruptStore`] at plan time and plans nothing for it.
 
 use crate::{Constraint, EngineError, Epoch, Query, QueryAnswer, Solver};
 use ic_core::aggregate::canonical_f64_bits;
+use ic_core::algo::ExtremumIndex;
 use ic_core::{Aggregation, Extremum, SearchError, TopList};
-use ic_kcore::{Budget, GraphSnapshot};
+use ic_kcore::{AdjacencyState, Budget, GraphSnapshot};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -338,6 +345,23 @@ fn validate(q: &Query) -> Result<JobKey, SearchError> {
     }
 }
 
+/// Whether every member of the query's family has exact tie semantics —
+/// the forest's `f64` rank order proves nothing for approximate ties.
+fn exact_ties(q: &Query) -> bool {
+    q.aggregation.certificates().ties == ic_core::TieSemantics::Exact
+}
+
+/// Whether serving `q` reads nothing but a forest `snapshot` already
+/// holds: the one kind of job that touches no adjacency.
+fn reads_memoized_forest(snapshot: &GraphSnapshot, key: &JobKey, q: &Query) -> bool {
+    match *key {
+        JobKey::MinMax { dir, k, .. } => {
+            q.deadline.is_none() && exact_ties(q) && ExtremumIndex::peek(snapshot, k, dir).is_some()
+        }
+        _ => false,
+    }
+}
+
 impl Plan {
     pub(crate) fn build(
         snapshot: &GraphSnapshot,
@@ -345,10 +369,17 @@ impl Plan {
         threads: usize,
         cache: Option<(&crate::cache::ResultCache, Epoch)>,
     ) -> Plan {
-        let degeneracy = if queries.is_empty() {
-            0
+        // A decomposition the store did not carry is computed from
+        // adjacency: owed check first.
+        let degeneracy: Result<usize, EngineError> = if queries.is_empty() {
+            Ok(0)
+        } else if snapshot.has_decomposition() {
+            Ok(snapshot.degeneracy() as usize)
         } else {
-            snapshot.degeneracy() as usize
+            match snapshot.ensure_adjacency() {
+                Ok(()) => Ok(snapshot.degeneracy() as usize),
+                Err(refused) => Err(refused.into()),
+            }
         };
 
         let mut immediate: Vec<(usize, crate::cache::Outcome)> = Vec::new();
@@ -366,6 +397,13 @@ impl Plan {
                 }
                 Ok(key) => key,
             };
+            let degeneracy = match &degeneracy {
+                Ok(degeneracy) => *degeneracy,
+                Err(refused) => {
+                    immediate.push((idx, Arc::new(Err(refused.clone()))));
+                    continue;
+                }
+            };
             if q.k > degeneracy {
                 // The maximal k-core is empty: the answer is [] for
                 // every solver path, no job needed (and trivially
@@ -377,6 +415,14 @@ impl Plan {
                 cache_hits += 1;
                 immediate.push((idx, hit));
                 continue;
+            }
+            if snapshot.adjacency_state() != AdjacencyState::Verified
+                && !reads_memoized_forest(snapshot, &key, q)
+            {
+                if let Err(refused) = snapshot.ensure_adjacency() {
+                    immediate.push((idx, Arc::new(Err(refused.into()))));
+                    continue;
+                }
             }
             match key {
                 key @ (JobKey::MinMax { .. } | JobKey::SumFamily { .. } | JobKey::Local { .. }) => {
@@ -432,10 +478,7 @@ impl Plan {
                     // prefix certificate comes from the peel's ranked
                     // emission order, which the forest walk does not
                     // replay checkpoint-by-checkpoint.
-                    let indexed = deadline.is_none()
-                        && members.iter().all(|(_, q)| {
-                            q.aggregation.certificates().ties == ic_core::TieSemantics::Exact
-                        });
+                    let indexed = deadline.is_none() && members.iter().all(|(_, q)| exact_ties(q));
                     if indexed {
                         index_routed += members.len();
                     }

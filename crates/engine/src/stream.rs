@@ -35,7 +35,7 @@
 
 use crate::cache::ResultCache;
 use crate::plan::Plan;
-use crate::{exec, EngineError, Epoch, Query, QueryAnswer, Solver};
+use crate::{exec, Epoch, Query, QueryAnswer, Solver};
 use ic_core::algo::{MinMaxEmission, TicEmission};
 use ic_core::{Community, Extremum, SearchError};
 use ic_kcore::{ArenaPool, Budget, GraphSnapshot, PeelArena};
@@ -202,12 +202,7 @@ impl ResultStream {
                         query,
                         ans.communities.clone(),
                     )),
-                    Err(EngineError::Search(e)) => Err(e.clone()),
-                    Err(EngineError::DeadlineExceeded) => Err(SearchError::DeadlineExceeded),
-                    Err(EngineError::Internal { detail })
-                    | Err(EngineError::Unsupported { detail }) => {
-                        Err(SearchError::Internal(detail.clone()))
-                    }
+                    Err(e) => Err(e.clone().into_search()),
                 }
             }
         }

@@ -64,7 +64,30 @@ impl Graph {
         offsets: SharedSlice<usize>,
         targets: SharedSlice<VertexId>,
     ) -> Result<Self, GraphError> {
-        validate_csr(&offsets, &targets)?;
+        let graph = Self::from_csr_deferred(offsets, targets)?;
+        graph.check_adjacency()?;
+        Ok(graph)
+    }
+
+    /// Adopts shared CSR slices **without** the `O(n + m)` structural
+    /// check: only what [`num_vertices`](Self::num_vertices) and
+    /// [`num_edges`](Self::num_edges) rely on (a non-empty offsets
+    /// array) is verified. The caller owes
+    /// [`check_adjacency`](Self::check_adjacency) before the first
+    /// [`neighbors`](Self::neighbors) / [`degree`](Self::degree) /
+    /// [`csr_parts`](Self::csr_parts) read — until then those may index
+    /// out of bounds on malformed arrays. `ic-store` uses this to open a
+    /// mapped store without touching adjacency it may never read; the
+    /// debt is tracked by `ic_kcore::GraphSnapshot`.
+    pub fn from_csr_deferred(
+        offsets: SharedSlice<usize>,
+        targets: SharedSlice<VertexId>,
+    ) -> Result<Self, GraphError> {
+        if offsets.is_empty() {
+            return Err(GraphError::MalformedBinary(
+                "CSR offsets are empty (need n + 1 entries)".into(),
+            ));
+        }
         let num_edges = targets.len() / 2;
         Ok(Graph {
             offsets,
@@ -72,6 +95,17 @@ impl Graph {
             num_edges,
         })
     }
+
+    /// The `O(n + m)` structural check that
+    /// [`from_csr_checked`](Self::from_csr_checked) runs at
+    /// construction: monotone offsets, strictly increasing loop-free
+    /// in-bounds adjacency, symmetric edges. Always `Ok` on a graph
+    /// built any other way than
+    /// [`from_csr_deferred`](Self::from_csr_deferred).
+    pub fn check_adjacency(&self) -> Result<(), GraphError> {
+        validate_csr(&self.offsets, &self.targets)
+    }
+
     /// The raw CSR arrays `(offsets, targets)` — the exact layout
     /// [`Graph::from_csr_checked`] accepts back. Used by `ic-store` to
     /// persist the graph without an edge-list rebuild on either side.
@@ -86,8 +120,8 @@ impl Graph {
     }
 }
 
-/// The `O(n + m)` structural CSR check shared by
-/// [`Graph::from_csr_checked`] and [`Graph::from_csr_shared`].
+/// The `O(n + m)` structural CSR check behind
+/// [`Graph::check_adjacency`], its one caller.
 fn validate_csr(offsets: &[usize], targets: &[VertexId]) -> Result<(), GraphError> {
     let malformed = |msg: String| Err(GraphError::MalformedBinary(msg));
     let Some((&last, _)) = offsets.split_last() else {
@@ -336,6 +370,13 @@ mod tests {
         // Asymmetric edge: 0 -> 1 without the mirror (1 -> 2, 2 -> 1
         // keep counts even and sorted).
         assert!(Graph::from_csr_checked(vec![0, 1, 2, 3, 3], vec![1, 2, 1]).is_err());
+        // The deferred form adopts the same arrays and owes the check.
+        let owing = Graph::from_csr_deferred(vec![0, 1, 2, 3, 3].into(), vec![1, 2, 1].into());
+        let owing = owing.expect("arity alone is checked");
+        assert_eq!((owing.num_vertices(), owing.num_edges()), (4, 1));
+        assert!(owing.check_adjacency().is_err());
+        assert!(g.check_adjacency().is_ok());
+        assert!(Graph::from_csr_deferred(Vec::new().into(), Vec::new().into()).is_err());
     }
 
     #[test]

@@ -67,5 +67,5 @@ pub use extract::{
 };
 pub use maintain::{CascadeRecord, CoreDelta, CoreMaintainer, EdgeUpdate, PeelScratch};
 pub use pool::{ArenaPool, PooledArena};
-pub use snapshot::{CoreLevel, GraphSnapshot};
+pub use snapshot::{AdjacencyRefused, AdjacencyState, CoreLevel, GraphSnapshot};
 pub use truss::{ktruss_mask, maximal_ktruss_components, truss_decomposition, TrussDecomposition};

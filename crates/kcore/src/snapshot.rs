@@ -19,12 +19,20 @@
 //! The snapshot is immutable by construction — there is no way to mutate
 //! the underlying graph through it, so memoized state can never go
 //! stale.
+//!
+//! A snapshot materialized from a lazily verified store may **owe** a
+//! check of its adjacency arrays
+//! ([`GraphSnapshot::owing_adjacency_check`]): everything else about it
+//! was verified when it was built, the adjacency is verified by the
+//! first [`GraphSnapshot::ensure_adjacency`] call, and whoever is about
+//! to read adjacency makes that call first.
 
 use crate::{core_decomposition, CoreDecomposition};
 use ic_graph::{connected_components_within, BitSet, Graph, VertexId, WeightedGraph};
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// A memoized value attached to a snapshot: lazily initialized once,
 /// shared by every reader. The dynamic type is part of the key, so
@@ -45,10 +53,50 @@ pub struct CoreLevel {
     pub components: Vec<Vec<VertexId>>,
 }
 
+/// Why a snapshot's owed adjacency check failed: the graph's adjacency
+/// arrays are corrupt and must not be read. Sticky — every
+/// [`GraphSnapshot::ensure_adjacency`] call on that snapshot returns it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AdjacencyRefused(Arc<str>);
+
+impl std::fmt::Display for AdjacencyRefused {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for AdjacencyRefused {}
+
+/// Where a snapshot's adjacency check stands
+/// ([`GraphSnapshot::adjacency_state`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AdjacencyState {
+    /// Nothing was ever owed, or the check ran and passed: adjacency may
+    /// be read.
+    Verified,
+    /// The check has not run: the next
+    /// [`GraphSnapshot::ensure_adjacency`] call pays for it.
+    Owed,
+    /// The check ran and failed: adjacency must never be read.
+    Refused,
+}
+
+type AdjacencyObserver = Box<dyn Fn(Duration, bool) + Send + Sync>;
+
+/// A deferred structural check of the snapshot's adjacency: run at most
+/// once, by the first caller that needs adjacency.
+struct OwedCheck {
+    run: Box<dyn Fn() -> Result<(), String> + Send + Sync>,
+    outcome: OnceLock<Result<(), AdjacencyRefused>>,
+    /// Told how long the check took and whether it passed.
+    observer: OnceLock<AdjacencyObserver>,
+}
+
 /// Immutable weighted graph plus lazily memoized core structure. See the
 /// module docs.
 pub struct GraphSnapshot {
     wg: Arc<WeightedGraph>,
+    owed: Option<OwedCheck>,
     decomp: OnceLock<Arc<CoreDecomposition>>,
     levels: Mutex<HashMap<usize, Arc<OnceLock<Arc<CoreLevel>>>>>,
     /// Type-erased per-`(k, tag)` side caches: derived structures owned
@@ -80,6 +128,7 @@ impl GraphSnapshot {
     pub fn from_arc(wg: Arc<WeightedGraph>) -> Self {
         GraphSnapshot {
             wg,
+            owed: None,
             decomp: OnceLock::new(),
             levels: Mutex::new(HashMap::new()),
             extensions: Mutex::new(HashMap::new()),
@@ -108,13 +157,79 @@ impl GraphSnapshot {
         snap
     }
 
-    /// The snapshot's weighted graph.
+    /// Marks the snapshot as owing `check`, a structural check of its
+    /// graph's adjacency arrays that construction skipped
+    /// (`ic_graph::Graph::from_csr_deferred`). Weights, vertex and edge
+    /// counts and every seeded structure must already be verified; only
+    /// adjacency reads wait for [`ensure_adjacency`](Self::ensure_adjacency).
+    pub fn owing_adjacency_check(
+        mut self,
+        check: impl Fn() -> Result<(), String> + Send + Sync + 'static,
+    ) -> Self {
+        self.owed = Some(OwedCheck {
+            run: Box::new(check),
+            outcome: OnceLock::new(),
+            observer: OnceLock::new(),
+        });
+        self
+    }
+
+    /// Discharges the owed adjacency check: the first call runs it
+    /// (concurrent callers wait for that one run), every call returns
+    /// its outcome. `Ok` means adjacency may be read; an error is sticky
+    /// and the adjacency must never be read. Free on a snapshot that
+    /// owes nothing.
+    pub fn ensure_adjacency(&self) -> Result<(), AdjacencyRefused> {
+        let Some(owed) = &self.owed else {
+            return Ok(());
+        };
+        owed.outcome
+            .get_or_init(|| {
+                let started = Instant::now();
+                let outcome = (owed.run)().map_err(|why| AdjacencyRefused(why.into()));
+                if let Some(observer) = owed.observer.get() {
+                    observer(started.elapsed(), outcome.is_ok());
+                }
+                outcome
+            })
+            .clone()
+    }
+
+    /// Where the owed check stands, without running it.
+    pub fn adjacency_state(&self) -> AdjacencyState {
+        match self.owed.as_ref().map(|owed| owed.outcome.get()) {
+            None | Some(Some(Ok(()))) => AdjacencyState::Verified,
+            Some(None) => AdjacencyState::Owed,
+            Some(Some(Err(_))) => AdjacencyState::Refused,
+        }
+    }
+
+    /// Installs the observer of the owed check's one run — `(elapsed,
+    /// passed)` — so its cost can be put on the owner's metrics. The
+    /// first observer installed stays; nothing happens on a snapshot that
+    /// owes nothing.
+    pub fn observe_adjacency_check(
+        &self,
+        observer: impl Fn(Duration, bool) + Send + Sync + 'static,
+    ) {
+        if let Some(owed) = &self.owed {
+            let _ = owed.observer.set(Box::new(observer));
+        }
+    }
+
+    /// The snapshot's weighted graph. Weights, total weight and the
+    /// vertex and edge counts are always verified; while the snapshot
+    /// [owes](Self::owing_adjacency_check) its adjacency check (or after
+    /// the check failed) the adjacency arrays behind this reference are
+    /// not, and reading them may panic or lie — call
+    /// [`ensure_adjacency`](Self::ensure_adjacency) first.
     #[inline]
     pub fn weighted(&self) -> &WeightedGraph {
         &self.wg
     }
 
-    /// The underlying unweighted graph.
+    /// The underlying unweighted graph; its adjacency is subject to the
+    /// same owed check as [`weighted`](Self::weighted).
     #[inline]
     pub fn graph(&self) -> &Graph {
         self.wg.graph()
@@ -131,6 +246,13 @@ impl GraphSnapshot {
             self.decomp
                 .get_or_init(|| Arc::new(core_decomposition(self.wg.graph()))),
         )
+    }
+
+    /// Whether the decomposition is already memoized (seeded or
+    /// computed): [`degeneracy`](Self::degeneracy) then reads no
+    /// adjacency.
+    pub fn has_decomposition(&self) -> bool {
+        self.decomp.get().is_some()
     }
 
     /// The degeneracy of the graph (maximum core number): any query with
@@ -241,6 +363,17 @@ impl GraphSnapshot {
         Arc::clone(erased)
             .downcast::<T>()
             .expect("extension type is part of the cache key")
+    }
+
+    /// The extension of type `T` under `(k, tag)` if it is already
+    /// memoized (seeded or built); never builds.
+    pub fn peek_extension<T>(&self, k: usize, tag: u8) -> Option<Arc<T>>
+    where
+        T: Send + Sync + 'static,
+    {
+        let exts = self.extensions.lock().expect("snapshot cache poisoned");
+        let erased = exts.get(&(k, tag, TypeId::of::<T>()))?.get()?;
+        Arc::clone(erased).downcast::<T>().ok()
     }
 
     /// Seeds the extension cache under `(k, tag)` with a prebuilt value
@@ -369,9 +502,47 @@ mod tests {
         assert_eq!(snap.cached_extensions(), 3);
         // Type is part of the key: a different T at the same (k, tag)
         // neither collides nor appears in the enumeration above.
+        assert!(snap.peek_extension::<String>(2, 0).is_none());
         let s = snap.extension(2, 0, || String::from("x"));
         assert_eq!(s.as_str(), "x");
+        assert!(Arc::ptr_eq(&s, &snap.peek_extension(2, 0).unwrap()));
         assert_eq!(snap.memoized_extensions::<Vec<u32>>().len(), 3);
+    }
+
+    #[test]
+    fn owed_adjacency_check_runs_once_and_sticks() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        assert!(snapshot().ensure_adjacency().is_ok(), "nothing owed");
+        assert_eq!(snapshot().adjacency_state(), AdjacencyState::Verified);
+        for verdict in [Ok(()), Err("mirror edge missing".to_string())] {
+            let runs = Arc::new(AtomicUsize::new(0));
+            let observed = Arc::new(AtomicUsize::new(0));
+            let (r, v) = (Arc::clone(&runs), verdict.clone());
+            let snap = snapshot().owing_adjacency_check(move || {
+                r.fetch_add(1, Ordering::Relaxed);
+                v.clone()
+            });
+            let o = Arc::clone(&observed);
+            snap.observe_adjacency_check(move |_, passed| {
+                o.fetch_add(if passed { 1 } else { 100 }, Ordering::Relaxed);
+            });
+            assert_eq!(snap.adjacency_state(), AdjacencyState::Owed);
+            assert_eq!(runs.load(Ordering::Relaxed), 0, "deferred until asked");
+            let first = snap.ensure_adjacency();
+            assert_eq!(first.is_ok(), verdict.is_ok());
+            assert_eq!(snap.ensure_adjacency(), first, "sticky");
+            let settled = match verdict {
+                Ok(()) => AdjacencyState::Verified,
+                Err(_) => AdjacencyState::Refused,
+            };
+            assert_eq!(snap.adjacency_state(), settled);
+            assert_eq!(runs.load(Ordering::Relaxed), 1);
+            let seen = if verdict.is_ok() { 1 } else { 100 };
+            assert_eq!(observed.load(Ordering::Relaxed), seen);
+            if let Err(refused) = first {
+                assert_eq!(refused.to_string(), "mirror edge missing");
+            }
+        }
     }
 
     #[test]

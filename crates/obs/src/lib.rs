@@ -449,17 +449,21 @@ pub enum Tag {
     Shed,
     /// At least one query exceeded its deadline.
     DeadlineExceeded,
+    /// The batch's plan paid for the adjacency check a store-opened
+    /// snapshot owed (`store.adjacency_check_ns` says how much).
+    AdjacencyChecked,
 }
 
 impl Tag {
     /// All tags.
-    pub const ALL: [Tag; 6] = [
+    pub const ALL: [Tag; 7] = [
         Tag::CacheHit,
         Tag::IndexRouted,
         Tag::FamilyMerged,
         Tag::Degraded,
         Tag::Shed,
         Tag::DeadlineExceeded,
+        Tag::AdjacencyChecked,
     ];
 
     /// Stable snake_case name (JSON value).
@@ -471,6 +475,7 @@ impl Tag {
             Tag::Degraded => "degraded",
             Tag::Shed => "shed",
             Tag::DeadlineExceeded => "deadline_exceeded",
+            Tag::AdjacencyChecked => "adjacency_checked",
         }
     }
 
@@ -482,6 +487,7 @@ impl Tag {
             Tag::Degraded => 1 << 3,
             Tag::Shed => 1 << 4,
             Tag::DeadlineExceeded => 1 << 5,
+            Tag::AdjacencyChecked => 1 << 6,
         }
     }
 }

@@ -75,6 +75,15 @@
 //! channel closes only when the reader *and* every in-flight admitted
 //! query have dropped their senders, and the writer acks only after
 //! the channel closes.
+//!
+//! **Nothing polls for work.** The accept thread blocks in `accept()`,
+//! so a connection is served when it arrives; a batcher blocks on its
+//! shard's condvar. Whoever starts the drain wakes both: the batchers
+//! through their condvars (under the shard lock, so the wake-up cannot
+//! slip between a batcher's check and its wait), the accept thread with
+//! a throw-away loopback connection to the listener, which it drops
+//! unserved. Only an *idle open connection* still notices a drain by
+//! its read timeout (`READ_TICK`).
 
 use crate::error::ProtocolError;
 use crate::protocol::{
@@ -86,7 +95,7 @@ use ic_engine::{BatchOptions, EdgeUpdate, Engine, QueryBackend, SharedAnswer};
 use ic_sub::{Admission, NotificationGate, SubscriptionId, SubscriptionManager};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -96,8 +105,11 @@ use std::time::{Duration, Instant};
 /// How long an idle socket read blocks before re-checking the draining
 /// flag (drain responsiveness, not a client-visible timeout).
 const READ_TICK: Duration = Duration::from_millis(50);
-/// How often the accept loop polls its non-blocking listener.
-const ACCEPT_TICK: Duration = Duration::from_millis(25);
+/// How long the accept loop backs off after a failed `accept` (e.g.
+/// `EMFILE`), so a persistent error cannot spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(25);
+/// How long the drain's wake-up connection to the listener may take.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Consecutive mid-frame read timeouts tolerated before the stream is
 /// declared truncated (READ_TICK × this ≈ 5 s of mid-frame silence).
 const MID_FRAME_STALLS: u32 = 100;
@@ -404,6 +416,9 @@ struct Shared {
     shards: Vec<Shard>,
     next_shard: AtomicUsize,
     draining: AtomicBool,
+    /// Where a connection reaches the listener from this host: the bound
+    /// address, with a wildcard IP replaced by its family's loopback.
+    wake_addr: SocketAddr,
     conns: Mutex<Vec<JoinHandle<()>>>,
     next_conn: AtomicU64,
     hub: Option<Hub>,
@@ -412,15 +427,25 @@ struct Shared {
 }
 
 impl Shared {
-    fn wake_all(&self) {
+    /// Flips the server into draining and wakes every thread that
+    /// blocks waiting for work; the first caller does it, later calls
+    /// are no-ops.
+    fn start_drain(&self) {
+        if self.draining.swap(true, Ordering::AcqRel) {
+            return;
+        }
         for shard in &self.shards {
+            // A batcher checks `draining` and starts waiting under this
+            // lock: taking it once orders the notify after that wait.
+            drop(shard.queue.lock().unwrap());
             shard.cond.notify_all();
         }
-    }
-
-    fn start_drain(&self) {
-        self.draining.store(true, Ordering::Release);
-        self.wake_all();
+        // The accept thread blocks in `accept()`; a connection is the
+        // one thing that returns it. It sees `draining` and drops the
+        // stream unserved. (A failed connect means the listener is
+        // already gone, or the host is out of descriptors — in which
+        // case `accept` is failing too and the loop sees the flag.)
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
     }
 
     fn is_draining(&self) -> bool {
@@ -542,8 +567,14 @@ impl Server {
         hub: Option<Hub>,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let mut wake_addr = local_addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let config = ServeConfig {
             shards: config.shards.max(1),
             max_batch: config.max_batch.max(1),
@@ -556,6 +587,7 @@ impl Server {
             shards: (0..config.shards).map(|_| Shard::default()).collect(),
             next_shard: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
+            wake_addr,
             conns: Mutex::new(Vec::new()),
             next_conn: AtomicU64::new(0),
             hub,
@@ -632,7 +664,9 @@ impl Server {
 
     /// Starts a graceful drain: stop accepting, shed new queries,
     /// answer everything already admitted, ack and close every
-    /// connection. Returns immediately; [`Server::join`] waits.
+    /// connection. Wakes the accept thread (one loopback connection to
+    /// the listener) and the batchers, then returns; [`Server::join`]
+    /// waits. A client's SHUTDOWN frame does exactly the same.
     pub fn shutdown(&self) {
         self.shared.start_drain();
     }
@@ -640,7 +674,10 @@ impl Server {
     /// Waits for the drain to complete: accept loop, batchers, and
     /// every connection thread (each of which joins its own writer, so
     /// returning from `join` means every tail reply and every
-    /// `ShutdownAck` has been written).
+    /// `ShutdownAck` has been written). Nothing it waits for polls on a
+    /// timer except the reader of a connection its client left open and
+    /// idle (up to `READ_TICK`), so with the clients gone `join` returns
+    /// as soon as the admitted work is answered.
     pub fn join(mut self) {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
@@ -798,10 +835,13 @@ fn flush(shared: &Shared, batch: &mut Vec<Admitted>) {
 
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     loop {
+        let accepted = listener.accept();
         if shared.is_draining() {
+            // Whatever just arrived is the drain's wake-up connection
+            // (or a client too late to be served): dropped, not counted.
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 let shared_conn = Arc::clone(shared);
                 let handle = std::thread::Builder::new()
@@ -822,10 +862,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
                 live.push(handle);
                 *conns = live;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_TICK);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_TICK),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
@@ -930,6 +967,14 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
+/// Empties the writer's buffer for its next gather and gives back what
+/// a bulk reply grew it by: capacity beyond [`WRITE_GATHER_MAX`] would
+/// otherwise stay with the connection until it closes.
+fn reset_write_buf(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.shrink_to(WRITE_GATHER_MAX);
+}
+
 /// Drains the connection's outbound queue onto the socket. Each wake-up
 /// takes the message that woke it plus whatever else is already queued,
 /// encodes all of it into one buffer, and sends that with one `write`.
@@ -945,7 +990,6 @@ fn write_loop(
     let mut gathered: Vec<Outbound> = Vec::new();
     let mut dead = false;
     while let Ok(first) = rx.recv() {
-        buf.clear();
         let mut next = Some(first);
         while let Some(outbound) = next {
             if !dead {
@@ -963,6 +1007,7 @@ fn write_loop(
             let _ = stream.shutdown(Shutdown::Both);
             dead = true;
         }
+        reset_write_buf(&mut buf);
         // Written or abandoned, the messages are off the queue.
         for outbound in gathered.drain(..) {
             outbound.settle();
@@ -972,7 +1017,6 @@ fn write_loop(
         return;
     }
     if ack_on_close.load(Ordering::Acquire) {
-        buf.clear();
         push_response(mode, &Response::ShutdownAck, &mut buf);
         let _ = stream.write_all(&buf);
     }
@@ -1326,5 +1370,30 @@ fn read_json(
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_bulk_reply_does_not_pin_the_writers_buffer() {
+        // What one 4 MB max reply leaves behind.
+        let mut buf = vec![0u8; 16 * WRITE_GATHER_MAX];
+        reset_write_buf(&mut buf);
+        assert!(buf.is_empty());
+        assert!(
+            buf.capacity() <= 2 * WRITE_GATHER_MAX,
+            "writer kept {} bytes after a bulk reply",
+            buf.capacity()
+        );
+        // An ordinary gather keeps its allocation for the next one.
+        let mut small = Vec::with_capacity(WRITE_GATHER_MAX / 4);
+        small.extend_from_slice(b"reply");
+        let before = small.capacity();
+        reset_write_buf(&mut small);
+        assert!(small.is_empty());
+        assert_eq!(small.capacity(), before);
     }
 }

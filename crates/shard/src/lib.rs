@@ -142,16 +142,24 @@ impl ShardedEngine {
         let per_shard_threads = (options.threads / paths.len()).max(1);
         let engine_options = options.clone().threads(per_shard_threads);
 
+        // Like `Engine::open`, a mapped shard store is verified here in
+        // everything but its adjacency arrays; that check stays owed by
+        // the shard's snapshot until one of its queries reads adjacency,
+        // and its one run is reported on the front's registry.
+        let metrics = ShardMetrics::new();
         let mut shards = Vec::with_capacity(paths.len());
         for path in paths {
-            let mut contents = StoreFile::open_with(&path, &engine_options.store)?.load()?;
+            let mut contents =
+                StoreFile::open_with(&path, &engine_options.store)?.load_deferred()?;
             let Some(shard) = contents.shard.take() else {
                 return Err(corrupt(format!(
                     "{}: not a shard store (no shard-meta section)",
                     path.display()
                 )));
             };
-            let engine = Engine::from_snapshot(contents.into_snapshot(), engine_options.threads);
+            let snapshot = contents.into_snapshot();
+            ic_engine::report_adjacency_check(&snapshot, &metrics.registry);
+            let engine = Engine::from_snapshot(snapshot, engine_options.threads);
             shards.push(Shard {
                 engine,
                 id_map: shard.id_map,
@@ -160,12 +168,12 @@ impl ShardedEngine {
             });
         }
         shards.sort_by_key(|s| s.meta.shard_index);
-        Self::validate(shards)
+        Self::validate(shards, metrics)
     }
 
     /// Structural validation + group-table construction over opened
     /// shards (see [`ShardedEngine::open_dir_with`] for what fails).
-    fn validate(shards: Vec<Shard>) -> Result<ShardedEngine, StoreError> {
+    fn validate(shards: Vec<Shard>, metrics: ShardMetrics) -> Result<ShardedEngine, StoreError> {
         let first = &shards[0].meta;
         let (global_n, global_m) = (first.global_n, first.global_m);
         for (i, s) in shards.iter().enumerate() {
@@ -250,7 +258,7 @@ impl ShardedEngine {
             groups,
             global_n,
             global_m,
-            metrics: ShardMetrics::new(),
+            metrics,
         })
     }
 
@@ -471,7 +479,7 @@ impl ShardedEngine {
             slots[qi] = Some(match error {
                 Some(e) => Err(e),
                 None => {
-                    let communities = merge_topr(&lists, q.r);
+                    let communities = top_ranked(lists.into_iter().flatten().collect(), q.r);
                     match degraded {
                         Some(status) if !communities.is_empty() => Ok(QueryAnswer {
                             communities,
@@ -547,10 +555,21 @@ fn translate(communities: &[Community], id_map: &[u32]) -> Vec<Community> {
 /// result is independent of the order and grouping of the input lists —
 /// merging is associative and commutative (held by
 /// `tests/merge_prop.rs`).
+///
+/// This is the borrowed form of the one merge body, `top_ranked`: it
+/// ranks references and clones the `r` winners. The gather itself owns
+/// its translated lists and moves them through the same body.
 pub fn merge_topr(lists: &[Vec<Community>], r: usize) -> Vec<Community> {
-    let mut all: Vec<&Community> = lists.iter().flatten().collect();
-    all.sort_by(|a, b| a.ranking_cmp(b));
-    all.into_iter().take(r).cloned().collect()
+    let winners = top_ranked(lists.iter().flatten().collect(), r);
+    winners.into_iter().cloned().collect()
+}
+
+/// The merge: the `r` best of `all` in canonical ranking order, over
+/// communities owned (`Community`) or borrowed (`&Community`).
+fn top_ranked<C: std::borrow::Borrow<Community>>(mut all: Vec<C>, r: usize) -> Vec<C> {
+    all.sort_by(|a, b| a.borrow().ranking_cmp(b.borrow()));
+    all.truncate(r);
+    all
 }
 
 #[cfg(test)]

@@ -38,10 +38,13 @@
 //! depth.
 //!
 //! **Serving integration.** `ic_engine::Engine::open` wraps
-//! [`StoreFile::load`] + [`StoreContents::into_snapshot`]:
+//! [`StoreFile::load_deferred`] + [`StoreContents::into_snapshot`]:
 //! decomposition, levels, and forests seed the snapshot's memo caches,
 //! and the engine's planner serves exact-tie peel-extremum queries
-//! straight from the forest in output-sensitive time. After
+//! straight from the forest in output-sensitive time. On a lazily
+//! verified mapped store the one check left for later is the
+//! adjacency arrays' — the snapshot owes it and the engine calls it in
+//! before anything reads adjacency; [`StoreFile::load`] owes nothing. After
 //! `Engine::apply` mutates the graph, the swapped-in snapshot starts
 //! with empty caches under a new epoch — persisted state is *never*
 //! consulted across an update; it rebuilds lazily per level.

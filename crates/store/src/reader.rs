@@ -19,6 +19,13 @@
 //!   check covers are the 8 header checksum bytes `[24..32)`, which
 //!   are pure redundancy in this mode.
 //!
+//! The two adjacency sections get the same treatment one level up:
+//! [`StoreFile::load_deferred`] materializes everything else — verified
+//! as [`StoreFile::load`] verifies it — but leaves the
+//! `GraphOffsets`/`GraphTargets` hashes and the `O(m)` CSR structure
+//! check as a debt the snapshot carries until something is about to
+//! read adjacency. `load` pays it at once.
+//!
 //! Sections are viewed in place as their element types — zero-parse —
 //! and the graph arrays are adopted as [`SharedSlice`]s that keep the
 //! backing buffer or mapping alive ([`Graph::from_csr_shared`],
@@ -80,6 +87,7 @@ impl OpenOptions {
 /// The storage a validated store file serves from: an owned aligned
 /// buffer or a read-only file mapping. Both are `Arc`-shared so graph
 /// slices can borrow them beyond the `StoreFile`'s lifetime.
+#[derive(Clone)]
 enum Backing {
     Owned(Arc<AlignedBuf>),
     Mapped(Arc<Mmap>),
@@ -114,6 +122,8 @@ impl Backing {
 }
 
 /// Which integrity policy the open chose (see the module docs).
+/// `Arc`-shared with the `OwedAdjacency` a deferred load hands out, so a
+/// section verified by either is verified for both.
 enum VerifyState {
     /// Whole-payload checksum verified at open.
     Eager,
@@ -133,7 +143,7 @@ pub struct StoreFile {
     backing: Backing,
     header: Header,
     sections: Vec<Section>,
-    verify: VerifyState,
+    verify: Arc<VerifyState>,
 }
 
 impl std::fmt::Debug for StoreFile {
@@ -164,6 +174,31 @@ pub struct StoreContents {
     /// Shard identity, when this store is one partition of a larger
     /// logical graph.
     pub shard: Option<ShardContents>,
+    /// The adjacency check [`StoreFile::load_deferred`] left unpaid
+    /// (`None` after [`StoreFile::load`] and for eagerly verified files).
+    owed: Option<OwedAdjacency>,
+}
+
+/// What [`StoreFile::load_deferred`] did not verify about a lazily
+/// verified store: the `GraphOffsets` and `GraphTargets` section hashes
+/// and the graph's `O(n + m)` CSR structure check. Everything else is
+/// verified before the contents exist.
+struct OwedAdjacency {
+    store: StoreFile,
+    sections: [usize; 2],
+    graph: Graph,
+}
+
+impl OwedAdjacency {
+    /// Runs the owed verification: both section hashes (once per file,
+    /// like any lazily verified section), then the one structural check
+    /// [`Graph::check_adjacency`].
+    fn discharge(&self) -> Result<(), StoreError> {
+        for &i in &self.sections {
+            self.store.section_bytes_at(i)?;
+        }
+        Ok(self.graph.check_adjacency()?)
+    }
 }
 
 /// The shard-specific sections of a store, materialized.
@@ -179,12 +214,22 @@ impl StoreContents {
     /// carried: decomposition, levels, and forests all land in the
     /// snapshot's memo caches, so the first query pays nothing that was
     /// precomputed. This is the cold-start entry point the engine wraps.
+    ///
+    /// Contents from [`StoreFile::load_deferred`] hand their unpaid
+    /// adjacency check to the snapshot
+    /// ([`GraphSnapshot::owing_adjacency_check`]): it runs on the first
+    /// [`GraphSnapshot::ensure_adjacency`], which the engine calls before
+    /// anything reads adjacency. Contents from [`StoreFile::load`] owe
+    /// nothing.
     pub fn into_snapshot(self) -> GraphSnapshot {
         let wg = Arc::new(self.weighted);
-        let snap = match self.decomposition {
+        let mut snap = match self.decomposition {
             Some(decomp) => GraphSnapshot::with_decomposition(wg, decomp),
             None => GraphSnapshot::from_arc(wg),
         };
+        if let Some(owed) = self.owed {
+            snap = snap.owing_adjacency_check(move || owed.discharge().map_err(|e| e.to_string()));
+        }
         for level in self.levels {
             snap.seed_level(level);
         }
@@ -353,8 +398,19 @@ impl StoreFile {
             backing,
             header,
             sections,
-            verify,
+            verify: Arc::new(verify),
         })
+    }
+
+    /// Another handle on the same validated file (`Arc` bumps and a copy
+    /// of the small section table).
+    fn share(&self) -> StoreFile {
+        StoreFile {
+            backing: self.backing.clone(),
+            header: self.header,
+            sections: self.sections.clone(),
+            verify: Arc::clone(&self.verify),
+        }
     }
 
     /// Builds the lazy verification state when requested and possible:
@@ -443,7 +499,7 @@ impl StoreFile {
     /// of a store carrying section sums) rather than eagerly over the
     /// whole payload.
     pub fn is_lazy_verified(&self) -> bool {
-        matches!(self.verify, VerifyState::Lazy { .. })
+        matches!(*self.verify, VerifyState::Lazy { .. })
     }
 
     /// Whether the file carries a per-section integrity sums section
@@ -464,7 +520,7 @@ impl StoreFile {
             hashes,
             verified,
             sums_index,
-        } = &self.verify
+        } = &*self.verify
         {
             if i != *sums_index && !verified[i].load(Ordering::Acquire) {
                 let lo = s.offset as usize;
@@ -523,6 +579,18 @@ impl StoreFile {
         what: &str,
     ) -> Result<SharedSlice<T>, StoreError> {
         self.section_bytes_at(i)?;
+        self.shared_section_unverified(i, cast, what)
+    }
+
+    /// [`shared_section`](Self::shared_section) without the lazy hash
+    /// check: only for the adjacency sections, whose check is handed out
+    /// as an `OwedAdjacency` instead.
+    fn shared_section_unverified<T: Send + Sync + 'static>(
+        &self,
+        i: usize,
+        cast: fn(&[u8]) -> Option<&[T]>,
+        what: &str,
+    ) -> Result<SharedSlice<T>, StoreError> {
         let s = &self.sections[i];
         let lo = s.offset as usize;
         self.backing
@@ -593,15 +661,31 @@ impl StoreFile {
 
     /// Materializes the persisted weighted graph. The CSR arrays and
     /// weights *borrow* the store's buffer or mapping ([`SharedSlice`]
-    /// adoption — no bulk copy); full structural validation still runs.
-    /// A shard store's graph reports the logical graph's total weight.
+    /// adoption — no bulk copy); full structural validation still runs,
+    /// here and now: this is the deferred materialization behind
+    /// [`load_deferred`](Self::load_deferred) with the adjacency debt
+    /// paid at once. A shard store's graph reports the logical graph's
+    /// total weight.
     pub fn graph(&self) -> Result<WeightedGraph, StoreError> {
+        let (wg, owed) = self.graph_deferred()?;
+        owed.discharge()?;
+        Ok(wg)
+    }
+
+    /// The persisted weighted graph with everything verified except its
+    /// adjacency: array arities (`n + 1` offsets, `2m` targets, `n`
+    /// weights), the weights section hash, every weight finite and
+    /// non-negative, and the total are checked now; the two adjacency
+    /// section hashes and the CSR structure check come back as the debt
+    /// to discharge before adjacency is read.
+    fn graph_deferred(&self) -> Result<(WeightedGraph, OwedAdjacency), StoreError> {
         let (n, m) = self.graph_meta()?;
-        let offsets = self.shared_section::<usize>(
+        let sections = [
             self.require(SectionKind::GraphOffsets)?,
-            usizes,
-            "graph-offsets",
-        )?;
+            self.require(SectionKind::GraphTargets)?,
+        ];
+        let offsets =
+            self.shared_section_unverified::<usize>(sections[0], usizes, "graph-offsets")?;
         if offsets.len() != n + 1 {
             return Err(StoreError::corrupt(format!(
                 "graph-offsets has {} entries, expected n + 1 = {}",
@@ -609,11 +693,7 @@ impl StoreFile {
                 n + 1
             )));
         }
-        let targets = self.shared_section::<u32>(
-            self.require(SectionKind::GraphTargets)?,
-            u32s,
-            "graph-targets",
-        )?;
+        let targets = self.shared_section_unverified::<u32>(sections[1], u32s, "graph-targets")?;
         if targets.len() != 2 * m {
             return Err(StoreError::corrupt(format!(
                 "graph-targets has {} entries, expected 2m = {}",
@@ -621,7 +701,12 @@ impl StoreFile {
                 2 * m
             )));
         }
-        let graph = Graph::from_csr_shared(offsets, targets)?;
+        let graph = Graph::from_csr_deferred(offsets, targets)?;
+        let owed = OwedAdjacency {
+            store: self.share(),
+            sections,
+            graph: graph.clone(),
+        };
         let weights =
             self.shared_section::<f64>(self.require(SectionKind::Weights)?, f64s, "weights")?;
         if weights.len() != n {
@@ -631,10 +716,11 @@ impl StoreFile {
             )));
         }
         let wg = WeightedGraph::from_shared(graph, weights)?;
-        match self.shard_meta()? {
-            Some(meta) => Ok(wg.with_total_weight(meta.total_weight())?),
-            None => Ok(wg),
-        }
+        let wg = match self.shard_meta()? {
+            Some(meta) => wg.with_total_weight(meta.total_weight())?,
+            None => wg,
+        };
+        Ok((wg, owed))
     }
 
     /// Materializes the persisted core decomposition, if present.
@@ -846,9 +932,34 @@ impl StoreFile {
         Ok(out)
     }
 
-    /// Materializes everything the store carries.
+    /// Materializes everything the store carries, every check run:
+    /// [`load_deferred`](Self::load_deferred) with the adjacency debt
+    /// paid at once, so the contents owe nothing. `verify_deep` and the
+    /// `ic-store` CLI go through here.
     pub fn load(&self) -> Result<StoreContents, StoreError> {
-        let weighted = self.graph()?;
+        let mut contents = self.load_deferred()?;
+        if let Some(owed) = contents.owed.take() {
+            owed.discharge()?;
+        }
+        Ok(contents)
+    }
+
+    /// [`load`](Self::load) for a reader that may never touch adjacency
+    /// (`Engine::open*`, `ShardedEngine::open_dir*`). On a lazily
+    /// verified mapped store the `GraphOffsets`/`GraphTargets` hashes and
+    /// the CSR structure check stay owed — the contents carry them into
+    /// [`StoreContents::into_snapshot`] — while everything else is
+    /// verified exactly as `load` verifies it. An eagerly verified file
+    /// (owned buffer, or no section sums) pays at once: identical to
+    /// `load`.
+    pub fn load_deferred(&self) -> Result<StoreContents, StoreError> {
+        let (weighted, owed) = self.graph_deferred()?;
+        let owed = if self.is_lazy_verified() {
+            Some(owed)
+        } else {
+            owed.discharge()?;
+            None
+        };
         let n = weighted.num_vertices();
         let shard = match (self.shard_meta()?, self.shard_id_map()?) {
             (Some(meta), Some(id_map)) => Some(ShardContents { meta, id_map }),
@@ -865,6 +976,7 @@ impl StoreFile {
             forests: self.forests(n)?,
             shard,
             weighted,
+            owed,
         })
     }
 

@@ -10,7 +10,10 @@
 //! 2. **Fail-closed**: truncating the file or flipping any verifiable
 //!    byte makes the mapped open (or the first typed view of the
 //!    damaged section) return a typed [`StoreError`] — never a panic,
-//!    never a silently wrong snapshot. The only bytes exempt are the
+//!    never a silently wrong snapshot. A deferred load
+//!    (`StoreFile::load_deferred`, what the engine opens with) may hand
+//!    an adjacency flip on as a debt; the snapshot's owed check then
+//!    refuses it before adjacency is read. The only bytes exempt are the
 //!    header checksum field `[24..32)` and the sums section's own
 //!    unused slot, which lazy verification cannot cover *by design*
 //!    (they are exactly what the eager path exists to check).
@@ -19,7 +22,7 @@ use ic_core::algo::ExtremumIndex;
 use ic_core::Extremum;
 use ic_gen::{barabasi_albert, chung_lu, gnm, pareto_weights, GraphSeed};
 use ic_graph::WeightedGraph;
-use ic_kcore::{core_decomposition, GraphSnapshot};
+use ic_kcore::{core_decomposition, AdjacencyState, GraphSnapshot};
 use ic_store::{OpenOptions, SectionKind, StoreBuilder, StoreError, StoreFile};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -139,6 +142,23 @@ proptest! {
         prop_assert_eq!(mapped_bits, owned_bits);
         prop_assert_eq!(&*mapped.decomposition(), &*owned.decomposition());
 
+        // The deferred load owes exactly the adjacency check — only on
+        // the lazily verified mapping — and is the same snapshot once
+        // that has run.
+        let load_deferred = |options: &OpenOptions| {
+            let file = StoreFile::open_with(&path, options).expect("open");
+            file.load_deferred().expect("deferred load").into_snapshot()
+        };
+        let owing = load_deferred(&OpenOptions::mapped());
+        prop_assert_eq!(owing.adjacency_state(), AdjacencyState::Owed);
+        prop_assert_eq!(
+            load_deferred(&OpenOptions::default()).adjacency_state(),
+            AdjacencyState::Verified
+        );
+        prop_assert!(owing.ensure_adjacency().is_ok());
+        prop_assert_eq!(owing.adjacency_state(), AdjacencyState::Verified);
+        prop_assert_eq!(owing.graph(), owned.graph());
+
         for k in ks {
             for dir in [Extremum::Min, Extremum::Max] {
                 let a = ExtremumIndex::cached(&mapped, k, dir)
@@ -185,7 +205,9 @@ proptest! {
     /// Any single byte flip outside the documented unverifiable bytes
     /// fails the mapped open or the subsequent load with a typed
     /// [`StoreError`] — corruption can hide from the *open* (lazy mode
-    /// verifies on first touch) but never from a materialized snapshot.
+    /// verifies on first touch) but never from a materialized snapshot
+    /// whose owed check has run: `load()` runs it at once, a deferred
+    /// load leaves it to `ensure_adjacency`.
     #[test]
     fn byte_flips_fail_closed_under_mmap(
         wg in arb_weighted(),
@@ -217,6 +239,16 @@ proptest! {
             Ok(()) => return Err(TestCaseError::fail(format!(
                 "flip at {pos} (xor {xor:#04x}) loaded cleanly"
             ))),
+        }
+        let deferred = StoreFile::open_with(&path, &OpenOptions::mapped())
+            .and_then(|file| file.load_deferred());
+        if let Ok(contents) = deferred {
+            let snap = contents.into_snapshot();
+            prop_assert_eq!(snap.adjacency_state(), AdjacencyState::Owed,
+                            "flip at {} got past a deferred load that owes nothing", pos);
+            prop_assert!(snap.ensure_adjacency().is_err(),
+                         "flip at {} passed the owed check", pos);
+            prop_assert_eq!(snap.adjacency_state(), AdjacencyState::Refused);
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -14,7 +14,9 @@
 //! * **engine-batched** — `ic_engine::Engine::run_batch`, including its
 //!   dedup and r-family merging;
 //! * **streamed** — `ic_engine::Engine::submit`, the progressive
-//!   session, drained to completion.
+//!   session, drained to completion;
+//! * **sharded** — `ic_shard::ShardedEngine`, for one family whose
+//!   members each merge lists from several shards.
 //!
 //! The deterministic paths must agree **bit for bit** — same vertex
 //! sets, same values, same order — on ER, Barabási-Albert, Chung-Lu,
@@ -456,6 +458,54 @@ fn exhaustive_oracle_anchors_every_path_on_tiny_graphs() {
             }
         }
     }
+}
+
+/// One `(k, max)` family of four `r`s (and its `min` twin) through the
+/// scatter-gather front: every shard's forest materializes the family
+/// once and each `r` takes its prefix, the gather moves the translated
+/// lists into the merge — and with four disconnected blocks in four
+/// shards every member merges more than `r` candidates, so both the
+/// per-`r` prefixes and the merge's cut at `r` are on the path. Must
+/// equal the unsharded engine bit for bit.
+#[test]
+fn a_sharded_family_of_four_rs_matches_the_unsharded_engine() {
+    let blocks = PlantedPartitionConfig {
+        communities: 4,
+        community_size: 12,
+        p_in: 0.7,
+        p_out: 0.0,
+    };
+    let g = planted_partition(&blocks, GraphSeed(5));
+    // Distinct weights: a value tie *across* shards at the `r` boundary
+    // is the one case where the merge's canonical order and the
+    // unsharded engine's event order pick different members (they did
+    // before this test existed; see ROADMAP item 5c).
+    let w = rank_weights(g.num_vertices(), GraphSeed(6));
+    let wg = WeightedGraph::new(g, w).unwrap();
+    let dir = std::env::temp_dir().join(format!("ic-conformance-shards-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    ic_store::shard::build_shard_stores(&wg, &[2], 12, &dir).unwrap();
+    let sharded = ic_shard::ShardedEngine::open_dir(&dir).unwrap();
+    assert!(sharded.route(2).len() >= 2, "the family must fan out");
+
+    let batch: Vec<Query> = [1usize, 2, 3, 5]
+        .into_iter()
+        .flat_map(|r| {
+            [
+                Query::new(2, r, Aggregation::Max),
+                Query::new(2, r, Aggregation::Min),
+            ]
+        })
+        .collect();
+    let options = BatchOptions::default();
+    let want = engine(&wg, 2).run_batch_pinned(&batch, &options).1;
+    let got = sharded.run_batch_pinned(&batch, &options).1;
+    for ((q, w), g) in batch.iter().zip(&want).zip(&got) {
+        let w = w.as_ref().expect("unsharded answer");
+        assert_eq!(w.communities.len(), q.r, "{q:?} has r answers to cut at");
+        assert_eq!(w, g.as_ref().expect("sharded answer"), "{q:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Explicit edge-case sweep on a planted graph with known structure.

@@ -16,15 +16,17 @@
 
 use ic_core::algo::ExtremumIndex;
 use ic_core::{Aggregation, Extremum, Query};
-use ic_engine::Engine;
+use ic_engine::{BatchOptions, EdgeUpdate, Engine, EngineError};
 use ic_gen::{
     barabasi_albert, chung_lu, gnm, pareto_weights, planted_partition, rank_weights,
     uniform_weights, GraphSeed, PlantedPartitionConfig,
 };
 use ic_graph::{Graph, WeightedGraph};
 use ic_kcore::{core_decomposition, GraphSnapshot};
-use ic_store::{StoreBuilder, StoreError, StoreFile};
+use ic_store::{format, SectionKind, StoreBuilder, StoreError, StoreFile};
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// One synthetic workload drawn from the four graph families. Weight
 /// model 3 quantizes to a handful of distinct values, forcing the tie
@@ -111,8 +113,7 @@ fn arb_script() -> impl Strategy<Value = Vec<Vec<(bool, u32, u32)>>> {
     )
 }
 
-fn concrete_batch(batch: &[(bool, u32, u32)], n: usize) -> Vec<ic_engine::EdgeUpdate> {
-    use ic_engine::EdgeUpdate;
+fn concrete_batch(batch: &[(bool, u32, u32)], n: usize) -> Vec<EdgeUpdate> {
     batch
         .iter()
         .filter_map(|&(insert, a, b)| {
@@ -273,7 +274,6 @@ proptest! {
 /// so answers equal a fresh engine on the mutated graph, bit for bit.
 #[test]
 fn persisted_indexes_are_not_served_across_apply() {
-    use ic_engine::EdgeUpdate;
     let wg = WeightedGraph::new(
         gnm(120, 360, GraphSeed(21)),
         rank_weights(120, GraphSeed(22)),
@@ -358,5 +358,341 @@ fn engine_persist_open_file_round_trip() {
     }
     // Deep verification of the artifact itself.
     StoreFile::open(&path).unwrap().verify_deep().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------
+// Adjacency verified on first touch (lazily verified mapped stores)
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ic-store-owed-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Forests persisted at k = 2 only; the 3-core is non-empty.
+fn owed_fixture() -> WeightedGraph {
+    let g = chung_lu(300, 900, 2.4, GraphSeed(11));
+    WeightedGraph::new(g, rank_weights(300, GraphSeed(12))).unwrap()
+}
+
+/// Queries a store with forests at k = 2 serves without adjacency.
+fn forest_served() -> Vec<Query> {
+    [1usize, 3, 100]
+        .into_iter()
+        .flat_map(|r| {
+            [
+                Query::new(2, r, Aggregation::Min),
+                Query::new(2, r, Aggregation::Max),
+            ]
+        })
+        .collect()
+}
+
+fn section_range(bytes: &[u8], kind: SectionKind) -> std::ops::Range<usize> {
+    let file = StoreFile::from_bytes(bytes).expect("a valid store image");
+    let s = file
+        .sections()
+        .iter()
+        .find(|s| s.known_kind() == Some(kind))
+        .expect("the store has that section");
+    s.offset as usize..(s.offset + s.len) as usize
+}
+
+fn counter(entries: &[(String, f64)], name: &str) -> f64 {
+    let entry = entries.iter().find(|(n, _)| n == name);
+    entry.unwrap_or_else(|| panic!("{name} is registered")).1
+}
+
+/// Every engine operation that reads adjacency, each able to be the one
+/// that discharges the owed check.
+#[derive(Clone, Copy, Debug)]
+enum Touch {
+    ExactSum,
+    SizeBounded,
+    UnpersistedK,
+    Submit,
+    TryApply,
+    Persist,
+}
+
+impl Touch {
+    const ALL: [Touch; 6] = [
+        Touch::ExactSum,
+        Touch::SizeBounded,
+        Touch::UnpersistedK,
+        Touch::Submit,
+        Touch::TryApply,
+        Touch::Persist,
+    ];
+
+    /// Runs the operation; `Err` carries the typed corruption error's
+    /// text, `Ok` means it went through (or failed some other way).
+    fn run(self, engine: &Engine, scratch: &Path) -> Result<(), String> {
+        let batch = |q: Query| match &engine.run_batch_with(&[q], &BatchOptions::default())[0] {
+            Err(EngineError::CorruptStore { detail }) => Err(detail.clone()),
+            _ => Ok(()),
+        };
+        match self {
+            Touch::ExactSum => batch(Query::new(2, 3, Aggregation::Sum)),
+            Touch::SizeBounded => batch(Query::new(2, 2, Aggregation::Average).size_bound(6, true)),
+            Touch::UnpersistedK => batch(Query::new(3, 2, Aggregation::Min)),
+            Touch::Submit => match engine.submit(Query::new(2, 2, Aggregation::Min)) {
+                Err(ic_core::SearchError::Internal(why)) if why.starts_with("corrupt store") => {
+                    Err(why)
+                }
+                _ => Ok(()),
+            },
+            Touch::TryApply => match engine.try_apply(&[EdgeUpdate::Remove { u: 0, v: 1 }]) {
+                Err(EngineError::CorruptStore { detail }) => Err(detail),
+                _ => Ok(()),
+            },
+            Touch::Persist => match engine.persist(scratch.join("persisted.ics1")) {
+                Err(StoreError::Corrupt { what }) => Err(what),
+                _ => Ok(()),
+            },
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A flip anywhere inside the adjacency sections hides from
+    /// `Engine::open` on a mapped store — that is the deferral — but not
+    /// from anything that would read adjacency: forest-served answers at
+    /// the persisted `k` equal the clean store's bit for bit, and
+    /// whichever adjacency-touching operation comes first (and every one
+    /// after it) gets the typed corruption error, with no solver run, no
+    /// panic and no quarantined arena.
+    #[test]
+    fn adjacency_flips_fail_closed_on_first_touch(
+        in_targets in any::<bool>(),
+        pos_frac in 0.0f64..1.0,
+        bit in 0u8..8,
+    ) {
+        let wg = owed_fixture();
+        let clean = store_bytes_for(&wg, &[2]);
+        let kind = if in_targets { SectionKind::GraphTargets } else { SectionKind::GraphOffsets };
+        let range = section_range(&clean, kind);
+        let pos = range.start + ((range.len() as f64 * pos_frac) as usize).min(range.len() - 1);
+        let mut flipped = clean.clone();
+        flipped[pos] ^= 1u8 << bit;
+
+        let dir = scratch_dir(&format!("flip-{in_targets}-{pos}-{bit}"));
+        let (clean_path, path) = (dir.join("clean.ics1"), dir.join("flipped.ics1"));
+        std::fs::write(&clean_path, &clean).unwrap();
+        std::fs::write(&path, &flipped).unwrap();
+        let expect = Engine::open_with_threads(&clean_path, 1).unwrap().run_batch(&forest_served());
+
+        // The eager readers refuse the file outright.
+        prop_assert!(StoreFile::from_bytes(&flipped).is_err());
+        let mapped = StoreFile::open_with(&path, &ic_store::OpenOptions::mapped()).unwrap();
+        prop_assert!(mapped.load().is_err(), "load() discharges at once");
+
+        for touch in Touch::ALL {
+            let engine = Engine::open_with_threads(&path, 1).expect("the open defers the check");
+            prop_assert_eq!(&engine.run_batch(&forest_served()), &expect, "before {:?}", touch);
+            let entries = engine.obs_registry().flat_entries();
+            prop_assert_eq!(counter(&entries, "store.adjacency_checks"), 0.0);
+            for attempt in 0..2 {
+                let refused = touch.run(&engine, &dir);
+                prop_assert!(refused.is_err(), "{:?} went through (attempt {})", touch, attempt);
+            }
+            prop_assert_eq!(&engine.run_batch(&forest_served()), &expect, "after {:?}", touch);
+            prop_assert_eq!(engine.arenas_quarantined(), 0);
+            let entries = engine.obs_registry().flat_entries();
+            prop_assert_eq!(counter(&entries, "store.adjacency_checks"), 1.0, "{:?}", touch);
+            prop_assert_eq!(counter(&entries, "store.adjacency_check_failures"), 1.0);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The clean side of the same split: the check runs once, on the first
+/// operation that reads adjacency and not before, passes, and the batch
+/// that paid for it says so.
+#[test]
+fn a_clean_mapped_store_pays_its_adjacency_check_once_on_first_touch() {
+    let wg = owed_fixture();
+    let dir = scratch_dir("clean");
+    let path = dir.join("clean.ics1");
+    std::fs::write(&path, store_bytes_for(&wg, &[2])).unwrap();
+    let fresh = Engine::with_threads(wg, 1);
+    let checks = |engine: &Engine| {
+        let entries = engine.obs_registry().flat_entries();
+        (
+            counter(&entries, "store.adjacency_checks"),
+            counter(&entries, "store.adjacency_check_failures"),
+            counter(&entries, "store.adjacency_check_ns.count"),
+        )
+    };
+    for touch in Touch::ALL {
+        let engine = Engine::open_with_threads(&path, 1).unwrap();
+        let trace = ic_obs::Trace::new();
+        engine.run_batch_traced(&forest_served(), &BatchOptions::default(), &trace);
+        assert_eq!(checks(&engine), (0.0, 0.0, 0.0), "forest reads owe nothing");
+        assert!(!trace.has(ic_obs::Tag::AdjacencyChecked));
+        touch.run(&engine, &dir).expect("a clean store passes");
+        assert_eq!(checks(&engine), (1.0, 0.0, 1.0), "{touch:?} paid the check");
+        touch.run(&engine, &dir).expect("a clean store passes");
+        assert_eq!(checks(&engine).0, 1.0, "the check never runs twice");
+    }
+    // The tag lands on the batch whose plan ran the check.
+    let engine = Engine::open_with_threads(&path, 1).unwrap();
+    let sweep = query_sweep(&[1, 2, 3]);
+    let trace = ic_obs::Trace::new();
+    let (_, got) = engine.run_batch_traced(&sweep, &BatchOptions::default(), &trace);
+    assert!(trace.has(ic_obs::Tag::AdjacencyChecked));
+    let again = ic_obs::Trace::new();
+    engine.run_batch_traced(&sweep, &BatchOptions::default(), &again);
+    assert!(!again.has(ic_obs::Tag::AdjacencyChecked));
+    for ((q, x), y) in sweep.iter().zip(fresh.run_batch(&sweep)).zip(got) {
+        let y = y.as_ref().as_ref().expect("valid query");
+        assert_eq!(
+            x.unwrap(),
+            y.communities,
+            "store-opened engine diverged on {q:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same contract behind the scatter-gather front and over TCP: a
+/// shard store with a flipped adjacency byte opens, serves its forests,
+/// and answers an adjacency-reading query with the typed error — on the
+/// wire an `internal` error reply naming the corruption.
+#[test]
+fn sharded_and_served_stores_fail_closed_on_first_touch() {
+    use ic_serve::{Client, ErrorKind, Outcome, Response, ServeConfig, Server};
+    use ic_shard::ShardedEngine;
+    let wg = owed_fixture();
+    let dir = scratch_dir("sharded");
+    let paths = ic_store::shard::build_shard_stores(&wg, &[2], 1 << 20, &dir).unwrap();
+    let clean = ShardedEngine::open_dir(&dir).unwrap();
+    let options = BatchOptions::default();
+    let expect = clean.run_batch_pinned(&forest_served(), &options).1;
+    drop(clean);
+    for path in &paths {
+        let mut bytes = std::fs::read(path).unwrap();
+        let range = section_range(&bytes, SectionKind::GraphTargets);
+        bytes[range.start + range.len() / 2] ^= 0x10;
+        std::fs::write(path, &bytes).unwrap();
+    }
+
+    let sharded = ShardedEngine::open_dir(&dir).expect("the open defers the check");
+    let sum = Query::new(2, 3, Aggregation::Sum);
+    assert_eq!(
+        sharded.run_batch_pinned(&forest_served(), &options).1,
+        expect
+    );
+    for _ in 0..2 {
+        let got = sharded.run_batch_pinned(&[sum], &options).1;
+        assert!(
+            matches!(got[0], Err(EngineError::CorruptStore { .. })),
+            "{:?}",
+            got[0]
+        );
+    }
+    assert_eq!(
+        sharded.run_batch_pinned(&forest_served(), &options).1,
+        expect
+    );
+
+    let server = Server::bind_backend(Arc::new(sharded), "127.0.0.1:0", ServeConfig::default());
+    let server = server.unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    match client.call(1, &sum).unwrap() {
+        Response::Reply {
+            outcome: Outcome::Error { kind, message },
+            ..
+        } => {
+            assert_eq!(kind, ErrorKind::Internal);
+            assert!(message.starts_with("corrupt store"), "{message}");
+        }
+        other => panic!("expected a typed error reply, got {other:?}"),
+    }
+    match client.call(2, &forest_served()[1]).unwrap() {
+        Response::Reply {
+            outcome: Outcome::Complete(communities),
+            ..
+        } => assert_eq!(communities, expect[1].as_ref().unwrap().communities),
+        other => panic!("expected the forest-served answer, got {other:?}"),
+    }
+    let entries = server.stats_entries();
+    assert_eq!(
+        counter(&entries, "store.adjacency_checks"),
+        paths.len() as f64
+    );
+    assert_eq!(
+        counter(&entries, "store.adjacency_check_failures"),
+        paths.len() as f64
+    );
+    drop(client);
+    server.shutdown();
+    server.join();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A store whose targets are patched to an asymmetric edge and then
+/// **re-hashed** — section sum and header checksum both — passes every
+/// integrity hash: only the structural CSR check can refuse it, at
+/// `load()` and, for an engine, on first touch.
+#[test]
+fn a_rehashed_asymmetric_store_is_refused_by_the_structure_check() {
+    let wg = owed_fixture();
+    let clean = store_bytes_for(&wg, &[2]);
+    let table = StoreFile::from_bytes(&clean).unwrap();
+    let targets_index = table
+        .sections()
+        .iter()
+        .position(|s| s.known_kind() == Some(SectionKind::GraphTargets))
+        .expect("the store has a targets section");
+    let targets = section_range(&clean, SectionKind::GraphTargets);
+    let sums = section_range(&clean, SectionKind::SectionSums);
+
+    // Redirect the last entry of some row u from its largest neighbour v
+    // to v + 1: rows stay sorted, in bounds and loop-free, but (u, v + 1)
+    // has no mirror.
+    let n = wg.num_vertices() as u32;
+    let (offsets, _) = wg.graph().csr_parts();
+    let (u, v) = (0..n)
+        .filter_map(|u| Some((u, *wg.graph().neighbors(u).last()?)))
+        .find(|&(u, v)| v + 1 < n && v + 1 != u)
+        .expect("some row can be redirected");
+    let mut bytes = clean;
+    let entry = targets.start + 4 * (offsets[u as usize + 1] - 1);
+    assert_eq!(bytes[entry..entry + 4], v.to_le_bytes());
+    bytes[entry..entry + 4].copy_from_slice(&(v + 1).to_le_bytes());
+
+    let words = |bytes: &[u8]| -> Vec<u64> {
+        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap());
+        bytes.chunks_exact(8).map(word).collect()
+    };
+    let slot = sums.start + 8 * (1 + targets_index);
+    let padded = targets.start..format::align8(targets.end);
+    let sum = format::checksum(&words(&bytes[padded]));
+    bytes[slot..slot + 8].copy_from_slice(&sum.to_le_bytes());
+    let header_sum = format::checksum(&words(&bytes[format::HEADER_LEN..]));
+    bytes[24..32].copy_from_slice(&header_sum.to_le_bytes());
+
+    // Every hash agrees; the eager path gets as far as the CSR check.
+    let eager = StoreFile::from_bytes(&bytes).expect("the envelope and checksum hold");
+    assert!(matches!(eager.load(), Err(StoreError::Graph(_))));
+    assert!(eager.verify_deep().is_err());
+
+    let dir = scratch_dir("rehashed");
+    let path = dir.join("asymmetric.ics1");
+    std::fs::write(&path, &bytes).unwrap();
+    let mapped = StoreFile::open_with(&path, &ic_store::OpenOptions::mapped()).unwrap();
+    assert!(mapped.is_lazy_verified());
+    assert!(matches!(mapped.load(), Err(StoreError::Graph(_))));
+    let engine = Engine::open_with_threads(&path, 1).expect("the open defers the check");
+    let refused = Touch::ExactSum
+        .run(&engine, &dir)
+        .expect_err("only validate_csr can refuse");
+    assert!(refused.contains("mirror"), "{refused}");
+    assert_eq!(engine.arenas_quarantined(), 0);
     std::fs::remove_dir_all(&dir).ok();
 }
