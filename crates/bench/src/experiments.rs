@@ -1,5 +1,5 @@
 //! One function per paper artifact (Table III, Figs 2–14), plus the
-//! parallel-scaling ablation and the index/truss extension report.
+//! parallel-scaling ablation.
 //! Each returns a markdown section; the `experiments` binary routes
 //! subcommands here.
 
@@ -10,8 +10,8 @@ use crate::workloads::{
     load, Workload, CONSTRAINED_K_GRID, DEFAULT_EPSILON, DEFAULT_R, DEFAULT_S, EPSILON_GRID,
     R_GRID, S_GRID,
 };
-use ic_core::algo::{self, local_search, ExtremumIndex, LocalSearchConfig};
-use ic_core::{Aggregation, Community, Extremum, Query};
+use ic_core::algo::{self, local_search, LocalSearchConfig};
+use ic_core::{Aggregation, Community, Query};
 use ic_gen::datasets::Profile;
 use ic_gen::{aminer_network, GraphSeed};
 use ic_graph::stats::graph_stats;
@@ -510,46 +510,8 @@ pub fn ablate_parallel(ctx: &Ctx) -> String {
     out
 }
 
-/// Extension report: ICP-style min index build/query vs online peeling,
-/// and truss-model community shapes.
-pub fn extensions(ctx: &Ctx) -> String {
-    let mut out = String::new();
-    for w in ctx.workloads() {
-        let k = w.spec.default_k.min(w.kmax as usize);
-        let mut t = Table::new(["metric", "value"]);
-        eprintln!("[extensions] {} k={k}", w.spec.name);
-        let (tb, index) = time_once(|| ExtremumIndex::build(&w.wg, k, Extremum::Min));
-        let (tq, top_idx) = time_median(5, || index.topr(&w.wg, DEFAULT_R).unwrap());
-        let (to, top_online) = time_once(|| min_topr(&w.wg, k, DEFAULT_R).unwrap());
-        t.row(["communities in index".to_string(), index.len().to_string()]);
-        t.row(["index build time".to_string(), fmt_secs(tb)]);
-        t.row(["indexed top-5 query".to_string(), fmt_secs(tq)]);
-        t.row(["online top-5 peel".to_string(), fmt_secs(to)]);
-        t.row([
-            "index == online".to_string(),
-            (top_idx == top_online).to_string(),
-        ]);
-        let (tt, truss_top) = time_once(|| algo::truss_min_topr(&w.wg, 4, 1).unwrap());
-        let core_top = min_topr(&w.wg, 4, 1).unwrap();
-        t.row([
-            "k=4 top-1 size (core model)".to_string(),
-            core_top.first().map_or(0, |c| c.len()).to_string(),
-        ]);
-        t.row([
-            "k=4 top-1 size (truss model)".to_string(),
-            truss_top.first().map_or(0, |c| c.len()).to_string(),
-        ]);
-        t.row(["truss solver time".to_string(), fmt_secs(tt)]);
-        out.push_str(&section(
-            &format!("Extensions ({}) — min index & truss model", w.spec.name),
-            t.to_markdown(),
-        ));
-    }
-    out
-}
-
 /// All experiment ids, in run order.
-pub const ALL_EXPERIMENTS: [&str; 17] = [
+pub const ALL_EXPERIMENTS: [&str; 16] = [
     "table3",
     "example1",
     "fig2",
@@ -566,7 +528,6 @@ pub const ALL_EXPERIMENTS: [&str; 17] = [
     "fig13",
     "fig14",
     "ablate-parallel",
-    "extensions",
 ];
 
 /// Dispatches an experiment by id.
@@ -588,7 +549,6 @@ pub fn run(id: &str, ctx: &Ctx) -> Option<String> {
         "fig13" => fig13(ctx),
         "fig14" => fig14(ctx),
         "ablate-parallel" => ablate_parallel(ctx),
-        "extensions" => extensions(ctx),
         _ => return None,
     };
     Some(out)

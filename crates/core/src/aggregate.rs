@@ -11,8 +11,8 @@
 //! answer top-r correctly and fast. Those properties are first-class
 //! here — an implementor *declares* them as certificates and the solver
 //! routing ([`crate::Query::solver`]), the peel fast path, TIC-IMPROVED
-//! pruning, the local-search strategies, and the branch-and-bound
-//! fallback all read the certificates instead of matching on an enum.
+//! pruning and the local-search strategies all read the certificates
+//! instead of matching on an enum.
 //! A wrongly declared certificate is caught by the sampled validation
 //! harness in [`crate::certify`] (custom functions are certified at
 //! registration; debug builds re-check monotonicity on every enumerated
@@ -24,7 +24,7 @@
 //! | `Max` | `max w(v)` | node domination, peel-from-above | P |
 //! | `Sum` | `Σ w(v)` | removal-decreasing, O(1) remove delta | P |
 //! | `SumSurplus` | `Σ w(v) + α·|H|` | removal-decreasing (α ≥ 0) | P |
-//! | `Average` | `Σ w(v) / |H|` | superset bound (B&B) | NP-hard (Thm 1, 3) |
+//! | `Average` | `Σ w(v) / |H|` | — | NP-hard (Thm 1, 3) |
 //! | `WeightDensity` | `Σ w(v) − β·|H|` | — | NP-hard |
 //! | `BalancedDensity` | `w(H)/(w(H) − w(V∖H))` | −∞ sentinel | NP-hard |
 //! | `TopTSum` | `Σ of the t largest w(v)` | subset-monotone, order statistics | no strict-decrease certificate (see below) |
@@ -132,10 +132,6 @@ pub struct Certificates {
     /// strategy; without it, TIC (if routed) runs unpruned and local
     /// search uses the prefix strategy.
     pub incremental_removal: bool,
-    /// [`AggregateFn::superset_bound`] yields a sound upper bound on
-    /// `f` over any superset completion. Grants the exact
-    /// branch-and-bound fallback ([`crate::algo::bb_topr`]).
-    pub superset_bound: bool,
     /// Hardness of the size-*unconstrained* top-r problem.
     pub hardness_unconstrained: Hardness,
     /// The incremental [`AggregateState`] must maintain the weight
@@ -169,7 +165,6 @@ impl Certificates {
             node_domination: false,
             peel_extremum: None,
             incremental_removal: false,
-            superset_bound: false,
             hardness_unconstrained: Hardness::NpHard,
             needs_multiset: false,
             may_be_neg_infinite: false,
@@ -246,28 +241,6 @@ pub trait AggregateFn: Send + Sync + std::fmt::Debug {
         }
         self.evaluate(&weights, state.total_weight())
     }
-
-    /// For implementations declaring [`Certificates::superset_bound`]:
-    /// a sound upper bound on `f` over any community obtainable from a
-    /// partial one (`count` members summing to `sum`) by adding at most
-    /// `budget` vertices drawn from `pool_desc` (eligible weights in
-    /// descending order). Used by the branch-and-bound fallback; degree
-    /// and connectivity constraints only shrink the reachable family,
-    /// so ignoring them keeps the bound sound.
-    fn superset_bound(
-        &self,
-        sum: f64,
-        count: usize,
-        budget: usize,
-        pool_desc: &mut dyn Iterator<Item = f64>,
-        total_weight: f64,
-    ) -> f64 {
-        let _ = (sum, count, budget, pool_desc, total_weight);
-        panic!(
-            "superset_bound requires the superset_bound certificate, not declared by {}",
-            self.name()
-        )
-    }
 }
 
 /// Built-in [`AggregateFn`] implementations. The [`Aggregation`] enum
@@ -342,7 +315,6 @@ pub mod builtin {
                 removal_decreasing: true,
                 size_proportional: true,
                 incremental_removal: true,
-                superset_bound: true,
                 hardness_unconstrained: Hardness::Polynomial,
                 ..Certificates::opaque()
             }
@@ -355,25 +327,6 @@ pub mod builtin {
         }
         fn evaluate_state(&self, state: &StateView<'_>) -> f64 {
             state.sum()
-        }
-        fn superset_bound(
-            &self,
-            sum: f64,
-            _count: usize,
-            budget: usize,
-            pool_desc: &mut dyn Iterator<Item = f64>,
-            _total_weight: f64,
-        ) -> f64 {
-            // Weights are non-negative: absorbing the heaviest `budget`
-            // candidates upper-bounds every completion.
-            let mut s = sum;
-            for w in pool_desc.take(budget) {
-                if w <= 0.0 {
-                    break;
-                }
-                s += w;
-            }
-            s
         }
     }
 
@@ -396,7 +349,6 @@ pub mod builtin {
                 // The O(1) remove delta is exact for any α — only the
                 // *monotonicity* certificate depends on the sign.
                 incremental_removal: true,
-                superset_bound: monotone,
                 hardness_unconstrained: if monotone {
                     Hardness::Polynomial
                 } else {
@@ -424,23 +376,6 @@ pub mod builtin {
         fn evaluate_state(&self, state: &StateView<'_>) -> f64 {
             state.sum() + self.alpha * state.len() as f64
         }
-        fn superset_bound(
-            &self,
-            sum: f64,
-            count: usize,
-            budget: usize,
-            pool_desc: &mut dyn Iterator<Item = f64>,
-            _total_weight: f64,
-        ) -> f64 {
-            let mut s = sum + self.alpha * count as f64;
-            for w in pool_desc.take(budget) {
-                if w + self.alpha <= 0.0 {
-                    break;
-                }
-                s += w + self.alpha;
-            }
-            s
-        }
     }
 
     /// `Σ w(v) / |H|`.
@@ -452,10 +387,7 @@ pub mod builtin {
             "avg"
         }
         fn certificates(&self) -> Certificates {
-            Certificates {
-                superset_bound: true,
-                ..Certificates::opaque()
-            }
+            Certificates::opaque()
         }
         fn evaluate(&self, member_weights: &[f64], _total_weight: f64) -> f64 {
             let sum: f64 = member_weights.iter().sum();
@@ -463,29 +395,6 @@ pub mod builtin {
         }
         fn evaluate_state(&self, state: &StateView<'_>) -> f64 {
             state.sum() / state.len() as f64
-        }
-        fn superset_bound(
-            &self,
-            sum: f64,
-            count: usize,
-            budget: usize,
-            pool_desc: &mut dyn Iterator<Item = f64>,
-            _total_weight: f64,
-        ) -> f64 {
-            // Greedily absorb the heaviest candidates while they raise
-            // the running average (anything lighter only lowers it).
-            let mut sum = sum;
-            let mut count = count as f64;
-            let mut avg = sum / count;
-            for w in pool_desc.take(budget) {
-                if w <= avg {
-                    break;
-                }
-                sum += w;
-                count += 1.0;
-                avg = sum / count;
-            }
-            avg
         }
     }
 
@@ -981,22 +890,9 @@ impl Aggregation {
         self.certificates().size_proportional
     }
 
-    /// Corollary 2 prerequisite: removing any vertex strictly decreases
-    /// the influence value (assuming positive weights). Algorithms 1 and 2
-    /// are correct exactly for these aggregations.
-    pub fn decreases_on_removal(&self) -> bool {
-        self.certificates().removal_decreasing
-    }
-
     /// Hardness of the *size-unconstrained* top-r problem (Section III).
     pub fn hardness_unconstrained(&self) -> Hardness {
         self.certificates().hardness_unconstrained
-    }
-
-    /// Hardness of the *size-constrained* top-r problem: NP-hard for every
-    /// aggregation (k-clique reduction, Theorem 4).
-    pub fn hardness_constrained(&self) -> Hardness {
-        Hardness::NpHard
     }
 
     /// Evaluates `f(H)` from a slice of member weights.
@@ -1351,9 +1247,6 @@ mod tests {
             NpHard
         );
         assert_eq!(Aggregation::GeometricMean.hardness_unconstrained(), NpHard);
-        for agg in all() {
-            assert_eq!(agg.hardness_constrained(), NpHard);
-        }
     }
 
     #[test]
@@ -1379,10 +1272,6 @@ mod tests {
                 .may_be_neg_infinite
         );
         assert!(!Aggregation::Sum.certificates().may_be_neg_infinite);
-        // Branch-and-bound availability.
-        assert!(Aggregation::Average.certificates().superset_bound);
-        assert!(Aggregation::Sum.certificates().superset_bound);
-        assert!(!Aggregation::BalancedDensity.certificates().superset_bound);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! place ([`crate::Query::solver`]); nothing outside this module should
 //! hand-dispatch on aggregation again.
 
-mod bb;
 mod common;
 mod exact;
 mod improved;
@@ -37,9 +36,7 @@ mod minmax;
 pub mod nonoverlap;
 pub mod oracle;
 mod sum_naive;
-mod truss;
 
-pub use bb::{bb_avg_topr, bb_topr};
 pub use common::ExpansionCounts;
 pub use exact::{all_communities, exact_naive, exact_topr};
 pub use improved::{tic_improved_on, TicEmission};
@@ -50,7 +47,6 @@ pub use local_search::{
 };
 pub use minmax::{peel_topr_on, MinMaxEmission};
 pub use sum_naive::sum_naive_on;
-pub use truss::{truss_min_topr, truss_sum_topr};
 
 // The per-graph forms are crate-internal: callers route through
 // [`crate::Query::solve`] / [`crate::Query::solve_on`] (or

@@ -50,17 +50,6 @@ pub fn min_topr_nonoverlapping(
     })
 }
 
-/// Non-overlapping top-r under `max`: greedy peel.
-pub fn max_topr_nonoverlapping(
-    wg: &WeightedGraph,
-    k: usize,
-    r: usize,
-) -> Result<Vec<Community>, SearchError> {
-    greedy_peel(wg, k, r, |sub, k| {
-        peel_topr(sub, k, 1, Extremum::Max).map(|mut v| v.pop())
-    })
-}
-
 /// Non-overlapping top-r via the exhaustive oracle (tiny graphs / tests):
 /// greedy peel where each round's top-1 is exact under `aggregation` with
 /// optional size bound.
@@ -173,15 +162,6 @@ mod tests {
         // Third round: with {5,7,8} and {3,9,10} gone, the best remaining
         // min community emerges from the leftovers.
         assert!(top.len() >= 2);
-    }
-
-    #[test]
-    fn max_nonoverlap_peels_winners() {
-        let wg = figure1();
-        let top = max_topr_nonoverlapping(&wg, 2, 2).unwrap();
-        assert!(is_nonoverlapping(&top));
-        assert_eq!(top[0].value, 62.0); // community containing v1
-        assert!(top[0].contains(crate::figure1::v(1)));
     }
 
     #[test]

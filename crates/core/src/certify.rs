@@ -267,48 +267,6 @@ fn certify_one(
         }
     }
 
-    // Superset bound: from any split of the sample into (partial, pool),
-    // the declared relaxation must not under-estimate f over *any*
-    // community reachable by adding at most `budget` pool members — for
-    // every budget, not just the full pool (the branch-and-bound caller
-    // passes `max_size − |set|`, which is usually smaller). Reachable
-    // completions are sampled: every heaviest-prefix and
-    // lightest-prefix extension of each size ≤ budget.
-    if certs.superset_bound && weights.len() >= 2 {
-        for cut in 1..weights.len() {
-            let partial = &weights[..cut];
-            let mut pool: Vec<f64> = weights[cut..].to_vec();
-            pool.sort_by(|a, b| b.total_cmp(a));
-            let psum: f64 = partial.iter().sum();
-            for budget in [0usize, 1, pool.len() / 2, pool.len()] {
-                let budget = budget.min(pool.len());
-                let bound = f.superset_bound(psum, cut, budget, &mut pool.iter().copied(), total);
-                let mut extended = partial.to_vec();
-                for take in 0..=budget {
-                    // Heaviest-first completion of size `take`.
-                    extended.truncate(cut);
-                    extended.extend_from_slice(&pool[..take]);
-                    let fv = f.evaluate(&extended, total);
-                    // Lightest-first completion of the same size.
-                    extended.truncate(cut);
-                    extended.extend(pool[pool.len() - take..].iter().copied());
-                    let fv_light = f.evaluate(&extended, total);
-                    let reachable = fv.max(fv_light);
-                    if reachable.is_finite() && bound < reachable - 1e-9 * reachable.abs().max(1.0)
-                    {
-                        return Err(err(
-                            "superset_bound",
-                            format!(
-                                "bound {bound} from partial {partial:?} (budget {budget}) \
-                                 under-estimates the reachable completion value {reachable} \
-                                 within {weights:?}"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
     Ok(())
 }
 
@@ -438,44 +396,6 @@ mod tests {
             claim: Certificates::opaque(),
         })
         .unwrap();
-    }
-
-    #[test]
-    fn wrong_superset_bound_is_caught() {
-        use crate::aggregate::{AggregateFn, Certificates};
-        #[derive(Debug)]
-        struct BadBoundSum;
-        impl AggregateFn for BadBoundSum {
-            fn name(&self) -> &str {
-                "bad-bound-sum"
-            }
-            fn certificates(&self) -> Certificates {
-                Certificates {
-                    removal_decreasing: true,
-                    size_proportional: true,
-                    superset_bound: true,
-                    ..Certificates::opaque()
-                }
-            }
-            fn evaluate(&self, w: &[f64], _t: f64) -> f64 {
-                w.iter().sum()
-            }
-            fn evaluate_state(&self, state: &StateView<'_>) -> f64 {
-                state.sum()
-            }
-            fn superset_bound(
-                &self,
-                sum: f64,
-                _count: usize,
-                _budget: usize,
-                _pool: &mut dyn Iterator<Item = f64>,
-                _total: f64,
-            ) -> f64 {
-                sum // ignores the pool: under-estimates every completion
-            }
-        }
-        let e = certify_fn(&BadBoundSum).unwrap_err();
-        assert_eq!(e.certificate, "superset_bound");
     }
 
     #[test]

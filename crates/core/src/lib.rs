@@ -28,7 +28,6 @@
 //! | Algorithm 3 (`TIC-EXACT`) | [`algo::exact_topr`] / [`algo::exact_naive`] | any aggregation, tiny graphs |
 //! | Algorithm 4 (`LOCAL SEARCH`) with `SumStrategy`/`AvgStrategy` | [`Query::solve`] → [`algo::local_search`] | any aggregation, size-constrained |
 //! | min/max threshold peel (Li et al. VLDB'15 style) | [`Query::solve`] → [`algo::peel_topr_on`] | peel extremum |
-//! | Branch-and-bound exact fallback (Section VIII direction) | [`algo::bb_topr`] | superset bound |
 //! | TONIC (non-overlapping) variants | [`algo::nonoverlap`] | per solver |
 //! | Parallel local search (paper's future-work direction) | `ic_engine::Engine::with_threads` (chunked seed walk over [`algo::run_seed_multi`]) | any aggregation, size-constrained |
 //!

@@ -171,10 +171,7 @@ impl Query {
     ///   [`incremental_removal`](crate::Certificates::incremental_removal)
     ///   is also declared;
     /// * everything else is NP-hard territory: add a size bound to route
-    ///   through local search (or call
-    ///   [`crate::algo::bb_topr`] directly for
-    ///   aggregations with a
-    ///   [`superset_bound`](crate::Certificates::superset_bound)).
+    ///   through local search.
     pub fn solver(&self) -> Result<Solver, SearchError> {
         if self.k == 0 {
             return Err(SearchError::InvalidParams(

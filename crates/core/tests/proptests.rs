@@ -203,37 +203,6 @@ proptest! {
     }
 
     #[test]
-    fn truss_min_matches_threshold_recomputation(wg in arb_wgraph(12), k in 2usize..4) {
-        // Oracle: recompute the k-truss of G>=theta for every threshold.
-        let g = wg.graph();
-        let mut thresholds: Vec<f64> =
-            (0..g.num_vertices()).map(|v| wg.weight(v as u32)).collect();
-        thresholds.sort_by(f64::total_cmp);
-        thresholds.dedup();
-        let mut seen = std::collections::HashSet::new();
-        let mut expected: Vec<ic_core::Community> = Vec::new();
-        for &theta in &thresholds {
-            let keep: Vec<u32> = (0..g.num_vertices() as u32)
-                .filter(|&v| wg.weight(v) >= theta)
-                .collect();
-            let sub = ic_graph::induce(g, &keep);
-            for comp in ic_kcore::maximal_ktruss_components(&sub.graph, k) {
-                let original: Vec<u32> = comp.iter().map(|&lv| sub.to_original(lv)).collect();
-                let weights: Vec<f64> = original.iter().map(|&v| wg.weight(v)).collect();
-                let value = Aggregation::Min.evaluate(&weights, wg.total_weight());
-                let c = ic_core::Community::new(original, value);
-                if c.value == theta && seen.insert(c.vertices.clone()) {
-                    expected.push(c);
-                }
-            }
-        }
-        expected.sort_by(|a, b| a.ranking_cmp(b));
-        expected.truncate(4);
-        let got = ic_core::algo::truss_min_topr(&wg, k, 4).unwrap();
-        prop_assert_eq!(got, expected);
-    }
-
-    #[test]
     fn oracle_results_pass_full_verification(wg in arb_wgraph(10), k in 1usize..3) {
         for agg in [Aggregation::Sum, Aggregation::Average, Aggregation::Min, Aggregation::Max] {
             let res = algo::exact_topr(&wg, k, 4, None, agg).unwrap();

@@ -477,11 +477,10 @@ impl Engine {
         path: P,
         options: &OpenOptions,
     ) -> Result<Engine, StoreError> {
-        let contents = ic_store::StoreFile::open_with(path, &options.store)?.load_deferred()?;
-        Ok(Self::from_snapshot(
-            contents.into_snapshot(),
-            options.threads,
-        ))
+        let file = ic_store::StoreFile::open_with(path, &options.store)?;
+        let engine = Self::from_snapshot(file.load_deferred()?.into_snapshot(), options.threads);
+        file.report_open(&engine.metrics.registry);
+        Ok(engine)
     }
 
     /// Persists the engine's **current** serving state to an `ic-store`

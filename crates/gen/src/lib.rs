@@ -33,7 +33,6 @@ mod planted;
 mod sampling;
 pub mod stream;
 mod weights;
-pub mod workload;
 
 pub use aminer::{aminer_network, AminerNetwork, PlantedGroup};
 pub use ba::barabasi_albert;
@@ -43,7 +42,6 @@ pub use planted::{planted_partition, PlantedPartitionConfig};
 pub use sampling::AliasTable;
 pub use stream::{stream_graph, StreamSpec};
 pub use weights::{pagerank_weights, pareto_weights, rank_weights, uniform_weights};
-pub use workload::{mixed_query_traffic, MixAggregation, QuerySpec, TrafficProfile};
 
 /// Newtype for generator seeds, to keep call sites self-documenting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

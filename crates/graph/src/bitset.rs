@@ -91,12 +91,6 @@ impl BitSet {
         self.words.fill(0);
     }
 
-    /// Sets every bit.
-    pub fn set_all(&mut self) {
-        self.words.fill(!0);
-        self.clear_tail();
-    }
-
     /// In-place union with `other`. Panics on capacity mismatch.
     pub fn union_with(&mut self, other: &BitSet) {
         assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
@@ -297,8 +291,7 @@ mod tests {
 
     #[test]
     fn set_all_and_clear() {
-        let mut s = BitSet::new(67);
-        s.set_all();
+        let mut s = BitSet::full(67);
         assert_eq!(s.count(), 67);
         s.clear();
         assert!(s.is_empty());

@@ -50,11 +50,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of raw (pre-dedup) edge records currently held.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes into a canonical [`Graph`].
     pub fn build(&self) -> Graph {
         // Canonicalize: drop loops, orient u < v, sort, dedup.

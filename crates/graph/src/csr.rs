@@ -112,12 +112,6 @@ impl Graph {
     pub fn csr_parts(&self) -> (&[usize], &[VertexId]) {
         (&self.offsets, &self.targets)
     }
-
-    /// The CSR arrays as shared slices (`Arc` bumps, no copy) — lets
-    /// callers re-borrow the same backing storage the graph holds.
-    pub fn csr_shared(&self) -> (SharedSlice<usize>, SharedSlice<VertexId>) {
-        (self.offsets.clone(), self.targets.clone())
-    }
 }
 
 /// The `O(n + m)` structural CSR check behind

@@ -86,14 +86,6 @@ pub fn write_edge_list<W: Write>(g: &Graph, mut writer: W) -> Result<(), GraphEr
     Ok(())
 }
 
-/// Writes vertex weights as text, one per line.
-pub fn write_weights<W: Write>(weights: &[f64], mut writer: W) -> Result<(), GraphError> {
-    for w in weights {
-        writeln!(writer, "{w}")?;
-    }
-    Ok(())
-}
-
 /// Reads vertex weights (one per line, `#` comments allowed).
 pub fn read_weights<R: Read>(reader: R) -> Result<Vec<f64>, GraphError> {
     let buf = BufReader::new(reader);
@@ -166,9 +158,8 @@ mod tests {
     #[test]
     fn weights_round_trip() {
         let ws = vec![0.5, 1.25, 3.0];
-        let mut out = Vec::new();
-        write_weights(&ws, &mut out).unwrap();
-        let back = read_weights(&out[..]).unwrap();
+        let text: String = ws.iter().map(|w| format!("{w}\n")).collect();
+        let back = read_weights(text.as_bytes()).unwrap();
         assert_eq!(ws, back);
     }
 

@@ -27,15 +27,6 @@ pub fn graph_stats(g: &Graph) -> GraphStats {
     }
 }
 
-/// Degree histogram: `hist[d]` is the number of vertices with degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in g.vertices() {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
 /// Estimates the power-law exponent `γ` of the degree distribution via the
 /// Hill maximum-likelihood estimator over degrees `>= d_min`:
 /// `γ = 1 + n' / Σ ln(d_i / (d_min - 0.5))`.
@@ -102,13 +93,6 @@ mod tests {
         assert_eq!(s.num_edges, 4);
         assert_eq!(s.max_degree, 3);
         assert!((s.avg_degree - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram() {
-        let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        // degrees: 2, 2, 3, 1
-        assert_eq!(degree_histogram(&g), vec![0, 1, 2, 1]);
     }
 
     #[test]

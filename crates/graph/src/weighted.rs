@@ -125,11 +125,6 @@ impl WeightedGraph {
     pub fn num_edges(&self) -> usize {
         self.graph.num_edges()
     }
-
-    /// Decomposes into graph and weights.
-    pub fn into_parts(self) -> (Graph, SharedSlice<f64>) {
-        (self.graph, self.weights)
-    }
 }
 
 #[cfg(test)]

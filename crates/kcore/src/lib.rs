@@ -55,7 +55,6 @@ mod extract;
 mod maintain;
 mod pool;
 mod snapshot;
-mod truss;
 
 pub use arena::PeelArena;
 pub use budget::{Budget, POLL_STRIDE};
@@ -68,4 +67,3 @@ pub use extract::{
 pub use maintain::{CascadeRecord, CoreDelta, CoreMaintainer, EdgeUpdate, PeelScratch};
 pub use pool::{ArenaPool, PooledArena};
 pub use snapshot::{AdjacencyRefused, AdjacencyState, CoreLevel, GraphSnapshot};
-pub use truss::{ktruss_mask, maximal_ktruss_components, truss_decomposition, TrussDecomposition};

@@ -235,11 +235,6 @@ impl GraphSnapshot {
         self.wg.graph()
     }
 
-    /// A new handle on the shared weighted graph.
-    pub fn share_weighted(&self) -> Arc<WeightedGraph> {
-        Arc::clone(&self.wg)
-    }
-
     /// The memoized core decomposition (computed on first call).
     pub fn decomposition(&self) -> Arc<CoreDecomposition> {
         Arc::clone(

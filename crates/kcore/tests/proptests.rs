@@ -2,9 +2,8 @@
 
 use ic_graph::{graph_from_edges, BitSet, Graph};
 use ic_kcore::{
-    core_decomposition, is_kcore_within, kcore_mask, ktruss_mask, maximal_kcore_components,
-    maximal_ktruss_components, peel_to_kcore_within, truss_decomposition, CoreMaintainer,
-    PeelScratch,
+    core_decomposition, is_kcore_within, kcore_mask, maximal_kcore_components,
+    peel_to_kcore_within, CoreMaintainer, PeelScratch,
 };
 use proptest::prelude::*;
 
@@ -81,82 +80,6 @@ proptest! {
             let mut mask = BitSet::full(g.num_vertices());
             peel_to_kcore_within(&g, &mut mask, k);
             prop_assert_eq!(mask.to_vec(), kcore_mask(&g, k).to_vec());
-        }
-    }
-
-    #[test]
-    fn truss_numbers_match_naive_recomputation(g in arb_graph(24, 70)) {
-        // Reference: the k-truss is the fixpoint of removing edges with
-        // fewer than k-2 triangles; an edge's truss number is the largest
-        // k for which it survives.
-        fn naive_ktruss_edges(g: &Graph, k: usize) -> std::collections::BTreeSet<(u32, u32)> {
-            let mut alive: std::collections::BTreeSet<(u32, u32)> = g.edges().collect();
-            loop {
-                let mut removed = false;
-                let snapshot: Vec<(u32, u32)> = alive.iter().copied().collect();
-                for (u, v) in snapshot {
-                    let triangles = g
-                        .vertices()
-                        .filter(|&w| {
-                            w != u
-                                && w != v
-                                && alive.contains(&(u.min(w), u.max(w)))
-                                && alive.contains(&(v.min(w), v.max(w)))
-                        })
-                        .count();
-                    if triangles + 2 < k && alive.remove(&(u, v)) {
-                        removed = true;
-                    }
-                }
-                if !removed {
-                    return alive;
-                }
-            }
-        }
-        let td = truss_decomposition(&g);
-        for k in 2..6usize {
-            let expected = naive_ktruss_edges(&g, k);
-            let got: std::collections::BTreeSet<(u32, u32)> = td
-                .edges
-                .iter()
-                .enumerate()
-                .filter(|&(e, _)| td.edge_truss[e] as usize >= k)
-                .map(|(_, &uv)| uv)
-                .collect();
-            prop_assert_eq!(&got, &expected, "k = {}", k);
-        }
-    }
-
-    #[test]
-    fn ktruss_is_subgraph_of_k_minus_1_core(g in arb_graph(30, 120), k in 2usize..5) {
-        let truss = ktruss_mask(&g, k);
-        let core = kcore_mask(&g, k - 1);
-        for v in truss.iter() {
-            prop_assert!(core.contains(v));
-        }
-        // Component edges all have sufficient truss support inside the
-        // component.
-        for comp in maximal_ktruss_components(&g, k) {
-            let members: std::collections::BTreeSet<u32> = comp.iter().copied().collect();
-            for &u in &comp {
-                for &v in g.neighbors(u) {
-                    if v > u && members.contains(&v) {
-                        // Edge may be a low-truss chord; only truss edges
-                        // carry the guarantee, so check via decomposition.
-                        let td = truss_decomposition(&g);
-                        let e = td.edge_id(u, v).unwrap();
-                        if td.edge_truss[e] as usize >= k {
-                            let common = comp
-                                .iter()
-                                .filter(|&&w| {
-                                    w != u && w != v && g.has_edge(u, w) && g.has_edge(v, w)
-                                })
-                                .count();
-                            prop_assert!(common + 2 >= k, "edge ({},{})", u, v);
-                        }
-                    }
-                }
-            }
         }
     }
 

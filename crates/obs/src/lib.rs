@@ -47,7 +47,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -276,7 +276,7 @@ pub enum MetricValue {
 /// takes a short mutex; the returned handles record lock-free.
 /// Instantiable so every `Engine` / `Server` / `ShardedEngine` owns its
 /// own numbers — tests asserting exact counts must not share a process
-/// -wide registry — while `ic-store` reports through [`global`].
+/// -wide registry; `ic-store` reports an open on its owner's.
 ///
 /// Re-registering a name returns a handle to the same metric.
 /// Registering a name under a *different* kind is a programming error
@@ -367,14 +367,6 @@ impl Registry {
         }
         out
     }
-}
-
-/// The process-wide registry. Only layers with no instance to hang a
-/// registry on use it (`ic-store` open/verify/retry counters); engine
-/// and server instances own their registries so tests stay exact.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 // ---------------------------------------------------------------------

@@ -497,14 +497,13 @@ impl Shared {
 
     /// One flat name → value snapshot across every registry this server
     /// can see: its own `serve.*` metrics, the backend's registry
-    /// (`engine.*` or `shard.*`), the process-wide store counters, and
-    /// the subscription hub totals.
+    /// (`engine.*` or `shard.*`, with the `store.*` counters of the
+    /// stores it opened), and the subscription hub totals.
     fn stats_entries(&self) -> Vec<(String, f64)> {
         let mut entries = self.metrics.registry.flat_entries();
         if let Some(backend) = self.engine.obs_registry() {
             entries.extend(backend.flat_entries());
         }
-        entries.extend(ic_obs::global().flat_entries());
         if let Some(hub) = &self.hub {
             let s = hub.manager.stats();
             entries.push(("sub.subscriptions".into(), s.subscriptions as f64));
@@ -648,12 +647,6 @@ impl Server {
     /// nothing has crossed [`ServeConfig::slow_query_threshold`] yet).
     pub fn slow_queries_json(&self) -> String {
         self.shared.slow_log.dump_json_lines()
-    }
-
-    /// Subscription-side counters, or `None` when the server was bound
-    /// over an opaque backend ([`Server::bind_backend`]) and has no hub.
-    pub fn sub_stats(&self) -> Option<ic_sub::SubStats> {
-        self.shared.hub.as_ref().map(|hub| hub.manager.stats())
     }
 
     /// Whether a drain (client shutdown frame or [`Server::shutdown`])

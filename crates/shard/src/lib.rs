@@ -145,12 +145,14 @@ impl ShardedEngine {
         // Like `Engine::open`, a mapped shard store is verified here in
         // everything but its adjacency arrays; that check stays owed by
         // the shard's snapshot until one of its queries reads adjacency,
-        // and its one run is reported on the front's registry.
+        // and its one run is reported on the front's registry, as is
+        // every shard store's open.
         let metrics = ShardMetrics::new();
         let mut shards = Vec::with_capacity(paths.len());
         for path in paths {
-            let mut contents =
-                StoreFile::open_with(&path, &engine_options.store)?.load_deferred()?;
+            let file = StoreFile::open_with(&path, &engine_options.store)?;
+            file.report_open(&metrics.registry);
+            let mut contents = file.load_deferred()?;
             let Some(shard) = contents.shard.take() else {
                 return Err(corrupt(format!(
                     "{}: not a shard store (no shard-meta section)",
@@ -235,9 +237,21 @@ impl ShardedEngine {
 
         // The k_lo = 1 base shards must partition the global vertex
         // set: every global id covered exactly once. Anything else
-        // would silently drop or double-count communities.
+        // would silently drop or double-count communities. A partition
+        // has `global_n` entries in all: checking that first bounds the
+        // bitmap by id-map bytes present in the files, not by a number
+        // the metas declare, and leaves "no id owned twice" (every id is
+        // below `global_n`, above) meaning "none unowned" as well.
+        let base = || shards.iter().filter(|s| s.meta.k_lo == 1);
+        let owned: u64 = base().map(|s| s.id_map.len() as u64).sum();
+        if owned != global_n || global_n > u64::from(u32::MAX) + 1 {
+            return Err(corrupt(format!(
+                "the base shards own {owned} vertices but the shard metas \
+                 declare a global graph of {global_n}"
+            )));
+        }
         let mut seen = vec![false; global_n as usize];
-        for s in shards.iter().filter(|s| s.meta.k_lo == 1) {
+        for s in base() {
             for &v in s.id_map.iter() {
                 if seen[v as usize] {
                     return Err(corrupt(format!(
@@ -246,11 +260,6 @@ impl ShardedEngine {
                 }
                 seen[v as usize] = true;
             }
-        }
-        if let Some(v) = seen.iter().position(|&b| !b) {
-            return Err(corrupt(format!(
-                "global vertex {v} is owned by no base shard"
-            )));
         }
 
         Ok(ShardedEngine {

@@ -44,7 +44,7 @@ use ic_kcore::{CoreDecomposition, CoreLevel, GraphSnapshot};
 use ic_mem::{MapError, Mmap, SharedSlice};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// How to open a store file: retry policy for the cold-start read and
@@ -134,7 +134,17 @@ enum VerifyState {
         hashes: Vec<u64>,
         verified: Vec<AtomicBool>,
         sums_index: usize,
+        tally: Mutex<SectionTally>,
     },
+}
+
+/// How many sections a lazily verified file has hashed: kept here until
+/// [`StoreFile::report_open`] names the counter that takes over, so the
+/// sections an owed adjacency check verifies later are counted with the
+/// ones verified during the load.
+enum SectionTally {
+    Unreported(u64),
+    Reported(ic_obs::Counter),
 }
 
 /// A validated `ICS1` file: the envelope has been checked and sections
@@ -144,6 +154,8 @@ pub struct StoreFile {
     header: Header,
     sections: Vec<Section>,
     verify: Arc<VerifyState>,
+    /// Transient read failures [`StoreFile::open_with`] retried past.
+    retries: u32,
 }
 
 impl std::fmt::Debug for StoreFile {
@@ -276,26 +288,41 @@ impl StoreFile {
         loop {
             match Self::open_once(path, options.map) {
                 Err(StoreError::Io(e)) if is_transient(e.kind()) && attempt + 1 < attempts => {
-                    ic_obs::global().counter("store.open_retries").inc();
                     std::thread::sleep(options.backoff.saturating_mul(1 << attempt.min(16)));
                     attempt += 1;
                 }
                 other => {
-                    // Cold-start accounting on the process-wide registry
-                    // (the store layer has no instance to hang one on).
-                    let obs = ic_obs::global();
-                    match &other {
-                        Ok(store) => {
-                            obs.counter("store.opens").inc();
-                            if store.is_lazy_verified() {
-                                obs.counter("store.lazy_opens").inc();
-                            }
-                        }
-                        Err(_) => obs.counter("store.open_errors").inc(),
-                    }
-                    return other;
+                    return other.map(|store| StoreFile {
+                        retries: attempt,
+                        ..store
+                    })
                 }
             }
+        }
+    }
+
+    /// Publishes this open on `registry`: `store.opens`,
+    /// `store.open_retries` if there were any, and for a lazily verified
+    /// file `store.lazy_opens` and `store.lazy_verified_sections` — the
+    /// last keeps counting there as later first views (the owed
+    /// adjacency check's) verify more sections. Whoever serves from the
+    /// opened state calls it once with the registry its `STATS` read:
+    /// `Engine::open` with the engine's, `ShardedEngine::open_dir` with
+    /// the front's.
+    pub fn report_open(&self, registry: &ic_obs::Registry) {
+        registry.counter("store.opens").inc();
+        if self.retries > 0 {
+            let retries = registry.counter("store.open_retries");
+            retries.add(u64::from(self.retries));
+        }
+        if let VerifyState::Lazy { tally, .. } = &*self.verify {
+            registry.counter("store.lazy_opens").inc();
+            let sections = registry.counter("store.lazy_verified_sections");
+            let mut tally = tally.lock().expect("section tally poisoned");
+            if let SectionTally::Unreported(n) = *tally {
+                sections.add(n);
+            }
+            *tally = SectionTally::Reported(sections);
         }
     }
 
@@ -399,6 +426,7 @@ impl StoreFile {
             header,
             sections,
             verify: Arc::new(verify),
+            retries: 0,
         })
     }
 
@@ -410,6 +438,7 @@ impl StoreFile {
             header: self.header,
             sections: self.sections.clone(),
             verify: Arc::clone(&self.verify),
+            retries: self.retries,
         }
     }
 
@@ -467,6 +496,7 @@ impl StoreFile {
             hashes,
             verified,
             sums_index,
+            tally: Mutex::new(SectionTally::Unreported(0)),
         }))
     }
 
@@ -520,6 +550,7 @@ impl StoreFile {
             hashes,
             verified,
             sums_index,
+            tally,
         } = &*self.verify
         {
             if i != *sums_index && !verified[i].load(Ordering::Acquire) {
@@ -536,9 +567,10 @@ impl StoreFile {
                     )));
                 }
                 verified[i].store(true, Ordering::Release);
-                ic_obs::global()
-                    .counter("store.lazy_verified_sections")
-                    .inc();
+                match &mut *tally.lock().expect("section tally poisoned") {
+                    SectionTally::Unreported(n) => *n += 1,
+                    SectionTally::Reported(counter) => counter.inc(),
+                }
             }
         }
         Ok(&bytes[s.offset as usize..(s.offset + s.len) as usize])

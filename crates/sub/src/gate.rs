@@ -1,6 +1,6 @@
 //! Bounded notification admission with typed shedding.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// What a [`NotificationGate`] decided about one notification.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,7 +32,6 @@ pub struct NotificationGate {
     capacity: usize,
     depth: AtomicUsize,
     lagged: AtomicBool,
-    shed: AtomicU64,
 }
 
 impl NotificationGate {
@@ -44,7 +43,6 @@ impl NotificationGate {
             capacity: capacity.max(1),
             depth: AtomicUsize::new(0),
             lagged: AtomicBool::new(false),
-            shed: AtomicU64::new(0),
         }
     }
 
@@ -55,7 +53,6 @@ impl NotificationGate {
         let mut depth = self.depth.load(Ordering::Relaxed);
         loop {
             if depth >= self.capacity {
-                self.shed.fetch_add(1, Ordering::Relaxed);
                 self.lagged.store(true, Ordering::Relaxed);
                 return Admission::Shed;
             }
@@ -87,11 +84,6 @@ impl NotificationGate {
         self.depth.load(Ordering::Relaxed)
     }
 
-    /// Total notifications shed over the gate's lifetime.
-    pub fn shed_total(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
     /// The admission bound.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -109,7 +101,6 @@ mod tests {
         assert_eq!(gate.admit(), Admission::Deliver);
         assert_eq!(gate.admit(), Admission::Shed);
         assert_eq!(gate.admit(), Admission::Shed);
-        assert_eq!(gate.shed_total(), 2);
         assert_eq!(gate.depth(), 2);
         gate.delivered();
         // First admitted after a shed carries the resync flag, once.

@@ -6,29 +6,46 @@
 //! ```
 //!
 //! Simulates three ticks of a query service: each tick, four clients
-//! pipeline Zipf-popular mixed queries (min/max/sum families,
-//! approximate sum, size-constrained avg) over their own connections.
+//! pipeline mixed queries (min/max/sum families, approximate sum,
+//! size-constrained avg) over their own connections.
 //! Server-side **admission batching** coalesces the concurrent arrivals
 //! into a handful of `Engine::run_batch_pinned` calls, so the engine
 //! still gets the batch-wide planning — dedup, min/max r-family
 //! merging, k-grouping — that a one-query-per-request front end would
-//! forfeit. The sequential loop a caller would write without any of
-//! this runs after each tick for comparison.
+//! forfeit.
 //!
 //! The shutdown path is checked: every in-flight reply must be flushed
 //! and accounted for before the server acks the drain.
 
-use ic_bench::batch::{solve_sequential, to_engine_query};
+use ic_core::Aggregation;
 use ic_engine::{Engine, Query};
 use ic_gen::datasets::{by_name, Profile};
-use ic_gen::workload::{mixed_query_traffic, TrafficProfile};
-use ic_gen::GraphSeed;
 use ic_serve::{Client, Outcome, Response, ServeConfig, Server};
 use std::sync::Arc;
 use std::time::Instant;
 
 const CLIENTS: usize = 4;
 const QUERIES_PER_TICK: usize = 64;
+
+/// What the clients ask, dealt round-robin: `r`-families of min/max,
+/// exact and approximate sum, size-bounded avg at every `k` — repeats
+/// and families on purpose, the redundancy batch-wide planning exploits.
+fn deck(k_grid: &[usize]) -> Vec<Query> {
+    let mut out = Vec::new();
+    for &k in k_grid {
+        for r in [5, 10, 20] {
+            out.push(Query::new(k, r, Aggregation::Min));
+            out.push(Query::new(k, r, Aggregation::Max));
+        }
+        out.extend([
+            Query::new(k, 5, Aggregation::Sum),
+            Query::new(k, 5, Aggregation::Sum).approx(0.1),
+            Query::new(k, 5, Aggregation::SumSurplus { alpha: 0.5 }),
+            Query::new(k, 5, Aggregation::Average).size_bound(20, true),
+        ]);
+    }
+    out
+}
 
 fn main() {
     let spec = by_name(Profile::Quick, "email").unwrap();
@@ -40,23 +57,24 @@ fn main() {
         wg.num_edges()
     );
 
-    let engine = Arc::new(Engine::new(wg.clone()));
+    let engine = Arc::new(Engine::new(wg));
     let server = Server::bind(engine.clone(), "127.0.0.1:0", ServeConfig::default())
         .expect("bind an ephemeral loopback port");
     let addr = server.local_addr();
     println!("ic-serve listening on {addr} ({CLIENTS} clients per tick)\n");
 
-    let profile = TrafficProfile::paper_defaults(spec.k_grid);
+    let deck = deck(spec.k_grid);
 
-    let mut sequential_total = 0.0;
     let mut served_total = 0.0;
     let mut expected_replies = 0u64;
-    for tick in 0..3u64 {
-        let batch: Vec<Query> =
-            mixed_query_traffic(QUERIES_PER_TICK, &profile, GraphSeed(1000 + tick))
-                .iter()
-                .map(to_engine_query)
-                .collect();
+    for tick in 0..3usize {
+        let batch: Vec<Query> = deck
+            .iter()
+            .cycle()
+            .skip(tick * 7)
+            .take(QUERIES_PER_TICK)
+            .copied()
+            .collect();
         expected_replies += batch.len() as u64;
 
         // Four clients, each pipelining its slice of the tick over its
@@ -110,32 +128,20 @@ fn main() {
         let served = t.elapsed();
         served_total += served.as_secs_f64();
 
-        // The loop a caller would write without the serving layer.
-        let t = Instant::now();
-        for q in &batch {
-            let _ = solve_sequential(&wg, q);
-        }
-        let sequential = t.elapsed();
-        sequential_total += sequential.as_secs_f64();
-
         let (fi, fv, ft) = first.expect("at least one complete reply");
         println!(
             "tick {tick}: {} queries over {CLIENTS} connections -> {complete} complete, \
              {other} degraded/error; served {served:.1?} \
-             (first reply: query #{fi} value {fv:.6} after {ft:.1?}), \
-             sequential loop {sequential:.1?}",
+             (first reply: query #{fi} value {fv:.6} after {ft:.1?})",
             batch.len(),
         );
     }
 
     let stats = server.stats();
     println!(
-        "\n3 ticks: served {served_total:.3}s vs sequential {sequential_total:.3}s \
-         ({:.1}x); {} queries admitted in {} engine batches (largest {})",
-        sequential_total / served_total,
-        stats.admitted,
-        stats.batches,
-        stats.largest_batch
+        "\n3 ticks served in {served_total:.3}s; {} queries admitted in {} engine batches \
+         (largest {})",
+        stats.admitted, stats.batches, stats.largest_batch
     );
     assert_eq!(
         stats.admitted, expected_replies,
@@ -146,10 +152,7 @@ fn main() {
     // then drain. The contract is flush-then-ack — all replies must
     // come back before the ShutdownAck, none dropped.
     let mut closer = Client::connect(addr).expect("connect");
-    let finale: Vec<Query> = mixed_query_traffic(8, &profile, GraphSeed(4242))
-        .iter()
-        .map(to_engine_query)
-        .collect();
+    let finale = &deck[..8];
     for (i, q) in finale.iter().enumerate() {
         closer.send(i as u64, q).expect("send final burst");
     }
@@ -172,7 +175,7 @@ fn main() {
     // Progressive sessions: one query, communities in rank order as the
     // peel produces them. The first answer lands well before a full
     // batch would; dropping the stream cancels the rest.
-    let q = Query::new(spec.k_grid[0], 20, ic_core::Aggregation::Min);
+    let q = Query::new(spec.k_grid[0], 20, Aggregation::Min);
     engine.clear_result_cache();
     let t = Instant::now();
     let mut stream = engine.submit(q).expect("valid streamed query");

@@ -1,5 +1,4 @@
-//! Extensions tour: engine-served extremum forests, batched queries,
-//! and truss-based communities.
+//! Extensions tour: engine-served extremum forests and batched queries.
 //!
 //! ```text
 //! cargo run -p ic-bench --release --example indexed_queries
@@ -10,7 +9,7 @@
 //! memoized on the engine's snapshot — built once, shared by every
 //! batch, persisted by `Engine::persist` (see `store_serving.rs`).
 
-use ic_core::algo::{self, ExtremumIndex};
+use ic_core::algo::ExtremumIndex;
 use ic_core::{Aggregation, Extremum};
 use ic_engine::{Engine, Query};
 use ic_gen::datasets::{by_name, Profile};
@@ -86,13 +85,4 @@ fn main() {
     for (value, size) in chain.iter().take(5) {
         println!("  value {value:.6}, size {size}");
     }
-
-    // --- 2. Truss communities are cliquier than core communities ------
-    let core_top = Query::new(4, 1, Aggregation::Min).solve(&wg).unwrap();
-    let truss_top = algo::truss_min_topr(&wg, 4, 1).unwrap();
-    println!(
-        "\nk = 4 top-1 community sizes: core model {}, truss model {}",
-        core_top.first().map_or(0, |c| c.len()),
-        truss_top.first().map_or(0, |c| c.len())
-    );
 }

@@ -335,6 +335,8 @@ fn transient_store_reads_retry_and_corruption_fails_closed() {
     ic_fail::cfg("store::read_io", "2*return(injected timeout)").unwrap();
     let reopened = Engine::open_with_threads(&path, 2).expect("retry must absorb transients");
     assert_eq!(reopened.run_batch(&[q])[0].clone().unwrap(), want);
+    let retries = reopened.obs_registry().counter("store.open_retries");
+    assert_eq!(retries.get(), 2, "counted on the opener's registry");
 
     // A *persistent* transient error exhausts the three attempts and
     // surfaces typed.

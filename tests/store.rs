@@ -400,6 +400,34 @@ fn section_range(bytes: &[u8], kind: SectionKind) -> std::ops::Range<usize> {
     s.offset as usize..(s.offset + s.len) as usize
 }
 
+/// `clean` with `patch` applied to its `kind` section and then
+/// **re-hashed** — that section's sum and the header checksum — so every
+/// integrity hash agrees and only a structural check can refuse it.
+fn patched_and_rehashed(clean: &[u8], kind: SectionKind, patch: impl FnOnce(&mut [u8])) -> Vec<u8> {
+    let table = StoreFile::from_bytes(clean).unwrap();
+    let index = table
+        .sections()
+        .iter()
+        .position(|s| s.known_kind() == Some(kind))
+        .expect("the store has that section");
+    let section = section_range(clean, kind);
+    let sums = section_range(clean, SectionKind::SectionSums);
+    let mut bytes = clean.to_vec();
+    patch(&mut bytes[section.clone()]);
+
+    let words = |bytes: &[u8]| -> Vec<u64> {
+        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap());
+        bytes.chunks_exact(8).map(word).collect()
+    };
+    let slot = sums.start + 8 * (1 + index);
+    let padded = section.start..format::align8(section.end);
+    let sum = format::checksum(&words(&bytes[padded]));
+    bytes[slot..slot + 8].copy_from_slice(&sum.to_le_bytes());
+    let header_sum = format::checksum(&words(&bytes[format::HEADER_LEN..]));
+    bytes[24..32].copy_from_slice(&header_sum.to_le_bytes());
+    bytes
+}
+
 fn counter(entries: &[(String, f64)], name: &str) -> f64 {
     let entry = entries.iter().find(|(n, _)| n == name);
     entry.unwrap_or_else(|| panic!("{name} is registered")).1
@@ -621,6 +649,7 @@ fn sharded_and_served_stores_fail_closed_on_first_touch() {
         other => panic!("expected the forest-served answer, got {other:?}"),
     }
     let entries = server.stats_entries();
+    assert_eq!(counter(&entries, "store.opens"), paths.len() as f64);
     assert_eq!(
         counter(&entries, "store.adjacency_checks"),
         paths.len() as f64
@@ -643,14 +672,6 @@ fn sharded_and_served_stores_fail_closed_on_first_touch() {
 fn a_rehashed_asymmetric_store_is_refused_by_the_structure_check() {
     let wg = owed_fixture();
     let clean = store_bytes_for(&wg, &[2]);
-    let table = StoreFile::from_bytes(&clean).unwrap();
-    let targets_index = table
-        .sections()
-        .iter()
-        .position(|s| s.known_kind() == Some(SectionKind::GraphTargets))
-        .expect("the store has a targets section");
-    let targets = section_range(&clean, SectionKind::GraphTargets);
-    let sums = section_range(&clean, SectionKind::SectionSums);
 
     // Redirect the last entry of some row u from its largest neighbour v
     // to v + 1: rows stay sorted, in bounds and loop-free, but (u, v + 1)
@@ -661,21 +682,11 @@ fn a_rehashed_asymmetric_store_is_refused_by_the_structure_check() {
         .filter_map(|u| Some((u, *wg.graph().neighbors(u).last()?)))
         .find(|&(u, v)| v + 1 < n && v + 1 != u)
         .expect("some row can be redirected");
-    let mut bytes = clean;
-    let entry = targets.start + 4 * (offsets[u as usize + 1] - 1);
-    assert_eq!(bytes[entry..entry + 4], v.to_le_bytes());
-    bytes[entry..entry + 4].copy_from_slice(&(v + 1).to_le_bytes());
-
-    let words = |bytes: &[u8]| -> Vec<u64> {
-        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap());
-        bytes.chunks_exact(8).map(word).collect()
-    };
-    let slot = sums.start + 8 * (1 + targets_index);
-    let padded = targets.start..format::align8(targets.end);
-    let sum = format::checksum(&words(&bytes[padded]));
-    bytes[slot..slot + 8].copy_from_slice(&sum.to_le_bytes());
-    let header_sum = format::checksum(&words(&bytes[format::HEADER_LEN..]));
-    bytes[24..32].copy_from_slice(&header_sum.to_le_bytes());
+    let bytes = patched_and_rehashed(&clean, SectionKind::GraphTargets, |targets| {
+        let entry = 4 * (offsets[u as usize + 1] - 1);
+        assert_eq!(targets[entry..entry + 4], v.to_le_bytes());
+        targets[entry..entry + 4].copy_from_slice(&(v + 1).to_le_bytes());
+    });
 
     // Every hash agrees; the eager path gets as far as the CSR check.
     let eager = StoreFile::from_bytes(&bytes).expect("the envelope and checksum hold");
@@ -694,5 +705,75 @@ fn a_rehashed_asymmetric_store_is_refused_by_the_structure_check() {
         .expect_err("only validate_csr can refuse");
     assert!(refused.contains("mirror"), "{refused}");
     assert_eq!(engine.arenas_quarantined(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Shard metas that agree on a `global_n` the id maps cannot cover —
+/// re-hashed, so every integrity hash holds — fail `open_dir` closed,
+/// before anything is sized by the declared number.
+#[test]
+fn a_shard_set_declaring_an_uncovered_global_graph_is_refused_before_allocating() {
+    use ic_shard::ShardedEngine;
+    let wg = owed_fixture();
+    let dir = scratch_dir("global-n");
+    let paths = ic_store::shard::build_shard_stores(&wg, &[2], 1 << 20, &dir).unwrap();
+    ShardedEngine::open_dir(&dir).expect("the clean shard set opens");
+    for path in &paths {
+        let clean = std::fs::read(path).unwrap();
+        let bytes = patched_and_rehashed(&clean, SectionKind::ShardMeta, |meta| {
+            meta[6 * 8..7 * 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        });
+        std::fs::write(path, &bytes).unwrap();
+    }
+    match ShardedEngine::open_dir(&dir) {
+        Err(StoreError::Corrupt { what }) => {
+            let owned = format!("own {} vertices", wg.num_vertices());
+            assert!(what.contains(&owned), "{what}");
+            assert!(what.contains(&(1u64 << 40).to_string()), "{what}");
+        }
+        other => panic!(
+            "expected a typed corruption error, got {:?}",
+            other.map(|_| "an open engine")
+        ),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each server's STATS carries the `store.*` counters of the store its
+/// own engine opened: two engines in one process do not report each
+/// other's opens, and the sections an owed adjacency check verifies
+/// later are counted where the open was.
+#[test]
+fn stats_report_only_the_store_their_own_engine_opened() {
+    use ic_serve::{ServeConfig, Server};
+    let wg = owed_fixture();
+    let dir = scratch_dir("own-stats");
+    let open = |name: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, store_bytes_for(&wg, &[2])).unwrap();
+        Arc::new(Engine::open_with_threads(&path, 1).unwrap())
+    };
+    let engines = [open("first.ics1"), open("second.ics1")];
+    let servers = engines
+        .clone()
+        .map(|engine| Server::bind(engine, "127.0.0.1:0", ServeConfig::default()).unwrap());
+    let before = servers.each_ref().map(Server::stats_entries);
+    for entries in &before {
+        assert_eq!(counter(entries, "store.opens"), 1.0);
+        assert_eq!(counter(entries, "store.lazy_opens"), 1.0);
+    }
+
+    // The first engine reads adjacency: its two owed sections are hashed
+    // now, and counted on its registry alone.
+    assert!(engines[0].run_batch(&[Query::new(2, 3, Aggregation::Sum)])[0].is_ok());
+    let sections = |entries: &[(String, f64)]| counter(entries, "store.lazy_verified_sections");
+    let after = servers.each_ref().map(Server::stats_entries);
+    assert_eq!(sections(&after[0]), sections(&before[0]) + 2.0);
+    assert_eq!(sections(&after[1]), sections(&before[1]));
+
+    for server in servers {
+        server.shutdown();
+        server.join();
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
