@@ -46,11 +46,10 @@
 //!
 //! Implement [`AggregateFn`], register it with [`Aggregation::custom`],
 //! and the returned handle works everywhere an [`Aggregation`] does —
-//! `QueryBuilder`, `Engine::run_batch`, `Engine::submit`, the
-//! epoch-tagged result cache, and the workload generator. Registration
-//! runs the certification harness, so a mis-declared certificate fails
-//! loudly *before* it can corrupt a ranking. See
-//! `examples/custom_aggregation.rs` and DESIGN.md §10.
+//! `QueryBuilder`, `Engine::run_batch` and the epoch-tagged result
+//! cache. Registration runs the certification harness, so a
+//! mis-declared certificate fails loudly *before* it can corrupt a
+//! ranking. See `examples/custom_aggregation.rs` and DESIGN.md §10.
 
 use std::collections::BTreeMap;
 use std::sync::{OnceLock, RwLock};
@@ -729,8 +728,7 @@ impl CustomAggregation {
 impl Aggregation {
     /// Registers a user-defined aggregation function and returns a
     /// handle that works everywhere an [`Aggregation`] does (query
-    /// building, engine batches, progressive streams, the result
-    /// cache, workload generation).
+    /// building, engine batches, the result cache).
     ///
     /// Registration validates the function's parameters and runs the
     /// sampled certification harness ([`crate::certify`]): a declared

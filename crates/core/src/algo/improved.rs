@@ -116,7 +116,7 @@ fn run_improved(
 }
 
 /// Progressive emission for `TIC-IMPROVED` — the incremental hook
-/// behind `ic_engine::Engine::submit` for the removal-decreasing
+/// the engine's `TIC` jobs drain for the removal-decreasing
 /// aggregations. The search loop of Algorithm 2 is a state machine
 /// here: every pull advances it just far enough to *prove* the next
 /// community's final rank, then yields it.

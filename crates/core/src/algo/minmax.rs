@@ -190,7 +190,7 @@ fn peel_topr_in(
 }
 
 /// Progressive, rank-order emission for the `min`/`max` peels — the
-/// incremental hook behind `ic_engine::Engine::submit`.
+/// incremental hook the engine's deadline-armed jobs drain.
 ///
 /// [`MinMaxEmission::start`] runs the one stamped peel pass and keeps its
 /// per-vertex stamps and the `r` best events. The community witnessed by

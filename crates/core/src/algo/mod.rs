@@ -21,8 +21,7 @@
 //! caches or family merges. Serving code routes through [`crate::Query`]
 //! — `q.solve(&wg)` dispatches to the right algorithm here,
 //! `q.solve_on(&snapshot, &mut arena)` reuses memoized k-core state, and
-//! `ic_engine::Engine` adds batching,
-//! progressive streams ([`Engine::submit`](../../ic_engine/struct.Engine.html#method.submit)),
+//! `ic_engine::Engine` adds batching, deadline-armed certified prefixes
 //! and mutable-graph epochs on top. The routing table lives in one
 //! place ([`crate::Query::solver`]); nothing outside this module should
 //! hand-dispatch on aggregation again.

@@ -6,7 +6,6 @@ use std::cmp::Ordering;
 /// A community: a canonical (sorted, deduplicated) vertex list plus its
 /// influence value under the aggregation the producing solver used.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Community {
     /// Member vertices, sorted ascending.
     pub vertices: Vec<VertexId>,

@@ -117,9 +117,9 @@ pub enum EngineError {
 }
 
 impl EngineError {
-    /// The plain-surface rendering (`Engine::run_batch`,
-    /// `Engine::submit`): everything that is not a search or deadline
-    /// error flattens to [`SearchError::Internal`].
+    /// The plain-surface rendering (`Engine::run_batch`): everything
+    /// that is not a search or deadline error flattens to
+    /// [`SearchError::Internal`].
     pub(crate) fn into_search(self) -> SearchError {
         match self {
             EngineError::Search(e) => e,

@@ -94,12 +94,12 @@ pub(crate) struct TicCounters {
     pub children_materialized: ic_obs::Counter,
 }
 
-/// Where an execution reports: the caller's trace and the engine's
-/// solver work counters, each if there is one.
-#[derive(Clone, Copy, Default)]
+/// Where an execution reports: the caller's trace, if there is one,
+/// and the engine's solver work counters.
+#[derive(Clone, Copy)]
 pub(crate) struct ExecObs<'a> {
     pub trace: Option<&'a ic_obs::Trace>,
-    pub tic: Option<&'a TicCounters>,
+    pub tic: &'a TicCounters,
 }
 
 /// Runs a plan against one pinned snapshot. The snapshot and arena pool
@@ -276,7 +276,7 @@ fn run_tic(
     epsilon: f64,
     budget: Option<Arc<Budget>>,
     arena: &mut PeelArena,
-    counters: Option<&TicCounters>,
+    counters: &TicCounters,
 ) -> Result<(Vec<Community>, bool), ic_core::SearchError> {
     let mut em = TicEmission::start_on(snap, k, r, aggregation, epsilon)?;
     em.set_budget(budget);
@@ -285,11 +285,9 @@ fn run_tic(
         items.push(c);
     }
     arena.set_budget(None);
-    if let Some(counters) = counters {
-        let work = em.work();
-        counters.deletions.add(work.deletions);
-        counters.children_materialized.add(work.materialized);
-    }
+    let work = em.work();
+    counters.deletions.add(work.deletions);
+    counters.children_materialized.add(work.materialized);
     Ok((items, em.deadline_aborted()))
 }
 

@@ -4,7 +4,6 @@
 /// peeling and search. All operations are branch-light and word-parallel
 /// where possible.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,

@@ -5,7 +5,6 @@ use crate::Graph;
 
 /// Basic statistics of a graph.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GraphStats {
     /// Number of vertices.
     pub num_vertices: usize,

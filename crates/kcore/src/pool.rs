@@ -81,10 +81,8 @@ impl ArenaPool {
     /// Takes an arena out of the pool **by value** (constructing one
     /// when the pool is dry); hand it back with [`Self::put_arena`].
     /// For callers whose ownership structure cannot hold the borrowing
-    /// [`PooledArena`] guard — e.g. a self-contained result stream that
-    /// owns both an `Arc<ArenaPool>` and the arena it peels with, or an
-    /// executor worker that must decide *per job* whether its arena is
-    /// still trustworthy.
+    /// [`PooledArena`] guard — e.g. an executor worker that must decide
+    /// *per job* whether its arena is still trustworthy.
     pub fn take_arena(&self) -> PeelArena {
         let arena = self.free_list().pop();
         arena.unwrap_or_else(|| {

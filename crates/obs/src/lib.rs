@@ -25,22 +25,16 @@
 //! # Cost model
 //!
 //! Consistent with the workspace's vendored-shim policy this crate has
-//! **no dependencies**. Observability is compiled in through the
-//! `enabled` cargo feature (on by default, forwarded by each consuming
-//! crate's `obs` feature); without it every record path folds away on a
-//! compile-time-false constant while the API stays intact, so callers
-//! never need `cfg` guards — the `ic-fail` precedent. On top of that,
-//! [`set_enabled`] is a **runtime** kill switch (one relaxed atomic
-//! load per record) used by the `obs_overhead` benchmark section to
-//! measure enabled-vs-disabled serving in a single binary; the CI
-//! `--no-default-features` check proves the compile-out path builds.
+//! **no dependencies**, and it is always compiled in. [`set_enabled`]
+//! is the one switch: a **runtime** kill switch (one relaxed atomic
+//! load per record) that icbench's `obs.enabled_cost_share` probe uses
+//! to measure enabled-vs-disabled serving in a single binary.
 //!
 //! Time measurement ([`Stopwatch`], [`Histogram::observe`],
-//! [`Trace::record`], [`SlowLog::observe`]) honours the runtime switch
-//! — `Instant::now` is never called while disabled. Plain counts
-//! ([`Counter`], [`Gauge`], trace tags) ignore the runtime switch and
-//! only fold out when the feature is off, because load-bearing views
-//! (`Server::stats`) read them.
+//! [`Trace::record`], [`SlowLog::observe`]) honours the switch —
+//! `Instant::now` is never called while disabled. Plain counts
+//! ([`Counter`], [`Gauge`], trace tags) ignore it: they are one
+//! `fetch_add`, and load-bearing views (`Server::stats`) read them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,15 +45,15 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
-// Runtime + compile-time gating
+// Runtime gating
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// True when timing instrumentation is live: the `enabled` feature is
-/// compiled in **and** the runtime switch is on. One relaxed load.
+/// True when timing instrumentation is live: the runtime switch is on.
+/// One relaxed load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    cfg!(feature = "enabled") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Runtime kill switch for timing instrumentation (default on). The
@@ -67,15 +61,6 @@ pub fn enabled() -> bool {
 /// on in one binary; production never needs to touch it.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Compile-time gate alone: counters and tags keep recording under a
-/// runtime disable (they are one `fetch_add` and back functional views
-/// like `Server::stats`), but fold away entirely when the `enabled`
-/// feature is off.
-#[inline(always)]
-fn compiled() -> bool {
-    cfg!(feature = "enabled")
 }
 
 // ---------------------------------------------------------------------
@@ -97,9 +82,7 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if compiled() {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -119,26 +102,20 @@ impl Gauge {
     /// Overwrites the level.
     #[inline]
     pub fn set(&self, v: i64) {
-        if compiled() {
-            self.cell.store(v, Ordering::Relaxed);
-        }
+        self.cell.store(v, Ordering::Relaxed);
     }
 
     /// Adjusts the level by `delta` (may be negative).
     #[inline]
     pub fn add(&self, delta: i64) {
-        if compiled() {
-            self.cell.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.cell.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Raises the level to `v` if it is below (running-maximum gauges
     /// such as `serve.largest_batch`).
     #[inline]
     pub fn raise_to(&self, v: i64) {
-        if compiled() {
-            self.cell.fetch_max(v, Ordering::Relaxed);
-        }
+        self.cell.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current level.
@@ -555,9 +532,7 @@ impl Trace {
     /// Sets an outcome tag (idempotent).
     #[inline]
     pub fn tag(&self, tag: Tag) {
-        if compiled() {
-            self.tags.fetch_or(tag.bit(), Ordering::Relaxed);
-        }
+        self.tags.fetch_or(tag.bit(), Ordering::Relaxed);
     }
 
     /// Whether a tag is set.
@@ -569,9 +544,6 @@ impl Trace {
     /// fold per-shard plans into one trace) and derives the plan tags:
     /// [`Tag::CacheHit`] and [`Tag::IndexRouted`].
     pub fn note_plan(&self, plan: TracePlan) {
-        if !compiled() {
-            return;
-        }
         self.queries.fetch_add(plan.queries, Ordering::Relaxed);
         self.answered_at_plan
             .fetch_add(plan.answered_at_plan, Ordering::Relaxed);
@@ -780,27 +752,7 @@ impl SlowLog {
     }
 }
 
-/// `cargo test -p ic-obs --no-default-features`: the leg of the CI
-/// compile-out gate that runs code instead of reading a feature tree.
-#[cfg(all(test, not(feature = "enabled")))]
-mod compiled_out {
-    use super::*;
-
-    #[test]
-    fn without_the_feature_the_gate_is_false_and_nothing_records() {
-        assert!(!compiled());
-        set_enabled(true);
-        assert!(!enabled(), "the runtime switch cannot override the build");
-        let registry = Registry::new();
-        let histogram = registry.histogram("t.compiled_out");
-        histogram.observe(Duration::from_millis(3));
-        histogram.observe_ns(7);
-        Stopwatch::start().observe(&histogram);
-        assert_eq!(histogram.snapshot().count(), 0);
-    }
-}
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -8,10 +8,6 @@
 //!   count is the sum of its own buckets by construction, and counts
 //!   only grow monotonically across successive reads.
 
-// Every property counts what was recorded; without the feature nothing
-// is (`compiled_out` in the library's unit tests holds that side).
-#![cfg(feature = "enabled")]
-
 use ic_obs::{Registry, Stage, Trace};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -554,8 +554,8 @@ pub fn agg_to_wire(agg: Aggregation) -> Result<(u8, f64), ProtocolError> {
 
 /// Inverse of [`agg_to_wire`]. Parameter *values* are not range-checked
 /// here — the engine validates each query at plan time and reports a
-/// typed per-query error — but a non-finite or negative `t` for
-/// `TopTSum` cannot even be represented and is rejected.
+/// typed per-query error — but a non-finite, negative or fractional `t`
+/// for `TopTSum` cannot even be represented and is rejected.
 pub fn agg_from_wire(code: u8, param: f64) -> Result<Aggregation, ProtocolError> {
     Ok(match code {
         0 => Aggregation::Min,
@@ -566,7 +566,7 @@ pub fn agg_from_wire(code: u8, param: f64) -> Result<Aggregation, ProtocolError>
         5 => Aggregation::WeightDensity { beta: param },
         6 => Aggregation::BalancedDensity,
         7 => {
-            if !(param.is_finite() && param >= 0.0 && param <= u32::MAX as f64) {
+            if !(param.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&param)) {
                 return Err(ProtocolError::Unsupported(format!(
                     "top-t-sum parameter t = {param} is not a representable count"
                 )));
@@ -1963,6 +1963,7 @@ mod tests {
             r#"{"k": 2.5, "r": 1, "agg": "min"}"#,       // fractional count
             r#"{"op": "reboot"}"#,                       // unknown op
             r#"{"k": 2, "r": 1, "agg": "min", "deadline_ms": -5}"#,
+            r#"{"k": 2, "r": 1, "agg": "top_t_sum", "p": 2.5}"#,
             r#"{"k": 2, "r": 1, "agg": "min", "deadline_ms": 1e300}"#, // beyond Duration
             r#"{"id": 9007199254740994, "k": 2, "r": 1, "agg": "min"}"#, // beyond 2^53
         ] {
@@ -2167,7 +2168,7 @@ mod tests {
             let name = agg_name_by_code(code).unwrap();
             assert_eq!(agg_code_by_name(name).unwrap(), code);
             // Every code decodes with a benign parameter.
-            agg_from_wire(code, 0.5).unwrap();
+            agg_from_wire(code, 1.0).unwrap();
         }
         assert!(agg_name_by_code(10).is_none());
         assert!(matches!(
@@ -2175,5 +2176,6 @@ mod tests {
             Err(ProtocolError::BadAggCode(10))
         ));
         assert!(agg_from_wire(7, f64::NAN).is_err(), "NaN t");
+        assert!(agg_from_wire(7, 2.5).is_err(), "fractional t");
     }
 }

@@ -637,8 +637,8 @@ impl Server {
     }
 
     /// Everything a STATS frame reports: the serve-layer registry, the
-    /// backend's, the process-wide store counters, and (on hub-bearing
-    /// servers) the subscription totals, as flat `(name, value)` pairs.
+    /// backend's, and (on hub-bearing servers) the subscription totals,
+    /// as flat `(name, value)` pairs.
     pub fn stats_entries(&self) -> Vec<(String, f64)> {
         self.shared.stats_entries()
     }

@@ -264,6 +264,7 @@ fn hostile_json_lines_never_kill_the_connection_or_poison_a_solver() {
         r#"{"id":11,"k":2,"r":-0.5,"agg":"sum"}"#,
         r#"{"id":12,"k":2,"r":2,"agg":"sum","s":1e300}"#,
         r#"{"id":13,"k":2,"r":2,"agg":"top_t_sum","t":1e999}"#,
+        r#"{"id":21,"k":2,"r":2,"agg":"top_t_sum","p":2.5,"s":4}"#,
         r#"{"id":14,"k":2,"r":2,"agg":"sum","eps":1e999}"#,
         r#"{"id":15,"k":2,"r":2,"agg":"sum","eps":-1}"#,
         r#"{"id":16,"k":2,"r":2,"agg":"sum_surplus","alpha":-1e308}"#,

@@ -614,18 +614,19 @@ fn unsubscribe_stops_notifications_and_duplicate_ids_are_refused() {
 /// connection keeps serving queries.
 #[test]
 fn backend_servers_refuse_subscriptions_and_updates_typed() {
-    use ic_engine::{BatchOptions, EngineError, Epoch, QueryAnswer, QueryBackend};
+    use ic_engine::{BatchOptions, Epoch, QueryBackend, SharedAnswer};
 
     /// An Engine hidden behind the trait, keeping the trait's default
     /// (refusing) `apply_updates` — the shape of any read-only backend.
     struct ReadOnly(Engine);
     impl QueryBackend for ReadOnly {
-        fn run_batch_pinned(
+        fn run_batch_traced(
             &self,
             queries: &[Query],
             options: &BatchOptions,
-        ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
-            self.0.run_batch_pinned(queries, options)
+            trace: &ic_obs::Trace,
+        ) -> (Epoch, Vec<SharedAnswer>) {
+            self.0.run_batch_traced(queries, options, trace)
         }
     }
 

@@ -9,14 +9,18 @@
 //! 1. **Algebraically**, on synthetic community lists with forced value
 //!    ties and distinct vertex sets (the invariant real shards provide:
 //!    no community is produced twice).
-//! 2. **Against the oracle**: a sharded engine over random Chung-Lu
-//!    graphs must answer bit-for-bit like the unsharded engine — with
-//!    `r` far above any single shard's community count, so per-shard
-//!    truncation and short-list merging are both on the hot path.
+//! 2. **Against the oracle**: a sharded engine over random graphs of
+//!    disconnected blocks (every query fans out) with tie-heavy weights
+//!    must answer bit-for-bit like the unsharded engine — with `r` far
+//!    above any single shard's community count and `r` small enough to
+//!    cut a tie group, so per-shard truncation, short-list merging and
+//!    the tie selection are all on the hot path.
 
 use ic_core::{Aggregation, Community, Query};
 use ic_engine::{BatchOptions, Engine};
-use ic_gen::{chung_lu, pareto_weights, GraphSeed};
+use ic_gen::{
+    pareto_weights, planted_partition, uniform_weights, GraphSeed, PlantedPartitionConfig,
+};
 use ic_graph::WeightedGraph;
 use ic_shard::{merge_topr, ShardedEngine};
 use ic_store::shard::build_shard_stores;
@@ -143,43 +147,65 @@ proptest! {
 
     /// A sharded engine over a random graph answers bit-for-bit like
     /// the unsharded engine, including `r` far above what any single
-    /// shard can supply.
+    /// shard can supply and `r`s that cut a value tie between shards.
     #[test]
     fn sharded_matches_unsharded_oracle(
-        n in 60usize..160,
+        blocks in 3usize..7,
+        block_size in 8usize..24,
         seed in 0u32..500,
         cap in 8usize..40,
     ) {
-        let g = chung_lu(n, 3 * n, 2.5, GraphSeed(seed as u64));
-        let w = pareto_weights(n, 1.5, GraphSeed(seed as u64 + 7));
-        let wg = WeightedGraph::new(g, w).expect("generated weights pair");
-
-        let dir = std::env::temp_dir().join(format!(
-            "ic-shard-merge-prop-{}-{n}-{seed}-{cap}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        build_shard_stores(&wg, &[2, 3], cap, &dir).expect("shard build");
-
-        let sharded = ShardedEngine::open_dir(&dir).expect("open shards");
-        let unsharded = Engine::with_threads(wg, 2);
-
-        // r = 2n dwarfs every per-shard community count.
-        let batch: Vec<Query> = (1..=4)
-            .flat_map(|k| {
-                [
-                    Query::new(k, 3, Aggregation::Min),
-                    Query::new(k, 2 * n, Aggregation::Max),
-                    Query::new(k, 2 * n, Aggregation::Sum),
-                ]
-            })
+        let config = PlantedPartitionConfig {
+            communities: blocks,
+            community_size: block_size,
+            p_in: 0.5,
+            p_out: 0.0,
+        };
+        let g = planted_partition(&config, GraphSeed(seed as u64));
+        let n = g.num_vertices();
+        // No shard holds two whole blocks.
+        let cap = cap.min(2 * block_size - 1);
+        // Weights from {1, 2, 3}: a value tie straddles shards at every
+        // `min`/`max` cut. Exact TIC keeps its own members of a `sum` tie
+        // at the cut (ROADMAP item 1), so `sum` rides on weights that
+        // never tie.
+        let tied = uniform_weights(n, 1.0, 4.0, GraphSeed(seed as u64 + 7))
+            .into_iter()
+            .map(|x| x.floor().min(3.0))
             .collect();
-        let want = unsharded.run_batch_pinned(&batch, &BatchOptions::default()).1;
-        let got = sharded.run_batch_pinned(&batch, &BatchOptions::default()).1;
-        for ((q, w), g) in batch.iter().zip(&want).zip(&got) {
-            let (w, g) = (w.as_ref().expect("oracle"), g.as_ref().expect("sharded"));
-            prop_assert_eq!(w, g, "query {:?}", q);
+        let distinct = pareto_weights(n, 1.5, GraphSeed(seed as u64 + 7));
+        for (tag, w, with_sum) in [("tied", tied, false), ("distinct", distinct, true)] {
+            let wg = WeightedGraph::new(g.clone(), w).expect("generated weights pair");
+            let dir = std::env::temp_dir().join(format!(
+                "ic-shard-merge-prop-{}-{blocks}-{block_size}-{seed}-{cap}-{tag}",
+                std::process::id()
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+            build_shard_stores(&wg, &[2, 3], cap, &dir).expect("shard build");
+
+            let sharded = ShardedEngine::open_dir(&dir).expect("open shards");
+            prop_assert!(sharded.route(1).len() >= 2, "disconnected blocks must fan out");
+            let unsharded = Engine::with_threads(wg, 2);
+
+            // r = 2n dwarfs every per-shard community count.
+            let batch: Vec<Query> = (1..=4)
+                .flat_map(|k| {
+                    [
+                        Query::new(k, 3, Aggregation::Min),
+                        Query::new(k, 2, Aggregation::Max),
+                        Query::new(k, 2 * n, Aggregation::Max),
+                        Query::new(k, 2 * n, Aggregation::Sum),
+                    ]
+                })
+                .filter(|q| with_sum || q.aggregation != Aggregation::Sum)
+                .collect();
+            let want = unsharded.run_batch_pinned(&batch, &BatchOptions::default()).1;
+            let got = sharded.run_batch_pinned(&batch, &BatchOptions::default()).1;
+            for ((q, w), g) in batch.iter().zip(&want).zip(&got) {
+                let (w, g) = (w.as_ref().expect("oracle"), g.as_ref().expect("sharded"));
+                prop_assert_eq!(w, g, "{} weights, query {:?}", tag, q);
+            }
+            std::fs::remove_dir_all(&dir).ok();
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

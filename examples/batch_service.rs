@@ -18,11 +18,11 @@
 //! and accounted for before the server acks the drain.
 
 use ic_core::Aggregation;
-use ic_engine::{Engine, Query};
+use ic_engine::{BatchOptions, Engine, Query};
 use ic_gen::datasets::{by_name, Profile};
 use ic_serve::{Client, Outcome, Response, ServeConfig, Server};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 4;
 const QUERIES_PER_TICK: usize = 64;
@@ -172,21 +172,18 @@ fn main() {
         flushed
     );
 
-    // Progressive sessions: one query, communities in rank order as the
-    // peel produces them. The first answer lands well before a full
-    // batch would; dropping the stream cancels the rest.
-    let q = Query::new(spec.k_grid[0], 20, Aggregation::Min);
-    engine.clear_result_cache();
+    // Progressive delivery: a deadline-armed query answers with the
+    // rank prefix its solver had proven when the budget ran out, tagged
+    // degraded, instead of making the client wait for the full list.
+    let q = Query::new(spec.k_grid[0], 20, Aggregation::Sum).deadline(Duration::from_micros(500));
     let t = Instant::now();
-    let mut stream = engine.submit(q).expect("valid streamed query");
-    if let Some(first) = stream.next() {
-        println!(
-            "\nstreamed {q:?}: first community (value {:.6}, {} members) after {:.1?}",
-            first.value,
-            first.len(),
+    match &engine.run_batch_with(&[q], &BatchOptions::default())[0] {
+        Ok(answer) => println!(
+            "\narmed {q:?}: {} communities ({:?}) after {:.1?}",
+            answer.communities.len(),
+            answer.status,
             t.elapsed()
-        );
+        ),
+        Err(e) => println!("\narmed {q:?}: nothing proven in the budget ({e})"),
     }
-    let rest = stream.count(); // drain to show the prefix keeps coming
-    println!("stream delivered {} more communities in rank order", rest);
 }

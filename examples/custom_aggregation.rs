@@ -8,9 +8,9 @@
 //! [`ic_core::AggregateFn`], declare the property certificates that
 //! actually hold, register with [`ic_core::Aggregation::custom`], and
 //! the returned handle works everywhere a built-in does —
-//! `QueryBuilder`, `Engine::run_batch`, progressive `Engine::submit`
-//! streams, and the epoch-tagged result cache. Routing is decided by
-//! the certificates alone:
+//! `QueryBuilder`, `Engine::run_batch`, deadline-armed
+//! `Engine::run_batch_with`, and the epoch-tagged result cache. Routing
+//! is decided by the certificates alone:
 //!
 //! * this example's `CappedSum` declares removal-decreasing
 //!   monotonicity plus an O(1) remove delta, so the router sends it
@@ -152,15 +152,13 @@ fn main() {
     }
     assert_eq!(answers[1].as_ref().unwrap().as_slice(), top.as_slice());
 
-    // 4. Progressive stream: first answer without waiting for the rest.
-    let mut stream = engine.submit(Query::new(4, 5, capped)).unwrap();
-    let first = stream.next().expect("non-empty core");
-    println!(
-        "\nstreamed rank-1 answer: value {:.3} ({} members); rest of the stream cancelled for free",
-        first.value,
-        first.len()
-    );
-    drop(stream);
+    // 4. Under a deadline: the armed TIC run answers with the rank
+    //    prefix it has proven when the budget runs out, status-tagged.
+    let armed = Query::new(4, 5, capped).deadline(std::time::Duration::from_secs(5));
+    match &engine.run_batch_with(&[armed], &Default::default())[0] {
+        Ok(a) => println!("\narmed: {} ranked, {:?}", a.communities.len(), a.status),
+        Err(e) => println!("\narmed: {e}"),
+    }
 
     // 5. A false certificate is caught at registration. `Average` is
     //    not removal-decreasing — claiming it must fail.

@@ -1,20 +1,15 @@
 //! The paper's second motivating application (Section I, "Group
 //! Recommendation"): suggest interest groups in a social network, ranked
 //! by the *average* influence of their members, without recommending the
-//! same users twice — served through a progressive query session.
+//! same users twice — served by paging through one engine batch.
 //!
 //! The pre-PR-3 version of this example called
 //! `local_search_nonoverlapping` directly. Here the same product flow
-//! runs on the engine's session API: [`Engine::submit`] opens a
-//! [`ResultStream`] of candidate groups in rank order, and the serving
-//! loop *pulls* candidates one at a time, keeping the disjoint ones
-//! until the slate is full. Rank order is guaranteed to match
-//! `run_batch` prefix-for-prefix, so consuming the stream early never
-//! changes what the user sees. (Size-constrained queries have no
-//! incremental solver hook — the stream buffers a completed local
-//! search, so the laziness here is in *consumption*, not solver work;
-//! submit a `min`/`max`/`sum` query to see genuinely pay-per-pull
-//! streaming, e.g. in `batch_service.rs`.)
+//! runs on [`Engine::run_batch`]: the candidate list is asked for at
+//! three depths (`r` = one, two and three pages) in one batch, which
+//! the planner merges into a single seed walk, and the serving loop
+//! reads pages in rank order, keeping the disjoint candidates until the
+//! slate is full.
 //!
 //! ```text
 //! cargo run -p ic-bench --release --example group_recommendation
@@ -47,37 +42,49 @@ fn main() {
     );
 
     // Recommend up to 4 disjoint groups of at most 12 members whose
-    // every member knows at least 4 others in the group. The stream is
-    // asked for a deep candidate list (r = 16) so the disjointness
-    // filter below never runs dry; only as many candidates as the
-    // slate needs are ever *consumed*.
+    // every member knows at least 4 others in the group. A page is four
+    // candidates; the disjointness filter below may need to read past
+    // the first, so the batch asks for one, two and three pages at once
+    // — same `(k, s)`, so one solver run answers all three.
     let engine = Engine::new(wg.clone());
-    let query = Query::builder(4, 16, Aggregation::Average)
-        .size_bound(12, true)
-        .build()
-        .expect("valid recommendation query");
+    let page = 4;
+    let pages: Vec<Query> = (1..=3)
+        .map(|depth| {
+            Query::builder(4, depth * page, Aggregation::Average)
+                .size_bound(12, true)
+                .build()
+                .expect("valid recommendation query")
+        })
+        .collect();
+    let stats = engine.plan(&pages).stats;
+    println!(
+        "{} page depths -> {} solver run",
+        stats.total_queries, stats.solver_runs
+    );
+    let answers = engine.run_batch(&pages);
 
     let slate_size = 4;
     let mut slate: Vec<Community> = Vec::new();
-    let mut considered = 0usize;
-    let mut stream = engine.submit(query).expect("valid recommendation query");
-    for candidate in stream.by_ref() {
-        considered += 1;
+    let mut pages_read = 0usize;
+    for answer in &answers {
+        pages_read += 1;
+        let candidates = answer.as_ref().expect("valid recommendation query");
         // Non-overlap policy: a candidate sharing a user with an
-        // already-recommended group is skipped (TONIC-style greedy).
-        if slate.iter().any(|g| g.overlaps(&candidate)) {
-            continue;
+        // already-recommended group — itself included, on a deeper page
+        // — is skipped (TONIC-style greedy).
+        for candidate in candidates {
+            if slate.len() < slate_size && !slate.iter().any(|g| g.overlaps(candidate)) {
+                slate.push(candidate.clone());
+            }
         }
-        slate.push(candidate);
         if slate.len() == slate_size {
-            break; // slate full; unread candidates are simply discarded
+            break; // slate full; deeper pages are simply not read
         }
     }
-    drop(stream);
 
     println!(
         "\nrecommended groups (ranked by average member influence; \
-         {considered} candidates pulled):"
+         {pages_read} page(s) read):"
     );
     for (i, g) in slate.iter().enumerate() {
         // Which planted cluster does the group live in?

@@ -13,15 +13,14 @@
 //!    ranking;
 //! 3. **User-defined aggregations are served end to end** — an
 //!    [`AggregateFn`] defined *in this test crate* (outside `ic-core`)
-//!    flows through `QueryBuilder` → `Engine::run_batch` and
-//!    `Engine::submit` with correct, cache-safe, bit-reproducible
-//!    results, on both the polynomial (TIC) and the NP-hard (local
-//!    search) routes.
+//!    flows through `QueryBuilder` → `Engine::run_batch` with correct,
+//!    cache-safe, bit-reproducible results, on both the polynomial
+//!    (TIC) and the NP-hard (local search) routes.
 
 use ic_core::algo::{self, LocalSearchConfig};
 use ic_core::certify::{certify, certify_with};
 use ic_core::verify::check_community;
-use ic_core::{AggregateFn, Aggregation, Certificates, Community, StateView, TieSemantics};
+use ic_core::{AggregateFn, Aggregation, Certificates, StateView, TieSemantics};
 use ic_engine::{Engine, Query};
 use ic_gen::{barabasi_albert, gnm, uniform_weights, GraphSeed};
 use ic_graph::WeightedGraph;
@@ -209,10 +208,10 @@ fn default_battery_certifies_everything_registered() {
 // ---------------------------------------------------------------------
 
 /// The TIC-routed custom function: built through `QueryBuilder`,
-/// answered by `run_batch` and `submit`, bit-reproducible across
-/// engines and served from the result cache on repetition.
+/// answered by `run_batch`, bit-reproducible across engines and served
+/// from the result cache on repetition.
 #[test]
-fn custom_tic_aggregation_flows_through_builder_batch_and_stream() {
+fn custom_tic_aggregation_flows_through_builder_and_batch() {
     let wg = fixture(2022, 60);
     let agg = scaled_sum();
 
@@ -246,16 +245,6 @@ fn custom_tic_aggregation_flows_through_builder_batch_and_stream() {
         .unwrap();
     assert_eq!(fresh, first, "bit-reproducible across engines");
 
-    // Progressive stream: full drain and genuine prefixes match.
-    let drained: Vec<Community> = eng.submit(q).unwrap().collect();
-    assert_eq!(drained, first, "streamed vs batch");
-    let prefix: Vec<Community> = Engine::with_threads(wg.clone(), 2)
-        .submit(q)
-        .unwrap()
-        .take(2)
-        .collect();
-    assert_eq!(prefix.as_slice(), &first[..2], "stream prefix");
-
     // r-family merging serves the custom aggregation too: mixed-r
     // batches equal the one-at-a-time answers.
     let family = [
@@ -273,7 +262,7 @@ fn custom_tic_aggregation_flows_through_builder_batch_and_stream() {
 }
 
 /// The locally-searched custom function: size-bounded route, engine(1)
-/// ≡ sequential local search, stream buffered identically.
+/// ≡ sequential local search.
 #[test]
 fn custom_opaque_aggregation_flows_through_local_search_route() {
     let wg = fixture(7, 48);
@@ -300,8 +289,6 @@ fn custom_opaque_aggregation_flows_through_local_search_route() {
     let eng = Engine::with_threads(wg.clone(), 1);
     let batched = eng.run_batch(&[q])[0].clone().unwrap();
     assert_eq!(batched, seq, "engine(1) vs sequential");
-    let drained: Vec<Community> = eng.submit(q).unwrap().collect();
-    assert_eq!(drained, seq, "streamed vs sequential");
     for c in &seq {
         check_community(&wg, 2, Some(6), agg, c).unwrap();
     }
@@ -374,12 +361,7 @@ fn new_builtins_serve_end_to_end() {
             .unwrap();
         let direct = q.solve(&wg).unwrap();
         let batched = eng.run_batch(&[q])[0].clone().unwrap();
-        let drained: Vec<Community> = Engine::with_threads(wg.clone(), 1)
-            .submit(q)
-            .unwrap()
-            .collect();
         assert_eq!(batched, direct, "{}", agg.name());
-        assert_eq!(drained, direct, "{}", agg.name());
         for c in &direct {
             check_community(&wg, 2, Some(6), agg, c).unwrap();
         }

@@ -13,8 +13,6 @@
 //!   PR 4 — nothing here dispatches on the aggregation itself);
 //! * **engine-batched** — `ic_engine::Engine::run_batch`, including its
 //!   dedup and r-family merging;
-//! * **streamed** — `ic_engine::Engine::submit`, the progressive
-//!   session, drained to completion;
 //! * **sharded** — `ic_shard::ShardedEngine`, for one family whose
 //!   members each merge lists from several shards.
 //!
@@ -92,14 +90,6 @@ fn arena_solve(wg: &WeightedGraph, q: Query) -> Vec<Community> {
     q.solve_on(&snap, &mut arena).expect("valid query")
 }
 
-/// The streamed path: a fresh engine's progressive session, drained.
-fn streamed(wg: &WeightedGraph, q: Query, threads: usize) -> Vec<Community> {
-    engine(wg, threads)
-        .submit(q)
-        .expect("valid query")
-        .collect()
-}
-
 /// Algorithm 1 on a fresh snapshot (shared harness; the per-graph free
 /// function was removed from the public API in PR 4).
 fn arena_sum_naive(wg: &WeightedGraph, k: usize, r: usize, agg: Aggregation) -> Vec<Community> {
@@ -109,7 +99,7 @@ fn arena_sum_naive(wg: &WeightedGraph, k: usize, r: usize, agg: Aggregation) -> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// min/max: oracle ≡ arena ≡ engine (any thread count) ≡ streamed,
+    /// min/max: oracle ≡ arena ≡ engine (any thread count),
     /// across the k grid including k = 1 and k > degeneracy, r
     /// including 1 and r > #communities.
     #[test]
@@ -142,7 +132,7 @@ proptest! {
         }
     }
 
-    /// sum / sum-surplus: oracle ≡ arena ≡ engine ≡ streamed for
+    /// sum / sum-surplus: oracle ≡ arena ≡ engine for
     /// Algorithm 1 and Algorithm 2 (exact and approximate).
     #[test]
     fn removal_decreasing_paths_agree(wg in arb_workload(), k in 1usize..4) {
@@ -159,7 +149,6 @@ proptest! {
                 prop_assert_eq!(&arena_tic, &oracle_tic, "tic k={} r={}", k, r);
                 let got = unwrap_batch(eng.run_batch(&[q]));
                 prop_assert_eq!(&got[0], &arena_tic, "engine k={} r={}", k, r);
-                prop_assert_eq!(&streamed(&wg, q, 2), &arena_tic, "streamed k={} r={}", k, r);
                 // The two algorithms agree on values (tie-broken sets may
                 // legitimately differ between Algorithm 1 and 2).
                 let nv: Vec<f64> = arena_naive.iter().map(|c| c.value).collect();
@@ -177,12 +166,11 @@ proptest! {
                 prop_assert_eq!(&arena_eps, &oracle_eps, "eps={}", eps);
                 let got = unwrap_batch(eng.run_batch(&[q]));
                 prop_assert_eq!(&got[0], &arena_eps, "engine eps={}", eps);
-                prop_assert_eq!(&streamed(&wg, q, 2), &arena_eps, "streamed eps={}", eps);
             }
         }
     }
 
-    /// Every built-in aggregation, pinned across all four paths at once
+    /// Every built-in aggregation, pinned across all three paths at once
     /// — including the PR-4 additions (`top-t-sum`, `percentile`,
     /// `geo-mean`). Aggregations with a polynomial certificate run
     /// unconstrained; the NP-hard rest run through their size-bounded
@@ -217,8 +205,6 @@ proptest! {
             // route bit-deterministic).
             let got = unwrap_batch(engine(&wg, 1).run_batch(&[q]));
             prop_assert_eq!(&got[0], &arena, "{} engine k={}", agg.name(), k);
-            // Streamed ≡ arena.
-            prop_assert_eq!(&streamed(&wg, q, 1), &arena, "{} streamed k={}", agg.name(), k);
             // Every community checks out structurally and value-wise.
             let bound = if unconstrained { None } else { Some(k + 4) };
             for c in &arena {
@@ -476,11 +462,12 @@ fn a_sharded_family_of_four_rs_matches_the_unsharded_engine() {
         p_out: 0.0,
     };
     let g = planted_partition(&blocks, GraphSeed(5));
-    // Distinct weights: a value tie *across* shards at the `r` boundary
-    // is the one case where the merge's canonical order and the
-    // unsharded engine's event order pick different members (they did
-    // before this test existed; see ROADMAP item 5c).
-    let w = rank_weights(g.num_vertices(), GraphSeed(6));
+    // Five distinct weights over 48 vertices: every `r` here cuts a
+    // value tie that straddles shards, where the gather must keep the
+    // members the unsharded engine's event order keeps (DESIGN §4).
+    let w = (0..g.num_vertices())
+        .map(|i| ((i * 7 + 3) % 5) as f64 + 1.0)
+        .collect();
     let wg = WeightedGraph::new(g, w).unwrap();
     let dir = std::env::temp_dir().join(format!("ic-conformance-shards-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -557,7 +544,7 @@ fn edge_cases_agree_across_paths() {
 /// Regression (PR 4, satellite): `BalancedDensity`'s `−∞` sentinel must
 /// behave identically on every path — a community carrying a weight
 /// majority surfaces with its finite value, minority communities rank
-/// as `−∞` and are never served as positive hits, and all four paths
+/// as `−∞` and are never served as positive hits, and all three paths
 /// agree bit for bit.
 #[test]
 fn balanced_density_sentinel_is_consistent_across_paths() {
@@ -578,10 +565,8 @@ fn balanced_density_sentinel_is_consistent_across_paths() {
     let seq = algo::local_search(&wg, &config, Aggregation::BalancedDensity).unwrap();
     let arena = arena_solve(&wg, q);
     let batched = unwrap_batch(engine(&wg, 1).run_batch(&[q]));
-    let stream = streamed(&wg, q, 1);
     assert_eq!(arena, seq, "arena vs sequential");
     assert_eq!(batched[0], seq, "engine vs sequential");
-    assert_eq!(stream, seq, "streamed vs sequential");
 
     // The majority triangle is found with its finite value; no −∞
     // community is served as a positive hit by the heuristic route.

@@ -1,17 +1,12 @@
-//! The progressive-session and mutable-engine contracts, held as
-//! property tests (PR 3's acceptance criteria):
+//! The mutable-engine contracts, held as property tests (PR 3's
+//! acceptance criteria):
 //!
-//! 1. **Stream-prefix conformance** — for every solver path and any
-//!    `n`, `submit(q).take(n)` equals the first `n` entries of
-//!    `run_batch(&[q])`, bit for bit, on ER / Barabási-Albert /
-//!    Chung-Lu / planted graphs (including tie-heavy weight models and
-//!    the edge cases `r = 1`, `r > #communities`, `k > degeneracy`).
-//! 2. **Post-`apply` conformance** — after any script of edge
+//! 1. **Post-`apply` conformance** — after any script of edge
 //!    insertions/deletions, the engine answers every query exactly like
 //!    a *fresh* engine built from scratch on the mutated graph, the
 //!    epoch advances, and pre-update cache entries are never served.
-//! 3. **Isolation** — streams opened before an `apply` keep answering
-//!    on the snapshot they were submitted against.
+//! 2. **Isolation** — a batch is served under one epoch, and batches
+//!    after an `apply` pin the new one.
 
 use ic_core::Aggregation;
 use ic_engine::prelude::*;
@@ -56,9 +51,8 @@ fn arb_workload() -> impl Strategy<Value = WeightedGraph> {
         })
 }
 
-/// The queries whose progressive paths the suite pins: every solver
-/// route the engine streams (min/max incremental, exact TIC
-/// incremental, approximate TIC buffered, local-search buffered).
+/// One query per solver route the engine serves (min/max peel, exact
+/// TIC, approximate TIC, local search).
 fn probe_queries(k: usize, r: usize) -> Vec<Query> {
     vec![
         Query::new(k, r, Aggregation::Min),
@@ -72,55 +66,6 @@ fn probe_queries(k: usize, r: usize) -> Vec<Query> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// submit(q).take(n) ≡ run_batch(&[q])[..n] bit for bit, for every
-    /// solver path and a spread of n, including full drains.
-    #[test]
-    fn stream_prefix_equals_batch_prefix(wg in arb_workload(), k in 1usize..4) {
-        let eng = Engine::with_threads(wg.clone(), 2);
-        for r in [1usize, 4, 10_000] {
-            for q in probe_queries(k, r) {
-                // The heuristic local-search path is only bit-pinned
-                // across *runs* at one worker; at two workers its
-                // stream/batch agreement is guaranteed through the
-                // shared cache entry, so we only clear the cache (to
-                // force a live stream) on the deterministic paths. The
-                // live constrained path is covered at one worker below.
-                let deterministic = !matches!(q.solver().unwrap(), Solver::LocalSearch);
-                let batch = eng.run_batch(&[q])[0].clone().unwrap();
-                if deterministic {
-                    eng.clear_result_cache();
-                }
-                let streamed: Vec<Community> = eng.submit(q).unwrap().collect();
-                prop_assert_eq!(&streamed, &batch, "full drain {:?}", q);
-                // Genuine prefixes: a fresh stream per n, cancelled early.
-                for n in [0usize, 1, batch.len() / 2, batch.len().saturating_sub(1)] {
-                    let n = n.min(batch.len());
-                    if deterministic {
-                        eng.clear_result_cache();
-                    }
-                    let prefix: Vec<Community> = eng.submit(q).unwrap().take(n).collect();
-                    prop_assert_eq!(&prefix[..], &batch[..n], "take({}) of {:?}", n, q);
-                }
-                // Cached resubmission must stream the same answer (a
-                // fully drained live stream memoizes its result).
-                let cached: Vec<Community> = eng.submit(q).unwrap().collect();
-                prop_assert_eq!(&cached, &batch, "cached drain {:?}", q);
-            }
-        }
-        // Live (uncached) constrained path: one worker makes the
-        // heuristic bit-deterministic, so stream ≡ batch directly.
-        let eng1 = Engine::with_threads(wg.clone(), 1);
-        let q = Query::new(k, 3, Aggregation::Average).size_bound(k + 4, true);
-        let batch = eng1.run_batch(&[q])[0].clone().unwrap();
-        eng1.clear_result_cache();
-        let streamed: Vec<Community> = eng1.submit(q).unwrap().collect();
-        prop_assert_eq!(&streamed, &batch, "live constrained stream");
-        // k > degeneracy streams nothing.
-        let kk = ic_kcore::degeneracy(wg.graph()) as usize + 1;
-        let mut empty = eng.submit(Query::new(kk, 3, Aggregation::Min)).unwrap();
-        prop_assert!(empty.next().is_none());
-    }
 
     /// After a random script of edge updates, the mutated engine answers
     /// identically to a from-scratch engine on the updated graph; epochs
@@ -198,46 +143,35 @@ proptest! {
                 _ => prop_assert!(false, "ok/err divergence on {:?}", q),
             }
         }
-        // Streams agree too: a post-apply submit answers like the fresh
-        // engine's batch, proving streams read the swapped snapshot.
-        for (q, expect) in probes.iter().zip(&reference) {
-            if let Ok(expect) = expect {
-                eng.clear_result_cache();
-                let streamed: Vec<Community> = eng.submit(*q).unwrap().collect();
-                prop_assert_eq!(&streamed, expect, "post-apply stream {:?}", q);
-            }
-        }
         drop(before);
     }
 }
 
-/// Deterministic end-to-end walk: update, re-query, stream — on the
-/// paper's running example, with a pre-apply stream held open across the
-/// update to pin snapshot isolation.
+/// Deterministic end-to-end walk: update, re-query — on the paper's
+/// running example, with each batch's pinned epoch checked across the
+/// update.
 #[test]
 fn apply_isolation_and_requery_walkthrough() {
     let wg = ic_core::figure1::figure1();
     let eng = Engine::with_threads(wg.clone(), 2);
     let q = Query::new(2, 3, Aggregation::Min);
-    let original = eng.run_batch(&[q])[0].clone().unwrap();
+    let (e0, pre) = eng.run_batch_pinned(&[q], &BatchOptions::default());
+    assert_eq!(e0.index(), 0);
+    let original = pre[0].clone().unwrap().communities;
 
-    // Open a stream, then mutate underneath it.
-    eng.clear_result_cache();
-    let pre_stream = eng.submit(q).unwrap();
     let e1 = eng.apply(&[
         EdgeUpdate::Remove { u: 4, v: 5 }, // v5-v6
         EdgeUpdate::Insert { u: 0, v: 9 }, // v1-v10
     ]);
     assert_eq!(e1.index(), 1);
 
-    // The pre-apply stream still answers on its pinned snapshot.
-    let streamed: Vec<Community> = pre_stream.collect();
-    assert_eq!(streamed, original, "stream isolation across apply");
-
-    // Post-apply answers equal a fresh engine on the mutated graph.
+    // A post-apply batch pins the new epoch and answers like a fresh
+    // engine on the mutated graph.
     let fresh = Engine::with_threads(eng.snapshot().weighted().clone(), 2);
+    let (pinned, post) = eng.run_batch_pinned(&[q], &BatchOptions::default());
+    assert_eq!(pinned, e1, "batches after apply pin the new epoch");
     assert_eq!(
-        eng.run_batch(&[q])[0].as_ref().unwrap(),
+        &post[0].as_ref().unwrap().communities,
         fresh.run_batch(&[q])[0].as_ref().unwrap()
     );
 
@@ -252,7 +186,7 @@ fn apply_isolation_and_requery_walkthrough() {
 }
 
 /// The builder vocabulary round-trips through the prelude and the
-/// engine: one import surface serves batch, stream, and update code.
+/// engine: one import surface serves batch and update code.
 #[test]
 fn prelude_covers_the_serving_vocabulary() {
     let wg = ic_core::figure1::figure1();
@@ -261,11 +195,7 @@ fn prelude_covers_the_serving_vocabulary() {
     let solver: Solver = q.solver().unwrap();
     assert_eq!(solver, Solver::TicExact);
     let batch: Vec<Result<Vec<Community>, SearchError>> = engine.run_batch(&[q]);
-    let streamed: Vec<Community> = {
-        engine.clear_result_cache();
-        engine.submit(q).unwrap().collect()
-    };
-    assert_eq!(&streamed, batch[0].as_ref().unwrap());
+    assert_eq!(batch[0].as_ref().unwrap()[0].value, 203.0);
     let epoch: Epoch = engine.apply(&[EdgeUpdate::Remove { u: 0, v: 1 }]);
     assert_eq!(epoch.index(), 1);
     let snap: std::sync::Arc<GraphSnapshot> = engine.snapshot();

@@ -440,17 +440,15 @@ enum Touch {
     ExactSum,
     SizeBounded,
     UnpersistedK,
-    Submit,
     TryApply,
     Persist,
 }
 
 impl Touch {
-    const ALL: [Touch; 6] = [
+    const ALL: [Touch; 5] = [
         Touch::ExactSum,
         Touch::SizeBounded,
         Touch::UnpersistedK,
-        Touch::Submit,
         Touch::TryApply,
         Touch::Persist,
     ];
@@ -466,12 +464,6 @@ impl Touch {
             Touch::ExactSum => batch(Query::new(2, 3, Aggregation::Sum)),
             Touch::SizeBounded => batch(Query::new(2, 2, Aggregation::Average).size_bound(6, true)),
             Touch::UnpersistedK => batch(Query::new(3, 2, Aggregation::Min)),
-            Touch::Submit => match engine.submit(Query::new(2, 2, Aggregation::Min)) {
-                Err(ic_core::SearchError::Internal(why)) if why.starts_with("corrupt store") => {
-                    Err(why)
-                }
-                _ => Ok(()),
-            },
             Touch::TryApply => match engine.try_apply(&[EdgeUpdate::Remove { u: 0, v: 1 }]) {
                 Err(EngineError::CorruptStore { detail }) => Err(detail),
                 _ => Ok(()),
