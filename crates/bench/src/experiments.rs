@@ -11,7 +11,7 @@ use crate::workloads::{
     R_GRID, S_GRID,
 };
 use ic_core::algo::{self, local_search, LocalSearchConfig};
-use ic_core::{Aggregation, Community, Query};
+use ic_core::{Aggregation, Community};
 use ic_gen::datasets::Profile;
 use ic_gen::{aminer_network, GraphSeed};
 use ic_graph::stats::graph_stats;
@@ -471,63 +471,10 @@ pub fn example1(_ctx: &Ctx) -> String {
     section("Example 1/2 — the paper's running example", t.to_markdown())
 }
 
-/// Ablation: parallel local search thread scaling — the engine's
-/// chunked seed walk on a warmed engine (k-core level memoized, result
-/// cache emptied before every run).
-pub fn ablate_parallel(ctx: &Ctx) -> String {
-    let mut out = String::new();
-    for w in ctx.workloads() {
-        let mut t = Table::new(["threads", "time", "speedup", "top value"]);
-        let query = [Query::new(4, DEFAULT_R, Aggregation::Average).size_bound(DEFAULT_S, true)];
-        let mut base = None;
-        for threads in [1usize, 2, 4, 8] {
-            eprintln!("[ablate-parallel] {} threads={threads}", w.spec.name);
-            let engine = ic_engine::Engine::with_threads(w.wg.clone(), threads);
-            engine.snapshot().level(4);
-            let (tt, mut res) = time_median(3, || {
-                engine.clear_result_cache();
-                engine.run_batch(&query)
-            });
-            let top = res
-                .pop()
-                .and_then(|answer| answer.ok())
-                .and_then(|v| v.first().map(|c| c.value))
-                .unwrap_or(f64::NEG_INFINITY);
-            let speedup = match base {
-                None => {
-                    base = Some(tt);
-                    "1.00x".to_string()
-                }
-                Some(b) => format!("{:.2}x", b / tt),
-            };
-            t.row([threads.to_string(), fmt_secs(tt), speedup, fmt_value(top)]);
-        }
-        out.push_str(&section(
-            &format!("Ablation ({}) — parallel local search scaling", w.spec.name),
-            t.to_markdown(),
-        ));
-    }
-    out
-}
-
 /// All experiment ids, in run order.
-pub const ALL_EXPERIMENTS: [&str; 16] = [
-    "table3",
-    "example1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "ablate-parallel",
+pub const ALL_EXPERIMENTS: [&str; 15] = [
+    "table3", "example1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+    "fig11", "fig12", "fig13", "fig14",
 ];
 
 /// Dispatches an experiment by id.
@@ -548,7 +495,6 @@ pub fn run(id: &str, ctx: &Ctx) -> Option<String> {
         "fig12" => fig12(ctx),
         "fig13" => fig13(ctx),
         "fig14" => fig14(ctx),
-        "ablate-parallel" => ablate_parallel(ctx),
         _ => return None,
     };
     Some(out)

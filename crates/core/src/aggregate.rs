@@ -51,7 +51,6 @@
 //! mis-declared certificate fails loudly *before* it can corrupt a
 //! ranking. See `examples/custom_aggregation.rs` and DESIGN.md §10.
 
-use std::collections::BTreeMap;
 use std::sync::{OnceLock, RwLock};
 
 /// Complexity class of a top-r search problem.
@@ -124,6 +123,9 @@ pub struct Certificates {
     /// answered exactly by threshold peeling in the given direction.
     /// Stronger than [`node_domination`](Self::node_domination) — a
     /// percentile is node-dominated but has no peel direction.
+    /// `Some(Min)` grants a second thing: size-bounded local search
+    /// skips a seed that weighs no more than the list's threshold,
+    /// because every candidate contains its seed.
     pub peel_extremum: Option<Extremum>,
     /// [`AggregateFn::value_after_removal`] computes the exact value of
     /// `H ∖ {v}` in O(1) from `f(H)` and `w(v)`. Grants TIC-IMPROVED's
@@ -135,8 +137,9 @@ pub struct Certificates {
     pub hardness_unconstrained: Hardness,
     /// The incremental [`AggregateState`] must maintain the weight
     /// multiset (order statistics) for
-    /// [`AggregateFn::evaluate_state`]. Costs O(log n) per add/remove
-    /// instead of O(1).
+    /// [`AggregateFn::evaluate_state`], as a sorted vector: an add or
+    /// remove costs a binary search plus an O(n) shift (n ≤ s, the size
+    /// bound) instead of O(1), and an order statistic is an index.
     pub needs_multiset: bool,
     /// `f` may evaluate to `−∞` on a *non-empty* community (the
     /// undefined-value sentinel, e.g. `BalancedDensity` below half the
@@ -221,9 +224,9 @@ pub trait AggregateFn: Send + Sync + std::fmt::Debug {
     /// and sum, plus the weight multiset when
     /// [`Certificates::needs_multiset`] is declared).
     ///
-    /// The default materializes the multiset (ascending) and calls
-    /// [`evaluate`](Self::evaluate) — correct for any multiset-backed
-    /// function, O(n) per call, but it **requires the
+    /// The default calls [`evaluate`](Self::evaluate) on the multiset
+    /// (ascending) — correct for any multiset-backed function, but it
+    /// **requires the
     /// [`needs_multiset`](Certificates::needs_multiset) certificate**:
     /// an implementation that keeps the default must declare it (the
     /// certification harness rejects the combination otherwise, because
@@ -232,13 +235,7 @@ pub trait AggregateFn: Send + Sync + std::fmt::Debug {
     /// running `(count, sum)` alone should override with an O(1) body
     /// instead and skip the multiset cost entirely.
     fn evaluate_state(&self, state: &StateView<'_>) -> f64 {
-        let mut weights = Vec::with_capacity(state.len());
-        for (w, count) in state.weights_asc() {
-            for _ in 0..count {
-                weights.push(w);
-            }
-        }
-        self.evaluate(&weights, state.total_weight())
+        self.evaluate(state.sorted_weights(), state.total_weight())
     }
 }
 
@@ -505,18 +502,11 @@ pub mod builtin {
             s
         }
         fn evaluate_state(&self, state: &StateView<'_>) -> f64 {
-            // Identical addition sequence to `evaluate`: weights in
-            // descending order, duplicates consecutively.
+            // Identical addition sequence to `evaluate`: the `t` largest
+            // weights in descending order.
             let mut s = 0.0;
-            let mut left = self.t;
-            for (w, count) in state.weights_desc() {
-                for _ in 0..count.min(left) {
-                    s += w;
-                }
-                left = left.saturating_sub(count);
-                if left == 0 {
-                    break;
-                }
+            for &w in state.sorted_weights().iter().rev().take(self.t) {
+                s += w;
             }
             s
         }
@@ -568,14 +558,7 @@ pub mod builtin {
             sorted[self.index(sorted.len())]
         }
         fn evaluate_state(&self, state: &StateView<'_>) -> f64 {
-            let mut idx = self.index(state.len());
-            for (w, count) in state.weights_asc() {
-                if idx < count {
-                    return w;
-                }
-                idx -= count;
-            }
-            unreachable!("index within multiset cardinality")
+            state.sorted_weights()[self.index(state.len())]
         }
     }
 
@@ -614,10 +597,7 @@ pub mod builtin {
             Self::fold(member_weights.iter().copied(), member_weights.len())
         }
         fn evaluate_state(&self, state: &StateView<'_>) -> f64 {
-            let weights = state
-                .weights_asc()
-                .flat_map(|(w, count)| std::iter::repeat_n(w, count));
-            Self::fold(weights, state.len())
+            Self::fold(state.sorted_weights().iter().copied(), state.len())
         }
     }
 }
@@ -935,23 +915,6 @@ pub fn canonical_f64_bits(x: f64) -> u64 {
     }
 }
 
-/// Total-order wrapper for finite `f64` weights (weights are validated
-/// finite by `ic_graph::WeightedGraph`).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct OrdF64(pub(crate) f64);
-
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// Read-only view over incrementally maintained aggregate state, passed
 /// to [`AggregateFn::evaluate_state`]. The multiset accessors panic for
 /// aggregations that did not declare
@@ -961,7 +924,7 @@ pub struct StateView<'a> {
     count: usize,
     sum: f64,
     total_weight: f64,
-    multiset: Option<&'a BTreeMap<OrdF64, usize>>,
+    multiset: Option<&'a [f64]>,
     /// Set by the certification harness: flags any multiset access so
     /// an undeclared `needs_multiset` is detected without panicking
     /// (works under `panic = "abort"` too).
@@ -973,7 +936,7 @@ impl<'a> StateView<'a> {
         count: usize,
         sum: f64,
         total_weight: f64,
-        multiset: Option<&'a BTreeMap<OrdF64, usize>>,
+        multiset: Option<&'a [f64]>,
     ) -> Self {
         StateView {
             count,
@@ -992,7 +955,7 @@ impl<'a> StateView<'a> {
         count: usize,
         sum: f64,
         total_weight: f64,
-        multiset: &'a BTreeMap<OrdF64, usize>,
+        multiset: &'a [f64],
         probe: &'a std::cell::Cell<bool>,
     ) -> Self {
         StateView {
@@ -1026,7 +989,9 @@ impl<'a> StateView<'a> {
         self.total_weight
     }
 
-    fn multiset(&self) -> &'a BTreeMap<OrdF64, usize> {
+    /// The member weights in ascending (`total_cmp`) order, duplicates
+    /// adjacent (requires the multiset certificate).
+    pub fn sorted_weights(&self) -> &'a [f64] {
         if let Some(probe) = self.multiset_probe {
             probe.set(true);
         }
@@ -1040,33 +1005,40 @@ impl<'a> StateView<'a> {
 
     /// Smallest member weight (requires the multiset certificate).
     pub fn min_weight(&self) -> Option<f64> {
-        self.multiset().keys().next().map(|w| w.0)
+        self.sorted_weights().first().copied()
     }
 
     /// Largest member weight (requires the multiset certificate).
     pub fn max_weight(&self) -> Option<f64> {
-        self.multiset().keys().next_back().map(|w| w.0)
+        self.sorted_weights().last().copied()
+    }
+
+    fn runs(&self) -> impl DoubleEndedIterator<Item = (f64, usize)> + 'a {
+        let same = |a: &f64, b: &f64| a.to_bits() == b.to_bits();
+        let runs = self.sorted_weights().chunk_by(same);
+        runs.map(|run| (run[0], run.len()))
     }
 
     /// `(weight, multiplicity)` pairs in ascending weight order
     /// (requires the multiset certificate).
     pub fn weights_asc(&self) -> impl Iterator<Item = (f64, usize)> + 'a {
-        self.multiset().iter().map(|(w, &c)| (w.0, c))
+        self.runs()
     }
 
     /// `(weight, multiplicity)` pairs in descending weight order
     /// (requires the multiset certificate).
     pub fn weights_desc(&self) -> impl Iterator<Item = (f64, usize)> + 'a {
-        self.multiset().iter().rev().map(|(w, &c)| (w.0, c))
+        self.runs().rev()
     }
 }
 
 /// Incrementally maintained aggregate over a community's weight multiset.
 ///
-/// `add`/`remove` run in O(1) for the arithmetic aggregations and
-/// O(log n) for those declaring [`Certificates::needs_multiset`]
-/// (`min`/`max`, the order-statistics functions, and any custom
-/// implementation that asks for it). Used by the local-search
+/// `add`/`remove` run in O(1) for the arithmetic aggregations; for
+/// those declaring [`Certificates::needs_multiset`] (`min`/`max`, the
+/// order-statistics functions, and any custom implementation that asks
+/// for it) they keep a sorted vector — a binary search plus a shift of
+/// at most the community's size. Used by the local-search
 /// strategies, which grow and shrink a candidate community one vertex
 /// at a time; [`value`](AggregateState::value) dispatches to
 /// [`AggregateFn::evaluate_state`].
@@ -1077,8 +1049,9 @@ pub struct AggregateState {
     total_weight: f64,
     count: usize,
     sum: f64,
-    /// Weight multiset; maintained only under the multiset certificate.
-    multiset: BTreeMap<OrdF64, usize>,
+    /// The weights in ascending `total_cmp` order; maintained only under
+    /// the multiset certificate.
+    multiset: Vec<f64>,
 }
 
 impl AggregateState {
@@ -1092,7 +1065,7 @@ impl AggregateState {
             total_weight,
             count: 0,
             sum: 0.0,
-            multiset: BTreeMap::new(),
+            multiset: Vec::new(),
         }
     }
 
@@ -1111,7 +1084,8 @@ impl AggregateState {
         self.count += 1;
         self.sum += w;
         if self.needs_multiset {
-            *self.multiset.entry(OrdF64(w)).or_insert(0) += 1;
+            let at = self.multiset.partition_point(|x| x.total_cmp(&w).is_le());
+            self.multiset.insert(at, w);
         }
     }
 
@@ -1123,14 +1097,11 @@ impl AggregateState {
         self.count -= 1;
         self.sum -= w;
         if self.needs_multiset {
-            let entry = self
+            let at = self
                 .multiset
-                .get_mut(&OrdF64(w))
-                .unwrap_or_else(|| panic!("weight {w} was never added"));
-            *entry -= 1;
-            if *entry == 0 {
-                self.multiset.remove(&OrdF64(w));
-            }
+                .binary_search_by(|x| x.total_cmp(&w))
+                .unwrap_or_else(|_| panic!("weight {w} was never added"));
+            self.multiset.remove(at);
         }
     }
 
@@ -1150,7 +1121,7 @@ impl AggregateState {
             self.count,
             self.sum,
             self.total_weight,
-            self.needs_multiset.then_some(&self.multiset),
+            self.needs_multiset.then_some(&self.multiset[..]),
         );
         self.aggregation.with_fn(|f| f.evaluate_state(&view))
     }
@@ -1393,6 +1364,43 @@ mod tests {
                     agg.name()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn sorted_state_evaluates_like_the_slice_bit_for_bit() {
+        // Duplicates, both zeros, and a walk down to the empty state's
+        // −∞: every multiset-backed builtin reads the sorted vector
+        // exactly as `evaluate` reads the members (handed over in
+        // ascending order: `f64::min` of the two zeros is whichever
+        // comes last).
+        let adds = [0.0, 2.5, -0.0, 2.5, 7.0, 0.0, 1.0, 2.5, -0.0].map(|w| (true, w));
+        let removes = [2.5, 0.0, -0.0, 7.0, 2.5, 0.0, 1.0, -0.0, 2.5].map(|w| (false, w));
+        for agg in all()
+            .into_iter()
+            .filter(|a| a.certificates().needs_multiset)
+        {
+            let mut st = AggregateState::new(agg, 10.0);
+            let mut members: Vec<f64> = Vec::new();
+            for (add, w) in adds.into_iter().chain(removes) {
+                if add {
+                    st.add(w);
+                    members.push(w);
+                } else {
+                    st.remove(w);
+                    let at = members.iter().position(|x| x.to_bits() == w.to_bits());
+                    members.remove(at.expect("removals mirror the additions"));
+                }
+                members.sort_by(f64::total_cmp);
+                let expect = agg.evaluate(&members, 10.0);
+                assert_eq!(
+                    st.value().to_bits(),
+                    expect.to_bits(),
+                    "{} on {members:?}",
+                    agg.name()
+                );
+            }
+            assert_eq!(st.value(), f64::NEG_INFINITY);
         }
     }
 

@@ -23,10 +23,13 @@
 //! prefixes that already pass the degree and threshold checks.
 
 use crate::algo::common::{community_from_vertices, validate_k_r};
-use crate::{AggregateState, Aggregation, Community, SearchError, TopList};
+use crate::community::encode_ordered_f64;
+use crate::{AggregateState, Aggregation, Community, Extremum, SearchError, TopList};
 use ic_graph::{BitSet, Graph, VertexId, WeightedGraph};
-use ic_kcore::kcore_mask;
-use std::collections::VecDeque;
+use ic_kcore::{kcore_mask, GraphSnapshot};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 /// Configuration for [`local_search`].
 #[derive(Clone, Copy, Debug)]
@@ -41,6 +44,69 @@ pub struct LocalSearchConfig {
     pub greedy: bool,
 }
 
+/// The weight-ordered induced adjacency of one k-core level: row `v`
+/// holds `v`'s neighbours inside the core, heaviest first (the
+/// `heavier_first` order: descending weight, ties by ascending id). It
+/// is the only adjacency local search reads. Derived, never persisted:
+/// [`CoreRows::cached`] memoizes it per `(snapshot, k)` the way
+/// `ExtremumIndex::cached` memoizes a forest, so the snapshot an
+/// `apply` swaps in starts without it. `4·(n + 1) + 4·Σ core-degree`
+/// bytes.
+pub struct CoreRows {
+    offsets: Vec<u32>,
+    neighbors: Vec<VertexId>,
+}
+
+impl CoreRows {
+    /// Builds the rows of `core` (any vertex mask of `wg`): one sort of
+    /// its vertices, then each, heaviest first, is appended to its
+    /// neighbours' rows — which leaves every row sorted.
+    pub fn build(wg: &WeightedGraph, core: &BitSet) -> CoreRows {
+        let g = wg.graph();
+        let n = g.num_vertices();
+        let inside = move |v: VertexId| {
+            let in_core = move |u: &&VertexId| core.contains(**u as usize);
+            g.neighbors(v).iter().filter(in_core)
+        };
+        let mut order: Vec<VertexId> = core.iter().map(|v| v as VertexId).collect();
+        order.sort_unstable_by(|a, b| heavier_first(wg, a, b));
+        let mut offsets = vec![0u32; n + 1];
+        let mut total = 0usize;
+        for v in 0..n {
+            if core.contains(v) {
+                total += inside(v as VertexId).count();
+            }
+            offsets[v + 1] = u32::try_from(total).expect("core adjacency fits 32-bit offsets");
+        }
+        let mut cursor = offsets.clone();
+        let mut neighbors = vec![0; total];
+        for &u in &order {
+            for &v in inside(u) {
+                neighbors[cursor[v as usize] as usize] = u;
+                cursor[v as usize] += 1;
+            }
+        }
+        CoreRows { offsets, neighbors }
+    }
+
+    /// The rows of `snap`'s `k`-core, built on first use and shared by
+    /// every later query on that snapshot; the flag says whether this
+    /// call was the one that built them.
+    pub fn cached(snap: &GraphSnapshot, k: usize) -> (Arc<CoreRows>, bool) {
+        let mut built = false;
+        let rows = snap.extension(k, 0, || {
+            built = true;
+            Self::build(snap.weighted(), &snap.level(k).mask)
+        });
+        (rows, built)
+    }
+
+    fn row(&self, v: VertexId) -> &[VertexId] {
+        let (lo, hi) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
+        &self.neighbors[lo as usize..hi as usize]
+    }
+}
+
 /// Runs Algorithm 4: top-r size-constrained k-influential community search
 /// under any aggregation. Heuristic (the problem is NP-hard, Theorem 4);
 /// results are valid communities but not guaranteed optimal.
@@ -49,27 +115,29 @@ pub fn local_search(
     config: &LocalSearchConfig,
     aggregation: Aggregation,
 ) -> Result<Vec<Community>, SearchError> {
-    local_search_in(wg, &kcore_mask(wg.graph(), config.k), config, aggregation)
+    let core = kcore_mask(wg.graph(), config.k);
+    local_search_in(wg, &core, &CoreRows::build(wg, &core), config, aggregation)
 }
 
-/// [`local_search`] over a k-core mask the caller already has (`core` must
-/// be the maximal `config.k`-core of `wg`): the body `Query::solve_on`
-/// shares with the per-graph form, fed from the snapshot's memoized level.
+/// [`local_search`] over a k-core mask and rows the caller already has
+/// (`core` must be the maximal `config.k`-core of `wg`, `rows` built
+/// from it): the body `Query::solve_on` shares with the per-graph form,
+/// fed from the snapshot's memoized level and [`CoreRows::cached`].
 pub(crate) fn local_search_in(
     wg: &WeightedGraph,
     core: &BitSet,
+    rows: &CoreRows,
     config: &LocalSearchConfig,
     aggregation: Aggregation,
 ) -> Result<Vec<Community>, SearchError> {
     validate_params(config)?;
-    let g = wg.graph();
     let mut list = TopList::new(config.r);
-    let mut scratch = LocalScratch::new(g.num_vertices());
+    let mut scratch = LocalScratch::new(wg.num_vertices());
 
     for seed in core.iter() {
         run_seed(
             wg,
-            g,
+            rows,
             core,
             seed as VertexId,
             config,
@@ -91,9 +159,10 @@ pub fn local_search_nonoverlapping(
     aggregation: Aggregation,
 ) -> Result<Vec<Community>, SearchError> {
     validate_params(config)?;
-    let g = wg.graph();
-    let mut core = kcore_mask(g, config.k);
-    let mut scratch = LocalScratch::new(g.num_vertices());
+    let mut core = kcore_mask(wg.graph(), config.k);
+    // Rows of the whole level; the shrinking mask filters them.
+    let rows = CoreRows::build(wg, &core);
+    let mut scratch = LocalScratch::new(wg.num_vertices());
     let mut results: Vec<Community> = Vec::with_capacity(config.r);
 
     let mut seeds: Vec<u32> = core.iter().map(|v| v as u32).collect();
@@ -112,7 +181,7 @@ pub fn local_search_nonoverlapping(
         let mut single = TopList::new(1);
         run_seed(
             wg,
-            g,
+            &rows,
             &core,
             seed,
             config,
@@ -160,22 +229,11 @@ pub struct SeedTarget<'a> {
     pub list: &'a mut TopList,
 }
 
-/// Expands one seed of Algorithm 4: collects the seed's s-nearest-
-/// neighbor pool and applies the aggregation's strategy, inserting any
-/// qualifying candidate into `list`.
-///
-/// This is the seed-level building block behind [`local_search`]; it is
-/// public so a multi-threaded driver (the batched engine) can distribute
-/// seeds across workers while sharing pruning state through `list`'s
-/// threshold/floor. `core` must be the maximal
-/// k-core mask of `wg` for `config.k`, and `scratch` a
-/// [`LocalScratch`] sized to the graph. Calling this for every vertex of
-/// `core` in ascending order against one list reproduces `local_search`
-/// exactly.
+/// [`run_seed_multi`] for one aggregation and one list.
 #[allow(clippy::too_many_arguments)]
-pub fn run_seed(
+fn run_seed(
     wg: &WeightedGraph,
-    g: &Graph,
+    rows: &CoreRows,
     core: &BitSet,
     seed: VertexId,
     config: &LocalSearchConfig,
@@ -186,7 +244,7 @@ pub fn run_seed(
     let mut targets = [SeedTarget { aggregation, list }];
     run_seed_multi(
         wg,
-        g,
+        rows,
         core,
         seed,
         config.k,
@@ -197,17 +255,29 @@ pub fn run_seed(
     );
 }
 
-/// [`run_seed`] for several queries at once: builds the seed's pool
-/// **once** and applies each target's strategy to it. Queries that share
-/// `(k, s, greedy)` — any aggregation, any `r` — can be answered in one
-/// pass over the seeds; each target's outcome is bit-identical to a
-/// solo [`run_seed`] sweep, because the pool depends only on
-/// `(k, s, greedy)` and each strategy reads nothing but the pool and its
-/// own list. This is the batched engine's local-search family merge.
+/// Expands one seed of Algorithm 4 for several queries at once: collects
+/// the seed's s-nearest-neighbor pool **once** and applies each target's
+/// strategy to it, inserting any qualifying candidate into the target's
+/// list. Queries that share `(k, s, greedy)` — any aggregation, any `r`
+/// — are answered in one pass over the seeds, each bit-identical to a
+/// sweep of its own, because the pool depends only on `(k, s, greedy)`
+/// and each strategy reads nothing but the pool and its own list: the
+/// batched engine's local-search family merge, public so the engine can
+/// distribute seeds across workers while sharing pruning state through
+/// the lists' thresholds/floors. `core` must be the maximal `k`-core
+/// mask of `wg` (or a subset of it), `rows` that k-core's [`CoreRows`],
+/// `scratch` sized to the graph; every vertex of `core` in ascending
+/// order against one list reproduces [`local_search`] exactly.
+///
+/// Returns the number of pool vertices collected — `0` when the seed was
+/// skipped without a pool: every candidate contains its seed, so when
+/// every target's value is its minimum member weight
+/// (`peel_extremum: Some(Min)`) and `w(seed)` cannot beat any target's
+/// threshold, no prefix of any pool could be inserted.
 #[allow(clippy::too_many_arguments)]
 pub fn run_seed_multi(
     wg: &WeightedGraph,
-    g: &Graph,
+    rows: &CoreRows,
     core: &BitSet,
     seed: VertexId,
     k: usize,
@@ -215,17 +285,24 @@ pub fn run_seed_multi(
     greedy: bool,
     scratch: &mut LocalScratch,
     targets: &mut [SeedTarget<'_>],
-) {
+) -> usize {
+    let hopeless = |t: &SeedTarget<'_>| {
+        wg.weight(seed) <= t.list.threshold()
+            && t.aggregation.certificates().peel_extremum == Some(Extremum::Min)
+    };
+    if targets.iter().all(hopeless) {
+        return 0;
+    }
     // Line 4: the s-nearest-neighbor pool via truncated BFS. In greedy
     // mode the BFS visits each layer in descending weight order, so when a
     // layer must be cut to fit `s`, the influential members survive (the
     // paper leaves the tie-break unspecified; random mode uses plain BFS
     // order).
-    scratch.build_pool(wg, g, core, seed, s, greedy);
+    scratch.build_pool(wg, rows, core, seed, s, greedy);
     let mut pool = std::mem::take(&mut scratch.pool);
     if pool.len() <= k {
         scratch.pool = pool;
-        return; // cannot host a k-core
+        return scratch.pool.len(); // cannot host a k-core
     }
     // Lines 5-6: greedy sorts by descending influence (seed kept first —
     // the pool must stay anchored at the seed for locality).
@@ -240,11 +317,11 @@ pub fn run_seed_multi(
         // declaring it). Everything else — `avg`, the order-statistics
         // functions, opaque custom aggregations — walks pool prefixes.
         if target.aggregation.certificates().incremental_removal {
-            sum_strategy(wg, g, &pool, k, target.aggregation, scratch, target.list);
+            sum_strategy(wg, rows, &pool, k, target.aggregation, scratch, target.list);
         } else {
             prefix_strategy(
                 wg,
-                g,
+                rows,
                 &pool,
                 k,
                 greedy,
@@ -255,6 +332,7 @@ pub fn run_seed_multi(
         }
     }
     scratch.pool = pool;
+    scratch.pool.len()
 }
 
 /// Procedure `SumStrategy`: start from the full pool, drop the last vertex
@@ -266,7 +344,7 @@ pub fn run_seed_multi(
 /// run a single iteration for it.
 fn sum_strategy(
     wg: &WeightedGraph,
-    g: &Graph,
+    rows: &CoreRows,
     pool: &[VertexId],
     k: usize,
     aggregation: Aggregation,
@@ -282,11 +360,11 @@ fn sum_strategy(
     }
     scratch.begin_candidate(k);
     for &v in pool {
-        scratch.push(g, v);
+        scratch.push(rows, v);
     }
     let mut len = pool.len();
     while len > k && state.value() > list.threshold() {
-        if scratch.is_kcore() && scratch.is_connected(g, pool[0]) {
+        if scratch.is_kcore() && scratch.is_connected(rows, pool[0]) {
             list.insert(community_from_vertices(
                 wg,
                 aggregation,
@@ -296,7 +374,7 @@ fn sum_strategy(
         }
         len -= 1;
         let dropped = pool[len];
-        scratch.pop(g, dropped);
+        scratch.pop(rows, dropped);
         state.remove(wg.weight(dropped));
     }
 }
@@ -312,7 +390,7 @@ fn sum_strategy(
 #[allow(clippy::too_many_arguments)]
 fn prefix_strategy(
     wg: &WeightedGraph,
-    g: &Graph,
+    rows: &CoreRows,
     pool: &[VertexId],
     k: usize,
     greedy: bool,
@@ -331,8 +409,8 @@ fn prefix_strategy(
     let mut best: Option<Community> = None;
     scratch.begin_candidate(k);
     for (i, &v) in pool[..pushed].iter().enumerate() {
-        scratch.push(g, v);
-        if competitive[i] && scratch.is_kcore() && scratch.is_connected(g, pool[0]) {
+        scratch.push(rows, v);
+        if competitive[i] && scratch.is_kcore() && scratch.is_connected(rows, pool[0]) {
             let community = community_from_vertices(wg, aggregation, pool[..=i].to_vec());
             if greedy {
                 best = Some(community);
@@ -355,12 +433,15 @@ fn prefix_strategy(
 /// Per-query scratch for the local-search strategies: pool building
 /// buffers plus an incremental candidate degree tracker. Everything is
 /// epoch-stamped; nothing allocates after the first few seeds warm the
-/// buffers up. One instance per worker thread; see [`run_seed`].
+/// buffers up. One instance per worker thread; see [`run_seed_multi`].
 pub struct LocalScratch {
     // Pool building.
     pool: Vec<VertexId>,
     layer: Vec<VertexId>,
     next_layer: Vec<VertexId>,
+    /// Greedy layer merge: the heaviest `room` new vertices seen so far,
+    /// the lightest on top (`heavier_first` as a key, reversed).
+    best: BinaryHeap<Reverse<(u64, Reverse<VertexId>)>>,
     visited: Vec<u32>,
     visit_epoch: u32,
     /// `prefix_strategy`: whether each pool prefix beats the threshold.
@@ -385,6 +466,7 @@ impl LocalScratch {
             pool: Vec::new(),
             layer: Vec::new(),
             next_layer: Vec::new(),
+            best: BinaryHeap::new(),
             visited: vec![0; n],
             visit_epoch: 0,
             competitive: Vec::new(),
@@ -412,14 +494,17 @@ impl LocalScratch {
     /// Truncated BFS pool into `self.pool`: plain FIFO order in random
     /// mode, per-layer descending-weight order in greedy mode (so the
     /// layer that exceeds the size budget keeps its most influential
-    /// members). A layer is cut to the room the pool has left before it
-    /// is ordered — the order is total, so selecting the best `room` and
-    /// sorting them gives the same prefix as sorting the whole layer —
-    /// and once the pool is full nobody's neighbours are scanned.
+    /// members). A layer stops growing at the room the pool has left: a
+    /// cut layer is the last one, so nobody reads the marks of the
+    /// vertices it left out (or took and dropped again). Greedy merges
+    /// the rows of the layer's vertices into the `room` heaviest new
+    /// vertices — each row is already heaviest-first, so it is read only
+    /// until its next entry cannot make the cut; random mode walks the
+    /// graph's own neighbour order.
     fn build_pool(
         &mut self,
         wg: &WeightedGraph,
-        g: &Graph,
+        rows: &CoreRows,
         mask: &BitSet,
         seed: VertexId,
         limit: usize,
@@ -441,24 +526,41 @@ impl LocalScratch {
                 return;
             }
             self.next_layer.clear();
-            for i in 0..self.layer.len() {
-                let v = self.layer[i];
-                for &u in g.neighbors(v) {
+            if greedy {
+                for &v in &self.layer {
+                    for &u in rows.row(v) {
+                        if !mask.contains(u as usize) || self.visited[u as usize] == visit {
+                            continue;
+                        }
+                        let key = Reverse((encode_ordered_f64(wg.weight(u)), Reverse(u)));
+                        if self.best.len() < room {
+                            self.best.push(key);
+                        } else {
+                            let mut lightest = self.best.peek_mut().expect("room > 0");
+                            if key.0 < lightest.0 {
+                                break; // and so is the rest of this row
+                            }
+                            *lightest = key;
+                        }
+                        self.visited[u as usize] = visit;
+                    }
+                }
+                let mut kept = std::mem::take(&mut self.best).into_vec();
+                kept.sort_unstable();
+                let heaviest_first = kept.drain(..).map(|Reverse((_, Reverse(u)))| u);
+                self.next_layer.extend(heaviest_first);
+                self.best = kept.into(); // empty: hands the buffer back
+            } else {
+                let plain = self.layer.iter().flat_map(|&v| wg.graph().neighbors(v));
+                for &u in plain {
+                    if self.next_layer.len() == room {
+                        break;
+                    }
                     if mask.contains(u as usize) && self.visited[u as usize] != visit {
                         self.visited[u as usize] = visit;
                         self.next_layer.push(u);
                     }
                 }
-            }
-            if greedy {
-                let by_weight = |a: &VertexId, b: &VertexId| heavier_first(wg, a, b);
-                if self.next_layer.len() > room {
-                    self.next_layer.select_nth_unstable_by(room, by_weight);
-                    self.next_layer.truncate(room);
-                }
-                self.next_layer.sort_unstable_by(by_weight);
-            } else {
-                self.next_layer.truncate(room);
             }
             std::mem::swap(&mut self.layer, &mut self.next_layer);
         }
@@ -474,11 +576,11 @@ impl LocalScratch {
 
     /// Adds `v` to the candidate, updating internal degrees and the
     /// below-k violation counter in `O(d(v))`.
-    pub(crate) fn push(&mut self, g: &Graph, v: VertexId) {
+    pub(crate) fn push(&mut self, rows: &CoreRows, v: VertexId) {
         let epoch = self.cand_epoch;
         let k = self.k as u32;
         let mut dv = 0u32;
-        for &u in g.neighbors(v) {
+        for &u in rows.row(v) {
             let ui = u as usize;
             if self.in_cand[ui] == epoch {
                 dv += 1;
@@ -497,7 +599,7 @@ impl LocalScratch {
     }
 
     /// Removes `v` (must be in the candidate) in `O(d(v))`.
-    pub(crate) fn pop(&mut self, g: &Graph, v: VertexId) {
+    pub(crate) fn pop(&mut self, rows: &CoreRows, v: VertexId) {
         let epoch = self.cand_epoch;
         let k = self.k as u32;
         debug_assert_eq!(self.in_cand[v as usize], epoch, "pop of a non-member");
@@ -505,7 +607,7 @@ impl LocalScratch {
         if self.deg[v as usize] < k {
             self.below_k -= 1;
         }
-        for &u in g.neighbors(v) {
+        for &u in rows.row(v) {
             let ui = u as usize;
             if self.in_cand[ui] == epoch {
                 self.deg[ui] -= 1;
@@ -524,7 +626,7 @@ impl LocalScratch {
 
     /// BFS connectivity check over the candidate, `O(Σ_{v} d(v))`. Only
     /// called for candidates that already pass [`Self::is_kcore`].
-    pub(crate) fn is_connected(&mut self, g: &Graph, start: VertexId) -> bool {
+    pub(crate) fn is_connected(&mut self, rows: &CoreRows, start: VertexId) -> bool {
         if self.cand_len == 0 || self.in_cand[start as usize] != self.cand_epoch {
             return false;
         }
@@ -535,7 +637,7 @@ impl LocalScratch {
         let mut reached = 0usize;
         while let Some(x) = self.queue.pop_front() {
             reached += 1;
-            for &u in g.neighbors(x) {
+            for &u in rows.row(x) {
                 let ui = u as usize;
                 if self.in_cand[ui] == self.cand_epoch && self.bfs_visited[ui] != visit {
                     self.bfs_visited[ui] = visit;
@@ -743,6 +845,7 @@ mod tests {
         let wg = figure1();
         let g = wg.graph();
         let n = g.num_vertices();
+        let rows = &CoreRows::build(&wg, &BitSet::full(n));
         let mut scratch = LocalScratch::new(n);
         let mut checker = SubsetChecker::new(n);
         // Grow a candidate vertex by vertex and compare the incremental
@@ -752,19 +855,19 @@ mod tests {
             scratch.begin_candidate(k);
             let mut current: Vec<u32> = Vec::new();
             for &v in &order {
-                scratch.push(g, v);
+                scratch.push(rows, v);
                 current.push(v);
-                let incremental = scratch.is_kcore() && scratch.is_connected(g, current[0]);
+                let incremental = scratch.is_kcore() && scratch.is_connected(rows, current[0]);
                 let reference = checker.is_connected_kcore(g, &current, k);
                 assert_eq!(incremental, reference, "k={k} grow {current:?}");
             }
             // Shrink from the back, comparing again.
             while let Some(v) = current.pop() {
-                scratch.pop(g, v);
+                scratch.pop(rows, v);
                 if current.is_empty() {
                     break;
                 }
-                let incremental = scratch.is_kcore() && scratch.is_connected(g, current[0]);
+                let incremental = scratch.is_kcore() && scratch.is_connected(rows, current[0]);
                 let reference = checker.is_connected_kcore(g, &current, k);
                 assert_eq!(incremental, reference, "k={k} shrink {current:?}");
             }
@@ -820,13 +923,13 @@ mod tests {
 
         fn sum_strategy(
             wg: &WeightedGraph,
+            g: &CoreRows,
             pool: &[VertexId],
             k: usize,
             aggregation: Aggregation,
             sc: &mut LocalScratch,
             list: &mut TopList,
         ) {
-            let g = wg.graph();
             let mut state = AggregateState::new(aggregation, wg.total_weight());
             sc.begin_candidate(k);
             for &v in pool {
@@ -849,8 +952,10 @@ mod tests {
             }
         }
 
+        #[allow(clippy::too_many_arguments)]
         fn prefix_strategy(
             wg: &WeightedGraph,
+            g: &CoreRows,
             pool: &[VertexId],
             k: usize,
             greedy: bool,
@@ -858,7 +963,6 @@ mod tests {
             sc: &mut LocalScratch,
             list: &mut TopList,
         ) {
-            let g = wg.graph();
             let mut state = AggregateState::new(aggregation, wg.total_weight());
             let mut best: Option<Community> = None;
             sc.begin_candidate(k);
@@ -888,18 +992,17 @@ mod tests {
             }
         }
 
-        /// `local_search` over the reference parts; also returns every
-        /// seed's pool (after the greedy re-sort).
+        /// `local_search` over the reference parts.
         pub(super) fn local_search(
             wg: &WeightedGraph,
             config: &LocalSearchConfig,
             aggregation: Aggregation,
-        ) -> (Vec<Vec<VertexId>>, Vec<Community>) {
+        ) -> Vec<Community> {
             let LocalSearchConfig { k, r, s, greedy } = *config;
             let core = kcore_mask(wg.graph(), k);
+            let rows = &CoreRows::build(wg, &core);
             let mut list = TopList::new(r);
             let mut sc = LocalScratch::new(wg.graph().num_vertices());
-            let mut pools = Vec::new();
             for seed in core.iter() {
                 build_pool(&mut sc, wg, &core, seed as VertexId, s, greedy);
                 let mut pool = sc.pool.clone();
@@ -908,14 +1011,22 @@ mod tests {
                         pool[1..].sort_by(|a, b| heavier_first(wg, a, b));
                     }
                     if aggregation.certificates().incremental_removal {
-                        sum_strategy(wg, &pool, k, aggregation, &mut sc, &mut list);
+                        sum_strategy(wg, rows, &pool, k, aggregation, &mut sc, &mut list);
                     } else {
-                        prefix_strategy(wg, &pool, k, greedy, aggregation, &mut sc, &mut list);
+                        prefix_strategy(
+                            wg,
+                            rows,
+                            &pool,
+                            k,
+                            greedy,
+                            aggregation,
+                            &mut sc,
+                            &mut list,
+                        );
                     }
                 }
-                pools.push(pool);
             }
-            (pools, list.into_vec())
+            list.into_vec()
         }
     }
 
@@ -924,10 +1035,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Pools and answers are identical to the reference for every
-        /// size bound the benchmark draws, both strategies' orders and
-        /// the five `miss_mix` aggregations, on graphs whose few
-        /// distinct weights make the pool order lean on its tie-break.
+        /// Rows, pools and answers are identical to the reference's for
+        /// every size bound the benchmark draws (and one no component
+        /// reaches), both strategies' orders, the five `miss_mix`
+        /// aggregations and a mask smaller than the level's (as in
+        /// `local_search_nonoverlapping`), on graphs whose few distinct
+        /// weights make the pool order lean on its tie-break.
         #[test]
         fn deciding_first_changes_no_pool_and_no_answer(
             n in 45usize..110,
@@ -943,6 +1056,20 @@ mod tests {
                     .collect();
             let wg = WeightedGraph::new(g, weights).unwrap();
             let core = kcore_mask(wg.graph(), k);
+            let mut shrunk = core.clone();
+            for v in core.iter().step_by(3) {
+                shrunk.remove(v);
+            }
+            for mask in [&shrunk, &core] {
+                let rows = CoreRows::build(&wg, mask);
+                for v in 0..n as VertexId {
+                    let mut expect: Vec<VertexId> = wg.graph().neighbors(v).to_vec();
+                    expect.retain(|&u| mask.contains(v as usize) && mask.contains(u as usize));
+                    expect.sort_by(|a, b| heavier_first(&wg, a, b));
+                    prop_assert_eq!(rows.row(v), &expect[..], "row {}", v);
+                }
+            }
+            let rows = CoreRows::build(&wg, &core);
             let mut sc = LocalScratch::new(n);
             let mut ref_sc = LocalScratch::new(n);
             let aggregations = [
@@ -952,22 +1079,64 @@ mod tests {
                 Aggregation::Percentile { p: 0.75 },
                 Aggregation::TopTSum { t: 3 },
             ];
-            for s in k + 1..=40 {
+            for s in (k + 1..=40).chain([n]) {
                 for greedy in [true, false] {
-                    for v in core.iter() {
-                        sc.build_pool(&wg, wg.graph(), &core, v as VertexId, s, greedy);
-                        reference::build_pool(&mut ref_sc, &wg, &core, v as VertexId, s, greedy);
-                        prop_assert_eq!(&sc.pool, &ref_sc.pool, "pool s={} greedy={} seed={}", s, greedy, v);
+                    for mask in [&core, &shrunk] {
+                        for v in mask.iter() {
+                            sc.build_pool(&wg, &rows, mask, v as VertexId, s, greedy);
+                            reference::build_pool(&mut ref_sc, &wg, mask, v as VertexId, s, greedy);
+                            prop_assert_eq!(&sc.pool, &ref_sc.pool, "pool s={} greedy={} seed={}", s, greedy, v);
+                        }
                     }
                     let config = cfg(k, 1 + s % 4, s, greedy);
                     for agg in aggregations {
                         let got = local_search(&wg, &config, agg).unwrap();
-                        let (_, expect) = reference::local_search(&wg, &config, agg);
+                        let expect = reference::local_search(&wg, &config, agg);
                         prop_assert_eq!(&got, &expect, "{} s={} greedy={}", agg.name(), s, greedy);
                     }
                 }
             }
         }
+    }
+
+    /// Expands `seed` of `wg` (k = 2, s = 3, greedy) for every
+    /// `(aggregation, list)` at once; returns what `run_seed_multi` does.
+    fn expand(wg: &WeightedGraph, seed: VertexId, lists: &mut [(Aggregation, TopList)]) -> usize {
+        let core = kcore_mask(wg.graph(), 2);
+        let mut targets = Vec::new();
+        for (aggregation, list) in lists {
+            let aggregation = *aggregation;
+            targets.push(SeedTarget { aggregation, list });
+        }
+        let (rows, sc) = (CoreRows::build(wg, &core), &mut LocalScratch::new(6));
+        run_seed_multi(wg, &rows, &core, seed, 2, 3, true, sc, &mut targets)
+    }
+
+    #[test]
+    fn a_min_seed_at_the_bar_is_skipped_unless_another_target_is_live() {
+        // Two triangles; {0, 1, 2} sets the `min` bar at 3, and seed 3
+        // weighs exactly that much.
+        let g = ic_graph::graph_from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        let wg = WeightedGraph::new(g, vec![3.0, 3.0, 3.0, 3.0, 4.0, 4.0]).unwrap();
+        let mut solo = [(Aggregation::Min, TopList::new(1))];
+        assert_eq!(expand(&wg, 0, &mut solo), 3);
+        assert_eq!(solo[0].1.threshold(), 3.0);
+        assert_eq!(expand(&wg, 3, &mut solo), 0, "w(seed) == bar");
+        assert_eq!(expand(&wg, 4, &mut solo), 3, "w(seed) > bar");
+        assert_eq!(solo[0].1.items()[0].vertices, [0, 1, 2]);
+        for r in 1..3 {
+            let (config, min) = (cfg(2, r, 3, true), Aggregation::Min);
+            let expect = reference::local_search(&wg, &config, min);
+            assert_eq!(local_search(&wg, &config, min).unwrap(), expect);
+        }
+        // With an `avg` member sharing the pool the seed is expanded, and
+        // `avg` finds the community only seed 3's pool reaches first.
+        let both = [Aggregation::Min, Aggregation::Average];
+        let mut mixed = both.map(|aggregation| (aggregation, TopList::new(1)));
+        assert_eq!(expand(&wg, 0, &mut mixed), 3);
+        assert_eq!(expand(&wg, 3, &mut mixed), 3, "avg is live");
+        assert_eq!(mixed[0].1.items()[0].vertices, [0, 1, 2]);
+        assert_eq!(mixed[1].1.items()[0].vertices, [3, 4, 5]);
     }
 
     #[test]

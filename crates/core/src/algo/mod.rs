@@ -41,7 +41,7 @@ pub use exact::{all_communities, exact_naive, exact_topr};
 pub use improved::{tic_improved_on, TicEmission};
 pub use index::{ExtremumIndex, IndexParts};
 pub use local_search::{
-    local_search, local_search_nonoverlapping, run_seed, run_seed_multi, LocalScratch,
+    local_search, local_search_nonoverlapping, run_seed_multi, CoreRows, LocalScratch,
     LocalSearchConfig, SeedTarget,
 };
 pub use minmax::{peel_topr_on, MinMaxEmission};

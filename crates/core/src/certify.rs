@@ -23,8 +23,7 @@
 //! Sampling cannot prove a certificate, only falsify it — which is the
 //! right trade for an open registry.
 
-use crate::aggregate::{AggregateFn, Certificates, Extremum, OrdF64, StateView};
-use std::collections::BTreeMap;
+use crate::aggregate::{AggregateFn, Certificates, Extremum, StateView};
 use std::fmt;
 
 /// A falsified certificate: which claim broke and the counterexample.
@@ -275,12 +274,9 @@ fn certify_one(
 /// always materialized and its accesses probed, so the caller learns
 /// whether the implementation consumed order statistics.
 fn state_value(f: &dyn AggregateFn, weights: &[f64], total: f64) -> (f64, bool) {
-    let mut sum = 0.0;
-    let mut multiset: BTreeMap<OrdF64, usize> = BTreeMap::new();
-    for &w in weights {
-        sum += w;
-        *multiset.entry(OrdF64(w)).or_insert(0) += 1;
-    }
+    let sum = weights.iter().fold(0.0, |sum, w| sum + w);
+    let mut multiset = weights.to_vec();
+    multiset.sort_by(f64::total_cmp);
     let touched = std::cell::Cell::new(false);
     let view = StateView::probing(weights.len(), sum, total, &multiset, &touched);
     let value = f.evaluate_state(&view);

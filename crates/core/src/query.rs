@@ -282,6 +282,7 @@ impl Query {
             Solver::LocalSearch => algo::local_search_in(
                 snap.weighted(),
                 &snap.level(self.k).mask,
+                &algo::CoreRows::cached(snap, self.k).0,
                 &self.local_search_config(),
                 self.aggregation,
             ),

@@ -41,7 +41,8 @@
 use crate::plan::{Job, JobOutput, LocalJob, Plan};
 use crate::{AnswerStatus, DegradeReason, EngineError, QueryAnswer};
 use ic_core::algo::{
-    self, run_seed_multi, ExtremumIndex, LocalScratch, MinMaxEmission, SeedTarget, TicEmission,
+    self, run_seed_multi, CoreRows, ExtremumIndex, LocalScratch, MinMaxEmission, SeedTarget,
+    TicEmission,
 };
 use ic_core::community::{decode_ordered_f64, encode_ordered_f64};
 use ic_core::{Aggregation, Community, TopList};
@@ -94,12 +95,24 @@ pub(crate) struct TicCounters {
     pub children_materialized: ic_obs::Counter,
 }
 
+/// `core.local_*`: what the local-search chunks of this engine did,
+/// summed once per chunk — seeds visited, seeds skipped without a pool
+/// (see [`run_seed_multi`]), pool vertices collected, and [`CoreRows`]
+/// builds (one per `(snapshot, k)` a size-bounded query touched).
+pub(crate) struct LocalCounters {
+    pub seeds: ic_obs::Counter,
+    pub seeds_skipped: ic_obs::Counter,
+    pub pool_vertices: ic_obs::Counter,
+    pub rows_builds: ic_obs::Counter,
+}
+
 /// Where an execution reports: the caller's trace, if there is one,
 /// and the engine's solver work counters.
 #[derive(Clone, Copy)]
 pub(crate) struct ExecObs<'a> {
     pub trace: Option<&'a ic_obs::Trace>,
     pub tic: &'a TicCounters,
+    pub local: &'a LocalCounters,
 }
 
 /// Runs a plan against one pinned snapshot. The snapshot and arena pool
@@ -443,15 +456,18 @@ fn run_job(
             let run = run_tic(snap, *k, *r, *aggregation, *epsilon, budget, arena, obs.tic);
             send_all(done, outputs, &tic_outcome(run, *epsilon == 0.0));
         }
-        Job::LocalChunk { job, chunk } => run_local_chunk(snap, anchor, job, *chunk, scratch),
+        Job::LocalChunk { job, chunk } => {
+            run_local_chunk(snap, anchor, job, *chunk, scratch, obs.local)
+        }
     }
 }
 
 /// Executes seed chunk `chunk` of a local-search family — parallel
 /// Algorithm 4 (the paper's Section VIII direction). Seeds are
 /// partitioned into chunks; each chunk runs the sequential per-seed
-/// strategy against thread-local top-r lists (the graph is shared
-/// read-only), one pool build per seed shared by every member's
+/// strategy against thread-local top-r lists (the graph and the level's
+/// [`CoreRows`], fetched from the snapshot's memo once per chunk, are
+/// shared read-only), one pool build per seed shared by every member's
 /// strategy, and the lists are merged when the last chunk ends. There is
 /// no shared mutable top-list and no lock on the hot path: the only
 /// cross-thread state is one atomic per member holding the best known
@@ -477,11 +493,13 @@ fn run_local_chunk(
     job: &Arc<LocalJob>,
     chunk: usize,
     scratch: &mut Option<LocalScratch>,
+    counters: &LocalCounters,
 ) {
     ic_fail::fail_point!("engine::local_chunk");
     let wg = snap.weighted();
-    let g = snap.graph();
     let level = snap.level(job.k);
+    let (rows, built) = CoreRows::cached(snap, job.k);
+    counters.rows_builds.add(u64::from(built));
 
     // The shared budget starts with whichever chunk gets here first, so
     // the family's clock never starts before any of its work could.
@@ -500,7 +518,8 @@ fn run_local_chunk(
     let hi = ((chunk + 1) * chunk_size).min(seeds.len());
 
     let mut locals: Vec<TopList> = job.members.iter().map(|m| TopList::new(m.r)).collect();
-    let scratch = scratch.get_or_insert_with(|| LocalScratch::new(g.num_vertices()));
+    let scratch = scratch.get_or_insert_with(|| LocalScratch::new(wg.num_vertices()));
+    let (mut visited, mut skipped, mut pooled) = (0u64, 0u64, 0u64);
     {
         let mut targets: Vec<SeedTarget<'_>> = locals
             .iter_mut()
@@ -521,9 +540,9 @@ fn run_local_chunk(
                 t.list
                     .set_floor(decode_ordered_f64(m.floor.load(Ordering::Relaxed)));
             }
-            run_seed_multi(
+            let pool = run_seed_multi(
                 wg,
-                g,
+                &rows,
                 &level.mask,
                 seed,
                 job.k,
@@ -532,6 +551,9 @@ fn run_local_chunk(
                 scratch,
                 &mut targets,
             );
+            visited += 1;
+            skipped += u64::from(pool == 0);
+            pooled += pool as u64;
             for (t, m) in targets.iter().zip(&job.members) {
                 if t.list.len() == t.list.capacity() {
                     m.floor
@@ -540,6 +562,9 @@ fn run_local_chunk(
             }
         }
     }
+    counters.seeds.add(visited);
+    counters.seeds_skipped.add(skipped);
+    counters.pool_vertices.add(pooled);
 
     for (local, m) in locals.into_iter().zip(&job.members) {
         m.partials

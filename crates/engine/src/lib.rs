@@ -306,6 +306,7 @@ struct EngineMetrics {
     index_repaired: ic_obs::Counter,
     index_rebuilt: ic_obs::Counter,
     tic: exec::TicCounters,
+    local: exec::LocalCounters,
 }
 
 impl EngineMetrics {
@@ -333,6 +334,12 @@ impl EngineMetrics {
             tic: exec::TicCounters {
                 deletions: registry.counter("core.tic_deletions"),
                 children_materialized: registry.counter("core.tic_children_materialized"),
+            },
+            local: exec::LocalCounters {
+                seeds: registry.counter("core.local_seeds"),
+                seeds_skipped: registry.counter("core.local_seeds_skipped"),
+                pool_vertices: registry.counter("core.local_pool_vertices"),
+                rows_builds: registry.counter("core.local_rows_builds"),
             },
             registry,
         }
@@ -964,7 +971,11 @@ impl Engine {
             self.threads,
             anchor,
             plan,
-            exec::ExecObs { trace, tic: &m.tic },
+            exec::ExecObs {
+                trace,
+                tic: &m.tic,
+                local: &m.local,
+            },
             |idx, outcome| {
                 if let Some(trace) = trace {
                     match outcome.as_ref() {
@@ -1091,20 +1102,23 @@ mod tests {
         }
     }
 
+    /// The engine registry's current values of `names`, in order.
+    fn counters(eng: &Engine, names: &[&str]) -> Vec<f64> {
+        let entries = eng.obs_registry().flat_entries();
+        let value = |name: &&str| match entries.iter().find(|(n, _)| n == name) {
+            Some(entry) => entry.1,
+            None => panic!("{name} not registered"),
+        };
+        names.iter().map(value).collect()
+    }
+
     #[test]
     fn tic_work_counters_reach_the_registry() {
-        let counts = |eng: &Engine| -> Vec<f64> {
-            let entries = eng.obs_registry().flat_entries();
-            ["core.tic_deletions", "core.tic_children_materialized"]
-                .iter()
-                .map(|name| {
-                    entries
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .unwrap_or_else(|| panic!("{name} not registered"))
-                        .1
-                })
-                .collect()
+        let counts = |eng: &Engine| {
+            counters(
+                eng,
+                &["core.tic_deletions", "core.tic_children_materialized"],
+            )
         };
         let eng = engine(2);
         assert_eq!(counts(&eng), [0.0, 0.0]);
@@ -1153,16 +1167,106 @@ mod tests {
     fn constrained_single_thread_matches_sequential_local_search() {
         let eng = engine(1);
         let wg = figure1();
-        let q = Query::new(2, 3, Aggregation::Average).size_bound(4, true);
-        let got = eng.run_batch(&[q]);
+        // The five aggregations `miss_mix` draws, as one family.
+        let aggregations = [
+            Aggregation::Average,
+            Aggregation::Sum,
+            Aggregation::Min,
+            Aggregation::Percentile { p: 0.75 },
+            Aggregation::TopTSum { t: 2 },
+        ];
+        let batch = aggregations.map(|agg| Query::new(2, 3, agg).size_bound(4, true));
+        let got = eng.run_batch(&batch);
         let config = LocalSearchConfig {
             k: 2,
             r: 3,
             s: 4,
             greedy: true,
         };
-        let expect = algo::local_search(&wg, &config, Aggregation::Average).unwrap();
-        assert_eq!(got[0].as_ref().unwrap(), &expect);
+        for (agg, got) in aggregations.into_iter().zip(&got) {
+            let expect = algo::local_search(&wg, &config, agg).unwrap();
+            assert_eq!(got.as_ref().unwrap(), &expect, "{}", agg.name());
+        }
+    }
+
+    #[test]
+    fn local_work_counters_reach_the_registry() {
+        let names = [
+            "core.local_seeds",
+            "core.local_seeds_skipped",
+            "core.local_pool_vertices",
+            "core.local_rows_builds",
+        ];
+        let counts = |eng: &Engine| counters(eng, &names);
+        let eng = engine(1);
+        // Peels and TIC read no rows: nothing is built for them.
+        eng.run_batch(&[
+            Query::new(2, 2, Aggregation::Min),
+            Query::new(2, 2, Aggregation::Max),
+            Query::new(2, 2, Aggregation::Sum),
+        ]);
+        assert_eq!(counts(&eng), [0.0; 4]);
+        // One `min` query: every 2-core vertex is a seed, one rows
+        // build; once the list is full, seeds that cannot beat its bar
+        // are skipped.
+        let min = Query::new(2, 1, Aggregation::Min).size_bound(4, true);
+        eng.run_batch(&[min]);
+        let core = eng.snapshot().level(2).mask.count() as f64;
+        let [seeds, skipped, pooled, builds] = counts(&eng)[..] else {
+            unreachable!("four names in, four values out")
+        };
+        assert_eq!((seeds, builds), (core, 1.0));
+        assert!(skipped > 0.0 && skipped < seeds, "{skipped}");
+        assert!(
+            pooled >= 4.0 * (seeds - skipped) && pooled <= 4.0 * seeds,
+            "{pooled}"
+        );
+        // A second family at the same k shares the rows; `avg` skips nothing.
+        eng.run_batch(&[Query::new(2, 1, Aggregation::Average).size_bound(4, true)]);
+        assert_eq!(
+            counts(&eng),
+            [2.0 * core, skipped, pooled + 4.0 * core, 1.0]
+        );
+    }
+
+    #[test]
+    fn size_bounded_answers_follow_the_core_across_apply() {
+        let spec = ic_gen::datasets::by_name(ic_gen::datasets::Profile::Quick, "email").unwrap();
+        let eng = Engine::with_threads(spec.generate_weighted(), 1);
+        let batch = [Aggregation::Sum, Aggregation::Average, Aggregation::Min]
+            .map(|agg| Query::new(4, 10, agg).size_bound(12, true));
+        eng.run_batch(&batch); // epoch 0's rows at k = 4 are memoized now
+        let before = eng.snapshot();
+        let (wg, cores) = (before.weighted(), &before.decomposition().core_numbers);
+        let heaviest_first = |keep: fn(u32) -> bool| {
+            let mut vs: Vec<u32> = (0..wg.num_vertices() as u32).collect();
+            vs.retain(|&v| keep(cores[v as usize]));
+            vs.sort_by(|a, b| wg.weight(*b).total_cmp(&wg.weight(*a)));
+            vs
+        };
+        // Lift the heaviest 3-core vertex into the 4-core as one clique
+        // with the core's six heaviest, and cut a vertex of core number
+        // exactly 4 loose.
+        let (inside, lifted) = (heaviest_first(|c| c >= 4), heaviest_first(|c| c == 3)[0]);
+        let dropped = *inside.iter().rfind(|&&v| cores[v as usize] == 4).unwrap();
+        let clique = [&inside[..6], &[lifted]].concat();
+        let mut updates = Vec::new();
+        for (i, &u) in clique.iter().enumerate() {
+            updates.extend(clique[..i].iter().map(|&v| EdgeUpdate::Insert { u, v }));
+        }
+        let cut = wg.graph().neighbors(dropped).iter();
+        updates.extend(cut.map(|&v| EdgeUpdate::Remove { u: dropped, v }));
+        eng.apply(&updates);
+        let after = eng.snapshot();
+        let mask = &after.level(4).mask;
+        assert!(mask.contains(lifted as usize) && !mask.contains(dropped as usize));
+        // A fresh engine's answers, and the memo-free per-graph solver's.
+        let fresh = Engine::with_threads(after.weighted().clone(), 1);
+        let got = eng.run_batch(&batch);
+        assert_eq!(got, fresh.run_batch(&batch));
+        for (q, got) in batch.iter().zip(got) {
+            assert_eq!(got.unwrap(), q.solve(after.weighted()).unwrap());
+        }
     }
 
     #[test]
