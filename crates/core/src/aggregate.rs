@@ -46,7 +46,7 @@
 //!
 //! Implement [`AggregateFn`], register it with [`Aggregation::custom`],
 //! and the returned handle works everywhere an [`Aggregation`] does —
-//! `QueryBuilder`, `Engine::run_batch` and the epoch-tagged result
+//! `Query`, `Engine::run_batch` and the epoch-tagged result
 //! cache. Registration runs the certification harness, so a
 //! mis-declared certificate fails loudly *before* it can corrupt a
 //! ranking. See `examples/custom_aggregation.rs` and DESIGN.md §10.

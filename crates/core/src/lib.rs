@@ -63,4 +63,4 @@ pub use aggregate::{
 };
 pub use community::{Community, TopList};
 pub use error::SearchError;
-pub use query::{Constraint, Query, QueryBuilder, Solver};
+pub use query::{Constraint, Query, Solver};

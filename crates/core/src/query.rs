@@ -9,10 +9,9 @@
 //! * [`Query`] / [`Constraint`] — what a caller asks for: `(k, r,
 //!   aggregation, ε, size constraint)`. Both are `#[non_exhaustive]` so
 //!   future fields (weight predicates, non-overlap, …) are not breaking.
-//! * [`QueryBuilder`] — validating construction: `k = 0`, `r = 0`,
-//!   ε ∉ [0, 1) (including NaN), NaN aggregation parameters, and
-//!   `s ≤ k` are rejected when the query is *built*, not when it is
-//!   planned.
+//! * [`Query::validate`] — `k = 0`, `r = 0`, ε ∉ [0, 1) (including
+//!   NaN), NaN aggregation parameters, and `s ≤ k` are rejected before
+//!   the query is planned, by the same check routing runs.
 //! * [`Solver`] — the routing decision: which of the paper's algorithms
 //!   answers a query. [`Query::solver`] maps the aggregation's declared
 //!   [`Certificates`](crate::Certificates) plus `(constraint, ε)` onto
@@ -33,7 +32,8 @@
 //! use ic_core::figure1::figure1;
 //!
 //! let wg = figure1();
-//! let q = Query::builder(2, 2, Aggregation::Sum).build().unwrap();
+//! let q = Query::new(2, 2, Aggregation::Sum);
+//! q.validate().unwrap();
 //! let top = q.solve(&wg).unwrap(); // routed to TIC-IMPROVED
 //! assert_eq!(top[0].value, 203.0);
 //! ```
@@ -46,10 +46,11 @@ use std::time::Duration;
 
 /// One top-r influential community query.
 ///
-/// Construct with [`Query::new`] (infallible; validated when routed or
-/// planned) or [`Query::builder`] (validated at construction). The
-/// struct is `#[non_exhaustive]`: read the fields freely, but build
-/// values through the constructors so future fields stay non-breaking.
+/// Construct with [`Query::new`] and its setters (infallible; check
+/// with [`Query::validate`], or let routing and planning reject bad
+/// parameters per query). The struct is `#[non_exhaustive]`: read the
+/// fields freely, but build values through the constructor so future
+/// fields stay non-breaking.
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Query {
@@ -109,9 +110,9 @@ pub enum Solver {
 }
 
 impl Query {
-    /// An exact, unconstrained query. Not validated — use
-    /// [`Query::builder`] for validation at construction, or rely on
-    /// routing/planning to reject bad parameters per query.
+    /// An exact, unconstrained query. Not validated — call
+    /// [`Query::validate`], or rely on routing/planning to reject bad
+    /// parameters per query.
     pub fn new(k: usize, r: usize, aggregation: Aggregation) -> Self {
         Query {
             k,
@@ -120,13 +121,6 @@ impl Query {
             epsilon: 0.0,
             constraint: Constraint::Unconstrained,
             deadline: None,
-        }
-    }
-
-    /// A validating builder over the same parameters.
-    pub fn builder(k: usize, r: usize, aggregation: Aggregation) -> QueryBuilder {
-        QueryBuilder {
-            query: Query::new(k, r, aggregation),
         }
     }
 
@@ -151,6 +145,9 @@ impl Query {
     }
 
     /// Validates the query; equivalent to `self.solver().map(|_| ())`.
+    /// Rejects `k = 0`, `r = 0`, ε ∉ [0, 1) (including NaN), NaN
+    /// aggregation parameters, `s ≤ k`, and aggregation/constraint
+    /// combinations no solver answers.
     pub fn validate(&self) -> Result<(), SearchError> {
         self.solver().map(|_| ())
     }
@@ -307,42 +304,6 @@ impl Query {
     }
 }
 
-/// Validating builder for [`Query`]; see the module docs.
-#[derive(Clone, Copy, Debug)]
-pub struct QueryBuilder {
-    query: Query,
-}
-
-impl QueryBuilder {
-    /// Sets the approximation parameter ε (Approx mode of Algorithm 2).
-    pub fn approx(mut self, epsilon: f64) -> Self {
-        self.query.epsilon = epsilon;
-        self
-    }
-
-    /// Adds a size bound, routing the query through local search.
-    pub fn size_bound(mut self, s: usize, greedy: bool) -> Self {
-        self.query.constraint = Constraint::SizeBound { s, greedy };
-        self
-    }
-
-    /// Arms a wall-clock deadline; see [`Query::deadline`] (the field)
-    /// for the degradation semantics.
-    pub fn deadline(mut self, limit: Duration) -> Self {
-        self.query.deadline = Some(limit);
-        self
-    }
-
-    /// Validates and returns the query. Rejects `k = 0`, `r = 0`,
-    /// ε ∉ [0, 1) (including NaN and −0.0-signed garbage), NaN
-    /// aggregation parameters, `s ≤ k`, and aggregation/constraint
-    /// combinations no solver answers.
-    pub fn build(self) -> Result<Query, SearchError> {
-        self.query.validate()?;
-        Ok(self.query)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,104 +311,68 @@ mod tests {
 
     #[test]
     fn builder_accepts_valid_queries() {
-        let q = Query::builder(2, 3, Aggregation::Sum).build().unwrap();
-        assert_eq!(q.solver().unwrap(), Solver::TicExact);
-        let q = Query::builder(2, 3, Aggregation::Sum)
-            .approx(0.25)
-            .build()
-            .unwrap();
-        assert_eq!(q.solver().unwrap(), Solver::TicApprox);
-        let q = Query::builder(2, 3, Aggregation::Average)
-            .size_bound(6, true)
-            .build()
-            .unwrap();
-        assert_eq!(q.solver().unwrap(), Solver::LocalSearch);
-        assert_eq!(
-            Query::builder(1, 1, Aggregation::Min)
-                .build()
-                .unwrap()
-                .solver()
-                .unwrap(),
-            Solver::MinPeel
-        );
-        assert_eq!(
-            Query::builder(1, 1, Aggregation::Max)
-                .build()
-                .unwrap()
-                .solver()
-                .unwrap(),
-            Solver::MaxPeel
-        );
+        for (q, solver) in [
+            (Query::new(2, 3, Aggregation::Sum), Solver::TicExact),
+            (
+                Query::new(2, 3, Aggregation::Sum).approx(0.25),
+                Solver::TicApprox,
+            ),
+            (
+                Query::new(2, 3, Aggregation::Average).size_bound(6, true),
+                Solver::LocalSearch,
+            ),
+            (Query::new(1, 1, Aggregation::Min), Solver::MinPeel),
+            (Query::new(1, 1, Aggregation::Max), Solver::MaxPeel),
+        ] {
+            q.validate().unwrap();
+            assert_eq!(q.solver().unwrap(), solver, "{q:?}");
+        }
     }
 
     #[test]
     fn builder_rejects_bad_parameters_at_construction() {
-        assert!(
-            Query::builder(0, 3, Aggregation::Min).build().is_err(),
-            "k = 0"
-        );
-        assert!(
-            Query::builder(2, 0, Aggregation::Min).build().is_err(),
-            "r = 0"
-        );
-        assert!(
-            Query::builder(2, 3, Aggregation::Sum)
-                .approx(f64::NAN)
-                .build()
-                .is_err(),
-            "NaN epsilon"
-        );
-        assert!(
-            Query::builder(2, 3, Aggregation::Sum)
-                .approx(-0.1)
-                .build()
-                .is_err(),
-            "negative epsilon"
-        );
-        assert!(
-            Query::builder(2, 3, Aggregation::Sum)
-                .approx(1.0)
-                .build()
-                .is_err(),
-            "epsilon = 1"
-        );
-        assert!(
-            Query::builder(2, 3, Aggregation::Min)
-                .approx(0.2)
-                .build()
-                .is_err(),
-            "epsilon on a node-domination query"
-        );
-        assert!(
-            Query::builder(2, 3, Aggregation::SumSurplus { alpha: f64::NAN })
-                .build()
-                .is_err(),
-            "NaN alpha"
-        );
-        assert!(
-            Query::builder(2, 3, Aggregation::WeightDensity { beta: f64::NAN })
-                .size_bound(6, true)
-                .build()
-                .is_err(),
-            "NaN beta"
-        );
-        assert!(
-            Query::builder(4, 3, Aggregation::Sum)
-                .size_bound(4, true)
-                .build()
-                .is_err(),
-            "s <= k"
-        );
-        assert!(
-            Query::builder(2, 3, Aggregation::Average).build().is_err(),
-            "NP-hard unconstrained"
-        );
-        assert!(
-            Query::builder(2, 3, Aggregation::BalancedDensity)
-                .build()
-                .is_err(),
-            "NP-hard unconstrained"
-        );
+        for (q, why) in [
+            (Query::new(0, 3, Aggregation::Min), "k = 0"),
+            (Query::new(2, 0, Aggregation::Min), "r = 0"),
+            (
+                Query::new(2, 3, Aggregation::Sum).approx(f64::NAN),
+                "NaN epsilon",
+            ),
+            (
+                Query::new(2, 3, Aggregation::Sum).approx(-0.1),
+                "negative epsilon",
+            ),
+            (
+                Query::new(2, 3, Aggregation::Sum).approx(1.0),
+                "epsilon = 1",
+            ),
+            (
+                Query::new(2, 3, Aggregation::Min).approx(0.2),
+                "epsilon on a node-domination query",
+            ),
+            (
+                Query::new(2, 3, Aggregation::SumSurplus { alpha: f64::NAN }),
+                "NaN alpha",
+            ),
+            (
+                Query::new(2, 3, Aggregation::WeightDensity { beta: f64::NAN }).size_bound(6, true),
+                "NaN beta",
+            ),
+            (
+                Query::new(4, 3, Aggregation::Sum).size_bound(4, true),
+                "s <= k",
+            ),
+            (
+                Query::new(2, 3, Aggregation::Average),
+                "NP-hard unconstrained",
+            ),
+            (
+                Query::new(2, 3, Aggregation::BalancedDensity),
+                "NP-hard unconstrained",
+            ),
+        ] {
+            assert!(q.validate().is_err(), "{why}");
+        }
     }
 
     #[test]

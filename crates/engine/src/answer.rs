@@ -24,7 +24,7 @@
 //! so nothing that would read adjacency runs).
 
 use ic_core::{Community, SearchError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why an answer was degraded rather than complete.
 #[non_exhaustive]
@@ -176,16 +176,12 @@ impl From<ic_kcore::AdjacencyRefused> for EngineError {
 }
 
 /// Batch-wide serving options for
-/// [`Engine::run_batch_with`](crate::Engine::run_batch_with).
+/// [`Engine::run_batch_with`](crate::Engine::run_batch_with). Deadlines
+/// themselves are per query ([`Query::deadline`](ic_core::Query)); the
+/// batch only says where their clocks start.
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BatchOptions {
-    /// A deadline applied to **every** query of the batch, measured from
-    /// the batch's [`anchor`](Self::anchor) (serve start unless
-    /// overridden). Folded with each query's own
-    /// [`Query::deadline`](ic_core::Query) (the tighter of the two
-    /// wins). `None` = no batch-wide limit.
-    pub deadline: Option<Duration>,
     /// The instant all of the batch's deadlines are measured **from**.
     /// `None` (the default) anchors at serve start — the moment the
     /// engine begins executing the batch — which is correct for callers
@@ -199,19 +195,12 @@ pub struct BatchOptions {
 }
 
 impl BatchOptions {
-    /// Options with no limits (identical to `run_batch`).
+    /// Options anchored at serve start (identical to `run_batch`).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Sets the batch-wide deadline.
-    pub fn deadline(mut self, limit: Duration) -> Self {
-        self.deadline = Some(limit);
-        self
-    }
-
-    /// Anchors every deadline of the batch (batch-wide *and* per-query)
-    /// at `anchor` instead of serve start, so time already spent —
+    /// Anchors every query deadline of the batch at `anchor` instead of serve start, so time already spent —
     /// queueing, admission batching — counts against the budget. An
     /// anchor in the past shrinks every effective budget by the elapsed
     /// wait; a budget the wait has fully consumed expires at the first
@@ -242,9 +231,6 @@ mod tests {
 
     #[test]
     fn batch_options_fold_builder_style() {
-        let o = BatchOptions::new().deadline(Duration::from_millis(5));
-        assert_eq!(o.deadline, Some(Duration::from_millis(5)));
-        assert!(BatchOptions::default().deadline.is_none());
         assert!(BatchOptions::default().anchor.is_none());
         let t = Instant::now();
         assert_eq!(BatchOptions::new().deadline_from(t).anchor, Some(t));

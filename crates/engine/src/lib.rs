@@ -30,9 +30,9 @@
 //!    snapshot — and a post-`apply` snapshot starts with empty caches,
 //!    so persisted structures are never consulted across an update
 //!    (they rebuild lazily per level under the new epoch).
-//! 4. **Resilience** — [`Engine::run_batch_with`] takes
-//!    [`BatchOptions`] with a batch-wide deadline, and every
-//!    [`Query`] can carry its own (`Query::deadline`); on expiry the
+//! 4. **Resilience** — every [`Query`] can carry a deadline
+//!    (`Query::deadline`), measured from the [`BatchOptions`] anchor
+//!    [`Engine::run_batch_with`] takes; on expiry the
 //!    exact solver paths return the already-**proven** rank prefix
 //!    tagged [`AnswerStatus::Degraded`] (bit-identical to the full
 //!    answer's prefix), best-effort paths return best-so-far, and a
@@ -81,7 +81,7 @@ pub use plan::{Plan, PlanStats};
 // The query vocabulary lives in `ic-core` since PR 3; these re-exports
 // keep every pre-existing `ic_engine::{Query, Constraint}` caller
 // compiling unchanged.
-pub use ic_core::{Constraint, Query, QueryBuilder, Solver};
+pub use ic_core::{Constraint, Query, Solver};
 pub use ic_kcore::{CascadeRecord, CoreDelta, EdgeUpdate, GraphSnapshot};
 pub use ic_store::StoreError;
 
@@ -239,7 +239,7 @@ pub mod prelude {
     };
     pub use ic_core::{
         AggregateFn, Aggregation, Certificates, Community, Constraint, Extremum, Hardness, Query,
-        QueryBuilder, SearchError, Solver, StateView, TieSemantics,
+        SearchError, Solver, StateView, TieSemantics,
     };
     pub use ic_kcore::{EdgeUpdate, GraphSnapshot};
     pub use ic_store::StoreError;
@@ -620,9 +620,9 @@ impl Engine {
     /// Executes a batch under [`BatchOptions`] and returns one
     /// status-tagged result per query, aligned with the input order.
     ///
-    /// The batch-wide deadline (if any) is folded into each query's own
-    /// [`Query::deadline`] — the tighter of the two wins — *before*
-    /// planning, and the clock starts when execution starts. On expiry:
+    /// Each query's own [`Query::deadline`] is measured from the
+    /// options' anchor, or from the moment execution starts when none is
+    /// set. On expiry:
     ///
     /// * exact paths (`min`/`max` peels, exact `TIC-IMPROVED`) return
     ///   the already-proven rank prefix tagged
@@ -915,26 +915,10 @@ impl Engine {
         // (admission-anchored serving layers), from serve start
         // otherwise.
         let anchor = options.anchor.unwrap_or_else(std::time::Instant::now);
-        // Fold the batch-wide deadline into each query (the tighter of
-        // the two wins) *before* planning, so job dedup and family
-        // merging see the effective deadlines.
-        let effective: std::borrow::Cow<'_, [Query]> = match options.deadline {
-            None => std::borrow::Cow::Borrowed(queries),
-            Some(batch_d) => std::borrow::Cow::Owned(
-                queries
-                    .iter()
-                    .map(|q| {
-                        let mut q = *q;
-                        q.deadline = Some(q.deadline.map_or(batch_d, |d| d.min(batch_d)));
-                        q
-                    })
-                    .collect(),
-            ),
-        };
         let plan_sw = ic_obs::Stopwatch::start();
         let plan = Plan::build(
             &snapshot,
-            &effective,
+            queries,
             self.threads,
             Some((&self.results, epoch)),
         );
@@ -991,7 +975,7 @@ impl Engine {
                     }
                 }
                 // Only complete answers are retained (the insert filters).
-                self.results.insert(&effective[idx], epoch, &outcome);
+                self.results.insert(&queries[idx], epoch, &outcome);
                 deliver(idx, outcome);
             },
         );
@@ -1765,36 +1749,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_deadline_folds_into_every_query() {
-        let eng = engine(2);
-        let batch = vec![
-            Query::new(2, 3, Aggregation::Min),
-            Query::new(2, 3, Aggregation::Sum),
-        ];
-        let options = BatchOptions::default().deadline(std::time::Duration::ZERO);
-        let got = eng.run_batch_with(&batch, &options);
-        for (q, res) in batch.iter().zip(&got) {
-            match res {
-                Err(EngineError::DeadlineExceeded) => {}
-                Ok(ans) => assert!(!ans.is_complete(), "{q:?}"),
-                Err(e) => panic!("{q:?}: unexpected error {e}"),
-            }
-        }
-        assert_eq!(eng.cached_results(), 0, "nothing to memoize under expiry");
-        // The fold takes the tighter of the two deadlines: a generous
-        // batch limit must not loosen a query's own zero deadline.
-        let armed = [Query::new(2, 3, Aggregation::Min).deadline(std::time::Duration::ZERO)];
-        let options = BatchOptions::default().deadline(std::time::Duration::from_secs(3600));
-        assert!(
-            !matches!(
-                &eng.run_batch_with(&armed, &options)[0],
-                Ok(ans) if ans.is_complete()
-            ),
-            "per-query zero deadline must win over a loose batch deadline"
-        );
-    }
-
-    #[test]
     fn admission_anchored_deadline_counts_queue_wait() {
         let eng = engine(2);
         let q = Query::new(2, 3, Aggregation::Sum).deadline(std::time::Duration::from_millis(100));
@@ -1826,17 +1780,6 @@ mod tests {
             Err(e) => panic!("unexpected error {e}"),
         }
         assert_eq!(eng.cached_results(), 0, "expired answers are not cached");
-
-        // The anchor also governs the batch-wide deadline fold.
-        let plain = Query::new(2, 3, Aggregation::Min);
-        let opts = BatchOptions::default()
-            .deadline(std::time::Duration::from_millis(100))
-            .deadline_from(admission);
-        let got = eng.run_batch_with(&[plain], &opts);
-        assert!(
-            !matches!(&got[0], Ok(ans) if ans.is_complete()),
-            "batch deadline measured from the admission anchor"
-        );
     }
 
     #[test]

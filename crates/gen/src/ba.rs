@@ -1,6 +1,6 @@
+use crate::stream::{self, StreamSpec};
 use crate::GraphSeed;
-use ic_graph::{Graph, GraphBuilder};
-use rand::{Rng, SeedableRng};
+use ic_graph::Graph;
 
 /// Barabási–Albert preferential attachment.
 ///
@@ -10,42 +10,8 @@ use rand::{Rng, SeedableRng};
 /// standard O(m·n) construction). Produces power-law degree distributions
 /// with exponent ≈ 3.
 pub fn barabasi_albert(n: usize, m: usize, seed: GraphSeed) -> Graph {
-    assert!(m >= 1, "m must be at least 1");
-    let mut b = GraphBuilder::with_capacity(n * m);
-    b.reserve_vertices(n);
-    if n == 0 {
-        return b.build();
-    }
-    let seed_size = (m + 1).min(n);
-    // Endpoint multiset: each vertex appears once per incident edge.
-    let mut endpoints: Vec<u32> = Vec::with_capacity(2 * n * m);
-    for u in 0..seed_size as u32 {
-        for v in (u + 1)..seed_size as u32 {
-            b.add_edge(u, v);
-            endpoints.push(u);
-            endpoints.push(v);
-        }
-    }
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed.0);
-    let mut chosen: Vec<u32> = Vec::with_capacity(m);
-    for v in seed_size..n {
-        chosen.clear();
-        // Sample m distinct targets preferentially by degree.
-        let mut guard = 0usize;
-        while chosen.len() < m && guard < 50 * m {
-            guard += 1;
-            let t = endpoints[rng.gen_range(0..endpoints.len())];
-            if !chosen.contains(&t) {
-                chosen.push(t);
-            }
-        }
-        for &t in &chosen {
-            b.add_edge(v as u32, t);
-            endpoints.push(v as u32);
-            endpoints.push(t);
-        }
-    }
-    b.build()
+    let spec = StreamSpec::BarabasiAlbert { n, m, seed };
+    stream::build_buffered(&spec, n * m)
 }
 
 #[cfg(test)]

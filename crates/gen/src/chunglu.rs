@@ -1,6 +1,6 @@
-use crate::{AliasTable, GraphSeed};
-use ic_graph::{Graph, GraphBuilder};
-use rand::SeedableRng;
+use crate::stream::{self, StreamSpec};
+use crate::GraphSeed;
+use ic_graph::Graph;
 
 /// Chung-Lu power-law random graph.
 ///
@@ -16,29 +16,13 @@ use rand::SeedableRng;
 /// datasets: it reproduces the heavy-tailed structure that determines
 /// k-core sizes, which is what drives every efficiency trend in Figs 2–11.
 pub fn chung_lu(n: usize, target_m: usize, gamma: f64, seed: GraphSeed) -> Graph {
-    assert!(gamma > 1.0, "gamma must exceed 1, got {gamma}");
-    if n == 0 {
-        return Graph::empty(0);
-    }
-    let exponent = -1.0 / (gamma - 1.0);
-    // Small offset avoids a degenerate first weight while keeping the head
-    // of the distribution genuinely heavy.
-    let i0 = 10.0;
-    let weights: Vec<f64> = (0..n)
-        .map(|i| ((i as f64 + i0) / i0).powf(exponent))
-        .collect();
-    let table = AliasTable::new(&weights);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed.0);
-    let mut b = GraphBuilder::with_capacity(target_m);
-    b.reserve_vertices(n);
-    for _ in 0..target_m {
-        let u = table.sample(&mut rng);
-        let v = table.sample(&mut rng);
-        if u != v {
-            b.add_edge(u, v);
-        }
-    }
-    b.build()
+    let spec = StreamSpec::ChungLu {
+        n,
+        target_m,
+        gamma,
+        seed,
+    };
+    stream::build_buffered(&spec, target_m)
 }
 
 #[cfg(test)]

@@ -2,23 +2,6 @@ use crate::GraphSeed;
 use ic_graph::{Graph, GraphBuilder};
 use rand::{Rng, SeedableRng};
 
-/// Erdős–Rényi `G(n, p)`: every pair is an edge independently with
-/// probability `p`. `O(n²)` — intended for small graphs and tests.
-pub fn gnp(n: usize, p: f64, seed: GraphSeed) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability, got {p}");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed.0);
-    let mut b = GraphBuilder::new();
-    b.reserve_vertices(n);
-    for u in 0..n as u32 {
-        for v in (u + 1)..n as u32 {
-            if rng.gen::<f64>() < p {
-                b.add_edge(u, v);
-            }
-        }
-    }
-    b.build()
-}
-
 /// Erdős–Rényi `G(n, m)`: `m` distinct uniform random edges.
 ///
 /// Sampling is with rejection of duplicates/self-loops; `m` is capped at
@@ -68,33 +51,8 @@ mod tests {
     }
 
     #[test]
-    fn gnp_extremes() {
-        let g = gnp(10, 0.0, GraphSeed(3));
-        assert_eq!(g.num_edges(), 0);
-        let g = gnp(10, 1.0, GraphSeed(3));
-        assert_eq!(g.num_edges(), 45);
-    }
-
-    #[test]
-    fn gnp_density_is_plausible() {
-        let g = gnp(200, 0.05, GraphSeed(4));
-        let expected = 0.05 * (200.0 * 199.0 / 2.0);
-        let got = g.num_edges() as f64;
-        assert!(
-            (got - expected).abs() < expected * 0.25,
-            "got {got}, expected ~{expected}"
-        );
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         assert_eq!(gnm(50, 100, GraphSeed(9)), gnm(50, 100, GraphSeed(9)));
         assert_ne!(gnm(50, 100, GraphSeed(9)), gnm(50, 100, GraphSeed(10)));
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn gnp_rejects_bad_p() {
-        gnp(5, 1.5, GraphSeed(0));
     }
 }

@@ -37,7 +37,7 @@ mod weights;
 pub use aminer::{aminer_network, AminerNetwork, PlantedGroup};
 pub use ba::barabasi_albert;
 pub use chunglu::chung_lu;
-pub use er::{gnm, gnp};
+pub use er::gnm;
 pub use planted::{planted_partition, PlantedPartitionConfig};
 pub use sampling::AliasTable;
 pub use stream::{stream_graph, StreamSpec};

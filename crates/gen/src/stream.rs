@@ -1,8 +1,9 @@
 //! Streaming multi-million-node graph generation with bounded memory.
 //!
 //! The builder-based generators ([`crate::chung_lu`],
-//! [`crate::barabasi_albert`]) materialize an edge *list* and hand it to
-//! `GraphBuilder`, which sorts and mirrors it — fine at 10⁴–10⁵ nodes,
+//! [`crate::barabasi_albert`]) replay the same emission once into an
+//! edge *list* and hand it to `GraphBuilder`, which sorts and mirrors
+//! it — fine at 10⁴–10⁵ nodes,
 //! wasteful at 10⁶+: the tuple list, its mirror, and the sort scratch
 //! all coexist with the final CSR.
 //!
@@ -15,7 +16,7 @@
 //! both passes see identical edges.
 
 use crate::{AliasTable, GraphSeed};
-use ic_graph::Graph;
+use ic_graph::{Graph, GraphBuilder};
 use rand::{Rng, SeedableRng};
 
 /// A deterministic edge-stream recipe: everything needed to replay the
@@ -76,7 +77,7 @@ impl StreamSpec {
     /// undirected pair (`u != v` guaranteed; duplicates possible for
     /// the collision-sampling specs). Deterministic: two calls with the
     /// same spec emit identical sequences.
-    fn emit<F: FnMut(u32, u32)>(&self, mut f: F) {
+    pub(crate) fn emit<F: FnMut(u32, u32)>(&self, mut f: F) {
         match *self {
             StreamSpec::ChungLu {
                 n,
@@ -89,6 +90,8 @@ impl StreamSpec {
                     return;
                 }
                 let exponent = -1.0 / (gamma - 1.0);
+                // Small offset avoids a degenerate first weight while
+                // keeping the head of the distribution genuinely heavy.
                 let i0 = 10.0;
                 let weights: Vec<f64> = (0..n)
                     .map(|i| ((i as f64 + i0) / i0).powf(exponent))
@@ -109,6 +112,8 @@ impl StreamSpec {
                     return;
                 }
                 let seed_size = (m + 1).min(n);
+                // Endpoint multiset: each vertex appears once per
+                // incident edge.
                 let mut endpoints: Vec<u32> = Vec::with_capacity(2 * n * m);
                 for u in 0..seed_size as u32 {
                     for v in (u + 1)..seed_size as u32 {
@@ -121,6 +126,7 @@ impl StreamSpec {
                 let mut chosen: Vec<u32> = Vec::with_capacity(m);
                 for v in seed_size..n {
                     chosen.clear();
+                    // Sample m distinct targets preferentially by degree.
                     let mut guard = 0usize;
                     while chosen.len() < m && guard < 50 * m {
                         guard += 1;
@@ -151,6 +157,18 @@ impl StreamSpec {
             }
         }
     }
+}
+
+/// Builds the graph for `spec` from one emission pass collected into a
+/// `GraphBuilder` sized for `edge_slots` edges: the buffered generators'
+/// path, the same edges in the same order as [`stream_graph`] sees.
+pub(crate) fn build_buffered(spec: &StreamSpec, edge_slots: usize) -> Graph {
+    let mut b = GraphBuilder::with_capacity(edge_slots);
+    b.reserve_vertices(spec.num_vertices());
+    spec.emit(|u, v| {
+        b.add_edge(u, v);
+    });
+    b.build()
 }
 
 /// Builds the graph for `spec` with two emission passes and no edge

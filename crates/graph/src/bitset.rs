@@ -90,35 +90,6 @@ impl BitSet {
         self.words.fill(0);
     }
 
-    /// In-place union with `other`. Panics on capacity mismatch.
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
-        }
-    }
-
-    /// In-place intersection with `other`. Panics on capacity mismatch.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= *b;
-        }
-    }
-
-    /// In-place difference (`self & !other`). Panics on capacity mismatch.
-    pub fn difference_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !*b;
-        }
-    }
-
-    /// True if `self` and `other` share no set bit.
-    pub fn is_disjoint(&self, other: &BitSet) -> bool {
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
-    }
-
     /// Iterates over set bit indices in increasing order.
     pub fn iter(&self) -> BitIter<'_> {
         BitIter {
@@ -259,33 +230,6 @@ mod tests {
         assert_eq!(s.iter().count(), 0);
         let s = BitSet::new(100);
         assert_eq!(s.iter().count(), 0);
-    }
-
-    #[test]
-    fn set_ops() {
-        let mut a = BitSet::new(100);
-        let mut b = BitSet::new(100);
-        a.insert(1);
-        a.insert(2);
-        b.insert(2);
-        b.insert(3);
-
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.to_vec(), vec![1, 2, 3]);
-
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.to_vec(), vec![2]);
-
-        let mut d = a.clone();
-        d.difference_with(&b);
-        assert_eq!(d.to_vec(), vec![1]);
-
-        assert!(!a.is_disjoint(&b));
-        let mut c = BitSet::new(100);
-        c.insert(50);
-        assert!(a.is_disjoint(&c));
     }
 
     #[test]

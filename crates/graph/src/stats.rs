@@ -52,33 +52,6 @@ pub fn estimate_power_law_exponent(g: &Graph, d_min: usize) -> Option<f64> {
     }
 }
 
-/// Counts triangles with the standard sorted-adjacency merge
-/// (`O(Σ d(v)^2)` worst case, fast on sparse graphs). Useful for verifying
-/// generator clustering behaviour.
-pub fn triangle_count(g: &Graph) -> usize {
-    let mut count = 0usize;
-    for (u, v) in g.edges() {
-        // Intersect neighbor lists of u and v, counting w > v to count each
-        // triangle exactly once (u < v < w).
-        let (mut a, mut b) = (g.neighbors(u), g.neighbors(v));
-        // Advance both sorted lists.
-        while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
-            match x.cmp(&y) {
-                std::cmp::Ordering::Less => a = &a[1..],
-                std::cmp::Ordering::Greater => b = &b[1..],
-                std::cmp::Ordering::Equal => {
-                    if x > v {
-                        count += 1;
-                    }
-                    a = &a[1..];
-                    b = &b[1..];
-                }
-            }
-        }
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,18 +65,6 @@ mod tests {
         assert_eq!(s.num_edges, 4);
         assert_eq!(s.max_degree, 3);
         assert!((s.avg_degree - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn triangles() {
-        let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
-        assert_eq!(triangle_count(&g), 1);
-        // K4 has 4 triangles.
-        let k4 = graph_from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
-        assert_eq!(triangle_count(&k4), 4);
-        // Triangle-free.
-        let c4 = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        assert_eq!(triangle_count(&c4), 0);
     }
 
     #[test]

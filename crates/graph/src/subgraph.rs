@@ -15,14 +15,6 @@ impl InducedSubgraph {
     pub fn to_original(&self, local: VertexId) -> VertexId {
         self.original[local as usize]
     }
-
-    /// Maps an original vertex id into the subgraph, if present.
-    pub fn to_local(&self, original: VertexId) -> Option<VertexId> {
-        self.original
-            .binary_search(&original)
-            .ok()
-            .map(|i| i as VertexId)
-    }
 }
 
 /// Builds the subgraph of `g` induced by `vertices` (need not be sorted;
@@ -73,8 +65,7 @@ mod tests {
         let sub = induce(&g, &[5, 2, 4]); // unsorted input
         assert_eq!(sub.original, vec![2, 4, 5]);
         assert_eq!(sub.to_original(0), 2);
-        assert_eq!(sub.to_local(4), Some(1));
-        assert_eq!(sub.to_local(3), None);
+        assert_eq!(sub.to_original(1), 4);
         assert_eq!(sub.graph.num_edges(), 3);
     }
 

@@ -111,11 +111,6 @@ impl WeightedGraph {
         self.total
     }
 
-    /// `w(H)`: the summed weight of a vertex set.
-    pub fn weight_of(&self, vertices: &[VertexId]) -> f64 {
-        vertices.iter().map(|&v| self.weight(v)).sum()
-    }
-
     /// Number of vertices (convenience passthrough).
     pub fn num_vertices(&self) -> usize {
         self.graph.num_vertices()
@@ -138,7 +133,6 @@ mod tests {
         let wg = WeightedGraph::new(g, vec![1.0, 2.5, 0.0]).unwrap();
         assert_eq!(wg.weight(1), 2.5);
         assert_eq!(wg.total_weight(), 3.5);
-        assert_eq!(wg.weight_of(&[0, 2]), 1.0);
     }
 
     #[test]
@@ -178,7 +172,7 @@ mod tests {
             .unwrap();
         assert_eq!(wg.total_weight(), 40.5);
         // The per-vertex weights are untouched.
-        assert_eq!(wg.weight_of(&[0, 1]), 3.0);
+        assert_eq!(wg.weights(), &[1.0, 2.0]);
         assert!(wg.clone().with_total_weight(f64::NAN).is_err());
         assert!(wg.with_total_weight(-1.0).is_err());
     }

@@ -24,8 +24,8 @@
 //!   restoring the loaded state in time proportional to the journal;
 //! * [`PeelArena::commit`] — make the journaled removals permanent
 //!   (timeline-style peels à la Li et al. VLDB'15);
-//! * [`PeelArena::for_each_component`] / [`PeelArena::component_of_into`]
-//!   — enumerate surviving connected components without allocating;
+//! * [`PeelArena::for_each_component`] — enumerate surviving connected
+//!   components without allocating;
 //! * [`PeelArena::mark_articulation_points`] / [`PeelArena::is_articulation`]
 //!   — a no-split certificate (one iterative Tarjan pass per load) that
 //!   lets callers skip component extraction entirely for the common case
@@ -503,37 +503,6 @@ impl PeelArena {
         Self::track_capacity(&self.queue, caps.1, &mut self.alloc_events);
         self.comp_buf = comp;
     }
-
-    /// Collects the connected component of the live global vertex `start`
-    /// into `out` (cleared first, unsorted global ids). No-op when
-    /// `start` is not live.
-    pub fn component_of_into(&mut self, start: VertexId, out: &mut Vec<VertexId>) {
-        out.clear();
-        if !self.is_live(start) {
-            return;
-        }
-        let visit = self.next_visit_epoch();
-        let epoch = self.epoch;
-        let cap = self.queue.capacity();
-        let l = self.local_id[start as usize];
-        self.queue.clear();
-        self.visited_stamp[l as usize] = visit;
-        self.queue.push(l);
-        let mut head = 0;
-        while head < self.queue.len() {
-            let x = self.queue[head];
-            head += 1;
-            out.push(self.members[x as usize]);
-            for t in self.neighbors_of_local(x) {
-                let u = self.targets[t] as usize;
-                if self.removed_stamp[u] != epoch && self.visited_stamp[u] != visit {
-                    self.visited_stamp[u] = visit;
-                    self.queue.push(u as u32);
-                }
-            }
-        }
-        Self::track_capacity(&self.queue, cap, &mut self.alloc_events);
-    }
 }
 
 #[cfg(test)]
@@ -617,21 +586,6 @@ mod tests {
         assert_eq!(arena.remove_cascade(0), 0); // already removed
         arena.rollback();
         assert_eq!(arena.live_count(), 3);
-    }
-
-    #[test]
-    fn component_of_into_matches_for_each() {
-        let g = two_triangles_pendant();
-        let mut arena = PeelArena::for_graph(&g);
-        let all: Vec<u32> = (0..7).collect();
-        arena.load(&g, &all, 1);
-        let mut out = Vec::with_capacity(7);
-        arena.component_of_into(5, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![4, 5, 6]);
-        arena.component_of_into(3, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -777,7 +731,6 @@ mod tests {
         let g = two_triangles_pendant();
         let mut arena = PeelArena::for_graph(&g);
         let all: Vec<u32> = (0..7).collect();
-        let mut out = Vec::with_capacity(7);
         for _ in 0..1000 {
             arena.load(&g, &all, 2);
             arena.mark_articulation_points();
@@ -788,7 +741,6 @@ mod tests {
                 });
                 arena.rollback();
             }
-            arena.component_of_into(0, &mut out);
         }
         assert_eq!(arena.alloc_events(), 0, "steady-state peel loop allocated");
     }

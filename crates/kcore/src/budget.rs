@@ -58,11 +58,6 @@ impl Budget {
         }
     }
 
-    /// Whether a deadline is attached at all.
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some()
-    }
-
     /// The cheap checkpoint for hot loops: returns whether the budget
     /// has expired, reading the clock only every [`POLL_STRIDE`]th call
     /// (expiry observed by any holder is visible to all).
@@ -116,7 +111,7 @@ mod tests {
     #[test]
     fn unlimited_never_expires() {
         let b = Budget::unlimited();
-        assert!(!b.is_limited());
+        assert!(b.deadline.is_none());
         for _ in 0..1000 {
             assert!(!b.poll());
         }
@@ -161,7 +156,7 @@ mod tests {
     fn unrepresentable_deadline_never_expires() {
         for limit in [Duration::MAX, Duration::from_secs_f64(1e19)] {
             let b = Budget::within(limit);
-            assert!(!b.is_limited());
+            assert!(b.deadline.is_none());
             assert!(!b.check());
         }
     }

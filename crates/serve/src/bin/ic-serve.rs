@@ -29,7 +29,6 @@ struct Args {
     addr: String,
     port_file: Option<String>,
     window_us: Option<u64>,
-    shards: Option<usize>,
     queue: Option<usize>,
     max_batch: Option<usize>,
     notify_capacity: Option<usize>,
@@ -54,8 +53,7 @@ options:
   --window-us <n>      upper bound on the admission linger in microseconds
                        (default 1000; the linger taken is at most half the
                        recent flush time, 0 never lingers)
-  --shards <n>         admission shards / batcher threads
-  --queue <n>          per-shard admission queue bound (default 1024)
+  --queue <n>          admission queue bound (default 1024)
   --max-batch <n>      largest engine batch per flush (default 256)
   --notify-capacity <n> per-subscription in-flight notification bound (default 64)
   --threads <n>        engine worker threads (default: all cores)
@@ -78,7 +76,6 @@ fn parse_args() -> Result<Args, String> {
         addr: "127.0.0.1:0".into(),
         port_file: None,
         window_us: None,
-        shards: None,
         queue: None,
         max_batch: None,
         notify_capacity: None,
@@ -99,7 +96,6 @@ fn parse_args() -> Result<Args, String> {
             "--addr" => args.addr = value("--addr")?,
             "--port-file" => args.port_file = Some(value("--port-file")?),
             "--window-us" => args.window_us = Some(parse(&value("--window-us")?)?),
-            "--shards" => args.shards = Some(parse(&value("--shards")?)?),
             "--queue" => args.queue = Some(parse(&value("--queue")?)?),
             "--max-batch" => args.max_batch = Some(parse(&value("--max-batch")?)?),
             "--notify-capacity" => {
@@ -149,9 +145,6 @@ fn main() -> ExitCode {
     let mut config = ServeConfig::default();
     if let Some(us) = args.window_us {
         config.admission_window = Duration::from_micros(us);
-    }
-    if let Some(s) = args.shards {
-        config.shards = s;
     }
     if let Some(q) = args.queue {
         config.queue_capacity = q;

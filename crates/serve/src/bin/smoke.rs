@@ -14,8 +14,8 @@
 //! `--mode mixed` expects a default-configured server; `--mode shards`
 //! expects one booted with `--shards-dir` (exact families complete,
 //! approximate queries are rejected typed per-query); `--mode shed`
-//! expects one squeezed to a single one-slot admission shard with a
-//! long window (`--queue 1 --shards 1 --window-us 300000`), so the
+//! expects one squeezed to a one-slot admission queue with a long
+//! window (`--queue 1 --window-us 300000`), so the
 //! second query of a rapid burst deterministically finds the queue
 //! full; `--mode sub` expects one booted with `--dataset email` and
 //! checks standing-query subscriptions against a local mirror engine

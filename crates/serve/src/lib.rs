@@ -6,7 +6,7 @@
 //! front end that forwards each arriving query as its own
 //! single-element batch forfeits all of it. This crate closes that gap
 //! with **admission batching**: queries arriving on any connection are
-//! admitted into a sharded queue and flush as *one*
+//! admitted into one bounded queue and flush as *one*
 //! [`QueryBackend::run_batch_traced`](ic_engine::QueryBackend::run_batch_traced)
 //! call. A batch leaves once its oldest query has waited out the
 //! *linger* — the smaller of the admission window (default 1 ms) and

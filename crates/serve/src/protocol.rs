@@ -29,7 +29,10 @@
 //! one JSON object per line out. It exists for debugging with `nc` —
 //! the Rust [`Client`](crate::Client) always speaks binary. Parsing is
 //! strict (see [`crate::json`]); anything malformed gets a
-//! `{"status":"protocol_error",…}` line, never a panic.
+//! `{"status":"protocol_error",…}` line, never a panic. A line holds at
+//! most [`REQ_PAYLOAD_MAX`] bytes before its `\n`; a longer one is
+//! [`ProtocolError::FrameTooLarge`] and closes the connection, like an
+//! oversized length prefix.
 
 use crate::error::ProtocolError;
 use crate::json::{self, JsonValue};
@@ -446,8 +449,11 @@ pub fn read_frame(r: &mut impl Read, max: u32, buf: &mut Vec<u8>) -> Result<bool
 }
 
 /// A connection's read side: one buffer the socket is read into in
-/// large gulps and frames are parsed out of, so a burst of pipelined
-/// frames costs one `read` call, not two per frame.
+/// large gulps and frames are cut out of, so a burst of pipelined
+/// frames costs one `read` call, not two per frame. A buffer made with
+/// [`FrameBuf::new`] cuts length-prefixed binary frames; one made with
+/// [`FrameBuf::lines`] cuts `\n`-terminated JSON lines by the same
+/// rules.
 ///
 /// The owner alternates [`FrameBuf::next_frame`] (hand out the next
 /// complete frame already buffered) with [`FrameBuf::fill`] (one `read`
@@ -462,6 +468,8 @@ pub struct FrameBuf {
     start: usize,
     end: usize,
     max: u32,
+    /// Cuts `\n`-terminated lines instead of length-prefixed frames.
+    lines: bool,
 }
 
 impl FrameBuf {
@@ -473,6 +481,17 @@ impl FrameBuf {
             start: 0,
             end: 0,
             max,
+            lines: false,
+        }
+    }
+
+    /// A buffer for `\n`-terminated lines of up to `max` bytes before
+    /// the `\n`; a line is handed out without its `\n` and without the
+    /// `\r`s before it.
+    pub fn lines(max: u32, capacity: usize) -> FrameBuf {
+        FrameBuf {
+            lines: true,
+            ..FrameBuf::new(max, capacity)
         }
     }
 
@@ -483,40 +502,67 @@ impl FrameBuf {
         self.end > self.start
     }
 
-    /// The payload of the next complete buffered frame, or `None` when
-    /// more bytes are needed. A bad header is reported as soon as its
-    /// five bytes are in; the stream cannot be resynchronized after it.
+    /// The payload of the next complete buffered frame (or line), or
+    /// `None` when more bytes are needed. A bad header is reported as
+    /// soon as its five bytes are in, a line as soon as it is longer
+    /// than the cap; the stream cannot be resynchronized after either.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, ProtocolError> {
-        let have = self.end - self.start;
-        if have < FRAME_HEAD_LEN {
-            return Ok(None);
-        }
-        let len = parse_frame_head(&self.buf[self.start..], self.max)?;
-        if have < FRAME_HEAD_LEN + len {
-            return Ok(None);
-        }
-        let payload = self.start + FRAME_HEAD_LEN;
-        self.start = payload + len;
+        let have = &self.buf[self.start..self.end];
+        let (payload, len, next) = if self.lines {
+            let newline = have.iter().position(|&b| b == b'\n');
+            let len = newline.unwrap_or(have.len());
+            if len > self.max as usize {
+                return Err(ProtocolError::FrameTooLarge {
+                    len: u32::try_from(len).unwrap_or(u32::MAX),
+                    max: self.max,
+                });
+            }
+            let Some(len) = newline else {
+                return Ok(None);
+            };
+            let crs = have[..len]
+                .iter()
+                .rev()
+                .take_while(|&&b| b == b'\r')
+                .count();
+            (self.start, len - crs, self.start + len + 1)
+        } else {
+            if have.len() < FRAME_HEAD_LEN {
+                return Ok(None);
+            }
+            let len = parse_frame_head(have, self.max)?;
+            if have.len() < FRAME_HEAD_LEN + len {
+                return Ok(None);
+            }
+            let payload = self.start + FRAME_HEAD_LEN;
+            (payload, len, payload + len)
+        };
+        self.start = next;
         Ok(Some(&self.buf[payload..payload + len]))
     }
 
     /// Reads once from `r` into the free space, after moving a partial
-    /// frame to the front and growing the buffer if that frame needs
-    /// more room than there is. Returns the `read` result untouched
-    /// (`Ok(0)` is end of stream).
+    /// frame to the front and growing the buffer if that frame (or the
+    /// longest line) needs more room than there is. Returns the `read`
+    /// result untouched (`Ok(0)` is end of stream).
     pub fn fill(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
         if self.start > 0 {
             self.buf.copy_within(self.start..self.end, 0);
             self.end -= self.start;
             self.start = 0;
         }
-        if self.end >= FRAME_HEAD_LEN {
+        let need = if self.lines {
+            // `next_frame` has refused anything longer, so a partial
+            // line always leaves room for one more byte.
+            self.max as usize + 1
+        } else if self.end >= FRAME_HEAD_LEN {
             // A bad header is `next_frame`'s to report; it buys no room.
-            if let Ok(len) = parse_frame_head(&self.buf, self.max) {
-                if self.buf.len() < FRAME_HEAD_LEN + len {
-                    self.buf.resize(FRAME_HEAD_LEN + len, 0);
-                }
-            }
+            parse_frame_head(&self.buf, self.max).map_or(0, |len| FRAME_HEAD_LEN + len)
+        } else {
+            0
+        };
+        if self.buf.len() < need {
+            self.buf.resize(need, 0);
         }
         let n = r.read(&mut self.buf[self.end..])?;
         self.end += n;
@@ -2160,6 +2206,47 @@ mod tests {
             frames.next_frame(),
             Err(ProtocolError::FrameTooLarge { .. })
         ));
+
+        // The same buffer cuts JSON lines: `\r\n` and `\n` endings, blank
+        // lines handed out empty, whatever the read sizes.
+        let written = b"{\"op\":\"stats\"}\r\n\n\r\n{\"id\":1}\nlast\r\r\n";
+        let want: [&[u8]; 5] = [b"{\"op\":\"stats\"}", b"", b"", b"{\"id\":1}", b"last"];
+        for step in [1, 4, 64] {
+            let mut source = Trickle(written, step);
+            let mut lines = FrameBuf::lines(REQ_PAYLOAD_MAX, 8);
+            let mut got: Vec<Vec<u8>> = Vec::new();
+            loop {
+                if let Some(line) = lines.next_frame().unwrap() {
+                    got.push(line.to_vec());
+                } else if lines.fill(&mut source).unwrap() == 0 {
+                    break;
+                }
+            }
+            assert_eq!(got, want, "step {step}");
+            assert!(!lines.mid_frame(), "step {step}");
+        }
+        // A line may run to the cap before its newline, never past it:
+        // one byte more is refused before any newline arrives.
+        let cap = REQ_PAYLOAD_MAX as usize;
+        for len in [cap, cap + 1] {
+            let line = vec![b'x'; len];
+            let mut source = Trickle(&line, 64);
+            let mut lines = FrameBuf::lines(REQ_PAYLOAD_MAX, 8);
+            let mut refused = None;
+            while refused.is_none() && lines.fill(&mut source).unwrap() != 0 {
+                refused = lines.next_frame().err();
+            }
+            if len == cap {
+                assert_eq!(refused, None);
+                assert!(lines.mid_frame());
+                lines.fill(&mut &b"\n"[..]).unwrap();
+                assert_eq!(lines.next_frame().unwrap(), Some(&line[..]));
+            } else {
+                let len = len as u32;
+                let max = REQ_PAYLOAD_MAX;
+                assert_eq!(refused, Some(ProtocolError::FrameTooLarge { len, max }));
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!  accept thread ──► connection threads (reader + writer per socket)
 //!                         │ submit()                 ▲ mpsc<Outbound>
 //!                         ▼                          │
-//!                 sharded admission queue ──► batcher threads
+//!                   admission queue ──────────► batcher thread
 //!                 (Mutex<VecDeque> + Condvar)        │
 //!                                                    ▼
 //!                                    QueryBackend::run_batch_traced
@@ -14,9 +14,9 @@
 //!
 //! The container is offline (no tokio), so the server is plain
 //! `std::net` + `std::thread`: one blocking reader and one writer
-//! thread per connection, a round-robin **sharded admission queue**,
-//! and one **batcher** thread per shard, which flushes the queries it
-//! has accumulated as *one* engine batch — that is where the engine's
+//! thread per connection, one bounded **admission queue**, and one
+//! **batcher** thread, which flushes the queries it has accumulated as
+//! *one* engine batch — that is where the engine's
 //! dedup, r-family merging, and work-stealing pay off across clients,
 //! not just within one.
 //!
@@ -38,17 +38,17 @@
 //! not on every push.
 //!
 //! **Frame I/O is one syscall per direction.** A reader pulls whatever
-//! the socket holds into one buffer and parses frames out of it, so a
-//! pipelined burst costs one `read`. A flush hands each connection its
-//! replies as one message; the writer encodes that message, plus
-//! anything else already queued for the socket, into one buffer and
-//! sends it with one `write`. Replies are encoded there straight from
+//! the socket holds into one buffer and cuts frames (or JSON lines) out
+//! of it, so a pipelined burst costs one `read`. A flush hands each
+//! connection its replies as one message; the writer encodes that
+//! message, plus anything else already queued for the socket, into one
+//! buffer and sends it with one `write`. Replies are encoded there straight from
 //! the engine's shared result slots ([`ic_engine::SharedAnswer`]): a
 //! cached answer is copied once, into that buffer, on its way from the
 //! result cache to the kernel.
 //!
-//! **Backpressure / shedding** — each shard's queue is bounded
-//! ([`ServeConfig::queue_capacity`]); a query arriving at a full shard
+//! **Backpressure / shedding** — the admission queue is bounded
+//! ([`ServeConfig::queue_capacity`]); a query arriving at a full queue
 //! is not silently dropped or queued unboundedly, it gets a typed
 //! [`Response::Overloaded`] reply immediately (reason `QueueFull`, or
 //! `Draining` during shutdown) and the client can retry elsewhere.
@@ -68,7 +68,7 @@
 //!
 //! **Graceful drain** — a [`Request::Shutdown`] frame (or
 //! [`Server::shutdown`]) flips the server into draining: new queries
-//! are shed, batchers flush everything already admitted, and each
+//! are shed, the batcher flushes everything already admitted, and each
 //! connection's writer sends the tail replies **then** a
 //! [`Response::ShutdownAck`] before the socket closes. The
 //! flush-before-ack ordering is structural, not scheduled: a reply
@@ -77,13 +77,26 @@
 //! the channel closes.
 //!
 //! **Nothing polls for work.** The accept thread blocks in `accept()`,
-//! so a connection is served when it arrives; a batcher blocks on its
-//! shard's condvar. Whoever starts the drain wakes both: the batchers
-//! through their condvars (under the shard lock, so the wake-up cannot
-//! slip between a batcher's check and its wait), the accept thread with
-//! a throw-away loopback connection to the listener, which it drops
-//! unserved. Only an *idle open connection* still notices a drain by
-//! its read timeout (`READ_TICK`).
+//! so a connection is served when it arrives; the batcher blocks on the
+//! queue's condvar. Whoever starts the drain wakes both: the batcher
+//! through the condvar (under the queue lock, so the wake-up cannot
+//! slip between the batcher's check and its wait), the accept thread
+//! with a throw-away loopback connection to the listener, which it
+//! drops unserved. Only an *idle open connection* still notices a drain
+//! by its read timeout (`READ_TICK`).
+//!
+//! **One reader for both wire modes.** The first byte picks the mode
+//! once per connection: [`MAGIC`] means length-prefixed frames,
+//! anything else `\n`-terminated JSON lines. Both are cut out of the
+//! same [`FrameBuf`] by the same loop, under the same rules: a request
+//! whose framing cannot be resynchronized (bad magic, a length or line
+//! over [`REQ_PAYLOAD_MAX`]) is answered with a protocol error and the
+//! connection closes; a bad request inside a well-delimited frame or
+//! line is answered and the connection keeps serving; end of stream
+//! inside a frame or line is answered `stream ended mid-frame`; and a
+//! partial frame or line left silent for `MID_FRAME_STALLS × READ_TICK`
+//! (≈ 5 s) is cut as truncated, so a client holding half a request
+//! cannot keep a drain waiting.
 
 use crate::error::ProtocolError;
 use crate::protocol::{
@@ -94,7 +107,7 @@ use ic_core::Query;
 use ic_engine::{BatchOptions, EdgeUpdate, Engine, QueryBackend, SharedAnswer};
 use ic_sub::{Admission, NotificationGate, SubscriptionId, SubscriptionManager};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -120,8 +133,8 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// (one part in `LINGER_DIVISOR`) of the recently measured flush
 /// service time.
 const LINGER_DIVISOR: u32 = 2;
-/// Bytes a binary-mode reader pulls from its socket per `read`: a few
-/// hundred pipelined query frames, and room for the largest one.
+/// Bytes a reader pulls from its socket per `read`: a few hundred
+/// pipelined query frames, and room for the largest frame or line.
 const READ_BUF_LEN: usize = 16 * 1024;
 /// A writer stops gathering further queued messages into one `write`
 /// once it holds this many encoded bytes.
@@ -131,7 +144,7 @@ const WRITE_GATHER_MAX: usize = 256 * 1024;
 /// starting point.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Upper bound on the linger: the longest a batcher holds a shard
+    /// Upper bound on the linger: the longest the batcher holds a batch
     /// open after its first query so concurrent queries coalesce into
     /// one engine batch. The linger actually taken is the smaller of
     /// this and a fixed share of the recently measured flush service
@@ -139,12 +152,9 @@ pub struct ServeConfig {
     /// flushes are slow enough to be worth amortizing. `0` never
     /// lingers (a batch is whatever queued while the batcher was busy).
     pub admission_window: Duration,
-    /// Bound on each shard's admission queue; queries beyond it are
-    /// shed with [`ShedReason::QueueFull`].
+    /// Bound on the admission queue; queries beyond it are shed with
+    /// [`ShedReason::QueueFull`].
     pub queue_capacity: usize,
-    /// Number of admission shards (and batcher threads). More shards
-    /// lower submit contention but split batches; 1–4 is plenty.
-    pub shards: usize,
     /// Largest number of queries flushed as one engine batch.
     pub max_batch: usize,
     /// Per-subscription bound on notifications admitted but not yet
@@ -160,13 +170,9 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
         ServeConfig {
             admission_window: Duration::from_millis(1),
             queue_capacity: 1024,
-            shards: cores.div_ceil(4).clamp(1, 4),
             max_batch: 256,
             notify_capacity: 64,
             slow_query_threshold: Duration::from_millis(100),
@@ -334,12 +340,6 @@ struct Admitted {
     reply_to: Sender<Outbound>,
 }
 
-#[derive(Default)]
-struct Shard {
-    queue: Mutex<VecDeque<Admitted>>,
-    cond: Condvar,
-}
-
 /// One live subscriber: where its notifications go and the gate
 /// bounding how far it may lag.
 struct Subscriber {
@@ -413,8 +413,9 @@ impl ServeMetrics {
 struct Shared {
     engine: Arc<dyn QueryBackend>,
     config: ServeConfig,
-    shards: Vec<Shard>,
-    next_shard: AtomicUsize,
+    queue: Mutex<VecDeque<Admitted>>,
+    /// Wakes the batcher: work arrived, a batch filled, or a drain began.
+    queue_cond: Condvar,
     draining: AtomicBool,
     /// Where a connection reaches the listener from this host: the bound
     /// address, with a wildcard IP replaced by its family's loopback.
@@ -434,12 +435,10 @@ impl Shared {
         if self.draining.swap(true, Ordering::AcqRel) {
             return;
         }
-        for shard in &self.shards {
-            // A batcher checks `draining` and starts waiting under this
-            // lock: taking it once orders the notify after that wait.
-            drop(shard.queue.lock().unwrap());
-            shard.cond.notify_all();
-        }
+        // The batcher checks `draining` and starts waiting under this
+        // lock: taking it once orders the notify after that wait.
+        drop(self.queue.lock().unwrap());
+        self.queue_cond.notify_all();
         // The accept thread blocks in `accept()`; a connection is the
         // one thing that returns it. It sees `draining` and drops the
         // stream unserved. (A failed connect means the listener is
@@ -452,17 +451,15 @@ impl Shared {
         self.draining.load(Ordering::Acquire)
     }
 
-    /// Admits one query (round-robin shard) or returns why it was shed.
+    /// Admits one query or returns why it was shed.
     fn submit(
         &self,
         wire: WireQuery,
         conn: u64,
         reply_to: Sender<Outbound>,
     ) -> Result<(), ShedReason> {
-        let idx = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let shard = &self.shards[idx];
-        let mut queue = shard.queue.lock().unwrap();
-        // Checked under the shard lock: the shard's batcher only exits
+        let mut queue = self.queue.lock().unwrap();
+        // Checked under the queue lock: the batcher only exits
         // after observing `draining` under this same lock with an empty
         // queue, so a push that wins the lock afterwards is guaranteed
         // to see `draining` too — no query can slip into a queue nobody
@@ -490,7 +487,7 @@ impl Shared {
         drop(queue);
         self.metrics.admitted.inc();
         if wake {
-            shard.cond.notify_one();
+            self.queue_cond.notify_one();
         }
         Ok(())
     }
@@ -522,7 +519,7 @@ impl Shared {
 pub struct Server {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    batchers: Vec<JoinHandle<()>>,
+    batcher: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
 }
 
@@ -575,7 +572,6 @@ impl Server {
             });
         }
         let config = ServeConfig {
-            shards: config.shards.max(1),
             max_batch: config.max_batch.max(1),
             queue_capacity: config.queue_capacity.max(1),
             ..config
@@ -583,8 +579,8 @@ impl Server {
         let shared = Arc::new(Shared {
             engine,
             config,
-            shards: (0..config.shards).map(|_| Shard::default()).collect(),
-            next_shard: AtomicUsize::new(0),
+            queue: Mutex::new(VecDeque::new()),
+            queue_cond: Condvar::new(),
             draining: AtomicBool::new(false),
             wake_addr,
             conns: Mutex::new(Vec::new()),
@@ -593,15 +589,13 @@ impl Server {
             metrics: ServeMetrics::new(),
             slow_log: Arc::new(ic_obs::SlowLog::new(config.slow_query_threshold, 128)),
         });
-        let batchers = (0..config.shards)
-            .map(|idx| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("ic-serve-batch-{idx}"))
-                    .spawn(move || batcher(&shared, idx))
-                    .expect("spawn batcher thread")
-            })
-            .collect();
+        let batcher = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("ic-serve-batch".into())
+                .spawn(move || batcher(&shared))
+                .expect("spawn batcher thread")
+        };
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -612,7 +606,7 @@ impl Server {
         Ok(Server {
             shared,
             accept: Some(accept),
-            batchers,
+            batcher: Some(batcher),
             local_addr,
         })
     }
@@ -658,13 +652,13 @@ impl Server {
     /// Starts a graceful drain: stop accepting, shed new queries,
     /// answer everything already admitted, ack and close every
     /// connection. Wakes the accept thread (one loopback connection to
-    /// the listener) and the batchers, then returns; [`Server::join`]
+    /// the listener) and the batcher, then returns; [`Server::join`]
     /// waits. A client's SHUTDOWN frame does exactly the same.
     pub fn shutdown(&self) {
         self.shared.start_drain();
     }
 
-    /// Waits for the drain to complete: accept loop, batchers, and
+    /// Waits for the drain to complete: accept loop, batcher, and
     /// every connection thread (each of which joins its own writer, so
     /// returning from `join` means every tail reply and every
     /// `ShutdownAck` has been written). Nothing it waits for polls on a
@@ -675,7 +669,7 @@ impl Server {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        for batcher in self.batchers.drain(..) {
+        if let Some(batcher) = self.batcher.take() {
             let _ = batcher.join();
         }
         let conns = std::mem::take(&mut *self.shared.conns.lock().unwrap());
@@ -688,8 +682,7 @@ impl Server {
 // ---------------------------------------------------------------------
 // Batcher
 
-fn batcher(shared: &Shared, idx: usize) {
-    let shard = &shared.shards[idx];
+fn batcher(shared: &Shared) {
     let (window, max_batch) = (shared.config.admission_window, shared.config.max_batch);
     let mut batch: Vec<Admitted> = Vec::new();
     // The linger: a moving average of `flush service time /
@@ -699,16 +692,16 @@ fn batcher(shared: &Shared, idx: usize) {
     let mut linger = window;
     loop {
         {
-            let mut queue = shard.queue.lock().unwrap();
-            // Sleep until the shard has work (or the server drains dry).
+            let mut queue = shared.queue.lock().unwrap();
+            // Sleep until there is work (or the server drains dry).
             while queue.is_empty() {
                 if shared.is_draining() {
                     return;
                 }
-                let (guard, _) = shard.cond.wait_timeout(queue, READ_TICK).unwrap();
+                let (guard, _) = shared.queue_cond.wait_timeout(queue, READ_TICK).unwrap();
                 queue = guard;
             }
-            // Hold the shard open for the linger, measured from the
+            // Hold the batch open for the linger, measured from the
             // *first* admission so it bounds added latency, not
             // inter-arrival gaps — and so that queries which queued
             // while the last flush ran leave without further wait.
@@ -718,7 +711,10 @@ fn batcher(shared: &Shared, idx: usize) {
                 if now >= linger_end {
                     break;
                 }
-                let (guard, _) = shard.cond.wait_timeout(queue, linger_end - now).unwrap();
+                let (guard, _) = shared
+                    .queue_cond
+                    .wait_timeout(queue, linger_end - now)
+                    .unwrap();
                 queue = guard;
             }
             let take = queue.len().min(max_batch);
@@ -913,10 +909,7 @@ fn connection(stream: TcpStream, shared: &Arc<Shared>) {
         id: shared.next_conn.fetch_add(1, Ordering::Relaxed),
         by_client: HashMap::new(),
     };
-    match mode {
-        Mode::Binary => read_binary(stream, shared, &mut subs, &tx, &ack_on_close),
-        Mode::Json => read_json(stream, shared, &mut subs, &tx, &ack_on_close),
-    }
+    read_requests(stream, mode, shared, &mut subs, &tx, &ack_on_close);
     // The connection's standing queries die with it: a NOTIFY has
     // nowhere to go once the socket closes.
     drop_conn_subscriptions(shared, &subs);
@@ -1027,19 +1020,33 @@ fn report_protocol_error(shared: &Shared, tx: &Sender<Outbound>, e: &ProtocolErr
     );
 }
 
-fn read_binary(
+/// Serves one connection's requests in either wire mode (see the module
+/// docs for the rules they share) until the client hangs up, asks for a
+/// drain, breaks the framing, or the server drains.
+fn read_requests(
     mut stream: TcpStream,
+    mode: Mode,
     shared: &Arc<Shared>,
     subs: &mut ConnSubs,
     tx: &Sender<Outbound>,
     ack_on_close: &AtomicBool,
 ) {
-    let mut frames = FrameBuf::new(REQ_PAYLOAD_MAX, READ_BUF_LEN);
+    let mut frames = match mode {
+        Mode::Binary => FrameBuf::new(REQ_PAYLOAD_MAX, READ_BUF_LEN),
+        Mode::Json => FrameBuf::lines(REQ_PAYLOAD_MAX, READ_BUF_LEN),
+    };
     // Consecutive read timeouts with part of a frame buffered.
     let mut stalls: u32 = 0;
     loop {
         let request = match frames.next_frame() {
-            Ok(Some(payload)) => protocol::decode_request(payload),
+            Ok(Some(payload)) => match mode {
+                Mode::Binary => protocol::decode_request(payload),
+                Mode::Json => match std::str::from_utf8(payload) {
+                    Ok(line) if line.trim().is_empty() => continue,
+                    Ok(line) => protocol::parse_json_request(line),
+                    Err(_) => Err(ProtocolError::BadUtf8),
+                },
+            },
             // Nothing complete is buffered: read, riding out idle
             // timeouts. Between frames the read waits forever but
             // notices a drain; once mid-frame, silence beyond
@@ -1075,8 +1082,8 @@ fn read_binary(
                 continue;
             }
             // Framing-level violations (bad magic, oversized or empty
-            // prefix) make resynchronization impossible: report if the
-            // socket still works, then close.
+            // prefix, an over-long line) make resynchronization
+            // impossible: report if the socket still works, then close.
             Err(e) => {
                 report_protocol_error(shared, tx, &e);
                 return;
@@ -1095,8 +1102,8 @@ fn read_binary(
             Ok(Request::Stats { id }) => {
                 let _ = tx.send(Outbound::Stats { id });
             }
-            // A decode error inside a well-delimited frame leaves the
-            // stream synchronized: report it, keep serving.
+            // A decode error inside a well-delimited frame or line
+            // leaves the stream synchronized: report it, keep serving.
             Err(e) => report_protocol_error(shared, tx, &e),
         }
     }
@@ -1298,70 +1305,6 @@ fn handle_update(shared: &Arc<Shared>, tx: &Sender<Outbound>, id: u64, updates: 
                 }
                 .into(),
             );
-        }
-    }
-}
-
-fn read_json(
-    mut stream: TcpStream,
-    shared: &Arc<Shared>,
-    subs: &mut ConnSubs,
-    tx: &Sender<Outbound>,
-    ack_on_close: &AtomicBool,
-) {
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        // Serve every complete line already buffered.
-        while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = pending.drain(..=pos).collect();
-            let line = match std::str::from_utf8(&line_bytes[..line_bytes.len() - 1]) {
-                Ok(l) => l.trim_end_matches('\r'),
-                Err(_) => {
-                    report_protocol_error(shared, tx, &ProtocolError::BadUtf8);
-                    continue;
-                }
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            match protocol::parse_json_request(line) {
-                Ok(Request::Shutdown) => {
-                    ack_on_close.store(true, Ordering::Release);
-                    shared.start_drain();
-                    return;
-                }
-                Ok(Request::Query(wire)) => handle_query(shared, subs.id, tx, wire),
-                Ok(Request::Subscribe(wire)) => handle_subscribe(shared, subs, tx, wire),
-                Ok(Request::Unsubscribe { id }) => handle_unsubscribe(shared, subs, tx, id),
-                Ok(Request::Update { id, updates }) => handle_update(shared, tx, id, &updates),
-                Ok(Request::Stats { id }) => {
-                    let _ = tx.send(Outbound::Stats { id });
-                }
-                // JSON lines are self-delimiting, so every error is
-                // recoverable: report and keep reading.
-                Err(e) => report_protocol_error(shared, tx, &e),
-            }
-        }
-        if pending.len() > REQ_PAYLOAD_MAX as usize {
-            let too_large = ProtocolError::FrameTooLarge {
-                len: pending.len() as u32,
-                max: REQ_PAYLOAD_MAX,
-            };
-            report_protocol_error(shared, tx, &too_large);
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // EOF; a partial trailing line is dropped
-            Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(e) if is_timeout(&e) => {
-                if pending.is_empty() && shared.is_draining() {
-                    ack_on_close.store(true, Ordering::Release);
-                    return;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
         }
     }
 }

@@ -149,6 +149,25 @@ fn oversized_length_prefix_gets_a_typed_error_and_close() {
     // The connection is closed after an unsynchronizable violation.
     let mut buf = Vec::new();
     assert!(!read_frame(&mut stream, RESP_PAYLOAD_MAX, &mut buf).unwrap_or(false));
+
+    // The JSON-lines twin: a line that runs past the cap with no newline
+    // in sight is refused the same way.
+    let mut stream = raw_connect(addr);
+    let mut long = b"{\"id\": 1, \"k\": \"".to_vec();
+    long.resize(REQ_PAYLOAD_MAX as usize + 1, b'x');
+    stream.write_all(&long).unwrap();
+    let mut reader = std::io::BufReader::new(stream);
+    let mut line = String::new();
+    std::io::BufRead::read_line(&mut reader, &mut line).unwrap();
+    assert!(
+        line.contains("protocol_error") && line.contains("exceeds"),
+        "got {line:?}"
+    );
+    line.clear();
+    assert_eq!(
+        std::io::BufRead::read_line(&mut reader, &mut line).unwrap(),
+        0
+    );
     assert_server_still_answers(addr);
     server.shutdown();
     server.join();
@@ -172,6 +191,49 @@ fn mid_frame_disconnect_does_not_wedge_the_server() {
             other => panic!("expected a protocol error, got {other:?}"),
         }
     }
+    // The JSON-lines twin: half a line, then hang up.
+    {
+        let mut stream = raw_connect(addr);
+        stream.write_all(br#"{"id": 1, "k": 2"#).unwrap();
+        stream.shutdown(Shutdown::Write).unwrap();
+        let mut line = String::new();
+        std::io::BufRead::read_line(&mut std::io::BufReader::new(stream), &mut line).unwrap();
+        assert_eq!(
+            line,
+            "{\"status\":\"protocol_error\",\"message\":\"stream ended mid-frame\"}\n"
+        );
+    }
+    assert_server_still_answers(addr);
+    server.shutdown();
+    server.join();
+}
+
+/// A JSON-lines connection reset by its peer is a socket error the
+/// server counts, not a silent hang-up.
+#[test]
+fn a_reset_json_connection_is_reported_as_a_socket_error() {
+    let (server, addr) = test_server();
+    let protocol_errors = || {
+        server
+            .stats_entries()
+            .into_iter()
+            .find(|(name, _)| name == "serve.protocol_errors")
+            .expect("serve.protocol_errors is registered")
+            .1
+    };
+    let mut stream = raw_connect(addr);
+    stream.write_all(b"{\"op\":\"stats\",\"id\":1}\n").unwrap();
+    // Wait for the reply without reading it: closing a socket with unread
+    // bytes makes the kernel reset the connection instead of ending it.
+    let mut first = [0u8; 1];
+    assert_eq!(stream.peek(&mut first).unwrap(), 1);
+    stream.write_all(br#"{"id": 2"#).unwrap();
+    drop(stream);
+    let waited = std::time::Instant::now();
+    while protocol_errors() == 0.0 && waited.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(protocol_errors(), 1.0);
     assert_server_still_answers(addr);
     server.shutdown();
     server.join();

@@ -59,10 +59,9 @@ fn multi_client_answers_are_bit_identical_to_solo_run_batch() {
         engine,
         "127.0.0.1:0",
         ServeConfig {
-            // One shard and a wide window make coalescing deterministic
-            // for the stats assertion below.
+            // A wide window makes coalescing deterministic for the stats
+            // assertion below.
             admission_window: Duration::from_millis(20),
-            shards: 1,
             ..ServeConfig::default()
         },
     )
@@ -131,7 +130,6 @@ fn lone_client_stops_paying_the_window_once_flushes_are_fast() {
         "127.0.0.1:0",
         ServeConfig {
             admission_window: window,
-            shards: 1,
             ..ServeConfig::default()
         },
     )
@@ -178,7 +176,6 @@ fn slow_flushes_keep_full_window_coalescing() {
         "127.0.0.1:0",
         ServeConfig {
             admission_window: Duration::from_millis(40),
-            shards: 1,
             ..ServeConfig::default()
         },
     )
@@ -272,12 +269,11 @@ fn full_admission_queue_sheds_with_a_typed_reply() {
         engine,
         "127.0.0.1:0",
         ServeConfig {
-            // One shard, one slot, and a long window: the first query
-            // parks in the queue for the whole window, so the second
-            // deterministically finds it full.
+            // One slot and a long window: the first query parks in the
+            // queue for the whole window, so the second deterministically
+            // finds it full.
             admission_window: Duration::from_millis(300),
             queue_capacity: 1,
-            shards: 1,
             max_batch: 64,
             ..ServeConfig::default()
         },
@@ -286,7 +282,7 @@ fn full_admission_queue_sheds_with_a_typed_reply() {
     let mut client = Client::connect(server.local_addr()).unwrap();
     let query = Query::new(2, 2, Aggregation::Sum);
     client.send(1, &query).unwrap();
-    // Give the first query time to land in the shard queue.
+    // Give the first query time to land in the queue.
     std::thread::sleep(Duration::from_millis(50));
     client.send(2, &query).unwrap();
     match client.wait_for(2).unwrap() {
@@ -416,6 +412,50 @@ fn a_wildcard_bound_server_drains_promptly() {
         .recv_timeout(Duration::from_secs(1))
         .expect("join returns within a second of shutdown");
     assert!(started.elapsed() < Duration::from_secs(1));
+}
+
+/// A JSON-lines client holding half a line cannot keep a drain waiting:
+/// like half a binary frame, the silent half line is cut as truncated
+/// after the mid-frame stall cap (≈ 5 s) and answered with a protocol
+/// error, and `join` returns.
+#[test]
+fn a_stalled_half_json_line_does_not_block_the_drain() {
+    use std::io::{BufRead, Write};
+
+    let engine = Arc::new(Engine::with_threads(ic_core::figure1::figure1(), 1));
+    let server = Server::bind(engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    // One whole request first: its reply proves the connection is being
+    // served in JSON-lines mode before the drain starts.
+    writeln!(writer, r#"{{"op":"stats","id":1}}"#).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains(r#""status":"stats""#), "got: {line}");
+    writer.write_all(br#"{"id": 1, "k": 2"#).unwrap();
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let drain = std::thread::spawn(move || {
+        server.shutdown();
+        server.join();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(15))
+        .expect("join returns while the client still holds half a line");
+    drain.join().unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(
+        line,
+        "{\"status\":\"protocol_error\",\"message\":\"stream ended mid-frame\"}\n"
+    );
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "then it closes");
 }
 
 /// What a rolling restart pays the server for: 20 × (bind → connect →
@@ -816,7 +856,6 @@ fn slow_query_log_stage_spans_account_for_client_latency() {
         "127.0.0.1:0",
         ServeConfig {
             admission_window: Duration::from_millis(250),
-            shards: 1,
             slow_query_threshold: Duration::from_millis(1),
             ..ServeConfig::default()
         },

@@ -8,7 +8,7 @@
 //! [`ic_core::AggregateFn`], declare the property certificates that
 //! actually hold, register with [`ic_core::Aggregation::custom`], and
 //! the returned handle works everywhere a built-in does —
-//! `QueryBuilder`, `Engine::run_batch`, deadline-armed
+//! `Query::validate`, `Engine::run_batch`, deadline-armed
 //! `Engine::run_batch_with`, and the epoch-tagged result cache. Routing
 //! is decided by the certificates alone:
 //!
@@ -111,8 +111,9 @@ fn main() {
     // With PageRank weights, a 0.002 cap genuinely limits the hubs, so
     // the ranking is not just a rescaled plain sum.
 
-    // 2. One-shot query through the validating builder + router.
-    let q = Query::builder(4, 5, capped).build().unwrap();
+    // 2. One-shot query through validation + the router.
+    let q = Query::new(4, 5, capped);
+    q.validate().unwrap();
     let top = q.solve(&wg).unwrap();
     println!("\ntop-{} under {} (k = {}):", q.r, capped.name(), q.k);
     for (i, c) in top.iter().enumerate() {

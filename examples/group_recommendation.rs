@@ -49,13 +49,11 @@ fn main() {
     let engine = Engine::new(wg.clone());
     let page = 4;
     let pages: Vec<Query> = (1..=3)
-        .map(|depth| {
-            Query::builder(4, depth * page, Aggregation::Average)
-                .size_bound(12, true)
-                .build()
-                .expect("valid recommendation query")
-        })
+        .map(|depth| Query::new(4, depth * page, Aggregation::Average).size_bound(12, true))
         .collect();
+    for q in &pages {
+        q.validate().expect("valid recommendation query");
+    }
     let stats = engine.plan(&pages).stats;
     println!(
         "{} page depths -> {} solver run",

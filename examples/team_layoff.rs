@@ -79,7 +79,7 @@ fn main() {
         k
     );
 
-    // One engine serves every retention scenario. The validating builder
+    // One engine serves every retention scenario. `Query::validate`
     // rejects nonsensical plans (s <= k, bad epsilon, ...) up front.
     // One worker: the size-constrained path is heuristic, and a single
     // worker keeps it bit-deterministic for the equality check below.
@@ -93,10 +93,8 @@ fn main() {
     ]
     .into_iter()
     .map(|agg| {
-        let q = Query::builder(k, 1, agg)
-            .size_bound(headcount_target, true)
-            .build()
-            .expect("layoff query is valid");
+        let q = Query::new(k, 1, agg).size_bound(headcount_target, true);
+        q.validate().expect("layoff query is valid");
         (agg, q)
     })
     .collect();

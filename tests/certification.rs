@@ -13,7 +13,7 @@
 //!    ranking;
 //! 3. **User-defined aggregations are served end to end** — an
 //!    [`AggregateFn`] defined *in this test crate* (outside `ic-core`)
-//!    flows through `QueryBuilder` → `Engine::run_batch` with correct,
+//!    flows through `Query::validate` → `Engine::run_batch` with correct,
 //!    cache-safe, bit-reproducible results, on both the polynomial
 //!    (TIC) and the NP-hard (local search) routes.
 
@@ -207,7 +207,7 @@ fn default_battery_certifies_everything_registered() {
 // 2. Custom aggregations served end to end.
 // ---------------------------------------------------------------------
 
-/// The TIC-routed custom function: built through `QueryBuilder`,
+/// The TIC-routed custom function: validated by `Query::validate`,
 /// answered by `run_batch`, bit-reproducible across engines and served
 /// from the result cache on repetition.
 #[test]
@@ -215,10 +215,9 @@ fn custom_tic_aggregation_flows_through_builder_and_batch() {
     let wg = fixture(2022, 60);
     let agg = scaled_sum();
 
-    // QueryBuilder accepts and routes it by certificates.
-    let q = Query::builder(2, 4, agg)
-        .build()
-        .expect("valid custom query");
+    // Validation accepts it and routing reads its certificates.
+    let q = Query::new(2, 4, agg);
+    q.validate().expect("valid custom query");
     assert_eq!(q.solver().unwrap(), ic_engine::Solver::TicExact);
 
     // Correctness anchor: factor · sum ranks exactly like sum, with
@@ -268,13 +267,11 @@ fn custom_opaque_aggregation_flows_through_local_search_route() {
     let wg = fixture(7, 48);
     let agg = spread();
 
-    let q = Query::builder(2, 3, agg)
-        .size_bound(6, true)
-        .build()
-        .expect("valid custom query");
+    let q = Query::new(2, 3, agg).size_bound(6, true);
+    q.validate().expect("valid custom query");
     assert_eq!(q.solver().unwrap(), ic_engine::Solver::LocalSearch);
     // Unconstrained is rejected: no polynomial certificate declared.
-    assert!(Query::builder(2, 3, agg).build().is_err());
+    assert!(Query::new(2, 3, agg).validate().is_err());
 
     let config = LocalSearchConfig {
         k: 2,
@@ -355,10 +352,8 @@ fn new_builtins_serve_end_to_end() {
         Aggregation::Percentile { p: 0.5 },
         Aggregation::GeometricMean,
     ] {
-        let q = Query::builder(2, 2, agg)
-            .size_bound(6, true)
-            .build()
-            .unwrap();
+        let q = Query::new(2, 2, agg).size_bound(6, true);
+        q.validate().unwrap();
         let direct = q.solve(&wg).unwrap();
         let batched = eng.run_batch(&[q])[0].clone().unwrap();
         assert_eq!(batched, direct, "{}", agg.name());

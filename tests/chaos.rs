@@ -191,8 +191,8 @@ fn mid_run_deadline_yields_the_proven_prefix() {
     let eng = Engine::with_threads(wg.clone(), 1);
 
     ic_fail::cfg("core::tic_advance", "sleep(200)").unwrap();
-    let options = BatchOptions::default().deadline(std::time::Duration::from_millis(300));
-    let got = eng.run_batch_with(&[query], &options);
+    let armed = query.deadline(std::time::Duration::from_millis(300));
+    let got = eng.run_batch_with(&[armed], &BatchOptions::default());
     ic_fail::remove("core::tic_advance");
 
     let ans = got[0]
@@ -384,13 +384,18 @@ fn randomized_fault_sweep_preserves_engine_invariants() {
         ic_fail::cfg("core::tic_advance", "3%panic(chaos: tic)").unwrap();
         ic_fail::cfg("engine::local_chunk", "10%panic(chaos: chunk)").unwrap();
 
-        // Every third round also applies batch-wide deadline pressure.
-        let options = match round % 3 {
-            0 => BatchOptions::default(),
-            1 => BatchOptions::default().deadline(std::time::Duration::from_secs(3600)),
-            _ => BatchOptions::default().deadline(std::time::Duration::ZERO),
+        // Two rounds in three arm every query: with a generous
+        // deadline, or with an expired one.
+        let deadline = match round % 3 {
+            0 => None,
+            1 => Some(std::time::Duration::from_secs(3600)),
+            _ => Some(std::time::Duration::ZERO),
         };
-        let got = eng.run_batch_with(&batch, &options);
+        let armed: Vec<Query> = batch
+            .iter()
+            .map(|q| deadline.map_or(*q, |d| q.deadline(d)))
+            .collect();
+        let got = eng.run_batch_with(&armed, &BatchOptions::default());
         for (i, res) in got.iter().enumerate() {
             match res {
                 Ok(ans) => match ans.status {

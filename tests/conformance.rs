@@ -30,45 +30,18 @@ use ic_core::verify::check_community;
 use ic_core::{Aggregation, Community, Query};
 use ic_engine::{AnswerStatus, BatchOptions, Engine, EngineError};
 use ic_gen::{
-    barabasi_albert, chung_lu, gnm, pareto_weights, planted_partition, rank_weights,
-    uniform_weights, GraphSeed, PlantedPartitionConfig,
+    gnm, planted_partition, rank_weights, uniform_weights, GraphSeed, PlantedPartitionConfig,
 };
-use ic_graph::{Graph, WeightedGraph};
+use ic_graph::WeightedGraph;
 use ic_kcore::{degeneracy, GraphSnapshot, PeelArena};
 use proptest::prelude::*;
+
+mod common;
 
 /// One synthetic workload drawn from the four graph families with a
 /// seed-derived weight model.
 fn arb_workload() -> impl Strategy<Value = WeightedGraph> {
-    (
-        0u32..4,      // family: ER / BA / Chung-Lu / planted
-        0u32..3,      // weights: uniform / pareto / rank permutation
-        24usize..72,  // vertices
-        any::<u64>(), // seed
-    )
-        .prop_map(|(family, weight_model, n, seed)| {
-            let g: Graph = match family {
-                0 => gnm(n, n * 2, GraphSeed(seed)),
-                1 => barabasi_albert(n, 3, GraphSeed(seed)),
-                2 => chung_lu(n, n * 2, 2.5, GraphSeed(seed)),
-                _ => planted_partition(
-                    &PlantedPartitionConfig {
-                        communities: 4,
-                        community_size: (n / 4).max(2),
-                        p_in: 0.6,
-                        p_out: 0.03,
-                    },
-                    GraphSeed(seed),
-                ),
-            };
-            let n = g.num_vertices();
-            let w: Vec<f64> = match weight_model {
-                0 => uniform_weights(n, 0.5, 50.0, GraphSeed(seed ^ 0xabcd)),
-                1 => pareto_weights(n, 1.5, GraphSeed(seed ^ 0xabcd)),
-                _ => rank_weights(n, GraphSeed(seed ^ 0xabcd)),
-            };
-            WeightedGraph::new(g, w).unwrap()
-        })
+    common::arb_workload(0..4, 0..3, 24..72)
 }
 
 fn engine(wg: &WeightedGraph, threads: usize) -> Engine {

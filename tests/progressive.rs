@@ -10,46 +10,10 @@
 
 use ic_core::Aggregation;
 use ic_engine::prelude::*;
-use ic_gen::{
-    barabasi_albert, chung_lu, gnm, pareto_weights, planted_partition, rank_weights,
-    uniform_weights, GraphSeed, PlantedPartitionConfig,
-};
-use ic_graph::{Graph, WeightedGraph};
+use ic_graph::WeightedGraph;
 use proptest::prelude::*;
 
-/// One synthetic workload drawn from the four graph families with a
-/// seed-derived weight model (the tie-heavy rank model included).
-fn arb_workload() -> impl Strategy<Value = WeightedGraph> {
-    (
-        0u32..4,      // family: ER / BA / Chung-Lu / planted
-        0u32..3,      // weights: uniform / pareto / rank permutation
-        24usize..64,  // vertices
-        any::<u64>(), // seed
-    )
-        .prop_map(|(family, weight_model, n, seed)| {
-            let g: Graph = match family {
-                0 => gnm(n, n * 2, GraphSeed(seed)),
-                1 => barabasi_albert(n, 3, GraphSeed(seed)),
-                2 => chung_lu(n, n * 2, 2.5, GraphSeed(seed)),
-                _ => planted_partition(
-                    &PlantedPartitionConfig {
-                        communities: 4,
-                        community_size: (n / 4).max(2),
-                        p_in: 0.6,
-                        p_out: 0.03,
-                    },
-                    GraphSeed(seed),
-                ),
-            };
-            let n = g.num_vertices();
-            let w: Vec<f64> = match weight_model {
-                0 => uniform_weights(n, 0.5, 50.0, GraphSeed(seed ^ 0xabcd)),
-                1 => pareto_weights(n, 1.5, GraphSeed(seed ^ 0xabcd)),
-                _ => rank_weights(n, GraphSeed(seed ^ 0xabcd)),
-            };
-            WeightedGraph::new(g, w).unwrap()
-        })
-}
+mod common;
 
 /// One query per solver route the engine serves (min/max peel, exact
 /// TIC, approximate TIC, local search).
@@ -73,7 +37,7 @@ proptest! {
     /// across epochs.
     #[test]
     fn apply_matches_fresh_engine_on_mutated_graph(
-        wg in arb_workload(),
+        wg in common::arb_workload(0..4, 0..3, 24..64),
         k in 1usize..4,
         script in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..24),
     ) {
@@ -185,13 +149,14 @@ fn apply_isolation_and_requery_walkthrough() {
     assert_eq!(eng.run_batch(&[q])[0].as_ref().unwrap(), &original);
 }
 
-/// The builder vocabulary round-trips through the prelude and the
+/// The query vocabulary round-trips through the prelude and the
 /// engine: one import surface serves batch and update code.
 #[test]
 fn prelude_covers_the_serving_vocabulary() {
     let wg = ic_core::figure1::figure1();
     let engine = Engine::with_threads(wg, 1);
-    let q: Query = Query::builder(2, 2, Aggregation::Sum).build().unwrap();
+    let q: Query = Query::new(2, 2, Aggregation::Sum);
+    q.validate().unwrap();
     let solver: Solver = q.solver().unwrap();
     assert_eq!(solver, Solver::TicExact);
     let batch: Vec<Result<Vec<Community>, SearchError>> = engine.run_batch(&[q]);

@@ -17,52 +17,21 @@
 use ic_core::algo::ExtremumIndex;
 use ic_core::{Aggregation, Extremum, Query};
 use ic_engine::{BatchOptions, EdgeUpdate, Engine, EngineError};
-use ic_gen::{
-    barabasi_albert, chung_lu, gnm, pareto_weights, planted_partition, rank_weights,
-    uniform_weights, GraphSeed, PlantedPartitionConfig,
-};
-use ic_graph::{Graph, WeightedGraph};
+use ic_gen::{chung_lu, gnm, rank_weights, GraphSeed};
+use ic_graph::WeightedGraph;
 use ic_kcore::{core_decomposition, GraphSnapshot};
 use ic_store::{format, SectionKind, StoreBuilder, StoreError, StoreFile};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+mod common;
+
 /// One synthetic workload drawn from the four graph families. Weight
 /// model 3 quantizes to a handful of distinct values, forcing the tie
 /// paths through every layer.
 fn arb_workload() -> impl Strategy<Value = WeightedGraph> {
-    (
-        0u32..4,      // family: ER / BA / Chung-Lu / planted
-        0u32..4,      // weights: uniform / pareto / rank / quantized ties
-        20usize..64,  // vertices
-        any::<u64>(), // seed
-    )
-        .prop_map(|(family, weight_model, n, seed)| {
-            let g: Graph = match family {
-                0 => gnm(n, n * 2, GraphSeed(seed)),
-                1 => barabasi_albert(n, 3, GraphSeed(seed)),
-                2 => chung_lu(n, n * 2, 2.5, GraphSeed(seed)),
-                _ => planted_partition(
-                    &PlantedPartitionConfig {
-                        communities: 4,
-                        community_size: (n / 4).max(2),
-                        p_in: 0.6,
-                        p_out: 0.03,
-                    },
-                    GraphSeed(seed),
-                ),
-            };
-            let n = g.num_vertices();
-            let w: Vec<f64> = match weight_model {
-                0 => uniform_weights(n, 0.5, 50.0, GraphSeed(seed ^ 0xabcd)),
-                1 => pareto_weights(n, 1.5, GraphSeed(seed ^ 0xabcd)),
-                2 => rank_weights(n, GraphSeed(seed ^ 0xabcd)),
-                // Heavy ties: at most five distinct weights.
-                _ => (0..n).map(|i| ((i * 7 + 3) % 5) as f64 + 1.0).collect(),
-            };
-            WeightedGraph::new(g, w).unwrap()
-        })
+    common::arb_workload(0..4, 0..4, 20..64)
 }
 
 /// Warm a snapshot the way served traffic would, then serialize it.
@@ -100,35 +69,6 @@ fn query_sweep(ks: &[usize]) -> Vec<Query> {
         }
     }
     queries
-}
-
-/// A randomized update script: batches of abstract (insert?, u, v)
-/// ops, folded onto the graph's vertex range at runtime (self-loops
-/// dropped). Removes of absent edges and inserts of present ones are
-/// in distribution on purpose: no-op batches must not advance state.
-fn arb_script() -> impl Strategy<Value = Vec<Vec<(bool, u32, u32)>>> {
-    proptest::collection::vec(
-        proptest::collection::vec((any::<bool>(), any::<u32>(), any::<u32>()), 1..8),
-        1..4,
-    )
-}
-
-fn concrete_batch(batch: &[(bool, u32, u32)], n: usize) -> Vec<EdgeUpdate> {
-    batch
-        .iter()
-        .filter_map(|&(insert, a, b)| {
-            let u = a % n as u32;
-            let v = b % n as u32;
-            if u == v {
-                return None;
-            }
-            Some(if insert {
-                EdgeUpdate::Insert { u, v }
-            } else {
-                EdgeUpdate::Remove { u, v }
-            })
-        })
-        .collect()
 }
 
 proptest! {
@@ -181,7 +121,7 @@ proptest! {
     #[test]
     fn applied_store_engines_never_serve_stale_state(
         wg in arb_workload(),
-        script in arb_script(),
+        script in common::arb_script(1..4),
     ) {
         let ks = [1usize, 2];
         let bytes = store_bytes_for(&wg, &ks);
@@ -198,7 +138,7 @@ proptest! {
 
         let n = wg.num_vertices();
         for batch in &script {
-            let updates = concrete_batch(batch, n);
+            let updates = common::concrete_batch(batch, n);
             if updates.is_empty() {
                 continue;
             }

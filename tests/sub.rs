@@ -18,73 +18,12 @@
 //!   does not perturb anyone else's stream.
 
 use ic_core::{Aggregation, Community, Query};
-use ic_engine::{EdgeUpdate, Engine};
-use ic_gen::{
-    barabasi_albert, chung_lu, gnm, pareto_weights, rank_weights, uniform_weights, GraphSeed,
-};
-use ic_graph::{Graph, WeightedGraph};
+use ic_engine::Engine;
 use ic_sub::{diff_answers, replay, SubscriptionManager};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// One synthetic workload from the three random-graph families the
-/// delta contract is asserted over, with a tie-heavy weight model in
-/// the mix (rank collisions are where a sloppy diff would misattribute
-/// a `RankMoved` as a leave/enter pair).
-fn arb_workload() -> impl Strategy<Value = WeightedGraph> {
-    (
-        0u32..3,      // family: ER / BA / Chung-Lu
-        0u32..4,      // weights: uniform / pareto / rank / quantized ties
-        20usize..64,  // vertices
-        any::<u64>(), // seed
-    )
-        .prop_map(|(family, weight_model, n, seed)| {
-            let g: Graph = match family {
-                0 => gnm(n, n * 2, GraphSeed(seed)),
-                1 => barabasi_albert(n, 3, GraphSeed(seed)),
-                _ => chung_lu(n, n * 2, 2.5, GraphSeed(seed)),
-            };
-            let n = g.num_vertices();
-            let w: Vec<f64> = match weight_model {
-                0 => uniform_weights(n, 0.5, 50.0, GraphSeed(seed ^ 0xabcd)),
-                1 => pareto_weights(n, 1.5, GraphSeed(seed ^ 0xabcd)),
-                2 => rank_weights(n, GraphSeed(seed ^ 0xabcd)),
-                _ => (0..n).map(|i| ((i * 7 + 3) % 5) as f64 + 1.0).collect(),
-            };
-            WeightedGraph::new(g, w).unwrap()
-        })
-}
-
-/// A randomized update script: batches of abstract (insert?, u, v)
-/// ops, folded onto the graph's vertex range at runtime. Removes of
-/// absent edges and inserts of present ones are deliberately in
-/// distribution — no-op batches must notify nobody.
-fn arb_script() -> impl Strategy<Value = Vec<Vec<(bool, u32, u32)>>> {
-    proptest::collection::vec(
-        proptest::collection::vec((any::<bool>(), any::<u32>(), any::<u32>()), 1..8),
-        1..5,
-    )
-}
-
-/// Folds one abstract batch onto concrete vertex ids, dropping
-/// self-loops (not representable as edges).
-fn concrete_batch(batch: &[(bool, u32, u32)], n: usize) -> Vec<EdgeUpdate> {
-    batch
-        .iter()
-        .filter_map(|&(insert, a, b)| {
-            let u = a % n as u32;
-            let v = b % n as u32;
-            if u == v {
-                return None;
-            }
-            Some(if insert {
-                EdgeUpdate::Insert { u, v }
-            } else {
-                EdgeUpdate::Remove { u, v }
-            })
-        })
-        .collect()
-}
+mod common;
 
 /// The standing mix: extremal and sum families across small (k, r),
 /// covering both the index-repair refresh path and the full peel.
@@ -106,8 +45,11 @@ proptest! {
     /// a bit-identical answer, and epochs stay in lockstep.
     #[test]
     fn deltas_match_the_full_resolve_oracle(
-        wg in arb_workload(),
-        script in arb_script(),
+        // ER / BA / Chung-Lu with tie-heavy weights in the mix: rank
+        // collisions are where a sloppy diff would misattribute a
+        // `RankMoved` as a leave/enter pair.
+        wg in common::arb_workload(0..3, 0..4, 20..64),
+        script in common::arb_script(1..5),
     ) {
         let n = wg.num_vertices();
         let queries = standing_mix();
@@ -131,7 +73,7 @@ proptest! {
         let mut dropped: Option<usize> = None;
 
         for (step, batch) in script.iter().enumerate() {
-            let updates = concrete_batch(batch, n);
+            let updates = common::concrete_batch(batch, n);
             if updates.is_empty() {
                 continue;
             }
