@@ -34,9 +34,10 @@
 //! silently wrong forest. [`ExtremumIndex::cached`] memoizes a forest on
 //! a [`GraphSnapshot`] so the batched engine serves every exact-tie
 //! peel-extremum query from it; a snapshot swapped in after a graph
-//! update starts with an empty extension cache, which is exactly the
-//! staleness story — stale forests are never consulted, and rebuild
-//! lazily per `(k, direction)` on the next query.
+//! update inherits only the forests of levels the update left untouched
+//! (`GraphSnapshot::share_levels_above`), which is exactly the staleness
+//! story — stale forests are never consulted, and rebuild lazily per
+//! `(k, direction)` on the next query.
 
 use crate::algo::common::{topr_prefixes, validate_k_r, value_of};
 use crate::algo::minmax::{peel_cmp, peel_timeline, rank_cmp, PeelTimeline, NONE};
@@ -128,8 +129,8 @@ impl ExtremumIndex {
     /// The forest for `(k, extremum)` memoized on `snap`, built on first
     /// use. This is the engine's index-serving entry point: every batch
     /// and every process sharing the snapshot shares one forest, and a
-    /// post-update snapshot (new epoch) rebuilds lazily instead of
-    /// serving stale structure.
+    /// post-update snapshot (new epoch) rebuilds the forests of changed
+    /// levels lazily instead of serving stale structure.
     pub fn cached(snap: &GraphSnapshot, k: usize, extremum: Extremum) -> Arc<ExtremumIndex> {
         snap.extension(k, Self::tag(extremum), || Self::build_on(snap, k, extremum))
     }

@@ -50,7 +50,8 @@ pub struct LocalSearchConfig {
 /// is the only adjacency local search reads. Derived, never persisted:
 /// [`CoreRows::cached`] memoizes it per `(snapshot, k)` the way
 /// `ExtremumIndex::cached` memoizes a forest, so the snapshot an
-/// `apply` swaps in starts without it. `4·(n + 1) + 4·Σ core-degree`
+/// `apply` swaps in keeps it only if the update left level `k` alone.
+/// `4·(n + 1) + 4·Σ core-degree`
 /// bytes.
 pub struct CoreRows {
     offsets: Vec<u32>,

@@ -12,9 +12,14 @@
 //! `exec::run_local_chunk` and pins the answer stably, which serving
 //! surfaces generally prefer.)
 //!
-//! **Invalidation** is by epoch tag: every entry records the
+//! **Invalidation** is carry plus epoch tag: every entry records the
 //! [`Epoch`](crate::Epoch) it was computed under and a lookup from any
-//! other epoch misses. Stale entries are *not* evicted on lookup — they
+//! other epoch misses. `Engine::apply` first **carries** the entries
+//! `ApplyOutcome::keeps` proves unchanged — re-tags them to the new
+//! epoch, in `O(entries)` and without touching the graph — inside the
+//! same serving write-lock section that swaps the snapshot, so a read at
+//! the new epoch never misses a carried entry. Every other entry goes
+//! stale. Stale entries are *not* evicted on lookup — they
 //! persist until a newer-epoch insert of the same query **replaces**
 //! them (which also re-queues the key at the back of the eviction
 //! order: a re-warmed entry is the cache's newest, not a leftover at
@@ -48,6 +53,7 @@
 
 use crate::{Constraint, Epoch, Query};
 use ic_core::aggregate::canonical_f64_bits;
+use ic_core::Community;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -89,6 +95,8 @@ fn key_of(q: &Query) -> Option<CacheKey> {
 struct Entry {
     epoch: Epoch,
     seq: u64,
+    /// The query as first inserted, for [`ResultCache::carry`].
+    query: Query,
     outcome: Outcome,
 }
 
@@ -187,6 +195,7 @@ impl ResultCache {
                     Entry {
                         epoch,
                         seq,
+                        query: *q,
                         outcome: Arc::clone(outcome),
                     },
                 );
@@ -223,10 +232,29 @@ impl ResultCache {
             Entry {
                 epoch,
                 seq,
+                query: *q,
                 outcome: Arc::clone(outcome),
             },
         );
         inner.fifo.push_back((key, seq));
+    }
+
+    /// Re-tags every entry of epoch `from` whose answer `keeps` holds
+    /// for to epoch `to`; the rest stay behind, stale. Eviction order is
+    /// unchanged.
+    pub(crate) fn carry(
+        &self,
+        from: Epoch,
+        to: Epoch,
+        keeps: impl Fn(&Query, &[Community]) -> bool,
+    ) {
+        for entry in self.lock().map.values_mut() {
+            if entry.epoch == from
+                && matches!(entry.outcome.as_ref(), Ok(ans) if keeps(&entry.query, &ans.communities))
+            {
+                entry.epoch = to;
+            }
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -319,6 +347,21 @@ mod tests {
         assert!(cache.get(&min_query(1), Epoch(1)).is_none());
         // ...and must not have queued a second fifo slot for the key.
         assert_eq!(cache.lock().fifo.len(), 1);
+    }
+
+    #[test]
+    fn carry_retags_kept_entries_of_the_previous_epoch_only() {
+        let cache = ResultCache::new(8);
+        let out = complete();
+        cache.insert(&min_query(1), Epoch(0), &out);
+        for r in 2..=3usize {
+            cache.insert(&min_query(r), Epoch(1), &out);
+        }
+        cache.carry(Epoch(1), Epoch(2), |q, _| q.r != 3);
+        assert!(cache.get(&min_query(2), Epoch(2)).is_some(), "kept");
+        assert!(cache.get(&min_query(3), Epoch(2)).is_none(), "not kept");
+        assert!(cache.get(&min_query(3), Epoch(1)).is_some(), "left stale");
+        assert!(cache.get(&min_query(1), Epoch(2)).is_none(), "older epoch");
     }
 
     #[test]

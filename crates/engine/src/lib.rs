@@ -17,8 +17,10 @@
 //! 2. **Updates** — [`Engine::apply`] feeds [`EdgeUpdate`]s through an
 //!    incremental [`ic_kcore::CoreMaintainer`] and swaps
 //!    in a fresh immutable snapshot under a new [`Epoch`]. In-flight
-//!    batches keep their snapshot (copy-on-write isolation);
-//!    the epoch-tagged result cache stops serving pre-update answers. A
+//!    batches keep their snapshot (copy-on-write isolation); cached
+//!    answers and memoized per-level state the update provably left
+//!    unchanged ([`ApplyOutcome::keeps`], [`ApplyOutcome::ceiling`]) carry
+//!    over to the new epoch, and the rest stop being served. A
 //!    post-`apply` engine answers exactly like an engine built from
 //!    scratch on the updated graph (also held by `tests/progressive.rs`).
 //! 3. **Persistence** — [`Engine::persist`] writes the current epoch's
@@ -27,9 +29,10 @@
 //!    [`Engine::open`] warm-starts from one: the zero-rebuild cold
 //!    start. Exact-tie `min`/`max` queries are **index-served** from
 //!    the forest in output-sensitive time — persisted or built once per
-//!    snapshot — and a post-`apply` snapshot starts with empty caches,
-//!    so persisted structures are never consulted across an update
-//!    (they rebuild lazily per level under the new epoch).
+//!    snapshot — and a post-`apply` snapshot keeps only the structures
+//!    of levels the update left untouched, so no stale structure is ever
+//!    consulted across an update (the others rebuild lazily per level
+//!    under the new epoch).
 //! 4. **Resilience** — every [`Query`] can carry a deadline
 //!    (`Query::deadline`), measured from the [`BatchOptions`] anchor
 //!    [`Engine::run_batch_with`] takes; on expiry the
@@ -109,14 +112,15 @@ pub trait QueryBackend: Send + Sync {
         trace: &ic_obs::Trace,
     ) -> (Epoch, Vec<SharedAnswer>);
 
-    /// Applies edge updates and returns the epoch serving afterwards.
+    /// Applies edge updates and returns the epoch serving afterwards and
+    /// whether any update changed the edge set.
     ///
     /// The default refuses with [`EngineError::Unsupported`]: a backend
     /// must opt in to mutation. [`Engine`] overrides this with a
-    /// validated [`Engine::try_apply`]; scatter-gather fronts
+    /// validated [`Engine::try_apply_journaled`]; scatter-gather fronts
     /// (`ic-shard`) keep the refusal — their snapshots are immutable
     /// mmap-backed store files.
-    fn apply_updates(&self, updates: &[EdgeUpdate]) -> Result<Epoch, EngineError> {
+    fn apply_updates(&self, updates: &[EdgeUpdate]) -> Result<(Epoch, bool), EngineError> {
         let _ = updates;
         Err(EngineError::Unsupported {
             detail: "this backend does not support edge updates".into(),
@@ -141,8 +145,9 @@ impl QueryBackend for Engine {
         Engine::run_batch_traced(self, queries, options, trace)
     }
 
-    fn apply_updates(&self, updates: &[EdgeUpdate]) -> Result<Epoch, EngineError> {
-        self.try_apply(updates)
+    fn apply_updates(&self, updates: &[EdgeUpdate]) -> Result<(Epoch, bool), EngineError> {
+        let outcome = self.try_apply_journaled(updates)?;
+        Ok((outcome.epoch, outcome.changed))
     }
 
     fn obs_registry(&self) -> Option<&ic_obs::Registry> {
@@ -152,11 +157,10 @@ impl QueryBackend for Engine {
 
 /// Everything [`Engine::apply_journaled`] learned while applying a
 /// batch of updates: the epoch now serving, the per-update cascade
-/// journal, and both snapshot handles. This is the contract the
-/// standing-query layer (`ic-sub`) consumes — the journal's
-/// [`CascadeRecord::affects_level`] decides which subscriptions are
-/// provably unaffected, and the snapshots let it diff old vs new
-/// answers without re-deriving state.
+/// journal, and both snapshot handles. [`ApplyOutcome::keeps`] is the
+/// one "this answer survives the apply" proof: the engine's result cache
+/// carries the answers it holds for across the epoch, and the
+/// standing-query layer (`ic-sub`) skips their refreshes.
 #[derive(Clone)]
 pub struct ApplyOutcome {
     /// The epoch serving after the apply (the pre-apply epoch when
@@ -173,6 +177,52 @@ pub struct ApplyOutcome {
     /// The snapshot serving after the apply (the same handle as
     /// [`old_snapshot`](Self::old_snapshot) when nothing changed).
     pub new_snapshot: Arc<GraphSnapshot>,
+}
+
+impl ApplyOutcome {
+    /// The highest level the batch can have changed: the maximum
+    /// [`CascadeRecord::ceiling`] over its records, `None` when nothing
+    /// changed. Every maximal k-core with `k` above it — vertex set and
+    /// induced edges — is the one before the apply, so the new snapshot
+    /// shares those levels' memoized state with the old one.
+    pub fn ceiling(&self) -> Option<u32> {
+        self.records.iter().filter_map(CascadeRecord::ceiling).max()
+    }
+
+    /// Whether `answer`, the complete answer to `query` before the
+    /// apply, is provably still its answer after: each applied update,
+    /// in order, keeps it. An update keeps it when
+    ///
+    /// * `query.k` is above the update's [`CascadeRecord::ceiling`]: the
+    ///   level's k-core, vertex set and induced edges, is untouched, and
+    ///   so is every answer at that level; or
+    /// * `query` is an unconstrained `min` whose answer holds exactly `r`
+    ///   communities, and the toggled edge has an endpoint strictly
+    ///   lighter than the `r`-th value `θ`. The communities of value
+    ///   ≥ `θ` are those of the k-core of the subgraph induced by the
+    ///   vertices of weight ≥ `θ` — the peel reaches that k-core, in the
+    ///   same (weight, id) order, whatever happens below `θ` — and such a
+    ///   toggle leaves that subgraph alone. So the top `r`, ties at `θ`
+    ///   included, cannot move.
+    ///
+    /// There is no value rule for `max` (any toggle inside the core can
+    /// split the component a top community is) nor for size-bounded
+    /// queries.
+    pub fn keeps(&self, query: &Query, answer: &[Community]) -> bool {
+        let plain_min = matches!(query.aggregation, ic_core::Aggregation::Min)
+            && matches!(query.constraint, Constraint::Unconstrained);
+        let bar = (plain_min && answer.len() == query.r)
+            .then(|| answer.last().map(|c| c.value))
+            .flatten();
+        let wg = self.new_snapshot.weighted();
+        self.records.iter().all(|record| {
+            if record.ceiling().is_none_or(|c| query.k > c as usize) {
+                return true;
+            }
+            let (u, v) = record.update.endpoints();
+            bar.is_some_and(|bar| wg.weight(u).min(wg.weight(v)) < bar)
+        })
+    }
 }
 
 /// How [`Engine::open_with_options`] opens a persisted store: worker
@@ -303,8 +353,6 @@ struct EngineMetrics {
     apply_ns: ic_obs::Histogram,
     journal_records: ic_obs::Counter,
     touched_pct: ic_obs::Gauge,
-    index_repaired: ic_obs::Counter,
-    index_rebuilt: ic_obs::Counter,
     tic: exec::TicCounters,
     local: exec::LocalCounters,
 }
@@ -329,8 +377,6 @@ impl EngineMetrics {
             apply_ns: registry.histogram("engine.apply_ns"),
             journal_records: registry.counter("engine.apply.journal_records"),
             touched_pct: registry.gauge("engine.apply.touched_pct"),
-            index_repaired: registry.counter("engine.apply.index_repaired"),
-            index_rebuilt: registry.counter("engine.apply.index_rebuilt"),
             tic: exec::TicCounters {
                 deletions: registry.counter("core.tic_deletions"),
                 children_materialized: registry.counter("core.tic_children_materialized"),
@@ -522,7 +568,8 @@ impl Engine {
     /// epoch and stale entries awaiting lazy eviction). The snapshot is
     /// immutable per epoch and the solvers deterministic, so a hit is
     /// bit-identical to re-solving; [`Engine::apply`] moves the engine
-    /// to a new epoch, which invalidates every older entry.
+    /// to a new epoch, carrying the entries [`ApplyOutcome::keeps`]
+    /// proves unchanged and leaving every other older entry stale.
     pub fn cached_results(&self) -> usize {
         self.results.len()
     }
@@ -709,8 +756,10 @@ impl Engine {
     /// Concurrency: updates serialize among themselves; queries never
     /// block. In-flight batches finish on the snapshot they
     /// started with; queries submitted after `apply` returns see the new
-    /// graph. Epoch-tagged result-cache entries from older epochs stop
-    /// being served (and are evicted lazily).
+    /// graph. Cached answers [`ApplyOutcome::keeps`] proves unchanged are
+    /// re-tagged to the new epoch in the same step that swaps the
+    /// snapshot, so no read of the new epoch misses one; older-epoch
+    /// entries stop being served (and are evicted lazily).
     ///
     /// # Panics
     /// Panics when an update addresses a vertex outside the graph. The
@@ -756,15 +805,13 @@ impl Engine {
     /// [`Engine::apply`], additionally returning the cascade journal and
     /// both snapshot handles (see [`ApplyOutcome`]).
     ///
-    /// Beyond journaling, this path *repairs* the old snapshot's
-    /// memoized [`ExtremumIndex`](ic_core::algo::ExtremumIndex) forests
-    /// into the new snapshot where the cascade's touched region is small
-    /// ([`ExtremumIndex::repair`](ic_core::algo::ExtremumIndex::repair)):
-    /// the repaired forest is bit-identical to a from-scratch rebuild,
-    /// so index-served `min`/`max` refreshes after an update stop paying
-    /// O(graph). Oversized regions fall back to the lazy rebuild, so the
-    /// staleness guarantee (never serve pre-update structure) holds
-    /// either way.
+    /// The new snapshot's graph is laid out straight from the
+    /// maintainer's rows ([`CoreMaintainer::to_graph`]), and it shares
+    /// the old snapshot's memoized levels, forests and core rows at every
+    /// level above [`ApplyOutcome::ceiling`] — those k-cores are
+    /// untouched. The levels at or below it start empty and rebuild
+    /// lazily on their next query, so no pre-update structure is ever
+    /// served.
     ///
     /// # Panics
     /// Same contract as [`Engine::apply`]: panics (atomically) when an
@@ -792,108 +839,74 @@ impl Engine {
             .unwrap_or_else(|| CoreMaintainer::from_graph(snapshot.graph()));
         let apply_sw = ic_obs::Stopwatch::start();
         let built = catch_unwind(AssertUnwindSafe(move || {
-            let mut records = Vec::with_capacity(updates.len());
-            let mut touched: Vec<u32> = Vec::new();
-            for &update in updates {
-                let record = maintainer.apply_recorded(update);
-                touched.extend_from_slice(&record.touched);
-                records.push(record);
-            }
-            if !records.iter().any(|r| r.applied) {
-                return (maintainer, records, 0, (0, 0), None);
-            }
-            let graph = maintainer.to_graph();
+            let records: Vec<CascadeRecord> = updates
+                .iter()
+                .map(|&update| maintainer.apply_recorded(update))
+                .collect();
+            let Some(ceiling) = records.iter().filter_map(CascadeRecord::ceiling).max() else {
+                return (maintainer, records, None);
+            };
             let weights = snapshot.weighted().weights().to_vec();
-            let wg = WeightedGraph::new(graph, weights)
+            let wg = WeightedGraph::new(maintainer.to_graph(), weights)
                 .expect("weights are unchanged and were valid before");
-            let new_snapshot = Arc::new(GraphSnapshot::with_decomposition(
-                Arc::new(wg),
-                maintainer.decomposition(),
-            ));
-            // Carry the old snapshot's warm forests across the epoch by
-            // *repair*, not reuse: each repaired forest is bit-identical
-            // to a full rebuild on the new graph (held by unit and
-            // property tests), so seeding it is indistinguishable from
-            // the lazy rebuild it replaces — just cheaper.
-            touched.sort_unstable();
-            touched.dedup();
-            let touched_count = touched.len();
-            let new_cores = &new_snapshot.decomposition().core_numbers;
-            // Repair-vs-rebuild accounting: a forest the repair pass
-            // cannot carry over (oversized touched region) falls back to
-            // the lazy from-scratch rebuild on first use.
-            let mut repaired_forests = 0u64;
-            let mut rebuilt_forests = 0u64;
-            for index in ic_core::algo::ExtremumIndex::memoized(&snapshot) {
-                if let Some(repaired) = index.repair(
-                    new_snapshot.weighted(),
-                    new_cores,
-                    &touched,
-                    ic_core::algo::ExtremumIndex::REPAIR_REGION_LIMIT,
-                ) {
-                    ic_core::algo::ExtremumIndex::seed(&new_snapshot, repaired);
-                    repaired_forests += 1;
-                } else {
-                    rebuilt_forests += 1;
-                }
-            }
+            let new_snapshot =
+                GraphSnapshot::with_decomposition(Arc::new(wg), maintainer.decomposition());
+            new_snapshot.share_levels_above(&snapshot, ceiling as usize);
             ic_fail::fail_point!("engine::apply");
             let arenas = Arc::new(ArenaPool::for_graph(new_snapshot.graph()));
-            (
-                maintainer,
-                records,
-                touched_count,
-                (repaired_forests, rebuilt_forests),
-                Some((new_snapshot, arenas)),
-            )
+            (maintainer, records, Some((Arc::new(new_snapshot), arenas)))
         }));
-        let note_apply = |records: &[CascadeRecord], touched_count: usize, forests: (u64, u64)| {
-            let m = &self.metrics;
-            m.applies.inc();
-            m.journal_records.add(records.len() as u64);
-            let n = old_snapshot.graph().num_vertices();
-            if n > 0 {
-                m.touched_pct
-                    .set((touched_count as f64 / n as f64 * 100.0).round() as i64);
-            }
-            m.index_repaired.add(forests.0);
-            m.index_rebuilt.add(forests.1);
-            apply_sw.observe(&m.apply_ns);
-        };
-        match built {
-            Ok((maintainer, records, touched_count, forests, None)) => {
-                *guard = Some(maintainer);
-                note_apply(&records, touched_count, forests);
-                ApplyOutcome {
-                    epoch,
-                    changed: false,
-                    records,
-                    new_snapshot: Arc::clone(&old_snapshot),
-                    old_snapshot,
-                }
-            }
-            Ok((maintainer, records, touched_count, forests, Some((snapshot, arenas)))) => {
-                *guard = Some(maintainer);
-                note_apply(&records, touched_count, forests);
-                let new_snapshot = Arc::clone(&snapshot);
-                let mut serving = self.serving.write().unwrap_or_else(|e| e.into_inner());
-                // One whole-struct assignment: readers never observe a
-                // new snapshot with an old pool or epoch.
-                *serving = Serving {
-                    snapshot,
-                    arenas,
-                    epoch: Epoch(serving.epoch.0 + 1),
-                };
-                ApplyOutcome {
-                    epoch: serving.epoch,
-                    changed: true,
-                    records,
-                    old_snapshot,
-                    new_snapshot,
-                }
-            }
+        let (maintainer, records, swap) = match built {
+            Ok(built) => built,
             Err(payload) => std::panic::resume_unwind(payload),
+        };
+        *guard = Some(maintainer);
+        let m = &self.metrics;
+        m.applies.inc();
+        m.journal_records.add(records.len() as u64);
+        let mut touched: Vec<u32> = records
+            .iter()
+            .flat_map(|r| r.touched.iter().copied())
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let n = old_snapshot.graph().num_vertices();
+        if n > 0 {
+            m.touched_pct
+                .set((touched.len() as f64 / n as f64 * 100.0).round() as i64);
         }
+        let Some((snapshot, arenas)) = swap else {
+            apply_sw.observe(&m.apply_ns);
+            return ApplyOutcome {
+                epoch,
+                changed: false,
+                records,
+                new_snapshot: Arc::clone(&old_snapshot),
+                old_snapshot,
+            };
+        };
+        let mut serving = self.serving.write().unwrap_or_else(|e| e.into_inner());
+        let outcome = ApplyOutcome {
+            epoch: Epoch(serving.epoch.0 + 1),
+            changed: true,
+            records,
+            old_snapshot,
+            new_snapshot: Arc::clone(&snapshot),
+        };
+        // Under the write lock: a read that sees the new epoch also
+        // sees every entry carried into it.
+        let keeps = |q: &Query, answer: &[Community]| outcome.keeps(q, answer);
+        self.results.carry(serving.epoch, outcome.epoch, keeps);
+        // One whole-struct assignment: readers never observe a new
+        // snapshot with an old pool or epoch.
+        *serving = Serving {
+            snapshot,
+            arenas,
+            epoch: outcome.epoch,
+        };
+        drop(serving);
+        apply_sw.observe(&m.apply_ns);
+        outcome
     }
 
     /// Plans and executes a batch, calling `deliver` once per query on
@@ -1552,15 +1565,17 @@ mod tests {
     #[test]
     fn apply_moves_epochs_and_invalidates_the_cache() {
         let eng = engine(2);
-        let q = Query::new(2, 2, Aggregation::Min);
+        let q = Query::new(2, 2, Aggregation::Max);
         let before_epoch = eng.epoch();
         let before = eng.run_batch(&[q])[0].clone().unwrap();
         assert_eq!(eng.plan(&[q]).stats.cache_hits, 1);
 
         // Cut the figure-1 graph: v3's ties into the 2-core.
-        let epoch = eng.apply(&[EdgeUpdate::Remove { u: 2, v: 8 }]);
-        assert!(epoch > before_epoch);
-        assert_eq!(eng.epoch(), epoch);
+        let outcome = eng.apply_journaled(&[EdgeUpdate::Remove { u: 2, v: 8 }]);
+        assert!(outcome.ceiling() >= Some(2), "the update changes level 2");
+        assert!(!outcome.keeps(&q, &before));
+        assert!(outcome.epoch > before_epoch);
+        assert_eq!(eng.epoch(), outcome.epoch);
         assert_eq!(
             eng.plan(&[q]).stats.cache_hits,
             0,
@@ -1571,8 +1586,6 @@ mod tests {
         // A fresh engine on the mutated graph must agree exactly.
         let fresh = Engine::with_threads(eng.snapshot().weighted().clone(), eng.threads());
         assert_eq!(&after, fresh.run_batch(&[q])[0].as_ref().unwrap());
-        // And the graph genuinely changed.
-        assert!(before != after || before.is_empty());
     }
 
     #[test]
@@ -1633,40 +1646,59 @@ mod tests {
     }
 
     #[test]
-    fn apply_repairs_memoized_forests_into_the_new_snapshot() {
-        // 40 disjoint triangles: an edge update touches one or two of
-        // them, far below the repair region threshold.
-        let mut edges = Vec::new();
-        for t in 0..40u32 {
-            let b = 3 * t;
-            edges.extend([(b, b + 1), (b + 1, b + 2), (b, b + 2)]);
+    fn apply_carries_unchanged_levels_and_drops_changed_ones() {
+        use ic_core::{algo::ExtremumIndex, Extremum};
+        // A 5-clique (the 4-core) beside a triangle, weights 1..=8.
+        let mut edges = vec![(5, 6), (6, 7), (5, 7)];
+        for u in 0..5u32 {
+            edges.extend((u + 1..5).map(|v| (u, v)));
         }
-        let g = ic_graph::graph_from_edges(120, &edges);
-        let weights: Vec<f64> = (0..120).map(|v| (v + 1) as f64).collect();
-        let eng = Engine::with_threads(WeightedGraph::new(g, weights).unwrap(), 2);
-        let batch = vec![
-            Query::new(2, 4, Aggregation::Min),
-            Query::new(2, 4, Aggregation::Max),
-        ];
+        let g = ic_graph::graph_from_edges(8, &edges);
+        let weights: Vec<f64> = (1..=8).map(f64::from).collect();
+        let eng = Engine::with_threads(WeightedGraph::new(g, weights).unwrap(), 1);
+        let batch: Vec<Query> = [2, 4]
+            .into_iter()
+            .flat_map(|k| [Aggregation::Min, Aggregation::Max].map(|a| Query::new(k, 2, a)))
+            .collect();
         eng.run_batch(&batch);
-        assert_eq!(eng.snapshot().cached_extensions(), 2, "forests warmed");
+        let old = eng.snapshot();
 
-        // Bridge the first two triangles: the cascade is local to them.
-        let outcome = eng.apply_journaled(&[EdgeUpdate::Insert { u: 0, v: 3 }]);
-        assert!(outcome.changed);
-        // The small cascade let both forests ride across the epoch...
-        assert_eq!(
-            outcome.new_snapshot.cached_extensions(),
-            2,
-            "repair should have seeded both directions"
-        );
-        // ...and they serve exactly what a fresh engine computes.
-        let fresh = Engine::with_threads(eng.snapshot().weighted().clone(), 2);
-        let a = eng.run_batch(&batch);
-        let b = fresh.run_batch(&batch);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.as_ref().unwrap(), y.as_ref().unwrap());
+        // Cutting the triangle changes levels 1 and 2 only.
+        let outcome = eng.apply_journaled(&[EdgeUpdate::Remove { u: 5, v: 6 }]);
+        assert_eq!(outcome.ceiling(), Some(2));
+        let new = &outcome.new_snapshot;
+        for dir in [Extremum::Min, Extremum::Max] {
+            let carried = ExtremumIndex::peek(new, 4, dir).expect("level 4 is carried");
+            assert!(Arc::ptr_eq(
+                &carried,
+                &ExtremumIndex::peek(&old, 4, dir).unwrap()
+            ));
+            assert!(
+                ExtremumIndex::peek(new, 2, dir).is_none(),
+                "level 2 rebuilds"
+            );
         }
+        let levels: Vec<usize> = new.memoized_levels().iter().map(|l| l.k).collect();
+        assert_eq!(levels, [4]);
+        // The level-4 answers were carried; the level-2 ones were not
+        // (the `min` bar, 3, is below the cut's lighter endpoint, 6).
+        assert_eq!(eng.plan(&batch).stats.cache_hits, 2);
+        let fresh = Engine::with_threads(new.weighted().clone(), 1);
+        assert_eq!(eng.run_batch(&batch), fresh.run_batch(&batch));
+
+        // Inside the clique, below the `min` bar: level 4 changes, but
+        // the level-2 `min` answer is carried by value.
+        let q = Query::new(2, 1, Aggregation::Min);
+        let kept = eng.run_batch(&[q])[0].clone().unwrap();
+        let outcome = eng.apply_journaled(&[EdgeUpdate::Remove { u: 0, v: 1 }]);
+        assert_eq!(outcome.ceiling(), Some(4));
+        assert!(outcome.keeps(&q, &kept));
+        assert!(!outcome.keeps(&Query::new(2, 1, Aggregation::Max), &kept));
+        assert_eq!(eng.plan(&[q]).stats.cache_hits, 1);
+        // Of the batch, only `(2, 2, min)` (bar 2) survives the cut.
+        assert_eq!(eng.plan(&batch).stats.cache_hits, 1);
+        let fresh = Engine::with_threads(eng.snapshot().weighted().clone(), 1);
+        assert_eq!(eng.run_batch(&[q]), fresh.run_batch(&[q]));
     }
 
     /// One query per solver path, for the deadline tests below.

@@ -106,6 +106,30 @@ impl Graph {
         validate_csr(&self.offsets, &self.targets)
     }
 
+    /// Lays per-vertex adjacency rows out as CSR, sorting each row into
+    /// place: row `v` lists `v`'s neighbours in any order. The rows must
+    /// already describe a simple undirected graph — every edge in both
+    /// endpoints' rows, no duplicates, no self-loops — which only debug
+    /// builds check. This is how `ic_kcore::CoreMaintainer` hands its
+    /// edited adjacency to a new snapshot without an edge-list rebuild.
+    pub fn from_rows(rows: &[Vec<VertexId>]) -> Self {
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        let mut targets = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+        offsets.push(0);
+        for row in rows {
+            let start = targets.len();
+            targets.extend_from_slice(row);
+            targets[start..].sort_unstable();
+            offsets.push(targets.len());
+        }
+        if cfg!(debug_assertions) {
+            if let Err(e) = validate_csr(&offsets, &targets) {
+                panic!("rows do not describe a simple undirected graph: {e}");
+            }
+        }
+        Self::from_csr(offsets, targets)
+    }
+
     /// The raw CSR arrays `(offsets, targets)` — the exact layout
     /// [`Graph::from_csr_checked`] accepts back. Used by `ic-store` to
     /// persist the graph without an edge-list rebuild on either side.
@@ -371,6 +395,15 @@ mod tests {
         assert!(owing.check_adjacency().is_err());
         assert!(g.check_adjacency().is_ok());
         assert!(Graph::from_csr_deferred(Vec::new().into(), Vec::new().into()).is_err());
+    }
+
+    #[test]
+    fn from_rows_equals_the_builder() {
+        let rows = vec![vec![2, 1], vec![0, 2], vec![3, 1, 0], vec![2], vec![]];
+        let mut b = GraphBuilder::new();
+        b.extend_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
+            .reserve_vertices(5);
+        assert_eq!(Graph::from_rows(&rows), b.build());
     }
 
     #[test]

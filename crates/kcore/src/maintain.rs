@@ -1,5 +1,5 @@
 use crate::CoreDecomposition;
-use ic_graph::{graph_from_edges, Graph, VertexId};
+use ic_graph::{Graph, VertexId};
 use std::collections::VecDeque;
 
 /// One topology change for [`CoreMaintainer::apply`] (and the engine's
@@ -98,6 +98,9 @@ impl CascadeRecord {
     /// (the only changed edge has an endpoint outside the k-core on the
     /// relevant side), so the level-`k` community structure — every
     /// k-influential community under any aggregation — is bit-identical.
+    ///
+    /// The affected levels are downward closed: this is `k ≤ c` for
+    /// `Some(c) = `[`ceiling`](Self::ceiling), which is what callers use.
     pub fn affects_level(&self, k: usize) -> bool {
         if !self.applied {
             return false;
@@ -113,18 +116,39 @@ impl CascadeRecord {
         let (cu, cv) = self.endpoint_cores;
         match self.update {
             EdgeUpdate::Insert { .. } => cu >= k && cv >= k,
-            EdgeUpdate::Remove { u, v } => {
-                // Pre-removal cores: post cores unless the endpoint
-                // itself dropped (then its old core applies).
-                let pre = |x: VertexId, post: u32| {
-                    self.deltas
-                        .iter()
-                        .find(|d| d.vertex == x)
-                        .map_or(post, |d| d.old_core)
-                };
-                pre(u, cu) >= k && pre(v, cv) >= k
-            }
+            EdgeUpdate::Remove { u, v } => self.pre_core(u, cu) >= k && self.pre_core(v, cv) >= k,
         }
+    }
+
+    /// The highest level this update can have changed: it
+    /// [affects](Self::affects_level) exactly the levels `k ≤ ceiling`,
+    /// and `None` means it changed nothing. The ceiling is the lower
+    /// endpoint core with the edge present — after an insert, before a
+    /// remove. A core number moves only at the subcore level
+    /// `K = min(core(u), core(v))`: a removal drops members from `K` to
+    /// `K − 1`, which crosses level `K` only; an insertion that promotes
+    /// anything promotes both endpoints' subcore to `K + 1` (else the new
+    /// edge would lie outside the new `(K + 1)`-core, which would then
+    /// have existed before it), so both endpoints end at or above the
+    /// one crossed level.
+    pub fn ceiling(&self) -> Option<u32> {
+        if !self.applied {
+            return None;
+        }
+        let (cu, cv) = self.endpoint_cores;
+        Some(match self.update {
+            EdgeUpdate::Insert { .. } => cu.min(cv),
+            EdgeUpdate::Remove { u, v } => self.pre_core(u, cu).min(self.pre_core(v, cv)),
+        })
+    }
+
+    /// `x`'s core number before the update, given its core `post` after:
+    /// they differ only for a vertex the cascade moved.
+    fn pre_core(&self, x: VertexId, post: u32) -> u32 {
+        self.deltas
+            .iter()
+            .find(|d| d.vertex == x)
+            .map_or(post, |d| d.old_core)
     }
 }
 
@@ -395,15 +419,28 @@ impl CoreMaintainer {
     /// The maintained state as a [`CoreDecomposition`], ready to seed a
     /// [`GraphSnapshot`](crate::GraphSnapshot) without re-running the
     /// from-scratch bucket peel. The peel order is synthesized by
-    /// sorting vertices by `(core number, id)`, which satisfies the
-    /// documented non-decreasing-core contract (the maintainer does not
-    /// track the bucket-peel visit order itself).
+    /// ordering vertices by `(core number, id)` — one counting pass over
+    /// the core numbers — which satisfies the documented
+    /// non-decreasing-core contract (the maintainer does not track the
+    /// bucket-peel visit order itself).
     pub fn decomposition(&self) -> CoreDecomposition {
-        let mut peel_order: Vec<VertexId> = (0..self.adj.len() as VertexId).collect();
-        peel_order.sort_by_key(|&v| (self.core[v as usize], v));
+        let max_core = self.degeneracy();
+        // `next[c]`: where the next vertex of core `c` goes.
+        let mut next = vec![0usize; max_core as usize + 2];
+        for &c in &self.core {
+            next[c as usize + 1] += 1;
+        }
+        for c in 1..next.len() {
+            next[c] += next[c - 1];
+        }
+        let mut peel_order: Vec<VertexId> = vec![0; self.core.len()];
+        for (v, &c) in self.core.iter().enumerate() {
+            peel_order[next[c as usize]] = v as VertexId;
+            next[c as usize] += 1;
+        }
         CoreDecomposition {
             core_numbers: self.core.clone(),
-            max_core: self.degeneracy(),
+            max_core,
             peel_order,
         }
     }
@@ -418,18 +455,12 @@ impl CoreMaintainer {
         self.adj[a as usize].contains(&b)
     }
 
-    /// Materializes the current edge set as a static [`Graph`] (used by
-    /// the differential tests; not a hot path).
+    /// Materializes the current edge set as a static [`Graph`]: the
+    /// maintained rows laid out as CSR, each sorted
+    /// ([`Graph::from_rows`]). `Engine::apply` builds every post-update
+    /// snapshot's graph this way.
     pub fn to_graph(&self) -> Graph {
-        let mut edges = Vec::with_capacity(self.num_edges());
-        for (u, nbrs) in self.adj.iter().enumerate() {
-            for &v in nbrs {
-                if (u as VertexId) < v {
-                    edges.push((u as VertexId, v));
-                }
-            }
-        }
-        graph_from_edges(self.adj.len(), &edges)
+        Graph::from_rows(&self.adj)
     }
 
     fn next_generation(&mut self) -> u32 {
@@ -635,6 +666,7 @@ impl CoreMaintainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ic_graph::graph_from_edges;
 
     /// Triangle {0,1,2} with pendant 3 on vertex 2, plus a separate
     /// triangle {4,5,6}.
@@ -756,6 +788,9 @@ mod tests {
         );
         assert_eq!(m.num_edges(), g.num_edges());
         assert!(m.has_edge(0, 1) && m.has_edge(1, 0));
+        let decomp = m.decomposition();
+        assert_eq!(decomp.peel_order, [3, 0, 1, 2, 4, 5, 6], "by (core, id)");
+        assert_eq!(decomp.max_core, 2);
     }
 
     /// Induced edge set of the k-core at level `k`, as a sorted list.
@@ -856,6 +891,7 @@ mod tests {
         // The soundness contract of `affects_level`: whenever it says a
         // level is unaffected, the k-core at that level — vertex set AND
         // induced edge set — must be bit-identical across the update.
+        // And the affected levels are exactly those up to the ceiling.
         let n = 20u32;
         let mut m = CoreMaintainer::new(n as usize);
         let mut rng = 0x2545f4914f6cdd1du64;
@@ -879,6 +915,14 @@ mod tests {
             let record = m.apply_recorded(update);
             let new_graph = m.to_graph();
             let max_k = m.degeneracy() as usize + 2;
+            for k in 0..=max_k {
+                assert_eq!(
+                    record.affects_level(k),
+                    record.ceiling().is_some_and(|c| k <= c as usize),
+                    "level {k} against ceiling {:?} on {update:?}",
+                    record.ceiling()
+                );
+            }
             for k in 1..=max_k {
                 if record.affects_level(k) {
                     affected_seen = true;

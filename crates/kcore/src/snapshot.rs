@@ -102,8 +102,12 @@ pub struct GraphSnapshot {
     /// Type-erased per-`(k, tag)` side caches: derived structures owned
     /// by crates *above* this one (e.g. `ic-core`'s extremum community
     /// forests) memoize here so they share the snapshot's lifetime and
-    /// staleness story — a post-update snapshot starts empty and
-    /// rebuilds lazily, exactly like [`CoreLevel`]s.
+    /// staleness story — a post-update snapshot inherits them only at
+    /// the levels the update provably left alone
+    /// ([`share_levels_above`](Self::share_levels_above)) and rebuilds
+    /// the rest lazily, exactly like [`CoreLevel`]s. Every value must
+    /// therefore be a function of the level's maximal k-core (vertex
+    /// set, induced edges, weights) alone.
     extensions: Mutex<HashMap<(usize, u8, TypeId), Extension>>,
 }
 
@@ -155,6 +159,31 @@ impl GraphSnapshot {
         let snap = Self::from_arc(wg);
         let _ = snap.decomp.set(Arc::new(decomp));
         snap
+    }
+
+    /// Shares `from`'s memoized levels and extensions at every
+    /// `k > ceiling` with this snapshot — the same initialized cells, by
+    /// `Arc`, no copy. The caller vouches that both graphs have the same
+    /// weights and, at each such `k`, the same maximal k-core with the
+    /// same induced edges: `Engine::apply` passes the highest level its
+    /// updates changed (`CascadeRecord::ceiling`). Levels at or below
+    /// the ceiling start empty and rebuild lazily.
+    pub fn share_levels_above(&self, from: &GraphSnapshot, ceiling: usize) {
+        fn share<K: Copy + Eq + std::hash::Hash, V>(
+            from: &Mutex<HashMap<K, Arc<OnceLock<V>>>>,
+            into: &Mutex<HashMap<K, Arc<OnceLock<V>>>>,
+            carried: impl Fn(K) -> bool,
+        ) {
+            let from = from.lock().expect("snapshot cache poisoned");
+            let mut into = into.lock().expect("snapshot cache poisoned");
+            for (&key, cell) in from.iter() {
+                if carried(key) && cell.get().is_some() {
+                    into.entry(key).or_insert_with(|| Arc::clone(cell));
+                }
+            }
+        }
+        share(&from.levels, &self.levels, |k| k > ceiling);
+        share(&from.extensions, &self.extensions, |(k, _, _)| k > ceiling);
     }
 
     /// Marks the snapshot as owing `check`, a structural check of its
@@ -334,9 +363,11 @@ impl GraphSnapshot {
     /// The memoized extension of type `T` under `(k, tag)`, built on
     /// first use. Like [`level`](Self::level), racing readers serialize
     /// on one `OnceLock` per key and the value is computed exactly once
-    /// per snapshot; a snapshot swapped in after a graph update starts
-    /// with an empty extension cache, so derived structures rebuild
-    /// lazily instead of serving stale state.
+    /// per snapshot; a snapshot swapped in after a graph update holds
+    /// only the extensions of unchanged levels
+    /// ([`share_levels_above`](Self::share_levels_above)), so derived
+    /// structures of changed levels rebuild lazily instead of serving
+    /// stale state.
     ///
     /// `tag` disambiguates multiple extensions of the same type at one
     /// `k` (e.g. a min- vs max-direction community forest).
@@ -502,6 +533,22 @@ mod tests {
         assert_eq!(s.as_str(), "x");
         assert!(Arc::ptr_eq(&s, &snap.peek_extension(2, 0).unwrap()));
         assert_eq!(snap.memoized_extensions::<Vec<u32>>().len(), 3);
+    }
+
+    #[test]
+    fn shared_levels_are_the_same_cells_above_the_ceiling_only() {
+        let old = snapshot();
+        let (one, two) = (old.level(1), old.level(2));
+        let forest = old.extension(2, 0, || vec![1u32]);
+        old.extension(1, 0, || vec![2u32]);
+        let new = snapshot();
+        new.share_levels_above(&old, 1);
+        assert_eq!(new.cached_levels(), 1);
+        assert!(Arc::ptr_eq(&new.level(2), &two));
+        assert!(!Arc::ptr_eq(&new.level(1), &one), "level 1 is rebuilt");
+        let shared = new.peek_extension::<Vec<u32>>(2, 0).unwrap();
+        assert!(Arc::ptr_eq(&shared, &forest));
+        assert!(new.peek_extension::<Vec<u32>>(1, 0).is_none());
     }
 
     #[test]

@@ -1214,16 +1214,15 @@ fn handle_update(shared: &Arc<Shared>, tx: &Sender<Outbound>, id: u64, updates: 
     let Some(hub) = shared.hub.as_ref() else {
         // No hub means no subscribers to notify, so route straight
         // through the backend: read-only backends refuse typed, a
-        // mutable one just works. The trait does not surface a no-op
-        // flag, so `changed` is conservatively true here.
+        // mutable one just works.
         match shared.engine.apply_updates(updates) {
-            Ok(epoch) => {
+            Ok((epoch, changed)) => {
                 shared.metrics.updates.inc();
                 let _ = tx.send(
                     Response::UpdateAck {
                         id,
                         epoch: epoch.index(),
-                        changed: true,
+                        changed,
                     }
                     .into(),
                 );

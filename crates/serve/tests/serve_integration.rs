@@ -703,6 +703,31 @@ fn backend_servers_refuse_subscriptions_and_updates_typed() {
     server.join();
 }
 
+/// A hub-less server over a mutable engine acks what the update did: a
+/// duplicate insert changes nothing and keeps the epoch.
+#[test]
+fn backend_update_acks_report_whether_the_graph_changed() {
+    let engine = Arc::new(Engine::with_threads(ic_core::figure1::figure1(), 2));
+    let server = Server::bind_backend(engine, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for (id, update, epoch, want) in [
+        (1, EdgeUpdate::Insert { u: 0, v: 1 }, 0, false),
+        (2, EdgeUpdate::Remove { u: 0, v: 1 }, 1, true),
+        (3, EdgeUpdate::Remove { u: 0, v: 1 }, 1, false),
+    ] {
+        match client.update(id, &[update]).unwrap() {
+            Response::UpdateAck {
+                id: got,
+                epoch: e,
+                changed,
+            } => assert_eq!((got, e, changed), (id, epoch, want), "{update:?}"),
+            other => panic!("expected an update ack, got {other:?}"),
+        }
+    }
+    server.shutdown();
+    server.join();
+}
+
 /// The JSON-lines debug mode speaks the whole subscription vocabulary:
 /// subscribe, notify-before-ack, unsubscribe, shutdown.
 #[test]

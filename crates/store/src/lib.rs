@@ -45,9 +45,10 @@
 //! verified mapped store the one check left for later is the
 //! adjacency arrays' — the snapshot owes it and the engine calls it in
 //! before anything reads adjacency; [`StoreFile::load`] owes nothing. After
-//! `Engine::apply` mutates the graph, the swapped-in snapshot starts
-//! with empty caches under a new epoch — persisted state is *never*
-//! consulted across an update; it rebuilds lazily per level.
+//! `Engine::apply` mutates the graph, the swapped-in snapshot keeps
+//! only the levels the update left untouched, under a new epoch —
+//! persisted state of a changed level is *never* consulted across an
+//! update; it rebuilds lazily per level.
 //!
 //! The `ic-store` binary is the operator surface:
 //!

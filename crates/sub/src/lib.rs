@@ -7,11 +7,11 @@
 //! `ic-engine`'s mutable serving surface:
 //!
 //! * [`SubscriptionManager`] — registers standing [`Query`]s and, on
-//!   each [`apply`](SubscriptionManager::apply), routes the engine's
-//!   cascade journal ([`CascadeRecord`]) against every subscription's
-//!   footprint: subscriptions whose `k`-level is provably untouched
-//!   ([`CascadeRecord::affects_level`]) are **skipped** — no re-solve,
-//!   no notification — and the rest are refreshed in one engine batch.
+//!   each [`apply`](SubscriptionManager::apply), asks the engine's
+//!   [`ApplyOutcome::keeps`](ic_engine::ApplyOutcome::keeps) of every
+//!   subscription's retained answer: answers it proves unchanged are
+//!   **skipped** — no re-solve, no notification — and the rest are
+//!   refreshed in one engine batch.
 //! * [`Delta`] — the typed change vocabulary
 //!   ([`CommunityEntered`](Delta::CommunityEntered) /
 //!   [`CommunityLeft`](Delta::CommunityLeft) /
@@ -31,14 +31,17 @@
 //!
 //! Every solver path answers a `(k, …)` query from the maximal
 //! `k`-core's vertex set, its induced edges, and the (immutable)
-//! vertex weights — nothing else. [`CascadeRecord::affects_level`]
-//! returns `false` only when the update provably changed neither the
-//! `k`-core's vertex set (no core number crossed the `k` threshold)
-//! nor its induced edge set (the updated edge has an endpoint outside
-//! the `k`-core before and after). Deterministic solver paths are
-//! bit-identical on identical input (`tests/conformance.rs`), so the
-//! retained answer *is* the re-solve — skipping changes nothing but
-//! the bill.
+//! vertex weights — nothing else. Above the batch's
+//! [`ceiling`](ic_engine::ApplyOutcome::ceiling) no update changed
+//! either the `k`-core's vertex set (no core number crossed the `k`
+//! threshold) or its induced edge set (every updated edge has an
+//! endpoint outside the `k`-core before and after). A plain `min`
+//! answer of exactly `r` communities depends on less: only on the
+//! subgraph of vertices at least as heavy as its `r`-th value, which
+//! toggles with a lighter endpoint leave alone. Deterministic solver
+//! paths are bit-identical on identical input (`tests/conformance.rs`),
+//! so the retained answer *is* the re-solve — skipping changes nothing
+//! but the bill.
 //!
 //! # Quick start
 //!

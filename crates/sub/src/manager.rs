@@ -1,4 +1,4 @@
-//! The standing-query registry and its journal-pruned refresh loop.
+//! The standing-query registry and its proof-pruned refresh loop.
 
 use crate::delta::{diff_answers, Delta};
 use ic_core::Community;
@@ -51,16 +51,16 @@ pub struct ApplyReport {
     pub epoch: Epoch,
     /// Whether the update batch changed the edge set at all.
     pub changed: bool,
-    /// Subscriptions skipped because the cascade journal proved their
-    /// `k`-level untouched — no re-solve ran for these.
+    /// Subscriptions skipped because the apply provably left their
+    /// answer unchanged — no re-solve ran for these.
     pub skipped: usize,
-    /// Subscriptions re-solved (their level intersected the cascade).
+    /// Subscriptions re-solved (the apply could have changed them).
     pub refreshed: usize,
     /// One entry per subscription whose answer actually changed.
     pub notifications: Vec<Notification>,
     /// Refreshes that failed (e.g. a deadline-carrying query expired);
     /// the subscription keeps its previous answer and will be retried
-    /// on the next apply that touches its level.
+    /// on the next apply that can change its answer.
     pub failed: Vec<(SubscriptionId, EngineError)>,
 }
 
@@ -71,7 +71,7 @@ pub struct SubStats {
     pub subscriptions: usize,
     /// Applies processed (including no-op update batches).
     pub applies: u64,
-    /// Refreshes skipped by the journal's unaffectedness proof.
+    /// Refreshes skipped by the apply's unchanged-answer proof.
     pub skipped_total: u64,
     /// Re-solves performed.
     pub refreshed_total: u64,
@@ -91,7 +91,7 @@ struct Inner {
 }
 
 /// The subscription registry over one [`Engine`]: standing queries in,
-/// typed delta notifications out, with the engine's cascade journal
+/// typed delta notifications out, with the engine's apply proof
 /// pruning provably-unaffected refreshes. See the crate docs for the
 /// soundness argument.
 ///
@@ -175,12 +175,13 @@ impl SubscriptionManager {
     }
 
     /// Applies `updates` through the engine and refreshes exactly the
-    /// standing queries the cascade journal cannot prove unaffected.
+    /// standing queries the apply cannot prove unaffected.
     ///
-    /// Per subscription: if no [`CascadeRecord`](crate::CascadeRecord)
-    /// of the batch [`affects_level`](crate::CascadeRecord::affects_level)
-    /// `query.k`, the retained answer is provably bit-identical to a
-    /// re-solve — the subscription is counted in
+    /// Per subscription: if [`ApplyOutcome::keeps`](ic_engine::ApplyOutcome::keeps)
+    /// holds for the retained answer — its level is above the batch's
+    /// ceiling, or a `min` answer's `r`-th value is above every toggle's
+    /// lighter endpoint — that answer is provably bit-identical to a
+    /// re-solve, and the subscription is counted in
     /// [`ApplyReport::skipped`] and costs nothing. The rest are
     /// re-solved in **one** engine batch (dedup and family merging
     /// apply across subscriptions), diffed against their retained
@@ -205,15 +206,13 @@ impl SubscriptionManager {
             return Ok(report);
         }
 
-        // Partition by the journal: one affects_level sweep per
-        // subscription, no graph work.
+        // Partition by the apply's proof: no graph work.
         let mut refresh: Vec<u64> = Vec::new();
         for (&id, standing) in inner.subs.iter() {
-            let k = standing.query.k;
-            if outcome.records.iter().any(|r| r.affects_level(k)) {
-                refresh.push(id);
-            } else {
+            if outcome.keeps(&standing.query, &standing.answer) {
                 report.skipped += 1;
+            } else {
+                refresh.push(id);
             }
         }
         inner.stats.skipped_total += report.skipped as u64;

@@ -18,7 +18,8 @@ use std::ops::Range;
 /// `families` (0 ER, 1 Barabási-Albert, 2 Chung-Lu, 3 planted
 /// partition), weighted by one of `weight_models` (0 uniform, 1 Pareto,
 /// 2 rank permutation, 3 at most five distinct values — value ties on
-/// every path), all derived from one drawn seed.
+/// every path, 4 drawn from {1, 2, 3} — ties at every cut), all derived
+/// from one drawn seed.
 pub fn arb_workload(
     families: Range<u32>,
     weight_models: Range<u32>,
@@ -44,7 +45,11 @@ pub fn arb_workload(
             0 => uniform_weights(n, 0.5, 50.0, GraphSeed(seed ^ 0xabcd)),
             1 => pareto_weights(n, 1.5, GraphSeed(seed ^ 0xabcd)),
             2 => rank_weights(n, GraphSeed(seed ^ 0xabcd)),
-            _ => (0..n).map(|i| ((i * 7 + 3) % 5) as f64 + 1.0).collect(),
+            3 => (0..n).map(|i| ((i * 7 + 3) % 5) as f64 + 1.0).collect(),
+            _ => uniform_weights(n, 0.0, 3.0, GraphSeed(seed ^ 0xabcd))
+                .into_iter()
+                .map(|w| w.floor().min(2.0) + 1.0)
+                .collect(),
         };
         WeightedGraph::new(g, w).unwrap()
     })

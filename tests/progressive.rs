@@ -7,11 +7,18 @@
 //!    epoch advances, and pre-update cache entries are never served.
 //! 2. **Isolation** — a batch is served under one epoch, and batches
 //!    after an `apply` pin the new one.
+//! 3. **Carried state is invisible** — across a run of applies, the
+//!    answers, forests, levels and core rows an apply carries into the
+//!    next epoch serve exactly what a direct solve on the toggled graph
+//!    returns, and so do the subscriptions it lets skip their refresh.
 
 use ic_core::Aggregation;
 use ic_engine::prelude::*;
 use ic_graph::WeightedGraph;
+use ic_sub::{replay, SubscriptionManager};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 mod common;
 
@@ -108,6 +115,114 @@ proptest! {
             }
         }
         drop(before);
+    }
+}
+
+/// Min, max, sum and a size-bounded query at every `k` in 1..=4: the
+/// answers the result cache carries, the forests and levels the
+/// snapshot shares, and the core rows of the local search.
+fn carry_mix() -> Vec<Query> {
+    (1..=4)
+        .flat_map(|k| {
+            [
+                Query::new(k, 1, Aggregation::Min),
+                Query::new(k, 3, Aggregation::Min),
+                Query::new(k, 3, Aggregation::Max),
+                Query::new(k, 2, Aggregation::Sum),
+                Query::new(k, 2, Aggregation::Average).size_bound(k + 3, true),
+            ]
+        })
+        .collect()
+}
+
+/// Folds `(a, b, pick)` onto an edge toggle of the current edge set: with
+/// `pick` the edge to one of `a`'s neighbours (a removal that lands),
+/// else `{a, b}` inserted when absent and removed when present.
+fn toggle(
+    edges: &mut BTreeSet<(u32, u32)>,
+    n: u32,
+    (a, b, pick): (u32, u32, bool),
+) -> Option<EdgeUpdate> {
+    let u = a % n;
+    let nbrs: Vec<u32> = edges
+        .iter()
+        .filter_map(|&(x, y)| (x == u).then_some(y).or((y == u).then_some(x)))
+        .collect();
+    let v = match pick && !nbrs.is_empty() {
+        true => nbrs[b as usize % nbrs.len()],
+        false => b % n,
+    };
+    if u == v {
+        return None;
+    }
+    let key = (u.min(v), u.max(v));
+    Some(if edges.remove(&key) {
+        EdgeUpdate::Remove { u, v }
+    } else {
+        edges.insert(key);
+        EdgeUpdate::Insert { u, v }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// After every apply of a run, every warmed query answers like a
+    /// direct solve on the toggled graph, and every subscription's
+    /// replayed view equals a fresh engine's answer.
+    #[test]
+    fn carried_state_matches_direct_solves_after_every_apply(
+        wg in prop_oneof![
+            common::arb_workload(0..4, 4..5, 20..48),
+            common::arb_workload(0..4, 0..1, 20..48),
+        ],
+        script in proptest::collection::vec(
+            proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..5),
+            4..9,
+        ),
+    ) {
+        let n = wg.num_vertices() as u32;
+        let mix = carry_mix();
+        let standing: Vec<Query> = mix.iter().copied().filter(|q| q.constraint == Constraint::Unconstrained).collect();
+        let eng = Engine::with_threads(wg.clone(), 1);
+        let manager = SubscriptionManager::new(Arc::new(Engine::with_threads(wg.clone(), 1)));
+        let (ids, mut held): (Vec<_>, Vec<Vec<Community>>) = standing
+            .iter()
+            .map(|q| {
+                let sub = manager.subscribe(*q).expect("subscribe");
+                (sub.id, sub.answer)
+            })
+            .unzip();
+        let mut edges: BTreeSet<(u32, u32)> = wg.graph().edges().collect();
+        eng.run_batch(&mix);
+
+        for (step, batch) in script.iter().enumerate() {
+            let updates: Vec<EdgeUpdate> = batch
+                .iter()
+                .filter_map(|&t| toggle(&mut edges, n, t))
+                .collect();
+            eng.apply(&updates);
+            let report = manager.apply(&updates).expect("apply");
+            prop_assert!(report.failed.is_empty());
+            let edge_list: Vec<(u32, u32)> = edges.iter().copied().collect();
+            let toggled = WeightedGraph::new(
+                ic_graph::graph_from_edges(n as usize, &edge_list),
+                wg.weights().to_vec(),
+            )
+            .unwrap();
+
+            for (q, got) in mix.iter().zip(eng.run_batch(&mix)) {
+                prop_assert_eq!(got, q.solve(&toggled), "{:?} after step {}: {:?}", q, step, updates);
+            }
+            for n in &report.notifications {
+                let slot = &mut held[ids.iter().position(|id| *id == n.id).unwrap()];
+                *slot = replay(slot, &n.deltas);
+            }
+            let fresh = Engine::with_threads(toggled, 1).run_batch(&standing);
+            for ((q, view), want) in standing.iter().zip(&held).zip(fresh) {
+                prop_assert_eq!(view, &want.unwrap(), "subscription {:?} after step {}", q, step);
+            }
+        }
     }
 }
 
