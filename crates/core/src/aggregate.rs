@@ -94,9 +94,12 @@ pub enum TieSemantics {
     /// prove the top set unique (the engine's exact r-family merge).
     Exact,
     /// Values are scores without exact-tie meaning (e.g. sampled or
-    /// externally derived): the engine must not merge r-families for
-    /// this aggregation, because a tie proof over `f64` equality proves
-    /// nothing. Each query runs on its own.
+    /// externally derived): the engine must not merge exact-TIC
+    /// r-families for this aggregation, because a tie proof over `f64`
+    /// equality proves nothing, so each such query runs on its own. A
+    /// [`peel_extremum`](Certificates::peel_extremum) aggregation is
+    /// unaffected: its value is the extreme member weight bit for bit,
+    /// so it is served like `min`/`max`.
     Approximate,
 }
 

@@ -41,8 +41,7 @@
 use crate::plan::{Job, JobOutput, LocalJob, Plan};
 use crate::{AnswerStatus, DegradeReason, EngineError, QueryAnswer};
 use ic_core::algo::{
-    self, run_seed_multi, CoreRows, ExtremumIndex, LocalScratch, MinMaxEmission, SeedTarget,
-    TicEmission,
+    run_seed_multi, CoreRows, ExtremumIndex, LocalScratch, MinMaxEmission, SeedTarget, TicEmission,
 };
 use ic_core::community::{decode_ordered_f64, encode_ordered_f64};
 use ic_core::{Aggregation, Community, TopList};
@@ -328,7 +327,6 @@ fn run_job(
             k,
             rs,
             outputs,
-            indexed,
             deadline,
         } => {
             if let Some(d) = deadline {
@@ -366,28 +364,22 @@ fn run_job(
                 send_all(done, outputs, &outcome);
                 return;
             }
-            let solved = if *indexed {
-                // Index-served: the family is answered from the
-                // snapshot's extremum community forest — persisted via
-                // `ic-store` or built once per snapshot — in
-                // output-sensitive time, each ranked community
-                // materialized once for all of `rs`. Bit-identical to
-                // the peel path below (held by the conformance suite),
-                // and a memoized forest is read without touching
-                // adjacency (weights only). The span is attributed
-                // *within* the batch's solve wall time: it is summed
-                // per-job across parallel workers, so it can exceed the
-                // solve span on its own.
-                let index_sw = ic_obs::Stopwatch::start();
-                let index = ExtremumIndex::cached(snap, *k, *dir);
-                let solved = index.topr_multi(snap.weighted(), rs);
-                if let Some(trace) = obs.trace {
-                    index_sw.record(trace, ic_obs::Stage::IndexServe);
-                }
-                solved
-            } else {
-                algo::peel_topr_on(snap, *k, rs, *dir, arena)
-            };
+            // Index-served: the family is answered from the snapshot's
+            // extremum community forest — persisted via `ic-store` or
+            // built once per snapshot — in output-sensitive time, each
+            // ranked community materialized once for all of `rs`.
+            // Bit-identical to the solo peel (held by the conformance
+            // suite), and a memoized forest is read without touching
+            // adjacency (weights only). The span is attributed *within*
+            // the batch's solve wall time: it is summed per-job across
+            // parallel workers, so it can exceed the solve span on its
+            // own.
+            let index_sw = ic_obs::Stopwatch::start();
+            let index = ExtremumIndex::cached(snap, *k, *dir);
+            let solved = index.topr_multi(snap.weighted(), rs);
+            if let Some(trace) = obs.trace {
+                index_sw.record(trace, ic_obs::Stage::IndexServe);
+            }
             match solved {
                 Ok(lists) => {
                     let slots: Vec<Outcome> = lists.into_iter().map(ok_complete).collect();

@@ -10,16 +10,16 @@
 //!   empty at plan time (the maximal k-core is empty, so the answer is
 //!   provably `[]` — no solver run needed);
 //! * identical queries share one job (and one result allocation);
-//! * `min`/`max` queries that differ only in `r` are merged into one
-//!   *family* job. When every member declares exact tie semantics the
-//!   family is **index-served** from the snapshot's memoized extremum
-//!   community forest ([`ic_core::algo::ExtremumIndex`], persisted by
-//!   `ic-store` or built once per snapshot) in output-sensitive time;
-//!   otherwise a single stamped peel pass
-//!   ([`ic_core::algo::peel_topr_on`]) answers the family — the peel
-//!   timeline is `r`-independent, so `t` queries cost one peel.
-//!   Both paths are bit-identical to the one-query-at-a-time peel
-//!   (held by the conformance suite);
+//! * `min`/`max` queries (every aggregation certified `peel_extremum`)
+//!   that differ only in `r` are merged into one *family* job, which is
+//!   **index-served** from the snapshot's memoized extremum community
+//!   forest ([`ic_core::algo::ExtremumIndex`], persisted by `ic-store`
+//!   or built once per snapshot) in output-sensitive time, bit-identical
+//!   to the one-query-at-a-time peel (held by the conformance suite).
+//!   The certificate forces the value to equal the extreme member
+//!   weight bit for bit, so a declared tie semantics changes nothing
+//!   here. Only a deadline-armed query peels instead (see
+//!   [`Job::MinMaxFamily`]);
 //! * *exact* removal-decreasing queries (`sum`, `sum-surplus` with
 //!   ε = 0) that differ only in `r` are merged into one family answered
 //!   by a single `TIC-IMPROVED` run at the largest `r`, with a
@@ -104,16 +104,16 @@ pub(crate) struct LocalJob {
 
 /// One executable unit of a plan.
 pub(crate) enum Job {
-    /// A min/max family answering every `r` in `rs` — served from the
-    /// snapshot's memoized extremum community forest when `indexed`
-    /// (every member declares exact tie semantics), else by one
-    /// two-pass peel. Both paths are bit-identical to the solo peel.
+    /// A min/max family answering every `r` in `rs` from the snapshot's
+    /// memoized extremum community forest — or, when deadline-armed,
+    /// from a budgeted progressive peel whose ranked emission is the
+    /// degraded prefix certificate. Both are bit-identical to the solo
+    /// peel.
     MinMaxFamily {
         dir: Extremum,
         k: usize,
         rs: Vec<usize>,
         outputs: Vec<JobOutput>,
-        indexed: bool,
         /// Wall-clock budget, armed at execution start. Deadline-armed
         /// queries never share a job with unarmed ones (and only with
         /// exact duplicates of themselves), so `rs.len() == 1` whenever
@@ -190,10 +190,9 @@ pub struct PlanStats {
     /// Distinct `k` levels the plan touches.
     pub k_levels: usize,
     /// Queries the plan routes through the snapshot's extremum
-    /// community forest (`peel_extremum` certificate + exact tie
-    /// semantics, unconstrained): answered in output-sensitive time
-    /// from the index — persisted or built once per snapshot — instead
-    /// of a fresh peel.
+    /// community forest (`peel_extremum` certificate, unconstrained, no
+    /// deadline): answered in output-sensitive time from the index —
+    /// persisted or built once per snapshot — instead of a fresh peel.
     pub index_routed: usize,
 }
 
@@ -280,11 +279,10 @@ fn ddl_key(q: &Query) -> u64 {
 /// certificate: prefix serving proves tie-safety through `f64` value
 /// equality, which means nothing for an aggregation declaring
 /// approximate ties — such queries (custom functions may declare this)
-/// each run on their own. Min/max **peel** families are exempt from
-/// the gate: their merge reads one peel timeline and re-selects
-/// events per `r` exactly (`peel_topr_on` is bit-identical to a solo
-/// run member-by-member, no value-equality proof involved), so tie
-/// semantics cannot affect them.
+/// each run on their own. Min/max families are exempt from the gate:
+/// their merge reads one forest and takes each `r`'s prefix of its
+/// event ranking (no value-equality proof involved), so tie semantics
+/// cannot affect them.
 fn validate(q: &Query) -> Result<JobKey, SearchError> {
     let ddl = ddl_key(q);
     // Armed mergeable families pin their own r (see JobKey docs).
@@ -345,18 +343,12 @@ fn validate(q: &Query) -> Result<JobKey, SearchError> {
     }
 }
 
-/// Whether every member of the query's family has exact tie semantics —
-/// the forest's `f64` rank order proves nothing for approximate ties.
-fn exact_ties(q: &Query) -> bool {
-    q.aggregation.certificates().ties == ic_core::TieSemantics::Exact
-}
-
 /// Whether serving `q` reads nothing but a forest `snapshot` already
 /// holds: the one kind of job that touches no adjacency.
 fn reads_memoized_forest(snapshot: &GraphSnapshot, key: &JobKey, q: &Query) -> bool {
     match *key {
         JobKey::MinMax { dir, k, .. } => {
-            q.deadline.is_none() && exact_ties(q) && ExtremumIndex::peek(snapshot, k, dir).is_some()
+            q.deadline.is_none() && ExtremumIndex::peek(snapshot, k, dir).is_some()
         }
         _ => false,
     }
@@ -468,18 +460,13 @@ impl Plan {
                     let members = families.remove(&key).expect("family registered");
                     sequential_runs += members.len();
                     // All members share one deadline — it is part of the
-                    // key.
+                    // key. An unarmed family is index-served; an armed
+                    // one peels, because the degraded prefix certificate
+                    // comes from the peel's ranked emission order, which
+                    // the forest walk does not replay
+                    // checkpoint-by-checkpoint.
                     let deadline = members[0].1.deadline;
-                    // Index-serve the family when every member declares
-                    // exact tie semantics — an approximate-tie custom
-                    // may not be proven against the forest's f64 rank
-                    // order, so such families fall back to the peel.
-                    // Deadline-armed families also peel: the degraded
-                    // prefix certificate comes from the peel's ranked
-                    // emission order, which the forest walk does not
-                    // replay checkpoint-by-checkpoint.
-                    let indexed = deadline.is_none() && members.iter().all(|(_, q)| exact_ties(q));
-                    if indexed {
+                    if deadline.is_none() {
                         index_routed += members.len();
                     }
                     let (rs, outputs) = family_slots(&members);
@@ -489,7 +476,6 @@ impl Plan {
                         k,
                         rs,
                         outputs,
-                        indexed,
                         deadline,
                     });
                 }
@@ -647,10 +633,49 @@ mod tests {
         ];
         let plan = Plan::build(&snap, &batch, 1, None);
         assert_eq!(plan.stats.index_routed, 3);
-        for job in &plan.jobs {
-            if let Job::MinMaxFamily { indexed, .. } = job {
-                assert!(indexed, "built-ins declare exact ties");
+        assert_eq!(plan.stats.solver_runs, 2, "one min and one max family");
+    }
+
+    /// A `min` by certificate that declares approximate ties: the
+    /// certificate pins its value to the lightest member's weight bit
+    /// for bit, so the forest serves it like the built-in.
+    #[derive(Debug)]
+    struct LooseMin;
+
+    impl ic_core::AggregateFn for LooseMin {
+        fn name(&self) -> &str {
+            "loose-min"
+        }
+        fn certificates(&self) -> ic_core::Certificates {
+            ic_core::Certificates {
+                ties: ic_core::TieSemantics::Approximate,
+                ..Aggregation::Min.certificates()
             }
+        }
+        fn evaluate(&self, member_weights: &[f64], _total_weight: f64) -> f64 {
+            member_weights.iter().copied().fold(f64::INFINITY, f64::min)
+        }
+        fn evaluate_state(&self, state: &ic_core::StateView<'_>) -> f64 {
+            state.min_weight().expect("non-empty state")
+        }
+    }
+
+    #[test]
+    fn approximate_tie_minmax_families_are_forest_served() {
+        static LOOSE: OnceLock<Aggregation> = OnceLock::new();
+        let agg = *LOOSE.get_or_init(|| Aggregation::custom(LooseMin).expect("certifies"));
+        let wg = figure1();
+        let batch: Vec<Query> = [3, 1, 5, 3].map(|r| Query::new(2, r, agg)).to_vec();
+        let plan = Plan::build(&GraphSnapshot::new(wg.clone()), &batch, 1, None);
+        assert_eq!(plan.stats.index_routed, 4, "the forest serves the family");
+        assert_eq!(plan.stats.solver_runs, 1);
+
+        let engine = crate::Engine::with_threads(wg.clone(), 1);
+        for (q, got) in batch.iter().zip(engine.run_batch(&batch)) {
+            let want = q.solve(&wg).unwrap();
+            assert_eq!(got.unwrap(), want, "r = {}", q.r);
+            let builtin = Query::new(q.k, q.r, Aggregation::Min).solve(&wg).unwrap();
+            assert_eq!(want, builtin, "r = {}: the same bits as `min`", q.r);
         }
     }
 
@@ -706,15 +731,8 @@ mod tests {
             "only the unarmed query is forest-served"
         );
         for job in &plan.jobs {
-            if let Job::MinMaxFamily {
-                indexed,
-                deadline,
-                rs,
-                ..
-            } = job
-            {
+            if let Job::MinMaxFamily { deadline, rs, .. } = job {
                 if deadline.is_some() {
-                    assert!(!indexed, "armed families must peel");
                     assert_eq!(rs.len(), 1, "armed families hold exactly one r");
                 }
             }

@@ -8,11 +8,14 @@
 //! ```
 //!
 //! With `--addr …:0` the OS picks an ephemeral port; the bound address
-//! is printed on stdout (`listening on <addr>`) and, with
-//! `--port-file`, written there too — that is how the CI smoke leg
-//! finds the server. The process runs until a client sends a shutdown
-//! frame (binary `0x02`, or `{"op":"shutdown"}` in JSON-lines mode),
-//! then drains gracefully and exits 0.
+//! is the first line on stdout (`listening on <addr>`) and, with
+//! `--port-file`, is written there too — a script or test that boots
+//! the server reads either to find it. The process runs until a client
+//! sends a shutdown frame (binary `0x02`, or `{"op":"shutdown"}` in
+//! JSON-lines mode), then drains gracefully, prints `drained; bye` and
+//! exits 0. `--help` prints the usage on stdout and exits 0; a bad
+//! flag or a source that cannot be opened exits 1 with a diagnostic on
+//! stderr. `crates/serve/tests/cli.rs` holds this contract.
 
 use ic_engine::{Engine, QueryBackend};
 use ic_serve::{ServeConfig, Server};
@@ -30,8 +33,6 @@ struct Args {
     port_file: Option<String>,
     window_us: Option<u64>,
     queue: Option<usize>,
-    max_batch: Option<usize>,
-    notify_capacity: Option<usize>,
     threads: Option<usize>,
     stats_interval: Option<u64>,
     slow_ms: Option<u64>,
@@ -54,8 +55,6 @@ options:
                        (default 1000; the linger taken is at most half the
                        recent flush time, 0 never lingers)
   --queue <n>          admission queue bound (default 1024)
-  --max-batch <n>      largest engine batch per flush (default 256)
-  --notify-capacity <n> per-subscription in-flight notification bound (default 64)
   --threads <n>        engine worker threads (default: all cores)
   --stats-interval <s> report live metrics on stderr every <s> seconds
   --slow-ms <n>        slow-query log threshold in milliseconds (default 100)
@@ -77,8 +76,6 @@ fn parse_args() -> Result<Args, String> {
         port_file: None,
         window_us: None,
         queue: None,
-        max_batch: None,
-        notify_capacity: None,
         threads: None,
         stats_interval: None,
         slow_ms: None,
@@ -97,14 +94,10 @@ fn parse_args() -> Result<Args, String> {
             "--port-file" => args.port_file = Some(value("--port-file")?),
             "--window-us" => args.window_us = Some(parse(&value("--window-us")?)?),
             "--queue" => args.queue = Some(parse(&value("--queue")?)?),
-            "--max-batch" => args.max_batch = Some(parse(&value("--max-batch")?)?),
-            "--notify-capacity" => {
-                args.notify_capacity = Some(parse(&value("--notify-capacity")?)?)
-            }
             "--threads" => args.threads = Some(parse(&value("--threads")?)?),
             "--stats-interval" => args.stats_interval = Some(parse(&value("--stats-interval")?)?),
             "--slow-ms" => args.slow_ms = Some(parse(&value("--slow-ms")?)?),
-            "--help" | "-h" => return Err(USAGE.into()),
+            "--help" | "-h" => help(),
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
@@ -120,6 +113,11 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+fn help() -> ! {
+    print!("{USAGE}");
+    std::process::exit(0)
+}
+
 fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse()
         .map_err(|_| format!("malformed numeric argument {s:?}"))
@@ -129,7 +127,7 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {
-            eprintln!("{msg}");
+            eprintln!("ic-serve: {msg}");
             return ExitCode::FAILURE;
         }
     };
@@ -148,12 +146,6 @@ fn main() -> ExitCode {
     }
     if let Some(q) = args.queue {
         config.queue_capacity = q;
-    }
-    if let Some(b) = args.max_batch {
-        config.max_batch = b;
-    }
-    if let Some(c) = args.notify_capacity {
-        config.notify_capacity = c;
     }
     if let Some(ms) = args.slow_ms {
         config.slow_query_threshold = Duration::from_millis(ms);

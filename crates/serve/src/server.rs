@@ -23,7 +23,7 @@
 //! **Admission is work-conserving.** A batch leaves as soon as its
 //! *oldest* query has waited out the **linger**,
 //! `min(admission_window, recent flush service time / 2)`, or
-//! [`ServeConfig::max_batch`] queries are queued. Waiting is worth a
+//! `MAX_BATCH` (256) queries are queued. Waiting is worth a
 //! fraction of the work it can amortize, never more: cache-hit traffic
 //! (flushes of microseconds) stops waiting, while solver-bound traffic
 //! (flushes of tens of milliseconds) lingers for the whole window
@@ -139,6 +139,13 @@ const READ_BUF_LEN: usize = 16 * 1024;
 /// A writer stops gathering further queued messages into one `write`
 /// once it holds this many encoded bytes.
 const WRITE_GATHER_MAX: usize = 256 * 1024;
+/// Largest number of queries flushed as one engine batch.
+const MAX_BATCH: usize = 256;
+/// Per-subscription bound on notifications admitted but not yet
+/// written (see `ic_sub::NotificationGate`); a subscriber lagging
+/// beyond it has notifications shed and the next delivered one flagged
+/// as a resync.
+const NOTIFY_CAPACITY: usize = 64;
 
 /// Server tuning knobs; `ServeConfig::default()` is the recommended
 /// starting point.
@@ -155,13 +162,6 @@ pub struct ServeConfig {
     /// Bound on the admission queue; queries beyond it are shed with
     /// [`ShedReason::QueueFull`].
     pub queue_capacity: usize,
-    /// Largest number of queries flushed as one engine batch.
-    pub max_batch: usize,
-    /// Per-subscription bound on notifications admitted but not yet
-    /// written (see `ic_sub::NotificationGate`); a subscriber lagging
-    /// beyond it has notifications shed and the next delivered one
-    /// flagged as a resync. Clamped to at least 1.
-    pub notify_capacity: usize,
     /// End-to-end latency (earliest admission → last reply written)
     /// above which a batch's trace lands in the slow-query log
     /// ([`Server::slow_queries_json`]).
@@ -173,8 +173,6 @@ impl Default for ServeConfig {
         ServeConfig {
             admission_window: Duration::from_millis(1),
             queue_capacity: 1024,
-            max_batch: 256,
-            notify_capacity: 64,
             slow_query_threshold: Duration::from_millis(100),
         }
     }
@@ -483,7 +481,7 @@ impl Shared {
         // The batcher sleeps in two places: on an empty queue, and
         // lingering on a non-empty one until its deadline or a full
         // batch. Only the push that ends one of those needs to wake it.
-        let wake = queue.len() == 1 || queue.len() == self.config.max_batch;
+        let wake = queue.len() == 1 || queue.len() == MAX_BATCH;
         drop(queue);
         self.metrics.admitted.inc();
         if wake {
@@ -572,7 +570,6 @@ impl Server {
             });
         }
         let config = ServeConfig {
-            max_batch: config.max_batch.max(1),
             queue_capacity: config.queue_capacity.max(1),
             ..config
         };
@@ -683,7 +680,7 @@ impl Server {
 // Batcher
 
 fn batcher(shared: &Shared) {
-    let (window, max_batch) = (shared.config.admission_window, shared.config.max_batch);
+    let window = shared.config.admission_window;
     let mut batch: Vec<Admitted> = Vec::new();
     // The linger: a moving average of `flush service time /
     // LINGER_DIVISOR`, capped by the window when applied. Seeded with
@@ -706,7 +703,7 @@ fn batcher(shared: &Shared) {
             // inter-arrival gaps — and so that queries which queued
             // while the last flush ran leave without further wait.
             let linger_end = queue.front().unwrap().admitted_at + linger.min(window);
-            while queue.len() < max_batch && !shared.is_draining() {
+            while queue.len() < MAX_BATCH && !shared.is_draining() {
                 let now = Instant::now();
                 if now >= linger_end {
                     break;
@@ -717,7 +714,7 @@ fn batcher(shared: &Shared) {
                     .unwrap();
                 queue = guard;
             }
-            let take = queue.len().min(max_batch);
+            let take = queue.len().min(MAX_BATCH);
             batch.extend(queue.drain(..take));
         }
         let flush_start = Instant::now();
@@ -1164,7 +1161,7 @@ fn handle_subscribe(
     match hub.manager.subscribe(wire.query) {
         Ok(sub) => {
             shared.metrics.subscribes.inc();
-            let gate = Arc::new(NotificationGate::new(shared.config.notify_capacity));
+            let gate = Arc::new(NotificationGate::new(NOTIFY_CAPACITY));
             hub.subscribers.lock().unwrap().insert(
                 sub.id.0,
                 Subscriber {

@@ -274,7 +274,6 @@ fn full_admission_queue_sheds_with_a_typed_reply() {
             // finds it full.
             admission_window: Duration::from_millis(300),
             queue_capacity: 1,
-            max_batch: 64,
             ..ServeConfig::default()
         },
     )
