@@ -86,23 +86,6 @@ impl Extremum {
     }
 }
 
-/// Tie semantics of an aggregation's values.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TieSemantics {
-    /// Equal `f64` values are genuine ties: solvers may serve a smaller
-    /// `r` as a prefix of a larger-`r` run whenever the boundary values
-    /// prove the top set unique (the engine's exact r-family merge).
-    Exact,
-    /// Values are scores without exact-tie meaning (e.g. sampled or
-    /// externally derived): the engine must not merge exact-TIC
-    /// r-families for this aggregation, because a tie proof over `f64`
-    /// equality proves nothing, so each such query runs on its own. A
-    /// [`peel_extremum`](Certificates::peel_extremum) aggregation is
-    /// unaffected: its value is the extreme member weight bit for bit,
-    /// so it is served like `min`/`max`.
-    Approximate,
-}
-
 /// Machine-checkable property certificates of an [`AggregateFn`].
 ///
 /// Every field is a *claim* the implementation makes about itself; the
@@ -149,13 +132,11 @@ pub struct Certificates {
     /// total weight). Such communities rank last under `total_cmp`; see
     /// DESIGN.md §4 and the `TopList` ordering notes.
     pub may_be_neg_infinite: bool,
-    /// How equal values tie-break across queries; see [`TieSemantics`].
-    pub ties: TieSemantics,
 }
 
 impl Certificates {
-    /// The weakest truthful declaration: no structure claimed, NP-hard,
-    /// exact ties. Routes only through size-constrained local search.
+    /// The weakest truthful declaration: no structure claimed, NP-hard.
+    /// Routes only through size-constrained local search.
     ///
     /// One caveat: `needs_multiset` is `false` here, which is only
     /// truthful when [`AggregateFn::evaluate_state`] is overridden —
@@ -173,7 +154,6 @@ impl Certificates {
             hardness_unconstrained: Hardness::NpHard,
             needs_multiset: false,
             may_be_neg_infinite: false,
-            ties: TieSemantics::Exact,
         }
     }
 }

@@ -131,7 +131,7 @@ pub(crate) fn vertex_set_key(vertices: &[VertexId]) -> u64 {
 }
 
 /// Work counts of the child-expansion step of Algorithms 1 and 2, summed
-/// over a run (see [`crate::algo::TicEmission::work`]). They depend only
+/// over a run (see [`crate::algo::TicSearch::work`]). They depend only
 /// on the graph and the query, so a test can gate on them without a
 /// stopwatch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

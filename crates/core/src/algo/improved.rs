@@ -107,36 +107,16 @@ fn run_improved(
     epsilon: f64,
     arena: &mut PeelArena,
 ) -> Vec<Community> {
-    let mut emission = TicEmission::new(wg, comps, k, r, aggregation, epsilon);
-    let mut results = Vec::with_capacity(r.min(1024));
-    while let Some(c) = emission.next_community(wg, arena) {
-        results.push(c);
-    }
-    results
+    TicSearch::new(wg, comps, k, r, aggregation, epsilon).run(wg, arena)
 }
 
-/// Progressive emission for `TIC-IMPROVED` — the incremental hook
-/// the engine's `TIC` jobs drain for the removal-decreasing
-/// aggregations. The search loop of Algorithm 2 is a state machine
-/// here: every pull advances it just far enough to *prove* the next
-/// community's final rank, then yields it.
-///
-/// In exact mode (ε = 0) confirmations leave the candidate heap in
-/// non-increasing value order, so a confirmed community whose value is
-/// **strictly** above the best remaining candidate can never be
-/// outranked by anything the search finds later — it is emitted
-/// immediately. Value ties are held back until the boundary resolves
-/// (the batch solver breaks them with `ranking_cmp` in its final sort;
-/// the emitter does the same per tie group), so the emitted sequence is
-/// bit-for-bit the batch result. Approximate mode (ε > 0) early-accepts
-/// out of rank order and therefore buffers: everything is emitted only
-/// once the search finishes, behind the same API.
-///
-/// Dropping the emitter abandons the remaining search (cancellation is
-/// free). `run_improved` itself drives this machine to completion, so
-/// there is exactly one implementation of Algorithm 2.
+/// One `TIC-IMPROVED` run — the search the engine's `TIC` jobs run for
+/// the removal-decreasing aggregations, optionally under a cooperative
+/// deadline ([`set_budget`](Self::set_budget)). `run_improved` runs the
+/// same search unarmed, so there is exactly one implementation of
+/// Algorithm 2.
 #[derive(Clone, Debug)]
-pub struct TicEmission {
+pub struct TicSearch {
     k: usize,
     r: usize,
     aggregation: Aggregation,
@@ -149,11 +129,9 @@ pub struct TicEmission {
     explored: HashSet<u64>,
     in_results: HashSet<u64>,
     /// Confirmed communities in confirmation order (non-increasing value
-    /// in exact mode).
+    /// in exact mode); the answer, in `ranking_cmp` order, once
+    /// `finished`.
     results: Vec<Community>,
-    /// How many of `results` have been moved to `emit`.
-    emitted: usize,
-    emit: std::collections::VecDeque<Community>,
     fresh: Vec<Community>,
     scratch: ExpandScratch,
     finished: bool,
@@ -161,16 +139,14 @@ pub struct TicEmission {
     /// loop; also handed to the arena so long cascades keep the shared
     /// flag fresh.
     budget: Option<Arc<Budget>>,
-    /// Whether the search was cut short by its budget (the emitted
-    /// sequence is then a certified prefix / best-so-far, not the full
-    /// answer).
+    /// Whether the search was cut short by its budget (the answer is
+    /// then a certified prefix / best-so-far, not the full answer).
     aborted: bool,
 }
 
-impl TicEmission {
-    /// Starts a progressive `TIC-IMPROVED` run against a snapshot
-    /// (`ε = 0` exact, `ε > 0` approximate-buffered). The search itself
-    /// runs lazily inside [`next_community`](Self::next_community).
+impl TicSearch {
+    /// Prepares a `TIC-IMPROVED` run against a snapshot (`ε = 0` exact,
+    /// `ε > 0` approximate); [`run`](Self::run) performs it.
     pub fn start_on(
         snap: &GraphSnapshot,
         k: usize,
@@ -209,7 +185,7 @@ impl TicEmission {
             .iter()
             .map(|c| vertex_set_key(&c.vertices))
             .collect();
-        TicEmission {
+        TicSearch {
             k,
             r,
             aggregation,
@@ -219,8 +195,6 @@ impl TicEmission {
             explored,
             in_results: HashSet::new(),
             results: Vec::new(),
-            emitted: 0,
-            emit: std::collections::VecDeque::new(),
             fresh: Vec::new(),
             scratch: ExpandScratch::default(),
             finished: false,
@@ -230,20 +204,19 @@ impl TicEmission {
     }
 
     /// Arms (or disarms) a cooperative deadline. On expiry the search
-    /// stops at the next checkpoint: in exact mode every confirmed
-    /// community whose value is **strictly** above the interrupted
-    /// maximum is still emitted — children are strictly smaller under
-    /// removal (Corollary 2), so that prefix is provably final, bit for
-    /// bit — and in approximate mode everything confirmed so far is
-    /// emitted as best-so-far. [`Self::deadline_aborted`] reports
-    /// whether truncation happened.
+    /// stops at the next checkpoint: in exact mode it returns every
+    /// confirmed community whose value is **strictly** above the best
+    /// community it could still confirm — children are strictly smaller
+    /// under removal (Corollary 2), so that prefix is provably final, bit
+    /// for bit — and in approximate mode everything confirmed so far, as
+    /// best-so-far. [`Self::deadline_aborted`] reports whether truncation
+    /// happened.
     pub fn set_budget(&mut self, budget: Option<Arc<Budget>>) {
         self.budget = budget;
     }
 
-    /// Whether the search was cut short by its budget (the emitted
-    /// sequence is a proven prefix / best-so-far rather than the full
-    /// answer).
+    /// Whether the search was cut short by its budget (the answer is a
+    /// proven prefix / best-so-far rather than the full answer).
     pub fn deadline_aborted(&self) -> bool {
         self.aborted
     }
@@ -272,24 +245,15 @@ impl TicEmission {
         }
     }
 
-    /// Pulls the next community in final rank order, advancing the
-    /// search as little as possible. `wg` must be the graph the emission
+    /// Runs the search to its end (or to its budget) and returns the
+    /// answer in `ranking_cmp` order. `wg` must be the graph the search
     /// was started on; `arena` is the caller's (typically pooled) peel
     /// arena.
-    pub fn next_community(
-        &mut self,
-        wg: &WeightedGraph,
-        arena: &mut PeelArena,
-    ) -> Option<Community> {
-        loop {
-            if let Some(c) = self.emit.pop_front() {
-                return Some(c);
-            }
-            if self.finished {
-                return None;
-            }
+    pub fn run(&mut self, wg: &WeightedGraph, arena: &mut PeelArena) -> Vec<Community> {
+        while !self.finished {
             self.advance(wg, arena);
         }
+        std::mem::take(&mut self.results)
     }
 
     /// One iteration of Algorithm 2's outer loop (or termination).
@@ -301,7 +265,10 @@ impl TicEmission {
         }
         if let Some(b) = &self.budget {
             if b.check() {
-                self.deadline_abort(f64::INFINITY);
+                // Every later confirmation is at most the best remaining
+                // candidate.
+                let bar = self.candidates[0].value;
+                self.deadline_abort(bar);
                 return;
             }
         }
@@ -408,72 +375,28 @@ impl TicEmission {
             }
         }
         self.fresh = fresh;
-        self.drain_ready();
     }
 
-    /// Exact mode only: moves every confirmed community whose value is
-    /// strictly above the best remaining candidate into the emit queue.
-    /// Such a community can never be outranked — future confirmations
-    /// pop from the candidate heap, so their values are bounded by the
-    /// current best candidate. Tie groups are sorted by `ranking_cmp`
-    /// within the batch, reproducing the batch solver's final sort
-    /// piecewise (value strictly separates successive batches).
-    fn drain_ready(&mut self) {
-        if self.epsilon > 0.0 {
-            return; // buffered: early accepts break rank monotonicity
-        }
-        let bar = self
-            .candidates
-            .first()
-            .map_or(f64::NEG_INFINITY, |c| c.value);
-        let mut end = self.emitted;
-        while end < self.results.len() && self.results[end].value.total_cmp(&bar).is_gt() {
-            end += 1;
-        }
-        if end > self.emitted {
-            let mut batch = self.results[self.emitted..end].to_vec();
-            batch.sort_by(|a, b| a.ranking_cmp(b));
-            self.emit.extend(batch);
-            self.emitted = end;
-        }
-    }
-
-    /// Deadline expiry: terminates the search, emitting only what is
-    /// *provable* at this point. Exact mode emits confirmations whose
-    /// value is strictly above `bar` (the interrupted maximum): every
-    /// unexplored candidate and every future child is ≤ `bar`, so that
-    /// prefix equals the full run's prefix bit for bit (tie groups
-    /// strictly inside the range sort identically). Approximate mode has
-    /// no rank certificate to preserve and flushes everything confirmed
-    /// so far as best-so-far.
+    /// Deadline expiry: terminates the search, keeping only what is
+    /// *provable* at this point. Exact mode keeps confirmations whose
+    /// value is strictly above `bar`, the best value the search could
+    /// still confirm: that prefix equals the full run's prefix bit for bit
+    /// (tie groups strictly inside the range sort identically).
+    /// Approximate mode has no rank certificate to preserve and keeps
+    /// everything confirmed so far as best-so-far.
     fn deadline_abort(&mut self, bar: f64) {
         self.aborted = true;
-        self.finished = true;
-        let end = if self.epsilon > 0.0 {
-            self.results.len()
-        } else {
-            let mut end = self.emitted;
-            while end < self.results.len() && self.results[end].value.total_cmp(&bar).is_gt() {
-                end += 1;
-            }
-            end
-        };
-        let mut batch = self.results[self.emitted..end].to_vec();
-        batch.sort_by(|a, b| a.ranking_cmp(b));
-        self.emit.extend(batch);
-        // Everything past `end` is confirmed but uncertified at the
-        // deadline; it is dropped, not emitted out of rank order.
-        self.emitted = self.results.len();
+        if self.epsilon == 0.0 {
+            self.results.retain(|c| c.value.total_cmp(&bar).is_gt());
+        }
+        self.finish();
     }
 
-    /// Terminates the search and flushes every unemitted confirmation in
-    /// `ranking_cmp` order (the batch solver's final sort).
+    /// Terminates the search and puts the confirmations in
+    /// `ranking_cmp` order (the final sort).
     fn finish(&mut self) {
         self.finished = true;
-        let mut rest = self.results[self.emitted..].to_vec();
-        rest.sort_by(|a, b| a.ranking_cmp(b));
-        self.emit.extend(rest);
-        self.emitted = self.results.len();
+        self.results.sort_by(|a, b| a.ranking_cmp(b));
     }
 }
 
@@ -593,88 +516,28 @@ mod tests {
     }
 
     #[test]
-    fn emission_prefix_equals_batch_for_every_r_and_epsilon() {
-        let wg = figure1();
-        let snap = GraphSnapshot::new(wg.clone());
-        let mut arena = PeelArena::for_graph(snap.graph());
-        for eps in [0.0, 0.1, 0.4] {
-            for r in [1usize, 2, 4, 7, 50] {
-                let full = tic_improved(&wg, 2, r, Aggregation::Sum, eps).unwrap();
-                let mut em = TicEmission::start_on(&snap, 2, r, Aggregation::Sum, eps).unwrap();
-                let mut got = Vec::new();
-                while let Some(c) = em.next_community(&wg, &mut arena) {
-                    got.push(c);
-                }
-                assert_eq!(got, full, "full drain eps={eps} r={r}");
-                // Genuine prefix: pull n items, then stop (cancellation).
-                for n in [1usize, full.len() / 2] {
-                    let n = n.min(full.len());
-                    let mut em = TicEmission::start_on(&snap, 2, r, Aggregation::Sum, eps).unwrap();
-                    let mut prefix = Vec::new();
-                    for _ in 0..n {
-                        prefix.push(em.next_community(&wg, &mut arena).unwrap());
-                    }
-                    assert_eq!(
-                        prefix.as_slice(),
-                        &full[..n],
-                        "prefix eps={eps} r={r} n={n}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn emission_holds_back_value_ties_until_resolved() {
-        // Two disjoint triangles with identical weights: the top-2 sum
-        // values tie at 9.0, so the emitter must not commit an order
-        // until the boundary is proven; the final sequence still equals
-        // the batch result bit for bit.
-        let g = graph_from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
-        let wg = WeightedGraph::new(g, vec![3.0; 6]).unwrap();
-        let snap = GraphSnapshot::new(wg.clone());
-        let mut arena = PeelArena::for_graph(snap.graph());
-        for r in [1usize, 2, 5] {
-            let full = tic_improved(&wg, 2, r, Aggregation::Sum, 0.0).unwrap();
-            let mut em = TicEmission::start_on(&snap, 2, r, Aggregation::Sum, 0.0).unwrap();
-            let mut got = Vec::new();
-            while let Some(c) = em.next_community(&wg, &mut arena) {
-                got.push(c);
-            }
-            assert_eq!(got, full, "tie graph r={r}");
-        }
-    }
-
-    #[test]
-    fn budgeted_emission_yields_a_certified_prefix_or_best_so_far() {
+    fn budgeted_search_yields_a_certified_prefix_or_best_so_far() {
         use std::time::Duration;
         let wg = figure1();
         let snap = GraphSnapshot::new(wg.clone());
         let mut arena = PeelArena::for_graph(snap.graph());
-        // Generous budget: identical to the unbudgeted drain, no abort.
+        // Generous budget: identical to the unbudgeted run, no abort.
         let full = tic_improved(&wg, 2, 7, Aggregation::Sum, 0.0).unwrap();
-        let mut em = TicEmission::start_on(&snap, 2, 7, Aggregation::Sum, 0.0).unwrap();
-        em.set_budget(Some(Arc::new(Budget::within(Duration::from_secs(3600)))));
-        let mut got = Vec::new();
-        while let Some(c) = em.next_community(&wg, &mut arena) {
-            got.push(c);
-        }
-        assert_eq!(got, full);
-        assert!(!em.deadline_aborted());
-        // Already-expired budget: whatever is emitted is a bit-identical
+        let mut search = TicSearch::start_on(&snap, 2, 7, Aggregation::Sum, 0.0).unwrap();
+        search.set_budget(Some(Arc::new(Budget::within(Duration::from_secs(3600)))));
+        assert_eq!(search.run(&wg, &mut arena), full);
+        assert!(!search.deadline_aborted());
+        // Already-expired budget: whatever is returned is a bit-identical
         // prefix of the full answer, and the truncation is reported.
         for eps in [0.0, 0.2] {
             let full = tic_improved(&wg, 2, 7, Aggregation::Sum, eps).unwrap();
-            let mut em = TicEmission::start_on(&snap, 2, 7, Aggregation::Sum, eps).unwrap();
+            let mut search = TicSearch::start_on(&snap, 2, 7, Aggregation::Sum, eps).unwrap();
             let expired = Arc::new(Budget::within(Duration::from_millis(0)));
             std::thread::sleep(Duration::from_millis(2));
             assert!(expired.check());
-            em.set_budget(Some(expired));
-            let mut got = Vec::new();
-            while let Some(c) = em.next_community(&wg, &mut arena) {
-                got.push(c);
-            }
-            assert!(em.deadline_aborted(), "eps={eps}");
+            search.set_budget(Some(expired));
+            let got = search.run(&wg, &mut arena);
+            assert!(search.deadline_aborted(), "eps={eps}");
             if eps == 0.0 {
                 assert_eq!(got.as_slice(), &full[..got.len()], "certified prefix");
             }
@@ -722,13 +585,9 @@ mod tests {
         let mut arena = PeelArena::for_graph(snap.graph());
         let (k, r) = (6, 10);
         let mut run = |eps: f64| {
-            let mut em = TicEmission::start_on(&snap, k, r, Aggregation::Sum, eps).unwrap();
-            let mut got = Vec::new();
-            while let Some(c) = em.next_community(&wg, &mut arena) {
-                got.push(c);
-            }
-            assert_eq!(got.len(), r);
-            em.work()
+            let mut search = TicSearch::start_on(&snap, k, r, Aggregation::Sum, eps).unwrap();
+            assert_eq!(search.run(&wg, &mut arena).len(), r);
+            search.work()
         };
         let exact = run(0.0);
         assert!(exact.deletions <= 4 * r as u64, "{exact:?}");

@@ -32,19 +32,23 @@
 //! through [`ExtremumIndex::from_parts`], whose structural validation
 //! makes a corrupt or inconsistent file fail closed instead of serving a
 //! silently wrong forest. [`ExtremumIndex::cached`] memoizes a forest on
-//! a [`GraphSnapshot`] so the batched engine serves every exact-tie
-//! peel-extremum query from it; a snapshot swapped in after a graph
-//! update inherits only the forests of levels the update left untouched
-//! (`GraphSnapshot::share_levels_above`), which is exactly the staleness
-//! story — stale forests are never consulted, and rebuild lazily per
-//! `(k, direction)` on the next query.
+//! a [`GraphSnapshot`] so the batched engine serves every peel-extremum
+//! query from it (a deadline-armed one through
+//! [`ExtremumIndex::cached_within`] and [`ExtremumIndex::topr_within`],
+//! which hand back a certified prefix when time runs out); a snapshot
+//! swapped in after a graph update inherits only the forests of levels
+//! the update left untouched (`GraphSnapshot::share_levels_above`), which
+//! is exactly the staleness story — stale forests are never consulted,
+//! and rebuild lazily per `(k, direction)` on the next query.
 
 use crate::algo::common::{topr_prefixes, validate_k_r, value_of};
 use crate::algo::minmax::{peel_cmp, peel_timeline, rank_cmp, PeelTimeline, NONE};
 use crate::{Aggregation, Community, Extremum, SearchError};
 use ic_graph::{UnionFind, VertexId, WeightedGraph};
-use ic_kcore::{kcore_mask, GraphSnapshot, PeelArena};
+use ic_kcore::{kcore_mask, Budget, GraphSnapshot, PeelArena};
 use std::sync::Arc;
+
+const UNBUDGETED: &str = "an unbudgeted peel always completes";
 
 /// Precomputed nested community forest over all k-influential
 /// communities of one `(k, peel direction)` pair. See the module docs.
@@ -117,13 +121,26 @@ pub struct IndexParts<'a> {
 impl ExtremumIndex {
     /// Builds the forest with one peel + one reverse union-find pass.
     pub fn build(wg: &WeightedGraph, k: usize, extremum: Extremum) -> Self {
-        Self::build_from_core(wg, k, extremum, kcore_mask(wg.graph(), k).to_vec())
+        Self::build_from_core(wg, k, extremum, kcore_mask(wg.graph(), k).to_vec(), None)
+            .expect(UNBUDGETED)
     }
 
     /// [`ExtremumIndex::build`] against a snapshot's memoized core level
     /// (no from-scratch k-core extraction).
     pub fn build_on(snap: &GraphSnapshot, k: usize, extremum: Extremum) -> Self {
-        Self::build_from_core(snap.weighted(), k, extremum, snap.level(k).mask.to_vec())
+        Self::build_within(snap, k, extremum, None).expect(UNBUDGETED)
+    }
+
+    /// [`build_on`](Self::build_on) with `budget` checkpointed through
+    /// the peel; `None` when it expires first.
+    fn build_within(
+        snap: &GraphSnapshot,
+        k: usize,
+        extremum: Extremum,
+        budget: Option<&Arc<Budget>>,
+    ) -> Option<Self> {
+        let core = snap.level(k).mask.to_vec();
+        Self::build_from_core(snap.weighted(), k, extremum, core, budget)
     }
 
     /// The forest for `(k, extremum)` memoized on `snap`, built on first
@@ -133,6 +150,28 @@ impl ExtremumIndex {
     /// levels lazily instead of serving stale structure.
     pub fn cached(snap: &GraphSnapshot, k: usize, extremum: Extremum) -> Arc<ExtremumIndex> {
         snap.extension(k, Self::tag(extremum), || Self::build_on(snap, k, extremum))
+    }
+
+    /// [`cached`](Self::cached) under an optional deadline: a memoized
+    /// forest is returned as it is; otherwise the build checkpoints
+    /// `budget` through its peel. A completed build is memoized on `snap`
+    /// like any other, so the next query reuses it. An expired one
+    /// memoizes nothing and returns `None`: the event ranking is only
+    /// proven by the whole peel.
+    pub fn cached_within(
+        snap: &GraphSnapshot,
+        k: usize,
+        extremum: Extremum,
+        budget: Option<&Arc<Budget>>,
+    ) -> Option<Arc<ExtremumIndex>> {
+        if budget.is_none() {
+            return Some(Self::cached(snap, k, extremum));
+        }
+        if let Some(index) = Self::peek(snap, k, extremum) {
+            return Some(index);
+        }
+        Self::seed(snap, Self::build_within(snap, k, extremum, budget)?);
+        Self::peek(snap, k, extremum)
     }
 
     /// The forest for `(k, extremum)` if `snap` already holds it —
@@ -180,13 +219,14 @@ impl ExtremumIndex {
     /// for [`ExtremumIndex::repair`] a union of whole components of it —
     /// and links the events into a forest. Node id == event sequence
     /// number of the peel, so ranks and tie-breaks are the online
-    /// solvers' by construction.
+    /// solvers' by construction. `None` when `budget` expires mid-peel.
     fn build_from_core(
         wg: &WeightedGraph,
         k: usize,
         extremum: Extremum,
         members: Vec<VertexId>,
-    ) -> Self {
+        budget: Option<&Arc<Budget>>,
+    ) -> Option<Self> {
         let g = wg.graph();
         let n = g.num_vertices();
         let mut arena = PeelArena::for_graph(g);
@@ -196,8 +236,7 @@ impl ExtremumIndex {
             batch_offsets,
             batch_vertices,
             ranked,
-        } = peel_timeline(wg, k, extremum, members, &mut arena, None)
-            .expect("an unbudgeted peel always completes");
+        } = peel_timeline(wg, k, extremum, members, &mut arena, budget)?;
         let nodes = values.len();
         let batch = |seq: u32| {
             &batch_vertices
@@ -262,7 +301,7 @@ impl ExtremumIndex {
             child_offsets.push(child_ids.len() as u32);
         }
 
-        ExtremumIndex {
+        Some(ExtremumIndex {
             k,
             extremum,
             num_vertices: n,
@@ -276,7 +315,7 @@ impl ExtremumIndex {
             child_ids,
             ranked,
             vertex_node,
-        }
+        })
     }
 
     /// Default ceiling on [`ExtremumIndex::repair`]'s re-peeled region,
@@ -430,7 +469,7 @@ impl ExtremumIndex {
         // Re-peel the region in isolation: `build_from_core` peels the
         // subgraph induced on its `order` argument, which is exactly the
         // region's complete components.
-        let sub = Self::build_from_core(new_wg, k, self.extremum, region);
+        let sub = Self::build_from_core(new_wg, k, self.extremum, region, None).expect(UNBUDGETED);
 
         // Merge the preserved and re-peeled event lists by peel key.
         // Both are already in key order (old seq order restricted to a
@@ -726,9 +765,49 @@ impl ExtremumIndex {
             validate_k_r(r)?;
         }
         let r_max = rs.iter().copied().max().unwrap_or(0);
-        let by_event_rank = self.ranked.iter().take(r_max);
-        let by_event_rank = by_event_rank.map(|&node| self.node_community(wg, node));
-        Ok(topr_prefixes(by_event_rank.collect(), rs))
+        Ok(topr_prefixes(self.by_event_rank(wg, r_max, || false).0, rs))
+    }
+
+    /// [`topr`](Self::topr) under a deadline, with `true` when the answer
+    /// is complete. On expiry it returns, in final order, the communities
+    /// valued strictly above the first ranked community not yet
+    /// materialized: the event ranking is value-descending, so those are
+    /// exactly the complete answer's leading value groups, bit for bit.
+    /// Without any, the list is empty.
+    pub fn topr_within(
+        &self,
+        wg: &WeightedGraph,
+        r: usize,
+        budget: &Budget,
+    ) -> Result<(Vec<Community>, bool), SearchError> {
+        validate_k_r(r)?;
+        let (mut top, complete) = self.by_event_rank(wg, r, || budget.check());
+        top.sort_by(|a, b| a.ranking_cmp(b));
+        Ok((top, complete))
+    }
+
+    /// The `r` best communities in event rank order, `expired` asked
+    /// before each materialization; once it says yes, the certified part
+    /// only (see [`topr_within`](Self::topr_within)) and `false`.
+    fn by_event_rank(
+        &self,
+        wg: &WeightedGraph,
+        r: usize,
+        mut expired: impl FnMut() -> bool,
+    ) -> (Vec<Community>, bool) {
+        let top = &self.ranked[..r.min(self.ranked.len())];
+        let mut out = Vec::with_capacity(top.len());
+        for (i, &node) in top.iter().enumerate() {
+            ic_fail::fail_point!("core::forest_materialize");
+            if expired() {
+                let bar = self.values[node as usize];
+                let above = |n: &u32| self.values[*n as usize].total_cmp(&bar).is_gt();
+                out.truncate(top[..i].partition_point(above));
+                return (out, false);
+            }
+            out.push(self.node_community(wg, node));
+        }
+        (out, true)
     }
 
     /// The smallest community containing `v` (None when `v` is outside
@@ -1032,6 +1111,108 @@ mod tests {
                 assert!(idx.topr_multi(&wg, &[]).unwrap().is_empty());
             }
         }
+    }
+
+    /// Figure 1, two equal-weight triangles, and a random graph on
+    /// {1, 2, 3} weights, whose value groups nest.
+    fn tie_graphs() -> [ic_graph::WeightedGraph; 3] {
+        let g = graph_from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        let tied = ic_graph::WeightedGraph::new(g, vec![3.0; 6]).unwrap();
+        let g = ic_gen::gnm(40, 110, ic_gen::GraphSeed(3));
+        let weights = (0..40).map(|v| (1 + v % 3) as f64).collect();
+        let grouped = ic_graph::WeightedGraph::new(g, weights).unwrap();
+        [figure1(), tied, grouped]
+    }
+
+    #[test]
+    fn budgeted_read_equals_the_answer_for_every_r() {
+        let generous = Budget::within(std::time::Duration::from_secs(3600));
+        for wg in tie_graphs() {
+            for (extremum, oracle) in [
+                (
+                    Extremum::Min,
+                    min_topr as fn(&WeightedGraph, usize, usize) -> _,
+                ),
+                (Extremum::Max, max_topr),
+            ] {
+                let idx = ExtremumIndex::build(&wg, 2, extremum);
+                for r in [1usize, 2, 4, 7, 100] {
+                    let want = oracle(&wg, 2, r).unwrap();
+                    let got = idx.topr_within(&wg, r, &generous).unwrap();
+                    assert_eq!(got, (want, true), "{extremum:?} r = {r}");
+                }
+            }
+        }
+        let path =
+            ic_graph::WeightedGraph::new(graph_from_edges(3, &[(0, 1), (1, 2)]), vec![1.0; 3]);
+        let path = path.unwrap();
+        let empty = ExtremumIndex::build(&path, 2, Extremum::Min);
+        assert_eq!(
+            empty.topr_within(&path, 3, &generous).unwrap(),
+            (vec![], true)
+        );
+    }
+
+    #[test]
+    fn a_cut_read_keeps_exactly_the_leading_value_groups() {
+        // The read stops before the `cut`-th materialization; what it
+        // keeps must be the complete answer's prefix up to a value-group
+        // boundary, and every group valued above the first community it
+        // never read.
+        for wg in tie_graphs() {
+            for extremum in [Extremum::Min, Extremum::Max] {
+                let idx = ExtremumIndex::build(&wg, 2, extremum);
+                let full = idx.topr(&wg, idx.len()).unwrap();
+                for cut in 0..=idx.len() {
+                    let mut asked = 0;
+                    let expired = || {
+                        asked += 1;
+                        asked > cut
+                    };
+                    let (mut top, complete) = idx.by_event_rank(&wg, idx.len(), expired);
+                    top.sort_by(|a, b| a.ranking_cmp(b));
+                    assert_eq!(complete, cut == idx.len(), "{extremum:?} cut {cut}");
+                    assert_eq!(top[..], full[..top.len()], "{extremum:?} cut {cut}");
+                    let proven = match idx.ranked.get(cut) {
+                        Some(&next) => {
+                            let bar = idx.values[next as usize];
+                            full.iter().filter(|c| c.value > bar).count()
+                        }
+                        None => full.len(),
+                    };
+                    assert_eq!(top.len(), proven, "{extremum:?} cut {cut}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_budgeted_build_is_memoized_only_when_it_completes() {
+        use std::time::Duration;
+        let wg = figure1();
+        let snap = GraphSnapshot::new(wg.clone());
+        let expired = Arc::new(Budget::within(Duration::ZERO));
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(expired.check());
+        assert!(ExtremumIndex::cached_within(&snap, 2, Extremum::Min, Some(&expired)).is_none());
+        assert!(
+            ExtremumIndex::peek(&snap, 2, Extremum::Min).is_none(),
+            "an expired build memoizes nothing"
+        );
+        let generous = Arc::new(Budget::within(Duration::from_secs(3600)));
+        let built = ExtremumIndex::cached_within(&snap, 2, Extremum::Min, Some(&generous))
+            .expect("a generous budget completes the build");
+        assert_eq!(*built, ExtremumIndex::build(&wg, 2, Extremum::Min));
+        let memoized = ExtremumIndex::peek(&snap, 2, Extremum::Min);
+        assert!(Arc::ptr_eq(&memoized.expect("seeded"), &built));
+        // A memoized forest costs no build, so even an expired budget
+        // gets it (its read is what sees the deadline).
+        let again = ExtremumIndex::cached_within(&snap, 2, Extremum::Min, Some(&expired));
+        assert!(Arc::ptr_eq(&again.expect("memoized"), &built));
+        assert_eq!(
+            built.topr_within(&wg, 3, &expired).unwrap(),
+            (vec![], false)
+        );
     }
 
     #[test]

@@ -14,17 +14,15 @@
 //! O(affected) committed cascade — and records which event removed each
 //! vertex. The community an event witnesses is then the connected
 //! component of its vertex among vertices removed at or after it, so the
-//! batch answer ([`peel_topr_on`]), the progressive emission
-//! ([`MinMaxEmission`]) and the community forest
-//! ([`ExtremumIndex`](crate::algo::ExtremumIndex)) all read the same
+//! online answer ([`peel_topr_on`]) and the community forest
+//! ([`ExtremumIndex`](crate::algo::ExtremumIndex)) read the same
 //! timeline and no pass is ever replayed.
 
 use crate::algo::common::{community_from_vertices, topr_prefixes, validate_k_r};
-use crate::{Aggregation, Community, Extremum, SearchError};
+use crate::{Community, Extremum, SearchError};
 use ic_graph::{BitSet, VertexId, WeightedGraph};
 use ic_kcore::{kcore_mask, Budget, GraphSnapshot, PeelArena};
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// "No event" in the flat `u32` id arrays: the stamp of a vertex outside
@@ -66,6 +64,33 @@ pub(crate) struct PeelTimeline {
     pub batch_vertices: Vec<VertexId>,
     /// Every event, sorted by [`rank_cmp`].
     pub ranked: Vec<u32>,
+}
+
+impl PeelTimeline {
+    /// The community event `e` witnesses: the component of its extreme
+    /// vertex among the vertices removed at or after `e`, found by one
+    /// BFS. `seen` is all-false scratch and is left so.
+    fn witness(&self, wg: &WeightedGraph, dir: Extremum, e: u32, seen: &mut [bool]) -> Community {
+        let start = self.batch_vertices[self.batch_offsets[e as usize] as usize];
+        let mut members = vec![start];
+        seen[start as usize] = true;
+        let mut head = 0;
+        while head < members.len() {
+            let x = members[head];
+            head += 1;
+            for &u in wg.graph().neighbors(x) {
+                let stamp = self.stamp[u as usize];
+                if stamp != NONE && stamp >= e && !seen[u as usize] {
+                    seen[u as usize] = true;
+                    members.push(u);
+                }
+            }
+        }
+        for &u in &members {
+            seen[u as usize] = false;
+        }
+        community_from_vertices(wg, dir.aggregation(), members)
+    }
 }
 
 /// The min/max peel: sorts `members` (a k-core of `wg`, or a union of
@@ -183,170 +208,12 @@ fn peel_topr_in(
     arena: &mut PeelArena,
 ) -> Vec<Vec<Community>> {
     let r_max = rs.iter().copied().max().unwrap_or(0);
-    let mut em = MinMaxEmission::peel(wg, core, k, r_max, dir, arena, None)
+    let timeline = peel_timeline(wg, k, dir, core.to_vec(), arena, None)
         .expect("an unbudgeted peel always completes");
-    let by_event_rank = (0..em.len()).map(|i| em.materialize(wg, i)).collect();
-    topr_prefixes(by_event_rank, rs)
-}
-
-/// Progressive, rank-order emission for the `min`/`max` peels — the
-/// incremental hook the engine's deadline-armed jobs drain.
-///
-/// [`MinMaxEmission::start`] runs the one stamped peel pass and keeps its
-/// per-vertex stamps and the `r` best events. The community witnessed by
-/// event `e` is reconstructible at any time, in any order, as the
-/// connected component of the event vertex among vertices with removal
-/// stamp ≥ `e` — no replay pass.
-/// [`next_community`](MinMaxEmission::next_community) materializes them
-/// lazily, one BFS per pull (tie groups materialize together so the
-/// emitted order is the batch solver's final `ranking_cmp` order).
-///
-/// **Prefix guarantee:** the first `n` communities pulled equal the
-/// first `n` entries of [`peel_topr_on`] with the same `(k, r)`, bit for
-/// bit. Dropping the emitter simply skips the remaining BFS work
-/// (cancellation is free).
-#[derive(Clone, Debug)]
-pub struct MinMaxEmission {
-    aggregation: Aggregation,
-    /// `removal_stamp[v]` = index of the event whose cascade removed
-    /// `v`; [`NONE`] for vertices outside the maximal k-core.
-    removal_stamp: Vec<u32>,
-    /// Selected events in emission (rank) order: `(event, vertex, value)`.
-    ranked: Vec<(u32, VertexId, f64)>,
-    cursor: usize,
-    /// Materialized tie group awaiting emission.
-    pending: VecDeque<Community>,
-    /// BFS scratch.
-    visited: Vec<bool>,
-    queue: Vec<VertexId>,
-}
-
-impl MinMaxEmission {
-    /// Starts a progressive emission in direction `dir`: one stamped
-    /// peel pass over the snapshot's `k`-core on the caller's arena, then
-    /// lazy materialization. The arena is only used inside this call.
-    ///
-    /// Returns `Ok(None)` when `budget` expires before the pass completes
-    /// — the event ranking is only proven by the *full* peel — and the
-    /// caller must report `DeadlineExceeded` rather than a partial
-    /// answer. Without a budget the result is always `Some`.
-    pub fn start(
-        snap: &GraphSnapshot,
-        k: usize,
-        r: usize,
-        dir: Extremum,
-        arena: &mut PeelArena,
-        budget: Option<&Arc<Budget>>,
-    ) -> Result<Option<Self>, SearchError> {
-        validate_k_r(r)?;
-        let level = snap.level(k);
-        Ok(Self::peel(
-            snap.weighted(),
-            &level.mask,
-            k,
-            r,
-            dir,
-            arena,
-            budget,
-        ))
-    }
-
-    fn peel(
-        wg: &WeightedGraph,
-        core: &BitSet,
-        k: usize,
-        r: usize,
-        dir: Extremum,
-        arena: &mut PeelArena,
-        budget: Option<&Arc<Budget>>,
-    ) -> Option<Self> {
-        let timeline = peel_timeline(wg, k, dir, core.to_vec(), arena, budget)?;
-        let ranked = timeline
-            .ranked
-            .iter()
-            .take(r)
-            .map(|&e| {
-                let vertex = timeline.batch_vertices[timeline.batch_offsets[e as usize] as usize];
-                (e, vertex, timeline.values[e as usize])
-            })
-            .collect();
-        Some(MinMaxEmission {
-            aggregation: dir.aggregation(),
-            visited: vec![false; timeline.stamp.len()],
-            removal_stamp: timeline.stamp,
-            ranked,
-            cursor: 0,
-            pending: VecDeque::new(),
-            queue: Vec::new(),
-        })
-    }
-
-    /// Total communities this emission will yield (`min(r, #events)`).
-    pub fn len(&self) -> usize {
-        self.ranked.len()
-    }
-
-    /// Whether the emission yields nothing (empty k-core).
-    pub fn is_empty(&self) -> bool {
-        self.ranked.is_empty()
-    }
-
-    /// Materializes the community of the ranked event at `i` with one
-    /// BFS over still-live-at-that-event vertices.
-    fn materialize(&mut self, wg: &WeightedGraph, i: usize) -> Community {
-        let (event, start, _) = self.ranked[i];
-        let g = wg.graph();
-        self.queue.clear();
-        self.queue.push(start);
-        self.visited[start as usize] = true;
-        let mut head = 0;
-        while head < self.queue.len() {
-            let x = self.queue[head];
-            head += 1;
-            for &u in g.neighbors(x) {
-                let ui = u as usize;
-                let stamp = self.removal_stamp[ui];
-                if stamp != NONE && stamp >= event && !self.visited[ui] {
-                    self.visited[ui] = true;
-                    self.queue.push(u);
-                }
-            }
-        }
-        for &u in &self.queue {
-            self.visited[u as usize] = false;
-        }
-        community_from_vertices(wg, self.aggregation, self.queue.clone())
-    }
-
-    /// Pulls the next community in final rank order. `wg` must be the
-    /// graph the emission was started on. Each pull costs one component
-    /// BFS (a whole tie group materializes on its first pull).
-    pub fn next_community(&mut self, wg: &WeightedGraph) -> Option<Community> {
-        if let Some(c) = self.pending.pop_front() {
-            return Some(c);
-        }
-        if self.cursor >= self.ranked.len() {
-            return None;
-        }
-        // Find the run of events tied on value: within it, the final
-        // order is decided by `ranking_cmp` over the materialized
-        // communities (exactly the batch solver's final sort), so the
-        // whole group materializes together.
-        let lo = self.cursor;
-        let v0 = self.ranked[lo].2;
-        let mut hi = lo + 1;
-        while hi < self.ranked.len() && self.ranked[hi].2.total_cmp(&v0).is_eq() {
-            hi += 1;
-        }
-        self.cursor = hi;
-        if hi - lo == 1 {
-            return Some(self.materialize(wg, lo));
-        }
-        let mut group: Vec<Community> = (lo..hi).map(|i| self.materialize(wg, i)).collect();
-        group.sort_by(|a, b| a.ranking_cmp(b));
-        self.pending.extend(group);
-        self.pending.pop_front()
-    }
+    let mut seen = vec![false; timeline.stamp.len()];
+    let top = timeline.ranked.iter().take(r_max);
+    let by_event_rank = top.map(|&e| timeline.witness(wg, dir, e, &mut seen));
+    topr_prefixes(by_event_rank.collect(), rs)
 }
 
 #[cfg(test)]
@@ -354,6 +221,7 @@ mod tests {
     use super::*;
     use crate::algo::{exact_topr, oracle};
     use crate::figure1::{figure1, vs};
+    use crate::Aggregation;
     use ic_graph::{graph_from_edges, WeightedGraph};
 
     type Solved = Result<Vec<Community>, SearchError>;
@@ -364,22 +232,6 @@ mod tests {
 
     fn max_topr(wg: &WeightedGraph, k: usize, r: usize) -> Solved {
         peel_topr(wg, k, r, Extremum::Max)
-    }
-
-    fn drained(mut em: MinMaxEmission, wg: &WeightedGraph) -> Vec<Community> {
-        std::iter::from_fn(|| em.next_community(wg)).collect()
-    }
-
-    fn unbudgeted(
-        snap: &GraphSnapshot,
-        k: usize,
-        r: usize,
-        dir: Extremum,
-        arena: &mut PeelArena,
-    ) -> MinMaxEmission {
-        MinMaxEmission::start(snap, k, r, dir, arena, None)
-            .unwrap()
-            .expect("an unbudgeted start always completes")
     }
 
     #[test]
@@ -511,88 +363,38 @@ mod tests {
     }
 
     #[test]
-    fn emission_prefix_equals_batch_for_every_r() {
-        let wg = figure1();
-        let snap = GraphSnapshot::new(wg.clone());
-        let mut arena = PeelArena::for_graph(snap.graph());
-        for r in [1usize, 2, 4, 7, 100] {
-            let min_em = unbudgeted(&snap, 2, r, Extremum::Min, &mut arena);
-            assert_eq!(
-                drained(min_em, &wg),
-                oracle::min_topr(&wg, 2, r).unwrap(),
-                "min full drain r={r}"
-            );
-            let max_em = unbudgeted(&snap, 2, r, Extremum::Max, &mut arena);
-            assert_eq!(
-                drained(max_em, &wg),
-                oracle::max_topr(&wg, 2, r).unwrap(),
-                "max full drain r={r}"
-            );
-        }
-        // Genuine prefix semantics: pull n < r items and stop.
-        let full = oracle::min_topr(&wg, 2, 7).unwrap();
-        for n in 0..full.len() {
-            let mut em = unbudgeted(&snap, 2, 7, Extremum::Min, &mut arena);
-            let mut prefix = Vec::new();
-            for _ in 0..n {
-                prefix.push(em.next_community(&wg).unwrap());
-            }
-            assert_eq!(prefix.as_slice(), &full[..n], "prefix n={n}");
-        }
-    }
-
-    #[test]
-    fn emission_handles_value_ties_like_the_batch_solver() {
-        // The emitter must materialize the tie group together and sort it
-        // by ranking_cmp, exactly like the batch path's final sort.
-        let wg = tied_triangles();
-        let snap = GraphSnapshot::new(wg.clone());
-        let mut arena = PeelArena::for_graph(snap.graph());
-        for r in [1usize, 2, 5] {
-            let em = unbudgeted(&snap, 2, r, Extremum::Min, &mut arena);
-            assert_eq!(
-                drained(em, &wg),
-                oracle::min_topr(&wg, 2, r).unwrap(),
-                "tie graph r={r}"
-            );
-        }
-    }
-
-    #[test]
     fn budgeted_start_completes_or_abandons_whole() {
         use std::time::Duration;
         let wg = figure1();
-        let snap = ic_kcore::GraphSnapshot::new(wg.clone());
-        let mut arena = PeelArena::for_graph(snap.graph());
-        // A generous budget behaves exactly like the unbudgeted start.
+        let core = kcore_mask(wg.graph(), 2).to_vec();
+        let mut arena = PeelArena::for_graph(wg.graph());
+        let unbudgeted = peel_timeline(&wg, 2, Extremum::Min, core.clone(), &mut arena, None)
+            .expect("an unbudgeted peel always completes");
+        // A generous budget records exactly the unbudgeted timeline.
         let generous = Arc::new(Budget::within(Duration::from_secs(3600)));
-        let em = MinMaxEmission::start(&snap, 2, 7, Extremum::Min, &mut arena, Some(&generous))
-            .unwrap()
-            .expect("generous budget completes the peel");
-        assert_eq!(drained(em, &wg), oracle::min_topr(&wg, 2, 7).unwrap());
+        let timeline = peel_timeline(
+            &wg,
+            2,
+            Extremum::Min,
+            core.clone(),
+            &mut arena,
+            Some(&generous),
+        )
+        .expect("generous budget completes the peel");
+        assert_eq!(timeline.stamp, unbudgeted.stamp);
+        assert_eq!(timeline.ranked, unbudgeted.ranked);
         // An already-expired budget abandons the pass: no partial ranking.
         let expired = Arc::new(Budget::within(Duration::from_millis(0)));
         std::thread::sleep(Duration::from_millis(2));
         assert!(expired.check());
-        let none =
-            MinMaxEmission::start(&snap, 2, 7, Extremum::Max, &mut arena, Some(&expired)).unwrap();
-        assert!(none.is_none(), "expired start certifies nothing");
+        let none = peel_timeline(&wg, 2, Extremum::Max, core, &mut arena, Some(&expired));
+        assert!(none.is_none(), "expired peel certifies nothing");
         // The arena is back to unbudgeted use afterwards.
+        let snap = GraphSnapshot::new(wg.clone());
         assert_eq!(
             peel_topr_on(&snap, 2, &[3], Extremum::Min, &mut arena).unwrap(),
             [oracle::min_topr(&wg, 2, 3).unwrap()]
         );
-    }
-
-    #[test]
-    fn emission_on_empty_core_is_empty() {
-        let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
-        let wg = WeightedGraph::new(g, vec![1.0; 3]).unwrap();
-        let snap = ic_kcore::GraphSnapshot::new(wg.clone());
-        let mut arena = PeelArena::for_graph(snap.graph());
-        let mut em = unbudgeted(&snap, 2, 3, Extremum::Min, &mut arena);
-        assert!(em.is_empty());
-        assert!(em.next_community(&wg).is_none());
     }
 
     #[test]

@@ -38,13 +38,13 @@ mod sum_naive;
 
 pub use common::ExpansionCounts;
 pub use exact::{all_communities, exact_naive, exact_topr};
-pub use improved::{tic_improved_on, TicEmission};
+pub use improved::{tic_improved_on, TicSearch};
 pub use index::{ExtremumIndex, IndexParts};
 pub use local_search::{
     local_search, local_search_nonoverlapping, run_seed_multi, CoreRows, LocalScratch,
     LocalSearchConfig, SeedTarget,
 };
-pub use minmax::{peel_topr_on, MinMaxEmission};
+pub use minmax::peel_topr_on;
 pub use sum_naive::sum_naive_on;
 
 // The per-graph forms are crate-internal: callers route through

@@ -59,7 +59,7 @@ pub mod verify;
 
 pub use aggregate::{
     AggregateFn, AggregateState, Aggregation, Certificates, CustomAggregation, Extremum, Hardness,
-    StateView, TieSemantics,
+    StateView,
 };
 pub use community::{Community, TopList};
 pub use error::SearchError;

@@ -7,15 +7,16 @@
 //! every supported aggregation. A final test pins the zero-allocation
 //! guarantee of the steady-state peel loop.
 
-use ic_core::algo::{self, oracle, ExtremumIndex, MinMaxEmission};
+use ic_core::algo::{self, oracle, ExtremumIndex};
 use ic_core::{Aggregation, Community, Extremum, SearchError};
 use ic_gen::{
     barabasi_albert, chung_lu, gnm, pagerank_weights, pareto_weights, rank_weights,
     uniform_weights, GraphSeed,
 };
 use ic_graph::{graph_from_edges, Graph, WeightedGraph};
-use ic_kcore::{kcore_mask, maximal_kcore_components, GraphSnapshot, PeelArena};
+use ic_kcore::{kcore_mask, maximal_kcore_components, Budget, GraphSnapshot, PeelArena};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 type Solved = Result<Vec<Community>, SearchError>;
 
@@ -164,9 +165,9 @@ proptest! {
         // Three distinct weights over the whole graph make events tie on
         // value, and `r` runs from 1 past the community count, so it
         // lands inside every tie group: the batch answer for all `rs` at
-        // once, the forest — one `r` at a time and all `rs` at once —
-        // and the drained emission each have to select and order events
-        // exactly as the from-scratch oracle does.
+        // once, the forest — one `r` at a time and all `rs` at once — and
+        // the forest a deadline-armed query builds and reads each have to
+        // select and order events exactly as the from-scratch oracle does.
         //
         // The forest materializes a community by one of two routes,
         // chosen from its share of the graph, so the same communities are
@@ -176,6 +177,7 @@ proptest! {
         // is then walked).
         let snap = GraphSnapshot::new(wg.clone());
         let mut arena = PeelArena::for_graph(snap.graph());
+        let generous = Arc::new(Budget::within(std::time::Duration::from_secs(3600)));
         let everyone: Vec<u32> = wg.graph().vertices().collect();
         let core = kcore_mask(wg.graph(), k).to_vec();
         let (dense, dense_id) = reshaped(&wg, &core, 0);
@@ -185,6 +187,8 @@ proptest! {
             (Extremum::Max, oracle::max_topr),
         ] {
             let forest = ExtremumIndex::build_on(&snap, k, dir);
+            let armed = ExtremumIndex::cached_within(&snap, k, dir, Some(&generous))
+                .expect("a generous build completes");
             let rs: Vec<usize> = (1..=forest.len() + 2).collect();
             let batch = algo::peel_topr_on(&snap, k, &rs, dir, &mut arena).unwrap();
             let at_once = forest.topr_multi(&wg, &rs).unwrap();
@@ -211,12 +215,9 @@ proptest! {
                                 "{:?} swept forest k={} r={}", dir, k, r);
                 prop_assert_eq!(&sparse_at_once[i], &renamed(&expect, &sparse_id),
                                 "{:?} walked forest k={} r={}", dir, k, r);
-                let mut em = MinMaxEmission::start(&snap, k, r, dir, &mut arena, None)
-                    .unwrap()
-                    .expect("an unbudgeted start always completes");
-                let drained: Vec<Community> =
-                    std::iter::from_fn(|| em.next_community(&wg)).collect();
-                prop_assert_eq!(&drained, &expect, "{:?} emission k={} r={}", dir, k, r);
+                let (read, complete) = armed.topr_within(&wg, r, &generous).unwrap();
+                prop_assert!(complete);
+                prop_assert_eq!(&read, &expect, "{:?} budgeted forest k={} r={}", dir, k, r);
             }
         }
     }

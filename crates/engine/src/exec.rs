@@ -40,9 +40,7 @@
 
 use crate::plan::{Job, JobOutput, LocalJob, Plan};
 use crate::{AnswerStatus, DegradeReason, EngineError, QueryAnswer};
-use ic_core::algo::{
-    run_seed_multi, CoreRows, ExtremumIndex, LocalScratch, MinMaxEmission, SeedTarget, TicEmission,
-};
+use ic_core::algo::{run_seed_multi, CoreRows, ExtremumIndex, LocalScratch, SeedTarget, TicSearch};
 use ic_core::community::{decode_ordered_f64, encode_ordered_f64};
 use ic_core::{Aggregation, Community, TopList};
 use ic_kcore::{ArenaPool, Budget, GraphSnapshot, PeelArena};
@@ -272,13 +270,13 @@ fn truncated_outcome(items: Vec<Community>, exact: bool) -> Outcome {
     }
 }
 
-/// Drains one `TIC-IMPROVED` emission on the worker's arena and adds
-/// its work to the engine's counters; returns the communities and
-/// whether the deadline cut the search short. Unarmed (`budget: None`)
-/// this is exactly `algo::tic_improved_on`. Armed, on expiry the
-/// emission has already flushed what it can stand behind: for ε = 0
-/// exactly the provably-final prefix (Corollary 2: children are strictly
-/// smaller than their parent), for ε > 0 best-so-far.
+/// Runs one `TIC-IMPROVED` search on the worker's arena and adds its
+/// work to the engine's counters; returns the communities and whether
+/// the deadline cut the search short. Unarmed (`budget: None`) this is
+/// exactly `algo::tic_improved_on`. Armed, on expiry the search returns
+/// only what it can stand behind: for ε = 0 exactly the provably-final
+/// prefix (Corollary 2: children are strictly smaller than their
+/// parent), for ε > 0 best-so-far.
 #[allow(clippy::too_many_arguments)]
 fn run_tic(
     snap: &GraphSnapshot,
@@ -290,17 +288,14 @@ fn run_tic(
     arena: &mut PeelArena,
     counters: &TicCounters,
 ) -> Result<(Vec<Community>, bool), ic_core::SearchError> {
-    let mut em = TicEmission::start_on(snap, k, r, aggregation, epsilon)?;
-    em.set_budget(budget);
-    let mut items = Vec::new();
-    while let Some(c) = em.next_community(snap.weighted(), arena) {
-        items.push(c);
-    }
+    let mut search = TicSearch::start_on(snap, k, r, aggregation, epsilon)?;
+    search.set_budget(budget);
+    let items = search.run(snap.weighted(), arena);
     arena.set_budget(None);
-    let work = em.work();
+    let work = search.work();
     counters.deletions.add(work.deletions);
     counters.children_materialized.add(work.materialized);
-    Ok((items, em.deadline_aborted()))
+    Ok((items, search.deadline_aborted()))
 }
 
 /// [`run_tic`] as one query's outcome.
@@ -329,60 +324,39 @@ fn run_job(
             outputs,
             deadline,
         } => {
-            if let Some(d) = deadline {
-                // Armed family: exactly one r (the planner never merges
-                // armed queries — see `JobKey`). Budgeted stamped peel,
-                // then per-pull checkpoints; every pulled community is
-                // already in final rank order, so the truncation point
-                // *is* the proven prefix.
-                let budget = Arc::new(Budget::after(anchor, *d));
-                let started = MinMaxEmission::start(snap, *k, rs[0], *dir, arena, Some(&budget));
-                let outcome = match started {
-                    Err(e) => fail(e.into()),
-                    // The stamped peel itself ran out of time: the event
-                    // ranking is unproven, nothing can be returned.
-                    Ok(None) => fail(EngineError::DeadlineExceeded),
-                    Ok(Some(mut em)) => {
-                        let total = em.len();
-                        let mut items = Vec::with_capacity(total);
-                        while items.len() < total {
-                            if budget.check() {
-                                break;
-                            }
-                            match em.next_community(snap.weighted()) {
-                                Some(c) => items.push(c),
-                                None => break,
-                            }
-                        }
-                        if items.len() < total {
-                            truncated_outcome(items, true)
-                        } else {
-                            ok_complete(items)
-                        }
-                    }
-                };
-                send_all(done, outputs, &outcome);
-                return;
-            }
-            // Index-served: the family is answered from the snapshot's
-            // extremum community forest — persisted via `ic-store` or
-            // built once per snapshot — in output-sensitive time, each
-            // ranked community materialized once for all of `rs`.
-            // Bit-identical to the solo peel (held by the conformance
-            // suite), and a memoized forest is read without touching
-            // adjacency (weights only). The span is attributed *within*
-            // the batch's solve wall time: it is summed per-job across
-            // parallel workers, so it can exceed the solve span on its
-            // own.
+            // One route, armed or not: the snapshot's extremum community
+            // forest — persisted via `ic-store` or built once per
+            // snapshot — read in output-sensitive time from weights
+            // alone, each ranked community materialized once for all of
+            // `rs`. Bit-identical to the solo peel (held by the
+            // conformance suite). An armed family holds one `r` (see
+            // `JobKey`); its budget runs through the build, whose expiry
+            // proves nothing, and the read, whose expiry keeps the value
+            // groups already read. The span is summed per job across
+            // parallel workers, so it can exceed the solve span.
+            let budget = deadline.map(|d| Arc::new(Budget::after(anchor, d)));
+            let wg = snap.weighted();
             let index_sw = ic_obs::Stopwatch::start();
-            let index = ExtremumIndex::cached(snap, *k, *dir);
-            let solved = index.topr_multi(snap.weighted(), rs);
+            let solved = match ExtremumIndex::cached_within(snap, *k, *dir, budget.as_ref()) {
+                None => Ok(vec![fail(EngineError::DeadlineExceeded); rs.len()]),
+                Some(index) => match &budget {
+                    None => index
+                        .topr_multi(wg, rs)
+                        .map(|lists| lists.into_iter().map(ok_complete).collect()),
+                    Some(b) => index.topr_within(wg, rs[0], b).map(|(items, complete)| {
+                        vec![if complete {
+                            ok_complete(items)
+                        } else {
+                            truncated_outcome(items, true)
+                        }]
+                    }),
+                },
+            };
             if let Some(trace) = obs.trace {
                 index_sw.record(trace, ic_obs::Stage::IndexServe);
             }
             match solved {
-                Ok(lists) => {
-                    let slots: Vec<Outcome> = lists.into_iter().map(ok_complete).collect();
+                Ok(slots) => {
                     done.extend(
                         outputs
                             .iter()

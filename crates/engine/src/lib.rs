@@ -289,7 +289,7 @@ pub mod prelude {
     };
     pub use ic_core::{
         AggregateFn, Aggregation, Certificates, Community, Constraint, Extremum, Hardness, Query,
-        SearchError, Solver, StateView, TieSemantics,
+        SearchError, Solver, StateView,
     };
     pub use ic_kcore::{EdgeUpdate, GraphSnapshot};
     pub use ic_store::StoreError;
@@ -1756,6 +1756,24 @@ mod tests {
         }
         // Degraded and failed results must never be cached.
         assert_eq!(eng.cached_results(), 0);
+    }
+
+    #[test]
+    fn zero_deadline_on_a_memoized_forest_is_exceeded() {
+        use ic_core::{algo::ExtremumIndex, Extremum};
+        let eng = engine(2);
+        let q = Query::new(2, 3, Aggregation::Min);
+        assert!(eng.run_batch(&[q])[0].is_ok());
+        eng.clear_result_cache();
+        assert!(ExtremumIndex::peek(&eng.snapshot(), 2, Extremum::Min).is_some());
+        // Nothing to build: the read itself must see the deadline.
+        let armed = q.deadline(std::time::Duration::ZERO);
+        let got = eng.run_batch_with(&[armed], &BatchOptions::default());
+        assert!(
+            matches!(got[0], Err(EngineError::DeadlineExceeded)),
+            "{:?}",
+            got[0]
+        );
     }
 
     #[test]

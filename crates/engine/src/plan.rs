@@ -16,9 +16,7 @@
 //!   forest ([`ic_core::algo::ExtremumIndex`], persisted by `ic-store`
 //!   or built once per snapshot) in output-sensitive time, bit-identical
 //!   to the one-query-at-a-time peel (held by the conformance suite).
-//!   The certificate forces the value to equal the extreme member
-//!   weight bit for bit, so a declared tie semantics changes nothing
-//!   here. Only a deadline-armed query peels instead (see
+//!   A deadline-armed query reads the same forest under its budget (see
 //!   [`Job::MinMaxFamily`]);
 //! * *exact* removal-decreasing queries (`sum`, `sum-surplus` with
 //!   ε = 0) that differ only in `r` are merged into one family answered
@@ -105,10 +103,10 @@ pub(crate) struct LocalJob {
 /// One executable unit of a plan.
 pub(crate) enum Job {
     /// A min/max family answering every `r` in `rs` from the snapshot's
-    /// memoized extremum community forest — or, when deadline-armed,
-    /// from a budgeted progressive peel whose ranked emission is the
-    /// degraded prefix certificate. Both are bit-identical to the solo
-    /// peel.
+    /// memoized extremum community forest, bit-identical to the solo
+    /// peel. When deadline-armed, the forest's build (if it is not
+    /// memoized yet) and its read both checkpoint the budget, and a read
+    /// cut short keeps the leading value groups it proved.
     MinMaxFamily {
         dir: Extremum,
         k: usize,
@@ -190,9 +188,9 @@ pub struct PlanStats {
     /// Distinct `k` levels the plan touches.
     pub k_levels: usize,
     /// Queries the plan routes through the snapshot's extremum
-    /// community forest (`peel_extremum` certificate, unconstrained, no
-    /// deadline): answered in output-sensitive time from the index —
-    /// persisted or built once per snapshot — instead of a fresh peel.
+    /// community forest (`peel_extremum` certificate, unconstrained):
+    /// answered in output-sensitive time from the index — persisted or
+    /// built once per snapshot — instead of a fresh peel.
     pub index_routed: usize,
 }
 
@@ -273,16 +271,6 @@ fn ddl_key(q: &Query) -> u64 {
 /// job identity. The planner refines [`Solver`] with its own merge
 /// structure: exact TIC queries form `r`-families, approximate ones
 /// stay single jobs, local-search queries group by `(k, s, greedy)`.
-///
-/// The exact-TIC r-family merge additionally requires the
-/// aggregation's [`TieSemantics::Exact`](ic_core::TieSemantics)
-/// certificate: prefix serving proves tie-safety through `f64` value
-/// equality, which means nothing for an aggregation declaring
-/// approximate ties — such queries (custom functions may declare this)
-/// each run on their own. Min/max families are exempt from the gate:
-/// their merge reads one forest and takes each `r`'s prefix of its
-/// event ranking (no value-equality proof involved), so tie semantics
-/// cannot affect them.
 fn validate(q: &Query) -> Result<JobKey, SearchError> {
     let ddl = ddl_key(q);
     // Armed mergeable families pin their own r (see JobKey docs).
@@ -300,20 +288,11 @@ fn validate(q: &Query) -> Result<JobKey, SearchError> {
             ddl,
             solo_r,
         }),
-        Solver::TicExact if q.aggregation.certificates().ties == ic_core::TieSemantics::Exact => {
-            Ok(JobKey::SumFamily {
-                k: q.k,
-                agg: agg_key(q.aggregation),
-                ddl,
-                solo_r,
-            })
-        }
-        Solver::TicExact => Ok(JobKey::Improved {
+        Solver::TicExact => Ok(JobKey::SumFamily {
             k: q.k,
-            r: q.r,
             agg: agg_key(q.aggregation),
-            eps: canonical_f64_bits(0.0),
             ddl,
+            solo_r,
         }),
         Solver::TicApprox => Ok(JobKey::Improved {
             k: q.k,
@@ -343,13 +322,12 @@ fn validate(q: &Query) -> Result<JobKey, SearchError> {
     }
 }
 
-/// Whether serving `q` reads nothing but a forest `snapshot` already
-/// holds: the one kind of job that touches no adjacency.
-fn reads_memoized_forest(snapshot: &GraphSnapshot, key: &JobKey, q: &Query) -> bool {
+/// Whether serving the job reads nothing but a forest `snapshot`
+/// already holds: the one kind of job that touches no adjacency, armed
+/// or not.
+fn reads_memoized_forest(snapshot: &GraphSnapshot, key: &JobKey) -> bool {
     match *key {
-        JobKey::MinMax { dir, k, .. } => {
-            q.deadline.is_none() && ExtremumIndex::peek(snapshot, k, dir).is_some()
-        }
+        JobKey::MinMax { dir, k, .. } => ExtremumIndex::peek(snapshot, k, dir).is_some(),
         _ => false,
     }
 }
@@ -409,7 +387,7 @@ impl Plan {
                 continue;
             }
             if snapshot.adjacency_state() != AdjacencyState::Verified
-                && !reads_memoized_forest(snapshot, &key, q)
+                && !reads_memoized_forest(snapshot, &key)
             {
                 if let Err(refused) = snapshot.ensure_adjacency() {
                     immediate.push((idx, Arc::new(Err(refused.into()))));
@@ -459,16 +437,10 @@ impl Plan {
                 JobKey::MinMax { dir, k, .. } => {
                     let members = families.remove(&key).expect("family registered");
                     sequential_runs += members.len();
+                    index_routed += members.len();
                     // All members share one deadline — it is part of the
-                    // key. An unarmed family is index-served; an armed
-                    // one peels, because the degraded prefix certificate
-                    // comes from the peel's ranked emission order, which
-                    // the forest walk does not replay
-                    // checkpoint-by-checkpoint.
+                    // key.
                     let deadline = members[0].1.deadline;
-                    if deadline.is_none() {
-                        index_routed += members.len();
-                    }
                     let (rs, outputs) = family_slots(&members);
                     solver_runs += 1;
                     jobs.push(Job::MinMaxFamily {
@@ -636,21 +608,18 @@ mod tests {
         assert_eq!(plan.stats.solver_runs, 2, "one min and one max family");
     }
 
-    /// A `min` by certificate that declares approximate ties: the
-    /// certificate pins its value to the lightest member's weight bit
-    /// for bit, so the forest serves it like the built-in.
+    /// A custom `min`: its `peel_extremum` certificate pins its value
+    /// to the lightest member's weight bit for bit, so the forest serves
+    /// it like the built-in.
     #[derive(Debug)]
-    struct LooseMin;
+    struct CustomMin;
 
-    impl ic_core::AggregateFn for LooseMin {
+    impl ic_core::AggregateFn for CustomMin {
         fn name(&self) -> &str {
-            "loose-min"
+            "custom-min"
         }
         fn certificates(&self) -> ic_core::Certificates {
-            ic_core::Certificates {
-                ties: ic_core::TieSemantics::Approximate,
-                ..Aggregation::Min.certificates()
-            }
+            Aggregation::Min.certificates()
         }
         fn evaluate(&self, member_weights: &[f64], _total_weight: f64) -> f64 {
             member_weights.iter().copied().fold(f64::INFINITY, f64::min)
@@ -661,9 +630,9 @@ mod tests {
     }
 
     #[test]
-    fn approximate_tie_minmax_families_are_forest_served() {
-        static LOOSE: OnceLock<Aggregation> = OnceLock::new();
-        let agg = *LOOSE.get_or_init(|| Aggregation::custom(LooseMin).expect("certifies"));
+    fn custom_minmax_families_are_forest_served() {
+        static CUSTOM: OnceLock<Aggregation> = OnceLock::new();
+        let agg = *CUSTOM.get_or_init(|| Aggregation::custom(CustomMin).expect("certifies"));
         let wg = figure1();
         let batch: Vec<Query> = [3, 1, 5, 3].map(|r| Query::new(2, r, agg)).to_vec();
         let plan = Plan::build(&GraphSnapshot::new(wg.clone()), &batch, 1, None);
@@ -727,8 +696,8 @@ mod tests {
         let plan = Plan::build(&snap, &batch, 1, None);
         assert_eq!(plan.stats.solver_runs, 3, "unarmed + two armed solo jobs");
         assert_eq!(
-            plan.stats.index_routed, 1,
-            "only the unarmed query is forest-served"
+            plan.stats.index_routed, 4,
+            "armed queries are forest-served too, the duplicate included"
         );
         for job in &plan.jobs {
             if let Job::MinMaxFamily { deadline, rs, .. } = job {

@@ -350,8 +350,8 @@ impl PeelArena {
     }
 
     /// The global ids removed since the last `load`/`commit`/`rollback`,
-    /// in cascade (pop) order. This is the emission hook of the timeline
-    /// peels: before committing an event, the caller can stamp every
+    /// in cascade (pop) order. This is what the timeline peel stamps
+    /// from: before committing an event, the caller can stamp every
     /// vertex that event removed, which later allows reconstructing the
     /// community witnessed by *any* event without replaying the peel.
     pub fn journaled(&self) -> impl Iterator<Item = VertexId> + '_ {

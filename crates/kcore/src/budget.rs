@@ -3,10 +3,11 @@
 //! A [`Budget`] is the cancellation primitive of the serving engine's
 //! resilience layer: a query (or batch) deadline is attached to one
 //! `Arc<Budget>`, and every solver hot loop *checkpoints* it — the peel
-//! cascade, the TIC candidate expansion, the local-search seed walk.
+//! cascade, the TIC candidate expansion, the forest read, the
+//! local-search seed walk.
 //! Checkpoints are cooperative: nothing is ever aborted mid-mutation.
 //! A loop observes expiry **between** consistent states and stops
-//! there, which is what lets the progressive emitters hand back a
+//! there, which is what lets the exact solvers hand back a
 //! provably-final rank prefix instead of torn state.
 //!
 //! # Cost model
@@ -82,7 +83,7 @@ impl Budget {
 
     /// A forced checkpoint: reads the clock now (loop boundaries where
     /// staleness of up to [`POLL_STRIDE`] iterations is not acceptable,
-    /// e.g. right before pulling the next community of an emission).
+    /// e.g. right before materializing the next community of an answer).
     pub fn check(&self) -> bool {
         if self.expired.load(Ordering::Relaxed) {
             return true;

@@ -172,7 +172,7 @@ fn main() {
         flushed
     );
 
-    // Progressive delivery: a deadline-armed query answers with the
+    // Degraded delivery: a deadline-armed query answers with the
     // rank prefix its solver had proven when the budget ran out, tagged
     // degraded, instead of making the client wait for the full list.
     let q = Query::new(spec.k_grid[0], 20, Aggregation::Sum).deadline(Duration::from_micros(500));

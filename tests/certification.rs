@@ -20,7 +20,7 @@
 use ic_core::algo::{self, LocalSearchConfig};
 use ic_core::certify::{certify, certify_with};
 use ic_core::verify::check_community;
-use ic_core::{AggregateFn, Aggregation, Certificates, StateView, TieSemantics};
+use ic_core::{AggregateFn, Aggregation, Certificates, StateView};
 use ic_engine::{Engine, Query};
 use ic_gen::{barabasi_albert, gnm, uniform_weights, GraphSeed};
 use ic_graph::WeightedGraph;
@@ -288,54 +288,6 @@ fn custom_opaque_aggregation_flows_through_local_search_route() {
     assert_eq!(batched, seq, "engine(1) vs sequential");
     for c in &seq {
         check_community(&wg, 2, Some(6), agg, c).unwrap();
-    }
-}
-
-/// A custom aggregation declaring `TieSemantics::Approximate` still
-/// answers correctly — the planner just refuses to merge its
-/// r-families (each query runs alone) — and batch answers equal the
-/// one-at-a-time answers.
-#[test]
-fn approximate_tie_semantics_disable_family_merging_but_not_service() {
-    #[derive(Debug)]
-    struct NoTieSum;
-    impl AggregateFn for NoTieSum {
-        fn name(&self) -> &str {
-            "no-tie-sum"
-        }
-        fn certificates(&self) -> Certificates {
-            Certificates {
-                removal_decreasing: true,
-                size_proportional: true,
-                incremental_removal: true,
-                hardness_unconstrained: ic_core::Hardness::Polynomial,
-                ties: TieSemantics::Approximate,
-                ..Certificates::opaque()
-            }
-        }
-        fn evaluate(&self, w: &[f64], _t: f64) -> f64 {
-            w.iter().sum()
-        }
-        fn value_after_removal(&self, parent: f64, w: f64) -> f64 {
-            parent - w
-        }
-        fn evaluate_state(&self, state: &StateView<'_>) -> f64 {
-            state.sum()
-        }
-    }
-    static HANDLE: OnceLock<Aggregation> = OnceLock::new();
-    let agg = *HANDLE.get_or_init(|| Aggregation::custom(NoTieSum).expect("certifies"));
-
-    let wg = fixture(99, 40);
-    let eng = Engine::with_threads(wg.clone(), 2);
-    let family = [Query::new(2, 1, agg), Query::new(2, 3, agg)];
-    let res = eng.run_batch(&family);
-    for (q, r) in family.iter().zip(&res) {
-        let alone = q.solve(&wg).unwrap();
-        assert_eq!(r.clone().unwrap(), alone, "r={}", q.r);
-        // And it answers exactly like plain sum.
-        let sum_ref = Query::new(q.k, q.r, Aggregation::Sum).solve(&wg).unwrap();
-        assert_eq!(r.clone().unwrap(), sum_ref);
     }
 }
 

@@ -212,6 +212,56 @@ fn mid_run_deadline_yields_the_proven_prefix() {
     assert_amnesia(&eng, &wg, &[query], &[full]);
 }
 
+/// A deadline that fires while a memoized forest is being read keeps the
+/// value groups the read finished, never part of one. Five 2-cores on
+/// {1, 2, 3} weights: one community of value 3, then three of value 2
+/// (a 4-cycle first in the event ranking, last in the answer), then one
+/// of value 1. Each materialization is stretched to 200 ms, so the
+/// 500 ms deadline passes after the value-3 community and one of the
+/// value-2 group: only the value-3 community is proven.
+#[test]
+fn forest_read_deadline_keeps_whole_value_groups() {
+    let _s = FailScenario::setup();
+    let mut edges = vec![(3, 4), (4, 5), (5, 6), (6, 3)];
+    for t in [0, 7, 10, 13] {
+        edges.extend([(t, t + 1), (t + 1, t + 2), (t + 2, t)]);
+    }
+    let weights = [3, 3, 3, 2, 3, 3, 3, 2, 3, 3, 2, 2, 2, 1, 3, 3].map(f64::from);
+    let g = ic_graph::graph_from_edges(16, &edges);
+    let wg = WeightedGraph::new(g, weights.to_vec()).unwrap();
+    let query = Query::new(2, 5, Aggregation::Min);
+    let eng = Engine::with_threads(wg.clone(), 1);
+    // Unarmed first: the answer, and the forest memoized.
+    let full = eng.run_batch(&[query])[0].clone().unwrap();
+    assert_eq!(full.len(), 5);
+    eng.clear_result_cache();
+
+    ic_fail::cfg("core::forest_materialize", "sleep(200)").unwrap();
+    let armed = query.deadline(std::time::Duration::from_millis(500));
+    let got = eng.run_batch_with(&[armed], &BatchOptions::default());
+    ic_fail::remove("core::forest_materialize");
+
+    let ans = got[0].as_ref().expect("the value-3 group was proven");
+    match ans.status {
+        AnswerStatus::Degraded {
+            proven_prefix_len, ..
+        } => {
+            assert_eq!(proven_prefix_len, ans.communities.len());
+            assert!((1..full.len()).contains(&proven_prefix_len));
+            assert_eq!(&ans.communities[..], &full[..proven_prefix_len]);
+            let last = ans.communities[proven_prefix_len - 1].value;
+            assert!(
+                full[proven_prefix_len].value < last,
+                "the prefix ends inside a value group: {:?}",
+                ans.communities
+            );
+        }
+        ref other => panic!("expected a degraded answer, got {other:?}"),
+    }
+    assert_pool_restored(&eng, "after a forest-read deadline");
+    assert_amnesia(&eng, &wg, &[query], &[full]);
+}
+
 #[test]
 fn local_chunk_panic_poisons_only_its_family() {
     let _s = FailScenario::setup();
