@@ -203,7 +203,7 @@ pub fn local_search_nonoverlapping(
 
 /// The greedy order of seeds, pools and BFS layers: descending weight,
 /// ties by ascending id — a total order on distinct vertices.
-fn heavier_first(wg: &WeightedGraph, a: &VertexId, b: &VertexId) -> std::cmp::Ordering {
+pub(crate) fn heavier_first(wg: &WeightedGraph, a: &VertexId, b: &VertexId) -> std::cmp::Ordering {
     wg.weight(*b)
         .total_cmp(&wg.weight(*a))
         .then_with(|| a.cmp(b))
@@ -220,7 +220,8 @@ fn validate_params(config: &LocalSearchConfig) -> Result<(), SearchError> {
     Ok(())
 }
 
-/// One consumer of a shared seed expansion in [`run_seed_multi`]: an
+/// One consumer of a shared seed expansion in
+/// [`run_seed_memo`](crate::algo::run_seed_memo): an
 /// aggregation paired with the top-r list collecting its results.
 pub struct SeedTarget<'a> {
     /// Aggregation this target evaluates candidates under.
@@ -256,27 +257,40 @@ fn run_seed(
     );
 }
 
+/// Whether no target can use `seed`'s pool: every candidate contains
+/// its seed, so when every target's value is its minimum member weight
+/// (`peel_extremum: Some(Min)`) and `w(seed)` cannot beat any target's
+/// threshold, no prefix of any pool could be inserted.
+pub(crate) fn seed_is_hopeless(
+    wg: &WeightedGraph,
+    seed: VertexId,
+    targets: &[SeedTarget<'_>],
+) -> bool {
+    let hopeless = |t: &SeedTarget<'_>| {
+        wg.weight(seed) <= t.list.threshold()
+            && t.aggregation.certificates().peel_extremum == Some(Extremum::Min)
+    };
+    targets.iter().all(hopeless)
+}
+
 /// Expands one seed of Algorithm 4 for several queries at once: collects
 /// the seed's s-nearest-neighbor pool **once** and applies each target's
 /// strategy to it, inserting any qualifying candidate into the target's
 /// list. Queries that share `(k, s, greedy)` — any aggregation, any `r`
 /// — are answered in one pass over the seeds, each bit-identical to a
 /// sweep of its own, because the pool depends only on `(k, s, greedy)`
-/// and each strategy reads nothing but the pool and its own list: the
-/// batched engine's local-search family merge, public so the engine can
-/// distribute seeds across workers while sharing pruning state through
-/// the lists' thresholds/floors. `core` must be the maximal `k`-core
-/// mask of `wg` (or a subset of it), `rows` that k-core's [`CoreRows`],
-/// `scratch` sized to the graph; every vertex of `core` in ascending
-/// order against one list reproduces [`local_search`] exactly.
+/// and each strategy reads nothing but the pool and its own list. `core`
+/// must be the maximal `k`-core mask of `wg` (or a subset of it), `rows`
+/// that k-core's [`CoreRows`], `scratch` sized to the graph; every vertex
+/// of `core` in ascending order against one list reproduces
+/// [`local_search`] exactly. This is the memo-free walk behind
+/// `Query::solve_on`; the engine walks seeds with
+/// [`run_seed_memo`](crate::algo::run_seed_memo) and is held to it.
 ///
 /// Returns the number of pool vertices collected — `0` when the seed was
-/// skipped without a pool: every candidate contains its seed, so when
-/// every target's value is its minimum member weight
-/// (`peel_extremum: Some(Min)`) and `w(seed)` cannot beat any target's
-/// threshold, no prefix of any pool could be inserted.
+/// skipped without a pool ([`seed_is_hopeless`]).
 #[allow(clippy::too_many_arguments)]
-pub fn run_seed_multi(
+fn run_seed_multi(
     wg: &WeightedGraph,
     rows: &CoreRows,
     core: &BitSet,
@@ -287,11 +301,7 @@ pub fn run_seed_multi(
     scratch: &mut LocalScratch,
     targets: &mut [SeedTarget<'_>],
 ) -> usize {
-    let hopeless = |t: &SeedTarget<'_>| {
-        wg.weight(seed) <= t.list.threshold()
-            && t.aggregation.certificates().peel_extremum == Some(Extremum::Min)
-    };
-    if targets.iter().all(hopeless) {
+    if seed_is_hopeless(wg, seed, targets) {
         return 0;
     }
     // Line 4: the s-nearest-neighbor pool via truncated BFS. In greedy
@@ -434,10 +444,15 @@ fn prefix_strategy(
 /// Per-query scratch for the local-search strategies: pool building
 /// buffers plus an incremental candidate degree tracker. Everything is
 /// epoch-stamped; nothing allocates after the first few seeds warm the
-/// buffers up. One instance per worker thread; see [`run_seed_multi`].
+/// buffers up. One instance per worker thread; see
+/// [`run_seed_memo`](crate::algo::run_seed_memo).
 pub struct LocalScratch {
     // Pool building.
-    pool: Vec<VertexId>,
+    pub(crate) pool: Vec<VertexId>,
+    /// The first `read_len` vertices of the pool [`Self::build_pool`]
+    /// left (BFS order) are those whose rows it read: every layer but
+    /// the one that filled the pool.
+    pub(crate) read_len: usize,
     layer: Vec<VertexId>,
     next_layer: Vec<VertexId>,
     /// Greedy layer merge: the heaviest `room` new vertices seen so far,
@@ -465,6 +480,7 @@ impl LocalScratch {
     pub fn new(n: usize) -> Self {
         LocalScratch {
             pool: Vec::new(),
+            read_len: 0,
             layer: Vec::new(),
             next_layer: Vec::new(),
             best: BinaryHeap::new(),
@@ -502,7 +518,7 @@ impl LocalScratch {
     /// vertices — each row is already heaviest-first, so it is read only
     /// until its next entry cannot make the cut; random mode walks the
     /// graph's own neighbour order.
-    fn build_pool(
+    pub(crate) fn build_pool(
         &mut self,
         wg: &WeightedGraph,
         rows: &CoreRows,
@@ -512,6 +528,7 @@ impl LocalScratch {
         greedy: bool,
     ) {
         self.pool.clear();
+        self.read_len = 0;
         if limit == 0 || !mask.contains(seed as usize) {
             return;
         }
@@ -526,6 +543,7 @@ impl LocalScratch {
             if room == 0 {
                 return;
             }
+            self.read_len = self.pool.len();
             self.next_layer.clear();
             if greedy {
                 for &v in &self.layer {

@@ -13,9 +13,10 @@
 //! * [`nonoverlap`] — TONIC (non-overlapping) wrappers.
 //!
 //! Parallel Algorithm 4 is not a function here: the batched engine's
-//! chunked seed walk over [`run_seed_multi`], with a shared monotone
-//! floor per query ([`TopList::set_floor`](crate::TopList::set_floor)),
-//! is its one implementation.
+//! chunked seed walk over [`run_seed_memo`], with a shared monotone
+//! floor per query ([`TopList::set_floor`](crate::TopList::set_floor))
+//! and a per-snapshot [`SeedMemo`] it replays seeds from, is its one
+//! implementation.
 //!
 //! These free functions are the *algorithm* layer; they know nothing of
 //! caches or family merges. Serving code routes through [`crate::Query`]
@@ -34,6 +35,7 @@ mod local_search;
 mod minmax;
 pub mod nonoverlap;
 pub mod oracle;
+mod seed_memo;
 mod sum_naive;
 
 pub use common::ExpansionCounts;
@@ -41,10 +43,11 @@ pub use exact::{all_communities, exact_naive, exact_topr};
 pub use improved::{tic_improved_on, TicSearch};
 pub use index::{ExtremumIndex, IndexParts};
 pub use local_search::{
-    local_search, local_search_nonoverlapping, run_seed_multi, CoreRows, LocalScratch,
-    LocalSearchConfig, SeedTarget,
+    local_search, local_search_nonoverlapping, CoreRows, LocalScratch, LocalSearchConfig,
+    SeedTarget,
 };
 pub use minmax::peel_topr_on;
+pub use seed_memo::{run_seed_memo, MemoFamily, SeedMemo, SeedVisit};
 pub use sum_naive::sum_naive_on;
 
 // The per-graph forms are crate-internal: callers route through

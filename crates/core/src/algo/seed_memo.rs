@@ -1,0 +1,744 @@
+//! The seed memo: what Algorithm 4 learns about a seed that no query can
+//! change, kept per `(snapshot, k, s, greedy)` and replayed.
+//!
+//! A seed's pool — the truncated BFS over the level's [`CoreRows`],
+//! sorted for greedy — depends on the level's k-core alone, and so does
+//! the one graph fact a strategy asks of a pool prefix: does it induce a
+//! connected k-core? Everything else a strategy reads is the prefix's
+//! weights and its own list's bar. A [`SeedEntry`] keeps the pool in
+//! strategy order, the vertices whose rows its build read, and that fact
+//! for every prefix some strategy has tested. [`run_seed_memo`] replays
+//! an entry for every target instead of rebuilding the pool, and runs
+//! the degree tracker only for a prefix no strategy has tested yet. The
+//! picks are `prefix_strategy`'s and `sum_strategy`'s: prefix values are
+//! recomputed with the same `AggregateState` adds and removes, and a
+//! prefix is competitive against the list's bar as it stands at that
+//! seed, so a replay inserts exactly what a fresh expansion would.
+//!
+//! [`SeedMemo::carry`] hands an apply's new snapshot every entry the
+//! update provably left alone. The memo is bounded by a fixed
+//! per-snapshot byte budget; a family or an entry that does not fit is
+//! walked without one.
+
+use crate::algo::common::community_from_vertices;
+use crate::algo::local_search::{
+    heavier_first, seed_is_hopeless, CoreRows, LocalScratch, SeedTarget,
+};
+use crate::{AggregateState, Aggregation, Community, TopList};
+use ic_graph::{BitSet, VertexId, WeightedGraph};
+use ic_kcore::{CascadeRecord, GraphSnapshot};
+use std::collections::HashMap;
+use std::mem::size_of;
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// Bytes one snapshot's memo may hold: a few dozen `(k, s)` families of
+/// 20-vertex pools on a 10⁴-vertex graph.
+const MEMO_BUDGET: usize = 32 << 20;
+
+/// A prefix no strategy has tested yet.
+const UNTESTED: u8 = 0;
+/// A prefix that induces a connected k-core.
+const QUALIFIES: u8 = 1;
+/// A prefix that does not.
+const FAILS: u8 = 2;
+
+/// One seed's expansion at `(k, s, greedy)`.
+struct SeedEntry {
+    /// The pool in strategy order, then the vertices whose rows the pool
+    /// build read.
+    ids: Box<[VertexId]>,
+    pool_len: usize,
+    /// Per prefix length `len` in `k + 1 ..= pool_len`, at `len - k - 1`:
+    /// untested, or whether `pool[..len]` induces a connected k-core. A
+    /// cell only ever moves from `UNTESTED` to the one true verdict, so
+    /// walks sharing an entry agree.
+    tested: Box<[AtomicU8]>,
+}
+
+impl SeedEntry {
+    /// Builds `seed`'s pool, in strategy order, with nothing tested.
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        wg: &WeightedGraph,
+        rows: &CoreRows,
+        core: &BitSet,
+        seed: VertexId,
+        k: usize,
+        s: usize,
+        greedy: bool,
+        scratch: &mut LocalScratch,
+    ) -> SeedEntry {
+        scratch.build_pool(wg, rows, core, seed, s, greedy);
+        let pool = &scratch.pool;
+        let mut ids = Vec::with_capacity(pool.len() + scratch.read_len);
+        ids.extend_from_slice(pool);
+        // The seed stays first: the pool is anchored at it.
+        if greedy && pool.len() > k {
+            ids[1..].sort_by(|a, b| heavier_first(wg, a, b));
+        }
+        ids.extend_from_slice(&pool[..scratch.read_len]);
+        SeedEntry {
+            ids: ids.into_boxed_slice(),
+            pool_len: pool.len(),
+            tested: (k + 1..=pool.len())
+                .map(|_| AtomicU8::new(UNTESTED))
+                .collect(),
+        }
+    }
+
+    fn pool(&self) -> &[VertexId] {
+        &self.ids[..self.pool_len]
+    }
+
+    fn read(&self) -> &[VertexId] {
+        &self.ids[self.pool_len..]
+    }
+
+    /// What the entry costs the budget: its allocations and the `Arc`
+    /// that holds it.
+    fn bytes(&self) -> usize {
+        size_of::<Self>() + 2 * size_of::<usize>() + 4 * self.ids.len() + self.tested.len()
+    }
+
+    /// Whether `pool[..len]` (`len > k`) induces a connected k-core: the
+    /// verdict some strategy already reached, else the degree tracker's,
+    /// which is recorded. `tracked` is the prefix the tracker in
+    /// `scratch` holds (`None`: none of this seed's yet); it is moved to
+    /// `len` by pushes or pops, and each prefix a push passes that breaks
+    /// the degree bound is recorded as failing on the way.
+    fn qualifies(
+        &self,
+        len: usize,
+        k: usize,
+        rows: &CoreRows,
+        scratch: &mut LocalScratch,
+        tracked: &mut Option<usize>,
+    ) -> bool {
+        let cell = &self.tested[len - k - 1];
+        match cell.load(Relaxed) {
+            QUALIFIES => return true,
+            FAILS => return false,
+            _ => {}
+        }
+        let pool = self.pool();
+        let held = tracked.unwrap_or_else(|| {
+            scratch.begin_candidate(k);
+            0
+        });
+        if held <= len {
+            for (at, &v) in pool[..len].iter().enumerate().skip(held) {
+                scratch.push(rows, v);
+                if at + 1 > k && !scratch.is_kcore() {
+                    self.tested[at - k].store(FAILS, Relaxed);
+                }
+            }
+        } else {
+            for &v in pool[len..held].iter().rev() {
+                scratch.pop(rows, v);
+            }
+        }
+        *tracked = Some(len);
+        let verdict = scratch.is_kcore() && scratch.is_connected(rows, pool[0]);
+        cell.store(if verdict { QUALIFIES } else { FAILS }, Relaxed);
+        verdict
+    }
+}
+
+/// Applies every target's strategy to `entry`'s pool; the tracker in
+/// `scratch` is shared by the targets, so a prefix is tested once.
+fn replay(
+    wg: &WeightedGraph,
+    rows: &CoreRows,
+    k: usize,
+    greedy: bool,
+    entry: &SeedEntry,
+    scratch: &mut LocalScratch,
+    targets: &mut [SeedTarget<'_>],
+) {
+    let pool = entry.pool();
+    if pool.len() <= k {
+        return; // cannot host a k-core
+    }
+    let mut tracked = None;
+    for target in targets {
+        let mut qualifies = |len: usize| entry.qualifies(len, k, rows, scratch, &mut tracked);
+        // Strategy selection by certificate, as in the memo-free walk.
+        if target.aggregation.certificates().incremental_removal {
+            sum_replay(wg, pool, k, target.aggregation, target.list, &mut qualifies);
+        } else {
+            let agg = target.aggregation;
+            prefix_replay(wg, pool, k, greedy, agg, target.list, &mut qualifies);
+        }
+    }
+}
+
+/// `SumStrategy` over a known pool: from the full pool, drop the last
+/// vertex until the candidate qualifies while its value beats the bar.
+fn sum_replay(
+    wg: &WeightedGraph,
+    pool: &[VertexId],
+    k: usize,
+    aggregation: Aggregation,
+    list: &mut TopList,
+    qualifies: &mut impl FnMut(usize) -> bool,
+) {
+    let mut state = AggregateState::new(aggregation, wg.total_weight());
+    for &v in pool {
+        state.add(wg.weight(v));
+    }
+    let mut len = pool.len();
+    while len > k && state.value() > list.threshold() {
+        if qualifies(len) {
+            let vertices = pool[..len].to_vec();
+            list.insert(community_from_vertices(wg, aggregation, vertices));
+            return;
+        }
+        len -= 1;
+        state.remove(wg.weight(pool[len]));
+    }
+}
+
+/// `AvgStrategy` over a known pool: greedy takes the first competitive
+/// qualifying prefix, random the best one by `ranking_cmp`.
+fn prefix_replay(
+    wg: &WeightedGraph,
+    pool: &[VertexId],
+    k: usize,
+    greedy: bool,
+    aggregation: Aggregation,
+    list: &mut TopList,
+    qualifies: &mut impl FnMut(usize) -> bool,
+) {
+    let mut state = AggregateState::new(aggregation, wg.total_weight());
+    let mut best: Option<Community> = None;
+    for (i, &v) in pool.iter().enumerate() {
+        state.add(wg.weight(v));
+        if i + 1 > k && state.value() > list.threshold() && qualifies(i + 1) {
+            let community = community_from_vertices(wg, aggregation, pool[..=i].to_vec());
+            if greedy {
+                best = Some(community);
+                break;
+            }
+            if best
+                .as_ref()
+                .is_none_or(|b| community.ranking_cmp(b).is_lt())
+            {
+                best = Some(community);
+            }
+        }
+    }
+    if let Some(b) = best {
+        list.insert(b);
+    }
+}
+
+/// The memo of one `(k, s, greedy)` family on one snapshot: an entry
+/// slot per vertex.
+struct FamilyMemo {
+    slots: Box<[OnceLock<Arc<SeedEntry>>]>,
+    /// Bytes of the slots and of every entry set in them.
+    bytes: AtomicUsize,
+}
+
+impl FamilyMemo {
+    fn slot_bytes(n: usize) -> usize {
+        n * size_of::<OnceLock<Arc<SeedEntry>>>()
+    }
+
+    fn new(n: usize) -> FamilyMemo {
+        FamilyMemo {
+            slots: (0..n).map(|_| OnceLock::new()).collect(),
+            bytes: AtomicUsize::new(Self::slot_bytes(n)),
+        }
+    }
+}
+
+/// What Algorithm 4 learned about seeds on one snapshot, per
+/// `(k, s, greedy)` family: see the module docs. Snapshot state, like a
+/// forest — it survives a cleared result cache — held beside the
+/// snapshot by whoever serves it, and carried across an apply by
+/// [`carry`](Self::carry).
+pub struct SeedMemo {
+    families: Mutex<HashMap<(usize, usize, bool), Arc<FamilyMemo>>>,
+    /// Bytes held: every family's slots and entries.
+    bytes: AtomicUsize,
+    budget: usize,
+}
+
+impl Default for SeedMemo {
+    fn default() -> Self {
+        Self::with_budget(MEMO_BUDGET)
+    }
+}
+
+impl SeedMemo {
+    fn with_budget(budget: usize) -> SeedMemo {
+        SeedMemo {
+            families: Mutex::new(HashMap::new()),
+            bytes: AtomicUsize::new(0),
+            budget,
+        }
+    }
+
+    /// Bytes the memo holds; never more than its fixed budget.
+    pub fn bytes(&self) -> usize {
+        self.bytes.load(Relaxed)
+    }
+
+    fn reserve(&self, bytes: usize) -> bool {
+        let fits = |held: usize| held.checked_add(bytes).filter(|&b| b <= self.budget);
+        self.bytes.fetch_update(Relaxed, Relaxed, fits).is_ok()
+    }
+
+    /// The memo of the `(k, s, greedy)` family over this snapshot's `n`
+    /// vertices, created empty on first use; `None` when a new family's
+    /// slots do not fit the budget — its seeds are then walked without a
+    /// memo.
+    pub fn family(&self, n: usize, k: usize, s: usize, greedy: bool) -> Option<MemoFamily<'_>> {
+        let mut families = self.families.lock().unwrap_or_else(|e| e.into_inner());
+        let family = match families.get(&(k, s, greedy)) {
+            Some(family) => Arc::clone(family),
+            None => {
+                if !self.reserve(FamilyMemo::slot_bytes(n)) {
+                    return None;
+                }
+                let family = Arc::new(FamilyMemo::new(n));
+                families.insert((k, s, greedy), Arc::clone(&family));
+                family
+            }
+        };
+        Some(MemoFamily { memo: self, family })
+    }
+
+    /// The memo the snapshot an apply swaps in starts with, and the
+    /// number of entries the apply invalidated. `old` and `new` are the
+    /// snapshots before and after the apply, `records` its cascade
+    /// journal.
+    ///
+    /// A family above every record's ceiling is shared whole: its
+    /// level's k-core, vertex set and induced edges, is the old one. At a
+    /// level `k` at or below it, let `D` be the endpoints of every
+    /// applied toggle, every vertex whose core number crossed `k`, and
+    /// the neighbours of those in either graph. An entry survives when
+    ///
+    /// * its seed is still in the k-core;
+    /// * no vertex whose row its pool build read is in `D`: a level-`k`
+    ///   row changes only for vertices in `D`, and the build read nothing
+    ///   else, so it would build the same pool; and
+    /// * no toggle has both endpoints in its pool: the degree tracker and
+    ///   the connectivity test count only neighbours inside the pool, so
+    ///   every verdict it holds stands.
+    ///
+    /// A surviving entry is shared by `Arc` with the old memo.
+    pub fn carry(
+        &self,
+        old: &GraphSnapshot,
+        new: &GraphSnapshot,
+        records: &[CascadeRecord],
+    ) -> (SeedMemo, u64) {
+        let ceiling = records.iter().filter_map(CascadeRecord::ceiling).max();
+        let applied: Vec<(VertexId, VertexId)> = records
+            .iter()
+            .filter(|r| r.applied)
+            .map(|r| r.update.endpoints())
+            .collect();
+        let n = new.graph().num_vertices();
+        let mut ends = BitSet::new(n);
+        for &(u, v) in &applied {
+            ends.insert(u as usize);
+            ends.insert(v as usize);
+        }
+        let cores = new.decomposition();
+        let next = SeedMemo::with_budget(self.budget);
+        let mut dropped = 0u64;
+        let mut reached: HashMap<usize, BitSet> = HashMap::new();
+        let families = self.families.lock().unwrap_or_else(|e| e.into_inner());
+        let mut carried = HashMap::with_capacity(families.len());
+        for (&(k, s, greedy), family) in families.iter() {
+            let kept = if ceiling.is_none_or(|c| k > c as usize) {
+                Arc::clone(family)
+            } else {
+                let d = reached
+                    .entry(k)
+                    .or_insert_with(|| reached_at(old, new, records, k));
+                let fresh = FamilyMemo::new(n);
+                for (seed, slot) in family.slots.iter().enumerate() {
+                    let Some(entry) = slot.get() else { continue };
+                    let survives = cores.core_numbers[seed] as usize >= k
+                        && !entry.read().iter().any(|&v| d.contains(v as usize))
+                        && !holds_a_toggle(entry.pool(), &ends, &applied);
+                    if survives {
+                        let _ = fresh.slots[seed].set(Arc::clone(entry));
+                        fresh.bytes.fetch_add(entry.bytes(), Relaxed);
+                    } else {
+                        dropped += 1;
+                    }
+                }
+                Arc::new(fresh)
+            };
+            next.bytes.fetch_add(kept.bytes.load(Relaxed), Relaxed);
+            carried.insert((k, s, greedy), kept);
+        }
+        *next.families.lock().unwrap_or_else(|e| e.into_inner()) = carried;
+        (next, dropped)
+    }
+}
+
+/// `D` at level `k`: every vertex whose level-`k` row the apply can have
+/// changed. Row `v` lists `v`'s neighbours in the k-core, so it changes
+/// only when an edge at `v` is toggled, or `v` or one of its neighbours
+/// enters or leaves the k-core.
+fn reached_at(
+    old: &GraphSnapshot,
+    new: &GraphSnapshot,
+    records: &[CascadeRecord],
+    k: usize,
+) -> BitSet {
+    let mut d = BitSet::new(new.graph().num_vertices());
+    for record in records.iter().filter(|r| r.applied) {
+        let (u, v) = record.update.endpoints();
+        d.insert(u as usize);
+        d.insert(v as usize);
+        for delta in &record.deltas {
+            if (delta.old_core as usize >= k) != (delta.new_core as usize >= k) {
+                d.insert(delta.vertex as usize);
+                for graph in [old.graph(), new.graph()] {
+                    for &x in graph.neighbors(delta.vertex) {
+                        d.insert(x as usize);
+                    }
+                }
+            }
+        }
+    }
+    d
+}
+
+/// Whether some applied toggle has both endpoints in `pool`: then the
+/// pool's induced subgraph, and with it the verdicts, may have changed.
+fn holds_a_toggle(pool: &[VertexId], ends: &BitSet, applied: &[(VertexId, VertexId)]) -> bool {
+    let mut hits = pool.iter().filter(|&&v| ends.contains(v as usize));
+    hits.next().is_some()
+        && hits.next().is_some()
+        && applied
+            .iter()
+            .any(|&(u, v)| pool.contains(&u) && pool.contains(&v))
+}
+
+/// One family's memo as a seed walk holds it: the entries, and the
+/// snapshot memo whose budget new entries are charged to.
+pub struct MemoFamily<'a> {
+    memo: &'a SeedMemo,
+    family: Arc<FamilyMemo>,
+}
+
+impl MemoFamily<'_> {
+    fn get(&self, seed: VertexId) -> Option<&SeedEntry> {
+        self.family.slots[seed as usize].get().map(|e| &**e)
+    }
+
+    /// Keeps `entry` for `seed` when it fits the budget. A racing walk
+    /// may have kept the seed's entry first; the two are the same.
+    fn keep(&self, seed: VertexId, entry: SeedEntry) {
+        let bytes = entry.bytes();
+        if !self.memo.reserve(bytes) {
+            return;
+        }
+        if self.family.slots[seed as usize]
+            .set(Arc::new(entry))
+            .is_ok()
+        {
+            self.family.bytes.fetch_add(bytes, Relaxed);
+        } else {
+            self.memo.bytes.fetch_sub(bytes, Relaxed);
+        }
+    }
+}
+
+/// What [`run_seed_memo`] did with a seed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SeedVisit {
+    /// No target could use the seed's pool (`min` targets at or above
+    /// its weight): nothing built, nothing replayed.
+    Skipped,
+    /// Replayed from the memo: no pool built.
+    Replayed,
+    /// A pool of this many vertices built.
+    Built(usize),
+}
+
+/// Expands one seed of Algorithm 4 for every target at once, inserting
+/// into each target's list exactly what the memo-free walk behind
+/// `Query::solve_on` does: the memo's entry for the seed is replayed
+/// when there is one; otherwise the pool is built and its entry kept,
+/// once every target is served and when the budget allows, for later
+/// families on this snapshot and, through [`SeedMemo::carry`], later
+/// snapshots. `memo` must be this snapshot's family for `(k, s, greedy)`
+/// (`None`: walk without one); the other arguments are as for a
+/// memo-free seed walk — `core` the level's mask, `rows` its
+/// [`CoreRows`].
+#[allow(clippy::too_many_arguments)]
+pub fn run_seed_memo(
+    wg: &WeightedGraph,
+    rows: &CoreRows,
+    core: &BitSet,
+    seed: VertexId,
+    k: usize,
+    s: usize,
+    greedy: bool,
+    memo: Option<&MemoFamily<'_>>,
+    scratch: &mut LocalScratch,
+    targets: &mut [SeedTarget<'_>],
+) -> SeedVisit {
+    if seed_is_hopeless(wg, seed, targets) {
+        return SeedVisit::Skipped;
+    }
+    if let Some(entry) = memo.and_then(|m| m.get(seed)) {
+        replay(wg, rows, k, greedy, entry, scratch, targets);
+        return SeedVisit::Replayed;
+    }
+    let entry = SeedEntry::build(wg, rows, core, seed, k, s, greedy, scratch);
+    replay(wg, rows, k, greedy, &entry, scratch, targets);
+    let built = entry.pool_len;
+    if let Some(memo) = memo {
+        memo.keep(seed, entry);
+    }
+    SeedVisit::Built(built)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::algo::local_search::{local_search, LocalSearchConfig};
+    use ic_kcore::{CoreMaintainer, EdgeUpdate};
+    use proptest::prelude::*;
+
+    /// A Barabási–Albert graph whose few distinct weights make pools
+    /// lean on their tie-break.
+    fn graph(n: usize, seed: u64, distinct: u32) -> WeightedGraph {
+        let g = ic_gen::barabasi_albert(n, 3, ic_gen::GraphSeed(seed));
+        let top = f64::from(distinct + 1);
+        let weights = ic_gen::uniform_weights(n, 1.0, top, ic_gen::GraphSeed(seed));
+        WeightedGraph::new(g, weights.into_iter().map(f64::floor).collect()).unwrap()
+    }
+
+    /// Walks every seed of `snap`'s `k`-core through `memo` with an `avg`
+    /// and a `sum` target, then tests every prefix of every entry kept:
+    /// each verdict the memo can hold is known.
+    fn warm(snap: &GraphSnapshot, memo: &SeedMemo, (k, s, greedy): (usize, usize, bool)) {
+        let (wg, level) = (snap.weighted(), snap.level(k));
+        let (rows, _) = CoreRows::cached(snap, k);
+        let family = memo.family(wg.num_vertices(), k, s, greedy).unwrap();
+        let mut scratch = LocalScratch::new(wg.num_vertices());
+        let (mut avg, mut sum) = (TopList::new(3), TopList::new(3));
+        for seed in level.mask.iter().map(|v| v as VertexId) {
+            let mut targets = [
+                SeedTarget {
+                    aggregation: Aggregation::Average,
+                    list: &mut avg,
+                },
+                SeedTarget {
+                    aggregation: Aggregation::Sum,
+                    list: &mut sum,
+                },
+            ];
+            let memo = Some(&family);
+            run_seed_memo(
+                wg,
+                &rows,
+                &level.mask,
+                seed,
+                k,
+                s,
+                greedy,
+                memo,
+                &mut scratch,
+                &mut targets,
+            );
+            if let Some(entry) = family.get(seed) {
+                let mut tracked = None;
+                for len in k + 1..=entry.pool_len {
+                    entry.qualifies(len, k, &rows, &mut scratch, &mut tracked);
+                }
+            }
+        }
+    }
+
+    /// Asserts that every entry `memo` holds for the family equals one
+    /// built fresh on `snap` — the same pool, the same rows read, and
+    /// each verdict it holds the tracker's on `snap` — and returns how
+    /// many it checked.
+    fn assert_fresh(
+        snap: &GraphSnapshot,
+        memo: &SeedMemo,
+        (k, s, greedy): (usize, usize, bool),
+    ) -> usize {
+        let (wg, level) = (snap.weighted(), snap.level(k));
+        let (rows, _) = CoreRows::cached(snap, k);
+        let family = memo.family(wg.num_vertices(), k, s, greedy).unwrap();
+        let mut scratch = LocalScratch::new(wg.num_vertices());
+        let mut checked = 0;
+        for (seed, slot) in family.family.slots.iter().enumerate() {
+            let Some(carried) = slot.get() else { continue };
+            assert!(level.mask.contains(seed), "seed {seed} left the {k}-core");
+            let fresh = SeedEntry::build(
+                wg,
+                &rows,
+                &level.mask,
+                seed as VertexId,
+                k,
+                s,
+                greedy,
+                &mut scratch,
+            );
+            assert_eq!(
+                carried.pool(),
+                fresh.pool(),
+                "pool of seed {seed}, {k}/{s}/{greedy}"
+            );
+            assert_eq!(carried.read(), fresh.read(), "rows read for seed {seed}");
+            let mut tracked = None;
+            for len in k + 1..=fresh.pool_len {
+                let known = carried.tested[len - k - 1].load(Relaxed);
+                if known != UNTESTED {
+                    let truth = fresh.qualifies(len, k, &rows, &mut scratch, &mut tracked);
+                    assert_eq!(known == QUALIFIES, truth, "seed {seed}, prefix {len}");
+                }
+            }
+            checked += 1;
+        }
+        checked
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// After random toggle scripts — removes of core edges, inserts
+        /// between core vertices — every entry an apply carries equals
+        /// one built fresh on the new snapshot, and the carry both keeps
+        /// and drops entries.
+        #[test]
+        fn carried_entries_equal_fresh_builds_on_the_new_snapshot(
+            n in 40usize..90,
+            seed in any::<u64>(),
+            distinct in 2u32..6,
+            toggles in 1usize..5,
+        ) {
+            let families = [(2, 5, true), (2, 8, false), (3, 6, true), (3, 12, true), (4, 9, false)];
+            let mut snap = GraphSnapshot::new(graph(n, seed, distinct));
+            let mut maintainer = CoreMaintainer::from_graph(snap.graph());
+            let mut memo = SeedMemo::default();
+            let mut rng = seed | 1;
+            let mut draw = move |below: usize| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % below as u64) as VertexId
+            };
+            let (mut carried, mut dropped) = (0, 0);
+            for _ in 0..4 {
+                for family in families {
+                    warm(&snap, &memo, family);
+                }
+                let cores = snap.decomposition();
+                let core: Vec<VertexId> = (0..n as VertexId).filter(|&v| cores.core_numbers[v as usize] >= 2).collect();
+                let mut updates = Vec::new();
+                for t in 0..toggles {
+                    let u = core[draw(core.len()) as usize];
+                    let row = snap.graph().neighbors(u);
+                    updates.push(if t % 2 == 0 && !row.is_empty() {
+                        EdgeUpdate::Remove { u, v: row[draw(row.len()) as usize] }
+                    } else {
+                        let v = core[draw(core.len()) as usize];
+                        if u == v { continue; }
+                        EdgeUpdate::Insert { u, v }
+                    });
+                }
+                let records: Vec<CascadeRecord> =
+                    updates.iter().map(|&update| maintainer.apply_recorded(update)).collect();
+                let weights = snap.weighted().weights().to_vec();
+                let wg = WeightedGraph::new(maintainer.to_graph(), weights).unwrap();
+                let next = GraphSnapshot::with_decomposition(Arc::new(wg), maintainer.decomposition());
+                let (next_memo, d) = memo.carry(&snap, &next, &records);
+                prop_assert!(next_memo.bytes() <= memo.bytes() || d == 0);
+                dropped += d;
+                for family in families {
+                    carried += assert_fresh(&next, &next_memo, family);
+                }
+                (snap, memo) = (next, next_memo);
+            }
+            prop_assert!(carried > 0 && dropped > 0, "carried {}, dropped {}", carried, dropped);
+        }
+    }
+
+    #[test]
+    fn a_family_over_budget_is_walked_like_the_memo_free_one() {
+        // `s` above the core size: every pool is its seed's whole
+        // component, and only the first few entries fit the budget.
+        let (n, k, s) = (60, 3, 64);
+        let wg = graph(n, 7, 4);
+        let snap = GraphSnapshot::new(wg.clone());
+        let (level, (rows, _)) = (snap.level(k), CoreRows::cached(&snap, k));
+        let memo = SeedMemo::with_budget(FamilyMemo::slot_bytes(n) + 4_000);
+        let mut scratch = LocalScratch::new(n);
+        for greedy in [true, false] {
+            let family = memo.family(n, k, s, greedy);
+            for pass in 0..2 {
+                let (mut avg, mut sum) = (TopList::new(3), TopList::new(3));
+                let (mut replayed, mut built) = (0, 0);
+                for seed in level.mask.iter().map(|v| v as VertexId) {
+                    let mut targets = [
+                        SeedTarget {
+                            aggregation: Aggregation::Average,
+                            list: &mut avg,
+                        },
+                        SeedTarget {
+                            aggregation: Aggregation::Sum,
+                            list: &mut sum,
+                        },
+                    ];
+                    let m = family.as_ref();
+                    match run_seed_memo(
+                        &wg,
+                        &rows,
+                        &level.mask,
+                        seed,
+                        k,
+                        s,
+                        greedy,
+                        m,
+                        &mut scratch,
+                        &mut targets,
+                    ) {
+                        SeedVisit::Replayed => replayed += 1,
+                        SeedVisit::Built(_) => built += 1,
+                        SeedVisit::Skipped => unreachable!("no `min` target"),
+                    }
+                }
+                let config = LocalSearchConfig { k, r: 3, s, greedy };
+                assert_eq!(
+                    avg.into_vec(),
+                    local_search(&wg, &config, Aggregation::Average).unwrap()
+                );
+                assert_eq!(
+                    sum.into_vec(),
+                    local_search(&wg, &config, Aggregation::Sum).unwrap()
+                );
+                assert!(
+                    memo.bytes() <= memo.budget,
+                    "{} > {}",
+                    memo.bytes(),
+                    memo.budget
+                );
+                if greedy && pass == 1 {
+                    assert!(
+                        replayed > 0 && built > 0,
+                        "replayed {replayed}, built {built}"
+                    );
+                }
+            }
+            // The second family's slots no longer fit: it is walked bare.
+            assert_eq!(family.is_some(), greedy);
+        }
+    }
+}

@@ -39,11 +39,13 @@
 //! proven gets [`EngineError::DeadlineExceeded`].
 
 use crate::plan::{Job, JobOutput, LocalJob, Plan};
-use crate::{AnswerStatus, DegradeReason, EngineError, QueryAnswer};
-use ic_core::algo::{run_seed_multi, CoreRows, ExtremumIndex, LocalScratch, SeedTarget, TicSearch};
+use crate::{AnswerStatus, DegradeReason, EngineError, QueryAnswer, Serving};
+use ic_core::algo::{
+    run_seed_memo, CoreRows, ExtremumIndex, LocalScratch, SeedTarget, SeedVisit, TicSearch,
+};
 use ic_core::community::{decode_ordered_f64, encode_ordered_f64};
 use ic_core::{Aggregation, Community, TopList};
-use ic_kcore::{ArenaPool, Budget, GraphSnapshot, PeelArena};
+use ic_kcore::{Budget, GraphSnapshot, PeelArena};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -94,13 +96,18 @@ pub(crate) struct TicCounters {
 
 /// `core.local_*`: what the local-search chunks of this engine did,
 /// summed once per chunk — seeds visited, seeds skipped without a pool
-/// (see [`run_seed_multi`]), pool vertices collected, and [`CoreRows`]
-/// builds (one per `(snapshot, k)` a size-bounded query touched).
+/// and seeds replayed from the seed memo (see [`run_seed_memo`]), pool
+/// vertices collected, and [`CoreRows`] builds (one per `(snapshot, k)`
+/// a size-bounded query touched) — and the memo's own: entries an apply
+/// invalidated, and the bytes the serving snapshot's memo holds.
 pub(crate) struct LocalCounters {
     pub seeds: ic_obs::Counter,
     pub seeds_skipped: ic_obs::Counter,
+    pub seeds_replayed: ic_obs::Counter,
     pub pool_vertices: ic_obs::Counter,
     pub rows_builds: ic_obs::Counter,
+    pub memo_dropped: ic_obs::Counter,
+    pub memo_bytes: ic_obs::Gauge,
 }
 
 /// Where an execution reports: the caller's trace, if there is one,
@@ -112,12 +119,12 @@ pub(crate) struct ExecObs<'a> {
     pub local: &'a LocalCounters,
 }
 
-/// Runs a plan against one pinned snapshot. The snapshot and arena pool
-/// are grabbed once by the caller (`Engine::execute`) so a concurrent
-/// `Engine::apply` can never tear a batch across two graph versions.
+/// Runs a plan against one pinned snapshot. The serving state — the
+/// snapshot, its arena pool and its seed memo — is grabbed once by the
+/// caller (`Engine::execute`) so a concurrent `Engine::apply` can never
+/// tear a batch across two graph versions.
 pub(crate) fn execute<F>(
-    snap: &GraphSnapshot,
-    arenas: &ArenaPool,
+    serving: &Serving,
     threads: usize,
     anchor: Instant,
     plan: Plan,
@@ -138,7 +145,7 @@ pub(crate) fn execute<F>(
     let cursor = AtomicUsize::new(0);
     let workers = threads.max(1).min(plan.jobs.len());
     if workers == 1 {
-        drain_jobs(snap, arenas, anchor, &plan, &cursor, obs, &mut deliver);
+        drain_jobs(serving, anchor, &plan, &cursor, obs, &mut deliver);
         return;
     }
     let (tx, rx) = std::sync::mpsc::channel::<(usize, Outcome)>();
@@ -150,17 +157,9 @@ pub(crate) fn execute<F>(
                 // The receiver outlives the scope; a send can only fail
                 // if the caller's callback panicked, in which case the
                 // batch is already unwinding.
-                drain_jobs(
-                    snap,
-                    arenas,
-                    anchor,
-                    plan,
-                    cursor,
-                    obs,
-                    &mut |query, result| {
-                        let _ = tx.send((query, result));
-                    },
-                );
+                drain_jobs(serving, anchor, plan, cursor, obs, &mut |query, result| {
+                    let _ = tx.send((query, result));
+                });
             });
         }
         drop(tx);
@@ -178,14 +177,14 @@ pub(crate) fn execute<F>(
 /// never mistaken for a solver panic — it unwinds through here, and the
 /// arena guard still hands the (sound) arena back to the pool.
 fn drain_jobs(
-    snap: &GraphSnapshot,
-    arenas: &ArenaPool,
+    serving: &Serving,
     anchor: Instant,
     plan: &Plan,
     cursor: &AtomicUsize,
     obs: ExecObs<'_>,
     emit: &mut dyn FnMut(usize, Outcome),
 ) {
+    let arenas = &serving.arenas;
     let mut arena = arenas.acquire();
     let mut scratch: Option<LocalScratch> = None;
     let mut done: Vec<(usize, Outcome)> = Vec::new();
@@ -193,7 +192,15 @@ fn drain_jobs(
         let j = cursor.fetch_add(1, Ordering::Relaxed);
         let Some(job) = plan.jobs.get(j) else { break };
         let guarded = catch_unwind(AssertUnwindSafe(|| {
-            run_job(snap, anchor, job, &mut arena, &mut scratch, obs, &mut done);
+            run_job(
+                serving,
+                anchor,
+                job,
+                &mut arena,
+                &mut scratch,
+                obs,
+                &mut done,
+            );
         }));
         match guarded {
             Ok(()) => {
@@ -308,7 +315,7 @@ fn tic_outcome(run: Result<(Vec<Community>, bool), ic_core::SearchError>, exact:
 }
 
 fn run_job(
-    snap: &GraphSnapshot,
+    serving: &Serving,
     anchor: Instant,
     job: &Job,
     arena: &mut PeelArena,
@@ -316,6 +323,7 @@ fn run_job(
     obs: ExecObs<'_>,
     done: &mut Vec<(usize, Outcome)>,
 ) {
+    let snap = &*serving.snapshot;
     match job {
         Job::MinMaxFamily {
             dir,
@@ -423,7 +431,7 @@ fn run_job(
             send_all(done, outputs, &tic_outcome(run, *epsilon == 0.0));
         }
         Job::LocalChunk { job, chunk } => {
-            run_local_chunk(snap, anchor, job, *chunk, scratch, obs.local)
+            run_local_chunk(serving, anchor, job, *chunk, scratch, obs.local)
         }
     }
 }
@@ -433,8 +441,10 @@ fn run_job(
 /// partitioned into chunks; each chunk runs the sequential per-seed
 /// strategy against thread-local top-r lists (the graph and the level's
 /// [`CoreRows`], fetched from the snapshot's memo once per chunk, are
-/// shared read-only), one pool build per seed shared by every member's
-/// strategy, and the lists are merged when the last chunk ends. There is
+/// shared read-only), one seed expansion shared by every member's
+/// strategy — replayed from the family's seed memo when an earlier
+/// family or epoch left one, else built and kept — and the lists are
+/// merged when the last chunk ends. There is
 /// no shared mutable top-list and no lock on the hot path: the only
 /// cross-thread state is one atomic per member holding the best known
 /// r-th value, which a chunk snapshots into its list's pruning floor
@@ -454,7 +464,7 @@ fn run_job(
 /// truncated chunk's communities are genuine, just not exhaustive, so
 /// the merged answer degrades to best-so-far.
 fn run_local_chunk(
-    snap: &GraphSnapshot,
+    serving: &Serving,
     anchor: Instant,
     job: &Arc<LocalJob>,
     chunk: usize,
@@ -462,10 +472,14 @@ fn run_local_chunk(
     counters: &LocalCounters,
 ) {
     ic_fail::fail_point!("engine::local_chunk");
+    let snap = &serving.snapshot;
     let wg = snap.weighted();
     let level = snap.level(job.k);
     let (rows, built) = CoreRows::cached(snap, job.k);
     counters.rows_builds.add(u64::from(built));
+    let memo = serving
+        .seeds
+        .family(wg.num_vertices(), job.k, job.s, job.greedy);
 
     // The shared budget starts with whichever chunk gets here first, so
     // the family's clock never starts before any of its work could.
@@ -485,7 +499,7 @@ fn run_local_chunk(
 
     let mut locals: Vec<TopList> = job.members.iter().map(|m| TopList::new(m.r)).collect();
     let scratch = scratch.get_or_insert_with(|| LocalScratch::new(wg.num_vertices()));
-    let (mut visited, mut skipped, mut pooled) = (0u64, 0u64, 0u64);
+    let (mut visited, mut skipped, mut replayed, mut pooled) = (0u64, 0u64, 0u64, 0u64);
     {
         let mut targets: Vec<SeedTarget<'_>> = locals
             .iter_mut()
@@ -506,7 +520,7 @@ fn run_local_chunk(
                 t.list
                     .set_floor(decode_ordered_f64(m.floor.load(Ordering::Relaxed)));
             }
-            let pool = run_seed_multi(
+            let visit = run_seed_memo(
                 wg,
                 &rows,
                 &level.mask,
@@ -514,12 +528,16 @@ fn run_local_chunk(
                 job.k,
                 job.s,
                 job.greedy,
+                memo.as_ref(),
                 scratch,
                 &mut targets,
             );
             visited += 1;
-            skipped += u64::from(pool == 0);
-            pooled += pool as u64;
+            match visit {
+                SeedVisit::Skipped => skipped += 1,
+                SeedVisit::Replayed => replayed += 1,
+                SeedVisit::Built(pool) => pooled += pool as u64,
+            }
             for (t, m) in targets.iter().zip(&job.members) {
                 if t.list.len() == t.list.capacity() {
                     m.floor
@@ -530,6 +548,7 @@ fn run_local_chunk(
     }
     counters.seeds.add(visited);
     counters.seeds_skipped.add(skipped);
+    counters.seeds_replayed.add(replayed);
     counters.pool_vertices.add(pooled);
 
     for (local, m) in locals.into_iter().zip(&job.members) {

@@ -296,6 +296,7 @@ pub mod prelude {
 }
 
 use cache::ResultCache;
+use ic_core::algo::SeedMemo;
 use ic_core::{Community, SearchError};
 use ic_graph::WeightedGraph;
 use ic_kcore::{ArenaPool, CoreMaintainer};
@@ -324,11 +325,15 @@ impl std::fmt::Display for Epoch {
 
 /// The swappable, immutable serving state: everything a batch
 /// needs, grabbed once per operation so concurrent [`Engine::apply`]
-/// calls never tear a computation across two graph versions.
-struct Serving {
-    snapshot: Arc<GraphSnapshot>,
-    arenas: Arc<ArenaPool>,
-    epoch: Epoch,
+/// calls never tear a computation across two graph versions. The seed
+/// memo is the snapshot's: batches only add to it, and an apply carries
+/// what it proves unchanged into the next one ([`SeedMemo::carry`]).
+#[derive(Clone)]
+pub(crate) struct Serving {
+    pub(crate) snapshot: Arc<GraphSnapshot>,
+    pub(crate) arenas: Arc<ArenaPool>,
+    pub(crate) epoch: Epoch,
+    pub(crate) seeds: Arc<SeedMemo>,
 }
 
 /// Per-engine observability handles: one [`ic_obs::Registry`] per
@@ -384,8 +389,11 @@ impl EngineMetrics {
             local: exec::LocalCounters {
                 seeds: registry.counter("core.local_seeds"),
                 seeds_skipped: registry.counter("core.local_seeds_skipped"),
+                seeds_replayed: registry.counter("core.local_seeds_replayed"),
                 pool_vertices: registry.counter("core.local_pool_vertices"),
                 rows_builds: registry.counter("core.local_rows_builds"),
+                memo_dropped: registry.counter("core.local_memo_dropped"),
+                memo_bytes: registry.gauge("core.local_memo_bytes"),
             },
             registry,
         }
@@ -508,7 +516,7 @@ impl Engine {
     /// artifacts are always internally consistent, never a mix of
     /// epochs, because everything is read off one immutable snapshot.
     pub fn persist<P: AsRef<std::path::Path>>(&self, path: P) -> Result<(), StoreError> {
-        let (snapshot, _, _) = self.serving();
+        let snapshot = self.serving().snapshot;
         snapshot
             .ensure_adjacency()
             .map_err(|refused| StoreError::Corrupt {
@@ -539,6 +547,7 @@ impl Engine {
                 snapshot: Arc::new(snapshot),
                 arenas,
                 epoch: Epoch(0),
+                seeds: Arc::default(),
             }),
             maintainer: Mutex::new(None),
             threads: threads.max(1),
@@ -554,14 +563,16 @@ impl Engine {
         &self.metrics.registry
     }
 
-    fn serving(&self) -> (Arc<GraphSnapshot>, Arc<ArenaPool>, Epoch) {
+    fn serving(&self) -> Serving {
         // The serving state is only ever *replaced whole* (one struct
         // assignment under the write lock in `apply`), so a poisoned
         // lock still guards a consistent value: recover and keep
         // serving rather than cascading one panicked thread into total
         // engine failure.
-        let s = self.serving.read().unwrap_or_else(|e| e.into_inner());
-        (Arc::clone(&s.snapshot), Arc::clone(&s.arenas), s.epoch)
+        self.serving
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
     }
 
     /// Distinct query results currently memoized across batches (current
@@ -590,14 +601,14 @@ impl Engine {
     /// ([`GraphSnapshot::ensure_adjacency`]); a caller that may be looking
     /// at an unverified store asks it before reading adjacency.
     pub fn snapshot(&self) -> Arc<GraphSnapshot> {
-        let snapshot = self.serving().0;
+        let snapshot = self.serving().snapshot;
         let _ = snapshot.ensure_adjacency();
         snapshot
     }
 
     /// The engine's current epoch (see [`Epoch`]).
     pub fn epoch(&self) -> Epoch {
-        self.serving().2
+        self.serving().epoch
     }
 
     /// Worker threads used per batch.
@@ -610,7 +621,7 @@ impl Engine {
     /// are pooled across batches; [`Engine::apply`] starts a fresh pool
     /// sized for the updated graph).
     pub fn arenas_created(&self) -> usize {
-        self.serving().1.created()
+        self.serving().arenas.created()
     }
 
     /// Arenas retired from the current epoch's pool after isolated
@@ -618,7 +629,7 @@ impl Engine {
     /// was live inside a panicking solver and is dropped rather than
     /// recirculated.
     pub fn arenas_quarantined(&self) -> usize {
-        self.serving().1.quarantined()
+        self.serving().arenas.quarantined()
     }
 
     /// Arenas currently parked in the current epoch's pool. With no
@@ -626,7 +637,7 @@ impl Engine {
     /// `arenas_created() - arenas_quarantined()` — the pool-restoration
     /// invariant the chaos suite holds.
     pub fn arenas_available(&self) -> usize {
-        self.serving().1.available()
+        self.serving().arenas.available()
     }
 
     /// Plans a batch without executing it: validation, cache lookups,
@@ -635,7 +646,9 @@ impl Engine {
     /// the `run_batch*` entry points plan internally. Planning only
     /// reads the result cache, it never populates it.
     pub fn plan(&self, queries: &[Query]) -> Plan {
-        let (snapshot, _, epoch) = self.serving();
+        let Serving {
+            snapshot, epoch, ..
+        } = self.serving();
         Plan::build(
             &snapshot,
             queries,
@@ -785,7 +798,7 @@ impl Engine {
     /// [`Engine::apply_journaled`] behind the same endpoint validation
     /// as [`Engine::try_apply`].
     pub fn try_apply_journaled(&self, updates: &[EdgeUpdate]) -> Result<ApplyOutcome, EngineError> {
-        let (snapshot, _, _) = self.serving();
+        let snapshot = self.serving().snapshot;
         snapshot.ensure_adjacency()?;
         let n = snapshot.graph().num_vertices();
         for update in updates {
@@ -825,7 +838,12 @@ impl Engine {
         // `None` (see below), so the recovered value is always either
         // absent or fully consistent.
         let mut guard = self.maintainer.lock().unwrap_or_else(|e| e.into_inner());
-        let (snapshot, _, epoch) = self.serving();
+        let Serving {
+            snapshot,
+            epoch,
+            seeds,
+            ..
+        } = self.serving();
         if let Err(refused) = snapshot.ensure_adjacency() {
             panic!("cannot apply updates to a corrupt store: {refused}");
         }
@@ -852,9 +870,14 @@ impl Engine {
             let new_snapshot =
                 GraphSnapshot::with_decomposition(Arc::new(wg), maintainer.decomposition());
             new_snapshot.share_levels_above(&snapshot, ceiling as usize);
+            let seeds = seeds.carry(&snapshot, &new_snapshot, &records);
             ic_fail::fail_point!("engine::apply");
             let arenas = Arc::new(ArenaPool::for_graph(new_snapshot.graph()));
-            (maintainer, records, Some((Arc::new(new_snapshot), arenas)))
+            (
+                maintainer,
+                records,
+                Some((Arc::new(new_snapshot), arenas, seeds)),
+            )
         }));
         let (maintainer, records, swap) = match built {
             Ok(built) => built,
@@ -875,7 +898,7 @@ impl Engine {
             m.touched_pct
                 .set((touched.len() as f64 / n as f64 * 100.0).round() as i64);
         }
-        let Some((snapshot, arenas)) = swap else {
+        let Some((snapshot, arenas, (seeds, dropped))) = swap else {
             apply_sw.observe(&m.apply_ns);
             return ApplyOutcome {
                 epoch,
@@ -899,10 +922,13 @@ impl Engine {
         self.results.carry(serving.epoch, outcome.epoch, keeps);
         // One whole-struct assignment: readers never observe a new
         // snapshot with an old pool or epoch.
+        m.local.memo_dropped.add(dropped);
+        m.local.memo_bytes.set(seeds.bytes() as i64);
         *serving = Serving {
             snapshot,
             arenas,
             epoch: outcome.epoch,
+            seeds: Arc::new(seeds),
         };
         drop(serving);
         apply_sw.observe(&m.apply_ns);
@@ -922,7 +948,8 @@ impl Engine {
     where
         F: FnMut(usize, cache::Outcome),
     {
-        let (snapshot, arenas, epoch) = self.serving();
+        let serving = self.serving();
+        let (snapshot, epoch) = (&serving.snapshot, serving.epoch);
         let adjacency_owed = snapshot.adjacency_state() == ic_kcore::AdjacencyState::Owed;
         // Deadlines measure from the options' anchor when one is set
         // (admission-anchored serving layers), from serve start
@@ -930,7 +957,7 @@ impl Engine {
         let anchor = options.anchor.unwrap_or_else(std::time::Instant::now);
         let plan_sw = ic_obs::Stopwatch::start();
         let plan = Plan::build(
-            &snapshot,
+            snapshot,
             queries,
             self.threads,
             Some((&self.results, epoch)),
@@ -963,8 +990,7 @@ impl Engine {
         }
         let solve_sw = ic_obs::Stopwatch::start();
         exec::execute(
-            &snapshot,
-            &arenas,
+            &serving,
             self.threads,
             anchor,
             plan,
@@ -997,8 +1023,10 @@ impl Engine {
         }
         solve_sw.observe(&m.solve_ns);
         m.cached_results.set(self.results.len() as i64);
-        m.arenas_available.set(arenas.available() as i64);
-        m.arenas_quarantined.set(arenas.quarantined() as i64);
+        m.arenas_available.set(serving.arenas.available() as i64);
+        m.arenas_quarantined
+            .set(serving.arenas.quarantined() as i64);
+        m.local.memo_bytes.set(serving.seeds.bytes() as i64);
         m.epoch.set(epoch.0 as i64);
         epoch
     }
@@ -1193,6 +1221,8 @@ mod tests {
             "core.local_seeds_skipped",
             "core.local_pool_vertices",
             "core.local_rows_builds",
+            "core.local_seeds_replayed",
+            "core.local_memo_bytes",
         ];
         let counts = |eng: &Engine| counters(eng, &names);
         let eng = engine(1);
@@ -1202,28 +1232,102 @@ mod tests {
             Query::new(2, 2, Aggregation::Max),
             Query::new(2, 2, Aggregation::Sum),
         ]);
-        assert_eq!(counts(&eng), [0.0; 4]);
+        assert_eq!(counts(&eng), [0.0; 6]);
         // One `min` query: every 2-core vertex is a seed, one rows
         // build; once the list is full, seeds that cannot beat its bar
         // are skipped.
         let min = Query::new(2, 1, Aggregation::Min).size_bound(4, true);
         eng.run_batch(&[min]);
         let core = eng.snapshot().level(2).mask.count() as f64;
-        let [seeds, skipped, pooled, builds] = counts(&eng)[..] else {
-            unreachable!("four names in, four values out")
+        let [seeds, skipped, pooled, builds, replayed, bytes] = counts(&eng)[..] else {
+            unreachable!("six names in, six values out")
         };
-        assert_eq!((seeds, builds), (core, 1.0));
+        assert_eq!((seeds, builds, replayed), (core, 1.0, 0.0));
         assert!(skipped > 0.0 && skipped < seeds, "{skipped}");
         assert!(
             pooled >= 4.0 * (seeds - skipped) && pooled <= 4.0 * seeds,
             "{pooled}"
         );
-        // A second family at the same k shares the rows; `avg` skips nothing.
+        assert!(bytes > 0.0, "the expanded seeds are memoized");
+        // A second family at the same (k, s, greedy) shares the rows and
+        // replays every seed the first expanded; `avg` skips nothing, so
+        // it builds the pools of the seeds `min` skipped.
         eng.run_batch(&[Query::new(2, 1, Aggregation::Average).size_bound(4, true)]);
+        let [seeds, skipped_now, pooled_now, builds, replayed, _] = counts(&eng)[..] else {
+            unreachable!("six names in, six values out")
+        };
         assert_eq!(
-            counts(&eng),
-            [2.0 * core, skipped, pooled + 4.0 * core, 1.0]
+            [seeds, skipped_now, pooled_now, builds, replayed],
+            [
+                2.0 * core,
+                skipped,
+                pooled + 4.0 * skipped,
+                1.0,
+                core - skipped
+            ]
         );
+    }
+
+    mod seed_memo {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(6))]
+
+            /// A warm seed memo changes no answer: every family, served
+            /// once from a memo an `avg` family warmed and once from the
+            /// one it left itself, equals the memo-free `Query::solve_on`
+            /// — six aggregations over both strategies, greedy and
+            /// random, several `s` per `k`, one of them above every
+            /// component's size.
+            #[test]
+            fn warm_memo_answers_equal_memo_free_solves(
+                n in 40usize..80,
+                seed in any::<u64>(),
+                distinct in 2u32..6,
+            ) {
+                let g = ic_gen::barabasi_albert(n, 4, ic_gen::GraphSeed(seed));
+                let top = f64::from(distinct + 1);
+                let weights = ic_gen::uniform_weights(n, 1.0, top, ic_gen::GraphSeed(seed));
+                let wg = WeightedGraph::new(g, weights.into_iter().map(f64::floor).collect()).unwrap();
+                let eng = Engine::with_threads(wg, 1);
+                let snap = eng.snapshot();
+                let mut arena = ic_kcore::PeelArena::for_graph(snap.graph());
+                let aggregations = [
+                    Aggregation::Average,
+                    Aggregation::Sum,
+                    Aggregation::SumSurplus { alpha: 0.5 },
+                    Aggregation::Min,
+                    Aggregation::Percentile { p: 0.75 },
+                    Aggregation::TopTSum { t: 3 },
+                ];
+                for k in 2..5 {
+                    for s in [k + 1, k + 4, 12, n] {
+                        for greedy in [true, false] {
+                            let warm = Query::new(k, 2, Aggregation::Average).size_bound(s, greedy);
+                            eng.run_batch(&[warm]);
+                            let batch: Vec<Query> = aggregations
+                                .iter()
+                                .flat_map(|&agg| [1, 4].map(|r| Query::new(k, r, agg).size_bound(s, greedy)))
+                                .collect();
+                            for _ in 0..2 {
+                                eng.clear_result_cache();
+                                for (q, got) in batch.iter().zip(eng.run_batch(&batch)) {
+                                    let want = q.solve_on(&snap, &mut arena).unwrap();
+                                    prop_assert_eq!(got.unwrap(), want, "{:?}", q);
+                                }
+                            }
+                        }
+                    }
+                }
+                let [replayed, bytes] = counters(&eng, &["core.local_seeds_replayed", "core.local_memo_bytes"])[..] else {
+                    unreachable!("two names in, two values out")
+                };
+                prop_assert!(replayed > 0.0);
+                prop_assert!(bytes > 0.0);
+            }
+        }
     }
 
     #[test]

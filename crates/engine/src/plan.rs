@@ -74,7 +74,8 @@ pub(crate) struct LocalMember {
 /// seed set **once** per chunk — the s-nearest-neighbor pool of a seed
 /// depends only on `(k, s, greedy)`, so it is built once and every
 /// member's strategy runs against it
-/// ([`ic_core::algo::run_seed_multi`]). The family is split into one
+/// ([`ic_core::algo::run_seed_memo`], which replays the seeds an earlier
+/// family or epoch expanded). The family is split into one
 /// seed-chunk job per worker; the last chunk to finish merges each
 /// member's partial lists and publishes its result.
 pub(crate) struct LocalJob {

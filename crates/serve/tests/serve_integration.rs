@@ -850,6 +850,49 @@ fn stats_frames_surface_live_counters_in_both_wire_modes() {
     server.join();
 }
 
+/// The seed memo's counters reach STATS: after a size-bounded
+/// SUBSCRIBE and an UPDATE inside its level, the refresh replayed seeds
+/// the subscription's solve expanded, and the apply dropped the entries
+/// its toggle reached.
+#[test]
+fn stats_frames_report_the_seed_memo_after_an_update() {
+    let engine = Arc::new(Engine::with_threads(email_graph(), 2));
+    let server = Server::bind(engine.clone(), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let q = Query::new(4, 5, Aggregation::Average).size_bound(20, true);
+    let _ = reply_communities(&client.subscribe(1, &q).unwrap());
+
+    let snapshot = engine.snapshot();
+    let core = &snapshot.level(4).mask;
+    let (u, v) = snapshot
+        .graph()
+        .edges()
+        .find(|&(u, v)| core.contains(u as usize) && core.contains(v as usize))
+        .expect("the 4-core has an edge");
+    match client.update(2, &[EdgeUpdate::Remove { u, v }]).unwrap() {
+        Response::UpdateAck { changed: true, .. } => {}
+        other => panic!("expected a changing UpdateAck, got {other:?}"),
+    }
+    let entries = match client.stats(3).unwrap() {
+        Response::Stats { id: 3, entries } => entries,
+        other => panic!("expected a stats reply, got {other:?}"),
+    };
+    let get = |name: &str| {
+        entries
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+            .unwrap_or_else(|| panic!("missing entry {name}"))
+    };
+    let (seeds, replayed) = (get("core.local_seeds"), get("core.local_seeds_replayed"));
+    assert!(replayed > 0.0 && replayed < seeds, "{replayed} of {seeds}");
+    assert!(get("core.local_memo_dropped") > 0.0);
+    assert!(get("core.local_memo_bytes") > 0.0);
+
+    server.shutdown();
+    server.join();
+}
+
 /// Extracts an integer field from one JSON log line by key.
 fn json_field_u64(line: &str, key: &str) -> u64 {
     let pat = format!("\"{key}\":");

@@ -58,9 +58,10 @@ pub struct ApplyReport {
     pub refreshed: usize,
     /// One entry per subscription whose answer actually changed.
     pub notifications: Vec<Notification>,
-    /// Refreshes that failed (e.g. a deadline-carrying query expired);
-    /// the subscription keeps its previous answer and will be retried
-    /// on the next apply that can change its answer.
+    /// Refreshes that failed (e.g. an isolated solver panic); the
+    /// subscription keeps its previous answer and is owed a refresh: the
+    /// next apply re-solves it whatever that apply's proof says, because
+    /// the answer it keeps was never proven for the epoch it missed.
     pub failed: Vec<(SubscriptionId, EngineError)>,
 }
 
@@ -82,6 +83,9 @@ pub struct SubStats {
 struct Standing {
     query: Query,
     answer: Vec<Community>,
+    /// The last refresh failed: `answer` may predate the serving epoch,
+    /// so no apply's proof can keep it.
+    owed: bool,
 }
 
 struct Inner {
@@ -141,6 +145,7 @@ impl SubscriptionManager {
             Standing {
                 query,
                 answer: answer.clone(),
+                owed: false,
             },
         );
         inner.stats.subscriptions = inner.subs.len();
@@ -188,6 +193,12 @@ impl SubscriptionManager {
     /// answers, and an [`ApplyReport::notifications`] entry is emitted
     /// for each non-empty diff.
     ///
+    /// A refresh that fails (reported in [`ApplyReport::failed`]) leaves
+    /// the retained answer in place, unproven for the epoch it missed:
+    /// the subscription is owed a refresh, and the next apply re-solves
+    /// it whatever that apply's proof says — even an apply that changes
+    /// nothing.
+    ///
     /// Returns [`EngineError::Unsupported`] (nothing applied, nothing
     /// notified) when an update addresses an invalid endpoint.
     pub fn apply(&self, updates: &[EdgeUpdate]) -> Result<ApplyReport, EngineError> {
@@ -200,16 +211,12 @@ impl SubscriptionManager {
             changed: outcome.changed,
             ..ApplyReport::default()
         };
-        if !outcome.changed {
-            report.skipped = inner.subs.len();
-            inner.stats.skipped_total += report.skipped as u64;
-            return Ok(report);
-        }
 
-        // Partition by the apply's proof: no graph work.
+        // Partition by the apply's proof (which keeps everything when
+        // nothing changed): no graph work.
         let mut refresh: Vec<u64> = Vec::new();
         for (&id, standing) in inner.subs.iter() {
-            if outcome.keeps(&standing.query, &standing.answer) {
+            if !standing.owed && outcome.keeps(&standing.query, &standing.answer) {
                 report.skipped += 1;
             } else {
                 refresh.push(id);
@@ -235,6 +242,7 @@ impl SubscriptionManager {
                     report.refreshed += 1;
                     inner.stats.refreshed_total += 1;
                     let standing = inner.subs.get_mut(&id).expect("held under one lock");
+                    standing.owed = false;
                     let deltas = diff_answers(&standing.answer, &answer.communities);
                     if !deltas.is_empty() {
                         standing.answer = answer.communities.clone();
@@ -247,7 +255,10 @@ impl SubscriptionManager {
                         });
                     }
                 }
-                Err(e) => report.failed.push((sid, e)),
+                Err(e) => {
+                    inner.subs.get_mut(&id).expect("held under one lock").owed = true;
+                    report.failed.push((sid, e));
+                }
             }
         }
         Ok(report)

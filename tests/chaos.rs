@@ -478,3 +478,58 @@ fn randomized_fault_sweep_preserves_engine_invariants() {
     assert_pool_restored(&eng, "after the sweep");
     assert_amnesia(&eng, &wg, &batch, &solo);
 }
+
+/// A standing query whose refresh panicked is owed one: the next apply
+/// refreshes it even when that apply leaves its level alone, and the
+/// notification brings it level with a fresh engine.
+#[test]
+fn a_failed_refresh_is_retried_by_an_apply_below_its_level() {
+    let _s = FailScenario::setup();
+    // Two 5-cliques (weights 1..=5 and 6..=10) and a pendant edge.
+    let mut edges = vec![(10, 11)];
+    for base in [0u32, 5] {
+        for u in base..base + 5 {
+            edges.extend((u + 1..base + 5).map(|v| (u, v)));
+        }
+    }
+    let g = ic_graph::graph_from_edges(12, &edges);
+    let wg = WeightedGraph::new(g, (1..=12).map(f64::from).collect()).unwrap();
+    let manager =
+        ic_sub::SubscriptionManager::new(std::sync::Arc::new(Engine::with_threads(wg, 1)));
+    let q = Query::new(3, 10, Aggregation::Average).size_bound(5, true);
+    let sub = manager.subscribe(q).unwrap();
+
+    // Vertex 0 leaves the 3-core, and the refresh that would say so dies.
+    ic_fail::cfg("engine::local_chunk", "1*panic(chaos: refresh died)").unwrap();
+    let cut = [
+        EdgeUpdate::Remove { u: 0, v: 1 },
+        EdgeUpdate::Remove { u: 0, v: 2 },
+    ];
+    let report = manager.apply(&cut).unwrap();
+    ic_fail::remove("engine::local_chunk");
+    assert_eq!(
+        report.failed.len(),
+        1,
+        "the injected panic fails the refresh"
+    );
+    assert!(report.notifications.is_empty());
+
+    // The pendant edge is below level 3: the apply's proof keeps the
+    // stale answer, but the failed refresh is owed.
+    let report = manager
+        .apply(&[EdgeUpdate::Remove { u: 10, v: 11 }])
+        .unwrap();
+    assert!(report.failed.is_empty());
+    assert_eq!(report.refreshed, 1, "the owed refresh runs");
+    let fresh = Engine::with_threads(manager.engine().snapshot().weighted().clone(), 1);
+    let want = fresh.run_batch(&[q])[0].clone().unwrap();
+    assert_ne!(want, sub.answer, "the cut moved the answer");
+    assert_eq!(report.notifications.len(), 1);
+    assert_eq!(report.notifications[0].answer, want);
+
+    // Once refreshed it is owed nothing: the next such apply skips it.
+    let report = manager
+        .apply(&[EdgeUpdate::Insert { u: 10, v: 11 }])
+        .unwrap();
+    assert_eq!((report.refreshed, report.skipped), (0, 1));
+}
