@@ -31,38 +31,6 @@ pub(crate) fn components_as_communities(
         .collect()
 }
 
-/// Serves every `r` in `rs` from the `max(rs)` best communities given in
-/// *event rank* order: each `r` takes its prefix of that ranking and only
-/// then sorts canonically (slicing one sorted list instead would break
-/// value ties differently from a single-`r` run). The longest request
-/// takes the list itself; only shorter ones (and repeats) copy.
-pub(crate) fn topr_prefixes(by_event_rank: Vec<Community>, rs: &[usize]) -> Vec<Vec<Community>> {
-    let canonical = |mut top: Vec<Community>| {
-        top.sort_by(|a, b| a.ranking_cmp(b));
-        top
-    };
-    let all = by_event_rank.len();
-    let mut lists: Vec<Vec<Community>> = rs
-        .iter()
-        .map(|&r| {
-            if r < all {
-                canonical(by_event_rank[..r].to_vec())
-            } else {
-                Vec::new()
-            }
-        })
-        .collect();
-    let Some(last) = rs.iter().rposition(|&r| r >= all) else {
-        return lists;
-    };
-    let full = canonical(by_event_rank);
-    for i in (0..last).filter(|&i| rs[i] >= all) {
-        lists[i] = full.clone();
-    }
-    lists[last] = full;
-    lists
-}
-
 /// Shared parameter validation for every solver.
 pub(crate) fn validate_k_r(r: usize) -> Result<(), SearchError> {
     if r == 0 {

@@ -326,12 +326,14 @@ impl TicSearch {
             // every child it can produce. Available exactly when the
             // aggregation certifies an O(1) remove delta; otherwise the
             // search runs unpruned (still correct — pruning is an
-            // optimization, not a correctness requirement).
+            // optimization, not a correctness requirement). A branch that
+            // can tie the bar is pursued: `ranking_cmp`, not the order
+            // the search meets them in, cuts a tie at slot `r`.
             if self.prune_with_delta {
                 let upper = self
                     .aggregation
                     .value_after_removal(lmax.value, wg.weight(v));
-                if upper <= threshold {
+                if upper < threshold {
                     continue;
                 }
             }

@@ -5,23 +5,21 @@
 //! components of the k-core of `G≥θ` (the graph restricted to weights
 //! ≥ θ): each such component is maximal with value equal to its minimum
 //! member weight. Peeling the global minimum-weight vertex (with degree
-//! cascade) from the maximal k-core enumerates every such community right
+//! cascade) from the maximal k-core meets every such community right
 //! before its minimum vertex disappears. `max` is symmetric (peel from
 //! above).
 //!
 //! There is one peel: [`peel_timeline`] runs a single stamped pass on a
 //! [`PeelArena`] — the k-core is loaded once and every deletion is an
 //! O(affected) committed cascade — and records which event removed each
-//! vertex. The community an event witnesses is then the connected
-//! component of its vertex among vertices removed at or after it, so the
-//! online answer ([`peel_topr_on`]) and the community forest
-//! ([`ExtremumIndex`](crate::algo::ExtremumIndex)) read the same
-//! timeline and no pass is ever replayed.
+//! vertex. The [`ExtremumIndex`](crate::algo::ExtremumIndex) links those
+//! events into its community forest, and every `min`/`max` answer —
+//! `Query::solve`, the engine, a persisted store — is a read of that
+//! forest.
 
-use crate::algo::common::{community_from_vertices, topr_prefixes, validate_k_r};
-use crate::{Community, Extremum, SearchError};
-use ic_graph::{BitSet, VertexId, WeightedGraph};
-use ic_kcore::{kcore_mask, Budget, GraphSnapshot, PeelArena};
+use crate::Extremum;
+use ic_graph::{VertexId, WeightedGraph};
+use ic_kcore::{Budget, PeelArena};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -64,33 +62,6 @@ pub(crate) struct PeelTimeline {
     pub batch_vertices: Vec<VertexId>,
     /// Every event, sorted by [`rank_cmp`].
     pub ranked: Vec<u32>,
-}
-
-impl PeelTimeline {
-    /// The community event `e` witnesses: the component of its extreme
-    /// vertex among the vertices removed at or after `e`, found by one
-    /// BFS. `seen` is all-false scratch and is left so.
-    fn witness(&self, wg: &WeightedGraph, dir: Extremum, e: u32, seen: &mut [bool]) -> Community {
-        let start = self.batch_vertices[self.batch_offsets[e as usize] as usize];
-        let mut members = vec![start];
-        seen[start as usize] = true;
-        let mut head = 0;
-        while head < members.len() {
-            let x = members[head];
-            head += 1;
-            for &u in wg.graph().neighbors(x) {
-                let stamp = self.stamp[u as usize];
-                if stamp != NONE && stamp >= e && !seen[u as usize] {
-                    seen[u as usize] = true;
-                    members.push(u);
-                }
-            }
-        }
-        for &u in &members {
-            seen[u as usize] = false;
-        }
-        community_from_vertices(wg, dir.aggregation(), members)
-    }
 }
 
 /// The min/max peel: sorts `members` (a k-core of `wg`, or a union of
@@ -151,87 +122,23 @@ pub(crate) fn peel_timeline(
     })
 }
 
-/// Top-r k-influential communities under `min` or `max` for every `r` in
-/// `rs` at once, best first: entry `i` answers `rs[i]`. The k-core mask
-/// comes from the snapshot's memoized level, the peel runs once on the
-/// caller's (typically pooled) arena, and only the per-`r` event
-/// selection differs — `t` queries of one `(k, direction)` family cost
-/// one peel instead of `t` (the batched engine's r-family merge). Each
-/// entry is bit-identical to `Query::solve` with that `r`.
-pub fn peel_topr_on(
-    snap: &GraphSnapshot,
-    k: usize,
-    rs: &[usize],
-    dir: Extremum,
-    arena: &mut PeelArena,
-) -> Result<Vec<Vec<Community>>, SearchError> {
-    for &r in rs {
-        validate_k_r(r)?;
-    }
-    let level = snap.level(k);
-    Ok(peel_topr_in(
-        snap.weighted(),
-        &level.mask,
-        k,
-        rs,
-        dir,
-        arena,
-    ))
-}
-
-/// The per-graph form behind `Query::solve` and the TONIC greedy peel:
-/// fresh k-core extraction and a fresh arena per call.
-pub(crate) fn peel_topr(
-    wg: &WeightedGraph,
-    k: usize,
-    r: usize,
-    dir: Extremum,
-) -> Result<Vec<Community>, SearchError> {
-    validate_k_r(r)?;
-    let g = wg.graph();
-    let core = kcore_mask(g, k);
-    let mut arena = PeelArena::for_graph(g);
-    Ok(peel_topr_in(wg, &core, k, &[r], dir, &mut arena)
-        .pop()
-        .expect("one r in, one list out"))
-}
-
-/// One peel serving every requested `r`: the `r_max` best events are
-/// materialized once, and each `r` takes its prefix of the event ranking
-/// ([`topr_prefixes`]).
-fn peel_topr_in(
-    wg: &WeightedGraph,
-    core: &BitSet,
-    k: usize,
-    rs: &[usize],
-    dir: Extremum,
-    arena: &mut PeelArena,
-) -> Vec<Vec<Community>> {
-    let r_max = rs.iter().copied().max().unwrap_or(0);
-    let timeline = peel_timeline(wg, k, dir, core.to_vec(), arena, None)
-        .expect("an unbudgeted peel always completes");
-    let mut seen = vec![false; timeline.stamp.len()];
-    let top = timeline.ranked.iter().take(r_max);
-    let by_event_rank = top.map(|&e| timeline.witness(wg, dir, e, &mut seen));
-    topr_prefixes(by_event_rank.collect(), rs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{exact_topr, oracle};
+    use crate::algo::{exact_topr, oracle, ExtremumIndex};
     use crate::figure1::{figure1, vs};
-    use crate::Aggregation;
+    use crate::{Aggregation, Community, Query, SearchError};
     use ic_graph::{graph_from_edges, WeightedGraph};
+    use ic_kcore::{kcore_mask, GraphSnapshot};
 
     type Solved = Result<Vec<Community>, SearchError>;
 
     fn min_topr(wg: &WeightedGraph, k: usize, r: usize) -> Solved {
-        peel_topr(wg, k, r, Extremum::Min)
+        Query::new(k, r, Aggregation::Min).solve(wg)
     }
 
     fn max_topr(wg: &WeightedGraph, k: usize, r: usize) -> Solved {
-        peel_topr(wg, k, r, Extremum::Max)
+        Query::new(k, r, Aggregation::Max).solve(wg)
     }
 
     #[test]
@@ -262,23 +169,6 @@ mod tests {
             let got = max_topr(&wg, 2, r).unwrap();
             let expect = exact_topr(&wg, 2, r, None, Aggregation::Max).unwrap();
             assert_eq!(got, expect, "r = {r}");
-        }
-    }
-
-    #[test]
-    fn matches_from_scratch_oracle() {
-        let wg = figure1();
-        for r in [1, 2, 4, 7] {
-            assert_eq!(
-                min_topr(&wg, 2, r).unwrap(),
-                oracle::min_topr(&wg, 2, r).unwrap(),
-                "min r = {r}"
-            );
-            assert_eq!(
-                max_topr(&wg, 2, r).unwrap(),
-                oracle::max_topr(&wg, 2, r).unwrap(),
-                "max r = {r}"
-            );
         }
     }
 
@@ -326,8 +216,9 @@ mod tests {
         let snap = GraphSnapshot::new(wg.clone());
         let mut arena = PeelArena::for_graph(snap.graph());
         let rs = [1usize, 2, 4, 7];
-        let min_multi = peel_topr_on(&snap, 2, &rs, Extremum::Min, &mut arena).unwrap();
-        let max_multi = peel_topr_on(&snap, 2, &rs, Extremum::Max, &mut arena).unwrap();
+        let min_multi = ExtremumIndex::build_on(&snap, 2, Extremum::Min).topr_multi(&wg, &rs);
+        let max_multi = ExtremumIndex::build_on(&snap, 2, Extremum::Max).topr_multi(&wg, &rs);
+        let (min_multi, max_multi) = (min_multi.unwrap(), max_multi.unwrap());
         for (i, &r) in rs.iter().enumerate() {
             let (min_ora, max_ora) = (
                 oracle::min_topr(&wg, 2, r).unwrap(),
@@ -335,10 +226,10 @@ mod tests {
             );
             assert_eq!(min_multi[i], min_ora, "min r={r}");
             assert_eq!(max_multi[i], max_ora, "max r={r}");
-            let min_solo = peel_topr_on(&snap, 2, &[r], Extremum::Min, &mut arena).unwrap();
-            assert_eq!(min_solo, [min_ora], "min solo r={r}");
-            let max_solo = peel_topr_on(&snap, 2, &[r], Extremum::Max, &mut arena).unwrap();
-            assert_eq!(max_solo, [max_ora], "max solo r={r}");
+            let min_solo = Query::new(2, r, Aggregation::Min).solve_on(&snap, &mut arena);
+            assert_eq!(min_solo.unwrap(), min_ora, "min solo r={r}");
+            let max_solo = Query::new(2, r, Aggregation::Max).solve_on(&snap, &mut arena);
+            assert_eq!(max_solo.unwrap(), max_ora, "max solo r={r}");
         }
     }
 
@@ -350,15 +241,14 @@ mod tests {
 
     #[test]
     fn multi_r_handles_ties_exactly_like_single_r() {
-        // Per-r selection must break value ties by event sequence exactly
-        // as a single-r run does (prefix slicing of the sorted result
-        // list would get this wrong).
+        // One cut: every r of a family is a prefix of the longest answer,
+        // and each equals the oracle's.
         let wg = tied_triangles();
-        let snap = GraphSnapshot::new(wg.clone());
-        let mut arena = PeelArena::for_graph(snap.graph());
-        let multi = peel_topr_on(&snap, 2, &[1, 2, 5], Extremum::Min, &mut arena).unwrap();
+        let forest = ExtremumIndex::build(&wg, 2, Extremum::Min);
+        let multi = forest.topr_multi(&wg, &[1, 2, 5]).unwrap();
         for (i, &r) in [1usize, 2, 5].iter().enumerate() {
             assert_eq!(multi[i], oracle::min_topr(&wg, 2, r).unwrap(), "r={r}");
+            assert_eq!(multi[i][..], multi[2][..multi[i].len()], "r={r}");
         }
     }
 
@@ -387,14 +277,18 @@ mod tests {
         let expired = Arc::new(Budget::within(Duration::from_millis(0)));
         std::thread::sleep(Duration::from_millis(2));
         assert!(expired.check());
-        let none = peel_timeline(&wg, 2, Extremum::Max, core, &mut arena, Some(&expired));
+        let none = peel_timeline(
+            &wg,
+            2,
+            Extremum::Max,
+            core.clone(),
+            &mut arena,
+            Some(&expired),
+        );
         assert!(none.is_none(), "expired peel certifies nothing");
         // The arena is back to unbudgeted use afterwards.
-        let snap = GraphSnapshot::new(wg.clone());
-        assert_eq!(
-            peel_topr_on(&snap, 2, &[3], Extremum::Min, &mut arena).unwrap(),
-            [oracle::min_topr(&wg, 2, 3).unwrap()]
-        );
+        let again = peel_timeline(&wg, 2, Extremum::Min, core, &mut arena, None);
+        assert_eq!(again.expect("unbudgeted").stamp, unbudgeted.stamp);
     }
 
     #[test]

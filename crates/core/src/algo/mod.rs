@@ -7,9 +7,9 @@
 //!   maximality-aware exhaustive oracle;
 //! * [`local_search`] — Algorithm 4 with `SumStrategy` / `AvgStrategy`,
 //!   greedy or random;
-//! * [`peel_topr_on`] — the threshold peel for the node-domination
-//!   aggregations `min` and `max` (prior work: Li et al. VLDB'15), one
-//!   pass for any number of `r`;
+//! * [`ExtremumIndex`] — the threshold peel for the node-domination
+//!   aggregations `min` and `max` (prior work: Li et al. VLDB'15), linked
+//!   into a community forest that every `r` reads;
 //! * [`nonoverlap`] — TONIC (non-overlapping) wrappers.
 //!
 //! Parallel Algorithm 4 is not a function here: the batched engine's
@@ -46,7 +46,6 @@ pub use local_search::{
     local_search, local_search_nonoverlapping, CoreRows, LocalScratch, LocalSearchConfig,
     SeedTarget,
 };
-pub use minmax::peel_topr_on;
 pub use seed_memo::{run_seed_memo, MemoFamily, SeedMemo, SeedVisit};
 pub use sum_naive::sum_naive_on;
 
@@ -55,6 +54,5 @@ pub use sum_naive::sum_naive_on;
 // `ic_engine::Engine` when serving more than one query).
 pub(crate) use improved::tic_improved;
 pub(crate) use local_search::local_search_in;
-pub(crate) use minmax::peel_topr;
 
 pub(crate) use common::community_from_vertices;

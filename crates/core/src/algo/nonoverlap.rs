@@ -14,7 +14,7 @@
 //! applies the same greedy removal inside the local-search heuristic.
 
 use crate::algo::common::{components_as_communities, require_corollary2, validate_k_r};
-use crate::algo::{exact_topr, peel_topr};
+use crate::algo::{exact_topr, ExtremumIndex};
 use crate::{Aggregation, Community, Extremum, SearchError};
 use ic_graph::{induce, BitSet, WeightedGraph};
 use ic_kcore::maximal_kcore_components;
@@ -46,7 +46,8 @@ pub fn min_topr_nonoverlapping(
     r: usize,
 ) -> Result<Vec<Community>, SearchError> {
     greedy_peel(wg, k, r, |sub, k| {
-        peel_topr(sub, k, 1, Extremum::Min).map(|mut v| v.pop())
+        let forest = ExtremumIndex::build(sub, k, Extremum::Min);
+        forest.topr(sub, 1).map(|mut v| v.pop())
     })
 }
 

@@ -14,32 +14,26 @@
 use crate::algo::common::{
     community_from_vertices, components_as_communities, require_corollary2, validate_k_r,
 };
-use crate::{Aggregation, Community, SearchError, TopList};
+use crate::{Aggregation, Community, Extremum, SearchError, TopList};
 use ic_graph::{BitSet, WeightedGraph};
 use ic_kcore::{kcore_mask, maximal_kcore_components, PeelScratch};
 use std::collections::{HashSet, VecDeque};
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Extreme {
-    Min,
-    Max,
-}
-
 /// From-scratch top-r under `f = min` (two mask-cloning peel passes).
 pub fn min_topr(wg: &WeightedGraph, k: usize, r: usize) -> Result<Vec<Community>, SearchError> {
-    peel_topr(wg, k, r, Extreme::Min)
+    peel_topr(wg, k, r, Extremum::Min)
 }
 
 /// From-scratch top-r under `f = max`.
 pub fn max_topr(wg: &WeightedGraph, k: usize, r: usize) -> Result<Vec<Community>, SearchError> {
-    peel_topr(wg, k, r, Extreme::Max)
+    peel_topr(wg, k, r, Extremum::Max)
 }
 
 fn peel_topr(
     wg: &WeightedGraph,
     k: usize,
     r: usize,
-    dir: Extreme,
+    dir: Extremum,
 ) -> Result<Vec<Community>, SearchError> {
     validate_k_r(r)?;
     let g = wg.graph();
@@ -49,37 +43,53 @@ fn peel_topr(
     order.sort_unstable_by(|&a, &b| {
         let (wa, wb) = (wg.weight(a), wg.weight(b));
         let c = match dir {
-            Extreme::Min => wa.total_cmp(&wb),
-            Extreme::Max => wb.total_cmp(&wa),
+            Extremum::Min => wa.total_cmp(&wb),
+            Extremum::Max => wb.total_cmp(&wa),
         };
         c.then_with(|| a.cmp(&b))
     });
 
     // Pass 1: record (event sequence number, value) per extreme-vertex
-    // removal.
+    // removal whose component is a community of Definition 3: no strict
+    // superset has its value. At the first event of a value the live set
+    // is the k-core of the vertices peeled no earlier (for `min`, of
+    // `G≥θ`), so a later event of that value witnesses a community only
+    // if its component is still the one it had then.
     let mut events: Vec<(usize, f64)> = Vec::new();
-    simulate(g, k, &core, &order, |seq, v, _alive| {
-        events.push((seq, wg.weight(v)));
+    let mut group: Option<(f64, BitSet)> = None;
+    simulate(g, k, &core, &order, |seq, v, alive| {
+        let value = wg.weight(v);
+        match &group {
+            Some((first, at_first)) if first.total_cmp(&value).is_eq() => {
+                let now = ic_graph::component_of(g, alive, v).len();
+                if now < ic_graph::component_of(g, at_first, v).len() {
+                    return;
+                }
+            }
+            _ => group = Some((value, alive.clone())),
+        }
+        events.push((seq, value));
     });
 
-    events.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    events.truncate(r);
+    // Every community valued at least the r-th best one: `ranking_cmp`
+    // cuts a value tie at slot `r`, not the peel order.
+    events.sort_by(|a, b| b.1.total_cmp(&a.1));
+    if let Some(&(_, bar)) = events.get(r - 1) {
+        events.retain(|e| e.1.total_cmp(&bar).is_ge());
+    }
     let selected: HashSet<usize> = events.iter().map(|&(s, _)| s).collect();
 
     // Pass 2: replay, snapshotting the component of each selected event.
     let mut results: Vec<Community> = Vec::with_capacity(selected.len());
-    let agg = match dir {
-        Extreme::Min => Aggregation::Min,
-        Extreme::Max => Aggregation::Max,
-    };
     simulate(g, k, &core, &order, |seq, v, alive| {
         if selected.contains(&seq) {
             let comp = ic_graph::component_of(g, alive, v);
-            results.push(community_from_vertices(wg, agg, comp));
+            results.push(community_from_vertices(wg, dir.aggregation(), comp));
         }
     });
 
     results.sort_by(|a, b| a.ranking_cmp(b));
+    results.truncate(r);
     Ok(results)
 }
 
@@ -210,7 +220,7 @@ pub fn tic_improved(
             // (matching the arena solver's gating, bit for bit).
             if prune_with_delta {
                 let upper = aggregation.value_after_removal(lmax.value, wg.weight(v));
-                if upper <= threshold {
+                if upper < threshold {
                     continue;
                 }
             }

@@ -27,7 +27,7 @@
 //! | Algorithm 2 (`TIC-IMPROVED`), ε = 0 "Improve", ε > 0 "Approx" | [`Query::solve`] → [`algo::tic_improved_on`] | removal-decreasing (+ O(1) remove delta for pruning) |
 //! | Algorithm 3 (`TIC-EXACT`) | [`algo::exact_topr`] / [`algo::exact_naive`] | any aggregation, tiny graphs |
 //! | Algorithm 4 (`LOCAL SEARCH`) with `SumStrategy`/`AvgStrategy` | [`Query::solve`] → [`algo::local_search`], over the k-core's weight-ordered rows ([`algo::CoreRows`]) | any aggregation, size-constrained (peel extremum `Min` also skips seeds at or under the bar) |
-//! | min/max threshold peel (Li et al. VLDB'15 style) | [`Query::solve`] → [`algo::peel_topr_on`] | peel extremum |
+//! | min/max threshold peel (Li et al. VLDB'15 style) | [`Query::solve`] → [`algo::ExtremumIndex`] | peel extremum |
 //! | TONIC (non-overlapping) variants | [`algo::nonoverlap`] | per solver |
 //! | Parallel local search (paper's future-work direction) | `ic_engine::Engine::with_threads` (chunked seed walk over [`algo::run_seed_memo`], replaying a per-snapshot [`algo::SeedMemo`]) | any aggregation, size-constrained |
 //!

@@ -38,7 +38,7 @@
 //! assert_eq!(top[0].value, 203.0);
 //! ```
 
-use crate::algo::{self, LocalSearchConfig};
+use crate::algo::{self, ExtremumIndex, LocalSearchConfig};
 use crate::{Aggregation, Community, Extremum, SearchError};
 use ic_graph::WeightedGraph;
 use ic_kcore::{GraphSnapshot, PeelArena};
@@ -247,8 +247,8 @@ impl Query {
     /// caller carried.
     pub fn solve(&self, wg: &WeightedGraph) -> Result<Vec<Community>, SearchError> {
         match self.solver()? {
-            Solver::MinPeel => algo::peel_topr(wg, self.k, self.r, Extremum::Min),
-            Solver::MaxPeel => algo::peel_topr(wg, self.k, self.r, Extremum::Max),
+            Solver::MinPeel => ExtremumIndex::build(wg, self.k, Extremum::Min).topr(wg, self.r),
+            Solver::MaxPeel => ExtremumIndex::build(wg, self.k, Extremum::Max).topr(wg, self.r),
             Solver::TicExact | Solver::TicApprox => {
                 algo::tic_improved(wg, self.k, self.r, self.aggregation, self.epsilon)
             }
@@ -266,13 +266,10 @@ impl Query {
         snap: &GraphSnapshot,
         arena: &mut PeelArena,
     ) -> Result<Vec<Community>, SearchError> {
-        let peel = |dir, arena: &mut PeelArena| {
-            algo::peel_topr_on(snap, self.k, &[self.r], dir, arena)
-                .map(|mut lists| lists.pop().expect("one r in, one list out"))
-        };
+        let peel = |dir| ExtremumIndex::build_on(snap, self.k, dir).topr(snap.weighted(), self.r);
         match self.solver()? {
-            Solver::MinPeel => peel(Extremum::Min, arena),
-            Solver::MaxPeel => peel(Extremum::Max, arena),
+            Solver::MinPeel => peel(Extremum::Min),
+            Solver::MaxPeel => peel(Extremum::Max),
             Solver::TicExact | Solver::TicApprox => {
                 algo::tic_improved_on(snap, self.k, self.r, self.aggregation, self.epsilon, arena)
             }
@@ -380,11 +377,15 @@ mod tests {
         let wg = figure1();
         assert_eq!(
             Query::new(2, 2, Aggregation::Min).solve(&wg).unwrap(),
-            algo::peel_topr(&wg, 2, 2, Extremum::Min).unwrap()
+            ExtremumIndex::build(&wg, 2, Extremum::Min)
+                .topr(&wg, 2)
+                .unwrap()
         );
         assert_eq!(
             Query::new(2, 4, Aggregation::Max).solve(&wg).unwrap(),
-            algo::peel_topr(&wg, 2, 4, Extremum::Max).unwrap()
+            ExtremumIndex::build(&wg, 2, Extremum::Max)
+                .topr(&wg, 4)
+                .unwrap()
         );
         assert_eq!(
             Query::new(2, 3, Aggregation::Sum).solve(&wg).unwrap(),

@@ -8,7 +8,7 @@
 //! guarantee of the steady-state peel loop.
 
 use ic_core::algo::{self, oracle, ExtremumIndex};
-use ic_core::{Aggregation, Community, Extremum, SearchError};
+use ic_core::{Aggregation, Community, Extremum, Query, SearchError};
 use ic_gen::{
     barabasi_albert, chung_lu, gnm, pagerank_weights, pareto_weights, rank_weights,
     uniform_weights, GraphSeed,
@@ -31,10 +31,10 @@ fn on_snapshot(
     f(&snap, &mut arena)
 }
 
+/// The `min`/`max` route: a forest built on the snapshot, then read.
 fn arena_peel_topr(wg: &WeightedGraph, k: usize, r: usize, dir: Extremum) -> Solved {
     on_snapshot(wg, |snap, arena| {
-        let mut lists = algo::peel_topr_on(snap, k, &[r], dir, arena)?;
-        Ok(lists.pop().expect("one r in, one list out"))
+        Query::new(k, r, dir.aggregation()).solve_on(snap, arena)
     })
 }
 
@@ -164,10 +164,10 @@ proptest! {
     ) {
         // Three distinct weights over the whole graph make events tie on
         // value, and `r` runs from 1 past the community count, so it
-        // lands inside every tie group: the batch answer for all `rs` at
-        // once, the forest — one `r` at a time and all `rs` at once — and
-        // the forest a deadline-armed query builds and reads each have to
-        // select and order events exactly as the from-scratch oracle does.
+        // lands inside every tie group: the routed solve, the forest — one
+        // `r` at a time and all `rs` at once — and the forest a
+        // deadline-armed query builds and reads each have to cut every
+        // value group exactly as the from-scratch oracle does.
         //
         // The forest materializes a community by one of two routes,
         // chosen from its share of the graph, so the same communities are
@@ -190,7 +190,6 @@ proptest! {
             let armed = ExtremumIndex::cached_within(&snap, k, dir, Some(&generous))
                 .expect("a generous build completes");
             let rs: Vec<usize> = (1..=forest.len() + 2).collect();
-            let batch = algo::peel_topr_on(&snap, k, &rs, dir, &mut arena).unwrap();
             let at_once = forest.topr_multi(&wg, &rs).unwrap();
             let dense_forest = ExtremumIndex::build(&dense, k, dir);
             let sparse_forest = ExtremumIndex::build(&sparse, k, dir);
@@ -206,7 +205,8 @@ proptest! {
             let sparse_at_once = sparse_forest.topr_multi(&sparse, &rs).unwrap();
             for (i, &r) in rs.iter().enumerate() {
                 let expect = oracle_topr(&wg, k, r).unwrap();
-                prop_assert_eq!(&batch[i], &expect, "{:?} batch k={} r={}", dir, k, r);
+                let solved = Query::new(k, r, dir.aggregation()).solve_on(&snap, &mut arena);
+                prop_assert_eq!(&solved.unwrap(), &expect, "{:?} solve k={} r={}", dir, k, r);
                 prop_assert_eq!(&forest.topr(&wg, r).unwrap(), &expect,
                                 "{:?} forest k={} r={}", dir, k, r);
                 prop_assert_eq!(&at_once[i], &expect,

@@ -240,27 +240,6 @@ fn drain_jobs(
     }
 }
 
-/// Whether the top-`r` prefix of an *exact* removal-decreasing result
-/// computed at a larger `r_max` provably equals a direct top-`r` run.
-///
-/// `TIC-IMPROVED` with ε = 0 is exact **by value**: any run returns a
-/// list whose value multiset is the true top-r values. If `full` has
-/// fewer than `r + 1` entries it contains *every* community, so both
-/// runs return the same set. Otherwise, if the first `r + 1` values are
-/// strictly decreasing, each of the top-`r` values identifies exactly
-/// one community (an unlisted community sharing one of those values
-/// would itself belong in the exact top-`r_max` by value and hence be
-/// listed), so the top-`r` *set* is unique and both runs return it in
-/// the same `ranking_cmp` order. Only a genuine value tie at or above
-/// the boundary defeats the proof — the caller falls back to a direct
-/// run there.
-fn prefix_is_tie_safe(full: &[Community], r: usize) -> bool {
-    if full.len() <= r {
-        return true;
-    }
-    full[..=r].windows(2).all(|w| w[0].value > w[1].value)
-}
-
 fn send_all(done: &mut Vec<(usize, Outcome)>, outputs: &[JobOutput], outcome: &Outcome) {
     done.extend(outputs.iter().map(|out| (out.query, Arc::clone(outcome))));
 }
@@ -388,26 +367,14 @@ fn run_job(
                 send_all(done, outputs, &tic_outcome(run, true));
                 return;
             }
+            // Exact TIC answers the first `r_max` by `ranking_cmp`, so
+            // every `r` of the family is a prefix of that one run.
             let r_max = *rs.last().expect("family is non-empty");
             match run_tic(snap, *k, r_max, *aggregation, 0.0, None, arena, obs.tic) {
                 Ok((full, _)) => {
                     let slots: Vec<Outcome> = rs
                         .iter()
-                        .map(|&r| {
-                            if r == r_max {
-                                ok_complete(full.clone())
-                            } else if prefix_is_tie_safe(&full, r) {
-                                ok_complete(full[..r.min(full.len())].to_vec())
-                            } else {
-                                // A value tie makes the top-r' set
-                                // ambiguous under the solver's tie-break;
-                                // fall back to the direct run so the
-                                // answer stays bit-identical to it.
-                                let run =
-                                    run_tic(snap, *k, r, *aggregation, 0.0, None, arena, obs.tic);
-                                tic_outcome(run, true)
-                            }
-                        })
+                        .map(|&r| ok_complete(full[..r.min(full.len())].to_vec()))
                         .collect();
                     done.extend(
                         outputs

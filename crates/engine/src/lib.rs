@@ -199,11 +199,11 @@ impl ApplyOutcome {
     /// * `query` is an unconstrained `min` whose answer holds exactly `r`
     ///   communities, and the toggled edge has an endpoint strictly
     ///   lighter than the `r`-th value `θ`. The communities of value
-    ///   ≥ `θ` are those of the k-core of the subgraph induced by the
-    ///   vertices of weight ≥ `θ` — the peel reaches that k-core, in the
-    ///   same (weight, id) order, whatever happens below `θ` — and such a
-    ///   toggle leaves that subgraph alone. So the top `r`, ties at `θ`
-    ///   included, cannot move.
+    ///   ≥ `θ` are read off the subgraph induced by the vertices of
+    ///   weight ≥ `θ` alone (each is a component of the k-core of the
+    ///   vertices at least as heavy as its value), and such a toggle
+    ///   leaves that subgraph alone. So the top `r` — the first `r` of
+    ///   them by `ranking_cmp`, ties at `θ` included — cannot move.
     ///
     /// There is no value rule for `max` (any toggle inside the core can
     /// split the component a top community is) nor for size-bounded
@@ -1162,13 +1162,16 @@ mod tests {
     }
 
     #[test]
-    fn sum_family_falls_back_on_value_ties() {
+    fn sum_family_serves_every_r_as_a_prefix_under_value_ties() {
         // Two disjoint triangles with identical weights: the top-2 sum
-        // communities tie at 9.0, so smaller-r members of the family
-        // cannot be served as prefixes and must still equal the direct
-        // run bit for bit (the executor's tie-safety fallback).
+        // communities tie at 9.0. One TIC run at the largest `r` answers
+        // the whole family, every `r` its prefix, each equal to the
+        // direct run bit for bit.
         let g = ic_graph::graph_from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let wg = ic_graph::WeightedGraph::new(g, vec![3.0; 6]).unwrap();
+        let deletions = |eng: &Engine| counters(eng, &["core.tic_deletions"])[0];
+        let solo = Engine::with_threads(wg.clone(), 1);
+        solo.run_batch(&[Query::new(2, 5, Aggregation::Sum)]);
         for threads in [1usize, 4] {
             let eng = Engine::with_threads(wg.clone(), threads);
             let batch: Vec<Query> = [1usize, 2, 5]
@@ -1177,13 +1180,17 @@ mod tests {
                 .collect();
             assert_eq!(eng.plan(&batch).stats.solver_runs, 1);
             let got = eng.run_batch(&batch);
+            assert_eq!(deletions(&eng), deletions(&solo), "one run, at r = 5");
+            let longest = got[2].as_ref().unwrap();
             for (q, res) in batch.iter().zip(&got) {
+                let res = res.as_ref().unwrap();
                 assert_eq!(
-                    res.as_ref().unwrap(),
-                    &Query::new(q.k, q.r, Aggregation::Sum).solve(&wg).unwrap(),
+                    res,
+                    &q.solve(&wg).unwrap(),
                     "threads = {threads}, r = {}",
                     q.r
                 );
+                assert_eq!(res[..], longest[..res.len()], "r = {}", q.r);
             }
         }
     }

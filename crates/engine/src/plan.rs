@@ -15,17 +15,15 @@
 //!   **index-served** from the snapshot's memoized extremum community
 //!   forest ([`ic_core::algo::ExtremumIndex`], persisted by `ic-store`
 //!   or built once per snapshot) in output-sensitive time, bit-identical
-//!   to the one-query-at-a-time peel (held by the conformance suite).
+//!   to `Query::solve` (held by the conformance suite).
 //!   A deadline-armed query reads the same forest under its budget (see
 //!   [`Job::MinMaxFamily`]);
 //! * *exact* removal-decreasing queries (`sum`, `sum-surplus` with
 //!   ε = 0) that differ only in `r` are merged into one family answered
-//!   by a single `TIC-IMPROVED` run at the largest `r`, with a
-//!   **tie-safety guard** at execution time (see `exec.rs`): a
-//!   smaller-`r` answer is served as a prefix only when the result
-//!   values prove the top-`r'` set unique, and falls back to a direct
-//!   solver run otherwise — so the merge is bit-identical to the
-//!   one-query-at-a-time answer even under value ties. Approximate
+//!   by a single `TIC-IMPROVED` run at the largest `r`, whose prefixes
+//!   answer the smaller `r`s: every solver cuts the top `r` by
+//!   `Community::ranking_cmp`, so a top-`r` answer is the length-`r`
+//!   prefix of any longer one, value ties included. Approximate
 //!   (ε > 0) queries never merge across `r` (their output is
 //!   `r`-dependent by construction);
 //! * size-constrained (local search) jobs are split into one seed-chunk
@@ -121,8 +119,8 @@ pub(crate) enum Job {
         deadline: Option<Duration>,
     },
     /// An exact removal-decreasing family: one `TIC-IMPROVED` run at
-    /// `max(rs)`, tie-safe prefixes (or direct fallback runs) for the
-    /// rest. `outputs[i].slot` indexes into `rs`.
+    /// `max(rs)`, whose prefixes answer the rest (every `r` is cut by
+    /// `ranking_cmp`). `outputs[i].slot` indexes into `rs`.
     SumFamily {
         k: usize,
         aggregation: Aggregation,
@@ -223,9 +221,9 @@ fn agg_key(a: Aggregation) -> (u8, u64) {
 /// (`MinMax`, `SumFamily`) an armed key additionally pins `solo_r` to
 /// the query's own `r` (0 when unarmed), so armed families only ever
 /// hold exact duplicates: the degraded answer's *proven prefix* is
-/// certified against the tie boundary of **one** `r`, and merging
-/// different `r`s under a deadline would have to re-prove tie-safety on
-/// a truncated value list. `Improved` and `Local` already never merge
+/// certified against the value groups of **one** `r`, and merging
+/// different `r`s under a deadline would have to certify each `r` on a
+/// truncated list. `Improved` and `Local` already never merge
 /// across `r`, so `ddl` alone suffices there.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum JobKey {

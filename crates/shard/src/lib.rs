@@ -24,14 +24,9 @@
 //!    selects by the order the solver selects by — and
 //! 3. that order is *total* and preserved by the strictly increasing
 //!    local→global id maps, so the k-way merge is associative and
-//!    order-invariant (held by `tests/merge_prop.rs`). For exact TIC it
-//!    is the canonical ranking (value desc, size asc, lexicographic
-//!    vertex list asc). For the `min`/`max` peels it is the event
-//!    ranking (value desc, event sequence asc), and the canonical sort
-//!    comes after the cut: the peel breaks weight ties by vertex id, so
-//!    within a value tie "earlier event" is "smaller global id of the
-//!    event's extreme vertex", which the gather recomputes from each
-//!    answer and the shard's weights (DESIGN.md §4).
+//!    order-invariant (held by `tests/merge_prop.rs`). It is the
+//!    canonical ranking (value desc, size asc, lexicographic vertex list
+//!    asc), the one cut every solver makes (DESIGN.md §4).
 //!
 //! Weight sums stay bit-identical because every shard store carries the
 //! *global* total weight (`ShardMeta`), which `sum`-family surpluses
@@ -54,7 +49,6 @@ use ic_engine::{
     AnswerStatus, BatchOptions, Engine, EngineError, Epoch, OpenOptions, QueryAnswer, QueryBackend,
     SharedAnswer,
 };
-use ic_graph::WeightedGraph;
 use ic_mem::SharedSlice;
 use ic_store::{ShardMeta, StoreError, StoreFile};
 use std::sync::Arc;
@@ -63,10 +57,6 @@ use std::sync::Arc;
 /// routing metadata persisted at build time.
 struct Shard {
     engine: Engine,
-    /// The shard's graph and weights, shared with the engine's snapshot;
-    /// the gather reads weights from it, never adjacency (which may
-    /// still owe its check).
-    weighted: WeightedGraph,
     /// Local vertex id -> global vertex id, strictly ascending.
     id_map: SharedSlice<u32>,
     meta: ShardMeta,
@@ -170,13 +160,11 @@ impl ShardedEngine {
                     path.display()
                 )));
             };
-            let weighted = contents.weighted.clone();
             let snapshot = contents.into_snapshot();
             ic_engine::report_adjacency_check(&snapshot, &metrics.registry);
             let engine = Engine::from_snapshot(snapshot, engine_options.threads);
             shards.push(Shard {
                 engine,
-                weighted,
                 id_map: shard.id_map,
                 meta: shard.meta,
                 path,
@@ -501,20 +489,9 @@ impl ShardedEngine {
             slots[qi] = Some(match error {
                 Some(e) => Err(e),
                 None => {
-                    // Two shards' `min`/`max` lists are cut where the
-                    // unsharded peel cuts (see the module docs, point 3).
-                    let by_event = parts.len() >= 2
-                        && matches!(q.solver(), Ok(Solver::MinPeel | Solver::MaxPeel));
                     let mut all: Vec<Community> = Vec::new();
-                    let mut extremes: Vec<u32> = Vec::new();
                     for (shard, local) in parts {
-                        if by_event {
-                            extremes.extend(local.iter().map(|c| shard.extreme_vertex(c)));
-                        }
                         all.extend(translate(local, &shard.id_map));
-                    }
-                    if by_event {
-                        all = first_events(all, extremes, q.r);
                     }
                     let communities = top_ranked(all, q.r);
                     match degraded {
@@ -559,30 +536,6 @@ impl QueryBackend for ShardedEngine {
     fn obs_registry(&self) -> Option<&ic_obs::Registry> {
         Some(&self.metrics.registry)
     }
-}
-
-impl Shard {
-    /// Global id of the vertex whose removal event witnessed `c`, a
-    /// community of this shard's `min`/`max` answer in local ids: its
-    /// first member, in id order, whose weight is the community's value
-    /// (equal-weight members with smaller ids were peeled before it).
-    fn extreme_vertex(&self, c: &Community) -> u32 {
-        let v = c
-            .vertices
-            .iter()
-            .find(|&&v| self.weighted.weight(v) == c.value);
-        self.id_map[*v.expect("a min/max value is a member's weight") as usize]
-    }
-}
-
-/// The `r` first of a `min`/`max` gather in the unsharded peel's event
-/// ranking — value descending, then the global id of the event's extreme
-/// vertex (`extremes`, aligned with `all`) ascending.
-fn first_events(all: Vec<Community>, extremes: Vec<u32>, r: usize) -> Vec<Community> {
-    let mut keyed: Vec<(u32, Community)> = extremes.into_iter().zip(all).collect();
-    keyed.sort_by(|(va, a), (vb, b)| b.value.total_cmp(&a.value).then_with(|| va.cmp(vb)));
-    keyed.truncate(r);
-    keyed.into_iter().map(|(_, c)| c).collect()
 }
 
 /// Translates a shard-local community list to global vertex ids. The id

@@ -166,15 +166,13 @@ proptest! {
         // No shard holds two whole blocks.
         let cap = cap.min(2 * block_size - 1);
         // Weights from {1, 2, 3}: a value tie straddles shards at every
-        // `min`/`max` cut. Exact TIC keeps its own members of a `sum` tie
-        // at the cut (ROADMAP item 1), so `sum` rides on weights that
-        // never tie.
+        // cut.
         let tied = uniform_weights(n, 1.0, 4.0, GraphSeed(seed as u64 + 7))
             .into_iter()
             .map(|x| x.floor().min(3.0))
             .collect();
         let distinct = pareto_weights(n, 1.5, GraphSeed(seed as u64 + 7));
-        for (tag, w, with_sum) in [("tied", tied, false), ("distinct", distinct, true)] {
+        for (tag, w) in [("tied", tied), ("distinct", distinct)] {
             let wg = WeightedGraph::new(g.clone(), w).expect("generated weights pair");
             let dir = std::env::temp_dir().join(format!(
                 "ic-shard-merge-prop-{}-{blocks}-{block_size}-{seed}-{cap}-{tag}",
@@ -197,7 +195,6 @@ proptest! {
                         Query::new(k, 2 * n, Aggregation::Sum),
                     ]
                 })
-                .filter(|q| with_sum || q.aggregation != Aggregation::Sum)
                 .collect();
             let want = unsharded.run_batch_pinned(&batch, &BatchOptions::default()).1;
             let got = sharded.run_batch_pinned(&batch, &BatchOptions::default()).1;

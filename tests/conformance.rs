@@ -29,9 +29,7 @@ use ic_core::algo::{self, oracle, LocalSearchConfig};
 use ic_core::verify::check_community;
 use ic_core::{Aggregation, Community, Query};
 use ic_engine::{AnswerStatus, BatchOptions, Engine, EngineError};
-use ic_gen::{
-    gnm, planted_partition, rank_weights, uniform_weights, GraphSeed, PlantedPartitionConfig,
-};
+use ic_gen::{planted_partition, rank_weights, GraphSeed, PlantedPartitionConfig};
 use ic_graph::WeightedGraph;
 use ic_kcore::{degeneracy, GraphSnapshot, PeelArena};
 use proptest::prelude::*;
@@ -393,32 +391,82 @@ proptest! {
     }
 }
 
-/// On tiny graphs the exhaustive maximality-aware oracle anchors all
-/// deterministic paths at once.
-#[test]
-fn exhaustive_oracle_anchors_every_path_on_tiny_graphs() {
-    for seed in 0..12u64 {
-        let n = 6 + (seed as usize % 5);
-        let g = gnm(n, n * 2, GraphSeed(seed));
-        let w = uniform_weights(n, 0.5, 20.0, GraphSeed(seed ^ 0xfeed));
-        let wg = WeightedGraph::new(g, w).unwrap();
-        let eng = engine(&wg, 2);
-        for k in 1..3usize {
-            for r in [1usize, 2, 50] {
-                let exact_min = algo::exact_topr(&wg, k, r, None, Aggregation::Min).unwrap();
-                assert_eq!(
-                    arena_solve(&wg, Query::new(k, r, Aggregation::Min)),
-                    exact_min,
-                    "min vs exhaustive seed={seed} k={k} r={r}"
-                );
-                let exact_sum = algo::exact_topr(&wg, k, r, None, Aggregation::Sum).unwrap();
-                let got = unwrap_batch(eng.run_batch(&[Query::new(k, r, Aggregation::Sum)]));
-                let gv: Vec<f64> = got[0].iter().map(|c| c.value).collect();
-                let ev: Vec<f64> = exact_sum.iter().map(|c| c.value).collect();
-                assert_eq!(gv, ev, "sum vs exhaustive seed={seed} k={k} r={r}");
-            }
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One definition of the top r for every solver class, anchored by
+    /// the exhaustive oracle on tiny graphs. With weights from {1, 2, 3}
+    /// — value ties at every cut, nested ones included — or any other
+    /// weight model, the routed solve, the from-scratch oracle and an
+    /// engine batch holding r = 1..=8 of each family all answer what
+    /// `exact_topr` does: the first r, by `ranking_cmp`, of the
+    /// communities no strict superset of equal value contains.
+    #[test]
+    fn every_solver_class_cuts_ties_like_the_exhaustive_oracle(
+        wg in common::arb_workload(0..4, 0..5, 4..13),
+        k in 1usize..4,
+    ) {
+        let aggregations = [Aggregation::Min, Aggregation::Max, Aggregation::Sum];
+        let batch: Vec<Query> = aggregations
+            .iter()
+            .flat_map(|&agg| (1..=8).map(move |r| Query::new(k, r, agg)))
+            .collect();
+        let served = unwrap_batch(engine(&wg, 2).run_batch(&batch));
+        for (q, engine_answer) in batch.iter().zip(&served) {
+            let (r, agg) = (q.r, q.aggregation);
+            let want = algo::exact_topr(&wg, k, r, None, agg).unwrap();
+            let from_scratch = match agg {
+                Aggregation::Min => oracle::min_topr(&wg, k, r),
+                Aggregation::Max => oracle::max_topr(&wg, k, r),
+                _ => oracle::tic_improved(&wg, k, r, agg, 0.0),
+            };
+            prop_assert_eq!(&q.solve(&wg).unwrap(), &want, "solve {:?}", q);
+            prop_assert_eq!(&from_scratch.unwrap(), &want, "oracle {:?}", q);
+            prop_assert_eq!(engine_answer, &want, "engine {:?}", q);
         }
     }
+}
+
+/// Definition 3's maximality on every route. On K4 with every weight 1
+/// the peel's second event witnesses {1, 2, 3}, but its superset
+/// {0, 1, 2, 3} has the same value: the whole K4 is the only community,
+/// from the routed solve, the oracle, the forest, the engine, the
+/// sharded engine and a loopback server alike.
+#[test]
+fn nested_ties_answer_the_maximal_community_on_every_route() {
+    let g = ic_graph::graph_from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
+    let wg = WeightedGraph::new(g, vec![1.0; 4]).unwrap();
+    let q = Query::new(2, 5, Aggregation::Min);
+    let want = vec![Community::new(vec![0, 1, 2, 3], 1.0)];
+    assert_eq!(
+        algo::exact_topr(&wg, 2, 5, None, q.aggregation).unwrap(),
+        want
+    );
+    assert_eq!(q.solve(&wg).unwrap(), want, "Query::solve");
+    assert_eq!(oracle::min_topr(&wg, 2, 5).unwrap(), want, "oracle");
+    let forest = algo::ExtremumIndex::build(&wg, 2, ic_core::Extremum::Min);
+    assert_eq!(forest.topr(&wg, 5).unwrap(), want, "forest");
+    let eng = std::sync::Arc::new(engine(&wg, 2));
+    assert_eq!(unwrap_batch(eng.run_batch(&[q]))[0], want, "engine");
+
+    let dir = std::env::temp_dir().join(format!("ic-conformance-k4-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    ic_store::shard::build_shard_stores(&wg, &[2], 4, &dir).unwrap();
+    let sharded = ic_shard::ShardedEngine::open_dir(&dir).unwrap();
+    let got = sharded.run_batch_pinned(&[q], &BatchOptions::default()).1;
+    assert_eq!(got[0].as_ref().unwrap().communities, want, "sharded");
+    std::fs::remove_dir_all(&dir).ok();
+
+    let server = ic_serve::Server::bind(eng, "127.0.0.1:0", Default::default()).unwrap();
+    let mut client = ic_serve::Client::connect(server.local_addr()).unwrap();
+    match client.call(1, &q).unwrap() {
+        ic_serve::Response::Reply {
+            outcome: ic_serve::Outcome::Complete(communities),
+            ..
+        } => assert_eq!(communities, want, "server"),
+        other => panic!("expected a complete reply, got {other:?}"),
+    }
+    server.shutdown();
 }
 
 /// One `(k, max)` family of four `r`s (and its `min` twin) through the
@@ -439,7 +487,7 @@ fn a_sharded_family_of_four_rs_matches_the_unsharded_engine() {
     let g = planted_partition(&blocks, GraphSeed(5));
     // Five distinct weights over 48 vertices: every `r` here cuts a
     // value tie that straddles shards, where the gather must keep the
-    // members the unsharded engine's event order keeps (DESIGN §4).
+    // members `ranking_cmp` keeps (DESIGN §4).
     let w = (0..g.num_vertices())
         .map(|i| ((i * 7 + 3) % 5) as f64 + 1.0)
         .collect();
