@@ -14,9 +14,8 @@
 //!
 //! * [`ExtremumIndex::topr`] answers top-r queries in output-sensitive
 //!   `O(r + Σ |community|)` time — `Query::solve` routed to
-//!   `MinPeel`/`MaxPeel` reads an unmemoized forest the same way — and
-//!   [`ExtremumIndex::topr_multi`] serves a whole family of `r`s from
-//!   one materialization of the `r_max` best communities;
+//!   `MinPeel`/`MaxPeel` reads an unmemoized forest the same way — as
+//!   the unbudgeted form of the one read, [`ExtremumIndex::read`];
 //! * [`ExtremumIndex::minimal_community_of`] returns the smallest
 //!   community containing a vertex;
 //! * [`ExtremumIndex::chain_of`] lists the full nesting chain of
@@ -37,13 +36,14 @@
 //! makes a corrupt or inconsistent file fail closed instead of serving a
 //! silently wrong forest. [`ExtremumIndex::cached`] memoizes a forest on
 //! a [`GraphSnapshot`] so the batched engine serves every peel-extremum
-//! query from it (a deadline-armed one through
-//! [`ExtremumIndex::cached_within`] and [`ExtremumIndex::topr_within`],
-//! which hand back a certified prefix when time runs out); a snapshot
-//! swapped in after a graph update inherits only the forests of levels
-//! the update left untouched (`GraphSnapshot::share_levels_above`), which
-//! is exactly the staleness story — stale forests are never consulted,
-//! and rebuild lazily per `(k, direction)` on the next query.
+//! family from it with one read at the family's largest `r` (under a
+//! deadline through [`ExtremumIndex::cached_within`] and the budget of
+//! [`ExtremumIndex::read`], which hand back a certified prefix when time
+//! runs out); a snapshot swapped in after a graph update inherits only
+//! the forests of levels the update left untouched
+//! (`GraphSnapshot::share_levels_above`), which is exactly the staleness
+//! story — stale forests are never consulted, and rebuild lazily per
+//! `(k, direction)` on the next query.
 
 use crate::algo::common::{validate_k_r, value_of};
 use crate::algo::minmax::{peel_cmp, peel_timeline, rank_cmp, PeelTimeline, NONE};
@@ -803,60 +803,31 @@ impl ExtremumIndex {
     /// (no strict superset of equal value). Reads `wg`'s weights only,
     /// never its adjacency.
     pub fn topr(&self, wg: &WeightedGraph, r: usize) -> Result<Vec<Community>, SearchError> {
-        let mut lists = self.topr_multi(wg, &[r])?;
-        Ok(lists.pop().expect("one r in, one list out"))
+        Ok(self.read(wg, r, None)?.0)
     }
 
-    /// [`topr`](Self::topr) for every `r` in `rs` at once: entry `i`
-    /// answers `rs[i]`, each bit-identical to its one-`r` call. The
-    /// `max(rs)` best communities are materialized once and every `r`
-    /// takes its prefix; the longest request takes the list itself.
-    pub fn topr_multi(
-        &self,
-        wg: &WeightedGraph,
-        rs: &[usize],
-    ) -> Result<Vec<Vec<Community>>, SearchError> {
-        for &r in rs {
-            validate_k_r(r)?;
-        }
-        let r_max = rs.iter().copied().max().unwrap_or(0);
-        let top = self.read(wg, r_max, || false).0;
-        let owner = rs.iter().rposition(|&r| r >= top.len());
-        let mut lists: Vec<Vec<Community>> = (rs.iter().enumerate())
-            .map(|(i, &r)| {
-                if Some(i) == owner {
-                    Vec::new()
-                } else {
-                    top[..r.min(top.len())].to_vec()
-                }
-            })
-            .collect();
-        if let Some(i) = owner {
-            lists[i] = top;
-        }
-        Ok(lists)
-    }
-
-    /// [`topr`](Self::topr) under a deadline, with `true` when the answer
-    /// is complete. On expiry it returns the communities valued strictly
-    /// above the first one not yet materialized: the read is
-    /// value-descending, so those are exactly the complete answer's
-    /// leading value groups, bit for bit. Without any, the list is empty.
-    pub fn topr_within(
+    /// [`topr`](Self::topr) under an optional deadline, with `true` when
+    /// `budget` cut the read short. The budget is asked before each
+    /// materialization; once it has expired the read returns the
+    /// communities valued strictly above the first one not yet
+    /// materialized. The read is value-descending, so those are exactly
+    /// the complete answer's leading value groups, bit for bit — and,
+    /// as every top-`r` answer is a prefix of a longer one, the complete
+    /// answer of every `r` up to their count. Without any, the list is
+    /// empty.
+    pub fn read(
         &self,
         wg: &WeightedGraph,
         r: usize,
-        budget: &Budget,
+        budget: Option<&Budget>,
     ) -> Result<(Vec<Community>, bool), SearchError> {
         validate_k_r(r)?;
-        Ok(self.read(wg, r, || budget.check()))
+        Ok(self.read_until(wg, r, || budget.is_some_and(|b| b.check())))
     }
 
-    /// The `r` best communities in [`Community::ranking_cmp`] order,
-    /// `expired` asked before each materialization; once it says yes,
-    /// the certified part only (see [`topr_within`](Self::topr_within))
-    /// and `false`.
-    fn read(
+    /// The body of [`read`](Self::read), `expired` asked before each
+    /// materialization.
+    fn read_until(
         &self,
         wg: &WeightedGraph,
         r: usize,
@@ -864,20 +835,20 @@ impl ExtremumIndex {
     ) -> (Vec<Community>, bool) {
         let top = self.top_nodes(r);
         let mut out = Vec::with_capacity(top.len());
-        let mut complete = true;
+        let mut cut = false;
         for (i, &node) in top.iter().enumerate() {
             ic_fail::fail_point!("core::forest_materialize");
             if expired() {
                 let bar = self.values[node as usize];
                 let above = |n: &u32| self.values[*n as usize].total_cmp(&bar).is_gt();
                 out.truncate(top[..i].partition_point(above));
-                complete = false;
+                cut = true;
                 break;
             }
             out.push(self.node_community(wg, node));
         }
         out.sort_by(|a, b| a.ranking_cmp(b));
-        (out, complete)
+        (out, cut)
     }
 
     /// The smallest community containing `v` (None when `v` is outside
@@ -1168,21 +1139,21 @@ mod tests {
     }
 
     #[test]
-    fn topr_multi_serves_each_r_like_its_own_call() {
-        // Tied triangles: every r takes its prefix of one list cut by
-        // `ranking_cmp`; repeated and oversized rs are served too.
+    fn every_r_is_a_prefix_of_the_longest_read() {
+        // Tied triangles: every r is a prefix of one list cut by
+        // `ranking_cmp` — what lets the engine slice a whole family out
+        // of one read — oversized rs included.
         let g = graph_from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let tied = ic_graph::WeightedGraph::new(g, vec![3.0; 6]).unwrap();
         for wg in [figure1(), tied] {
             for extremum in [Extremum::Min, Extremum::Max] {
                 let idx = ExtremumIndex::build(&wg, 2, extremum);
-                let rs = [3usize, 1, 100, 2, 100, 1];
-                let multi = idx.topr_multi(&wg, &rs).unwrap();
-                for (&r, list) in rs.iter().zip(&multi) {
-                    assert_eq!(list, &idx.topr(&wg, r).unwrap(), "{extremum:?} r = {r}");
+                let longest = idx.topr(&wg, 100).unwrap();
+                for r in [1usize, 2, 3, 100] {
+                    let want = &longest[..r.min(longest.len())];
+                    assert_eq!(idx.topr(&wg, r).unwrap(), want, "{extremum:?} r = {r}");
                 }
-                assert!(idx.topr_multi(&wg, &[2, 0]).is_err());
-                assert!(idx.topr_multi(&wg, &[]).unwrap().is_empty());
+                assert!(idx.read(&wg, 0, None).is_err());
             }
         }
     }
@@ -1212,8 +1183,8 @@ mod tests {
                 let idx = ExtremumIndex::build(&wg, 2, extremum);
                 for r in [1usize, 2, 4, 7, 100] {
                     let want = oracle(&wg, 2, r).unwrap();
-                    let got = idx.topr_within(&wg, r, &generous).unwrap();
-                    assert_eq!(got, (want, true), "{extremum:?} r = {r}");
+                    let got = idx.read(&wg, r, Some(&generous)).unwrap();
+                    assert_eq!(got, (want, false), "{extremum:?} r = {r}");
                 }
             }
         }
@@ -1222,8 +1193,8 @@ mod tests {
         let path = path.unwrap();
         let empty = ExtremumIndex::build(&path, 2, Extremum::Min);
         assert_eq!(
-            empty.topr_within(&path, 3, &generous).unwrap(),
-            (vec![], true)
+            empty.read(&path, 3, Some(&generous)).unwrap(),
+            (vec![], false)
         );
     }
 
@@ -1244,8 +1215,8 @@ mod tests {
                         asked += 1;
                         asked > cut
                     };
-                    let (top, complete) = idx.read(&wg, idx.len(), expired);
-                    assert_eq!(complete, cut == nodes.len(), "{extremum:?} cut {cut}");
+                    let (top, was_cut) = idx.read_until(&wg, idx.len(), expired);
+                    assert_eq!(was_cut, cut < nodes.len(), "{extremum:?} cut {cut}");
                     assert_eq!(top[..], full[..top.len()], "{extremum:?} cut {cut}");
                     let proven = match nodes.get(cut) {
                         Some(&next) => {
@@ -1283,10 +1254,7 @@ mod tests {
         // gets it (its read is what sees the deadline).
         let again = ExtremumIndex::cached_within(&snap, 2, Extremum::Min, Some(&expired));
         assert!(Arc::ptr_eq(&again.expect("memoized"), &built));
-        assert_eq!(
-            built.topr_within(&wg, 3, &expired).unwrap(),
-            (vec![], false)
-        );
+        assert_eq!(built.read(&wg, 3, Some(&*expired)).unwrap(), (vec![], true));
     }
 
     #[test]

@@ -30,15 +30,18 @@
 //! to [`execute`] — serve start for direct `run_batch_with` calls, the
 //! *admission* timestamp for queueing front ends like `ic-serve`, so
 //! time spent waiting in an admission queue counts against the budget.
-//! A deadline-armed job checkpoints its [`Budget`] cooperatively; on
-//! expiry the exact
-//! paths return the already-proven rank prefix (tagged
-//! [`Degraded`](crate::AnswerStatus::Degraded) with
-//! `proven_prefix_len == len`), approximate/local paths return
-//! best-so-far (`proven_prefix_len == 0`), and a query with nothing
-//! proven gets [`EngineError::DeadlineExceeded`].
+//! A deadline-armed job checkpoints its [`Budget`] cooperatively. A
+//! ranked family's one run returns its list at `max(rs)` and whether
+//! the budget cut it short, and one rule ([`slot_outcome`]) answers
+//! every `r` of the family: the first `min(r, len)` communities,
+//! [`Complete`](crate::AnswerStatus::Complete) when the run was not cut
+//! or an exact run proved at least `r`, else
+//! [`Degraded`](crate::AnswerStatus::Degraded) — `proven_prefix_len`
+//! the slot's length for exact runs, 0 for approximate ones and for
+//! local search — and [`EngineError::DeadlineExceeded`] when a cut run
+//! has nothing to give.
 
-use crate::plan::{Job, JobOutput, LocalJob, Plan};
+use crate::plan::{Job, JobOutput, LocalJob, Plan, Route};
 use crate::{AnswerStatus, DegradeReason, EngineError, QueryAnswer, Serving};
 use ic_core::algo::{
     run_seed_memo, CoreRows, ExtremumIndex, LocalScratch, SeedTarget, SeedVisit, TicSearch,
@@ -226,9 +229,7 @@ fn drain_jobs(
                             .get_or_insert(detail);
                         finish_chunk(job, &mut done);
                     }
-                    Job::MinMaxFamily { outputs, .. }
-                    | Job::SumFamily { outputs, .. }
-                    | Job::Improved { outputs, .. } => {
+                    Job::Ranked { outputs, .. } => {
                         send_all(&mut done, outputs, &fail(EngineError::Internal { detail }));
                     }
                 }
@@ -244,15 +245,22 @@ fn send_all(done: &mut Vec<(usize, Outcome)>, outputs: &[JobOutput], outcome: &O
     done.extend(outputs.iter().map(|out| (out.query, Arc::clone(outcome))));
 }
 
-/// Wraps a truncated drain: certified prefix when `proven`, best-so-far
-/// otherwise, and the typed deadline error when nothing at all was
-/// proven in time.
-fn truncated_outcome(items: Vec<Community>, exact: bool) -> Outcome {
-    if items.is_empty() {
+/// The one slicing rule of a deadline: slot `r` of a run that returned
+/// `ranked` (its list, or any prefix of it holding `min(r, len)`
+/// communities) takes the first `r`. Complete when the run was not
+/// `cut`, or when an `exact` run proved at least `r`; otherwise the
+/// certified prefix when `exact`, best-so-far when not, and the typed
+/// deadline error when there is nothing to give.
+fn slot_outcome(mut ranked: Vec<Community>, r: usize, cut: bool, exact: bool) -> Outcome {
+    let proved_r = ranked.len() >= r;
+    ranked.truncate(r);
+    if !cut || (exact && proved_r) {
+        ok_complete(ranked)
+    } else if ranked.is_empty() {
         fail(EngineError::DeadlineExceeded)
     } else {
-        let proven = if exact { items.len() } else { 0 };
-        degraded(items, proven)
+        let proven = if exact { ranked.len() } else { 0 };
+        degraded(ranked, proven)
     }
 }
 
@@ -284,15 +292,6 @@ fn run_tic(
     Ok((items, search.deadline_aborted()))
 }
 
-/// [`run_tic`] as one query's outcome.
-fn tic_outcome(run: Result<(Vec<Community>, bool), ic_core::SearchError>, exact: bool) -> Outcome {
-    match run {
-        Ok((items, true)) => truncated_outcome(items, exact),
-        Ok((items, false)) => ok_complete(items),
-        Err(e) => fail(e.into()),
-    }
-}
-
 fn run_job(
     serving: &Serving,
     anchor: Instant,
@@ -304,78 +303,63 @@ fn run_job(
 ) {
     let snap = &*serving.snapshot;
     match job {
-        Job::MinMaxFamily {
-            dir,
+        Job::Ranked {
             k,
+            route,
             rs,
             outputs,
             deadline,
         } => {
-            // One route, armed or not: the snapshot's extremum community
-            // forest — persisted via `ic-store` or built once per
-            // snapshot — read in output-sensitive time from weights
-            // alone, each ranked community materialized once for all of
-            // `rs`. Bit-identical to the solo peel (held by the
-            // conformance suite). An armed family holds one `r` (see
-            // `JobKey`); its budget runs through the build, whose expiry
-            // proves nothing, and the read, whose expiry keeps the value
-            // groups already read. The span is summed per job across
-            // parallel workers, so it can exceed the solve span.
             let budget = deadline.map(|d| Arc::new(Budget::after(anchor, d)));
-            let wg = snap.weighted();
-            let index_sw = ic_obs::Stopwatch::start();
-            let solved = match ExtremumIndex::cached_within(snap, *k, *dir, budget.as_ref()) {
-                None => Ok(vec![fail(EngineError::DeadlineExceeded); rs.len()]),
-                Some(index) => match &budget {
-                    None => index
-                        .topr_multi(wg, rs)
-                        .map(|lists| lists.into_iter().map(ok_complete).collect()),
-                    Some(b) => index.topr_within(wg, rs[0], b).map(|(items, complete)| {
-                        vec![if complete {
-                            ok_complete(items)
-                        } else {
-                            truncated_outcome(items, true)
-                        }]
-                    }),
-                },
+            let (last, rest) = rs.split_last().expect("family is non-empty");
+            let (run, exact) = match *route {
+                // The snapshot's extremum community forest — persisted
+                // via `ic-store` or built once per snapshot — read in
+                // output-sensitive time from weights alone, bit-identical
+                // to the solo peel (held by the conformance suite). A
+                // build the budget cuts short proves nothing; a cut read
+                // keeps the value groups it finished. The span is summed
+                // per job across parallel workers, so it can exceed the
+                // solve span.
+                Route::Forest(dir) => {
+                    let index_sw = ic_obs::Stopwatch::start();
+                    let run = match ExtremumIndex::cached_within(snap, *k, dir, budget.as_ref()) {
+                        None => Ok((Vec::new(), true)),
+                        Some(index) => index.read(snap.weighted(), *last, budget.as_deref()),
+                    };
+                    if let Some(trace) = obs.trace {
+                        index_sw.record(trace, ic_obs::Stage::IndexServe);
+                    }
+                    (run, true)
+                }
+                Route::Tic {
+                    aggregation,
+                    epsilon,
+                } => (
+                    run_tic(
+                        snap,
+                        *k,
+                        *last,
+                        aggregation,
+                        epsilon,
+                        budget,
+                        arena,
+                        obs.tic,
+                    ),
+                    epsilon == 0.0,
+                ),
             };
-            if let Some(trace) = obs.trace {
-                index_sw.record(trace, ic_obs::Stage::IndexServe);
-            }
-            match solved {
-                Ok(slots) => {
-                    done.extend(
-                        outputs
-                            .iter()
-                            .map(|out| (out.query, Arc::clone(&slots[out.slot]))),
-                    );
-                }
-                Err(e) => send_all(done, outputs, &fail(e.into())),
-            }
-        }
-        Job::SumFamily {
-            k,
-            aggregation,
-            rs,
-            outputs,
-            deadline,
-        } => {
-            if let Some(d) = deadline {
-                // Armed: one r (see `JobKey`).
-                let budget = Some(Arc::new(Budget::after(anchor, *d)));
-                let run = run_tic(snap, *k, rs[0], *aggregation, 0.0, budget, arena, obs.tic);
-                send_all(done, outputs, &tic_outcome(run, true));
-                return;
-            }
-            // Exact TIC answers the first `r_max` by `ranking_cmp`, so
-            // every `r` of the family is a prefix of that one run.
-            let r_max = *rs.last().expect("family is non-empty");
-            match run_tic(snap, *k, r_max, *aggregation, 0.0, None, arena, obs.tic) {
-                Ok((full, _)) => {
-                    let slots: Vec<Outcome> = rs
+            match run {
+                Ok((ranked, cut)) => {
+                    // Every `r` is a prefix of the run at `max(rs)`, which
+                    // the last slot takes whole.
+                    let mut slots: Vec<Outcome> = rest
                         .iter()
-                        .map(|&r| ok_complete(full[..r.min(full.len())].to_vec()))
+                        .map(|&r| {
+                            slot_outcome(ranked[..r.min(ranked.len())].to_vec(), r, cut, exact)
+                        })
                         .collect();
+                    slots.push(slot_outcome(ranked, *last, cut, exact));
                     done.extend(
                         outputs
                             .iter()
@@ -384,18 +368,6 @@ fn run_job(
                 }
                 Err(e) => send_all(done, outputs, &fail(e.into())),
             }
-        }
-        Job::Improved {
-            k,
-            r,
-            aggregation,
-            epsilon,
-            outputs,
-            deadline,
-        } => {
-            let budget = deadline.map(|d| Arc::new(Budget::after(anchor, d)));
-            let run = run_tic(snap, *k, *r, *aggregation, *epsilon, budget, arena, obs.tic);
-            send_all(done, outputs, &tic_outcome(run, *epsilon == 0.0));
         }
         Job::LocalChunk { job, chunk } => {
             run_local_chunk(serving, anchor, job, *chunk, scratch, obs.local)
@@ -559,14 +531,9 @@ fn finish_chunk(job: &Arc<LocalJob>, done: &mut Vec<(usize, Outcome)>) {
                 merged.insert(c);
             }
         }
-        let items = merged.into_vec();
-        let outcome = if expired {
-            // Local search is heuristic: a truncated seed walk proves no
-            // rank prefix, so the merge is best-so-far.
-            truncated_outcome(items, false)
-        } else {
-            ok_complete(items)
-        };
+        // Local search is heuristic: a truncated seed walk proves no
+        // rank prefix, so the merge is best-so-far.
+        let outcome = slot_outcome(merged.into_vec(), m.r, expired, false);
         send_all(done, &m.outputs, &outcome);
     }
 }

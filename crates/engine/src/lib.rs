@@ -682,15 +682,18 @@ impl Engine {
     ///
     /// Each query's own [`Query::deadline`] is measured from the
     /// options' anchor, or from the moment execution starts when none is
-    /// set. On expiry:
+    /// set. Queries that differ only in `r` and share a deadline share
+    /// one run, at their largest `r`. When the deadline cuts that run
+    /// short, each query takes the first `r` of what it returned:
     ///
-    /// * exact paths (`min`/`max` peels, exact `TIC-IMPROVED`) return
-    ///   the already-proven rank prefix tagged
-    ///   [`AnswerStatus::Degraded`] with `proven_prefix_len` equal to
-    ///   its length — bit-identical to the full answer's prefix;
+    /// * exact paths (`min`/`max` forest reads, exact `TIC-IMPROVED`)
+    ///   prove a rank prefix — bit-identical to the full answer's head.
+    ///   A query whose `r` it covers is [`AnswerStatus::Complete`]; the
+    ///   rest are [`AnswerStatus::Degraded`] with `proven_prefix_len`
+    ///   equal to their length;
     /// * approximate (ε > 0) and local-search paths return best-so-far
-    ///   (`proven_prefix_len == 0`);
-    /// * a query whose deadline expired before anything was proven gets
+    ///   (`Degraded`, `proven_prefix_len == 0`);
+    /// * a query with nothing to take gets
     ///   [`EngineError::DeadlineExceeded`].
     ///
     /// A solver panic is isolated to its query (reported as
@@ -1812,13 +1815,19 @@ mod tests {
         assert_eq!(eng.run_batch(&[q]), fresh.run_batch(&[q]));
     }
 
-    /// One query per solver path, for the deadline tests below.
+    /// Every solver path, for the deadline tests below: two `r` for
+    /// each family that slices them out of one run, and an ε pair that
+    /// never shares one.
     fn deadline_probe_batch() -> Vec<Query> {
         vec![
             Query::new(2, 3, Aggregation::Min),
+            Query::new(2, 1, Aggregation::Min),
             Query::new(2, 4, Aggregation::Max),
+            Query::new(2, 2, Aggregation::Max),
             Query::new(2, 3, Aggregation::Sum),
-            Query::new(2, 3, Aggregation::Sum).approx(0.2),
+            Query::new(2, 1, Aggregation::Sum),
+            Query::new(2, 2, Aggregation::Sum).approx(0.2),
+            Query::new(2, 4, Aggregation::Sum).approx(0.2),
             Query::new(2, 3, Aggregation::Sum).size_bound(4, true),
         ]
     }
@@ -1891,10 +1900,16 @@ mod tests {
     fn generous_deadline_is_complete_and_bit_identical() {
         let eng = engine(2);
         let base = deadline_probe_batch();
-        let want = eng.run_batch(&base);
-        eng.clear_result_cache();
         let hour = std::time::Duration::from_secs(3600);
         let armed: Vec<Query> = base.iter().map(|q| q.deadline(hour)).collect();
+        // Armed siblings share one run per family, as unarmed ones do;
+        // the ε pair stays two runs either way.
+        let runs = |batch: &[Query]| eng.plan(batch).stats.solver_runs;
+        assert_eq!(runs(&armed), runs(&base));
+        assert_eq!(runs(&armed[6..8]), 2);
+        assert_eq!(runs(&base[6..8]), 2);
+        let want = eng.run_batch(&base);
+        eng.clear_result_cache();
         let got = eng.run_batch_with(&armed, &BatchOptions::default());
         for ((q, want), got) in base.iter().zip(&want).zip(&got) {
             let ans = got.as_ref().unwrap();
@@ -1957,18 +1972,24 @@ mod tests {
     }
 
     #[test]
-    fn deadline_armed_queries_bypass_and_do_not_pollute_the_cache() {
+    fn armed_repeats_hit_the_cache_and_cut_runs_leave_it_alone() {
         let eng = engine(2);
         let q = Query::new(2, 3, Aggregation::Min);
         // Warm the cache with the complete answer.
         let want = eng.run_batch(&[q])[0].clone().unwrap();
         assert_eq!(eng.cached_results(), 1);
-        // An armed run of the *same* query plans as a fresh solver run
-        // (deadline is part of the job identity, not the cache key), and
-        // a complete armed answer is served bit-identically.
+        // The deadline is not part of the cache key: an armed repeat is
+        // answered at plan time, bit-identically, with no solver run.
         let armed = [q.deadline(std::time::Duration::from_secs(3600))];
+        let stats = eng.plan(&armed).stats;
+        assert_eq!((stats.cache_hits, stats.solver_runs), (1, 0));
         let got = eng.run_batch_with(&armed, &BatchOptions::default());
         assert_eq!(got[0].as_ref().unwrap().communities, want);
+        // A run its deadline cut short caches nothing.
+        let cut = Query::new(2, 3, Aggregation::Sum).deadline(std::time::Duration::ZERO);
+        let got = eng.run_batch_with(&[cut], &BatchOptions::default());
+        assert!(!got[0].as_ref().is_ok_and(QueryAnswer::is_complete));
+        assert_eq!(eng.cached_results(), 1);
     }
 
     #[test]

@@ -10,22 +10,20 @@
 //!   empty at plan time (the maximal k-core is empty, so the answer is
 //!   provably `[]` — no solver run needed);
 //! * identical queries share one job (and one result allocation);
-//! * `min`/`max` queries (every aggregation certified `peel_extremum`)
-//!   that differ only in `r` are merged into one *family* job, which is
-//!   **index-served** from the snapshot's memoized extremum community
-//!   forest ([`ic_core::algo::ExtremumIndex`], persisted by `ic-store`
-//!   or built once per snapshot) in output-sensitive time, bit-identical
-//!   to `Query::solve` (held by the conformance suite).
-//!   A deadline-armed query reads the same forest under its budget (see
-//!   [`Job::MinMaxFamily`]);
-//! * *exact* removal-decreasing queries (`sum`, `sum-surplus` with
-//!   ε = 0) that differ only in `r` are merged into one family answered
-//!   by a single `TIC-IMPROVED` run at the largest `r`, whose prefixes
-//!   answer the smaller `r`s: every solver cuts the top `r` by
+//! * every unconstrained query joins one **ranked family** per
+//!   `(k, route, deadline)` ([`Job::Ranked`]), answered by one run at the
+//!   family's largest `r`. The route is either a read of the snapshot's
+//!   memoized extremum community forest — `min`/`max`, every aggregation
+//!   certified `peel_extremum` ([`ic_core::algo::ExtremumIndex`],
+//!   persisted by `ic-store` or built once per snapshot), **index-served**
+//!   in output-sensitive time — or one `TIC-IMPROVED` run (`sum`,
+//!   `sum-surplus`). Every solver cuts the top `r` by
 //!   `Community::ranking_cmp`, so a top-`r` answer is the length-`r`
-//!   prefix of any longer one, value ties included. Approximate
-//!   (ε > 0) queries never merge across `r` (their output is
-//!   `r`-dependent by construction);
+//!   prefix of any longer one, value ties included, and a run its
+//!   deadline cut short still proves a prefix: the executor slices every
+//!   `r` of the family out of the one list. Approximate (ε > 0) answers
+//!   depend on `r`, so their key carries it and they never merge across
+//!   `r`;
 //! * size-constrained (local search) jobs are split into one seed-chunk
 //!   job per worker, sharing an atomic r-th-value pruning floor;
 //! * jobs are sorted by `(k, solver kind, parameters)`, so consecutive
@@ -99,43 +97,30 @@ pub(crate) struct LocalJob {
     pub(crate) poisoned: Mutex<Option<String>>,
 }
 
-/// One executable unit of a plan.
-pub(crate) enum Job {
-    /// A min/max family answering every `r` in `rs` from the snapshot's
-    /// memoized extremum community forest, bit-identical to the solo
-    /// peel. When deadline-armed, the forest's build (if it is not
-    /// memoized yet) and its read both checkpoint the budget, and a read
-    /// cut short keeps the leading value groups it proved.
-    MinMaxFamily {
-        dir: Extremum,
-        k: usize,
-        rs: Vec<usize>,
-        outputs: Vec<JobOutput>,
-        /// Wall-clock budget, armed at execution start. Deadline-armed
-        /// queries never share a job with unarmed ones (and only with
-        /// exact duplicates of themselves), so `rs.len() == 1` whenever
-        /// this is `Some` — the degraded prefix certificate is
-        /// per-query.
-        deadline: Option<Duration>,
-    },
-    /// An exact removal-decreasing family: one `TIC-IMPROVED` run at
-    /// `max(rs)`, whose prefixes answer the rest (every `r` is cut by
-    /// `ranking_cmp`). `outputs[i].slot` indexes into `rs`.
-    SumFamily {
-        k: usize,
-        aggregation: Aggregation,
-        rs: Vec<usize>,
-        outputs: Vec<JobOutput>,
-        /// See the `MinMaxFamily` deadline note: `Some` implies
-        /// `rs.len() == 1`.
-        deadline: Option<Duration>,
-    },
-    /// One approximate `TIC-IMPROVED` run (ε > 0; never merged).
-    Improved {
-        k: usize,
-        r: usize,
+/// How a ranked family computes its list.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Route {
+    /// A read of the snapshot's memoized extremum community forest,
+    /// bit-identical to the solo peel.
+    Forest(Extremum),
+    /// One `TIC-IMPROVED` run, exact when `epsilon == 0`.
+    Tic {
         aggregation: Aggregation,
         epsilon: f64,
+    },
+}
+
+/// One executable unit of a plan.
+pub(crate) enum Job {
+    /// A ranked family: one run of `route` at `max(rs)` returns its
+    /// ranked list, and every `r` in `rs` is sliced out of it
+    /// (`outputs[i].slot` indexes into `rs`). When deadline-armed, the
+    /// run checkpoints one budget, armed at execution start, and a run
+    /// cut short returns what it proved.
+    Ranked {
+        k: usize,
+        route: Route,
+        rs: Vec<usize>,
         outputs: Vec<JobOutput>,
         deadline: Option<Duration>,
     },
@@ -144,23 +129,26 @@ pub(crate) enum Job {
 }
 
 impl Job {
+    fn k(&self) -> usize {
+        match self {
+            Job::Ranked { k, .. } => *k,
+            Job::LocalChunk { job, .. } => job.k,
+        }
+    }
+
     fn sort_key(&self) -> (usize, u8, u64, usize) {
         match self {
-            Job::MinMaxFamily { dir, k, rs, .. } => (
-                *k,
-                match dir {
-                    Extremum::Min => 0,
-                    Extremum::Max => 1,
-                },
-                0,
-                rs.len(),
-            ),
-            Job::SumFamily {
-                k, aggregation, rs, ..
-            } => (*k, 2, agg_key(*aggregation).1, rs.len()),
-            Job::Improved {
-                k, r, aggregation, ..
-            } => (*k, 3, agg_key(*aggregation).1, *r),
+            Job::Ranked { k, route, rs, .. } => {
+                let (kind, param) = match route {
+                    Route::Forest(Extremum::Min) => (0, 0),
+                    Route::Forest(Extremum::Max) => (1, 0),
+                    Route::Tic {
+                        aggregation,
+                        epsilon,
+                    } => (2 + u8::from(*epsilon > 0.0), agg_key(*aggregation).1),
+                };
+                (*k, kind, param, *rs.last().expect("family is non-empty"))
+            }
             Job::LocalChunk { job, chunk } => (job.k, 4, job.s as u64, *chunk),
         }
     }
@@ -210,40 +198,26 @@ fn agg_key(a: Aggregation) -> (u8, u64) {
     a.cache_key()
 }
 
-/// Dedup identity of a job. Min/max families key on `(dir, k)` and
-/// exact sum families on `(k, aggregation)` — their `r` spreads live
-/// inside the family.
-///
-/// Every key also carries `ddl`, the query's deadline in nanoseconds
-/// (`u64::MAX` = none): a deadline-armed query must never share a job
-/// with an unarmed one — the armed run may abort mid-peel and must not
-/// drag complete queries down with it. For the mergeable families
-/// (`MinMax`, `SumFamily`) an armed key additionally pins `solo_r` to
-/// the query's own `r` (0 when unarmed), so armed families only ever
-/// hold exact duplicates: the degraded answer's *proven prefix* is
-/// certified against the value groups of **one** `r`, and merging
-/// different `r`s under a deadline would have to certify each `r` on a
-/// truncated list. `Improved` and `Local` already never merge
-/// across `r`, so `ddl` alone suffices there.
+/// Hashable identity of a [`Route`]. An approximate TIC key carries the
+/// query's `r` (0 for exact runs): ε > 0 output is `r`-dependent by
+/// construction, so those runs never merge across `r`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum RouteKey {
+    Forest(Extremum),
+    Tic { agg: (u8, u64), eps: u64, r: usize },
+}
+
+/// Dedup identity of a job: a ranked family per `(k, route, ddl)`, a
+/// local-search family per `(k, s, greedy, ddl)`; the `r` spreads live
+/// inside the family. `ddl` is the query's deadline in nanoseconds
+/// (`u64::MAX` = none), so an armed query never shares a run with an
+/// unarmed one — the armed run may stop early and must not drag
+/// complete queries down with it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum JobKey {
-    MinMax {
-        dir: Extremum,
+    Ranked {
         k: usize,
-        ddl: u64,
-        solo_r: usize,
-    },
-    SumFamily {
-        k: usize,
-        agg: (u8, u64),
-        ddl: u64,
-        solo_r: usize,
-    },
-    Improved {
-        k: usize,
-        r: usize,
-        agg: (u8, u64),
-        eps: u64,
+        route: RouteKey,
         ddl: u64,
     },
     Local {
@@ -267,39 +241,21 @@ fn ddl_key(q: &Query) -> u64 {
 
 /// Validates a query and maps its routing decision ([`Query::solver`] —
 /// the single source of dispatch truth since PR 3) onto the planner's
-/// job identity. The planner refines [`Solver`] with its own merge
-/// structure: exact TIC queries form `r`-families, approximate ones
-/// stay single jobs, local-search queries group by `(k, s, greedy)`.
+/// job identity: unconstrained queries form ranked families,
+/// local-search queries group by `(k, s, greedy)`.
 fn validate(q: &Query) -> Result<JobKey, SearchError> {
     let ddl = ddl_key(q);
-    // Armed mergeable families pin their own r (see JobKey docs).
-    let solo_r = if ddl == u64::MAX { 0 } else { q.r };
+    let ranked = |route| Ok(JobKey::Ranked { k: q.k, route, ddl });
+    let tic = |r| RouteKey::Tic {
+        agg: agg_key(q.aggregation),
+        eps: canonical_f64_bits(q.epsilon),
+        r,
+    };
     match q.solver()? {
-        Solver::MinPeel => Ok(JobKey::MinMax {
-            dir: Extremum::Min,
-            k: q.k,
-            ddl,
-            solo_r,
-        }),
-        Solver::MaxPeel => Ok(JobKey::MinMax {
-            dir: Extremum::Max,
-            k: q.k,
-            ddl,
-            solo_r,
-        }),
-        Solver::TicExact => Ok(JobKey::SumFamily {
-            k: q.k,
-            agg: agg_key(q.aggregation),
-            ddl,
-            solo_r,
-        }),
-        Solver::TicApprox => Ok(JobKey::Improved {
-            k: q.k,
-            r: q.r,
-            agg: agg_key(q.aggregation),
-            eps: canonical_f64_bits(q.epsilon),
-            ddl,
-        }),
+        Solver::MinPeel => ranked(RouteKey::Forest(Extremum::Min)),
+        Solver::MaxPeel => ranked(RouteKey::Forest(Extremum::Max)),
+        Solver::TicExact => ranked(tic(0)),
+        Solver::TicApprox => ranked(tic(q.r)),
         // Today LocalSearch routing implies a size bound; if a future
         // `Constraint` variant ever routes here, fail the one query
         // instead of panicking the worker ("one bad query never poisons
@@ -326,7 +282,11 @@ fn validate(q: &Query) -> Result<JobKey, SearchError> {
 /// or not.
 fn reads_memoized_forest(snapshot: &GraphSnapshot, key: &JobKey) -> bool {
     match *key {
-        JobKey::MinMax { dir, k, .. } => ExtremumIndex::peek(snapshot, k, dir).is_some(),
+        JobKey::Ranked {
+            k,
+            route: RouteKey::Forest(dir),
+            ..
+        } => ExtremumIndex::peek(snapshot, k, dir).is_some(),
         _ => false,
     }
 }
@@ -355,7 +315,6 @@ impl Plan {
         let mut cache_hits = 0usize;
         // JobKey -> accumulated members: (query index, query).
         let mut families: HashMap<JobKey, Vec<(usize, Query)>> = HashMap::new();
-        let mut singles: HashMap<JobKey, (Query, Vec<usize>)> = HashMap::new();
         let mut order: Vec<JobKey> = Vec::new(); // stable first-seen order
 
         for (idx, q) in queries.iter().enumerate() {
@@ -393,108 +352,63 @@ impl Plan {
                     continue;
                 }
             }
-            match key {
-                key @ (JobKey::MinMax { .. } | JobKey::SumFamily { .. } | JobKey::Local { .. }) => {
-                    let entry = families.entry(key).or_insert_with(|| {
-                        order.push(key);
-                        Vec::new()
-                    });
-                    entry.push((idx, *q));
-                }
-                key => {
-                    let entry = singles.entry(key).or_insert_with(|| {
-                        order.push(key);
-                        (*q, Vec::new())
-                    });
-                    entry.1.push(idx);
-                }
-            }
+            let entry = families.entry(key).or_insert_with(|| {
+                order.push(key);
+                Vec::new()
+            });
+            entry.push((idx, *q));
         }
-
-        // Finalizes a family's member list into (sorted distinct rs,
-        // per-member outputs).
-        let family_slots = |members: &[(usize, Query)]| {
-            let mut rs: Vec<usize> = members.iter().map(|&(_, q)| q.r).collect();
-            rs.sort_unstable();
-            rs.dedup();
-            let outputs: Vec<JobOutput> = members
-                .iter()
-                .map(|&(query, q)| JobOutput {
-                    query,
-                    slot: rs.binary_search(&q.r).expect("r registered"),
-                })
-                .collect();
-            (rs, outputs)
-        };
 
         let mut jobs: Vec<Job> = Vec::new();
         let mut sequential_runs = 0usize;
         let mut solver_runs = 0usize;
         let mut index_routed = 0usize;
         for key in order {
+            let members = families.remove(&key).expect("family registered");
+            sequential_runs += members.len();
+            solver_runs += 1;
+            // All members share one deadline — it is part of the key.
+            let (first, deadline) = (members[0].1, members[0].1.deadline);
             match key {
-                JobKey::MinMax { dir, k, .. } => {
-                    let members = families.remove(&key).expect("family registered");
-                    sequential_runs += members.len();
-                    index_routed += members.len();
-                    // All members share one deadline — it is part of the
-                    // key.
-                    let deadline = members[0].1.deadline;
-                    let (rs, outputs) = family_slots(&members);
-                    solver_runs += 1;
-                    jobs.push(Job::MinMaxFamily {
-                        dir,
+                JobKey::Ranked { k, route, .. } => {
+                    let route = match route {
+                        RouteKey::Forest(dir) => {
+                            index_routed += members.len();
+                            Route::Forest(dir)
+                        }
+                        RouteKey::Tic { .. } => Route::Tic {
+                            aggregation: first.aggregation,
+                            epsilon: first.epsilon,
+                        },
+                    };
+                    let mut rs: Vec<usize> = members.iter().map(|&(_, q)| q.r).collect();
+                    rs.sort_unstable();
+                    rs.dedup();
+                    let outputs: Vec<JobOutput> = members
+                        .iter()
+                        .map(|&(query, q)| JobOutput {
+                            query,
+                            slot: rs.binary_search(&q.r).expect("r registered"),
+                        })
+                        .collect();
+                    jobs.push(Job::Ranked {
                         k,
+                        route,
                         rs,
                         outputs,
                         deadline,
-                    });
-                }
-                JobKey::SumFamily { k, .. } => {
-                    let members = families.remove(&key).expect("family registered");
-                    sequential_runs += members.len();
-                    let aggregation = members[0].1.aggregation;
-                    let deadline = members[0].1.deadline;
-                    let (rs, outputs) = family_slots(&members);
-                    solver_runs += 1;
-                    jobs.push(Job::SumFamily {
-                        k,
-                        aggregation,
-                        rs,
-                        outputs,
-                        deadline,
-                    });
-                }
-                JobKey::Improved { .. } => {
-                    let (q, indices) = singles.remove(&key).expect("job registered");
-                    sequential_runs += indices.len();
-                    solver_runs += 1;
-                    jobs.push(Job::Improved {
-                        k: q.k,
-                        r: q.r,
-                        aggregation: q.aggregation,
-                        epsilon: q.epsilon,
-                        outputs: indices
-                            .into_iter()
-                            .map(|query| JobOutput { query, slot: 0 })
-                            .collect(),
-                        deadline: q.deadline,
                     });
                 }
                 JobKey::Local { k, s, greedy, .. } => {
-                    let raw = families.remove(&key).expect("family registered");
-                    sequential_runs += raw.len();
-                    solver_runs += 1;
-                    let deadline = raw[0].1.deadline;
                     let chunks = threads.max(1);
                     // Distinct (aggregation, r) members share one
                     // strategy pass; duplicate queries share a member.
                     let mut member_of: HashMap<((u8, u64), usize), usize> = HashMap::new();
-                    let mut members: Vec<LocalMember> = Vec::new();
-                    for (idx, q) in raw {
+                    let mut local: Vec<LocalMember> = Vec::new();
+                    for (idx, q) in members {
                         let mk = (agg_key(q.aggregation), q.r);
                         let mi = *member_of.entry(mk).or_insert_with(|| {
-                            members.push(LocalMember {
+                            local.push(LocalMember {
                                 r: q.r,
                                 aggregation: q.aggregation,
                                 floor: AtomicU64::new(ic_core::community::encode_ordered_f64(
@@ -503,9 +417,9 @@ impl Plan {
                                 partials: Mutex::new(Vec::with_capacity(chunks)),
                                 outputs: Vec::new(),
                             });
-                            members.len() - 1
+                            local.len() - 1
                         });
-                        members[mi].outputs.push(JobOutput {
+                        local[mi].outputs.push(JobOutput {
                             query: idx,
                             slot: 0,
                         });
@@ -515,7 +429,7 @@ impl Plan {
                         s,
                         greedy,
                         chunks,
-                        members,
+                        members: local,
                         remaining: AtomicUsize::new(chunks),
                         seeds: OnceLock::new(),
                         deadline,
@@ -533,15 +447,7 @@ impl Plan {
         }
 
         jobs.sort_by_key(|j| j.sort_key());
-        let mut k_levels: Vec<usize> = jobs
-            .iter()
-            .map(|j| match j {
-                Job::MinMaxFamily { k, .. }
-                | Job::SumFamily { k, .. }
-                | Job::Improved { k, .. } => *k,
-                Job::LocalChunk { job, .. } => job.k,
-            })
-            .collect();
+        let mut k_levels: Vec<usize> = jobs.iter().map(Job::k).collect();
         k_levels.sort_unstable();
         k_levels.dedup();
 
@@ -657,16 +563,7 @@ mod tests {
             Query::new(1, 1, Aggregation::Sum),
         ];
         let plan = Plan::build(&snap, &batch, 1, None);
-        let ks: Vec<usize> = plan
-            .jobs
-            .iter()
-            .map(|j| match j {
-                Job::MinMaxFamily { k, .. }
-                | Job::SumFamily { k, .. }
-                | Job::Improved { k, .. } => *k,
-                Job::LocalChunk { job, .. } => job.k,
-            })
-            .collect();
+        let ks: Vec<usize> = plan.jobs.iter().map(Job::k).collect();
         let mut sorted = ks.clone();
         sorted.sort_unstable();
         assert_eq!(ks, sorted, "jobs must be ordered by k");
@@ -683,28 +580,38 @@ mod tests {
     }
 
     #[test]
-    fn deadline_armed_queries_never_merge_into_families() {
+    fn deadline_armed_queries_merge_only_under_their_own_deadline() {
         let snap = snap();
         let ddl = Duration::from_millis(50);
         let batch = vec![
             Query::new(2, 5, Aggregation::Min),
-            Query::new(2, 5, Aggregation::Min).deadline(ddl), // armed: own job
-            Query::new(2, 1, Aggregation::Min).deadline(ddl), // armed, other r: own job
-            Query::new(2, 1, Aggregation::Min).deadline(ddl), // exact duplicate: shares
+            Query::new(2, 5, Aggregation::Min).deadline(ddl), // armed: its own family
+            Query::new(2, 1, Aggregation::Min).deadline(ddl), // armed, other r: same family
+            Query::new(2, 1, Aggregation::Min).deadline(ddl), // exact duplicate: same slot
+            Query::new(2, 1, Aggregation::Min).deadline(ddl * 2), // other deadline: own family
         ];
         let plan = Plan::build(&snap, &batch, 1, None);
-        assert_eq!(plan.stats.solver_runs, 3, "unarmed + two armed solo jobs");
         assert_eq!(
-            plan.stats.index_routed, 4,
-            "armed queries are forest-served too, the duplicate included"
+            plan.stats.solver_runs, 3,
+            "unarmed + one family per deadline"
         );
-        for job in &plan.jobs {
-            if let Job::MinMaxFamily { deadline, rs, .. } = job {
-                if deadline.is_some() {
-                    assert_eq!(rs.len(), 1, "armed families hold exactly one r");
-                }
-            }
-        }
+        assert_eq!(
+            plan.stats.index_routed, 5,
+            "armed queries are forest-served too"
+        );
+        let armed: Vec<&[usize]> = plan
+            .jobs
+            .iter()
+            .filter_map(|job| match job {
+                Job::Ranked {
+                    rs,
+                    deadline: Some(d),
+                    ..
+                } if *d == ddl => Some(rs.as_slice()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(armed, [&[1, 5][..]], "one armed family holds both r");
     }
 
     #[test]
@@ -714,8 +621,43 @@ mod tests {
             Query::new(2, 3, Aggregation::Sum),
             Query::new(2, 3, Aggregation::Sum).approx(0.1),
             Query::new(2, 3, Aggregation::Sum).approx(0.2),
+            Query::new(2, 4, Aggregation::Sum).approx(0.2), // ε > 0: never merged across r
+            Query::new(2, 4, Aggregation::Sum).approx(0.2), // exact duplicate: shares
         ];
         let plan = Plan::build(&snap, &batch, 1, None);
-        assert_eq!(plan.stats.solver_runs, 3);
+        assert_eq!(plan.stats.solver_runs, 4);
+    }
+
+    #[test]
+    fn an_unarmed_batch_of_every_route_plans_one_run_per_family() {
+        let snap = snap();
+        let mut batch = Vec::new();
+        for k in [1, 2] {
+            for r in [1, 3, 5] {
+                batch.push(Query::new(k, r, Aggregation::Min));
+                batch.push(Query::new(k, r + 1, Aggregation::Max));
+                batch.push(Query::new(k, r, Aggregation::Sum));
+                batch.push(Query::new(k, r, Aggregation::SumSurplus { alpha: 0.5 }));
+                batch.push(Query::new(k, r, Aggregation::Average).size_bound(4, true));
+            }
+            for r in [2, 4, 4] {
+                batch.push(Query::new(k, r, Aggregation::Sum).approx(0.1));
+            }
+        }
+        batch.push(Query::new(99, 2, Aggregation::Sum)); // above the degeneracy
+        batch.push(Query::new(2, 0, Aggregation::Min)); // invalid
+        let stats = Plan::build(&snap, &batch, 3, None).stats;
+        let want = PlanStats {
+            total_queries: 38,
+            answered_at_plan: 2,
+            cache_hits: 0,
+            sequential_runs: 36,
+            // Per k: min, max, sum, sum-surplus, local search, and the
+            // two ε runs (r = 2 and r = 4, the repeat sharing).
+            solver_runs: 14,
+            k_levels: 2,
+            index_routed: 12,
+        };
+        assert_eq!(stats, want);
     }
 }

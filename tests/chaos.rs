@@ -180,7 +180,9 @@ fn tic_search_panic_is_isolated() {
 /// passes the checkpoint of the first pop and trips the second's. The
 /// first pop confirms the best k-core component and expands it, which
 /// proves its rank (its children and every other candidate are strictly
-/// smaller), so the answer is `Degraded` with exactly that prefix.
+/// smaller), so the answer is `Degraded` with exactly that prefix — and
+/// an `r = 1` sibling under the same deadline, served by the same run,
+/// is `Complete`.
 #[test]
 fn mid_run_deadline_yields_the_proven_prefix() {
     let _s = FailScenario::setup();
@@ -191,9 +193,17 @@ fn mid_run_deadline_yields_the_proven_prefix() {
     let eng = Engine::with_threads(wg.clone(), 1);
 
     ic_fail::cfg("core::tic_advance", "sleep(200)").unwrap();
-    let armed = query.deadline(std::time::Duration::from_millis(300));
-    let got = eng.run_batch_with(&[armed], &BatchOptions::default());
+    let ddl = std::time::Duration::from_millis(300);
+    let armed = [
+        query.deadline(ddl),
+        Query::new(2, 1, Aggregation::Sum).deadline(ddl),
+    ];
+    assert_eq!(eng.plan(&armed).stats.solver_runs, 1);
+    let got = eng.run_batch_with(&armed, &BatchOptions::default());
     ic_fail::remove("core::tic_advance");
+    let first = got[1].as_ref().expect("r = 1 was proven");
+    assert!(first.is_complete(), "{:?}", first.status);
+    assert_eq!(first.communities[..], full[..1]);
 
     let ans = got[0]
         .as_ref()
@@ -218,7 +228,8 @@ fn mid_run_deadline_yields_the_proven_prefix() {
 /// (a 4-cycle first in the event ranking, last in the answer), then one
 /// of value 1. Each materialization is stretched to 200 ms, so the
 /// 500 ms deadline passes after the value-3 community and one of the
-/// value-2 group: only the value-3 community is proven.
+/// value-2 group: only the value-3 community is proven, which answers
+/// an `r = 1` sibling under the same deadline completely.
 #[test]
 fn forest_read_deadline_keeps_whole_value_groups() {
     let _s = FailScenario::setup();
@@ -237,9 +248,17 @@ fn forest_read_deadline_keeps_whole_value_groups() {
     eng.clear_result_cache();
 
     ic_fail::cfg("core::forest_materialize", "sleep(200)").unwrap();
-    let armed = query.deadline(std::time::Duration::from_millis(500));
-    let got = eng.run_batch_with(&[armed], &BatchOptions::default());
+    let ddl = std::time::Duration::from_millis(500);
+    let armed = [
+        query.deadline(ddl),
+        Query::new(2, 1, Aggregation::Min).deadline(ddl),
+    ];
+    assert_eq!(eng.plan(&armed).stats.solver_runs, 1);
+    let got = eng.run_batch_with(&armed, &BatchOptions::default());
     ic_fail::remove("core::forest_materialize");
+    let first = got[1].as_ref().expect("r = 1 was proven");
+    assert!(first.is_complete(), "{:?}", first.status);
+    assert_eq!(first.communities[..], full[..1]);
 
     let ans = got[0].as_ref().expect("the value-3 group was proven");
     match ans.status {

@@ -248,12 +248,19 @@ proptest! {
         picks in proptest::collection::vec(0u8..3, 4),
         threads in 1usize..5,
     ) {
+        // Each unconstrained probe with an `r = 1` sibling under the
+        // same pick, so armed siblings share a run (ε > 0 ones never do).
         let probes = [
             Query::new(k, 3, Aggregation::Min),
             Query::new(k, 4, Aggregation::Max),
             Query::new(k, 3, Aggregation::Sum),
             Query::new(k, 3, Aggregation::Sum).approx(0.2),
+            Query::new(k, 1, Aggregation::Min),
+            Query::new(k, 1, Aggregation::Max),
+            Query::new(k, 1, Aggregation::Sum),
+            Query::new(k, 1, Aggregation::Sum).approx(0.2),
         ];
+        let picks: Vec<u8> = picks.iter().chain(&picks).copied().collect();
         let armed: Vec<Query> = probes
             .iter()
             .zip(&picks)
