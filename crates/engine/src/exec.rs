@@ -1,39 +1,51 @@
-//! Plan execution: a work-stealing pool of scoped worker threads.
+//! Plan execution: one persistent worker pool per engine.
 //!
-//! Workers draw jobs from a shared atomic cursor over the plan's sorted
-//! job list (idle workers "steal" whatever is next, so a slow job never
-//! blocks the rest of the batch behind a static partition). Each worker
-//! holds one pooled [`PeelArena`](ic_kcore::PeelArena) for its lifetime
-//! and lazily creates one [`LocalScratch`] the first time it executes a
-//! local-search chunk; both are reused across every job the worker runs.
-//! Completed results flow back to the caller thread over a channel, in
-//! completion order, while the batch is still running. A plan that needs
-//! one worker (one job, or a one-thread engine) spawns nothing: the
-//! calling thread is the worker and hands each job's results over as
-//! the job ends.
+//! [`Pool`] owns the engine's `threads` long-lived workers. They start
+//! with the first batch that needs them and are joined when the engine
+//! drops. Workers draw jobs from one FIFO queue of [`Batch`]es that
+//! spans batches: the oldest batch with an unclaimed job goes first,
+//! and within a batch jobs are claimed off an atomic cursor over the
+//! plan's sorted job list, so a slow job never blocks the rest behind a
+//! static partition. Each job runs on the snapshot, arena pool and seed
+//! memo its batch pinned at plan time, on a [`PeelArena`] acquired for
+//! the job from that batch's pool; a worker keeps one [`LocalScratch`]
+//! across the local-search chunks it runs.
+//!
+//! A job's answers leave as one slice the moment the job ends, from
+//! whichever thread ran it: through the result cache to the batch's
+//! [`AnswerSink`](crate::AnswerSink). A fast job never waits for a slow
+//! batch-mate. A synchronous caller (`Engine::run_batch*`) is one of its
+//! own batch's workers: it wakes at most `threads - 1` pool workers and
+//! drains its batch's jobs alongside them, so a one-job batch (or a
+//! one-thread engine) never leaves the calling thread and never starts
+//! the pool.
 //!
 //! # Failure model
 //!
 //! Every job runs inside a panic guard. A panicking job yields
-//! [`EngineError::Internal`] for *its* queries only; the worker
-//! **quarantines** its arena (a panic mid-peel leaves torn counts — the
-//! arena is dropped, never returned to the pool), discards its local
-//! scratch, takes fresh ones, and keeps draining the job list. For
-//! chunked local-search families the panic poisons the whole family
-//! (a missing chunk's partials would silently bias the merge), and the
-//! chunk countdown is decremented *outside* the guard so the family
-//! always completes exactly once.
+//! [`EngineError::Internal`] for *its* queries only; its arena is
+//! **quarantined** (a panic mid-peel leaves torn counts — the arena is
+//! dropped, never returned to the pool), the worker's local scratch is
+//! discarded, and the worker goes on with the next job. For chunked
+//! local-search families the panic poisons the whole family (a missing
+//! chunk's partials would silently bias the merge), and the chunk
+//! countdown is decremented *outside* the guard so the family always
+//! completes exactly once. A panic inside the result cache still lets
+//! the job's answers reach the sink; a synchronous caller re-raises it
+//! once its answers are in. A worker survives any panic, a sink's
+//! included.
 //!
 //! # Deadlines
 //!
-//! Wall-clock budgets anchor at the `anchor` instant the caller passes
-//! to [`execute`] — serve start for direct `run_batch_with` calls, the
-//! *admission* timestamp for queueing front ends like `ic-serve`, so
-//! time spent waiting in an admission queue counts against the budget.
-//! A deadline-armed job checkpoints its [`Budget`] cooperatively. A
-//! ranked family's one run returns its list at `max(rs)` and whether
-//! the budget cut it short, and one rule ([`slot_outcome`]) answers
-//! every `r` of the family: the first `min(r, len)` communities,
+//! Wall-clock budgets anchor at the batch's `anchor` instant — serve
+//! start for direct `run_batch_with` calls, the *admission* timestamp
+//! for queueing front ends like `ic-serve`, so time spent waiting in an
+//! admission queue (or behind an older batch's jobs) counts against the
+//! budget. A deadline-armed job checkpoints its [`Budget`]
+//! cooperatively. A ranked family's one run returns its list at
+//! `max(rs)` and whether the budget cut it short, and one rule
+//! ([`slot_outcome`]) answers every `r` of the family: the first
+//! `min(r, len)` communities,
 //! [`Complete`](crate::AnswerStatus::Complete) when the run was not cut
 //! or an exact run proved at least `r`, else
 //! [`Degraded`](crate::AnswerStatus::Degraded) — `proven_prefix_len`
@@ -41,17 +53,24 @@
 //! local search — and [`EngineError::DeadlineExceeded`] when a cut run
 //! has nothing to give.
 
+use crate::cache::ResultCache;
 use crate::plan::{Job, JobOutput, LocalJob, Plan, Route};
-use crate::{AnswerStatus, DegradeReason, EngineError, QueryAnswer, Serving};
+use crate::{
+    AnswerSink, AnswerStatus, DegradeReason, EngineError, EngineMetrics, Epoch, QueryAnswer,
+    Serving,
+};
 use ic_core::algo::{
     run_seed_memo, CoreRows, ExtremumIndex, LocalScratch, SeedTarget, SeedVisit, TicSearch,
 };
 use ic_core::community::{decode_ordered_f64, encode_ordered_f64};
-use ic_core::{Aggregation, Community, TopList};
+use ic_core::{Aggregation, Community, Query, TopList};
 use ic_kcore::{Budget, GraphSnapshot, PeelArena};
+use std::any::Any;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 type Outcome = crate::cache::Outcome;
@@ -77,7 +96,7 @@ fn fail(e: EngineError) -> Outcome {
 }
 
 /// Best human-readable rendering of a panic payload.
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_detail(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -85,6 +104,12 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// A lock whose guarded state stays consistent across a panic (every
+/// critical section here is a push, a take or a flag).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `core.tic_*`: what the TIC runs of this engine did, summed — cascade
@@ -113,130 +138,280 @@ pub(crate) struct LocalCounters {
     pub memo_bytes: ic_obs::Gauge,
 }
 
-/// Where an execution reports: the caller's trace, if there is one,
-/// and the engine's solver work counters.
-#[derive(Clone, Copy)]
-pub(crate) struct ExecObs<'a> {
-    pub trace: Option<&'a ic_obs::Trace>,
-    pub tic: &'a TicCounters,
-    pub local: &'a LocalCounters,
+/// One planned batch on its way through the pool: the serving state it
+/// pinned, its jobs, and where their answers go. Everything is owned,
+/// so any pool worker can run any job of it.
+pub(crate) struct Batch {
+    serving: Serving,
+    anchor: Instant,
+    jobs: Vec<Job>,
+    queries: Vec<Query>,
+    trace: Option<Arc<ic_obs::Trace>>,
+    sink: AnswerSink,
+    results: Arc<ResultCache>,
+    metrics: Arc<EngineMetrics>,
+    solve_sw: ic_obs::Stopwatch,
+    /// The next job to claim.
+    cursor: AtomicUsize,
+    /// Jobs not yet finished; the one that brings it to zero publishes
+    /// the batch's solve span and gauges.
+    pending: AtomicUsize,
+    /// The first panic raised inside the result cache while delivering.
+    cache_panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-/// Runs a plan against one pinned snapshot. The serving state — the
-/// snapshot, its arena pool and its seed memo — is grabbed once by the
-/// caller (`Engine::execute`) so a concurrent `Engine::apply` can never
-/// tear a batch across two graph versions.
-pub(crate) fn execute<F>(
-    serving: &Serving,
-    threads: usize,
-    anchor: Instant,
-    plan: Plan,
-    obs: ExecObs<'_>,
-    mut deliver: F,
-) where
-    F: FnMut(usize, Outcome),
-{
-    // Every armed job's budget expires at `anchor + deadline`; immediate
-    // answers cost no solver time and are delivered regardless.
-    for (query, result) in plan.immediate.iter() {
-        deliver(*query, Arc::clone(result));
-    }
-    if plan.jobs.is_empty() {
-        return;
+impl Batch {
+    /// Wraps a plan over the `serving` state it was built against and
+    /// hands its plan-time answers to `sink`, as one slice.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn start(
+        serving: Serving,
+        anchor: Instant,
+        plan: Plan,
+        queries: &[Query],
+        trace: Option<Arc<ic_obs::Trace>>,
+        sink: AnswerSink,
+        results: Arc<ResultCache>,
+        metrics: Arc<EngineMetrics>,
+    ) -> Arc<Batch> {
+        let batch = Arc::new(Batch {
+            serving,
+            anchor,
+            pending: AtomicUsize::new(plan.jobs.len()),
+            jobs: plan.jobs,
+            queries: queries.to_vec(),
+            trace,
+            sink,
+            results,
+            metrics,
+            solve_sw: ic_obs::Stopwatch::start(),
+            cursor: AtomicUsize::new(0),
+            cache_panic: Mutex::new(None),
+        });
+        batch.deliver(&plan.immediate);
+        if batch.jobs.is_empty() {
+            batch.finish();
+        }
+        batch
     }
 
-    let cursor = AtomicUsize::new(0);
-    let workers = threads.max(1).min(plan.jobs.len());
-    if workers == 1 {
-        drain_jobs(serving, anchor, &plan, &cursor, obs, &mut deliver);
-        return;
+    /// The epoch of the snapshot every answer of the batch is computed on.
+    pub(crate) fn epoch(&self) -> Epoch {
+        self.serving.epoch
     }
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Outcome)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (cursor, plan) = (&cursor, &plan);
-            scope.spawn(move || {
-                // The receiver outlives the scope; a send can only fail
-                // if the caller's callback panicked, in which case the
-                // batch is already unwinding.
-                drain_jobs(serving, anchor, plan, cursor, obs, &mut |query, result| {
-                    let _ = tx.send((query, result));
-                });
-            });
-        }
-        drop(tx);
-        // Stream results on the caller thread as workers finish jobs.
-        for (query, result) in rx {
-            deliver(query, result);
-        }
-    });
-}
 
-/// One worker: draws jobs off `cursor` until the plan is exhausted,
-/// holding one pooled arena throughout. A job's results reach `emit`
-/// only once the job has ended, outside its panic guard, so a panic in
-/// `emit` itself (the caller's callback, on the single-worker path) is
-/// never mistaken for a solver panic — it unwinds through here, and the
-/// arena guard still hands the (sound) arena back to the pool.
-fn drain_jobs(
-    serving: &Serving,
-    anchor: Instant,
-    plan: &Plan,
-    cursor: &AtomicUsize,
-    obs: ExecObs<'_>,
-    emit: &mut dyn FnMut(usize, Outcome),
-) {
-    let arenas = &serving.arenas;
-    let mut arena = arenas.acquire();
-    let mut scratch: Option<LocalScratch> = None;
-    let mut done: Vec<(usize, Outcome)> = Vec::new();
-    loop {
-        let j = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(job) = plan.jobs.get(j) else { break };
-        let guarded = catch_unwind(AssertUnwindSafe(|| {
-            run_job(
-                serving,
-                anchor,
-                job,
-                &mut arena,
-                &mut scratch,
-                obs,
-                &mut done,
-            );
-        }));
-        match guarded {
-            Ok(()) => {
-                if let Job::LocalChunk { job, .. } = job {
-                    finish_chunk(job, &mut done);
-                }
-            }
-            Err(payload) => {
-                // The panicking job may have left the arena (and
-                // scratch) mid-peel with torn state: quarantine the
-                // arena — it never returns to the pool — and continue
-                // on fresh ones. The failure is confined to this job's
-                // queries.
-                let bad = std::mem::replace(&mut *arena, arenas.take_arena());
-                arenas.quarantine(bad);
-                scratch = None;
-                let detail = panic_detail(payload.as_ref());
-                match job {
-                    Job::LocalChunk { job, .. } => {
-                        job.poisoned
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .get_or_insert(detail);
+    /// Jobs no thread has claimed yet.
+    pub(crate) fn unclaimed(&self) -> usize {
+        self.jobs
+            .len()
+            .saturating_sub(self.cursor.load(Ordering::Relaxed))
+    }
+
+    fn claim(&self) -> Option<usize> {
+        let j = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (j < self.jobs.len()).then_some(j)
+    }
+
+    /// Runs the batch's unclaimed jobs on the calling thread.
+    pub(crate) fn help(&self) {
+        let mut scratch = None;
+        while let Some(j) = self.claim() {
+            self.run(j, &mut scratch);
+        }
+    }
+
+    /// The panic a delivery raised inside the result cache, if any.
+    pub(crate) fn take_cache_panic(&self) -> Option<Box<dyn Any + Send>> {
+        lock(&self.cache_panic).take()
+    }
+
+    /// Runs job `j` on an arena from the batch's pool, then delivers its
+    /// answers. They reach the sink only once the job has ended, outside
+    /// its panic guard, with the arena already back in the pool.
+    fn run(&self, j: usize, scratch: &mut Option<LocalScratch>) {
+        let job = &self.jobs[j];
+        let mut done: Vec<(usize, Outcome)> = Vec::new();
+        {
+            let arenas = &self.serving.arenas;
+            let mut arena = arenas.acquire();
+            let guarded = catch_unwind(AssertUnwindSafe(|| {
+                run_job(self, job, &mut arena, scratch, &mut done);
+            }));
+            match guarded {
+                Ok(()) => {
+                    if let Job::LocalChunk { job, .. } = job {
                         finish_chunk(job, &mut done);
                     }
-                    Job::Ranked { outputs, .. } => {
-                        send_all(&mut done, outputs, &fail(EngineError::Internal { detail }));
+                }
+                Err(payload) => {
+                    // The panicking job may have left the arena (and
+                    // scratch) mid-peel with torn state: quarantine the
+                    // arena — it never returns to the pool — and hand a
+                    // fresh one back instead. The failure is confined to
+                    // this job's queries.
+                    let bad = std::mem::replace(&mut *arena, arenas.take_arena());
+                    arenas.quarantine(bad);
+                    *scratch = None;
+                    let detail = panic_detail(payload.as_ref());
+                    match job {
+                        Job::LocalChunk { job, .. } => {
+                            lock(&job.poisoned).get_or_insert(detail);
+                            finish_chunk(job, &mut done);
+                        }
+                        Job::Ranked { outputs, .. } => {
+                            send_all(&mut done, outputs, &fail(EngineError::Internal { detail }));
+                        }
                     }
                 }
             }
         }
-        for (query, result) in done.drain(..) {
-            emit(query, result);
+        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.finish();
+        }
+        self.deliver(&done);
+    }
+
+    /// Hands one job's answers (or the plan-time ones) to the sink as one
+    /// slice, caching the complete ones first.
+    fn deliver(&self, done: &[(usize, Outcome)]) {
+        if done.is_empty() {
+            return;
+        }
+        let epoch = self.serving.epoch;
+        let cached = catch_unwind(AssertUnwindSafe(|| {
+            for (idx, outcome) in done {
+                if let Some(trace) = &self.trace {
+                    match outcome.as_ref() {
+                        Ok(ans) if !ans.is_complete() => trace.tag(ic_obs::Tag::Degraded),
+                        Err(EngineError::DeadlineExceeded) => {
+                            trace.tag(ic_obs::Tag::DeadlineExceeded);
+                        }
+                        _ => {}
+                    }
+                }
+                // Only complete answers are retained (the insert filters).
+                self.results.insert(&self.queries[*idx], epoch, outcome);
+            }
+        }));
+        if let Err(payload) = cached {
+            lock(&self.cache_panic).get_or_insert(payload);
+        }
+        (self.sink)(epoch, done);
+    }
+
+    /// Publishes the solve span and the gauges a finished batch moves.
+    fn finish(&self) {
+        let m = &self.metrics;
+        if let Some(trace) = &self.trace {
+            self.solve_sw.record(trace, ic_obs::Stage::Solve);
+        }
+        self.solve_sw.observe(&m.solve_ns);
+        m.cached_results.set(self.results.len() as i64);
+        let arenas = &self.serving.arenas;
+        m.arenas_available.set(arenas.available() as i64);
+        m.arenas_quarantined.set(arenas.quarantined() as i64);
+        m.local.memo_bytes.set(self.serving.seeds.bytes() as i64);
+    }
+}
+
+/// The engine's worker pool. See the module docs.
+pub(crate) struct Pool {
+    threads: usize,
+    queue: Arc<Queue>,
+    workers: OnceLock<Vec<JoinHandle<()>>>,
+}
+
+#[derive(Default)]
+struct Queue {
+    state: Mutex<Queued>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct Queued {
+    /// Oldest first.
+    batches: VecDeque<Arc<Batch>>,
+    closed: bool,
+}
+
+impl Pool {
+    pub(crate) fn new(threads: usize) -> Pool {
+        Pool {
+            threads,
+            queue: Arc::default(),
+            workers: OnceLock::new(),
+        }
+    }
+
+    /// Queues `batch` behind every batch already queued and wakes up to
+    /// `wake` idle workers for it, starting the workers on first use.
+    pub(crate) fn push(&self, batch: Arc<Batch>, wake: usize) {
+        self.workers.get_or_init(|| {
+            (0..self.threads)
+                .map(|_| {
+                    let queue = Arc::clone(&self.queue);
+                    std::thread::Builder::new()
+                        .name("ic-engine-worker".into())
+                        .spawn(move || work(&queue))
+                        .expect("spawn engine worker")
+                })
+                .collect()
+        });
+        let mut state = lock(&self.queue.state);
+        state.batches.retain(|b| b.unclaimed() > 0);
+        state.batches.push_back(batch);
+        drop(state);
+        for _ in 0..wake.min(self.threads) {
+            self.queue.ready.notify_one();
+        }
+    }
+}
+
+impl Drop for Pool {
+    /// Lets the workers finish every queued batch, then joins them.
+    fn drop(&mut self) {
+        lock(&self.queue.state).closed = true;
+        self.queue.ready.notify_all();
+        let here = std::thread::current().id();
+        for worker in self.workers.take().into_iter().flatten() {
+            // An engine whose last handle a sink dropped is dropped on
+            // one of its own workers, which then exits by itself.
+            if worker.thread().id() != here {
+                let _ = worker.join();
+            }
+        }
+    }
+}
+
+/// One worker: claims the next job of the oldest batch that has one,
+/// runs it, and sleeps while the queue is empty.
+fn work(queue: &Queue) {
+    let mut scratch: Option<LocalScratch> = None;
+    loop {
+        let (batch, j) = {
+            let mut state = lock(&queue.state);
+            loop {
+                let next = state
+                    .batches
+                    .iter()
+                    .find_map(|b| b.claim().map(|j| (Arc::clone(b), j)));
+                state.batches.retain(|b| b.unclaimed() > 0);
+                if let Some(next) = next {
+                    break next;
+                }
+                if state.closed {
+                    return;
+                }
+                state = queue
+                    .ready
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        // Solver panics are handled inside `run`; this guard is for the
+        // sink, which a worker must outlive.
+        if catch_unwind(AssertUnwindSafe(|| batch.run(j, &mut scratch))).is_err() {
+            scratch = None;
         }
     }
 }
@@ -293,15 +468,13 @@ fn run_tic(
 }
 
 fn run_job(
-    serving: &Serving,
-    anchor: Instant,
+    batch: &Batch,
     job: &Job,
     arena: &mut PeelArena,
     scratch: &mut Option<LocalScratch>,
-    obs: ExecObs<'_>,
     done: &mut Vec<(usize, Outcome)>,
 ) {
-    let snap = &*serving.snapshot;
+    let (snap, anchor) = (&*batch.serving.snapshot, batch.anchor);
     match job {
         Job::Ranked {
             k,
@@ -327,7 +500,7 @@ fn run_job(
                         None => Ok((Vec::new(), true)),
                         Some(index) => index.read(snap.weighted(), *last, budget.as_deref()),
                     };
-                    if let Some(trace) = obs.trace {
+                    if let Some(trace) = &batch.trace {
                         index_sw.record(trace, ic_obs::Stage::IndexServe);
                     }
                     (run, true)
@@ -344,7 +517,7 @@ fn run_job(
                         epsilon,
                         budget,
                         arena,
-                        obs.tic,
+                        &batch.metrics.tic,
                     ),
                     epsilon == 0.0,
                 ),
@@ -369,9 +542,7 @@ fn run_job(
                 Err(e) => send_all(done, outputs, &fail(e.into())),
             }
         }
-        Job::LocalChunk { job, chunk } => {
-            run_local_chunk(serving, anchor, job, *chunk, scratch, obs.local)
-        }
+        Job::LocalChunk { job, chunk } => run_local_chunk(batch, job, *chunk, scratch),
     }
 }
 
@@ -403,14 +574,13 @@ fn run_job(
 /// truncated chunk's communities are genuine, just not exhaustive, so
 /// the merged answer degrades to best-so-far.
 fn run_local_chunk(
-    serving: &Serving,
-    anchor: Instant,
+    batch: &Batch,
     job: &Arc<LocalJob>,
     chunk: usize,
     scratch: &mut Option<LocalScratch>,
-    counters: &LocalCounters,
 ) {
     ic_fail::fail_point!("engine::local_chunk");
+    let (serving, counters) = (&batch.serving, &batch.metrics.local);
     let snap = &serving.snapshot;
     let wg = snap.weighted();
     let level = snap.level(job.k);
@@ -425,7 +595,7 @@ fn run_local_chunk(
     let budget = job.deadline.map(|d| {
         Arc::clone(
             job.budget
-                .get_or_init(|| Arc::new(Budget::after(anchor, d))),
+                .get_or_init(|| Arc::new(Budget::after(batch.anchor, d))),
         )
     });
 
@@ -491,10 +661,7 @@ fn run_local_chunk(
     counters.pool_vertices.add(pooled);
 
     for (local, m) in locals.into_iter().zip(&job.members) {
-        m.partials
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(local);
+        lock(&m.partials).push(local);
     }
 }
 
@@ -510,11 +677,7 @@ fn finish_chunk(job: &Arc<LocalJob>, done: &mut Vec<(usize, Outcome)>) {
     if job.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
         return;
     }
-    let poisoned = job
-        .poisoned
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take();
+    let poisoned = lock(&job.poisoned).take();
     if let Some(detail) = poisoned {
         let outcome = fail(EngineError::Internal { detail });
         for m in &job.members {
@@ -525,7 +688,7 @@ fn finish_chunk(job: &Arc<LocalJob>, done: &mut Vec<(usize, Outcome)>) {
     let expired = job.budget.get().is_some_and(|b| b.expired());
     for m in &job.members {
         let mut merged = TopList::new(m.r);
-        let partials = std::mem::take(&mut *m.partials.lock().unwrap_or_else(|e| e.into_inner()));
+        let partials = std::mem::take(&mut *lock(&m.partials));
         for list in partials {
             for c in list.into_vec() {
                 merged.insert(c);

@@ -9,8 +9,10 @@
 //! 1. **Batches** — [`Engine::run_batch`] plans a batch (per-query
 //!    validation via [`ic_core::Query::solver`], `k > degeneracy`
 //!    short-circuits, dedup, `r`-family merging, `k`-grouped job
-//!    ordering) and executes it on a work-stealing pool of scoped
-//!    threads with pooled [`PeelArena`](ic_kcore::PeelArena)s.
+//!    ordering) and executes it on the engine's persistent worker pool
+//!    with pooled [`PeelArena`](ic_kcore::PeelArena)s;
+//!    [`QueryBackend::submit`] hands each job's answers to a sink as the
+//!    job ends.
 //!    Deterministic solver paths are **bit-identical** to the direct
 //!    one-query-at-a-time calls, regardless of thread count or batch
 //!    composition (held by `tests/conformance.rs`).
@@ -88,29 +90,42 @@ pub use ic_core::{Constraint, Query, Solver};
 pub use ic_kcore::{CascadeRecord, CoreDelta, EdgeUpdate, GraphSnapshot};
 pub use ic_store::StoreError;
 
+/// Where a submitted batch's answers go: called with the batch's pinned
+/// [`Epoch`] and a slice of `(query index, answer)` pairs, possibly from
+/// several threads at once. Every query of the batch appears in exactly
+/// one slice.
+pub type AnswerSink = Arc<dyn Fn(Epoch, &[(usize, SharedAnswer)]) + Send + Sync>;
+
 /// Anything that can serve a pinned batch of queries: the single-store
 /// [`Engine`] or a scatter-gather front over many of them (`ic-shard`'s
 /// `ShardedEngine`). Object-safe, so serving layers (`ic-serve`) hold an
 /// `Arc<dyn QueryBackend>` and swap backends without recompiling.
 ///
-/// Contract: results align with the input order; every answer is
-/// computed against **one** graph version identified by the returned
-/// [`Epoch`]; deterministic solver paths are bit-identical across
-/// backends serving the same logical graph.
+/// Contract: every answer of a batch is computed against **one** graph
+/// version, the [`Epoch`] each sink slice carries; deterministic solver
+/// paths are bit-identical across backends serving the same logical
+/// graph.
 pub trait QueryBackend: Send + Sync {
-    /// Executes a batch under `options`, returning the serving epoch
-    /// and one status-tagged result per query, aligned with input
-    /// order, recording stage spans (`plan`, `solve`, `index_serve`,
-    /// `merge`), outcome tags, and plan statistics into `trace` as the
-    /// batch executes. Each result is a [`SharedAnswer`] — for
-    /// [`Engine`] the slot its result cache holds, so a cache hit
-    /// reaches the caller without a copy.
-    fn run_batch_traced(
+    /// Plans `queries` under `options` on the calling thread, hands the
+    /// plan-time answers to `sink` as one slice, and returns; every
+    /// other answer reaches `sink` later, one slice per finished job,
+    /// from whichever thread ran it. Stage spans (`plan`, `solve`,
+    /// `index_serve`, `merge`), outcome tags and plan statistics land in
+    /// `trace` as the batch executes; the `solve` span is recorded
+    /// before the last slice is handed over. Each answer is a
+    /// [`SharedAnswer`] — for [`Engine`] the slot its result cache
+    /// holds, so a cache hit reaches the sink without a copy.
+    ///
+    /// [`Engine`] runs the jobs on its worker pool. A backend may as
+    /// well run the whole batch before returning and call `sink` once
+    /// (`ic-shard`'s `ShardedEngine` does).
+    fn submit(
         &self,
         queries: &[Query],
         options: &BatchOptions,
-        trace: &ic_obs::Trace,
-    ) -> (Epoch, Vec<SharedAnswer>);
+        trace: Arc<ic_obs::Trace>,
+        sink: AnswerSink,
+    );
 
     /// Applies edge updates and returns the epoch serving afterwards and
     /// whether any update changed the edge set.
@@ -136,13 +151,18 @@ pub trait QueryBackend: Send + Sync {
 }
 
 impl QueryBackend for Engine {
-    fn run_batch_traced(
+    fn submit(
         &self,
         queries: &[Query],
         options: &BatchOptions,
-        trace: &ic_obs::Trace,
-    ) -> (Epoch, Vec<SharedAnswer>) {
-        Engine::run_batch_traced(self, queries, options, trace)
+        trace: Arc<ic_obs::Trace>,
+        sink: AnswerSink,
+    ) {
+        let batch = self.start(queries, options, Some(trace), sink);
+        let jobs = batch.unclaimed();
+        if jobs > 0 {
+            self.pool.push(batch, jobs);
+        }
     }
 
     fn apply_updates(&self, updates: &[EdgeUpdate]) -> Result<(Epoch, bool), EngineError> {
@@ -284,8 +304,8 @@ impl OpenOptions {
 /// `use ic_engine::prelude::*;`.
 pub mod prelude {
     pub use crate::{
-        AnswerStatus, BatchOptions, DegradeReason, Engine, EngineError, Epoch, OpenOptions, Plan,
-        PlanStats, QueryAnswer, QueryBackend, SharedAnswer,
+        AnswerSink, AnswerStatus, BatchOptions, DegradeReason, Engine, EngineError, Epoch,
+        OpenOptions, Plan, PlanStats, QueryAnswer, QueryBackend, SharedAnswer,
     };
     pub use ic_core::{
         AggregateFn, Aggregation, Certificates, Community, Constraint, Extremum, Hardness, Query,
@@ -300,7 +320,7 @@ use ic_core::algo::SeedMemo;
 use ic_core::{Community, SearchError};
 use ic_graph::WeightedGraph;
 use ic_kcore::{ArenaPool, CoreMaintainer};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// A monotone version counter for the engine's graph: every successful
@@ -428,8 +448,9 @@ pub struct Engine {
     /// without blocking read traffic.
     maintainer: Mutex<Option<CoreMaintainer>>,
     threads: usize,
-    results: ResultCache,
-    metrics: EngineMetrics,
+    results: Arc<ResultCache>,
+    metrics: Arc<EngineMetrics>,
+    pool: exec::Pool,
 }
 
 /// Default bound on the cross-batch result cache (distinct queries).
@@ -551,8 +572,9 @@ impl Engine {
             }),
             maintainer: Mutex::new(None),
             threads: threads.max(1),
-            results: ResultCache::new(DEFAULT_CACHE_CAPACITY),
-            metrics,
+            results: Arc::new(ResultCache::new(DEFAULT_CACHE_CAPACITY)),
+            metrics: Arc::new(metrics),
+            pool: exec::Pool::new(threads.max(1)),
         }
     }
 
@@ -611,7 +633,8 @@ impl Engine {
         self.serving().epoch
     }
 
-    /// Worker threads used per batch.
+    /// Worker threads in the engine's pool (started with the first batch
+    /// that needs them, joined when the engine drops).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -736,24 +759,46 @@ impl Engine {
         options: &BatchOptions,
         trace: &ic_obs::Trace,
     ) -> (Epoch, Vec<SharedAnswer>) {
-        self.collect_batch(queries, options, Some(trace))
+        // The pool's workers outlive this call, so they record into a
+        // trace of their own, folded into the caller's at the end.
+        let own = Arc::new(ic_obs::Trace::new());
+        let out = self.collect_batch(queries, options, Some(Arc::clone(&own)));
+        trace.absorb(&own);
+        out
     }
 
+    /// Every synchronous entry point: submits the batch, drains its jobs
+    /// on the calling thread alongside at most `threads - 1` pool
+    /// workers, and waits for the last answer.
     fn collect_batch(
         &self,
         queries: &[Query],
         options: &BatchOptions,
-        trace: Option<&ic_obs::Trace>,
+        trace: Option<Arc<ic_obs::Trace>>,
     ) -> (Epoch, Vec<SharedAnswer>) {
-        let mut results: Vec<Option<SharedAnswer>> = vec![None; queries.len()];
-        let epoch = self.execute_with(queries, options, trace, |idx, res| {
-            results[idx] = Some(res);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sink: AnswerSink = Arc::new(move |_, answers| {
+            for answer in answers {
+                let _ = tx.send(answer.clone());
+            }
         });
-        let slots = results
+        let batch = self.start(queries, options, trace, sink);
+        let helpers = batch.unclaimed().saturating_sub(1).min(self.threads - 1);
+        if helpers > 0 {
+            self.pool.push(Arc::clone(&batch), helpers);
+        }
+        batch.help();
+        let mut slots: Vec<Option<SharedAnswer>> = vec![None; queries.len()];
+        for (idx, answer) in rx.iter().take(queries.len()) {
+            slots[idx] = Some(answer);
+        }
+        if let Some(payload) = batch.take_cache_panic() {
+            resume_unwind(payload);
+        }
+        let slots = slots
             .into_iter()
-            .map(|slot| slot.expect("every query is answered exactly once"))
-            .collect();
-        (epoch, slots)
+            .map(|slot| slot.expect("every query is answered exactly once"));
+        (batch.epoch(), slots.collect())
     }
 
     /// Applies a batch of edge updates and swaps in a new snapshot under
@@ -927,6 +972,7 @@ impl Engine {
         // snapshot with an old pool or epoch.
         m.local.memo_dropped.add(dropped);
         m.local.memo_bytes.set(seeds.bytes() as i64);
+        m.epoch.set(outcome.epoch.0 as i64);
         *serving = Serving {
             snapshot,
             arenas,
@@ -938,25 +984,21 @@ impl Engine {
         outcome
     }
 
-    /// Plans and executes a batch, calling `deliver` once per query on
-    /// the calling thread as results complete (completion order, not
-    /// input order). Returns the epoch the whole batch was served under.
-    fn execute_with<F>(
+    /// Plans a batch against the serving snapshot on the calling thread
+    /// and hands its plan-time answers to `sink`; the returned batch
+    /// holds the jobs left to run. Its deadlines measure from the
+    /// options' anchor when one is set (admission-anchored serving
+    /// layers), from now otherwise.
+    fn start(
         &self,
         queries: &[Query],
         options: &BatchOptions,
-        trace: Option<&ic_obs::Trace>,
-        mut deliver: F,
-    ) -> Epoch
-    where
-        F: FnMut(usize, cache::Outcome),
-    {
+        trace: Option<Arc<ic_obs::Trace>>,
+        sink: AnswerSink,
+    ) -> Arc<exec::Batch> {
         let serving = self.serving();
         let (snapshot, epoch) = (&serving.snapshot, serving.epoch);
         let adjacency_owed = snapshot.adjacency_state() == ic_kcore::AdjacencyState::Owed;
-        // Deadlines measure from the options' anchor when one is set
-        // (admission-anchored serving layers), from serve start
-        // otherwise.
         let anchor = options.anchor.unwrap_or_else(std::time::Instant::now);
         let plan_sw = ic_obs::Stopwatch::start();
         let plan = Plan::build(
@@ -973,7 +1015,7 @@ impl Engine {
         m.index_routed.add(plan.stats.index_routed as u64);
         m.solver_runs.add(plan.stats.solver_runs as u64);
         m.answered_at_plan.add(plan.stats.answered_at_plan as u64);
-        if let Some(trace) = trace {
+        if let Some(trace) = &trace {
             plan_sw.record(trace, ic_obs::Stage::Plan);
             // This batch's plan is what ran (or waited out) the check a
             // store-opened snapshot owed: its plan span carries that.
@@ -991,47 +1033,16 @@ impl Engine {
                 trace.tag(ic_obs::Tag::FamilyMerged);
             }
         }
-        let solve_sw = ic_obs::Stopwatch::start();
-        exec::execute(
-            &serving,
-            self.threads,
+        exec::Batch::start(
+            serving,
             anchor,
             plan,
-            exec::ExecObs {
-                trace,
-                tic: &m.tic,
-                local: &m.local,
-            },
-            |idx, outcome| {
-                if let Some(trace) = trace {
-                    match outcome.as_ref() {
-                        Ok(ans) => {
-                            if !matches!(ans.status, AnswerStatus::Complete) {
-                                trace.tag(ic_obs::Tag::Degraded);
-                            }
-                        }
-                        Err(EngineError::DeadlineExceeded) => {
-                            trace.tag(ic_obs::Tag::DeadlineExceeded);
-                        }
-                        Err(_) => {}
-                    }
-                }
-                // Only complete answers are retained (the insert filters).
-                self.results.insert(&queries[idx], epoch, &outcome);
-                deliver(idx, outcome);
-            },
-        );
-        if let Some(trace) = trace {
-            solve_sw.record(trace, ic_obs::Stage::Solve);
-        }
-        solve_sw.observe(&m.solve_ns);
-        m.cached_results.set(self.results.len() as i64);
-        m.arenas_available.set(serving.arenas.available() as i64);
-        m.arenas_quarantined
-            .set(serving.arenas.quarantined() as i64);
-        m.local.memo_bytes.set(serving.seeds.bytes() as i64);
-        m.epoch.set(epoch.0 as i64);
-        epoch
+            queries,
+            trace,
+            sink,
+            Arc::clone(&self.results),
+            Arc::clone(&self.metrics),
+        )
     }
 }
 
@@ -1450,6 +1461,24 @@ mod tests {
         assert_eq!(eng.plan(&batch).stats.cache_hits, 2);
     }
 
+    /// Submits `batch` through [`QueryBackend::submit`], waits for as
+    /// many answers as it has queries, and returns how often each query
+    /// was answered.
+    fn submit_and_wait(eng: &Engine, batch: &[Query]) -> Vec<usize> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sink: AnswerSink = Arc::new(move |_, answers| {
+            for (idx, _) in answers {
+                let _ = tx.send(*idx);
+            }
+        });
+        eng.submit(batch, &BatchOptions::default(), Arc::default(), sink);
+        let mut seen = vec![0usize; batch.len()];
+        for idx in rx.iter().take(batch.len()) {
+            seen[idx] += 1;
+        }
+        seen
+    }
+
     #[test]
     fn streaming_delivers_every_query_exactly_once() {
         let eng = engine(3);
@@ -1460,11 +1489,7 @@ mod tests {
             Query::new(2, 0, Aggregation::Min), // immediate error
             Query::new(2, 2, Aggregation::Sum).size_bound(4, true),
         ];
-        let mut seen = vec![0usize; batch.len()];
-        eng.execute_with(&batch, &BatchOptions::default(), None, |idx, _res| {
-            seen[idx] += 1;
-        });
-        assert_eq!(seen, vec![1; batch.len()]);
+        assert_eq!(submit_and_wait(&eng, &batch), vec![1; batch.len()]);
     }
 
     #[test]
@@ -1498,8 +1523,8 @@ mod tests {
         let agg = Aggregation::custom(ThreadSpy).expect("certifies");
         let query = Query::new(2, 2, agg).size_bound(4, true);
 
-        // One worker: the solver runs where `run_batch` was called — no
-        // scoped thread, no channel.
+        // One worker: the solver runs where `run_batch` was called — the
+        // pool is never started.
         let eng = engine(1);
         SEEN.lock().unwrap().clear();
         let got = eng.run_batch(&[query]);
@@ -1512,30 +1537,88 @@ mod tests {
             "a single-worker plan must not leave the calling thread"
         );
 
-        // Several workers: the same plan shape fans out to scoped
-        // threads, as before.
+        // A submitted batch runs on the pool, never on the submitter.
         let eng = engine(3);
-        let got = eng.run_batch(&[query]);
-        assert!(!got[0].as_ref().unwrap().is_empty());
+        assert_eq!(submit_and_wait(&eng, &[query]), [1]);
         let seen = std::mem::take(&mut *SEEN.lock().unwrap());
-        assert!(seen.iter().any(|id| *id != here));
+        assert!(!seen.is_empty() && seen.iter().all(|id| *id != here));
     }
 
     #[test]
     fn a_panicking_callback_on_the_single_worker_path_returns_the_arena() {
-        // The calling thread is the worker there, so the callback's
-        // panic unwinds through the executor while it holds an arena.
+        // The one pool worker runs the job and calls the sink, which
+        // panics: the arena is already back, and the worker lives on.
         let eng = engine(1);
         let query = Query::new(2, 2, Aggregation::Sum);
-        let unwound = catch_unwind(AssertUnwindSafe(|| {
-            eng.execute_with(&[query], &BatchOptions::default(), None, |_, _| {
-                panic!("callback dies")
-            });
-        }));
-        assert!(unwound.is_err());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sink: AnswerSink = Arc::new(move |_, _| {
+            let _ = tx.send(());
+            panic!("callback dies")
+        });
+        eng.submit(&[query], &BatchOptions::default(), Arc::default(), sink);
+        rx.recv().unwrap();
         assert_eq!(eng.arenas_quarantined(), 0, "no solver panicked");
         assert_eq!(eng.arenas_available(), eng.arenas_created());
         assert!(eng.run_batch(&[query])[0].is_ok());
+    }
+
+    #[test]
+    fn an_older_batch_runs_all_its_jobs_before_a_newer_batch_starts() {
+        use ic_core::{AggregateFn, Certificates, StateView};
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        // A custom aggregation that holds the engine's one worker until
+        // the test has queued every batch behind it (planning evaluates
+        // it too, on the submitting thread, which it lets through).
+        static OPEN: AtomicBool = AtomicBool::new(false);
+        #[derive(Debug)]
+        struct Gate;
+        impl AggregateFn for Gate {
+            fn name(&self) -> &str {
+                "gate"
+            }
+            fn certificates(&self) -> Certificates {
+                Certificates::opaque()
+            }
+            fn evaluate(&self, member_weights: &[f64], _total_weight: f64) -> f64 {
+                let worker = std::thread::current().name() == Some("ic-engine-worker");
+                while worker && !OPEN.load(Ordering::Acquire) {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                member_weights.iter().sum()
+            }
+            fn evaluate_state(&self, state: &StateView<'_>) -> f64 {
+                self.evaluate(&[state.sum()], 0.0)
+            }
+        }
+        let gate =
+            Query::new(2, 2, Aggregation::custom(Gate).expect("certifies")).size_bound(4, true);
+        let eng = engine(1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let submit = |id: usize, batch: &[Query]| {
+            let order = Arc::clone(&order);
+            let sink: AnswerSink = Arc::new(move |_, _| order.lock().unwrap().push(id));
+            eng.submit(batch, &BatchOptions::default(), Arc::default(), sink);
+        };
+        submit(0, &[gate]);
+        // Three jobs each (two TIC runs and a forest read), no two
+        // queries alike, so nothing is answered at plan time.
+        for id in 1..=2 {
+            let r = id;
+            submit(
+                id,
+                &[
+                    Query::new(2, r, Aggregation::Sum),
+                    Query::new(2, r, Aggregation::SumSurplus { alpha: 1.0 }),
+                    Query::new(2, r, Aggregation::Max),
+                ],
+            );
+        }
+        OPEN.store(true, Ordering::Release);
+        while order.lock().unwrap().len() < 7 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(*order.lock().unwrap(), [0, 1, 1, 1, 2, 2, 2]);
     }
 
     #[test]

@@ -561,6 +561,16 @@ impl Trace {
         }
     }
 
+    /// Adds `other`'s spans, tags and plan statistics to this trace.
+    pub fn absorb(&self, other: &Trace) {
+        for (cell, ns) in self.stages.iter().zip(other.spans()) {
+            cell.fetch_add(ns, Ordering::Relaxed);
+        }
+        self.tags
+            .fetch_or(other.tags.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.note_plan(other.plan());
+    }
+
     /// The accumulated plan statistics.
     pub fn plan(&self) -> TracePlan {
         TracePlan {

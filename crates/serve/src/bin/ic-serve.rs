@@ -53,8 +53,8 @@ options:
   --port-file <path>   write the bound address to this file once listening
   --window-us <n>      upper bound on the admission linger in microseconds
                        (default 1000; the linger taken is at most half the
-                       recent flush time, 0 never lingers)
-  --queue <n>          admission queue bound (default 1024)
+                       recent batch time, 0 never lingers)
+  --queue <n>          bound on admitted, unanswered queries (default 1024)
   --threads <n>        engine worker threads (default: all cores)
   --stats-interval <s> report live metrics on stderr every <s> seconds
   --slow-ms <n>        slow-query log threshold in milliseconds (default 100)

@@ -7,10 +7,11 @@
 //! single-element batch forfeits all of it. This crate closes that gap
 //! with **admission batching**: queries arriving on any connection are
 //! admitted into one bounded queue and flush as *one*
-//! [`QueryBackend::run_batch_traced`](ic_engine::QueryBackend::run_batch_traced)
-//! call. A batch leaves once its oldest query has waited out the
-//! *linger* — the smaller of the admission window (default 1 ms) and
-//! half the recently measured flush time — so under concurrency the
+//! [`QueryBackend::submit`](ic_engine::QueryBackend::submit) call,
+//! whose answers leave as each engine job ends. A batch leaves once its
+//! oldest query has waited out the *linger* — the smaller of the
+//! admission window (default 1 ms) and half the recently measured batch
+//! service time — so under concurrency the
 //! engine sees the large batches it was designed for, solver-bound
 //! traffic coalesces for the whole window, and a lone client asking for
 //! cached answers waits for nobody.

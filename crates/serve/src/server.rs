@@ -5,11 +5,11 @@
 //! ```text
 //!  accept thread ──► connection threads (reader + writer per socket)
 //!                         │ submit()                 ▲ mpsc<Outbound>
-//!                         ▼                          │
-//!                   admission queue ──────────► batcher thread
-//!                 (Mutex<VecDeque> + Condvar)        │
-//!                                                    ▼
-//!                                    QueryBackend::run_batch_traced
+//!                         ▼                          │ one per job ×
+//!                   admission queue ──► batcher      │ connection
+//!                 (Mutex<VecDeque> + Condvar)  │     │
+//!                                              ▼     │
+//!                           QueryBackend::submit ──► engine worker pool
 //! ```
 //!
 //! The container is offline (no tokio), so the server is plain
@@ -20,36 +20,43 @@
 //! dedup, r-family merging, and work-stealing pay off across clients,
 //! not just within one.
 //!
+//! **A flush returns once its batch is planned.** The batcher hands the
+//! batch to [`QueryBackend::submit`] and goes back to admitting the
+//! next one while the engine's worker pool drains the last. Each
+//! answer slice the backend hands back — the plan-time answers, then
+//! one slice per finished job — becomes one message per connection at
+//! once, so a forest read leaves while a search in the same batch still
+//! runs. The pool runs batches oldest first; a batch admitted later is
+//! planned against the snapshot serving at its own flush.
+//!
 //! **Admission is work-conserving.** A batch leaves as soon as its
 //! *oldest* query has waited out the **linger**,
-//! `min(admission_window, recent flush service time / 2)`, or
+//! `min(admission_window, recent batch service time / 2)`, or
 //! `MAX_BATCH` (256) queries are queued. Waiting is worth a
 //! fraction of the work it can amortize, never more: cache-hit traffic
-//! (flushes of microseconds) stops waiting, while solver-bound traffic
-//! (flushes of tens of milliseconds) lingers for the whole window
-//! (default 1 ms) and coalesces exactly as a fixed window would.
-//! Queries that queued up while the batcher was busy with a slower
-//! flush have usually waited that long already and leave at once — the
-//! coalescing that happened meanwhile was free. The service-time
-//! estimate is a moving average over flushes, seeded so the first
-//! linger is the whole window. [`ServeConfig::admission_window`] is the
-//! hard upper bound on the linger, and `0` means "never linger". A
-//! reader wakes the batcher when it makes the queue non-empty or full,
-//! not on every push.
+//! (batches of microseconds) stops waiting, while solver-bound traffic
+//! (batches of tens of milliseconds) lingers for the whole window
+//! (default 1 ms) and coalesces exactly as a fixed window would. A
+//! batch's service time runs from its submit to its last answer, and
+//! the batch feeds it to a moving average when that answer leaves,
+//! seeded so the first linger is the whole window.
+//! [`ServeConfig::admission_window`] is the hard upper bound on the
+//! linger, and `0` means "never linger". A reader wakes the batcher
+//! when it makes the queue non-empty or full, not on every push.
 //!
 //! **Frame I/O is one syscall per direction.** A reader pulls whatever
 //! the socket holds into one buffer and cuts frames (or JSON lines) out
-//! of it, so a pipelined burst costs one `read`. A flush hands each
-//! connection its replies as one message; the writer encodes that
-//! message, plus anything else already queued for the socket, into one
-//! buffer and sends it with one `write`. Replies are encoded there straight from
-//! the engine's shared result slots ([`ic_engine::SharedAnswer`]): a
-//! cached answer is copied once, into that buffer, on its way from the
-//! result cache to the kernel.
+//! of it, so a pipelined burst costs one `read`. The writer encodes the
+//! message that woke it, plus anything else already queued for the
+//! socket, into one buffer and sends it with one `write`. Replies are
+//! encoded there straight from the engine's shared result slots
+//! ([`ic_engine::SharedAnswer`]): a cached answer is copied once, into
+//! that buffer, on its way from the result cache to the kernel.
 //!
-//! **Backpressure / shedding** — the admission queue is bounded
-//! ([`ServeConfig::queue_capacity`]); a query arriving at a full queue
-//! is not silently dropped or queued unboundedly, it gets a typed
+//! **Backpressure / shedding** — the queries admitted and not yet
+//! answered are bounded ([`ServeConfig::queue_capacity`]), whether they
+//! still queue or run in a batch; a query arriving beyond the bound is
+//! not silently dropped or queued unboundedly, it gets a typed
 //! [`Response::Overloaded`] reply immediately (reason `QueueFull`, or
 //! `Draining` during shutdown) and the client can retry elsewhere.
 //!
@@ -60,7 +67,7 @@
 //! at exactly `admitted_at + deadline`: time spent waiting in the
 //! admission queue counts against the budget, end to end.
 //!
-//! **Epoch pinning** — a flush runs against one immutable snapshot and
+//! **Epoch pinning** — a batch runs against one immutable snapshot and
 //! every reply is tagged with its [`Epoch`](ic_engine::Epoch) index, so
 //! a client holding several in-flight queries can tell exactly which
 //! graph version answered each one even while `Engine::apply` runs
@@ -73,8 +80,8 @@
 //! [`Response::ShutdownAck`] before the socket closes. The
 //! flush-before-ack ordering is structural, not scheduled: a reply
 //! channel closes only when the reader *and* every in-flight admitted
-//! query have dropped their senders, and the writer acks only after
-//! the channel closes.
+//! query have dropped their senders — a query's sender goes with its
+//! answer — and the writer acks only after the channel closes.
 //!
 //! **Nothing polls for work.** The accept thread blocks in `accept()`,
 //! so a connection is served when it arrives; the batcher blocks on the
@@ -104,14 +111,14 @@ use crate::protocol::{
     MAGIC, REQ_PAYLOAD_MAX,
 };
 use ic_core::Query;
-use ic_engine::{BatchOptions, EdgeUpdate, Engine, QueryBackend, SharedAnswer};
+use ic_engine::{AnswerSink, BatchOptions, EdgeUpdate, Engine, Epoch, QueryBackend, SharedAnswer};
 use ic_sub::{Admission, NotificationGate, SubscriptionId, SubscriptionManager};
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -130,7 +137,7 @@ const MID_FRAME_STALLS: u32 = 100;
 /// its connection dropped rather than wedging the writer thread.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// A batch's oldest query waits for company for at most this share
-/// (one part in `LINGER_DIVISOR`) of the recently measured flush
+/// (one part in `LINGER_DIVISOR`) of the recently measured batch
 /// service time.
 const LINGER_DIVISOR: u32 = 2;
 /// Bytes a reader pulls from its socket per `read`: a few hundred
@@ -154,13 +161,16 @@ pub struct ServeConfig {
     /// Upper bound on the linger: the longest the batcher holds a batch
     /// open after its first query so concurrent queries coalesce into
     /// one engine batch. The linger actually taken is the smaller of
-    /// this and a fixed share of the recently measured flush service
+    /// this and a fixed share of the recently measured batch service
     /// time (see the module docs), so it only reaches the bound while
-    /// flushes are slow enough to be worth amortizing. `0` never
-    /// lingers (a batch is whatever queued while the batcher was busy).
+    /// batches are slow enough to be worth amortizing. `0` never
+    /// lingers (a batch is whatever queued while the last was planned).
     pub admission_window: Duration,
-    /// Bound on the admission queue; queries beyond it are shed with
-    /// [`ShedReason::QueueFull`].
+    /// Bound on the queries admitted and not yet answered — still
+    /// queued, or in a batch the backend is still running; a query
+    /// arriving beyond it is shed with [`ShedReason::QueueFull`]. Batches
+    /// overlap, so this, not the queue's length, is what bounds the work
+    /// a server holds.
     pub queue_capacity: usize,
     /// End-to-end latency (earliest admission → last reply written)
     /// above which a batch's trace lands in the slow-query log
@@ -210,10 +220,11 @@ enum Outbound {
         notify: Response,
         gate: Arc<NotificationGate>,
     },
-    /// One flush's replies to this connection: `(request id, the
-    /// engine's shared result slot)` pairs, encoded by the writer
-    /// straight from the slots, and the batch track whose last settled
-    /// message finalizes the batch's trace.
+    /// The replies one finished job (or a batch's plan-time answers)
+    /// owes this connection: `(request id, the engine's shared result
+    /// slot)` pairs, encoded by the writer straight from the slots, and
+    /// the batch track whose last settled reply finalizes the batch's
+    /// trace.
     Answers {
         epoch: u64,
         answers: Vec<(u64, SharedAnswer)>,
@@ -290,38 +301,121 @@ impl Outbound {
         match self {
             Outbound::Response(_) | Outbound::Stats { .. } => {}
             Outbound::Notify { gate, .. } => gate.delivered(),
-            Outbound::Answers { track, .. } => track.settled(),
+            Outbound::Answers { track, answers, .. } => track.settled(answers.len()),
         }
     }
 }
 
-/// Per-batch trace state shared by every message of one flush (one
-/// per connection with a query in the batch). The messages fan out to
-/// several connections' writer threads; whichever writes (or abandons)
-/// the last one closes the trace: it records the reply-write span,
-/// observes the end-to-end latency, and offers the trace to the
-/// slow-query log.
+/// What finished batches report back to admission: the queries
+/// admitted and not yet answered (bounded by
+/// [`ServeConfig::queue_capacity`]), and the linger — a moving average
+/// of `batch service time / LINGER_DIVISOR`, capped by the window when
+/// applied.
+struct Flow {
+    unanswered: AtomicUsize,
+    linger_ns: AtomicU64,
+}
+
+impl Flow {
+    /// Feeds one batch's service time (submit → last answer) into the
+    /// linger.
+    fn observe_service(&self, service: Duration) {
+        let sample = u64::try_from((service / LINGER_DIVISOR).as_nanos()).unwrap_or(u64::MAX);
+        let _ = self
+            .linger_ns
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
+                Some(old.saturating_mul(3).saturating_add(sample) / 4)
+            });
+    }
+
+    fn linger(&self) -> Duration {
+        Duration::from_nanos(self.linger_ns.load(Ordering::Relaxed))
+    }
+}
+
+/// One flushed batch on its way back to its clients. It is the batch's
+/// answer sink: each slice the backend hands over becomes one
+/// [`Outbound::Answers`] per connection, sent at once. The messages fan
+/// out to several connections' writer threads; whichever writes (or
+/// abandons) the batch's last reply closes the trace: it records the
+/// reply-write span, observes the end-to-end latency, and offers the
+/// trace to the slow-query log.
 struct BatchTrack {
-    trace: ic_obs::Trace,
-    remaining: AtomicUsize,
-    /// When the assembled replies were handed to the writers.
-    enqueued: Instant,
+    trace: Arc<ic_obs::Trace>,
+    /// Where each query's reply goes, taken when its answer arrives: a
+    /// connection's channel stays open while one of its queries is
+    /// unanswered, and no longer.
+    routes: Mutex<Vec<Option<Admitted>>>,
+    /// Queries whose answer has not reached a writer yet.
+    unsent: AtomicUsize,
+    /// Queries whose reply has not been written or abandoned yet.
+    unsettled: AtomicUsize,
+    submitted: Instant,
+    /// When the batch's last answer was handed to the writers.
+    handed: OnceLock<Instant>,
     /// The batch deadline anchor (earliest admission); end-to-end
     /// latency is measured from here.
     anchor: Instant,
+    flow: Arc<Flow>,
     batch_ns: ic_obs::Histogram,
     reply_write_ns: ic_obs::Histogram,
     slow_log: Arc<ic_obs::SlowLog>,
 }
 
 impl BatchTrack {
-    /// Marks one message settled (written or abandoned with its
-    /// client); the last one finalizes the trace.
-    fn settled(&self) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
+    /// Groups one slice of answers by connection (the merge span) and
+    /// hands each connection its share as one message.
+    fn deliver(self: &Arc<Self>, epoch: Epoch, answers: &[(usize, SharedAnswer)]) {
+        let merge_sw = ic_obs::Stopwatch::start();
+        let mut per_conn: Vec<ConnAnswers> = Vec::new();
+        {
+            let mut routes = self.routes.lock().unwrap();
+            for (idx, slot) in answers {
+                let admitted = routes[*idx].take().expect("each query is answered once");
+                let answer = (admitted.wire.id, Arc::clone(slot));
+                match per_conn.iter_mut().find(|c| c.conn == admitted.conn) {
+                    Some(found) => found.answers.push(answer),
+                    None => per_conn.push(ConnAnswers {
+                        conn: admitted.conn,
+                        reply_to: admitted.reply_to,
+                        answers: vec![answer],
+                    }),
+                }
+            }
+        }
+        merge_sw.record(&self.trace, ic_obs::Stage::Merge);
+        self.flow
+            .unanswered
+            .fetch_sub(answers.len(), Ordering::AcqRel);
+        if self.unsent.fetch_sub(answers.len(), Ordering::AcqRel) == answers.len() {
+            self.flow.observe_service(self.submitted.elapsed());
+            let _ = self.handed.set(Instant::now());
+        }
+        for ConnAnswers {
+            reply_to, answers, ..
+        } in per_conn
+        {
+            let n = answers.len();
+            let outbound = Outbound::Answers {
+                epoch: epoch.index(),
+                answers,
+                track: Arc::clone(self),
+            };
+            // A send error means the client disconnected; its answers are
+            // simply dropped with it (but still settle the batch track).
+            if reply_to.send(outbound).is_err() {
+                self.settled(n);
+            }
+        }
+    }
+
+    /// Marks `n` replies settled (written or abandoned with their
+    /// client); the batch's last one finalizes the trace.
+    fn settled(&self, n: usize) {
+        if self.unsettled.fetch_sub(n, Ordering::AcqRel) != n {
             return;
         }
-        let write = self.enqueued.elapsed();
+        let write = self.handed.get().map_or(Duration::ZERO, Instant::elapsed);
         self.trace.record(ic_obs::Stage::ReplyWrite, write);
         self.reply_write_ns.observe(write);
         let total = self.anchor.elapsed();
@@ -333,7 +427,7 @@ impl BatchTrack {
 struct Admitted {
     wire: WireQuery,
     admitted_at: Instant,
-    /// Which connection asked (a flush groups its replies by this).
+    /// Which connection asked (a batch groups its replies by this).
     conn: u64,
     reply_to: Sender<Outbound>,
 }
@@ -414,6 +508,7 @@ struct Shared {
     queue: Mutex<VecDeque<Admitted>>,
     /// Wakes the batcher: work arrived, a batch filled, or a drain began.
     queue_cond: Condvar,
+    flow: Arc<Flow>,
     draining: AtomicBool,
     /// Where a connection reaches the listener from this host: the bound
     /// address, with a wildcard IP replaced by its family's loopback.
@@ -467,7 +562,7 @@ impl Shared {
             self.metrics.shed_draining.inc();
             return Err(ShedReason::Draining);
         }
-        if queue.len() >= self.config.queue_capacity {
+        if self.flow.unanswered.load(Ordering::Acquire) >= self.config.queue_capacity {
             drop(queue);
             self.metrics.shed_queue_full.inc();
             return Err(ShedReason::QueueFull);
@@ -478,6 +573,7 @@ impl Shared {
             conn,
             reply_to,
         });
+        self.flow.unanswered.fetch_add(1, Ordering::AcqRel);
         // The batcher sleeps in two places: on an empty queue, and
         // lingering on a non-empty one until its deadline or a full
         // batch. Only the push that ends one of those needs to wake it.
@@ -578,6 +674,14 @@ impl Server {
             config,
             queue: Mutex::new(VecDeque::new()),
             queue_cond: Condvar::new(),
+            // Seeded with the window, so until a batch has been measured
+            // a query buys the whole window.
+            flow: Arc::new(Flow {
+                unanswered: AtomicUsize::new(0),
+                linger_ns: AtomicU64::new(
+                    u64::try_from(config.admission_window.as_nanos()).unwrap_or(u64::MAX),
+                ),
+            }),
             draining: AtomicBool::new(false),
             wake_addr,
             conns: Mutex::new(Vec::new()),
@@ -682,11 +786,6 @@ impl Server {
 fn batcher(shared: &Shared) {
     let window = shared.config.admission_window;
     let mut batch: Vec<Admitted> = Vec::new();
-    // The linger: a moving average of `flush service time /
-    // LINGER_DIVISOR`, capped by the window when applied. Seeded with
-    // the window, so until flushes have been measured a query buys the
-    // whole window.
-    let mut linger = window;
     loop {
         {
             let mut queue = shared.queue.lock().unwrap();
@@ -701,8 +800,9 @@ fn batcher(shared: &Shared) {
             // Hold the batch open for the linger, measured from the
             // *first* admission so it bounds added latency, not
             // inter-arrival gaps — and so that queries which queued
-            // while the last flush ran leave without further wait.
-            let linger_end = queue.front().unwrap().admitted_at + linger.min(window);
+            // while the last flush was planned leave without further
+            // wait.
+            let linger_end = queue.front().unwrap().admitted_at + shared.flow.linger().min(window);
             while queue.len() < MAX_BATCH && !shared.is_draining() {
                 let now = Instant::now();
                 if now >= linger_end {
@@ -717,24 +817,23 @@ fn batcher(shared: &Shared) {
             let take = queue.len().min(MAX_BATCH);
             batch.extend(queue.drain(..take));
         }
-        let flush_start = Instant::now();
         flush(shared, &mut batch);
-        linger = (linger * 3 + flush_start.elapsed() / LINGER_DIVISOR) / 4;
     }
 }
 
-/// One connection's share of a flush.
+/// One connection's share of an answer slice.
 struct ConnAnswers {
     conn: u64,
     reply_to: Sender<Outbound>,
     answers: Vec<(u64, SharedAnswer)>,
 }
 
-/// Flushes one admission batch as one pinned engine batch, tracing its
-/// lifecycle: queue wait (earliest admission → pickup), the engine's
-/// plan/solve spans, merge (grouping the result slots by connection),
-/// and — finalized by the last writer — reply write, which covers the
-/// encode.
+/// Submits one admission batch as one pinned engine batch and returns
+/// once it is planned: its answers go out as its jobs end, through a
+/// [`BatchTrack`] that traces the batch's lifecycle — queue wait
+/// (earliest admission → pickup), the engine's plan/solve spans, merge
+/// (grouping answers by connection), and, finalized by the last writer,
+/// reply write, which covers the encode.
 fn flush(shared: &Shared, batch: &mut Vec<Admitted>) {
     if batch.is_empty() {
         return;
@@ -746,7 +845,7 @@ fn flush(shared: &Shared, batch: &mut Vec<Admitted>) {
         .map(|a| a.admitted_at)
         .min()
         .expect("batch is non-empty");
-    let trace = ic_obs::Trace::new();
+    let trace = Arc::new(ic_obs::Trace::new());
     trace.record(ic_obs::Stage::QueueWait, flush_start.duration_since(anchor));
     if ic_obs::enabled() {
         for a in batch.iter() {
@@ -770,50 +869,24 @@ fn flush(shared: &Shared, batch: &mut Vec<Admitted>) {
             query
         })
         .collect();
-    let options = BatchOptions::new().deadline_from(anchor);
-    let (epoch, slots) = shared.engine.run_batch_traced(&queries, &options, &trace);
     m.batches.inc();
     m.largest_batch.raise_to(batch.len() as i64);
-    // Merge: one message per connection, carrying the engine's shared
-    // result slots as they are (the writers encode from them).
-    let merge_sw = ic_obs::Stopwatch::start();
-    let mut per_conn: Vec<ConnAnswers> = Vec::new();
-    for (admitted, slot) in batch.drain(..).zip(slots) {
-        let answer = (admitted.wire.id, slot);
-        match per_conn.iter_mut().find(|c| c.conn == admitted.conn) {
-            Some(found) => found.answers.push(answer),
-            None => per_conn.push(ConnAnswers {
-                conn: admitted.conn,
-                reply_to: admitted.reply_to,
-                answers: vec![answer],
-            }),
-        }
-    }
-    merge_sw.record(&trace, ic_obs::Stage::Merge);
     let track = Arc::new(BatchTrack {
-        trace,
-        remaining: AtomicUsize::new(per_conn.len()),
-        enqueued: Instant::now(),
+        trace: Arc::clone(&trace),
+        unsent: AtomicUsize::new(batch.len()),
+        unsettled: AtomicUsize::new(batch.len()),
+        routes: Mutex::new(batch.drain(..).map(Some).collect()),
+        submitted: Instant::now(),
+        handed: OnceLock::new(),
         anchor,
+        flow: Arc::clone(&shared.flow),
         batch_ns: m.batch_ns.clone(),
         reply_write_ns: m.reply_write_ns.clone(),
         slow_log: Arc::clone(&shared.slow_log),
     });
-    for ConnAnswers {
-        reply_to, answers, ..
-    } in per_conn
-    {
-        let outbound = Outbound::Answers {
-            epoch: epoch.index(),
-            answers,
-            track: Arc::clone(&track),
-        };
-        // A send error means the client disconnected; its answers are
-        // simply dropped with it (but still settle the batch track).
-        if reply_to.send(outbound).is_err() {
-            track.settled();
-        }
-    }
+    let sink: AnswerSink = Arc::new(move |epoch, answers| track.deliver(epoch, answers));
+    let options = BatchOptions::new().deadline_from(anchor);
+    shared.engine.submit(&queries, &options, trace, sink);
 }
 
 // ---------------------------------------------------------------------

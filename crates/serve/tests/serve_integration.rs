@@ -220,6 +220,85 @@ fn slow_flushes_keep_full_window_coalescing() {
     server.join();
 }
 
+/// Replies leave as their job ends: in one admission batch, a forest
+/// read sent second is answered before the exact-sum search sent first.
+#[test]
+fn a_fast_reply_overtakes_its_slow_batch_mate() {
+    let wg = email_graph();
+    // A search ≈ 15× as long as the forest build and read.
+    let (slow, fast) = (
+        Query::new(4, 80, Aggregation::Sum),
+        Query::new(4, 4, Aggregation::Min),
+    );
+    let solo = Engine::with_threads(wg.clone(), 2).run_batch(&[slow, fast]);
+    let engine = Arc::new(Engine::with_threads(wg, 2));
+    let server = Server::bind(
+        engine,
+        "127.0.0.1:0",
+        ServeConfig {
+            admission_window: Duration::from_millis(200),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.send(1, &slow).unwrap();
+    client.send(2, &fast).unwrap();
+    let first = client.recv().unwrap();
+    let second = client.recv().unwrap();
+    assert_eq!(server.stats().batches, 1, "both queries share one batch");
+    let first_id = match &first {
+        Response::Reply { id, .. } => *id,
+        other => panic!("expected a reply, got {other:?}"),
+    };
+    assert_eq!(first_id, 2, "the forest read must not wait for the search");
+    assert_eq!(reply_communities(&first), &solo[1].as_ref().unwrap()[..]);
+    assert_eq!(reply_communities(&second), &solo[0].as_ref().unwrap()[..]);
+    server.shutdown();
+    server.join();
+}
+
+/// A batch admitted while an older one still runs is planned against the
+/// snapshot serving at its own admission, and answered before the older
+/// batch ends; each reply carries the epoch it was computed under.
+#[test]
+fn a_later_batch_overtakes_an_in_flight_one_under_its_own_epoch() {
+    let wg = email_graph();
+    // A search ≈ 15× as long as the forest build and read.
+    let (slow, fast) = (
+        Query::new(4, 80, Aggregation::Sum),
+        Query::new(4, 4, Aggregation::Min),
+    );
+    let before = Engine::with_threads(wg.clone(), 2).run_batch(&[slow]);
+    let engine = Arc::new(Engine::with_threads(wg.clone(), 2));
+    let server = Server::bind(engine.clone(), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.send(1, &slow).unwrap();
+    while server.stats().batches == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (u, v) = wg.graph().edges().next().expect("the graph has an edge");
+    assert_eq!(engine.apply(&[EdgeUpdate::Remove { u, v }]).index(), 1);
+    client.send(2, &fast).unwrap();
+    let id_epoch = |response: &Response| match response {
+        Response::Reply { id, epoch, .. } => (*id, *epoch),
+        other => panic!("expected a reply, got {other:?}"),
+    };
+    assert_eq!(
+        id_epoch(&client.recv().unwrap()),
+        (2, 1),
+        "the later batch first"
+    );
+    let response = client.recv().unwrap();
+    assert_eq!(id_epoch(&response), (1, 0));
+    assert_eq!(
+        reply_communities(&response),
+        &before[0].as_ref().unwrap()[..]
+    );
+    server.shutdown();
+    server.join();
+}
+
 /// Replies are tagged with the epoch whose snapshot served them, so a
 /// client can correlate in-flight answers with live graph updates.
 #[test]
@@ -308,6 +387,42 @@ fn full_admission_queue_sheds_with_a_typed_reply() {
         .find(|(name, _)| name == "serve.shed.queue_full")
         .map(|&(_, v)| v);
     assert_eq!(registry_shed, Some(1.0));
+    server.shutdown();
+    server.join();
+}
+
+/// Backpressure counts every query admitted and not yet answered, not
+/// just the ones still queued: batches overlap, so the queue's length
+/// alone would not bound the work in flight.
+#[test]
+fn backpressure_counts_queries_in_flight() {
+    let engine = Arc::new(Engine::with_threads(email_graph(), 2));
+    let server = Server::bind(
+        engine,
+        "127.0.0.1:0",
+        ServeConfig {
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client
+        .send(1, &Query::new(4, 80, Aggregation::Sum))
+        .unwrap();
+    // The search has left the queue for the engine.
+    while server.stats().batches == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    client.send(2, &Query::new(4, 1, Aggregation::Max)).unwrap();
+    match client.wait_for(2).unwrap() {
+        Response::Overloaded {
+            id: 2,
+            reason: ShedReason::QueueFull,
+        } => {}
+        other => panic!("expected QueueFull shedding, got {other:?}"),
+    }
+    let _ = reply_communities(&client.wait_for(1).unwrap());
     server.shutdown();
     server.join();
 }
@@ -653,19 +768,20 @@ fn unsubscribe_stops_notifications_and_duplicate_ids_are_refused() {
 /// connection keeps serving queries.
 #[test]
 fn backend_servers_refuse_subscriptions_and_updates_typed() {
-    use ic_engine::{BatchOptions, Epoch, QueryBackend, SharedAnswer};
+    use ic_engine::{AnswerSink, BatchOptions, QueryBackend};
 
     /// An Engine hidden behind the trait, keeping the trait's default
     /// (refusing) `apply_updates` — the shape of any read-only backend.
     struct ReadOnly(Engine);
     impl QueryBackend for ReadOnly {
-        fn run_batch_traced(
+        fn submit(
             &self,
             queries: &[Query],
             options: &BatchOptions,
-            trace: &ic_obs::Trace,
-        ) -> (Epoch, Vec<SharedAnswer>) {
-            self.0.run_batch_traced(queries, options, trace)
+            trace: Arc<ic_obs::Trace>,
+            sink: AnswerSink,
+        ) {
+            self.0.submit(queries, options, trace, sink)
         }
     }
 

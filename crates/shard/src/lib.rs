@@ -46,8 +46,8 @@ use std::path::{Path, PathBuf};
 
 use ic_core::{Community, Query, SearchError, Solver};
 use ic_engine::{
-    AnswerStatus, BatchOptions, Engine, EngineError, Epoch, OpenOptions, QueryAnswer, QueryBackend,
-    SharedAnswer,
+    AnswerSink, AnswerStatus, BatchOptions, Engine, EngineError, Epoch, OpenOptions, QueryAnswer,
+    QueryBackend, SharedAnswer,
 };
 use ic_mem::SharedSlice;
 use ic_store::{ShardMeta, StoreError, StoreFile};
@@ -332,23 +332,6 @@ impl ShardedEngine {
         self.run_batch_inner(queries, options, None)
     }
 
-    /// [`run_batch_pinned`](Self::run_batch_pinned) with a query trace:
-    /// the scatter phase lands in the `Solve` span (it is the sharded
-    /// analogue of solver execution) and the gather/merge loop in
-    /// `Merge`. Per-shard engines add their own `IndexServe` sub-spans
-    /// through [`Engine::run_batch_traced`], whose shared slots the
-    /// gather reads in place; each merged answer is a fresh allocation,
-    /// handed back as the [`SharedAnswer`] serving layers take.
-    pub fn run_batch_traced(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-        trace: &ic_obs::Trace,
-    ) -> (Epoch, Vec<SharedAnswer>) {
-        let (epoch, merged) = self.run_batch_inner(queries, options, Some(trace));
-        (epoch, merged.into_iter().map(Arc::new).collect())
-    }
-
     fn run_batch_inner(
         &self,
         queries: &[Query],
@@ -524,13 +507,23 @@ impl ShardedEngine {
 }
 
 impl QueryBackend for ShardedEngine {
-    fn run_batch_traced(
+    /// Runs the whole batch before returning and hands the sink every
+    /// answer as one slice. The scatter phase lands in the trace's
+    /// `Solve` span (it is the sharded analogue of solver execution) and
+    /// the gather/merge loop in `Merge`; per-shard engines add their own
+    /// `IndexServe` sub-spans through [`Engine::run_batch_traced`], whose
+    /// shared slots the gather reads in place.
+    fn submit(
         &self,
         queries: &[Query],
         options: &BatchOptions,
-        trace: &ic_obs::Trace,
-    ) -> (Epoch, Vec<SharedAnswer>) {
-        ShardedEngine::run_batch_traced(self, queries, options, trace)
+        trace: Arc<ic_obs::Trace>,
+        sink: AnswerSink,
+    ) {
+        let (epoch, merged) = self.run_batch_inner(queries, options, Some(&trace));
+        let answers: Vec<(usize, SharedAnswer)> =
+            merged.into_iter().map(Arc::new).enumerate().collect();
+        sink(epoch, &answers);
     }
 
     fn obs_registry(&self) -> Option<&ic_obs::Registry> {
