@@ -79,8 +79,8 @@ impl QueryAnswer {
 
 /// One query's result slot as the engine holds it: the very allocation
 /// the result cache keeps and every duplicate query of a batch shares.
-/// [`Engine::run_batch_traced`](crate::Engine::run_batch_traced) hands
-/// these out so a serving layer can write a cached answer to a socket
+/// [`QueryBackend::submit`](crate::QueryBackend::submit) hands these
+/// to its sink so a serving layer can write a cached answer to a socket
 /// without cloning its vertex lists.
 pub type SharedAnswer = std::sync::Arc<Result<QueryAnswer, EngineError>>;
 

@@ -14,11 +14,11 @@
 //! A job's answers leave as one slice the moment the job ends, from
 //! whichever thread ran it: through the result cache to the batch's
 //! [`AnswerSink`](crate::AnswerSink). A fast job never waits for a slow
-//! batch-mate. A synchronous caller (`Engine::run_batch*`) is one of its
+//! batch-mate. `submit` (serving, every `ic-shard` leg) leaves every job
+//! to the pool; a synchronous caller (`Engine::run_batch*`) is one of its
 //! own batch's workers: it wakes at most `threads - 1` pool workers and
-//! drains its batch's jobs alongside them, so a one-job batch (or a
-//! one-thread engine) never leaves the calling thread and never starts
-//! the pool.
+//! drains its jobs alongside them, so a synchronous one-job batch (or a
+//! one-thread engine) never leaves the calling thread or starts the pool.
 //!
 //! # Failure model
 //!
@@ -146,7 +146,7 @@ pub(crate) struct Batch {
     anchor: Instant,
     jobs: Vec<Job>,
     queries: Vec<Query>,
-    trace: Option<Arc<ic_obs::Trace>>,
+    trace: Arc<ic_obs::Trace>,
     sink: AnswerSink,
     results: Arc<ResultCache>,
     metrics: Arc<EngineMetrics>,
@@ -169,7 +169,7 @@ impl Batch {
         anchor: Instant,
         plan: Plan,
         queries: &[Query],
-        trace: Option<Arc<ic_obs::Trace>>,
+        trace: Arc<ic_obs::Trace>,
         sink: AnswerSink,
         results: Arc<ResultCache>,
         metrics: Arc<EngineMetrics>,
@@ -280,14 +280,12 @@ impl Batch {
         let epoch = self.serving.epoch;
         let cached = catch_unwind(AssertUnwindSafe(|| {
             for (idx, outcome) in done {
-                if let Some(trace) = &self.trace {
-                    match outcome.as_ref() {
-                        Ok(ans) if !ans.is_complete() => trace.tag(ic_obs::Tag::Degraded),
-                        Err(EngineError::DeadlineExceeded) => {
-                            trace.tag(ic_obs::Tag::DeadlineExceeded);
-                        }
-                        _ => {}
+                match outcome.as_ref() {
+                    Ok(ans) if !ans.is_complete() => self.trace.tag(ic_obs::Tag::Degraded),
+                    Err(EngineError::DeadlineExceeded) => {
+                        self.trace.tag(ic_obs::Tag::DeadlineExceeded);
                     }
+                    _ => {}
                 }
                 // Only complete answers are retained (the insert filters).
                 self.results.insert(&self.queries[*idx], epoch, outcome);
@@ -302,9 +300,7 @@ impl Batch {
     /// Publishes the solve span and the gauges a finished batch moves.
     fn finish(&self) {
         let m = &self.metrics;
-        if let Some(trace) = &self.trace {
-            self.solve_sw.record(trace, ic_obs::Stage::Solve);
-        }
+        self.solve_sw.record(&self.trace, ic_obs::Stage::Solve);
         self.solve_sw.observe(&m.solve_ns);
         m.cached_results.set(self.results.len() as i64);
         let arenas = &self.serving.arenas;
@@ -500,9 +496,7 @@ fn run_job(
                         None => Ok((Vec::new(), true)),
                         Some(index) => index.read(snap.weighted(), *last, budget.as_deref()),
                     };
-                    if let Some(trace) = &batch.trace {
-                        index_sw.record(trace, ic_obs::Stage::IndexServe);
-                    }
+                    index_sw.record(&batch.trace, ic_obs::Stage::IndexServe);
                     (run, true)
                 }
                 Route::Tic {

@@ -107,18 +107,20 @@ pub type AnswerSink = Arc<dyn Fn(Epoch, &[(usize, SharedAnswer)]) + Send + Sync>
 /// graph.
 pub trait QueryBackend: Send + Sync {
     /// Plans `queries` under `options` on the calling thread, hands the
-    /// plan-time answers to `sink` as one slice, and returns; every
-    /// other answer reaches `sink` later, one slice per finished job,
-    /// from whichever thread ran it. Stage spans (`plan`, `solve`,
-    /// `index_serve`, `merge`), outcome tags and plan statistics land in
-    /// `trace` as the batch executes; the `solve` span is recorded
-    /// before the last slice is handed over. Each answer is a
-    /// [`SharedAnswer`] — for [`Engine`] the slot its result cache
-    /// holds, so a cache hit reaches the sink without a copy.
+    /// plan-time answers to `sink` as one slice, and returns once
+    /// planned; every other answer reaches `sink` later, one slice per
+    /// finished job, from whichever thread ran it. Stage spans (`plan`,
+    /// `solve`, `index_serve`, `merge`), outcome tags and plan
+    /// statistics land in `trace` as the batch executes; the `solve`
+    /// span is recorded before the last slice is handed over. Each
+    /// answer is a [`SharedAnswer`] — for [`Engine`] the slot its result
+    /// cache holds, so a cache hit reaches the sink without a copy.
     ///
-    /// [`Engine`] runs the jobs on its worker pool. A backend may as
-    /// well run the whole batch before returning and call `sink` once
-    /// (`ic-shard`'s `ShardedEngine` does).
+    /// [`Engine`] runs the jobs on its worker pool; `ic-shard`'s
+    /// `ShardedEngine` hands each shard's leg to that shard engine's
+    /// `submit` and merges a query when its last leg lands. Every leg
+    /// records into the same `trace`, so a batch whose legs run side by
+    /// side sums their overlapping `plan` and `solve` walls.
     fn submit(
         &self,
         queries: &[Query],
@@ -158,7 +160,7 @@ impl QueryBackend for Engine {
         trace: Arc<ic_obs::Trace>,
         sink: AnswerSink,
     ) {
-        let batch = self.start(queries, options, Some(trace), sink);
+        let batch = self.start(queries, options, trace, sink);
         let jobs = batch.unclaimed();
         if jobs > 0 {
             self.pool.push(batch, jobs);
@@ -736,61 +738,26 @@ impl Engine {
     /// concurrent [`Engine::apply`] never tears a batch across graph
     /// versions — and the returned epoch identifies it. Serving front
     /// ends (`ic-serve`) tag every response with this epoch so clients
-    /// can correlate in-flight answers with graph versions.
+    /// can correlate in-flight answers with graph versions. The calling
+    /// thread drains the batch's jobs beside at most `threads - 1` pool
+    /// workers.
     pub fn run_batch_pinned(
         &self,
         queries: &[Query],
         options: &BatchOptions,
     ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
-        let (epoch, slots) = self.collect_batch(queries, options, None);
-        (epoch, slots.iter().map(|slot| (**slot).clone()).collect())
-    }
-
-    /// [`run_batch_pinned`](Self::run_batch_pinned) that additionally
-    /// records stage spans (`plan`, `solve`, `index_serve`), outcome
-    /// tags, and plan statistics into `trace` as the batch executes —
-    /// the hook serving layers use to explain slow queries — and returns
-    /// the shared result slots themselves instead of deep copies: a
-    /// cache hit is the `Arc` the result cache holds, duplicates within
-    /// the batch share one. Tracing never changes an answer.
-    pub fn run_batch_traced(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-        trace: &ic_obs::Trace,
-    ) -> (Epoch, Vec<SharedAnswer>) {
-        // The pool's workers outlive this call, so they record into a
-        // trace of their own, folded into the caller's at the end.
-        let own = Arc::new(ic_obs::Trace::new());
-        let out = self.collect_batch(queries, options, Some(Arc::clone(&own)));
-        trace.absorb(&own);
-        out
-    }
-
-    /// Every synchronous entry point: submits the batch, drains its jobs
-    /// on the calling thread alongside at most `threads - 1` pool
-    /// workers, and waits for the last answer.
-    fn collect_batch(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-        trace: Option<Arc<ic_obs::Trace>>,
-    ) -> (Epoch, Vec<SharedAnswer>) {
         let (tx, rx) = std::sync::mpsc::channel();
-        let sink: AnswerSink = Arc::new(move |_, answers| {
-            for answer in answers {
-                let _ = tx.send(answer.clone());
-            }
-        });
-        let batch = self.start(queries, options, trace, sink);
+        let send = move |answer: &(usize, SharedAnswer)| drop(tx.send(answer.clone()));
+        let sink: AnswerSink = Arc::new(move |_, answers| answers.iter().for_each(&send));
+        let batch = self.start(queries, options, Arc::default(), sink);
         let helpers = batch.unclaimed().saturating_sub(1).min(self.threads - 1);
         if helpers > 0 {
             self.pool.push(Arc::clone(&batch), helpers);
         }
         batch.help();
-        let mut slots: Vec<Option<SharedAnswer>> = vec![None; queries.len()];
+        let mut slots: Vec<Option<Result<QueryAnswer, EngineError>>> = vec![None; queries.len()];
         for (idx, answer) in rx.iter().take(queries.len()) {
-            slots[idx] = Some(answer);
+            slots[idx] = Some((*answer).clone());
         }
         if let Some(payload) = batch.take_cache_panic() {
             resume_unwind(payload);
@@ -993,7 +960,7 @@ impl Engine {
         &self,
         queries: &[Query],
         options: &BatchOptions,
-        trace: Option<Arc<ic_obs::Trace>>,
+        trace: Arc<ic_obs::Trace>,
         sink: AnswerSink,
     ) -> Arc<exec::Batch> {
         let serving = self.serving();
@@ -1015,23 +982,21 @@ impl Engine {
         m.index_routed.add(plan.stats.index_routed as u64);
         m.solver_runs.add(plan.stats.solver_runs as u64);
         m.answered_at_plan.add(plan.stats.answered_at_plan as u64);
-        if let Some(trace) = &trace {
-            plan_sw.record(trace, ic_obs::Stage::Plan);
-            // This batch's plan is what ran (or waited out) the check a
-            // store-opened snapshot owed: its plan span carries that.
-            if adjacency_owed && snapshot.adjacency_state() != ic_kcore::AdjacencyState::Owed {
-                trace.tag(ic_obs::Tag::AdjacencyChecked);
-            }
-            trace.note_plan(ic_obs::TracePlan {
-                queries: plan.stats.total_queries as u64,
-                answered_at_plan: plan.stats.answered_at_plan as u64,
-                cache_hits: plan.stats.cache_hits as u64,
-                solver_runs: plan.stats.solver_runs as u64,
-                index_routed: plan.stats.index_routed as u64,
-            });
-            if plan.stats.solver_runs < plan.stats.sequential_runs {
-                trace.tag(ic_obs::Tag::FamilyMerged);
-            }
+        plan_sw.record(&trace, ic_obs::Stage::Plan);
+        // This batch's plan is what ran (or waited out) the check a
+        // store-opened snapshot owed: its plan span carries that.
+        if adjacency_owed && snapshot.adjacency_state() != ic_kcore::AdjacencyState::Owed {
+            trace.tag(ic_obs::Tag::AdjacencyChecked);
+        }
+        trace.note_plan(ic_obs::TracePlan {
+            queries: plan.stats.total_queries as u64,
+            answered_at_plan: plan.stats.answered_at_plan as u64,
+            cache_hits: plan.stats.cache_hits as u64,
+            solver_runs: plan.stats.solver_runs as u64,
+            index_routed: plan.stats.index_routed as u64,
+        });
+        if plan.stats.solver_runs < plan.stats.sequential_runs {
+            trace.tag(ic_obs::Tag::FamilyMerged);
         }
         exec::Batch::start(
             serving,

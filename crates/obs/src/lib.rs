@@ -478,9 +478,9 @@ pub struct TracePlan {
 }
 
 /// One query batch's lifecycle record: monotonic stage spans, outcome
-/// tags, and plan statistics. All cells are atomics, so a `&Trace` (or
-/// an `Arc<Trace>`) crosses scoped worker threads and the writer loop
-/// freely; recording honours the gates described in the module docs.
+/// tags, and plan statistics. All cells are atomics, so one `Arc<Trace>`
+/// is shared by the pool workers running the batch (every shard leg's)
+/// and the writer loop; recording honours the module docs' gates.
 #[derive(Debug, Default)]
 pub struct Trace {
     stages: [AtomicU64; 6],
@@ -559,16 +559,6 @@ impl Trace {
         if plan.index_routed > 0 {
             self.tag(Tag::IndexRouted);
         }
-    }
-
-    /// Adds `other`'s spans, tags and plan statistics to this trace.
-    pub fn absorb(&self, other: &Trace) {
-        for (cell, ns) in self.stages.iter().zip(other.spans()) {
-            cell.fetch_add(ns, Ordering::Relaxed);
-        }
-        self.tags
-            .fetch_or(other.tags.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.note_plan(other.plan());
     }
 
     /// The accumulated plan statistics.

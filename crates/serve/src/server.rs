@@ -9,7 +9,7 @@
 //!                   admission queue ──► batcher      │ connection
 //!                 (Mutex<VecDeque> + Condvar)  │     │
 //!                                              ▼     │
-//!                           QueryBackend::submit ──► engine worker pool
+//!                           QueryBackend::submit ──► engine worker pool(s)
 //! ```
 //!
 //! The container is offline (no tokio), so the server is plain
@@ -27,7 +27,8 @@
 //! one slice per finished job — becomes one message per connection at
 //! once, so a forest read leaves while a search in the same batch still
 //! runs. The pool runs batches oldest first; a batch admitted later is
-//! planned against the snapshot serving at its own flush.
+//! planned against the snapshot serving at its own flush. A sharded
+//! backend hands each merged answer back when its last shard leg lands.
 //!
 //! **Admission is work-conserving.** A batch leaves as soon as its
 //! *oldest* query has waited out the **linger**,

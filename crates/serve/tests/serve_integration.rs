@@ -3,8 +3,9 @@
 //! across live graph updates, and the flush-before-ack drain ordering.
 
 use ic_core::{Aggregation, Community, Query};
-use ic_engine::{BatchOptions, EdgeUpdate, Engine};
+use ic_engine::{BatchOptions, EdgeUpdate, Engine, OpenOptions};
 use ic_serve::{Client, Outcome, Response, ServeConfig, Server, ShedReason};
+use ic_shard::ShardedEngine;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,6 +25,16 @@ fn query_mix() -> Vec<Query> {
         Query::new(4, 2, Aggregation::Average).size_bound(8, true),
         Query::new(4, 1, Aggregation::TopTSum { t: 3 }).size_bound(6, true),
     ]
+}
+
+/// A front over `email_graph()`'s shard stores, two workers per shard
+/// engine, and the directory to remove afterwards.
+fn sharded_email(tag: &str) -> (ShardedEngine, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("ic-serve-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let built = ic_store::shard::build_shard_stores(&email_graph(), &[2, 4], 1000, &dir).unwrap();
+    let options = OpenOptions::default().threads(2 * built.len());
+    (ShardedEngine::open_dir_with(&dir, &options).unwrap(), dir)
 }
 
 fn reply_communities(response: &Response) -> &[Community] {
@@ -220,8 +231,16 @@ fn slow_flushes_keep_full_window_coalescing() {
     server.join();
 }
 
+fn id_epoch(response: &Response) -> (u64, u64) {
+    match response {
+        Response::Reply { id, epoch, .. } => (*id, *epoch),
+        other => panic!("expected a reply, got {other:?}"),
+    }
+}
+
 /// Replies leave as their job ends: in one admission batch, a forest
-/// read sent second is answered before the exact-sum search sent first.
+/// read sent second is answered before the exact-sum search sent first,
+/// by an engine and by a sharded front alike.
 #[test]
 fn a_fast_reply_overtakes_its_slow_batch_mate() {
     let wg = email_graph();
@@ -231,36 +250,34 @@ fn a_fast_reply_overtakes_its_slow_batch_mate() {
         Query::new(4, 4, Aggregation::Min),
     );
     let solo = Engine::with_threads(wg.clone(), 2).run_batch(&[slow, fast]);
-    let engine = Arc::new(Engine::with_threads(wg, 2));
-    let server = Server::bind(
-        engine,
-        "127.0.0.1:0",
-        ServeConfig {
-            admission_window: Duration::from_millis(200),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    client.send(1, &slow).unwrap();
-    client.send(2, &fast).unwrap();
-    let first = client.recv().unwrap();
-    let second = client.recv().unwrap();
-    assert_eq!(server.stats().batches, 1, "both queries share one batch");
-    let first_id = match &first {
-        Response::Reply { id, .. } => *id,
-        other => panic!("expected a reply, got {other:?}"),
+    let config = ServeConfig {
+        admission_window: Duration::from_millis(200),
+        ..ServeConfig::default()
     };
-    assert_eq!(first_id, 2, "the forest read must not wait for the search");
-    assert_eq!(reply_communities(&first), &solo[1].as_ref().unwrap()[..]);
-    assert_eq!(reply_communities(&second), &solo[0].as_ref().unwrap()[..]);
-    server.shutdown();
-    server.join();
+    let (sharded, dir) = sharded_email("overtake");
+    let engine = Server::bind(Arc::new(Engine::with_threads(wg, 2)), "127.0.0.1:0", config);
+    let sharded = Server::bind_backend(Arc::new(sharded), "127.0.0.1:0", config);
+    for server in [engine, sharded] {
+        let server = server.unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        client.send(1, &slow).unwrap();
+        client.send(2, &fast).unwrap();
+        let (first, second) = (client.recv().unwrap(), client.recv().unwrap());
+        assert_eq!(server.stats().batches, 1, "both queries share one batch");
+        let first_id = id_epoch(&first).0;
+        assert_eq!(first_id, 2, "the forest read must not wait for the search");
+        assert_eq!(reply_communities(&first), solo[1].as_ref().unwrap());
+        assert_eq!(reply_communities(&second), solo[0].as_ref().unwrap());
+        server.shutdown();
+        server.join();
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A batch admitted while an older one still runs is planned against the
 /// snapshot serving at its own admission, and answered before the older
-/// batch ends; each reply carries the epoch it was computed under.
+/// batch ends; each reply carries the epoch it was computed under (the
+/// engine takes an update in between; the sharded front is read-only).
 #[test]
 fn a_later_batch_overtakes_an_in_flight_one_under_its_own_epoch() {
     let wg = email_graph();
@@ -269,34 +286,40 @@ fn a_later_batch_overtakes_an_in_flight_one_under_its_own_epoch() {
         Query::new(4, 80, Aggregation::Sum),
         Query::new(4, 4, Aggregation::Min),
     );
-    let before = Engine::with_threads(wg.clone(), 2).run_batch(&[slow]);
-    let engine = Arc::new(Engine::with_threads(wg.clone(), 2));
-    let server = Server::bind(engine.clone(), "127.0.0.1:0", ServeConfig::default()).unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    client.send(1, &slow).unwrap();
-    while server.stats().batches == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    let before = Engine::with_threads(wg.clone(), 2).run_batch(&[slow, fast]);
     let (u, v) = wg.graph().edges().next().expect("the graph has an edge");
-    assert_eq!(engine.apply(&[EdgeUpdate::Remove { u, v }]).index(), 1);
-    client.send(2, &fast).unwrap();
-    let id_epoch = |response: &Response| match response {
-        Response::Reply { id, epoch, .. } => (*id, *epoch),
-        other => panic!("expected a reply, got {other:?}"),
-    };
-    assert_eq!(
-        id_epoch(&client.recv().unwrap()),
-        (2, 1),
-        "the later batch first"
-    );
-    let response = client.recv().unwrap();
-    assert_eq!(id_epoch(&response), (1, 0));
-    assert_eq!(
-        reply_communities(&response),
-        &before[0].as_ref().unwrap()[..]
-    );
-    server.shutdown();
-    server.join();
+    let update = [EdgeUpdate::Remove { u, v }];
+    let after = Engine::with_threads(wg.clone(), 2);
+    after.apply(&update);
+    let after = after.run_batch(&[fast]);
+    let engine = Arc::new(Engine::with_threads(wg, 2));
+    let (sharded, dir) = sharded_email("later");
+    let config = ServeConfig::default();
+    let served = Server::bind(engine.clone(), "127.0.0.1:0", config);
+    let sharded = Server::bind_backend(Arc::new(sharded), "127.0.0.1:0", config);
+    // The engine takes the update, so its later batch runs under epoch 1.
+    for (server, fast_epoch, fast_want) in [(served, 1, &after[0]), (sharded, 0, &before[1])] {
+        let server = server.unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        client.send(1, &slow).unwrap();
+        while server.stats().batches == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if fast_epoch == 1 {
+            assert_eq!(engine.apply(&update).index(), 1);
+        }
+        client.send(2, &fast).unwrap();
+        let response = client.recv().unwrap();
+        assert_eq!(id_epoch(&response), (2, fast_epoch), "later batch first");
+        assert_eq!(reply_communities(&response), fast_want.as_ref().unwrap());
+        let response = client.recv().unwrap();
+        assert_eq!(id_epoch(&response), (1, 0));
+        assert_eq!(reply_communities(&response), before[0].as_ref().unwrap());
+        assert_eq!(server.stats().batches, 2);
+        server.shutdown();
+        server.join();
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Replies are tagged with the epoch whose snapshot served them, so a
@@ -308,13 +331,8 @@ fn replies_are_tagged_with_the_serving_epoch_across_updates() {
     let mut client = Client::connect(server.local_addr()).unwrap();
     let query = Query::new(2, 2, Aggregation::Sum);
 
-    let epoch_of = |response: &Response| match response {
-        Response::Reply { epoch, .. } => *epoch,
-        other => panic!("expected a reply, got {other:?}"),
-    };
-
     let before = client.call(1, &query).unwrap();
-    assert_eq!(epoch_of(&before), 0);
+    assert_eq!(id_epoch(&before).1, 0);
     let answer_before = reply_communities(&before).to_vec();
 
     // Live update: remove the v1–v2 edge; v1 (weight 62) drops out of
@@ -324,7 +342,7 @@ fn replies_are_tagged_with_the_serving_epoch_across_updates() {
 
     let after = client.call(2, &query).unwrap();
     assert_eq!(
-        epoch_of(&after),
+        id_epoch(&after).1,
         1,
         "replies after apply carry the new epoch"
     );
@@ -1027,64 +1045,68 @@ fn json_field_u64(line: &str, key: &str) -> u64 {
 /// The acceptance claim for tracing: one slow query produces exactly
 /// one slow-query JSON line whose stage spans (queue wait + plan +
 /// solve + merge + reply write) account for the client-observed latency
-/// within 10%. A long admission window makes queue wait dominate, so
-/// the bound is robust to scheduler noise; the `index_serve` span is
-/// excluded from the sum because it is attributed *within* solve wall
-/// time, not alongside it.
+/// within 10% (`index_serve` lies *within* solve wall time, so it is
+/// not summed). An engine batch under a long admission window, where
+/// queue wait dominates; and a one-leg sharded batch whose solve is most
+/// of its latency, so a span the front counts twice breaks the bound
+/// (its window keeps the big reply's client-side decode near 5%).
 #[test]
 fn slow_query_log_stage_spans_account_for_client_latency() {
+    let config = |window| ServeConfig {
+        admission_window: Duration::from_millis(window),
+        slow_query_threshold: Duration::from_millis(1),
+        ..ServeConfig::default()
+    };
     let engine = Arc::new(Engine::with_threads(email_graph(), 2));
-    let server = Server::bind(
-        engine,
-        "127.0.0.1:0",
-        ServeConfig {
-            admission_window: Duration::from_millis(250),
-            slow_query_threshold: Duration::from_millis(1),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let (sharded, dir) = sharded_email("slow-log");
+    let served = Server::bind(engine, "127.0.0.1:0", config(250));
+    let sharded = Server::bind_backend(Arc::new(sharded), "127.0.0.1:0", config(100));
+    let query = |r| Query::new(4, r, Aggregation::Sum);
+    for (server, query) in [(served, query(2)), (sharded, query(80))] {
+        let server = server.unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
 
-    let t0 = std::time::Instant::now();
-    let response = client.call(1, &Query::new(4, 2, Aggregation::Sum)).unwrap();
-    let observed_ns = t0.elapsed().as_nanos() as u64;
-    let _ = reply_communities(&response);
+        let t0 = std::time::Instant::now();
+        let response = client.call(1, &query).unwrap();
+        let observed_ns = t0.elapsed().as_nanos() as u64;
+        let _ = reply_communities(&response);
 
-    // The trace finalizes on the writer thread after the reply hits the
-    // socket, so the log may trail the client's read by a beat.
-    let mut log = String::new();
-    for _ in 0..200 {
-        log = server.slow_queries_json();
-        if !log.is_empty() {
-            break;
+        // The trace finalizes on the writer thread after the reply hits
+        // the socket, so the log may trail the client's read by a beat.
+        let mut log = String::new();
+        for _ in 0..200 {
+            log = server.slow_queries_json();
+            if !log.is_empty() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
         }
-        std::thread::sleep(Duration::from_millis(5));
+        let lines: Vec<&str> = log.lines().collect();
+        assert_eq!(lines.len(), 1, "one slow query, one log line; got {log:?}");
+        let line = lines[0];
+
+        let span_sum_ns: u64 = [
+            "queue_wait_ns",
+            "plan_ns",
+            "solve_ns",
+            "merge_ns",
+            "reply_write_ns",
+        ]
+        .iter()
+        .map(|key| json_field_u64(line, key))
+        .sum();
+        assert!(
+            observed_ns.abs_diff(span_sum_ns) * 10 <= observed_ns,
+            "stage spans ({span_sum_ns} ns) must account for the client-observed \
+             latency ({observed_ns} ns) within 10%: {line}"
+        );
+        // End-to-end latency went far past the 1 ms threshold, and the
+        // plan saw exactly the one query.
+        assert!(json_field_u64(line, "total_ns") >= 1_000_000, "{line}");
+        assert_eq!(json_field_u64(line, "queries"), 1, "{line}");
+
+        server.shutdown();
+        server.join();
     }
-    let lines: Vec<&str> = log.lines().collect();
-    assert_eq!(lines.len(), 1, "one slow query, one log line; got {log:?}");
-    let line = lines[0];
-
-    let span_sum_ns: u64 = [
-        "queue_wait_ns",
-        "plan_ns",
-        "solve_ns",
-        "merge_ns",
-        "reply_write_ns",
-    ]
-    .iter()
-    .map(|key| json_field_u64(line, key))
-    .sum();
-    assert!(
-        observed_ns.abs_diff(span_sum_ns) * 10 <= observed_ns,
-        "stage spans ({span_sum_ns} ns) must account for the client-observed \
-         latency ({observed_ns} ns) within 10%: {line}"
-    );
-    // The 250 ms window pushed end-to-end latency far past the 1 ms
-    // threshold, and the plan saw exactly the one query.
-    assert!(json_field_u64(line, "total_ns") >= 1_000_000, "{line}");
-    assert_eq!(json_field_u64(line, "queries"), 1, "{line}");
-
-    server.shutdown();
-    server.join();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,10 +7,10 @@
 //! components, along k-level contours — see `ic_store::shard`) into
 //! self-contained shard stores. [`ShardedEngine`] opens every shard in
 //! a directory (memory-mapped by default), plans each query against
-//! only the shards whose *group* routes that `k` to them, scatters one
-//! engine batch per contributing shard, translates local vertex ids
-//! back to global ids, and merges the per-shard top-`r` lists under the
-//! canonical ranking order.
+//! only the shards whose *group* routes that `k` to them, hands one leg
+//! per contributing shard to that shard engine's worker pool, translates
+//! local vertex ids back to global ids, and merges the per-shard top-`r`
+//! lists under the canonical ranking order when a query's last leg lands.
 //!
 //! **Bit-identity.** The merged answer equals a single unsharded
 //! engine's answer bit for bit, because
@@ -51,7 +51,8 @@ use ic_engine::{
 };
 use ic_mem::SharedSlice;
 use ic_store::{ShardMeta, StoreError, StoreFile};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One opened shard: its engine, its global-id translation, and the
 /// routing metadata persisted at build time.
@@ -112,8 +113,9 @@ impl ShardedEngine {
 
     /// [`ShardedEngine::open_dir`] with explicit [`OpenOptions`].
     /// `options.threads` is the *total* worker budget: it is divided
-    /// evenly across shards (at least one each) because scattered
-    /// batches run concurrently.
+    /// evenly across shards (at least one each) because legs run
+    /// concurrently. A shard engine starts its workers on its first leg
+    /// and joins them when the front drops; the open starts none.
     ///
     /// Fails closed on a malformed shard set: missing/duplicated shard
     /// indices, inconsistent global graph identity, a group without a
@@ -320,8 +322,8 @@ impl ShardedEngine {
         out
     }
 
-    /// Executes a batch across shards; the sharded equivalent of
-    /// [`Engine::run_batch_pinned`]. Results align with the input
+    /// [`QueryBackend::submit`], then a wait for every answer: the
+    /// sharded [`Engine::run_batch_pinned`]. Results align with the input
     /// order; the epoch is always the initial one (sharded serving is
     /// read-only — there is no cross-shard `apply`).
     pub fn run_batch_pinned(
@@ -329,190 +331,47 @@ impl ShardedEngine {
         queries: &[Query],
         options: &BatchOptions,
     ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
-        self.run_batch_inner(queries, options, None)
+        let (tx, rx) = std::sync::mpsc::channel();
+        let send = move |answer: &(usize, SharedAnswer)| drop(tx.send(answer.clone()));
+        let sink: AnswerSink = Arc::new(move |_, answers| answers.iter().for_each(&send));
+        self.submit(queries, options, Arc::default(), sink);
+        let mut slots = vec![None; queries.len()];
+        for (qi, answer) in rx.iter().take(queries.len()) {
+            slots[qi] = Some((*answer).clone());
+        }
+        let answers = slots
+            .into_iter()
+            .map(|a| a.expect("every query is answered exactly once"));
+        (Epoch::default(), answers.collect())
     }
 
-    fn run_batch_inner(
-        &self,
-        queries: &[Query],
-        options: &BatchOptions,
-        trace: Option<&ic_obs::Trace>,
-    ) -> (Epoch, Vec<Result<QueryAnswer, EngineError>>) {
-        self.metrics.batches.inc();
-        let mut slots: Vec<Option<Result<QueryAnswer, EngineError>>> = vec![None; queries.len()];
-        // Per shard: which query indices scatter to it.
-        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (qi, q) in queries.iter().enumerate() {
-            match q.solver() {
-                Err(e) => {
-                    slots[qi] = Some(Err(EngineError::Search(e)));
-                    continue;
-                }
-                Ok(Solver::TicApprox) => {
-                    slots[qi] = Some(Err(EngineError::Search(SearchError::InvalidParams(
-                        "approximate (epsilon > 0) queries are not shard-mergeable: per-shard \
-                         answers carry no cross-shard optimality certificate; use epsilon = 0"
-                            .to_string(),
-                    ))));
-                    continue;
-                }
-                Ok(Solver::LocalSearch) => {
-                    slots[qi] = Some(Err(EngineError::Search(SearchError::InvalidParams(
-                        "size-constrained local search is not shard-mergeable: its heuristic \
-                         answers depend on the global search pool"
-                            .to_string(),
-                    ))));
-                    continue;
-                }
-                Ok(Solver::MinPeel | Solver::MaxPeel | Solver::TicExact) => {}
-                // `Solver` is non-exhaustive: a solver class this build
-                // does not know is by definition not proven mergeable.
-                Ok(_) => {
-                    slots[qi] = Some(Err(EngineError::Search(SearchError::InvalidParams(
-                        "unknown solver class is not shard-mergeable".to_string(),
-                    ))));
-                    continue;
-                }
-            }
-            let targets = self.route(q.k);
-            if targets.is_empty() {
-                // Every group's serving shard has an empty k-core: the
-                // global k-core is empty too.
-                slots[qi] = Some(Ok(QueryAnswer::complete(Vec::new())));
-                continue;
-            }
-            for si in targets {
-                per_shard[si].push(qi);
-            }
+    /// The shards `q` scatters to, or the typed error that answers it
+    /// at once: only the exact solver classes merge losslessly.
+    fn targets(&self, q: &Query) -> Result<Vec<usize>, EngineError> {
+        let refuse = |why: &str| Err(EngineError::Search(SearchError::InvalidParams(why.into())));
+        match q.solver().map_err(EngineError::Search)? {
+            Solver::MinPeel | Solver::MaxPeel | Solver::TicExact => Ok(self.route(q.k)),
+            Solver::TicApprox => refuse(
+                "approximate (epsilon > 0) queries are not shard-mergeable: per-shard \
+                 answers carry no cross-shard optimality certificate; use epsilon = 0",
+            ),
+            Solver::LocalSearch => refuse(
+                "size-constrained local search is not shard-mergeable: its heuristic \
+                 answers depend on the global search pool",
+            ),
+            // `Solver` is non-exhaustive: a solver class this build
+            // does not know is by definition not proven mergeable.
+            _ => refuse("unknown solver class is not shard-mergeable"),
         }
-
-        // Scatter: one engine batch per contributing shard, run
-        // concurrently (each shard engine has its own worker pool).
-        // The traced call is the one that hands back the engines' shared
-        // result slots (no per-shard deep copy); an untraced batch
-        // records into a trace nobody reads.
-        let scratch = ic_obs::Trace::new();
-        let trace_or_scratch = trace.unwrap_or(&scratch);
-        let scatter_sw = ic_obs::Stopwatch::start();
-        let mut shard_results: Vec<Option<Vec<SharedAnswer>>> =
-            (0..self.shards.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = per_shard
-                .iter()
-                .enumerate()
-                .filter(|(_, qis)| !qis.is_empty())
-                .map(|(si, qis)| {
-                    let shard = &self.shards[si];
-                    let subset: Vec<Query> = qis.iter().map(|&qi| queries[qi]).collect();
-                    (
-                        si,
-                        scope.spawn(move || {
-                            shard
-                                .engine
-                                .run_batch_traced(&subset, options, trace_or_scratch)
-                                .1
-                        }),
-                    )
-                })
-                .collect();
-            self.metrics.fanout.add(handles.len() as u64);
-            for (si, handle) in handles {
-                // A panicking shard solver is already isolated per
-                // query inside its engine; a panic escaping the batch
-                // call itself is a bug — propagate it.
-                shard_results[si] = Some(handle.join().expect("shard batch panicked"));
-            }
-        });
-        if let Some(trace) = trace {
-            scatter_sw.record(trace, ic_obs::Stage::Solve);
-        }
-        scatter_sw.observe(&self.metrics.scatter_ns);
-
-        // Gather: merge each query's per-shard answers.
-        let merge_sw = ic_obs::Stopwatch::start();
-        for (qi, q) in queries.iter().enumerate() {
-            if slots[qi].is_some() {
-                continue;
-            }
-            let mut parts: Vec<(&Shard, &[Community])> = Vec::new();
-            let mut degraded: Option<AnswerStatus> = None;
-            let mut error: Option<EngineError> = None;
-            for (si, qis) in per_shard.iter().enumerate() {
-                let Some(pos) = qis.iter().position(|&i| i == qi) else {
-                    continue;
-                };
-                let res = &shard_results[si].as_ref().expect("shard batch ran")[pos];
-                match res.as_ref() {
-                    Ok(ans) => {
-                        if let AnswerStatus::Degraded { reason, .. } = ans.status {
-                            // Any degraded contribution makes the merge
-                            // best-so-far: no cross-shard rank is proven.
-                            degraded = Some(AnswerStatus::Degraded {
-                                reason,
-                                proven_prefix_len: 0,
-                            });
-                        }
-                        parts.push((&self.shards[si], &ans.communities));
-                    }
-                    // A shard that proved nothing before its deadline
-                    // contributes an empty best-so-far list; the merge
-                    // degrades instead of discarding other shards' work.
-                    Err(EngineError::DeadlineExceeded) => {
-                        degraded = Some(AnswerStatus::Degraded {
-                            reason: ic_engine::DegradeReason::DeadlineExpired,
-                            proven_prefix_len: 0,
-                        });
-                    }
-                    Err(e) => {
-                        error = Some(e.clone());
-                        break;
-                    }
-                }
-            }
-            slots[qi] = Some(match error {
-                Some(e) => Err(e),
-                None => {
-                    let mut all: Vec<Community> = Vec::new();
-                    for (shard, local) in parts {
-                        all.extend(translate(local, &shard.id_map));
-                    }
-                    let communities = top_ranked(all, q.r);
-                    match degraded {
-                        Some(status) if !communities.is_empty() => Ok(QueryAnswer {
-                            communities,
-                            status,
-                        }),
-                        // Nothing proven anywhere: the typed failure,
-                        // exactly like the single-engine path.
-                        Some(_) => Err(EngineError::DeadlineExceeded),
-                        None => Ok(QueryAnswer::complete(communities)),
-                    }
-                }
-            });
-        }
-
-        if let Some(trace) = trace {
-            merge_sw.record(trace, ic_obs::Stage::Merge);
-        }
-        merge_sw.observe(&self.metrics.merge_ns);
-
-        (
-            Epoch::default(),
-            slots
-                .into_iter()
-                .map(|s| s.expect("every query is answered exactly once"))
-                .collect(),
-        )
     }
 }
 
 impl QueryBackend for ShardedEngine {
-    /// Runs the whole batch before returning and hands the sink every
-    /// answer as one slice. The scatter phase lands in the trace's
-    /// `Solve` span (it is the sharded analogue of solver execution) and
-    /// the gather/merge loop in `Merge`; per-shard engines add their own
-    /// `IndexServe` sub-spans through [`Engine::run_batch_traced`], whose
-    /// shared slots the gather reads in place.
+    /// Routes on the calling thread, hands the sink what routing alone
+    /// answers as one slice, submits one leg per contributing shard to
+    /// that shard engine's `submit`, and returns. A query is merged and
+    /// handed over when its last leg answers. The legs record their own
+    /// `plan` and `solve` into `trace`; the front adds only `merge`.
     fn submit(
         &self,
         queries: &[Query],
@@ -520,14 +379,162 @@ impl QueryBackend for ShardedEngine {
         trace: Arc<ic_obs::Trace>,
         sink: AnswerSink,
     ) {
-        let (epoch, merged) = self.run_batch_inner(queries, options, Some(&trace));
-        let answers: Vec<(usize, SharedAnswer)> =
-            merged.into_iter().map(Arc::new).enumerate().collect();
-        sink(epoch, &answers);
+        self.metrics.batches.inc();
+        let mut routed: Vec<(usize, SharedAnswer)> = Vec::new();
+        let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        let mut waiting = vec![0; queries.len()];
+        for (qi, q) in queries.iter().enumerate() {
+            match self.targets(q) {
+                Ok(targets) if !targets.is_empty() => {
+                    waiting[qi] = targets.len();
+                    targets.into_iter().for_each(|si| per_shard[si].push(qi));
+                }
+                // Every group's serving shard has an empty k-core: the
+                // global k-core is empty too.
+                Ok(_) => routed.push((qi, Arc::new(Ok(QueryAnswer::complete(Vec::new()))))),
+                Err(e) => routed.push((qi, Arc::new(Err(e)))),
+            }
+        }
+        if !routed.is_empty() {
+            sink(Epoch::default(), &routed);
+        }
+        let legs: Vec<Leg> = per_shard
+            .into_iter()
+            .enumerate()
+            .filter(|(_, qis)| !qis.is_empty())
+            .map(|(si, qis)| (si, self.shards[si].id_map.clone(), qis))
+            .collect();
+        if legs.is_empty() {
+            return;
+        }
+        self.metrics.fanout.add(legs.len() as u64);
+        // Every count is fixed before the first leg goes out: a leg's
+        // plan-time answers land inside its own `submit` call.
+        let gather = Arc::new(Gather {
+            pending: Mutex::new(waiting.into_iter().map(|n| (n, Vec::new())).collect()),
+            rs: queries.iter().map(|q| q.r).collect(),
+            trace,
+            sink,
+            scatter_ns: self.metrics.scatter_ns.clone(),
+            merge_ns: self.metrics.merge_ns.clone(),
+            scatter_sw: ic_obs::Stopwatch::start(),
+            legs,
+        });
+        for (leg, (si, _, qis)) in gather.legs.iter().enumerate() {
+            let subset: Vec<Query> = qis.iter().map(|&qi| queries[qi]).collect();
+            let landed = Arc::clone(&gather);
+            let leg_sink: AnswerSink = Arc::new(move |_, answers| landed.land(leg, answers));
+            let engine = &self.shards[*si].engine;
+            engine.submit(&subset, options, Arc::clone(&gather.trace), leg_sink);
+        }
     }
 
     fn obs_registry(&self) -> Option<&ic_obs::Registry> {
         Some(&self.metrics.registry)
+    }
+}
+
+/// One shard's share of a batch: the shard, its id map, and the batch
+/// index of each query the leg carries.
+type Leg = (usize, SharedSlice<u32>, Vec<usize>);
+
+/// A query's leg answers so far, each with its leg.
+type Parts = Vec<(usize, SharedAnswer)>;
+
+/// One batch's gather: maps each leg's answers back to their queries
+/// and merges a query once its last leg has answered.
+struct Gather {
+    legs: Vec<Leg>,
+    /// Each batch query's `r`.
+    rs: Vec<usize>,
+    /// Per batch query: the legs still out, and the answers of those in
+    /// (by leg).
+    pending: Mutex<Vec<(usize, Parts)>>,
+    trace: Arc<ic_obs::Trace>,
+    sink: AnswerSink,
+    /// First leg submitted → last leg answer landed.
+    scatter_sw: ic_obs::Stopwatch,
+    scatter_ns: ic_obs::Histogram,
+    merge_ns: ic_obs::Histogram,
+}
+
+impl Gather {
+    /// Takes one slice of `leg`'s answers, then merges every query whose
+    /// last leg this was and hands them to the sink as one slice.
+    fn land(&self, leg: usize, answers: &[(usize, SharedAnswer)]) {
+        let mut ready = Vec::new();
+        {
+            let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
+            for (local, answer) in answers {
+                let qi = self.legs[leg].2[*local];
+                let (waiting, parts) = &mut pending[qi];
+                parts.push((leg, Arc::clone(answer)));
+                *waiting -= 1;
+                if *waiting == 0 {
+                    ready.push((qi, std::mem::take(parts)));
+                }
+            }
+            if pending.iter().all(|&(waiting, _)| waiting == 0) {
+                self.scatter_sw.observe(&self.scatter_ns);
+            }
+        }
+        if ready.is_empty() {
+            return;
+        }
+        let merge_sw = ic_obs::Stopwatch::start();
+        // A panicking merge fails its own query, as a panicking job does
+        // in the engine; every ready query is still answered.
+        let merged: Vec<(usize, SharedAnswer)> = ready
+            .into_iter()
+            .map(|(qi, parts)| {
+                let merged = catch_unwind(AssertUnwindSafe(|| self.merge(self.rs[qi], parts)));
+                let lost = EngineError::Internal {
+                    detail: "the shard merge panicked".into(),
+                };
+                (qi, Arc::new(merged.unwrap_or(Err(lost))))
+            })
+            .collect();
+        merge_sw.record(&self.trace, ic_obs::Stage::Merge);
+        merge_sw.observe(&self.merge_ns);
+        (self.sink)(Epoch::default(), &merged);
+    }
+
+    /// Merges one query's leg answers in shard order: the first error
+    /// wins; a degraded leg, or one that proved nothing before its
+    /// deadline, makes the merge best-so-far (no cross-shard rank is
+    /// proven) instead of discarding the other legs' work.
+    fn merge(&self, r: usize, mut parts: Parts) -> Result<QueryAnswer, EngineError> {
+        parts.sort_unstable_by_key(|&(leg, _)| leg);
+        let mut all: Vec<Community> = Vec::new();
+        let mut degraded = None;
+        for (leg, answer) in &parts {
+            match answer.as_ref() {
+                Ok(ans) => {
+                    if let AnswerStatus::Degraded { reason, .. } = ans.status {
+                        degraded = Some(reason);
+                    }
+                    all.extend(translate(&ans.communities, &self.legs[*leg].1));
+                }
+                Err(EngineError::DeadlineExceeded) => {
+                    degraded = Some(ic_engine::DegradeReason::DeadlineExpired);
+                }
+                Err(e) => return Err(e.clone()),
+            }
+        }
+        let communities = top_ranked(all, r);
+        match degraded {
+            None => Ok(QueryAnswer::complete(communities)),
+            // Nothing proven anywhere: the typed failure, exactly like
+            // the single-engine path.
+            Some(_) if communities.is_empty() => Err(EngineError::DeadlineExceeded),
+            Some(reason) => Ok(QueryAnswer {
+                communities,
+                status: AnswerStatus::Degraded {
+                    reason,
+                    proven_prefix_len: 0,
+                },
+            }),
+        }
     }
 }
 

@@ -71,16 +71,22 @@ fn dropped_engines_and_shard_fronts_leave_no_thread_behind() {
                 let engine = Engine::with_threads(wg.clone(), 3);
                 assert!(engine.run_batch(&batch).iter().all(Result::is_ok));
             }
-            // Shards that never receive a job start no worker.
+            // An idle open starts no worker, and no batch spawns one: a
+            // leg runs on its shard engine's pool, started by the
+            // engine's first leg and never grown.
             2 => {
-                let sharded = ShardedEngine::open_dir(&dir).unwrap();
+                let workers = 2 * built.len();
+                let options = OpenOptions::default().threads(workers);
+                let sharded = ShardedEngine::open_dir_with(&dir, &options).unwrap();
                 assert_eq!(settled(baseline), baseline, "round {round}: an idle open");
-                let _ = sharded.run_batch_pinned(&batch[..1], &BatchOptions::default());
-                assert_eq!(
-                    settled(baseline),
-                    baseline,
-                    "round {round}: one job per shard"
-                );
+                for _ in 0..20 {
+                    let sink: AnswerSink = Arc::new(|_, _| {});
+                    sharded.submit(&batch, &BatchOptions::default(), Arc::default(), sink);
+                    assert!(
+                        threads() <= baseline + workers,
+                        "round {round}: a thread per batch"
+                    );
+                }
             }
             3 => {
                 let options = OpenOptions::default().threads(6);

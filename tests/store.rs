@@ -16,7 +16,7 @@
 
 use ic_core::algo::ExtremumIndex;
 use ic_core::{Aggregation, Extremum, Query};
-use ic_engine::{BatchOptions, EdgeUpdate, Engine, EngineError};
+use ic_engine::{AnswerSink, BatchOptions, EdgeUpdate, Engine, EngineError, QueryBackend};
 use ic_gen::{chung_lu, gnm, rank_weights, GraphSeed};
 use ic_graph::WeightedGraph;
 use ic_kcore::{core_decomposition, GraphSnapshot};
@@ -480,6 +480,7 @@ fn a_clean_mapped_store_pays_its_adjacency_check_once_on_first_touch() {
     let path = dir.join("clean.ics1");
     std::fs::write(&path, store_bytes_for(&wg, &[2])).unwrap();
     let fresh = Engine::with_threads(wg, 1);
+    let options = BatchOptions::default();
     let checks = |engine: &Engine| {
         let entries = engine.obs_registry().flat_entries();
         (
@@ -488,10 +489,21 @@ fn a_clean_mapped_store_pays_its_adjacency_check_once_on_first_touch() {
             counter(&entries, "store.adjacency_check_ns.count"),
         )
     };
+    // Submits and waits for every answer: counters are read after the jobs.
+    let run = |engine: &Engine, queries: &[Query], trace: &Arc<ic_obs::Trace>| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sink: AnswerSink =
+            Arc::new(move |_, answers| answers.iter().for_each(|a| tx.send(a.clone()).unwrap()));
+        engine.submit(queries, &options, Arc::clone(trace), sink);
+        let mut got: Vec<_> = rx.iter().take(queries.len()).collect();
+        got.sort_by_key(|&(idx, _)| idx);
+        assert_eq!(got.len(), queries.len(), "every query is answered");
+        got
+    };
     for touch in Touch::ALL {
         let engine = Engine::open_with_threads(&path, 1).unwrap();
-        let trace = ic_obs::Trace::new();
-        engine.run_batch_traced(&forest_served(), &BatchOptions::default(), &trace);
+        let trace = Arc::new(ic_obs::Trace::new());
+        run(&engine, &forest_served(), &trace);
         assert_eq!(checks(&engine), (0.0, 0.0, 0.0), "forest reads owe nothing");
         assert!(!trace.has(ic_obs::Tag::AdjacencyChecked));
         touch.run(&engine, &dir).expect("a clean store passes");
@@ -502,13 +514,13 @@ fn a_clean_mapped_store_pays_its_adjacency_check_once_on_first_touch() {
     // The tag lands on the batch whose plan ran the check.
     let engine = Engine::open_with_threads(&path, 1).unwrap();
     let sweep = query_sweep(&[1, 2, 3]);
-    let trace = ic_obs::Trace::new();
-    let (_, got) = engine.run_batch_traced(&sweep, &BatchOptions::default(), &trace);
+    let trace = Arc::new(ic_obs::Trace::new());
+    let got = run(&engine, &sweep, &trace);
     assert!(trace.has(ic_obs::Tag::AdjacencyChecked));
-    let again = ic_obs::Trace::new();
-    engine.run_batch_traced(&sweep, &BatchOptions::default(), &again);
+    let again = Arc::new(ic_obs::Trace::new());
+    run(&engine, &sweep, &again);
     assert!(!again.has(ic_obs::Tag::AdjacencyChecked));
-    for ((q, x), y) in sweep.iter().zip(fresh.run_batch(&sweep)).zip(got) {
+    for ((q, x), (_, y)) in sweep.iter().zip(fresh.run_batch(&sweep)).zip(got) {
         let y = y.as_ref().as_ref().expect("valid query");
         assert_eq!(
             x.unwrap(),
