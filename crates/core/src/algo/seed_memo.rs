@@ -15,10 +15,12 @@
 //! prefix is competitive against the list's bar as it stands at that
 //! seed, so a replay inserts exactly what a fresh expansion would.
 //!
-//! [`SeedMemo::carry`] hands an apply's new snapshot every entry the
-//! update provably left alone. The memo is bounded by a fixed
-//! per-snapshot byte budget; a family or an entry that does not fit is
-//! walked without one.
+//! A family keeps one slot per seed of its level, in the ascending order
+//! a walk visits them, so it costs what its level's k-core holds, not
+//! what the graph does. [`SeedMemo::carry`] hands an apply's new
+//! snapshot every entry the update provably left alone, at its seed's
+//! new slot. The memo is bounded by a fixed per-snapshot byte budget; a
+//! family or an entry that does not fit is walked without one.
 
 use crate::algo::common::community_from_vertices;
 use crate::algo::local_search::{
@@ -26,14 +28,15 @@ use crate::algo::local_search::{
 };
 use crate::{AggregateState, Aggregation, Community, TopList};
 use ic_graph::{BitSet, VertexId, WeightedGraph};
-use ic_kcore::{CascadeRecord, GraphSnapshot};
+use ic_kcore::{CascadeRecord, CoreLevel, GraphSnapshot};
 use std::collections::HashMap;
 use std::mem::size_of;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Bytes one snapshot's memo may hold: a few dozen `(k, s)` families of
-/// 20-vertex pools on a 10⁴-vertex graph.
+/// Bytes one snapshot's memo may hold: `miss_mix`'s whole working set,
+/// 132 `(k, s)` families of up to 40-vertex pools over the 4- to 10-cores
+/// of a 10⁴-vertex graph, peaks at 31.6 MB of it.
 const MEMO_BUDGET: usize = 32 << 20;
 
 /// A prefix no strategy has tested yet.
@@ -234,7 +237,8 @@ fn prefix_replay(
 }
 
 /// The memo of one `(k, s, greedy)` family on one snapshot: an entry
-/// slot per vertex.
+/// slot per seed of its level, slot `i` for the `i`-th vertex of the
+/// ascending k-core.
 struct FamilyMemo {
     slots: Box<[OnceLock<Arc<SeedEntry>>]>,
     /// Bytes of the slots and of every entry set in them.
@@ -242,16 +246,25 @@ struct FamilyMemo {
 }
 
 impl FamilyMemo {
-    fn slot_bytes(n: usize) -> usize {
-        n * size_of::<OnceLock<Arc<SeedEntry>>>()
+    fn slot_bytes(seeds: usize) -> usize {
+        seeds * size_of::<OnceLock<Arc<SeedEntry>>>()
     }
 
-    fn new(n: usize) -> FamilyMemo {
+    fn new(seeds: usize) -> FamilyMemo {
         FamilyMemo {
-            slots: (0..n).map(|_| OnceLock::new()).collect(),
-            bytes: AtomicUsize::new(Self::slot_bytes(n)),
+            slots: (0..seeds).map(|_| OnceLock::new()).collect(),
+            bytes: AtomicUsize::new(Self::slot_bytes(seeds)),
         }
     }
+}
+
+/// A snapshot memo's families, and per level `k` its k-core's vertices
+/// in ascending order: the seeds a walk at `k` visits, and the slot
+/// order of every family at `k`.
+#[derive(Default)]
+struct Families {
+    seeds: HashMap<usize, Arc<[VertexId]>>,
+    memos: HashMap<(usize, usize, bool), Arc<FamilyMemo>>,
 }
 
 /// What Algorithm 4 learned about seeds on one snapshot, per
@@ -260,9 +273,11 @@ impl FamilyMemo {
 /// snapshot by whoever serves it, and carried across an apply by
 /// [`carry`](Self::carry).
 pub struct SeedMemo {
-    families: Mutex<HashMap<(usize, usize, bool), Arc<FamilyMemo>>>,
+    families: Mutex<Families>,
     /// Bytes held: every family's slots and entries.
     bytes: AtomicUsize,
+    /// Families and entries the budget turned away, not yet taken.
+    refused: AtomicU64,
     budget: usize,
 }
 
@@ -275,40 +290,67 @@ impl Default for SeedMemo {
 impl SeedMemo {
     fn with_budget(budget: usize) -> SeedMemo {
         SeedMemo {
-            families: Mutex::new(HashMap::new()),
+            families: Mutex::new(Families::default()),
             bytes: AtomicUsize::new(0),
+            refused: AtomicU64::new(0),
             budget,
         }
     }
 
-    /// Bytes the memo holds; never more than its fixed budget.
+    /// Bytes the memo holds in slots and entries; never more than its
+    /// fixed budget. The levels' seed lists, 4 B a seed, are the walks'
+    /// and are not charged.
     pub fn bytes(&self) -> usize {
         self.bytes.load(Relaxed)
     }
 
-    fn reserve(&self, bytes: usize) -> bool {
-        let fits = |held: usize| held.checked_add(bytes).filter(|&b| b <= self.budget);
-        self.bytes.fetch_update(Relaxed, Relaxed, fits).is_ok()
+    /// The families and entries the budget turned away since the last
+    /// call: a family fetched without a memo (once per fetch), an entry
+    /// not kept, and a family or entry an apply could not carry.
+    pub fn take_refused(&self) -> u64 {
+        self.refused.swap(0, Relaxed)
     }
 
-    /// The memo of the `(k, s, greedy)` family over this snapshot's `n`
-    /// vertices, created empty on first use; `None` when a new family's
-    /// slots do not fit the budget — its seeds are then walked without a
-    /// memo.
-    pub fn family(&self, n: usize, k: usize, s: usize, greedy: bool) -> Option<MemoFamily<'_>> {
-        let mut families = self.families.lock().unwrap_or_else(|e| e.into_inner());
-        let family = match families.get(&(k, s, greedy)) {
-            Some(family) => Arc::clone(family),
-            None => {
-                if !self.reserve(FamilyMemo::slot_bytes(n)) {
-                    return None;
-                }
-                let family = Arc::new(FamilyMemo::new(n));
-                families.insert((k, s, greedy), Arc::clone(&family));
-                family
+    fn reserve(&self, bytes: usize) -> bool {
+        let fits = |held: usize| held.checked_add(bytes).filter(|&b| b <= self.budget);
+        let kept = self.bytes.fetch_update(Relaxed, Relaxed, fits).is_ok();
+        if !kept {
+            self.refused.fetch_add(1, Relaxed);
+        }
+        kept
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Families> {
+        self.families.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The `(level.k, s, greedy)` family over this snapshot's `level`:
+    /// the level's seeds, listed on first use, and the family's memo,
+    /// created empty on first use with a slot per seed — unless those
+    /// slots do not fit the budget, and the seeds are walked without one.
+    pub fn family(&self, level: &CoreLevel, s: usize, greedy: bool) -> MemoFamily<'_> {
+        let k = level.k;
+        let mut families = self.lock();
+        let seeds = Arc::clone(
+            families
+                .seeds
+                .entry(k)
+                .or_insert_with(|| level.mask.iter().map(|v| v as VertexId).collect()),
+        );
+        let family = match families.memos.get(&(k, s, greedy)) {
+            Some(family) => Some(Arc::clone(family)),
+            None if self.reserve(FamilyMemo::slot_bytes(seeds.len())) => {
+                let family = Arc::new(FamilyMemo::new(seeds.len()));
+                families.memos.insert((k, s, greedy), Arc::clone(&family));
+                Some(family)
             }
+            None => None,
         };
-        Some(MemoFamily { memo: self, family })
+        MemoFamily {
+            memo: self,
+            seeds,
+            family,
+        }
     }
 
     /// The memo the snapshot an apply swaps in starts with, and the
@@ -318,9 +360,11 @@ impl SeedMemo {
     ///
     /// A family above every record's ceiling is shared whole: its
     /// level's k-core, vertex set and induced edges, is the old one. At a
-    /// level `k` at or below it, let `D` be the endpoints of every
-    /// applied toggle, every vertex whose core number crossed `k`, and
-    /// the neighbours of those in either graph. An entry survives when
+    /// level `k` at or below it, the family starts over the new k-core's
+    /// seeds, its slots reserved like a new family's. Let `D` be the
+    /// endpoints of every applied toggle, every vertex whose core number
+    /// crossed `k`, and the neighbours of those in either graph. An entry
+    /// survives, at its seed's new slot, when
     ///
     /// * its seed is still in the k-core;
     /// * no vertex whose row its pool build read is in `D`: a level-`k`
@@ -330,7 +374,8 @@ impl SeedMemo {
     ///   the connectivity test count only neighbours inside the pool, so
     ///   every verdict it holds stands.
     ///
-    /// A surviving entry is shared by `Arc` with the old memo.
+    /// A surviving entry is shared by `Arc` with the old memo, when the
+    /// budget has room for it.
     pub fn carry(
         &self,
         old: &GraphSnapshot,
@@ -338,6 +383,7 @@ impl SeedMemo {
         records: &[CascadeRecord],
     ) -> (SeedMemo, u64) {
         let ceiling = records.iter().filter_map(CascadeRecord::ceiling).max();
+        let changed = |k: usize| ceiling.is_some_and(|c| k <= c as usize);
         let applied: Vec<(VertexId, VertexId)> = records
             .iter()
             .filter(|r| r.applied)
@@ -349,38 +395,52 @@ impl SeedMemo {
             ends.insert(u as usize);
             ends.insert(v as usize);
         }
-        let cores = new.decomposition();
+        let cores = &new.decomposition().core_numbers;
         let next = SeedMemo::with_budget(self.budget);
         let mut dropped = 0u64;
-        let mut reached: HashMap<usize, BitSet> = HashMap::new();
-        let families = self.families.lock().unwrap_or_else(|e| e.into_inner());
-        let mut carried = HashMap::with_capacity(families.len());
-        for (&(k, s, greedy), family) in families.iter() {
-            let kept = if ceiling.is_none_or(|c| k > c as usize) {
-                Arc::clone(family)
+        let families = self.lock();
+        let mut carried = Families::default();
+        let mut reached = HashMap::new();
+        for (&k, seeds) in &families.seeds {
+            let seeds = if changed(k) {
+                reached.insert(k, reached_at(old, new, records, k));
+                let in_core = |&v: &VertexId| cores[v as usize] as usize >= k;
+                (0..n as VertexId).filter(in_core).collect()
             } else {
-                let d = reached
-                    .entry(k)
-                    .or_insert_with(|| reached_at(old, new, records, k));
-                let fresh = FamilyMemo::new(n);
-                for (seed, slot) in family.slots.iter().enumerate() {
-                    let Some(entry) = slot.get() else { continue };
-                    let survives = cores.core_numbers[seed] as usize >= k
-                        && !entry.read().iter().any(|&v| d.contains(v as usize))
-                        && !holds_a_toggle(entry.pool(), &ends, &applied);
-                    if survives {
-                        let _ = fresh.slots[seed].set(Arc::clone(entry));
-                        fresh.bytes.fetch_add(entry.bytes(), Relaxed);
-                    } else {
-                        dropped += 1;
-                    }
-                }
-                Arc::new(fresh)
+                Arc::clone(seeds)
             };
-            next.bytes.fetch_add(kept.bytes.load(Relaxed), Relaxed);
-            carried.insert((k, s, greedy), kept);
+            carried.seeds.insert(k, seeds);
         }
-        *next.families.lock().unwrap_or_else(|e| e.into_inner()) = carried;
+        // Shared families first: they fit, as they did in this memo.
+        for (&key, family) in families.memos.iter().filter(|(key, _)| !changed(key.0)) {
+            next.bytes.fetch_add(family.bytes.load(Relaxed), Relaxed);
+            carried.memos.insert(key, Arc::clone(family));
+        }
+        for (&key, family) in families.memos.iter().filter(|(key, _)| changed(key.0)) {
+            let seeds = &carried.seeds[&key.0];
+            if !next.reserve(FamilyMemo::slot_bytes(seeds.len())) {
+                continue;
+            }
+            let d = &reached[&key.0];
+            let fresh = FamilyMemo::new(seeds.len());
+            for (slot, seed) in family.slots.iter().zip(families.seeds[&key.0].iter()) {
+                let Some(entry) = slot.get() else { continue };
+                match seeds.binary_search(seed) {
+                    Ok(at)
+                        if !entry.read().iter().any(|&v| d.contains(v as usize))
+                            && !holds_a_toggle(entry.pool(), &ends, &applied) =>
+                    {
+                        if next.reserve(entry.bytes()) {
+                            let _ = fresh.slots[at].set(Arc::clone(entry));
+                            fresh.bytes.fetch_add(entry.bytes(), Relaxed);
+                        }
+                    }
+                    _ => dropped += 1,
+                }
+            }
+            carried.memos.insert(key, Arc::new(fresh));
+        }
+        *next.lock() = carried;
         (next, dropped)
     }
 }
@@ -425,30 +485,37 @@ fn holds_a_toggle(pool: &[VertexId], ends: &BitSet, applied: &[(VertexId, Vertex
             .any(|&(u, v)| pool.contains(&u) && pool.contains(&v))
 }
 
-/// One family's memo as a seed walk holds it: the entries, and the
-/// snapshot memo whose budget new entries are charged to.
+/// One family as a seed walk holds it: its level's seeds, and its memo
+/// (`None`: the budget had no room for its slots) with the snapshot
+/// memo whose budget new entries are charged to.
 pub struct MemoFamily<'a> {
     memo: &'a SeedMemo,
-    family: Arc<FamilyMemo>,
+    seeds: Arc<[VertexId]>,
+    family: Option<Arc<FamilyMemo>>,
 }
 
 impl MemoFamily<'_> {
-    fn get(&self, seed: VertexId) -> Option<&SeedEntry> {
-        self.family.slots[seed as usize].get().map(|e| &**e)
+    /// The level's k-core in ascending order: the seeds to walk, and
+    /// `at` of [`run_seed_memo`] a position in it.
+    pub fn seeds(&self) -> &[VertexId] {
+        &self.seeds
     }
 
-    /// Keeps `entry` for `seed` when it fits the budget. A racing walk
-    /// may have kept the seed's entry first; the two are the same.
-    fn keep(&self, seed: VertexId, entry: SeedEntry) {
+    fn get(&self, at: usize) -> Option<&SeedEntry> {
+        self.family.as_ref()?.slots[at].get().map(|e| &**e)
+    }
+
+    /// Keeps `entry` for seed `at` when the family has a memo and the
+    /// entry fits the budget. A racing walk may have kept the seed's
+    /// entry first; the two are the same.
+    fn keep(&self, at: usize, entry: SeedEntry) {
+        let Some(family) = &self.family else { return };
         let bytes = entry.bytes();
         if !self.memo.reserve(bytes) {
             return;
         }
-        if self.family.slots[seed as usize]
-            .set(Arc::new(entry))
-            .is_ok()
-        {
-            self.family.bytes.fetch_add(bytes, Relaxed);
+        if family.slots[at].set(Arc::new(entry)).is_ok() {
+            family.bytes.fetch_add(bytes, Relaxed);
         } else {
             self.memo.bytes.fetch_sub(bytes, Relaxed);
         }
@@ -467,14 +534,14 @@ pub enum SeedVisit {
     Built(usize),
 }
 
-/// Expands one seed of Algorithm 4 for every target at once, inserting
-/// into each target's list exactly what the memo-free walk behind
-/// `Query::solve_on` does: the memo's entry for the seed is replayed
-/// when there is one; otherwise the pool is built and its entry kept,
-/// once every target is served and when the budget allows, for later
-/// families on this snapshot and, through [`SeedMemo::carry`], later
-/// snapshots. `memo` must be this snapshot's family for `(k, s, greedy)`
-/// (`None`: walk without one); the other arguments are as for a
+/// Expands seed `at` of `memo`'s level — `memo.seeds()[at]` — for
+/// every target at once, inserting into each target's list exactly what
+/// the memo-free walk behind `Query::solve_on` does: the family's entry
+/// for the seed is replayed when there is one; otherwise the pool is
+/// built and its entry kept, once every target is served and when the
+/// budget allows, for later families on this snapshot and, through
+/// [`SeedMemo::carry`], later snapshots. `memo` must be this snapshot's
+/// family for `(k, s, greedy)`; the other arguments are as for a
 /// memo-free seed walk — `core` the level's mask, `rows` its
 /// [`CoreRows`].
 #[allow(clippy::too_many_arguments)]
@@ -482,27 +549,26 @@ pub fn run_seed_memo(
     wg: &WeightedGraph,
     rows: &CoreRows,
     core: &BitSet,
-    seed: VertexId,
+    memo: &MemoFamily<'_>,
+    at: usize,
     k: usize,
     s: usize,
     greedy: bool,
-    memo: Option<&MemoFamily<'_>>,
     scratch: &mut LocalScratch,
     targets: &mut [SeedTarget<'_>],
 ) -> SeedVisit {
+    let seed = memo.seeds[at];
     if seed_is_hopeless(wg, seed, targets) {
         return SeedVisit::Skipped;
     }
-    if let Some(entry) = memo.and_then(|m| m.get(seed)) {
+    if let Some(entry) = memo.get(at) {
         replay(wg, rows, k, greedy, entry, scratch, targets);
         return SeedVisit::Replayed;
     }
     let entry = SeedEntry::build(wg, rows, core, seed, k, s, greedy, scratch);
     replay(wg, rows, k, greedy, &entry, scratch, targets);
     let built = entry.pool_len;
-    if let Some(memo) = memo {
-        memo.keep(seed, entry);
-    }
+    memo.keep(at, entry);
     SeedVisit::Built(built)
 }
 
@@ -522,40 +588,56 @@ mod tests {
         WeightedGraph::new(g, weights.into_iter().map(f64::floor).collect()).unwrap()
     }
 
-    /// Walks every seed of `snap`'s `k`-core through `memo` with an `avg`
-    /// and a `sum` target, then tests every prefix of every entry kept:
-    /// each verdict the memo can hold is known.
-    fn warm(snap: &GraphSnapshot, memo: &SeedMemo, (k, s, greedy): (usize, usize, bool)) {
+    /// Walks every seed of `family`, in order, with an `avg` and a `sum`
+    /// target; returns their lists and what each seed's visit did.
+    fn walk(
+        snap: &GraphSnapshot,
+        family: &MemoFamily<'_>,
+        (k, s, greedy): (usize, usize, bool),
+    ) -> (TopList, TopList, Vec<SeedVisit>) {
         let (wg, level) = (snap.weighted(), snap.level(k));
         let (rows, _) = CoreRows::cached(snap, k);
-        let family = memo.family(wg.num_vertices(), k, s, greedy).unwrap();
         let mut scratch = LocalScratch::new(wg.num_vertices());
         let (mut avg, mut sum) = (TopList::new(3), TopList::new(3));
-        for seed in level.mask.iter().map(|v| v as VertexId) {
-            let mut targets = [
-                SeedTarget {
-                    aggregation: Aggregation::Average,
-                    list: &mut avg,
-                },
-                SeedTarget {
-                    aggregation: Aggregation::Sum,
-                    list: &mut sum,
-                },
-            ];
-            let memo = Some(&family);
-            run_seed_memo(
-                wg,
-                &rows,
-                &level.mask,
-                seed,
-                k,
-                s,
-                greedy,
-                memo,
-                &mut scratch,
-                &mut targets,
-            );
-            if let Some(entry) = family.get(seed) {
+        let visits = (0..family.seeds().len())
+            .map(|at| {
+                let mut targets = [
+                    SeedTarget {
+                        aggregation: Aggregation::Average,
+                        list: &mut avg,
+                    },
+                    SeedTarget {
+                        aggregation: Aggregation::Sum,
+                        list: &mut sum,
+                    },
+                ];
+                run_seed_memo(
+                    wg,
+                    &rows,
+                    &level.mask,
+                    family,
+                    at,
+                    k,
+                    s,
+                    greedy,
+                    &mut scratch,
+                    &mut targets,
+                )
+            })
+            .collect();
+        (avg, sum, visits)
+    }
+
+    /// Walks every seed of `snap`'s `k`-core through `memo`, then tests
+    /// every prefix of every entry kept: each verdict the memo can hold
+    /// is known.
+    fn warm(snap: &GraphSnapshot, memo: &SeedMemo, (k, s, greedy): (usize, usize, bool)) {
+        let family = memo.family(&snap.level(k), s, greedy);
+        walk(snap, &family, (k, s, greedy));
+        let (rows, _) = CoreRows::cached(snap, k);
+        let mut scratch = LocalScratch::new(snap.weighted().num_vertices());
+        for at in 0..family.seeds().len() {
+            if let Some(entry) = family.get(at) {
                 let mut tracked = None;
                 for len in k + 1..=entry.pool_len {
                     entry.qualifies(len, k, &rows, &mut scratch, &mut tracked);
@@ -564,10 +646,10 @@ mod tests {
         }
     }
 
-    /// Asserts that every entry `memo` holds for the family equals one
-    /// built fresh on `snap` — the same pool, the same rows read, and
-    /// each verdict it holds the tracker's on `snap` — and returns how
-    /// many it checked.
+    /// Asserts that the family's seed list is `snap`'s k-core and that
+    /// every entry `memo` holds for it equals one built fresh on `snap`
+    /// — the same pool, the same rows read, and each verdict it holds
+    /// the tracker's on `snap` — and returns how many it checked.
     fn assert_fresh(
         snap: &GraphSnapshot,
         memo: &SeedMemo,
@@ -575,22 +657,15 @@ mod tests {
     ) -> usize {
         let (wg, level) = (snap.weighted(), snap.level(k));
         let (rows, _) = CoreRows::cached(snap, k);
-        let family = memo.family(wg.num_vertices(), k, s, greedy).unwrap();
+        let family = memo.family(&level, s, greedy);
+        let core: Vec<VertexId> = level.mask.iter().map(|v| v as VertexId).collect();
+        assert_eq!(family.seeds(), core, "seed list of {k}/{s}/{greedy}");
         let mut scratch = LocalScratch::new(wg.num_vertices());
         let mut checked = 0;
-        for (seed, slot) in family.family.slots.iter().enumerate() {
+        let slots = &family.family.as_ref().unwrap().slots;
+        for (slot, &seed) in slots.iter().zip(family.seeds()) {
             let Some(carried) = slot.get() else { continue };
-            assert!(level.mask.contains(seed), "seed {seed} left the {k}-core");
-            let fresh = SeedEntry::build(
-                wg,
-                &rows,
-                &level.mask,
-                seed as VertexId,
-                k,
-                s,
-                greedy,
-                &mut scratch,
-            );
+            let fresh = SeedEntry::build(wg, &rows, &level.mask, seed, k, s, greedy, &mut scratch);
             assert_eq!(
                 carried.pool(),
                 fresh.pool(),
@@ -608,6 +683,20 @@ mod tests {
             checked += 1;
         }
         checked
+    }
+
+    /// The snapshot after `updates` are applied to `snap`, and the
+    /// apply's cascade journal.
+    fn apply(snap: &GraphSnapshot, updates: &[EdgeUpdate]) -> (GraphSnapshot, Vec<CascadeRecord>) {
+        let mut maintainer = CoreMaintainer::from_graph(snap.graph());
+        let records: Vec<CascadeRecord> = updates
+            .iter()
+            .map(|&update| maintainer.apply_recorded(update))
+            .collect();
+        let weights = snap.weighted().weights().to_vec();
+        let wg = WeightedGraph::new(maintainer.to_graph(), weights).unwrap();
+        let next = GraphSnapshot::with_decomposition(Arc::new(wg), maintainer.decomposition());
+        (next, records)
     }
 
     proptest! {
@@ -678,43 +767,18 @@ mod tests {
         let (n, k, s) = (60, 3, 64);
         let wg = graph(n, 7, 4);
         let snap = GraphSnapshot::new(wg.clone());
-        let (level, (rows, _)) = (snap.level(k), CoreRows::cached(&snap, k));
-        let memo = SeedMemo::with_budget(FamilyMemo::slot_bytes(n) + 4_000);
-        let mut scratch = LocalScratch::new(n);
+        let level = snap.level(k);
+        let memo = SeedMemo::with_budget(FamilyMemo::slot_bytes(level.mask.count()) + 4_000);
+        let mut refused = 0;
         for greedy in [true, false] {
-            let family = memo.family(n, k, s, greedy);
+            let family = memo.family(&level, s, greedy);
             for pass in 0..2 {
-                let (mut avg, mut sum) = (TopList::new(3), TopList::new(3));
-                let (mut replayed, mut built) = (0, 0);
-                for seed in level.mask.iter().map(|v| v as VertexId) {
-                    let mut targets = [
-                        SeedTarget {
-                            aggregation: Aggregation::Average,
-                            list: &mut avg,
-                        },
-                        SeedTarget {
-                            aggregation: Aggregation::Sum,
-                            list: &mut sum,
-                        },
-                    ];
-                    let m = family.as_ref();
-                    match run_seed_memo(
-                        &wg,
-                        &rows,
-                        &level.mask,
-                        seed,
-                        k,
-                        s,
-                        greedy,
-                        m,
-                        &mut scratch,
-                        &mut targets,
-                    ) {
-                        SeedVisit::Replayed => replayed += 1,
-                        SeedVisit::Built(_) => built += 1,
-                        SeedVisit::Skipped => unreachable!("no `min` target"),
-                    }
-                }
+                let (avg, sum, visits) = walk(&snap, &family, (k, s, greedy));
+                let count =
+                    |want: fn(&SeedVisit) -> bool| visits.iter().filter(|v| want(v)).count();
+                let replayed = count(|v| *v == SeedVisit::Replayed);
+                let built = count(|v| matches!(v, SeedVisit::Built(_)));
+                assert_eq!(replayed + built, visits.len(), "no `min` target");
                 let config = LocalSearchConfig { k, r: 3, s, greedy };
                 assert_eq!(
                     avg.into_vec(),
@@ -736,9 +800,139 @@ mod tests {
                         "replayed {replayed}, built {built}"
                     );
                 }
+                // Every build of the memoized family not replayed later
+                // was an entry the budget turned away.
+                if greedy {
+                    refused += built - replayed;
+                }
             }
             // The second family's slots no longer fit: it is walked bare.
-            assert_eq!(family.is_some(), greedy);
+            assert_eq!(family.family.is_some(), greedy);
         }
+        assert_eq!(memo.take_refused(), refused as u64 + 1);
+    }
+
+    #[test]
+    fn a_family_the_budget_cannot_hold_is_counted_as_refused() {
+        let snap = GraphSnapshot::new(graph(60, 7, 4));
+        let level = snap.level(3);
+        let slots = FamilyMemo::slot_bytes(level.mask.count());
+        for (room, refused) in [(1, 1), (2, 0)] {
+            let memo = SeedMemo::with_budget(room * slots);
+            let held = [true, false].map(|greedy| memo.family(&level, 8, greedy).family.is_some());
+            assert_eq!(held, [true, room == 2]);
+            assert_eq!(memo.take_refused(), refused, "room for {room}");
+            assert_eq!(memo.take_refused(), 0, "taken once");
+        }
+    }
+
+    #[test]
+    fn families_are_charged_by_their_level_not_by_the_graph() {
+        // A 40-vertex 8-core with a 4,000-vertex path hanging off it: the
+        // 4-core is 1% of the graph.
+        let (core, n, k) = (40, 4_040, 4);
+        let mut edges: Vec<(VertexId, VertexId)> = (0..core)
+            .flat_map(|v| (1..=4).map(move |d| (v, (v + d) % core)))
+            .collect();
+        edges.extend((core..n).map(|v| (v - 1, v)));
+        let weights = (0..n).map(|v| f64::from(v % 7 + 1)).collect();
+        let graph = ic_graph::graph_from_edges(n as usize, &edges);
+        let snap = GraphSnapshot::new(WeightedGraph::new(graph, weights).unwrap());
+        let (wg, level) = (snap.weighted(), snap.level(k));
+        let (rows, _) = CoreRows::cached(&snap, k);
+        let seeds: Vec<VertexId> = level.mask.iter().map(|v| v as VertexId).collect();
+        assert_eq!(seeds.len(), core as usize);
+        // Room for exactly the families' level-sized slots and entries.
+        let families = [6, 8, 10, 12].map(|s| (k, s, true));
+        let mut scratch = LocalScratch::new(n as usize);
+        let mut budget = 0;
+        for (k, s, greedy) in families {
+            budget += FamilyMemo::slot_bytes(seeds.len());
+            for &seed in &seeds {
+                let entry =
+                    SeedEntry::build(wg, &rows, &level.mask, seed, k, s, greedy, &mut scratch);
+                budget += entry.bytes();
+            }
+        }
+        let memo = SeedMemo::with_budget(budget);
+        for pass in 0..2 {
+            for family in families {
+                let (_, _, visits) = walk(&snap, &memo.family(&level, family.1, true), family);
+                let replayed = visits.iter().filter(|&&v| v == SeedVisit::Replayed);
+                let want = if pass == 0 { 0 } else { seeds.len() };
+                assert_eq!(replayed.count(), want, "pass {pass}, family {family:?}");
+            }
+        }
+        assert!(memo.bytes() <= budget, "{} > {budget}", memo.bytes());
+        assert_eq!(memo.take_refused(), 0);
+    }
+
+    #[test]
+    fn carried_entries_move_to_their_seeds_new_slots() {
+        // A 30-vertex ring with chords to the second neighbour (every
+        // vertex of core number 4), and vertex 30 hanging off 20 and 22.
+        let n: VertexId = 31;
+        let mut edges: Vec<(VertexId, VertexId)> = (0..30)
+            .flat_map(|v| [(v, (v + 1) % 30), (v, (v + 2) % 30)])
+            .collect();
+        edges.extend([(20, 30), (22, 30)]);
+        let weights = (0..n).map(|v| f64::from(v * 7 % 11 + 1)).collect();
+        let graph = ic_graph::graph_from_edges(n as usize, &edges);
+        let snap = GraphSnapshot::new(WeightedGraph::new(graph, weights).unwrap());
+        let k = 3;
+        let families = [(k, 4, true), (k, 6, false)];
+        let sized = SeedMemo::default();
+        for family in families {
+            warm(&snap, &sized, family);
+        }
+        let budget = sized.bytes();
+        let memo = SeedMemo::with_budget(budget);
+        for family in families {
+            warm(&snap, &memo, family);
+        }
+        assert_eq!(memo.bytes(), budget);
+        // 5 leaves the 3-core, shifting every later seed down a slot, and
+        // 30 enters it.
+        let updates = [
+            EdgeUpdate::Remove { u: 5, v: 6 },
+            EdgeUpdate::Remove { u: 5, v: 7 },
+            EdgeUpdate::Insert { u: 24, v: 30 },
+        ];
+        let (next, records) = apply(&snap, &updates);
+        let level = next.level(k);
+        assert!(!level.mask.contains(5) && level.mask.contains(30));
+        let (carried, dropped) = memo.carry(&snap, &next, &records);
+        assert!(dropped > 0);
+        assert!(carried.bytes() <= budget, "{} > {budget}", carried.bytes());
+        let shifted: Vec<VertexId> = level.mask.iter().map(|v| v as VertexId).collect();
+        for family @ (_, s, greedy) in families {
+            assert!(assert_fresh(&next, &carried, family) > 0, "{family:?}");
+            let held = carried.family(&level, s, greedy);
+            assert_eq!(held.seeds(), shifted);
+            let entered = shifted.binary_search(&30).unwrap();
+            assert!(
+                held.get(entered).is_none(),
+                "the entering seed has no entry"
+            );
+        }
+
+        // A grown core whose families' slots no longer fit: the carry
+        // reserves them, and refuses the one that does not fit.
+        let level = snap.level(k);
+        let slots = FamilyMemo::slot_bytes(level.mask.count());
+        let memo = SeedMemo::with_budget(2 * slots);
+        for (_, s, greedy) in families {
+            assert!(memo.family(&level, s, greedy).family.is_some());
+        }
+        let (next, records) = apply(&snap, &updates[2..]);
+        assert_eq!(next.level(k).mask.count(), level.mask.count() + 1);
+        let (carried, _) = memo.carry(&snap, &next, &records);
+        assert!(
+            carried.bytes() <= 2 * slots,
+            "{} > {}",
+            carried.bytes(),
+            2 * slots
+        );
+        assert_eq!(carried.take_refused(), 1);
     }
 }

@@ -127,7 +127,8 @@ pub(crate) struct TicCounters {
 /// and seeds replayed from the seed memo (see [`run_seed_memo`]), pool
 /// vertices collected, and [`CoreRows`] builds (one per `(snapshot, k)`
 /// a size-bounded query touched) — and the memo's own: entries an apply
-/// invalidated, and the bytes the serving snapshot's memo holds.
+/// invalidated, families and entries its budget turned away, and the
+/// bytes the serving snapshot's memo holds.
 pub(crate) struct LocalCounters {
     pub seeds: ic_obs::Counter,
     pub seeds_skipped: ic_obs::Counter,
@@ -135,6 +136,7 @@ pub(crate) struct LocalCounters {
     pub pool_vertices: ic_obs::Counter,
     pub rows_builds: ic_obs::Counter,
     pub memo_dropped: ic_obs::Counter,
+    pub memo_refused: ic_obs::Counter,
     pub memo_bytes: ic_obs::Gauge,
 }
 
@@ -306,6 +308,7 @@ impl Batch {
         let arenas = &self.serving.arenas;
         m.arenas_available.set(arenas.available() as i64);
         m.arenas_quarantined.set(arenas.quarantined() as i64);
+        m.local.memo_refused.add(self.serving.seeds.take_refused());
         m.local.memo_bytes.set(self.serving.seeds.bytes() as i64);
     }
 }
@@ -580,9 +583,7 @@ fn run_local_chunk(
     let level = snap.level(job.k);
     let (rows, built) = CoreRows::cached(snap, job.k);
     counters.rows_builds.add(u64::from(built));
-    let memo = serving
-        .seeds
-        .family(wg.num_vertices(), job.k, job.s, job.greedy);
+    let memo = serving.seeds.family(&level, job.s, job.greedy);
 
     // The shared budget starts with whichever chunk gets here first, so
     // the family's clock never starts before any of its work could.
@@ -593,9 +594,7 @@ fn run_local_chunk(
         )
     });
 
-    let seeds = job
-        .seeds
-        .get_or_init(|| level.mask.iter().map(|v| v as u32).collect());
+    let seeds = memo.seeds();
     let chunk_size = seeds.len().div_ceil(job.chunks).max(1);
     let lo = (chunk * chunk_size).min(seeds.len());
     let hi = ((chunk + 1) * chunk_size).min(seeds.len());
@@ -612,7 +611,7 @@ fn run_local_chunk(
                 list,
             })
             .collect();
-        for &seed in &seeds[lo..hi] {
+        for at in lo..hi {
             if let Some(b) = &budget {
                 if b.poll() {
                     break;
@@ -627,11 +626,11 @@ fn run_local_chunk(
                 wg,
                 &rows,
                 &level.mask,
-                seed,
+                &memo,
+                at,
                 job.k,
                 job.s,
                 job.greedy,
-                memo.as_ref(),
                 scratch,
                 &mut targets,
             );

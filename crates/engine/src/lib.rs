@@ -415,6 +415,7 @@ impl EngineMetrics {
                 pool_vertices: registry.counter("core.local_pool_vertices"),
                 rows_builds: registry.counter("core.local_rows_builds"),
                 memo_dropped: registry.counter("core.local_memo_dropped"),
+                memo_refused: registry.counter("core.local_memo_refused"),
                 memo_bytes: registry.gauge("core.local_memo_bytes"),
             },
             registry,
@@ -938,6 +939,7 @@ impl Engine {
         // One whole-struct assignment: readers never observe a new
         // snapshot with an old pool or epoch.
         m.local.memo_dropped.add(dropped);
+        m.local.memo_refused.add(seeds.take_refused());
         m.local.memo_bytes.set(seeds.bytes() as i64);
         m.epoch.set(outcome.epoch.0 as i64);
         *serving = Serving {
@@ -1209,6 +1211,7 @@ mod tests {
             "core.local_rows_builds",
             "core.local_seeds_replayed",
             "core.local_memo_bytes",
+            "core.local_memo_refused",
         ];
         let counts = |eng: &Engine| counters(eng, &names);
         let eng = engine(1);
@@ -1218,17 +1221,17 @@ mod tests {
             Query::new(2, 2, Aggregation::Max),
             Query::new(2, 2, Aggregation::Sum),
         ]);
-        assert_eq!(counts(&eng), [0.0; 6]);
+        assert_eq!(counts(&eng), [0.0; 7]);
         // One `min` query: every 2-core vertex is a seed, one rows
         // build; once the list is full, seeds that cannot beat its bar
         // are skipped.
         let min = Query::new(2, 1, Aggregation::Min).size_bound(4, true);
         eng.run_batch(&[min]);
         let core = eng.snapshot().level(2).mask.count() as f64;
-        let [seeds, skipped, pooled, builds, replayed, bytes] = counts(&eng)[..] else {
-            unreachable!("six names in, six values out")
+        let [seeds, skipped, pooled, builds, replayed, bytes, refused] = counts(&eng)[..] else {
+            unreachable!("seven names in, seven values out")
         };
-        assert_eq!((seeds, builds, replayed), (core, 1.0, 0.0));
+        assert_eq!((seeds, builds, replayed, refused), (core, 1.0, 0.0, 0.0));
         assert!(skipped > 0.0 && skipped < seeds, "{skipped}");
         assert!(
             pooled >= 4.0 * (seeds - skipped) && pooled <= 4.0 * seeds,
@@ -1239,8 +1242,8 @@ mod tests {
         // replays every seed the first expanded; `avg` skips nothing, so
         // it builds the pools of the seeds `min` skipped.
         eng.run_batch(&[Query::new(2, 1, Aggregation::Average).size_bound(4, true)]);
-        let [seeds, skipped_now, pooled_now, builds, replayed, _] = counts(&eng)[..] else {
-            unreachable!("six names in, six values out")
+        let [seeds, skipped_now, pooled_now, builds, replayed, _, _] = counts(&eng)[..] else {
+            unreachable!("seven names in, seven values out")
         };
         assert_eq!(
             [seeds, skipped_now, pooled_now, builds, replayed],

@@ -81,9 +81,6 @@ pub(crate) struct LocalJob {
     pub(crate) chunks: usize,
     pub(crate) members: Vec<LocalMember>,
     pub(crate) remaining: AtomicUsize,
-    /// Seed list (the k-core mask's vertices), computed by whichever
-    /// chunk runs first and shared by the rest.
-    pub(crate) seeds: OnceLock<Vec<u32>>,
     /// Wall-clock budget shared by every chunk (`None` when the family
     /// has no deadline). Initialized by whichever chunk runs first so
     /// the clock starts at execution, not planning.
@@ -431,7 +428,6 @@ impl Plan {
                         chunks,
                         members: local,
                         remaining: AtomicUsize::new(chunks),
-                        seeds: OnceLock::new(),
                         deadline,
                         budget: OnceLock::new(),
                         poisoned: Mutex::new(None),

@@ -1022,6 +1022,7 @@ fn stats_frames_report_the_seed_memo_after_an_update() {
     assert!(replayed > 0.0 && replayed < seeds, "{replayed} of {seeds}");
     assert!(get("core.local_memo_dropped") > 0.0);
     assert!(get("core.local_memo_bytes") > 0.0);
+    assert_eq!(get("core.local_memo_refused"), 0.0, "nothing refused");
 
     server.shutdown();
     server.join();
