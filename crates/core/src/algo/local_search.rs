@@ -209,7 +209,7 @@ pub(crate) fn heavier_first(wg: &WeightedGraph, a: &VertexId, b: &VertexId) -> s
         .then_with(|| a.cmp(b))
 }
 
-fn validate_params(config: &LocalSearchConfig) -> Result<(), SearchError> {
+pub(crate) fn validate_params(config: &LocalSearchConfig) -> Result<(), SearchError> {
     validate_k_r(config.r)?;
     if config.s <= config.k {
         return Err(SearchError::InvalidParams(format!(
@@ -227,7 +227,7 @@ pub struct SeedTarget<'a> {
     /// Aggregation this target evaluates candidates under.
     pub aggregation: Aggregation,
     /// The target's own top-r list (its capacity is the query's `r`;
-    /// its threshold/floor drive the target's pruning independently).
+    /// its threshold drives the target's pruning independently).
     pub list: &'a mut TopList,
 }
 
@@ -741,6 +741,7 @@ impl SubsetChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::oracle;
     use crate::figure1::{figure1, vs};
     use crate::verify::check_community;
 
@@ -893,168 +894,14 @@ mod tests {
         }
     }
 
-    /// The pool builder and strategies as they were before they learned
-    /// to decide first: every layer fully sorted, every pool vertex
-    /// pushed through the degree tracker. Kept as the reference the
-    /// property below holds the production code to.
-    mod reference {
-        use super::super::*;
-
-        pub(super) fn build_pool(
-            sc: &mut LocalScratch,
-            wg: &WeightedGraph,
-            mask: &BitSet,
-            seed: VertexId,
-            limit: usize,
-            greedy: bool,
-        ) {
-            let g = wg.graph();
-            sc.pool.clear();
-            if limit == 0 || !mask.contains(seed as usize) {
-                return;
-            }
-            let visit = LocalScratch::bump(&mut sc.visit_epoch, &mut sc.visited);
-            sc.visited[seed as usize] = visit;
-            sc.layer.clear();
-            sc.layer.push(seed);
-            while !sc.layer.is_empty() && sc.pool.len() < limit {
-                for i in 0..sc.layer.len() {
-                    if sc.pool.len() == limit {
-                        return;
-                    }
-                    sc.pool.push(sc.layer[i]);
-                }
-                sc.next_layer.clear();
-                for i in 0..sc.layer.len() {
-                    for &u in g.neighbors(sc.layer[i]) {
-                        if mask.contains(u as usize) && sc.visited[u as usize] != visit {
-                            sc.visited[u as usize] = visit;
-                            sc.next_layer.push(u);
-                        }
-                    }
-                }
-                if greedy {
-                    sc.next_layer.sort_by(|a, b| heavier_first(wg, a, b));
-                }
-                std::mem::swap(&mut sc.layer, &mut sc.next_layer);
-            }
-        }
-
-        fn sum_strategy(
-            wg: &WeightedGraph,
-            g: &CoreRows,
-            pool: &[VertexId],
-            k: usize,
-            aggregation: Aggregation,
-            sc: &mut LocalScratch,
-            list: &mut TopList,
-        ) {
-            let mut state = AggregateState::new(aggregation, wg.total_weight());
-            sc.begin_candidate(k);
-            for &v in pool {
-                sc.push(g, v);
-                state.add(wg.weight(v));
-            }
-            let mut len = pool.len();
-            while len > k && state.value() > list.threshold() {
-                if sc.is_kcore() && sc.is_connected(g, pool[0]) {
-                    list.insert(community_from_vertices(
-                        wg,
-                        aggregation,
-                        pool[..len].to_vec(),
-                    ));
-                    return;
-                }
-                len -= 1;
-                sc.pop(g, pool[len]);
-                state.remove(wg.weight(pool[len]));
-            }
-        }
-
-        #[allow(clippy::too_many_arguments)]
-        fn prefix_strategy(
-            wg: &WeightedGraph,
-            g: &CoreRows,
-            pool: &[VertexId],
-            k: usize,
-            greedy: bool,
-            aggregation: Aggregation,
-            sc: &mut LocalScratch,
-            list: &mut TopList,
-        ) {
-            let mut state = AggregateState::new(aggregation, wg.total_weight());
-            let mut best: Option<Community> = None;
-            sc.begin_candidate(k);
-            for (i, &v) in pool.iter().enumerate() {
-                sc.push(g, v);
-                state.add(wg.weight(v));
-                if i + 1 > k
-                    && state.value() > list.threshold()
-                    && sc.is_kcore()
-                    && sc.is_connected(g, pool[0])
-                {
-                    let community = community_from_vertices(wg, aggregation, pool[..=i].to_vec());
-                    if greedy {
-                        list.insert(community);
-                        return;
-                    }
-                    if best
-                        .as_ref()
-                        .is_none_or(|b| community.ranking_cmp(b).is_lt())
-                    {
-                        best = Some(community);
-                    }
-                }
-            }
-            if let Some(b) = best {
-                list.insert(b);
-            }
-        }
-
-        /// `local_search` over the reference parts.
-        pub(super) fn local_search(
-            wg: &WeightedGraph,
-            config: &LocalSearchConfig,
-            aggregation: Aggregation,
-        ) -> Vec<Community> {
-            let LocalSearchConfig { k, r, s, greedy } = *config;
-            let core = kcore_mask(wg.graph(), k);
-            let rows = &CoreRows::build(wg, &core);
-            let mut list = TopList::new(r);
-            let mut sc = LocalScratch::new(wg.graph().num_vertices());
-            for seed in core.iter() {
-                build_pool(&mut sc, wg, &core, seed as VertexId, s, greedy);
-                let mut pool = sc.pool.clone();
-                if pool.len() > k {
-                    if greedy {
-                        pool[1..].sort_by(|a, b| heavier_first(wg, a, b));
-                    }
-                    if aggregation.certificates().incremental_removal {
-                        sum_strategy(wg, rows, &pool, k, aggregation, &mut sc, &mut list);
-                    } else {
-                        prefix_strategy(
-                            wg,
-                            rows,
-                            &pool,
-                            k,
-                            greedy,
-                            aggregation,
-                            &mut sc,
-                            &mut list,
-                        );
-                    }
-                }
-            }
-            list.into_vec()
-        }
-    }
-
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Rows, pools and answers are identical to the reference's for
+        /// Rows, pools and answers are identical to
+        /// [`oracle::local_search`]'s — the pool builder and strategies
+        /// as they were before they learned to decide first — for
         /// every size bound the benchmark draws (and one no component
         /// reaches), both strategies' orders, the five `miss_mix`
         /// aggregations and a mask smaller than the level's (as in
@@ -1090,7 +937,6 @@ mod tests {
             }
             let rows = CoreRows::build(&wg, &core);
             let mut sc = LocalScratch::new(n);
-            let mut ref_sc = LocalScratch::new(n);
             let aggregations = [
                 Aggregation::Average,
                 Aggregation::Sum,
@@ -1103,14 +949,14 @@ mod tests {
                     for mask in [&core, &shrunk] {
                         for v in mask.iter() {
                             sc.build_pool(&wg, &rows, mask, v as VertexId, s, greedy);
-                            reference::build_pool(&mut ref_sc, &wg, mask, v as VertexId, s, greedy);
-                            prop_assert_eq!(&sc.pool, &ref_sc.pool, "pool s={} greedy={} seed={}", s, greedy, v);
+                            let expect = oracle::seed_pool(&wg, mask, v as VertexId, s, greedy);
+                            prop_assert_eq!(&sc.pool, &expect, "pool s={} greedy={} seed={}", s, greedy, v);
                         }
                     }
                     let config = cfg(k, 1 + s % 4, s, greedy);
                     for agg in aggregations {
                         let got = local_search(&wg, &config, agg).unwrap();
-                        let expect = reference::local_search(&wg, &config, agg);
+                        let expect = oracle::local_search(&wg, &config, agg).unwrap();
                         prop_assert_eq!(&got, &expect, "{} s={} greedy={}", agg.name(), s, greedy);
                     }
                 }
@@ -1145,7 +991,7 @@ mod tests {
         assert_eq!(solo[0].1.items()[0].vertices, [0, 1, 2]);
         for r in 1..3 {
             let (config, min) = (cfg(2, r, 3, true), Aggregation::Min);
-            let expect = reference::local_search(&wg, &config, min);
+            let expect = oracle::local_search(&wg, &config, min).unwrap();
             assert_eq!(local_search(&wg, &config, min).unwrap(), expect);
         }
         // With an `avg` member sharing the pool the seed is expanded, and

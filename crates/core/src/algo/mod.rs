@@ -12,12 +12,6 @@
 //!   into a community forest that every `r` reads;
 //! * [`nonoverlap`] — TONIC (non-overlapping) wrappers.
 //!
-//! Parallel Algorithm 4 is not a function here: the batched engine's
-//! chunked seed walk over [`run_seed_memo`], with a shared monotone
-//! floor per query ([`TopList::set_floor`](crate::TopList::set_floor))
-//! and a per-snapshot [`SeedMemo`] it replays seeds from, is its one
-//! implementation.
-//!
 //! These free functions are the *algorithm* layer; they know nothing of
 //! caches or family merges. Serving code routes through [`crate::Query`]
 //! — `q.solve(&wg)` dispatches to the right algorithm here,

@@ -6,7 +6,9 @@
 //! They are kept as the **correctness oracle**: the property tests assert
 //! the incremental [`PeelArena`](ic_kcore::PeelArena)-based solvers in
 //! [`crate::algo`] produce *identical* top-r output (communities and
-//! values).
+//! values). [`local_search`] is Algorithm 4 the same way: the pool
+//! builder and strategies as the paper prints them, before they learned
+//! to decide first.
 //!
 //! Do not use these in production paths; they are deliberately the slow,
 //! allocation-happy formulation.
@@ -14,8 +16,10 @@
 use crate::algo::common::{
     community_from_vertices, components_as_communities, require_corollary2, validate_k_r,
 };
-use crate::{Aggregation, Community, Extremum, SearchError, TopList};
-use ic_graph::{BitSet, WeightedGraph};
+use crate::algo::local_search::{heavier_first, validate_params};
+use crate::algo::{CoreRows, LocalScratch, LocalSearchConfig};
+use crate::{AggregateState, Aggregation, Community, Extremum, SearchError, TopList};
+use ic_graph::{BitSet, VertexId, WeightedGraph};
 use ic_kcore::{kcore_mask, maximal_kcore_components, PeelScratch};
 use std::collections::{HashSet, VecDeque};
 
@@ -263,6 +267,153 @@ fn r_th_value(results: &[Community], candidates: &[Community], r: usize) -> f64 
         candidates[need - 1].value
     } else {
         f64::NEG_INFINITY
+    }
+}
+
+/// From-scratch Algorithm 4: every seed of the k-core, in ascending
+/// order, against one top-r list; each pool's layers fully sorted and
+/// every pool vertex pushed through the degree tracker.
+pub fn local_search(
+    wg: &WeightedGraph,
+    config: &LocalSearchConfig,
+    aggregation: Aggregation,
+) -> Result<Vec<Community>, SearchError> {
+    validate_params(config)?;
+    let LocalSearchConfig { k, r, s, greedy } = *config;
+    let core = kcore_mask(wg.graph(), k);
+    let rows = &CoreRows::build(wg, &core);
+    let mut list = TopList::new(r);
+    let mut sc = LocalScratch::new(wg.graph().num_vertices());
+    for seed in core.iter() {
+        let mut pool = seed_pool(wg, &core, seed as VertexId, s, greedy);
+        if pool.len() > k {
+            if greedy {
+                pool[1..].sort_by(|a, b| heavier_first(wg, a, b));
+            }
+            if aggregation.certificates().incremental_removal {
+                sum_strategy(wg, rows, &pool, k, aggregation, &mut sc, &mut list);
+            } else {
+                prefix_strategy(wg, rows, &pool, k, greedy, aggregation, &mut sc, &mut list);
+            }
+        }
+    }
+    Ok(list.into_vec())
+}
+
+/// The s-nearest-neighbour pool of `seed` inside `mask`: whole BFS
+/// layers, each sorted heaviest first in greedy mode, until `limit`
+/// vertices are in.
+pub(crate) fn seed_pool(
+    wg: &WeightedGraph,
+    mask: &BitSet,
+    seed: VertexId,
+    limit: usize,
+    greedy: bool,
+) -> Vec<VertexId> {
+    let g = wg.graph();
+    let mut pool = Vec::new();
+    if limit == 0 || !mask.contains(seed as usize) {
+        return pool;
+    }
+    let mut visited = BitSet::new(g.num_vertices());
+    visited.insert(seed as usize);
+    let mut layer = vec![seed];
+    while !layer.is_empty() && pool.len() < limit {
+        for &v in &layer {
+            if pool.len() == limit {
+                return pool;
+            }
+            pool.push(v);
+        }
+        let mut next = Vec::new();
+        for &v in &layer {
+            for &u in g.neighbors(v) {
+                if mask.contains(u as usize) && !visited.contains(u as usize) {
+                    visited.insert(u as usize);
+                    next.push(u);
+                }
+            }
+        }
+        if greedy {
+            next.sort_by(|a, b| heavier_first(wg, a, b));
+        }
+        layer = next;
+    }
+    pool
+}
+
+/// `SumStrategy`: drop the pool's last vertex until a connected k-core
+/// remains.
+fn sum_strategy(
+    wg: &WeightedGraph,
+    g: &CoreRows,
+    pool: &[VertexId],
+    k: usize,
+    aggregation: Aggregation,
+    sc: &mut LocalScratch,
+    list: &mut TopList,
+) {
+    let mut state = AggregateState::new(aggregation, wg.total_weight());
+    sc.begin_candidate(k);
+    for &v in pool {
+        sc.push(g, v);
+        state.add(wg.weight(v));
+    }
+    let mut len = pool.len();
+    while len > k && state.value() > list.threshold() {
+        if sc.is_kcore() && sc.is_connected(g, pool[0]) {
+            list.insert(community_from_vertices(
+                wg,
+                aggregation,
+                pool[..len].to_vec(),
+            ));
+            return;
+        }
+        len -= 1;
+        sc.pop(g, pool[len]);
+        state.remove(wg.weight(pool[len]));
+    }
+}
+
+/// `AvgStrategy` for any aggregation: test every prefix of the pool;
+/// greedy takes the first that qualifies, random the best.
+#[allow(clippy::too_many_arguments)]
+fn prefix_strategy(
+    wg: &WeightedGraph,
+    g: &CoreRows,
+    pool: &[VertexId],
+    k: usize,
+    greedy: bool,
+    aggregation: Aggregation,
+    sc: &mut LocalScratch,
+    list: &mut TopList,
+) {
+    let mut state = AggregateState::new(aggregation, wg.total_weight());
+    let mut best: Option<Community> = None;
+    sc.begin_candidate(k);
+    for (i, &v) in pool.iter().enumerate() {
+        sc.push(g, v);
+        state.add(wg.weight(v));
+        if i + 1 > k
+            && state.value() > list.threshold()
+            && sc.is_kcore()
+            && sc.is_connected(g, pool[0])
+        {
+            let community = community_from_vertices(wg, aggregation, pool[..=i].to_vec());
+            if greedy {
+                list.insert(community);
+                return;
+            }
+            if best
+                .as_ref()
+                .is_none_or(|b| community.ranking_cmp(b).is_lt())
+            {
+                best = Some(community);
+            }
+        }
+    }
+    if let Some(b) = best {
+        list.insert(b);
     }
 }
 

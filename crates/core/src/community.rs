@@ -88,7 +88,6 @@ pub struct TopList {
     /// `items[i].signature()`, kept beside the list so the duplicate
     /// scan compares one word per retained community.
     signatures: Vec<u64>,
-    floor: f64,
 }
 
 impl TopList {
@@ -101,19 +100,6 @@ impl TopList {
             capacity,
             items: Vec::new(),
             signatures: Vec::new(),
-            floor: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Raises the external pruning floor: [`Self::threshold`] never reports
-    /// less than `floor` afterwards. The engine's chunked seed walk
-    /// (parallel Algorithm 4) shares the best known r-th value across
-    /// workers this way, through one atomic ([`encode_ordered_f64`]): a
-    /// candidate that cannot beat another worker's r-th best cannot reach
-    /// the merged top-r either. Lowering the floor is a no-op.
-    pub fn set_floor(&mut self, floor: f64) {
-        if floor > self.floor {
-            self.floor = floor;
         }
     }
 
@@ -146,12 +132,9 @@ impl TopList {
     /// the list is not yet full. This is `f(Lr)` in the paper's pruning
     /// rules: any candidate that cannot beat it is skipped.
     pub fn threshold(&self) -> f64 {
-        if self.items.len() < self.capacity {
-            self.floor
-        } else {
-            self.items
-                .last()
-                .map_or(self.floor, |c| c.value.max(self.floor))
+        match self.items.last() {
+            Some(last) if self.items.len() == self.capacity => last.value,
+            _ => f64::NEG_INFINITY,
         }
     }
 
@@ -214,24 +197,15 @@ impl TopList {
 }
 
 /// Order-preserving encoding of `f64` into `u64`: `a < b` iff
-/// `encode(a) < encode(b)` (total order, `-inf` smallest), so an
-/// `AtomicU64::fetch_max` maintains the running maximum that workers feed
-/// to [`TopList::set_floor`].
+/// `encode(a) < encode(b)` (total order, `-inf` smallest), so a weight
+/// can key an integer heap or sort — the greedy pool builder's layer
+/// merge keys its candidates by it.
 pub fn encode_ordered_f64(x: f64) -> u64 {
     let bits = x.to_bits();
     if bits >> 63 == 1 {
         !bits
     } else {
         bits | (1u64 << 63)
-    }
-}
-
-/// Inverse of [`encode_ordered_f64`].
-pub fn decode_ordered_f64(enc: u64) -> f64 {
-    if enc >> 63 == 1 {
-        f64::from_bits(enc & !(1u64 << 63))
-    } else {
-        f64::from_bits(!enc)
     }
 }
 
@@ -253,11 +227,6 @@ mod tests {
             f64::INFINITY,
         ];
         for (i, &a) in samples.iter().enumerate() {
-            assert_eq!(
-                decode_ordered_f64(encode_ordered_f64(a)),
-                a,
-                "round trip {a}"
-            );
             for &b in &samples[i + 1..] {
                 if a < b {
                     assert!(encode_ordered_f64(a) < encode_ordered_f64(b), "{a} vs {b}");

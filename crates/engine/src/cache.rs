@@ -6,11 +6,7 @@
 //! earlier solver run produced under the same epoch, which is
 //! bit-identical by construction. This is the steady-state serving
 //! amortization — Zipf-popular queries repeat across batches, and only
-//! a query's *first* occurrence per epoch ever pays solver time. (For
-//! heuristic local-search queries executed on several workers, the
-//! cached value is one of the timing-dependent outcomes documented on
-//! `exec::run_local_chunk` and pins the answer stably, which serving
-//! surfaces generally prefer.)
+//! a query's *first* occurrence per epoch ever pays solver time.
 //!
 //! **Invalidation** is carry plus epoch tag: every entry records the
 //! [`Epoch`](crate::Epoch) it was computed under and a lookup from any

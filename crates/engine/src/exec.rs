@@ -9,7 +9,7 @@
 //! static partition. Each job runs on the snapshot, arena pool and seed
 //! memo its batch pinned at plan time, on a [`PeelArena`] acquired for
 //! the job from that batch's pool; a worker keeps one [`LocalScratch`]
-//! across the local-search chunks it runs.
+//! across the local-search families it runs.
 //!
 //! A job's answers leave as one slice the moment the job ends, from
 //! whichever thread ran it: through the result cache to the batch's
@@ -26,14 +26,10 @@
 //! [`EngineError::Internal`] for *its* queries only; its arena is
 //! **quarantined** (a panic mid-peel leaves torn counts — the arena is
 //! dropped, never returned to the pool), the worker's local scratch is
-//! discarded, and the worker goes on with the next job. For chunked
-//! local-search families the panic poisons the whole family (a missing
-//! chunk's partials would silently bias the merge), and the chunk
-//! countdown is decremented *outside* the guard so the family always
-//! completes exactly once. A panic inside the result cache still lets
-//! the job's answers reach the sink; a synchronous caller re-raises it
-//! once its answers are in. A worker survives any panic, a sink's
-//! included.
+//! discarded, and the worker goes on with the next job. A panic inside
+//! the result cache still lets the job's answers reach the sink; a
+//! synchronous caller re-raises it once its answers are in. A worker
+//! survives any panic, a sink's included.
 //!
 //! # Deadlines
 //!
@@ -54,7 +50,7 @@
 //! has nothing to give.
 
 use crate::cache::ResultCache;
-use crate::plan::{Job, JobOutput, LocalJob, Plan, Route};
+use crate::plan::{Job, JobOutput, LocalMember, Plan, Route};
 use crate::{
     AnswerSink, AnswerStatus, DegradeReason, EngineError, EngineMetrics, Epoch, QueryAnswer,
     Serving,
@@ -62,7 +58,6 @@ use crate::{
 use ic_core::algo::{
     run_seed_memo, CoreRows, ExtremumIndex, LocalScratch, SeedTarget, SeedVisit, TicSearch,
 };
-use ic_core::community::{decode_ordered_f64, encode_ordered_f64};
 use ic_core::{Aggregation, Community, Query, TopList};
 use ic_kcore::{Budget, GraphSnapshot, PeelArena};
 use std::any::Any;
@@ -71,7 +66,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 type Outcome = crate::cache::Outcome;
 
@@ -122,8 +117,8 @@ pub(crate) struct TicCounters {
     pub children_materialized: ic_obs::Counter,
 }
 
-/// `core.local_*`: what the local-search chunks of this engine did,
-/// summed once per chunk — seeds visited, seeds skipped without a pool
+/// `core.local_*`: what the local-search walks of this engine did,
+/// summed once per family walk — seeds visited, seeds skipped without a pool
 /// and seeds replayed from the seed memo (see [`run_seed_memo`]), pool
 /// vertices collected, and [`CoreRows`] builds (one per `(snapshot, k)`
 /// a size-bounded query touched) — and the memo's own: entries an apply
@@ -239,29 +234,21 @@ impl Batch {
             let guarded = catch_unwind(AssertUnwindSafe(|| {
                 run_job(self, job, &mut arena, scratch, &mut done);
             }));
-            match guarded {
-                Ok(()) => {
-                    if let Job::LocalChunk { job, .. } = job {
-                        finish_chunk(job, &mut done);
-                    }
-                }
-                Err(payload) => {
-                    // The panicking job may have left the arena (and
-                    // scratch) mid-peel with torn state: quarantine the
-                    // arena — it never returns to the pool — and hand a
-                    // fresh one back instead. The failure is confined to
-                    // this job's queries.
-                    let bad = std::mem::replace(&mut *arena, arenas.take_arena());
-                    arenas.quarantine(bad);
-                    *scratch = None;
-                    let detail = panic_detail(payload.as_ref());
-                    match job {
-                        Job::LocalChunk { job, .. } => {
-                            lock(&job.poisoned).get_or_insert(detail);
-                            finish_chunk(job, &mut done);
-                        }
-                        Job::Ranked { outputs, .. } => {
-                            send_all(&mut done, outputs, &fail(EngineError::Internal { detail }));
+            if let Err(payload) = guarded {
+                // The panicking job may have left the arena (and scratch)
+                // mid-peel with torn state: quarantine the arena — it
+                // never returns to the pool — and hand a fresh one back
+                // instead. The failure is confined to this job's queries.
+                let bad = std::mem::replace(&mut *arena, arenas.take_arena());
+                arenas.quarantine(bad);
+                *scratch = None;
+                let detail = panic_detail(payload.as_ref());
+                let outcome = fail(EngineError::Internal { detail });
+                match job {
+                    Job::Ranked { outputs, .. } => send_all(&mut done, outputs, &outcome),
+                    Job::Local { members, .. } => {
+                        for m in members {
+                            send_all(&mut done, &m.outputs, &outcome);
                         }
                     }
                 }
@@ -539,88 +526,63 @@ fn run_job(
                 Err(e) => send_all(done, outputs, &fail(e.into())),
             }
         }
-        Job::LocalChunk { job, chunk } => run_local_chunk(batch, job, *chunk, scratch),
+        Job::Local {
+            k,
+            s,
+            greedy,
+            members,
+            deadline,
+        } => run_local_walk(batch, *k, *s, *greedy, members, *deadline, scratch, done),
     }
 }
 
-/// Executes seed chunk `chunk` of a local-search family — parallel
-/// Algorithm 4 (the paper's Section VIII direction). Seeds are
-/// partitioned into chunks; each chunk runs the sequential per-seed
-/// strategy against thread-local top-r lists (the graph and the level's
-/// [`CoreRows`], fetched from the snapshot's memo once per chunk, are
-/// shared read-only), one seed expansion shared by every member's
-/// strategy — replayed from the family's seed memo when an earlier
-/// family or epoch left one, else built and kept — and the lists are
-/// merged when the last chunk ends. There is
-/// no shared mutable top-list and no lock on the hot path: the only
-/// cross-thread state is one atomic per member holding the best known
-/// r-th value, which a chunk snapshots into its list's pruning floor
-/// before a seed and raises after its own list fills
-/// (`TopList::set_floor`). The floor only prunes work, so every returned
-/// community is valid; but thread-local pruning differs from the
-/// sequential global threshold, so with more than one chunk the merged
-/// list can differ from the sequential one in either direction, and
-/// candidates that tie the floor *exactly* (duplicated weights) make two
-/// identical runs tie-break differently. One chunk reproduces
-/// `local_search` bit for bit. Completion accounting (and the final
-/// merge) lives in [`finish_chunk`], which the worker calls outside the
-/// panic guard.
+/// Walks one local-search family: every seed of level `k` in ascending
+/// order, each expansion shared by every member's strategy — replayed
+/// from the family's seed memo when an earlier family or epoch left one,
+/// else built and kept — against each member's own top-`r` list. This is
+/// [`Query::solve`]'s sequential Algorithm 4 seed for seed, so every
+/// member's answer equals it bit for bit at any thread count; the graph
+/// and the level's [`CoreRows`] are the snapshot's, shared read-only.
 ///
-/// Under a deadline the chunk polls the family's shared budget between
-/// seeds and stops early; whatever its lists hold is still pushed — a
-/// truncated chunk's communities are genuine, just not exhaustive, so
-/// the merged answer degrades to best-so-far.
-fn run_local_chunk(
+/// Under a deadline the walk polls its budget between seeds and stops
+/// early. A truncated walk proves no rank prefix, so its lists are
+/// best-so-far: every community in them is genuine, just not exhaustive.
+#[allow(clippy::too_many_arguments)]
+fn run_local_walk(
     batch: &Batch,
-    job: &Arc<LocalJob>,
-    chunk: usize,
+    k: usize,
+    s: usize,
+    greedy: bool,
+    members: &[LocalMember],
+    deadline: Option<Duration>,
     scratch: &mut Option<LocalScratch>,
+    done: &mut Vec<(usize, Outcome)>,
 ) {
-    ic_fail::fail_point!("engine::local_chunk");
+    ic_fail::fail_point!("engine::local_walk");
+    let budget = deadline.map(|d| Budget::after(batch.anchor, d));
     let (serving, counters) = (&batch.serving, &batch.metrics.local);
     let snap = &serving.snapshot;
     let wg = snap.weighted();
-    let level = snap.level(job.k);
-    let (rows, built) = CoreRows::cached(snap, job.k);
+    let level = snap.level(k);
+    let (rows, built) = CoreRows::cached(snap, k);
     counters.rows_builds.add(u64::from(built));
-    let memo = serving.seeds.family(&level, job.s, job.greedy);
+    let memo = serving.seeds.family(&level, s, greedy);
 
-    // The shared budget starts with whichever chunk gets here first, so
-    // the family's clock never starts before any of its work could.
-    let budget = job.deadline.map(|d| {
-        Arc::clone(
-            job.budget
-                .get_or_init(|| Arc::new(Budget::after(batch.anchor, d))),
-        )
-    });
-
-    let seeds = memo.seeds();
-    let chunk_size = seeds.len().div_ceil(job.chunks).max(1);
-    let lo = (chunk * chunk_size).min(seeds.len());
-    let hi = ((chunk + 1) * chunk_size).min(seeds.len());
-
-    let mut locals: Vec<TopList> = job.members.iter().map(|m| TopList::new(m.r)).collect();
+    let mut lists: Vec<TopList> = members.iter().map(|m| TopList::new(m.r)).collect();
     let scratch = scratch.get_or_insert_with(|| LocalScratch::new(wg.num_vertices()));
     let (mut visited, mut skipped, mut replayed, mut pooled) = (0u64, 0u64, 0u64, 0u64);
     {
-        let mut targets: Vec<SeedTarget<'_>> = locals
+        let mut targets: Vec<SeedTarget<'_>> = lists
             .iter_mut()
-            .zip(&job.members)
+            .zip(members)
             .map(|(list, m)| SeedTarget {
                 aggregation: m.aggregation,
                 list,
             })
             .collect();
-        for at in lo..hi {
-            if let Some(b) = &budget {
-                if b.poll() {
-                    break;
-                }
-            }
-            // Snapshot each member's shared floor, expand, publish back.
-            for (t, m) in targets.iter_mut().zip(&job.members) {
-                t.list
-                    .set_floor(decode_ordered_f64(m.floor.load(Ordering::Relaxed)));
+        for at in 0..memo.seeds().len() {
+            if budget.as_ref().is_some_and(Budget::poll) {
+                break;
             }
             let visit = run_seed_memo(
                 wg,
@@ -628,9 +590,9 @@ fn run_local_chunk(
                 &level.mask,
                 &memo,
                 at,
-                job.k,
-                job.s,
-                job.greedy,
+                k,
+                s,
+                greedy,
                 scratch,
                 &mut targets,
             );
@@ -640,12 +602,6 @@ fn run_local_chunk(
                 SeedVisit::Replayed => replayed += 1,
                 SeedVisit::Built(pool) => pooled += pool as u64,
             }
-            for (t, m) in targets.iter().zip(&job.members) {
-                if t.list.len() == t.list.capacity() {
-                    m.floor
-                        .fetch_max(encode_ordered_f64(t.list.threshold()), Ordering::Relaxed);
-                }
-            }
         }
     }
     counters.seeds.add(visited);
@@ -653,43 +609,9 @@ fn run_local_chunk(
     counters.seeds_replayed.add(replayed);
     counters.pool_vertices.add(pooled);
 
-    for (local, m) in locals.into_iter().zip(&job.members) {
-        lock(&m.partials).push(local);
-    }
-}
-
-/// Exactly-once completion accounting for one chunk of a local-search
-/// family, run **outside** the panic guard: whether the chunk finished
-/// or panicked, the countdown decrements once, and the last chunk
-/// standing publishes every member — a merged answer normally, a typed
-/// `Internal` error for the whole family if any chunk panicked (its
-/// partials may be missing wholesale, which would silently bias a
-/// merge), and a best-so-far degraded answer if the family's deadline
-/// expired mid-walk.
-fn finish_chunk(job: &Arc<LocalJob>, done: &mut Vec<(usize, Outcome)>) {
-    if job.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
-        return;
-    }
-    let poisoned = lock(&job.poisoned).take();
-    if let Some(detail) = poisoned {
-        let outcome = fail(EngineError::Internal { detail });
-        for m in &job.members {
-            send_all(done, &m.outputs, &outcome);
-        }
-        return;
-    }
-    let expired = job.budget.get().is_some_and(|b| b.expired());
-    for m in &job.members {
-        let mut merged = TopList::new(m.r);
-        let partials = std::mem::take(&mut *lock(&m.partials));
-        for list in partials {
-            for c in list.into_vec() {
-                merged.insert(c);
-            }
-        }
-        // Local search is heuristic: a truncated seed walk proves no
-        // rank prefix, so the merge is best-so-far.
-        let outcome = slot_outcome(merged.into_vec(), m.r, expired, false);
+    let cut = budget.is_some_and(|b| b.expired());
+    for (list, m) in lists.into_iter().zip(members) {
+        let outcome = slot_outcome(list.into_vec(), m.r, cut, false);
         send_all(done, &m.outputs, &outcome);
     }
 }

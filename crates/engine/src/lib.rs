@@ -675,12 +675,7 @@ impl Engine {
         let Serving {
             snapshot, epoch, ..
         } = self.serving();
-        Plan::build(
-            &snapshot,
-            queries,
-            self.threads,
-            Some((&self.results, epoch)),
-        )
+        Plan::build(&snapshot, queries, Some((&self.results, epoch)))
     }
 
     /// Executes a batch and returns one result per query, aligned with
@@ -970,12 +965,7 @@ impl Engine {
         let adjacency_owed = snapshot.adjacency_state() == ic_kcore::AdjacencyState::Owed;
         let anchor = options.anchor.unwrap_or_else(std::time::Instant::now);
         let plan_sw = ic_obs::Stopwatch::start();
-        let plan = Plan::build(
-            snapshot,
-            queries,
-            self.threads,
-            Some((&self.results, epoch)),
-        );
+        let plan = Plan::build(snapshot, queries, Some((&self.results, epoch)));
         let m = &self.metrics;
         plan_sw.observe(&m.plan_ns);
         m.batches.inc();

@@ -24,8 +24,9 @@
 //!   `r` of the family out of the one list. Approximate (ε > 0) answers
 //!   depend on `r`, so their key carries it and they never merge across
 //!   `r`;
-//! * size-constrained (local search) jobs are split into one seed-chunk
-//!   job per worker, sharing an atomic r-th-value pruning floor;
+//! * every size-constrained query joins one **local-search family** per
+//!   `(k, s, greedy, deadline)` ([`Job::Local`]), one seed walk that
+//!   every member's own top-`r` list rides along;
 //! * jobs are sorted by `(k, solver kind, parameters)`, so consecutive
 //!   jobs reuse the same memoized snapshot level and warm arena;
 //! * a snapshot opened from a lazily verified store may still owe the
@@ -38,11 +39,10 @@
 use crate::{Constraint, EngineError, Epoch, Query, QueryAnswer, Solver};
 use ic_core::aggregate::canonical_f64_bits;
 use ic_core::algo::ExtremumIndex;
-use ic_core::{Aggregation, Extremum, SearchError, TopList};
-use ic_kcore::{AdjacencyState, Budget, GraphSnapshot};
+use ic_core::{Aggregation, Extremum, SearchError};
+use ic_kcore::{AdjacencyState, GraphSnapshot};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Where a job's result goes: query `query` of the batch, and for
@@ -53,45 +53,12 @@ pub(crate) struct JobOutput {
     pub(crate) slot: usize,
 }
 
-/// One query served by a [`LocalJob`] family: its aggregation and `r`,
-/// with the member's own cross-chunk pruning floor and partial lists.
+/// One member of a [`Job::Local`] family: a distinct `(aggregation, r)`
+/// and the queries it answers.
 pub(crate) struct LocalMember {
     pub(crate) r: usize,
     pub(crate) aggregation: Aggregation,
-    /// The atomic r-th-value pruning floor shared by this member's
-    /// per-chunk lists (`ic_core::community::encode_ordered_f64` bits).
-    pub(crate) floor: AtomicU64,
-    pub(crate) partials: Mutex<Vec<TopList>>,
     pub(crate) outputs: Vec<JobOutput>,
-}
-
-/// Shared state of one size-constrained local-search family: queries
-/// agreeing on `(k, s, greedy)` (any aggregation, any `r`) walk the
-/// seed set **once** per chunk — the s-nearest-neighbor pool of a seed
-/// depends only on `(k, s, greedy)`, so it is built once and every
-/// member's strategy runs against it
-/// ([`ic_core::algo::run_seed_memo`], which replays the seeds an earlier
-/// family or epoch expanded). The family is split into one
-/// seed-chunk job per worker; the last chunk to finish merges each
-/// member's partial lists and publishes its result.
-pub(crate) struct LocalJob {
-    pub(crate) k: usize,
-    pub(crate) s: usize,
-    pub(crate) greedy: bool,
-    pub(crate) chunks: usize,
-    pub(crate) members: Vec<LocalMember>,
-    pub(crate) remaining: AtomicUsize,
-    /// Wall-clock budget shared by every chunk (`None` when the family
-    /// has no deadline). Initialized by whichever chunk runs first so
-    /// the clock starts at execution, not planning.
-    pub(crate) deadline: Option<Duration>,
-    pub(crate) budget: OnceLock<Arc<Budget>>,
-    /// Set (to the panic payload) when any chunk's worker panics: the
-    /// finishing chunk then delivers `EngineError::Internal` to every
-    /// member instead of a partial merge (best-so-far from a panicked
-    /// family is not trustworthy — a chunk's partials may be missing
-    /// entirely).
-    pub(crate) poisoned: Mutex<Option<String>>,
 }
 
 /// How a ranked family computes its list.
@@ -121,15 +88,27 @@ pub(crate) enum Job {
         outputs: Vec<JobOutput>,
         deadline: Option<Duration>,
     },
-    /// One seed chunk of a local-search job.
-    LocalChunk { job: Arc<LocalJob>, chunk: usize },
+    /// A size-constrained local-search family: queries agreeing on
+    /// `(k, s, greedy)` (any aggregation, any `r`) walk the level's seeds
+    /// **once**, in ascending order, each member against its own top-`r`
+    /// list — Algorithm 4 exactly as `Query::solve` runs it. The seed
+    /// pool depends only on `(k, s, greedy)`, so it is built once per
+    /// seed for every member, or replayed from the snapshot's seed memo
+    /// ([`ic_core::algo::run_seed_memo`]). When deadline-armed, the walk
+    /// polls one budget, armed at execution start, between seeds.
+    Local {
+        k: usize,
+        s: usize,
+        greedy: bool,
+        members: Vec<LocalMember>,
+        deadline: Option<Duration>,
+    },
 }
 
 impl Job {
     fn k(&self) -> usize {
         match self {
-            Job::Ranked { k, .. } => *k,
-            Job::LocalChunk { job, .. } => job.k,
+            Job::Ranked { k, .. } | Job::Local { k, .. } => *k,
         }
     }
 
@@ -146,7 +125,7 @@ impl Job {
                 };
                 (*k, kind, param, *rs.last().expect("family is non-empty"))
             }
-            Job::LocalChunk { job, chunk } => (job.k, 4, job.s as u64, *chunk),
+            Job::Local { k, s, greedy, .. } => (*k, 4, *s as u64, usize::from(*greedy)),
         }
     }
 }
@@ -166,8 +145,7 @@ pub struct PlanStats {
     /// Solver invocations a one-query-at-a-time loop would make for the
     /// plannable queries (= `total_queries - answered_at_plan`).
     pub sequential_runs: usize,
-    /// Solver invocations the plan actually makes (family jobs and
-    /// chunked local jobs count once).
+    /// Solver invocations the plan actually makes: one per family job.
     pub solver_runs: usize,
     /// Distinct `k` levels the plan touches.
     pub k_levels: usize,
@@ -292,7 +270,6 @@ impl Plan {
     pub(crate) fn build(
         snapshot: &GraphSnapshot,
         queries: &[Query],
-        threads: usize,
         cache: Option<(&crate::cache::ResultCache, Epoch)>,
     ) -> Plan {
         // A decomposition the store did not carry is computed from
@@ -358,12 +335,10 @@ impl Plan {
 
         let mut jobs: Vec<Job> = Vec::new();
         let mut sequential_runs = 0usize;
-        let mut solver_runs = 0usize;
         let mut index_routed = 0usize;
         for key in order {
             let members = families.remove(&key).expect("family registered");
             sequential_runs += members.len();
-            solver_runs += 1;
             // All members share one deadline — it is part of the key.
             let (first, deadline) = (members[0].1, members[0].1.deadline);
             match key {
@@ -397,7 +372,6 @@ impl Plan {
                     });
                 }
                 JobKey::Local { k, s, greedy, .. } => {
-                    let chunks = threads.max(1);
                     // Distinct (aggregation, r) members share one
                     // strategy pass; duplicate queries share a member.
                     let mut member_of: HashMap<((u8, u64), usize), usize> = HashMap::new();
@@ -408,10 +382,6 @@ impl Plan {
                             local.push(LocalMember {
                                 r: q.r,
                                 aggregation: q.aggregation,
-                                floor: AtomicU64::new(ic_core::community::encode_ordered_f64(
-                                    f64::NEG_INFINITY,
-                                )),
-                                partials: Mutex::new(Vec::with_capacity(chunks)),
                                 outputs: Vec::new(),
                             });
                             local.len() - 1
@@ -421,23 +391,13 @@ impl Plan {
                             slot: 0,
                         });
                     }
-                    let job = Arc::new(LocalJob {
+                    jobs.push(Job::Local {
                         k,
                         s,
                         greedy,
-                        chunks,
                         members: local,
-                        remaining: AtomicUsize::new(chunks),
                         deadline,
-                        budget: OnceLock::new(),
-                        poisoned: Mutex::new(None),
                     });
-                    for chunk in 0..chunks {
-                        jobs.push(Job::LocalChunk {
-                            job: Arc::clone(&job),
-                            chunk,
-                        });
-                    }
                 }
             }
         }
@@ -452,7 +412,7 @@ impl Plan {
             answered_at_plan: immediate.len(),
             cache_hits,
             sequential_runs,
-            solver_runs,
+            solver_runs: jobs.len(),
             k_levels: k_levels.len(),
             index_routed,
         };
@@ -484,7 +444,7 @@ mod tests {
             Query::new(2, 5, Aggregation::Sum),
             Query::new(2, 5, Aggregation::Sum), // exact repeat
         ];
-        let plan = Plan::build(&snap, &batch, 1, None);
+        let plan = Plan::build(&snap, &batch, None);
         assert_eq!(plan.stats.total_queries, 6);
         assert_eq!(plan.stats.answered_at_plan, 0);
         assert_eq!(plan.stats.sequential_runs, 6);
@@ -504,7 +464,7 @@ mod tests {
             Query::new(2, 1, Aggregation::Min),
             Query::new(2, 2, Aggregation::Max),
         ];
-        let plan = Plan::build(&snap, &batch, 1, None);
+        let plan = Plan::build(&snap, &batch, None);
         assert_eq!(plan.stats.index_routed, 3);
         assert_eq!(plan.stats.solver_runs, 2, "one min and one max family");
     }
@@ -532,11 +492,11 @@ mod tests {
 
     #[test]
     fn custom_minmax_families_are_forest_served() {
-        static CUSTOM: OnceLock<Aggregation> = OnceLock::new();
+        static CUSTOM: std::sync::OnceLock<Aggregation> = std::sync::OnceLock::new();
         let agg = *CUSTOM.get_or_init(|| Aggregation::custom(CustomMin).expect("certifies"));
         let wg = figure1();
         let batch: Vec<Query> = [3, 1, 5, 3].map(|r| Query::new(2, r, agg)).to_vec();
-        let plan = Plan::build(&GraphSnapshot::new(wg.clone()), &batch, 1, None);
+        let plan = Plan::build(&GraphSnapshot::new(wg.clone()), &batch, None);
         assert_eq!(plan.stats.index_routed, 4, "the forest serves the family");
         assert_eq!(plan.stats.solver_runs, 1);
 
@@ -558,7 +518,7 @@ mod tests {
             Query::new(2, 1, Aggregation::Min),
             Query::new(1, 1, Aggregation::Sum),
         ];
-        let plan = Plan::build(&snap, &batch, 1, None);
+        let plan = Plan::build(&snap, &batch, None);
         let ks: Vec<usize> = plan.jobs.iter().map(Job::k).collect();
         let mut sorted = ks.clone();
         sorted.sort_unstable();
@@ -567,12 +527,24 @@ mod tests {
     }
 
     #[test]
-    fn local_jobs_chunk_per_worker() {
-        let snap = snap();
-        let q = Query::new(2, 2, Aggregation::Average).size_bound(5, true);
-        let plan = Plan::build(&snap, &[q], 3, None);
-        assert_eq!(plan.jobs.len(), 3, "one chunk per worker");
-        assert_eq!(plan.stats.solver_runs, 1, "chunks are one logical run");
+    fn a_local_family_is_one_job_at_any_thread_count() {
+        let wg = figure1();
+        let batch = [
+            Query::new(2, 2, Aggregation::Average).size_bound(5, true),
+            Query::new(2, 4, Aggregation::Sum).size_bound(5, true),
+            Query::new(2, 2, Aggregation::Average).size_bound(5, true), // exact repeat
+        ];
+        let engine = crate::Engine::with_threads(wg, 3);
+        let plan = engine.plan(&batch);
+        assert_eq!(plan.jobs.len(), 1, "one seed walk for the family");
+        assert_eq!(plan.stats.solver_runs, 1);
+        match &plan.jobs[0] {
+            Job::Local { members, .. } => {
+                let outputs: Vec<usize> = members.iter().map(|m| m.outputs.len()).collect();
+                assert_eq!(outputs, [2, 1], "duplicates share a member");
+            }
+            Job::Ranked { .. } => panic!("a size-bounded query plans a local family"),
+        }
     }
 
     #[test]
@@ -586,7 +558,7 @@ mod tests {
             Query::new(2, 1, Aggregation::Min).deadline(ddl), // exact duplicate: same slot
             Query::new(2, 1, Aggregation::Min).deadline(ddl * 2), // other deadline: own family
         ];
-        let plan = Plan::build(&snap, &batch, 1, None);
+        let plan = Plan::build(&snap, &batch, None);
         assert_eq!(
             plan.stats.solver_runs, 3,
             "unarmed + one family per deadline"
@@ -620,7 +592,7 @@ mod tests {
             Query::new(2, 4, Aggregation::Sum).approx(0.2), // ε > 0: never merged across r
             Query::new(2, 4, Aggregation::Sum).approx(0.2), // exact duplicate: shares
         ];
-        let plan = Plan::build(&snap, &batch, 1, None);
+        let plan = Plan::build(&snap, &batch, None);
         assert_eq!(plan.stats.solver_runs, 4);
     }
 
@@ -642,7 +614,7 @@ mod tests {
         }
         batch.push(Query::new(99, 2, Aggregation::Sum)); // above the degeneracy
         batch.push(Query::new(2, 0, Aggregation::Min)); // invalid
-        let stats = Plan::build(&snap, &batch, 3, None).stats;
+        let stats = Plan::build(&snap, &batch, None).stats;
         let want = PlanStats {
             total_queries: 38,
             answered_at_plan: 2,

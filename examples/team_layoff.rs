@@ -81,8 +81,6 @@ fn main() {
 
     // One engine serves every retention scenario. `Query::validate`
     // rejects nonsensical plans (s <= k, bad epsilon, ...) up front.
-    // One worker: the size-constrained path is heuristic, and a single
-    // worker keeps it bit-deterministic for the equality check below.
     let engine = Engine::with_threads(wg.clone(), 1);
     let queries: Vec<(Aggregation, Query)> = [
         Aggregation::Sum,

@@ -282,7 +282,7 @@ fn forest_read_deadline_keeps_whole_value_groups() {
 }
 
 #[test]
-fn local_chunk_panic_poisons_only_its_family() {
+fn local_walk_panic_poisons_only_its_family() {
     let _s = FailScenario::setup();
     let wg = workload(0x03);
     let constrained = Query::new(2, 3, Aggregation::Average).size_bound(5, true);
@@ -294,13 +294,13 @@ fn local_chunk_panic_poisons_only_its_family() {
     let eng = Engine::with_threads(wg.clone(), 3);
     let clean = solo_answers(&wg, &batch[..1], 3);
 
-    ic_fail::cfg("engine::local_chunk", "1*panic(chaos: chunk died)").unwrap();
+    ic_fail::cfg("engine::local_walk", "1*panic(chaos: walk died)").unwrap();
     let got = eng.run_batch_with(&batch, &BatchOptions::default());
-    // A panicked chunk poisons its whole family exactly once: partial
-    // seed coverage must never be merged and served as a full answer.
+    // A panicked walk poisons its whole family: partial seed coverage
+    // must never be served as a full answer.
     match &got[1] {
         Err(EngineError::Internal { detail }) => {
-            assert!(detail.contains("chunk died"), "payload lost: {detail}")
+            assert!(detail.contains("walk died"), "payload lost: {detail}")
         }
         other => panic!("constrained query must be Internal, got {other:?}"),
     }
@@ -311,10 +311,10 @@ fn local_chunk_panic_poisons_only_its_family() {
     );
     assert!(got[2].is_ok(), "unrelated sum query harmed");
     assert_eq!(eng.arenas_quarantined(), 1);
-    assert_pool_restored(&eng, "after local-chunk panic");
+    assert_pool_restored(&eng, "after local-walk panic");
 
     // The family is not permanently poisoned: a clean re-run answers.
-    ic_fail::remove("engine::local_chunk");
+    ic_fail::remove("engine::local_walk");
     eng.clear_result_cache();
     assert!(eng.run_batch(&batch)[1].is_ok(), "family must recover");
 }
@@ -451,7 +451,7 @@ fn randomized_fault_sweep_preserves_engine_invariants() {
         // the whole sweep replays exactly under one IC_FAIL_SEED.
         ic_fail::cfg("kcore::cascade", "3%panic(chaos: cascade)").unwrap();
         ic_fail::cfg("core::tic_advance", "3%panic(chaos: tic)").unwrap();
-        ic_fail::cfg("engine::local_chunk", "10%panic(chaos: chunk)").unwrap();
+        ic_fail::cfg("engine::local_walk", "10%panic(chaos: walk)").unwrap();
 
         // Two rounds in three arm every query: with a generous
         // deadline, or with an expired one.
@@ -519,13 +519,13 @@ fn a_failed_refresh_is_retried_by_an_apply_below_its_level() {
     let sub = manager.subscribe(q).unwrap();
 
     // Vertex 0 leaves the 3-core, and the refresh that would say so dies.
-    ic_fail::cfg("engine::local_chunk", "1*panic(chaos: refresh died)").unwrap();
+    ic_fail::cfg("engine::local_walk", "1*panic(chaos: refresh died)").unwrap();
     let cut = [
         EdgeUpdate::Remove { u: 0, v: 1 },
         EdgeUpdate::Remove { u: 0, v: 2 },
     ];
     let report = manager.apply(&cut).unwrap();
-    ic_fail::remove("engine::local_chunk");
+    ic_fail::remove("engine::local_walk");
     assert_eq!(
         report.failed.len(),
         1,

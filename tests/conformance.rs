@@ -7,7 +7,7 @@
 //!
 //! * **oracle** — the from-scratch reference solvers
 //!   (`ic_core::algo::oracle`, the exhaustive `exact_topr` on tiny
-//!   graphs, and sequential `local_search` for the heuristic route);
+//!   graphs, and `oracle::local_search` for the heuristic route);
 //! * **arena** — the zero-rebuild `PeelArena` solvers, reached through
 //!   [`Query::solve_on`] (routing is by declared certificates since
 //!   PR 4 — nothing here dispatches on the aggregation itself);
@@ -20,10 +20,10 @@
 //! sets, same values, same order — on ER, Barabási-Albert, Chung-Lu,
 //! and planted-partition graphs, including the edge cases `r = 1`,
 //! `r > #communities`, `k = 1`, and `k > degeneracy`. Heuristic local
-//! search is held to the contract its docs state: engine(1 worker) ≡
-//! sequential `local_search`, and multi-worker results are valid
-//! communities of the same cardinality regime. Any future refactor that silently diverges from the oracle
-//! semantics fails here first.
+//! search is deterministic too: the engine at any thread count ≡
+//! `Query::solve` ≡ the paper-printed `oracle::local_search`. Any future
+//! refactor that silently diverges from the oracle semantics fails here
+//! first.
 
 use ic_core::algo::{self, oracle, LocalSearchConfig};
 use ic_core::verify::check_community;
@@ -145,8 +145,7 @@ proptest! {
     /// — including the PR-4 additions (`top-t-sum`, `percentile`,
     /// `geo-mean`). Aggregations with a polynomial certificate run
     /// unconstrained; the NP-hard rest run through their size-bounded
-    /// local-search route, whose single-worker paths are all
-    /// bit-identical by contract.
+    /// local-search route, whose paths are all bit-identical too.
     #[test]
     fn every_builtin_agrees_across_all_paths(wg in arb_workload(), k in 1usize..4) {
         for agg in Aggregation::builtins() {
@@ -167,13 +166,12 @@ proptest! {
                 oracle::tic_improved(&wg, k, 3, agg, 0.0).unwrap()
             } else {
                 let config = LocalSearchConfig { k, r: 3, s: k + 4, greedy: true };
-                algo::local_search(&wg, &config, agg).unwrap()
+                oracle::local_search(&wg, &config, agg).unwrap()
             };
             // Arena ≡ oracle.
             let arena = arena_solve(&wg, q);
             prop_assert_eq!(&arena, &reference, "{} arena k={}", agg.name(), k);
-            // Engine-batched ≡ arena (single worker keeps the heuristic
-            // route bit-deterministic).
+            // Engine-batched ≡ arena.
             let got = unwrap_batch(engine(&wg, 1).run_batch(&[q]));
             prop_assert_eq!(&got[0], &arena, "{} engine k={}", agg.name(), k);
             // Every community checks out structurally and value-wise.
@@ -187,11 +185,17 @@ proptest! {
         }
     }
 
-    /// Constrained queries (avg and friends): one engine worker is
-    /// bit-identical to sequential local search; multi-worker results
-    /// are valid communities.
+    /// Constrained queries (avg and friends): the engine at 1, 2 and 4
+    /// threads, `Query::solve` and the paper-printed
+    /// `oracle::local_search` give the same answer bit for bit. Both
+    /// greedy modes share one batch, so on a multi-thread engine their
+    /// families walk side by side. Weights are drawn from {1, 2, 3}, so
+    /// candidates tie at every top-r bar.
     #[test]
-    fn constrained_paths_agree(wg in arb_workload(), k in 1usize..4, greedy in any::<bool>()) {
+    fn constrained_paths_agree(
+        wg in common::arb_workload(0..4, 4..5, 24..72),
+        k in 1usize..4,
+    ) {
         let s = k + 4;
         let aggs = [
             Aggregation::Average,
@@ -202,24 +206,28 @@ proptest! {
             Aggregation::Percentile { p: 0.75 },
             Aggregation::GeometricMean,
         ];
-        for &agg in &aggs {
-            let config = LocalSearchConfig { k, r: 3, s, greedy };
-            let seq = algo::local_search(&wg, &config, agg).unwrap();
-            let eng1 = engine(&wg, 1);
-            let got = unwrap_batch(
-                eng1.run_batch(&[Query::new(k, 3, agg).size_bound(s, greedy)]),
-            );
-            prop_assert_eq!(&got[0], &seq, "engine(1) {}", agg.name());
-
-            let eng4 = engine(&wg, 4);
-            let got4 = unwrap_batch(
-                eng4.run_batch(&[Query::new(k, 3, agg).size_bound(s, greedy)]),
-            );
-            for c in &got4[0] {
-                prop_assert!(
-                    check_community(&wg, k, Some(s), agg, c).is_ok(),
-                    "{} multi-worker community invalid: {:?}", agg.name(), c.vertices
-                );
+        let probes: Vec<(bool, Aggregation)> = [true, false]
+            .into_iter()
+            .flat_map(|greedy| aggs.map(|agg| (greedy, agg)))
+            .collect();
+        let batch: Vec<Query> = probes
+            .iter()
+            .map(|&(greedy, agg)| Query::new(k, 3, agg).size_bound(s, greedy))
+            .collect();
+        let want: Vec<Vec<Community>> = probes
+            .iter()
+            .map(|&(greedy, agg)| {
+                let config = LocalSearchConfig { k, r: 3, s, greedy };
+                oracle::local_search(&wg, &config, agg).unwrap()
+            })
+            .collect();
+        for (q, want) in batch.iter().zip(&want) {
+            prop_assert_eq!(&q.solve(&wg).unwrap(), want, "Query::solve {:?}", q);
+        }
+        for threads in [1, 2, 4] {
+            let got = unwrap_batch(engine(&wg, threads).run_batch(&batch));
+            for ((q, got), want) in batch.iter().zip(&got).zip(&want) {
+                prop_assert_eq!(got, want, "engine({}) {:?}", threads, q);
             }
         }
     }

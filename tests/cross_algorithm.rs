@@ -83,7 +83,7 @@ fn min_and_max_peels_verify_on_email() {
 }
 
 #[test]
-fn parallel_and_sequential_local_search_agree_on_quality() {
+fn local_search_answers_equal_sequential_at_every_thread_count() {
     let wg = email();
     let config = algo::LocalSearchConfig {
         k: 4,
@@ -92,23 +92,11 @@ fn parallel_and_sequential_local_search_agree_on_quality() {
         greedy: true,
     };
     let seq = algo::local_search(&wg, &config, Aggregation::Average).unwrap();
-    // Parallel Algorithm 4 is the engine's chunked seed walk.
     let query = [Query::new(4, 5, Aggregation::Average).size_bound(20, true)];
-    let on_workers = |threads: usize| {
+    for threads in [1usize, 2, 4] {
         let engine = ic_engine::Engine::with_threads(wg.clone(), threads);
-        engine.run_batch(&query).pop().unwrap().unwrap()
-    };
-    assert_eq!(on_workers(1), seq, "threads = 1 must be exactly sequential");
-    for threads in [2usize, 4] {
-        let par = on_workers(threads);
-        assert_eq!(par.len(), seq.len());
-        for c in &par {
-            check_community(&wg, 4, Some(20), Aggregation::Average, c).unwrap();
-        }
-        // Thread-local thresholds may shift greedy acceptance slightly in
-        // either direction; demand the merged answer stays in the same
-        // ballpark as the sequential one.
-        assert!(par[0].value >= 0.5 * seq[0].value);
+        let got = engine.run_batch(&query).pop().unwrap().unwrap();
+        assert_eq!(got, seq, "threads = {threads}");
     }
 }
 

@@ -49,10 +49,6 @@ proptest! {
         script in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..24),
     ) {
         let n = wg.num_vertices() as u32;
-        // One worker throughout: the constrained probes run the
-        // heuristic path, which is only bit-pinned across independent
-        // engines at a single worker (multi-worker execution semantics
-        // are covered by conformance.rs).
         let eng = Engine::with_threads(wg.clone(), 1);
         // Warm the cache under epoch 0 so staleness would be caught.
         let probes = probe_queries(k, 4);
