@@ -10,8 +10,7 @@
 //! ```
 //!
 //! Each experiment prints a markdown table mirroring the corresponding
-//! paper artifact; `EXPERIMENTS.md` records a full run with paper-vs-
-//! measured commentary.
+//! paper artifact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,15 @@
+//! Shared pieces of the arena-based Corollary-2 solvers (`sum_naive`,
+//! `tic_improved`): value and set-key helpers, and the one
+//! child-expansion step, [`expand_children`], which decides each child
+//! of a deletion before building it — on a bound, then on its exact
+//! value — and takes the components a cascade leaves from the arena's
+//! boundary-seeded split, so a child that is dropped or already
+//! explored costs what the cascade cut off, not the parent.
+
 use crate::{Aggregation, Community, SearchError};
 use ic_graph::{VertexId, WeightedGraph};
+use ic_kcore::{ArenaImage, PeelArena, Piece};
+use std::sync::OnceLock;
 
 /// Builds a [`Community`] from a vertex list, evaluating its influence
 /// value under `aggregation`.
@@ -114,6 +124,14 @@ pub struct ExpansionCounts {
     pub skipped_by_value: u64,
     /// Children allocated and handed to the caller.
     pub materialized: u64,
+    /// Parents loaded into the arena from the graph. A parent copied
+    /// from its snapshot level's root image is not a load.
+    pub loads: u64,
+    /// Vertices the component splits expanded ([`ic_kcore::Split::walked`]).
+    pub walked: u64,
+    /// Live vertices at those splits: what walking every component
+    /// whole would have visited.
+    pub walk_span: u64,
 }
 
 /// What a child must reach to be built. `sum_naive` keeps everything
@@ -148,12 +166,17 @@ pub(crate) struct Parent<'a> {
     aggregation: Aggregation,
     community: &'a Community,
     k: usize,
-    /// `vertex_mix_sum(&community.vertices)`.
+    /// `vertex_mix_sum(&community.vertices)`, summed by the load: a
+    /// parent that is never loaded needs no keys.
     mix: u64,
     /// Stage A needs the O(1) remove delta (`incremental_removal`).
     bounded: bool,
     /// Rounding slack added to a stage-A bound; see [`Parent::new`].
     margin: f64,
+    /// The parent's loaded, marked state, when it is a root component of
+    /// a snapshot level: copied in if present, taken by the first load
+    /// otherwise.
+    pub(crate) image: Option<&'a OnceLock<ArenaImage>>,
     loaded: bool,
 }
 
@@ -175,17 +198,47 @@ impl<'a> Parent<'a> {
         community: &'a Community,
         k: usize,
     ) -> Self {
+        debug_assert!(community.vertices.is_sorted(), "community members ascend");
         let n = community.vertices.len() as f64;
         Parent {
             wg,
             aggregation,
             community,
             k,
-            mix: vertex_mix_sum(&community.vertices),
+            mix: 0,
             bounded: aggregation.certificates().incremental_removal,
             margin: 4.0 * f64::EPSILON * (n + 1.0) * community.value.abs(),
+            image: None,
             loaded: false,
         }
+    }
+
+    /// Loads the parent into `arena` with its articulation points
+    /// marked: a copy of its image when there is one, a load from the
+    /// graph otherwise (which then fills an empty image slot).
+    fn load(&mut self, arena: &mut PeelArena, counts: &mut ExpansionCounts) {
+        let (wg, vertices, k) = (self.wg, &self.community.vertices, self.k);
+        let mut from_graph = |arena: &mut PeelArena| {
+            arena.load(wg.graph(), vertices, k);
+            arena.mark_articulation_points();
+            counts.loads += 1;
+        };
+        match self.image {
+            None => from_graph(arena),
+            Some(slot) => {
+                let mut built = false;
+                let image = slot.get_or_init(|| {
+                    from_graph(arena);
+                    built = true;
+                    arena.image()
+                });
+                if !built {
+                    arena.load_image(image);
+                }
+            }
+        }
+        self.mix = vertex_mix_sum(vertices);
+        self.loaded = true;
     }
 }
 
@@ -240,19 +293,25 @@ impl ExpandScratch {
 ///   needs no cascade: when even `parent ∖ {victim}` misses, the
 ///   deletion is not performed at all.
 /// * **B — value.** Otherwise each new component is copied into a pooled
-///   buffer, sorted, and evaluated exactly as the from-scratch oracle
-///   evaluates its sorted components (same summation order, same bits);
-///   the `Community` is allocated only if `value >= keep.need`.
+///   buffer and evaluated exactly as the from-scratch oracle evaluates
+///   its sorted components (same summation order, same bits); the
+///   `Community` is allocated only if `value >= keep.need`.
 ///
 /// When the deletion neither cascades nor hits an articulation point the
 /// only child is `parent ∖ {victim}`: its dedup key is an O(1)
 /// subtraction from the parent's mix and no component walk happens in
-/// either stage. Every child whose key is known is entered in
+/// either stage. Otherwise the components come from the arena's split
+/// ([`PeelArena::split`]), which walks only what the cascade cut off:
+/// the pieces it finished, in ascending id order, and the rest, whose
+/// key is the parent's mix minus the journal and those pieces, so the
+/// rest is listed only when it is built. Pieces are handled in
+/// ascending order of their smallest member, the order ε-acceptance
+/// sees them in. Every child whose key is known is entered in
 /// `explored`, kept or not; only a cascade dropped in stage A leaves no
 /// entry (see DESIGN.md §5 for why that is safe when
 /// `keep.track_dropped` is unset).
 pub(crate) fn expand_children(
-    arena: &mut ic_kcore::PeelArena,
+    arena: &mut PeelArena,
     parent: &mut Parent<'_>,
     victim: VertexId,
     keep: KeepRule,
@@ -274,9 +333,7 @@ pub(crate) fn expand_children(
         return;
     }
     if !parent.loaded {
-        arena.load(wg.graph(), &community.vertices, parent.k);
-        arena.mark_articulation_points();
-        parent.loaded = true;
+        parent.load(arena, &mut scratch.counts);
     }
     arena.remove_cascade(victim);
     scratch.counts.deletions += 1;
@@ -303,19 +360,35 @@ pub(crate) fn expand_children(
     } else if below_bound && !keep.track_dropped {
         scratch.counts.skipped_by_bound += 1;
     } else {
-        arena.for_each_component(|comp| {
-            if !explored.insert(vertex_set_key(comp)) {
-                return;
+        let split = arena.split();
+        scratch.counts.walked += split.walked as u64;
+        scratch.counts.walk_span += arena.live_count() as u64;
+        // The rest's key: the parent's mix minus everything else.
+        let rest_mix = arena
+            .journaled()
+            .chain(arena.finished(&split).iter().copied())
+            .fold(parent.mix, |mix, u| mix.wrapping_sub(vertex_mix(u)));
+        for piece in arena.pieces(&split) {
+            let key = match piece {
+                Piece::Walked(comp) => vertex_set_key(comp),
+                Piece::Rest(len) => finalize_set_key(rest_mix, len),
+            };
+            if !explored.insert(key) {
+                continue;
             }
             if below_bound {
                 scratch.counts.skipped_by_bound += 1;
-                return;
+                continue;
             }
+            // Pieces list members in load order: ascending, as the
+            // parent's are.
             scratch.vertices.clear();
-            scratch.vertices.extend_from_slice(comp);
-            scratch.vertices.sort_unstable();
+            match piece {
+                Piece::Walked(comp) => scratch.vertices.extend_from_slice(comp),
+                Piece::Rest(_) => arena.rest_into(&split, &mut scratch.vertices),
+            }
             scratch.build_if_kept(parent, keep.need, out);
-        });
+        }
     }
     arena.rollback();
     // Debug-mode certificate check (see `ic_core::certify`): the arena

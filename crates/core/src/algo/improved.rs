@@ -13,15 +13,19 @@
 //! cheaper.
 //!
 //! The expansion loop runs on the zero-rebuild [`PeelArena`] (see
-//! DESIGN.md §5): the popped maximum is loaded once, every candidate
-//! deletion is a journaled cascade + rollback touching only the affected
-//! frontier, and a child is built only if it can still reach the live
-//! r-th candidate value — the candidate list is trimmed to `r` as
-//! children arrive, and `expand_children` decides each child from a
-//! bound or from its exact value before allocating it. With ε > 0 the
-//! vertex loop ends as soon as `R` is full. The from-scratch formulation
-//! is preserved as [`crate::algo::oracle::tic_improved`] for the
-//! property tests.
+//! DESIGN.md §5) and costs what it touches. A pop first drops the
+//! vertices line 13 dismisses, then orders only the rest. The popped
+//! maximum is loaded once — a snapshot level's root component is copied
+//! from the level's root image, loaded and marked once per snapshot —
+//! every candidate deletion is a journaled cascade + rollback touching
+//! only the affected frontier, and the components it leaves are split
+//! off by a walk from the cascade's boundary. A child is built only if
+//! it can still reach the live r-th candidate value — the candidate
+//! list is trimmed to `r` as children arrive, and `expand_children`
+//! decides each child from a bound or from its exact value before
+//! allocating it. With ε > 0 the vertex loop ends as soon as `R` is
+//! full. The from-scratch formulation is preserved as
+//! [`crate::algo::oracle::tic_improved`] for the property tests.
 
 use crate::algo::common::{
     community_from_vertices, expand_children, require_corollary2, validate_k_r, vertex_set_key,
@@ -29,9 +33,9 @@ use crate::algo::common::{
 };
 use crate::{Aggregation, Community, SearchError};
 use ic_graph::{VertexId, WeightedGraph};
-use ic_kcore::{maximal_kcore_components, Budget, GraphSnapshot, PeelArena};
+use ic_kcore::{maximal_kcore_components, ArenaImage, Budget, CoreLevel, GraphSnapshot, PeelArena};
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Runs Algorithm 2 with the given ε (`0.0` = exact "Improve", `> 0` =
 /// "Approx"). The aggregation must declare the removal-decreasing
@@ -51,21 +55,12 @@ pub(crate) fn tic_improved(
     validate_improved(r, aggregation, epsilon)?;
     let comps = maximal_kcore_components(wg.graph(), k);
     let mut arena = PeelArena::for_graph(wg.graph());
-    Ok(run_improved(
-        wg,
-        comps,
-        k,
-        r,
-        aggregation,
-        epsilon,
-        &mut arena,
-    ))
+    Ok(TicSearch::new(wg, comps, k, r, aggregation, epsilon).run(wg, &mut arena))
 }
 
-/// Algorithm 2 against a [`GraphSnapshot`]: the k-core components
-/// come from the snapshot's memoized level and the search runs on the
-/// caller's (typically pooled) arena. Output is bit-identical to
-/// [`crate::Query::solve`] on the same query.
+/// Algorithm 2 against a [`GraphSnapshot`]: [`TicSearch::start_on`] run
+/// to its end on the caller's (typically pooled) arena. Output is
+/// bit-identical to [`crate::Query::solve`] on the same query.
 pub fn tic_improved_on(
     snap: &GraphSnapshot,
     k: usize,
@@ -74,17 +69,7 @@ pub fn tic_improved_on(
     epsilon: f64,
     arena: &mut PeelArena,
 ) -> Result<Vec<Community>, SearchError> {
-    validate_improved(r, aggregation, epsilon)?;
-    let level = snap.level(k);
-    Ok(run_improved(
-        snap.weighted(),
-        level.components.clone(),
-        k,
-        r,
-        aggregation,
-        epsilon,
-        arena,
-    ))
+    Ok(TicSearch::start_on(snap, k, r, aggregation, epsilon)?.run(snap.weighted(), arena))
 }
 
 fn validate_improved(r: usize, aggregation: Aggregation, epsilon: f64) -> Result<(), SearchError> {
@@ -98,16 +83,36 @@ fn validate_improved(r: usize, aggregation: Aggregation, epsilon: f64) -> Result
     Ok(())
 }
 
-fn run_improved(
-    wg: &WeightedGraph,
-    comps: Vec<Vec<VertexId>>,
-    k: usize,
-    r: usize,
-    aggregation: Aggregation,
-    epsilon: f64,
-    arena: &mut PeelArena,
-) -> Vec<Community> {
-    TicSearch::new(wg, comps, k, r, aggregation, epsilon).run(wg, arena)
+/// A snapshot level's root components as loaded, articulation-marked
+/// arena states ([`ArenaImage`]), one slot per component of the level,
+/// each filled by the first search that expands that component. A
+/// function of the level's k-core alone, so it is a snapshot extension
+/// and `GraphSnapshot::share_levels_above` carries it with its level.
+#[derive(Debug)]
+struct RootImages {
+    level: Arc<CoreLevel>,
+    slots: Vec<OnceLock<ArenaImage>>,
+}
+
+impl RootImages {
+    fn of(snap: &GraphSnapshot, k: usize) -> Arc<RootImages> {
+        snap.extension(k, 0, || {
+            let level = snap.level(k);
+            let slots = level.components.iter().map(|_| OnceLock::new()).collect();
+            RootImages { level, slots }
+        })
+    }
+
+    /// The slot of `vertices` if they are a whole component of the level.
+    /// A community lies inside one component and ascends, so it is that
+    /// component exactly when it has its first member and its size.
+    fn slot(&self, vertices: &[VertexId]) -> Option<&OnceLock<ArenaImage>> {
+        let comps = &self.level.components;
+        let i = comps
+            .binary_search_by_key(&vertices.first()?, |c| &c[0])
+            .ok()?;
+        (comps[i].len() == vertices.len()).then(|| &self.slots[i])
+    }
 }
 
 /// One `TIC-IMPROVED` run — the search the engine's `TIC` jobs run for
@@ -127,13 +132,20 @@ pub struct TicSearch {
     prune_with_delta: bool,
     candidates: Vec<Community>,
     explored: HashSet<u64>,
+    /// Signatures of the confirmed communities; kept by the approximate
+    /// search only, whose ε-acceptance can confirm a candidate early.
     in_results: HashSet<u64>,
     /// Confirmed communities in confirmation order (non-increasing value
     /// in exact mode); the answer, in `ranking_cmp` order, once
     /// `finished`.
     results: Vec<Community>,
     fresh: Vec<Community>,
+    /// The popped maximum's vertices that line 13 does not dismiss, in
+    /// deletion order (reused across pops).
+    order: Vec<VertexId>,
     scratch: ExpandScratch,
+    /// The level's root images; `None` on the per-graph path.
+    images: Option<Arc<RootImages>>,
     finished: bool,
     /// Cooperative deadline: checkpointed in the per-vertex expansion
     /// loop; also handed to the arena so long cascades keep the shared
@@ -155,15 +167,11 @@ impl TicSearch {
         epsilon: f64,
     ) -> Result<Self, SearchError> {
         validate_improved(r, aggregation, epsilon)?;
-        let level = snap.level(k);
-        Ok(Self::new(
-            snap.weighted(),
-            level.components.clone(),
-            k,
-            r,
-            aggregation,
-            epsilon,
-        ))
+        let images = RootImages::of(snap, k);
+        let comps = images.level.components.clone();
+        let mut search = Self::new(snap.weighted(), comps, k, r, aggregation, epsilon);
+        search.images = Some(images);
+        Ok(search)
     }
 
     fn new(
@@ -196,7 +204,9 @@ impl TicSearch {
             in_results: HashSet::new(),
             results: Vec::new(),
             fresh: Vec::new(),
+            order: Vec::new(),
             scratch: ExpandScratch::default(),
+            images: None,
             finished: false,
             budget: None,
             aborted: false,
@@ -272,11 +282,13 @@ impl TicSearch {
                 return;
             }
         }
-        // Pop the maximum candidate (kept sorted best-first).
+        // Pop the maximum candidate (kept sorted best-first). Only
+        // ε-acceptance can confirm a candidate before it is popped: the
+        // exact search confirms each community once, as `explored`
+        // admits it to the candidates once.
         let lmax = self.candidates.remove(0);
-        let sig = lmax.signature();
-        if !self.in_results.contains(&sig) {
-            self.in_results.insert(sig);
+        let approx = self.epsilon > 0.0;
+        if !approx || self.in_results.insert(lmax.signature()) {
             self.results.push(lmax.clone());
             if self.results.len() == self.r {
                 self.finish();
@@ -288,18 +300,37 @@ impl TicSearch {
         let threshold = r_th_value(&self.results, &self.candidates, self.r);
 
         // At most one load per popped maximum (`expand_children` loads
-        // on the first deletion it performs); every deletion is then an
-        // O(affected) journaled cascade instead of a full re-peel.
+        // on the first deletion it performs, or copies a root's image);
+        // every deletion is then an O(affected) journaled cascade
+        // instead of a full re-peel.
         arena.set_budget(self.budget.clone());
         let mut parent = Parent::new(wg, self.aggregation, &lmax, self.k);
-        let approx = self.epsilon > 0.0;
+        parent.image = self.images.as_deref().and_then(|i| i.slot(&lmax.vertices));
+        // Line 13: the pre-cascade value of Lmax ∖ {v} upper-bounds
+        // every child it can produce, and `threshold` is fixed for the
+        // pop, so the vertices it dismisses are dropped before anything
+        // is ordered. Available exactly when the aggregation certifies
+        // an O(1) remove delta; otherwise the search runs unpruned
+        // (still correct — pruning is an optimization, not a correctness
+        // requirement). A branch that can tie the bar is pursued:
+        // `ranking_cmp`, not the order the search meets them in, cuts a
+        // tie at slot `r`.
+        let dismissed = |v: VertexId| {
+            self.prune_with_delta
+                && self
+                    .aggregation
+                    .value_after_removal(lmax.value, wg.weight(v))
+                    < threshold
+        };
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend(lmax.vertices.iter().copied().filter(|&v| !dismissed(v)));
         // ε-acceptance takes children in the order they appear, so the
         // approximate search keeps the paper's vertex order. The exact
         // search's outcome does not depend on the order (DESIGN.md §5),
         // and lightest-first meets the best children first: after about
-        // `r` of them `need` is at its final level and every heavier
-        // vertex is dismissed on its bound without a cascade.
-        let mut order = lmax.vertices.clone();
+        // `r` of them `need` is at its final level and the heavier
+        // survivors are dropped on their stage-A bound without a cascade.
         if !approx {
             order.sort_unstable_by(|&a, &b| {
                 wg.weight(a)
@@ -318,23 +349,9 @@ impl TicSearch {
             if let Some(b) = &self.budget {
                 if b.expired() {
                     self.fresh = fresh;
+                    self.order = order;
                     self.deadline_abort(lmax.value);
                     return;
-                }
-            }
-            // Line 13: the pre-cascade value of Lmax ∖ {v} upper-bounds
-            // every child it can produce. Available exactly when the
-            // aggregation certifies an O(1) remove delta; otherwise the
-            // search runs unpruned (still correct — pruning is an
-            // optimization, not a correctness requirement). A branch that
-            // can tie the bar is pursued: `ranking_cmp`, not the order
-            // the search meets them in, cuts a tie at slot `r`.
-            if self.prune_with_delta {
-                let upper = self
-                    .aggregation
-                    .value_after_removal(lmax.value, wg.weight(v));
-                if upper < threshold {
-                    continue;
                 }
             }
             let keep = KeepRule {
@@ -355,9 +372,8 @@ impl TicSearch {
                 if approx
                     && child.value >= lb
                     && self.results.len() < self.r
-                    && !self.in_results.contains(&child.signature())
+                    && self.in_results.insert(child.signature())
                 {
-                    self.in_results.insert(child.signature());
                     self.results.push(child.clone());
                 }
                 let pos = self
@@ -377,6 +393,7 @@ impl TicSearch {
             }
         }
         self.fresh = fresh;
+        self.order = order;
     }
 
     /// Deadline expiry: terminates the search, keeping only what is
@@ -597,7 +614,39 @@ mod tests {
         assert!(exact.skipped_by_bound >= 895 - 4 * r as u64, "{exact:?}");
         let approx = run(0.2);
         assert!(approx.deletions <= 4 * r as u64, "{approx:?}");
-        assert_eq!(run(0.0), exact, "counts repeat exactly");
+        // The counts repeat exactly, but for the load the first run's
+        // root image saves the second.
+        let again = run(0.0);
+        assert_eq!(ExpansionCounts { loads: 1, ..again }, exact, "{again:?}");
+        assert_eq!(again.loads, 0, "{again:?}");
+    }
+
+    #[test]
+    fn a_split_walks_what_the_cascade_cut_off_not_the_parent() {
+        // Every cascading or articulation deletion used to walk the whole
+        // surviving parent. The boundary walk expands the pieces cut off
+        // and stops: over a run it expands under a quarter of what the
+        // full walks did, in either mode. Counts, not time, so the bound
+        // is an exact gate on this fixed graph. (At k = 4 the exact
+        // search splits nothing here: its every deletion is a
+        // non-cascading, non-articulation one.)
+        let spec = ic_gen::datasets::by_name(ic_gen::datasets::Profile::Quick, "youtube").unwrap();
+        let wg = spec.generate_weighted();
+        let snap = GraphSnapshot::new(wg.clone());
+        let mut arena = PeelArena::for_graph(snap.graph());
+        for (k, eps) in [(4, 0.1), (6, 0.0), (6, 0.1)] {
+            let mut search = TicSearch::start_on(&snap, k, 20, Aggregation::Sum, eps).unwrap();
+            search.run(&wg, &mut arena);
+            let work = search.work();
+            assert!(
+                work.walk_span > 0,
+                "k={k} eps={eps}: no split ran: {work:?}"
+            );
+            assert!(
+                4 * work.walked < work.walk_span,
+                "k={k} eps={eps}: {work:?}"
+            );
+        }
     }
 
     #[test]

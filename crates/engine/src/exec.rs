@@ -108,13 +108,17 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// `core.tic_*`: what the TIC runs of this engine did, summed — cascade
-/// deletions performed and child communities allocated
-/// ([`ic_core::algo::ExpansionCounts`]). Both depend only on the graph
-/// and the queries served, so they separate "more work" from "a slower
-/// machine" when a solve span grows.
+/// deletions performed, child communities allocated, parents loaded
+/// from the graph and vertices the component splits expanded
+/// ([`ic_core::algo::ExpansionCounts`]). They depend only on the graph
+/// and the queries served (loads also on which root images were already
+/// built), so they separate "more work" from "a slower machine" when a
+/// solve span grows.
 pub(crate) struct TicCounters {
     pub deletions: ic_obs::Counter,
     pub children_materialized: ic_obs::Counter,
+    pub loads: ic_obs::Counter,
+    pub walked: ic_obs::Counter,
 }
 
 /// `core.local_*`: what the local-search walks of this engine did,
@@ -450,6 +454,8 @@ fn run_tic(
     let work = search.work();
     counters.deletions.add(work.deletions);
     counters.children_materialized.add(work.materialized);
+    counters.loads.add(work.loads);
+    counters.walked.add(work.walked);
     Ok((items, search.deadline_aborted()))
 }
 

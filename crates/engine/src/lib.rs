@@ -407,6 +407,8 @@ impl EngineMetrics {
             tic: exec::TicCounters {
                 deletions: registry.counter("core.tic_deletions"),
                 children_materialized: registry.counter("core.tic_children_materialized"),
+                loads: registry.counter("core.tic_loads"),
+                walked: registry.counter("core.tic_walked"),
             },
             local: exec::LocalCounters {
                 seeds: registry.counter("core.local_seeds"),
@@ -1113,11 +1115,16 @@ mod tests {
         let counts = |eng: &Engine| {
             counters(
                 eng,
-                &["core.tic_deletions", "core.tic_children_materialized"],
+                &[
+                    "core.tic_deletions",
+                    "core.tic_children_materialized",
+                    "core.tic_loads",
+                    "core.tic_walked",
+                ],
             )
         };
         let eng = engine(2);
-        assert_eq!(counts(&eng), [0.0, 0.0]);
+        assert_eq!(counts(&eng), [0.0; 4]);
         let batch = [
             Query::new(2, 3, Aggregation::Sum),
             Query::new(2, 3, Aggregation::Sum).approx(0.2),
@@ -1125,11 +1132,49 @@ mod tests {
         ];
         eng.run_batch(&batch);
         let first = counts(&eng);
-        assert!(first[0] > 0.0 && first[1] > 0.0, "{first:?}");
+        assert!(first.iter().all(|&c| c > 0.0), "{first:?}");
         // Work counts depend on the graph and the queries only.
         let again = engine(1);
         again.run_batch(&batch);
         assert_eq!(counts(&again), first);
+        // The first batch loaded the level's root once, for both sums;
+        // a second batch copies it from its image: the same work, that
+        // one load fewer.
+        again.clear_result_cache();
+        again.run_batch(&batch);
+        let second = counts(&again);
+        let expect = [
+            2.0 * first[0],
+            2.0 * first[1],
+            2.0 * first[2] - 1.0,
+            2.0 * first[3],
+        ];
+        assert_eq!(second, expect);
+    }
+
+    #[test]
+    fn tic_after_an_apply_reads_no_pre_apply_root_image() {
+        // K4 at k = 2: the root component's image holds the edge 0–1.
+        // Removing it keeps {0, 1, 2, 3} the one 2-core component, so only
+        // its induced edges tell the images apart; the children differ
+        // ({0, 1, 2} is a community only with the edge).
+        let g = ic_graph::graph_from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
+        let wg = WeightedGraph::new(g, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let eng = Engine::with_threads(wg, 1);
+        let batch = [
+            Query::new(2, 10, Aggregation::Sum),
+            Query::new(2, 10, Aggregation::Sum).approx(0.2),
+        ];
+        eng.run_batch(&batch);
+        eng.apply(&[ic_kcore::EdgeUpdate::Remove { u: 0, v: 1 }]);
+        let after = eng.snapshot();
+        assert_eq!(after.level(2).components, [[0, 1, 2, 3]]);
+        let fresh = Engine::with_threads(after.weighted().clone(), 1);
+        let got = eng.run_batch(&batch);
+        assert_eq!(got, fresh.run_batch(&batch));
+        for (q, got) in batch.iter().zip(got) {
+            assert_eq!(got.unwrap(), q.solve(after.weighted()).unwrap());
+        }
     }
 
     #[test]

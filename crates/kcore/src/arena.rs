@@ -17,6 +17,10 @@
 //!
 //! * [`PeelArena::load`] — local ids + induced CSR + internal degrees,
 //!   `O(Σ d(v))`, once per community;
+//! * [`PeelArena::image`] / [`PeelArena::load_image`] — keep a loaded,
+//!   articulation-marked state and copy it back in later, in time linear
+//!   in the community's induced size (no full-graph adjacency scan, no
+//!   articulation pass);
 //! * [`PeelArena::remove_cascade`] — delete one vertex and cascade the
 //!   degree constraint, `O(Σ_{v ∈ removed} d_H(v))`; every removal is
 //!   journaled;
@@ -24,8 +28,14 @@
 //!   restoring the loaded state in time proportional to the journal;
 //! * [`PeelArena::commit`] — make the journaled removals permanent
 //!   (timeline-style peels à la Li et al. VLDB'15);
-//! * [`PeelArena::for_each_component`] — enumerate surviving connected
-//!   components without allocating;
+//! * [`PeelArena::split`] / [`PeelArena::pieces`] — the connected
+//!   components left by the journaled removals, found by a walk from the
+//!   removals' live neighbours that stops as soon as at most one piece
+//!   is still growing: the pieces it finished are emitted as walked, and
+//!   the one it did not is described by its size and materialized only on
+//!   request ([`PeelArena::rest_into`]). A split costs what the cascade
+//!   cut off, not the size of the community;
+//!   [`PeelArena::for_each_component`] is its eager form;
 //! * [`PeelArena::mark_articulation_points`] / [`PeelArena::is_articulation`]
 //!   — a no-split certificate (one iterative Tarjan pass per load) that
 //!   lets callers skip component extraction entirely for the common case
@@ -80,19 +90,25 @@ pub struct PeelArena {
     visited_stamp: Vec<u32>,
     /// Internal degree of each live local vertex.
     deg: Vec<u32>,
-    /// Cascade queue / BFS queue (local ids; head index, no pop-front).
+    /// Cascade queue / split walk queue (local ids; head index, no
+    /// pop-front). After a [`split`](Self::split) its prefix holds the
+    /// finished pieces' members, piece by piece.
     queue: Vec<u32>,
     /// Removals since the last `commit`/`rollback` (local ids, pop order).
     journal: Vec<u32>,
-    /// Component output buffer (global ids, reused per call).
+    /// Global ids of the pieces the last split finished (then, in
+    /// [`for_each_component`](Self::for_each_component), the rest).
     comp_buf: Vec<VertexId>,
 
     // ---- articulation pass ----------------------------------------------
     /// Epoch when local `l` was marked an articulation point.
     art_stamp: Vec<u32>,
-    /// DFS discovery times.
+    /// DFS discovery times. Idle after the articulation pass, so the
+    /// split reuses it: the union-find parent of each vertex it reached.
     disc: Vec<u32>,
-    /// DFS low-link values.
+    /// DFS low-link values. Reused by the split: at a union-find root,
+    /// the group's reached-but-unexpanded count, then its smallest local
+    /// id.
     low: Vec<u32>,
     /// Explicit DFS stack: (local vertex, parent local, next-edge index).
     dfs_stack: Vec<(u32, u32, u32)>,
@@ -116,6 +132,43 @@ pub struct PeelArena {
     /// it always finishes its event so the arena stays consistent; the
     /// *callers'* between-event checkpoints act on the flag.
     budget: Option<Arc<Budget>>,
+}
+
+/// What one [`PeelArena::split`] found. Valid until the arena next
+/// changes; hand it back to [`PeelArena::pieces`],
+/// [`PeelArena::finished`] and [`PeelArena::rest_into`].
+#[derive(Clone, Copy, Debug)]
+pub struct Split {
+    /// Vertices the walk expanded (scanned the neighbours of).
+    pub walked: usize,
+    /// Members of the pieces the walk finished.
+    finished: usize,
+    /// The piece the walk did not finish: its smallest local id and its
+    /// size.
+    rest: Option<(u32, usize)>,
+}
+
+/// One connected component of the live set, as [`PeelArena::pieces`]
+/// yields it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Piece<'a> {
+    /// A component the walk finished: its members in load order.
+    Walked(&'a [VertexId]),
+    /// The one component the walk stopped inside, of this many members;
+    /// [`PeelArena::rest_into`] lists them.
+    Rest(usize),
+}
+
+/// A loaded, articulation-marked arena state with every member live,
+/// kept to be copied back in by [`PeelArena::load_image`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ArenaImage {
+    k: u32,
+    members: Vec<VertexId>,
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    /// Local ids of the articulation points, ascending.
+    articulation: Vec<u32>,
 }
 
 impl PeelArena {
@@ -270,6 +323,63 @@ impl PeelArena {
         Self::track_capacity(&self.offsets, caps.1, &mut self.alloc_events);
         Self::track_capacity(&self.targets, caps.2, &mut self.alloc_events);
         Self::track_capacity(&self.queue, caps.3, &mut self.alloc_events);
+    }
+
+    /// The loaded state as an [`ArenaImage`]. Call it right after
+    /// [`Self::load`] and [`Self::mark_articulation_points`].
+    ///
+    /// # Panics
+    /// Panics when a member is not live: the load peeled one, or
+    /// removals are journaled.
+    pub fn image(&self) -> ArenaImage {
+        assert!(
+            self.journal.is_empty() && self.live == self.members.len(),
+            "an image holds a loaded state with every member live"
+        );
+        ArenaImage {
+            k: self.k,
+            members: self.members.clone(),
+            offsets: self.offsets.clone(),
+            targets: self.targets.clone(),
+            articulation: (0..self.members.len() as u32)
+                .filter(|&l| self.art_stamp[l as usize] == self.epoch)
+                .collect(),
+        }
+    }
+
+    /// Loads `image`: afterwards the arena is in the state [`Self::load`]
+    /// and [`Self::mark_articulation_points`] left when the image was
+    /// taken, in time linear in the image's size.
+    pub fn load_image(&mut self, image: &ArenaImage) {
+        let epoch = self.next_epoch();
+        self.k = image.k;
+        let caps = (
+            self.members.capacity(),
+            self.offsets.capacity(),
+            self.targets.capacity(),
+        );
+        self.members.clear();
+        self.members.extend_from_slice(&image.members);
+        self.offsets.clear();
+        self.offsets.extend_from_slice(&image.offsets);
+        self.targets.clear();
+        self.targets.extend_from_slice(&image.targets);
+        for (l, &v) in self.members.iter().enumerate() {
+            self.member_stamp[v as usize] = epoch;
+            self.local_id[v as usize] = l as u32;
+            self.deg[l] = self.offsets[l + 1] - self.offsets[l];
+            self.removed_stamp[l] = 0;
+            self.gone_stamp[l] = 0;
+        }
+        for &l in &image.articulation {
+            self.art_stamp[l as usize] = epoch;
+        }
+        self.live = self.members.len();
+        self.queue.clear();
+        self.journal.clear();
+        Self::track_capacity(&self.members, caps.0, &mut self.alloc_events);
+        Self::track_capacity(&self.offsets, caps.1, &mut self.alloc_events);
+        Self::track_capacity(&self.targets, caps.2, &mut self.alloc_events);
     }
 
     /// Runs the cascade for everything already queued (and stamped
@@ -465,43 +575,196 @@ impl PeelArena {
             && self.art_stamp[self.local_id[vi] as usize] == self.epoch
     }
 
-    /// Enumerates the connected components of the live set. Each
-    /// component is passed to `f` as an unsorted **global-id** slice
-    /// valid only for the duration of the call; no allocation happens
-    /// (the slice lives in a reusable buffer). Components of a k-loaded
-    /// arena are connected k-cores by construction.
-    pub fn for_each_component<F: FnMut(&[VertexId])>(&mut self, mut f: F) {
+    /// Finds the connected components of the live set: the pieces the
+    /// journaled removals cut it into. The live set as of the last
+    /// `load`/`commit` must be connected (a community is), so every piece
+    /// touches a removal: a multi-source walk starts from the removals'
+    /// live neighbours, one group per seed, merges groups that meet
+    /// (union-find), and stops as soon as at most one group can still
+    /// grow. The finished groups are whole pieces; whatever is live
+    /// outside them is the one piece left, the *rest*, which the walk
+    /// never has to cover. Allocation-free; the walk costs what the
+    /// removals cut off, not the size of the live set.
+    pub fn split(&mut self) -> Split {
         let visit = self.next_visit_epoch();
         let epoch = self.epoch;
-        let mut comp = std::mem::take(&mut self.comp_buf);
-        let caps = (comp.capacity(), self.queue.capacity());
-        for start in 0..self.members.len() as u32 {
-            let si = start as usize;
-            if self.removed_stamp[si] == epoch || self.visited_stamp[si] == visit {
-                continue;
-            }
-            comp.clear();
-            self.visited_stamp[si] = visit;
-            self.queue.clear();
-            self.queue.push(start);
-            let mut head = 0;
-            while head < self.queue.len() {
-                let x = self.queue[head];
-                head += 1;
-                comp.push(self.members[x as usize]);
-                for t in self.neighbors_of_local(x) {
-                    let u = self.targets[t] as usize;
-                    if self.removed_stamp[u] != epoch && self.visited_stamp[u] != visit {
-                        self.visited_stamp[u] = visit;
-                        self.queue.push(u as u32);
-                    }
+        let caps = (self.queue.capacity(), self.comp_buf.capacity());
+        self.queue.clear();
+        // Seeds: each its own group (`disc` = union-find parent, `low` at
+        // a root = the group's reached-but-unexpanded count).
+        let mut open = 0usize;
+        for j in 0..self.journal.len() {
+            for t in self.neighbors_of_local(self.journal[j]) {
+                let u = self.targets[t];
+                let ui = u as usize;
+                if self.removed_stamp[ui] != epoch && self.visited_stamp[ui] != visit {
+                    self.visited_stamp[ui] = visit;
+                    self.disc[ui] = u;
+                    self.low[ui] = 1;
+                    self.queue.push(u);
+                    open += 1;
                 }
             }
-            f(&comp);
         }
-        Self::track_capacity(&comp, caps.0, &mut self.alloc_events);
-        Self::track_capacity(&self.queue, caps.1, &mut self.alloc_events);
-        self.comp_buf = comp;
+        // Seeds of fewest internal neighbours first: the walk ends when
+        // groups merge, a light seed's scan is cheap, and it mostly meets
+        // the groups a hub's scan would have swept up. (Any order gives
+        // the same pieces.)
+        let offsets = &self.offsets;
+        self.queue
+            .sort_unstable_by_key(|&u| (offsets[u as usize + 1] - offsets[u as usize], u));
+        let mut head = 0;
+        'walk: while open > 1 {
+            let x = self.queue[head];
+            head += 1;
+            let root = self.find(x);
+            for t in self.neighbors_of_local(x) {
+                let u = self.targets[t];
+                let ui = u as usize;
+                if self.visited_stamp[ui] == visit {
+                    if self.disc[ui] == root {
+                        continue;
+                    }
+                    let other = self.find(u);
+                    if other != root {
+                        self.disc[other as usize] = root;
+                        self.low[root as usize] += self.low[other as usize];
+                        open -= 1;
+                        if open == 1 {
+                            // `x`'s group is the one left open.
+                            break 'walk;
+                        }
+                    }
+                } else if self.removed_stamp[ui] != epoch {
+                    self.visited_stamp[ui] = visit;
+                    self.disc[ui] = root;
+                    self.low[root as usize] += 1;
+                    self.queue.push(u);
+                }
+            }
+            self.low[root as usize] -= 1;
+            if self.low[root as usize] == 0 {
+                open -= 1;
+            }
+        }
+        // Keep the finished groups' members (a group with nothing left
+        // to expand); the open group's go back to unvisited: they are
+        // part of the rest.
+        let mut finished = 0;
+        for i in 0..self.queue.len() {
+            let v = self.queue[i];
+            let root = self.find(v);
+            if self.low[root as usize] == 0 {
+                self.disc[v as usize] = root;
+                self.queue[finished] = v;
+                finished += 1;
+            } else {
+                self.visited_stamp[v as usize] = 0;
+            }
+        }
+        // Order by (the piece's smallest local id, local id): pieces come
+        // out whole, in load order, and ordered by their first member.
+        for &v in &self.queue[..finished] {
+            self.low[self.disc[v as usize] as usize] = u32::MAX;
+        }
+        for &v in &self.queue[..finished] {
+            let root = self.disc[v as usize] as usize;
+            self.low[root] = self.low[root].min(v);
+        }
+        let (disc, low) = (&self.disc, &self.low);
+        self.queue[..finished]
+            .sort_unstable_by_key(|&v| (low[disc[v as usize] as usize] as u64) << 32 | v as u64);
+        self.comp_buf.clear();
+        for &v in &self.queue[..finished] {
+            self.comp_buf.push(self.members[v as usize]);
+        }
+        let rest = (self.live > finished).then(|| {
+            let first = (0..self.members.len())
+                .find(|&l| self.removed_stamp[l] != epoch && self.visited_stamp[l] != visit)
+                .expect("the rest has a member");
+            (first as u32, self.live - finished)
+        });
+        Self::track_capacity(&self.queue, caps.0, &mut self.alloc_events);
+        Self::track_capacity(&self.comp_buf, caps.1, &mut self.alloc_events);
+        Split {
+            walked: head,
+            finished,
+            rest,
+        }
+    }
+
+    /// The union-find root of reached local `x` (path halving).
+    fn find(&mut self, mut x: u32) -> u32 {
+        while self.disc[x as usize] != x {
+            let up = self.disc[self.disc[x as usize] as usize];
+            self.disc[x as usize] = up;
+            x = up;
+        }
+        x
+    }
+
+    /// The pieces `split` found, ordered by their smallest local id (the
+    /// order a full walk from local 0 upward meets them in). A member
+    /// list is in load order, so a community loaded in ascending id
+    /// order yields sorted pieces.
+    pub fn pieces<'a>(&'a self, split: &Split) -> impl Iterator<Item = Piece<'a>> + 'a {
+        let (finished, mut rest) = (split.finished, split.rest);
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            if let Some((first, len)) = rest {
+                if at == finished || self.queue[at] > first {
+                    rest = None;
+                    return Some(Piece::Rest(len));
+                }
+            }
+            if at == finished {
+                return None;
+            }
+            let (start, root) = (at, self.disc[self.queue[at] as usize]);
+            while at < finished && self.disc[self.queue[at] as usize] == root {
+                at += 1;
+            }
+            Some(Piece::Walked(&self.comp_buf[start..at]))
+        })
+    }
+
+    /// Every member of the pieces `split` finished, piece by piece.
+    pub fn finished(&self, split: &Split) -> &[VertexId] {
+        &self.comp_buf[..split.finished]
+    }
+
+    /// Appends the members of `split`'s rest to `out`, in load order —
+    /// one pass over the members from the rest's first.
+    pub fn rest_into(&self, split: &Split, out: &mut Vec<VertexId>) {
+        let Some((first, _)) = split.rest else {
+            return;
+        };
+        let (epoch, visit) = (self.epoch, self.visit_epoch);
+        out.extend(
+            (first as usize..self.members.len())
+                .filter(|&l| self.removed_stamp[l] != epoch && self.visited_stamp[l] != visit)
+                .map(|l| self.members[l]),
+        );
+    }
+
+    /// [`Self::split`] with every piece materialized: each component of
+    /// the live set is passed to `f` as a global-id slice in load order,
+    /// valid only for the call, in [`Self::pieces`] order. No allocation
+    /// happens. Components of a k-loaded arena are connected k-cores by
+    /// construction. Same precondition as the split.
+    pub fn for_each_component<F: FnMut(&[VertexId])>(&mut self, mut f: F) {
+        let split = self.split();
+        let mut buf = std::mem::take(&mut self.comp_buf);
+        let cap = buf.capacity();
+        self.rest_into(&split, &mut buf);
+        Self::track_capacity(&buf, cap, &mut self.alloc_events);
+        self.comp_buf = buf;
+        for piece in self.pieces(&split) {
+            f(match piece {
+                Piece::Walked(c) => c,
+                Piece::Rest(_) => &self.comp_buf[split.finished..],
+            });
+        }
     }
 }
 
@@ -517,6 +780,24 @@ mod tests {
         graph_from_edges(7, &[(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 4)])
     }
 
+    /// Triangles {0,1,2} and {4,5,6} joined by the bridge 2–4, with
+    /// pendant 3 on vertex 2: one connected 2-core of six vertices.
+    fn bridged_triangles_pendant() -> Graph {
+        graph_from_edges(
+            7,
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 0),
+                (2, 3),
+                (2, 4),
+                (4, 5),
+                (5, 6),
+                (6, 4),
+            ],
+        )
+    }
+
     fn sorted_components(arena: &mut PeelArena) -> Vec<Vec<VertexId>> {
         let mut comps = Vec::new();
         arena.for_each_component(|c| {
@@ -530,22 +811,19 @@ mod tests {
 
     #[test]
     fn load_peels_below_k_members() {
-        let g = two_triangles_pendant();
+        let g = bridged_triangles_pendant();
         let mut arena = PeelArena::for_graph(&g);
         let all: Vec<u32> = (0..7).collect();
         arena.load(&g, &all, 2);
         // Pendant 3 has degree 1 < 2 and is peeled at load.
         assert_eq!(arena.live_count(), 6);
         assert!(!arena.is_live(3));
-        assert_eq!(
-            sorted_components(&mut arena),
-            vec![vec![0, 1, 2], vec![4, 5, 6]]
-        );
+        assert_eq!(sorted_components(&mut arena), vec![vec![0, 1, 2, 4, 5, 6]]);
     }
 
     #[test]
     fn remove_rollback_restores_state() {
-        let g = two_triangles_pendant();
+        let g = bridged_triangles_pendant();
         let mut arena = PeelArena::for_graph(&g);
         arena.load(&g, &[0, 1, 2, 4, 5, 6], 2);
         let removed = arena.remove_cascade(0);
@@ -558,10 +836,64 @@ mod tests {
         for v in [0u32, 1, 2, 4, 5, 6] {
             assert!(arena.is_live(v), "v{v}");
         }
-        assert_eq!(
-            sorted_components(&mut arena),
-            vec![vec![0, 1, 2], vec![4, 5, 6]]
-        );
+        assert_eq!(sorted_components(&mut arena), vec![vec![0, 1, 2, 4, 5, 6]]);
+    }
+
+    #[test]
+    fn split_walks_the_cut_off_piece_and_counts_the_rest() {
+        // A 4-clique {0,1,2,3} hangs off vertex 4 of the 3-core below
+        // (a 5-clique {4..8} plus a 4-clique {9..12} bridged to it);
+        // deleting 4 at k = 2 leaves {0..3}, {5..8} and {9..12} joined to
+        // {5..8}. The walk finishes {0..3} from 4's neighbours and
+        // stops: {5..12} is the rest, counted, never walked whole.
+        let mut edges = Vec::new();
+        for group in [&[0u32, 1, 2, 3][..], &[4, 5, 6, 7, 8], &[9, 10, 11, 12]] {
+            for (i, &a) in group.iter().enumerate() {
+                edges.extend(group[i + 1..].iter().map(|&b| (a, b)));
+            }
+        }
+        edges.extend([(0, 4), (1, 4), (8, 9), (8, 10)]);
+        let g = graph_from_edges(13, &edges);
+        let members: Vec<u32> = (0..13).collect();
+        let mut arena = PeelArena::for_graph(&g);
+        arena.load(&g, &members, 2);
+        assert_eq!(arena.remove_cascade(4), 1);
+        let split = arena.split();
+        let pieces: Vec<Piece<'_>> = arena.pieces(&split).collect();
+        assert_eq!(pieces, [Piece::Walked(&[0, 1, 2, 3]), Piece::Rest(8)]);
+        assert_eq!(arena.finished(&split), [0, 1, 2, 3]);
+        assert!(split.walked < 4 + 8, "walked {}", split.walked);
+        let mut rest = Vec::new();
+        arena.rest_into(&split, &mut rest);
+        assert_eq!(rest, [5, 6, 7, 8, 9, 10, 11, 12]);
+        // The rest comes first when its smallest member does: deleting
+        // 8 cuts {9..12} off {0..7}.
+        arena.rollback();
+        arena.remove_cascade(8);
+        let split = arena.split();
+        let pieces: Vec<Piece<'_>> = arena.pieces(&split).collect();
+        assert_eq!(pieces, [Piece::Rest(8), Piece::Walked(&[9, 10, 11, 12])]);
+    }
+
+    #[test]
+    fn an_image_loads_back_the_marked_state() {
+        let g = bridged_triangles_pendant();
+        let mut arena = PeelArena::for_graph(&g);
+        let members = [0u32, 1, 2, 4, 5, 6];
+        arena.load(&g, &members, 2);
+        arena.mark_articulation_points();
+        let image = arena.image();
+        let mut copy = PeelArena::for_graph(&g);
+        copy.load(&g, &[4, 5, 6], 2);
+        copy.load_image(&image);
+        assert_eq!(copy.image(), image);
+        for v in 0..7 {
+            assert_eq!(copy.is_live(v), arena.is_live(v), "v{v}");
+            assert_eq!(copy.is_articulation(v), arena.is_articulation(v), "v{v}");
+        }
+        assert!(copy.is_articulation(2) && copy.is_articulation(4));
+        assert_eq!(copy.remove_cascade(0), 3);
+        assert_eq!(sorted_components(&mut copy), vec![vec![4, 5, 6]]);
     }
 
     #[test]
@@ -728,21 +1060,36 @@ mod tests {
 
     #[test]
     fn steady_state_is_allocation_free() {
-        let g = two_triangles_pendant();
+        let g = bridged_triangles_pendant();
         let mut arena = PeelArena::for_graph(&g);
         let all: Vec<u32> = (0..7).collect();
-        for _ in 0..1000 {
-            arena.load(&g, &all, 2);
-            arena.mark_articulation_points();
+        arena.load(&g, &all[..3], 2);
+        arena.mark_articulation_points();
+        let image = arena.image();
+        let mut rest = Vec::with_capacity(7);
+        for round in 0..1000 {
+            if round % 2 == 0 {
+                arena.load(&g, &all, 2);
+                arena.mark_articulation_points();
+            } else {
+                arena.load_image(&image);
+            }
             for v in 0..7u32 {
                 arena.remove_cascade(v);
                 arena.for_each_component(|c| {
                     std::hint::black_box(c.len());
                 });
+                let split = arena.split();
+                for piece in arena.pieces(&split) {
+                    std::hint::black_box(piece);
+                }
+                rest.clear();
+                arena.rest_into(&split, &mut rest);
                 arena.rollback();
             }
         }
         assert_eq!(arena.alloc_events(), 0, "steady-state peel loop allocated");
+        assert_eq!(rest.capacity(), 7);
     }
 
     #[test]

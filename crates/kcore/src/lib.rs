@@ -56,7 +56,7 @@ mod maintain;
 mod pool;
 mod snapshot;
 
-pub use arena::PeelArena;
+pub use arena::{ArenaImage, PeelArena, Piece, Split};
 pub use budget::{Budget, POLL_STRIDE};
 pub use decompose::{core_decomposition, CoreDecomposition};
 pub use degeneracy::{degeneracy, degeneracy_order};

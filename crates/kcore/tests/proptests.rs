@@ -3,7 +3,7 @@
 use ic_graph::{graph_from_edges, BitSet, Graph};
 use ic_kcore::{
     core_decomposition, is_kcore_within, kcore_mask, maximal_kcore_components,
-    peel_to_kcore_within, CoreMaintainer, PeelScratch,
+    peel_to_kcore_within, CoreMaintainer, PeelArena, PeelScratch, Piece,
 };
 use proptest::prelude::*;
 
@@ -11,6 +11,35 @@ fn arb_graph(max_n: u32, max_m: usize) -> impl Strategy<Value = Graph> {
     (3..max_n).prop_flat_map(move |n| {
         proptest::collection::vec((0..n, 0..n), 0..max_m)
             .prop_map(move |edges| graph_from_edges(n as usize, &edges))
+    })
+}
+
+/// Two random graphs hinged on one vertex adjacent to all the others,
+/// with ids shuffled: deleting the hinge cuts its k-core into pieces of
+/// comparable size, whichever holds the smallest id.
+fn arb_hinged(max_n: u32, max_m: usize) -> impl Strategy<Value = Graph> {
+    let halves = (arb_graph(max_n, max_m), arb_graph(max_n, max_m));
+    (halves, any::<u64>()).prop_map(|((a, b), mut state)| {
+        let n = a.num_vertices() + b.num_vertices() + 1;
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ids.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let offset = a.num_vertices() as u32;
+        let mut edges: Vec<(u32, u32)> = a
+            .edges()
+            .map(|(u, v)| (ids[u as usize], ids[v as usize]))
+            .collect();
+        edges.extend(
+            b.edges()
+                .map(|(u, v)| (ids[(offset + u) as usize], ids[(offset + v) as usize])),
+        );
+        let hinge = ids[n - 1];
+        edges.extend(ids[..n - 1].iter().map(|&v| (hinge, v)));
+        graph_from_edges(n, &edges)
     })
 }
 
@@ -163,4 +192,80 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn split_equals_scratch_in_sets_and_order(g in prop_oneof![arb_graph(40, 160), arb_hinged(20, 60)],
+                                              k in 1usize..4) {
+        // Every piece the boundary walk emits, the rest materialized in
+        // place, is the from-scratch re-peel's component list exactly:
+        // same sets, same order, each in ascending id order. The second
+        // deletion stacks a journal of two cascades on one load.
+        let mut arena = PeelArena::for_graph(&g);
+        let mut scratch = PeelScratch::new(g.num_vertices());
+        for comp in maximal_kcore_components(&g, k) {
+            arena.load(&g, &comp, k);
+            for (i, &victim) in comp.iter().enumerate() {
+                arena.remove_cascade(victim);
+                let expected = scratch.connected_kcores(&g, &comp, Some(victim), k);
+                prop_assert_eq!(split_pieces(&mut arena), expected, "victim={}", victim);
+                let second = comp[(i * 7 + 3) % comp.len()];
+                arena.remove_cascade(second);
+                let mut mask = BitSet::new(g.num_vertices());
+                for &v in &comp {
+                    if v != victim && v != second {
+                        mask.insert(v as usize);
+                    }
+                }
+                peel_to_kcore_within(&g, &mut mask, k);
+                let expected = ic_graph::connected_components_within(&g, &mask);
+                prop_assert_eq!(split_pieces(&mut arena), expected, "victims={},{}", victim, second);
+                arena.rollback();
+            }
+        }
+    }
+
+    #[test]
+    fn an_image_load_equals_load_and_mark(g in arb_graph(40, 160), k in 1usize..4) {
+        let mut loaded = PeelArena::for_graph(&g);
+        let mut copied = PeelArena::for_graph(&g);
+        for comp in maximal_kcore_components(&g, k) {
+            loaded.load(&g, &comp, k);
+            loaded.mark_articulation_points();
+            let image = loaded.image();
+            copied.load_image(&image);
+            prop_assert_eq!(copied.image(), image);
+            for v in g.vertices() {
+                prop_assert_eq!(copied.is_live(v), loaded.is_live(v));
+                prop_assert_eq!(copied.is_articulation(v), loaded.is_articulation(v), "v={}", v);
+            }
+            for &victim in &comp {
+                prop_assert_eq!(copied.remove_cascade(victim), loaded.remove_cascade(victim));
+                prop_assert!(copied.journaled().eq(loaded.journaled()));
+                prop_assert_eq!(split_pieces(&mut copied), split_pieces(&mut loaded));
+                copied.rollback();
+                loaded.rollback();
+            }
+        }
+    }
+}
+
+/// The pieces of a split in emitted order, the rest materialized.
+fn split_pieces(arena: &mut PeelArena) -> Vec<Vec<u32>> {
+    let split = arena.split();
+    let pieces = arena.pieces(&split).map(|piece| match piece {
+        Piece::Walked(members) => members.to_vec(),
+        Piece::Rest(len) => {
+            let mut rest = Vec::new();
+            arena.rest_into(&split, &mut rest);
+            assert_eq!(rest.len(), len);
+            rest
+        }
+    });
+    let pieces: Vec<Vec<u32>> = pieces.collect();
+    assert!(split.walked <= arena.live_count());
+    assert_eq!(
+        pieces.iter().map(Vec::len).sum::<usize>(),
+        arena.live_count()
+    );
+    pieces
 }

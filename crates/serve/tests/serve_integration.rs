@@ -4,8 +4,11 @@
 
 use ic_core::{Aggregation, Community, Query};
 use ic_engine::{BatchOptions, EdgeUpdate, Engine, OpenOptions};
-use ic_serve::{Client, Outcome, Response, ServeConfig, Server, ShedReason};
+use ic_serve::{
+    protocol, Client, Outcome, Request, Response, ServeConfig, Server, ShedReason, WireQuery,
+};
 use ic_shard::ShardedEngine;
+use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,6 +38,13 @@ fn sharded_email(tag: &str) -> (ShardedEngine, std::path::PathBuf) {
     let built = ic_store::shard::build_shard_stores(&email_graph(), &[2, 4], 1000, &dir).unwrap();
     let options = OpenOptions::default().threads(2 * built.len());
     (ShardedEngine::open_dir_with(&dir, &options).unwrap(), dir)
+}
+
+/// An exact-sum search ≈ 15× as long as the forest build and read of
+/// `Query::new(4, 4, Min)` on [`email_graph`]: the batch mate a fast
+/// reply overtakes, and the job that holds a queue slot.
+fn slow_sum() -> Query {
+    Query::new(4, 800, Aggregation::Sum)
 }
 
 fn reply_communities(response: &Response) -> &[Community] {
@@ -244,11 +254,7 @@ fn id_epoch(response: &Response) -> (u64, u64) {
 #[test]
 fn a_fast_reply_overtakes_its_slow_batch_mate() {
     let wg = email_graph();
-    // A search ≈ 15× as long as the forest build and read.
-    let (slow, fast) = (
-        Query::new(4, 80, Aggregation::Sum),
-        Query::new(4, 4, Aggregation::Min),
-    );
+    let (slow, fast) = (slow_sum(), Query::new(4, 4, Aggregation::Min));
     let solo = Engine::with_threads(wg.clone(), 2).run_batch(&[slow, fast]);
     let config = ServeConfig {
         admission_window: Duration::from_millis(200),
@@ -281,11 +287,7 @@ fn a_fast_reply_overtakes_its_slow_batch_mate() {
 #[test]
 fn a_later_batch_overtakes_an_in_flight_one_under_its_own_epoch() {
     let wg = email_graph();
-    // A search ≈ 15× as long as the forest build and read.
-    let (slow, fast) = (
-        Query::new(4, 80, Aggregation::Sum),
-        Query::new(4, 4, Aggregation::Min),
-    );
+    let (slow, fast) = (slow_sum(), Query::new(4, 4, Aggregation::Min));
     let before = Engine::with_threads(wg.clone(), 2).run_batch(&[slow, fast]);
     let (u, v) = wg.graph().edges().next().expect("the graph has an edge");
     let update = [EdgeUpdate::Remove { u, v }];
@@ -425,9 +427,7 @@ fn backpressure_counts_queries_in_flight() {
     )
     .unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    client
-        .send(1, &Query::new(4, 80, Aggregation::Sum))
-        .unwrap();
+    client.send(1, &slow_sum()).unwrap();
     // The search has left the queue for the engine.
     while server.stats().batches == 0 {
         std::thread::sleep(Duration::from_millis(1));
@@ -1047,10 +1047,12 @@ fn json_field_u64(line: &str, key: &str) -> u64 {
 /// one slow-query JSON line whose stage spans (queue wait + plan +
 /// solve + merge + reply write) account for the client-observed latency
 /// within 10% (`index_serve` lies *within* solve wall time, so it is
-/// not summed). An engine batch under a long admission window, where
-/// queue wait dominates; and a one-leg sharded batch whose solve is most
-/// of its latency, so a span the front counts twice breaks the bound
-/// (its window keeps the big reply's client-side decode near 5%).
+/// not summed). The client observes from its request's write to the
+/// reply frame's last byte: decoding the reply is client work, not a
+/// server stage. An engine batch under a long admission window, where
+/// queue wait dominates; and a one-leg sharded batch whose solve and
+/// reply write are each over a tenth of its latency, so a span the
+/// front counts twice breaks the bound.
 #[test]
 fn slow_query_log_stage_spans_account_for_client_latency() {
     let config = |window| ServeConfig {
@@ -1065,12 +1067,21 @@ fn slow_query_log_stage_spans_account_for_client_latency() {
     let query = |r| Query::new(4, r, Aggregation::Sum);
     for (server, query) in [(served, query(2)), (sharded, query(80))] {
         let server = server.unwrap();
-        let mut client = Client::connect(server.local_addr()).unwrap();
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut request = Vec::new();
+        let at = protocol::begin_frame(&mut request);
+        protocol::encode_request(&Request::Query(WireQuery { id: 1, query }), &mut request)
+            .unwrap();
+        protocol::end_frame(&mut request, at);
+        let mut payload = Vec::new();
 
         let t0 = std::time::Instant::now();
-        let response = client.call(1, &query).unwrap();
+        stream.write_all(&request).unwrap();
+        let framed = protocol::read_frame(&mut stream, protocol::RESP_PAYLOAD_MAX, &mut payload);
         let observed_ns = t0.elapsed().as_nanos() as u64;
-        let _ = reply_communities(&response);
+        assert!(framed.unwrap(), "the server closed before replying");
+        let _ = reply_communities(&protocol::decode_response(&payload).unwrap());
 
         // The trace finalizes on the writer thread after the reply hits
         // the socket, so the log may trail the client's read by a beat.

@@ -141,6 +141,31 @@ fn cascade_panic_is_isolated_and_arena_quarantined() {
 }
 
 #[test]
+fn a_cascade_panic_in_a_root_image_build_leaves_no_image() {
+    // The first cascade of a one-thread engine serving one exact sum is
+    // the load that would fill the level root's image. It panics: the
+    // query fails, and the image slot stays empty, so the next run
+    // loads the root from the graph again (as a fresh engine's first
+    // run does) and answers bit-identically.
+    let _s = FailScenario::setup();
+    let wg = workload(0x0b);
+    let batch = [Query::new(2, 3, Aggregation::Sum)];
+    let eng = Engine::with_threads(wg.clone(), 1);
+    ic_fail::cfg("kcore::cascade", "1*panic(chaos: torn image build)").unwrap();
+    match &eng.run_batch_with(&batch, &BatchOptions::default())[0] {
+        Err(EngineError::Internal { detail }) => assert!(detail.contains("torn image build")),
+        other => panic!("the injected panic must surface as Internal, got {other:?}"),
+    }
+    ic_fail::remove("kcore::cascade");
+    let loads = |eng: &Engine| eng.obs_registry().counter("core.tic_loads").get();
+    assert_eq!(loads(&eng), 0, "the torn load never finished");
+    let fresh = Engine::with_threads(wg.clone(), 1);
+    assert_eq!(eng.run_batch(&batch), fresh.run_batch(&batch));
+    assert_eq!(loads(&eng), loads(&fresh), "the retry built the image anew");
+    assert_pool_restored(&eng, "after a torn image build");
+}
+
+#[test]
 fn tic_search_panic_is_isolated() {
     let _s = FailScenario::setup();
     let wg = workload(0x02);
