@@ -21,7 +21,14 @@
 //! violation counter in `O(d(v))`, so the k-core test per prefix is O(1)
 //! instead of a full candidate rescan, and connectivity BFS only runs for
 //! prefixes that already pass the degree and threshold checks.
+//!
+//! Prefix values come from one kernel, [`prefix_values`], which the seed
+//! memo's replays share. A greedy pool is sorted, so the kernel keeps each
+//! prefix's ascending weights as the suffix of one buffer — at most two
+//! writes a vertex, no shifting insert — with the sum and count an
+//! [`AggregateState`] would hold: the values are the state's, bit for bit.
 
+use crate::aggregate::StateView;
 use crate::algo::common::{community_from_vertices, validate_k_r};
 use crate::community::encode_ordered_f64;
 use crate::{AggregateState, Aggregation, Community, Extremum, SearchError, TopList};
@@ -29,6 +36,7 @@ use ic_graph::{BitSet, Graph, VertexId, WeightedGraph};
 use ic_kcore::{kcore_mask, GraphSnapshot};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Configuration for [`local_search`].
@@ -409,13 +417,22 @@ fn prefix_strategy(
     scratch: &mut LocalScratch,
     list: &mut TopList,
 ) {
-    let mut state = AggregateState::new(aggregation, wg.total_weight());
     let mut competitive = std::mem::take(&mut scratch.competitive);
     competitive.clear();
-    for (i, &v) in pool.iter().enumerate() {
-        state.add(wg.weight(v));
-        competitive.push(i + 1 > k && state.value() > list.threshold());
-    }
+    competitive.resize(pool.len(), false);
+    let bar = list.threshold();
+    prefix_values(
+        wg,
+        pool,
+        k,
+        greedy,
+        aggregation,
+        &mut scratch.ascending,
+        |len, value| {
+            competitive[len - 1] = value > bar;
+            ControlFlow::Continue(())
+        },
+    );
     let pushed = competitive.iter().rposition(|&c| c).map_or(0, |i| i + 1);
     let mut best: Option<Community> = None;
     scratch.begin_candidate(k);
@@ -441,6 +458,69 @@ fn prefix_strategy(
     }
 }
 
+/// The values a prefix strategy compares with its bar: `visit(len,
+/// f(pool[..len]))` for `len` in `k + 1 ..= pool.len()`, in order, until
+/// `visit` breaks. Bit-identical to an [`AggregateState`] fed the pool in
+/// order: the count, the pool-order `+=` sum and, under
+/// `needs_multiset`, the ascending multiset are the state's own.
+///
+/// A greedy pool (`pool[1..]` in `heavier_first` order) needs no sorted
+/// insert: each new weight is at most every earlier one but the seed's,
+/// so prefix `len`'s ascending multiset is the suffix
+/// `ascending[n - len..]` of an `n`-slot buffer. A step writes the new
+/// weight in front — or, while the seed is still the lightest, the seed
+/// and then the new weight — and one `with_fn` serves the whole pool. A
+/// random-order pool is fed to an [`AggregateState`].
+pub(crate) fn prefix_values(
+    wg: &WeightedGraph,
+    pool: &[VertexId],
+    k: usize,
+    greedy: bool,
+    aggregation: Aggregation,
+    ascending: &mut Vec<f64>,
+    mut visit: impl FnMut(usize, f64) -> ControlFlow<()>,
+) {
+    if !greedy {
+        let mut state = AggregateState::new(aggregation, wg.total_weight());
+        for (i, &v) in pool.iter().enumerate() {
+            state.add(wg.weight(v));
+            if i + 1 > k && visit(i + 1, state.value()).is_break() {
+                return;
+            }
+        }
+        return;
+    }
+    let (n, total) = (pool.len(), wg.total_weight());
+    let multiset = aggregation.certificates().needs_multiset;
+    ascending.clear();
+    ascending.resize(n, 0.0);
+    aggregation.with_fn(|f| {
+        let seed = pool.first().map_or(0.0, |&v| wg.weight(v));
+        let (mut sum, mut seed_lightest) = (0.0, true);
+        for (i, &v) in pool.iter().enumerate() {
+            let (w, front) = (wg.weight(v), n - 1 - i);
+            sum += w;
+            if i == 0 {
+                ascending[front] = w;
+            } else if seed_lightest && w.total_cmp(&seed).is_ge() {
+                // The seed stays the lightest: it moves one slot to the
+                // front, and the new weight takes its old slot.
+                ascending[front] = seed;
+                ascending[front + 1] = w;
+            } else {
+                seed_lightest = false;
+                ascending[front] = w;
+            }
+            if i + 1 > k {
+                let view = StateView::new(i + 1, sum, total, multiset.then(|| &ascending[front..]));
+                if visit(i + 1, f.evaluate_state(&view)).is_break() {
+                    return;
+                }
+            }
+        }
+    });
+}
+
 /// Per-query scratch for the local-search strategies: pool building
 /// buffers plus an incremental candidate degree tracker. Everything is
 /// epoch-stamped; nothing allocates after the first few seeds warm the
@@ -462,6 +542,8 @@ pub struct LocalScratch {
     visit_epoch: u32,
     /// `prefix_strategy`: whether each pool prefix beats the threshold.
     competitive: Vec<bool>,
+    /// [`prefix_values`]' ascending weight buffer.
+    pub(crate) ascending: Vec<f64>,
     // Incremental candidate state.
     in_cand: Vec<u32>,
     cand_epoch: u32,
@@ -487,6 +569,7 @@ impl LocalScratch {
             visited: vec![0; n],
             visit_epoch: 0,
             competitive: Vec::new(),
+            ascending: Vec::new(),
             in_cand: vec![0; n],
             cand_epoch: 0,
             deg: vec![0; n],
@@ -739,7 +822,7 @@ impl SubsetChecker {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::algo::oracle;
     use crate::figure1::{figure1, vs};
@@ -960,6 +1043,119 @@ mod tests {
                         prop_assert_eq!(&got, &expect, "{} s={} greedy={}", agg.name(), s, greedy);
                     }
                 }
+            }
+        }
+    }
+
+    /// `n` weights of one adversarial class, drawn off `rng`: 0 {1, 2, 3}
+    /// ties, 1 pairs one ulp apart, 2 1e15-scale weights with full
+    /// mantissas, 3 zeros of both signs among halves and ones, 4 any of
+    /// those per weight. Weight 0 — the seed's — is then, by `seed_at`,
+    /// left as drawn (0), the lightest (1), the heaviest (2) or tied with
+    /// another weight (3).
+    pub(crate) fn adversarial_weights(n: usize, class: u8, seed_at: u8, mut rng: u64) -> Vec<f64> {
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let draw = |class: u8, r: u64| match class {
+            0 => f64::from(1 + (r % 3) as u32),
+            1 => {
+                let base: f64 = [0.1, 1.0, 3.0][(r % 3) as usize];
+                f64::from_bits(base.to_bits() + (r >> 8) % 2)
+            }
+            2 => 1e15 * (1.0 + (r >> 11) as f64 / (1u64 << 53) as f64),
+            3 => [0.0, -0.0, 0.5, 1.0][(r % 4) as usize],
+            _ => unreachable!("four classes"),
+        };
+        let mut weights: Vec<f64> = (0..n)
+            .map(|_| {
+                let pick = if class == 4 {
+                    (next() % 4) as u8
+                } else {
+                    class
+                };
+                draw(pick, next())
+            })
+            .collect();
+        if n > 1 {
+            let others = weights[1..].iter().copied();
+            weights[0] = match seed_at {
+                1 => others.min_by(f64::total_cmp).unwrap(),
+                2 => others.max_by(f64::total_cmp).unwrap(),
+                3 => weights[1 + (next() % (n as u64 - 1)) as usize],
+                _ => weights[0],
+            };
+        }
+        weights
+    }
+
+    /// A registered aggregation that keeps `evaluate_state`'s default:
+    /// it reads the weight multiset through `evaluate`.
+    pub(crate) fn spread() -> Aggregation {
+        #[derive(Debug)]
+        struct Spread;
+        impl crate::AggregateFn for Spread {
+            fn name(&self) -> &str {
+                "spread"
+            }
+            fn certificates(&self) -> crate::Certificates {
+                crate::Certificates {
+                    needs_multiset: true,
+                    ..crate::Certificates::opaque()
+                }
+            }
+            fn evaluate(&self, weights: &[f64], _total_weight: f64) -> f64 {
+                let max = weights.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                max - weights.iter().copied().fold(f64::INFINITY, f64::min)
+            }
+        }
+        static SPREAD: std::sync::OnceLock<Aggregation> = std::sync::OnceLock::new();
+        *SPREAD.get_or_init(|| Aggregation::custom(Spread).expect("certifies"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every prefix value the greedy kernel computes is, bit for
+        /// bit, the one an `AggregateState` fed the pool in order holds:
+        /// every built-in aggregation and a registered multiset-backed
+        /// one, on adversarial weights with the seed anywhere in them.
+        #[test]
+        fn greedy_prefix_values_equal_the_aggregate_state_bit_for_bit(
+            n in 1usize..40,
+            class in 0u8..5,
+            seed_at in 0u8..4,
+            k in 0usize..3,
+            rng in any::<u64>(),
+        ) {
+            let weights = adversarial_weights(n, class, seed_at, rng | 1);
+            let wg = WeightedGraph::new(ic_graph::graph_from_edges(n, &[]), weights).unwrap();
+            let mut pool: Vec<VertexId> = (0..n as VertexId).collect();
+            pool[1..].sort_by(|a, b| heavier_first(&wg, a, b));
+            let aggregations = Aggregation::builtins().into_iter().chain([
+                Aggregation::TopTSum { t: 64 },
+                Aggregation::Percentile { p: 0.9 },
+                spread(),
+            ]);
+            let mut ascending = Vec::new();
+            for agg in aggregations {
+                let mut got = Vec::new();
+                prefix_values(&wg, &pool, k, true, agg, &mut ascending, |len, value| {
+                    got.push((len, value.to_bits()));
+                    ControlFlow::Continue(())
+                });
+                let mut state = AggregateState::new(agg, wg.total_weight());
+                let mut want = Vec::new();
+                for (i, &v) in pool.iter().enumerate() {
+                    state.add(wg.weight(v));
+                    if i + 1 > k {
+                        want.push((i + 1, state.value().to_bits()));
+                    }
+                }
+                prop_assert_eq!(got, want, "{} on {:?}", agg.name(), pool);
             }
         }
     }

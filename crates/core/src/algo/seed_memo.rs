@@ -10,10 +10,17 @@
 //! for every prefix some strategy has tested. [`run_seed_memo`] replays
 //! an entry for every target instead of rebuilding the pool, and runs
 //! the degree tracker only for a prefix no strategy has tested yet. The
-//! picks are `prefix_strategy`'s and `sum_strategy`'s: prefix values are
-//! recomputed with the same `AggregateState` adds and removes, and a
-//! prefix is competitive against the list's bar as it stands at that
-//! seed, so a replay inserts exactly what a fresh expansion would.
+//! picks are `prefix_strategy`'s and `sum_strategy`'s: prefix values come
+//! from the same [`prefix_values`] kernel and `AggregateState` removes,
+//! and a prefix is competitive against the list's bar as it stands at
+//! that seed, so a replay inserts exactly what a fresh expansion would.
+//!
+//! An entry also keeps three numbers folded from its pool at build: the
+//! heaviest weight, the pool-order sum and the largest prefix mean. From
+//! them and a target's certificates, [`SeedEntry::bound`] caps every value
+//! the target's replay would compute; a target whose cap is at or below
+//! its bar is left out, and a seed no target is left for is skipped.
+//! Seeds are still visited in ascending order, so answers do not change.
 //!
 //! A family keeps one slot per seed of its level, in the ascending order
 //! a walk visits them, so it costs what its level's k-core holds, not
@@ -22,22 +29,25 @@
 //! new slot. The memo is bounded by a fixed per-snapshot byte budget; a
 //! family or an entry that does not fit is walked without one.
 
+use crate::aggregate::StateView;
 use crate::algo::common::community_from_vertices;
 use crate::algo::local_search::{
-    heavier_first, seed_is_hopeless, CoreRows, LocalScratch, SeedTarget,
+    heavier_first, prefix_values, seed_is_hopeless, CoreRows, LocalScratch, SeedTarget,
 };
 use crate::{AggregateState, Aggregation, Community, TopList};
 use ic_graph::{BitSet, VertexId, WeightedGraph};
 use ic_kcore::{CascadeRecord, CoreLevel, GraphSnapshot};
 use std::collections::HashMap;
 use std::mem::size_of;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Bytes one snapshot's memo may hold: `miss_mix`'s whole working set,
 /// 132 `(k, s)` families of up to 40-vertex pools over the 4- to 10-cores
-/// of a 10⁴-vertex graph, peaks at 31.6 MB of it.
-const MEMO_BUDGET: usize = 32 << 20;
+/// of a 10⁴-vertex graph, peaks at 35.2 MB of it (31.6 MB before each
+/// entry kept 24 B of value bounds).
+const MEMO_BUDGET: usize = 36 << 20;
 
 /// A prefix no strategy has tested yet.
 const UNTESTED: u8 = 0;
@@ -57,6 +67,13 @@ struct SeedEntry {
     /// cell only ever moves from `UNTESTED` to the one true verdict, so
     /// walks sharing an entry agree.
     tested: Box<[AtomicU8]>,
+    /// The pool's heaviest weight.
+    max: f64,
+    /// The pool-order sum of its weights: `sum_replay`'s first state.
+    total: f64,
+    /// The largest `sum / len` over prefixes `len` in `k + 1 ..=
+    /// pool_len`, each as an `avg` replay computes it (`−∞`: none).
+    peak_mean: f64,
 }
 
 impl SeedEntry {
@@ -80,6 +97,15 @@ impl SeedEntry {
         if greedy && pool.len() > k {
             ids[1..].sort_by(|a, b| heavier_first(wg, a, b));
         }
+        let (mut max, mut total, mut peak_mean) = (f64::NEG_INFINITY, 0.0, f64::NEG_INFINITY);
+        for (i, &v) in ids[..pool.len()].iter().enumerate() {
+            let w = wg.weight(v);
+            max = max.max(w);
+            total += w;
+            if i + 1 > k {
+                peak_mean = peak_mean.max(total / (i + 1) as f64);
+            }
+        }
         ids.extend_from_slice(&pool[..scratch.read_len]);
         SeedEntry {
             ids: ids.into_boxed_slice(),
@@ -87,6 +113,40 @@ impl SeedEntry {
             tested: (k + 1..=pool.len())
                 .map(|_| AtomicU8::new(UNTESTED))
                 .collect(),
+            max,
+            total,
+            peak_mean,
+        }
+    }
+
+    /// A value no replay of this entry for `aggregation` computes more
+    /// than — every prefix value `len > k` of the prefix strategy, the
+    /// first state of the sum strategy — or `None` when the certificates
+    /// give none. `total_weight` is the graph's `w(V)`.
+    ///
+    /// * An `incremental_removal` aggregation without a multiset replays
+    ///   `SumStrategy`, whose first loop test is `f` at `(pool_len,
+    ///   total)`: this is it, bit for bit, for any parameter.
+    /// * `avg`'s prefix values are the very `sum / len` that `peak_mean`
+    ///   took the largest of.
+    /// * A node-dominated value is some member's weight: at most `max`.
+    /// * `top-t-sum` is at most the sum of all weights and `t` times the
+    ///   largest; the two are computed in other orders than the value, so
+    ///   the bound carries DESIGN §5's rounding margin.
+    fn bound(&self, aggregation: Aggregation, total_weight: f64) -> Option<f64> {
+        let certificates = aggregation.certificates();
+        if certificates.incremental_removal && !certificates.needs_multiset {
+            let first = StateView::new(self.pool_len, self.total, total_weight, None);
+            return Some(aggregation.with_fn(|f| f.evaluate_state(&first)));
+        }
+        match aggregation {
+            Aggregation::Average => Some(self.peak_mean),
+            Aggregation::TopTSum { t } => {
+                let b = self.total.min(t as f64 * self.max);
+                Some(b + 4.0 * f64::EPSILON * (self.pool_len + 1) as f64 * b.abs())
+            }
+            _ if certificates.node_domination => Some(self.max),
+            _ => None,
         }
     }
 
@@ -148,8 +208,11 @@ impl SeedEntry {
     }
 }
 
-/// Applies every target's strategy to `entry`'s pool; the tracker in
-/// `scratch` is shared by the targets, so a prefix is tested once.
+/// Applies every target's strategy to `entry`'s pool, but for a target
+/// whose [`bound`](SeedEntry::bound) is at or below its list's bar: no
+/// value its replay computes could beat the bar, so it would insert
+/// nothing. The tracker in `scratch` is shared by the targets, so a
+/// prefix is tested once. Returns whether any target was replayed.
 fn replay(
     wg: &WeightedGraph,
     rows: &CoreRows,
@@ -158,22 +221,39 @@ fn replay(
     entry: &SeedEntry,
     scratch: &mut LocalScratch,
     targets: &mut [SeedTarget<'_>],
-) {
+) -> bool {
     let pool = entry.pool();
     if pool.len() <= k {
-        return; // cannot host a k-core
+        return false; // cannot host a k-core
     }
-    let mut tracked = None;
+    let total_weight = wg.total_weight();
+    let mut ascending = std::mem::take(&mut scratch.ascending);
+    let (mut tracked, mut replayed) = (None, false);
     for target in targets {
+        let (agg, bar) = (target.aggregation, target.list.threshold());
+        if entry.bound(agg, total_weight).is_some_and(|b| b <= bar) {
+            continue;
+        }
+        replayed = true;
         let mut qualifies = |len: usize| entry.qualifies(len, k, rows, scratch, &mut tracked);
         // Strategy selection by certificate, as in the memo-free walk.
-        if target.aggregation.certificates().incremental_removal {
-            sum_replay(wg, pool, k, target.aggregation, target.list, &mut qualifies);
+        if agg.certificates().incremental_removal {
+            sum_replay(wg, pool, k, agg, target.list, &mut qualifies);
         } else {
-            let agg = target.aggregation;
-            prefix_replay(wg, pool, k, greedy, agg, target.list, &mut qualifies);
+            prefix_replay(
+                wg,
+                pool,
+                k,
+                greedy,
+                agg,
+                &mut ascending,
+                target.list,
+                &mut qualifies,
+            );
         }
     }
+    scratch.ascending = ascending;
+    replayed
 }
 
 /// `SumStrategy` over a known pool: from the full pool, drop the last
@@ -202,26 +282,28 @@ fn sum_replay(
     }
 }
 
-/// `AvgStrategy` over a known pool: greedy takes the first competitive
+/// `AvgStrategy` over a known pool, its values from [`prefix_values`]
+/// (`ascending` its buffer): greedy takes the first competitive
 /// qualifying prefix, random the best one by `ranking_cmp`.
+#[allow(clippy::too_many_arguments)]
 fn prefix_replay(
     wg: &WeightedGraph,
     pool: &[VertexId],
     k: usize,
     greedy: bool,
     aggregation: Aggregation,
+    ascending: &mut Vec<f64>,
     list: &mut TopList,
     qualifies: &mut impl FnMut(usize) -> bool,
 ) {
-    let mut state = AggregateState::new(aggregation, wg.total_weight());
+    let bar = list.threshold();
     let mut best: Option<Community> = None;
-    for (i, &v) in pool.iter().enumerate() {
-        state.add(wg.weight(v));
-        if i + 1 > k && state.value() > list.threshold() && qualifies(i + 1) {
-            let community = community_from_vertices(wg, aggregation, pool[..=i].to_vec());
+    prefix_values(wg, pool, k, greedy, aggregation, ascending, |len, value| {
+        if value > bar && qualifies(len) {
+            let community = community_from_vertices(wg, aggregation, pool[..len].to_vec());
             if greedy {
                 best = Some(community);
-                break;
+                return ControlFlow::Break(());
             }
             if best
                 .as_ref()
@@ -230,7 +312,8 @@ fn prefix_replay(
                 best = Some(community);
             }
         }
-    }
+        ControlFlow::Continue(())
+    });
     if let Some(b) = best {
         list.insert(b);
     }
@@ -525,8 +608,10 @@ impl MemoFamily<'_> {
 /// What [`run_seed_memo`] did with a seed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SeedVisit {
-    /// No target could use the seed's pool (`min` targets at or above
-    /// its weight): nothing built, nothing replayed.
+    /// No target could use the seed's pool: nothing built, nothing
+    /// replayed. Either every target is a `min` whose bar is at or above
+    /// the seed's weight, or the seed's entry cannot host a k-core or
+    /// bounds every target's values at or below its bar.
     Skipped,
     /// Replayed from the memo: no pool built.
     Replayed,
@@ -537,12 +622,13 @@ pub enum SeedVisit {
 /// Expands seed `at` of `memo`'s level — `memo.seeds()[at]` — for
 /// every target at once, inserting into each target's list exactly what
 /// the memo-free walk behind `Query::solve_on` does: the family's entry
-/// for the seed is replayed when there is one; otherwise the pool is
-/// built and its entry kept, once every target is served and when the
-/// budget allows, for later families on this snapshot and, through
-/// [`SeedMemo::carry`], later snapshots. `memo` must be this snapshot's
-/// family for `(k, s, greedy)`; the other arguments are as for a
-/// memo-free seed walk — `core` the level's mask, `rows` its
+/// for the seed is replayed when there is one, for the targets its value
+/// bounds do not rule out (none left: the seed is skipped); otherwise the
+/// pool is built and its entry kept, once every target is served and
+/// when the budget allows, for later families on this snapshot and,
+/// through [`SeedMemo::carry`], later snapshots. `memo` must be this
+/// snapshot's family for `(k, s, greedy)`; the other arguments are as for
+/// a memo-free seed walk — `core` the level's mask, `rows` its
 /// [`CoreRows`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_seed_memo(
@@ -562,8 +648,12 @@ pub fn run_seed_memo(
         return SeedVisit::Skipped;
     }
     if let Some(entry) = memo.get(at) {
-        replay(wg, rows, k, greedy, entry, scratch, targets);
-        return SeedVisit::Replayed;
+        let replayed = replay(wg, rows, k, greedy, entry, scratch, targets);
+        return if replayed {
+            SeedVisit::Replayed
+        } else {
+            SeedVisit::Skipped
+        };
     }
     let entry = SeedEntry::build(wg, rows, core, seed, k, s, greedy, scratch);
     replay(wg, rows, k, greedy, &entry, scratch, targets);
@@ -575,6 +665,7 @@ pub fn run_seed_memo(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::local_search::tests::{adversarial_weights, spread};
     use crate::algo::local_search::{local_search, LocalSearchConfig};
     use ic_kcore::{CoreMaintainer, EdgeUpdate};
     use proptest::prelude::*;
@@ -760,6 +851,109 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Each target's bound is at least every value its replay of the
+        /// entry computes — each prefix `len > k` for the prefix
+        /// strategy, the first state for the sum strategy — on cliques
+        /// of adversarial weights, for every seed, both pool orders, and
+        /// every aggregation that has a bound.
+        #[test]
+        fn entry_bounds_dominate_every_value_their_replay_computes(
+            n in 4usize..32,
+            class in 0u8..5,
+            seed_at in 0u8..4,
+            k in 0usize..3,
+            extra in 1usize..40,
+            rng in any::<u64>(),
+        ) {
+            let weights = adversarial_weights(n, class, seed_at, rng | 1);
+            let edges: Vec<(VertexId, VertexId)> = (0..n as VertexId)
+                .flat_map(|u| (0..u).map(move |v| (u, v)))
+                .collect();
+            let graph = ic_graph::graph_from_edges(n, &edges);
+            let snap = GraphSnapshot::new(WeightedGraph::new(graph, weights).unwrap());
+            let (wg, level) = (snap.weighted(), snap.level(k));
+            let (rows, _) = CoreRows::cached(&snap, k);
+            let mut scratch = LocalScratch::new(n);
+            let aggregations: Vec<Aggregation> = Aggregation::builtins()
+                .into_iter()
+                .chain([
+                    Aggregation::SumSurplus { alpha: -0.75 },
+                    Aggregation::TopTSum { t: 64 },
+                    Aggregation::Percentile { p: 0.9 },
+                    spread(),
+                ])
+                .collect();
+            let (s, mut bounded) = (k + extra, 0);
+            for greedy in [true, false] {
+                for seed in level.mask.iter() {
+                    let entry = SeedEntry::build(wg, &rows, &level.mask, seed as VertexId, k, s, greedy, &mut scratch);
+                    if entry.pool_len <= k {
+                        continue;
+                    }
+                    for &agg in &aggregations {
+                        let Some(bound) = entry.bound(agg, wg.total_weight()) else { continue };
+                        bounded += 1;
+                        let mut state = AggregateState::new(agg, wg.total_weight());
+                        let mut values = Vec::new();
+                        for (i, &v) in entry.pool().iter().enumerate() {
+                            state.add(wg.weight(v));
+                            if i + 1 > k {
+                                values.push(state.value());
+                            }
+                        }
+                        // `SumStrategy` tests only its first state: the
+                        // whole pool's value.
+                        let first = values.len() - 1;
+                        let tested = if agg.certificates().incremental_removal { &values[first..] } else { &values[..] };
+                        for &value in tested {
+                            prop_assert!(value <= bound, "{} of {:?}: {} > {}", agg.name(), entry.pool(), value, bound);
+                        }
+                    }
+                }
+            }
+            prop_assert!(bounded > 0);
+        }
+    }
+
+    #[test]
+    fn a_warm_walk_skips_by_bound_and_answers_as_a_cold_one() {
+        // k = 2: at k = 3 few pools of a BA(3) graph qualify, no list
+        // fills, and no bar rises to skip against.
+        let (n, k, s) = (120, 2, 8);
+        let wg = graph(n, 11, 5);
+        let snap = GraphSnapshot::new(wg.clone());
+        let memo = SeedMemo::default();
+        for greedy in [true, false] {
+            let family = memo.family(&snap.level(k), s, greedy);
+            let config = LocalSearchConfig { k, r: 3, s, greedy };
+            for pass in 0..2 {
+                let (avg, sum, visits) = walk(&snap, &family, (k, s, greedy));
+                let count = |want: SeedVisit| visits.iter().filter(|&&v| v == want).count();
+                let (skipped, replayed) = (count(SeedVisit::Skipped), count(SeedVisit::Replayed));
+                if pass == 0 {
+                    assert_eq!(skipped + replayed, 0, "a cold walk builds every pool");
+                } else {
+                    assert_eq!(skipped + replayed, visits.len(), "a warm one builds none");
+                    assert!(
+                        skipped > 0 && replayed > 0,
+                        "{skipped} skipped, {replayed} replayed"
+                    );
+                }
+                assert_eq!(
+                    avg.into_vec(),
+                    local_search(&wg, &config, Aggregation::Average).unwrap()
+                );
+                assert_eq!(
+                    sum.into_vec(),
+                    local_search(&wg, &config, Aggregation::Sum).unwrap()
+                );
+            }
+        }
+    }
+
     #[test]
     fn a_family_over_budget_is_walked_like_the_memo_free_one() {
         // `s` above the core size: every pool is its seed's whole
@@ -858,9 +1052,10 @@ mod tests {
         for pass in 0..2 {
             for family in families {
                 let (_, _, visits) = walk(&snap, &memo.family(&level, family.1, true), family);
-                let replayed = visits.iter().filter(|&&v| v == SeedVisit::Replayed);
+                // A warm seed is replayed, or skipped by its entry's bounds.
+                let warm = visits.iter().filter(|v| !matches!(v, SeedVisit::Built(_)));
                 let want = if pass == 0 { 0 } else { seeds.len() };
-                assert_eq!(replayed.count(), want, "pass {pass}, family {family:?}");
+                assert_eq!(warm.count(), want, "pass {pass}, family {family:?}");
             }
         }
         assert!(memo.bytes() <= budget, "{} > {budget}", memo.bytes());

@@ -123,11 +123,12 @@ pub(crate) struct TicCounters {
 
 /// `core.local_*`: what the local-search walks of this engine did,
 /// summed once per family walk — seeds visited, seeds skipped without a pool
-/// and seeds replayed from the seed memo (see [`run_seed_memo`]), pool
-/// vertices collected, and [`CoreRows`] builds (one per `(snapshot, k)`
-/// a size-bounded query touched) — and the memo's own: entries an apply
-/// invalidated, families and entries its budget turned away, and the
-/// bytes the serving snapshot's memo holds.
+/// (a `min` seed at the bar, or a memo entry whose value bounds are at or
+/// below every bar) and seeds replayed from the seed memo (see
+/// [`run_seed_memo`]), pool vertices collected, and [`CoreRows`] builds
+/// (one per `(snapshot, k)` a size-bounded query touched) — and the
+/// memo's own: entries an apply invalidated, families and entries its
+/// budget turned away, and the bytes the serving snapshot's memo holds.
 pub(crate) struct LocalCounters {
     pub seeds: ic_obs::Counter,
     pub seeds_skipped: ic_obs::Counter,

@@ -1274,21 +1274,30 @@ mod tests {
         );
         assert!(bytes > 0.0, "the expanded seeds are memoized");
         // A second family at the same (k, s, greedy) shares the rows and
-        // replays every seed the first expanded; `avg` skips nothing, so
-        // it builds the pools of the seeds `min` skipped.
-        eng.run_batch(&[Query::new(2, 1, Aggregation::Average).size_bound(4, true)]);
+        // serves every seed the first expanded from the memo: replayed,
+        // or skipped when the entry bounds `avg` at or below its bar. It
+        // builds the pools of the seeds `min` skipped.
+        let avg = Query::new(2, 1, Aggregation::Average).size_bound(4, true);
+        eng.run_batch(&[avg]);
         let [seeds, skipped_now, pooled_now, builds, replayed, _, _] = counts(&eng)[..] else {
             unreachable!("seven names in, seven values out")
         };
         assert_eq!(
-            [seeds, skipped_now, pooled_now, builds, replayed],
-            [
-                2.0 * core,
-                skipped,
-                pooled + 4.0 * skipped,
-                1.0,
-                core - skipped
-            ]
+            [seeds, pooled_now, builds, replayed + skipped_now - skipped],
+            [2.0 * core, pooled + 4.0 * skipped, 1.0, core - skipped]
+        );
+        // A warm repeat builds nothing, and its bounds skip seeds.
+        eng.clear_result_cache();
+        eng.run_batch(&[avg]);
+        let [seeds, skipped_warm, pooled_warm, _, replayed_warm, _, _] = counts(&eng)[..] else {
+            unreachable!("seven names in, seven values out")
+        };
+        assert_eq!(seeds, 3.0 * core);
+        assert_eq!(pooled_warm, pooled_now, "nothing built");
+        assert!(skipped_warm > skipped_now, "{skipped_warm} > {skipped_now}");
+        assert_eq!(
+            (skipped_warm - skipped_now) + (replayed_warm - replayed),
+            core
         );
     }
 
