@@ -126,26 +126,29 @@ pub struct IndexParts<'a> {
 impl ExtremumIndex {
     /// Builds the forest with one peel + one reverse union-find pass.
     pub fn build(wg: &WeightedGraph, k: usize, extremum: Extremum) -> Self {
-        Self::build_from_core(wg, k, extremum, kcore_mask(wg.graph(), k).to_vec(), None)
-            .expect(UNBUDGETED)
+        let core = kcore_mask(wg.graph(), k).to_vec();
+        let arena = &mut PeelArena::for_graph(wg.graph());
+        Self::build_from_core(wg, k, extremum, core, None, arena).expect(UNBUDGETED)
     }
 
     /// [`ExtremumIndex::build`] against a snapshot's memoized core level
     /// (no from-scratch k-core extraction).
     pub fn build_on(snap: &GraphSnapshot, k: usize, extremum: Extremum) -> Self {
-        Self::build_within(snap, k, extremum, None).expect(UNBUDGETED)
+        let arena = &mut PeelArena::for_graph(snap.graph());
+        Self::build_within(snap, k, extremum, None, arena).expect(UNBUDGETED)
     }
 
-    /// [`build_on`](Self::build_on) with `budget` checkpointed through
-    /// the peel; `None` when it expires first.
+    /// [`build_on`](Self::build_on) on `arena`, with `budget`
+    /// checkpointed through the peel; `None` when it expires first.
     fn build_within(
         snap: &GraphSnapshot,
         k: usize,
         extremum: Extremum,
         budget: Option<&Arc<Budget>>,
+        arena: &mut PeelArena,
     ) -> Option<Self> {
         let core = snap.level(k).mask.to_vec();
-        Self::build_from_core(snap.weighted(), k, extremum, core, budget)
+        Self::build_from_core(snap.weighted(), k, extremum, core, budget, arena)
     }
 
     /// The forest for `(k, extremum)` memoized on `snap`, built on first
@@ -162,21 +165,30 @@ impl ExtremumIndex {
     /// `budget` through its peel. A completed build is memoized on `snap`
     /// like any other, so the next query reuses it. An expired one
     /// memoizes nothing and returns `None`: the event ranking is only
-    /// proven by the whole peel.
+    /// proven by the whole peel. A build peels on `arena`, any arena
+    /// sized for the graph: the engine passes its job's pooled one, so a
+    /// build allocates no arena of its own. The flag says whether this
+    /// call built the forest it returns.
     pub fn cached_within(
         snap: &GraphSnapshot,
         k: usize,
         extremum: Extremum,
         budget: Option<&Arc<Budget>>,
-    ) -> Option<Arc<ExtremumIndex>> {
+        arena: &mut PeelArena,
+    ) -> Option<(Arc<ExtremumIndex>, bool)> {
         if budget.is_none() {
-            return Some(Self::cached(snap, k, extremum));
+            let mut built = false;
+            let index = snap.extension(k, Self::tag(extremum), || {
+                built = true;
+                Self::build_within(snap, k, extremum, None, arena).expect(UNBUDGETED)
+            });
+            return Some((index, built));
         }
         if let Some(index) = Self::peek(snap, k, extremum) {
-            return Some(index);
+            return Some((index, false));
         }
-        Self::seed(snap, Self::build_within(snap, k, extremum, budget)?);
-        Self::peek(snap, k, extremum)
+        Self::seed(snap, Self::build_within(snap, k, extremum, budget, arena)?);
+        Some((Self::peek(snap, k, extremum)?, true))
     }
 
     /// The forest for `(k, extremum)` if `snap` already holds it —
@@ -224,86 +236,87 @@ impl ExtremumIndex {
     /// for [`ExtremumIndex::repair`] a union of whole components of it —
     /// and links the events into a forest. Node id == event sequence
     /// number of the peel. `None` when `budget` expires mid-peel.
+    ///
+    /// The link is one reverse pass over the peel arena's induced CSR in
+    /// local ids: events are re-added last to first, and when event
+    /// `seq` comes back a member is present iff its local stamp is
+    /// `≥ seq` (`== seq`: in the batch). Each batch vertex claims the
+    /// component of every earlier-present neighbour whose root still
+    /// carries a claim — that component becomes a child, in the order
+    /// the claims happen — and is then unioned with it, so a component
+    /// reached twice shows its merged, unclaimed root the second time.
+    /// That is the two-phase pass (all claims, then all unions) in one
+    /// sweep: a merged root never carries a claim, so no claim is made
+    /// twice or in another order.
     fn build_from_core(
         wg: &WeightedGraph,
         k: usize,
         extremum: Extremum,
         members: Vec<VertexId>,
         budget: Option<&Arc<Budget>>,
+        arena: &mut PeelArena,
     ) -> Option<Self> {
         let g = wg.graph();
         let n = g.num_vertices();
-        let mut arena = PeelArena::for_graph(g);
         let PeelTimeline {
             stamp: vertex_node,
+            local_stamp,
             values,
             batch_offsets,
             batch_vertices,
+            batch_local,
             ranked,
-        } = peel_timeline(wg, k, extremum, members, &mut arena, budget)?;
+        } = peel_timeline(wg, k, extremum, members, arena, budget)?;
         let nodes = values.len();
-        let batch = |seq: u32| {
-            &batch_vertices
-                [batch_offsets[seq as usize] as usize..batch_offsets[seq as usize + 1] as usize]
-        };
+        let (offsets, targets) = arena.induced();
 
-        // Reverse pass: re-add batches, union components, link children.
-        let mut event_vertex = vec![0u32; nodes];
         let mut parent = vec![NONE; nodes];
         let mut size = vec![0u32; nodes];
-        let mut children: Vec<Vec<u32>> = vec![Vec::new(); nodes];
-        let mut uf = UnionFind::new(n);
-        let mut present = ic_graph::BitSet::new(n);
-        let mut in_batch = ic_graph::BitSet::new(n);
+        let mut child_offsets = vec![0u32; nodes + 1];
+        // Children as claimed, one block per event in reverse event order
+        // with each block reversed, so one final reversal leaves the
+        // blocks in event order and each in claim order.
+        let mut child_ids: Vec<u32> = Vec::with_capacity(nodes);
+        let mut uf = UnionFind::new(local_stamp.len());
         // Root of a present component -> its latest claiming node.
-        let mut root_node: Vec<u32> = vec![NONE; n];
+        let mut root_node = vec![NONE; local_stamp.len()];
         for seq in (0..nodes as u32).rev() {
-            let batch = batch(seq);
-            for &u in batch {
-                present.insert(u as usize);
-                in_batch.insert(u as usize);
-            }
-            // Phase 1: collect the claims of the pre-existing components
-            // this batch touches — their roots are still intact because
-            // no cross-component union has happened yet.
+            let (lo, hi) = (batch_offsets[seq as usize], batch_offsets[seq as usize + 1]);
+            let batch = &batch_local[lo as usize..hi as usize];
+            let claimed = child_ids.len();
             let mut sz = batch.len() as u32;
-            for &u in batch {
-                for &w in g.neighbors(u) {
-                    if present.contains(w as usize) && !in_batch.contains(w as usize) {
-                        let old_root = uf.find(w) as usize;
-                        let c = root_node[old_root];
+            for &l in batch {
+                for &t in &targets[offsets[l as usize] as usize..offsets[l as usize + 1] as usize] {
+                    let at = local_stamp[t as usize];
+                    if at < seq || at == NONE {
+                        continue;
+                    }
+                    if at > seq {
+                        let root = uf.find(t) as usize;
+                        let c = root_node[root];
                         if c != NONE {
-                            root_node[old_root] = NONE;
+                            root_node[root] = NONE;
                             parent[c as usize] = seq;
                             sz += size[c as usize];
-                            children[seq as usize].push(c);
+                            child_ids.push(c);
                         }
                     }
+                    uf.union(l, t);
                 }
             }
-            // Phase 2: perform all unions (batch-internal and into the
-            // old components).
-            for &u in batch {
-                for &w in g.neighbors(u) {
-                    if present.contains(w as usize) {
-                        uf.union(u, w);
-                    }
-                }
-                in_batch.remove(u as usize);
-            }
-            let extreme = batch[0];
-            event_vertex[seq as usize] = extreme;
+            child_ids[claimed..].reverse();
+            child_offsets[seq as usize + 1] = (child_ids.len() - claimed) as u32;
             size[seq as usize] = sz;
-            root_node[uf.find(extreme) as usize] = seq;
+            root_node[uf.find(batch[0]) as usize] = seq;
         }
-
-        let mut child_offsets = Vec::with_capacity(nodes + 1);
-        let mut child_ids = Vec::new();
-        child_offsets.push(0u32);
-        for c in &children {
-            child_ids.extend_from_slice(c);
-            child_offsets.push(child_ids.len() as u32);
+        child_ids.reverse();
+        for i in 0..nodes {
+            child_offsets[i + 1] += child_offsets[i];
         }
+        let event_vertex = batch_offsets[..nodes]
+            .iter()
+            .map(|&at| batch_vertices[at as usize])
+            .collect();
 
         Some(ExtremumIndex {
             k,
@@ -473,7 +486,9 @@ impl ExtremumIndex {
         // Re-peel the region in isolation: `build_from_core` peels the
         // subgraph induced on its `order` argument, which is exactly the
         // region's complete components.
-        let sub = Self::build_from_core(new_wg, k, self.extremum, region, None).expect(UNBUDGETED);
+        let arena = &mut PeelArena::for_graph(g);
+        let sub =
+            Self::build_from_core(new_wg, k, self.extremum, region, None, arena).expect(UNBUDGETED);
 
         // Merge the preserved and re-peeled event lists by peel key.
         // Both are already in key order (old seq order restricted to a
@@ -1236,24 +1251,35 @@ mod tests {
         use std::time::Duration;
         let wg = figure1();
         let snap = GraphSnapshot::new(wg.clone());
+        let arena = &mut PeelArena::for_graph(snap.graph());
         let expired = Arc::new(Budget::within(Duration::ZERO));
         std::thread::sleep(Duration::from_millis(2));
         assert!(expired.check());
-        assert!(ExtremumIndex::cached_within(&snap, 2, Extremum::Min, Some(&expired)).is_none());
+        assert!(
+            ExtremumIndex::cached_within(&snap, 2, Extremum::Min, Some(&expired), arena).is_none()
+        );
         assert!(
             ExtremumIndex::peek(&snap, 2, Extremum::Min).is_none(),
             "an expired build memoizes nothing"
         );
         let generous = Arc::new(Budget::within(Duration::from_secs(3600)));
-        let built = ExtremumIndex::cached_within(&snap, 2, Extremum::Min, Some(&generous))
-            .expect("a generous budget completes the build");
+        let (built, fresh) =
+            ExtremumIndex::cached_within(&snap, 2, Extremum::Min, Some(&generous), arena)
+                .expect("a generous budget completes the build");
+        assert!(fresh, "this call built it");
         assert_eq!(*built, ExtremumIndex::build(&wg, 2, Extremum::Min));
         let memoized = ExtremumIndex::peek(&snap, 2, Extremum::Min);
         assert!(Arc::ptr_eq(&memoized.expect("seeded"), &built));
         // A memoized forest costs no build, so even an expired budget
         // gets it (its read is what sees the deadline).
-        let again = ExtremumIndex::cached_within(&snap, 2, Extremum::Min, Some(&expired));
-        assert!(Arc::ptr_eq(&again.expect("memoized"), &built));
+        for budget in [Some(&expired), None] {
+            let again = ExtremumIndex::cached_within(&snap, 2, Extremum::Min, budget, arena);
+            let (again, fresh) = again.expect("memoized");
+            assert!(Arc::ptr_eq(&again, &built) && !fresh);
+        }
+        let (_, fresh) =
+            ExtremumIndex::cached_within(&snap, 3, Extremum::Max, None, arena).unwrap();
+        assert!(fresh, "an unbudgeted first use builds");
         assert_eq!(built.read(&wg, 3, Some(&*expired)).unwrap(), (vec![], true));
     }
 

@@ -57,10 +57,11 @@ pub struct LocalSearchConfig {
 /// `heavier_first` order: descending weight, ties by ascending id). It
 /// is the only adjacency local search reads. Derived, never persisted:
 /// [`CoreRows::cached`] memoizes it per `(snapshot, k)` the way
-/// `ExtremumIndex::cached` memoizes a forest, so the snapshot an
-/// `apply` swaps in keeps it only if the update left level `k` alone.
-/// `4·(n + 1) + 4·Σ core-degree`
-/// bytes.
+/// `ExtremumIndex::cached` memoizes a forest. The snapshot an `apply`
+/// swaps in shares it if the update left level `k` alone, and otherwise
+/// gets it carried with the changed rows rebuilt ([`CoreRows::carry`]).
+/// `4·(n + 1) + 4·Σ core-degree` bytes.
+#[derive(Debug, PartialEq)]
 pub struct CoreRows {
     offsets: Vec<u32>,
     neighbors: Vec<VertexId>,
@@ -95,6 +96,53 @@ impl CoreRows {
                 cursor[v as usize] += 1;
             }
         }
+        CoreRows { offsets, neighbors }
+    }
+
+    /// `old` — these rows at level `k` before an apply — carried to the
+    /// graph `wg` after it: the rows outside `reached` are copied in
+    /// bulk, and each row of `reached` is rebuilt from `wg` and `cores`,
+    /// the post-apply core numbers. When `reached` holds every vertex
+    /// whose row the apply can have changed (the `D` of
+    /// [`SeedMemo::carry`](crate::algo::SeedMemo::carry)), the result is
+    /// [`build`](Self::build) on the new k-core, row for row, with no
+    /// level mask built.
+    pub fn carry(
+        old: &CoreRows,
+        wg: &WeightedGraph,
+        cores: &[u32],
+        k: usize,
+        reached: &BitSet,
+    ) -> CoreRows {
+        let n = old.offsets.len() - 1;
+        let in_core = |v: &VertexId| cores[*v as usize] as usize >= k;
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut neighbors = Vec::with_capacity(old.neighbors.len());
+        offsets.push(0u32);
+        let copy = |upto: usize, from: usize, offsets: &mut Vec<u32>, neighbors: &mut Vec<u32>| {
+            let (lo, hi) = (old.offsets[from], old.offsets[upto]);
+            let base = neighbors.len() as u32;
+            neighbors.extend_from_slice(&old.neighbors[lo as usize..hi as usize]);
+            offsets.extend(old.offsets[from + 1..=upto].iter().map(|&o| o - lo + base));
+        };
+        let mut next = 0;
+        for v in reached.iter() {
+            copy(v, next, &mut offsets, &mut neighbors);
+            let start = neighbors.len();
+            if in_core(&(v as VertexId)) {
+                neighbors.extend(
+                    wg.graph()
+                        .neighbors(v as VertexId)
+                        .iter()
+                        .filter(|u| in_core(u)),
+                );
+                neighbors[start..].sort_unstable_by(|a, b| heavier_first(wg, a, b));
+            }
+            offsets
+                .push(u32::try_from(neighbors.len()).expect("core adjacency fits 32-bit offsets"));
+            next = v + 1;
+        }
+        copy(n, next, &mut offsets, &mut neighbors);
         CoreRows { offsets, neighbors }
     }
 

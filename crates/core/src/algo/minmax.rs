@@ -27,16 +27,24 @@ use std::sync::Arc;
 /// the peeled set.
 pub(crate) const NONE: u32 = u32::MAX;
 
+/// The peel order as one integer: [`f64::total_cmp`]'s key of the
+/// weight (negatives' magnitude bits flipped, then the sign bit, so it
+/// orders unsigned), complemented for `max`. With the vertex id after
+/// it, ascending keys are [`peel_cmp`]'s order.
+pub(crate) fn peel_key(wg: &WeightedGraph, dir: Extremum, v: VertexId) -> u64 {
+    let bits = wg.weight(v).to_bits();
+    let key = bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ (1 << 63);
+    match dir {
+        Extremum::Min => key,
+        Extremum::Max => !key,
+    }
+}
+
 /// The peel order: ascending weight for `min`, descending for `max`;
 /// vertex id breaks ties, so the event sequence — and with it every
 /// tie-break downstream — is a function of the graph alone.
 pub(crate) fn peel_cmp(wg: &WeightedGraph, dir: Extremum, a: VertexId, b: VertexId) -> Ordering {
-    let (wa, wb) = (wg.weight(a), wg.weight(b));
-    let by_weight = match dir {
-        Extremum::Min => wa.total_cmp(&wb),
-        Extremum::Max => wb.total_cmp(&wa),
-    };
-    by_weight.then_with(|| a.cmp(&b))
+    (peel_key(wg, dir, a), a).cmp(&(peel_key(wg, dir, b), b))
 }
 
 /// The event ranking: value descending, event sequence ascending. The
@@ -52,21 +60,29 @@ pub(crate) struct PeelTimeline {
     /// Per vertex: the event whose cascade removed it ([`NONE`] outside
     /// the peeled set).
     pub stamp: Vec<u32>,
+    /// `stamp` in the arena's local ids — a member's position in peel
+    /// order, its row in [`PeelArena::induced`].
+    pub local_stamp: Vec<u32>,
     /// Per event: its value, the weight of its extreme vertex.
     pub values: Vec<f64>,
-    /// `batch_offsets[e]..batch_offsets[e + 1]` indexes `batch_vertices`.
+    /// `batch_offsets[e]..batch_offsets[e + 1]` indexes `batch_vertices`
+    /// and `batch_local`.
     pub batch_offsets: Vec<u32>,
     /// Concatenated removal batches in cascade order: an event's extreme
     /// vertex, then its cascade victims. The batches partition the
     /// peeled set.
     pub batch_vertices: Vec<VertexId>,
+    /// `batch_vertices` in local ids.
+    pub batch_local: Vec<u32>,
     /// Every event, sorted by [`rank_cmp`].
     pub ranked: Vec<u32>,
 }
 
 /// The min/max peel: sorts `members` (a k-core of `wg`, or a union of
-/// whole components of one) into peel order and removes each still-live
-/// vertex in turn with its degree cascade.
+/// whole components of one) into peel order on precomputed
+/// [`peel_key`]s, loads them into `arena` in that order and removes each
+/// still-live vertex in turn with its degree cascade. The arena keeps
+/// the members' induced CSR afterwards.
 ///
 /// With a `budget` the pass runs under a cooperative deadline: it
 /// checkpoints between events (and the cascade itself keeps the shared
@@ -77,17 +93,24 @@ pub(crate) fn peel_timeline(
     wg: &WeightedGraph,
     k: usize,
     dir: Extremum,
-    mut members: Vec<VertexId>,
+    members: Vec<VertexId>,
     arena: &mut PeelArena,
     budget: Option<&Arc<Budget>>,
 ) -> Option<PeelTimeline> {
     let g = wg.graph();
-    members.sort_unstable_by(|&a, &b| peel_cmp(wg, dir, a, b));
+    let mut keyed: Vec<(u64, VertexId)> = members
+        .into_iter()
+        .map(|v| (peel_key(wg, dir, v), v))
+        .collect();
+    keyed.sort_unstable();
+    let members: Vec<VertexId> = keyed.into_iter().map(|(_, v)| v).collect();
 
     let mut stamp = vec![NONE; g.num_vertices()];
+    let mut local_stamp = vec![NONE; members.len()];
     let mut values: Vec<f64> = Vec::new();
     let mut batch_offsets: Vec<u32> = vec![0];
     let mut batch_vertices: Vec<VertexId> = Vec::with_capacity(members.len());
+    let mut batch_local: Vec<u32> = Vec::with_capacity(members.len());
     arena.set_budget(budget.cloned());
     arena.load(g, &members, k);
     for &v in &members {
@@ -100,9 +123,12 @@ pub(crate) fn peel_timeline(
         if arena.is_live(v) {
             let event = values.len() as u32;
             arena.remove_cascade(v);
-            for u in arena.journaled() {
+            for &l in arena.journaled_local() {
+                let u = members[l as usize];
                 stamp[u as usize] = event;
+                local_stamp[l as usize] = event;
                 batch_vertices.push(u);
+                batch_local.push(l);
             }
             arena.commit();
             values.push(wg.weight(v));
@@ -115,9 +141,11 @@ pub(crate) fn peel_timeline(
     ranked.sort_unstable_by(|&a, &b| rank_cmp(&values, a, b));
     Some(PeelTimeline {
         stamp,
+        local_stamp,
         values,
         batch_offsets,
         batch_vertices,
+        batch_local,
         ranked,
     })
 }

@@ -40,7 +40,7 @@ pub use local_search::{
     local_search, local_search_nonoverlapping, CoreRows, LocalScratch, LocalSearchConfig,
     SeedTarget,
 };
-pub use seed_memo::{run_seed_memo, MemoFamily, SeedMemo, SeedVisit};
+pub use seed_memo::{run_seed_memo, Carried, MemoFamily, SeedMemo, SeedVisit};
 pub use sum_naive::sum_naive_on;
 
 // The per-graph forms are crate-internal: callers route through

@@ -436,23 +436,28 @@ impl SeedMemo {
         }
     }
 
-    /// The memo the snapshot an apply swaps in starts with, and the
-    /// number of entries the apply invalidated. `old` and `new` are the
-    /// snapshots before and after the apply, `records` its cascade
-    /// journal.
+    /// What an apply hands the snapshot it swaps in: the memo `new`
+    /// starts with, and, seeded onto `new`, the [`CoreRows`] of every
+    /// level the apply changed that `old` had rows for. `old` and `new`
+    /// are the snapshots before and after the apply, `records` its
+    /// cascade journal.
     ///
     /// A family above every record's ceiling is shared whole: its
-    /// level's k-core, vertex set and induced edges, is the old one. At a
-    /// level `k` at or below it, the family starts over the new k-core's
-    /// seeds, its slots reserved like a new family's. Let `D` be the
-    /// endpoints of every applied toggle, every vertex whose core number
-    /// crossed `k`, and the neighbours of those in either graph. An entry
-    /// survives, at its seed's new slot, when
+    /// level's k-core, vertex set and induced edges, is the old one (and
+    /// so are its rows, which `new` already shares). At a level `k` at or
+    /// below it, let `D` be the endpoints of every applied toggle, every
+    /// vertex whose core number crossed `k`, and the neighbours of those
+    /// in either graph. A level-`k` row changes only for vertices in `D`,
+    /// so the level's rows are carried with the rows of `D` rebuilt
+    /// ([`CoreRows::carry`]). `D` is computed once per such level, from
+    /// the journal and the new core numbers: no level is built. The
+    /// family starts over the new k-core's seeds, its slots reserved like
+    /// a new family's, and an entry survives, at its seed's new slot,
+    /// when
     ///
     /// * its seed is still in the k-core;
-    /// * no vertex whose row its pool build read is in `D`: a level-`k`
-    ///   row changes only for vertices in `D`, and the build read nothing
-    ///   else, so it would build the same pool; and
+    /// * no vertex whose row its pool build read is in `D`: the build
+    ///   read nothing else, so it would build the same pool; and
     /// * no toggle has both endpoints in its pool: the degree tracker and
     ///   the connectivity test count only neighbours inside the pool, so
     ///   every verdict it holds stands.
@@ -464,7 +469,7 @@ impl SeedMemo {
         old: &GraphSnapshot,
         new: &GraphSnapshot,
         records: &[CascadeRecord],
-    ) -> (SeedMemo, u64) {
+    ) -> Carried {
         let ceiling = records.iter().filter_map(CascadeRecord::ceiling).max();
         let changed = |k: usize| ceiling.is_some_and(|c| k <= c as usize);
         let applied: Vec<(VertexId, VertexId)> = records
@@ -479,14 +484,32 @@ impl SeedMemo {
             ends.insert(v as usize);
         }
         let cores = &new.decomposition().core_numbers;
+        let families = self.lock();
+        let mut rows = old.memoized_extensions::<CoreRows>();
+        rows.retain(|&(k, _, _)| changed(k));
+        let mut levels: Vec<usize> = families
+            .seeds
+            .keys()
+            .copied()
+            .filter(|&k| changed(k))
+            .collect();
+        levels.extend(rows.iter().map(|&(k, _, _)| k));
+        levels.sort_unstable();
+        levels.dedup();
+        let reached: HashMap<usize, BitSet> = levels
+            .into_iter()
+            .map(|k| (k, reached_at(old, new, records, k)))
+            .collect();
+        for (k, tag, old_rows) in &rows {
+            let carried = CoreRows::carry(old_rows, new.weighted(), cores, *k, &reached[k]);
+            new.seed_extension(*k, *tag, Arc::new(carried));
+        }
+
         let next = SeedMemo::with_budget(self.budget);
         let mut dropped = 0u64;
-        let families = self.lock();
         let mut carried = Families::default();
-        let mut reached = HashMap::new();
         for (&k, seeds) in &families.seeds {
             let seeds = if changed(k) {
-                reached.insert(k, reached_at(old, new, records, k));
                 let in_core = |&v: &VertexId| cores[v as usize] as usize >= k;
                 (0..n as VertexId).filter(in_core).collect()
             } else {
@@ -524,8 +547,23 @@ impl SeedMemo {
             carried.memos.insert(key, Arc::new(fresh));
         }
         *next.lock() = carried;
-        (next, dropped)
+        Carried {
+            memo: next,
+            dropped,
+            rows_carried: rows.len() as u64,
+        }
     }
+}
+
+/// What [`SeedMemo::carry`] hands on across an apply.
+pub struct Carried {
+    /// The memo the new snapshot starts with.
+    pub memo: SeedMemo,
+    /// The entries the apply invalidated.
+    pub dropped: u64,
+    /// The changed levels whose [`CoreRows`] were carried onto the new
+    /// snapshot instead of left to rebuild.
+    pub rows_carried: u64,
 }
 
 /// `D` at level `k`: every vertex whose level-`k` row the apply can have
@@ -793,20 +831,25 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// After random toggle scripts — removes of core edges, inserts
-        /// between core vertices — every entry an apply carries equals
-        /// one built fresh on the new snapshot, and the carry both keeps
-        /// and drops entries.
+        /// After random toggle scripts — removes of core edges (cascades
+        /// that cross levels), inserts between core vertices, no-op
+        /// toggles and toggles cancelled inside the same update — the
+        /// patched graph equals a `GraphBuilder` rebuild of the edge
+        /// set, every level's carried rows equal `CoreRows::build` on the
+        /// new k-core, every entry an apply carries equals one built fresh
+        /// on the new snapshot, and the carry both keeps and drops
+        /// entries.
         #[test]
         fn carried_entries_equal_fresh_builds_on_the_new_snapshot(
             n in 40usize..90,
             seed in any::<u64>(),
             distinct in 2u32..6,
-            toggles in 1usize..5,
+            toggles in 1usize..7,
         ) {
             let families = [(2, 5, true), (2, 8, false), (3, 6, true), (3, 12, true), (4, 9, false)];
             let mut snap = GraphSnapshot::new(graph(n, seed, distinct));
             let mut maintainer = CoreMaintainer::from_graph(snap.graph());
+            let mut edges: std::collections::BTreeSet<(VertexId, VertexId)> = snap.graph().edges().collect();
             let mut memo = SeedMemo::default();
             let mut rng = seed | 1;
             let mut draw = move |below: usize| {
@@ -826,20 +869,55 @@ mod tests {
                 for t in 0..toggles {
                     let u = core[draw(core.len()) as usize];
                     let row = snap.graph().neighbors(u);
-                    updates.push(if t % 2 == 0 && !row.is_empty() {
-                        EdgeUpdate::Remove { u, v: row[draw(row.len()) as usize] }
-                    } else {
-                        let v = core[draw(core.len()) as usize];
-                        if u == v { continue; }
-                        EdgeUpdate::Insert { u, v }
-                    });
+                    let w = core[draw(core.len()) as usize];
+                    match t % 4 {
+                        0 | 3 if !row.is_empty() => {
+                            let v = row[draw(row.len()) as usize];
+                            updates.push(EdgeUpdate::Remove { u, v });
+                            if t % 4 == 3 {
+                                // Put back inside the same update.
+                                updates.push(EdgeUpdate::Insert { u: v, v: u });
+                            }
+                        }
+                        // Inserting a present edge, or removing an
+                        // absent one, changes nothing.
+                        2 if !row.is_empty() => updates.push(EdgeUpdate::Insert { u, v: row[0] }),
+                        2 if u != w && !row.contains(&w) => updates.push(EdgeUpdate::Remove { u, v: w }),
+                        _ if u != w => updates.push(EdgeUpdate::Insert { u, v: w }),
+                        _ => {}
+                    }
                 }
                 let records: Vec<CascadeRecord> =
                     updates.iter().map(|&update| maintainer.apply_recorded(update)).collect();
-                let weights = snap.weighted().weights().to_vec();
-                let wg = WeightedGraph::new(maintainer.to_graph(), weights).unwrap();
+                for (update, record) in updates.iter().zip(&records) {
+                    let (u, v) = update.endpoints();
+                    let edge = (u.min(v), u.max(v));
+                    let changed = if matches!(update, EdgeUpdate::Insert { .. }) {
+                        edges.insert(edge)
+                    } else {
+                        edges.remove(&edge)
+                    };
+                    prop_assert_eq!(changed, record.applied);
+                }
+                let patched = maintainer.patched_graph(snap.graph(), &records);
+                let rebuilt = ic_graph::GraphBuilder::new()
+                    .extend_edges(edges.iter().copied())
+                    .reserve_vertices(n)
+                    .build();
+                prop_assert_eq!(patched.csr_parts(), rebuilt.csr_parts());
+                let Some(ceiling) = records.iter().filter_map(CascadeRecord::ceiling).max() else {
+                    continue;
+                };
+                let wg = snap.weighted().with_graph(patched);
                 let next = GraphSnapshot::with_decomposition(Arc::new(wg), maintainer.decomposition());
-                let (next_memo, d) = memo.carry(&snap, &next, &records);
+                next.share_levels_above(&snap, ceiling as usize);
+                let Carried { memo: next_memo, dropped: d, rows_carried } = memo.carry(&snap, &next, &records);
+                prop_assert_eq!(rows_carried, (2..=4).filter(|&k| k <= ceiling as usize).count() as u64);
+                for k in 2..=4 {
+                    let rows = next.peek_extension::<CoreRows>(k, 0).expect("level rows carried or shared");
+                    let fresh = CoreRows::build(next.weighted(), &next.level(k).mask);
+                    prop_assert!(*rows == fresh, "rows at level {}", k);
+                }
                 prop_assert!(next_memo.bytes() <= memo.bytes() || d == 0);
                 dropped += d;
                 for family in families {
@@ -1096,7 +1174,11 @@ mod tests {
         let (next, records) = apply(&snap, &updates);
         let level = next.level(k);
         assert!(!level.mask.contains(5) && level.mask.contains(30));
-        let (carried, dropped) = memo.carry(&snap, &next, &records);
+        let Carried {
+            memo: carried,
+            dropped,
+            ..
+        } = memo.carry(&snap, &next, &records);
         assert!(dropped > 0);
         assert!(carried.bytes() <= budget, "{} > {budget}", carried.bytes());
         let shifted: Vec<VertexId> = level.mask.iter().map(|v| v as VertexId).collect();
@@ -1121,7 +1203,7 @@ mod tests {
         }
         let (next, records) = apply(&snap, &updates[2..]);
         assert_eq!(next.level(k).mask.count(), level.mask.count() + 1);
-        let (carried, _) = memo.carry(&snap, &next, &records);
+        let carried = memo.carry(&snap, &next, &records).memo;
         assert!(
             carried.bytes() <= 2 * slots,
             "{} > {}",

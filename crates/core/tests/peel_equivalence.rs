@@ -187,7 +187,7 @@ proptest! {
             (Extremum::Max, oracle::max_topr),
         ] {
             let forest = ExtremumIndex::build_on(&snap, k, dir);
-            let armed = ExtremumIndex::cached_within(&snap, k, dir, Some(&generous))
+            let (armed, _) = ExtremumIndex::cached_within(&snap, k, dir, Some(&generous), &mut arena)
                 .expect("a generous build completes");
             // Every r is sliced out of one read at the largest, as the
             // engine serves a family.

@@ -8,8 +8,9 @@
 //! plan's sorted job list, so a slow job never blocks the rest behind a
 //! static partition. Each job runs on the snapshot, arena pool and seed
 //! memo its batch pinned at plan time, on a [`PeelArena`] acquired for
-//! the job from that batch's pool; a worker keeps one [`LocalScratch`]
-//! across the local-search families it runs.
+//! the job from that batch's pool (a forest job builds a missing forest
+//! on it); a worker keeps one [`LocalScratch`] across the local-search
+//! families it runs.
 //!
 //! A job's answers leave as one slice the moment the job ends, from
 //! whichever thread ran it: through the result cache to the batch's
@@ -121,20 +122,31 @@ pub(crate) struct TicCounters {
     pub walked: ic_obs::Counter,
 }
 
+/// `core.forest_*`: the extremum forests this engine built — one per
+/// `(snapshot, k, direction)` a query found unmemoized, 0 for forests a
+/// store seeded or an apply shared — and how long each build took.
+pub(crate) struct ForestCounters {
+    pub builds: ic_obs::Counter,
+    pub build_ns: ic_obs::Histogram,
+}
+
 /// `core.local_*`: what the local-search walks of this engine did,
 /// summed once per family walk — seeds visited, seeds skipped without a pool
 /// (a `min` seed at the bar, or a memo entry whose value bounds are at or
 /// below every bar) and seeds replayed from the seed memo (see
 /// [`run_seed_memo`]), pool vertices collected, and [`CoreRows`] builds
-/// (one per `(snapshot, k)` a size-bounded query touched) — and the
-/// memo's own: entries an apply invalidated, families and entries its
-/// budget turned away, and the bytes the serving snapshot's memo holds.
+/// (one per `(snapshot, k)` a size-bounded query touched that no apply
+/// carried rows to) — and the apply's and the memo's own: levels whose
+/// rows an apply carried, entries it invalidated, families and entries
+/// the budget turned away, and the bytes the serving snapshot's memo
+/// holds.
 pub(crate) struct LocalCounters {
     pub seeds: ic_obs::Counter,
     pub seeds_skipped: ic_obs::Counter,
     pub seeds_replayed: ic_obs::Counter,
     pub pool_vertices: ic_obs::Counter,
     pub rows_builds: ic_obs::Counter,
+    pub rows_carried: ic_obs::Counter,
     pub memo_dropped: ic_obs::Counter,
     pub memo_refused: ic_obs::Counter,
     pub memo_bytes: ic_obs::Gauge,
@@ -489,10 +501,18 @@ fn run_job(
                 // solve span.
                 Route::Forest(dir) => {
                     let index_sw = ic_obs::Stopwatch::start();
-                    let run = match ExtremumIndex::cached_within(snap, *k, dir, budget.as_ref()) {
-                        None => Ok((Vec::new(), true)),
-                        Some(index) => index.read(snap.weighted(), *last, budget.as_deref()),
-                    };
+                    let run =
+                        match ExtremumIndex::cached_within(snap, *k, dir, budget.as_ref(), arena) {
+                            None => Ok((Vec::new(), true)),
+                            Some((index, built)) => {
+                                if built {
+                                    let forests = &batch.metrics.forests;
+                                    forests.builds.inc();
+                                    index_sw.observe(&forests.build_ns);
+                                }
+                                index.read(snap.weighted(), *last, budget.as_deref())
+                            }
+                        };
                     index_sw.record(&batch.trace, ic_obs::Stage::IndexServe);
                     (run, true)
                 }

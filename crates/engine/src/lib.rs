@@ -378,8 +378,15 @@ struct EngineMetrics {
     epoch: ic_obs::Gauge,
     applies: ic_obs::Counter,
     apply_ns: ic_obs::Histogram,
+    /// The part of `apply_ns` spent laying out the new graph and
+    /// snapshot.
+    apply_graph_ns: ic_obs::Histogram,
+    /// The part spent carrying the seed memo and the changed levels'
+    /// rows.
+    apply_carry_ns: ic_obs::Histogram,
     journal_records: ic_obs::Counter,
     touched_pct: ic_obs::Gauge,
+    forests: exec::ForestCounters,
     tic: exec::TicCounters,
     local: exec::LocalCounters,
 }
@@ -402,8 +409,14 @@ impl EngineMetrics {
             epoch: registry.gauge("engine.epoch"),
             applies: registry.counter("engine.apply.count"),
             apply_ns: registry.histogram("engine.apply_ns"),
+            apply_graph_ns: registry.histogram("engine.apply.graph_ns"),
+            apply_carry_ns: registry.histogram("engine.apply.carry_ns"),
             journal_records: registry.counter("engine.apply.journal_records"),
             touched_pct: registry.gauge("engine.apply.touched_pct"),
+            forests: exec::ForestCounters {
+                builds: registry.counter("core.forest_builds"),
+                build_ns: registry.histogram("core.forest_build_ns"),
+            },
             tic: exec::TicCounters {
                 deletions: registry.counter("core.tic_deletions"),
                 children_materialized: registry.counter("core.tic_children_materialized"),
@@ -416,6 +429,7 @@ impl EngineMetrics {
                 seeds_replayed: registry.counter("core.local_seeds_replayed"),
                 pool_vertices: registry.counter("core.local_pool_vertices"),
                 rows_builds: registry.counter("core.local_rows_builds"),
+                rows_carried: registry.counter("core.local_rows_carried"),
                 memo_dropped: registry.counter("core.local_memo_dropped"),
                 memo_refused: registry.counter("core.local_memo_refused"),
                 memo_bytes: registry.gauge("core.local_memo_bytes"),
@@ -644,15 +658,16 @@ impl Engine {
         self.threads
     }
 
-    /// Peel arenas constructed so far by the current epoch's pool
+    /// Peel arenas constructed so far by the engine's pool
     /// (steady-state traffic keeps this at the worker count — arenas
-    /// are pooled across batches; [`Engine::apply`] starts a fresh pool
-    /// sized for the updated graph).
+    /// are pooled across batches, and [`Engine::apply`] hands the pool
+    /// to the new epoch: the vertex set is fixed, and an arena is not
+    /// tied to a graph).
     pub fn arenas_created(&self) -> usize {
         self.serving().arenas.created()
     }
 
-    /// Arenas retired from the current epoch's pool after isolated
+    /// Arenas retired from the engine's pool after isolated
     /// solver panics (see [`ic_kcore::ArenaPool::quarantine`]): each one
     /// was live inside a panicking solver and is dropped rather than
     /// recirculated.
@@ -660,7 +675,7 @@ impl Engine {
         self.serving().arenas.quarantined()
     }
 
-    /// Arenas currently parked in the current epoch's pool. With no
+    /// Arenas currently parked in the engine's pool. With no
     /// batch in flight this equals
     /// `arenas_created() - arenas_quarantined()` — the pool-restoration
     /// invariant the chaos suite holds.
@@ -831,11 +846,14 @@ impl Engine {
     /// [`Engine::apply`], additionally returning the cascade journal and
     /// both snapshot handles (see [`ApplyOutcome`]).
     ///
-    /// The new snapshot's graph is laid out straight from the
-    /// maintainer's rows ([`CoreMaintainer::to_graph`]), and it shares
-    /// the old snapshot's memoized levels, forests and core rows at every
-    /// level above [`ApplyOutcome::ceiling`] — those k-cores are
-    /// untouched. The levels at or below it start empty and rebuild
+    /// The new snapshot's graph is the old one with the rows of the
+    /// toggled endpoints replaced by the maintainer's
+    /// ([`CoreMaintainer::patched_graph`]), over the same shared weights.
+    /// It shares the old snapshot's memoized levels, forests and core
+    /// rows at every level above [`ApplyOutcome::ceiling`] — those
+    /// k-cores are untouched. At or below it, the core rows the old
+    /// snapshot held are carried with only the changed rows rebuilt
+    /// ([`SeedMemo::carry`]); levels and forests start empty and rebuild
     /// lazily on their next query, so no pre-update structure is ever
     /// served.
     ///
@@ -855,7 +873,7 @@ impl Engine {
             snapshot,
             epoch,
             seeds,
-            ..
+            arenas,
         } = self.serving();
         if let Err(refused) = snapshot.ensure_adjacency() {
             panic!("cannot apply updates to a corrupt store: {refused}");
@@ -869,6 +887,7 @@ impl Engine {
             .take()
             .unwrap_or_else(|| CoreMaintainer::from_graph(snapshot.graph()));
         let apply_sw = ic_obs::Stopwatch::start();
+        let m = &self.metrics;
         let built = catch_unwind(AssertUnwindSafe(move || {
             let records: Vec<CascadeRecord> = updates
                 .iter()
@@ -877,27 +896,24 @@ impl Engine {
             let Some(ceiling) = records.iter().filter_map(CascadeRecord::ceiling).max() else {
                 return (maintainer, records, None);
             };
-            let weights = snapshot.weighted().weights().to_vec();
-            let wg = WeightedGraph::new(maintainer.to_graph(), weights)
-                .expect("weights are unchanged and were valid before");
+            let graph_sw = ic_obs::Stopwatch::start();
+            let graph = maintainer.patched_graph(snapshot.graph(), &records);
+            let wg = snapshot.weighted().with_graph(graph);
             let new_snapshot =
                 GraphSnapshot::with_decomposition(Arc::new(wg), maintainer.decomposition());
             new_snapshot.share_levels_above(&snapshot, ceiling as usize);
+            graph_sw.observe(&m.apply_graph_ns);
+            let carry_sw = ic_obs::Stopwatch::start();
             let seeds = seeds.carry(&snapshot, &new_snapshot, &records);
+            carry_sw.observe(&m.apply_carry_ns);
             ic_fail::fail_point!("engine::apply");
-            let arenas = Arc::new(ArenaPool::for_graph(new_snapshot.graph()));
-            (
-                maintainer,
-                records,
-                Some((Arc::new(new_snapshot), arenas, seeds)),
-            )
+            (maintainer, records, Some((Arc::new(new_snapshot), seeds)))
         }));
         let (maintainer, records, swap) = match built {
             Ok(built) => built,
             Err(payload) => std::panic::resume_unwind(payload),
         };
         *guard = Some(maintainer);
-        let m = &self.metrics;
         m.applies.inc();
         m.journal_records.add(records.len() as u64);
         let mut touched: Vec<u32> = records
@@ -911,7 +927,7 @@ impl Engine {
             m.touched_pct
                 .set((touched.len() as f64 / n as f64 * 100.0).round() as i64);
         }
-        let Some((snapshot, arenas, (seeds, dropped))) = swap else {
+        let Some((snapshot, carried)) = swap else {
             apply_sw.observe(&m.apply_ns);
             return ApplyOutcome {
                 epoch,
@@ -934,8 +950,11 @@ impl Engine {
         let keeps = |q: &Query, answer: &[Community]| outcome.keeps(q, answer);
         self.results.carry(serving.epoch, outcome.epoch, keeps);
         // One whole-struct assignment: readers never observe a new
-        // snapshot with an old pool or epoch.
-        m.local.memo_dropped.add(dropped);
+        // snapshot with an old epoch or memo. The arena pool carries
+        // over: arenas are sized for the vertex set, which is fixed.
+        let seeds = carried.memo;
+        m.local.memo_dropped.add(carried.dropped);
+        m.local.rows_carried.add(carried.rows_carried);
         m.local.memo_refused.add(seeds.take_refused());
         m.local.memo_bytes.set(seeds.bytes() as i64);
         m.epoch.set(outcome.epoch.0 as i64);
@@ -1401,6 +1420,34 @@ mod tests {
         for (q, got) in batch.iter().zip(got) {
             assert_eq!(got.unwrap(), q.solve(after.weighted()).unwrap());
         }
+        // The apply carried level 4's rows, so the new epoch built none;
+        // it laid out one graph and ran one carry.
+        let names = [
+            "core.local_rows_builds",
+            "core.local_rows_carried",
+            "engine.apply.graph_ns.count",
+            "engine.apply.carry_ns.count",
+        ];
+        assert_eq!(counters(&eng, &names), [1.0; 4]);
+    }
+
+    #[test]
+    fn forest_builds_are_counted_once_per_snapshot_level_and_direction() {
+        let eng = engine(1);
+        let names = ["core.forest_builds", "core.forest_build_ns.count"];
+        let builds = |eng: &Engine| counters(eng, &names);
+        assert_eq!(builds(&eng), [0.0; 2]);
+        eng.run_batch(&[Query::new(2, 2, Aggregation::Min)]);
+        eng.clear_result_cache();
+        eng.run_batch(&[Query::new(2, 3, Aggregation::Min)]);
+        assert_eq!(builds(&eng), [1.0; 2], "the second read is served");
+        eng.run_batch(&[Query::new(2, 3, Aggregation::Max)]);
+        assert_eq!(builds(&eng), [2.0; 2]);
+        // An update inside the 2-core drops both forests of level 2.
+        let (u, v) = eng.snapshot().graph().edges().next().unwrap();
+        assert_ne!(eng.apply(&[EdgeUpdate::Remove { u, v }]).index(), 0);
+        eng.run_batch(&[Query::new(2, 3, Aggregation::Min)]);
+        assert_eq!(builds(&eng), [3.0; 2]);
     }
 
     #[test]
@@ -1640,13 +1687,20 @@ mod tests {
             Query::new(2, 2, Aggregation::Min),
             Query::new(2, 2, Aggregation::Sum),
         ];
-        for _ in 0..5 {
+        // Each apply drops level 2's forests and cached answers, and
+        // hands the pool on: the rebuilds peel on arenas built before it,
+        // and the last apply, with no batch after it, still holds them.
+        let edges: Vec<(u32, u32)> = eng.snapshot().graph().edges().take(2).collect();
+        for &(u, v) in &edges {
             let _ = eng.run_batch(&batch);
+            assert_ne!(eng.apply(&[EdgeUpdate::Remove { u, v }]).index(), 0);
+            let _ = eng.run_batch(&batch);
+            eng.apply(&[EdgeUpdate::Insert { u, v }]);
         }
+        let created = eng.arenas_created();
         assert!(
-            eng.arenas_created() <= eng.threads(),
-            "created {} arenas for {} workers",
-            eng.arenas_created(),
+            (1..=eng.threads()).contains(&created),
+            "created {created} arenas for {} workers",
             eng.threads()
         );
     }

@@ -110,21 +110,54 @@ impl Graph {
     /// place: row `v` lists `v`'s neighbours in any order. The rows must
     /// already describe a simple undirected graph — every edge in both
     /// endpoints' rows, no duplicates, no self-loops — which only debug
-    /// builds check. This is how `ic_kcore::CoreMaintainer` hands its
-    /// edited adjacency to a new snapshot without an edge-list rebuild.
+    /// builds check: [`with_rows`](Self::with_rows) with every row
+    /// patched. `ic_kcore::CoreMaintainer::to_graph` lays out its whole
+    /// edge set this way.
     pub fn from_rows(rows: &[Vec<VertexId>]) -> Self {
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        let mut targets = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+        let rows: Vec<(VertexId, &[VertexId])> = (0..)
+            .zip(rows)
+            .map(|(v, row)| (v, row.as_slice()))
+            .collect();
+        Graph::empty(rows.len()).with_rows(&rows)
+    }
+
+    /// This graph with the rows of `patched` replaced: `(v, row)` pairs
+    /// in strictly ascending `v`, each row listing `v`'s neighbours in
+    /// any order, sorted into place. The rows between patched vertices
+    /// are copied in bulk, their offsets shifted. The result must
+    /// describe a simple undirected graph — both endpoints of a changed
+    /// edge patched — which only debug builds check. This is how
+    /// `Engine::apply` lays out a post-update graph: a copy of the old
+    /// arrays plus a sort per patched row, no per-row rebuild.
+    pub fn with_rows(&self, patched: &[(VertexId, &[VertexId])]) -> Graph {
+        let n = self.num_vertices();
+        let (old_offsets, old_targets) = (&self.offsets, &self.targets);
+        let grown: usize = patched.iter().map(|(_, row)| row.len()).sum();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(old_targets.len() + grown);
         offsets.push(0);
-        for row in rows {
-            let start = targets.len();
+        let copy =
+            |upto: usize, from: usize, offsets: &mut Vec<usize>, targets: &mut Vec<VertexId>| {
+                let (lo, hi) = (old_offsets[from], old_offsets[upto]);
+                let base = targets.len();
+                targets.extend_from_slice(&old_targets[lo..hi]);
+                offsets.extend(old_offsets[from + 1..=upto].iter().map(|&o| o - lo + base));
+            };
+        let mut next = 0;
+        for &(v, row) in patched {
+            let v = v as usize;
+            debug_assert!(v >= next && v < n, "patched rows ascend inside 0..n");
+            copy(v, next, &mut offsets, &mut targets);
+            let at = targets.len();
             targets.extend_from_slice(row);
-            targets[start..].sort_unstable();
+            targets[at..].sort_unstable();
             offsets.push(targets.len());
+            next = v + 1;
         }
+        copy(n, next, &mut offsets, &mut targets);
         if cfg!(debug_assertions) {
             if let Err(e) = validate_csr(&offsets, &targets) {
-                panic!("rows do not describe a simple undirected graph: {e}");
+                panic!("patched rows do not describe a simple undirected graph: {e}");
             }
         }
         Self::from_csr(offsets, targets)
@@ -404,6 +437,23 @@ mod tests {
         b.extend_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
             .reserve_vertices(5);
         assert_eq!(Graph::from_rows(&rows), b.build());
+    }
+
+    #[test]
+    fn with_rows_equals_the_builder() {
+        // Remove {0, 1}, insert {0, 3} and {3, 4}: rows 0, 1, 3 and 4
+        // change, row 2 is copied.
+        let mut g = GraphBuilder::new();
+        g.extend_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
+            .reserve_vertices(5);
+        let patched = g
+            .build()
+            .with_rows(&[(0, &[3, 2]), (1, &[2]), (3, &[4, 2, 0]), (4, &[3])]);
+        let mut b = GraphBuilder::new();
+        b.extend_edges([(0, 3), (1, 2), (2, 0), (2, 3), (3, 4)]);
+        assert_eq!(patched.csr_parts(), b.build().csr_parts());
+        let g = triangle_plus_pendant();
+        assert_eq!(g.with_rows(&[]), g, "no patch is a copy");
     }
 
     #[test]

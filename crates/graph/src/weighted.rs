@@ -56,6 +56,25 @@ impl WeightedGraph {
         })
     }
 
+    /// `graph` — an edited edge set over the same vertices — with these
+    /// weights and this total: the weights are shared, not copied or
+    /// re-validated.
+    ///
+    /// # Panics
+    /// Panics when `graph` has a different vertex count.
+    pub fn with_graph(&self, graph: Graph) -> WeightedGraph {
+        assert_eq!(
+            graph.num_vertices(),
+            self.num_vertices(),
+            "an edited graph keeps its vertex set"
+        );
+        WeightedGraph {
+            graph,
+            weights: self.weights.clone(),
+            total: self.total,
+        }
+    }
+
     /// Assigns every vertex weight 1.0 (useful for size-driven analyses).
     pub fn unit_weights(graph: Graph) -> Self {
         let n = graph.num_vertices();

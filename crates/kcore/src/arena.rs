@@ -468,6 +468,20 @@ impl PeelArena {
         self.journal.iter().map(|&l| self.members[l as usize])
     }
 
+    /// [`journaled`](Self::journaled) in local ids: positions in
+    /// [`members`](Self::members).
+    pub fn journaled_local(&self) -> &[u32] {
+        &self.journal
+    }
+
+    /// The loaded community's induced CSR in local ids, `(offsets,
+    /// targets)`: row `l` lists the members adjacent to `members()[l]`,
+    /// in the order of the graph's adjacency. Removals never edit it, so
+    /// it describes the community as loaded.
+    pub fn induced(&self) -> (&[u32], &[u32]) {
+        (&self.offsets, &self.targets)
+    }
+
     /// Makes every journaled removal permanent.
     pub fn commit(&mut self) {
         self.journal.clear();

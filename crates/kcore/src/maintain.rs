@@ -457,10 +457,30 @@ impl CoreMaintainer {
 
     /// Materializes the current edge set as a static [`Graph`]: the
     /// maintained rows laid out as CSR, each sorted
-    /// ([`Graph::from_rows`]). `Engine::apply` builds every post-update
-    /// snapshot's graph this way.
+    /// ([`Graph::from_rows`]).
     pub fn to_graph(&self) -> Graph {
         Graph::from_rows(&self.adj)
+    }
+
+    /// The current edge set as [`to_graph`](Self::to_graph) lays it out,
+    /// built from `old` — the graph these `records` were applied to —
+    /// with only the rows of the applied updates' endpoints replaced by
+    /// the maintained ones ([`Graph::with_rows`]). A toggle cancelled
+    /// later in the same batch re-lays its rows as they were.
+    /// `Engine::apply` builds every post-update snapshot's graph this way.
+    pub fn patched_graph(&self, old: &Graph, records: &[CascadeRecord]) -> Graph {
+        let mut ends: Vec<VertexId> = records
+            .iter()
+            .filter(|r| r.applied)
+            .flat_map(|r| <[VertexId; 2]>::from(r.update.endpoints()))
+            .collect();
+        ends.sort_unstable();
+        ends.dedup();
+        let rows: Vec<(VertexId, &[VertexId])> = ends
+            .iter()
+            .map(|&v| (v, self.adj[v as usize].as_slice()))
+            .collect();
+        old.with_rows(&rows)
     }
 
     fn next_generation(&mut self) -> u32 {

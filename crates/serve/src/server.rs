@@ -1324,7 +1324,7 @@ fn handle_update(shared: &Arc<Shared>, tx: &Sender<Outbound>, id: u64, updates: 
             // NOTIFY frames ahead of its UPDATE_ACK, so "ack received"
             // implies "all deltas of that epoch received".
             let subscribers = hub.subscribers.lock().unwrap();
-            for n in &report.notifications {
+            for n in report.notifications {
                 let Some(sub) = subscribers.get(&n.id.0) else {
                     continue; // unsubscribed between refresh and fanout
                 };
@@ -1345,8 +1345,8 @@ fn handle_update(shared: &Arc<Shared>, tx: &Sender<Outbound>, id: u64, updates: 
                         id: sub.client_id,
                         epoch: n.epoch.index(),
                         resync,
-                        deltas: n.deltas.clone(),
-                        answer: n.answer.clone(),
+                        deltas: n.deltas,
+                        answer: n.answer,
                     }),
                     gate: Arc::clone(&sub.gate),
                 };

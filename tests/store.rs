@@ -721,3 +721,92 @@ fn stats_report_only_the_store_their_own_engine_opened() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// FNV-1a over every array of a forest, in [`ic_core::algo::IndexParts`]
+/// field order: equal digests mean byte-identical `ICS1` forest sections.
+fn forest_digest(forest: &ExtremumIndex) -> u64 {
+    let p = forest.parts();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let u32s = |xs: &[u32]| xs.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+    eat(&(p.k as u64).to_le_bytes());
+    eat(&[p.extremum as u8]);
+    eat(&(p.num_vertices as u64).to_le_bytes());
+    let values: Vec<u8> = p
+        .values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    eat(&values);
+    for xs in [
+        p.event_vertex,
+        p.parent,
+        p.size,
+        p.batch_offsets,
+        p.batch_vertices,
+        p.child_offsets,
+        p.child_ids,
+        p.ranked,
+        p.vertex_node,
+    ] {
+        eat(&u32s(xs));
+    }
+    h
+}
+
+/// Forest digests at k ∈ {2, 4, 6, 8, 10}, both directions, of Figure 1,
+/// the quick `youtube` analog and that graph under {1, 2, 3} weights
+/// (value ties at every cut), as `(graph, k, min, max)`. `verify_deep`
+/// and every parity suite compare a forest against the same code's fresh
+/// build, so a kernel that reordered batches, children or claims would
+/// pass them all; these were recorded from the two-phase reverse pass
+/// and pin the bytes any later kernel must reproduce.
+const GOLDEN_FORESTS: &[(&str, usize, u64, u64)] = &[
+    ("figure1", 2, 0x875d68b5dfd0d661, 0x20f16ee9dcefe9ca),
+    ("figure1", 4, 0xd97d09656ba78f2c, 0x60caef50614f72cf),
+    ("figure1", 6, 0x2fcbfc3224c1b4a6, 0x32d33ead45bf4bd1),
+    ("figure1", 8, 0x8057fd661df945d0, 0xc336b17efcd07f73),
+    ("figure1", 10, 0x6a72d30df7a1db4a, 0x0e05a8f563998565),
+    ("youtube", 2, 0x0e104eafd6e15619, 0xeb4c75e5eba3b46d),
+    ("youtube", 4, 0x6ec14e3b845a80f3, 0xd4c61847bc806ef3),
+    ("youtube", 6, 0x87e3dfb93def450e, 0x3724b0efc01ba415),
+    ("youtube", 8, 0x7e5d034877c7db11, 0xd3627e9da04b2c5b),
+    ("youtube", 10, 0xd7f36efcf7b8e848, 0x171285b956159e4a),
+    ("ties", 2, 0x0325674111510b7d, 0x6ba02120ac2d1cae),
+    ("ties", 4, 0x9efafb3d565d5680, 0x36620b03f0334a2d),
+    ("ties", 6, 0xac11d813306be80d, 0xbaeae3c10a0a91cb),
+    ("ties", 8, 0x65178acf742d2363, 0x58192f3991e3b7e4),
+    ("ties", 10, 0x45eca2abfe52af5b, 0x20a581d9fad14580),
+];
+
+#[test]
+fn forests_match_their_golden_digests() {
+    let youtube = ic_gen::datasets::by_name(ic_gen::datasets::Profile::Quick, "youtube")
+        .expect("youtube is registered")
+        .generate_weighted();
+    let ties: Vec<f64> = (0..youtube.num_vertices())
+        .map(|v| (1 + (v * 7 + v / 3) % 3) as f64)
+        .collect();
+    let ties = WeightedGraph::new(youtube.graph().clone(), ties).unwrap();
+    let graphs = [
+        ("figure1", ic_core::figure1::figure1()),
+        ("youtube", youtube),
+        ("ties", ties),
+    ];
+    let mut got = Vec::new();
+    for (name, wg) in &graphs {
+        for k in [2usize, 4, 6, 8, 10] {
+            let digest = |dir| forest_digest(&ExtremumIndex::build(wg, k, dir));
+            got.push((*name, k, digest(Extremum::Min), digest(Extremum::Max)));
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(name, k, min, max)| format!("    (\"{name}\", {k}, {min:#018x}, {max:#018x}),\n"))
+        .collect();
+    assert_eq!(got, GOLDEN_FORESTS, "digests now:\n{table}");
+}
