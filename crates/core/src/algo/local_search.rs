@@ -14,6 +14,12 @@
 //! sorts the pool by descending influence, `random` keeps BFS order —
 //! these are the paper's Greedy and Random variants (Figs 6–13).
 //!
+//! This module holds the walks and their machinery; a seed is expanded
+//! by the seed memo's code (`seed_memo::expand_seed`): its pool is built
+//! into a fresh entry and the strategies replay it, exactly as a
+//! memoized entry is replayed, value bounds included. [`local_search`]
+//! and [`local_search_nonoverlapping`] drop each entry after its seed.
+//!
 //! The per-seed machinery is zero-rebuild: one [`LocalScratch`] per query
 //! holds epoch-stamped visitation marks, the pool buffers, and an
 //! **incremental candidate degree tracker**. Growing or shrinking the
@@ -22,14 +28,15 @@
 //! instead of a full candidate rescan, and connectivity BFS only runs for
 //! prefixes that already pass the degree and threshold checks.
 //!
-//! Prefix values come from one kernel, [`prefix_values`], which the seed
-//! memo's replays share. A greedy pool is sorted, so the kernel keeps each
-//! prefix's ascending weights as the suffix of one buffer — at most two
-//! writes a vertex, no shifting insert — with the sum and count an
-//! [`AggregateState`] would hold: the values are the state's, bit for bit.
+//! Prefix values come from one kernel, [`prefix_values`]. A greedy pool
+//! is sorted, so the kernel keeps each prefix's ascending weights as the
+//! suffix of one buffer — at most two writes a vertex, no shifting insert
+//! — with the sum and count an [`AggregateState`] would hold: the values
+//! are the state's, bit for bit.
 
 use crate::aggregate::StateView;
-use crate::algo::common::{community_from_vertices, validate_k_r};
+use crate::algo::common::validate_k_r;
+use crate::algo::seed_memo::expand_seed;
 use crate::community::encode_ordered_f64;
 use crate::{AggregateState, Aggregation, Community, Extremum, SearchError, TopList};
 use ic_graph::{BitSet, Graph, VertexId, WeightedGraph};
@@ -188,20 +195,15 @@ pub(crate) fn local_search_in(
     aggregation: Aggregation,
 ) -> Result<Vec<Community>, SearchError> {
     validate_params(config)?;
-    let mut list = TopList::new(config.r);
-    let mut scratch = LocalScratch::new(wg.num_vertices());
-
-    for seed in core.iter() {
-        run_seed(
-            wg,
-            rows,
-            core,
-            seed as VertexId,
-            config,
+    let LocalSearchConfig { k, s, greedy, r } = *config;
+    let mut list = TopList::new(r);
+    let scratch = &mut LocalScratch::new(wg.num_vertices());
+    for seed in core.iter().map(|v| v as VertexId) {
+        let target = SeedTarget {
             aggregation,
-            &mut scratch,
-            &mut list,
-        );
+            list: &mut list,
+        };
+        expand_seed(wg, rows, core, seed, k, s, greedy, scratch, &mut [target]);
     }
     Ok(list.into_vec())
 }
@@ -218,17 +220,18 @@ pub fn local_search_nonoverlapping(
     validate_params(config)?;
     let mut core = kcore_mask(wg.graph(), config.k);
     // Rows of the whole level; the shrinking mask filters them.
-    let rows = CoreRows::build(wg, &core);
-    let mut scratch = LocalScratch::new(wg.num_vertices());
-    let mut results: Vec<Community> = Vec::with_capacity(config.r);
+    let rows = &CoreRows::build(wg, &core);
+    let scratch = &mut LocalScratch::new(wg.num_vertices());
+    let LocalSearchConfig { k, s, greedy, r } = *config;
+    let mut results: Vec<Community> = Vec::with_capacity(r);
 
     let mut seeds: Vec<u32> = core.iter().map(|v| v as u32).collect();
-    if config.greedy {
+    if greedy {
         seeds.sort_by(|a, b| heavier_first(wg, a, b));
     }
 
     for &seed in &seeds {
-        if results.len() == config.r {
+        if results.len() == r {
             break;
         }
         if !core.contains(seed as usize) {
@@ -236,16 +239,11 @@ pub fn local_search_nonoverlapping(
         }
         // Single-slot list: accept the seed's best candidate, if any.
         let mut single = TopList::new(1);
-        run_seed(
-            wg,
-            &rows,
-            &core,
-            seed,
-            config,
+        let target = SeedTarget {
             aggregation,
-            &mut scratch,
-            &mut single,
-        );
+            list: &mut single,
+        };
+        expand_seed(wg, rows, &core, seed, k, s, greedy, scratch, &mut [target]);
         if let Some(found) = single.into_vec().pop() {
             for &v in &found.vertices {
                 core.remove(v as usize);
@@ -287,32 +285,6 @@ pub struct SeedTarget<'a> {
     pub list: &'a mut TopList,
 }
 
-/// [`run_seed_multi`] for one aggregation and one list.
-#[allow(clippy::too_many_arguments)]
-fn run_seed(
-    wg: &WeightedGraph,
-    rows: &CoreRows,
-    core: &BitSet,
-    seed: VertexId,
-    config: &LocalSearchConfig,
-    aggregation: Aggregation,
-    scratch: &mut LocalScratch,
-    list: &mut TopList,
-) {
-    let mut targets = [SeedTarget { aggregation, list }];
-    run_seed_multi(
-        wg,
-        rows,
-        core,
-        seed,
-        config.k,
-        config.s,
-        config.greedy,
-        scratch,
-        &mut targets,
-    );
-}
-
 /// Whether no target can use `seed`'s pool: every candidate contains
 /// its seed, so when every target's value is its minimum member weight
 /// (`peel_extremum: Some(Min)`) and `w(seed)` cannot beat any target's
@@ -327,183 +299,6 @@ pub(crate) fn seed_is_hopeless(
             && t.aggregation.certificates().peel_extremum == Some(Extremum::Min)
     };
     targets.iter().all(hopeless)
-}
-
-/// Expands one seed of Algorithm 4 for several queries at once: collects
-/// the seed's s-nearest-neighbor pool **once** and applies each target's
-/// strategy to it, inserting any qualifying candidate into the target's
-/// list. Queries that share `(k, s, greedy)` — any aggregation, any `r`
-/// — are answered in one pass over the seeds, each bit-identical to a
-/// sweep of its own, because the pool depends only on `(k, s, greedy)`
-/// and each strategy reads nothing but the pool and its own list. `core`
-/// must be the maximal `k`-core mask of `wg` (or a subset of it), `rows`
-/// that k-core's [`CoreRows`], `scratch` sized to the graph; every vertex
-/// of `core` in ascending order against one list reproduces
-/// [`local_search`] exactly. This is the memo-free walk behind
-/// `Query::solve_on`; the engine walks seeds with
-/// [`run_seed_memo`](crate::algo::run_seed_memo) and is held to it.
-///
-/// Returns the number of pool vertices collected — `0` when the seed was
-/// skipped without a pool ([`seed_is_hopeless`]).
-#[allow(clippy::too_many_arguments)]
-fn run_seed_multi(
-    wg: &WeightedGraph,
-    rows: &CoreRows,
-    core: &BitSet,
-    seed: VertexId,
-    k: usize,
-    s: usize,
-    greedy: bool,
-    scratch: &mut LocalScratch,
-    targets: &mut [SeedTarget<'_>],
-) -> usize {
-    if seed_is_hopeless(wg, seed, targets) {
-        return 0;
-    }
-    // Line 4: the s-nearest-neighbor pool via truncated BFS. In greedy
-    // mode the BFS visits each layer in descending weight order, so when a
-    // layer must be cut to fit `s`, the influential members survive (the
-    // paper leaves the tie-break unspecified; random mode uses plain BFS
-    // order).
-    scratch.build_pool(wg, rows, core, seed, s, greedy);
-    let mut pool = std::mem::take(&mut scratch.pool);
-    if pool.len() <= k {
-        scratch.pool = pool;
-        return scratch.pool.len(); // cannot host a k-core
-    }
-    // Lines 5-6: greedy sorts by descending influence (seed kept first —
-    // the pool must stay anchored at the seed for locality).
-    if greedy {
-        pool[1..].sort_by(|a, b| heavier_first(wg, a, b));
-    }
-    for target in targets {
-        // Strategy selection by certificate: the drop-from-full-pool
-        // `SumStrategy` needs the candidate's value to track the pool
-        // cheaply as it shrinks, which is exactly the O(1) remove-delta
-        // certificate (`sum`, `sum-surplus`, and any custom function
-        // declaring it). Everything else — `avg`, the order-statistics
-        // functions, opaque custom aggregations — walks pool prefixes.
-        if target.aggregation.certificates().incremental_removal {
-            sum_strategy(wg, rows, &pool, k, target.aggregation, scratch, target.list);
-        } else {
-            prefix_strategy(
-                wg,
-                rows,
-                &pool,
-                k,
-                greedy,
-                target.aggregation,
-                scratch,
-                target.list,
-            );
-        }
-    }
-    scratch.pool = pool;
-    scratch.pool.len()
-}
-
-/// Procedure `SumStrategy`: start from the full pool, drop the last vertex
-/// until the candidate is a connected k-core with a competitive value.
-///
-/// The pool's value is known from its weights alone, so a pool that
-/// cannot beat the list's threshold is rejected before the
-/// `O(Σ deg)` degree-tracker walk — the drop loop below would not have
-/// run a single iteration for it.
-fn sum_strategy(
-    wg: &WeightedGraph,
-    rows: &CoreRows,
-    pool: &[VertexId],
-    k: usize,
-    aggregation: Aggregation,
-    scratch: &mut LocalScratch,
-    list: &mut TopList,
-) {
-    let mut state = AggregateState::new(aggregation, wg.total_weight());
-    for &v in pool {
-        state.add(wg.weight(v));
-    }
-    if state.value() <= list.threshold() {
-        return;
-    }
-    scratch.begin_candidate(k);
-    for &v in pool {
-        scratch.push(rows, v);
-    }
-    let mut len = pool.len();
-    while len > k && state.value() > list.threshold() {
-        if scratch.is_kcore() && scratch.is_connected(rows, pool[0]) {
-            list.insert(community_from_vertices(
-                wg,
-                aggregation,
-                pool[..len].to_vec(),
-            ));
-            return;
-        }
-        len -= 1;
-        let dropped = pool[len];
-        scratch.pop(rows, dropped);
-        state.remove(wg.weight(dropped));
-    }
-}
-
-/// Procedure `AvgStrategy` generalized to any aggregation: test every
-/// prefix of the pool; greedy accepts the first qualifying prefix, random
-/// keeps the best.
-///
-/// A prefix's value depends on its weights only, so a first pass marks
-/// the prefixes that beat the list's threshold; the degree tracker is
-/// then fed up to the last of them (not at all if there is none) and
-/// the k-core and connectivity tests run on the marked prefixes alone.
-#[allow(clippy::too_many_arguments)]
-fn prefix_strategy(
-    wg: &WeightedGraph,
-    rows: &CoreRows,
-    pool: &[VertexId],
-    k: usize,
-    greedy: bool,
-    aggregation: Aggregation,
-    scratch: &mut LocalScratch,
-    list: &mut TopList,
-) {
-    let mut competitive = std::mem::take(&mut scratch.competitive);
-    competitive.clear();
-    competitive.resize(pool.len(), false);
-    let bar = list.threshold();
-    prefix_values(
-        wg,
-        pool,
-        k,
-        greedy,
-        aggregation,
-        &mut scratch.ascending,
-        |len, value| {
-            competitive[len - 1] = value > bar;
-            ControlFlow::Continue(())
-        },
-    );
-    let pushed = competitive.iter().rposition(|&c| c).map_or(0, |i| i + 1);
-    let mut best: Option<Community> = None;
-    scratch.begin_candidate(k);
-    for (i, &v) in pool[..pushed].iter().enumerate() {
-        scratch.push(rows, v);
-        if competitive[i] && scratch.is_kcore() && scratch.is_connected(rows, pool[0]) {
-            let community = community_from_vertices(wg, aggregation, pool[..=i].to_vec());
-            if greedy {
-                best = Some(community);
-                break;
-            }
-            let better = best
-                .as_ref()
-                .is_none_or(|b| community.ranking_cmp(b).is_lt());
-            if better {
-                best = Some(community);
-            }
-        }
-    }
-    scratch.competitive = competitive;
-    if let Some(b) = best {
-        list.insert(b);
-    }
 }
 
 /// The values a prefix strategy compares with its bar: `visit(len,
@@ -569,11 +364,11 @@ pub(crate) fn prefix_values(
     });
 }
 
-/// Per-query scratch for the local-search strategies: pool building
-/// buffers plus an incremental candidate degree tracker. Everything is
-/// epoch-stamped; nothing allocates after the first few seeds warm the
-/// buffers up. One instance per worker thread; see
-/// [`run_seed_memo`](crate::algo::run_seed_memo).
+/// Per-walk scratch for seed expansions: pool building buffers, the
+/// prefix-value buffer and an incremental candidate degree tracker.
+/// Everything is epoch-stamped; the buffers stop growing after the first
+/// few seeds (a seed's entry is its own allocation). One instance per
+/// walk; see [`run_seed_memo`](crate::algo::run_seed_memo).
 pub struct LocalScratch {
     // Pool building.
     pub(crate) pool: Vec<VertexId>,
@@ -588,8 +383,6 @@ pub struct LocalScratch {
     best: BinaryHeap<Reverse<(u64, Reverse<VertexId>)>>,
     visited: Vec<u32>,
     visit_epoch: u32,
-    /// `prefix_strategy`: whether each pool prefix beats the threshold.
-    competitive: Vec<bool>,
     /// [`prefix_values`]' ascending weight buffer.
     pub(crate) ascending: Vec<f64>,
     // Incremental candidate state.
@@ -616,7 +409,6 @@ impl LocalScratch {
             best: BinaryHeap::new(),
             visited: vec![0; n],
             visit_epoch: 0,
-            competitive: Vec::new(),
             ascending: Vec::new(),
             in_cand: vec![0; n],
             cand_epoch: 0,
@@ -1209,7 +1001,8 @@ pub(crate) mod tests {
     }
 
     /// Expands `seed` of `wg` (k = 2, s = 3, greedy) for every
-    /// `(aggregation, list)` at once; returns what `run_seed_multi` does.
+    /// `(aggregation, list)` at once; returns the size of the pool built
+    /// (0: the seed was hopeless, nothing built).
     fn expand(wg: &WeightedGraph, seed: VertexId, lists: &mut [(Aggregation, TopList)]) -> usize {
         let core = kcore_mask(wg.graph(), 2);
         let mut targets = Vec::new();
@@ -1218,7 +1011,8 @@ pub(crate) mod tests {
             targets.push(SeedTarget { aggregation, list });
         }
         let (rows, sc) = (CoreRows::build(wg, &core), &mut LocalScratch::new(6));
-        run_seed_multi(wg, &rows, &core, seed, 2, 3, true, sc, &mut targets)
+        let entry = expand_seed(wg, &rows, &core, seed, 2, 3, true, sc, &mut targets);
+        entry.map_or(0, |entry| entry.pool().len())
     }
 
     #[test]

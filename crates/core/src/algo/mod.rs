@@ -6,7 +6,11 @@
 //! * [`exact_topr`] / [`exact_naive`] — Algorithm 3 (`TIC-EXACT`) and the
 //!   maximality-aware exhaustive oracle;
 //! * [`local_search`] — Algorithm 4 with `SumStrategy` / `AvgStrategy`,
-//!   greedy or random;
+//!   greedy or random. Every walk expands a seed the same way: its pool
+//!   is built into a seed-memo entry and the strategies replay it; the
+//!   engine's walks ([`run_seed_memo`]) keep the entries in a
+//!   [`SeedMemo`], the others drop them. [`oracle::local_search`] is the
+//!   independent reference;
 //! * [`ExtremumIndex`] — the threshold peel for the node-domination
 //!   aggregations `min` and `max` (prior work: Li et al. VLDB'15), linked
 //!   into a community forest that every `r` reads;

@@ -9,11 +9,14 @@
 //! strategy order, the vertices whose rows its build read, and that fact
 //! for every prefix some strategy has tested. [`run_seed_memo`] replays
 //! an entry for every target instead of rebuilding the pool, and runs
-//! the degree tracker only for a prefix no strategy has tested yet. The
-//! picks are `prefix_strategy`'s and `sum_strategy`'s: prefix values come
-//! from the same [`prefix_values`] kernel and `AggregateState` removes,
-//! and a prefix is competitive against the list's bar as it stands at
-//! that seed, so a replay inserts exactly what a fresh expansion would.
+//! the degree tracker only for a prefix no strategy has tested yet.
+//! `replay` holds Algorithm 4's one production `SumStrategy` and
+//! `AvgStrategy`: prefix values come from the [`prefix_values`] kernel
+//! and `AggregateState` removes, and a prefix is competitive against the
+//! list's bar as it stands at that seed. A seed without an entry is
+//! expanded by `expand_seed` — build a fresh entry, replay it — which is
+//! also every unmemoized walk's expansion (`Query::solve`, TONIC), so a
+//! replay inserts exactly what a fresh expansion does.
 //!
 //! An entry also keeps three numbers folded from its pool at build: the
 //! heaviest weight, the pool-order sum and the largest prefix mean. From
@@ -57,7 +60,7 @@ const QUALIFIES: u8 = 1;
 const FAILS: u8 = 2;
 
 /// One seed's expansion at `(k, s, greedy)`.
-struct SeedEntry {
+pub(crate) struct SeedEntry {
     /// The pool in strategy order, then the vertices whose rows the pool
     /// build read.
     ids: Box<[VertexId]>,
@@ -150,7 +153,7 @@ impl SeedEntry {
         }
     }
 
-    fn pool(&self) -> &[VertexId] {
+    pub(crate) fn pool(&self) -> &[VertexId] {
         &self.ids[..self.pool_len]
     }
 
@@ -236,7 +239,8 @@ fn replay(
         }
         replayed = true;
         let mut qualifies = |len: usize| entry.qualifies(len, k, rows, scratch, &mut tracked);
-        // Strategy selection by certificate, as in the memo-free walk.
+        // Strategy by certificate: `SumStrategy` drops from the full pool,
+        // so it needs an O(1) remove delta; the rest walk pool prefixes.
         if agg.certificates().incremental_removal {
             sum_replay(wg, pool, k, agg, target.list, &mut qualifies);
         } else {
@@ -659,15 +663,15 @@ pub enum SeedVisit {
 
 /// Expands seed `at` of `memo`'s level — `memo.seeds()[at]` — for
 /// every target at once, inserting into each target's list exactly what
-/// the memo-free walk behind `Query::solve_on` does: the family's entry
-/// for the seed is replayed when there is one, for the targets its value
-/// bounds do not rule out (none left: the seed is skipped); otherwise the
-/// pool is built and its entry kept, once every target is served and
-/// when the budget allows, for later families on this snapshot and,
-/// through [`SeedMemo::carry`], later snapshots. `memo` must be this
-/// snapshot's family for `(k, s, greedy)`; the other arguments are as for
-/// a memo-free seed walk — `core` the level's mask, `rows` its
-/// [`CoreRows`].
+/// a fresh expansion does: the family's entry for the seed is replayed
+/// when there is one, for the targets its value bounds do not rule out
+/// (none left: the seed is skipped); otherwise the seed is expanded
+/// afresh and its entry kept, once every target is served and when the
+/// budget allows, for later families on this snapshot and, through
+/// [`SeedMemo::carry`], later snapshots. `memo` must be this snapshot's
+/// family for `(k, s, greedy)`, `core` the level's mask, `rows` its
+/// [`CoreRows`], `scratch` sized to the graph; every seed in order
+/// against one list reproduces `Query::solve`'s walk.
 #[allow(clippy::too_many_arguments)]
 pub fn run_seed_memo(
     wg: &WeightedGraph,
@@ -682,29 +686,56 @@ pub fn run_seed_memo(
     targets: &mut [SeedTarget<'_>],
 ) -> SeedVisit {
     let seed = memo.seeds[at];
-    if seed_is_hopeless(wg, seed, targets) {
-        return SeedVisit::Skipped;
-    }
-    if let Some(entry) = memo.get(at) {
-        let replayed = replay(wg, rows, k, greedy, entry, scratch, targets);
-        return if replayed {
+    match memo.get(at) {
+        None => match expand_seed(wg, rows, core, seed, k, s, greedy, scratch, targets) {
+            Some(entry) => {
+                let built = entry.pool_len;
+                memo.keep(at, entry);
+                SeedVisit::Built(built)
+            }
+            None => SeedVisit::Skipped,
+        },
+        Some(entry)
+            if !seed_is_hopeless(wg, seed, targets)
+                && replay(wg, rows, k, greedy, entry, scratch, targets) =>
+        {
             SeedVisit::Replayed
-        } else {
-            SeedVisit::Skipped
-        };
+        }
+        Some(_) => SeedVisit::Skipped,
+    }
+}
+
+/// Algorithm 4's one seed expansion, run by `Query::solve`, TONIC and a
+/// memo walk's unmemoized seeds: unless [`seed_is_hopeless`], builds
+/// `seed`'s [`SeedEntry`] and replays it for every target, value bounds
+/// included. The caller keeps the entry or drops it (`None`: nothing
+/// built). Arguments as for [`run_seed_memo`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn expand_seed(
+    wg: &WeightedGraph,
+    rows: &CoreRows,
+    core: &BitSet,
+    seed: VertexId,
+    k: usize,
+    s: usize,
+    greedy: bool,
+    scratch: &mut LocalScratch,
+    targets: &mut [SeedTarget<'_>],
+) -> Option<SeedEntry> {
+    if seed_is_hopeless(wg, seed, targets) {
+        return None;
     }
     let entry = SeedEntry::build(wg, rows, core, seed, k, s, greedy, scratch);
     replay(wg, rows, k, greedy, &entry, scratch, targets);
-    let built = entry.pool_len;
-    memo.keep(at, entry);
-    SeedVisit::Built(built)
+    Some(entry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algo::local_search::tests::{adversarial_weights, spread};
-    use crate::algo::local_search::{local_search, LocalSearchConfig};
+    use crate::algo::local_search::LocalSearchConfig;
+    use crate::algo::oracle;
     use ic_kcore::{CoreMaintainer, EdgeUpdate};
     use proptest::prelude::*;
 
@@ -1020,20 +1051,22 @@ mod tests {
                         "{skipped} skipped, {replayed} replayed"
                     );
                 }
+                // A cold walk replays its fresh entries with the same code
+                // as a warm one: the paper-printed oracle is the reference.
                 assert_eq!(
                     avg.into_vec(),
-                    local_search(&wg, &config, Aggregation::Average).unwrap()
+                    oracle::local_search(&wg, &config, Aggregation::Average).unwrap()
                 );
                 assert_eq!(
                     sum.into_vec(),
-                    local_search(&wg, &config, Aggregation::Sum).unwrap()
+                    oracle::local_search(&wg, &config, Aggregation::Sum).unwrap()
                 );
             }
         }
     }
 
     #[test]
-    fn a_family_over_budget_is_walked_like_the_memo_free_one() {
+    fn a_family_over_budget_is_walked_like_an_unmemoized_one() {
         // `s` above the core size: every pool is its seed's whole
         // component, and only the first few entries fit the budget.
         let (n, k, s) = (60, 3, 64);
@@ -1054,11 +1087,11 @@ mod tests {
                 let config = LocalSearchConfig { k, r: 3, s, greedy };
                 assert_eq!(
                     avg.into_vec(),
-                    local_search(&wg, &config, Aggregation::Average).unwrap()
+                    oracle::local_search(&wg, &config, Aggregation::Average).unwrap()
                 );
                 assert_eq!(
                     sum.into_vec(),
-                    local_search(&wg, &config, Aggregation::Sum).unwrap()
+                    oracle::local_search(&wg, &config, Aggregation::Sum).unwrap()
                 );
                 assert!(
                     memo.bytes() <= memo.budget,

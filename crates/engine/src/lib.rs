@@ -1329,12 +1329,12 @@ mod tests {
 
             /// A warm seed memo changes no answer: every family, served
             /// once from a memo an `avg` family warmed and once from the
-            /// one it left itself, equals the memo-free `Query::solve_on`
-            /// — six aggregations over both strategies, greedy and
-            /// random, several `s` per `k`, one of them above every
-            /// component's size.
+            /// one it left itself, equals the paper-printed
+            /// `oracle::local_search` — six aggregations over both
+            /// strategies, greedy and random, several `s` per `k`, one of
+            /// them above every component's size.
             #[test]
-            fn warm_memo_answers_equal_memo_free_solves(
+            fn warm_memo_answers_equal_the_oracle(
                 n in 40usize..80,
                 seed in any::<u64>(),
                 distinct in 2u32..6,
@@ -1343,9 +1343,7 @@ mod tests {
                 let top = f64::from(distinct + 1);
                 let weights = ic_gen::uniform_weights(n, 1.0, top, ic_gen::GraphSeed(seed));
                 let wg = WeightedGraph::new(g, weights.into_iter().map(f64::floor).collect()).unwrap();
-                let eng = Engine::with_threads(wg, 1);
-                let snap = eng.snapshot();
-                let mut arena = ic_kcore::PeelArena::for_graph(snap.graph());
+                let eng = Engine::with_threads(wg.clone(), 1);
                 let aggregations = [
                     Aggregation::Average,
                     Aggregation::Sum,
@@ -1359,15 +1357,25 @@ mod tests {
                         for greedy in [true, false] {
                             let warm = Query::new(k, 2, Aggregation::Average).size_bound(s, greedy);
                             eng.run_batch(&[warm]);
-                            let batch: Vec<Query> = aggregations
+                            let family: Vec<(Aggregation, usize)> = aggregations
                                 .iter()
-                                .flat_map(|&agg| [1, 4].map(|r| Query::new(k, r, agg).size_bound(s, greedy)))
+                                .flat_map(|&agg| [1, 4].map(|r| (agg, r)))
+                                .collect();
+                            let batch: Vec<Query> = family
+                                .iter()
+                                .map(|&(agg, r)| Query::new(k, r, agg).size_bound(s, greedy))
+                                .collect();
+                            let want: Vec<Vec<Community>> = family
+                                .iter()
+                                .map(|&(agg, r)| {
+                                    let config = LocalSearchConfig { k, r, s, greedy };
+                                    algo::oracle::local_search(&wg, &config, agg).unwrap()
+                                })
                                 .collect();
                             for _ in 0..2 {
                                 eng.clear_result_cache();
-                                for (q, got) in batch.iter().zip(eng.run_batch(&batch)) {
-                                    let want = q.solve_on(&snap, &mut arena).unwrap();
-                                    prop_assert_eq!(got.unwrap(), want, "{:?}", q);
+                                for ((q, got), want) in batch.iter().zip(eng.run_batch(&batch)).zip(&want) {
+                                    prop_assert_eq!(&got.unwrap(), want, "{:?}", q);
                                 }
                             }
                         }
@@ -1413,7 +1421,7 @@ mod tests {
         let after = eng.snapshot();
         let mask = &after.level(4).mask;
         assert!(mask.contains(lifted as usize) && !mask.contains(dropped as usize));
-        // A fresh engine's answers, and the memo-free per-graph solver's.
+        // A fresh engine's answers, and the unmemoized per-graph solver's.
         let fresh = Engine::with_threads(after.weighted().clone(), 1);
         let got = eng.run_batch(&batch);
         assert_eq!(got, fresh.run_batch(&batch));

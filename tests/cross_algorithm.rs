@@ -91,7 +91,8 @@ fn local_search_answers_equal_sequential_at_every_thread_count() {
         s: 20,
         greedy: true,
     };
-    let seq = algo::local_search(&wg, &config, Aggregation::Average).unwrap();
+    // The paper-printed Algorithm 4, one seed after another.
+    let seq = algo::oracle::local_search(&wg, &config, Aggregation::Average).unwrap();
     let query = [Query::new(4, 5, Aggregation::Average).size_bound(20, true)];
     for threads in [1usize, 2, 4] {
         let engine = ic_engine::Engine::with_threads(wg.clone(), threads);

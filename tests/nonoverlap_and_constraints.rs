@@ -179,3 +179,103 @@ fn weight_validation_errors_from_graph_layer() {
         Err(GraphError::InvalidWeight { .. })
     ));
 }
+
+/// FNV-1a over a TONIC answer list: each community's size, members and
+/// value bits, in rank order.
+fn answers_digest(answers: &[ic_core::Community]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let words = answers.iter().flat_map(|c| {
+        let head = [c.vertices.len() as u64, c.value.to_bits()];
+        head.into_iter()
+            .chain(c.vertices.iter().map(|&v| u64::from(v)))
+    });
+    for word in words {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Digests of `local_search_nonoverlapping`'s answers (r = 8) on Figure 1,
+/// the quick `youtube` analog and that graph under {1, 2, 3} weights
+/// (value ties in every pool), under `avg`, `sum` and `min`, greedy and
+/// random, at two `(k, s)` pairs each, as
+/// `(graph, k, s, aggregation, greedy, digest)`. TONIC's Algorithm 4 has
+/// no independent reference, so these pin its answers: any change to its
+/// seed order, pools, strategies or claims shows here.
+const GOLDEN_TONIC: &[(&str, usize, usize, &str, bool, u64)] = &[
+    ("figure1", 2, 5, "avg", true, 0xdb6e943a3651ffa7),
+    ("figure1", 2, 5, "avg", false, 0xcc25c73dfaeebb6f),
+    ("figure1", 2, 5, "sum", true, 0x2a41011e7c00f08f),
+    ("figure1", 2, 5, "sum", false, 0x785f5839238258c6),
+    ("figure1", 2, 5, "min", true, 0x9963a2e3d6944296),
+    ("figure1", 2, 5, "min", false, 0x30dbd8d6cf8ccf50),
+    ("figure1", 2, 8, "avg", true, 0xa66fbbeb6724e5cd),
+    ("figure1", 2, 8, "avg", false, 0x2d8fa551f5f7428c),
+    ("figure1", 2, 8, "sum", true, 0xd7378521e9719d27),
+    ("figure1", 2, 8, "sum", false, 0xbc84f653b6e60cd8),
+    ("figure1", 2, 8, "min", true, 0xe88d05f948a7dbb5),
+    ("figure1", 2, 8, "min", false, 0x30dbd8d6cf8ccf50),
+    ("youtube", 2, 5, "avg", true, 0x116a80aeb60a6268),
+    ("youtube", 2, 5, "avg", false, 0x6bb4c29641dc1815),
+    ("youtube", 2, 5, "sum", true, 0x8a6846f1ac09ba4c),
+    ("youtube", 2, 5, "sum", false, 0xf5b9522fedfd43ab),
+    ("youtube", 2, 5, "min", true, 0x3bec7ff3c5535ed9),
+    ("youtube", 2, 5, "min", false, 0x0a61cbb69e1b34f8),
+    ("youtube", 3, 10, "avg", true, 0x1ccebb4a9d220f5c),
+    ("youtube", 3, 10, "avg", false, 0x9507e483233b2374),
+    ("youtube", 3, 10, "sum", true, 0x617229861800be4e),
+    ("youtube", 3, 10, "sum", false, 0x290e72b80fc8e30d),
+    ("youtube", 3, 10, "min", true, 0x97105f25d9a6d900),
+    ("youtube", 3, 10, "min", false, 0x186e9fcdad3aa390),
+    ("ties", 2, 5, "avg", true, 0x55c3380cfb4dd791),
+    ("ties", 2, 5, "avg", false, 0xc3dd136244711728),
+    ("ties", 2, 5, "sum", true, 0x8cdd46635c3d2e3d),
+    ("ties", 2, 5, "sum", false, 0x3a8ceb3afd215c76),
+    ("ties", 2, 5, "min", true, 0x55c3380cfb4dd791),
+    ("ties", 2, 5, "min", false, 0x02fd89fdc6a2d956),
+    ("ties", 3, 10, "avg", true, 0x34ed565c360dd47f),
+    ("ties", 3, 10, "avg", false, 0x53998c236bd17723),
+    ("ties", 3, 10, "sum", true, 0x16e6156602384424),
+    ("ties", 3, 10, "sum", false, 0x7a4a77fcec69eaa9),
+    ("ties", 3, 10, "min", true, 0x34ed565c360dd47f),
+    ("ties", 3, 10, "min", false, 0x177795b5dda2facb),
+];
+
+#[test]
+fn tonic_local_search_matches_its_golden_digests() {
+    let youtube = by_name(Profile::Quick, "youtube")
+        .unwrap()
+        .generate_weighted();
+    let ties: Vec<f64> = (0..youtube.num_vertices())
+        .map(|v| (1 + (v * 7 + v / 3) % 3) as f64)
+        .collect();
+    let ties = ic_graph::WeightedGraph::new(youtube.graph().clone(), ties).unwrap();
+    let graphs = [
+        ("figure1", ic_core::figure1::figure1()),
+        ("youtube", youtube),
+        ("ties", ties),
+    ];
+    let mut got = Vec::new();
+    for (name, wg) in &graphs {
+        // Figure 1 has no 3-core.
+        let second = if *name == "figure1" { (2, 8) } else { (3, 10) };
+        for (k, s) in [(2usize, 5usize), second] {
+            for agg in [Aggregation::Average, Aggregation::Sum, Aggregation::Min] {
+                for greedy in [true, false] {
+                    let config = LocalSearchConfig { k, r: 8, s, greedy };
+                    let answers = algo::local_search_nonoverlapping(wg, &config, agg).unwrap();
+                    got.push((*name, k, s, agg.name(), greedy, answers_digest(&answers)));
+                }
+            }
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(name, k, s, agg, greedy, d)| {
+            format!("    (\"{name}\", {k}, {s}, \"{agg}\", {greedy}, {d:#018x}),\n")
+        })
+        .collect();
+    assert_eq!(got, GOLDEN_TONIC, "digests now:\n{table}");
+}
