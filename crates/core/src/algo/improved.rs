@@ -87,7 +87,7 @@ fn validate_improved(r: usize, aggregation: Aggregation, epsilon: f64) -> Result
 /// arena states ([`ArenaImage`]), one slot per component of the level,
 /// each filled by the first search that expands that component. A
 /// function of the level's k-core alone, so it is a snapshot extension
-/// and `GraphSnapshot::share_levels_above` carries it with its level.
+/// and `GraphSnapshot::successor` carries it with its level.
 #[derive(Debug)]
 struct RootImages {
     level: Arc<CoreLevel>,

@@ -41,7 +41,7 @@
 //! [`ExtremumIndex::read`], which hand back a certified prefix when time
 //! runs out); a snapshot swapped in after a graph update inherits only
 //! the forests of levels the update left untouched
-//! (`GraphSnapshot::share_levels_above`), which is exactly the staleness
+//! (`GraphSnapshot::successor`), which is exactly the staleness
 //! story — stale forests are never consulted, and rebuild lazily per
 //! `(k, direction)` on the next query.
 

@@ -40,7 +40,7 @@ use crate::algo::seed_memo::expand_seed;
 use crate::community::encode_ordered_f64;
 use crate::{AggregateState, Aggregation, Community, Extremum, SearchError, TopList};
 use ic_graph::{BitSet, Graph, VertexId, WeightedGraph};
-use ic_kcore::{kcore_mask, GraphSnapshot};
+use ic_kcore::{kcore_mask, ApplyDelta, GraphSnapshot, LevelDelta};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::ops::ControlFlow;
@@ -106,48 +106,47 @@ impl CoreRows {
         CoreRows { offsets, neighbors }
     }
 
-    /// `old` — these rows at level `k` before an apply — carried to the
-    /// graph `wg` after it: the rows outside `reached` are copied in
-    /// bulk, and each row of `reached` is rebuilt from `wg` and `cores`,
-    /// the post-apply core numbers. When `reached` holds every vertex
-    /// whose row the apply can have changed (the `D` of
-    /// [`SeedMemo::carry`](crate::algo::SeedMemo::carry)), the result is
-    /// [`build`](Self::build) on the new k-core, row for row, with no
-    /// level mask built.
-    pub fn carry(
-        old: &CoreRows,
-        wg: &WeightedGraph,
-        cores: &[u32],
-        k: usize,
-        reached: &BitSet,
-    ) -> CoreRows {
-        let n = old.offsets.len() - 1;
+    /// Seeds `new`, the snapshot an apply swapped in after `old`, with
+    /// `old`'s rows at each level `delta` changed, and returns how many:
+    /// the rows outside the level's `reached`, unchanged, copied in bulk,
+    /// and the rest rebuilt from the new graph and core numbers — row for
+    /// row [`build`](Self::build) on the new k-core, with no mask built.
+    pub fn carry(old: &GraphSnapshot, new: &GraphSnapshot, delta: &ApplyDelta) -> u64 {
+        let cores = &new.decomposition().core_numbers;
+        let mut carried = 0;
+        for (k, tag, rows) in old.memoized_extensions::<CoreRows>() {
+            if let Some(level) = delta.level(k) {
+                let rows = rows.carried(new.weighted(), cores, k, level);
+                new.seed_extension(k, tag, Arc::new(rows));
+                carried += 1;
+            }
+        }
+        carried
+    }
+
+    fn carried(&self, wg: &WeightedGraph, cores: &[u32], k: usize, level: &LevelDelta) -> CoreRows {
+        let n = self.offsets.len() - 1;
         let in_core = |v: &VertexId| cores[*v as usize] as usize >= k;
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::with_capacity(old.neighbors.len());
+        let mut neighbors = Vec::with_capacity(self.neighbors.len());
         offsets.push(0u32);
         let copy = |upto: usize, from: usize, offsets: &mut Vec<u32>, neighbors: &mut Vec<u32>| {
-            let (lo, hi) = (old.offsets[from], old.offsets[upto]);
+            let (lo, hi) = (self.offsets[from], self.offsets[upto]);
             let base = neighbors.len() as u32;
-            neighbors.extend_from_slice(&old.neighbors[lo as usize..hi as usize]);
-            offsets.extend(old.offsets[from + 1..=upto].iter().map(|&o| o - lo + base));
+            neighbors.extend_from_slice(&self.neighbors[lo as usize..hi as usize]);
+            offsets.extend(self.offsets[from + 1..=upto].iter().map(|&o| o - lo + base));
         };
         let mut next = 0;
-        for v in reached.iter() {
-            copy(v, next, &mut offsets, &mut neighbors);
+        for &v in &level.reached {
+            copy(v as usize, next, &mut offsets, &mut neighbors);
             let start = neighbors.len();
-            if in_core(&(v as VertexId)) {
-                neighbors.extend(
-                    wg.graph()
-                        .neighbors(v as VertexId)
-                        .iter()
-                        .filter(|u| in_core(u)),
-                );
+            if in_core(&v) {
+                neighbors.extend(wg.graph().neighbors(v).iter().filter(|u| in_core(u)));
                 neighbors[start..].sort_unstable_by(|a, b| heavier_first(wg, a, b));
             }
             offsets
                 .push(u32::try_from(neighbors.len()).expect("core adjacency fits 32-bit offsets"));
-            next = v + 1;
+            next = v as usize + 1;
         }
         copy(n, next, &mut offsets, &mut neighbors);
         CoreRows { offsets, neighbors }

@@ -27,10 +27,10 @@
 //!
 //! A family keeps one slot per seed of its level, in the ascending order
 //! a walk visits them, so it costs what its level's k-core holds, not
-//! what the graph does. [`SeedMemo::carry`] hands an apply's new
-//! snapshot every entry the update provably left alone, at its seed's
-//! new slot. The memo is bounded by a fixed per-snapshot byte budget; a
-//! family or an entry that does not fit is walked without one.
+//! what the graph does. [`SeedMemo::carry`] hands the next snapshot
+//! every entry an apply's [`ApplyDelta`] shows it left alone, at its
+//! seed's new slot. The memo is bounded by a fixed per-snapshot byte
+//! budget; a family or an entry that does not fit is walked without one.
 
 use crate::aggregate::StateView;
 use crate::algo::common::community_from_vertices;
@@ -39,7 +39,7 @@ use crate::algo::local_search::{
 };
 use crate::{AggregateState, Aggregation, Community, TopList};
 use ic_graph::{BitSet, VertexId, WeightedGraph};
-use ic_kcore::{CascadeRecord, CoreLevel, GraphSnapshot};
+use ic_kcore::{ApplyDelta, CoreLevel, LevelDelta};
 use std::collections::HashMap;
 use std::mem::size_of;
 use std::ops::ControlFlow;
@@ -440,106 +440,53 @@ impl SeedMemo {
         }
     }
 
-    /// What an apply hands the snapshot it swaps in: the memo `new`
-    /// starts with, and, seeded onto `new`, the [`CoreRows`] of every
-    /// level the apply changed that `old` had rows for. `old` and `new`
-    /// are the snapshots before and after the apply, `records` its
-    /// cascade journal.
-    ///
-    /// A family above every record's ceiling is shared whole: its
-    /// level's k-core, vertex set and induced edges, is the old one (and
-    /// so are its rows, which `new` already shares). At a level `k` at or
-    /// below it, let `D` be the endpoints of every applied toggle, every
-    /// vertex whose core number crossed `k`, and the neighbours of those
-    /// in either graph. A level-`k` row changes only for vertices in `D`,
-    /// so the level's rows are carried with the rows of `D` rebuilt
-    /// ([`CoreRows::carry`]). `D` is computed once per such level, from
-    /// the journal and the new core numbers: no level is built. The
-    /// family starts over the new k-core's seeds, its slots reserved like
-    /// a new family's, and an entry survives, at its seed's new slot,
-    /// when
-    ///
-    /// * its seed is still in the k-core;
-    /// * no vertex whose row its pool build read is in `D`: the build
-    ///   read nothing else, so it would build the same pool; and
-    /// * no toggle has both endpoints in its pool: the degree tracker and
-    ///   the connectivity test count only neighbours inside the pool, so
-    ///   every verdict it holds stands.
-    ///
-    /// A surviving entry is shared by `Arc` with the old memo, when the
-    /// budget has room for it.
-    pub fn carry(
-        &self,
-        old: &GraphSnapshot,
-        new: &GraphSnapshot,
-        records: &[CascadeRecord],
-    ) -> Carried {
-        let ceiling = records.iter().filter_map(CascadeRecord::ceiling).max();
-        let changed = |k: usize| ceiling.is_some_and(|c| k <= c as usize);
-        let applied: Vec<(VertexId, VertexId)> = records
-            .iter()
-            .filter(|r| r.applied)
-            .map(|r| r.update.endpoints())
-            .collect();
-        let n = new.graph().num_vertices();
-        let mut ends = BitSet::new(n);
-        for &(u, v) in &applied {
-            ends.insert(u as usize);
-            ends.insert(v as usize);
-        }
-        let cores = &new.decomposition().core_numbers;
+    /// The memo the snapshot an apply swaps in starts with. A family
+    /// above `delta`'s ceiling is shared whole. At a changed level the
+    /// seed list is the old one without `left` and with `entered`, and
+    /// the family starts over it, its slots reserved like a new family's;
+    /// an entry is shared, at its seed's new slot and if the budget has
+    /// room, when its seed is still in the k-core, no vertex whose row its
+    /// pool build read is `reached`, and no toggle has both endpoints in
+    /// its pool (DESIGN §9 has the proof).
+    pub fn carry(&self, delta: &ApplyDelta) -> Carried {
         let families = self.lock();
-        let mut rows = old.memoized_extensions::<CoreRows>();
-        rows.retain(|&(k, _, _)| changed(k));
-        let mut levels: Vec<usize> = families
-            .seeds
-            .keys()
-            .copied()
-            .filter(|&k| changed(k))
-            .collect();
-        levels.extend(rows.iter().map(|&(k, _, _)| k));
-        levels.sort_unstable();
-        levels.dedup();
-        let reached: HashMap<usize, BitSet> = levels
-            .into_iter()
-            .map(|k| (k, reached_at(old, new, records, k)))
-            .collect();
-        for (k, tag, old_rows) in &rows {
-            let carried = CoreRows::carry(old_rows, new.weighted(), cores, *k, &reached[k]);
-            new.seed_extension(*k, *tag, Arc::new(carried));
-        }
-
         let next = SeedMemo::with_budget(self.budget);
         let mut dropped = 0u64;
         let mut carried = Families::default();
         for (&k, seeds) in &families.seeds {
-            let seeds = if changed(k) {
-                let in_core = |&v: &VertexId| cores[v as usize] as usize >= k;
-                (0..n as VertexId).filter(in_core).collect()
-            } else {
-                Arc::clone(seeds)
+            let seeds = match delta.level(k) {
+                Some(level) => merged(seeds, level),
+                None => Arc::clone(seeds),
             };
             carried.seeds.insert(k, seeds);
         }
         // Shared families first: they fit, as they did in this memo.
-        for (&key, family) in families.memos.iter().filter(|(key, _)| !changed(key.0)) {
-            next.bytes.fetch_add(family.bytes.load(Relaxed), Relaxed);
-            carried.memos.insert(key, Arc::clone(family));
+        for (&key, family) in &families.memos {
+            if delta.level(key.0).is_none() {
+                next.bytes.fetch_add(family.bytes.load(Relaxed), Relaxed);
+                carried.memos.insert(key, Arc::clone(family));
+            }
         }
-        for (&key, family) in families.memos.iter().filter(|(key, _)| changed(key.0)) {
+        let changed = families
+            .memos
+            .iter()
+            .filter_map(|(key, family)| Some((*key, family, delta.level(key.0)?)));
+        for (key, family, level) in changed {
             let seeds = &carried.seeds[&key.0];
             if !next.reserve(FamilyMemo::slot_bytes(seeds.len())) {
                 continue;
             }
-            let d = &reached[&key.0];
+            let hit: BitSet = level.reached.iter().map(|&v| v as usize).collect();
+            let reached = |v: &VertexId| hit.contains(*v as usize);
+            let toggled = |pool: &[VertexId]| {
+                let held = |(u, v): &(VertexId, VertexId)| pool.contains(u) && pool.contains(v);
+                delta.toggles().iter().any(held)
+            };
             let fresh = FamilyMemo::new(seeds.len());
             for (slot, seed) in family.slots.iter().zip(families.seeds[&key.0].iter()) {
                 let Some(entry) = slot.get() else { continue };
                 match seeds.binary_search(seed) {
-                    Ok(at)
-                        if !entry.read().iter().any(|&v| d.contains(v as usize))
-                            && !holds_a_toggle(entry.pool(), &ends, &applied) =>
-                    {
+                    Ok(at) if !entry.read().iter().any(reached) && !toggled(entry.pool()) => {
                         if next.reserve(entry.bytes()) {
                             let _ = fresh.slots[at].set(Arc::clone(entry));
                             fresh.bytes.fetch_add(entry.bytes(), Relaxed);
@@ -554,7 +501,6 @@ impl SeedMemo {
         Carried {
             memo: next,
             dropped,
-            rows_carried: rows.len() as u64,
         }
     }
 }
@@ -565,49 +511,22 @@ pub struct Carried {
     pub memo: SeedMemo,
     /// The entries the apply invalidated.
     pub dropped: u64,
-    /// The changed levels whose [`CoreRows`] were carried onto the new
-    /// snapshot instead of left to rebuild.
-    pub rows_carried: u64,
 }
 
-/// `D` at level `k`: every vertex whose level-`k` row the apply can have
-/// changed. Row `v` lists `v`'s neighbours in the k-core, so it changes
-/// only when an edge at `v` is toggled, or `v` or one of its neighbours
-/// enters or leaves the k-core.
-fn reached_at(
-    old: &GraphSnapshot,
-    new: &GraphSnapshot,
-    records: &[CascadeRecord],
-    k: usize,
-) -> BitSet {
-    let mut d = BitSet::new(new.graph().num_vertices());
-    for record in records.iter().filter(|r| r.applied) {
-        let (u, v) = record.update.endpoints();
-        d.insert(u as usize);
-        d.insert(v as usize);
-        for delta in &record.deltas {
-            if (delta.old_core as usize >= k) != (delta.new_core as usize >= k) {
-                d.insert(delta.vertex as usize);
-                for graph in [old.graph(), new.graph()] {
-                    for &x in graph.neighbors(delta.vertex) {
-                        d.insert(x as usize);
-                    }
-                }
-            }
+/// `seeds`, a level's k-core in ascending order before an apply, after
+/// it: without the vertices that left, with those that entered.
+fn merged(seeds: &[VertexId], level: &LevelDelta) -> Arc<[VertexId]> {
+    let mut out = Vec::with_capacity(seeds.len() + level.entered.len());
+    let mut entered = level.entered.iter().copied().peekable();
+    let mut left = level.left.iter().peekable();
+    for &v in seeds {
+        out.extend(std::iter::from_fn(|| entered.next_if(|&e| e < v)));
+        if left.next_if(|&&l| l == v).is_none() {
+            out.push(v);
         }
     }
-    d
-}
-
-/// Whether some applied toggle has both endpoints in `pool`: then the
-/// pool's induced subgraph, and with it the verdicts, may have changed.
-fn holds_a_toggle(pool: &[VertexId], ends: &BitSet, applied: &[(VertexId, VertexId)]) -> bool {
-    let mut hits = pool.iter().filter(|&&v| ends.contains(v as usize));
-    hits.next().is_some()
-        && hits.next().is_some()
-        && applied
-            .iter()
-            .any(|&(u, v)| pool.contains(&u) && pool.contains(&v))
+    out.extend(entered);
+    out.into()
 }
 
 /// One family as a seed walk holds it: its level's seeds, and its memo
@@ -736,7 +655,7 @@ mod tests {
     use crate::algo::local_search::tests::{adversarial_weights, spread};
     use crate::algo::local_search::LocalSearchConfig;
     use crate::algo::oracle;
-    use ic_kcore::{CoreMaintainer, EdgeUpdate};
+    use ic_kcore::{CascadeRecord, CoreMaintainer, EdgeUpdate, GraphSnapshot};
     use proptest::prelude::*;
 
     /// A Barabási–Albert graph whose few distinct weights make pools
@@ -845,18 +764,30 @@ mod tests {
         checked
     }
 
+    /// What `Engine::apply` swaps in after `snap` for `records`: the
+    /// successor snapshot, the delta, and the levels whose rows it carried.
+    fn successor(
+        snap: &GraphSnapshot,
+        maintainer: &CoreMaintainer,
+        records: &[CascadeRecord],
+    ) -> Option<(GraphSnapshot, ApplyDelta, u64)> {
+        let delta = ApplyDelta::new(records, snap.graph())?;
+        let graph = maintainer.patched_graph(snap.graph(), records);
+        let next = snap.successor(graph, maintainer.decomposition(), &delta);
+        let carried = CoreRows::carry(snap, &next, &delta);
+        Some((next, delta, carried))
+    }
+
     /// The snapshot after `updates` are applied to `snap`, and the
-    /// apply's cascade journal.
-    fn apply(snap: &GraphSnapshot, updates: &[EdgeUpdate]) -> (GraphSnapshot, Vec<CascadeRecord>) {
+    /// apply's delta.
+    fn apply(snap: &GraphSnapshot, updates: &[EdgeUpdate]) -> (GraphSnapshot, ApplyDelta) {
         let mut maintainer = CoreMaintainer::from_graph(snap.graph());
         let records: Vec<CascadeRecord> = updates
             .iter()
             .map(|&update| maintainer.apply_recorded(update))
             .collect();
-        let weights = snap.weighted().weights().to_vec();
-        let wg = WeightedGraph::new(maintainer.to_graph(), weights).unwrap();
-        let next = GraphSnapshot::with_decomposition(Arc::new(wg), maintainer.decomposition());
-        (next, records)
+        let (next, delta, _) = successor(snap, &maintainer, &records).expect("an update applied");
+        (next, delta)
     }
 
     proptest! {
@@ -866,10 +797,10 @@ mod tests {
         /// that cross levels), inserts between core vertices, no-op
         /// toggles and toggles cancelled inside the same update — the
         /// patched graph equals a `GraphBuilder` rebuild of the edge
-        /// set, every level's carried rows equal `CoreRows::build` on the
-        /// new k-core, every entry an apply carries equals one built fresh
-        /// on the new snapshot, and the carry both keeps and drops
-        /// entries.
+        /// set, each level's delta the difference of its k-cores, its
+        /// carried rows `CoreRows::build` on the new k-core and every entry
+        /// an apply carries one built fresh on the new snapshot, and the
+        /// carry both keeps and drops entries.
         #[test]
         fn carried_entries_equal_fresh_builds_on_the_new_snapshot(
             n in 40usize..90,
@@ -936,14 +867,21 @@ mod tests {
                     .reserve_vertices(n)
                     .build();
                 prop_assert_eq!(patched.csr_parts(), rebuilt.csr_parts());
-                let Some(ceiling) = records.iter().filter_map(CascadeRecord::ceiling).max() else {
+                let Some((next, delta, rows_carried)) = successor(&snap, &maintainer, &records) else {
                     continue;
                 };
-                let wg = snap.weighted().with_graph(patched);
-                let next = GraphSnapshot::with_decomposition(Arc::new(wg), maintainer.decomposition());
-                next.share_levels_above(&snap, ceiling as usize);
-                let Carried { memo: next_memo, dropped: d, rows_carried } = memo.carry(&snap, &next, &records);
-                prop_assert_eq!(rows_carried, (2..=4).filter(|&k| k <= ceiling as usize).count() as u64);
+                let ceiling = ApplyDelta::ceiling_of(&records).unwrap() as usize;
+                prop_assert_eq!(rows_carried, (2..=4).filter(|&k| k <= ceiling).count() as u64);
+                // A changed level's `entered` and `left` are its k-cores' differences.
+                let minus = |a: &BitSet, b: &BitSet| -> Vec<VertexId> {
+                    a.iter().filter(|&v| !b.contains(v)).map(|v| v as VertexId).collect()
+                };
+                for k in 0..=ceiling {
+                    let (was, now, level) = (snap.level(k), next.level(k), delta.level(k).unwrap());
+                    prop_assert_eq!(&level.entered, &minus(&now.mask, &was.mask), "entered at {}", k);
+                    prop_assert_eq!(&level.left, &minus(&was.mask, &now.mask), "left at {}", k);
+                }
+                let Carried { memo: next_memo, dropped: d } = memo.carry(&delta);
                 for k in 2..=4 {
                     let rows = next.peek_extension::<CoreRows>(k, 0).expect("level rows carried or shared");
                     let fresh = CoreRows::build(next.weighted(), &next.level(k).mask);
@@ -1204,14 +1142,14 @@ mod tests {
             EdgeUpdate::Remove { u: 5, v: 7 },
             EdgeUpdate::Insert { u: 24, v: 30 },
         ];
-        let (next, records) = apply(&snap, &updates);
+        let (next, delta) = apply(&snap, &updates);
         let level = next.level(k);
         assert!(!level.mask.contains(5) && level.mask.contains(30));
         let Carried {
             memo: carried,
             dropped,
             ..
-        } = memo.carry(&snap, &next, &records);
+        } = memo.carry(&delta);
         assert!(dropped > 0);
         assert!(carried.bytes() <= budget, "{} > {budget}", carried.bytes());
         let shifted: Vec<VertexId> = level.mask.iter().map(|v| v as VertexId).collect();
@@ -1234,9 +1172,9 @@ mod tests {
         for (_, s, greedy) in families {
             assert!(memo.family(&level, s, greedy).family.is_some());
         }
-        let (next, records) = apply(&snap, &updates[2..]);
+        let (next, delta) = apply(&snap, &updates[2..]);
         assert_eq!(next.level(k).mask.count(), level.mask.count() + 1);
-        let carried = memo.carry(&snap, &next, &records).memo;
+        let carried = memo.carry(&delta).memo;
         assert!(
             carried.bytes() <= 2 * slots,
             "{} > {}",

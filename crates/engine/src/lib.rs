@@ -202,13 +202,11 @@ pub struct ApplyOutcome {
 }
 
 impl ApplyOutcome {
-    /// The highest level the batch can have changed: the maximum
-    /// [`CascadeRecord::ceiling`] over its records, `None` when nothing
-    /// changed. Every maximal k-core with `k` above it — vertex set and
-    /// induced edges — is the one before the apply, so the new snapshot
-    /// shares those levels' memoized state with the old one.
+    /// The highest level the batch can have changed
+    /// ([`ApplyDelta::ceiling_of`] its records), `None` when nothing
+    /// changed: the new snapshot shares every level above it.
     pub fn ceiling(&self) -> Option<u32> {
-        self.records.iter().filter_map(CascadeRecord::ceiling).max()
+        ApplyDelta::ceiling_of(&self.records)
     }
 
     /// Whether `answer`, the complete answer to `query` before the
@@ -318,10 +316,10 @@ pub mod prelude {
 }
 
 use cache::ResultCache;
-use ic_core::algo::SeedMemo;
+use ic_core::algo::{CoreRows, SeedMemo};
 use ic_core::{Community, SearchError};
 use ic_graph::WeightedGraph;
-use ic_kcore::{ArenaPool, CoreMaintainer};
+use ic_kcore::{ApplyDelta, ArenaPool, CoreMaintainer};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -378,11 +376,11 @@ struct EngineMetrics {
     epoch: ic_obs::Gauge,
     applies: ic_obs::Counter,
     apply_ns: ic_obs::Histogram,
-    /// The part of `apply_ns` spent laying out the new graph and
-    /// snapshot.
+    /// The part of `apply_ns` spent patching the CSR and building the
+    /// successor snapshot.
     apply_graph_ns: ic_obs::Histogram,
-    /// The part spent carrying the seed memo and the changed levels'
-    /// rows.
+    /// The part spent deriving the apply's `ApplyDelta` and carrying the
+    /// changed levels' rows and the seed memo from it.
     apply_carry_ns: ic_obs::Histogram,
     journal_records: ic_obs::Counter,
     touched_pct: ic_obs::Gauge,
@@ -790,7 +788,7 @@ impl Engine {
     /// [`ic_kcore::CoreMaintainer`] (subcore traversal —
     /// cost proportional to the touched subcores, not the graph), and
     /// the new snapshot is seeded with them
-    /// ([`GraphSnapshot::with_decomposition`]), so the from-scratch
+    /// ([`GraphSnapshot::successor`]), so the from-scratch
     /// bucket peel never runs again. Vertex weights and the vertex set
     /// are fixed; updates address existing vertex ids.
     ///
@@ -849,13 +847,13 @@ impl Engine {
     /// The new snapshot's graph is the old one with the rows of the
     /// toggled endpoints replaced by the maintainer's
     /// ([`CoreMaintainer::patched_graph`]), over the same shared weights.
-    /// It shares the old snapshot's memoized levels, forests and core
-    /// rows at every level above [`ApplyOutcome::ceiling`] — those
-    /// k-cores are untouched. At or below it, the core rows the old
-    /// snapshot held are carried with only the changed rows rebuilt
-    /// ([`SeedMemo::carry`]); levels and forests start empty and rebuild
-    /// lazily on their next query, so no pre-update structure is ever
-    /// served.
+    /// What the apply changed is derived once ([`ApplyDelta`]). The new
+    /// snapshot shares the old one's memoized levels, forests and core
+    /// rows above [`ApplyOutcome::ceiling`] ([`GraphSnapshot::successor`]).
+    /// At or below it, the old core rows and seed memo are carried from
+    /// the delta ([`CoreRows::carry`], [`SeedMemo::carry`]); levels and
+    /// forests start empty and rebuild lazily on their next query, so no
+    /// pre-update structure is ever served.
     ///
     /// # Panics
     /// Same contract as [`Engine::apply`]: panics (atomically) when an
@@ -893,20 +891,21 @@ impl Engine {
                 .iter()
                 .map(|&update| maintainer.apply_recorded(update))
                 .collect();
-            let Some(ceiling) = records.iter().filter_map(CascadeRecord::ceiling).max() else {
+            let carry_sw = ic_obs::Stopwatch::start();
+            let Some(delta) = ApplyDelta::new(&records, snapshot.graph()) else {
                 return (maintainer, records, None);
             };
             let graph_sw = ic_obs::Stopwatch::start();
             let graph = maintainer.patched_graph(snapshot.graph(), &records);
-            let wg = snapshot.weighted().with_graph(graph);
-            let new_snapshot =
-                GraphSnapshot::with_decomposition(Arc::new(wg), maintainer.decomposition());
-            new_snapshot.share_levels_above(&snapshot, ceiling as usize);
-            graph_sw.observe(&m.apply_graph_ns);
-            let carry_sw = ic_obs::Stopwatch::start();
-            let seeds = seeds.carry(&snapshot, &new_snapshot, &records);
-            carry_sw.observe(&m.apply_carry_ns);
+            let new_snapshot = snapshot.successor(graph, maintainer.decomposition(), &delta);
+            let graph_took = graph_sw.elapsed();
+            m.apply_graph_ns.observe(graph_took);
+            let rows_carried = CoreRows::carry(&snapshot, &new_snapshot, &delta);
+            let seeds = seeds.carry(&delta);
+            m.apply_carry_ns
+                .observe(carry_sw.elapsed().saturating_sub(graph_took));
             ic_fail::fail_point!("engine::apply");
+            m.local.rows_carried.add(rows_carried);
             (maintainer, records, Some((Arc::new(new_snapshot), seeds)))
         }));
         let (maintainer, records, swap) = match built {
@@ -954,7 +953,6 @@ impl Engine {
         // over: arenas are sized for the vertex set, which is fixed.
         let seeds = carried.memo;
         m.local.memo_dropped.add(carried.dropped);
-        m.local.rows_carried.add(carried.rows_carried);
         m.local.memo_refused.add(seeds.take_refused());
         m.local.memo_bytes.set(seeds.bytes() as i64);
         m.epoch.set(outcome.epoch.0 as i64);

@@ -29,7 +29,8 @@
 //!   from-scratch decomposition by property tests; its
 //!   [`decomposition`](CoreMaintainer::decomposition) seeds
 //!   [`GraphSnapshot::with_decomposition`] so the mutable engine swaps
-//!   snapshots without re-running the bucket peel.
+//!   snapshots without re-running the bucket peel;
+//! * [`ApplyDelta`] — what an apply changed per level, from its journal.
 //!
 //! # Example
 //!
@@ -51,6 +52,7 @@ mod arena;
 mod budget;
 mod decompose;
 mod degeneracy;
+mod delta;
 mod extract;
 mod maintain;
 mod pool;
@@ -60,6 +62,7 @@ pub use arena::{ArenaImage, PeelArena, Piece, Split};
 pub use budget::{Budget, POLL_STRIDE};
 pub use decompose::{core_decomposition, CoreDecomposition};
 pub use degeneracy::{degeneracy, degeneracy_order};
+pub use delta::{ApplyDelta, LevelDelta};
 pub use extract::{
     is_kcore, is_kcore_within, kcore_mask, kcore_size, maximal_kcore_components,
     peel_to_kcore_within,

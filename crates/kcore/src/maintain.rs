@@ -52,11 +52,11 @@ pub struct CoreDelta {
 ///
 /// This is the structure standing-query layers consume (`ic-sub`): the
 /// touched region bounds where community structure can have changed, and
-/// [`CascadeRecord::affects_level`] turns that into a *sound* per-`k`
-/// invalidation test — when it returns `false`, the maximal k-core at
-/// that level (vertex set **and** induced edge set) is provably
-/// identical before and after the update, so any deterministic query at
-/// that `k` returns a bit-identical answer and needs no re-solve.
+/// [`CascadeRecord::ceiling`] turns that into a *sound* per-`k`
+/// invalidation test — above it, the maximal k-core at that level
+/// (vertex set **and** induced edge set) is provably identical before
+/// and after the update, so any deterministic query at that `k` returns
+/// a bit-identical answer and needs no re-solve.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CascadeRecord {
     /// The update this record describes.
@@ -86,51 +86,18 @@ impl CascadeRecord {
         }
     }
 
-    /// Whether this update can have changed the maximal k-core at level
-    /// `k` — the footprint-intersection test of the standing-query
-    /// layer.
-    ///
-    /// Returns `true` iff (i) some vertex crossed the `core ≥ k`
-    /// threshold, or (ii) the updated edge itself lies inside the k-core
-    /// (both endpoints at core ≥ `k` after an insert, or before a
-    /// remove). When **neither** holds, the k-core's vertex set is
-    /// unchanged (no crossing) and its induced edge set is unchanged
-    /// (the only changed edge has an endpoint outside the k-core on the
-    /// relevant side), so the level-`k` community structure — every
-    /// k-influential community under any aggregation — is bit-identical.
-    ///
-    /// The affected levels are downward closed: this is `k ≤ c` for
-    /// `Some(c) = `[`ceiling`](Self::ceiling), which is what callers use.
-    pub fn affects_level(&self, k: usize) -> bool {
-        if !self.applied {
-            return false;
-        }
-        let k = u32::try_from(k).unwrap_or(u32::MAX);
-        if self
-            .deltas
-            .iter()
-            .any(|d| (d.old_core >= k) != (d.new_core >= k))
-        {
-            return true;
-        }
-        let (cu, cv) = self.endpoint_cores;
-        match self.update {
-            EdgeUpdate::Insert { .. } => cu >= k && cv >= k,
-            EdgeUpdate::Remove { u, v } => self.pre_core(u, cu) >= k && self.pre_core(v, cv) >= k,
-        }
-    }
-
-    /// The highest level this update can have changed: it
-    /// [affects](Self::affects_level) exactly the levels `k ≤ ceiling`,
-    /// and `None` means it changed nothing. The ceiling is the lower
-    /// endpoint core with the edge present — after an insert, before a
-    /// remove. A core number moves only at the subcore level
-    /// `K = min(core(u), core(v))`: a removal drops members from `K` to
-    /// `K − 1`, which crosses level `K` only; an insertion that promotes
-    /// anything promotes both endpoints' subcore to `K + 1` (else the new
-    /// edge would lie outside the new `(K + 1)`-core, which would then
-    /// have existed before it), so both endpoints end at or above the
-    /// one crossed level.
+    /// The highest level this update can have changed, `None` when it
+    /// changed nothing. A level's maximal k-core — vertex set and induced
+    /// edges — changes exactly when some vertex crosses `core ≥ k` or the
+    /// toggled edge lies inside it, which holds exactly for the levels
+    /// `k ≤ ceiling`: the ceiling is the lower endpoint core with the
+    /// edge present — after an insert, before a remove. A core number
+    /// moves only at the subcore level `K = min(core(u), core(v))`: a
+    /// removal drops members from `K` to `K − 1`, which crosses level `K`
+    /// only; an insertion that promotes anything promotes both endpoints'
+    /// subcore to `K + 1` (else the new edge would lie outside the new
+    /// `(K + 1)`-core, which would then have existed before it), so both
+    /// endpoints end at or above the one crossed level.
     pub fn ceiling(&self) -> Option<u32> {
         if !self.applied {
             return None;
@@ -838,10 +805,8 @@ mod tests {
         assert!(!self_loop.applied);
         let absent = m.apply_recorded(EdgeUpdate::Remove { u: 0, v: 6 });
         assert!(!absent.applied);
-        for k in 0..4 {
-            assert!(!dup.affects_level(k) && !self_loop.affects_level(k));
-            assert!(!absent.affects_level(k));
-        }
+        assert!(dup.ceiling().is_none() && self_loop.ceiling().is_none());
+        assert!(absent.ceiling().is_none());
     }
 
     #[test]
@@ -908,10 +873,9 @@ mod tests {
 
     #[test]
     fn unaffected_levels_have_identical_kcores() {
-        // The soundness contract of `affects_level`: whenever it says a
-        // level is unaffected, the k-core at that level — vertex set AND
-        // induced edge set — must be bit-identical across the update.
-        // And the affected levels are exactly those up to the ceiling.
+        // The contract of `ceiling`: the k-core — vertex set AND induced
+        // edge set — changes across the update exactly at the levels up
+        // to it.
         let n = 20u32;
         let mut m = CoreMaintainer::new(n as usize);
         let mut rng = 0x2545f4914f6cdd1du64;
@@ -934,31 +898,14 @@ mod tests {
             let old_graph = m.to_graph();
             let record = m.apply_recorded(update);
             let new_graph = m.to_graph();
-            let max_k = m.degeneracy() as usize + 2;
-            for k in 0..=max_k {
-                assert_eq!(
-                    record.affects_level(k),
-                    record.ceiling().is_some_and(|c| k <= c as usize),
-                    "level {k} against ceiling {:?} on {update:?}",
-                    record.ceiling()
-                );
-            }
-            for k in 1..=max_k {
-                if record.affects_level(k) {
-                    affected_seen = true;
-                    continue;
-                }
-                unaffected_seen = true;
-                assert_eq!(
-                    crate::kcore_mask(&old_graph, k).iter().collect::<Vec<_>>(),
-                    crate::kcore_mask(&new_graph, k).iter().collect::<Vec<_>>(),
-                    "unaffected level {k} changed its k-core vertex set on {update:?}"
-                );
-                assert_eq!(
-                    kcore_edges(&old_graph, k),
-                    kcore_edges(&new_graph, k),
-                    "unaffected level {k} changed its induced edges on {update:?}"
-                );
+            let ceiling = record.ceiling();
+            for k in 0..=m.degeneracy() as usize + 2 {
+                let kcore = |g: &Graph| (crate::kcore_mask(g, k).to_vec(), kcore_edges(g, k));
+                let changed = kcore(&old_graph) != kcore(&new_graph);
+                let below = ceiling.is_some_and(|c| k <= c as usize);
+                assert_eq!(changed, below, "level {k}, ceiling {ceiling:?}, {update:?}");
+                affected_seen |= changed;
+                unaffected_seen |= !changed;
             }
         }
         assert!(

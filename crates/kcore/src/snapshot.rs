@@ -27,7 +27,7 @@
 //! first [`GraphSnapshot::ensure_adjacency`] call, and whoever is about
 //! to read adjacency makes that call first.
 
-use crate::{core_decomposition, CoreDecomposition};
+use crate::{core_decomposition, ApplyDelta, CoreDecomposition};
 use ic_graph::{connected_components_within, BitSet, Graph, VertexId, WeightedGraph};
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -104,10 +104,10 @@ pub struct GraphSnapshot {
     /// forests) memoize here so they share the snapshot's lifetime and
     /// staleness story — a post-update snapshot inherits them only at
     /// the levels the update provably left alone
-    /// ([`share_levels_above`](Self::share_levels_above)) and rebuilds
-    /// the rest lazily, exactly like [`CoreLevel`]s. Every value must
-    /// therefore be a function of the level's maximal k-core (vertex
-    /// set, induced edges, weights) alone.
+    /// ([`successor`](Self::successor)); the rest rebuild lazily, like
+    /// [`CoreLevel`]s, unless their owner carries them from the
+    /// [`ApplyDelta`] (`ic-core`'s core rows). Every value must therefore
+    /// be a function of the level's maximal k-core alone.
     extensions: Mutex<HashMap<(usize, u8, TypeId), Extension>>,
 }
 
@@ -161,29 +161,29 @@ impl GraphSnapshot {
         snap
     }
 
-    /// Shares `from`'s memoized levels and extensions at every
-    /// `k > ceiling` with this snapshot — the same initialized cells, by
-    /// `Arc`, no copy. The caller vouches that both graphs have the same
-    /// weights and, at each such `k`, the same maximal k-core with the
-    /// same induced edges: `Engine::apply` passes the highest level its
-    /// updates changed (`CascadeRecord::ceiling`). Levels at or below
-    /// the ceiling start empty and rebuild lazily.
-    pub fn share_levels_above(&self, from: &GraphSnapshot, ceiling: usize) {
+    /// The snapshot an apply swaps in after this one: `graph` and
+    /// `decomp` are the edge set and core numbers after it, over this
+    /// snapshot's weights, and `delta` is what it changed. Every memoized
+    /// level and extension above `delta`'s ceiling is shared — the same
+    /// initialized cell, by `Arc` — since those k-cores, vertex sets and
+    /// induced edges, are untouched. Levels at or below it start empty.
+    pub fn successor(&self, graph: Graph, decomp: CoreDecomposition, delta: &ApplyDelta) -> Self {
         fn share<K: Copy + Eq + std::hash::Hash, V>(
             from: &Mutex<HashMap<K, Arc<OnceLock<V>>>>,
-            into: &Mutex<HashMap<K, Arc<OnceLock<V>>>>,
-            carried: impl Fn(K) -> bool,
-        ) {
+            kept: impl Fn(K) -> bool,
+        ) -> Mutex<HashMap<K, Arc<OnceLock<V>>>> {
             let from = from.lock().expect("snapshot cache poisoned");
-            let mut into = into.lock().expect("snapshot cache poisoned");
-            for (&key, cell) in from.iter() {
-                if carried(key) && cell.get().is_some() {
-                    into.entry(key).or_insert_with(|| Arc::clone(cell));
-                }
-            }
+            let built = from
+                .iter()
+                .filter(|&(&key, cell)| kept(key) && cell.get().is_some());
+            Mutex::new(built.map(|(&key, cell)| (key, Arc::clone(cell))).collect())
         }
-        share(&from.levels, &self.levels, |k| k > ceiling);
-        share(&from.extensions, &self.extensions, |(k, _, _)| k > ceiling);
+        let above = |k: usize| delta.level(k).is_none();
+        GraphSnapshot {
+            levels: share(&self.levels, above),
+            extensions: share(&self.extensions, |(k, _, _)| above(k)),
+            ..Self::with_decomposition(Arc::new(self.wg.with_graph(graph)), decomp)
+        }
     }
 
     /// Marks the snapshot as owing `check`, a structural check of its
@@ -363,11 +363,10 @@ impl GraphSnapshot {
     /// The memoized extension of type `T` under `(k, tag)`, built on
     /// first use. Like [`level`](Self::level), racing readers serialize
     /// on one `OnceLock` per key and the value is computed exactly once
-    /// per snapshot; a snapshot swapped in after a graph update holds
+    /// per snapshot; a snapshot swapped in after a graph update shares
     /// only the extensions of unchanged levels
-    /// ([`share_levels_above`](Self::share_levels_above)), so derived
-    /// structures of changed levels rebuild lazily instead of serving
-    /// stale state.
+    /// ([`successor`](Self::successor)), so none of a changed level's
+    /// is stale.
     ///
     /// `tag` disambiguates multiple extensions of the same type at one
     /// `k` (e.g. a min- vs max-direction community forest).
@@ -541,8 +540,12 @@ mod tests {
         let (one, two) = (old.level(1), old.level(2));
         let forest = old.extension(2, 0, || vec![1u32]);
         old.extension(1, 0, || vec![2u32]);
-        let new = snapshot();
-        new.share_levels_above(&old, 1);
+        // Cutting the pendant changes level 1 only.
+        let mut maintainer = crate::CoreMaintainer::from_graph(old.graph());
+        let records = [maintainer.apply_recorded(crate::EdgeUpdate::Remove { u: 2, v: 3 })];
+        let delta = ApplyDelta::new(&records, old.graph()).unwrap();
+        let graph = maintainer.patched_graph(old.graph(), &records);
+        let new = old.successor(graph, maintainer.decomposition(), &delta);
         assert_eq!(new.cached_levels(), 1);
         assert!(Arc::ptr_eq(&new.level(2), &two));
         assert!(!Arc::ptr_eq(&new.level(1), &one), "level 1 is rebuilt");
