@@ -3,7 +3,7 @@
 //! Each returns a markdown section; the `experiments` binary routes
 //! subcommands here.
 
-use crate::harness::{min_topr, sum_naive, tic_improved};
+use crate::harness::sum_naive;
 use crate::report::{fmt_secs, fmt_value, Table};
 use crate::runner::{time_median, time_once};
 use crate::workloads::{
@@ -11,7 +11,7 @@ use crate::workloads::{
     R_GRID, S_GRID,
 };
 use ic_core::algo::{self, local_search, LocalSearchConfig};
-use ic_core::{Aggregation, Community};
+use ic_core::{Aggregation, Community, Query};
 use ic_gen::datasets::Profile;
 use ic_gen::{aminer_network, GraphSeed};
 use ic_graph::stats::graph_stats;
@@ -73,9 +73,12 @@ pub fn fig2(ctx: &Ctx) -> String {
         for k in w.usable_k_grid() {
             eprintln!("[fig2] {} k={k}", w.spec.name);
             let (tn, rn) = time_once(|| sum_naive(&w.wg, k, DEFAULT_R, Aggregation::Sum));
-            let (ti, _) = time_once(|| tic_improved(&w.wg, k, DEFAULT_R, Aggregation::Sum, 0.0));
-            let (ta, _) =
-                time_once(|| tic_improved(&w.wg, k, DEFAULT_R, Aggregation::Sum, DEFAULT_EPSILON));
+            let (ti, _) = time_once(|| Query::new(k, DEFAULT_R, Aggregation::Sum).solve(&w.wg));
+            let (ta, _) = time_once(|| {
+                Query::new(k, DEFAULT_R, Aggregation::Sum)
+                    .approx(DEFAULT_EPSILON)
+                    .solve(&w.wg)
+            });
             let top1 = rn
                 .ok()
                 .and_then(|v| v.first().map(|c| c.value))
@@ -105,9 +108,12 @@ pub fn fig3(ctx: &Ctx) -> String {
         for r in R_GRID {
             eprintln!("[fig3] {} r={r}", w.spec.name);
             let (tn, _) = time_once(|| sum_naive(&w.wg, k, r, Aggregation::Sum));
-            let (ti, _) = time_once(|| tic_improved(&w.wg, k, r, Aggregation::Sum, 0.0));
-            let (ta, _) =
-                time_once(|| tic_improved(&w.wg, k, r, Aggregation::Sum, DEFAULT_EPSILON));
+            let (ti, _) = time_once(|| Query::new(k, r, Aggregation::Sum).solve(&w.wg));
+            let (ta, _) = time_once(|| {
+                Query::new(k, r, Aggregation::Sum)
+                    .approx(DEFAULT_EPSILON)
+                    .solve(&w.wg)
+            });
             t.row([r.to_string(), fmt_secs(tn), fmt_secs(ti), fmt_secs(ta)]);
         }
         out.push_str(&section(
@@ -133,7 +139,9 @@ pub fn fig4(ctx: &Ctx) -> String {
             let mut row = vec![k.to_string()];
             for &eps in &EPSILON_GRID {
                 let (ta, _) = time_median(3, || {
-                    tic_improved(&w.wg, k, DEFAULT_R, Aggregation::Sum, eps)
+                    Query::new(k, DEFAULT_R, Aggregation::Sum)
+                        .approx(eps)
+                        .solve(&w.wg)
                 });
                 row.push(fmt_secs(ta));
             }
@@ -159,7 +167,9 @@ pub fn fig5(ctx: &Ctx) -> String {
             eprintln!("[fig5] {} r={r}", w.spec.name);
             let mut row = vec![r.to_string()];
             for &eps in &EPSILON_GRID {
-                let (ta, _) = time_median(3, || tic_improved(&w.wg, k, r, Aggregation::Sum, eps));
+                let (ta, _) = time_median(3, || {
+                    Query::new(k, r, Aggregation::Sum).approx(eps).solve(&w.wg)
+                });
                 row.push(fmt_secs(ta));
             }
             t.row(row);
@@ -451,15 +461,15 @@ pub fn example1(_ctx: &Ctx) -> String {
         (sets.join(" "), vals.join(" "))
     };
 
-    let sum2 = tic_improved(&wg, 2, 2, Aggregation::Sum, 0.0).unwrap();
+    let sum2 = Query::new(2, 2, Aggregation::Sum).solve(&wg).unwrap();
     let (s, v) = fmt_comm(&sum2);
     t.row(["sum top-2 (k=2)".to_string(), s, v]);
 
-    let avg2 = algo::exact_topr(&wg, 2, 2, None, Aggregation::Average).unwrap();
+    let avg2 = algo::oracle::exact_topr(&wg, 2, 2, None, Aggregation::Average).unwrap();
     let (s, v) = fmt_comm(&avg2);
     t.row(["avg top-2 (k=2)".to_string(), s, v]);
 
-    let min2 = min_topr(&wg, 2, 2).unwrap();
+    let min2 = Query::new(2, 2, Aggregation::Min).solve(&wg).unwrap();
     let (s, v) = fmt_comm(&min2);
     t.row(["min top-2 (k=2)".to_string(), s, v]);
 

@@ -1,4 +1,8 @@
-//! Exact solvers (Algorithm 3 and the exhaustive oracle).
+//! Exact solvers (Algorithm 3 and the exhaustive oracle), served to
+//! callers as [`crate::algo::oracle::exact_topr`],
+//! [`crate::algo::oracle::exact_naive`] and
+//! [`crate::algo::oracle::all_communities`]: no [`crate::Query`] routes
+//! to them.
 //!
 //! Both are exponential and intended for tiny graphs: Algorithm 3's
 //! complexity is `O(Σ_{i=k+1}^{s} C(n,i) · (n+m))` (the paper presents it
@@ -7,10 +11,9 @@
 //! subgraph) and additionally enforces the maximality constraint of
 //! Definition 3, making it the ground-truth oracle for the test suite.
 
-use crate::algo::local_search::SubsetChecker;
 use crate::algo::{common::validate_k_r, community_from_vertices};
 use crate::{Aggregation, Community, SearchError, TopList};
-use ic_graph::{VertexId, WeightedGraph};
+use ic_graph::{BitSet, VertexId, WeightedGraph};
 
 /// All maximal k-influential communities (Definition 3) of the graph,
 /// sorted best-first. Exponential; intended for tiny graphs and tests.
@@ -72,13 +75,12 @@ pub fn exact_naive(
     }
     let n = wg.num_vertices();
     let g = wg.graph();
-    // Bounded list + reusable scratch: candidates that cannot beat the
+    // Bounded list + reusable mask: candidates that cannot beat the
     // running r-th value are evaluated without materializing a community
-    // (no per-candidate `to_vec`), and the connected-k-core test runs on
-    // stamped arrays instead of a fresh mask per subset.
+    // (no per-candidate `to_vec`).
     let mut list = TopList::new(r);
     let mut subset: Vec<VertexId> = Vec::new();
-    let mut checker = SubsetChecker::new(n);
+    let mut mask = BitSet::new(n);
     let mut weight_buf: Vec<f64> = Vec::with_capacity(s.min(n));
 
     // Enumerate combinations of each size i = k+1 ..= min(s, n).
@@ -103,7 +105,9 @@ pub fn exact_naive(
 
     for i in (k + 1)..=s.min(n) {
         combinations(n, i, 0, &mut subset, &mut |cand: &[VertexId]| {
-            if !checker.is_connected_kcore(g, cand, k) {
+            mask.clear();
+            cand.iter().for_each(|&v| mask.insert(v as usize));
+            if !ic_kcore::is_kcore_within(g, &mask, k) || !ic_graph::is_connected_within(g, &mask) {
                 return;
             }
             weight_buf.clear();
@@ -417,10 +421,13 @@ mod tests {
     fn exact_naive_agrees_with_oracle_for_sum() {
         // With sum and positive weights, maximality is vacuous, so
         // Algorithm 3 and the oracle agree on any size-bounded query.
+        // At s = 6 the two triangles together are a disconnected 2-core.
         let wg = small_two_triangles();
-        let naive = exact_naive(&wg, 2, 5, 3, Aggregation::Sum).unwrap();
-        let oracle = exact_topr(&wg, 2, 5, Some(3), Aggregation::Sum).unwrap();
-        assert_eq!(naive, oracle);
+        for s in [3, 6] {
+            let naive = exact_naive(&wg, 2, 5, s, Aggregation::Sum).unwrap();
+            let oracle = exact_topr(&wg, 2, 5, Some(s), Aggregation::Sum).unwrap();
+            assert_eq!(naive, oracle, "s = {s}");
+        }
     }
 
     #[test]

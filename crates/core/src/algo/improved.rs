@@ -26,6 +26,10 @@
 //! allocating it. With ε > 0 the vertex loop ends as soon as `R` is
 //! full. The from-scratch formulation is preserved as
 //! [`crate::algo::oracle::tic_improved`] for the property tests.
+//!
+//! [`tic_improved_on`] is the public entry point; [`crate::Query::solve`]
+//! runs it on a fresh snapshot, and the engine's `TIC` jobs drive a
+//! [`TicSearch`] directly.
 
 use crate::algo::common::{
     community_from_vertices, expand_children, require_corollary2, validate_k_r, vertex_set_key,
@@ -33,34 +37,14 @@ use crate::algo::common::{
 };
 use crate::{Aggregation, Community, SearchError};
 use ic_graph::{VertexId, WeightedGraph};
-use ic_kcore::{maximal_kcore_components, ArenaImage, Budget, CoreLevel, GraphSnapshot, PeelArena};
+use ic_kcore::{ArenaImage, Budget, CoreLevel, GraphSnapshot, PeelArena};
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
-/// Runs Algorithm 2 with the given ε (`0.0` = exact "Improve", `> 0` =
-/// "Approx"). The aggregation must declare the removal-decreasing
-/// certificate (Corollary 2).
-///
-/// Crate-internal: external callers route through
-/// [`crate::Query::solve`] / [`crate::Query::solve_on`] or
-/// `ic_engine::Engine`; [`tic_improved_on`] is the public snapshot-based
-/// entry point.
-pub(crate) fn tic_improved(
-    wg: &WeightedGraph,
-    k: usize,
-    r: usize,
-    aggregation: Aggregation,
-    epsilon: f64,
-) -> Result<Vec<Community>, SearchError> {
-    validate_improved(r, aggregation, epsilon)?;
-    let comps = maximal_kcore_components(wg.graph(), k);
-    let mut arena = PeelArena::for_graph(wg.graph());
-    Ok(TicSearch::new(wg, comps, k, r, aggregation, epsilon).run(wg, &mut arena))
-}
-
 /// Algorithm 2 against a [`GraphSnapshot`]: [`TicSearch::start_on`] run
-/// to its end on the caller's (typically pooled) arena. Output is
-/// bit-identical to [`crate::Query::solve`] on the same query.
+/// to its end on the caller's (typically pooled) arena. Output depends
+/// only on the snapshot's graph, not on what the snapshot or the arena
+/// already holds.
 pub fn tic_improved_on(
     snap: &GraphSnapshot,
     k: usize,
@@ -144,8 +128,8 @@ pub struct TicSearch {
     /// deletion order (reused across pops).
     order: Vec<VertexId>,
     scratch: ExpandScratch,
-    /// The level's root images; `None` on the per-graph path.
-    images: Option<Arc<RootImages>>,
+    /// The level's root images.
+    images: Arc<RootImages>,
     finished: bool,
     /// Cooperative deadline: checkpointed in the per-vertex expansion
     /// loop; also handed to the arena so long cascades keep the shared
@@ -168,24 +152,12 @@ impl TicSearch {
     ) -> Result<Self, SearchError> {
         validate_improved(r, aggregation, epsilon)?;
         let images = RootImages::of(snap, k);
-        let comps = images.level.components.clone();
-        let mut search = Self::new(snap.weighted(), comps, k, r, aggregation, epsilon);
-        search.images = Some(images);
-        Ok(search)
-    }
-
-    fn new(
-        wg: &WeightedGraph,
-        comps: Vec<Vec<VertexId>>,
-        k: usize,
-        r: usize,
-        aggregation: Aggregation,
-        epsilon: f64,
-    ) -> Self {
         // Line 1-2: candidate list seeded with the k-core components.
-        let mut candidates: Vec<Community> = comps
-            .into_iter()
-            .map(|c| community_from_vertices(wg, aggregation, c))
+        let mut candidates: Vec<Community> = images
+            .level
+            .components
+            .iter()
+            .map(|c| community_from_vertices(snap.weighted(), aggregation, c.clone()))
             .collect();
         candidates.sort_by(|a, b| a.ranking_cmp(b));
         candidates.truncate(r);
@@ -193,7 +165,7 @@ impl TicSearch {
             .iter()
             .map(|c| vertex_set_key(&c.vertices))
             .collect();
-        TicSearch {
+        Ok(TicSearch {
             k,
             r,
             aggregation,
@@ -206,11 +178,11 @@ impl TicSearch {
             fresh: Vec::new(),
             order: Vec::new(),
             scratch: ExpandScratch::default(),
-            images: None,
+            images,
             finished: false,
             budget: None,
             aborted: false,
-        }
+        })
     }
 
     /// Arms (or disarms) a cooperative deadline. On expiry the search
@@ -305,7 +277,7 @@ impl TicSearch {
         // instead of a full re-peel.
         arena.set_budget(self.budget.clone());
         let mut parent = Parent::new(wg, self.aggregation, &lmax, self.k);
-        parent.image = self.images.as_deref().and_then(|i| i.slot(&lmax.vertices));
+        parent.image = self.images.slot(&lmax.vertices);
         // Line 13: the pre-cascade value of Lmax ∖ {v} upper-bounds
         // every child it can produce, and `threshold` is fixed for the
         // pop, so the vertices it dismisses are dropped before anything
@@ -438,24 +410,37 @@ fn r_th_value(results: &[Community], candidates: &[Community], r: usize) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{exact_topr, oracle};
+    use crate::algo::oracle::{self, exact_topr};
     use crate::figure1::{figure1, vs};
-    use ic_graph::{graph_from_edges, WeightedGraph};
+    use ic_graph::graph_from_edges;
+
+    /// Algorithm 2 on a fresh snapshot and arena, as `Query::solve` runs it.
+    fn solve_fresh(
+        wg: &WeightedGraph,
+        k: usize,
+        r: usize,
+        aggregation: Aggregation,
+        epsilon: f64,
+    ) -> Result<Vec<Community>, SearchError> {
+        let snap = GraphSnapshot::new(wg.clone());
+        let mut arena = PeelArena::for_graph(snap.graph());
+        tic_improved_on(&snap, k, r, aggregation, epsilon, &mut arena)
+    }
 
     #[test]
     fn rejects_bad_params() {
         let wg = figure1();
-        assert!(tic_improved(&wg, 2, 0, Aggregation::Sum, 0.0).is_err());
-        assert!(tic_improved(&wg, 2, 2, Aggregation::Sum, 1.0).is_err());
-        assert!(tic_improved(&wg, 2, 2, Aggregation::Sum, -0.1).is_err());
-        assert!(tic_improved(&wg, 2, 2, Aggregation::Average, 0.0).is_err());
-        assert!(tic_improved(&wg, 2, 2, Aggregation::Min, 0.0).is_err());
+        assert!(solve_fresh(&wg, 2, 0, Aggregation::Sum, 0.0).is_err());
+        assert!(solve_fresh(&wg, 2, 2, Aggregation::Sum, 1.0).is_err());
+        assert!(solve_fresh(&wg, 2, 2, Aggregation::Sum, -0.1).is_err());
+        assert!(solve_fresh(&wg, 2, 2, Aggregation::Average, 0.0).is_err());
+        assert!(solve_fresh(&wg, 2, 2, Aggregation::Min, 0.0).is_err());
     }
 
     #[test]
     fn figure1_exact_mode_matches_example1() {
         let wg = figure1();
-        let top = tic_improved(&wg, 2, 2, Aggregation::Sum, 0.0).unwrap();
+        let top = solve_fresh(&wg, 2, 2, Aggregation::Sum, 0.0).unwrap();
         assert_eq!(top[0].vertices, vs(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]));
         assert_eq!(top[0].value, 203.0);
         assert_eq!(top[1].vertices, vs(&[1, 2, 4, 5, 6, 7, 8, 9, 10, 11]));
@@ -466,7 +451,7 @@ mod tests {
     fn exact_mode_matches_oracle_for_deeper_r() {
         let wg = figure1();
         for r in [1, 2, 3, 5, 8] {
-            let got = tic_improved(&wg, 2, r, Aggregation::Sum, 0.0).unwrap();
+            let got = solve_fresh(&wg, 2, r, Aggregation::Sum, 0.0).unwrap();
             let expect = exact_topr(&wg, 2, r, None, Aggregation::Sum).unwrap();
             let got_vals: Vec<f64> = got.iter().map(|c| c.value).collect();
             let expect_vals: Vec<f64> = expect.iter().map(|c| c.value).collect();
@@ -478,7 +463,7 @@ mod tests {
     fn exact_mode_matches_naive() {
         let wg = figure1();
         for r in [1, 2, 4, 6] {
-            let a = tic_improved(&wg, 2, r, Aggregation::Sum, 0.0).unwrap();
+            let a = solve_fresh(&wg, 2, r, Aggregation::Sum, 0.0).unwrap();
             let b = oracle::sum_naive(&wg, 2, r, Aggregation::Sum).unwrap();
             let av: Vec<f64> = a.iter().map(|c| c.value).collect();
             let bv: Vec<f64> = b.iter().map(|c| c.value).collect();
@@ -492,7 +477,7 @@ mod tests {
         for eps in [0.0, 0.1, 0.3] {
             for r in [1, 2, 4, 7] {
                 assert_eq!(
-                    tic_improved(&wg, 2, r, Aggregation::Sum, eps).unwrap(),
+                    solve_fresh(&wg, 2, r, Aggregation::Sum, eps).unwrap(),
                     crate::algo::oracle::tic_improved(&wg, 2, r, Aggregation::Sum, eps).unwrap(),
                     "eps = {eps} r = {r}"
                 );
@@ -505,8 +490,8 @@ mod tests {
         let wg = figure1();
         for epsilon in [0.01, 0.05, 0.1, 0.2, 0.5] {
             for r in [1, 2, 3, 5] {
-                let exact = tic_improved(&wg, 2, r, Aggregation::Sum, 0.0).unwrap();
-                let approx = tic_improved(&wg, 2, r, Aggregation::Sum, epsilon).unwrap();
+                let exact = solve_fresh(&wg, 2, r, Aggregation::Sum, 0.0).unwrap();
+                let approx = solve_fresh(&wg, 2, r, Aggregation::Sum, epsilon).unwrap();
                 assert_eq!(exact.len(), approx.len());
                 let re = exact.last().unwrap().value;
                 let ra = approx.last().unwrap().value;
@@ -527,7 +512,7 @@ mod tests {
             for r in [1, 3, 6] {
                 assert_eq!(
                     tic_improved_on(&snap, 2, r, Aggregation::Sum, eps, &mut arena).unwrap(),
-                    tic_improved(&wg, 2, r, Aggregation::Sum, eps).unwrap(),
+                    solve_fresh(&wg, 2, r, Aggregation::Sum, eps).unwrap(),
                     "eps = {eps} r = {r}"
                 );
             }
@@ -541,7 +526,7 @@ mod tests {
         let snap = GraphSnapshot::new(wg.clone());
         let mut arena = PeelArena::for_graph(snap.graph());
         // Generous budget: identical to the unbudgeted run, no abort.
-        let full = tic_improved(&wg, 2, 7, Aggregation::Sum, 0.0).unwrap();
+        let full = solve_fresh(&wg, 2, 7, Aggregation::Sum, 0.0).unwrap();
         let mut search = TicSearch::start_on(&snap, 2, 7, Aggregation::Sum, 0.0).unwrap();
         search.set_budget(Some(Arc::new(Budget::within(Duration::from_secs(3600)))));
         assert_eq!(search.run(&wg, &mut arena), full);
@@ -549,7 +534,7 @@ mod tests {
         // Already-expired budget: whatever is returned is a bit-identical
         // prefix of the full answer, and the truncation is reported.
         for eps in [0.0, 0.2] {
-            let full = tic_improved(&wg, 2, 7, Aggregation::Sum, eps).unwrap();
+            let full = solve_fresh(&wg, 2, 7, Aggregation::Sum, eps).unwrap();
             let mut search = TicSearch::start_on(&snap, 2, 7, Aggregation::Sum, eps).unwrap();
             let expired = Arc::new(Budget::within(Duration::from_millis(0)));
             std::thread::sleep(Duration::from_millis(2));
@@ -585,7 +570,7 @@ mod tests {
             0.1, 0.9, 18.0, 18.0, 17.8, 5.5, 5.5, 5.6, 5.6, 5.7, 5.7, 5.8, 5.8,
         ];
         let wg = WeightedGraph::new(g, weights).unwrap();
-        let got = tic_improved(&wg, 2, 5, Aggregation::Sum, 0.1).unwrap();
+        let got = solve_fresh(&wg, 2, 5, Aggregation::Sum, 0.1).unwrap();
         let expect = oracle::tic_improved(&wg, 2, 5, Aggregation::Sum, 0.1).unwrap();
         assert_eq!(got, expect);
         assert_eq!(got[4].vertices, [0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 12]);
@@ -653,7 +638,7 @@ mod tests {
     fn sum_surplus_supported() {
         let wg = figure1();
         let agg = Aggregation::SumSurplus { alpha: 2.0 };
-        let top = tic_improved(&wg, 2, 2, agg, 0.0).unwrap();
+        let top = solve_fresh(&wg, 2, 2, agg, 0.0).unwrap();
         assert_eq!(top[0].value, 203.0 + 22.0);
         assert_eq!(top[1].value, 195.0 + 20.0);
     }
@@ -662,7 +647,7 @@ mod tests {
     fn empty_kcore_returns_empty() {
         let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
         let wg = WeightedGraph::new(g, vec![1.0; 3]).unwrap();
-        assert!(tic_improved(&wg, 2, 5, Aggregation::Sum, 0.0)
+        assert!(solve_fresh(&wg, 2, 5, Aggregation::Sum, 0.0)
             .unwrap()
             .is_empty());
     }
@@ -671,7 +656,7 @@ mod tests {
     fn two_components_with_disjoint_values() {
         let g = graph_from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let wg = WeightedGraph::new(g, vec![1.0, 1.0, 1.0, 5.0, 5.0, 5.0]).unwrap();
-        let top = tic_improved(&wg, 2, 2, Aggregation::Sum, 0.0).unwrap();
+        let top = solve_fresh(&wg, 2, 2, Aggregation::Sum, 0.0).unwrap();
         assert_eq!(top[0].value, 15.0);
         assert_eq!(top[1].value, 3.0);
     }

@@ -1478,7 +1478,7 @@ mod tests {
         ] {
             let idx = ExtremumIndex::build(&wg, 2, extremum);
             for r in 1..=3 {
-                let want = crate::algo::exact_topr(&wg, 2, r, None, extremum.aggregation());
+                let want = crate::algo::oracle::exact_topr(&wg, 2, r, None, extremum.aggregation());
                 let want = want.unwrap();
                 assert_eq!(
                     idx.topr(&wg, r).unwrap(),

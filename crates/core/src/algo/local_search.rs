@@ -39,7 +39,7 @@ use crate::algo::common::validate_k_r;
 use crate::algo::seed_memo::expand_seed;
 use crate::community::encode_ordered_f64;
 use crate::{AggregateState, Aggregation, Community, Extremum, SearchError, TopList};
-use ic_graph::{BitSet, Graph, VertexId, WeightedGraph};
+use ic_graph::{BitSet, VertexId, WeightedGraph};
 use ic_kcore::{kcore_mask, ApplyDelta, GraphSnapshot, LevelDelta};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -590,82 +590,12 @@ impl LocalScratch {
     }
 }
 
-/// Stamped-array scratch for "is this vertex list a connected k-core?"
-/// checks in `O(Σ_{v ∈ C} d(v))` without allocation per call. Used by the
-/// exhaustive enumeration; the local-search strategies themselves use the
-/// incremental [`LocalScratch`] tracker instead.
-pub(crate) struct SubsetChecker {
-    stamp: Vec<u32>,
-    visited: Vec<u32>,
-    generation: u32,
-    queue: VecDeque<VertexId>,
-}
-
-impl SubsetChecker {
-    pub(crate) fn new(n: usize) -> Self {
-        SubsetChecker {
-            stamp: vec![0; n],
-            visited: vec![0; n],
-            generation: 0,
-            queue: VecDeque::new(),
-        }
-    }
-
-    pub(crate) fn is_connected_kcore(
-        &mut self,
-        g: &Graph,
-        vertices: &[VertexId],
-        k: usize,
-    ) -> bool {
-        if vertices.is_empty() {
-            return false;
-        }
-        if self.generation == u32::MAX {
-            self.stamp.fill(0);
-            self.visited.fill(0);
-            self.generation = 0;
-        }
-        self.generation += 1;
-        let generation = self.generation;
-        for &v in vertices {
-            self.stamp[v as usize] = generation;
-        }
-        // Minimum internal degree.
-        for &v in vertices {
-            let d = g
-                .neighbors(v)
-                .iter()
-                .filter(|&&u| self.stamp[u as usize] == generation)
-                .count();
-            if d < k {
-                return false;
-            }
-        }
-        // Connectivity.
-        self.queue.clear();
-        self.queue.push_back(vertices[0]);
-        self.visited[vertices[0] as usize] = generation;
-        let mut reached = 0usize;
-        while let Some(x) = self.queue.pop_front() {
-            reached += 1;
-            for &u in g.neighbors(x) {
-                let ui = u as usize;
-                if self.stamp[ui] == generation && self.visited[ui] != generation {
-                    self.visited[ui] = generation;
-                    self.queue.push_back(u);
-                }
-            }
-        }
-        reached == vertices.len()
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::algo::oracle;
     use crate::figure1::{figure1, vs};
-    use crate::verify::check_community;
+    use crate::verify::{check_community, check_structure};
 
     fn cfg(k: usize, r: usize, s: usize, greedy: bool) -> LocalSearchConfig {
         LocalSearchConfig { k, r, s, greedy }
@@ -783,15 +713,15 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn incremental_tracker_matches_subset_checker() {
+    fn incremental_tracker_matches_check_structure() {
         let wg = figure1();
-        let g = wg.graph();
-        let n = g.num_vertices();
+        let n = wg.num_vertices();
         let rows = &CoreRows::build(&wg, &BitSet::full(n));
         let mut scratch = LocalScratch::new(n);
-        let mut checker = SubsetChecker::new(n);
+        let connected_kcore =
+            |c: &[u32], k| check_structure(&wg, k, &Community::new(c.to_vec(), 0.0)).is_ok();
         // Grow a candidate vertex by vertex and compare the incremental
-        // verdict against the from-scratch checker at every step.
+        // verdict against the from-scratch check at every step.
         for k in 1..4usize {
             let order: Vec<u32> = (0..n as u32).collect();
             scratch.begin_candidate(k);
@@ -800,7 +730,7 @@ pub(crate) mod tests {
                 scratch.push(rows, v);
                 current.push(v);
                 let incremental = scratch.is_kcore() && scratch.is_connected(rows, current[0]);
-                let reference = checker.is_connected_kcore(g, &current, k);
+                let reference = connected_kcore(&current, k);
                 assert_eq!(incremental, reference, "k={k} grow {current:?}");
             }
             // Shrink from the back, comparing again.
@@ -810,7 +740,7 @@ pub(crate) mod tests {
                     break;
                 }
                 let incremental = scratch.is_kcore() && scratch.is_connected(rows, current[0]);
-                let reference = checker.is_connected_kcore(g, &current, k);
+                let reference = connected_kcore(&current, k);
                 assert_eq!(incremental, reference, "k={k} shrink {current:?}");
             }
         }
@@ -1039,18 +969,5 @@ pub(crate) mod tests {
         assert_eq!(expand(&wg, 3, &mut mixed), 3, "avg is live");
         assert_eq!(mixed[0].1.items()[0].vertices, [0, 1, 2]);
         assert_eq!(mixed[1].1.items()[0].vertices, [3, 4, 5]);
-    }
-
-    #[test]
-    fn checker_detects_all_cases() {
-        let wg = figure1();
-        let g = wg.graph();
-        let mut ch = SubsetChecker::new(g.num_vertices());
-        assert!(ch.is_connected_kcore(g, &vs(&[1, 2, 4]), 2));
-        assert!(!ch.is_connected_kcore(g, &vs(&[1, 2]), 2)); // degree 1
-        assert!(!ch.is_connected_kcore(g, &vs(&[1, 2, 4, 5, 7, 8]), 2)); // disconnected
-        assert!(!ch.is_connected_kcore(g, &[], 0));
-        // Repeated calls stay correct.
-        assert!(ch.is_connected_kcore(g, &vs(&[3, 9, 10]), 2));
     }
 }

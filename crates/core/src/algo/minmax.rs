@@ -153,7 +153,8 @@ pub(crate) fn peel_timeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{exact_topr, oracle, ExtremumIndex};
+    use crate::algo::oracle::{self, exact_topr};
+    use crate::algo::ExtremumIndex;
     use crate::figure1::{figure1, vs};
     use crate::{Aggregation, Community, Query, SearchError};
     use ic_graph::{graph_from_edges, WeightedGraph};

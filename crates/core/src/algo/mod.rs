@@ -3,18 +3,21 @@
 //! * [`sum_naive_on`] — Algorithm 1 (`SUM-NAÏVE`);
 //! * [`tic_improved_on`] — Algorithm 2 (`TIC-IMPROVED`): exact with ε = 0
 //!   ("Improve"), (1−ε)-approximate with ε > 0 ("Approx");
-//! * [`exact_topr`] / [`exact_naive`] — Algorithm 3 (`TIC-EXACT`) and the
-//!   maximality-aware exhaustive oracle;
 //! * [`local_search`] — Algorithm 4 with `SumStrategy` / `AvgStrategy`,
 //!   greedy or random. Every walk expands a seed the same way: its pool
 //!   is built into a seed-memo entry and the strategies replay it; the
 //!   engine's walks ([`run_seed_memo`]) keep the entries in a
-//!   [`SeedMemo`], the others drop them. [`oracle::local_search`] is the
-//!   independent reference;
+//!   [`SeedMemo`], the others drop them;
 //! * [`ExtremumIndex`] — the threshold peel for the node-domination
 //!   aggregations `min` and `max` (prior work: Li et al. VLDB'15), linked
 //!   into a community forest that every `r` reads;
 //! * [`nonoverlap`] — TONIC (non-overlapping) wrappers.
+//!
+//! [`oracle`] holds the reference solvers no query routes to: Algorithm 3
+//! (`TIC-EXACT`, [`oracle::exact_naive`]), which the paper gives only to
+//! motivate the heuristics, the maximality-aware exhaustive
+//! [`oracle::exact_topr`], the from-scratch re-peel forms of the arena
+//! solvers, and the paper-printed [`oracle::local_search`].
 //!
 //! These free functions are the *algorithm* layer; they know nothing of
 //! caches or family merges. Serving code routes through [`crate::Query`]
@@ -26,6 +29,7 @@
 //! hand-dispatch on aggregation again.
 
 mod common;
+// The exhaustive solvers, public only as `oracle::{exact_topr, …}`.
 mod exact;
 mod improved;
 mod index;
@@ -37,7 +41,6 @@ mod seed_memo;
 mod sum_naive;
 
 pub use common::ExpansionCounts;
-pub use exact::{all_communities, exact_naive, exact_topr};
 pub use improved::{tic_improved_on, TicSearch};
 pub use index::{ExtremumIndex, IndexParts};
 pub use local_search::{
@@ -47,10 +50,6 @@ pub use local_search::{
 pub use seed_memo::{run_seed_memo, Carried, MemoFamily, SeedMemo, SeedVisit};
 pub use sum_naive::sum_naive_on;
 
-// The per-graph forms are crate-internal: callers route through
-// [`crate::Query::solve`] / [`crate::Query::solve_on`] (or
-// `ic_engine::Engine` when serving more than one query).
-pub(crate) use improved::tic_improved;
 pub(crate) use local_search::local_search_in;
 
 pub(crate) use common::community_from_vertices;

@@ -14,7 +14,8 @@
 //! applies the same greedy removal inside the local-search heuristic.
 
 use crate::algo::common::{components_as_communities, require_corollary2, validate_k_r};
-use crate::algo::{exact_topr, ExtremumIndex};
+use crate::algo::oracle::exact_topr;
+use crate::algo::ExtremumIndex;
 use crate::{Aggregation, Community, Extremum, SearchError};
 use ic_graph::{induce, BitSet, WeightedGraph};
 use ic_kcore::maximal_kcore_components;

@@ -1,6 +1,11 @@
-//! From-scratch re-peel reference solvers.
+//! Reference solvers: no [`crate::Query`] routes to them.
 //!
-//! These are the pre-arena implementations of the four rewritten solvers:
+//! [`exact_topr`] (with [`all_communities`]) is the exhaustive,
+//! maximality-aware ground truth on tiny graphs, and [`exact_naive`] is
+//! Algorithm 3 (`TIC-EXACT`) as printed, which the paper gives only to
+//! motivate the heuristics.
+//!
+//! The rest are the pre-arena implementations of the four rewritten solvers:
 //! every deletion step re-computes internal degrees over the whole
 //! community ([`ic_kcore::PeelScratch`]) or clones mask state per pass.
 //! They are kept as the **correctness oracle**: the property tests assert
@@ -12,6 +17,8 @@
 //!
 //! Do not use these in production paths; they are deliberately the slow,
 //! allocation-happy formulation.
+
+pub use crate::algo::exact::{all_communities, exact_naive, exact_topr};
 
 use crate::algo::common::{
     community_from_vertices, components_as_communities, require_corollary2, validate_k_r,

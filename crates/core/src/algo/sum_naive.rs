@@ -123,7 +123,7 @@ fn sum_naive_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::exact_topr;
+    use crate::algo::oracle::exact_topr;
     use crate::figure1::{figure1, vs};
     use ic_graph::{graph_from_edges, WeightedGraph};
 

@@ -25,7 +25,7 @@
 //! |----------------|-------------|------------------------|
 //! | Algorithm 1 (`SUM-NAÏVE`) | [`algo::sum_naive_on`] | removal-decreasing |
 //! | Algorithm 2 (`TIC-IMPROVED`), ε = 0 "Improve", ε > 0 "Approx" | [`Query::solve`] → [`algo::tic_improved_on`] | removal-decreasing (+ O(1) remove delta for pruning) |
-//! | Algorithm 3 (`TIC-EXACT`) | [`algo::exact_topr`] / [`algo::exact_naive`] | any aggregation, tiny graphs |
+//! | Algorithm 3 (`TIC-EXACT`), a reference only | [`algo::oracle::exact_naive`] / the exhaustive [`algo::oracle::exact_topr`] | not routed; any aggregation, tiny graphs |
 //! | Algorithm 4 (`LOCAL SEARCH`) with `SumStrategy`/`AvgStrategy` | [`Query::solve`] → [`algo::local_search`], over the k-core's weight-ordered rows ([`algo::CoreRows`]); each seed's pool is built into a seed-memo entry and replayed, as in the engine | any aggregation, size-constrained (peel extremum `Min` also skips seeds at or under the bar; an entry's value bounds skip the strategies that cannot beat it) |
 //! | min/max threshold peel (Li et al. VLDB'15 style) | [`Query::solve`] → [`algo::ExtremumIndex`] | peel extremum |
 //! | TONIC (non-overlapping) variants | [`algo::nonoverlap`] | per solver |

@@ -15,14 +15,13 @@
 //! * [`Solver`] — the routing decision: which of the paper's algorithms
 //!   answers a query. [`Query::solver`] maps the aggregation's declared
 //!   [`Certificates`](crate::Certificates) plus `(constraint, ε)` onto
-//!   it (and doubles as full validation); [`Query::solve`] and
-//!   [`Query::solve_on`] dispatch to the algorithm, so callers —
-//!   `ic-engine`'s planner, the examples, the conformance tests — never
-//!   hand-dispatch again.
+//!   it (and doubles as full validation); [`Query::solve_on`] is the one
+//!   dispatch to the algorithm ([`Query::solve`] runs it on a fresh
+//!   snapshot), so callers — `ic-engine`'s planner, the examples, the
+//!   conformance tests — never hand-dispatch again.
 //!
-//! The per-graph solver forms are crate-internal; this router (or
-//! `ic_engine::Engine`, when serving more than one query) is how queries
-//! are answered. Because routing reads
+//! This router (or `ic_engine::Engine`, when serving more than one
+//! query) is how queries are answered. Because routing reads
 //! certificates, a user-defined aggregation registered with
 //! [`Aggregation::custom`] is served exactly like a built-in with the
 //! same declared properties.
@@ -241,26 +240,18 @@ impl Query {
         }
     }
 
-    /// Routes and solves the query against `wg` with a direct solver
-    /// call (fresh decomposition per call). This replaces the
-    /// hand-written `match aggregation { … }` dispatch every pre-PR-3
-    /// caller carried.
+    /// Routes and solves the query against `wg`: [`Query::solve_on`] on
+    /// a fresh snapshot (its own decomposition) and arena.
     pub fn solve(&self, wg: &WeightedGraph) -> Result<Vec<Community>, SearchError> {
-        match self.solver()? {
-            Solver::MinPeel => ExtremumIndex::build(wg, self.k, Extremum::Min).topr(wg, self.r),
-            Solver::MaxPeel => ExtremumIndex::build(wg, self.k, Extremum::Max).topr(wg, self.r),
-            Solver::TicExact | Solver::TicApprox => {
-                algo::tic_improved(wg, self.k, self.r, self.aggregation, self.epsilon)
-            }
-            Solver::LocalSearch => {
-                algo::local_search(wg, &self.local_search_config(), self.aggregation)
-            }
-        }
+        self.solver()?;
+        let snap = GraphSnapshot::new(wg.clone());
+        let mut arena = PeelArena::for_graph(snap.graph());
+        self.solve_on(&snap, &mut arena)
     }
 
-    /// [`Query::solve`] against a memoized [`GraphSnapshot`] and a
-    /// caller-owned (typically pooled) arena. Output is bit-identical to
-    /// [`Query::solve`] on the snapshot's graph.
+    /// Routes and solves the query against a memoized [`GraphSnapshot`]
+    /// and a caller-owned (typically pooled) arena; the one solver
+    /// dispatch. Output depends only on the snapshot's graph.
     pub fn solve_on(
         &self,
         snap: &GraphSnapshot,
@@ -389,14 +380,14 @@ mod tests {
         );
         assert_eq!(
             Query::new(2, 3, Aggregation::Sum).solve(&wg).unwrap(),
-            algo::tic_improved(&wg, 2, 3, Aggregation::Sum, 0.0).unwrap()
+            algo::oracle::tic_improved(&wg, 2, 3, Aggregation::Sum, 0.0).unwrap()
         );
         assert_eq!(
             Query::new(2, 3, Aggregation::Sum)
                 .approx(0.1)
                 .solve(&wg)
                 .unwrap(),
-            algo::tic_improved(&wg, 2, 3, Aggregation::Sum, 0.1).unwrap()
+            algo::oracle::tic_improved(&wg, 2, 3, Aggregation::Sum, 0.1).unwrap()
         );
         let cfg = LocalSearchConfig {
             k: 2,

@@ -36,7 +36,7 @@ pub enum Violation {
 
 /// Checks the *cohesive* and *connected* constraints (Definition 3, items
 /// 1–2) plus membership sanity; does not check maximality (see
-/// [`crate::algo::exact_topr`] for the exhaustive oracle used in tests).
+/// [`crate::algo::oracle::exact_topr`] for the exhaustive oracle used in tests).
 pub fn check_structure(
     wg: &WeightedGraph,
     k: usize,

@@ -4,7 +4,7 @@
 //! exact solver to small gadget instances and confirm the behaviour each
 //! theorem relies on.
 
-use ic_core::algo::exact_topr;
+use ic_core::algo::oracle::exact_topr;
 use ic_core::figure1::{figure1, vs};
 use ic_core::verify::evaluate_community;
 use ic_core::Aggregation;

@@ -1,9 +1,9 @@
 //! Property-based cross-validation of every solver against the exhaustive
 //! oracle on random weighted graphs.
 
+use ic_core::algo::oracle::{self, exact_naive, exact_topr};
 use ic_core::algo::{
-    self, exact_naive, exact_topr, local_search, local_search_nonoverlapping, nonoverlap,
-    ExtremumIndex, LocalSearchConfig,
+    self, local_search, local_search_nonoverlapping, nonoverlap, ExtremumIndex, LocalSearchConfig,
 };
 use ic_core::verify::check_community;
 use ic_core::{Aggregation, Community, Extremum, Query, SearchError};
@@ -205,7 +205,7 @@ proptest! {
     #[test]
     fn oracle_results_pass_full_verification(wg in arb_wgraph(10), k in 1usize..3) {
         for agg in [Aggregation::Sum, Aggregation::Average, Aggregation::Min, Aggregation::Max] {
-            let res = algo::exact_topr(&wg, k, 4, None, agg).unwrap();
+            let res = oracle::exact_topr(&wg, k, 4, None, agg).unwrap();
             for c in &res {
                 prop_assert!(check_community(&wg, k, None, agg, c).is_ok(),
                     "{} produced invalid community {:?}", agg.name(), c.vertices);

@@ -134,7 +134,7 @@ pub trait QueryBackend: Send + Sync {
     ///
     /// The default refuses with [`EngineError::Unsupported`]: a backend
     /// must opt in to mutation. [`Engine`] overrides this with a
-    /// validated [`Engine::try_apply_journaled`]; scatter-gather fronts
+    /// validated [`Engine::try_apply`]; scatter-gather fronts
     /// (`ic-shard`) keep the refusal — their snapshots are immutable
     /// mmap-backed store files.
     fn apply_updates(&self, updates: &[EdgeUpdate]) -> Result<(Epoch, bool), EngineError> {
@@ -168,7 +168,7 @@ impl QueryBackend for Engine {
     }
 
     fn apply_updates(&self, updates: &[EdgeUpdate]) -> Result<(Epoch, bool), EngineError> {
-        let outcome = self.try_apply_journaled(updates)?;
+        let outcome = self.try_apply(updates)?;
         Ok((outcome.epoch, outcome.changed))
     }
 
@@ -245,67 +245,18 @@ impl ApplyOutcome {
     }
 }
 
-/// How [`Engine::open_with_options`] opens a persisted store: worker
-/// count, the store read retry policy (transient I/O failures are
-/// retried with exponential backoff — previously hardcoded inside the
-/// store layer), and whether to memory-map the file instead of bulk
-/// reading it.
-///
-/// The default **maps** the store: the snapshot borrows the kernel page
-/// cache instead of copying every section into owned buffers, so cold
-/// start pays for the bytes a query actually touches, not the file
-/// size. Use [`OpenOptions::owned_buffer`] to force the copying read
-/// (e.g. to release the file handle immediately, or on filesystems
-/// where mapping is undesirable).
-#[derive(Debug, Clone)]
-pub struct OpenOptions {
-    /// Worker threads for the opened engine (`>= 1`; clamped).
-    pub threads: usize,
-    /// Store-layer read options: retry policy + mapped/owned backing.
-    pub store: ic_store::OpenOptions,
-}
-
-impl Default for OpenOptions {
-    fn default() -> Self {
-        OpenOptions {
-            threads: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
-            store: ic_store::OpenOptions::mapped(),
-        }
-    }
-}
-
-impl OpenOptions {
-    /// Sets the worker thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the store read retry policy: `attempts` total tries for
-    /// transient I/O failures, exponential backoff starting at
-    /// `backoff`.
-    pub fn read_retries(mut self, attempts: u32, backoff: std::time::Duration) -> Self {
-        self.store.attempts = attempts;
-        self.store.backoff = backoff;
-        self
-    }
-
-    /// Forces the bulk-copying owned-buffer read path instead of the
-    /// default memory map.
-    pub fn owned_buffer(mut self) -> Self {
-        self.store.map = false;
-        self
-    }
+/// The worker count an engine gets when none is given: the hardware's
+/// available parallelism, or 1 when it cannot be read.
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// One-stop import of the full serving vocabulary:
 /// `use ic_engine::prelude::*;`.
 pub mod prelude {
     pub use crate::{
-        AnswerSink, AnswerStatus, BatchOptions, DegradeReason, Engine, EngineError, Epoch,
-        OpenOptions, Plan, PlanStats, QueryAnswer, QueryBackend, SharedAnswer,
+        AnswerSink, AnswerStatus, BatchOptions, DegradeReason, Engine, EngineError, Epoch, Plan,
+        PlanStats, QueryAnswer, QueryBackend, SharedAnswer,
     };
     pub use ic_core::{
         AggregateFn, Aggregation, Certificates, Community, Constraint, Extremum, Hardness, Query,
@@ -476,10 +427,7 @@ const DEFAULT_CACHE_CAPACITY: usize = 4096;
 impl Engine {
     /// Builds an engine using all available hardware parallelism.
     pub fn new(wg: WeightedGraph) -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        Self::with_threads(wg, threads)
+        Self::with_threads(wg, available_threads())
     }
 
     /// Builds an engine with an explicit worker count (`>= 1`; clamped).
@@ -496,7 +444,10 @@ impl Engine {
     /// milliseconds. Answers are bit-identical to an engine built from
     /// scratch on the same graph (held by the store round-trip suite).
     ///
-    /// A mapped store carrying section sums is verified at open in
+    /// The file is memory-mapped: the snapshot borrows the kernel page
+    /// cache instead of copying every section into owned buffers, so a
+    /// cold start pays for the bytes its queries touch, not the file
+    /// size. A mapped store carrying section sums is verified at open in
     /// everything except its adjacency arrays: their section hashes and
     /// `O(m)` structure check stay **owed** by the snapshot
     /// (`StoreFile::load_deferred`) and run once, before the first
@@ -514,30 +465,16 @@ impl Engine {
     /// `store.adjacency_check_failures` and `store.adjacency_check_ns`
     /// on [`obs_registry`](Self::obs_registry).
     pub fn open<P: AsRef<std::path::Path>>(path: P) -> Result<Engine, StoreError> {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        Self::open_with_threads(path, threads)
+        Self::open_with_threads(path, available_threads())
     }
 
-    /// [`Engine::open`] with an explicit worker count.
+    /// [`Engine::open`] with an explicit worker count (`>= 1`; clamped).
     pub fn open_with_threads<P: AsRef<std::path::Path>>(
         path: P,
         threads: usize,
     ) -> Result<Engine, StoreError> {
-        Self::open_with_options(path, &OpenOptions::default().threads(threads))
-    }
-
-    /// [`Engine::open`] with full control over worker count, the store
-    /// read retry policy, and mapped-vs-owned backing (see
-    /// [`OpenOptions`]). This is the primitive the other `open`
-    /// variants delegate to.
-    pub fn open_with_options<P: AsRef<std::path::Path>>(
-        path: P,
-        options: &OpenOptions,
-    ) -> Result<Engine, StoreError> {
-        let file = ic_store::StoreFile::open_with(path, &options.store)?;
-        let engine = Self::from_snapshot(file.load_deferred()?.into_snapshot(), options.threads);
+        let file = ic_store::StoreFile::open_with(path, &ic_store::OpenOptions::mapped())?;
+        let engine = Self::from_snapshot(file.load_deferred()?.into_snapshot(), threads);
         file.report_open(&engine.metrics.registry);
         Ok(engine)
     }
@@ -811,19 +748,15 @@ impl Engine {
         self.apply_journaled(updates).epoch
     }
 
-    /// [`Engine::apply`] with a typed refusal instead of a panic: every
-    /// update's endpoints are validated against the serving vertex set
-    /// first, and an out-of-range id returns
-    /// [`EngineError::Unsupported`] with serving state untouched. This
-    /// is the entry point network layers use — a malformed client frame
-    /// must never take the engine down.
-    pub fn try_apply(&self, updates: &[EdgeUpdate]) -> Result<Epoch, EngineError> {
-        Ok(self.try_apply_journaled(updates)?.epoch)
-    }
-
-    /// [`Engine::apply_journaled`] behind the same endpoint validation
-    /// as [`Engine::try_apply`].
-    pub fn try_apply_journaled(&self, updates: &[EdgeUpdate]) -> Result<ApplyOutcome, EngineError> {
+    /// [`Engine::apply_journaled`] with a typed refusal instead of a
+    /// panic: every update's endpoints are validated against the serving
+    /// vertex set first, and an out-of-range id returns
+    /// [`EngineError::Unsupported`] with serving state untouched (as
+    /// does a store whose owed adjacency check fails, with
+    /// [`EngineError::CorruptStore`]). This is the entry point network
+    /// layers use — a malformed client frame must never take the engine
+    /// down.
+    pub fn try_apply(&self, updates: &[EdgeUpdate]) -> Result<ApplyOutcome, EngineError> {
         let snapshot = self.serving().snapshot;
         snapshot.ensure_adjacency()?;
         let n = snapshot.graph().num_vertices();
@@ -859,7 +792,7 @@ impl Engine {
     /// Same contract as [`Engine::apply`]: panics (atomically) when an
     /// update addresses a vertex outside the graph, or when the engine
     /// was opened from a store whose owed adjacency check fails (see
-    /// [`Engine::open`]). Use [`Engine::try_apply_journaled`] for a typed
+    /// [`Engine::open`]). Use [`Engine::try_apply`] for a typed
     /// refusal of either.
     pub fn apply_journaled(&self, updates: &[EdgeUpdate]) -> ApplyOutcome {
         // Recover rather than propagate a poisoned mutex: the slot is
@@ -1826,8 +1759,8 @@ mod tests {
             ),
         };
         assert!(refused, "flipped byte must fail closed");
-        let eager = OpenOptions::default().owned_buffer();
-        assert!(Engine::open_with_options(&path, &eager).is_err());
+        // The owned read checks the whole payload at open.
+        assert!(ic_store::StoreFile::open(&path).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1898,12 +1831,12 @@ mod tests {
     fn try_apply_refuses_out_of_range_updates_atomically() {
         let eng = engine(2);
         let e0 = eng.epoch();
-        let err = eng
-            .try_apply(&[
-                EdgeUpdate::Remove { u: 0, v: 1 },
-                EdgeUpdate::Insert { u: 0, v: 999 },
-            ])
-            .expect_err("vertex 999 is out of range");
+        let Err(err) = eng.try_apply(&[
+            EdgeUpdate::Remove { u: 0, v: 1 },
+            EdgeUpdate::Insert { u: 0, v: 999 },
+        ]) else {
+            panic!("vertex 999 is out of range");
+        };
         assert!(matches!(err, EngineError::Unsupported { .. }));
         // Nothing applied: the valid leading update was not committed.
         assert_eq!(eng.epoch(), e0);
@@ -1911,7 +1844,12 @@ mod tests {
         // Self-loops are refused too.
         assert!(eng.try_apply(&[EdgeUpdate::Insert { u: 3, v: 3 }]).is_err());
         // A valid batch still goes through the same entry point.
-        assert!(eng.try_apply(&[EdgeUpdate::Remove { u: 0, v: 1 }]).unwrap() > e0);
+        assert!(
+            eng.try_apply(&[EdgeUpdate::Remove { u: 0, v: 1 }])
+                .unwrap()
+                .epoch
+                > e0
+        );
     }
 
     #[test]

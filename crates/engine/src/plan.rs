@@ -121,7 +121,7 @@ impl Job {
                     Route::Tic {
                         aggregation,
                         epsilon,
-                    } => (2 + u8::from(*epsilon > 0.0), agg_key(*aggregation).1),
+                    } => (2 + u8::from(*epsilon > 0.0), aggregation.cache_key().1),
                 };
                 (*k, kind, param, *rs.last().expect("family is non-empty"))
             }
@@ -164,13 +164,6 @@ pub struct Plan {
     pub(crate) immediate: Vec<(usize, crate::cache::Outcome)>,
     /// What planning did; see [`PlanStats`].
     pub stats: PlanStats,
-}
-
-/// Hashable identity of an aggregation: the normalized key from
-/// `ic-core` (`-0.0`/NaN payloads fold onto canonical bits, so equal
-/// aggregations can never split a family or the result cache).
-fn agg_key(a: Aggregation) -> (u8, u64) {
-    a.cache_key()
 }
 
 /// Hashable identity of a [`Route`]. An approximate TIC key carries the
@@ -222,7 +215,7 @@ fn validate(q: &Query) -> Result<JobKey, SearchError> {
     let ddl = ddl_key(q);
     let ranked = |route| Ok(JobKey::Ranked { k: q.k, route, ddl });
     let tic = |r| RouteKey::Tic {
-        agg: agg_key(q.aggregation),
+        agg: q.aggregation.cache_key(),
         eps: canonical_f64_bits(q.epsilon),
         r,
     };
@@ -377,7 +370,7 @@ impl Plan {
                     let mut member_of: HashMap<((u8, u64), usize), usize> = HashMap::new();
                     let mut local: Vec<LocalMember> = Vec::new();
                     for (idx, q) in members {
-                        let mk = (agg_key(q.aggregation), q.r);
+                        let mk = (q.aggregation.cache_key(), q.r);
                         let mi = *member_of.entry(mk).or_insert_with(|| {
                             local.push(LocalMember {
                                 r: q.r,

@@ -129,17 +129,27 @@ impl Gauge {
 /// ~584 years — every u64 nanosecond count has a bucket.
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
-/// A log2-bucketed latency histogram. One `fetch_add` per observation;
-/// cloning shares the buckets.
+/// A log2-bucketed latency histogram with a running sum. Two relaxed
+/// `fetch_add`s per observation; cloning shares the cells.
 #[derive(Clone, Debug)]
 pub struct Histogram {
-    buckets: Arc<[AtomicU64; HISTOGRAM_BUCKETS]>,
+    cells: Arc<HistogramCells>,
+}
+
+#[derive(Debug)]
+struct HistogramCells {
+    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
+    /// Every observed nanosecond count, summed (wrapping).
+    sum_ns: AtomicU64,
 }
 
 impl Default for Histogram {
     fn default() -> Histogram {
         Histogram {
-            buckets: Arc::new(std::array::from_fn(|_| AtomicU64::new(0))),
+            cells: Arc::new(HistogramCells {
+                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+                sum_ns: AtomicU64::new(0),
+            }),
         }
     }
 }
@@ -162,16 +172,19 @@ impl Histogram {
     #[inline]
     pub fn observe_ns(&self, ns: u64) {
         if enabled() {
-            self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
+            self.cells.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
+            self.cells.sum_ns.fetch_add(ns, Ordering::Relaxed);
         }
     }
 
-    /// Reads the buckets. The snapshot's `count` is the sum of the
-    /// loaded buckets, so it can never disagree with them — the
-    /// "never torn" invariant the concurrency proptest checks.
+    /// Reads the buckets and the sum. The snapshot's `count` is the sum
+    /// of the loaded buckets, so it can never disagree with them — the
+    /// "never torn" invariant the concurrency proptest checks. The sum
+    /// is loaded separately and may include an observation in flight.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            buckets: std::array::from_fn(|i| self.cells.buckets[i].load(Ordering::Relaxed)),
+            sum_ns: self.cells.sum_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -181,6 +194,8 @@ impl Histogram {
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts; see [`HISTOGRAM_BUCKETS`].
     pub buckets: [u64; HISTOGRAM_BUCKETS],
+    /// Every observed nanosecond count, summed.
+    pub sum_ns: u64,
 }
 
 impl HistogramSnapshot {
@@ -206,6 +221,15 @@ impl HistogramSnapshot {
             }
         }
         unreachable!("rank <= count")
+    }
+
+    /// The exact mean in nanoseconds (0 when empty): unlike the
+    /// quantiles it resolves a change smaller than a bucket's 2x.
+    pub fn mean_ns(&self) -> f64 {
+        match self.count() {
+            0 => 0.0,
+            count => self.sum_ns as f64 / count as f64,
+        }
     }
 
     /// Median estimate in nanoseconds.
@@ -327,7 +351,8 @@ impl Registry {
 
     /// [`Registry::entries`] flattened to `(name, value)` numbers for
     /// wire surfaces: counters and gauges pass through, histograms
-    /// expand to `<name>.count` / `.p50_us` / `.p90_us` / `.p99_us`.
+    /// expand to `<name>.count` / `.p50_us` / `.p90_us` / `.p99_us` /
+    /// `.mean_us`.
     pub fn flat_entries(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         for (name, value) in self.entries() {
@@ -339,6 +364,7 @@ impl Registry {
                     out.push((format!("{name}.p50_us"), snap.p50_ns() as f64 / 1_000.0));
                     out.push((format!("{name}.p90_us"), snap.p90_ns() as f64 / 1_000.0));
                     out.push((format!("{name}.p99_us"), snap.p99_ns() as f64 / 1_000.0));
+                    out.push((format!("{name}.mean_us"), snap.mean_ns() / 1_000.0));
                 }
             }
         }
@@ -797,7 +823,32 @@ mod tests {
         assert_eq!(snap.p50_ns(), 1); // bucket 0 midpoint
                                       // p99 rank = 4 → bucket 19 midpoint = 2^19 * 1.5.
         assert_eq!(snap.p99_ns(), (1 << 19) + (1 << 18));
-        assert_eq!(HistogramSnapshot { buckets: [0; 64] }.quantile_ns(0.5), 0);
+        assert_eq!(
+            HistogramSnapshot {
+                buckets: [0; 64],
+                sum_ns: 0
+            }
+            .quantile_ns(0.5),
+            0
+        );
+    }
+
+    #[test]
+    fn the_mean_resolves_what_one_bucket_hides() {
+        let registry = Registry::new();
+        let h = registry.histogram("t.apply_ns");
+        // 1,100 and 1,900 ns share bucket 10: every quantile reads its
+        // midpoint, 1,536 ns; the mean reads 1,500 ns.
+        h.observe_ns(1_100);
+        h.observe_ns(1_900);
+        let snap = h.snapshot();
+        assert_eq!(snap.p50_ns(), 1_536);
+        assert_eq!(snap.p99_ns(), 1_536);
+        assert_eq!(snap.mean_ns(), 1_500.0);
+        let flat = registry.flat_entries();
+        let mean = flat.iter().find(|(name, _)| name == "t.apply_ns.mean_us");
+        assert_eq!(mean.map(|e| e.1), Some(1.5));
+        assert_eq!(Histogram::default().snapshot().mean_ns(), 0.0);
     }
 
     #[test]

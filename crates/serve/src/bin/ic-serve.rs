@@ -223,19 +223,14 @@ fn report_stats(server: &Server) {
 }
 
 fn build_engine(args: &Args) -> Result<Backend, String> {
-    let threads = args.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    });
+    let threads = args.threads.unwrap_or_else(ic_engine::available_threads);
     if let Some(store) = &args.store {
         let engine = Engine::open_with_threads(store, threads)
             .map_err(|e| format!("cannot open store {store}: {e}"))?;
         return Ok(Backend::Engine(Arc::new(engine)));
     }
     if let Some(dir) = &args.shards_dir {
-        let options = ic_engine::OpenOptions::default().threads(threads);
-        let sharded = ShardedEngine::open_dir_with(dir, &options)
+        let sharded = ShardedEngine::open_dir_with(dir, threads)
             .map_err(|e| format!("cannot open shards in {dir}: {e}"))?;
         eprintln!(
             "opened {} shard(s) in {} group(s): {} vertices, {} edges",

@@ -467,8 +467,6 @@ struct ServeMetrics {
     protocol_errors: ic_obs::Counter,
     updates: ic_obs::Counter,
     subscribes: ic_obs::Counter,
-    sub_skipped: ic_obs::Counter,
-    sub_refreshed: ic_obs::Counter,
     notify_delivered: ic_obs::Counter,
     notify_shed: ic_obs::Counter,
     notify_resync: ic_obs::Counter,
@@ -490,8 +488,6 @@ impl ServeMetrics {
             protocol_errors: registry.counter("serve.protocol_errors"),
             updates: registry.counter("serve.updates"),
             subscribes: registry.counter("serve.subscribes"),
-            sub_skipped: registry.counter("serve.sub.skipped"),
-            sub_refreshed: registry.counter("serve.sub.refreshed"),
             notify_delivered: registry.counter("serve.notify.delivered"),
             notify_shed: registry.counter("serve.notify.shed"),
             notify_resync: registry.counter("serve.notify.resync"),
@@ -1315,10 +1311,6 @@ fn handle_update(shared: &Arc<Shared>, tx: &Sender<Outbound>, id: u64, updates: 
         Ok(report) => {
             let m = &shared.metrics;
             m.updates.inc();
-            // Journal-prune effectiveness: how many standing queries
-            // this apply skipped (unaffectedness proof) vs re-solved.
-            m.sub_skipped.add(report.skipped as u64);
-            m.sub_refreshed.add(report.refreshed as u64);
             // Fan out the notifications *before* enqueueing the ack:
             // an updater subscribed on the same connection observes
             // NOTIFY frames ahead of its UPDATE_ACK, so "ack received"

@@ -3,7 +3,7 @@
 //! across live graph updates, and the flush-before-ack drain ordering.
 
 use ic_core::{Aggregation, Community, Query};
-use ic_engine::{BatchOptions, EdgeUpdate, Engine, OpenOptions};
+use ic_engine::{BatchOptions, EdgeUpdate, Engine};
 use ic_serve::{
     protocol, Client, Outcome, Request, Response, ServeConfig, Server, ShedReason, WireQuery,
 };
@@ -36,8 +36,10 @@ fn sharded_email(tag: &str) -> (ShardedEngine, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("ic-serve-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let built = ic_store::shard::build_shard_stores(&email_graph(), &[2, 4], 1000, &dir).unwrap();
-    let options = OpenOptions::default().threads(2 * built.len());
-    (ShardedEngine::open_dir_with(&dir, &options).unwrap(), dir)
+    (
+        ShardedEngine::open_dir_with(&dir, 2 * built.len()).unwrap(),
+        dir,
+    )
 }
 
 /// An exact-sum search ≈ 15× as long as the forest build and read of

@@ -46,8 +46,8 @@ use std::path::{Path, PathBuf};
 
 use ic_core::{Community, Query, SearchError, Solver};
 use ic_engine::{
-    AnswerSink, AnswerStatus, BatchOptions, Engine, EngineError, Epoch, OpenOptions, QueryAnswer,
-    QueryBackend, SharedAnswer,
+    AnswerSink, AnswerStatus, BatchOptions, Engine, EngineError, Epoch, QueryAnswer, QueryBackend,
+    SharedAnswer,
 };
 use ic_mem::SharedSlice;
 use ic_store::{ShardMeta, StoreError, StoreFile};
@@ -104,16 +104,16 @@ fn corrupt<S: Into<String>>(what: S) -> StoreError {
 }
 
 impl ShardedEngine {
-    /// Opens every `shard-*.ics1` (or `.ics`) store under `dir` with
-    /// default options: memory-mapped backing and hardware parallelism
-    /// split across shards.
+    /// Opens every `shard-*.ics1` (or `.ics`) store under `dir`,
+    /// memory-mapped, with the hardware's parallelism split across
+    /// shards.
     pub fn open_dir<P: AsRef<Path>>(dir: P) -> Result<ShardedEngine, StoreError> {
-        Self::open_dir_with(dir, &OpenOptions::default())
+        Self::open_dir_with(dir, ic_engine::available_threads())
     }
 
-    /// [`ShardedEngine::open_dir`] with explicit [`OpenOptions`].
-    /// `options.threads` is the *total* worker budget: it is divided
-    /// evenly across shards (at least one each) because legs run
+    /// [`ShardedEngine::open_dir`] with an explicit worker count.
+    /// `threads` is the *total* worker budget: it is divided evenly
+    /// across shards (at least one each) because legs run
     /// concurrently. A shard engine starts its workers on its first leg
     /// and joins them when the front drops; the open starts none.
     ///
@@ -123,7 +123,7 @@ impl ShardedEngine {
     /// global vertex set.
     pub fn open_dir_with<P: AsRef<Path>>(
         dir: P,
-        options: &OpenOptions,
+        threads: usize,
     ) -> Result<ShardedEngine, StoreError> {
         let dir = dir.as_ref();
         let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
@@ -142,8 +142,7 @@ impl ShardedEngine {
                 dir.display()
             )));
         }
-        let per_shard_threads = (options.threads / paths.len()).max(1);
-        let engine_options = options.clone().threads(per_shard_threads);
+        let per_shard_threads = (threads / paths.len()).max(1);
 
         // Like `Engine::open`, a mapped shard store is verified here in
         // everything but its adjacency arrays; that check stays owed by
@@ -153,7 +152,7 @@ impl ShardedEngine {
         let metrics = ShardMetrics::new();
         let mut shards = Vec::with_capacity(paths.len());
         for path in paths {
-            let file = StoreFile::open_with(&path, &engine_options.store)?;
+            let file = StoreFile::open_with(&path, &ic_store::OpenOptions::mapped())?;
             file.report_open(&metrics.registry);
             let mut contents = file.load_deferred()?;
             let Some(shard) = contents.shard.take() else {
@@ -164,7 +163,7 @@ impl ShardedEngine {
             };
             let snapshot = contents.into_snapshot();
             ic_engine::report_adjacency_check(&snapshot, &metrics.registry);
-            let engine = Engine::from_snapshot(snapshot, engine_options.threads);
+            let engine = Engine::from_snapshot(snapshot, per_shard_threads);
             shards.push(Shard {
                 engine,
                 id_map: shard.id_map,

@@ -4,7 +4,7 @@
 //! count in `/proc/self/task`.
 
 use ic_core::{Aggregation, Query};
-use ic_engine::{AnswerSink, BatchOptions, Engine, OpenOptions, QueryBackend};
+use ic_engine::{AnswerSink, BatchOptions, Engine, QueryBackend};
 use ic_shard::ShardedEngine;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -76,8 +76,7 @@ fn dropped_engines_and_shard_fronts_leave_no_thread_behind() {
             // engine's first leg and never grown.
             2 => {
                 let workers = 2 * built.len();
-                let options = OpenOptions::default().threads(workers);
-                let sharded = ShardedEngine::open_dir_with(&dir, &options).unwrap();
+                let sharded = ShardedEngine::open_dir_with(&dir, workers).unwrap();
                 assert_eq!(settled(baseline), baseline, "round {round}: an idle open");
                 for _ in 0..20 {
                     let sink: AnswerSink = Arc::new(|_, _| {});
@@ -89,8 +88,7 @@ fn dropped_engines_and_shard_fronts_leave_no_thread_behind() {
                 }
             }
             3 => {
-                let options = OpenOptions::default().threads(6);
-                let sharded = ShardedEngine::open_dir_with(&dir, &options).unwrap();
+                let sharded = ShardedEngine::open_dir_with(&dir, 6).unwrap();
                 let (_, got) = sharded.run_batch_pinned(&batch, &BatchOptions::default());
                 assert!(got.iter().all(Result::is_ok));
             }

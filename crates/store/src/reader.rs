@@ -47,14 +47,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// How to open a store file: retry policy for the cold-start read and
-/// whether to memory-map instead of copying into an owned buffer.
-#[derive(Clone, Debug)]
+/// How to open a store file: memory-map it, or copy it into an owned
+/// buffer. Either way a transient I/O failure of the read is retried:
+/// three tries in all, 1 ms apart and then 2 ms.
+#[derive(Clone, Debug, Default)]
 pub struct OpenOptions {
-    /// Total attempts for transient I/O failures (minimum 1).
-    pub attempts: u32,
-    /// Base backoff before the second attempt; doubles per retry.
-    pub backoff: Duration,
     /// Memory-map the file instead of reading it into an owned buffer.
     /// Falls back to the owned read when the platform cannot map (or
     /// the file is empty — which then fails header validation with the
@@ -62,27 +59,18 @@ pub struct OpenOptions {
     pub map: bool,
 }
 
-impl Default for OpenOptions {
-    /// The retry policy `StoreFile::open` has always used: 3 attempts,
-    /// 1 ms base backoff, owned buffer.
-    fn default() -> Self {
-        OpenOptions {
-            attempts: 3,
-            backoff: Duration::from_millis(1),
-            map: false,
-        }
+impl OpenOptions {
+    /// Memory-mapped backing (the default is the owned buffer).
+    pub fn mapped() -> Self {
+        OpenOptions { map: true }
     }
 }
 
-impl OpenOptions {
-    /// The default policy with memory-mapping enabled.
-    pub fn mapped() -> Self {
-        OpenOptions {
-            map: true,
-            ..OpenOptions::default()
-        }
-    }
-}
+/// Total tries of a store read that fails with a transient I/O error.
+const OPEN_ATTEMPTS: u32 = 3;
+
+/// The pause before the second try; it doubles before each later one.
+const OPEN_BACKOFF: Duration = Duration::from_millis(1);
 
 /// The storage a validated store file serves from: an owned aligned
 /// buffer or a read-only file mapping. Both are `Arc`-shared so graph
@@ -266,39 +254,40 @@ fn is_transient(kind: std::io::ErrorKind) -> bool {
     )
 }
 
+/// Runs `once` until it succeeds, fails with anything but a transient
+/// I/O error, or has been tried `OPEN_ATTEMPTS` times; returns its
+/// last result and, on success, how many retries it took.
+fn retrying<T>(mut once: impl FnMut() -> Result<T, StoreError>) -> Result<(T, u32), StoreError> {
+    let mut attempt = 0u32;
+    loop {
+        match once() {
+            Err(StoreError::Io(e)) if is_transient(e.kind()) && attempt + 1 < OPEN_ATTEMPTS => {
+                std::thread::sleep(OPEN_BACKOFF * (1 << attempt));
+                attempt += 1;
+            }
+            other => return other.map(|value| (value, attempt)),
+        }
+    }
+}
+
 impl StoreFile {
-    /// Opens and validates a store file with the default policy: one
-    /// owned read, eager checksum verification, and up to two retries
-    /// with a short backoff on transient I/O failures (interrupted /
-    /// would-block / timed-out). Persistent I/O errors and corruption
-    /// are returned typed on the first observation.
+    /// Opens and validates a store file into one owned buffer, with
+    /// eager checksum verification. A transient I/O failure
+    /// (interrupted / would-block / timed-out) is retried up to three
+    /// tries in all; persistent I/O errors and
+    /// corruption are returned typed on the first observation.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<StoreFile, StoreError> {
         Self::open_with(path, &OpenOptions::default())
     }
 
-    /// [`open`](Self::open) with an explicit retry policy and backing
-    /// choice. This is what `Engine::open_with_options` forwards to.
+    /// [`open`](Self::open) with an explicit backing choice.
     pub fn open_with<P: AsRef<Path>>(
         path: P,
         options: &OpenOptions,
     ) -> Result<StoreFile, StoreError> {
         let path = path.as_ref();
-        let attempts = options.attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            match Self::open_once(path, options.map) {
-                Err(StoreError::Io(e)) if is_transient(e.kind()) && attempt + 1 < attempts => {
-                    std::thread::sleep(options.backoff.saturating_mul(1 << attempt.min(16)));
-                    attempt += 1;
-                }
-                other => {
-                    return other.map(|store| StoreFile {
-                        retries: attempt,
-                        ..store
-                    })
-                }
-            }
-        }
+        let (store, retries) = retrying(|| Self::open_once(path, options.map))?;
+        Ok(StoreFile { retries, ..store })
     }
 
     /// Publishes this open on `registry`: `store.opens`,
@@ -1076,4 +1065,59 @@ pub fn save_graph<P: AsRef<Path>>(path: P, wg: &WeightedGraph) -> Result<(), Sto
 /// Convenience: loads the weighted graph of any store file.
 pub fn load_graph<P: AsRef<Path>>(path: P) -> Result<WeightedGraph, StoreError> {
     StoreFile::open(path)?.graph()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::Cell;
+
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("ic-store-reader-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(format!("{tag}.ics1"))
+    }
+
+    /// How many times the retry loop reads `path`, and what it returns.
+    fn tries(path: &Path) -> (u32, Result<(StoreFile, u32), StoreError>) {
+        let calls = Cell::new(0);
+        let result = retrying(|| {
+            calls.set(calls.get() + 1);
+            StoreFile::open_once(path, false)
+        });
+        (calls.get(), result)
+    }
+
+    /// Retries are for transient I/O only: a missing file is a hard
+    /// error, read once and returned as it is.
+    #[test]
+    fn hard_errors_are_not_retried() {
+        let missing = scratch("definitely-absent");
+        let (calls, result) = tries(&missing);
+        assert_eq!(calls, 1, "a hard error was retried");
+        match result {
+            Err(StoreError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound),
+            Err(e) => panic!("wrong class: {e}"),
+            Ok(_) => panic!("opened a nonexistent store"),
+        }
+        assert!(matches!(StoreFile::open(&missing), Err(StoreError::Io(_))));
+    }
+
+    /// Corruption likewise fails closed on the first read, typed.
+    #[test]
+    fn corruption_is_not_retried() {
+        let path = scratch("corrupt");
+        crate::save_graph(&path, &ic_core::figure1::figure1()).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+        let (calls, result) = tries(&path);
+        assert_eq!(calls, 1, "corruption was retried");
+        assert!(matches!(result, Err(StoreError::Corrupt { .. })));
+        assert!(matches!(
+            StoreFile::open(&path),
+            Err(StoreError::Corrupt { .. })
+        ));
+    }
 }

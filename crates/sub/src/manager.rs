@@ -203,7 +203,7 @@ impl SubscriptionManager {
     /// notified) when an update addresses an invalid endpoint.
     pub fn apply(&self, updates: &[EdgeUpdate]) -> Result<ApplyReport, EngineError> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let outcome = self.engine.try_apply_journaled(updates)?;
+        let outcome = self.engine.try_apply(updates)?;
         let inner = &mut *inner;
         inner.stats.applies += 1;
         let mut report = ApplyReport {

@@ -2,9 +2,13 @@
 # Shows that the gates can go red: applies each mutation listed in
 # scripts/sabotages.tsv, one at a time, to a scratch copy of the tree
 # (tracked and untracked-unignored files, under target/sabotage/) and
-# expects the named test to FAIL there. A row fails the run when its sed
-# expression changes nothing, when the mutated tree no longer compiles,
-# when the test still passes, or when the file is not restored after it.
+# expects the named test to FAIL there. Every row mutates and restores
+# its file from a pristine copy of the tree (and of the table) taken when
+# the run starts, so an edit made to the working tree during the run
+# reaches no row. A row fails
+# the run when its sed expression changes nothing, when the mutated tree
+# no longer compiles, when the test still passes, or when the file is
+# not restored after it.
 #
 #   scripts/sabotage.sh [table.tsv]
 #
@@ -15,10 +19,14 @@ cd "$(dirname "$0")/.."
 table=${1:-scripts/sabotages.tsv}
 root=$PWD/target/sabotage
 tree=$root/tree
-rm -rf "$tree"
-mkdir -p "$tree"
+pristine=$root/pristine
+rm -rf "$tree" "$pristine"
+mkdir -p "$tree" "$pristine"
 git ls-files -co --exclude-standard | while read -r f; do [ -e "$f" ] && echo "$f"; done \
-    | tar -cf - -T - | tar -xf - -C "$tree"
+    | tar -cf - -T - | tar -xf - -C "$pristine"
+(cd "$pristine" && tar -cf - .) | tar -xf - -C "$tree"
+cp "$table" "$root/table.tsv"
+cd "$pristine"
 export CARGO_TARGET_DIR=$root/target
 
 rows=0
@@ -50,6 +58,6 @@ while IFS=$tab read -r file expr args; do
     fi
     cp "$file" "$tree/$file" # a fresh mtime: the next row rebuilds this crate
     cmp -s "$file" "$tree/$file" || { echo "row $rows: $file was not restored" >&2; exit 1; }
-done < "$table"
+done < "$root/table.tsv"
 [ "$rows" -gt 0 ] || { echo "no rows in $table" >&2; exit 1; }
 echo "$rows sabotages, each shown red by its test"

@@ -429,7 +429,7 @@ proptest! {
         let served = unwrap_batch(engine(&wg, 2).run_batch(&batch));
         for (q, engine_answer) in batch.iter().zip(&served) {
             let (r, agg) = (q.r, q.aggregation);
-            let want = algo::exact_topr(&wg, k, r, None, agg).unwrap();
+            let want = oracle::exact_topr(&wg, k, r, None, agg).unwrap();
             let from_scratch = match agg {
                 Aggregation::Min => oracle::min_topr(&wg, k, r),
                 Aggregation::Max => oracle::max_topr(&wg, k, r),
@@ -454,7 +454,7 @@ fn nested_ties_answer_the_maximal_community_on_every_route() {
     let q = Query::new(2, 5, Aggregation::Min);
     let want = vec![Community::new(vec![0, 1, 2, 3], 1.0)];
     assert_eq!(
-        algo::exact_topr(&wg, 2, 5, None, q.aggregation).unwrap(),
+        oracle::exact_topr(&wg, 2, 5, None, q.aggregation).unwrap(),
         want
     );
     assert_eq!(q.solve(&wg).unwrap(), want, "Query::solve");
@@ -617,7 +617,7 @@ fn balanced_density_sentinel_is_consistent_across_paths() {
 
     // The exhaustive oracle ranks −∞ (minority) communities last but
     // keeps them — deduped and tie-broken deterministically.
-    let all = algo::exact_topr(&wg, 2, 50, None, Aggregation::BalancedDensity).unwrap();
+    let all = oracle::exact_topr(&wg, 2, 50, None, Aggregation::BalancedDensity).unwrap();
     let finite: Vec<_> = all.iter().filter(|c| c.value.is_finite()).collect();
     let sentinel: Vec<_> = all.iter().filter(|c| !c.value.is_finite()).collect();
     assert!(!finite.is_empty() && !sentinel.is_empty());

@@ -78,7 +78,7 @@ proptest! {
                 continue;
             }
             let report = manager.apply(&updates).expect("apply");
-            let twin_epoch = twin.try_apply(&updates).expect("twin apply");
+            let twin_epoch = twin.try_apply(&updates).expect("twin apply").epoch;
             prop_assert_eq!(report.epoch, twin_epoch, "epochs must advance in lockstep");
             prop_assert!(report.failed.is_empty(), "no deadline-free refresh may fail");
 
