@@ -1,115 +1,25 @@
-//! Observational equivalence of the zero-rebuild peeling engine.
-//!
-//! The arena-based solvers in `ic_core::algo` must produce *identical*
-//! top-r output — same communities, same values, same order — as the
-//! from-scratch re-peel oracles in `ic_core::algo::oracle`, across random
-//! ER / Barabási-Albert / Chung-Lu graphs, several weight models, and
-//! every supported aggregation. A final test pins the zero-allocation
-//! guarantee of the steady-state peel loop.
+//! Observational equivalence of the zero-rebuild peeling engine: the
+//! arena solvers against their from-scratch oracles through the arena
+//! arm of the agreement harness (`tests/common/reference.rs`), and below
+//! the solver level, where no harness arm reaches: every reader of one
+//! peel across tie groups, arena deletions against a from-scratch
+//! re-peel, the zero-allocation guarantee of the steady-state peel
+//! loop, and one deterministic end-to-end check on a realistic workload.
 
-use ic_core::algo::{self, oracle, ExtremumIndex};
+use ic_core::algo::{oracle, ExtremumIndex};
 use ic_core::{Aggregation, Community, Extremum, Query, SearchError};
-use ic_gen::{
-    barabasi_albert, chung_lu, gnm, pagerank_weights, pareto_weights, rank_weights,
-    uniform_weights, GraphSeed,
-};
-use ic_graph::{graph_from_edges, Graph, WeightedGraph};
+use ic_gen::{barabasi_albert, chung_lu, pagerank_weights, GraphSeed};
+use ic_graph::{graph_from_edges, WeightedGraph};
 use ic_kcore::{kcore_mask, maximal_kcore_components, Budget, GraphSnapshot, PeelArena};
 use proptest::prelude::*;
+use reference::{agree_on_arena, Arena};
 use std::sync::Arc;
+use workload::{arb_workload, Shape};
 
-type Solved = Result<Vec<Community>, SearchError>;
-
-/// Per-graph harness over the snapshot-based arena solvers (the
-/// per-graph free functions were removed from the public API in PR 4).
-fn on_snapshot(
-    wg: &WeightedGraph,
-    f: impl FnOnce(&GraphSnapshot, &mut PeelArena) -> Solved,
-) -> Solved {
-    let snap = GraphSnapshot::new(wg.clone());
-    let mut arena = PeelArena::for_graph(snap.graph());
-    f(&snap, &mut arena)
-}
-
-/// The `min`/`max` route: a forest built on the snapshot, then read.
-fn arena_peel_topr(wg: &WeightedGraph, k: usize, r: usize, dir: Extremum) -> Solved {
-    on_snapshot(wg, |snap, arena| {
-        Query::new(k, r, dir.aggregation()).solve_on(snap, arena)
-    })
-}
-
-fn arena_sum_naive(wg: &WeightedGraph, k: usize, r: usize, agg: Aggregation) -> Solved {
-    on_snapshot(wg, |snap, arena| algo::sum_naive_on(snap, k, r, agg, arena))
-}
-
-fn arena_tic_improved(
-    wg: &WeightedGraph,
-    k: usize,
-    r: usize,
-    agg: Aggregation,
-    eps: f64,
-) -> Solved {
-    on_snapshot(wg, |snap, arena| {
-        algo::tic_improved_on(snap, k, r, agg, eps, arena)
-    })
-}
-
-/// Weights built to land on the keep-rule's edges: `tic_improved`
-/// decides `value >= need` on exact bits, and its stage-A bound is
-/// compared through a rounding margin, so the generator has to produce
-/// value ties, near ties and sums that round.
-fn edge_weights(model: u32, n: usize, seed: u64) -> Vec<f64> {
-    uniform_weights(n, 0.0, 8.0, GraphSeed(seed))
-        .into_iter()
-        .map(|u| {
-            let draw = u as u64; // uniform on 0..8
-            match model {
-                // Tie-heavy: many communities share a value.
-                3 => (1 + draw % 3) as f64,
-                // Zero weights: a child can tie its parent.
-                4 => (draw % 3) as f64,
-                // Pairs one ulp apart: values that differ in the last bit.
-                5 => f64::from_bits((0.1 * (1 + draw % 4) as f64).to_bits() + draw / 4),
-                // 1e15-scale: sums pass 2^53, so the journal fold and the
-                // sorted-order sum round differently.
-                _ => 1e15 + draw as f64,
-            }
-        })
-        .collect()
-}
-
-/// One synthetic workload: a random graph from one of the three family
-/// generators plus a weight model, both seed-derived.
-fn arb_workload() -> impl Strategy<Value = WeightedGraph> {
-    arb_workload_with(0..3)
-}
-
-/// `weight_models` past 2 are the [`edge_weights`] models. Only the TIC
-/// property takes them: `sum_naive_on` and its oracle disagree on which
-/// of several equal-valued communities to keep once zero weights let a
-/// child tie its parent (Corollary 2 assumes positive weights).
-fn arb_workload_with(weight_models: std::ops::Range<u32>) -> impl Strategy<Value = WeightedGraph> {
-    (
-        0u32..3,       // family: ER / BA / Chung-Lu
-        weight_models, // uniform / pareto / rank permutation / edge models
-        20usize..90,   // vertices
-        any::<u64>(),  // seed
-    )
-        .prop_map(|(family, weight_model, n, seed)| {
-            let g: Graph = match family {
-                0 => gnm(n, n * 2, GraphSeed(seed)),
-                1 => barabasi_albert(n, 3, GraphSeed(seed)),
-                _ => chung_lu(n, n * 2, 2.5, GraphSeed(seed)),
-            };
-            let w: Vec<f64> = match weight_model {
-                0 => uniform_weights(n, 0.5, 50.0, GraphSeed(seed ^ 0xabcd)),
-                1 => pareto_weights(n, 1.5, GraphSeed(seed ^ 0xabcd)),
-                2 => rank_weights(n, GraphSeed(seed ^ 0xabcd)),
-                m => edge_weights(m, n, seed ^ 0xabcd),
-            };
-            WeightedGraph::new(g, w).unwrap()
-        })
-}
+#[path = "../../../tests/common/reference.rs"]
+mod reference;
+#[path = "../../../tests/common/workload.rs"]
+mod workload;
 
 /// `wg` restricted to the vertices `keep` (ascending), renumbered in
 /// order, plus `isolated` further vertices without edges; also returns
@@ -148,19 +58,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn minmax_peeling_is_observationally_identical(wg in arb_workload(),
-                                                   k in 1usize..5, r in 1usize..6) {
-        let min_inc = arena_peel_topr(&wg, k, r, Extremum::Min).unwrap();
-        let min_ora = oracle::min_topr(&wg, k, r).unwrap();
-        prop_assert_eq!(&min_inc, &min_ora, "min mismatch");
-        let max_inc = arena_peel_topr(&wg, k, r, Extremum::Max).unwrap();
-        let max_ora = oracle::max_topr(&wg, k, r).unwrap();
-        prop_assert_eq!(&max_inc, &max_ora, "max mismatch");
-    }
-
-    #[test]
     fn every_reader_of_the_peel_matches_the_oracle_across_tie_groups(
-        wg in arb_workload_with(3..4), k in 1usize..4,
+        wg in arb_workload(Shape::Families(0..3), 4..5, 20..90), k in 1usize..4,
     ) {
         // Three distinct weights over the whole graph make events tie on
         // value, and `r` runs from 1 past the community count, so it
@@ -183,7 +82,7 @@ proptest! {
         let (dense, dense_id) = reshaped(&wg, &core, 0);
         let (sparse, sparse_id) = reshaped(&wg, &everyone, 16 * wg.num_vertices());
         for (dir, oracle_topr) in [
-            (Extremum::Min, oracle::min_topr as fn(&WeightedGraph, usize, usize) -> Solved),
+            (Extremum::Min, oracle::min_topr as fn(&WeightedGraph, usize, usize) -> Result<Vec<Community>, SearchError>),
             (Extremum::Max, oracle::max_topr),
         ] {
             let forest = ExtremumIndex::build_on(&snap, k, dir);
@@ -226,20 +125,10 @@ proptest! {
     }
 
     #[test]
-    fn sum_naive_is_observationally_identical(wg in arb_workload(), k in 1usize..4,
-                                              r in 1usize..5, surplus in any::<bool>()) {
-        let agg = if surplus {
-            Aggregation::SumSurplus { alpha: 1.5 }
-        } else {
-            Aggregation::Sum
-        };
-        let inc = arena_sum_naive(&wg, k, r, agg).unwrap();
-        let ora = oracle::sum_naive(&wg, k, r, agg).unwrap();
-        prop_assert_eq!(inc, ora, "{} k={} r={}", agg.name(), k, r);
-    }
-
-    #[test]
-    fn arena_deletions_match_scratch_on_community_walks(wg in arb_workload(), k in 1usize..4) {
+    fn arena_deletions_match_scratch_on_community_walks(
+        wg in arb_workload(Shape::Families(0..3), 0..3, 20..90),
+        k in 1usize..4,
+    ) {
         // Below the solver level: every (community, victim) deletion on
         // the shared arena must agree with a from-scratch re-peel, with
         // rollbacks interleaved exactly as the solvers interleave them.
@@ -264,27 +153,59 @@ proptest! {
             }
         }
     }
+
+    /// Algorithm 1 on the arena is bit-identical to `oracle::sum_naive`
+    /// and equal in value to Algorithm 2. (The positive weight models
+    /// only: Corollary 2 assumes positive weights.)
+    #[test]
+    fn sum_naive_is_observationally_identical(
+        wg in arb_workload(Shape::Families(0..3), 0..3, 20..90),
+        k in 1usize..4,
+        r in 1usize..5,
+        surplus in any::<bool>(),
+    ) {
+        let agg = match surplus {
+            true => Aggregation::SumSurplus { alpha: 1.5 },
+            false => Aggregation::Sum,
+        };
+        let on = Arena { naive: true, ..Arena::default() };
+        agree_on_arena(&wg, &[Query::new(k, r, agg)], &on)?;
+    }
+
+    /// Every weight model, zeros and one-ulp pairs included: a peel
+    /// compares values, never sums them.
+    #[test]
+    fn minmax_peeling_is_observationally_identical(
+        wg in arb_workload(Shape::Families(0..3), 0..8, 20..90),
+        k in 1usize..5,
+        r in prop_oneof![1usize..6, Just(20)],
+    ) {
+        let deck = [Query::new(k, r, Aggregation::Min), Query::new(k, r, Aggregation::Max)];
+        agree_on_arena(&wg, &deck, &Arena::default())?;
+    }
 }
 
 proptest! {
     // The stage-A margin only matters when a bound and a value land
     // within rounding of each other; a build without it survives about
-    // a hundred cases, so this property runs many (each is ~0.2 ms).
+    // a hundred cases, so these properties run many cheap ones, under
+    // the weight models built to land on the keep rule's edges (zeros,
+    // one-ulp pairs, sums past 2⁵³) beside the rest.
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn tic_improved_is_observationally_identical(wg in arb_workload_with(0..7), k in 1usize..4,
-                                                 r in prop_oneof![1usize..5, Just(5), Just(20)],
-                                                 surplus in any::<bool>(),
-                                                 eps in prop_oneof![Just(0.0), Just(0.1), Just(0.3)]) {
-        let agg = if surplus {
-            Aggregation::SumSurplus { alpha: 0.5 }
-        } else {
-            Aggregation::Sum
-        };
-        let inc = arena_tic_improved(&wg, k, r, agg, eps).unwrap();
-        let ora = oracle::tic_improved(&wg, k, r, agg, eps).unwrap();
-        prop_assert_eq!(inc, ora, "{} k={} r={} eps={}", agg.name(), k, r, eps);
+    fn tic_improved_is_observationally_identical(
+        wg in arb_workload(Shape::Families(0..3), 0..8, 20..90),
+        k in 1usize..4,
+        r in prop_oneof![1usize..6, Just(20)],
+        (agg, eps) in (0usize..3, prop_oneof![Just(0.0), Just(0.1), Just(0.3)]),
+    ) {
+        let agg = [
+            Aggregation::Sum,
+            Aggregation::SumSurplus { alpha: 0.5 },
+            Aggregation::SumSurplus { alpha: 1.5 },
+        ][agg];
+        agree_on_arena(&wg, &[Query::new(k, r, agg).approx(eps)], &Arena::default())?;
     }
 }
 
@@ -333,26 +254,21 @@ fn incremental_solvers_agree_on_a_realistic_workload() {
     let g = chung_lu(1500, 6000, 2.5, GraphSeed(42));
     let w = pagerank_weights(&g);
     let wg = WeightedGraph::new(g, w).unwrap();
-    for k in [2usize, 4] {
-        for r in [1usize, 5, 10] {
-            assert_eq!(
-                arena_peel_topr(&wg, k, r, Extremum::Min).unwrap(),
-                oracle::min_topr(&wg, k, r).unwrap()
-            );
-            assert_eq!(
-                arena_peel_topr(&wg, k, r, Extremum::Max).unwrap(),
-                oracle::max_topr(&wg, k, r).unwrap()
-            );
-            assert_eq!(
-                arena_sum_naive(&wg, k, r, Aggregation::Sum).unwrap(),
-                oracle::sum_naive(&wg, k, r, Aggregation::Sum).unwrap()
-            );
-            for eps in [0.0, 0.1] {
-                assert_eq!(
-                    arena_tic_improved(&wg, k, r, Aggregation::Sum, eps).unwrap(),
-                    oracle::tic_improved(&wg, k, r, Aggregation::Sum, eps).unwrap()
-                );
-            }
-        }
-    }
+    let deck: Vec<Query> = [2, 4]
+        .into_iter()
+        .flat_map(|k| [1, 5, 10].map(move |r| (k, r)))
+        .flat_map(|(k, r)| {
+            [
+                Query::new(k, r, Aggregation::Min),
+                Query::new(k, r, Aggregation::Max),
+                Query::new(k, r, Aggregation::Sum),
+                Query::new(k, r, Aggregation::Sum).approx(0.1),
+            ]
+        })
+        .collect();
+    let on = Arena {
+        naive: true,
+        ..Arena::default()
+    };
+    agree_on_arena(&wg, &deck, &on).unwrap();
 }

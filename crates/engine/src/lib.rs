@@ -497,18 +497,9 @@ impl Engine {
             .map_err(|refused| StoreError::Corrupt {
                 what: refused.to_string(),
             })?;
-        let decomp = snapshot.decomposition();
-        let levels = snapshot.memoized_levels();
-        let forests = ic_core::algo::ExtremumIndex::memoized(&snapshot);
-        let mut builder = ic_store::StoreBuilder::new(snapshot.weighted());
-        builder.decomposition(&decomp);
-        for level in &levels {
-            builder.level(level);
-        }
-        for forest in &forests {
-            builder.forest(forest.parts());
-        }
-        builder.write_to(path)
+        ic_store::WarmState::memoized(&snapshot)
+            .builder()
+            .write_to(path)
     }
 
     /// Builds an engine over an existing snapshot, inheriting whatever

@@ -29,13 +29,13 @@
 //! verification instead of the bulk owned-buffer read.
 
 use ic_core::algo::ExtremumIndex;
-use ic_core::{Aggregation, Community, Extremum, Query};
+use ic_core::{Aggregation, Community, Query};
 use ic_gen::datasets::{by_name, Profile};
 use ic_gen::{pareto_weights, stream_graph, GraphSeed, StreamSpec};
 use ic_graph::WeightedGraph;
 use ic_kcore::GraphSnapshot;
 use ic_store::shard::{build_shard_stores, DEFAULT_MAX_SHARD_VERTICES};
-use ic_store::{OpenOptions, SectionKind, StoreBuilder, StoreFile};
+use ic_store::{OpenOptions, SectionKind, StoreFile, WarmState};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -275,34 +275,14 @@ fn build(args: &[String]) -> ExitCode {
 
     let t = Instant::now();
     let snap = GraphSnapshot::new(wg);
-    let decomp = snap.decomposition();
-    let levels: Vec<_> = ks.iter().map(|&k| snap.level(k)).collect();
-    let forests: Vec<_> = ks
-        .iter()
-        .flat_map(|&k| {
-            [
-                ExtremumIndex::cached(&snap, k, Extremum::Min),
-                ExtremumIndex::cached(&snap, k, Extremum::Max),
-            ]
-        })
-        .collect();
+    let warm = WarmState::at(&snap, &ks);
     eprintln!(
-        "[build] precomputed decomposition + {} level(s) + {} forest(s) in {:.2?}",
-        levels.len(),
-        forests.len(),
+        "[build] precomputed decomposition, levels and forests at k = {ks:?} in {:.2?}",
         t.elapsed()
     );
 
-    let mut builder = StoreBuilder::new(snap.weighted());
-    builder.decomposition(&decomp);
-    for level in &levels {
-        builder.level(level);
-    }
-    for forest in &forests {
-        builder.forest(forest.parts());
-    }
     let t = Instant::now();
-    if let Err(e) = builder.write_to(&out) {
+    if let Err(e) = warm.builder().write_to(&out) {
         return fail(&format!("writing {out}: {e}"));
     }
     let size = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);

@@ -70,7 +70,7 @@ mod writer;
 
 pub use format::{Header, Section, SectionKind, ShardMeta, FORMAT_VERSION};
 pub use reader::{load_graph, save_graph, OpenOptions, ShardContents, StoreContents, StoreFile};
-pub use writer::StoreBuilder;
+pub use writer::{StoreBuilder, WarmState};
 
 /// Errors of the store layer. Every failure mode of opening, loading,
 /// or writing a store maps onto one of these — corruption is a value,
@@ -146,24 +146,15 @@ impl From<ic_graph::GraphError> for StoreError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use ic_core::algo::ExtremumIndex;
     use ic_core::figure1::figure1;
     use ic_core::Extremum;
     use ic_kcore::{core_decomposition, GraphSnapshot};
 
     fn full_store_bytes() -> Vec<u8> {
-        let wg = figure1();
-        let snap = GraphSnapshot::new(wg.clone());
-        let decomp = snap.decomposition();
-        let level = snap.level(2);
-        let min_forest = ExtremumIndex::build_on(&snap, 2, Extremum::Min);
-        let max_forest = ExtremumIndex::build_on(&snap, 2, Extremum::Max);
-        let mut b = StoreBuilder::new(snap.weighted());
-        b.decomposition(&decomp)
-            .level(&level)
-            .forest(min_forest.parts())
-            .forest(max_forest.parts());
-        b.to_bytes().unwrap()
+        let snap = GraphSnapshot::new(figure1());
+        WarmState::at(&snap, &[2]).builder().to_bytes().unwrap()
     }
 
     #[test]
@@ -281,13 +272,17 @@ mod tests {
         // The ICG1-successor regression: generated-graph caching and
         // engine persistence share one format, and weights survive.
         let wg = figure1();
-        let dir = std::env::temp_dir().join(format!("ic-store-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("store-test");
         let path = dir.join("graph.ics1");
         save_graph(&path, &wg).unwrap();
         let back = load_graph(&path).unwrap();
         assert_eq!(back.graph(), wg.graph());
         assert_eq!(back.weights(), wg.weights());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// The suites' self-removing scratch directory, shared with this
+/// crate's unit tests.
+#[cfg(test)]
+#[path = "../../../tests/common/scratch.rs"]
+mod scratch;

@@ -1070,13 +1070,8 @@ pub fn load_graph<P: AsRef<Path>>(path: P) -> Result<WeightedGraph, StoreError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use std::cell::Cell;
-
-    fn scratch(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("ic-store-reader-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{tag}.ics1"))
-    }
 
     /// How many times the retry loop reads `path`, and what it returns.
     fn tries(path: &Path) -> (u32, Result<(StoreFile, u32), StoreError>) {
@@ -1092,7 +1087,8 @@ mod tests {
     /// error, read once and returned as it is.
     #[test]
     fn hard_errors_are_not_retried() {
-        let missing = scratch("definitely-absent");
+        let dir = ScratchDir::new("store-reader");
+        let missing = dir.join("definitely-absent.ics1");
         let (calls, result) = tries(&missing);
         assert_eq!(calls, 1, "a hard error was retried");
         match result {
@@ -1106,7 +1102,8 @@ mod tests {
     /// Corruption likewise fails closed on the first read, typed.
     #[test]
     fn corruption_is_not_retried() {
-        let path = scratch("corrupt");
+        let dir = ScratchDir::new("store-reader");
+        let path = dir.join("corrupt.ics1");
         crate::save_graph(&path, &ic_core::figure1::figure1()).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;

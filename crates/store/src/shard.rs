@@ -33,13 +33,11 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use ic_core::algo::ExtremumIndex;
-use ic_core::Extremum;
 use ic_graph::{connected_components, Graph, VertexId, WeightedGraph};
 use ic_kcore::{core_decomposition, CoreDecomposition, GraphSnapshot};
 
 use crate::format::ShardMeta;
-use crate::writer::StoreBuilder;
+use crate::writer::WarmState;
 use crate::StoreError;
 
 /// Default vertex cap per shard: large enough that a million-node
@@ -237,7 +235,7 @@ pub fn build_shard_stores(
             global_m,
         };
 
-        let snap = GraphSnapshot::with_decomposition(Arc::new(wg_local), decomp_local.clone());
+        let snap = GraphSnapshot::with_decomposition(Arc::new(wg_local), decomp_local);
         let shard_ks: Vec<usize> = ks
             .iter()
             .copied()
@@ -246,28 +244,9 @@ pub fn build_shard_stores(
                 k32 >= spec.k_lo && k32 <= k_hi[i] && k32 <= max_core_local
             })
             .collect();
-        let levels: Vec<_> = shard_ks.iter().map(|&k| snap.level(k)).collect();
-        let forests: Vec<_> = shard_ks
-            .iter()
-            .flat_map(|&k| {
-                [
-                    ExtremumIndex::build_on(&snap, k, Extremum::Min),
-                    ExtremumIndex::build_on(&snap, k, Extremum::Max),
-                ]
-            })
-            .collect();
-
-        let mut builder = StoreBuilder::new(snap.weighted());
-        builder.decomposition(&decomp_local);
-        for level in &levels {
-            builder.level(level);
-        }
-        for forest in &forests {
-            builder.forest(forest.parts());
-        }
-        builder.shard(meta, &spec.vertices);
         let path = out_dir.join(format!("shard-{i:04}.ics1"));
-        builder.write_to(&path)?;
+        let warm = WarmState::at(&snap, &shard_ks);
+        warm.builder().shard(meta, &spec.vertices).write_to(&path)?;
         paths.push(path);
     }
     Ok(paths)
@@ -322,8 +301,7 @@ mod tests {
     #[test]
     fn built_shards_round_trip_with_meta_and_id_map() {
         let wg = figure1();
-        let dir = std::env::temp_dir().join(format!("ic-shard-build-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = crate::scratch::ScratchDir::new("shard-build");
         let paths = build_shard_stores(&wg, &[2], 4, &dir).unwrap();
         assert!(!paths.is_empty());
         let mut covered = 0usize;
@@ -344,7 +322,6 @@ mod tests {
             }
         }
         assert_eq!(covered, wg.graph().num_vertices());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

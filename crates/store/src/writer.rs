@@ -36,17 +36,65 @@ use crate::format::{
     align8, Header, Section, SectionKind, ShardMeta, ENTRY_LEN, FORMAT_VERSION, HEADER_LEN,
 };
 use crate::StoreError;
-use ic_core::algo::IndexParts;
+use ic_core::algo::{ExtremumIndex, IndexParts};
 use ic_core::Extremum;
 use ic_graph::WeightedGraph;
-use ic_kcore::{CoreDecomposition, CoreLevel};
+use ic_kcore::{CoreDecomposition, CoreLevel, GraphSnapshot};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Encoded peel direction of a forest section.
 pub(crate) fn dir_code(extremum: Extremum) -> u16 {
     match extremum {
         Extremum::Min => 0,
         Extremum::Max => 1,
+    }
+}
+
+/// What a store of a snapshot holds beside its graph: the core
+/// decomposition, core levels and extremum forests. The one way a
+/// snapshot becomes a store.
+pub struct WarmState<'a> {
+    snap: &'a GraphSnapshot,
+    decomp: Arc<CoreDecomposition>,
+    levels: Vec<Arc<CoreLevel>>,
+    forests: Vec<Arc<ExtremumIndex>>,
+}
+
+impl<'a> WarmState<'a> {
+    /// The level and both forests (`min`, then `max`) at each `k` of
+    /// `ks`, memoized on `snap`.
+    pub fn at(snap: &'a GraphSnapshot, ks: &[usize]) -> Self {
+        let both = |k| [Extremum::Min, Extremum::Max].map(|d| ExtremumIndex::cached(snap, k, d));
+        WarmState {
+            snap,
+            decomp: snap.decomposition(),
+            levels: ks.iter().map(|&k| snap.level(k)).collect(),
+            forests: ks.iter().flat_map(|&k| both(k)).collect(),
+        }
+    }
+
+    /// Whatever `snap` has memoized: what served traffic warmed.
+    pub fn memoized(snap: &'a GraphSnapshot) -> Self {
+        WarmState {
+            snap,
+            decomp: snap.decomposition(),
+            levels: snap.memoized_levels(),
+            forests: ExtremumIndex::memoized(snap),
+        }
+    }
+
+    /// A builder holding the graph, its weights and all of the above.
+    pub fn builder(&self) -> StoreBuilder<'_> {
+        let mut builder = StoreBuilder::new(self.snap.weighted());
+        builder.decomposition(&self.decomp);
+        for level in &self.levels {
+            builder.level(level);
+        }
+        for forest in &self.forests {
+            builder.forest(forest.parts());
+        }
+        builder
     }
 }
 

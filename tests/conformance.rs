@@ -1,46 +1,43 @@
 //! Cross-solver conformance: every path to the same query must give the
-//! same answer.
+//! same answer — the top r of Definition 3.
 //!
-//! For **every built-in aggregation** — the paper's seven plus the PR-4
-//! extension built-ins `top-t-sum`, `percentile`, and `geo-mean` — there
-//! are up to four ways to answer a query:
+//! The agreement properties are calls of [`common::agree`], which
+//! answers a deck of queries on every backend it enables and compares
+//! each answer with one reference: the from-scratch oracle of the
+//! query's solver class (`ic_core::algo::oracle`), or the exhaustive
+//! `exact_topr` on tiny graphs. They differ only in the graphs they
+//! draw, their decks, their case counts and their backends:
 //!
-//! * **oracle** — the from-scratch reference solvers
-//!   (`ic_core::algo::oracle`, the exhaustive `exact_topr` on tiny
-//!   graphs, and `oracle::local_search` for the heuristic route);
-//! * **arena** — the zero-rebuild `PeelArena` solvers, reached through
-//!   [`Query::solve_on`] (routing is by declared certificates since
-//!   PR 4 — nothing here dispatches on the aggregation itself);
-//! * **engine-batched** — `ic_engine::Engine::run_batch`, including its
-//!   dedup and r-family merging;
-//! * **sharded** — `ic_shard::ShardedEngine`, for one family whose
-//!   members each merge lists from several shards.
+//! * **arena** — `Query::solve_on` on a fresh snapshot, every community
+//!   checked against Definition 3, and Algorithm 1 beside Algorithm 2;
+//! * **engine** — `Engine::run_batch` at 1, 2 and 4 threads, each query
+//!   inside one mixed, duplicate-heavy batch and alone;
+//! * **store** — a warmed engine persisted, reopened owned and eager,
+//!   and mapped with its adjacency check owed (`tests/store.rs`,
+//!   `tests/progressive.rs`);
+//! * **sharded** — `ic_shard::ShardedEngine` over disconnected blocks:
+//!   exact classes bit-identical, the rest refused with a typed error;
+//! * **updates** — after every batch of edge toggles, the engine equals
+//!   a fresh engine on the mutated graph and subscription deltas replay
+//!   to the fresh answer (`tests/progressive.rs`, `tests/sub.rs`).
 //!
 //! The deterministic paths must agree **bit for bit** — same vertex
-//! sets, same values, same order — on ER, Barabási-Albert, Chung-Lu,
-//! and planted-partition graphs, including the edge cases `r = 1`,
-//! `r > #communities`, `k = 1`, and `k > degeneracy`. Heuristic local
-//! search is deterministic too: the engine at any thread count ≡
-//! `Query::solve` ≡ the paper-printed `oracle::local_search`. Any future
-//! refactor that silently diverges from the oracle semantics fails here
-//! first.
+//! sets, same values, same order — including the edge cases `r = 1`,
+//! `r > #communities`, `k = 1` and `k > degeneracy`, and value ties at
+//! every cut. Heuristic local search is deterministic too, and held to
+//! the paper-printed `oracle::local_search`. The arena arm alone, which
+//! needs no engine, also runs from the ic-core suites.
 
+use common::{agree, arb_half_tied, arb_workload, size_bound, Arena, Backends, Shape};
 use ic_core::algo::{self, oracle, LocalSearchConfig};
-use ic_core::verify::check_community;
 use ic_core::{Aggregation, Community, Query};
 use ic_engine::{AnswerStatus, BatchOptions, Engine, EngineError};
 use ic_gen::{planted_partition, rank_weights, GraphSeed, PlantedPartitionConfig};
 use ic_graph::WeightedGraph;
-use ic_kcore::{degeneracy, GraphSnapshot, PeelArena};
+use ic_kcore::degeneracy;
 use proptest::prelude::*;
 
 mod common;
-
-/// One synthetic workload drawn from the four graph families with a
-/// seed-derived weight model.
-fn arb_workload() -> impl Strategy<Value = WeightedGraph> {
-    common::arb_workload(0..4, 0..3, 24..72)
-}
 
 fn engine(wg: &WeightedGraph, threads: usize) -> Engine {
     Engine::with_threads(wg.clone(), threads)
@@ -53,184 +50,182 @@ fn unwrap_batch(results: Vec<Result<Vec<Community>, ic_core::SearchError>>) -> V
         .collect()
 }
 
-/// The arena path: [`Query::solve_on`] against a fresh memoized
-/// snapshot (bit-identical to `Query::solve` by contract).
-fn arena_solve(wg: &WeightedGraph, q: Query) -> Vec<Community> {
-    let snap = GraphSnapshot::new(wg.clone());
-    let mut arena = PeelArena::for_graph(snap.graph());
-    q.solve_on(&snap, &mut arena).expect("valid query")
-}
-
-/// Algorithm 1 on a fresh snapshot (shared harness; the per-graph free
-/// function was removed from the public API in PR 4).
-fn arena_sum_naive(wg: &WeightedGraph, k: usize, r: usize, agg: Aggregation) -> Vec<Community> {
-    ic_bench::harness::sum_naive(wg, k, r, agg).expect("valid params")
+/// Every path a query can take on one engine: the arena beside
+/// Algorithm 1, and the engine at 1, 2 and 4 threads and alone. (The
+/// store arm runs in `tests/store.rs` and `tests/progressive.rs`.)
+fn all_paths() -> Backends {
+    Backends {
+        arena: Arena {
+            naive: true,
+            ..Arena::default()
+        },
+        threads: &[1, 2, 4],
+        alone: true,
+        ..Backends::default()
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// min/max: oracle ≡ arena ≡ engine (any thread count),
-    /// across the k grid including k = 1 and k > degeneracy, r
-    /// including 1 and r > #communities.
+    /// min/max across the k grid, k = 1 and k > degeneracy included,
+    /// and r from 1 past the community count.
     #[test]
-    fn node_domination_paths_agree(wg in arb_workload()) {
+    fn node_domination_paths_agree(wg in arb_half_tied(Shape::Families(0..4), 20..72)) {
         let d = degeneracy(wg.graph()) as usize;
-        let ks = [1usize, 2, (d / 2).max(1), d + 1];
-        let rs = [1usize, 3, 10_000];
-        for threads in [1usize, 4] {
-            let eng = engine(&wg, threads);
-            for &k in &ks {
-                for &r in &rs {
-                    let batch = [
-                        Query::new(k, r, Aggregation::Min),
-                        Query::new(k, r, Aggregation::Max),
-                    ];
-                    let got = unwrap_batch(eng.run_batch(&batch));
-                    let arena_min = arena_solve(&wg, batch[0]);
-                    let oracle_min = oracle::min_topr(&wg, k, r).unwrap();
-                    prop_assert_eq!(&arena_min, &oracle_min, "min arena/oracle k={} r={}", k, r);
-                    prop_assert_eq!(&got[0], &arena_min, "min engine k={} r={} t={}", k, r, threads);
-                    let arena_max = arena_solve(&wg, batch[1]);
-                    let oracle_max = oracle::max_topr(&wg, k, r).unwrap();
-                    prop_assert_eq!(&arena_max, &oracle_max, "max arena/oracle k={} r={}", k, r);
-                    prop_assert_eq!(&got[1], &arena_max, "max engine k={} r={} t={}", k, r, threads);
-                    if k > d {
-                        prop_assert!(got[0].is_empty() && got[1].is_empty(), "k>degeneracy");
-                    }
-                }
-            }
-        }
+        let deck: Vec<Query> = [1, 2, (d / 2).max(1), d + 1]
+            .into_iter()
+            .flat_map(|k| [1, 3, 10_000].map(move |r| (k, r)))
+            .flat_map(|(k, r)| [Aggregation::Min, Aggregation::Max].map(|agg| Query::new(k, r, agg)))
+            .collect();
+        agree(&wg, &deck, &all_paths())?;
     }
 
-    /// sum / sum-surplus: oracle ≡ arena ≡ engine for
-    /// Algorithm 1 and Algorithm 2 (exact and approximate).
+    /// sum / sum-surplus through Algorithm 1 and Algorithm 2, exact and
+    /// approximate.
     #[test]
-    fn removal_decreasing_paths_agree(wg in arb_workload(), k in 1usize..4) {
-        let aggs = [Aggregation::Sum, Aggregation::SumSurplus { alpha: 0.75 }];
-        let eng = engine(&wg, 2);
-        for &agg in &aggs {
-            for r in [1usize, 4] {
-                let q = Query::new(k, r, agg);
-                let oracle_naive = oracle::sum_naive(&wg, k, r, agg).unwrap();
-                let arena_naive = arena_sum_naive(&wg, k, r, agg);
-                prop_assert_eq!(&arena_naive, &oracle_naive, "naive k={} r={}", k, r);
-                let oracle_tic = oracle::tic_improved(&wg, k, r, agg, 0.0).unwrap();
-                let arena_tic = arena_solve(&wg, q);
-                prop_assert_eq!(&arena_tic, &oracle_tic, "tic k={} r={}", k, r);
-                let got = unwrap_batch(eng.run_batch(&[q]));
-                prop_assert_eq!(&got[0], &arena_tic, "engine k={} r={}", k, r);
-                // The two algorithms agree on values (tie-broken sets may
-                // legitimately differ between Algorithm 1 and 2).
-                let nv: Vec<f64> = arena_naive.iter().map(|c| c.value).collect();
-                let tv: Vec<f64> = arena_tic.iter().map(|c| c.value).collect();
-                prop_assert_eq!(nv.len(), tv.len());
-                for (a, b) in nv.iter().zip(&tv) {
-                    prop_assert!((a - b).abs() < 1e-9, "{} vs {}", a, b);
-                }
-            }
-            // Approximate mode: engine ≡ arena ≡ oracle at the same ε.
-            for eps in [0.1, 0.4] {
-                let q = Query::new(k, 3, agg).approx(eps);
-                let oracle_eps = oracle::tic_improved(&wg, k, 3, agg, eps).unwrap();
-                let arena_eps = arena_solve(&wg, q);
-                prop_assert_eq!(&arena_eps, &oracle_eps, "eps={}", eps);
-                let got = unwrap_batch(eng.run_batch(&[q]));
-                prop_assert_eq!(&got[0], &arena_eps, "engine eps={}", eps);
-            }
-        }
-    }
-
-    /// Every built-in aggregation, pinned across all three paths at once
-    /// — including the PR-4 additions (`top-t-sum`, `percentile`,
-    /// `geo-mean`). Aggregations with a polynomial certificate run
-    /// unconstrained; the NP-hard rest run through their size-bounded
-    /// local-search route, whose paths are all bit-identical too.
-    #[test]
-    fn every_builtin_agrees_across_all_paths(wg in arb_workload(), k in 1usize..4) {
-        for agg in Aggregation::builtins() {
-            let certs = agg.certificates();
-            let unconstrained = certs.peel_extremum.is_some() || certs.removal_decreasing;
-            let q = if unconstrained {
-                Query::new(k, 3, agg)
-            } else {
-                Query::new(k, 3, agg).size_bound(k + 4, true)
-            };
-            // Reference (oracle) path.
-            let reference = if let Some(ext) = certs.peel_extremum {
-                match ext {
-                    ic_core::Extremum::Min => oracle::min_topr(&wg, k, 3).unwrap(),
-                    ic_core::Extremum::Max => oracle::max_topr(&wg, k, 3).unwrap(),
-                }
-            } else if certs.removal_decreasing {
-                oracle::tic_improved(&wg, k, 3, agg, 0.0).unwrap()
-            } else {
-                let config = LocalSearchConfig { k, r: 3, s: k + 4, greedy: true };
-                oracle::local_search(&wg, &config, agg).unwrap()
-            };
-            // Arena ≡ oracle.
-            let arena = arena_solve(&wg, q);
-            prop_assert_eq!(&arena, &reference, "{} arena k={}", agg.name(), k);
-            // Engine-batched ≡ arena.
-            let got = unwrap_batch(engine(&wg, 1).run_batch(&[q]));
-            prop_assert_eq!(&got[0], &arena, "{} engine k={}", agg.name(), k);
-            // Every community checks out structurally and value-wise.
-            let bound = if unconstrained { None } else { Some(k + 4) };
-            for c in &arena {
-                prop_assert!(
-                    check_community(&wg, k, bound, agg, c).is_ok(),
-                    "{} invalid community {:?}", agg.name(), c.vertices
-                );
-            }
-        }
-    }
-
-    /// Constrained queries (avg and friends): the engine at 1, 2 and 4
-    /// threads, `Query::solve` and the paper-printed
-    /// `oracle::local_search` give the same answer bit for bit. Both
-    /// greedy modes share one batch, so on a multi-thread engine their
-    /// families walk side by side. Weights are drawn from {1, 2, 3}, so
-    /// candidates tie at every top-r bar.
-    #[test]
-    fn constrained_paths_agree(
-        wg in common::arb_workload(0..4, 4..5, 24..72),
+    fn removal_decreasing_paths_agree(
+        wg in arb_half_tied(Shape::Families(0..4), 20..72),
         k in 1usize..4,
     ) {
-        let s = k + 4;
-        let aggs = [
-            Aggregation::Average,
-            Aggregation::Min,
-            Aggregation::Sum,
-            Aggregation::SumSurplus { alpha: 0.25 },
-            Aggregation::TopTSum { t: 2 },
-            Aggregation::Percentile { p: 0.75 },
-            Aggregation::GeometricMean,
-        ];
-        let probes: Vec<(bool, Aggregation)> = [true, false]
+        let mut deck = Vec::new();
+        for agg in [Aggregation::Sum, Aggregation::SumSurplus { alpha: 0.75 }] {
+            deck.extend([1, 4].map(|r| Query::new(k, r, agg)));
+            deck.extend([0.1, 0.4].map(|eps| Query::new(k, 3, agg).approx(eps)));
+        }
+        agree(&wg, &deck, &all_paths())?;
+    }
+
+    /// Every built-in aggregation: those with a polynomial certificate
+    /// unconstrained, the NP-hard rest through their size-bounded
+    /// local-search route.
+    #[test]
+    fn every_builtin_agrees_across_all_paths(
+        wg in arb_half_tied(Shape::Families(0..4), 20..72),
+        k in 1usize..4,
+    ) {
+        let deck: Vec<Query> = Aggregation::builtins()
             .into_iter()
-            .flat_map(|greedy| aggs.map(|agg| (greedy, agg)))
-            .collect();
-        let batch: Vec<Query> = probes
-            .iter()
-            .map(|&(greedy, agg)| Query::new(k, 3, agg).size_bound(s, greedy))
-            .collect();
-        let want: Vec<Vec<Community>> = probes
-            .iter()
-            .map(|&(greedy, agg)| {
-                let config = LocalSearchConfig { k, r: 3, s, greedy };
-                oracle::local_search(&wg, &config, agg).unwrap()
+            .map(|agg| {
+                let certs = agg.certificates();
+                match certs.peel_extremum.is_some() || certs.removal_decreasing {
+                    true => Query::new(k, 3, agg),
+                    false => Query::new(k, 3, agg).size_bound(k + 4, true),
+                }
             })
             .collect();
-        for (q, want) in batch.iter().zip(&want) {
-            prop_assert_eq!(&q.solve(&wg).unwrap(), want, "Query::solve {:?}", q);
-        }
-        for threads in [1, 2, 4] {
-            let got = unwrap_batch(engine(&wg, threads).run_batch(&batch));
-            for ((q, got), want) in batch.iter().zip(&got).zip(&want) {
-                prop_assert_eq!(got, want, "engine({}) {:?}", threads, q);
-            }
-        }
+        agree(&wg, &deck, &all_paths())?;
     }
+
+    /// Seven aggregations size-bounded, held to `oracle::local_search`.
+    /// Both greedy modes share one batch, so on a multi-thread engine
+    /// their families walk side by side. Weights are drawn from
+    /// {1, 2, 3}, so candidates tie at every top-r bar.
+    #[test]
+    fn constrained_paths_agree(
+        wg in arb_workload(Shape::Families(0..4), 4..5, 20..72),
+        k in 1usize..4,
+    ) {
+        let deck: Vec<Query> = [true, false]
+            .into_iter()
+            .flat_map(|greedy| {
+                [
+                    Aggregation::Average,
+                    Aggregation::Min,
+                    Aggregation::Sum,
+                    Aggregation::SumSurplus { alpha: 0.25 },
+                    Aggregation::TopTSum { t: 2 },
+                    Aggregation::Percentile { p: 0.75 },
+                    Aggregation::GeometricMean,
+                ]
+                .map(|agg| Query::new(k, 3, agg).size_bound(k + 4, greedy))
+            })
+            .collect();
+        agree(&wg, &deck, &all_paths())?;
+    }
+
+    /// Probes inside a duplicate-heavy batch of r-family siblings,
+    /// repeats and unrelated queries: each answers as it does alone.
+    #[test]
+    fn batch_composition_does_not_change_answers(
+        wg in arb_half_tied(Shape::Families(0..4), 20..72),
+        k in 1usize..4,
+    ) {
+        let deck = [
+            Query::new(k, 2, Aggregation::Min),
+            Query::new(k, 5, Aggregation::Max),
+            Query::new(k, 3, Aggregation::Sum),
+            Query::new(k, 1, Aggregation::Min),
+            Query::new(k, 9, Aggregation::Min),
+            Query::new(k, 2, Aggregation::Min),
+            Query::new(k + 1, 2, Aggregation::Max),
+            Query::new(k, 3, Aggregation::Sum).approx(0.2),
+        ];
+        agree(&wg, &deck, &all_paths())?;
+    }
+
+    /// Disconnected blocks behind the scatter-gather front, each shard
+    /// holding at most one whole block: `r` far above any shard's
+    /// community count and `r`s that cut a value tie between shards,
+    /// half the cases under {1, 2, 3} weights.
+    #[test]
+    fn sharded_blocks_answer_like_the_oracle(
+        wg in arb_half_tied(Shape::Blocks, 8..24),
+        cap in 8usize..40,
+    ) {
+        let n = wg.num_vertices();
+        let cap = cap.min(2 * ic_graph::largest_component(wg.graph()).len() - 1);
+        let mut deck: Vec<Query> = (1..=4)
+            .flat_map(|k| {
+                [
+                    Query::new(k, 3, Aggregation::Min),
+                    Query::new(k, 2, Aggregation::Max),
+                    Query::new(k, 2 * n, Aggregation::Max),
+                    Query::new(k, 2 * n, Aggregation::Sum),
+                ]
+            })
+            .collect();
+        deck.push(Query::new(2, 3, Aggregation::Sum).approx(0.2));
+        deck.push(Query::new(2, 2, Aggregation::Average).size_bound(6, true));
+        let on = Backends { shards: Some((cap, &[2, 3])), ..Backends::default() };
+        agree(&wg, &deck, &on)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Tiny graphs — random edges and the four families — against the
+    /// exhaustive oracle: `min`, `max` and `sum` at every r from 1 to 8,
+    /// and size bounds from k + 1 to 2(k + 1) + 1, the smallest that
+    /// admits two disjoint (k + 1)-cliques.
+    #[test]
+    fn every_solver_class_cuts_ties_like_the_exhaustive_oracle(
+        wg in prop_oneof![
+            arb_workload(Shape::RandomEdges, 0..5, 4..14),
+            arb_workload(Shape::Families(0..4), 0..5, 4..13),
+        ],
+        k in 1usize..4,
+        slack in 0usize..64,
+    ) {
+        let s = size_bound(k, slack);
+        let mut deck: Vec<Query> = [Aggregation::Min, Aggregation::Max, Aggregation::Sum]
+            .into_iter()
+            .flat_map(|agg| (1..=8).map(move |r| Query::new(k, r, agg)))
+            .collect();
+        deck.extend([
+            Query::new(k, 3, Aggregation::SumSurplus { alpha: 1.5 }),
+            Query::new(k, 4, Aggregation::Sum).size_bound(s, true),
+            Query::new(k, 1, Aggregation::Average).size_bound(s, true),
+        ]);
+        let arena = Arena { exhaustive: true, naive: true };
+        let on = Backends { arena, threads: &[2], ..Backends::default() };
+        agree(&wg, &deck, &on)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Mixed fault batches: queries with randomly drawn deadlines (none,
     /// already-expired, generous) share one batch. Whatever each query's
@@ -251,7 +246,7 @@ proptest! {
     /// the armed `min`/`max` cuts.
     #[test]
     fn mixed_deadline_batches_leave_survivors_bit_identical(
-        wg in common::arb_workload(0..4, 0..5, 24..72),
+        wg in arb_workload(Shape::Families(0..4), 0..5, 24..72),
         k in 1usize..4,
         picks in proptest::collection::vec(0u8..3, 4),
         threads in 1usize..5,
@@ -377,69 +372,6 @@ proptest! {
         pool.put_arena(a);
         prop_assert_eq!(pool.len(), pool.created() - pool.quarantined());
     }
-
-    /// Batch composition invariance: a query answered inside a mixed,
-    /// duplicate-heavy batch (r-family siblings, repeats, unrelated
-    /// queries) must equal the same query answered alone.
-    #[test]
-    fn batch_composition_does_not_change_answers(wg in arb_workload(), k in 1usize..4) {
-        let eng = engine(&wg, 3);
-        let probes = [
-            Query::new(k, 2, Aggregation::Min),
-            Query::new(k, 5, Aggregation::Max),
-            Query::new(k, 3, Aggregation::Sum),
-        ];
-        let mut batch: Vec<Query> = probes.to_vec();
-        // Family siblings and exact repeats around the probes.
-        batch.push(Query::new(k, 1, Aggregation::Min));
-        batch.push(Query::new(k, 9, Aggregation::Min));
-        batch.push(Query::new(k, 2, Aggregation::Min));
-        batch.push(Query::new(k + 1, 2, Aggregation::Max));
-        batch.push(Query::new(k, 3, Aggregation::Sum).approx(0.2));
-        let batched = unwrap_batch(eng.run_batch(&batch));
-        for (i, q) in probes.iter().enumerate() {
-            // A fresh engine per probe keeps the comparison honest: the
-            // first engine would answer from its result cache.
-            let alone = unwrap_batch(engine(&wg, 3).run_batch(&[*q]));
-            prop_assert_eq!(&batched[i], &alone[0], "probe {} changed inside batch", i);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// One definition of the top r for every solver class, anchored by
-    /// the exhaustive oracle on tiny graphs. With weights from {1, 2, 3}
-    /// — value ties at every cut, nested ones included — or any other
-    /// weight model, the routed solve, the from-scratch oracle and an
-    /// engine batch holding r = 1..=8 of each family all answer what
-    /// `exact_topr` does: the first r, by `ranking_cmp`, of the
-    /// communities no strict superset of equal value contains.
-    #[test]
-    fn every_solver_class_cuts_ties_like_the_exhaustive_oracle(
-        wg in common::arb_workload(0..4, 0..5, 4..13),
-        k in 1usize..4,
-    ) {
-        let aggregations = [Aggregation::Min, Aggregation::Max, Aggregation::Sum];
-        let batch: Vec<Query> = aggregations
-            .iter()
-            .flat_map(|&agg| (1..=8).map(move |r| Query::new(k, r, agg)))
-            .collect();
-        let served = unwrap_batch(engine(&wg, 2).run_batch(&batch));
-        for (q, engine_answer) in batch.iter().zip(&served) {
-            let (r, agg) = (q.r, q.aggregation);
-            let want = oracle::exact_topr(&wg, k, r, None, agg).unwrap();
-            let from_scratch = match agg {
-                Aggregation::Min => oracle::min_topr(&wg, k, r),
-                Aggregation::Max => oracle::max_topr(&wg, k, r),
-                _ => oracle::tic_improved(&wg, k, r, agg, 0.0),
-            };
-            prop_assert_eq!(&q.solve(&wg).unwrap(), &want, "solve {:?}", q);
-            prop_assert_eq!(&from_scratch.unwrap(), &want, "oracle {:?}", q);
-            prop_assert_eq!(engine_answer, &want, "engine {:?}", q);
-        }
-    }
 }
 
 /// Definition 3's maximality on every route. On K4 with every weight 1
@@ -464,13 +396,11 @@ fn nested_ties_answer_the_maximal_community_on_every_route() {
     let eng = std::sync::Arc::new(engine(&wg, 2));
     assert_eq!(unwrap_batch(eng.run_batch(&[q]))[0], want, "engine");
 
-    let dir = std::env::temp_dir().join(format!("ic-conformance-k4-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = common::ScratchDir::new("conformance-k4");
     ic_store::shard::build_shard_stores(&wg, &[2], 4, &dir).unwrap();
     let sharded = ic_shard::ShardedEngine::open_dir(&dir).unwrap();
     let got = sharded.run_batch_pinned(&[q], &BatchOptions::default()).1;
     assert_eq!(got[0].as_ref().unwrap().communities, want, "sharded");
-    std::fs::remove_dir_all(&dir).ok();
 
     let server = ic_serve::Server::bind(eng, "127.0.0.1:0", Default::default()).unwrap();
     let mut client = ic_serve::Client::connect(server.local_addr()).unwrap();
@@ -507,8 +437,7 @@ fn a_sharded_family_of_four_rs_matches_the_unsharded_engine() {
         .map(|i| ((i * 7 + 3) % 5) as f64 + 1.0)
         .collect();
     let wg = WeightedGraph::new(g, w).unwrap();
-    let dir = std::env::temp_dir().join(format!("ic-conformance-shards-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = common::ScratchDir::new("conformance-shards");
     ic_store::shard::build_shard_stores(&wg, &[2], 12, &dir).unwrap();
     let sharded = ic_shard::ShardedEngine::open_dir(&dir).unwrap();
     assert!(sharded.route(2).len() >= 2, "the family must fan out");
@@ -530,7 +459,6 @@ fn a_sharded_family_of_four_rs_matches_the_unsharded_engine() {
         assert_eq!(w.communities.len(), q.r, "{q:?} has r answers to cut at");
         assert_eq!(w, g.as_ref().expect("sharded answer"), "{q:?}");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Explicit edge-case sweep on a planted graph with known structure.
@@ -601,7 +529,7 @@ fn balanced_density_sentinel_is_consistent_across_paths() {
         greedy: true,
     };
     let seq = algo::local_search(&wg, &config, Aggregation::BalancedDensity).unwrap();
-    let arena = arena_solve(&wg, q);
+    let arena = q.solve(&wg).unwrap();
     let batched = unwrap_batch(engine(&wg, 1).run_batch(&[q]));
     assert_eq!(arena, seq, "arena vs sequential");
     assert_eq!(batched[0], seq, "engine vs sequential");

@@ -2,34 +2,20 @@
 //! unconstrained solvers must agree (Naive ≡ Improve; Approx within the
 //! Theorem-6 bound), and every solver's output must verify.
 
+use common::email;
+use ic_bench::harness::sum_naive;
 use ic_core::algo;
-use ic_core::Query;
-
-/// Algorithm 1 on a fresh snapshot (shared harness; the per-graph free
-/// function was removed from the public API in PR 4).
-fn sum_naive_on_fresh(
-    wg: &ic_graph::WeightedGraph,
-    k: usize,
-    r: usize,
-) -> Result<Vec<ic_core::Community>, ic_core::SearchError> {
-    ic_bench::harness::sum_naive(wg, k, r, Aggregation::Sum)
-}
 use ic_core::verify::check_community;
-use ic_core::Aggregation;
-use ic_gen::datasets::{by_name, Profile};
+use ic_core::{Aggregation, Query};
 
-fn email() -> ic_graph::WeightedGraph {
-    by_name(Profile::Quick, "email")
-        .unwrap()
-        .generate_weighted()
-}
+mod common;
 
 #[test]
 fn naive_equals_improved_on_email() {
     let wg = email();
     for k in [4usize, 8] {
         for r in [1usize, 5] {
-            let naive = sum_naive_on_fresh(&wg, k, r).unwrap();
+            let naive = sum_naive(&wg, k, r, Aggregation::Sum).unwrap();
             let improved = Query::new(k, r, Aggregation::Sum).solve(&wg).unwrap();
             let nv: Vec<f64> = naive.iter().map(|c| c.value).collect();
             let iv: Vec<f64> = improved.iter().map(|c| c.value).collect();

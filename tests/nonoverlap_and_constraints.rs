@@ -1,17 +1,14 @@
 //! TONIC (non-overlapping) behaviour and constraint handling on realistic
 //! workloads, plus error-path coverage across the public API.
 
+use common::email;
 use ic_core::algo::{self, LocalSearchConfig};
 use ic_core::verify::check_community;
 use ic_core::{Aggregation, SearchError};
 use ic_gen::datasets::{by_name, Profile};
 use ic_kcore::maximal_kcore_components;
 
-fn email() -> ic_graph::WeightedGraph {
-    by_name(Profile::Quick, "email")
-        .unwrap()
-        .generate_weighted()
-}
+mod common;
 
 #[test]
 fn tonic_sum_returns_kcore_components() {

@@ -1,10 +1,10 @@
-//! The mutable-engine contracts, held as property tests (PR 3's
-//! acceptance criteria):
+//! The mutable-engine contracts, held as property tests:
 //!
 //! 1. **Post-`apply` conformance** — after any script of edge
 //!    insertions/deletions, the engine answers every query exactly like
-//!    a *fresh* engine built from scratch on the mutated graph, the
-//!    epoch advances, and pre-update cache entries are never served.
+//!    a *fresh* engine built from scratch on the mutated graph, and the
+//!    epoch advances iff the edge set changed (the update arm of
+//!    [`common::agree`]).
 //! 2. **Isolation** — a batch is served under one epoch, and batches
 //!    after an `apply` pin the new one.
 //! 3. **Carried state is invisible** — across a run of applies, the
@@ -12,6 +12,7 @@
 //!    next epoch serve exactly what a direct solve on the toggled graph
 //!    returns, and so do the subscriptions it lets skip their refresh.
 
+use common::{agree, arb_workload, Backends, Shape};
 use ic_core::Aggregation;
 use ic_engine::prelude::*;
 use ic_graph::WeightedGraph;
@@ -22,95 +23,32 @@ use std::sync::Arc;
 
 mod common;
 
-/// One query per solver route the engine serves (min/max peel, exact
-/// TIC, approximate TIC, local search).
-fn probe_queries(k: usize, r: usize) -> Vec<Query> {
-    vec![
-        Query::new(k, r, Aggregation::Min),
-        Query::new(k, r, Aggregation::Max),
-        Query::new(k, r, Aggregation::Sum),
-        Query::new(k, r, Aggregation::SumSurplus { alpha: 0.5 }),
-        Query::new(k, r, Aggregation::Sum).approx(0.2),
-        Query::new(k, r, Aggregation::Average).size_bound(k + 4, true),
-    ]
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(34))]
 
-    /// After a random script of edge updates, the mutated engine answers
-    /// identically to a from-scratch engine on the updated graph; epochs
-    /// advance exactly when the edge set changes; the cache never serves
-    /// across epochs.
+    /// Edge toggles, no-op and self-loop ones included, on an engine
+    /// warmed by one query per solver route (min/max peel, exact and
+    /// approximate TIC, local search), which a subscription manager
+    /// watches too; the same queries through a persisted store before
+    /// any update.
     #[test]
     fn apply_matches_fresh_engine_on_mutated_graph(
-        wg in common::arb_workload(0..4, 0..3, 24..64),
+        wg in arb_workload(Shape::Families(0..4), 0..5, 20..64),
         k in 1usize..4,
-        script in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..24),
+        script in common::arb_script(1..5, 1..24),
     ) {
-        let n = wg.num_vertices() as u32;
-        let eng = Engine::with_threads(wg.clone(), 1);
-        // Warm the cache under epoch 0 so staleness would be caught.
-        let probes = probe_queries(k, 4);
-        let before = eng.run_batch(&probes);
-
-        let updates: Vec<EdgeUpdate> = script
-            .iter()
-            .map(|&(u, v, insert)| {
-                let (u, v) = (u % n, v % n);
-                if insert {
-                    EdgeUpdate::Insert { u, v }
-                } else {
-                    EdgeUpdate::Remove { u, v }
-                }
-            })
-            .collect();
-        let e0 = eng.epoch();
-        let e1 = eng.apply(&updates);
-
-        // Reference: the same edge script applied to a plain edge set.
-        // `changed` is tracked per update exactly like the maintainer
-        // does (an insert-then-remove of the same edge nets to nothing
-        // but still counts as a change and must advance the epoch).
-        let mut edges: std::collections::BTreeSet<(u32, u32)> = wg
-            .graph()
-            .edges()
-            .map(|(u, v)| (u.min(v), u.max(v)))
-            .collect();
-        let mut changed = false;
-        for up in &updates {
-            let (u, v) = up.endpoints();
-            if u == v {
-                continue;
-            }
-            let key = (u.min(v), u.max(v));
-            match up {
-                EdgeUpdate::Insert { .. } => changed |= edges.insert(key),
-                _ => changed |= edges.remove(&key),
-            }
-        }
-        let edge_list: Vec<(u32, u32)> = edges.iter().copied().collect();
-        let fresh_graph = ic_graph::graph_from_edges(n as usize, &edge_list);
-        prop_assert_eq!(
-            e1 > e0,
-            changed,
-            "epoch advances iff some update changed the edge set"
-        );
-
-        let fresh = Engine::with_threads(
-            WeightedGraph::new(fresh_graph, wg.weights().to_vec()).unwrap(),
-            1,
-        );
-        let mutated = eng.run_batch(&probes);
-        let reference = fresh.run_batch(&probes);
-        for ((q, got), expect) in probes.iter().zip(&mutated).zip(&reference) {
-            match (got, expect) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "post-apply {:?}", q),
-                (Err(_), Err(_)) => {}
-                _ => prop_assert!(false, "ok/err divergence on {:?}", q),
-            }
-        }
-        drop(before);
+        let deck = [
+            Query::new(k, 4, Aggregation::Min),
+            Query::new(k, 4, Aggregation::Max),
+            Query::new(k, 4, Aggregation::Sum),
+            Query::new(k, 4, Aggregation::SumSurplus { alpha: 0.5 }),
+            Query::new(k, 4, Aggregation::Sum).approx(0.2),
+            Query::new(k, 4, Aggregation::Average).size_bound(k + 4, true),
+        ];
+        let n = wg.num_vertices();
+        let updates = script.iter().map(|b| common::concrete_batch(b, n)).collect();
+        let on = Backends { threads: &[1], store: true, updates, ..Backends::default() };
+        agree(&wg, &deck, &on)?;
     }
 }
 
@@ -169,8 +107,8 @@ proptest! {
     #[test]
     fn carried_state_matches_direct_solves_after_every_apply(
         wg in prop_oneof![
-            common::arb_workload(0..4, 4..5, 20..48),
-            common::arb_workload(0..4, 0..1, 20..48),
+            arb_workload(Shape::Families(0..4), 4..5, 20..48),
+            arb_workload(Shape::Families(0..4), 0..1, 20..48),
         ],
         script in proptest::collection::vec(
             proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 1..5),

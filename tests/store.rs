@@ -1,62 +1,39 @@
 //! Persistence conformance: `persist → open` must be **bit-identical**
 //! to the in-memory engine, and corrupt stores must **fail closed**.
 //!
-//! Property-based over the same four graph families as the solver
-//! conformance suite (ER, Barabási-Albert, Chung-Lu, planted
-//! partition), plus a quantized weight model that forces value ties —
-//! the case where index rank order, peel tie-breaks, and persisted rank
-//! arrays could drift apart if any layer cut a corner:
-//!
-//! * the graph, weights, core decomposition, and every persisted forest
-//!   round-trip bit-for-bit through `ICS1` bytes;
-//! * a store-loaded engine answers a min/max/sum query sweep exactly
-//!   like a fresh engine built from the original graph;
+//! * a warmed engine's graph, weights, decomposition and forests round
+//!   trip exactly, and the file opened owned and mapped answers like the
+//!   oracle (the store arm of [`common::agree`]);
+//! * a store-opened engine driven through update scripts never serves
+//!   its persisted (pre-update) structures;
 //! * truncations, byte flips, and unknown versions all surface as typed
-//!   [`StoreError`]s — never a panic, never a silently wrong answer.
+//!   [`StoreError`]s — never a panic, never a silently wrong answer —
+//!   through the owned, eagerly verified open and the mapped, lazily
+//!   verified one alike;
+//! * a mapped store's adjacency check is owed until first touch, and a
+//!   flip there fails every operation that reads adjacency.
 
+use common::{agree, arb_workload, Backends, ScratchDir, Shape};
 use ic_core::algo::ExtremumIndex;
 use ic_core::{Aggregation, Extremum, Query};
 use ic_engine::{AnswerSink, BatchOptions, EdgeUpdate, Engine, EngineError, QueryBackend};
 use ic_gen::{chung_lu, gnm, rank_weights, GraphSeed};
 use ic_graph::WeightedGraph;
-use ic_kcore::{core_decomposition, GraphSnapshot};
-use ic_store::{format, SectionKind, StoreBuilder, StoreError, StoreFile};
+use ic_kcore::{AdjacencyState, GraphSnapshot};
+use ic_store::{format, OpenOptions, SectionKind, StoreError, StoreFile, WarmState};
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 mod common;
 
-/// One synthetic workload drawn from the four graph families. Weight
-/// model 3 quantizes to a handful of distinct values, forcing the tie
-/// paths through every layer.
-fn arb_workload() -> impl Strategy<Value = WeightedGraph> {
-    common::arb_workload(0..4, 0..4, 20..64)
-}
-
 /// Warm a snapshot the way served traffic would, then serialize it.
 fn store_bytes_for(wg: &WeightedGraph, ks: &[usize]) -> Vec<u8> {
     let snap = GraphSnapshot::new(wg.clone());
-    let decomp = snap.decomposition();
-    let levels: Vec<_> = ks.iter().map(|&k| snap.level(k)).collect();
-    let forests: Vec<_> = ks
-        .iter()
-        .flat_map(|&k| {
-            [
-                ExtremumIndex::cached(&snap, k, Extremum::Min),
-                ExtremumIndex::cached(&snap, k, Extremum::Max),
-            ]
-        })
-        .collect();
-    let mut builder = StoreBuilder::new(snap.weighted());
-    builder.decomposition(&decomp);
-    for level in &levels {
-        builder.level(level);
-    }
-    for forest in &forests {
-        builder.forest(forest.parts());
-    }
-    builder.to_bytes().expect("consistent store")
+    WarmState::at(&snap, ks)
+        .builder()
+        .to_bytes()
+        .expect("consistent store")
 }
 
 fn query_sweep(ks: &[usize]) -> Vec<Query> {
@@ -75,40 +52,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// `persist → open` ≡ in-memory, bit for bit: structures and top-r
-    /// answers.
+    /// answers. Weight model 3 quantizes to a handful of distinct
+    /// values, forcing the tie paths through every layer.
     #[test]
-    fn store_round_trip_is_bit_identical(wg in arb_workload()) {
-        let ks = [1usize, 2];
-        let bytes = store_bytes_for(&wg, &ks);
-        let file = StoreFile::from_bytes(&bytes).expect("fresh store validates");
-        let contents = file.load().expect("fresh store loads");
-
-        // Graph, weights, decomposition: exact.
-        prop_assert_eq!(contents.weighted.graph(), wg.graph());
-        prop_assert_eq!(contents.weighted.weights(), wg.weights());
-        let decomp = contents.decomposition.as_ref().expect("persisted");
-        prop_assert_eq!(decomp, &core_decomposition(wg.graph()));
-
-        // Forests: exact equality with a fresh build, both directions.
-        prop_assert_eq!(contents.forests.len(), 2 * ks.len());
-        for forest in &contents.forests {
-            let fresh = ExtremumIndex::build(&wg, forest.k(), forest.extremum());
-            prop_assert_eq!(forest, &fresh);
-        }
-
-        // A store-loaded engine answers exactly like a fresh one.
-        let fresh = Engine::with_threads(wg.clone(), 1);
-        let opened = Engine::from_snapshot(contents.into_snapshot(), 1);
-        let sweep = query_sweep(&ks);
-        let a = fresh.run_batch(&sweep);
-        let b = opened.run_batch(&sweep);
-        for ((q, x), y) in sweep.iter().zip(&a).zip(&b) {
-            prop_assert_eq!(
-                x.as_ref().expect("valid query"),
-                y.as_ref().expect("valid query"),
-                "store-loaded engine diverged on {:?}", q
-            );
-        }
+    fn store_round_trip_is_bit_identical(
+        wg in arb_workload(Shape::Families(0..4), 0..4, 20..64),
+    ) {
+        let on = Backends { store: true, ..Backends::default() };
+        agree(&wg, &query_sweep(&[1, 2]), &on)?;
     }
 
     /// The evolving-store contract, property-based: a store-opened
@@ -120,8 +71,8 @@ proptest! {
     /// small) are bit-identical to full rebuilds.
     #[test]
     fn applied_store_engines_never_serve_stale_state(
-        wg in arb_workload(),
-        script in common::arb_script(1..4),
+        wg in arb_workload(Shape::Families(0..4), 0..4, 20..64),
+        script in common::arb_script(1..4, 1..8),
     ) {
         let ks = [1usize, 2];
         let bytes = store_bytes_for(&wg, &ks);
@@ -175,37 +126,98 @@ proptest! {
         }
     }
 
-    /// Any truncation fails closed with a typed error.
+    /// Any truncation fails closed with a typed error, whether the
+    /// bytes are verified eagerly or the file is mapped.
     #[test]
-    fn truncated_stores_fail_closed(wg in arb_workload(), frac in 0.0f64..1.0) {
+    fn truncated_stores_fail_closed(
+        wg in arb_workload(Shape::Families(0..4), 0..5, 20..120),
+        frac in 0.0f64..1.0,
+    ) {
         let bytes = store_bytes_for(&wg, &[2]);
         let cut = ((bytes.len() as f64) * frac) as usize; // always < len
         let result = StoreFile::from_bytes(&bytes[..cut]);
-        prop_assert!(result.is_err(), "truncation at {} of {} accepted", cut, bytes.len());
-        prop_assert!(matches!(
-            result.expect_err("just asserted"),
-            StoreError::Corrupt { .. } | StoreError::Unsupported { .. }
-        ));
+        prop_assert!(
+            matches!(result, Err(StoreError::Corrupt { .. } | StoreError::Unsupported { .. })),
+            "owned: truncation at {} of {}: {:?}", cut, bytes.len(), result.map(|_| "accepted")
+        );
+        let dir = ScratchDir::new("store-truncated");
+        let path = dir.join("cut.ics1");
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let result = StoreFile::open_with(&path, &OpenOptions::mapped());
+        prop_assert!(
+            matches!(result, Err(StoreError::Corrupt { .. })),
+            "mapped: truncation at {} of {}: {:?}", cut, bytes.len(), result.map(|_| "accepted")
+        );
     }
 
-    /// Any single flipped byte fails closed with a typed error.
+    /// Any flipped byte fails closed with a typed error: at once when
+    /// the bytes are verified eagerly; on a mapped file at the open or
+    /// the load — or, for a deferred load, at the owed adjacency check.
+    /// A mapping cannot cover the header checksum, the sums section's
+    /// own slot and the section count (a decrease only drops trailing
+    /// optional sections) by design: they are what the eager path checks.
     #[test]
-    fn flipped_bytes_fail_closed(wg in arb_workload(), pos_frac in 0.0f64..1.0, bit in 0u8..8) {
-        let mut bytes = store_bytes_for(&wg, &[2]);
-        let pos = ((bytes.len() as f64) * pos_frac) as usize;
-        let pos = pos.min(bytes.len() - 1);
-        bytes[pos] ^= 1u8 << bit;
-        match StoreFile::from_bytes(&bytes) {
-            Err(
-                StoreError::Corrupt { .. }
+    fn flipped_bytes_fail_closed(
+        wg in arb_workload(Shape::Families(0..4), 0..5, 20..120),
+        pos_frac in 0.0f64..1.0,
+        xor in 1u8..255,
+    ) {
+        let bytes = store_bytes_for(&wg, &[2]);
+        let flipped_at = |pos: usize| {
+            let mut flipped = bytes.clone();
+            flipped[pos] ^= xor;
+            flipped
+        };
+        let corrupt = |result: &Result<(), StoreError>| matches!(
+            result,
+            Err(StoreError::Corrupt { .. }
                 | StoreError::Unsupported { .. }
                 | StoreError::Missing { .. }
-                | StoreError::Graph(_),
-            ) => {}
-            Err(other) => prop_assert!(false, "unexpected error class: {other}"),
-            Ok(_) => prop_assert!(false, "flip at byte {} bit {} accepted", pos, bit),
+                | StoreError::Graph(_))
+        );
+        let pos = (((bytes.len() as f64) * pos_frac) as usize).min(bytes.len() - 1);
+        let owned = StoreFile::from_bytes(&flipped_at(pos)).map(|_| ());
+        prop_assert!(corrupt(&owned), "owned: flip at {} (xor {:#04x}): {:?}", pos, xor, owned);
+
+        let exempt = unverifiable_ranges(&bytes);
+        let mut pos = pos;
+        while exempt.iter().any(|r| r.contains(&pos)) {
+            pos = (pos + 1) % bytes.len();
+        }
+        let dir = ScratchDir::new("store-flipped");
+        let path = dir.join("flipped.ics1");
+        std::fs::write(&path, flipped_at(pos)).unwrap();
+        let mapped = StoreFile::open_with(&path, &OpenOptions::mapped())
+            .and_then(|file| file.load().map(|_| ()));
+        prop_assert!(corrupt(&mapped), "mapped: flip at {} (xor {:#04x}): {:?}", pos, xor, mapped);
+        let deferred = StoreFile::open_with(&path, &OpenOptions::mapped())
+            .and_then(|file| file.load_deferred());
+        if let Ok(contents) = deferred {
+            let snap = contents.into_snapshot();
+            prop_assert_eq!(snap.adjacency_state(), AdjacencyState::Owed,
+                            "flip at {} got past a deferred load that owes nothing", pos);
+            prop_assert!(snap.ensure_adjacency().is_err(), "flip at {} passed the owed check", pos);
+            prop_assert_eq!(snap.adjacency_state(), AdjacencyState::Refused);
         }
     }
+}
+
+/// Byte offsets a single flip can leave *consistent* on a mapped open:
+/// the section count, the header checksum field and the sums section's
+/// own (unused) slot.
+fn unverifiable_ranges(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let file = StoreFile::from_bytes(bytes).expect("fixture is valid");
+    let mut ranges = vec![16..20, 24..32];
+    if let Some((i, s)) = file
+        .sections()
+        .iter()
+        .enumerate()
+        .find(|(_, s)| s.known_kind() == Some(SectionKind::SectionSums))
+    {
+        let own_slot = s.offset as usize + 8 * (1 + i);
+        ranges.push(own_slot..own_slot + 8);
+    }
+    ranges
 }
 
 /// The staleness story: a store-opened engine that then mutates its
@@ -277,8 +289,7 @@ fn engine_persist_open_file_round_trip() {
         rank_weights(300, GraphSeed(12)),
     )
     .unwrap();
-    let dir = std::env::temp_dir().join(format!("ic-store-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("store-e2e");
     let path = dir.join("served.ics1");
 
     let sweep = query_sweep(&[1, 2, 3]);
@@ -298,18 +309,10 @@ fn engine_persist_open_file_round_trip() {
     }
     // Deep verification of the artifact itself.
     StoreFile::open(&path).unwrap().verify_deep().unwrap();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------
 // Adjacency verified on first touch (lazily verified mapped stores)
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ic-store-owed-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// Forests persisted at k = 2 only; the 3-core is non-empty.
 fn owed_fixture() -> WeightedGraph {
@@ -440,7 +443,7 @@ proptest! {
         let mut flipped = clean.clone();
         flipped[pos] ^= 1u8 << bit;
 
-        let dir = scratch_dir(&format!("flip-{in_targets}-{pos}-{bit}"));
+        let dir = ScratchDir::new("store-owed-flip");
         let (clean_path, path) = (dir.join("clean.ics1"), dir.join("flipped.ics1"));
         std::fs::write(&clean_path, &clean).unwrap();
         std::fs::write(&path, &flipped).unwrap();
@@ -466,8 +469,7 @@ proptest! {
             prop_assert_eq!(counter(&entries, "store.adjacency_checks"), 1.0, "{:?}", touch);
             prop_assert_eq!(counter(&entries, "store.adjacency_check_failures"), 1.0);
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
+        }
 }
 
 /// The clean side of the same split: the check runs once, on the first
@@ -476,7 +478,7 @@ proptest! {
 #[test]
 fn a_clean_mapped_store_pays_its_adjacency_check_once_on_first_touch() {
     let wg = owed_fixture();
-    let dir = scratch_dir("clean");
+    let dir = ScratchDir::new("store-owed-clean");
     let path = dir.join("clean.ics1");
     std::fs::write(&path, store_bytes_for(&wg, &[2])).unwrap();
     let fresh = Engine::with_threads(wg, 1);
@@ -528,7 +530,6 @@ fn a_clean_mapped_store_pays_its_adjacency_check_once_on_first_touch() {
             "store-opened engine diverged on {q:?}"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The same contract behind the scatter-gather front and over TCP: a
@@ -540,7 +541,7 @@ fn sharded_and_served_stores_fail_closed_on_first_touch() {
     use ic_serve::{Client, ErrorKind, Outcome, Response, ServeConfig, Server};
     use ic_shard::ShardedEngine;
     let wg = owed_fixture();
-    let dir = scratch_dir("sharded");
+    let dir = ScratchDir::new("store-owed-sharded");
     let paths = ic_store::shard::build_shard_stores(&wg, &[2], 1 << 20, &dir).unwrap();
     let clean = ShardedEngine::open_dir(&dir).unwrap();
     let options = BatchOptions::default();
@@ -605,7 +606,6 @@ fn sharded_and_served_stores_fail_closed_on_first_touch() {
     drop(client);
     server.shutdown();
     server.join();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A store whose targets are patched to an asymmetric edge and then
@@ -637,7 +637,7 @@ fn a_rehashed_asymmetric_store_is_refused_by_the_structure_check() {
     assert!(matches!(eager.load(), Err(StoreError::Graph(_))));
     assert!(eager.verify_deep().is_err());
 
-    let dir = scratch_dir("rehashed");
+    let dir = ScratchDir::new("store-owed-rehashed");
     let path = dir.join("asymmetric.ics1");
     std::fs::write(&path, &bytes).unwrap();
     let mapped = StoreFile::open_with(&path, &ic_store::OpenOptions::mapped()).unwrap();
@@ -649,7 +649,6 @@ fn a_rehashed_asymmetric_store_is_refused_by_the_structure_check() {
         .expect_err("only validate_csr can refuse");
     assert!(refused.contains("mirror"), "{refused}");
     assert_eq!(engine.arenas_quarantined(), 0);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Shard metas that agree on a `global_n` the id maps cannot cover —
@@ -659,7 +658,7 @@ fn a_rehashed_asymmetric_store_is_refused_by_the_structure_check() {
 fn a_shard_set_declaring_an_uncovered_global_graph_is_refused_before_allocating() {
     use ic_shard::ShardedEngine;
     let wg = owed_fixture();
-    let dir = scratch_dir("global-n");
+    let dir = ScratchDir::new("store-owed-global-n");
     let paths = ic_store::shard::build_shard_stores(&wg, &[2], 1 << 20, &dir).unwrap();
     ShardedEngine::open_dir(&dir).expect("the clean shard set opens");
     for path in &paths {
@@ -680,7 +679,6 @@ fn a_shard_set_declaring_an_uncovered_global_graph_is_refused_before_allocating(
             other.map(|_| "an open engine")
         ),
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Each server's STATS carries the `store.*` counters of the store its
@@ -691,7 +689,7 @@ fn a_shard_set_declaring_an_uncovered_global_graph_is_refused_before_allocating(
 fn stats_report_only_the_store_their_own_engine_opened() {
     use ic_serve::{ServeConfig, Server};
     let wg = owed_fixture();
-    let dir = scratch_dir("own-stats");
+    let dir = ScratchDir::new("store-owed-own-stats");
     let open = |name: &str| {
         let path = dir.join(name);
         std::fs::write(&path, store_bytes_for(&wg, &[2])).unwrap();
@@ -719,7 +717,6 @@ fn stats_report_only_the_store_their_own_engine_opened() {
         server.shutdown();
         server.join();
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// FNV-1a over every array of a forest, in [`ic_core::algo::IndexParts`]
