@@ -46,7 +46,7 @@
 //!
 //! Implement [`AggregateFn`], register it with [`Aggregation::custom`],
 //! and the returned handle works everywhere an [`Aggregation`] does —
-//! `Query`, `Engine::run_batch` and the epoch-tagged result
+//! `Query`, `Engine::run_batch` and the per-epoch result
 //! cache. Registration runs the certification harness, so a
 //! mis-declared certificate fails loudly *before* it can corrupt a
 //! ranking. See `examples/custom_aggregation.rs` and DESIGN.md §10.
@@ -178,13 +178,6 @@ pub trait AggregateFn: Send + Sync + std::fmt::Debug {
     /// functions like `BalancedDensity`).
     fn evaluate(&self, member_weights: &[f64], total_weight: f64) -> f64;
 
-    /// Canonicalized parameter bits folded into the cache key. Equal
-    /// parameters (including `-0.0` vs `0.0`) must produce equal keys —
-    /// run `f64` parameters through [`canonical_f64_bits`].
-    fn param_key(&self) -> u64 {
-        0
-    }
-
     /// Validates the function's own parameters (NaN, out-of-range);
     /// called when a [`crate::Query`] is routed or built.
     fn validate(&self) -> Result<(), String> {
@@ -226,7 +219,7 @@ pub trait AggregateFn: Send + Sync + std::fmt::Debug {
 /// variants are thin `Copy` handles onto these structs — one source of
 /// truth per function.
 pub mod builtin {
-    use super::{canonical_f64_bits, AggregateFn, Certificates, Extremum, Hardness, StateView};
+    use super::{AggregateFn, Certificates, Extremum, Hardness, StateView};
 
     /// `min_{v∈H} w(v)` — the classic influential-community model.
     #[derive(Clone, Copy, Debug, PartialEq)]
@@ -336,9 +329,6 @@ pub mod builtin {
                 ..Certificates::opaque()
             }
         }
-        fn param_key(&self) -> u64 {
-            canonical_f64_bits(self.alpha)
-        }
         fn validate(&self) -> Result<(), String> {
             if self.alpha.is_nan() {
                 return Err("sum-surplus has a NaN parameter".into());
@@ -390,9 +380,6 @@ pub mod builtin {
         }
         fn certificates(&self) -> Certificates {
             Certificates::opaque()
-        }
-        fn param_key(&self) -> u64 {
-            canonical_f64_bits(self.beta)
         }
         fn validate(&self) -> Result<(), String> {
             if self.beta.is_nan() {
@@ -466,9 +453,6 @@ pub mod builtin {
                 ..Certificates::opaque()
             }
         }
-        fn param_key(&self) -> u64 {
-            self.t as u64
-        }
         fn validate(&self) -> Result<(), String> {
             if self.t == 0 {
                 return Err("top-t-sum needs t >= 1".into());
@@ -525,9 +509,6 @@ pub mod builtin {
                 needs_multiset: true,
                 ..Certificates::opaque()
             }
-        }
-        fn param_key(&self) -> u64 {
-            canonical_f64_bits(self.p)
         }
         fn validate(&self) -> Result<(), String> {
             if !(0.0..=1.0).contains(&self.p) {
@@ -818,31 +799,28 @@ impl Aggregation {
     }
 
     /// Stable hashable identity: a variant discriminant plus the
-    /// implementation's canonicalized parameter bits
-    /// ([`AggregateFn::param_key`], which runs `f64` parameters through
-    /// [`canonical_f64_bits`]). Aggregations that compare equal —
+    /// variant's canonicalized parameter bits (`f64` parameters run
+    /// through [`canonical_f64_bits`]). Aggregations that compare equal —
     /// including `alpha: -0.0` vs `alpha: 0.0` — hash identically, so
     /// job dedup and the cross-batch result cache never split on signed
     /// zero or NaN payload differences. Custom handles key on their
-    /// registration id instead (distinct registrations are distinct
-    /// cache entities by design; two different functions may well share
-    /// a `param_key`). This is the one key every cache and planner in
-    /// the workspace uses.
+    /// registration id (distinct registrations are distinct cache
+    /// entities by design). This is the one key every cache and planner
+    /// in the workspace uses.
     pub fn cache_key(&self) -> (u8, u64) {
-        let kind = match *self {
-            Aggregation::Min => 0,
-            Aggregation::Max => 1,
-            Aggregation::Sum => 2,
-            Aggregation::SumSurplus { .. } => 3,
-            Aggregation::Average => 4,
-            Aggregation::WeightDensity { .. } => 5,
-            Aggregation::BalancedDensity => 6,
-            Aggregation::TopTSum { .. } => 7,
-            Aggregation::Percentile { .. } => 8,
-            Aggregation::GeometricMean => 9,
-            Aggregation::Custom(c) => return (u8::MAX, c.id as u64),
-        };
-        (kind, self.with_fn(|f| f.param_key()))
+        match *self {
+            Aggregation::Min => (0, 0),
+            Aggregation::Max => (1, 0),
+            Aggregation::Sum => (2, 0),
+            Aggregation::SumSurplus { alpha } => (3, canonical_f64_bits(alpha)),
+            Aggregation::Average => (4, 0),
+            Aggregation::WeightDensity { beta } => (5, canonical_f64_bits(beta)),
+            Aggregation::BalancedDensity => (6, 0),
+            Aggregation::TopTSum { t } => (7, t as u64),
+            Aggregation::Percentile { p } => (8, canonical_f64_bits(p)),
+            Aggregation::GeometricMean => (9, 0),
+            Aggregation::Custom(c) => (u8::MAX, c.id as u64),
+        }
     }
 
     /// Size proportionality (Definition 7): `H ⊆ H'` implies

@@ -26,24 +26,13 @@
 use ic_core::{Community, SearchError};
 use std::time::Instant;
 
-/// Why an answer was degraded rather than complete.
-#[non_exhaustive]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DegradeReason {
-    /// The query's wall-clock deadline expired mid-solve.
-    DeadlineExpired,
-}
-
 /// Completeness tag of a [`QueryAnswer`]; see the module docs.
-#[non_exhaustive]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AnswerStatus {
     /// The full, bit-exact answer.
     Complete,
-    /// A truncated answer produced under pressure.
+    /// A truncated answer: the query's deadline expired mid-solve.
     Degraded {
-        /// What cut the computation short.
-        reason: DegradeReason,
         /// How many leading communities are *proven* to equal the full
         /// answer's prefix bit for bit. Everything past this index (and
         /// the whole list when this is 0) is best-so-far: genuine

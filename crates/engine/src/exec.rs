@@ -50,12 +50,8 @@
 //! local search — and [`EngineError::DeadlineExceeded`] when a cut run
 //! has nothing to give.
 
-use crate::cache::ResultCache;
 use crate::plan::{Job, JobOutput, LocalMember, Plan, Route};
-use crate::{
-    AnswerSink, AnswerStatus, DegradeReason, EngineError, EngineMetrics, Epoch, QueryAnswer,
-    Serving,
-};
+use crate::{AnswerSink, AnswerStatus, EngineError, EngineMetrics, Epoch, QueryAnswer, Serving};
 use ic_core::algo::{
     run_seed_memo, CoreRows, ExtremumIndex, LocalScratch, SeedTarget, SeedVisit, TicSearch,
 };
@@ -81,7 +77,6 @@ fn degraded(items: Vec<Community>, proven: usize) -> Outcome {
     Arc::new(Ok(QueryAnswer {
         communities: items,
         status: AnswerStatus::Degraded {
-            reason: DegradeReason::DeadlineExpired,
             proven_prefix_len: proven,
         },
     }))
@@ -162,7 +157,6 @@ pub(crate) struct Batch {
     queries: Vec<Query>,
     trace: Arc<ic_obs::Trace>,
     sink: AnswerSink,
-    results: Arc<ResultCache>,
     metrics: Arc<EngineMetrics>,
     solve_sw: ic_obs::Stopwatch,
     /// The next job to claim.
@@ -185,7 +179,6 @@ impl Batch {
         queries: &[Query],
         trace: Arc<ic_obs::Trace>,
         sink: AnswerSink,
-        results: Arc<ResultCache>,
         metrics: Arc<EngineMetrics>,
     ) -> Arc<Batch> {
         let batch = Arc::new(Batch {
@@ -196,7 +189,6 @@ impl Batch {
             queries: queries.to_vec(),
             trace,
             sink,
-            results,
             metrics,
             solve_sw: ic_obs::Stopwatch::start(),
             cursor: AtomicUsize::new(0),
@@ -294,7 +286,7 @@ impl Batch {
                     _ => {}
                 }
                 // Only complete answers are retained (the insert filters).
-                self.results.insert(&self.queries[*idx], epoch, outcome);
+                self.serving.results.insert(&self.queries[*idx], outcome);
             }
         }));
         if let Err(payload) = cached {
@@ -308,7 +300,7 @@ impl Batch {
         let m = &self.metrics;
         self.solve_sw.record(&self.trace, ic_obs::Stage::Solve);
         self.solve_sw.observe(&m.solve_ns);
-        m.cached_results.set(self.results.len() as i64);
+        m.cached_results.set(self.serving.results.len() as i64);
         let arenas = &self.serving.arenas;
         m.arenas_available.set(arenas.available() as i64);
         m.arenas_quarantined.set(arenas.quarantined() as i64);

@@ -22,7 +22,8 @@
 //!    batches keep their snapshot (copy-on-write isolation); cached
 //!    answers and memoized per-level state the update provably left
 //!    unchanged ([`ApplyOutcome::keeps`], [`ApplyOutcome::ceiling`]) carry
-//!    over to the new epoch, and the rest stop being served. A
+//!    over to the new epoch's serving state, and the rest stay behind
+//!    with the old epoch. A
 //!    post-`apply` engine answers exactly like an engine built from
 //!    scratch on the updated graph (also held by `tests/progressive.rs`).
 //! 3. **Persistence** — [`Engine::persist`] writes the current epoch's
@@ -78,9 +79,7 @@ mod cache;
 mod exec;
 mod plan;
 
-pub use answer::{
-    AnswerStatus, BatchOptions, DegradeReason, EngineError, QueryAnswer, SharedAnswer,
-};
+pub use answer::{AnswerStatus, BatchOptions, EngineError, QueryAnswer, SharedAnswer};
 pub use plan::{Plan, PlanStats};
 
 // The query vocabulary lives in `ic-core` since PR 3; these re-exports
@@ -255,8 +254,8 @@ pub fn available_threads() -> usize {
 /// `use ic_engine::prelude::*;`.
 pub mod prelude {
     pub use crate::{
-        AnswerSink, AnswerStatus, BatchOptions, DegradeReason, Engine, EngineError, Epoch, Plan,
-        PlanStats, QueryAnswer, QueryBackend, SharedAnswer,
+        AnswerSink, AnswerStatus, BatchOptions, Engine, EngineError, Epoch, Plan, PlanStats,
+        QueryAnswer, QueryBackend, SharedAnswer,
     };
     pub use ic_core::{
         AggregateFn, Aggregation, Certificates, Community, Constraint, Extremum, Hardness, Query,
@@ -276,8 +275,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// A monotone version counter for the engine's graph: every successful
 /// [`Engine::apply`] that changes the edge set moves the engine to a new
-/// epoch. Results and cache entries are tagged with the epoch
-/// they were computed under.
+/// epoch. Results are tagged with the epoch they were computed under.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Epoch(u64);
 
@@ -297,14 +295,16 @@ impl std::fmt::Display for Epoch {
 /// The swappable, immutable serving state: everything a batch
 /// needs, grabbed once per operation so concurrent [`Engine::apply`]
 /// calls never tear a computation across two graph versions. The seed
-/// memo is the snapshot's: batches only add to it, and an apply carries
-/// what it proves unchanged into the next one ([`SeedMemo::carry`]).
+/// memo and the result cache are the snapshot's: batches only add to
+/// them, and an apply carries what it proves unchanged into the next
+/// epoch's ([`SeedMemo::carry`], [`ResultCache::carry`]).
 #[derive(Clone)]
 pub(crate) struct Serving {
     pub(crate) snapshot: Arc<GraphSnapshot>,
     pub(crate) arenas: Arc<ArenaPool>,
     pub(crate) epoch: Epoch,
     pub(crate) seeds: Arc<SeedMemo>,
+    pub(crate) results: Arc<ResultCache>,
 }
 
 /// Per-engine observability handles: one [`ic_obs::Registry`] per
@@ -416,7 +416,6 @@ pub struct Engine {
     /// without blocking read traffic.
     maintainer: Mutex<Option<CoreMaintainer>>,
     threads: usize,
-    results: Arc<ResultCache>,
     metrics: Arc<EngineMetrics>,
     pool: exec::Pool,
 }
@@ -514,10 +513,10 @@ impl Engine {
                 arenas,
                 epoch: Epoch(0),
                 seeds: Arc::default(),
+                results: Arc::new(ResultCache::new(DEFAULT_CACHE_CAPACITY)),
             }),
             maintainer: Mutex::new(None),
             threads: threads.max(1),
-            results: Arc::new(ResultCache::new(DEFAULT_CACHE_CAPACITY)),
             metrics: Arc::new(metrics),
             pool: exec::Pool::new(threads.max(1)),
         }
@@ -542,19 +541,19 @@ impl Engine {
             .clone()
     }
 
-    /// Distinct query results currently memoized across batches (current
-    /// epoch and stale entries awaiting lazy eviction). The snapshot is
-    /// immutable per epoch and the solvers deterministic, so a hit is
-    /// bit-identical to re-solving; [`Engine::apply`] moves the engine
-    /// to a new epoch, carrying the entries [`ApplyOutcome::keeps`]
-    /// proves unchanged and leaving every other older entry stale.
+    /// Distinct query results the current epoch has memoized across
+    /// batches. The snapshot is immutable per epoch and the solvers
+    /// deterministic, so a hit is bit-identical to re-solving;
+    /// [`Engine::apply`] starts the new epoch with the entries
+    /// [`ApplyOutcome::keeps`] proves unchanged.
     pub fn cached_results(&self) -> usize {
-        self.results.len()
+        self.serving().results.len()
     }
 
-    /// Drops every memoized result (the snapshot's core levels stay).
+    /// Drops every result the current epoch has memoized (the
+    /// snapshot's core levels stay).
     pub fn clear_result_cache(&self) {
-        self.results.clear();
+        self.serving().results.clear();
     }
 
     /// The engine's current shared snapshot. Batches started
@@ -616,9 +615,9 @@ impl Engine {
     /// reads the result cache, it never populates it.
     pub fn plan(&self, queries: &[Query]) -> Plan {
         let Serving {
-            snapshot, epoch, ..
+            snapshot, results, ..
         } = self.serving();
-        Plan::build(&snapshot, queries, Some((&self.results, epoch)))
+        Plan::build(&snapshot, queries, Some(&results))
     }
 
     /// Executes a batch and returns one result per query, aligned with
@@ -724,9 +723,9 @@ impl Engine {
     /// block. In-flight batches finish on the snapshot they
     /// started with; queries submitted after `apply` returns see the new
     /// graph. Cached answers [`ApplyOutcome::keeps`] proves unchanged are
-    /// re-tagged to the new epoch in the same step that swaps the
-    /// snapshot, so no read of the new epoch misses one; older-epoch
-    /// entries stop being served (and are evicted lazily).
+    /// carried into the new epoch's cache in the same step that swaps the
+    /// snapshot, so no read of the new epoch misses one; the old epoch's
+    /// cache is read only by the batches that pinned it.
     ///
     /// # Panics
     /// Panics when an update addresses a vertex outside the graph. The
@@ -796,6 +795,7 @@ impl Engine {
             epoch,
             seeds,
             arenas,
+            ..
         } = self.serving();
         if let Err(refused) = snapshot.ensure_adjacency() {
             panic!("cannot apply updates to a corrupt store: {refused}");
@@ -871,22 +871,31 @@ impl Engine {
         // Under the write lock: a read that sees the new epoch also
         // sees every entry carried into it.
         let keeps = |q: &Query, answer: &[Community]| outcome.keeps(q, answer);
-        self.results.carry(serving.epoch, outcome.epoch, keeps);
-        // One whole-struct assignment: readers never observe a new
-        // snapshot with an old epoch or memo. The arena pool carries
-        // over: arenas are sized for the vertex set, which is fixed.
+        let results = Arc::new(serving.results.carry(keeps));
+        // One whole-struct replacement: readers never observe a new
+        // snapshot with an old epoch, memo or cache. The arena pool
+        // carries over: arenas are sized for the vertex set, which is
+        // fixed.
         let seeds = carried.memo;
         m.local.memo_dropped.add(carried.dropped);
         m.local.memo_refused.add(seeds.take_refused());
         m.local.memo_bytes.set(seeds.bytes() as i64);
         m.epoch.set(outcome.epoch.0 as i64);
-        *serving = Serving {
-            snapshot,
-            arenas,
-            epoch: outcome.epoch,
-            seeds: Arc::new(seeds),
-        };
+        m.cached_results.set(results.len() as i64);
+        let old = std::mem::replace(
+            &mut *serving,
+            Serving {
+                snapshot,
+                arenas,
+                epoch: outcome.epoch,
+                seeds: Arc::new(seeds),
+                results,
+            },
+        );
+        // The old epoch's state is freed after the lock is released, so
+        // no read waits behind the deallocation.
         drop(serving);
+        drop(old);
         apply_sw.observe(&m.apply_ns);
         outcome
     }
@@ -904,11 +913,11 @@ impl Engine {
         sink: AnswerSink,
     ) -> Arc<exec::Batch> {
         let serving = self.serving();
-        let (snapshot, epoch) = (&serving.snapshot, serving.epoch);
+        let snapshot = &serving.snapshot;
         let adjacency_owed = snapshot.adjacency_state() == ic_kcore::AdjacencyState::Owed;
         let anchor = options.anchor.unwrap_or_else(std::time::Instant::now);
         let plan_sw = ic_obs::Stopwatch::start();
-        let plan = Plan::build(snapshot, queries, Some((&self.results, epoch)));
+        let plan = Plan::build(snapshot, queries, Some(&serving.results));
         let m = &self.metrics;
         plan_sw.observe(&m.plan_ns);
         m.batches.inc();
@@ -940,7 +949,6 @@ impl Engine {
             queries,
             trace,
             sink,
-            Arc::clone(&self.results),
             Arc::clone(&self.metrics),
         )
     }
@@ -949,6 +957,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use ic_core::algo::{self, LocalSearchConfig};
     use ic_core::figure1::figure1;
     use ic_core::verify::check_community;
@@ -1681,8 +1690,7 @@ mod tests {
 
     #[test]
     fn persist_then_open_serves_identical_answers() {
-        let dir = std::env::temp_dir().join(format!("ic-engine-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("engine-store");
         let path = dir.join("figure1.ics1");
 
         let eng = engine(2);
@@ -1704,7 +1712,6 @@ mod tests {
         for (a, b) in expect.iter().zip(&got) {
             assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1729,8 +1736,7 @@ mod tests {
     #[test]
     fn open_rejects_missing_and_corrupt_stores() {
         assert!(Engine::open("/nonexistent/definitely-not-here.ics1").is_err());
-        let dir = std::env::temp_dir().join(format!("ic-engine-badstore-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = ScratchDir::new("engine-badstore");
         let path = dir.join("bad.ics1");
         let eng = engine(1);
         eng.persist(&path).unwrap();
@@ -1752,7 +1758,6 @@ mod tests {
         assert!(refused, "flipped byte must fail closed");
         // The owned read checks the whole payload at open.
         assert!(ic_store::StoreFile::open(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1941,11 +1946,7 @@ mod tests {
                     AnswerStatus::Complete => {
                         panic!("{q:?}: a zero deadline must never complete")
                     }
-                    AnswerStatus::Degraded {
-                        reason,
-                        proven_prefix_len,
-                    } => {
-                        assert_eq!(reason, DegradeReason::DeadlineExpired, "{q:?}");
+                    AnswerStatus::Degraded { proven_prefix_len } => {
                         assert!(proven_prefix_len <= ans.communities.len(), "{q:?}");
                         // The certificate: the proven prefix is the full
                         // answer's prefix, bit for bit.
@@ -2103,3 +2104,9 @@ mod tests {
         assert_eq!(&after, fresh.run_batch(&[q])[0].as_ref().unwrap());
     }
 }
+
+/// The suites' self-removing scratch directory, shared with this
+/// crate's unit tests.
+#[cfg(test)]
+#[path = "../../../tests/common/scratch.rs"]
+mod scratch;

@@ -36,7 +36,7 @@
 //!   adjacency). A failed check answers the query
 //!   [`EngineError::CorruptStore`] at plan time and plans nothing for it.
 
-use crate::{Constraint, EngineError, Epoch, Query, QueryAnswer, Solver};
+use crate::{Constraint, EngineError, Query, QueryAnswer, Solver};
 use ic_core::aggregate::canonical_f64_bits;
 use ic_core::algo::ExtremumIndex;
 use ic_core::{Aggregation, Extremum, SearchError};
@@ -263,7 +263,7 @@ impl Plan {
     pub(crate) fn build(
         snapshot: &GraphSnapshot,
         queries: &[Query],
-        cache: Option<(&crate::cache::ResultCache, Epoch)>,
+        cache: Option<&crate::cache::ResultCache>,
     ) -> Plan {
         // A decomposition the store did not carry is computed from
         // adjacency: owed check first.
@@ -306,7 +306,7 @@ impl Plan {
                 immediate.push((idx, Arc::new(Ok(QueryAnswer::complete(Vec::new())))));
                 continue;
             }
-            if let Some(hit) = cache.and_then(|(c, epoch)| c.get(q, epoch)) {
+            if let Some(hit) = cache.and_then(|c| c.get(q)) {
                 cache_hits += 1;
                 immediate.push((idx, hit));
                 continue;

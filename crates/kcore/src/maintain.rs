@@ -2,7 +2,7 @@ use crate::CoreDecomposition;
 use ic_graph::{Graph, VertexId};
 use std::collections::VecDeque;
 
-/// One topology change for [`CoreMaintainer::apply`] (and the engine's
+/// One topology change for [`CoreMaintainer::apply_recorded`] (and the engine's
 /// `Engine::apply`). The vertex set is fixed — updates address existing
 /// vertex ids only. `#[non_exhaustive]`: match with a wildcard arm
 /// outside `ic-kcore`.
@@ -260,11 +260,11 @@ impl PeelScratch {
 /// the endpoints through vertices of core `K`. Both operations therefore
 /// run in time proportional to that subcore's frontier, not the graph:
 ///
-/// * [`CoreMaintainer::insert_edge`] collects the subcore, counts for
+/// * an insertion collects the subcore, counts for
 ///   each member its neighbors with core ≥ `K` (all of which could
 ///   support a promotion to `K + 1`), peels members whose count cannot
 ///   reach `K + 1`, and promotes the survivors;
-/// * [`CoreMaintainer::remove_edge`] collects the subcore of the new
+/// * a removal collects the subcore of the new
 ///   graph, counts supporting neighbors the same way, and cascades the
 ///   members whose support fell below `K` down to `K − 1`.
 ///
@@ -340,32 +340,13 @@ impl CoreMaintainer {
         self.core.iter().copied().max().unwrap_or(0)
     }
 
-    /// Applies one [`EdgeUpdate`]; returns whether the edge set changed.
+    /// Applies one [`EdgeUpdate`] and returns its cascade journal
+    /// ([`CascadeRecord`]): whether the edge set changed, the touched
+    /// region and every core-number delta.
     ///
     /// # Panics
     /// Panics when an endpoint is outside the maintainer's vertex range
     /// (the vertex set is fixed at construction).
-    pub fn apply(&mut self, update: EdgeUpdate) -> bool {
-        let (u, v) = update.endpoints();
-        assert!(
-            (u as usize) < self.adj.len() && (v as usize) < self.adj.len(),
-            "edge update {{{u}, {v}}} addresses a vertex outside 0..{}",
-            self.adj.len()
-        );
-        match update {
-            EdgeUpdate::Insert { u, v } => self.insert_edge(u, v),
-            EdgeUpdate::Remove { u, v } => self.remove_edge(u, v),
-        }
-    }
-
-    /// Applies one [`EdgeUpdate`] and returns its cascade journal
-    /// ([`CascadeRecord`]): the touched region and every core-number
-    /// delta. [`CoreMaintainer::apply`] is the journal-free fast path;
-    /// both produce identical maintained state.
-    ///
-    /// # Panics
-    /// Panics when an endpoint is outside the maintainer's vertex range,
-    /// exactly like [`CoreMaintainer::apply`].
     pub fn apply_recorded(&mut self, update: EdgeUpdate) -> CascadeRecord {
         let (u, v) = update.endpoints();
         assert!(
@@ -375,11 +356,10 @@ impl CoreMaintainer {
         );
         let mut record =
             CascadeRecord::noop(update, (self.core[u as usize], self.core[v as usize]));
-        let applied = match update {
-            EdgeUpdate::Insert { u, v } => self.insert_edge_impl(u, v, Some(&mut record)),
-            EdgeUpdate::Remove { u, v } => self.remove_edge_impl(u, v, Some(&mut record)),
-        };
-        debug_assert_eq!(applied, record.applied);
+        match update {
+            EdgeUpdate::Insert { u, v } => self.insert_edge(u, v, &mut record),
+            EdgeUpdate::Remove { u, v } => self.remove_edge(u, v, &mut record),
+        }
         record
     }
 
@@ -485,21 +465,12 @@ impl CoreMaintainer {
         }
     }
 
-    /// Inserts the undirected edge `{u, v}`, updating core numbers.
-    /// Returns `false` (and changes nothing) for self-loops and edges
-    /// already present.
-    pub fn insert_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        self.insert_edge_impl(u, v, None)
-    }
-
-    fn insert_edge_impl(
-        &mut self,
-        u: VertexId,
-        v: VertexId,
-        record: Option<&mut CascadeRecord>,
-    ) -> bool {
+    /// Inserts the undirected edge `{u, v}`, updating core numbers and
+    /// journaling into `record`. Changes nothing for self-loops and
+    /// edges already present.
+    fn insert_edge(&mut self, u: VertexId, v: VertexId, record: &mut CascadeRecord) {
         if u == v || self.has_edge(u, v) {
-            return false;
+            return;
         }
         self.adj[u as usize].push(v);
         self.adj[v as usize].push(u);
@@ -546,43 +517,14 @@ impl CoreMaintainer {
                 self.core[w] = k + 1;
             }
         }
-        if let Some(record) = record {
-            record.applied = true;
-            record.touched = self.stack.clone();
-            for endpoint in [u, v] {
-                if self.stamp[endpoint as usize] != generation {
-                    record.touched.push(endpoint);
-                }
-            }
-            record.deltas = self
-                .stack
-                .iter()
-                .filter(|&&w| self.out_stamp[w as usize] != generation)
-                .map(|&w| CoreDelta {
-                    vertex: w,
-                    old_core: k,
-                    new_core: k + 1,
-                })
-                .collect();
-            record.endpoint_cores = (self.core[u as usize], self.core[v as usize]);
-        }
-        true
+        self.journal(record, generation, k, k + 1);
     }
 
-    /// Removes the undirected edge `{u, v}`, updating core numbers.
-    /// Returns `false` (and changes nothing) when the edge is absent.
-    pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        self.remove_edge_impl(u, v, None)
-    }
-
-    fn remove_edge_impl(
-        &mut self,
-        u: VertexId,
-        v: VertexId,
-        record: Option<&mut CascadeRecord>,
-    ) -> bool {
+    /// Removes the undirected edge `{u, v}`, updating core numbers and
+    /// journaling into `record`. Changes nothing when the edge is absent.
+    fn remove_edge(&mut self, u: VertexId, v: VertexId, record: &mut CascadeRecord) {
         if u == v || !self.has_edge(u, v) {
-            return false;
+            return;
         }
         let pos = self.adj[u as usize].iter().position(|&x| x == v).unwrap();
         self.adj[u as usize].swap_remove(pos);
@@ -626,27 +568,33 @@ impl CoreMaintainer {
                 }
             }
         }
-        if let Some(record) = record {
-            record.applied = true;
-            record.touched = self.stack.clone();
-            for endpoint in [u, v] {
-                if self.stamp[endpoint as usize] != generation {
-                    record.touched.push(endpoint);
-                }
+        self.journal(record, generation, k, k - 1);
+    }
+
+    /// Journals an applied toggle whose cascade over the collected
+    /// subcore moved cores from `k` to `new_core`: an insertion promotes
+    /// the members its peel kept, a removal demotes the ones it peeled.
+    fn journal(&self, record: &mut CascadeRecord, generation: u32, k: u32, new_core: u32) {
+        let (u, v) = record.update.endpoints();
+        let demoted = new_core < k;
+        record.applied = true;
+        record.touched = self.stack.clone();
+        for endpoint in [u, v] {
+            if self.stamp[endpoint as usize] != generation {
+                record.touched.push(endpoint);
             }
-            record.deltas = self
-                .stack
-                .iter()
-                .filter(|&&w| self.out_stamp[w as usize] == generation)
-                .map(|&w| CoreDelta {
-                    vertex: w,
-                    old_core: k,
-                    new_core: k - 1,
-                })
-                .collect();
-            record.endpoint_cores = (self.core[u as usize], self.core[v as usize]);
         }
-        true
+        record.deltas = self
+            .stack
+            .iter()
+            .filter(|&&w| (self.out_stamp[w as usize] == generation) == demoted)
+            .map(|&w| CoreDelta {
+                vertex: w,
+                old_core: k,
+                new_core,
+            })
+            .collect();
+        record.endpoint_cores = (self.core[u as usize], self.core[v as usize]);
     }
 }
 
@@ -729,6 +677,14 @@ mod tests {
         assert!(comps.contains(&vec![4, 5, 6]));
     }
 
+    fn insert(m: &mut CoreMaintainer, u: VertexId, v: VertexId) -> bool {
+        m.apply_recorded(EdgeUpdate::Insert { u, v }).applied
+    }
+
+    fn remove(m: &mut CoreMaintainer, u: VertexId, v: VertexId) -> bool {
+        m.apply_recorded(EdgeUpdate::Remove { u, v }).applied
+    }
+
     fn assert_cores_match_scratch(m: &CoreMaintainer, context: &str) {
         let expect = crate::core_decomposition(&m.to_graph()).core_numbers;
         assert_eq!(m.core_numbers(), expect.as_slice(), "{context}");
@@ -739,14 +695,14 @@ mod tests {
         let edges = [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5), (5, 6), (6, 4)];
         let mut m = CoreMaintainer::new(7);
         for (i, &(u, v)) in edges.iter().enumerate() {
-            assert!(m.insert_edge(u, v));
+            assert!(insert(&mut m, u, v));
             assert_cores_match_scratch(&m, &format!("after insert #{i}"));
         }
         assert_eq!(m.core_numbers(), &[2, 2, 2, 1, 2, 2, 2]);
         assert_eq!(m.degeneracy(), 2);
         // Tear the first triangle down edge by edge.
         for (i, &(u, v)) in [(0u32, 1u32), (1, 2), (2, 0)].iter().enumerate() {
-            assert!(m.remove_edge(u, v));
+            assert!(remove(&mut m, u, v));
             assert_cores_match_scratch(&m, &format!("after delete #{i}"));
         }
         assert_eq!(m.core(3), 1); // pendant edge 2-3 survives
@@ -755,12 +711,12 @@ mod tests {
     #[test]
     fn maintainer_rejects_self_loops_and_duplicates() {
         let mut m = CoreMaintainer::new(3);
-        assert!(!m.insert_edge(1, 1));
-        assert!(m.insert_edge(0, 1));
-        assert!(!m.insert_edge(1, 0), "duplicate in either orientation");
+        assert!(!insert(&mut m, 1, 1));
+        assert!(insert(&mut m, 0, 1));
+        assert!(!insert(&mut m, 1, 0), "duplicate in either orientation");
         assert_eq!(m.num_edges(), 1);
-        assert!(!m.remove_edge(0, 2), "absent edge");
-        assert!(m.remove_edge(1, 0));
+        assert!(!remove(&mut m, 0, 2), "absent edge");
+        assert!(remove(&mut m, 1, 0));
         assert_eq!(m.num_edges(), 0);
         assert_eq!(m.core_numbers(), &[0, 0, 0]);
     }
@@ -927,13 +883,13 @@ mod tests {
             }
         }
         for &(u, v) in &edges {
-            m.insert_edge(u, v);
+            insert(&mut m, u, v);
             assert_cores_match_scratch(&m, &format!("K5 grow {u}-{v}"));
         }
         assert_eq!(m.degeneracy(), 4);
         edges.reverse();
         for &(u, v) in &edges {
-            m.remove_edge(u, v);
+            remove(&mut m, u, v);
             assert_cores_match_scratch(&m, &format!("K5 shrink {u}-{v}"));
         }
         assert_eq!(m.degeneracy(), 0);

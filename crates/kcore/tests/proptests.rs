@@ -3,7 +3,7 @@
 use ic_graph::{graph_from_edges, BitSet, Graph};
 use ic_kcore::{
     core_decomposition, is_kcore_within, kcore_mask, maximal_kcore_components,
-    peel_to_kcore_within, CoreMaintainer, PeelArena, PeelScratch, Piece,
+    peel_to_kcore_within, CoreMaintainer, EdgeUpdate, PeelArena, PeelScratch, Piece,
 };
 use proptest::prelude::*;
 
@@ -125,10 +125,10 @@ proptest! {
             let (u, v) = (a % n, b % n);
             let had = m.has_edge(u, v);
             if insert {
-                let changed = m.insert_edge(u, v);
+                let changed = m.apply_recorded(EdgeUpdate::Insert { u, v }).applied;
                 prop_assert_eq!(changed, u != v && !had, "insert report at step {}", step);
             } else {
-                let changed = m.remove_edge(u, v);
+                let changed = m.apply_recorded(EdgeUpdate::Remove { u, v }).applied;
                 prop_assert_eq!(changed, had, "delete report at step {}", step);
             }
             let expect = core_decomposition(&m.to_graph()).core_numbers;
@@ -157,16 +157,16 @@ proptest! {
         for &(insert, a, b) in &churn {
             let (u, v) = (a % n, b % n);
             if insert {
-                m.insert_edge(u, v);
+                m.apply_recorded(EdgeUpdate::Insert { u, v });
             } else {
-                m.remove_edge(u, v);
+                m.apply_recorded(EdgeUpdate::Remove { u, v });
             }
             let expect = core_decomposition(&m.to_graph()).core_numbers;
             prop_assert_eq!(m.core_numbers(), expect.as_slice());
         }
         let remaining: Vec<(u32, u32)> = m.to_graph().edges().collect();
         for (u, v) in remaining {
-            prop_assert!(m.remove_edge(u, v));
+            prop_assert!(m.apply_recorded(EdgeUpdate::Remove { u, v }).applied);
         }
         prop_assert_eq!(m.num_edges(), 0);
         prop_assert!(m.core_numbers().iter().all(|&c| c == 0));

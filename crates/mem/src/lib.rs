@@ -311,6 +311,7 @@ impl fmt::Debug for Mmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
 
     #[test]
     fn shared_slice_from_vec_roundtrips() {
@@ -351,7 +352,8 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn mmap_reads_file_contents() {
-        let path = std::env::temp_dir().join(format!("ic-mem-test-{}", std::process::id()));
+        let dir = ScratchDir::new("mem-test");
+        let path = dir.join("data");
         std::fs::write(&path, b"hello mapping").unwrap();
         let file = std::fs::File::open(&path).unwrap();
         let map = Mmap::map_readonly(&file).unwrap();
@@ -364,20 +366,21 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn mmap_rejects_empty_file() {
-        let path = std::env::temp_dir().join(format!("ic-mem-empty-{}", std::process::id()));
+        let dir = ScratchDir::new("mem-empty");
+        let path = dir.join("data");
         std::fs::write(&path, b"").unwrap();
         let file = std::fs::File::open(&path).unwrap();
         match Mmap::map_readonly(&file) {
             Err(MapError::Empty) => {}
             other => panic!("expected MapError::Empty, got {other:?}"),
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[cfg(unix)]
     #[test]
     fn mmap_backs_shared_slices() {
-        let path = std::env::temp_dir().join(format!("ic-mem-slice-{}", std::process::id()));
+        let dir = ScratchDir::new("mem-slice");
+        let path = dir.join("data");
         let words: Vec<u64> = (0..64u64).collect();
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         std::fs::write(&path, &bytes).unwrap();
@@ -394,3 +397,9 @@ mod tests {
         assert!(view.iter().enumerate().all(|(i, &w)| w == i as u64));
     }
 }
+
+/// The suites' self-removing scratch directory, shared with this
+/// crate's unit tests.
+#[cfg(test)]
+#[path = "../../../tests/common/scratch.rs"]
+mod scratch;

@@ -222,17 +222,9 @@ impl<'a> OutcomeRef<'a> {
         match slot {
             Ok(ans) => match ans.status {
                 AnswerStatus::Complete => OutcomeRef::Complete(&ans.communities),
-                AnswerStatus::Degraded {
-                    proven_prefix_len, ..
-                } => OutcomeRef::Degraded {
+                AnswerStatus::Degraded { proven_prefix_len } => OutcomeRef::Degraded {
                     communities: &ans.communities,
                     proven_prefix_len: proven_prefix_len as u64,
-                },
-                // Future AnswerStatus variants degrade to best-so-far
-                // semantics rather than breaking the wire format.
-                _ => OutcomeRef::Degraded {
-                    communities: &ans.communities,
-                    proven_prefix_len: 0,
                 },
             },
             Err(EngineError::DeadlineExceeded) => OutcomeRef::Error {
@@ -2071,7 +2063,6 @@ mod tests {
     /// epoch 7).
     fn slots_and_their_wire_images(
     ) -> Vec<(Result<QueryAnswer, EngineError>, &'static str, &'static str)> {
-        use ic_engine::DegradeReason;
         let communities = vec![
             Community::new(vec![3, 1, 2], 203.0),
             Community::new(vec![9], f64::NEG_INFINITY),
@@ -2086,7 +2077,6 @@ mod tests {
                 Ok(QueryAnswer {
                     communities,
                     status: AnswerStatus::Degraded {
-                        reason: DegradeReason::DeadlineExpired,
                         proven_prefix_len: 1,
                     },
                 }),

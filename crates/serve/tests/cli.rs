@@ -17,25 +17,22 @@
 use ic_core::{Aggregation, Community, Query};
 use ic_engine::{BatchOptions, EdgeUpdate, Engine, EngineError, QueryAnswer};
 use ic_serve::{Client, ErrorKind, Outcome, Response, ShedReason};
+use scratch::ScratchDir;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+
+#[path = "../../../tests/common/scratch.rs"]
+mod scratch;
 
 /// How long a test waits for an expected stderr line before failing.
 const STDERR_WAIT: Duration = Duration::from_secs(30);
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ic-serve"))
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ic-serve-cli-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// A running `ic-serve` process, found through the `listening on <addr>`
@@ -46,16 +43,16 @@ struct Booted {
     addr: SocketAddr,
     stdout: BufReader<ChildStdout>,
     stderr: PathBuf,
+    /// Holds the stderr file; removed after the process is killed.
+    _scratch: ScratchDir,
 }
 
 impl Booted {
     /// Boots with `args` plus the whitespace-separated `flags`, on two
     /// engine workers.
     fn new(args: &[&str], flags: &str) -> Booted {
-        static BOOTS: AtomicUsize = AtomicUsize::new(0);
-        let boot = BOOTS.fetch_add(1, Ordering::Relaxed);
-        let name = format!("ic-serve-cli-{}-{boot}.stderr", std::process::id());
-        let stderr = std::env::temp_dir().join(name);
+        let scratch = ScratchDir::new("serve-cli-boot");
+        let stderr = scratch.join("stderr");
         let mut child = bin()
             .args(args)
             .args(flags.split_whitespace())
@@ -78,6 +75,7 @@ impl Booted {
             addr,
             stdout,
             stderr,
+            _scratch: scratch,
         }
     }
 
@@ -117,7 +115,6 @@ impl Drop for Booted {
     fn drop(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
-        let _ = std::fs::remove_file(&self.stderr);
     }
 }
 
@@ -151,7 +148,7 @@ fn refused(response: Response, id: u64, kind: ErrorKind) {
 /// `--port-file` holds the printed address, and a SHUTDOWN exits 0.
 #[test]
 fn store_server_answers_like_the_engine_and_exits_zero_after_a_drain() {
-    let dir = scratch_dir("store");
+    let dir = ScratchDir::new("serve-cli-store");
     let (store, port_file) = (dir.join("email.ics1"), dir.join("port"));
     let email = ic_gen::datasets::by_name(ic_gen::datasets::Profile::Quick, "email").unwrap();
     let engine = Engine::with_threads(email.generate_weighted(), 1);
@@ -192,7 +189,6 @@ fn store_server_answers_like_the_engine_and_exits_zero_after_a_drain() {
     server.drain(client);
     let written = std::fs::read_to_string(&port_file).unwrap();
     assert_eq!(written, addr, "--port-file holds the printed address");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `--dataset` generates the analog and fronts it; `--queue 1` and
@@ -249,13 +245,12 @@ fn sharded_server_answers_like(
 
 #[test]
 fn sharded_server_answers_like_the_unsharded_engine() {
-    let dir = scratch_dir("shards");
+    let dir = ScratchDir::new("serve-cli-shards");
     let wg = ic_core::figure1::figure1();
     ic_store::shard::build_shard_stores(&wg, &[1, 2], 6, &dir).expect("build shards");
     let engine = Engine::with_threads(wg, 1);
     let run = |queries: &[Query]| engine.run_batch_with(queries, &BatchOptions::default());
     sharded_server_answers_like(&dir, [1, 2], run);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The same contract at scale, over a directory built beforehand with

@@ -8,9 +8,13 @@ use ic_serve::{
     protocol, Client, Outcome, Request, Response, ServeConfig, Server, ShedReason, WireQuery,
 };
 use ic_shard::ShardedEngine;
+use scratch::ScratchDir;
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
+
+#[path = "../../../tests/common/scratch.rs"]
+mod scratch;
 
 fn email_graph() -> ic_graph::WeightedGraph {
     ic_gen::datasets::by_name(ic_gen::datasets::Profile::Quick, "email")
@@ -31,10 +35,9 @@ fn query_mix() -> Vec<Query> {
 }
 
 /// A front over `email_graph()`'s shard stores, two workers per shard
-/// engine, and the directory to remove afterwards.
-fn sharded_email(tag: &str) -> (ShardedEngine, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!("ic-serve-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+/// engine, and the directory that holds them.
+fn sharded_email(tag: &str) -> (ShardedEngine, ScratchDir) {
+    let dir = ScratchDir::new(&format!("serve-{tag}"));
     let built = ic_store::shard::build_shard_stores(&email_graph(), &[2, 4], 1000, &dir).unwrap();
     (
         ShardedEngine::open_dir_with(&dir, 2 * built.len()).unwrap(),
@@ -262,7 +265,7 @@ fn a_fast_reply_overtakes_its_slow_batch_mate() {
         admission_window: Duration::from_millis(200),
         ..ServeConfig::default()
     };
-    let (sharded, dir) = sharded_email("overtake");
+    let (sharded, _dir) = sharded_email("overtake");
     let engine = Server::bind(Arc::new(Engine::with_threads(wg, 2)), "127.0.0.1:0", config);
     let sharded = Server::bind_backend(Arc::new(sharded), "127.0.0.1:0", config);
     for server in [engine, sharded] {
@@ -279,7 +282,6 @@ fn a_fast_reply_overtakes_its_slow_batch_mate() {
         server.shutdown();
         server.join();
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A batch admitted while an older one still runs is planned against the
@@ -297,7 +299,7 @@ fn a_later_batch_overtakes_an_in_flight_one_under_its_own_epoch() {
     after.apply(&update);
     let after = after.run_batch(&[fast]);
     let engine = Arc::new(Engine::with_threads(wg, 2));
-    let (sharded, dir) = sharded_email("later");
+    let (sharded, _dir) = sharded_email("later");
     let config = ServeConfig::default();
     let served = Server::bind(engine.clone(), "127.0.0.1:0", config);
     let sharded = Server::bind_backend(Arc::new(sharded), "127.0.0.1:0", config);
@@ -323,7 +325,6 @@ fn a_later_batch_overtakes_an_in_flight_one_under_its_own_epoch() {
         server.shutdown();
         server.join();
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Replies are tagged with the epoch whose snapshot served them, so a
@@ -1063,7 +1064,7 @@ fn slow_query_log_stage_spans_account_for_client_latency() {
         ..ServeConfig::default()
     };
     let engine = Arc::new(Engine::with_threads(email_graph(), 2));
-    let (sharded, dir) = sharded_email("slow-log");
+    let (sharded, _dir) = sharded_email("slow-log");
     let served = Server::bind(engine, "127.0.0.1:0", config(250));
     let sharded = Server::bind_backend(Arc::new(sharded), "127.0.0.1:0", config(100));
     let query = |r| Query::new(4, r, Aggregation::Sum);
@@ -1122,5 +1123,4 @@ fn slow_query_log_stage_spans_account_for_client_latency() {
         server.shutdown();
         server.join();
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

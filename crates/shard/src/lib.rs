@@ -505,34 +505,31 @@ impl Gather {
     fn merge(&self, r: usize, mut parts: Parts) -> Result<QueryAnswer, EngineError> {
         parts.sort_unstable_by_key(|&(leg, _)| leg);
         let mut all: Vec<Community> = Vec::new();
-        let mut degraded = None;
+        let mut degraded = false;
         for (leg, answer) in &parts {
             match answer.as_ref() {
                 Ok(ans) => {
-                    if let AnswerStatus::Degraded { reason, .. } = ans.status {
-                        degraded = Some(reason);
-                    }
+                    degraded |= !ans.is_complete();
                     all.extend(translate(&ans.communities, &self.legs[*leg].1));
                 }
-                Err(EngineError::DeadlineExceeded) => {
-                    degraded = Some(ic_engine::DegradeReason::DeadlineExpired);
-                }
+                Err(EngineError::DeadlineExceeded) => degraded = true,
                 Err(e) => return Err(e.clone()),
             }
         }
         let communities = top_ranked(all, r);
-        match degraded {
-            None => Ok(QueryAnswer::complete(communities)),
+        if !degraded {
+            Ok(QueryAnswer::complete(communities))
+        } else if communities.is_empty() {
             // Nothing proven anywhere: the typed failure, exactly like
             // the single-engine path.
-            Some(_) if communities.is_empty() => Err(EngineError::DeadlineExceeded),
-            Some(reason) => Ok(QueryAnswer {
+            Err(EngineError::DeadlineExceeded)
+        } else {
+            Ok(QueryAnswer {
                 communities,
                 status: AnswerStatus::Degraded {
-                    reason,
                     proven_prefix_len: 0,
                 },
-            }),
+            })
         }
     }
 }
@@ -583,10 +580,10 @@ mod tests {
     use ic_core::figure1::figure1;
     use ic_core::Aggregation;
     use ic_store::shard::build_shard_stores;
+    use scratch::ScratchDir;
 
-    fn shard_dir(tag: &str, cap: usize) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("ic-shard-{tag}-{}-{cap}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    fn shard_dir(tag: &str, cap: usize) -> ScratchDir {
+        let dir = ScratchDir::new(&format!("shard-{tag}-{cap}"));
         build_shard_stores(&figure1(), &[2, 3], cap, &dir).unwrap();
         dir
     }
@@ -615,7 +612,6 @@ mod tests {
             for ((q, w), g) in batch.iter().zip(&want).zip(&got) {
                 assert_eq!(w.as_ref().unwrap(), g.as_ref().unwrap(), "cap {cap}, {q:?}");
             }
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 
@@ -629,7 +625,6 @@ mod tests {
             .apply_updates(&[ic_engine::EdgeUpdate::Remove { u: 0, v: 1 }])
             .expect_err("sharded backends are read-only");
         assert!(matches!(err, EngineError::Unsupported { .. }), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -653,7 +648,6 @@ mod tests {
             Err(EngineError::Search(SearchError::InvalidParams(_)))
         ));
         assert!(got[3].is_ok());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -669,7 +663,6 @@ mod tests {
         let ans = got[0].as_ref().unwrap();
         assert!(ans.is_complete());
         assert!(ans.communities.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -685,7 +678,6 @@ mod tests {
         paths.sort();
         std::fs::remove_file(&paths[0]).unwrap();
         assert!(ShardedEngine::open_dir(&dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -702,6 +694,11 @@ mod tests {
             groups.dedup();
             assert_eq!(groups.len(), targets.len(), "k={k}: one shard per group");
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// The suites' self-removing scratch directory, shared with this
+/// crate's unit tests.
+#[cfg(test)]
+#[path = "../../../tests/common/scratch.rs"]
+mod scratch;

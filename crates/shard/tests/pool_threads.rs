@@ -6,9 +6,13 @@
 use ic_core::{Aggregation, Query};
 use ic_engine::{AnswerSink, BatchOptions, Engine, QueryBackend};
 use ic_shard::ShardedEngine;
+use scratch::ScratchDir;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+#[path = "../../../tests/common/scratch.rs"]
+mod scratch;
 
 fn threads() -> usize {
     std::fs::read_dir("/proc/self/task").map_or(0, |tasks| tasks.count())
@@ -37,8 +41,7 @@ fn dropped_engines_and_shard_fronts_leave_no_thread_behind() {
         return;
     }
     let wg = email_graph();
-    let dir = std::env::temp_dir().join(format!("ic-pool-threads-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = ScratchDir::new("pool-threads");
     let built = ic_store::shard::build_shard_stores(&wg, &[2, 4], 1000, &dir).unwrap();
     assert_eq!(built.len(), 3);
     let batch = [
@@ -96,5 +99,4 @@ fn dropped_engines_and_shard_fronts_leave_no_thread_behind() {
         }
         assert_eq!(settled(baseline), baseline, "round {round}");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,8 +8,12 @@
 
 use ic_graph::{graph_from_edges, WeightedGraph};
 use ic_store::StoreBuilder;
-use std::path::{Path, PathBuf};
+use scratch::ScratchDir;
+use std::path::Path;
 use std::process::{Command, Output};
+
+#[path = "../../../tests/common/scratch.rs"]
+mod scratch;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ic-store"))
@@ -45,12 +49,6 @@ fn assert_fails_typed(out: &Output, context: &str) {
     }
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ic-store-cli-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 /// A tiny but valid store file to corrupt/truncate.
 fn write_valid_store(path: &Path) {
     let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
@@ -83,7 +81,7 @@ fn missing_store_path_fails_typed() {
 
 #[test]
 fn truncated_store_fails_closed() {
-    let dir = scratch_dir("truncated");
+    let dir = ScratchDir::new("store-cli-truncated");
     let path = dir.join("store.ics1");
     write_valid_store(&path);
     let bytes = std::fs::read(&path).unwrap();
@@ -94,12 +92,11 @@ fn truncated_store_fails_closed() {
             &format!("{cmd} on a truncated file"),
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn corrupt_store_fails_closed() {
-    let dir = scratch_dir("corrupt");
+    let dir = ScratchDir::new("store-cli-corrupt");
     let path = dir.join("store.ics1");
     write_valid_store(&path);
     let mut bytes = std::fs::read(&path).unwrap();
@@ -110,12 +107,11 @@ fn corrupt_store_fails_closed() {
         &run(&["verify", path.to_str().unwrap()]),
         "verify on a flipped byte",
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn malformed_flags_fail_typed() {
-    let dir = scratch_dir("flags");
+    let dir = ScratchDir::new("store-cli-flags");
     let path = dir.join("store.ics1");
     write_valid_store(&path);
     let p = path.to_str().unwrap();
@@ -131,12 +127,11 @@ fn malformed_flags_fail_typed() {
     for args in cases {
         assert_fails_typed(&run(args), &format!("args {args:?}"));
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn happy_path_still_exits_zero() {
-    let dir = scratch_dir("ok");
+    let dir = ScratchDir::new("store-cli-ok");
     let path = dir.join("store.ics1");
     write_valid_store(&path);
     let out = run(&["inspect", path.to_str().unwrap()]);
@@ -145,5 +140,4 @@ fn happy_path_still_exits_zero() {
         "inspect on a valid store must succeed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -20,7 +20,6 @@
 //! * a *false* declaration is rejected at registration by the sampled
 //!   certification harness — shown at the end.
 
-use ic_core::aggregate::canonical_f64_bits;
 use ic_core::{AggregateFn, Aggregation, Certificates, Hardness, StateView};
 use ic_engine::{Engine, Query};
 use ic_gen::datasets::{by_name, Profile};
@@ -60,10 +59,6 @@ impl AggregateFn for CappedSum {
             needs_multiset: true,
             ..Certificates::opaque()
         }
-    }
-
-    fn param_key(&self) -> u64 {
-        canonical_f64_bits(self.cap)
     }
 
     fn validate(&self) -> Result<(), String> {

@@ -52,9 +52,6 @@ impl AggregateFn for ScaledSum {
             ..Certificates::opaque()
         }
     }
-    fn param_key(&self) -> u64 {
-        ic_core::aggregate::canonical_f64_bits(self.factor)
-    }
     fn validate(&self) -> Result<(), String> {
         if !(self.factor.is_finite() && self.factor > 0.0) {
             return Err(format!(

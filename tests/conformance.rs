@@ -296,8 +296,6 @@ proptest! {
                             "probe {} proven prefix must be bit-identical", i
                         );
                     }
-                    // `AnswerStatus` is non-exhaustive outside ic-engine.
-                    _ => prop_assert!(false, "probe {i} unknown answer status"),
                 },
                 Err(EngineError::DeadlineExceeded) => {
                     prop_assert!(picks[i] != 0, "unarmed probe {} hit a deadline", i);
