@@ -26,7 +26,10 @@
 //! candidate by one vertex updates internal degrees and a below-k
 //! violation counter in `O(d(v))`, so the k-core test per prefix is O(1)
 //! instead of a full candidate rescan, and connectivity BFS only runs for
-//! prefixes that already pass the degree and threshold checks.
+//! prefixes that already pass the degree and threshold checks. A memoized
+//! entry learns every prefix's verdict at once instead
+//! ([`LocalScratch::prefix_verdicts`]): the same pushes, with a
+//! union-find over pool positions counting the components.
 //!
 //! Prefix values come from one kernel, [`prefix_values`]. A greedy pool
 //! is sorted, so the kernel keeps each prefix's ascending weights as the
@@ -222,7 +225,7 @@ pub fn local_search_nonoverlapping(
     let rows = &CoreRows::build(wg, &core);
     let scratch = &mut LocalScratch::new(wg.num_vertices());
     let LocalSearchConfig { k, s, greedy, r } = *config;
-    let mut results: Vec<Community> = Vec::with_capacity(r);
+    let mut results: Vec<Community> = Vec::new();
 
     let mut seeds: Vec<u32> = core.iter().map(|v| v as u32).collect();
     if greedy {
@@ -384,6 +387,13 @@ pub struct LocalScratch {
     visit_epoch: u32,
     /// [`prefix_values`]' ascending weight buffer.
     pub(crate) ascending: Vec<f64>,
+    /// A replay's verdicts for an entry that has not learned its own:
+    /// per prefix past `k`, untested or the tracker's verdict.
+    pub(crate) tested: Vec<u8>,
+    /// Target replays run and those that inserted a community, since
+    /// [`Self::take_target_counts`].
+    pub(crate) targets_replayed: u64,
+    pub(crate) targets_inserted: u64,
     // Incremental candidate state.
     in_cand: Vec<u32>,
     cand_epoch: u32,
@@ -395,6 +405,34 @@ pub struct LocalScratch {
     bfs_visited: Vec<u32>,
     bfs_epoch: u32,
     queue: VecDeque<VertexId>,
+    /// [`Self::prefix_verdicts`]' union-find over pool positions.
+    links: Links,
+}
+
+/// A union-find over the positions of a pool, and each candidate
+/// vertex's position (valid while the vertex is in the candidate).
+#[derive(Default)]
+struct Links {
+    at: Vec<u32>,
+    parent: Vec<u32>,
+}
+
+impl Links {
+    fn root(&mut self, mut i: u32) -> u32 {
+        while self.parent[i as usize] != i {
+            let up = self.parent[self.parent[i as usize] as usize];
+            self.parent[i as usize] = up;
+            i = up;
+        }
+        i
+    }
+
+    /// Joins the sets of positions `a` and `b`; whether they were apart.
+    fn join(&mut self, a: u32, b: u32) -> bool {
+        let (a, b) = (self.root(a), self.root(b));
+        self.parent[a as usize] = b;
+        a != b
+    }
 }
 
 impl LocalScratch {
@@ -409,6 +447,9 @@ impl LocalScratch {
             visited: vec![0; n],
             visit_epoch: 0,
             ascending: Vec::new(),
+            tested: Vec::new(),
+            targets_replayed: 0,
+            targets_inserted: 0,
             in_cand: vec![0; n],
             cand_epoch: 0,
             deg: vec![0; n],
@@ -418,7 +459,19 @@ impl LocalScratch {
             bfs_visited: vec![0; n],
             bfs_epoch: 0,
             queue: VecDeque::new(),
+            links: Links {
+                at: vec![0; n],
+                parent: Vec::new(),
+            },
         }
+    }
+
+    /// The target replays run and the ones that inserted a community
+    /// since the last call.
+    pub fn take_target_counts(&mut self) -> (u64, u64) {
+        let counts = (self.targets_replayed, self.targets_inserted);
+        (self.targets_replayed, self.targets_inserted) = (0, 0);
+        counts
     }
 
     fn bump(epoch: &mut u32, stamps: &mut [u32]) -> u32 {
@@ -518,6 +571,12 @@ impl LocalScratch {
     /// Adds `v` to the candidate, updating internal degrees and the
     /// below-k violation counter in `O(d(v))`.
     pub(crate) fn push(&mut self, rows: &CoreRows, v: VertexId) {
+        self.push_linked(rows, v, |_| {});
+    }
+
+    /// [`Self::push`], calling `link` with each neighbour of `v` already
+    /// in the candidate.
+    fn push_linked(&mut self, rows: &CoreRows, v: VertexId, mut link: impl FnMut(VertexId)) {
         let epoch = self.cand_epoch;
         let k = self.k as u32;
         let mut dv = 0u32;
@@ -529,6 +588,7 @@ impl LocalScratch {
                 if self.deg[ui] == k {
                     self.below_k -= 1; // u crossed up to the constraint
                 }
+                link(u);
             }
         }
         self.in_cand[v as usize] = epoch;
@@ -587,6 +647,38 @@ impl LocalScratch {
             }
         }
         reached == self.cand_len
+    }
+
+    /// Calls `qualifies(len)` for each `len` in `k + 1 ..= pool.len()`,
+    /// in order, whose prefix `pool[..len]` induces a connected k-core,
+    /// in one pass: the tracker's pushes count the degrees, and a
+    /// union-find over pool positions, joined along each pushed
+    /// vertex's edges into the candidate, counts the components.
+    pub(crate) fn prefix_verdicts(
+        &mut self,
+        rows: &CoreRows,
+        pool: &[VertexId],
+        k: usize,
+        mut qualifies: impl FnMut(usize),
+    ) {
+        let mut links = std::mem::take(&mut self.links);
+        links.parent.clear();
+        self.begin_candidate(k);
+        let mut components = 0usize;
+        for (at, &v) in pool.iter().enumerate() {
+            let at = at as u32;
+            links.parent.push(at);
+            components += 1;
+            self.push_linked(rows, v, |u| {
+                let other = links.at[u as usize];
+                components -= usize::from(links.join(at, other));
+            });
+            links.at[v as usize] = at;
+            if at as usize + 1 > k && self.below_k == 0 && components == 1 {
+                qualifies(at as usize + 1);
+            }
+        }
+        self.links = links;
     }
 }
 

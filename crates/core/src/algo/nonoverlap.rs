@@ -82,7 +82,7 @@ where
     validate_k_r(r)?;
     let n = wg.num_vertices();
     let mut kept = BitSet::full(n);
-    let mut results: Vec<Community> = Vec::with_capacity(r);
+    let mut results: Vec<Community> = Vec::new();
 
     for _ in 0..r {
         let kept_ids: Vec<u32> = kept.to_vec();

@@ -207,7 +207,7 @@ pub fn tic_improved(
     candidates.truncate(r);
 
     let mut explored: HashSet<u64> = candidates.iter().map(|c| c.signature()).collect();
-    let mut results: Vec<Community> = Vec::with_capacity(r);
+    let mut results: Vec<Community> = Vec::new();
     let mut in_results: HashSet<u64> = HashSet::new();
     let mut scratch = PeelScratch::new(n);
 

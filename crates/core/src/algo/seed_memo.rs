@@ -6,33 +6,41 @@
 //! the one graph fact a strategy asks of a pool prefix: does it induce a
 //! connected k-core? Everything else a strategy reads is the prefix's
 //! weights and its own list's bar. A [`SeedEntry`] keeps the pool in
-//! strategy order, the vertices whose rows its build read, and that fact
-//! for every prefix some strategy has tested. [`run_seed_memo`] replays
-//! an entry for every target instead of rebuilding the pool, and runs
-//! the degree tracker only for a prefix no strategy has tested yet.
-//! `replay` holds Algorithm 4's one production `SumStrategy` and
-//! `AvgStrategy`: prefix values come from the [`prefix_values`] kernel
-//! and `AggregateState` removes, and a prefix is competitive against the
-//! list's bar as it stands at that seed. A seed without an entry is
-//! expanded by `expand_seed` — build a fresh entry, replay it — which is
-//! also every unmemoized walk's expansion (`Query::solve`, TONIC), so a
-//! replay inserts exactly what a fresh expansion does.
+//! strategy order, the vertices whose rows its build read, and, once it
+//! has learned them, that fact for every prefix as packed bits.
+//! [`run_seed_memo`] replays an entry for every target instead of
+//! rebuilding the pool. `replay` holds Algorithm 4's one production
+//! `SumStrategy` and `AvgStrategy`: prefix values come from the
+//! [`prefix_values`] kernel and `AggregateState` removes, and a prefix is
+//! competitive against the list's bar as it stands at that seed. A seed
+//! without an entry is expanded by `expand_seed` — build a fresh entry,
+//! replay it, testing prefixes with the degree tracker as a strategy asks
+//! — which is also every unmemoized walk's expansion (`Query::solve`,
+//! TONIC), so a replay inserts exactly what a fresh expansion does.
 //!
 //! An entry also keeps three numbers folded from its pool at build: the
 //! heaviest weight, the pool-order sum and the largest prefix mean. From
 //! them and a target's certificates, [`SeedEntry::bound`] caps every value
 //! the target's replay would compute; a target whose cap is at or below
-//! its bar is left out, and a seed no target is left for is skipped.
-//! Seeds are still visited in ascending order, so answers do not change.
+//! its bar is left out, and a seed no target is left for is skipped. The
+//! first warm replay a target is not left out of has the entry learn its
+//! verdicts, in one pass over the pool (the degree tracker's pushes and a
+//! union-find over pool positions), and from then on the cap is over the
+//! qualifying prefixes only — the ones a replay can insert: `−∞` when
+//! none does, and for the classes whose values are monotone in a greedy
+//! pool's prefix length, the largest qualifying value itself, bit for
+//! bit. Seeds are still visited in ascending order and a skipped target
+//! could insert nothing, so answers do not change.
 //!
 //! A family keeps one slot per seed of its level, in the ascending order
 //! a walk visits them, so it costs what its level's k-core holds, not
 //! what the graph does. [`SeedMemo::carry`] hands the next snapshot
 //! every entry an apply's [`ApplyDelta`] shows it left alone, at its
-//! seed's new slot. The memo is bounded by a fixed per-snapshot byte
-//! budget; a family or an entry that does not fit is walked without one.
+//! seed's new slot, verdicts and all. The memo is bounded by a fixed
+//! per-snapshot byte budget; a family or an entry that does not fit is
+//! walked without one.
 
-use crate::aggregate::StateView;
+use crate::aggregate::{builtin, StateView};
 use crate::algo::common::community_from_vertices;
 use crate::algo::local_search::{
     heavier_first, prefix_values, seed_is_hopeless, CoreRows, LocalScratch, SeedTarget,
@@ -40,19 +48,21 @@ use crate::algo::local_search::{
 use crate::{AggregateState, Aggregation, Community, TopList};
 use ic_graph::{BitSet, VertexId, WeightedGraph};
 use ic_kcore::{ApplyDelta, CoreLevel, LevelDelta};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::mem::size_of;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Bytes one snapshot's memo may hold: `miss_mix`'s whole working set,
 /// 132 `(k, s)` families of up to 40-vertex pools over the 4- to 10-cores
-/// of a 10⁴-vertex graph, peaks at 35.2 MB of it (31.6 MB before each
-/// entry kept 24 B of value bounds).
+/// of a 10⁴-vertex graph, peaks at 32.9 MB of it (35.2 MB while each
+/// entry kept a byte per prefix instead of a bit).
 const MEMO_BUDGET: usize = 36 << 20;
 
-/// A prefix no strategy has tested yet.
+/// A prefix a replay has not tested yet.
 const UNTESTED: u8 = 0;
 /// A prefix that induces a connected k-core.
 const QUALIFIES: u8 = 1;
@@ -64,23 +74,30 @@ pub(crate) struct SeedEntry {
     /// The pool in strategy order, then the vertices whose rows the pool
     /// build read.
     ids: Box<[VertexId]>,
-    pool_len: usize,
-    /// Per prefix length `len` in `k + 1 ..= pool_len`, at `len - k - 1`:
-    /// untested, or whether `pool[..len]` induces a connected k-core. A
-    /// cell only ever moves from `UNTESTED` to the one true verdict, so
-    /// walks sharing an entry agree.
-    tested: Box<[AtomicU8]>,
+    /// Once `learned`, bit `len - k - 1` (byte `/ 8`, bit `% 8`) for each
+    /// prefix length `len` in `k + 1 ..= pool_len`: whether `pool[..len]`
+    /// induces a connected k-core. Walks that learn an entry at once
+    /// write the same bits.
+    verdicts: Box<[AtomicU8]>,
+    pool_len: u32,
+    /// Whether `verdicts` and `peak_mean` are over the qualifying
+    /// prefixes: stored `Release` by [`learn`](Self::learn) after both
+    /// (`Relaxed` themselves), loaded `Acquire` before either is read. A
+    /// walk that loads it `false` may still read the learned `peak_mean`,
+    /// which caps what a replay inserts as well.
+    learned: AtomicBool,
     /// The pool's heaviest weight.
     max: f64,
     /// The pool-order sum of its weights: `sum_replay`'s first state.
     total: f64,
-    /// The largest `sum / len` over prefixes `len` in `k + 1 ..=
-    /// pool_len`, each as an `avg` replay computes it (`−∞`: none).
-    peak_mean: f64,
+    /// The bits of the largest `sum / len`, each as an `avg` replay
+    /// computes it, over the prefixes `len` in `k + 1 ..= pool_len` —
+    /// once `learned`, over the qualifying ones (`−∞`: none).
+    peak_mean: AtomicU64,
 }
 
 impl SeedEntry {
-    /// Builds `seed`'s pool, in strategy order, with nothing tested.
+    /// Builds `seed`'s pool, in strategy order, with nothing learned.
     #[allow(clippy::too_many_arguments)]
     fn build(
         wg: &WeightedGraph,
@@ -112,20 +129,24 @@ impl SeedEntry {
         ids.extend_from_slice(&pool[..scratch.read_len]);
         SeedEntry {
             ids: ids.into_boxed_slice(),
-            pool_len: pool.len(),
-            tested: (k + 1..=pool.len())
-                .map(|_| AtomicU8::new(UNTESTED))
+            verdicts: (0..pool.len().saturating_sub(k).div_ceil(8))
+                .map(|_| AtomicU8::new(0))
                 .collect(),
+            pool_len: u32::try_from(pool.len()).expect("a pool fits 32-bit ids"),
+            learned: AtomicBool::new(false),
             max,
             total,
-            peak_mean,
+            peak_mean: AtomicU64::new(peak_mean.to_bits()),
         }
     }
 
-    /// A value no replay of this entry for `aggregation` computes more
-    /// than — every prefix value `len > k` of the prefix strategy, the
-    /// first state of the sum strategy — or `None` when the certificates
-    /// give none. `total_weight` is the graph's `w(V)`.
+    /// A value no replay of this entry for `aggregation` inserts a
+    /// community of more than, or `None` when nothing caps it.
+    /// `greedy` is the family's pool order.
+    ///
+    /// Until the entry has [`learn`](Self::learn)ed its verdicts, the
+    /// cap is over every value the replay computes — each prefix `len >
+    /// k` for the prefix strategy, the first state for the sum strategy:
     ///
     /// * An `incremental_removal` aggregation without a multiset replays
     ///   `SumStrategy`, whose first loop test is `f` at `(pool_len,
@@ -136,14 +157,63 @@ impl SeedEntry {
     /// * `top-t-sum` is at most the sum of all weights and `t` times the
     ///   largest; the two are computed in other orders than the value, so
     ///   the bound carries DESIGN §5's rounding margin.
-    fn bound(&self, aggregation: Aggregation, total_weight: f64) -> Option<f64> {
+    ///
+    /// Once learned, a replay inserts only a qualifying prefix, so the
+    /// cap is over those: `−∞` when none qualifies; for `avg`,
+    /// `peak_mean`, now their largest mean; and for a greedy pool, the
+    /// largest qualifying value itself, bit for bit, where the values
+    /// are monotone in the prefix length (DESIGN §5 has the proofs) —
+    /// `top-t-sum`'s at the longest qualifying prefix, `min`'s at the
+    /// shortest, and a percentile's at the shortest or at the shortest
+    /// whose nearest rank is past the minimum, whichever is larger.
+    /// Every other class keeps the cap above.
+    fn bound(
+        &self,
+        aggregation: Aggregation,
+        wg: &WeightedGraph,
+        k: usize,
+        greedy: bool,
+    ) -> Option<f64> {
+        if self.learned.load(Acquire) {
+            let Some((shortest, longest)) = self.qualifying(k) else {
+                return Some(f64::NEG_INFINITY);
+            };
+            match aggregation {
+                Aggregation::TopTSum { t } if greedy => {
+                    // The value's own additions: the `t` heaviest, heaviest first.
+                    let heaviest = self.heaviest(wg, longest);
+                    let mut sum = 0.0;
+                    for at in 0..t.min(longest) {
+                        sum += heaviest(at);
+                    }
+                    return Some(sum);
+                }
+                Aggregation::Min if greedy => {
+                    return Some(self.heaviest(wg, shortest)(shortest - 1));
+                }
+                Aggregation::Percentile { p } if greedy => {
+                    let rank = |len: usize| builtin::Percentile { p }.index(len);
+                    let value = |len: usize| self.heaviest(wg, len)(len - 1 - rank(len));
+                    let past_min = (shortest..=self.pool_len()).find(|&len| rank(len) > 0);
+                    let first = value(shortest);
+                    let later = past_min.and_then(|len| self.qualifying_from(len, k));
+                    let later = later.map_or(first, value);
+                    return Some(if later.total_cmp(&first).is_gt() {
+                        later
+                    } else {
+                        first
+                    });
+                }
+                _ => {}
+            }
+        }
         let certificates = aggregation.certificates();
         if certificates.incremental_removal && !certificates.needs_multiset {
-            let first = StateView::new(self.pool_len, self.total, total_weight, None);
+            let first = StateView::new(self.pool_len(), self.total, wg.total_weight(), None);
             return Some(aggregation.with_fn(|f| f.evaluate_state(&first)));
         }
         match aggregation {
-            Aggregation::Average => Some(self.peak_mean),
+            Aggregation::Average => Some(f64::from_bits(self.peak_mean.load(Relaxed))),
             Aggregation::TopTSum { t } => {
                 let b = self.total.min(t as f64 * self.max);
                 Some(b + 4.0 * f64::EPSILON * (self.pool_len + 1) as f64 * b.abs())
@@ -154,74 +224,157 @@ impl SeedEntry {
     }
 
     pub(crate) fn pool(&self) -> &[VertexId] {
-        &self.ids[..self.pool_len]
+        &self.ids[..self.pool_len()]
+    }
+
+    fn pool_len(&self) -> usize {
+        self.pool_len as usize
     }
 
     fn read(&self) -> &[VertexId] {
-        &self.ids[self.pool_len..]
+        &self.ids[self.pool_len()..]
     }
 
     /// What the entry costs the budget: its allocations and the `Arc`
     /// that holds it.
     fn bytes(&self) -> usize {
-        size_of::<Self>() + 2 * size_of::<usize>() + 4 * self.ids.len() + self.tested.len()
+        size_of::<Self>() + 2 * size_of::<usize>() + 4 * self.ids.len() + self.verdicts.len()
     }
 
-    /// Whether `pool[..len]` (`len > k`) induces a connected k-core: the
-    /// verdict some strategy already reached, else the degree tracker's,
-    /// which is recorded. `tracked` is the prefix the tracker in
-    /// `scratch` holds (`None`: none of this seed's yet); it is moved to
-    /// `len` by pushes or pops, and each prefix a push passes that breaks
-    /// the degree bound is recorded as failing on the way.
-    fn qualifies(
-        &self,
-        len: usize,
-        k: usize,
-        rows: &CoreRows,
-        scratch: &mut LocalScratch,
-        tracked: &mut Option<usize>,
-    ) -> bool {
-        let cell = &self.tested[len - k - 1];
-        match cell.load(Relaxed) {
-            QUALIFIES => return true,
-            FAILS => return false,
-            _ => {}
-        }
+    /// Works out, in one pass over the pool, which prefixes induce a
+    /// connected k-core, and the largest mean among them.
+    fn learn(&self, wg: &WeightedGraph, rows: &CoreRows, k: usize, scratch: &mut LocalScratch) {
         let pool = self.pool();
-        let held = tracked.unwrap_or_else(|| {
-            scratch.begin_candidate(k);
-            0
-        });
-        if held <= len {
-            for (at, &v) in pool[..len].iter().enumerate().skip(held) {
-                scratch.push(rows, v);
-                if at + 1 > k && !scratch.is_kcore() {
-                    self.tested[at - k].store(FAILS, Relaxed);
-                }
+        // Whole bytes, each stored once: a racing walk learning the same
+        // entry never clears a bit this one set.
+        let (mut byte, mut bits) = (0, 0u8);
+        scratch.prefix_verdicts(rows, pool, k, |len| {
+            let at = len - k - 1;
+            if at / 8 != byte {
+                self.verdicts[byte].store(bits, Relaxed);
+                (byte, bits) = (at / 8, 0);
             }
-        } else {
-            for &v in pool[len..held].iter().rev() {
-                scratch.pop(rows, v);
+            bits |= 1 << (at % 8);
+        });
+        if let Some(cell) = self.verdicts.get(byte) {
+            cell.store(bits, Relaxed);
+        }
+        let (mut sum, mut peak_mean) = (0.0, f64::NEG_INFINITY);
+        for (i, &v) in pool.iter().enumerate() {
+            sum += wg.weight(v);
+            if i + 1 > k && self.verdict(i + 1, k) {
+                peak_mean = peak_mean.max(sum / (i + 1) as f64);
             }
         }
-        *tracked = Some(len);
-        let verdict = scratch.is_kcore() && scratch.is_connected(rows, pool[0]);
-        cell.store(if verdict { QUALIFIES } else { FAILS }, Relaxed);
-        verdict
+        self.peak_mean.store(peak_mean.to_bits(), Relaxed);
+        self.learned.store(true, Release);
     }
+
+    /// Whether `pool[..len]` (`len > k`) induces a connected k-core, once
+    /// learned.
+    fn verdict(&self, len: usize, k: usize) -> bool {
+        let at = len - k - 1;
+        self.verdicts[at / 8].load(Relaxed) >> (at % 8) & 1 == 1
+    }
+
+    /// The shortest qualifying prefix at least `len` (`> k`) long, once
+    /// learned.
+    fn qualifying_from(&self, len: usize, k: usize) -> Option<usize> {
+        let (at, mut byte) = (len - k - 1, (len - k - 1) / 8);
+        let mut bits = self.verdicts.get(byte)?.load(Relaxed) & (u8::MAX << (at % 8));
+        while bits == 0 {
+            byte += 1;
+            bits = self.verdicts.get(byte)?.load(Relaxed);
+        }
+        Some(k + 1 + 8 * byte + bits.trailing_zeros() as usize)
+    }
+
+    /// The shortest and the longest qualifying prefix, once learned
+    /// (`None`: no prefix qualifies).
+    fn qualifying(&self, k: usize) -> Option<(usize, usize)> {
+        let shortest = self.qualifying_from(k + 1, k)?;
+        let (byte, bits) = (self.verdicts.iter().enumerate().rev())
+            .map(|(byte, bits)| (byte, bits.load(Relaxed)))
+            .find(|&(_, bits)| bits != 0)?;
+        let longest = k + 1 + 8 * byte + 7 - bits.leading_zeros() as usize;
+        Some((shortest, longest))
+    }
+
+    /// The `at`-th heaviest weight (from 0) of the greedy pool's prefix
+    /// `pool[..len]`, by `at`: the rest of the pool is in `heavier_first`
+    /// order, and the seed sits below every rest weight at or above its
+    /// own — the multiset [`prefix_values`] hands the aggregation.
+    fn heaviest<'a>(&'a self, wg: &'a WeightedGraph, len: usize) -> impl Fn(usize) -> f64 + 'a {
+        let (seed, rest) = (wg.weight(self.ids[0]), &self.ids[1..len]);
+        let above = rest.partition_point(|&v| wg.weight(v).total_cmp(&seed).is_ge());
+        move |at| match at.cmp(&above) {
+            Ordering::Less => wg.weight(rest[at]),
+            Ordering::Equal => seed,
+            Ordering::Greater => wg.weight(rest[at - 1]),
+        }
+    }
+}
+
+/// Whether `pool[..len]` (`len > k`) induces a connected k-core, by the
+/// degree tracker in `scratch`, for an entry that has not learned its
+/// verdicts: a verdict this replay reached already (`scratch.tested`,
+/// taken out as `tested`), else the tracker's, which is recorded.
+/// `tracked` is the prefix the tracker holds (`None`: none of this
+/// seed's yet); it is moved to `len` by pushes or pops, and each prefix a
+/// push passes that breaks the degree bound is recorded as failing on the
+/// way.
+fn tracked_verdict(
+    pool: &[VertexId],
+    len: usize,
+    k: usize,
+    rows: &CoreRows,
+    scratch: &mut LocalScratch,
+    tested: &mut [u8],
+    tracked: &mut Option<usize>,
+) -> bool {
+    match tested[len - k - 1] {
+        QUALIFIES => return true,
+        FAILS => return false,
+        _ => {}
+    }
+    let held = tracked.unwrap_or_else(|| {
+        scratch.begin_candidate(k);
+        0
+    });
+    if held <= len {
+        for (at, &v) in pool[..len].iter().enumerate().skip(held) {
+            scratch.push(rows, v);
+            if at + 1 > k && !scratch.is_kcore() {
+                tested[at - k] = FAILS;
+            }
+        }
+    } else {
+        for &v in pool[len..held].iter().rev() {
+            scratch.pop(rows, v);
+        }
+    }
+    *tracked = Some(len);
+    let verdict = scratch.is_kcore() && scratch.is_connected(rows, pool[0]);
+    tested[len - k - 1] = if verdict { QUALIFIES } else { FAILS };
+    verdict
 }
 
 /// Applies every target's strategy to `entry`'s pool, but for a target
 /// whose [`bound`](SeedEntry::bound) is at or below its list's bar: no
-/// value its replay computes could beat the bar, so it would insert
-/// nothing. The tracker in `scratch` is shared by the targets, so a
-/// prefix is tested once. Returns whether any target was replayed.
+/// community its replay could insert would beat the bar. A `warm` replay
+/// (of a memoized entry) whose cheap bounds leave a target has the entry
+/// [`learn`](SeedEntry::learn) its verdicts first, and bounds again; a
+/// cold one tests prefixes with the degree tracker, shared by the
+/// targets, so a prefix is tested once. Returns whether any target was
+/// replayed.
+#[allow(clippy::too_many_arguments)]
 fn replay(
     wg: &WeightedGraph,
     rows: &CoreRows,
     k: usize,
     greedy: bool,
     entry: &SeedEntry,
+    warm: bool,
     scratch: &mut LocalScratch,
     targets: &mut [SeedTarget<'_>],
 ) -> bool {
@@ -229,20 +382,35 @@ fn replay(
     if pool.len() <= k {
         return false; // cannot host a k-core
     }
-    let total_weight = wg.total_weight();
-    let mut ascending = std::mem::take(&mut scratch.ascending);
     let (mut tracked, mut replayed) = (None, false);
     for target in targets {
         let (agg, bar) = (target.aggregation, target.list.threshold());
-        if entry.bound(agg, total_weight).is_some_and(|b| b <= bar) {
+        let beaten = |entry: &SeedEntry| entry.bound(agg, wg, k, greedy).is_some_and(|b| b <= bar);
+        if beaten(entry) {
             continue;
         }
+        if warm && !entry.learned.load(Acquire) {
+            entry.learn(wg, rows, k, scratch);
+            if beaten(entry) {
+                continue;
+            }
+        }
+        let mut ascending = std::mem::take(&mut scratch.ascending);
+        let mut tested = std::mem::take(&mut scratch.tested);
+        let learned = entry.learned.load(Acquire);
+        if !replayed && !learned {
+            tested.clear();
+            tested.resize(pool.len() - k, UNTESTED);
+        }
         replayed = true;
-        let mut qualifies = |len: usize| entry.qualifies(len, k, rows, scratch, &mut tracked);
+        let mut qualifies = |len: usize| match learned {
+            true => entry.verdict(len, k),
+            false => tracked_verdict(pool, len, k, rows, scratch, &mut tested, &mut tracked),
+        };
         // Strategy by certificate: `SumStrategy` drops from the full pool,
         // so it needs an O(1) remove delta; the rest walk pool prefixes.
-        if agg.certificates().incremental_removal {
-            sum_replay(wg, pool, k, agg, target.list, &mut qualifies);
+        let inserted = if agg.certificates().incremental_removal {
+            sum_replay(wg, pool, k, agg, target.list, &mut qualifies)
         } else {
             prefix_replay(
                 wg,
@@ -253,15 +421,19 @@ fn replay(
                 &mut ascending,
                 target.list,
                 &mut qualifies,
-            );
-        }
+            )
+        };
+        scratch.targets_replayed += 1;
+        scratch.targets_inserted += u64::from(inserted);
+        scratch.ascending = ascending;
+        scratch.tested = tested;
     }
-    scratch.ascending = ascending;
     replayed
 }
 
 /// `SumStrategy` over a known pool: from the full pool, drop the last
 /// vertex until the candidate qualifies while its value beats the bar.
+/// Returns whether it inserted one.
 fn sum_replay(
     wg: &WeightedGraph,
     pool: &[VertexId],
@@ -269,7 +441,7 @@ fn sum_replay(
     aggregation: Aggregation,
     list: &mut TopList,
     qualifies: &mut impl FnMut(usize) -> bool,
-) {
+) -> bool {
     let mut state = AggregateState::new(aggregation, wg.total_weight());
     for &v in pool {
         state.add(wg.weight(v));
@@ -278,17 +450,18 @@ fn sum_replay(
     while len > k && state.value() > list.threshold() {
         if qualifies(len) {
             let vertices = pool[..len].to_vec();
-            list.insert(community_from_vertices(wg, aggregation, vertices));
-            return;
+            return list.insert(community_from_vertices(wg, aggregation, vertices));
         }
         len -= 1;
         state.remove(wg.weight(pool[len]));
     }
+    false
 }
 
 /// `AvgStrategy` over a known pool, its values from [`prefix_values`]
 /// (`ascending` its buffer): greedy takes the first competitive
-/// qualifying prefix, random the best one by `ranking_cmp`.
+/// qualifying prefix, random the best one by `ranking_cmp`. Returns
+/// whether it inserted one.
 #[allow(clippy::too_many_arguments)]
 fn prefix_replay(
     wg: &WeightedGraph,
@@ -299,7 +472,7 @@ fn prefix_replay(
     ascending: &mut Vec<f64>,
     list: &mut TopList,
     qualifies: &mut impl FnMut(usize) -> bool,
-) {
+) -> bool {
     let bar = list.threshold();
     let mut best: Option<Community> = None;
     prefix_values(wg, pool, k, greedy, aggregation, ascending, |len, value| {
@@ -318,9 +491,7 @@ fn prefix_replay(
         }
         ControlFlow::Continue(())
     });
-    if let Some(b) = best {
-        list.insert(b);
-    }
+    best.is_some_and(|b| list.insert(b))
 }
 
 /// The memo of one `(k, s, greedy)` family on one snapshot: an entry
@@ -608,7 +779,7 @@ pub fn run_seed_memo(
     match memo.get(at) {
         None => match expand_seed(wg, rows, core, seed, k, s, greedy, scratch, targets) {
             Some(entry) => {
-                let built = entry.pool_len;
+                let built = entry.pool_len();
                 memo.keep(at, entry);
                 SeedVisit::Built(built)
             }
@@ -616,7 +787,7 @@ pub fn run_seed_memo(
         },
         Some(entry)
             if !seed_is_hopeless(wg, seed, targets)
-                && replay(wg, rows, k, greedy, entry, scratch, targets) =>
+                && replay(wg, rows, k, greedy, entry, true, scratch, targets) =>
         {
             SeedVisit::Replayed
         }
@@ -645,7 +816,7 @@ pub(crate) fn expand_seed(
         return None;
     }
     let entry = SeedEntry::build(wg, rows, core, seed, k, s, greedy, scratch);
-    replay(wg, rows, k, greedy, &entry, scratch, targets);
+    replay(wg, rows, k, greedy, &entry, false, scratch, targets);
     Some(entry)
 }
 
@@ -657,6 +828,8 @@ mod tests {
     use crate::algo::oracle;
     use ic_kcore::{CascadeRecord, CoreMaintainer, EdgeUpdate, GraphSnapshot};
     use proptest::prelude::*;
+
+    use crate::workload;
 
     /// A Barabási–Albert graph whose few distinct weights make pools
     /// lean on their tie-break.
@@ -707,9 +880,8 @@ mod tests {
         (avg, sum, visits)
     }
 
-    /// Walks every seed of `snap`'s `k`-core through `memo`, then tests
-    /// every prefix of every entry kept: each verdict the memo can hold
-    /// is known.
+    /// Walks every seed of `snap`'s `k`-core through `memo`, then has
+    /// every entry kept learn its verdicts.
     fn warm(snap: &GraphSnapshot, memo: &SeedMemo, (k, s, greedy): (usize, usize, bool)) {
         let family = memo.family(&snap.level(k), s, greedy);
         walk(snap, &family, (k, s, greedy));
@@ -717,18 +889,31 @@ mod tests {
         let mut scratch = LocalScratch::new(snap.weighted().num_vertices());
         for at in 0..family.seeds().len() {
             if let Some(entry) = family.get(at) {
-                let mut tracked = None;
-                for len in k + 1..=entry.pool_len {
-                    entry.qualifies(len, k, &rows, &mut scratch, &mut tracked);
-                }
+                entry.learn(snap.weighted(), &rows, k, &mut scratch);
             }
         }
     }
 
+    /// Whether `pool[..len]` induces a connected k-core, by a tracker
+    /// that pushes the prefix from scratch.
+    fn truth(
+        pool: &[VertexId],
+        len: usize,
+        k: usize,
+        rows: &CoreRows,
+        scratch: &mut LocalScratch,
+    ) -> bool {
+        scratch.begin_candidate(k);
+        for &v in &pool[..len] {
+            scratch.push(rows, v);
+        }
+        scratch.is_kcore() && scratch.is_connected(rows, pool[0])
+    }
+
     /// Asserts that the family's seed list is `snap`'s k-core and that
     /// every entry `memo` holds for it equals one built fresh on `snap`
-    /// — the same pool, the same rows read, and each verdict it holds
-    /// the tracker's on `snap` — and returns how many it checked.
+    /// — the same pool, the same rows read, and, once learned, each
+    /// verdict the tracker's on `snap` — and returns how many it checked.
     fn assert_fresh(
         snap: &GraphSnapshot,
         memo: &SeedMemo,
@@ -751,12 +936,10 @@ mod tests {
                 "pool of seed {seed}, {k}/{s}/{greedy}"
             );
             assert_eq!(carried.read(), fresh.read(), "rows read for seed {seed}");
-            let mut tracked = None;
-            for len in k + 1..=fresh.pool_len {
-                let known = carried.tested[len - k - 1].load(Relaxed);
-                if known != UNTESTED {
-                    let truth = fresh.qualifies(len, k, &rows, &mut scratch, &mut tracked);
-                    assert_eq!(known == QUALIFIES, truth, "seed {seed}, prefix {len}");
+            if carried.learned.load(Acquire) {
+                for len in k + 1..=fresh.pool_len() {
+                    let truth = truth(fresh.pool(), len, k, &rows, &mut scratch);
+                    assert_eq!(carried.verdict(len, k), truth, "seed {seed}, prefix {len}");
                 }
             }
             checked += 1;
@@ -899,13 +1082,114 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// An entry's learned verdicts, from one pass over its pool, are
+        /// the tracker's `is_kcore && is_connected` for every prefix —
+        /// both pool orders, pools cut short and pools that hold their
+        /// seed's whole component, past 64 prefixes wherever the level
+        /// has a component that large.
+        #[test]
+        fn learned_verdicts_equal_the_trackers_on_every_prefix(
+            wg in workload::arb_workload(workload::Shape::Families(0..4), 0..8, 100..160),
+            k in 1usize..4,
+        ) {
+            let n = wg.num_vertices();
+            let snap = GraphSnapshot::new(wg);
+            let (wg, level) = (snap.weighted(), snap.level(k));
+            let (rows, _) = CoreRows::cached(&snap, k);
+            let (mut scratch, mut tracker) = (LocalScratch::new(n), LocalScratch::new(n));
+            let mut longest = 0;
+            for greedy in [true, false] {
+                let firsts: Vec<usize> = level.components.iter().map(|c| c[0] as usize).collect();
+                let cut: Vec<usize> = level.mask.iter().step_by(5).collect();
+                for (s, seeds) in [(k + 4, cut.clone()), (24, cut), (n, firsts)] {
+                    for seed in seeds {
+                        let entry = SeedEntry::build(wg, &rows, &level.mask, seed as VertexId, k, s, greedy, &mut scratch);
+                        let pool = entry.pool();
+                        if pool.len() <= k {
+                            continue;
+                        }
+                        entry.learn(wg, &rows, k, &mut scratch);
+                        tracker.begin_candidate(k);
+                        for (i, &v) in pool.iter().enumerate() {
+                            tracker.push(&rows, v);
+                            if i + 1 > k {
+                                let truth = tracker.is_kcore() && tracker.is_connected(&rows, pool[0]);
+                                prop_assert_eq!(entry.verdict(i + 1, k), truth, "seed {} prefix {}", seed, i + 1);
+                            }
+                        }
+                        longest = longest.max(pool.len() - k);
+                    }
+                }
+            }
+            let big = level.components.iter().any(|c| c.len() > 64 + k);
+            prop_assert!(longest > 64 || !big, "longest pool {} prefixes", longest);
+        }
+    }
+
+    /// A clique on `n` vertices without the edges a `rng` draw drops
+    /// (about one in three), weighted by [`adversarial_weights`]: some
+    /// prefixes of its pools qualify, some do not.
+    fn thinned_clique(n: usize, class: u8, seed_at: u8, rng: u64) -> GraphSnapshot {
+        let weights = adversarial_weights(n, class, seed_at, rng | 1);
+        let edges: Vec<(VertexId, VertexId)> = (0..n as VertexId)
+            .flat_map(|u| (0..u).map(move |v| (u, v)))
+            .filter(|&(u, v)| {
+                (rng ^ u64::from(u * 31 + v)).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 62 != 0
+            })
+            .collect();
+        let graph = ic_graph::graph_from_edges(n, &edges);
+        GraphSnapshot::new(WeightedGraph::new(graph, weights).unwrap())
+    }
+
+    /// Per prefix `len > k` of `entry`'s pool: its value under `agg`, as
+    /// an `AggregateState` fed the pool in order holds it, and whether it
+    /// induces a connected k-core.
+    fn prefixes(
+        entry: &SeedEntry,
+        agg: Aggregation,
+        wg: &WeightedGraph,
+        k: usize,
+        rows: &CoreRows,
+        scratch: &mut LocalScratch,
+    ) -> Vec<(f64, bool)> {
+        let mut state = AggregateState::new(agg, wg.total_weight());
+        let pool = entry.pool();
+        let mut out = Vec::new();
+        for (i, &v) in pool.iter().enumerate() {
+            state.add(wg.weight(v));
+            if i + 1 > k {
+                out.push((state.value(), truth(pool, i + 1, k, rows, scratch)));
+            }
+        }
+        out
+    }
+
+    /// Every aggregation the bound tests try: the built-ins, a negative
+    /// surplus, order statistics at their edges and a registered
+    /// multiset-backed one.
+    fn bounded_aggregations() -> Vec<Aggregation> {
+        let ends = [0.0, 0.25, 0.5, 0.9, 1.0].map(|p| Aggregation::Percentile { p });
+        let tops = [1, 3, 64].map(|t| Aggregation::TopTSum { t });
+        Aggregation::builtins()
+            .into_iter()
+            .chain([Aggregation::SumSurplus { alpha: -0.75 }, spread()])
+            .chain(ends)
+            .chain(tops)
+            .collect()
+    }
+
+    proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Each target's bound is at least every value its replay of the
-        /// entry computes — each prefix `len > k` for the prefix
-        /// strategy, the first state for the sum strategy — on cliques
-        /// of adversarial weights, for every seed, both pool orders, and
-        /// every aggregation that has a bound.
+        /// entry computes that could be inserted: before the entry learns
+        /// its verdicts, each prefix `len > k` for the prefix strategy and
+        /// the first state for the sum strategy; after, only the
+        /// qualifying prefixes, and the first state only when some prefix
+        /// qualifies. On thinned cliques of adversarial weights, for every
+        /// seed, both pool orders, and every aggregation that has a bound.
         #[test]
         fn entry_bounds_dominate_every_value_their_replay_computes(
             n in 4usize..32,
@@ -915,53 +1199,171 @@ mod tests {
             extra in 1usize..40,
             rng in any::<u64>(),
         ) {
-            let weights = adversarial_weights(n, class, seed_at, rng | 1);
-            let edges: Vec<(VertexId, VertexId)> = (0..n as VertexId)
-                .flat_map(|u| (0..u).map(move |v| (u, v)))
-                .collect();
-            let graph = ic_graph::graph_from_edges(n, &edges);
-            let snap = GraphSnapshot::new(WeightedGraph::new(graph, weights).unwrap());
+            let snap = thinned_clique(n, class, seed_at, rng);
             let (wg, level) = (snap.weighted(), snap.level(k));
             let (rows, _) = CoreRows::cached(&snap, k);
             let mut scratch = LocalScratch::new(n);
-            let aggregations: Vec<Aggregation> = Aggregation::builtins()
-                .into_iter()
-                .chain([
-                    Aggregation::SumSurplus { alpha: -0.75 },
-                    Aggregation::TopTSum { t: 64 },
-                    Aggregation::Percentile { p: 0.9 },
-                    spread(),
-                ])
-                .collect();
             let (s, mut bounded) = (k + extra, 0);
             for greedy in [true, false] {
                 for seed in level.mask.iter() {
                     let entry = SeedEntry::build(wg, &rows, &level.mask, seed as VertexId, k, s, greedy, &mut scratch);
-                    if entry.pool_len <= k {
+                    if entry.pool_len() <= k {
                         continue;
                     }
-                    for &agg in &aggregations {
-                        let Some(bound) = entry.bound(agg, wg.total_weight()) else { continue };
-                        bounded += 1;
-                        let mut state = AggregateState::new(agg, wg.total_weight());
-                        let mut values = Vec::new();
-                        for (i, &v) in entry.pool().iter().enumerate() {
-                            state.add(wg.weight(v));
-                            if i + 1 > k {
-                                values.push(state.value());
-                            }
+                    for learned in [false, true] {
+                        if learned {
+                            entry.learn(wg, &rows, k, &mut scratch);
                         }
-                        // `SumStrategy` tests only its first state: the
-                        // whole pool's value.
-                        let first = values.len() - 1;
-                        let tested = if agg.certificates().incremental_removal { &values[first..] } else { &values[..] };
-                        for &value in tested {
-                            prop_assert!(value <= bound, "{} of {:?}: {} > {}", agg.name(), entry.pool(), value, bound);
+                        for agg in bounded_aggregations() {
+                            let Some(bound) = entry.bound(agg, wg, k, greedy) else { continue };
+                            bounded += 1;
+                            let values = prefixes(&entry, agg, wg, k, &rows, &mut scratch);
+                            let any = values.iter().any(|&(_, q)| q);
+                            // `SumStrategy` tests its first state, the
+                            // whole pool's value, before any other.
+                            let first = values.len() - 1;
+                            let tested = if agg.certificates().incremental_removal { &values[first..] } else { &values[..] };
+                            for &(value, qualifies) in tested {
+                                if !learned || qualifies || (any && agg.certificates().incremental_removal) {
+                                    prop_assert!(value <= bound, "{} of {:?}: {} > {}", agg.name(), entry.pool(), value, bound);
+                                }
+                            }
                         }
                     }
                 }
             }
             prop_assert!(bounded > 0);
+        }
+
+        /// Once learned, the bound of each class it is exact for — `avg`
+        /// in both pool orders, `top-t-sum`, `min` and percentiles over a
+        /// greedy pool — is, bit for bit, the largest value (by
+        /// `total_cmp`) of a qualifying prefix, and every class's is `−∞`
+        /// when no prefix qualifies. On thinned cliques of adversarial
+        /// weights, the seed among them anywhere.
+        #[test]
+        fn learned_bounds_are_the_largest_qualifying_value_bit_for_bit(
+            n in 4usize..32,
+            class in 0u8..5,
+            seed_at in 0u8..4,
+            k in 0usize..3,
+            extra in 1usize..40,
+            rng in any::<u64>(),
+        ) {
+            let snap = thinned_clique(n, class, seed_at, rng);
+            let (wg, level) = (snap.weighted(), snap.level(k));
+            let (rows, _) = CoreRows::cached(&snap, k);
+            let mut scratch = LocalScratch::new(n);
+            let s = k + extra;
+            let mut exact = 0;
+            for greedy in [true, false] {
+                for seed in level.mask.iter() {
+                    let entry = SeedEntry::build(wg, &rows, &level.mask, seed as VertexId, k, s, greedy, &mut scratch);
+                    if entry.pool_len() <= k {
+                        continue;
+                    }
+                    entry.learn(wg, &rows, k, &mut scratch);
+                    for agg in bounded_aggregations() {
+                        let bound = entry.bound(agg, wg, k, greedy);
+                        let values = prefixes(&entry, agg, wg, k, &rows, &mut scratch);
+                        let qualifying = values.iter().filter(|&&(_, q)| q).map(|&(v, _)| v);
+                        let Some(largest) = qualifying.max_by(f64::total_cmp) else {
+                            prop_assert_eq!(bound, Some(f64::NEG_INFINITY), "{} of {:?}", agg.name(), entry.pool());
+                            continue;
+                        };
+                        let is_exact = match agg {
+                            Aggregation::Average => true,
+                            Aggregation::Min | Aggregation::Percentile { .. } | Aggregation::TopTSum { .. } => greedy,
+                            _ => false,
+                        };
+                        if is_exact {
+                            exact += 1;
+                            let got = bound.map(f64::to_bits);
+                            prop_assert_eq!(got, Some(largest.to_bits()), "{} of {:?}", agg.name(), entry.pool());
+                        }
+                    }
+                }
+            }
+            prop_assert!(exact > 0 || level.mask.is_empty());
+        }
+    }
+
+    #[test]
+    fn an_entry_no_prefix_of_which_qualifies_bounds_every_class_at_minus_infinity() {
+        // A 6-cycle is its own 2-core; a pool of 5 is a path, and no
+        // prefix of a path is a 2-core.
+        let edges: Vec<(VertexId, VertexId)> = (0..6).map(|v| (v, (v + 1) % 6)).collect();
+        let weights = (0..6).map(f64::from).collect();
+        let graph = ic_graph::graph_from_edges(6, &edges);
+        let snap = GraphSnapshot::new(WeightedGraph::new(graph, weights).unwrap());
+        let (wg, level) = (snap.weighted(), snap.level(2));
+        let (rows, _) = CoreRows::cached(&snap, 2);
+        let mut scratch = LocalScratch::new(6);
+        for greedy in [true, false] {
+            let entry = SeedEntry::build(wg, &rows, &level.mask, 0, 2, 5, greedy, &mut scratch);
+            assert_eq!(entry.pool_len(), 5);
+            entry.learn(wg, &rows, 2, &mut scratch);
+            for agg in bounded_aggregations() {
+                let bound = entry.bound(agg, wg, 2, greedy);
+                assert_eq!(bound, Some(f64::NEG_INFINITY), "{}", agg.name());
+            }
+        }
+    }
+
+    #[test]
+    fn bounds_read_while_another_walk_learns_the_entry_still_cap_it() {
+        // No prefix of a 6-cycle's 5-pool is a 2-core; every prefix past
+        // 2 of an 80-clique's pool is, and learning it takes a while.
+        let cycle: Vec<(VertexId, VertexId)> = (0..6).map(|v| (v, (v + 1) % 6)).collect();
+        let clique: Vec<(VertexId, VertexId)> =
+            (0..80).flat_map(|u| (0..u).map(move |v| (u, v))).collect();
+        for (n, edges, s) in [(6, cycle, 5), (80, clique, 80)] {
+            let weights = (0..n).map(|v| f64::from(v * 37 % 23)).collect();
+            let graph = ic_graph::graph_from_edges(n as usize, &edges);
+            let snap = GraphSnapshot::new(WeightedGraph::new(graph, weights).unwrap());
+            let (wg, level, k) = (snap.weighted(), snap.level(2), 2);
+            let (rows, _) = CoreRows::cached(&snap, k);
+            let mut scratch = LocalScratch::new(n as usize);
+            let build = |scratch: &mut LocalScratch| {
+                SeedEntry::build(wg, &rows, &level.mask, 0, k, s, true, scratch)
+            };
+            let probe = build(&mut scratch);
+            // What a bound must cap: the largest qualifying value, or for
+            // `SumStrategy` its first state, when some prefix qualifies.
+            let largest: Vec<(Aggregation, Option<f64>)> = bounded_aggregations()
+                .into_iter()
+                .map(|agg| {
+                    let values = prefixes(&probe, agg, wg, k, &rows, &mut scratch);
+                    let mut qualifying = values.iter().filter(|&&(_, q)| q).map(|&(v, _)| v);
+                    let cap = match agg.certificates().incremental_removal {
+                        true => qualifying.next().and(values.last().map(|&(v, _)| v)),
+                        false => qualifying.max_by(f64::total_cmp),
+                    };
+                    (agg, cap)
+                })
+                .collect();
+            for _ in 0..32 {
+                let entry = build(&mut scratch);
+                let start = std::sync::Barrier::new(2);
+                std::thread::scope(|threads| {
+                    threads.spawn(|| {
+                        start.wait();
+                        entry.learn(wg, &rows, k, &mut LocalScratch::new(n as usize));
+                    });
+                    start.wait();
+                    loop {
+                        let done = entry.learned.load(Acquire);
+                        for &(agg, largest) in &largest {
+                            let bound = entry.bound(agg, wg, k, true);
+                            let caps = |b: f64| largest.is_none_or(|l| b >= l);
+                            assert!(bound.is_none_or(caps), "{}: {bound:?}", agg.name());
+                        }
+                        if done {
+                            break;
+                        }
+                    }
+                });
+            }
         }
     }
 

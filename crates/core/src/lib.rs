@@ -56,6 +56,10 @@ mod error;
 pub mod figure1;
 pub mod query;
 pub mod verify;
+/// The suites' one weighted-graph generator, for the unit tests.
+#[cfg(test)]
+#[path = "../../../tests/common/workload.rs"]
+mod workload;
 
 pub use aggregate::{
     AggregateFn, AggregateState, Aggregation, Certificates, CustomAggregation, Extremum, Hardness,

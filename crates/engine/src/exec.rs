@@ -129,7 +129,8 @@ pub(crate) struct ForestCounters {
 /// summed once per family walk — seeds visited, seeds skipped without a pool
 /// (a `min` seed at the bar, or a memo entry whose value bounds are at or
 /// below every bar) and seeds replayed from the seed memo (see
-/// [`run_seed_memo`]), pool vertices collected, and [`CoreRows`] builds
+/// [`run_seed_memo`]), target replays run and those that inserted a
+/// community, pool vertices collected, and [`CoreRows`] builds
 /// (one per `(snapshot, k)` a size-bounded query touched that no apply
 /// carried rows to) — and the apply's and the memo's own: levels whose
 /// rows an apply carried, entries it invalidated, families and entries
@@ -139,6 +140,8 @@ pub(crate) struct LocalCounters {
     pub seeds: ic_obs::Counter,
     pub seeds_skipped: ic_obs::Counter,
     pub seeds_replayed: ic_obs::Counter,
+    pub targets_replayed: ic_obs::Counter,
+    pub targets_inserted: ic_obs::Counter,
     pub pool_vertices: ic_obs::Counter,
     pub rows_builds: ic_obs::Counter,
     pub rows_carried: ic_obs::Counter,
@@ -626,6 +629,9 @@ fn run_local_walk(
     counters.seeds.add(visited);
     counters.seeds_skipped.add(skipped);
     counters.seeds_replayed.add(replayed);
+    let (targets_replayed, targets_inserted) = scratch.take_target_counts();
+    counters.targets_replayed.add(targets_replayed);
+    counters.targets_inserted.add(targets_inserted);
     counters.pool_vertices.add(pooled);
 
     let cut = budget.is_some_and(|b| b.expired());

@@ -376,6 +376,8 @@ impl EngineMetrics {
                 seeds: registry.counter("core.local_seeds"),
                 seeds_skipped: registry.counter("core.local_seeds_skipped"),
                 seeds_replayed: registry.counter("core.local_seeds_replayed"),
+                targets_replayed: registry.counter("core.local_targets_replayed"),
+                targets_inserted: registry.counter("core.local_targets_inserted"),
                 pool_vertices: registry.counter("core.local_pool_vertices"),
                 rows_builds: registry.counter("core.local_rows_builds"),
                 rows_carried: registry.counter("core.local_rows_carried"),
@@ -1249,6 +1251,33 @@ mod tests {
             (skipped_warm - skipped_now) + (replayed_warm - replayed),
             core
         );
+    }
+
+    #[test]
+    fn target_counters_tell_the_replays_that_inserted() {
+        let spec = ic_gen::datasets::by_name(ic_gen::datasets::Profile::Quick, "email").unwrap();
+        let eng = Engine::with_threads(spec.generate_weighted(), 1);
+        let names = ["core.local_targets_replayed", "core.local_targets_inserted"];
+        let avg = Query::new(4, 1, Aggregation::Average).size_bound(12, true);
+        eng.run_batch(&[avg]);
+        let [replayed, inserted] = counters(&eng, &names)[..] else {
+            unreachable!("two names in, two values out")
+        };
+        // Cold, a fresh entry's bound is over every prefix, qualifying
+        // or not: some replays insert nothing.
+        assert!(
+            0.0 < inserted && inserted < replayed,
+            "{inserted} of {replayed}"
+        );
+        // Warm, an `avg` entry's bound is its largest qualifying mean:
+        // at r = 1 every replay it lets through beats the bar and inserts.
+        eng.clear_result_cache();
+        eng.run_batch(&[avg]);
+        let [replayed_warm, inserted_warm] = counters(&eng, &names)[..] else {
+            unreachable!("two names in, two values out")
+        };
+        assert!(replayed_warm > replayed);
+        assert_eq!(replayed_warm - replayed, inserted_warm - inserted);
     }
 
     mod seed_memo {
