@@ -240,8 +240,8 @@ const GOLDEN_TONIC: &[(&str, usize, usize, &str, bool, u64)] = &[
     ("ties", 3, 10, "min", false, 0x177795b5dda2facb),
 ];
 
-#[test]
-fn tonic_local_search_matches_its_golden_digests() {
+/// The quick `youtube` analog and the same graph under {1, 2, 3} weights.
+fn youtube_and_ties() -> [(&'static str, ic_graph::WeightedGraph); 2] {
     let youtube = by_name(Profile::Quick, "youtube")
         .unwrap()
         .generate_weighted();
@@ -249,11 +249,13 @@ fn tonic_local_search_matches_its_golden_digests() {
         .map(|v| (1 + (v * 7 + v / 3) % 3) as f64)
         .collect();
     let ties = ic_graph::WeightedGraph::new(youtube.graph().clone(), ties).unwrap();
-    let graphs = [
-        ("figure1", ic_core::figure1::figure1()),
-        ("youtube", youtube),
-        ("ties", ties),
-    ];
+    [("youtube", youtube), ("ties", ties)]
+}
+
+#[test]
+fn tonic_local_search_matches_its_golden_digests() {
+    let [youtube, ties] = youtube_and_ties();
+    let graphs = [("figure1", ic_core::figure1::figure1()), youtube, ties];
     let mut got = Vec::new();
     for (name, wg) in &graphs {
         // Figure 1 has no 3-core.
@@ -275,4 +277,65 @@ fn tonic_local_search_matches_its_golden_digests() {
         })
         .collect();
     assert_eq!(got, GOLDEN_TONIC, "digests now:\n{table}");
+}
+
+/// Digests of `TIC-IMPROVED`'s answers (r = 20) on the quick `youtube`
+/// analog and its {1, 2, 3} reweighting, exact and ε = 0.1 `sum` and
+/// exact `sum-surplus` (α = 0.5), as `(graph, k, aggregation, ε,
+/// digest)`. The oracle agreement suites never reach graphs this large,
+/// so these pin the arena path's answers bit for bit there: any change to
+/// the splits, the child order or the pruning shows here.
+const GOLDEN_TIC: &[(&str, usize, &str, f64, u64)] = &[
+    ("youtube", 4, "sum", 0.0, 0x57122844a8303824),
+    ("youtube", 4, "sum", 0.1, 0x62c5960fa98f9953),
+    ("youtube", 4, "sum-surplus", 0.0, 0xa95e5428395e62c0),
+    ("youtube", 6, "sum", 0.0, 0x0d9e295246fabab6),
+    ("youtube", 6, "sum", 0.1, 0xee582e59ac929624),
+    ("youtube", 6, "sum-surplus", 0.0, 0x18c38782aaa0459c),
+    ("youtube", 8, "sum", 0.0, 0x2b0a84e45dcdb016),
+    ("youtube", 8, "sum", 0.1, 0x447cd950b82b403d),
+    ("youtube", 8, "sum-surplus", 0.0, 0x9346392048d57dca),
+    ("youtube", 10, "sum", 0.0, 0x19728c48af678935),
+    ("youtube", 10, "sum", 0.1, 0x889abc7c541a3738),
+    ("youtube", 10, "sum-surplus", 0.0, 0xbd053cfede7728c9),
+    ("ties", 4, "sum", 0.0, 0x6bc473b858945b1f),
+    ("ties", 4, "sum", 0.1, 0x89af993b650473fe),
+    ("ties", 4, "sum-surplus", 0.0, 0x25a84c22979d537f),
+    ("ties", 6, "sum", 0.0, 0x3cc1f50a9c137fc2),
+    ("ties", 6, "sum", 0.1, 0x1de2ba09ac586970),
+    ("ties", 6, "sum-surplus", 0.0, 0x017c0d255bdd9677),
+    ("ties", 8, "sum", 0.0, 0x14f5576c85bb7d7e),
+    ("ties", 8, "sum", 0.1, 0x52c9d87df48cf80c),
+    ("ties", 8, "sum-surplus", 0.0, 0x1a81e63243ad6e16),
+    ("ties", 10, "sum", 0.0, 0xbd0dc411770660ea),
+    ("ties", 10, "sum", 0.1, 0xe02ba68f66a2c922),
+    ("ties", 10, "sum-surplus", 0.0, 0xd881e6849c0bab0e),
+];
+
+#[test]
+fn tic_matches_its_golden_digests() {
+    let mut got = Vec::new();
+    for (name, wg) in &youtube_and_ties() {
+        for k in [4usize, 6, 8, 10] {
+            for (agg, eps) in [
+                (Aggregation::Sum, 0.0),
+                (Aggregation::Sum, 0.1),
+                (Aggregation::SumSurplus { alpha: 0.5 }, 0.0),
+            ] {
+                let answers = ic_core::Query::new(k, 20, agg)
+                    .approx(eps)
+                    .solve(wg)
+                    .unwrap();
+                assert_eq!(answers.len(), 20, "{name} k={k} {} eps={eps}", agg.name());
+                got.push((*name, k, agg.name(), eps, answers_digest(&answers)));
+            }
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(name, k, agg, eps, d)| {
+            format!("    (\"{name}\", {k}, \"{agg}\", {eps:?}, {d:#018x}),\n")
+        })
+        .collect();
+    assert_eq!(got, GOLDEN_TIC, "digests now:\n{table}");
 }
