@@ -3,7 +3,7 @@
 //! Each returns a markdown section; the `experiments` binary routes
 //! subcommands here.
 
-use crate::harness::sum_naive;
+use crate::harness::{sum_naive, Solved};
 use crate::report::{fmt_secs, fmt_value, Table};
 use crate::runner::{time_median, time_once};
 use crate::workloads::{
@@ -32,6 +32,28 @@ impl Ctx {
 
 fn section(title: &str, body: String) -> String {
     format!("\n## {title}\n\n{body}")
+}
+
+/// Holds one Fig 2/3 cell to what Section VI guarantees: Improve returns
+/// Naive's answer bit for bit, and Approx's r-th value is at least
+/// `(1 − ε)` times the exact r-th value (Theorem 6). Panics otherwise —
+/// a figure that times wrong answers measures nothing.
+fn check_section6(cell: &str, naive: &Solved, improve: &Solved, approx: &Solved, epsilon: f64) {
+    assert_eq!(improve, naive, "{cell}: Improve differs from Naive");
+    let (Ok(exact), Ok(approx)) = (naive, approx) else {
+        panic!("{cell}: Naive or Approx failed: {naive:?} / {approx:?}");
+    };
+    assert_eq!(approx.len(), exact.len(), "{cell}: Approx's answer count");
+    if let (Some(a), Some(e)) = (approx.last(), exact.last()) {
+        // 1e-9 relative slack for the rounding of two summation orders.
+        let bar = (1.0 - epsilon) * e.value - 1e-9 * e.value.abs();
+        assert!(
+            a.value >= bar,
+            "{cell}: Approx's r-th value {} is below (1 - {epsilon}) x the exact {}",
+            a.value,
+            e.value
+        );
+    }
 }
 
 /// Table III: dataset statistics (paper original vs synthetic analog).
@@ -73,12 +95,14 @@ pub fn fig2(ctx: &Ctx) -> String {
         for k in w.usable_k_grid() {
             eprintln!("[fig2] {} k={k}", w.spec.name);
             let (tn, rn) = time_once(|| sum_naive(&w.wg, k, DEFAULT_R, Aggregation::Sum));
-            let (ti, _) = time_once(|| Query::new(k, DEFAULT_R, Aggregation::Sum).solve(&w.wg));
-            let (ta, _) = time_once(|| {
+            let (ti, ri) = time_once(|| Query::new(k, DEFAULT_R, Aggregation::Sum).solve(&w.wg));
+            let (ta, ra) = time_once(|| {
                 Query::new(k, DEFAULT_R, Aggregation::Sum)
                     .approx(DEFAULT_EPSILON)
                     .solve(&w.wg)
             });
+            let cell = format!("fig2 {} k={k}", w.spec.name);
+            check_section6(&cell, &rn, &ri, &ra, DEFAULT_EPSILON);
             let top1 = rn
                 .ok()
                 .and_then(|v| v.first().map(|c| c.value))
@@ -107,13 +131,15 @@ pub fn fig3(ctx: &Ctx) -> String {
         let mut t = Table::new(["r", "Naive", "Improve", "Approx(0.1)"]);
         for r in R_GRID {
             eprintln!("[fig3] {} r={r}", w.spec.name);
-            let (tn, _) = time_once(|| sum_naive(&w.wg, k, r, Aggregation::Sum));
-            let (ti, _) = time_once(|| Query::new(k, r, Aggregation::Sum).solve(&w.wg));
-            let (ta, _) = time_once(|| {
+            let (tn, rn) = time_once(|| sum_naive(&w.wg, k, r, Aggregation::Sum));
+            let (ti, ri) = time_once(|| Query::new(k, r, Aggregation::Sum).solve(&w.wg));
+            let (ta, ra) = time_once(|| {
                 Query::new(k, r, Aggregation::Sum)
                     .approx(DEFAULT_EPSILON)
                     .solve(&w.wg)
             });
+            let cell = format!("fig3 {} k={k} r={r}", w.spec.name);
+            check_section6(&cell, &rn, &ri, &ra, DEFAULT_EPSILON);
             t.row([r.to_string(), fmt_secs(tn), fmt_secs(ti), fmt_secs(ta)]);
         }
         out.push_str(&section(

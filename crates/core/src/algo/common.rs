@@ -127,11 +127,16 @@ pub struct ExpansionCounts {
     /// Parents loaded into the arena from the graph. A parent copied
     /// from its snapshot level's root image is not a load.
     pub loads: u64,
+    /// Component splits run ([`ic_kcore::PeelArena::split`]).
+    pub splits: u64,
     /// Vertices the component splits expanded ([`ic_kcore::Split::walked`]).
     pub walked: u64,
     /// Live vertices at those splits: what walking every component
     /// whole would have visited.
     pub walk_span: u64,
+    /// Splits the arena's one-piece certificate settled without a walk
+    /// ([`ic_kcore::Split::certified`]); each adds 0 to `walked`.
+    pub certified: u64,
 }
 
 /// What a child must reach to be built. `sum_naive` keeps everything
@@ -301,7 +306,8 @@ impl ExpandScratch {
 /// only child is `parent ∖ {victim}`: its dedup key is an O(1)
 /// subtraction from the parent's mix and no component walk happens in
 /// either stage. Otherwise the components come from the arena's split
-/// ([`PeelArena::split`]), which walks only what the cascade cut off:
+/// ([`PeelArena::split`]), which proves the parent one piece without a
+/// walk when it can and otherwise walks only what the cascade cut off:
 /// the pieces it finished, in ascending id order, and the rest, whose
 /// key is the parent's mix minus the journal and those pieces, so the
 /// rest is listed only when it is built. Pieces are handled in
@@ -361,8 +367,10 @@ pub(crate) fn expand_children(
         scratch.counts.skipped_by_bound += 1;
     } else {
         let split = arena.split();
+        scratch.counts.splits += 1;
         scratch.counts.walked += split.walked as u64;
         scratch.counts.walk_span += arena.live_count() as u64;
+        scratch.counts.certified += u64::from(split.certified);
         // The rest's key: the parent's mix minus everything else.
         let rest_mix = arena
             .journaled()

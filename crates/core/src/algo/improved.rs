@@ -18,8 +18,10 @@
 //! maximum is loaded once — a snapshot level's root component is copied
 //! from the level's root image, loaded and marked once per snapshot —
 //! every candidate deletion is a journaled cascade + rollback touching
-//! only the affected frontier, and the components it leaves are split
-//! off by a walk from the cascade's boundary. A child is built only if
+//! only the affected frontier, and the components it leaves come from
+//! the arena's split: almost always a certificate over the load's DFS
+//! tree proves the parent still one piece without a walk, and otherwise
+//! a walk from the cascade's boundary splits them off. A child is built only if
 //! it can still reach the live r-th candidate value — the candidate
 //! list is trimmed to `r` as children arrive, and `expand_children`
 //! decides each child from a bound or from its exact value before
@@ -606,29 +608,75 @@ mod tests {
         assert_eq!(again.loads, 0, "{again:?}");
     }
 
-    #[test]
-    fn a_split_walks_what_the_cascade_cut_off_not_the_parent() {
-        // Every cascading or articulation deletion used to walk the whole
-        // surviving parent. The boundary walk expands the pieces cut off
-        // and stops: over a run it expands under a quarter of what the
-        // full walks did, in either mode. Counts, not time, so the bound
-        // is an exact gate on this fixed graph. (At k = 4 the exact
-        // search splits nothing here: its every deletion is a
-        // non-cascading, non-articulation one.)
+    /// The quick `youtube` analog with a (k + 1)-clique of new vertices
+    /// hung off each of the `hinges` lowest ids of its largest k-core
+    /// component by one hinge vertex, made the lightest in the graph so
+    /// that the exact search deletes it too: deleting a hinge cuts its
+    /// clique off the parent, a second piece no certificate can prove
+    /// away.
+    fn youtube_with_satellites(k: usize, hinges: usize) -> WeightedGraph {
         let spec = ic_gen::datasets::by_name(ic_gen::datasets::Profile::Quick, "youtube").unwrap();
         let wg = spec.generate_weighted();
-        let snap = GraphSnapshot::new(wg.clone());
-        let mut arena = PeelArena::for_graph(snap.graph());
+        let core = ic_kcore::maximal_kcore_components(wg.graph(), k)
+            .into_iter()
+            .max_by_key(Vec::len)
+            .unwrap();
+        let mut edges: Vec<(VertexId, VertexId)> = wg.graph().edges().collect();
+        let mut weights = wg.weights().to_vec();
+        let lightest = weights.iter().copied().fold(f64::INFINITY, f64::min);
+        for &hinge in &core[..hinges] {
+            weights[hinge as usize] = lightest;
+            let clique: Vec<VertexId> = (0..=k).map(|i| (weights.len() + i) as VertexId).collect();
+            weights.extend(clique.iter().map(|_| wg.weight(hinge)));
+            for (i, &a) in clique.iter().enumerate() {
+                edges.push((hinge, a));
+                edges.extend(clique[i + 1..].iter().map(|&b| (a, b)));
+            }
+        }
+        WeightedGraph::new(graph_from_edges(weights.len(), &edges), weights).unwrap()
+    }
+
+    #[test]
+    fn a_split_walks_what_the_cascade_cut_off_not_the_parent() {
+        // A deletion that cuts a piece off makes the arena walk. The
+        // boundary walk expands the pieces cut off and stops, where a
+        // full walk would cover the whole surviving parent: over a run it
+        // expands under a quarter of that, in either mode. Counts, not
+        // time, so the bound is an exact gate on this fixed graph.
         for (k, eps) in [(4, 0.1), (6, 0.0), (6, 0.1)] {
+            let wg = youtube_with_satellites(k, 8);
+            let snap = GraphSnapshot::new(wg.clone());
+            let mut arena = PeelArena::for_graph(snap.graph());
             let mut search = TicSearch::start_on(&snap, k, 20, Aggregation::Sum, eps).unwrap();
             search.run(&wg, &mut arena);
             let work = search.work();
             assert!(
-                work.walk_span > 0,
-                "k={k} eps={eps}: no split ran: {work:?}"
+                work.walked > 0,
+                "k={k} eps={eps}: no split walked: {work:?}"
             );
             assert!(
                 4 * work.walked < work.walk_span,
+                "k={k} eps={eps}: {work:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_certificate_settles_nine_splits_in_ten() {
+        // On the miss-traffic graph a TIC deletion almost never
+        // disconnects its parent, and the arena's one-piece certificate
+        // proves it without a walk. Counts, not time: an exact gate.
+        let spec = ic_gen::datasets::by_name(ic_gen::datasets::Profile::Quick, "youtube").unwrap();
+        let wg = spec.generate_weighted();
+        let snap = GraphSnapshot::new(wg.clone());
+        let mut arena = PeelArena::for_graph(snap.graph());
+        for (k, eps) in [(6, 0.0), (6, 0.1), (8, 0.1)] {
+            let mut search = TicSearch::start_on(&snap, k, 20, Aggregation::Sum, eps).unwrap();
+            search.run(&wg, &mut arena);
+            let work = search.work();
+            assert!(work.splits > 0, "k={k} eps={eps}: no split ran: {work:?}");
+            assert!(
+                10 * work.certified >= 9 * work.splits,
                 "k={k} eps={eps}: {work:?}"
             );
         }

@@ -105,7 +105,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// `core.tic_*`: what the TIC runs of this engine did, summed — cascade
 /// deletions performed, child communities allocated, parents loaded
-/// from the graph and vertices the component splits expanded
+/// from the graph, vertices the component splits expanded and splits
+/// the arena's one-piece certificate settled without a walk
 /// ([`ic_core::algo::ExpansionCounts`]). They depend only on the graph
 /// and the queries served (loads also on which root images were already
 /// built), so they separate "more work" from "a slower machine" when a
@@ -115,6 +116,7 @@ pub(crate) struct TicCounters {
     pub children_materialized: ic_obs::Counter,
     pub loads: ic_obs::Counter,
     pub walked: ic_obs::Counter,
+    pub certified: ic_obs::Counter,
 }
 
 /// `core.forest_*`: the extremum forests this engine built — one per
@@ -464,6 +466,7 @@ fn run_tic(
     counters.children_materialized.add(work.materialized);
     counters.loads.add(work.loads);
     counters.walked.add(work.walked);
+    counters.certified.add(work.certified);
     Ok((items, search.deadline_aborted()))
 }
 

@@ -371,6 +371,7 @@ impl EngineMetrics {
                 children_materialized: registry.counter("core.tic_children_materialized"),
                 loads: registry.counter("core.tic_loads"),
                 walked: registry.counter("core.tic_walked"),
+                certified: registry.counter("core.tic_certified"),
             },
             local: exec::LocalCounters {
                 seeds: registry.counter("core.local_seeds"),
@@ -1072,11 +1073,12 @@ mod tests {
                     "core.tic_children_materialized",
                     "core.tic_loads",
                     "core.tic_walked",
+                    "core.tic_certified",
                 ],
             )
         };
         let eng = engine(2);
-        assert_eq!(counts(&eng), [0.0; 4]);
+        assert_eq!(counts(&eng), [0.0; 5]);
         let batch = [
             Query::new(2, 3, Aggregation::Sum),
             Query::new(2, 3, Aggregation::Sum).approx(0.2),
@@ -1100,6 +1102,7 @@ mod tests {
             2.0 * first[1],
             2.0 * first[2] - 1.0,
             2.0 * first[3],
+            2.0 * first[4],
         ];
         assert_eq!(second, expect);
     }

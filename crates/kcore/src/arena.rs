@@ -18,9 +18,9 @@
 //! * [`PeelArena::load`] — local ids + induced CSR + internal degrees,
 //!   `O(Σ d(v))`, once per community;
 //! * [`PeelArena::image`] / [`PeelArena::load_image`] — keep a loaded,
-//!   articulation-marked state and copy it back in later, in time linear
-//!   in the community's induced size (no full-graph adjacency scan, no
-//!   articulation pass);
+//!   articulation-marked state, its DFS tree included, and copy it back
+//!   in later, in time linear in the community's induced size (no
+//!   full-graph adjacency scan, no articulation pass);
 //! * [`PeelArena::remove_cascade`] — delete one vertex and cascade the
 //!   degree constraint, `O(Σ_{v ∈ removed} d_H(v))`; every removal is
 //!   journaled;
@@ -29,17 +29,22 @@
 //! * [`PeelArena::commit`] — make the journaled removals permanent
 //!   (timeline-style peels à la Li et al. VLDB'15);
 //! * [`PeelArena::split`] / [`PeelArena::pieces`] — the connected
-//!   components left by the journaled removals, found by a walk from the
-//!   removals' live neighbours that stops as soon as at most one piece
-//!   is still growing: the pieces it finished are emitted as walked, and
-//!   the one it did not is described by its size and materialized only on
+//!   components left by the journaled removals. On a marked arena a
+//!   certificate over the marking's DFS tree first tries to prove, from
+//!   the removals' tree children alone, that the live set is still one
+//!   piece; then nothing is walked. Otherwise a walk from the removals'
+//!   live neighbours stops as soon as at most one piece is still
+//!   growing: the pieces it finished are emitted as walked, and the one
+//!   it did not is described by its size and materialized only on
 //!   request ([`PeelArena::rest_into`]). A split costs what the cascade
 //!   cut off, not the size of the community;
 //!   [`PeelArena::for_each_component`] is its eager form;
 //! * [`PeelArena::mark_articulation_points`] / [`PeelArena::is_articulation`]
 //!   — a no-split certificate (one iterative Tarjan pass per load) that
 //!   lets callers skip component extraction entirely for the common case
-//!   of a non-cascading, non-articulation deletion.
+//!   of a non-cascading, non-articulation deletion. The same pass keeps
+//!   the DFS tree the split's one-piece certificate reads: tree parents,
+//!   pre-order intervals and each subtree's lowpoint edge.
 //!
 //! All state is epoch-stamped so consecutive loads reset in O(1). After
 //! construction with [`PeelArena::for_graph`] the arena never allocates:
@@ -100,16 +105,32 @@ pub struct PeelArena {
     /// [`for_each_component`](Self::for_each_component), the rest).
     comp_buf: Vec<VertexId>,
 
-    // ---- articulation pass ----------------------------------------------
+    // ---- articulation pass and one-piece certificate --------------------
     /// Epoch when local `l` was marked an articulation point.
     art_stamp: Vec<u32>,
-    /// DFS discovery times. Idle after the articulation pass, so the
-    /// split reuses it: the union-find parent of each vertex it reached.
-    disc: Vec<u32>,
+    /// The marking DFS tree of the live set: `l`'s tree parent
+    /// (`NO_PARENT` at the root).
+    tree_parent: Vec<u32>,
+    /// Pre-order number of `l` in the DFS tree.
+    pre: Vec<u32>,
+    /// One past the last pre-order number in `l`'s subtree: `x` is `y`
+    /// or an ancestor of it iff `pre[x] <= pre[y] < end[x]`.
+    end: Vec<u32>,
+    /// The lowpoint edge of `l`'s subtree: the back edge from inside it
+    /// whose target has the smallest pre-order, `(source, target)`;
+    /// `(l, l)` when no back edge leaves the subtree upward.
+    low_src: Vec<u32>,
+    low_dst: Vec<u32>,
+    /// The DFS root, while the tree spans the live set the journal
+    /// counts removals from: set by a marking that found one tree,
+    /// cleared by a load and by a commit.
+    tree_root: Option<u32>,
     /// DFS low-link values. Reused by the split: at a union-find root,
     /// the group's reached-but-unexpanded count, then its smallest local
     /// id.
     low: Vec<u32>,
+    /// The split walk's union-find parent of each vertex it reached.
+    group: Vec<u32>,
     /// Explicit DFS stack: (local vertex, parent local, next-edge index).
     dfs_stack: Vec<(u32, u32, u32)>,
 
@@ -141,6 +162,9 @@ pub struct PeelArena {
 pub struct Split {
     /// Vertices the walk expanded (scanned the neighbours of).
     pub walked: usize,
+    /// Whether the one-piece certificate settled the split, so nothing
+    /// was walked.
+    pub certified: bool,
     /// Members of the pieces the walk finished.
     finished: usize,
     /// The piece the walk did not finish: its smallest local id and its
@@ -160,7 +184,9 @@ pub enum Piece<'a> {
 }
 
 /// A loaded, articulation-marked arena state with every member live,
-/// kept to be copied back in by [`PeelArena::load_image`].
+/// kept to be copied back in by [`PeelArena::load_image`]: the induced
+/// CSR, the articulation marks and the marking's DFS tree, so a copied
+/// root certifies splits as the load it was taken from does.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ArenaImage {
     k: u32,
@@ -169,6 +195,20 @@ pub struct ArenaImage {
     targets: Vec<u32>,
     /// Local ids of the articulation points, ascending.
     articulation: Vec<u32>,
+    /// The certificate's DFS tree (see the arena's fields of the same
+    /// names), or `None` when the marked live set was not one tree.
+    tree: Option<DfsTree>,
+}
+
+/// An [`ArenaImage`]'s copy of the marking DFS tree, indexed by local id.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct DfsTree {
+    root: u32,
+    parent: Vec<u32>,
+    pre: Vec<u32>,
+    end: Vec<u32>,
+    low_src: Vec<u32>,
+    low_dst: Vec<u32>,
 }
 
 impl PeelArena {
@@ -198,8 +238,14 @@ impl PeelArena {
             journal: Vec::with_capacity(n),
             comp_buf: Vec::with_capacity(n),
             art_stamp: vec![0; n],
-            disc: vec![0; n],
+            tree_parent: vec![0; n],
+            pre: vec![0; n],
+            end: vec![0; n],
+            low_src: vec![0; n],
+            low_dst: vec![0; n],
+            tree_root: None,
             low: vec![0; n],
+            group: vec![0; n],
             dfs_stack: Vec::with_capacity(n),
             epoch: 0,
             visit_epoch: 0,
@@ -274,6 +320,7 @@ impl PeelArena {
     pub fn load(&mut self, g: &Graph, members: &[VertexId], k: usize) {
         let epoch = self.next_epoch();
         self.k = k as u32;
+        self.tree_root = None;
         let caps = (
             self.members.capacity(),
             self.offsets.capacity(),
@@ -336,14 +383,23 @@ impl PeelArena {
             self.journal.is_empty() && self.live == self.members.len(),
             "an image holds a loaded state with every member live"
         );
+        let n = self.members.len();
         ArenaImage {
             k: self.k,
             members: self.members.clone(),
             offsets: self.offsets.clone(),
             targets: self.targets.clone(),
-            articulation: (0..self.members.len() as u32)
+            articulation: (0..n as u32)
                 .filter(|&l| self.art_stamp[l as usize] == self.epoch)
                 .collect(),
+            tree: self.tree_root.map(|root| DfsTree {
+                root,
+                parent: self.tree_parent[..n].to_vec(),
+                pre: self.pre[..n].to_vec(),
+                end: self.end[..n].to_vec(),
+                low_src: self.low_src[..n].to_vec(),
+                low_dst: self.low_dst[..n].to_vec(),
+            }),
         }
     }
 
@@ -374,6 +430,15 @@ impl PeelArena {
         for &l in &image.articulation {
             self.art_stamp[l as usize] = epoch;
         }
+        self.tree_root = image.tree.as_ref().map(|tree| {
+            let n = tree.pre.len();
+            self.tree_parent[..n].copy_from_slice(&tree.parent);
+            self.pre[..n].copy_from_slice(&tree.pre);
+            self.end[..n].copy_from_slice(&tree.end);
+            self.low_src[..n].copy_from_slice(&tree.low_src);
+            self.low_dst[..n].copy_from_slice(&tree.low_dst);
+            tree.root
+        });
         self.live = self.members.len();
         self.queue.clear();
         self.journal.clear();
@@ -482,9 +547,12 @@ impl PeelArena {
         (&self.offsets, &self.targets)
     }
 
-    /// Makes every journaled removal permanent.
+    /// Makes every journaled removal permanent. The one-piece
+    /// certificate counts removals from the marked state, so it is off
+    /// until the next marking.
     pub fn commit(&mut self) {
         self.journal.clear();
+        self.tree_root = None;
     }
 
     /// Undoes every journaled removal in reverse order, restoring the
@@ -517,7 +585,10 @@ impl PeelArena {
     /// This is the arena's no-split certificate: deleting a non-cascading
     /// victim that is not an articulation point leaves `H ∖ {v}`
     /// connected, so the caller can skip component extraction entirely —
-    /// the common case on cohesive communities.
+    /// the common case on cohesive communities. The same pass keeps the
+    /// DFS tree — parents, pre-order intervals and each subtree's
+    /// lowpoint edge — that [`Self::split`]'s one-piece certificate reads
+    /// until the next load or commit.
     pub fn mark_articulation_points(&mut self) {
         debug_assert!(
             self.journal.is_empty(),
@@ -527,15 +598,15 @@ impl PeelArena {
         let epoch = self.epoch;
         let cap = self.dfs_stack.capacity();
         let mut timer: u32 = 0;
+        let (mut first_root, mut roots) = (None, 0u32);
         for root in 0..self.members.len() as u32 {
             let ri = root as usize;
             if self.removed_stamp[ri] == epoch || self.visited_stamp[ri] == visit {
                 continue;
             }
-            self.visited_stamp[ri] = visit;
-            self.disc[ri] = timer;
-            self.low[ri] = timer;
-            timer += 1;
+            roots += 1;
+            first_root.get_or_insert(root);
+            self.discover(root, NO_PARENT, visit, &mut timer);
             let mut root_children = 0u32;
             self.dfs_stack.clear();
             self.dfs_stack.push((root, NO_PARENT, self.offsets[ri]));
@@ -550,25 +621,26 @@ impl PeelArena {
                         continue;
                     }
                     if self.visited_stamp[ui] != visit {
-                        self.visited_stamp[ui] = visit;
-                        self.disc[ui] = timer;
-                        self.low[ui] = timer;
-                        timer += 1;
+                        self.discover(u, v, visit, &mut timer);
                         if v == root {
                             root_children += 1;
                         }
                         self.dfs_stack.push((u, v, self.offsets[ui]));
-                    } else if self.disc[ui] < self.low[vi] {
-                        self.low[vi] = self.disc[ui];
+                    } else if self.pre[ui] < self.low[vi] {
+                        self.low[vi] = self.pre[ui];
+                        (self.low_src[vi], self.low_dst[vi]) = (v, u);
                     }
                 } else {
                     self.dfs_stack.pop();
+                    self.end[vi] = timer;
                     if let Some(&(p, _, _)) = self.dfs_stack.last() {
                         let pi = p as usize;
                         if self.low[vi] < self.low[pi] {
                             self.low[pi] = self.low[vi];
+                            (self.low_src[pi], self.low_dst[pi]) =
+                                (self.low_src[vi], self.low_dst[vi]);
                         }
-                        if p != root && self.low[vi] >= self.disc[pi] {
+                        if p != root && self.low[vi] >= self.pre[pi] {
                             self.art_stamp[pi] = epoch;
                         }
                     }
@@ -578,7 +650,19 @@ impl PeelArena {
                 self.art_stamp[ri] = epoch;
             }
         }
+        self.tree_root = first_root.filter(|_| roots == 1 && self.journal.is_empty());
         Self::track_capacity(&self.dfs_stack, cap, &mut self.alloc_events);
+    }
+
+    /// Enters local `v` into the marking DFS as a child of `parent`.
+    fn discover(&mut self, v: u32, parent: u32, visit: u32, timer: &mut u32) {
+        let vi = v as usize;
+        self.visited_stamp[vi] = visit;
+        self.tree_parent[vi] = parent;
+        self.pre[vi] = *timer;
+        self.low[vi] = *timer;
+        (self.low_src[vi], self.low_dst[vi]) = (v, v);
+        *timer += 1;
     }
 
     /// Whether global `v` was marked by [`Self::mark_articulation_points`]
@@ -591,21 +675,134 @@ impl PeelArena {
 
     /// Finds the connected components of the live set: the pieces the
     /// journaled removals cut it into. The live set as of the last
-    /// `load`/`commit` must be connected (a community is), so every piece
-    /// touches a removal: a multi-source walk starts from the removals'
-    /// live neighbours, one group per seed, merges groups that meet
-    /// (union-find), and stops as soon as at most one group can still
-    /// grow. The finished groups are whole pieces; whatever is live
-    /// outside them is the one piece left, the *rest*, which the walk
-    /// never has to cover. Allocation-free; the walk costs what the
+    /// `load`/`commit` must be connected (a community is).
+    ///
+    /// First a certificate that walks nothing: on a marked arena with no
+    /// commit since the marking, the DFS tree of the marked live set
+    /// proves the live set one piece when at most one of its tree
+    /// fragments — the root's, and one under each live tree child of a
+    /// removal — lacks an edge to a live vertex above the removal it
+    /// hangs from ([`Self::mark_articulation_points`]). Otherwise every
+    /// piece touches a removal: a multi-source walk starts from the
+    /// removals' live neighbours, one group per seed, merges groups that
+    /// meet (union-find), and stops as soon as at most one group can
+    /// still grow. The finished groups are whole pieces; whatever is
+    /// live outside them is the one piece left, the *rest*, which the
+    /// walk never has to cover. Allocation-free; the walk costs what the
     /// removals cut off, not the size of the live set.
     pub fn split(&mut self) -> Split {
         let visit = self.next_visit_epoch();
         let epoch = self.epoch;
         let caps = (self.queue.capacity(), self.comp_buf.capacity());
+        self.comp_buf.clear();
+        let certified = self.one_piece();
+        let (walked, finished) = if certified { (0, 0) } else { self.walk(visit) };
+        let rest = (self.live > finished).then(|| {
+            let first = (0..self.members.len())
+                .find(|&l| self.removed_stamp[l] != epoch && self.visited_stamp[l] != visit)
+                .expect("the rest has a member");
+            (first as u32, self.live - finished)
+        });
+        Self::track_capacity(&self.queue, caps.0, &mut self.alloc_events);
+        Self::track_capacity(&self.comp_buf, caps.1, &mut self.alloc_events);
+        Split {
+            walked,
+            certified,
+            finished,
+            rest,
+        }
+    }
+
+    /// The one-piece certificate. Cut the DFS tree at the journaled
+    /// removals: every live vertex lies in one fragment, topped by the
+    /// root or by a live child `c` of a removed `j`. A fragment under
+    /// `c` *escapes* when an edge joins it to a live vertex above `j`,
+    /// which lies in a fragment topped higher up; following escapes
+    /// climbs, so when at most one fragment does not escape (the
+    /// root's never does), every fragment reaches that one.
+    fn one_piece(&mut self) -> bool {
+        let Some(root) = self.tree_root else {
+            return false;
+        };
+        // The journal by pre-order, for `cut_off`.
         self.queue.clear();
-        // Seeds: each its own group (`disc` = union-find parent, `low` at
-        // a root = the group's reached-but-unexpanded count).
+        self.queue.extend_from_slice(&self.journal);
+        let pre = &self.pre;
+        self.queue.sort_unstable_by_key(|&x| pre[x as usize]);
+        let mut unescaped = u32::from(self.is_live_local(root));
+        for &j in &self.journal {
+            for t in self.neighbors_of_local(j) {
+                let c = self.targets[t];
+                if self.tree_parent[c as usize] == j && self.is_live_local(c) && !self.escapes(c, j)
+                {
+                    unescaped += 1;
+                    if unescaped > 1 {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    #[inline]
+    fn is_live_local(&self, l: u32) -> bool {
+        self.removed_stamp[l as usize] != self.epoch
+    }
+
+    /// Whether the fragment under live `c`, whose tree parent `j` is
+    /// removed, has an edge to a live vertex above `j`: the subtree's
+    /// lowpoint edge, when both its ends are live, its target is above
+    /// `j` and its source is in the fragment, or an edge of `c`'s own.
+    /// (Every edge joins a vertex to an ancestor or a descendant, so a
+    /// live neighbour of pre-order below `j`'s is an ancestor of `j`.)
+    fn escapes(&self, c: u32, j: u32) -> bool {
+        let above = self.pre[j as usize];
+        let (s, t) = (self.low_src[c as usize], self.low_dst[c as usize]);
+        if self.pre[t as usize] < above
+            && self.is_live_local(s)
+            && self.is_live_local(t)
+            && !self.cut_off(c, s)
+        {
+            return true;
+        }
+        self.neighbors_of_local(c).any(|e| {
+            let u = self.targets[e];
+            self.pre[u as usize] < above && self.is_live_local(u)
+        })
+    }
+
+    /// Whether a journaled vertex sits on the tree path from `c` down to
+    /// its live descendant `s`: some `x` with `pre[c] < pre[x] <= pre[s]
+    /// < end[x]`. Reads the journal from `queue`, sorted by pre-order,
+    /// and skips every journaled subtree that does not hold `s`.
+    fn cut_off(&self, c: u32, s: u32) -> bool {
+        let (pre, end) = (&self.pre, &self.end);
+        let cut = &self.queue[..self.journal.len()];
+        let (below, at) = (pre[c as usize], pre[s as usize]);
+        let mut i = cut.partition_point(|&x| pre[x as usize] <= below);
+        while let Some(&x) = cut.get(i) {
+            let x = x as usize;
+            if pre[x] > at {
+                return false;
+            }
+            if end[x] > at {
+                return true;
+            }
+            i += cut[i..].partition_point(|&y| pre[y as usize] < end[x]);
+        }
+        false
+    }
+
+    /// The split's walk (see [`Self::split`]): leaves the finished
+    /// pieces' members in `queue` and `comp_buf`, piece by piece, marked
+    /// visited, and returns how many vertices it expanded and how many
+    /// members the finished pieces hold.
+    fn walk(&mut self, visit: u32) -> (usize, usize) {
+        let epoch = self.epoch;
+        self.queue.clear();
+        // Seeds: each its own group (`group` = union-find parent, `low`
+        // at a root = the group's reached-but-unexpanded count).
         let mut open = 0usize;
         for j in 0..self.journal.len() {
             for t in self.neighbors_of_local(self.journal[j]) {
@@ -613,7 +810,7 @@ impl PeelArena {
                 let ui = u as usize;
                 if self.removed_stamp[ui] != epoch && self.visited_stamp[ui] != visit {
                     self.visited_stamp[ui] = visit;
-                    self.disc[ui] = u;
+                    self.group[ui] = u;
                     self.low[ui] = 1;
                     self.queue.push(u);
                     open += 1;
@@ -636,12 +833,12 @@ impl PeelArena {
                 let u = self.targets[t];
                 let ui = u as usize;
                 if self.visited_stamp[ui] == visit {
-                    if self.disc[ui] == root {
+                    if self.group[ui] == root {
                         continue;
                     }
                     let other = self.find(u);
                     if other != root {
-                        self.disc[other as usize] = root;
+                        self.group[other as usize] = root;
                         self.low[root as usize] += self.low[other as usize];
                         open -= 1;
                         if open == 1 {
@@ -651,7 +848,7 @@ impl PeelArena {
                     }
                 } else if self.removed_stamp[ui] != epoch {
                     self.visited_stamp[ui] = visit;
-                    self.disc[ui] = root;
+                    self.group[ui] = root;
                     self.low[root as usize] += 1;
                     self.queue.push(u);
                 }
@@ -669,7 +866,7 @@ impl PeelArena {
             let v = self.queue[i];
             let root = self.find(v);
             if self.low[root as usize] == 0 {
-                self.disc[v as usize] = root;
+                self.group[v as usize] = root;
                 self.queue[finished] = v;
                 finished += 1;
             } else {
@@ -679,39 +876,26 @@ impl PeelArena {
         // Order by (the piece's smallest local id, local id): pieces come
         // out whole, in load order, and ordered by their first member.
         for &v in &self.queue[..finished] {
-            self.low[self.disc[v as usize] as usize] = u32::MAX;
+            self.low[self.group[v as usize] as usize] = u32::MAX;
         }
         for &v in &self.queue[..finished] {
-            let root = self.disc[v as usize] as usize;
+            let root = self.group[v as usize] as usize;
             self.low[root] = self.low[root].min(v);
         }
-        let (disc, low) = (&self.disc, &self.low);
+        let (group, low) = (&self.group, &self.low);
         self.queue[..finished]
-            .sort_unstable_by_key(|&v| (low[disc[v as usize] as usize] as u64) << 32 | v as u64);
-        self.comp_buf.clear();
+            .sort_unstable_by_key(|&v| (low[group[v as usize] as usize] as u64) << 32 | v as u64);
         for &v in &self.queue[..finished] {
             self.comp_buf.push(self.members[v as usize]);
         }
-        let rest = (self.live > finished).then(|| {
-            let first = (0..self.members.len())
-                .find(|&l| self.removed_stamp[l] != epoch && self.visited_stamp[l] != visit)
-                .expect("the rest has a member");
-            (first as u32, self.live - finished)
-        });
-        Self::track_capacity(&self.queue, caps.0, &mut self.alloc_events);
-        Self::track_capacity(&self.comp_buf, caps.1, &mut self.alloc_events);
-        Split {
-            walked: head,
-            finished,
-            rest,
-        }
+        (head, finished)
     }
 
     /// The union-find root of reached local `x` (path halving).
     fn find(&mut self, mut x: u32) -> u32 {
-        while self.disc[x as usize] != x {
-            let up = self.disc[self.disc[x as usize] as usize];
-            self.disc[x as usize] = up;
+        while self.group[x as usize] != x {
+            let up = self.group[self.group[x as usize] as usize];
+            self.group[x as usize] = up;
             x = up;
         }
         x
@@ -734,8 +918,8 @@ impl PeelArena {
             if at == finished {
                 return None;
             }
-            let (start, root) = (at, self.disc[self.queue[at] as usize]);
-            while at < finished && self.disc[self.queue[at] as usize] == root {
+            let (start, root) = (at, self.group[self.queue[at] as usize]);
+            while at < finished && self.group[self.queue[at] as usize] == root {
                 at += 1;
             }
             Some(Piece::Walked(&self.comp_buf[start..at]))
@@ -908,6 +1092,54 @@ mod tests {
         assert!(copy.is_articulation(2) && copy.is_articulation(4));
         assert_eq!(copy.remove_cascade(0), 3);
         assert_eq!(sorted_components(&mut copy), vec![vec![4, 5, 6]]);
+    }
+
+    /// The 5-cycle 0–1–2–3–4–0 with 5 hanging off 2, loaded at k = 0
+    /// (nothing cascades) and marked: the DFS from 0 runs down the path
+    /// 0–1–2–3–4 (4's back edge to 0 is the lowpoint edge of every
+    /// subtree below 0) and then 2–5.
+    fn cycle_with_tail() -> (Graph, PeelArena) {
+        let g = graph_from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5)]);
+        let mut arena = PeelArena::for_graph(&g);
+        arena.load(&g, &[0, 1, 2, 3, 4, 5], 0);
+        arena.mark_articulation_points();
+        (g, arena)
+    }
+
+    #[test]
+    fn a_lowpoint_edge_escapes_only_from_its_own_fragment() {
+        let (_, mut arena) = cycle_with_tail();
+        // Deleting 3 leaves 4 under it, and 4's edge to 0 climbs above
+        // 3: one piece, certified.
+        arena.remove_cascade(3);
+        assert!(arena.split().certified);
+        assert_eq!(sorted_components(&mut arena), vec![vec![0, 1, 2, 4, 5]]);
+        // Deleting 1 as well: {2, 5}'s lowpoint edge 4–0 starts below 3,
+        // outside its fragment, and 5 is no way up either; with the
+        // root's piece that is two fragments without an escape, so the
+        // split walks.
+        arena.remove_cascade(1);
+        assert!(!arena.split().certified);
+        assert_eq!(sorted_components(&mut arena), vec![vec![0, 4], vec![2, 5]]);
+    }
+
+    #[test]
+    fn a_commit_retires_the_certificate() {
+        // The tree counts removals from the marked state. On the 5-cycle
+        // the DFS path is 0–1–2–3–4; after 2's deletion is committed the
+        // live set is the path 3–4–0–1, and deleting 4 cuts it in two.
+        // 4 is a leaf of the tree and the root is live, so a tree that
+        // forgot the committed 2 would certify one piece.
+        let (g, _) = cycle_with_tail();
+        let mut arena = PeelArena::for_graph(&g);
+        arena.load(&g, &[0, 1, 2, 3, 4], 0);
+        arena.mark_articulation_points();
+        arena.remove_cascade(2);
+        arena.commit();
+        arena.remove_cascade(4);
+        let split = arena.split();
+        assert!(!split.certified);
+        assert_eq!(sorted_components(&mut arena), vec![vec![0, 1], vec![3]]);
     }
 
     #[test]

@@ -196,30 +196,80 @@ proptest! {
     #[test]
     fn split_equals_scratch_in_sets_and_order(g in prop_oneof![arb_graph(40, 160), arb_hinged(20, 60)],
                                               k in 1usize..4) {
-        // Every piece the boundary walk emits, the rest materialized in
-        // place, is the from-scratch re-peel's component list exactly:
-        // same sets, same order, each in ascending id order. The second
-        // deletion stacks a journal of two cascades on one load.
+        // Every piece the split emits, the rest materialized in place,
+        // is the from-scratch re-peel's component list exactly: same
+        // sets, same order, each in ascending id order. The second
+        // deletion stacks a journal of two cascades on one load. Each
+        // component runs three ways: loaded (every split walks), loaded
+        // and marked, and copied from the marked state's image (the
+        // one-piece certificate settles what it can).
         let mut arena = PeelArena::for_graph(&g);
         let mut scratch = PeelScratch::new(g.num_vertices());
         for comp in maximal_kcore_components(&g, k) {
             arena.load(&g, &comp, k);
+            arena.mark_articulation_points();
+            let image = arena.image();
+            for arm in ["loaded", "marked", "image"] {
+                match arm {
+                    "loaded" => arena.load(&g, &comp, k),
+                    "marked" => {
+                        arena.load(&g, &comp, k);
+                        arena.mark_articulation_points();
+                    }
+                    _ => arena.load_image(&image),
+                }
+                for (i, &victim) in comp.iter().enumerate() {
+                    arena.remove_cascade(victim);
+                    let expected = scratch.connected_kcores(&g, &comp, Some(victim), k);
+                    prop_assert_eq!(split_pieces(&mut arena), expected, "{} victim={}", arm, victim);
+                    let second = comp[(i * 7 + 3) % comp.len()];
+                    arena.remove_cascade(second);
+                    let mut mask = BitSet::new(g.num_vertices());
+                    for &v in &comp {
+                        if v != victim && v != second {
+                            mask.insert(v as usize);
+                        }
+                    }
+                    peel_to_kcore_within(&g, &mut mask, k);
+                    let expected = ic_graph::connected_components_within(&g, &mask);
+                    prop_assert_eq!(
+                        split_pieces(&mut arena), expected, "{} victims={},{}", arm, victim, second
+                    );
+                    arena.rollback();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_certified_split_is_one_piece(g in prop_oneof![arb_graph(40, 160), arb_hinged(20, 60)],
+                                      k in 1usize..4,
+                                      picks in proptest::collection::vec(0usize..1 << 16, 1..5)) {
+        // Whenever the certificate answers "one piece", a walk over the
+        // same removals (an unmarked load, which cannot certify) finds
+        // exactly one, or none when nothing is live. Deletions stack up
+        // to five cascades on one load.
+        let mut marked = PeelArena::for_graph(&g);
+        let mut walked = PeelArena::for_graph(&g);
+        for comp in maximal_kcore_components(&g, k) {
+            marked.load(&g, &comp, k);
+            marked.mark_articulation_points();
+            walked.load(&g, &comp, k);
             for (i, &victim) in comp.iter().enumerate() {
-                arena.remove_cascade(victim);
-                let expected = scratch.connected_kcores(&g, &comp, Some(victim), k);
-                prop_assert_eq!(split_pieces(&mut arena), expected, "victim={}", victim);
-                let second = comp[(i * 7 + 3) % comp.len()];
-                arena.remove_cascade(second);
-                let mut mask = BitSet::new(g.num_vertices());
-                for &v in &comp {
-                    if v != victim && v != second {
-                        mask.insert(v as usize);
+                let stack = std::iter::once(victim)
+                    .chain(picks.iter().map(|&p| comp[p.wrapping_add(i) % comp.len()]));
+                for v in stack {
+                    marked.remove_cascade(v);
+                    walked.remove_cascade(v);
+                    let split = marked.split();
+                    if split.certified {
+                        prop_assert_eq!(split.walked, 0);
+                        let pieces = split_pieces(&mut walked).len();
+                        prop_assert_eq!(pieces, usize::from(walked.live_count() > 0), "v={}", v);
                     }
                 }
-                peel_to_kcore_within(&g, &mut mask, k);
-                let expected = ic_graph::connected_components_within(&g, &mask);
-                prop_assert_eq!(split_pieces(&mut arena), expected, "victims={},{}", victim, second);
-                arena.rollback();
+                marked.rollback();
+                walked.rollback();
             }
         }
     }
