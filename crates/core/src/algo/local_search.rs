@@ -277,7 +277,7 @@ pub(crate) fn validate_params(config: &LocalSearchConfig) -> Result<(), SearchEr
 }
 
 /// One consumer of a shared seed expansion in
-/// [`run_seed_memo`](crate::algo::run_seed_memo): an
+/// [`MemoFamily::walk`](crate::algo::MemoFamily::walk): an
 /// aggregation paired with the top-r list collecting its results.
 pub struct SeedTarget<'a> {
     /// Aggregation this target evaluates candidates under.
@@ -370,7 +370,7 @@ pub(crate) fn prefix_values(
 /// prefix-value buffer and an incremental candidate degree tracker.
 /// Everything is epoch-stamped; the buffers stop growing after the first
 /// few seeds (a seed's entry is its own allocation). One instance per
-/// walk; see [`run_seed_memo`](crate::algo::run_seed_memo).
+/// walk; see [`MemoFamily::walk`](crate::algo::MemoFamily::walk).
 pub struct LocalScratch {
     // Pool building.
     pub(crate) pool: Vec<VertexId>,
@@ -1032,8 +1032,8 @@ pub(crate) mod tests {
             targets.push(SeedTarget { aggregation, list });
         }
         let (rows, sc) = (CoreRows::build(wg, &core), &mut LocalScratch::new(6));
-        let entry = expand_seed(wg, &rows, &core, seed, 2, 3, true, sc, &mut targets);
-        entry.map_or(0, |entry| entry.pool().len())
+        let built = expand_seed(wg, &rows, &core, seed, 2, 3, true, sc, &mut targets);
+        built.map_or(0, |(_, record)| record.pool_len())
     }
 
     #[test]

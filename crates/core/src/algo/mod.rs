@@ -6,7 +6,7 @@
 //! * [`local_search`] — Algorithm 4 with `SumStrategy` / `AvgStrategy`,
 //!   greedy or random. Every walk expands a seed the same way: its pool
 //!   is built into a seed-memo entry and the strategies replay it; the
-//!   engine's walks ([`run_seed_memo`]) keep the entries in a
+//!   engine's walks ([`MemoFamily::walk`]) keep the entries in a
 //!   [`SeedMemo`], the others drop them;
 //! * [`ExtremumIndex`] — the threshold peel for the node-domination
 //!   aggregations `min` and `max` (prior work: Li et al. VLDB'15), linked
@@ -47,7 +47,7 @@ pub use local_search::{
     local_search, local_search_nonoverlapping, CoreRows, LocalScratch, LocalSearchConfig,
     SeedTarget,
 };
-pub use seed_memo::{run_seed_memo, Carried, MemoFamily, SeedMemo, SeedVisit};
+pub use seed_memo::{Carried, MemoFamily, SeedMemo, WalkCounts};
 pub use sum_naive::sum_naive_on;
 
 pub(crate) use local_search::local_search_in;

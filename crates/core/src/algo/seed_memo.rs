@@ -7,9 +7,9 @@
 //! connected k-core? Everything else a strategy reads is the prefix's
 //! weights and its own list's bar. A [`SeedEntry`] keeps the pool in
 //! strategy order, the vertices whose rows its build read, and, once it
-//! has learned them, that fact for every prefix as packed bits.
-//! [`run_seed_memo`] replays an entry for every target instead of
-//! rebuilding the pool. `replay` holds Algorithm 4's one production
+//! has learned them, that fact for every prefix as packed bits. A family
+//! walk ([`MemoFamily::walk`]) replays an entry for every target instead
+//! of rebuilding the pool. `replay` holds Algorithm 4's one production
 //! `SumStrategy` and `AvgStrategy`: prefix values come from the
 //! [`prefix_values`] kernel and `AggregateState` removes, and a prefix is
 //! competitive against the list's bar as it stands at that seed. A seed
@@ -18,27 +18,35 @@
 //! — which is also every unmemoized walk's expansion (`Query::solve`,
 //! TONIC), so a replay inserts exactly what a fresh expansion does.
 //!
-//! An entry also keeps three numbers folded from its pool at build: the
-//! heaviest weight, the pool-order sum and the largest prefix mean. From
-//! them and a target's certificates, [`SeedEntry::bound`] caps every value
-//! the target's replay would compute; a target whose cap is at or below
-//! its bar is left out, and a seed no target is left for is skipped. The
+//! Beside each entry its family keeps a fixed-size [`Record`] of the
+//! numbers folded from its pool: its length, the pool-order sum, the two
+//! heaviest weights, the largest prefix mean and a `min` cap. From them
+//! and a target's certificates, [`SeedEntry::bound`] caps every value the
+//! target's replay would compute; a target whose cap is at or below its
+//! bar is left out, and a seed no target is left for is skipped. The
 //! first warm replay a target is not left out of has the entry learn its
 //! verdicts, in one pass over the pool (the degree tracker's pushes and a
-//! union-find over pool positions), and from then on the cap is over the
-//! qualifying prefixes only — the ones a replay can insert: `−∞` when
+//! union-find over pool positions), and from then on the record is over
+//! the qualifying prefixes only — the ones a replay can insert: `−∞` when
 //! none does, and for the classes whose values are monotone in a greedy
-//! pool's prefix length, the largest qualifying value itself, bit for
-//! bit. Seeds are still visited in ascending order and a skipped target
-//! could insert nothing, so answers do not change.
+//! pool's prefix length, the bound is the largest qualifying value
+//! itself, bit for bit. Seeds are still visited in ascending order and a
+//! skipped target could insert nothing, so answers do not change.
+//!
+//! A walk settles most skips from the records alone: each target reads a
+//! [`Cap`] off a record that is at least the entry's own bound, so a seed
+//! the record skips is one the entry would skip too, and the entry is not
+//! touched. Every 32 slots a block record keeps the field-wise maxima of
+//! its slots' records, re-summarized by the walk that reaches it after a
+//! publish, and a block every target's cap rules out is jumped whole.
 //!
 //! A family keeps one slot per seed of its level, in the ascending order
 //! a walk visits them, so it costs what its level's k-core holds, not
 //! what the graph does. [`SeedMemo::carry`] hands the next snapshot
 //! every entry an apply's [`ApplyDelta`] shows it left alone, at its
-//! seed's new slot, verdicts and all. The memo is bounded by a fixed
-//! per-snapshot byte budget; a family or an entry that does not fit is
-//! walked without one.
+//! seed's new slot, verdicts and record and all. The memo is bounded by a
+//! fixed per-snapshot byte budget; a family or an entry that does not fit
+//! is walked without one.
 
 use crate::aggregate::{builtin, StateView};
 use crate::algo::common::community_from_vertices;
@@ -69,35 +77,273 @@ const QUALIFIES: u8 = 1;
 /// A prefix that does not.
 const FAILS: u8 = 2;
 
-/// One seed's expansion at `(k, s, greedy)`.
+/// Slots a block record summarizes.
+const BLOCK: usize = 32;
+
+/// A record's state: no entry kept for the slot.
+const EMPTY: u8 = 0;
+/// An entry kept that has not learned its verdicts.
+const BUILT: u8 = 1;
+/// Learned, and some prefix qualifies.
+const LEARNED: u8 = 2;
+/// No prefix qualifies: learned so, or the pool is too short to host a
+/// k-core. Every cap is `−∞`.
+const NOTHING: u8 = 3;
+
+/// What a skip reads of one seed's expansion — a slot record — or, as
+/// field-wise maxima, of a block of slots (`state` unused). Each number
+/// is over every prefix `len > k` while the entry has not learned its
+/// verdicts and over the qualifying ones once it has, so learning only
+/// ever lowers a field; `NOTHING` holds `−∞` in every weight field.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Record {
+    state: u8,
+    /// The shortest and the longest pool: a slot's is its pool's length
+    /// twice.
+    len: (u32, u32),
+    /// The pool-order sum of the weights: `sum_replay`'s first state.
+    total: f64,
+    /// The heaviest and the second-heaviest weight of the longest
+    /// qualifying prefix (greedy; the pool's heaviest twice while
+    /// unlearned, and always in random order). A greedy pool's heaviest
+    /// weight is in every prefix of two or more members, so `w1` is the
+    /// pool's heaviest in every state but `NOTHING`.
+    w1: f64,
+    w2: f64,
+    /// The bits of the largest `sum / len`, each as an `avg` replay
+    /// computes it.
+    peak_mean: f64,
+    /// A greedy pool's `min` at its shortest qualifying prefix once
+    /// learned, and the seed's weight before (every candidate holds the
+    /// seed, so either is at least the learned bound); the pool's
+    /// heaviest in random order.
+    min_cap: f64,
+}
+
+impl Record {
+    /// An invalid block: every cap `+∞`.
+    const UNKNOWN: Record = Record {
+        state: EMPTY,
+        len: (0, u32::MAX),
+        total: f64::INFINITY,
+        w1: f64::INFINITY,
+        w2: f64::INFINITY,
+        peak_mean: f64::INFINITY,
+        min_cap: f64::INFINITY,
+    };
+
+    /// A `len`-vertex pool no prefix of which qualifies.
+    fn nothing(len: u32) -> Record {
+        Record {
+            state: NOTHING,
+            len: (len, len),
+            total: f64::NEG_INFINITY,
+            w1: f64::NEG_INFINITY,
+            w2: f64::NEG_INFINITY,
+            peak_mean: f64::NEG_INFINITY,
+            min_cap: f64::NEG_INFINITY,
+        }
+    }
+
+    pub(crate) fn pool_len(&self) -> usize {
+        self.len.1 as usize
+    }
+
+    fn learned(&self) -> bool {
+        self.state >= LEARNED
+    }
+
+    /// The field-wise maxima of `self` and `other`, and their length span.
+    fn join(self, other: &Record) -> Record {
+        Record {
+            state: BUILT,
+            len: (self.len.0.min(other.len.0), self.len.1.max(other.len.1)),
+            total: self.total.max(other.total),
+            w1: self.w1.max(other.w1),
+            w2: self.w2.max(other.w2),
+            peak_mean: self.peak_mean.max(other.peak_mean),
+            min_cap: self.min_cap.max(other.min_cap),
+        }
+    }
+
+    /// `top-t-sum`'s cap: at most the sum of all weights and the
+    /// heaviest plus `t − 1` times the second — or `t` times the second,
+    /// whichever is larger, so that an unlearned record's is `min(total,
+    /// t·max)` as the entry's is — computed in other orders than the
+    /// value, so with DESIGN §5's rounding margin.
+    fn top_t(&self, t: f64) -> f64 {
+        let heavy = (t * self.w2).max(self.w1 + (t - 1.0) * self.w2);
+        let b = self.total.min(heavy);
+        b + 4.0 * f64::EPSILON * (f64::from(self.len.1) + 1.0) * b.abs()
+    }
+}
+
+/// A [`Record`] as a family keeps it, for walks to read while others
+/// publish: the state and length in one word, stored `Release` after the
+/// other five (`Relaxed`) and loaded `Acquire` before them.
+#[derive(Default)]
+struct RecordCell([AtomicU64; 6]);
+
+impl RecordCell {
+    fn load(&self) -> Record {
+        let head = self.0[0].load(Acquire);
+        let [total, w1, w2, peak_mean, min_cap] =
+            std::array::from_fn(|i| f64::from_bits(self.0[i + 1].load(Relaxed)));
+        let len = (head >> 8) as u32;
+        Record {
+            state: head as u8,
+            len: (len, len),
+            total,
+            w1,
+            w2,
+            peak_mean,
+            min_cap,
+        }
+    }
+
+    fn store(&self, r: &Record) {
+        let fields = [r.total, r.w1, r.w2, r.peak_mean, r.min_cap];
+        for (cell, field) in self.0[1..].iter().zip(fields) {
+            cell.store(field.to_bits(), Relaxed);
+        }
+        self.0[0].store(u64::from(r.len.1) << 8 | u64::from(r.state), Release);
+    }
+}
+
+/// A block record: the field-wise maxima of its slots' records and their
+/// length span, `+∞` while a slot is empty. `dirty` is set, `Release`,
+/// after every publish to one of its slots, and taken by the walk that
+/// re-summarizes it. Records only fall, so a summary read from older
+/// records, or mixed field by field from two summaries, still caps them.
+struct BlockCell {
+    dirty: AtomicBool,
+    /// Shortest pool in the low half, longest in the high.
+    len: AtomicU64,
+    fields: [AtomicU64; 5],
+}
+
+impl BlockCell {
+    fn new() -> BlockCell {
+        BlockCell {
+            dirty: AtomicBool::new(true),
+            len: AtomicU64::new(0),
+            fields: std::array::from_fn(|_| AtomicU64::new(f64::INFINITY.to_bits())),
+        }
+    }
+
+    fn load(&self) -> Record {
+        let len = self.len.load(Relaxed);
+        let [total, w1, w2, peak_mean, min_cap] =
+            std::array::from_fn(|i| f64::from_bits(self.fields[i].load(Relaxed)));
+        Record {
+            state: BUILT,
+            len: (len as u32, (len >> 32) as u32),
+            total,
+            w1,
+            w2,
+            peak_mean,
+            min_cap,
+        }
+    }
+
+    fn store(&self, r: &Record) {
+        self.len
+            .store(u64::from(r.len.0) | u64::from(r.len.1) << 32, Relaxed);
+        let fields = [r.total, r.w1, r.w2, r.peak_mean, r.min_cap];
+        for (cell, field) in self.fields.iter().zip(fields) {
+            cell.store(field.to_bits(), Relaxed);
+        }
+    }
+}
+
+/// How a target reads its cap off a [`Record`]: at least the entry's own
+/// [`bound`](SeedEntry::bound) in the same state — but for a greedy `min`
+/// before learning, whose cap, the seed's weight, is at least the learned
+/// bound — so a seed a record skips is one the entry path skips too
+/// (having learned, at worst), and a walk's counts do not change. DESIGN
+/// §5 has the table and the proofs.
+#[derive(Clone, Copy, Debug)]
+enum Cap {
+    /// `sum`: the first `SumStrategy` state.
+    Sum,
+    /// `sum-surplus`, `sum + α·len`, at the shorter pool when `α < 0`.
+    Surplus(f64),
+    /// `avg`: `peak_mean`.
+    Mean,
+    /// `min`: `min_cap`.
+    Min,
+    /// `top-t-sum`, `t`: [`Record::top_t`].
+    TopT(f64),
+    /// A greedy percentile whose nearest rank is below the heaviest of
+    /// every length a pool can have: `w2`.
+    Second,
+    /// Any other node-dominated class: `w1`.
+    Heaviest,
+    /// Anything else: only `NOTHING` caps it.
+    Open,
+}
+
+impl Cap {
+    /// The cap of `aggregation` for a family at `(k, greedy)` whose pools
+    /// hold at most `longest` vertices.
+    fn new(aggregation: Aggregation, k: usize, longest: usize, greedy: bool) -> Cap {
+        match aggregation {
+            Aggregation::Sum => Cap::Sum,
+            Aggregation::SumSurplus { alpha } => Cap::Surplus(alpha),
+            Aggregation::Average => Cap::Mean,
+            Aggregation::Min => Cap::Min,
+            Aggregation::TopTSum { t } => Cap::TopT(t as f64),
+            Aggregation::Percentile { p }
+                if greedy
+                    && (k + 1..=longest).all(|n| builtin::Percentile { p }.index(n) + 2 <= n) =>
+            {
+                Cap::Second
+            }
+            _ if aggregation.certificates().node_domination => Cap::Heaviest,
+            _ => Cap::Open,
+        }
+    }
+
+    fn of(self, r: &Record) -> f64 {
+        if r.w1 == f64::NEG_INFINITY {
+            return f64::NEG_INFINITY; // nothing qualifies
+        }
+        match self {
+            Cap::Sum => r.total,
+            Cap::Surplus(alpha) => {
+                let len = if alpha < 0.0 { r.len.0 } else { r.len.1 };
+                r.total + alpha * len as f64
+            }
+            Cap::Mean => r.peak_mean,
+            Cap::Min => r.min_cap,
+            Cap::TopT(t) => r.top_t(t),
+            Cap::Second => r.w2,
+            Cap::Heaviest => r.w1,
+            Cap::Open => f64::INFINITY,
+        }
+    }
+}
+
+/// Whether `r` caps every target at or below its list's bar.
+fn beaten(caps: &[Cap], r: &Record, targets: &[SeedTarget<'_>]) -> bool {
+    (caps.iter().zip(targets)).all(|(cap, t)| cap.of(r) <= t.list.threshold())
+}
+
+/// One seed's expansion at `(k, s, greedy)`, beside its [`Record`].
 pub(crate) struct SeedEntry {
-    /// The pool in strategy order, then the vertices whose rows the pool
-    /// build read.
+    /// The pool in strategy order (its record's length), then the
+    /// vertices whose rows the pool build read.
     ids: Box<[VertexId]>,
-    /// Once `learned`, bit `len - k - 1` (byte `/ 8`, bit `% 8`) for each
+    /// Once learned, bit `len - k - 1` (byte `/ 8`, bit `% 8`) for each
     /// prefix length `len` in `k + 1 ..= pool_len`: whether `pool[..len]`
     /// induces a connected k-core. Walks that learn an entry at once
     /// write the same bits.
     verdicts: Box<[AtomicU8]>,
-    pool_len: u32,
-    /// Whether `verdicts` and `peak_mean` are over the qualifying
-    /// prefixes: stored `Release` by [`learn`](Self::learn) after both
-    /// (`Relaxed` themselves), loaded `Acquire` before either is read. A
-    /// walk that loads it `false` may still read the learned `peak_mean`,
-    /// which caps what a replay inserts as well.
-    learned: AtomicBool,
-    /// The pool's heaviest weight.
-    max: f64,
-    /// The pool-order sum of its weights: `sum_replay`'s first state.
-    total: f64,
-    /// The bits of the largest `sum / len`, each as an `avg` replay
-    /// computes it, over the prefixes `len` in `k + 1 ..= pool_len` —
-    /// once `learned`, over the qualifying ones (`−∞`: none).
-    peak_mean: AtomicU64,
 }
 
 impl SeedEntry {
-    /// Builds `seed`'s pool, in strategy order, with nothing learned.
+    /// Builds `seed`'s pool, in strategy order, with nothing learned, and
+    /// its record.
     #[allow(clippy::too_many_arguments)]
     fn build(
         wg: &WeightedGraph,
@@ -108,7 +354,7 @@ impl SeedEntry {
         s: usize,
         greedy: bool,
         scratch: &mut LocalScratch,
-    ) -> SeedEntry {
+    ) -> (SeedEntry, Record) {
         scratch.build_pool(wg, rows, core, seed, s, greedy);
         let pool = &scratch.pool;
         let mut ids = Vec::with_capacity(pool.len() + scratch.read_len);
@@ -127,22 +373,31 @@ impl SeedEntry {
             }
         }
         ids.extend_from_slice(&pool[..scratch.read_len]);
-        SeedEntry {
+        let len = u32::try_from(pool.len()).expect("a pool fits 32-bit ids");
+        let record = match pool.len() > k {
+            true => Record {
+                state: BUILT,
+                len: (len, len),
+                total,
+                w1: max,
+                w2: max,
+                peak_mean,
+                min_cap: if greedy { wg.weight(seed) } else { max },
+            },
+            false => Record::nothing(len),
+        };
+        let entry = SeedEntry {
             ids: ids.into_boxed_slice(),
             verdicts: (0..pool.len().saturating_sub(k).div_ceil(8))
                 .map(|_| AtomicU8::new(0))
                 .collect(),
-            pool_len: u32::try_from(pool.len()).expect("a pool fits 32-bit ids"),
-            learned: AtomicBool::new(false),
-            max,
-            total,
-            peak_mean: AtomicU64::new(peak_mean.to_bits()),
-        }
+        };
+        (entry, record)
     }
 
     /// A value no replay of this entry for `aggregation` inserts a
-    /// community of more than, or `None` when nothing caps it.
-    /// `greedy` is the family's pool order.
+    /// community of more than, or `None` when nothing caps it, read off
+    /// the entry's `record`. `greedy` is the family's pool order.
     ///
     /// Until the entry has [`learn`](Self::learn)ed its verdicts, the
     /// cap is over every value the replay computes — each prefix `len >
@@ -153,7 +408,7 @@ impl SeedEntry {
     ///   total)`: this is it, bit for bit, for any parameter.
     /// * `avg`'s prefix values are the very `sum / len` that `peak_mean`
     ///   took the largest of.
-    /// * A node-dominated value is some member's weight: at most `max`.
+    /// * A node-dominated value is some member's weight: at most `w1`.
     /// * `top-t-sum` is at most the sum of all weights and `t` times the
     ///   largest; the two are computed in other orders than the value, so
     ///   the bound carries DESIGN §5's rounding margin.
@@ -164,17 +419,18 @@ impl SeedEntry {
     /// largest qualifying value itself, bit for bit, where the values
     /// are monotone in the prefix length (DESIGN §5 has the proofs) —
     /// `top-t-sum`'s at the longest qualifying prefix, `min`'s at the
-    /// shortest, and a percentile's at the shortest or at the shortest
-    /// whose nearest rank is past the minimum, whichever is larger.
-    /// Every other class keeps the cap above.
+    /// shortest (`min_cap`), and a percentile's at the shortest or at the
+    /// shortest whose nearest rank is past the minimum, whichever is
+    /// larger. Every other class keeps the cap above.
     fn bound(
         &self,
+        record: &Record,
         aggregation: Aggregation,
         wg: &WeightedGraph,
         k: usize,
         greedy: bool,
     ) -> Option<f64> {
-        if self.learned.load(Acquire) {
+        if record.learned() {
             let Some((shortest, longest)) = self.qualifying(k) else {
                 return Some(f64::NEG_INFINITY);
             };
@@ -188,13 +444,11 @@ impl SeedEntry {
                     }
                     return Some(sum);
                 }
-                Aggregation::Min if greedy => {
-                    return Some(self.heaviest(wg, shortest)(shortest - 1));
-                }
+                Aggregation::Min if greedy => return Some(record.min_cap),
                 Aggregation::Percentile { p } if greedy => {
                     let rank = |len: usize| builtin::Percentile { p }.index(len);
                     let value = |len: usize| self.heaviest(wg, len)(len - 1 - rank(len));
-                    let past_min = (shortest..=self.pool_len()).find(|&len| rank(len) > 0);
+                    let past_min = (shortest..=record.pool_len()).find(|&len| rank(len) > 0);
                     let first = value(shortest);
                     let later = past_min.and_then(|len| self.qualifying_from(len, k));
                     let later = later.map_or(first, value);
@@ -209,42 +463,49 @@ impl SeedEntry {
         }
         let certificates = aggregation.certificates();
         if certificates.incremental_removal && !certificates.needs_multiset {
-            let first = StateView::new(self.pool_len(), self.total, wg.total_weight(), None);
+            let first = StateView::new(record.pool_len(), record.total, wg.total_weight(), None);
             return Some(aggregation.with_fn(|f| f.evaluate_state(&first)));
         }
         match aggregation {
-            Aggregation::Average => Some(f64::from_bits(self.peak_mean.load(Relaxed))),
+            Aggregation::Average => Some(record.peak_mean),
             Aggregation::TopTSum { t } => {
-                let b = self.total.min(t as f64 * self.max);
-                Some(b + 4.0 * f64::EPSILON * (self.pool_len + 1) as f64 * b.abs())
+                let b = record.total.min(t as f64 * record.w1);
+                Some(b + 4.0 * f64::EPSILON * (record.len.1 + 1) as f64 * b.abs())
             }
-            _ if certificates.node_domination => Some(self.max),
+            _ if certificates.node_domination => Some(record.w1),
             _ => None,
         }
     }
 
-    pub(crate) fn pool(&self) -> &[VertexId] {
-        &self.ids[..self.pool_len()]
+    pub(crate) fn pool(&self, record: &Record) -> &[VertexId] {
+        &self.ids[..record.pool_len()]
     }
 
-    fn pool_len(&self) -> usize {
-        self.pool_len as usize
-    }
-
-    fn read(&self) -> &[VertexId] {
-        &self.ids[self.pool_len()..]
+    fn read(&self, record: &Record) -> &[VertexId] {
+        &self.ids[record.pool_len()..]
     }
 
     /// What the entry costs the budget: its allocations and the `Arc`
-    /// that holds it.
+    /// that holds it. Its record is charged with its family's slots.
     fn bytes(&self) -> usize {
         size_of::<Self>() + 2 * size_of::<usize>() + 4 * self.ids.len() + self.verdicts.len()
     }
 
     /// Works out, in one pass over the pool, which prefixes induce a
-    /// connected k-core, and the largest mean among them.
-    fn learn(&self, wg: &WeightedGraph, rows: &CoreRows, k: usize, scratch: &mut LocalScratch) {
-        let pool = self.pool();
+    /// connected k-core, and returns `record` over the qualifying ones:
+    /// the largest mean among them and, for a greedy pool, the two
+    /// heaviest weights of the longest and the `min` of the shortest.
+    #[allow(clippy::too_many_arguments)]
+    fn learn(
+        &self,
+        record: &Record,
+        wg: &WeightedGraph,
+        rows: &CoreRows,
+        k: usize,
+        greedy: bool,
+        scratch: &mut LocalScratch,
+    ) -> Record {
+        let pool = self.pool(record);
         // Whole bytes, each stored once: a racing walk learning the same
         // entry never clears a bit this one set.
         let (mut byte, mut bits) = (0, 0u8);
@@ -259,6 +520,9 @@ impl SeedEntry {
         if let Some(cell) = self.verdicts.get(byte) {
             cell.store(bits, Relaxed);
         }
+        let Some((shortest, longest)) = self.qualifying(k) else {
+            return Record::nothing(record.len.1);
+        };
         let (mut sum, mut peak_mean) = (0.0, f64::NEG_INFINITY);
         for (i, &v) in pool.iter().enumerate() {
             sum += wg.weight(v);
@@ -266,8 +530,17 @@ impl SeedEntry {
                 peak_mean = peak_mean.max(sum / (i + 1) as f64);
             }
         }
-        self.peak_mean.store(peak_mean.to_bits(), Relaxed);
-        self.learned.store(true, Release);
+        let mut learned = Record {
+            state: LEARNED,
+            peak_mean,
+            ..*record
+        };
+        if greedy {
+            let heaviest = self.heaviest(wg, longest);
+            (learned.w1, learned.w2) = (heaviest(0), heaviest(1.min(longest - 1)));
+            learned.min_cap = self.heaviest(wg, shortest)(shortest - 1);
+        }
+        learned
     }
 
     /// Whether `pool[..len]` (`len > k`) induces a connected k-core, once
@@ -363,10 +636,10 @@ fn tracked_verdict(
 /// whose [`bound`](SeedEntry::bound) is at or below its list's bar: no
 /// community its replay could insert would beat the bar. A `warm` replay
 /// (of a memoized entry) whose cheap bounds leave a target has the entry
-/// [`learn`](SeedEntry::learn) its verdicts first, and bounds again; a
-/// cold one tests prefixes with the degree tracker, shared by the
-/// targets, so a prefix is tested once. Returns whether any target was
-/// replayed.
+/// [`learn`](SeedEntry::learn) its verdicts first — `record` becomes the
+/// learned one — and bounds again; a cold one tests prefixes with the
+/// degree tracker, shared by the targets, so a prefix is tested once.
+/// Returns whether any target was replayed.
 #[allow(clippy::too_many_arguments)]
 fn replay(
     wg: &WeightedGraph,
@@ -374,30 +647,31 @@ fn replay(
     k: usize,
     greedy: bool,
     entry: &SeedEntry,
+    record: &mut Record,
     warm: bool,
     scratch: &mut LocalScratch,
     targets: &mut [SeedTarget<'_>],
 ) -> bool {
-    let pool = entry.pool();
+    let pool = entry.pool(record);
     if pool.len() <= k {
         return false; // cannot host a k-core
     }
     let (mut tracked, mut replayed) = (None, false);
     for target in targets {
         let (agg, bar) = (target.aggregation, target.list.threshold());
-        let beaten = |entry: &SeedEntry| entry.bound(agg, wg, k, greedy).is_some_and(|b| b <= bar);
-        if beaten(entry) {
+        let beaten = |r: &Record| entry.bound(r, agg, wg, k, greedy).is_some_and(|b| b <= bar);
+        if beaten(record) {
             continue;
         }
-        if warm && !entry.learned.load(Acquire) {
-            entry.learn(wg, rows, k, scratch);
-            if beaten(entry) {
+        if warm && !record.learned() {
+            *record = entry.learn(record, wg, rows, k, greedy, scratch);
+            if beaten(record) {
                 continue;
             }
         }
         let mut ascending = std::mem::take(&mut scratch.ascending);
         let mut tested = std::mem::take(&mut scratch.tested);
-        let learned = entry.learned.load(Acquire);
+        let learned = record.learned();
         if !replayed && !learned {
             tested.clear();
             tested.resize(pool.len() - k, UNTESTED);
@@ -495,24 +769,61 @@ fn prefix_replay(
 }
 
 /// The memo of one `(k, s, greedy)` family on one snapshot: an entry
-/// slot per seed of its level, slot `i` for the `i`-th vertex of the
-/// ascending k-core.
+/// slot and a record per seed of its level, slot `i` for the `i`-th
+/// vertex of the ascending k-core, and a block record per [`BLOCK`]
+/// slots.
 struct FamilyMemo {
     slots: Box<[OnceLock<Arc<SeedEntry>>]>,
-    /// Bytes of the slots and of every entry set in them.
+    records: Box<[RecordCell]>,
+    blocks: Box<[BlockCell]>,
+    /// Bytes of the slots, records and blocks, and of every entry set in
+    /// the slots.
     bytes: AtomicUsize,
 }
 
 impl FamilyMemo {
     fn slot_bytes(seeds: usize) -> usize {
-        seeds * size_of::<OnceLock<Arc<SeedEntry>>>()
+        let slot = size_of::<OnceLock<Arc<SeedEntry>>>() + size_of::<RecordCell>();
+        seeds * slot + seeds.div_ceil(BLOCK) * size_of::<BlockCell>()
     }
 
     fn new(seeds: usize) -> FamilyMemo {
         FamilyMemo {
             slots: (0..seeds).map(|_| OnceLock::new()).collect(),
+            records: (0..seeds).map(|_| RecordCell::default()).collect(),
+            blocks: (0..seeds.div_ceil(BLOCK))
+                .map(|_| BlockCell::new())
+                .collect(),
             bytes: AtomicUsize::new(Self::slot_bytes(seeds)),
         }
+    }
+
+    /// Stores slot `at`'s record and marks its block for re-summary.
+    fn publish(&self, at: usize, record: &Record) {
+        self.records[at].store(record);
+        self.blocks[at / BLOCK].dirty.store(true, Release);
+    }
+
+    /// Block `b`'s record, re-summarized from its slots' records first
+    /// when a publish has marked it since the last summary.
+    fn block(&self, b: usize) -> Record {
+        let block = &self.blocks[b];
+        if !block.dirty.swap(false, Acquire) {
+            return block.load();
+        }
+        let end = self.records.len().min((b + 1) * BLOCK);
+        let mut summary = Record::nothing(0);
+        summary.len = (u32::MAX, 0);
+        for cell in &self.records[b * BLOCK..end] {
+            let record = cell.load();
+            if record.state == EMPTY {
+                summary = Record::UNKNOWN;
+                break;
+            }
+            summary = summary.join(&record);
+        }
+        block.store(&summary);
+        summary
     }
 }
 
@@ -555,9 +866,9 @@ impl SeedMemo {
         }
     }
 
-    /// Bytes the memo holds in slots and entries; never more than its
-    /// fixed budget. The levels' seed lists, 4 B a seed, are the walks'
-    /// and are not charged.
+    /// Bytes the memo holds in slots, records and entries; never more
+    /// than its fixed budget. The levels' seed lists, 4 B a seed, are the
+    /// walks' and are not charged.
     pub fn bytes(&self) -> usize {
         self.bytes.load(Relaxed)
     }
@@ -607,6 +918,9 @@ impl SeedMemo {
         MemoFamily {
             memo: self,
             seeds,
+            k,
+            s,
+            greedy,
             family,
         }
     }
@@ -614,8 +928,9 @@ impl SeedMemo {
     /// The memo the snapshot an apply swaps in starts with. A family
     /// above `delta`'s ceiling is shared whole. At a changed level the
     /// seed list is the old one without `left` and with `entered`, and
-    /// the family starts over it, its slots reserved like a new family's;
-    /// an entry is shared, at its seed's new slot and if the budget has
+    /// the family starts over it, its slots reserved like a new family's
+    /// and every block marked for re-summary; an entry is shared, with a
+    /// copy of its record, at its seed's new slot and if the budget has
     /// room, when its seed is still in the k-core, no vertex whose row its
     /// pool build read is `reached`, and no toggle has both endpoints in
     /// its pool (DESIGN §9 has the proof).
@@ -654,11 +969,17 @@ impl SeedMemo {
                 delta.toggles().iter().any(held)
             };
             let fresh = FamilyMemo::new(seeds.len());
-            for (slot, seed) in family.slots.iter().zip(families.seeds[&key.0].iter()) {
+            let old = family.slots.iter().zip(family.records.iter());
+            for ((slot, cell), seed) in old.zip(families.seeds[&key.0].iter()) {
                 let Some(entry) = slot.get() else { continue };
+                let record = cell.load();
+                let kept = |entry: &SeedEntry| {
+                    !entry.read(&record).iter().any(reached) && !toggled(entry.pool(&record))
+                };
                 match seeds.binary_search(seed) {
-                    Ok(at) if !entry.read().iter().any(reached) && !toggled(entry.pool()) => {
+                    Ok(at) if kept(entry) => {
                         if next.reserve(entry.bytes()) {
+                            fresh.records[at].store(&record);
                             let _ = fresh.slots[at].set(Arc::clone(entry));
                             fresh.bytes.fetch_add(entry.bytes(), Relaxed);
                         }
@@ -700,36 +1021,199 @@ fn merged(seeds: &[VertexId], level: &LevelDelta) -> Arc<[VertexId]> {
     out.into()
 }
 
-/// One family as a seed walk holds it: its level's seeds, and its memo
-/// (`None`: the budget had no room for its slots) with the snapshot
-/// memo whose budget new entries are charged to.
+/// One family as a seed walk holds it: its level's seeds, its
+/// `(k, s, greedy)`, and its memo (`None`: the budget had no room for its
+/// slots) with the snapshot memo whose budget new entries are charged to.
 pub struct MemoFamily<'a> {
     memo: &'a SeedMemo,
     seeds: Arc<[VertexId]>,
+    k: usize,
+    s: usize,
+    greedy: bool,
     family: Option<Arc<FamilyMemo>>,
 }
 
+/// What a [`MemoFamily::walk`] did with its seeds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WalkCounts {
+    /// Seeds walked, jumped ones included.
+    pub visited: u64,
+    /// Seeds no target could use: nothing built, nothing replayed.
+    pub skipped: u64,
+    /// Of `skipped`, seeds jumped with their block.
+    pub jumped: u64,
+    /// Of `skipped`, seeds their slot record skipped, entry untouched.
+    pub capped: u64,
+    /// Seeds replayed from the memo: no pool built.
+    pub replayed: u64,
+    /// Vertices of the pools built.
+    pub pooled: u64,
+}
+
+impl WalkCounts {
+    fn add(&mut self, visit: SeedVisit) {
+        self.visited += 1;
+        match visit {
+            SeedVisit::Skipped => self.skipped += 1,
+            SeedVisit::Capped => {
+                self.skipped += 1;
+                self.capped += 1;
+            }
+            SeedVisit::Replayed => self.replayed += 1,
+            SeedVisit::Built(pool) => self.pooled += pool as u64,
+        }
+    }
+}
+
+/// What [`MemoFamily::visit`] did with a seed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SeedVisit {
+    /// No target could use the seed's pool: nothing built, nothing
+    /// replayed. Either every target is a `min` whose bar is at or above
+    /// the seed's weight, or the seed's entry cannot host a k-core or
+    /// bounds every target's values at or below its bar.
+    Skipped,
+    /// Skipped by its slot record: the entry was not read.
+    Capped,
+    /// Replayed from the memo: no pool built.
+    Replayed,
+    /// A pool of this many vertices built.
+    Built(usize),
+}
+
 impl MemoFamily<'_> {
-    /// The level's k-core in ascending order: the seeds to walk, and
-    /// `at` of [`run_seed_memo`] a position in it.
+    /// The level's k-core in ascending order: the seeds to walk.
     pub fn seeds(&self) -> &[VertexId] {
         &self.seeds
     }
 
-    fn get(&self, at: usize) -> Option<&SeedEntry> {
-        self.family.as_ref()?.slots[at].get().map(|e| &**e)
+    /// Walks the level's seeds in ascending order for every target at
+    /// once, inserting into each target's list exactly what a fresh
+    /// expansion of each seed does, until `stop` says so (it is asked
+    /// before each seed and each block). A block whose record caps every
+    /// target at or below its bar is jumped; otherwise each seed's record
+    /// is read first, then its entry is replayed for the targets its
+    /// bounds do not rule out, or the seed is expanded afresh and its
+    /// entry kept, once every target is served and when the budget
+    /// allows, for later walks on this snapshot and, through
+    /// [`SeedMemo::carry`], later snapshots. `core` must be the level's
+    /// mask, `rows` its [`CoreRows`], `scratch` sized to the graph; the
+    /// walk against one list reproduces `Query::solve`'s.
+    #[allow(clippy::too_many_arguments)]
+    pub fn walk(
+        &self,
+        wg: &WeightedGraph,
+        rows: &CoreRows,
+        core: &BitSet,
+        scratch: &mut LocalScratch,
+        targets: &mut [SeedTarget<'_>],
+        mut stop: impl FnMut() -> bool,
+    ) -> WalkCounts {
+        let caps = self.caps(targets);
+        let mut counts = WalkCounts::default();
+        let mut at = 0;
+        while at < self.seeds.len() && !stop() {
+            if let Some(family) = self.family.as_ref().filter(|_| at % BLOCK == 0) {
+                if beaten(&caps, &family.block(at / BLOCK), targets) {
+                    let end = self.seeds.len().min(at + BLOCK);
+                    let jumped = (end - at) as u64;
+                    counts.visited += jumped;
+                    counts.skipped += jumped;
+                    counts.jumped += jumped;
+                    at = end;
+                    continue;
+                }
+            }
+            counts.add(self.visit(wg, rows, core, at, &caps, scratch, targets));
+            at += 1;
+        }
+        counts
     }
 
-    /// Keeps `entry` for seed `at` when the family has a memo and the
-    /// entry fits the budget. A racing walk may have kept the seed's
+    /// Each target's [`Cap`] in this family.
+    fn caps(&self, targets: &[SeedTarget<'_>]) -> Vec<Cap> {
+        let longest = self.s.min(self.seeds.len());
+        (targets.iter())
+            .map(|t| Cap::new(t.aggregation, self.k, longest, self.greedy))
+            .collect()
+    }
+
+    /// Expands seed `at` — `self.seeds()[at]` — for every target: skipped
+    /// when its record caps every target at or below its bar; replayed
+    /// from its entry, for the targets the entry's bounds do not rule
+    /// out, when it has one (none left: skipped); expanded afresh and its
+    /// entry kept otherwise.
+    #[allow(clippy::too_many_arguments)]
+    fn visit(
+        &self,
+        wg: &WeightedGraph,
+        rows: &CoreRows,
+        core: &BitSet,
+        at: usize,
+        caps: &[Cap],
+        scratch: &mut LocalScratch,
+        targets: &mut [SeedTarget<'_>],
+    ) -> SeedVisit {
+        let (seed, k, s, greedy) = (self.seeds[at], self.k, self.s, self.greedy);
+        let held = self.family.as_ref().and_then(|family| {
+            let record = family.records[at].load();
+            let entry = family.slots[at].get().filter(|_| record.state != EMPTY)?;
+            Some((family, record, entry))
+        });
+        let Some((family, mut record, entry)) = held else {
+            return match expand_seed(wg, rows, core, seed, k, s, greedy, scratch, targets) {
+                Some((entry, record)) => {
+                    self.keep(at, entry, &record);
+                    SeedVisit::Built(record.pool_len())
+                }
+                None => SeedVisit::Skipped,
+            };
+        };
+        if beaten(caps, &record, targets) {
+            return SeedVisit::Capped;
+        }
+        if seed_is_hopeless(wg, seed, targets) {
+            return SeedVisit::Skipped;
+        }
+        let state = record.state;
+        let replayed = replay(
+            wg,
+            rows,
+            k,
+            greedy,
+            entry,
+            &mut record,
+            true,
+            scratch,
+            targets,
+        );
+        if record.state != state {
+            family.publish(at, &record);
+        }
+        match replayed {
+            true => SeedVisit::Replayed,
+            false => SeedVisit::Skipped,
+        }
+    }
+
+    /// Keeps `entry` and its `record` for seed `at` when the family has a
+    /// memo and the entry fits the budget; the record is published before
+    /// the entry can be read. A racing walk may have kept the seed's
     /// entry first; the two are the same.
-    fn keep(&self, at: usize, entry: SeedEntry) {
+    fn keep(&self, at: usize, entry: SeedEntry, record: &Record) {
         let Some(family) = &self.family else { return };
         let bytes = entry.bytes();
         if !self.memo.reserve(bytes) {
             return;
         }
-        if family.slots[at].set(Arc::new(entry)).is_ok() {
+        let mut kept = false;
+        family.slots[at].get_or_init(|| {
+            family.records[at].store(record);
+            kept = true;
+            Arc::new(entry)
+        });
+        if kept {
+            family.blocks[at / BLOCK].dirty.store(true, Release);
             family.bytes.fetch_add(bytes, Relaxed);
         } else {
             self.memo.bytes.fetch_sub(bytes, Relaxed);
@@ -737,69 +1221,11 @@ impl MemoFamily<'_> {
     }
 }
 
-/// What [`run_seed_memo`] did with a seed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SeedVisit {
-    /// No target could use the seed's pool: nothing built, nothing
-    /// replayed. Either every target is a `min` whose bar is at or above
-    /// the seed's weight, or the seed's entry cannot host a k-core or
-    /// bounds every target's values at or below its bar.
-    Skipped,
-    /// Replayed from the memo: no pool built.
-    Replayed,
-    /// A pool of this many vertices built.
-    Built(usize),
-}
-
-/// Expands seed `at` of `memo`'s level — `memo.seeds()[at]` — for
-/// every target at once, inserting into each target's list exactly what
-/// a fresh expansion does: the family's entry for the seed is replayed
-/// when there is one, for the targets its value bounds do not rule out
-/// (none left: the seed is skipped); otherwise the seed is expanded
-/// afresh and its entry kept, once every target is served and when the
-/// budget allows, for later families on this snapshot and, through
-/// [`SeedMemo::carry`], later snapshots. `memo` must be this snapshot's
-/// family for `(k, s, greedy)`, `core` the level's mask, `rows` its
-/// [`CoreRows`], `scratch` sized to the graph; every seed in order
-/// against one list reproduces `Query::solve`'s walk.
-#[allow(clippy::too_many_arguments)]
-pub fn run_seed_memo(
-    wg: &WeightedGraph,
-    rows: &CoreRows,
-    core: &BitSet,
-    memo: &MemoFamily<'_>,
-    at: usize,
-    k: usize,
-    s: usize,
-    greedy: bool,
-    scratch: &mut LocalScratch,
-    targets: &mut [SeedTarget<'_>],
-) -> SeedVisit {
-    let seed = memo.seeds[at];
-    match memo.get(at) {
-        None => match expand_seed(wg, rows, core, seed, k, s, greedy, scratch, targets) {
-            Some(entry) => {
-                let built = entry.pool_len();
-                memo.keep(at, entry);
-                SeedVisit::Built(built)
-            }
-            None => SeedVisit::Skipped,
-        },
-        Some(entry)
-            if !seed_is_hopeless(wg, seed, targets)
-                && replay(wg, rows, k, greedy, entry, true, scratch, targets) =>
-        {
-            SeedVisit::Replayed
-        }
-        Some(_) => SeedVisit::Skipped,
-    }
-}
-
 /// Algorithm 4's one seed expansion, run by `Query::solve`, TONIC and a
 /// memo walk's unmemoized seeds: unless [`seed_is_hopeless`], builds
 /// `seed`'s [`SeedEntry`] and replays it for every target, value bounds
-/// included. The caller keeps the entry or drops it (`None`: nothing
-/// built). Arguments as for [`run_seed_memo`].
+/// included. The caller keeps the entry and its record or drops them
+/// (`None`: nothing built). Arguments as for [`MemoFamily::walk`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn expand_seed(
     wg: &WeightedGraph,
@@ -811,13 +1237,23 @@ pub(crate) fn expand_seed(
     greedy: bool,
     scratch: &mut LocalScratch,
     targets: &mut [SeedTarget<'_>],
-) -> Option<SeedEntry> {
+) -> Option<(SeedEntry, Record)> {
     if seed_is_hopeless(wg, seed, targets) {
         return None;
     }
-    let entry = SeedEntry::build(wg, rows, core, seed, k, s, greedy, scratch);
-    replay(wg, rows, k, greedy, &entry, false, scratch, targets);
-    Some(entry)
+    let (entry, mut record) = SeedEntry::build(wg, rows, core, seed, k, s, greedy, scratch);
+    replay(
+        wg,
+        rows,
+        k,
+        greedy,
+        &entry,
+        &mut record,
+        false,
+        scratch,
+        targets,
+    );
+    Some((entry, record))
 }
 
 #[cfg(test)]
@@ -840,56 +1276,84 @@ mod tests {
         WeightedGraph::new(g, weights.into_iter().map(f64::floor).collect()).unwrap()
     }
 
-    /// Walks every seed of `family`, in order, with an `avg` and a `sum`
-    /// target; returns their lists and what each seed's visit did.
-    fn walk(
+    /// Walks the first `upto` seeds of `family` for one target per
+    /// aggregation, `lists[i]` collecting `aggregations[i]`'s: by blocks
+    /// ([`MemoFamily::walk`]), or seed by seed, every seed's record and
+    /// then its entry. Returns the walk's counts and its target replays
+    /// and inserts.
+    fn walk_targets(
         snap: &GraphSnapshot,
         family: &MemoFamily<'_>,
-        (k, s, greedy): (usize, usize, bool),
-    ) -> (TopList, TopList, Vec<SeedVisit>) {
-        let (wg, level) = (snap.weighted(), snap.level(k));
-        let (rows, _) = CoreRows::cached(snap, k);
+        aggregations: &[Aggregation],
+        lists: &mut [TopList],
+        upto: usize,
+        blocks: bool,
+    ) -> (WalkCounts, (u64, u64)) {
+        let (wg, level) = (snap.weighted(), snap.level(family.k));
+        let (rows, _) = CoreRows::cached(snap, family.k);
         let mut scratch = LocalScratch::new(wg.num_vertices());
-        let (mut avg, mut sum) = (TopList::new(3), TopList::new(3));
-        let visits = (0..family.seeds().len())
-            .map(|at| {
-                let mut targets = [
-                    SeedTarget {
-                        aggregation: Aggregation::Average,
-                        list: &mut avg,
-                    },
-                    SeedTarget {
-                        aggregation: Aggregation::Sum,
-                        list: &mut sum,
-                    },
-                ];
-                run_seed_memo(
+        let mut targets: Vec<SeedTarget<'_>> = (aggregations.iter().zip(lists))
+            .map(|(&aggregation, list)| SeedTarget { aggregation, list })
+            .collect();
+        let counts = if blocks {
+            let mut asked = 0;
+            let stop = || {
+                asked += 1;
+                asked > upto
+            };
+            family.walk(wg, &rows, &level.mask, &mut scratch, &mut targets, stop)
+        } else {
+            let caps = family.caps(&targets);
+            let mut counts = WalkCounts::default();
+            for at in 0..family.seeds().len().min(upto) {
+                let visit = family.visit(
                     wg,
                     &rows,
                     &level.mask,
-                    family,
                     at,
-                    k,
-                    s,
-                    greedy,
+                    &caps,
                     &mut scratch,
                     &mut targets,
-                )
-            })
-            .collect();
-        (avg, sum, visits)
+                );
+                counts.add(visit);
+            }
+            counts
+        };
+        (counts, scratch.take_target_counts())
+    }
+
+    /// Walks every seed of `family`, in order, with an `avg` and a `sum`
+    /// target (r = 3); returns their lists and the walk's counts.
+    fn walk(snap: &GraphSnapshot, family: &MemoFamily<'_>) -> (TopList, TopList, WalkCounts) {
+        let mut lists = [TopList::new(3), TopList::new(3)];
+        let deck = [Aggregation::Average, Aggregation::Sum];
+        let (counts, _) = walk_targets(snap, family, &deck, &mut lists, usize::MAX, true);
+        let [avg, sum] = lists;
+        (avg, sum, counts)
+    }
+
+    /// Seeds a walk built a pool for.
+    fn built(counts: &WalkCounts) -> u64 {
+        counts.visited - counts.skipped - counts.replayed
+    }
+
+    /// Slot `at`'s entry and record, when it holds one.
+    fn held<'a>(family: &'a MemoFamily<'_>, at: usize) -> Option<(&'a SeedEntry, Record)> {
+        let memo = family.family.as_ref()?;
+        Some((memo.slots[at].get()?, memo.records[at].load()))
     }
 
     /// Walks every seed of `snap`'s `k`-core through `memo`, then has
     /// every entry kept learn its verdicts.
     fn warm(snap: &GraphSnapshot, memo: &SeedMemo, (k, s, greedy): (usize, usize, bool)) {
         let family = memo.family(&snap.level(k), s, greedy);
-        walk(snap, &family, (k, s, greedy));
+        walk(snap, &family);
         let (rows, _) = CoreRows::cached(snap, k);
         let mut scratch = LocalScratch::new(snap.weighted().num_vertices());
         for at in 0..family.seeds().len() {
-            if let Some(entry) = family.get(at) {
-                entry.learn(snap.weighted(), &rows, k, &mut scratch);
+            if let Some((entry, record)) = held(&family, at) {
+                let learned = entry.learn(&record, snap.weighted(), &rows, k, greedy, &mut scratch);
+                family.family.as_ref().unwrap().publish(at, &learned);
             }
         }
     }
@@ -912,8 +1376,9 @@ mod tests {
 
     /// Asserts that the family's seed list is `snap`'s k-core and that
     /// every entry `memo` holds for it equals one built fresh on `snap`
-    /// — the same pool, the same rows read, and, once learned, each
-    /// verdict the tracker's on `snap` — and returns how many it checked.
+    /// — the same pool, the same rows read, the same record, and, once
+    /// learned, each verdict the tracker's on `snap` and the record the
+    /// fresh entry learns — and returns how many it checked.
     fn assert_fresh(
         snap: &GraphSnapshot,
         memo: &SeedMemo,
@@ -926,22 +1391,30 @@ mod tests {
         assert_eq!(family.seeds(), core, "seed list of {k}/{s}/{greedy}");
         let mut scratch = LocalScratch::new(wg.num_vertices());
         let mut checked = 0;
-        let slots = &family.family.as_ref().unwrap().slots;
-        for (slot, &seed) in slots.iter().zip(family.seeds()) {
-            let Some(carried) = slot.get() else { continue };
-            let fresh = SeedEntry::build(wg, &rows, &level.mask, seed, k, s, greedy, &mut scratch);
+        for (at, &seed) in family.seeds().iter().enumerate() {
+            let Some((carried, record)) = held(&family, at) else {
+                continue;
+            };
+            let (fresh, mut want) =
+                SeedEntry::build(wg, &rows, &level.mask, seed, k, s, greedy, &mut scratch);
             assert_eq!(
-                carried.pool(),
-                fresh.pool(),
+                carried.pool(&record),
+                fresh.pool(&want),
                 "pool of seed {seed}, {k}/{s}/{greedy}"
             );
-            assert_eq!(carried.read(), fresh.read(), "rows read for seed {seed}");
-            if carried.learned.load(Acquire) {
-                for len in k + 1..=fresh.pool_len() {
-                    let truth = truth(fresh.pool(), len, k, &rows, &mut scratch);
+            assert_eq!(
+                carried.read(&record),
+                fresh.read(&want),
+                "rows read for seed {seed}"
+            );
+            if record.learned() && want.state == BUILT {
+                for len in k + 1..=want.pool_len() {
+                    let truth = truth(fresh.pool(&want), len, k, &rows, &mut scratch);
                     assert_eq!(carried.verdict(len, k), truth, "seed {seed}, prefix {len}");
                 }
+                want = fresh.learn(&want, wg, &rows, k, greedy, &mut scratch);
             }
+            assert_eq!(record, want, "record of seed {seed}, {k}/{s}/{greedy}");
             checked += 1;
         }
         checked
@@ -1105,12 +1578,12 @@ mod tests {
                 let cut: Vec<usize> = level.mask.iter().step_by(5).collect();
                 for (s, seeds) in [(k + 4, cut.clone()), (24, cut), (n, firsts)] {
                     for seed in seeds {
-                        let entry = SeedEntry::build(wg, &rows, &level.mask, seed as VertexId, k, s, greedy, &mut scratch);
-                        let pool = entry.pool();
+                        let (entry, record) = SeedEntry::build(wg, &rows, &level.mask, seed as VertexId, k, s, greedy, &mut scratch);
+                        let pool = entry.pool(&record);
                         if pool.len() <= k {
                             continue;
                         }
-                        entry.learn(wg, &rows, k, &mut scratch);
+                        entry.learn(&record, wg, &rows, k, greedy, &mut scratch);
                         tracker.begin_candidate(k);
                         for (i, &v) in pool.iter().enumerate() {
                             tracker.push(&rows, v);
@@ -1147,7 +1620,7 @@ mod tests {
     /// an `AggregateState` fed the pool in order holds it, and whether it
     /// induces a connected k-core.
     fn prefixes(
-        entry: &SeedEntry,
+        (entry, record): (&SeedEntry, &Record),
         agg: Aggregation,
         wg: &WeightedGraph,
         k: usize,
@@ -1155,7 +1628,7 @@ mod tests {
         scratch: &mut LocalScratch,
     ) -> Vec<(f64, bool)> {
         let mut state = AggregateState::new(agg, wg.total_weight());
-        let pool = entry.pool();
+        let pool = entry.pool(record);
         let mut out = Vec::new();
         for (i, &v) in pool.iter().enumerate() {
             state.add(wg.weight(v));
@@ -1170,7 +1643,10 @@ mod tests {
     /// surplus, order statistics at their edges and a registered
     /// multiset-backed one.
     fn bounded_aggregations() -> Vec<Aggregation> {
-        let ends = [0.0, 0.25, 0.5, 0.9, 1.0].map(|p| Aggregation::Percentile { p });
+        // p on both sides of k / (k + 1), where a greedy percentile's record
+        // cap moves from `w2` to `w1`.
+        let ends = [0.0, 0.25, 0.45, 0.5, 0.55, 0.6, 0.7, 0.8, 0.9, 1.0];
+        let ends = ends.map(|p| Aggregation::Percentile { p });
         let tops = [1, 3, 64].map(|t| Aggregation::TopTSum { t });
         Aggregation::builtins()
             .into_iter()
@@ -1188,8 +1664,12 @@ mod tests {
         /// its verdicts, each prefix `len > k` for the prefix strategy and
         /// the first state for the sum strategy; after, only the
         /// qualifying prefixes, and the first state only when some prefix
-        /// qualifies. On thinned cliques of adversarial weights, for every
-        /// seed, both pool orders, and every aggregation that has a bound.
+        /// qualifies. Each record cap — what a walk skips by, entry
+        /// untouched — is at least the entry's learned bound, and at
+        /// least its bound in the same state but for a greedy `min`'s
+        /// before learning (the seed's weight). On thinned cliques
+        /// of adversarial weights, for every seed, both pool orders, and
+        /// every aggregation that has a bound.
         #[test]
         fn entry_bounds_dominate_every_value_their_replay_computes(
             n in 4usize..32,
@@ -1204,20 +1684,27 @@ mod tests {
             let (rows, _) = CoreRows::cached(&snap, k);
             let mut scratch = LocalScratch::new(n);
             let (s, mut bounded) = (k + extra, 0);
+            let longest = s.min(level.mask.count());
             for greedy in [true, false] {
                 for seed in level.mask.iter() {
-                    let entry = SeedEntry::build(wg, &rows, &level.mask, seed as VertexId, k, s, greedy, &mut scratch);
-                    if entry.pool_len() <= k {
+                    let (entry, built) = SeedEntry::build(wg, &rows, &level.mask, seed as VertexId, k, s, greedy, &mut scratch);
+                    if built.pool_len() <= k {
                         continue;
                     }
+                    let taught = entry.learn(&built, wg, &rows, k, greedy, &mut scratch);
                     for learned in [false, true] {
-                        if learned {
-                            entry.learn(wg, &rows, k, &mut scratch);
-                        }
+                        let record = if learned { taught } else { built };
                         for agg in bounded_aggregations() {
-                            let Some(bound) = entry.bound(agg, wg, k, greedy) else { continue };
+                            let cap = Cap::new(agg, k, longest, greedy).of(&record);
+                            if let Some(bound) = entry.bound(&taught, agg, wg, k, greedy) {
+                                prop_assert!(cap >= bound, "{} record cap {} < learned bound {}", agg.name(), cap, bound);
+                            }
+                            let Some(bound) = entry.bound(&record, agg, wg, k, greedy) else { continue };
                             bounded += 1;
-                            let values = prefixes(&entry, agg, wg, k, &rows, &mut scratch);
+                            if learned || !greedy || !matches!(agg, Aggregation::Min) {
+                                prop_assert!(cap >= bound, "{} record cap {} < bound {}", agg.name(), cap, bound);
+                            }
+                            let values = prefixes((&entry, &record), agg, wg, k, &rows, &mut scratch);
                             let any = values.iter().any(|&(_, q)| q);
                             // `SumStrategy` tests its first state, the
                             // whole pool's value, before any other.
@@ -1225,7 +1712,7 @@ mod tests {
                             let tested = if agg.certificates().incremental_removal { &values[first..] } else { &values[..] };
                             for &(value, qualifies) in tested {
                                 if !learned || qualifies || (any && agg.certificates().incremental_removal) {
-                                    prop_assert!(value <= bound, "{} of {:?}: {} > {}", agg.name(), entry.pool(), value, bound);
+                                    prop_assert!(value <= bound, "{} of {:?}: {} > {}", agg.name(), entry.pool(&record), value, bound);
                                 }
                             }
                         }
@@ -1239,8 +1726,9 @@ mod tests {
         /// in both pool orders, `top-t-sum`, `min` and percentiles over a
         /// greedy pool — is, bit for bit, the largest value (by
         /// `total_cmp`) of a qualifying prefix, and every class's is `−∞`
-        /// when no prefix qualifies. On thinned cliques of adversarial
-        /// weights, the seed among them anywhere.
+        /// when no prefix qualifies. The record caps are at least it, and
+        /// for `avg` and greedy `min` are it. On thinned cliques of
+        /// adversarial weights, the seed among them anywhere.
         #[test]
         fn learned_bounds_are_the_largest_qualifying_value_bit_for_bit(
             n in 4usize..32,
@@ -1255,20 +1743,23 @@ mod tests {
             let (rows, _) = CoreRows::cached(&snap, k);
             let mut scratch = LocalScratch::new(n);
             let s = k + extra;
+            let longest = s.min(level.mask.count());
             let mut exact = 0;
             for greedy in [true, false] {
                 for seed in level.mask.iter() {
-                    let entry = SeedEntry::build(wg, &rows, &level.mask, seed as VertexId, k, s, greedy, &mut scratch);
-                    if entry.pool_len() <= k {
+                    let (entry, built) = SeedEntry::build(wg, &rows, &level.mask, seed as VertexId, k, s, greedy, &mut scratch);
+                    if built.pool_len() <= k {
                         continue;
                     }
-                    entry.learn(wg, &rows, k, &mut scratch);
+                    let record = entry.learn(&built, wg, &rows, k, greedy, &mut scratch);
                     for agg in bounded_aggregations() {
-                        let bound = entry.bound(agg, wg, k, greedy);
-                        let values = prefixes(&entry, agg, wg, k, &rows, &mut scratch);
+                        let bound = entry.bound(&record, agg, wg, k, greedy);
+                        let cap = Cap::new(agg, k, longest, greedy).of(&record);
+                        let values = prefixes((&entry, &record), agg, wg, k, &rows, &mut scratch);
                         let qualifying = values.iter().filter(|&&(_, q)| q).map(|&(v, _)| v);
                         let Some(largest) = qualifying.max_by(f64::total_cmp) else {
-                            prop_assert_eq!(bound, Some(f64::NEG_INFINITY), "{} of {:?}", agg.name(), entry.pool());
+                            prop_assert_eq!(bound, Some(f64::NEG_INFINITY), "{} of {:?}", agg.name(), entry.pool(&record));
+                            prop_assert_eq!(cap, f64::NEG_INFINITY, "{} record of {:?}", agg.name(), entry.pool(&record));
                             continue;
                         };
                         let is_exact = match agg {
@@ -1279,12 +1770,137 @@ mod tests {
                         if is_exact {
                             exact += 1;
                             let got = bound.map(f64::to_bits);
-                            prop_assert_eq!(got, Some(largest.to_bits()), "{} of {:?}", agg.name(), entry.pool());
+                            prop_assert_eq!(got, Some(largest.to_bits()), "{} of {:?}", agg.name(), entry.pool(&record));
+                            prop_assert!(cap >= largest, "{} record cap {} < {}", agg.name(), cap, largest);
+                        }
+                        if matches!(agg, Aggregation::Average) || (greedy && matches!(agg, Aggregation::Min)) {
+                            prop_assert_eq!(cap.to_bits(), largest.to_bits(), "{} record of {:?}", agg.name(), entry.pool(&record));
                         }
                     }
                 }
             }
             prop_assert!(exact > 0 || level.mask.is_empty());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// A block's record caps every live slot's record under every
+        /// aggregation — while some slots are empty (every cap `+∞`), and
+        /// as a summary taken before more of its entries learned, which
+        /// is what a walk reads until it re-summarizes. On a family walked
+        /// part way, and learned in part, in both pool orders.
+        #[test]
+        fn block_caps_dominate_each_live_slots_cap(
+            wg in workload::arb_workload(workload::Shape::Families(0..4), 0..8, 100..160),
+            k in 1usize..4,
+            extra in 1usize..30,
+            greedy in any::<bool>(),
+        ) {
+            let snap = GraphSnapshot::new(wg);
+            let (memo, s) = (SeedMemo::default(), k + extra);
+            let family = memo.family(&snap.level(k), s, greedy);
+            let n = family.seeds().len();
+            if n == 0 {
+                return Ok(());
+            }
+            let mut lists = [TopList::new(3), TopList::new(3)];
+            let deck = [Aggregation::Average, Aggregation::Min];
+            walk_targets(&snap, &family, &deck, &mut lists, 2 * n / 3 + 1, true);
+            let (rows, _) = CoreRows::cached(&snap, k);
+            let mut scratch = LocalScratch::new(snap.weighted().num_vertices());
+            let memo_family = family.family.as_ref().unwrap();
+            let blocks = n.div_ceil(BLOCK);
+            for b in 0..blocks {
+                memo_family.block(b);
+            }
+            for at in (0..n).step_by(2) {
+                if let Some((entry, record)) = held(&family, at) {
+                    let learned = entry.learn(&record, snap.weighted(), &rows, k, greedy, &mut scratch);
+                    memo_family.publish(at, &learned);
+                }
+            }
+            let longest = s.min(n);
+            for b in 0..blocks {
+                let (stale, fresh) = (memo_family.blocks[b].load(), memo_family.block(b));
+                for at in b * BLOCK..n.min((b + 1) * BLOCK) {
+                    let record = memo_family.records[at].load();
+                    for agg in bounded_aggregations() {
+                        let cap = Cap::new(agg, k, longest, greedy);
+                        if record.state == EMPTY {
+                            prop_assert_eq!(cap.of(&fresh), f64::INFINITY, "{} of block {}", agg.name(), b);
+                            continue;
+                        }
+                        for block in [stale, fresh] {
+                            prop_assert!(cap.of(&block) >= cap.of(&record), "{} of slot {} in block {}", agg.name(), at, b);
+                        }
+                    }
+                }
+            }
+        }
+
+        /// A walk that jumps blocks answers, skips, replays and builds
+        /// exactly what a walk that reads every seed's record and then its
+        /// entry does, target replays included: two memos walked the same
+        /// way but for the jumps stay the same. A cold walk over part of
+        /// the seeds leaves the family built in part; two warm walks at
+        /// other `r` follow, and one more over each memo's carry through
+        /// an apply.
+        #[test]
+        fn a_block_jumping_walk_equals_a_seed_by_seed_walk(
+            n in 60usize..120,
+            seed in any::<u64>(),
+            distinct in 2u32..6,
+            k in 2usize..4,
+            extra in 2usize..12,
+            greedy in any::<bool>(),
+            deck in 0usize..4,
+        ) {
+            let decks: [&[Aggregation]; 4] = [
+                &[Aggregation::Average],
+                &[Aggregation::Min],
+                &[Aggregation::Sum, Aggregation::Percentile { p: 0.5 }],
+                &[Aggregation::TopTSum { t: 3 }, Aggregation::Min, spread()],
+            ];
+            let deck = decks[deck];
+            let snap = GraphSnapshot::new(graph(n, seed, distinct));
+            let core: Vec<VertexId> = snap.level(k).mask.iter().map(|v| v as VertexId).collect();
+            if core.len() <= 2 {
+                return Ok(());
+            }
+            let s = k + extra;
+            let memos = [SeedMemo::default(), SeedMemo::default()];
+            let pass = |snap: &GraphSnapshot, memo: &SeedMemo, upto: usize, r: usize, blocks: bool| {
+                let family = memo.family(&snap.level(k), s, greedy);
+                let mut lists: Vec<TopList> = deck.iter().map(|_| TopList::new(r)).collect();
+                let (mut counts, targets) = walk_targets(snap, &family, deck, &mut lists, upto, blocks);
+                let jumped = std::mem::take(&mut counts.jumped);
+                counts.capped = 0;
+                let lists: Vec<Vec<Community>> = lists.into_iter().map(TopList::into_vec).collect();
+                (lists, counts, targets, jumped)
+            };
+            let mut jumps = 0;
+            for (upto, r) in [(core.len() / 2, 3), (usize::MAX, 2), (usize::MAX, 5)] {
+                let (by_block, by_seed) = (pass(&snap, &memos[0], upto, r, true), pass(&snap, &memos[1], upto, r, false));
+                prop_assert_eq!(&by_block.0, &by_seed.0, "lists, r = {}", r);
+                prop_assert_eq!(by_block.1, by_seed.1, "counts, r = {}", r);
+                prop_assert_eq!(by_block.2, by_seed.2, "target counts, r = {}", r);
+                jumps += by_block.3;
+            }
+            // Cut a core vertex's edge and join two core vertices.
+            let u = core[seed as usize % core.len()];
+            let cut = snap.graph().neighbors(u)[0];
+            let join = core.iter().copied().find(|&w| w != u && !snap.graph().neighbors(u).contains(&w));
+            let mut updates = vec![EdgeUpdate::Remove { u, v: cut }];
+            updates.extend(join.map(|w| EdgeUpdate::Insert { u, v: w }));
+            let (next, delta) = apply(&snap, &updates);
+            let carried = memos.map(|memo| memo.carry(&delta).memo);
+            let (by_block, by_seed) = (pass(&next, &carried[0], usize::MAX, 4, true), pass(&next, &carried[1], usize::MAX, 4, false));
+            prop_assert_eq!(&by_block.0, &by_seed.0, "lists after the apply");
+            prop_assert_eq!(by_block.1, by_seed.1, "counts after the apply");
+            prop_assert_eq!(by_block.2, by_seed.2, "target counts after the apply");
+            prop_assert!(by_block.3 + jumps <= by_block.1.visited * 4);
         }
     }
 
@@ -1300,12 +1916,15 @@ mod tests {
         let (rows, _) = CoreRows::cached(&snap, 2);
         let mut scratch = LocalScratch::new(6);
         for greedy in [true, false] {
-            let entry = SeedEntry::build(wg, &rows, &level.mask, 0, 2, 5, greedy, &mut scratch);
-            assert_eq!(entry.pool_len(), 5);
-            entry.learn(wg, &rows, 2, &mut scratch);
+            let (entry, built) =
+                SeedEntry::build(wg, &rows, &level.mask, 0, 2, 5, greedy, &mut scratch);
+            assert_eq!(built.pool_len(), 5);
+            let record = entry.learn(&built, wg, &rows, 2, greedy, &mut scratch);
             for agg in bounded_aggregations() {
-                let bound = entry.bound(agg, wg, 2, greedy);
+                let bound = entry.bound(&record, agg, wg, 2, greedy);
                 assert_eq!(bound, Some(f64::NEG_INFINITY), "{}", agg.name());
+                let cap = Cap::new(agg, 2, 5, greedy).of(&record);
+                assert_eq!(cap, f64::NEG_INFINITY, "{} record", agg.name());
             }
         }
     }
@@ -1327,13 +1946,13 @@ mod tests {
             let build = |scratch: &mut LocalScratch| {
                 SeedEntry::build(wg, &rows, &level.mask, 0, k, s, true, scratch)
             };
-            let probe = build(&mut scratch);
+            let (probe, probed) = build(&mut scratch);
             // What a bound must cap: the largest qualifying value, or for
             // `SumStrategy` its first state, when some prefix qualifies.
             let largest: Vec<(Aggregation, Option<f64>)> = bounded_aggregations()
                 .into_iter()
                 .map(|agg| {
-                    let values = prefixes(&probe, agg, wg, k, &rows, &mut scratch);
+                    let values = prefixes((&probe, &probed), agg, wg, k, &rows, &mut scratch);
                     let mut qualifying = values.iter().filter(|&&(_, q)| q).map(|&(v, _)| v);
                     let cap = match agg.certificates().incremental_removal {
                         true => qualifying.next().and(values.last().map(|&(v, _)| v)),
@@ -1343,20 +1962,26 @@ mod tests {
                 })
                 .collect();
             for _ in 0..32 {
-                let entry = build(&mut scratch);
+                let (entry, built) = build(&mut scratch);
+                let cell = RecordCell::default();
+                cell.store(&built);
                 let start = std::sync::Barrier::new(2);
                 std::thread::scope(|threads| {
                     threads.spawn(|| {
                         start.wait();
-                        entry.learn(wg, &rows, k, &mut LocalScratch::new(n as usize));
+                        let mut scratch = LocalScratch::new(n as usize);
+                        cell.store(&entry.learn(&built, wg, &rows, k, true, &mut scratch));
                     });
                     start.wait();
                     loop {
-                        let done = entry.learned.load(Acquire);
+                        let record = cell.load();
+                        let done = record.learned();
                         for &(agg, largest) in &largest {
-                            let bound = entry.bound(agg, wg, k, true);
+                            let bound = entry.bound(&record, agg, wg, k, true);
                             let caps = |b: f64| largest.is_none_or(|l| b >= l);
                             assert!(bound.is_none_or(caps), "{}: {bound:?}", agg.name());
+                            let cap = Cap::new(agg, k, s, true).of(&record);
+                            assert!(caps(cap), "{} record: {cap}", agg.name());
                         }
                         if done {
                             break;
@@ -1379,13 +2004,12 @@ mod tests {
             let family = memo.family(&snap.level(k), s, greedy);
             let config = LocalSearchConfig { k, r: 3, s, greedy };
             for pass in 0..2 {
-                let (avg, sum, visits) = walk(&snap, &family, (k, s, greedy));
-                let count = |want: SeedVisit| visits.iter().filter(|&&v| v == want).count();
-                let (skipped, replayed) = (count(SeedVisit::Skipped), count(SeedVisit::Replayed));
+                let (avg, sum, counts) = walk(&snap, &family);
+                let (skipped, replayed) = (counts.skipped, counts.replayed);
                 if pass == 0 {
                     assert_eq!(skipped + replayed, 0, "a cold walk builds every pool");
                 } else {
-                    assert_eq!(skipped + replayed, visits.len(), "a warm one builds none");
+                    assert_eq!(skipped + replayed, counts.visited, "a warm one builds none");
                     assert!(
                         skipped > 0 && replayed > 0,
                         "{skipped} skipped, {replayed} replayed"
@@ -1418,12 +2042,9 @@ mod tests {
         for greedy in [true, false] {
             let family = memo.family(&level, s, greedy);
             for pass in 0..2 {
-                let (avg, sum, visits) = walk(&snap, &family, (k, s, greedy));
-                let count =
-                    |want: fn(&SeedVisit) -> bool| visits.iter().filter(|v| want(v)).count();
-                let replayed = count(|v| *v == SeedVisit::Replayed);
-                let built = count(|v| matches!(v, SeedVisit::Built(_)));
-                assert_eq!(replayed + built, visits.len(), "no `min` target");
+                let (avg, sum, counts) = walk(&snap, &family);
+                let (replayed, built) = (counts.replayed, built(&counts));
+                assert_eq!(replayed + built, counts.visited, "no `min` target");
                 let config = LocalSearchConfig { k, r: 3, s, greedy };
                 assert_eq!(
                     avg.into_vec(),
@@ -1454,7 +2075,7 @@ mod tests {
             // The second family's slots no longer fit: it is walked bare.
             assert_eq!(family.family.is_some(), greedy);
         }
-        assert_eq!(memo.take_refused(), refused as u64 + 1);
+        assert_eq!(memo.take_refused(), refused + 1);
     }
 
     #[test]
@@ -1494,7 +2115,7 @@ mod tests {
         for (k, s, greedy) in families {
             budget += FamilyMemo::slot_bytes(seeds.len());
             for &seed in &seeds {
-                let entry =
+                let (entry, _) =
                     SeedEntry::build(wg, &rows, &level.mask, seed, k, s, greedy, &mut scratch);
                 budget += entry.bytes();
             }
@@ -1502,11 +2123,11 @@ mod tests {
         let memo = SeedMemo::with_budget(budget);
         for pass in 0..2 {
             for family in families {
-                let (_, _, visits) = walk(&snap, &memo.family(&level, family.1, true), family);
-                // A warm seed is replayed, or skipped by its entry's bounds.
-                let warm = visits.iter().filter(|v| !matches!(v, SeedVisit::Built(_)));
-                let want = if pass == 0 { 0 } else { seeds.len() };
-                assert_eq!(warm.count(), want, "pass {pass}, family {family:?}");
+                let (_, _, counts) = walk(&snap, &memo.family(&level, family.1, true));
+                // A warm seed is replayed, or skipped by its bounds.
+                let warm = counts.visited - built(&counts);
+                let want = if pass == 0 { 0 } else { seeds.len() as u64 };
+                assert_eq!(warm, want, "pass {pass}, family {family:?}");
             }
         }
         assert!(memo.bytes() <= budget, "{} > {budget}", memo.bytes());
@@ -1557,11 +2178,11 @@ mod tests {
         let shifted: Vec<VertexId> = level.mask.iter().map(|v| v as VertexId).collect();
         for family @ (_, s, greedy) in families {
             assert!(assert_fresh(&next, &carried, family) > 0, "{family:?}");
-            let held = carried.family(&level, s, greedy);
-            assert_eq!(held.seeds(), shifted);
+            let family = carried.family(&level, s, greedy);
+            assert_eq!(family.seeds(), shifted);
             let entered = shifted.binary_search(&30).unwrap();
             assert!(
-                held.get(entered).is_none(),
+                held(&family, entered).is_none(),
                 "the entering seed has no entry"
             );
         }

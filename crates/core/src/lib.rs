@@ -29,7 +29,7 @@
 //! | Algorithm 4 (`LOCAL SEARCH`) with `SumStrategy`/`AvgStrategy` | [`Query::solve`] → [`algo::local_search`], over the k-core's weight-ordered rows ([`algo::CoreRows`]); each seed's pool is built into a seed-memo entry and replayed, as in the engine | any aggregation, size-constrained (peel extremum `Min` also skips seeds at or under the bar; an entry's value bounds skip the strategies that cannot beat it) |
 //! | min/max threshold peel (Li et al. VLDB'15 style) | [`Query::solve`] → [`algo::ExtremumIndex`] | peel extremum |
 //! | TONIC (non-overlapping) variants | [`algo::nonoverlap`] | per solver |
-//! | Batched local search | `ic_engine::Engine` (one seed walk per `(k, s, greedy)` family over [`algo::run_seed_memo`], replaying a per-snapshot [`algo::SeedMemo`]; families run side by side on its workers) | any aggregation, size-constrained |
+//! | Batched local search | `ic_engine::Engine` (one seed walk per `(k, s, greedy)` family over [`algo::MemoFamily::walk`], replaying a per-snapshot [`algo::SeedMemo`]; families run side by side on its workers) | any aggregation, size-constrained |
 //!
 //! # Quick start
 //!

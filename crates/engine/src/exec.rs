@@ -52,9 +52,7 @@
 
 use crate::plan::{Job, JobOutput, LocalMember, Plan, Route};
 use crate::{AnswerSink, AnswerStatus, EngineError, EngineMetrics, Epoch, QueryAnswer, Serving};
-use ic_core::algo::{
-    run_seed_memo, CoreRows, ExtremumIndex, LocalScratch, SeedTarget, SeedVisit, TicSearch,
-};
+use ic_core::algo::{CoreRows, ExtremumIndex, LocalScratch, SeedTarget, TicSearch};
 use ic_core::{Aggregation, Community, Query, TopList};
 use ic_kcore::{Budget, GraphSnapshot, PeelArena};
 use std::any::Any;
@@ -130,8 +128,10 @@ pub(crate) struct ForestCounters {
 /// `core.local_*`: what the local-search walks of this engine did,
 /// summed once per family walk — seeds visited, seeds skipped without a pool
 /// (a `min` seed at the bar, or a memo entry whose value bounds are at or
-/// below every bar) and seeds replayed from the seed memo (see
-/// [`run_seed_memo`]), target replays run and those that inserted a
+/// below every bar), of those the seeds jumped with their block and the
+/// seeds their slot record skipped without reading the entry, and seeds
+/// replayed from the seed memo (see [`ic_core::algo::MemoFamily::walk`]), target
+/// replays run and those that inserted a
 /// community, pool vertices collected, and [`CoreRows`] builds
 /// (one per `(snapshot, k)` a size-bounded query touched that no apply
 /// carried rows to) — and the apply's and the memo's own: levels whose
@@ -141,6 +141,8 @@ pub(crate) struct ForestCounters {
 pub(crate) struct LocalCounters {
     pub seeds: ic_obs::Counter,
     pub seeds_skipped: ic_obs::Counter,
+    pub seeds_jumped: ic_obs::Counter,
+    pub seeds_capped: ic_obs::Counter,
     pub seeds_replayed: ic_obs::Counter,
     pub targets_replayed: ic_obs::Counter,
     pub targets_inserted: ic_obs::Counter,
@@ -595,8 +597,7 @@ fn run_local_walk(
 
     let mut lists: Vec<TopList> = members.iter().map(|m| TopList::new(m.r)).collect();
     let scratch = scratch.get_or_insert_with(|| LocalScratch::new(wg.num_vertices()));
-    let (mut visited, mut skipped, mut replayed, mut pooled) = (0u64, 0u64, 0u64, 0u64);
-    {
+    let walked = {
         let mut targets: Vec<SeedTarget<'_>> = lists
             .iter_mut()
             .zip(members)
@@ -605,37 +606,18 @@ fn run_local_walk(
                 list,
             })
             .collect();
-        for at in 0..memo.seeds().len() {
-            if budget.as_ref().is_some_and(Budget::poll) {
-                break;
-            }
-            let visit = run_seed_memo(
-                wg,
-                &rows,
-                &level.mask,
-                &memo,
-                at,
-                k,
-                s,
-                greedy,
-                scratch,
-                &mut targets,
-            );
-            visited += 1;
-            match visit {
-                SeedVisit::Skipped => skipped += 1,
-                SeedVisit::Replayed => replayed += 1,
-                SeedVisit::Built(pool) => pooled += pool as u64,
-            }
-        }
-    }
-    counters.seeds.add(visited);
-    counters.seeds_skipped.add(skipped);
-    counters.seeds_replayed.add(replayed);
+        let stop = || budget.as_ref().is_some_and(Budget::poll);
+        memo.walk(wg, &rows, &level.mask, scratch, &mut targets, stop)
+    };
+    counters.seeds.add(walked.visited);
+    counters.seeds_skipped.add(walked.skipped);
+    counters.seeds_jumped.add(walked.jumped);
+    counters.seeds_capped.add(walked.capped);
+    counters.seeds_replayed.add(walked.replayed);
     let (targets_replayed, targets_inserted) = scratch.take_target_counts();
     counters.targets_replayed.add(targets_replayed);
     counters.targets_inserted.add(targets_inserted);
-    counters.pool_vertices.add(pooled);
+    counters.pool_vertices.add(walked.pooled);
 
     let cut = budget.is_some_and(|b| b.expired());
     for (list, m) in lists.into_iter().zip(members) {

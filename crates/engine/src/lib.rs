@@ -376,6 +376,8 @@ impl EngineMetrics {
             local: exec::LocalCounters {
                 seeds: registry.counter("core.local_seeds"),
                 seeds_skipped: registry.counter("core.local_seeds_skipped"),
+                seeds_jumped: registry.counter("core.local_seeds_jumped"),
+                seeds_capped: registry.counter("core.local_seeds_capped"),
                 seeds_replayed: registry.counter("core.local_seeds_replayed"),
                 targets_replayed: registry.counter("core.local_targets_replayed"),
                 targets_inserted: registry.counter("core.local_targets_inserted"),

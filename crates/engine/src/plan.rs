@@ -94,7 +94,7 @@ pub(crate) enum Job {
     /// list — Algorithm 4 exactly as `Query::solve` runs it. The seed
     /// pool depends only on `(k, s, greedy)`, so it is built once per
     /// seed for every member, or replayed from the snapshot's seed memo
-    /// ([`ic_core::algo::run_seed_memo`]). When deadline-armed, the walk
+    /// ([`ic_core::algo::MemoFamily::walk`]). When deadline-armed, the walk
     /// polls one budget, armed at execution start, between seeds.
     Local {
         k: usize,

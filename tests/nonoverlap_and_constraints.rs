@@ -632,3 +632,62 @@ fn warm_engine_walks_match_their_golden_digests() {
         .collect();
     assert_eq!(got, GOLDEN_WALKS, "digests now:\n{table}");
 }
+
+/// The `(k, s) = (4, 20)` greedy family (r = 20) on the quick `youtube`
+/// analog, walked by each class of [`WALK_DECK`] in turn, as `miss_mix`'s
+/// size-bounded classes share their families: each class's second walk
+/// settles its skips from the memo's records. For `avg` and `min` at
+/// least 80% of the seeds it skips are jumped with their 32-slot block,
+/// and over every class at least 90% of the skips read no seed entry (a
+/// block jump or a slot record).
+#[test]
+fn a_warm_walk_skips_most_seeds_without_reading_an_entry() {
+    use ic_engine::Engine;
+    const SKIPS: [&str; 3] = [
+        "core.local_seeds_skipped",
+        "core.local_seeds_jumped",
+        "core.local_seeds_capped",
+    ];
+    let [(_, youtube), _] = youtube_and_ties();
+    let eng = Engine::with_threads(youtube, 1);
+    let counts = || -> [u64; 3] {
+        let entries = eng.obs_registry().flat_entries();
+        SKIPS.map(|name| match entries.iter().find(|(n, _)| n == name) {
+            Some(&(_, value)) => value as u64,
+            None => panic!("{name} not registered"),
+        })
+    };
+    let walk = |agg: Aggregation| {
+        let query = ic_core::Query::new(4, 20, agg).size_bound(20, true);
+        eng.clear_result_cache();
+        let before = counts();
+        eng.run_batch(std::slice::from_ref(&query));
+        let after = counts();
+        std::array::from_fn::<u64, 3, _>(|i| after[i] - before[i])
+    };
+    // The first walk builds every entry; the first walks of the classes
+    // learn the verdicts their bars ask for.
+    for (_, agg) in WALK_DECK {
+        walk(agg);
+    }
+    let (mut skipped, mut untouched) = (0, 0);
+    for (label, agg) in WALK_DECK {
+        let [skips, jumped, capped] = walk(agg);
+        assert!(
+            jumped + capped <= skips,
+            "{label}: jumps and caps are skips"
+        );
+        if matches!(agg, Aggregation::Average | Aggregation::Min) {
+            assert!(
+                jumped * 5 >= skips * 4,
+                "{label}: {jumped} of {skips} skips jumped"
+            );
+        }
+        skipped += skips;
+        untouched += jumped + capped;
+    }
+    assert!(
+        untouched * 10 >= skipped * 9,
+        "{untouched} of {skipped} skips read no entry"
+    );
+}
