@@ -66,8 +66,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Bytes one snapshot's memo may hold: `miss_mix`'s whole working set,
 /// 132 `(k, s)` families of up to 40-vertex pools over the 4- to 10-cores
-/// of a 10⁴-vertex graph, peaks at 32.9 MB of it (35.2 MB while each
-/// entry kept a byte per prefix instead of a bit).
+/// of a 10⁴-vertex graph, peaks at 35.6 MB of it with the slot and block
+/// records charged (32.9 MB when each entry held the fields itself).
 const MEMO_BUDGET: usize = 36 << 20;
 
 /// A prefix a replay has not tested yet.
