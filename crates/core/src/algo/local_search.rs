@@ -39,7 +39,7 @@
 
 use crate::aggregate::StateView;
 use crate::algo::common::validate_k_r;
-use crate::algo::seed_memo::expand_seed;
+use crate::algo::seed_memo::{expand_seed, Cap};
 use crate::community::encode_ordered_f64;
 use crate::{AggregateState, Aggregation, Community, Extremum, SearchError, TopList};
 use ic_graph::{BitSet, VertexId, WeightedGraph};
@@ -200,12 +200,13 @@ pub(crate) fn local_search_in(
     let LocalSearchConfig { k, s, greedy, r } = *config;
     let mut list = TopList::new(r);
     let scratch = &mut LocalScratch::new(wg.num_vertices());
+    let caps = [Cap::new(aggregation, wg.total_weight(), k, s, greedy)];
     for seed in core.iter().map(|v| v as VertexId) {
-        let target = SeedTarget {
+        let targets = &mut [SeedTarget {
             aggregation,
             list: &mut list,
-        };
-        expand_seed(wg, rows, core, seed, k, s, greedy, scratch, &mut [target]);
+        }];
+        expand_seed(wg, rows, core, seed, k, s, greedy, scratch, &caps, targets);
     }
     Ok(list.into_vec())
 }
@@ -225,6 +226,7 @@ pub fn local_search_nonoverlapping(
     let rows = &CoreRows::build(wg, &core);
     let scratch = &mut LocalScratch::new(wg.num_vertices());
     let LocalSearchConfig { k, s, greedy, r } = *config;
+    let caps = [Cap::new(aggregation, wg.total_weight(), k, s, greedy)];
     let mut results: Vec<Community> = Vec::new();
 
     let mut seeds: Vec<u32> = core.iter().map(|v| v as u32).collect();
@@ -241,11 +243,11 @@ pub fn local_search_nonoverlapping(
         }
         // Single-slot list: accept the seed's best candidate, if any.
         let mut single = TopList::new(1);
-        let target = SeedTarget {
+        let targets = &mut [SeedTarget {
             aggregation,
             list: &mut single,
-        };
-        expand_seed(wg, rows, &core, seed, k, s, greedy, scratch, &mut [target]);
+        }];
+        expand_seed(wg, rows, &core, seed, k, s, greedy, scratch, &caps, targets);
         if let Some(found) = single.into_vec().pop() {
             for &v in &found.vertices {
                 core.remove(v as usize);
@@ -1032,7 +1034,9 @@ pub(crate) mod tests {
             targets.push(SeedTarget { aggregation, list });
         }
         let (rows, sc) = (CoreRows::build(wg, &core), &mut LocalScratch::new(6));
-        let built = expand_seed(wg, &rows, &core, seed, 2, 3, true, sc, &mut targets);
+        let cap = |t: &SeedTarget<'_>| Cap::new(t.aggregation, wg.total_weight(), 2, 3, true);
+        let caps: Vec<Cap> = targets.iter().map(cap).collect();
+        let built = expand_seed(wg, &rows, &core, seed, 2, 3, true, sc, &caps, &mut targets);
         built.map_or(0, |(_, record)| record.pool_len())
     }
 

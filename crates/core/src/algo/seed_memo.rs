@@ -20,25 +20,26 @@
 //!
 //! Beside each entry its family keeps a fixed-size [`Record`] of the
 //! numbers folded from its pool: its length, the pool-order sum, the two
-//! heaviest weights, the largest prefix mean and a `min` cap. From them
-//! and a target's certificates, [`SeedEntry::bound`] caps every value the
-//! target's replay would compute; a target whose cap is at or below its
-//! bar is left out, and a seed no target is left for is skipped. The
+//! heaviest weights, the largest prefix mean and a `min` cap. Off them
+//! each target's [`Cap`], chosen by its certificates, caps every value
+//! the target's replay would compute; a target whose cap is at or below
+//! its bar is left out, and a seed no target is left for is skipped. The
 //! first warm replay a target is not left out of has the entry learn its
 //! verdicts, in one pass over the pool (the degree tracker's pushes and a
 //! union-find over pool positions), and from then on the record is over
 //! the qualifying prefixes only — the ones a replay can insert: `−∞` when
-//! none does, and for the classes whose values are monotone in a greedy
-//! pool's prefix length, the bound is the largest qualifying value
-//! itself, bit for bit. Seeds are still visited in ascending order and a
-//! skipped target could insert nothing, so answers do not change.
+//! none does. For the order statistics whose values are monotone in a
+//! greedy pool's prefix length, `top-t-sum` and percentiles, the entry
+//! then refines the cap to the largest qualifying value itself, bit for
+//! bit ([`SeedEntry::bound`]). Seeds are still visited in ascending order
+//! and a skipped target could insert nothing, so answers do not change.
 //!
-//! A walk settles most skips from the records alone: each target reads a
-//! [`Cap`] off a record that is at least the entry's own bound, so a seed
-//! the record skips is one the entry would skip too, and the entry is not
-//! touched. Every 32 slots a block record keeps the field-wise maxima of
-//! its slots' records, re-summarized by the walk that reaches it after a
-//! publish, and a block every target's cap rules out is jumped whole.
+//! A walk settles most skips from the records alone: a seed every
+//! target's cap rules out is skipped without touching its entry, and the
+//! entry's refinement is read only for the seeds that are left. Every 32
+//! slots a block record keeps the field-wise maxima of its slots'
+//! records, re-summarized by the walk that reaches it after a publish,
+//! and a block every target's cap rules out is jumped whole.
 //!
 //! A family keeps one slot per seed of its level, in the ascending order
 //! a walk visits them, so it costs what its level's k-core holds, not
@@ -89,9 +90,12 @@ const LEARNED: u8 = 2;
 /// No prefix qualifies: learned so, or the pool is too short to host a
 /// k-core. Every cap is `−∞`.
 const NOTHING: u8 = 3;
+/// A block's field-wise maxima, not one seed's numbers: a cap that needs
+/// those is `+∞`.
+const SUMMARY: u8 = 4;
 
 /// What a skip reads of one seed's expansion — a slot record — or, as
-/// field-wise maxima, of a block of slots (`state` unused). Each number
+/// field-wise maxima, of a block of slots (`SUMMARY`). Each number
 /// is over every prefix `len > k` while the entry has not learned its
 /// verdicts and over the qualifying ones once it has, so learning only
 /// ever lowers a field; `NOTHING` holds `−∞` in every weight field.
@@ -123,7 +127,7 @@ pub(crate) struct Record {
 impl Record {
     /// An invalid block: every cap `+∞`.
     const UNKNOWN: Record = Record {
-        state: EMPTY,
+        state: SUMMARY,
         len: (0, u32::MAX),
         total: f64::INFINITY,
         w1: f64::INFINITY,
@@ -150,13 +154,13 @@ impl Record {
     }
 
     fn learned(&self) -> bool {
-        self.state >= LEARNED
+        matches!(self.state, LEARNED | NOTHING)
     }
 
     /// The field-wise maxima of `self` and `other`, and their length span.
     fn join(self, other: &Record) -> Record {
         Record {
-            state: BUILT,
+            state: SUMMARY,
             len: (self.len.0.min(other.len.0), self.len.1.max(other.len.1)),
             total: self.total.max(other.total),
             w1: self.w1.max(other.w1),
@@ -168,9 +172,9 @@ impl Record {
 
     /// `top-t-sum`'s cap: at most the sum of all weights and the
     /// heaviest plus `t − 1` times the second — or `t` times the second,
-    /// whichever is larger, so that an unlearned record's is `min(total,
-    /// t·max)` as the entry's is — computed in other orders than the
-    /// value, so with DESIGN §5's rounding margin.
+    /// whichever is larger, so that an unlearned record's is at least
+    /// `min(total, t·max)` bit for bit — computed in other orders than
+    /// the value, so with DESIGN §5's rounding margin.
     fn top_t(&self, t: f64) -> f64 {
         let heavy = (t * self.w2).max(self.w1 + (t - 1.0) * self.w2);
         let b = self.total.min(heavy);
@@ -213,8 +217,10 @@ impl RecordCell {
 /// A block record: the field-wise maxima of its slots' records and their
 /// length span, `+∞` while a slot is empty. `dirty` is set, `Release`,
 /// after every publish to one of its slots, and taken by the walk that
-/// re-summarizes it. Records only fall, so a summary read from older
-/// records, or mixed field by field from two summaries, still caps them.
+/// re-summarizes it. A block starts as [`Record::UNKNOWN`], which caps
+/// every record, and records only fall, so a summary read from older
+/// records, or mixed field by field from two summaries or from a summary
+/// and the start, still caps them.
 struct BlockCell {
     dirty: AtomicBool,
     /// Shortest pool in the low half, longest in the high.
@@ -224,11 +230,13 @@ struct BlockCell {
 
 impl BlockCell {
     fn new() -> BlockCell {
-        BlockCell {
+        let block = BlockCell {
             dirty: AtomicBool::new(true),
-            len: AtomicU64::new(0),
-            fields: std::array::from_fn(|_| AtomicU64::new(f64::INFINITY.to_bits())),
-        }
+            len: AtomicU64::default(),
+            fields: Default::default(),
+        };
+        block.store(&Record::UNKNOWN);
+        block
     }
 
     fn load(&self) -> Record {
@@ -236,7 +244,7 @@ impl BlockCell {
         let [total, w1, w2, peak_mean, min_cap] =
             std::array::from_fn(|i| f64::from_bits(self.fields[i].load(Relaxed)));
         Record {
-            state: BUILT,
+            state: SUMMARY,
             len: (len as u32, (len >> 32) as u32),
             total,
             w1,
@@ -256,27 +264,32 @@ impl BlockCell {
     }
 }
 
-/// How a target reads its cap off a [`Record`]: at least the entry's own
-/// [`bound`](SeedEntry::bound) in the same state — but for a greedy `min`
-/// before learning, whose cap, the seed's weight, is at least the learned
-/// bound — so a seed a record skips is one the entry path skips too
-/// (having learned, at worst), and a walk's counts do not change. DESIGN
-/// §5 has the table and the proofs.
+/// How a target caps, off a seed's [`Record`] (or a block's), every value
+/// a replay of the seed (of any of its seeds) could insert: the one table
+/// a replay leaves a target out by, and a walk skips a seed or jumps a
+/// block by. Until learned the cap is over every value the replay
+/// computes, once learned over the qualifying prefixes (DESIGN §5).
 #[derive(Clone, Copy, Debug)]
-enum Cap {
-    /// `sum`: the first `SumStrategy` state.
+pub(crate) enum Cap {
+    /// `sum`: the first `SumStrategy` state, bit for bit.
     Sum,
-    /// `sum-surplus`, `sum + α·len`, at the shorter pool when `α < 0`.
+    /// `sum-surplus`, `sum + α·len`, bit for bit; a block's at its shorter
+    /// pool when `α < 0`.
     Surplus(f64),
-    /// `avg`: `peak_mean`.
+    /// Any other `incremental_removal` class without a multiset: `f` at
+    /// `(len, total)` (and the graph's total weight), bit for bit; not
+    /// monotone in the fields, so `+∞` off a block.
+    State(Aggregation, f64),
+    /// `avg`: `peak_mean`, the very `sum / len` the replay computes.
     Mean,
-    /// `min`: `min_cap`.
+    /// `min`: `min_cap`. Every candidate holds the seed.
     Min,
     /// `top-t-sum`, `t`: [`Record::top_t`].
-    TopT(f64),
-    /// A greedy percentile whose nearest rank is below the heaviest of
-    /// every length a pool can have: `w2`.
-    Second,
+    TopT(usize),
+    /// A percentile `p`: `w2` when `second` — a greedy pool's nearest
+    /// rank below the heaviest at every length a pool can have — else
+    /// `w1`. A value is some member's weight.
+    Percentile { p: f64, second: bool },
     /// Any other node-dominated class: `w1`.
     Heaviest,
     /// Anything else: only `NOTHING` caps it.
@@ -284,22 +297,25 @@ enum Cap {
 }
 
 impl Cap {
-    /// The cap of `aggregation` for a family at `(k, greedy)` whose pools
-    /// hold at most `longest` vertices.
-    fn new(aggregation: Aggregation, k: usize, longest: usize, greedy: bool) -> Cap {
-        match aggregation {
+    /// The cap of `agg` over a graph of `total` weight, for a family at
+    /// `(k, greedy)` whose pools hold at most `longest` vertices.
+    pub(crate) fn new(agg: Aggregation, total: f64, k: usize, longest: usize, greedy: bool) -> Cap {
+        let certificates = agg.certificates();
+        match agg {
             Aggregation::Sum => Cap::Sum,
             Aggregation::SumSurplus { alpha } => Cap::Surplus(alpha),
+            _ if certificates.incremental_removal && !certificates.needs_multiset => {
+                Cap::State(agg, total)
+            }
             Aggregation::Average => Cap::Mean,
             Aggregation::Min => Cap::Min,
-            Aggregation::TopTSum { t } => Cap::TopT(t as f64),
-            Aggregation::Percentile { p }
-                if greedy
-                    && (k + 1..=longest).all(|n| builtin::Percentile { p }.index(n) + 2 <= n) =>
-            {
-                Cap::Second
+            Aggregation::TopTSum { t } => Cap::TopT(t),
+            Aggregation::Percentile { p } => {
+                let rank = |n: usize| builtin::Percentile { p }.index(n);
+                let second = greedy && (k + 1..=longest).all(|n| rank(n) + 2 <= n);
+                Cap::Percentile { p, second }
             }
-            _ if aggregation.certificates().node_domination => Cap::Heaviest,
+            _ if certificates.node_domination => Cap::Heaviest,
             _ => Cap::Open,
         }
     }
@@ -314,12 +330,16 @@ impl Cap {
                 let len = if alpha < 0.0 { r.len.0 } else { r.len.1 };
                 r.total + alpha * len as f64
             }
+            Cap::State(aggregation, total_weight) if r.state != SUMMARY => {
+                let first = StateView::new(r.pool_len(), r.total, total_weight, None);
+                aggregation.with_fn(|f| f.evaluate_state(&first))
+            }
             Cap::Mean => r.peak_mean,
             Cap::Min => r.min_cap,
-            Cap::TopT(t) => r.top_t(t),
-            Cap::Second => r.w2,
-            Cap::Heaviest => r.w1,
-            Cap::Open => f64::INFINITY,
+            Cap::TopT(t) => r.top_t(t as f64),
+            Cap::Percentile { second: true, .. } => r.w2,
+            Cap::Percentile { .. } | Cap::Heaviest => r.w1,
+            Cap::State(..) | Cap::Open => f64::INFINITY,
         }
     }
 }
@@ -395,85 +415,45 @@ impl SeedEntry {
         (entry, record)
     }
 
-    /// A value no replay of this entry for `aggregation` inserts a
-    /// community of more than, or `None` when nothing caps it, read off
-    /// the entry's `record`. `greedy` is the family's pool order.
-    ///
-    /// Until the entry has [`learn`](Self::learn)ed its verdicts, the
-    /// cap is over every value the replay computes — each prefix `len >
-    /// k` for the prefix strategy, the first state for the sum strategy:
-    ///
-    /// * An `incremental_removal` aggregation without a multiset replays
-    ///   `SumStrategy`, whose first loop test is `f` at `(pool_len,
-    ///   total)`: this is it, bit for bit, for any parameter.
-    /// * `avg`'s prefix values are the very `sum / len` that `peak_mean`
-    ///   took the largest of.
-    /// * A node-dominated value is some member's weight: at most `w1`.
-    /// * `top-t-sum` is at most the sum of all weights and `t` times the
-    ///   largest; the two are computed in other orders than the value, so
-    ///   the bound carries DESIGN §5's rounding margin.
-    ///
-    /// Once learned, a replay inserts only a qualifying prefix, so the
-    /// cap is over those: `−∞` when none qualifies; for `avg`,
-    /// `peak_mean`, now their largest mean; and for a greedy pool, the
-    /// largest qualifying value itself, bit for bit, where the values
-    /// are monotone in the prefix length (DESIGN §5 has the proofs) —
-    /// `top-t-sum`'s at the longest qualifying prefix, `min`'s at the
-    /// shortest (`min_cap`), and a percentile's at the shortest or at the
-    /// shortest whose nearest rank is past the minimum, whichever is
-    /// larger. Every other class keeps the cap above.
-    fn bound(
-        &self,
-        record: &Record,
-        aggregation: Aggregation,
-        wg: &WeightedGraph,
-        k: usize,
-        greedy: bool,
-    ) -> Option<f64> {
-        if record.learned() {
-            let Some((shortest, longest)) = self.qualifying(k) else {
-                return Some(f64::NEG_INFINITY);
-            };
-            match aggregation {
-                Aggregation::TopTSum { t } if greedy => {
-                    // The value's own additions: the `t` heaviest, heaviest first.
-                    let heaviest = self.heaviest(wg, longest);
-                    let mut sum = 0.0;
-                    for at in 0..t.min(longest) {
-                        sum += heaviest(at);
-                    }
-                    return Some(sum);
-                }
-                Aggregation::Min if greedy => return Some(record.min_cap),
-                Aggregation::Percentile { p } if greedy => {
-                    let rank = |len: usize| builtin::Percentile { p }.index(len);
-                    let value = |len: usize| self.heaviest(wg, len)(len - 1 - rank(len));
-                    let past_min = (shortest..=record.pool_len()).find(|&len| rank(len) > 0);
-                    let first = value(shortest);
-                    let later = past_min.and_then(|len| self.qualifying_from(len, k));
-                    let later = later.map_or(first, value);
-                    return Some(if later.total_cmp(&first).is_gt() {
-                        later
-                    } else {
-                        first
-                    });
-                }
-                _ => {}
-            }
+    /// A value no replay of this entry for a target whose [`Cap`] is
+    /// `cap` inserts a community of more than: the cap off the entry's
+    /// `record`, but for the order statistics a learned greedy entry
+    /// knows exactly — `top-t-sum`'s value at the longest qualifying
+    /// prefix, and a percentile's at the shortest or at the shortest
+    /// whose nearest rank is past the minimum, whichever is larger (DESIGN
+    /// §5 has the proofs). Never above the cap.
+    fn bound(&self, record: &Record, cap: Cap, wg: &WeightedGraph, k: usize, greedy: bool) -> f64 {
+        let capped = cap.of(record);
+        if !greedy || record.state != LEARNED {
+            return capped;
         }
-        let certificates = aggregation.certificates();
-        if certificates.incremental_removal && !certificates.needs_multiset {
-            let first = StateView::new(record.pool_len(), record.total, wg.total_weight(), None);
-            return Some(aggregation.with_fn(|f| f.evaluate_state(&first)));
-        }
-        match aggregation {
-            Aggregation::Average => Some(record.peak_mean),
-            Aggregation::TopTSum { t } => {
-                let b = record.total.min(t as f64 * record.w1);
-                Some(b + 4.0 * f64::EPSILON * (record.len.1 + 1) as f64 * b.abs())
+        let Some((shortest, longest)) = self.qualifying(k) else {
+            return capped;
+        };
+        match cap {
+            Cap::TopT(t) => {
+                // The value's own additions: the `t` heaviest, heaviest first.
+                let heaviest = self.heaviest(wg, longest);
+                let mut sum = 0.0;
+                for at in 0..t.min(longest) {
+                    sum += heaviest(at);
+                }
+                sum
             }
-            _ if certificates.node_domination => Some(record.w1),
-            _ => None,
+            Cap::Percentile { p, .. } => {
+                let rank = |len: usize| builtin::Percentile { p }.index(len);
+                let value = |len: usize| self.heaviest(wg, len)(len - 1 - rank(len));
+                let past_min = (shortest..=record.pool_len()).find(|&len| rank(len) > 0);
+                let first = value(shortest);
+                let later = past_min.and_then(|len| self.qualifying_from(len, k));
+                let later = later.map_or(first, value);
+                if later.total_cmp(&first).is_gt() {
+                    later
+                } else {
+                    first
+                }
+            }
+            _ => capped,
         }
     }
 
@@ -633,12 +613,13 @@ fn tracked_verdict(
 }
 
 /// Applies every target's strategy to `entry`'s pool, but for a target
-/// whose [`bound`](SeedEntry::bound) is at or below its list's bar: no
-/// community its replay could insert would beat the bar. A `warm` replay
-/// (of a memoized entry) whose cheap bounds leave a target has the entry
-/// [`learn`](SeedEntry::learn) its verdicts first — `record` becomes the
-/// learned one — and bounds again; a cold one tests prefixes with the
-/// degree tracker, shared by the targets, so a prefix is tested once.
+/// whose [`bound`](SeedEntry::bound) (from its cap in `caps`) is at or
+/// below its list's bar: no community its replay could insert would beat
+/// the bar. A `warm` replay (of a memoized entry) whose bounds leave a
+/// target has the entry [`learn`](SeedEntry::learn) its verdicts first —
+/// `record` becomes the learned one — and bounds again; a cold one tests
+/// prefixes with the degree tracker, shared by the targets, so a prefix
+/// is tested once.
 /// Returns whether any target was replayed.
 #[allow(clippy::too_many_arguments)]
 fn replay(
@@ -650,6 +631,7 @@ fn replay(
     record: &mut Record,
     warm: bool,
     scratch: &mut LocalScratch,
+    caps: &[Cap],
     targets: &mut [SeedTarget<'_>],
 ) -> bool {
     let pool = entry.pool(record);
@@ -657,9 +639,9 @@ fn replay(
         return false; // cannot host a k-core
     }
     let (mut tracked, mut replayed) = (None, false);
-    for target in targets {
+    for (target, &cap) in targets.iter_mut().zip(caps) {
         let (agg, bar) = (target.aggregation, target.list.threshold());
-        let beaten = |r: &Record| entry.bound(r, agg, wg, k, greedy).is_some_and(|b| b <= bar);
+        let beaten = |r: &Record| entry.bound(r, cap, wg, k, greedy) <= bar;
         if beaten(record) {
             continue;
         }
@@ -1109,7 +1091,7 @@ impl MemoFamily<'_> {
         targets: &mut [SeedTarget<'_>],
         mut stop: impl FnMut() -> bool,
     ) -> WalkCounts {
-        let caps = self.caps(targets);
+        let caps = self.caps(wg, targets);
         let mut counts = WalkCounts::default();
         let mut at = 0;
         while at < self.seeds.len() && !stop() {
@@ -1131,10 +1113,10 @@ impl MemoFamily<'_> {
     }
 
     /// Each target's [`Cap`] in this family.
-    fn caps(&self, targets: &[SeedTarget<'_>]) -> Vec<Cap> {
-        let longest = self.s.min(self.seeds.len());
+    fn caps(&self, wg: &WeightedGraph, targets: &[SeedTarget<'_>]) -> Vec<Cap> {
+        let (total, longest) = (wg.total_weight(), self.s.min(self.seeds.len()));
         (targets.iter())
-            .map(|t| Cap::new(t.aggregation, self.k, longest, self.greedy))
+            .map(|t| Cap::new(t.aggregation, total, self.k, longest, self.greedy))
             .collect()
     }
 
@@ -1161,7 +1143,8 @@ impl MemoFamily<'_> {
             Some((family, record, entry))
         });
         let Some((family, mut record, entry)) = held else {
-            return match expand_seed(wg, rows, core, seed, k, s, greedy, scratch, targets) {
+            let expanded = expand_seed(wg, rows, core, seed, k, s, greedy, scratch, caps, targets);
+            return match expanded {
                 Some((entry, record)) => {
                     self.keep(at, entry, &record);
                     SeedVisit::Built(record.pool_len())
@@ -1185,6 +1168,7 @@ impl MemoFamily<'_> {
             &mut record,
             true,
             scratch,
+            caps,
             targets,
         );
         if record.state != state {
@@ -1224,8 +1208,9 @@ impl MemoFamily<'_> {
 /// Algorithm 4's one seed expansion, run by `Query::solve`, TONIC and a
 /// memo walk's unmemoized seeds: unless [`seed_is_hopeless`], builds
 /// `seed`'s [`SeedEntry`] and replays it for every target, value bounds
-/// included. The caller keeps the entry and its record or drops them
-/// (`None`: nothing built). Arguments as for [`MemoFamily::walk`].
+/// included, `caps[i]` the [`Cap`] of `targets[i]`. The caller keeps the
+/// entry and its record or drops them (`None`: nothing built). Arguments
+/// as for [`MemoFamily::walk`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn expand_seed(
     wg: &WeightedGraph,
@@ -1236,6 +1221,7 @@ pub(crate) fn expand_seed(
     s: usize,
     greedy: bool,
     scratch: &mut LocalScratch,
+    caps: &[Cap],
     targets: &mut [SeedTarget<'_>],
 ) -> Option<(SeedEntry, Record)> {
     if seed_is_hopeless(wg, seed, targets) {
@@ -1251,6 +1237,7 @@ pub(crate) fn expand_seed(
         &mut record,
         false,
         scratch,
+        caps,
         targets,
     );
     Some((entry, record))
@@ -1303,7 +1290,7 @@ mod tests {
             };
             family.walk(wg, &rows, &level.mask, &mut scratch, &mut targets, stop)
         } else {
-            let caps = family.caps(&targets);
+            let caps = family.caps(wg, &targets);
             let mut counts = WalkCounts::default();
             for at in 0..family.seeds().len().min(upto) {
                 let visit = family.visit(
@@ -1664,12 +1651,11 @@ mod tests {
         /// its verdicts, each prefix `len > k` for the prefix strategy and
         /// the first state for the sum strategy; after, only the
         /// qualifying prefixes, and the first state only when some prefix
-        /// qualifies. Each record cap — what a walk skips by, entry
-        /// untouched — is at least the entry's learned bound, and at
-        /// least its bound in the same state but for a greedy `min`'s
-        /// before learning (the seed's weight). On thinned cliques
-        /// of adversarial weights, for every seed, both pool orders, and
-        /// every aggregation that has a bound.
+        /// qualifies. The bound is at most the record's cap — what a walk
+        /// skips by, entry untouched — so a record skip is one the entry
+        /// path makes too, and learning never raises a cap. On thinned
+        /// cliques of adversarial weights, for every seed, both pool
+        /// orders, and every aggregation that has a bound.
         #[test]
         fn entry_bounds_dominate_every_value_their_replay_computes(
             n in 4usize..32,
@@ -1695,15 +1681,15 @@ mod tests {
                     for learned in [false, true] {
                         let record = if learned { taught } else { built };
                         for agg in bounded_aggregations() {
-                            let cap = Cap::new(agg, k, longest, greedy).of(&record);
-                            if let Some(bound) = entry.bound(&taught, agg, wg, k, greedy) {
-                                prop_assert!(cap >= bound, "{} record cap {} < learned bound {}", agg.name(), cap, bound);
+                            let cap = Cap::new(agg, wg.total_weight(), k, longest, greedy);
+                            let (lowered, capped) = (cap.of(&taught), cap.of(&record));
+                            prop_assert!(cap.of(&built) >= lowered, "{} learned cap {} > {}", agg.name(), lowered, cap.of(&built));
+                            let bound = entry.bound(&record, cap, wg, k, greedy);
+                            prop_assert!(capped >= bound, "{} record cap {} < bound {}", agg.name(), capped, bound);
+                            if bound == f64::INFINITY {
+                                continue;
                             }
-                            let Some(bound) = entry.bound(&record, agg, wg, k, greedy) else { continue };
                             bounded += 1;
-                            if learned || !greedy || !matches!(agg, Aggregation::Min) {
-                                prop_assert!(cap >= bound, "{} record cap {} < bound {}", agg.name(), cap, bound);
-                            }
                             let values = prefixes((&entry, &record), agg, wg, k, &rows, &mut scratch);
                             let any = values.iter().any(|&(_, q)| q);
                             // `SumStrategy` tests its first state, the
@@ -1727,8 +1713,9 @@ mod tests {
         /// greedy pool — is, bit for bit, the largest value (by
         /// `total_cmp`) of a qualifying prefix, and every class's is `−∞`
         /// when no prefix qualifies. The record caps are at least it, and
-        /// for `avg` and greedy `min` are it. On thinned cliques of
-        /// adversarial weights, the seed among them anywhere.
+        /// for `avg` and greedy `min` are it: the entry refines only the
+        /// order statistics. On thinned cliques of adversarial weights, the
+        /// seed among them anywhere.
         #[test]
         fn learned_bounds_are_the_largest_qualifying_value_bit_for_bit(
             n in 4usize..32,
@@ -1753,12 +1740,13 @@ mod tests {
                     }
                     let record = entry.learn(&built, wg, &rows, k, greedy, &mut scratch);
                     for agg in bounded_aggregations() {
-                        let bound = entry.bound(&record, agg, wg, k, greedy);
-                        let cap = Cap::new(agg, k, longest, greedy).of(&record);
+                        let cap = Cap::new(agg, wg.total_weight(), k, longest, greedy);
+                        let bound = entry.bound(&record, cap, wg, k, greedy);
+                        let cap = cap.of(&record);
                         let values = prefixes((&entry, &record), agg, wg, k, &rows, &mut scratch);
                         let qualifying = values.iter().filter(|&&(_, q)| q).map(|&(v, _)| v);
                         let Some(largest) = qualifying.max_by(f64::total_cmp) else {
-                            prop_assert_eq!(bound, Some(f64::NEG_INFINITY), "{} of {:?}", agg.name(), entry.pool(&record));
+                            prop_assert_eq!(bound, f64::NEG_INFINITY, "{} of {:?}", agg.name(), entry.pool(&record));
                             prop_assert_eq!(cap, f64::NEG_INFINITY, "{} record of {:?}", agg.name(), entry.pool(&record));
                             continue;
                         };
@@ -1769,12 +1757,8 @@ mod tests {
                         };
                         if is_exact {
                             exact += 1;
-                            let got = bound.map(f64::to_bits);
-                            prop_assert_eq!(got, Some(largest.to_bits()), "{} of {:?}", agg.name(), entry.pool(&record));
+                            prop_assert_eq!(bound.to_bits(), largest.to_bits(), "{} of {:?}", agg.name(), entry.pool(&record));
                             prop_assert!(cap >= largest, "{} record cap {} < {}", agg.name(), cap, largest);
-                        }
-                        if matches!(agg, Aggregation::Average) || (greedy && matches!(agg, Aggregation::Min)) {
-                            prop_assert_eq!(cap.to_bits(), largest.to_bits(), "{} record of {:?}", agg.name(), entry.pool(&record));
                         }
                     }
                 }
@@ -1787,10 +1771,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// A block's record caps every live slot's record under every
-        /// aggregation — while some slots are empty (every cap `+∞`), and
-        /// as a summary taken before more of its entries learned, which
-        /// is what a walk reads until it re-summarizes. On a family walked
-        /// part way, and learned in part, in both pool orders.
+        /// aggregation — while some slots are empty (every cap `+∞`), as a
+        /// summary taken before more of its entries learned, which is what
+        /// a walk reads until it re-summarizes, and as what a walk loads
+        /// while another stores a summary field by field: the span of a
+        /// new block or of one summary beside the numbers of another. On a
+        /// family walked part way, and learned in part, in both pool
+        /// orders.
         #[test]
         fn block_caps_dominate_each_live_slots_cap(
             wg in workload::arb_workload(workload::Shape::Families(0..4), 0..8, 100..160),
@@ -1821,19 +1808,29 @@ mod tests {
                     memo_family.publish(at, &learned);
                 }
             }
-            let longest = s.min(n);
+            let (longest, total) = (s.min(n), snap.weighted().total_weight());
+            // A block holding `span`'s length span and `fields`' numbers.
+            let torn = |span: &Record, fields: &Record| {
+                let (cell, span_cell) = (BlockCell::new(), BlockCell::new());
+                span_cell.store(span);
+                cell.store(fields);
+                cell.len.store(span_cell.len.load(Relaxed), Relaxed);
+                cell.load()
+            };
             for b in 0..blocks {
                 let (stale, fresh) = (memo_family.blocks[b].load(), memo_family.block(b));
+                let start = BlockCell::new().load();
+                let mixed = [torn(&start, &fresh), torn(&start, &stale), torn(&stale, &fresh), torn(&fresh, &stale)];
                 for at in b * BLOCK..n.min((b + 1) * BLOCK) {
                     let record = memo_family.records[at].load();
                     for agg in bounded_aggregations() {
-                        let cap = Cap::new(agg, k, longest, greedy);
+                        let cap = Cap::new(agg, total, k, longest, greedy);
                         if record.state == EMPTY {
                             prop_assert_eq!(cap.of(&fresh), f64::INFINITY, "{} of block {}", agg.name(), b);
                             continue;
                         }
-                        for block in [stale, fresh] {
-                            prop_assert!(cap.of(&block) >= cap.of(&record), "{} of slot {} in block {}", agg.name(), at, b);
+                        for block in [stale, fresh].iter().chain(&mixed) {
+                            prop_assert!(cap.of(block) >= cap.of(&record), "{} of slot {} in block {}", agg.name(), at, b);
                         }
                     }
                 }
@@ -1921,10 +1918,10 @@ mod tests {
             assert_eq!(built.pool_len(), 5);
             let record = entry.learn(&built, wg, &rows, 2, greedy, &mut scratch);
             for agg in bounded_aggregations() {
-                let bound = entry.bound(&record, agg, wg, 2, greedy);
-                assert_eq!(bound, Some(f64::NEG_INFINITY), "{}", agg.name());
-                let cap = Cap::new(agg, 2, 5, greedy).of(&record);
-                assert_eq!(cap, f64::NEG_INFINITY, "{} record", agg.name());
+                let cap = Cap::new(agg, wg.total_weight(), 2, 5, greedy);
+                let bound = entry.bound(&record, cap, wg, 2, greedy);
+                assert_eq!(bound, f64::NEG_INFINITY, "{}", agg.name());
+                assert_eq!(cap.of(&record), f64::NEG_INFINITY, "{} record", agg.name());
             }
         }
     }
@@ -1977,11 +1974,10 @@ mod tests {
                         let record = cell.load();
                         let done = record.learned();
                         for &(agg, largest) in &largest {
-                            let bound = entry.bound(&record, agg, wg, k, true);
+                            let cap = Cap::new(agg, wg.total_weight(), k, s, true);
+                            let bound = entry.bound(&record, cap, wg, k, true);
                             let caps = |b: f64| largest.is_none_or(|l| b >= l);
-                            assert!(bound.is_none_or(caps), "{}: {bound:?}", agg.name());
-                            let cap = Cap::new(agg, k, s, true).of(&record);
-                            assert!(caps(cap), "{} record: {cap}", agg.name());
+                            assert!(caps(bound), "{}: {bound}", agg.name());
                         }
                         if done {
                             break;
